@@ -64,10 +64,10 @@ type Options struct {
 	Method string
 	// Timeout bounds optimization; 0 means 100s (the paper's cap).
 	Timeout time.Duration
-	// Parallelism bounds the worker pool the execution runtime uses
-	// for per-node phases; 0 means GOMAXPROCS, negative forces the
-	// sequential runtime. Results and statistics are identical at any
-	// setting — only wall-clock time changes.
+	// Parallelism is the number of worker lanes a query's jobs run on;
+	// 0 means GOMAXPROCS, negative means one lane (everything inline on
+	// the caller, the same as 1). Results and statistics are identical
+	// at any setting — only wall-clock time changes.
 	Parallelism int
 	// PlanCacheSize caps (approximately — sharding rounds it up to a
 	// multiple of 8) the engine's prepared-plan cache, keyed on
@@ -189,10 +189,9 @@ func (opts Options) config() (csq.Config, error) {
 	if opts.Timeout > 0 {
 		cfg.Timeout = opts.Timeout
 	}
-	if opts.Parallelism < 0 {
-		cfg.Sequential = true
-	} else {
-		cfg.Parallelism = opts.Parallelism
+	cfg.Parallelism = opts.Parallelism
+	if cfg.Parallelism < 0 {
+		cfg.Parallelism = 1
 	}
 	cfg.PlanCacheSize = opts.PlanCacheSize
 	cfg.ResultCacheBytes = opts.ResultCacheBytes

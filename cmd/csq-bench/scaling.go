@@ -21,16 +21,15 @@ type scalingPoint struct {
 	// NS is the best-of-reps wall time for one pass over the curve's
 	// plan set, in nanoseconds.
 	NS int64 `json:"ns"`
-	// Speedup is the sequential baseline's time divided by this
-	// point's (>1 means the parallel runtime beats the sequential
-	// escape hatch).
+	// Speedup is the one-lane baseline's time divided by this point's
+	// (>1 means the extra lanes pay for themselves).
 	Speedup float64 `json:"speedup"`
 }
 
 type scalingCurve struct {
 	Name string `json:"name"`
-	// SequentialNS is the Config.Sequential baseline the speedups are
-	// relative to.
+	// SequentialNS is the workers = 1 point's time, the baseline the
+	// speedups are relative to.
 	SequentialNS int64          `json:"sequential_ns"`
 	Points       []scalingPoint `json:"points"`
 }
@@ -71,7 +70,7 @@ func timePlans(eng *csq.Engine, plans []*physical.Plan, reps int) (int64, error)
 
 // scaling sweeps the morsel runtime's worker count 1..GOMAXPROCS over
 // the LUBM workload and the shuffle-heaviest linear plan, printing
-// speedup-vs-sequential curves and optionally writing them as JSON
+// speedup-vs-one-lane curves and optionally writing them as JSON
 // (the input of `benchcheck -scaling`). The simulated results are
 // identical at every width — the sweep measures only real wall time.
 func scaling(cc experiments.ClusterConfig, outPath string) error {
@@ -91,8 +90,8 @@ func scaling(cc experiments.ClusterConfig, outPath string) error {
 		return cfg
 	}
 
-	// Plan both curves once on a sequential engine; every configuration
-	// executes the same compiled plans.
+	// Plan both curves once; every configuration executes the same
+	// compiled plans.
 	planEng := csq.New(g, baseCfg())
 	var workload []*physical.Plan
 	var shuffleHeavy *physical.Plan
@@ -127,23 +126,12 @@ func scaling(cc experiments.ClusterConfig, outPath string) error {
 		{"workload", workload},
 		{"shuffle-heavy", []*physical.Plan{shuffleHeavy}},
 	}
-	fmt.Printf("== Scaling: morsel runtime speedup vs sequential (LUBM %d universities, %d nodes, GOMAXPROCS %d) ==\n",
+	fmt.Printf("== Scaling: morsel runtime speedup vs one lane (LUBM %d universities, %d nodes, GOMAXPROCS %d) ==\n",
 		cc.Universities, cc.Nodes, maxw)
 	w := tw()
 	fmt.Fprintln(w, "curve\tworkers\tms/pass\tspeedup")
 	for _, c := range curves {
-		seqCfg := baseCfg()
-		seqCfg.Sequential = true
-		seqEng := csq.New(g, seqCfg)
-		seqNS, err := timePlans(seqEng, c.plans, reps)
-		if err != nil {
-			return err
-		}
-		if err := seqEng.Close(); err != nil {
-			return err
-		}
-		curve := scalingCurve{Name: c.name, SequentialNS: seqNS}
-		fmt.Fprintf(w, "%s\tseq\t%.2f\t1.00\n", c.name, float64(seqNS)/1e6)
+		curve := scalingCurve{Name: c.name}
 		for workers := 1; workers <= maxw; workers++ {
 			cfg := baseCfg()
 			cfg.Parallelism = workers
@@ -155,7 +143,10 @@ func scaling(cc experiments.ClusterConfig, outPath string) error {
 			if err := eng.Close(); err != nil {
 				return err
 			}
-			sp := float64(seqNS) / float64(ns)
+			if workers == 1 {
+				curve.SequentialNS = ns
+			}
+			sp := float64(curve.SequentialNS) / float64(ns)
 			curve.Points = append(curve.Points, scalingPoint{Workers: workers, NS: ns, Speedup: sp})
 			fmt.Fprintf(w, "%s\t%d\t%.2f\t%.2f\n", c.name, workers, float64(ns)/1e6, sp)
 		}

@@ -1,8 +1,8 @@
 package cliquesquare
 
-// Determinism of the concurrent execution runtime: the parallel and
-// sequential runtimes must produce identical results and identical
-// simulated statistics over the LUBM workload (run under -race in CI).
+// Determinism of the execution runtime: many lanes and one lane must
+// produce identical results and identical simulated statistics over
+// the LUBM workload (run under -race in CI).
 
 import (
 	"reflect"
@@ -41,21 +41,21 @@ func runWorkload(t *testing.T, eng *csq.Engine) (map[string][][]uint32, map[stri
 	return rows, stats
 }
 
-// TestParallelSequentialDeterminism asserts that the concurrent runtime
-// is observationally identical to the sequential escape hatch: same
-// result rows, same job count, byte-identical JobStats (including the
+// TestParallelSequentialDeterminism asserts that running on several
+// lanes is observationally identical to the one-lane pin: same result
+// rows, same job count, byte-identical JobStats (including the
 // floating-point simulated times) for every LUBM query.
 func TestParallelSequentialDeterminism(t *testing.T) {
 	g := lubm.Generate(lubm.DefaultConfig(2))
 
 	// Force a multi-worker pool explicitly (0 would mean GOMAXPROCS,
-	// which degrades to the sequential path on a single-CPU machine).
+	// which is one lane on a single-CPU machine).
 	par := csq.DefaultConfig()
 	par.Parallelism = 4
 	parEng := csq.New(g, par)
 
 	seq := csq.DefaultConfig()
-	seq.Sequential = true
+	seq.Parallelism = 1
 	seqEng := csq.New(g, seq)
 
 	prows, pstats := runWorkload(t, parEng)
@@ -63,10 +63,10 @@ func TestParallelSequentialDeterminism(t *testing.T) {
 
 	for _, q := range lubm.Queries() {
 		if !reflect.DeepEqual(prows[q.Name], srows[q.Name]) {
-			t.Errorf("%s: result rows differ between parallel and sequential runs", q.Name)
+			t.Errorf("%s: result rows differ between the 4-lane and one-lane runs", q.Name)
 		}
 		if !reflect.DeepEqual(pstats[q.Name], sstats[q.Name]) {
-			t.Errorf("%s: job stats differ:\nparallel   %+v\nsequential %+v",
+			t.Errorf("%s: job stats differ:\n4 lanes  %+v\none lane %+v",
 				q.Name, pstats[q.Name], sstats[q.Name])
 		}
 	}
@@ -98,7 +98,7 @@ func TestFacadeParallelismKnob(t *testing.T) {
 			continue
 		}
 		if !reflect.DeepEqual(res.Rows, want) {
-			t.Errorf("parallelism %d: rows differ from sequential baseline", par)
+			t.Errorf("parallelism %d: rows differ from the one-lane baseline", par)
 		}
 	}
 }

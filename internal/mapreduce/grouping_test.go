@@ -1,7 +1,7 @@
 package mapreduce
 
 // Property tests pinning the binary shuffle path to the retained
-// string-keyed reference implementation (reference.go): the
+// string-keyed reference implementation (reference_test.go): the
 // sorted-record grouping must present exactly the same (group →
 // records) multisets, in exactly the seed's sorted-string key order,
 // and the packed-key machinery must be allocation-free.

@@ -7,21 +7,23 @@
 // preserving what the evaluation measures — how plan shape (number of
 // jobs, join levels, intermediate sizes) drives response time.
 //
-// The runtime is morsel-driven: a job's map work is split into
-// sub-node morsels (per partition file, via Job.MapMorsel) and its
-// reduce work into per-key-range morsels, all pulled from one shared
-// queue by a persistent worker Pool. Simulated statistics stay
-// byte-identical to a sequential sweep whatever the scheduling: every
-// metered charge is recorded per morsel and replayed into the
-// per-node meters in canonical morsel order, so the floating-point
-// sums accumulate in exactly the sequential order, and shuffle routing
-// happens at emission time into per-(morsel, destination) buckets that
-// are concatenated in (source node, morsel) order.
+// There is one job form and one way to run it. A job's map work is
+// split into sub-node morsels (per partition file, via Job.MapMorsel)
+// and its reduce work into per-key-range morsels; Cluster.RunWith
+// dispatches every phase through Pool.ForEach, which runs inline on a
+// nil or width-1 pool and across persistent worker lanes otherwise.
+// Simulated statistics are byte-identical whatever the lane count: with
+// one lane, morsels run in canonical order and charge their node's
+// meter directly; with more, every morsel logs its charges privately
+// and the logs are replayed into the per-node meters in canonical
+// morsel order, so the floating-point sums accumulate in exactly the
+// one-lane order. Shuffle routing happens at emission time into
+// per-(morsel, destination) buckets that are concatenated in (source
+// node, morsel) order.
 package mapreduce
 
 import (
 	"encoding/binary"
-	"runtime"
 
 	"cliquesquare/internal/dstore"
 )
@@ -69,8 +71,8 @@ const (
 // charge is one recorded metering event: which accumulator it hit and
 // the exact amount added. Replaying a morsel's charges into a node
 // meter in canonical morsel order reproduces, bit for bit, the sums a
-// sequential sweep would have accumulated — each amount is the same
-// product, added in the same order.
+// one-lane sweep accumulates — each amount is the same product, added
+// in the same order.
 type charge struct {
 	lane uint8
 	v    float64
@@ -98,9 +100,7 @@ func (m *Meter) charge(lane uint8, v float64) {
 	}
 }
 
-// replay adds recorded charges in their recorded order. It routes
-// through charge so a recorder attached to m (a job-level JobRecord
-// log) sees the replayed events too, in the same canonical order.
+// replay adds recorded charges in their recorded order.
 func (m *Meter) replay(cs []charge) {
 	for _, c := range cs {
 		m.charge(c.lane, c.v)
@@ -125,36 +125,28 @@ func (m *Meter) Shuffle(c *Constants, n int) { m.charge(chargeNet, c.Shuffle*flo
 // Total is the node's simulated time for the phase.
 func (m *Meter) Total() float64 { return m.IO + m.CPU + m.Net }
 
-// Job describes one MapReduce job.
+// Job describes one MapReduce job as independently schedulable morsels.
 //
-// The classic form: Map runs once per node; it may emit keyed records
-// into the shuffle and/or write rows to the job's direct output
-// (map-only output). Reduce, if non-nil, runs once per node over the
-// keyed records routed to it, grouped by exact key and presented in
-// canonical key order through the Groups iterator.
-//
-// The morsel form: MapMorsel (when non-nil, used instead of Map) runs
-// MapMorsels(node) times per node, each call an independently
-// schedulable unit — morsels of one node may run on different lanes
+// MapMorsel runs MapMorsels(node) times per node; it may emit keyed
+// records into the shuffle and/or write rows to the job's direct output
+// (map-only output). Morsels of one node may run on different lanes
 // concurrently, so per-call scratch must be indexed by the lane
-// argument, and the concatenation of a node's morsel emissions,
-// outputs and metered charges in morsel order must equal what one
-// sequential per-node sweep would produce (that concatenation is
-// exactly what the runtime reconstructs). ReduceRange (when non-nil,
-// used instead of Reduce) runs over one group-aligned key range of a
-// node's records — ranges partition the node's canonical group order
-// — and ReduceFinish, if non-nil, then runs once per node to combine
-// the ranges (its metered charges and outputs follow all range
-// charges of that node, matching a sequential groups-then-combine
-// sweep). The closures must charge their work to the provided Meter.
+// argument, and the concatenation of a node's morsel emissions, outputs
+// and metered charges in morsel order must equal what one per-node
+// sweep would produce (that concatenation is exactly what the runtime
+// reconstructs). ReduceRange — nil for a map-only job — runs over one
+// group-aligned key range of the records routed to a node, grouped by
+// exact key and presented in canonical key order through the Groups
+// iterator; ranges partition the node's canonical group order, at most
+// one per lane. ReduceFinish, if non-nil, then runs once per node to
+// combine the ranges (its metered charges and outputs follow all range
+// charges of that node, matching a groups-then-combine sweep). The
+// closures must charge their work to the provided Meter.
 type Job struct {
-	Name   string
-	Map    func(node int, m *Meter, emit func(Keyed), out func(Row))
-	Reduce func(node int, m *Meter, groups *Groups, out func(Row))
-
-	// MapMorsels reports how many map morsels a node splits into
-	// (nil means 1 when MapMorsel is set). Zero is allowed and means
-	// the node's map phase does nothing.
+	Name string
+	// MapMorsels reports how many map morsels a node splits into (nil
+	// means 1). Zero is allowed and means the node's map phase does
+	// nothing.
 	MapMorsels func(node int) int
 	// MapMorsel runs one map morsel of a node on a lane.
 	MapMorsel func(node, morsel, lane int, m *Meter, emit func(Keyed), out func(Row))
@@ -165,8 +157,21 @@ type Job struct {
 	ReduceFinish func(node, ranges, lane int, m *Meter, out func(Row))
 }
 
-// mapOnly reports whether the job has no reduce side.
-func (j *Job) mapOnly() bool { return j.Reduce == nil && j.ReduceRange == nil }
+// ClassicJob adapts the classic MapReduce form — mapFn once per node,
+// reduce (nil for a map-only job) over the groups routed to a node — to
+// the morsel form. The runtime cuts a node's groups into key ranges and
+// calls reduce once per range, so reduce must be group-local: whatever
+// it charges and emits, it charges and emits per group, from that
+// group's records alone, carrying nothing from one group to the next.
+// The per-range charges and rows of such a reducer concatenate, in
+// range order, to exactly those of one call over the whole node.
+func ClassicJob(name string, mapFn func(node int, m *Meter, emit func(Keyed), out func(Row)), reduce func(node int, m *Meter, groups *Groups, out func(Row))) Job {
+	job := Job{Name: name, MapMorsel: func(node, _, _ int, m *Meter, emit func(Keyed), out func(Row)) { mapFn(node, m, emit, out) }}
+	if reduce != nil {
+		job.ReduceRange = func(node, _, _, _ int, m *Meter, groups *Groups, out func(Row)) { reduce(node, m, groups, out) }
+	}
+	return job
+}
 
 // JobStats records one executed job's simulated timing.
 type JobStats struct {
@@ -181,87 +186,63 @@ type JobStats struct {
 	Time          float64 // init + map + shuffle + reduce
 }
 
-// JobRecord is the complete metering trace of one executed job: every
-// charge that landed in every per-node meter, in the canonical order
-// the sequential runtime charges them, plus the job's integer
-// counters. Replaying a record (Cluster.Replay) reconstructs the job's
-// JobStats bit-identically — same float64 additions in the same order
-// — without running any map/shuffle/reduce work, which is what lets
-// the subplan result cache serve cached relations with stats
-// indistinguishable from an uncached run. Per-node charge sequences
-// are lane-count invariant (parallel replay order equals sequential
-// charge order), so one record is valid at every parallelism level.
+// JobRecord is what one executed job metered: the final per-node meters
+// of every phase plus the job's integer counters — all that JobStats
+// and the total-work sum are folded from. Replaying a record
+// (Cluster.Replay) puts it through the same fold as the live run, so
+// the replayed JobStats are bit-identical without running any
+// map/shuffle/reduce work, which is what lets the subplan result cache
+// serve cached relations with stats indistinguishable from an uncached
+// run. Per-node meters are lane-count invariant, so one record is valid
+// at every parallelism level.
 //
 // A record is bound to the cluster geometry (node count) and cost
 // constants it was captured under. It excludes the job name, which is
 // query-dependent; Replay takes the name to stamp on the stats.
 type JobRecord struct {
-	mapOnly       bool
-	shuffled      int
-	shuffledCells int
-	output        int
-	// Per-node charge logs in charge order: map morsels in morsel
-	// order, the single shuffle charge, reduce ranges in range order
-	// followed by the finish charges.
-	mapNode  [][]charge
-	shufNode [][]charge
-	redNode  [][]charge
+	stats             JobStats // MapOnly and the counters; name and times unset
+	mapM, shufM, redM []Meter  // per node; shufM and redM are nil when map-only
 }
 
 // MemBytes estimates the record's resident size for cache accounting.
 func (r *JobRecord) MemBytes() int64 {
-	const chargeSize = 16 // charge{uint8, float64} with padding
-	const sliceHeader = 24
-	b := int64(128) // struct + counters
-	for _, set := range [][][]charge{r.mapNode, r.shufNode, r.redNode} {
-		b += sliceHeader
-		for _, cs := range set {
-			b += sliceHeader + chargeSize*int64(cap(cs))
-		}
-	}
-	return b
+	const meterSize = 32 // Meter{3 × float64, pointer}
+	return 256 + meterSize*int64(len(r.mapM)+len(r.shufM)+len(r.redM))
 }
 
 // Replay appends a job to the cluster's stats as if the recorded job
 // had just run: JobStats (under the given name) and the total-work sum
-// accumulate bit-identically to an actual execution — per-node map
-// totals in node order, then per node the shuffle and reduce totals,
-// then the job-init charge, matching RunWith's merge order exactly.
-// The record must have been captured on a cluster with the same cost
-// constants; the node count comes from the record itself, so a replay
-// stays faithful even after the live cluster was resized.
+// come out of the same fold as an actual execution. The record must
+// have been captured on a cluster with the same cost constants; the
+// node count comes from the record itself, so a replay stays faithful
+// even after the live cluster was resized.
 func (cl *Cluster) Replay(name string, r *JobRecord) JobStats {
-	n := len(r.mapNode)
-	stats := JobStats{
-		Name:          name,
-		MapOnly:       r.mapOnly,
-		Shuffled:      r.shuffled,
-		ShuffledCells: r.shuffledCells,
-		Output:        r.output,
-	}
+	stats := r.stats
+	stats.Name = name
+	return cl.fold(stats, r.mapM, r.shufM, r.redM)
+}
+
+// fold turns a job's per-node phase meters, plus the integer counters
+// already in stats, into the job's JobStats and total-work sum, and
+// logs the job. Phase times are maxima over nodes; work sums the map
+// totals in node order, then per node the shuffle and reduce totals,
+// then the job-init charge. Live runs and replays both end here, which
+// is what makes their floating-point results agree bit for bit.
+func (cl *Cluster) fold(stats JobStats, mapM, shufM, redM []Meter) JobStats {
 	work := 0.0
-	for node := 0; node < n; node++ {
-		var m Meter
-		m.replay(r.mapNode[node])
-		if t := m.Total(); t > stats.MapTime {
-			stats.MapTime = t
+	peak := func(phase *float64, m *Meter) {
+		t := m.Total()
+		if t > *phase {
+			*phase = t
 		}
-		work += m.Total()
+		work += t
 	}
-	if !r.mapOnly {
-		for node := 0; node < n; node++ {
-			var sm, rm Meter
-			sm.replay(r.shufNode[node])
-			rm.replay(r.redNode[node])
-			if t := sm.Total(); t > stats.ShuffleTime {
-				stats.ShuffleTime = t
-			}
-			work += sm.Total()
-			if t := rm.Total(); t > stats.ReduceTime {
-				stats.ReduceTime = t
-			}
-			work += rm.Total()
-		}
+	for i := range mapM {
+		peak(&stats.MapTime, &mapM[i])
+	}
+	for i := range shufM {
+		peak(&stats.ShuffleTime, &shufM[i])
+		peak(&stats.ReduceTime, &redM[i])
 	}
 	stats.Time = cl.C.JobInit + stats.MapTime + stats.ShuffleTime + stats.ReduceTime
 	work += cl.C.JobInit
@@ -272,28 +253,13 @@ func (cl *Cluster) Replay(name string, r *JobRecord) JobStats {
 
 // Cluster is a simulated MapReduce cluster over a shared file store.
 //
-// Phases run as morsels on a worker pool (RunWith), mirroring the real
-// parallelism CliqueSquare's flat plans exploit. Each morsel fills
-// only private buffers; the buffers are merged in canonical (node,
-// morsel) order afterwards, so outputs and JobStats are identical to
-// the sequential runtime regardless of scheduling.
+// Phases run as morsels (RunWith), mirroring the real parallelism
+// CliqueSquare's flat plans exploit. Each morsel fills only private
+// buffers; the buffers are merged in canonical (node, morsel) order
+// afterwards, so outputs and JobStats do not depend on scheduling.
 type Cluster struct {
 	Store *dstore.Store
 	C     Constants
-
-	// Parallelism bounds the worker lanes running morsels; 0 means
-	// GOMAXPROCS. Sequential forces the single-goroutine runtime (the
-	// escape hatch for debugging and determinism baselines). Both are
-	// defaults for Run; RunWith takes explicit options and leaves
-	// these fields untouched.
-	Parallelism int
-	Sequential  bool
-
-	// Scratch, if non-nil, provides reusable shuffle buffers for Run.
-	// A long-lived Scratch (e.g. one owned by a pooled execution
-	// context) amortizes the per-job emit/shuffle buffer allocations
-	// across jobs and executions; nil means per-Run buffers.
-	Scratch *Scratch
 
 	// Jobs lists per-job stats in execution order.
 	Jobs []JobStats
@@ -301,16 +267,12 @@ type Cluster struct {
 	totalWork float64
 }
 
-// RunOptions selects the runtime one RunWith call uses. The zero value
-// means: GOMAXPROCS transient lanes, per-Run scratch.
+// RunOptions is what one RunWith call borrows from its caller. The zero
+// value means: one inline lane, per-run buffers, the store's node
+// count, no record.
 type RunOptions struct {
-	// Sequential forces inline execution on the caller's goroutine.
-	Sequential bool
-	// Workers is the lane count when Pool is nil (0 = GOMAXPROCS).
-	Workers int
-	// Pool, if non-nil, supplies persistent worker lanes (its width
-	// wins over Workers). nil spawns a transient pool for this Run
-	// when more than one lane is called for.
+	// Pool supplies the worker lanes: the job runs on Pool.Lanes() of
+	// them, and a nil pool is one lane, inline on the caller.
 	Pool *Pool
 	// Nodes, when > 0, overrides the cluster size for this run.
 	// Executors pinned to a snapshot pass the snapshot's node count so
@@ -319,62 +281,87 @@ type RunOptions struct {
 	Nodes int
 	// Scratch, if non-nil, provides the reusable buffers.
 	Scratch *Scratch
-	// Record, if non-nil, captures the job's full charge trace and
-	// counters into it (see JobRecord). The record's charge slices are
-	// freshly allocated — they outlive the run and any Scratch reuse.
+	// Record, if non-nil, is filled with what the job metered (see
+	// JobRecord). It shares nothing with Scratch, so it outlives the
+	// run and any Scratch reuse.
 	Record *JobRecord
 }
 
-// laneState is one lane's current morsel bindings: where its emit and
-// out closures write. The closures themselves are built once per
-// Scratch lane and retargeted per morsel, so running a morsel
-// allocates nothing.
-type laneState struct {
-	n       int       // cluster size (routing modulus)
-	buckets [][]Keyed // per-destination emission buckets of the morsel
-	count   *int      // records emitted
-	cells   *int      // row cells emitted
-	out     *[]Row    // direct output target
-	outputs *int      // rows written
+// slot is the private state of one schedulable unit — a map morsel, a
+// reduce key range or a node's reduce finish: whose it is, what it
+// metered and what it produced. A unit writes only its own slot, so
+// lanes share no mutable state; merging slots in table order is
+// merging in canonical (node, index) order.
+type slot struct {
+	node, idx, of int      // the node, and the unit's index among that node's of units
+	meter         Meter    // private meter logging into log (more than one lane only)
+	log           []charge // the unit's charges, in charge order
+	out           []Row    // rows written, unless the unit writes the node output directly
+	outputs       int      // rows written
+	count, cells  int      // records and row cells emitted into the shuffle
+	groups        Groups   // a key range's records
 }
 
-// Scratch holds the buffers one Run draws from: per-(morsel,
+// layout returns the slot table s sized for one phase: units(node)
+// slots per node, in node order, each reset for a new run but keeping
+// the backing arrays of its log and output rows.
+func layout(s []slot, n int, units func(node int) int) []slot {
+	s = s[:0]
+	for node := 0; node < n; node++ {
+		k := units(node)
+		for i := 0; i < k; i++ {
+			if len(s) < cap(s) {
+				s = s[:len(s)+1]
+			} else {
+				s = append(s, slot{})
+			}
+			u := &s[len(s)-1]
+			*u = slot{node: node, idx: i, of: k, log: u.log[:0], out: u.out[:0]}
+		}
+	}
+	return s
+}
+
+// ResetBufs returns buf at n buffers, each reset to length zero but
+// keeping its backing array — including buffers a shorter run left
+// parked beyond buf's length. It is the reuse idiom of every per-slot,
+// per-node and per-info buffer table in the runtime and the executor.
+func ResetBufs[E any](buf [][]E, n int) [][]E {
+	buf = buf[:cap(buf)]
+	if n > len(buf) {
+		buf = append(buf, make([][]E, n-len(buf))...)
+	}
+	buf = buf[:n]
+	for i := range buf {
+		buf[i] = buf[i][:0]
+	}
+	return buf
+}
+
+// laneState is one lane's current unit bindings: where its emit and out
+// closures write. The closures themselves are built once per Scratch
+// lane and retargeted per unit, so running a unit allocates nothing.
+type laneState struct {
+	n       int       // cluster size (routing modulus)
+	unit    *slot     // the running unit: its counters
+	buckets [][]Keyed // per-destination emission buckets of a map morsel
+	out     *[]Row    // direct output target
+}
+
+// Scratch holds the buffers one RunWith draws from: per-(morsel,
 // destination) emission buckets, the routed per-destination records,
-// recorded charges, per-phase meters and counters, and the per-lane
-// emit/out closures. Buffers are sized on first use and reused (at
-// their high-water capacity) by every subsequent Run handed the same
-// Scratch. A Scratch serves one Run at a time — the worker pool inside
-// Run partitions it per morsel, but two concurrent Runs must not share
-// one.
+// the slot tables and the per-lane emit/out closures. Buffers are sized
+// on first use and reused (at their high-water capacity) by every
+// subsequent run handed the same Scratch. A Scratch serves one run at a
+// time — the lanes inside a run partition it per unit, but two
+// concurrent runs must not share one.
 type Scratch struct {
-	// map phase, indexed by morsel slot (flattened (node, morsel)).
-	buckets  [][]Keyed // slot*n+dest -> emitted records for dest
-	counts   []int     // slot -> records emitted
-	cells    []int     // slot -> row cells emitted
-	mapOut   [][]Row   // slot -> direct outputs (multi-morsel nodes)
-	outputs  []int     // slot -> rows written
-	charges  [][]charge
-	morselM  []Meter
-	slotNode []int32
-	slotBase []int
+	buckets  [][]Keyed // map slot*n+dest -> records emitted for dest
+	shuffled [][]Keyed // dest node -> routed records
+	rangeOff [][]int32 // node -> group-aligned range offsets
 
-	// shuffle + reduce phase.
-	shuffled   [][]Keyed // dest node -> routed records
-	rangeOff   [][]int32 // node -> group-aligned range offsets
-	rangeBase  []int     // node -> first flat range index
-	rangeNode  []int32
-	redCharges [][]charge
-	rangeM     []Meter
-	redOut     [][]Row
-	redOutputs []int
-	finCharges [][]charge
-	finM       []Meter
-	finOutputs []int
-	groupsBuf  []Groups
-
-	mapM  []Meter
-	shufM []Meter
-	redM  []Meter
+	// One slot per unit of each phase, in canonical order.
+	morsels, ranges, finishes []slot
 
 	// per-lane retargetable closures (allocated once per lane).
 	lanes   []*laneState
@@ -382,135 +369,27 @@ type Scratch struct {
 	outFns  []func(Row)
 }
 
-// laneFns sizes the per-lane closure set. Lane states are allocated
-// individually so the closures' captured pointers survive growth.
-func (sc *Scratch) laneFns(lanes int) {
+// laneFns sizes the per-lane closure set for a run over n nodes. Lane
+// states are allocated individually so the closures' captured pointers
+// survive growth.
+func (sc *Scratch) laneFns(lanes, n int) {
 	for len(sc.lanes) < lanes {
 		st := &laneState{}
 		sc.lanes = append(sc.lanes, st)
 		sc.emitFns = append(sc.emitFns, func(k Keyed) {
 			dest := k.Key.route(st.n)
 			st.buckets[dest] = append(st.buckets[dest], k)
-			*st.count++
-			*st.cells += len(k.Row)
+			st.unit.count++
+			st.unit.cells += len(k.Row)
 		})
 		sc.outFns = append(sc.outFns, func(r Row) {
 			*st.out = append(*st.out, r)
-			*st.outputs++
+			st.unit.outputs++
 		})
 	}
-}
-
-// keyedBufs returns n record buffers, each reset to length zero but
-// keeping its backing array.
-func keyedBufs(store *[][]Keyed, n int) [][]Keyed {
-	b := *store
-	for len(b) < n {
-		b = append(b, nil)
+	for _, st := range sc.lanes[:lanes] {
+		st.n = n
 	}
-	*store = b
-	b = b[:n]
-	for i := range b {
-		b[i] = b[i][:0]
-	}
-	return b
-}
-
-// rowBufs returns n row buffers, each reset to length zero.
-func rowBufs(store *[][]Row, n int) [][]Row {
-	b := *store
-	for len(b) < n {
-		b = append(b, nil)
-	}
-	*store = b
-	b = b[:n]
-	for i := range b {
-		b[i] = b[i][:0]
-	}
-	return b
-}
-
-// chargeBufs returns n charge logs, each reset to length zero.
-func chargeBufs(store *[][]charge, n int) [][]charge {
-	b := *store
-	for len(b) < n {
-		b = append(b, nil)
-	}
-	*store = b
-	b = b[:n]
-	for i := range b {
-		b[i] = b[i][:0]
-	}
-	return b
-}
-
-// int32SliceBufs returns n int32 buffers, each reset to length zero.
-func int32SliceBufs(store *[][]int32, n int) [][]int32 {
-	b := *store
-	for len(b) < n {
-		b = append(b, nil)
-	}
-	*store = b
-	b = b[:n]
-	for i := range b {
-		b[i] = b[i][:0]
-	}
-	return b
-}
-
-// meterBufs returns n zeroed meters, reusing the backing array.
-func meterBufs(store *[]Meter, n int) []Meter {
-	b := *store
-	if cap(b) < n {
-		b = make([]Meter, n)
-	} else {
-		b = b[:n]
-		for i := range b {
-			b[i] = Meter{}
-		}
-	}
-	*store = b
-	return b
-}
-
-// intBufs returns n zeroed counters, reusing the backing array.
-func intBufs(store *[]int, n int) []int {
-	b := *store
-	if cap(b) < n {
-		b = make([]int, n)
-	} else {
-		b = b[:n]
-		for i := range b {
-			b[i] = 0
-		}
-	}
-	*store = b
-	return b
-}
-
-// int32Bufs returns n int32 slots, reusing the backing array (contents
-// are overwritten by the caller).
-func int32Bufs(store *[]int32, n int) []int32 {
-	b := *store
-	if cap(b) < n {
-		b = make([]int32, n)
-	} else {
-		b = b[:n]
-	}
-	*store = b
-	return b
-}
-
-// groupsBufs returns n Groups slots, reusing the backing array.
-func groupsBufs(store *[]Groups, n int) []Groups {
-	b := *store
-	if cap(b) < n {
-		b = make([]Groups, n)
-	} else {
-		b = b[:n]
-	}
-	*store = b
-	return b
 }
 
 // NewCluster creates a cluster over the given store.
@@ -562,358 +441,154 @@ func (o *Output) Len() int {
 	return n
 }
 
-// Run executes one job under the cluster's own runtime settings
-// (Parallelism, Sequential, Scratch) and returns its output.
-func (cl *Cluster) Run(job Job) *Output {
-	return cl.RunWith(job, RunOptions{
-		Sequential: cl.Sequential,
-		Workers:    cl.Parallelism,
-		Scratch:    cl.Scratch,
-	})
+// splitRanges cuts sorted recs into at most maxRanges group-aligned
+// ranges of roughly equal size and returns their offsets in offs[:0]:
+// range i is recs[offs[i]:offs[i+1]], and no group straddles a cut.
+func splitRanges(offs []int32, recs []Keyed, maxRanges int) []int32 {
+	offs = append(offs[:0], 0)
+	target := (len(recs) + maxRanges - 1) / maxRanges
+	for r := 1; r < maxRanges; r++ {
+		pos := r * target
+		if pos <= int(offs[len(offs)-1]) {
+			continue
+		}
+		for pos < len(recs) && recs[pos].Key.Equal(&recs[pos-1].Key) {
+			pos++
+		}
+		if pos >= len(recs) {
+			break
+		}
+		offs = append(offs, int32(pos))
+	}
+	return append(offs, int32(len(recs)))
 }
 
-// RunWith executes one job under explicit runtime options and returns
-// its output. Map outputs and reduce outputs append to the same
-// per-node output set; a job uses one or the other (map-only vs
-// map+reduce) per the physical plan's structure.
+// RunWith executes one job and returns its output. Map outputs and
+// reduce outputs append to the same per-node output set; a job uses one
+// or the other (map-only vs map+reduce) per the physical plan's
+// structure.
 //
 // Determinism: rows and JobStats are byte-identical whatever the lane
 // count or scheduling. Integer counters are order-free; floating-point
-// meters are reconstructed by replaying each morsel's recorded charges
-// in canonical (node, morsel) — then (node, range), then finish —
-// order, which is exactly the order a sequential sweep charges them
-// in; and the shuffle input of every destination is the concatenation
-// of pre-routed per-(source, destination) buckets in (source node,
-// morsel) order, the order the sequential merge loop routed records
-// in.
+// meters see every charge in canonical (node, morsel) — then (node,
+// range), then finish — order, either directly (one lane runs the units
+// in that order) or by replaying each unit's logged charges in it; and
+// the shuffle input of every destination is the concatenation of
+// pre-routed per-(source, destination) buckets in (source node, morsel)
+// order.
 func (cl *Cluster) RunWith(job Job, opts RunOptions) *Output {
 	n := cl.N()
 	if opts.Nodes > 0 {
 		n = opts.Nodes
 	}
-	out := &Output{PerNode: make([][]Row, n)}
-	stats := JobStats{Name: job.Name, MapOnly: job.mapOnly()}
-	work := 0.0
 	sc := opts.Scratch
 	if sc == nil {
 		sc = &Scratch{}
 	}
-
-	// Resolve the lane count and pool. A single lane (or Sequential)
-	// runs everything inline with direct node meters — no recording,
-	// no replay — which produces bit-identical sums by construction
-	// (replay is just the same additions deferred).
 	pool := opts.Pool
-	lanes := 1
-	if !opts.Sequential {
-		if pool != nil {
-			lanes = pool.Lanes()
-		} else if lanes = opts.Workers; lanes <= 0 {
-			lanes = runtime.GOMAXPROCS(0)
+	lanes := pool.Lanes()
+	sc.laneFns(lanes, n)
+	out := &Output{PerNode: make([][]Row, n)}
+	stats := JobStats{Name: job.Name, MapOnly: job.ReduceRange == nil}
+	mapM := make([]Meter, n)
+
+	// begin points a lane at the unit it is about to run — direct units
+	// write the node output itself, the others their own slot — and
+	// returns the meter the unit charges. This is the one place the lane
+	// count decides anything about metering: one lane runs the units in
+	// canonical order, so they charge their node's meter and log
+	// nothing; more lanes run them in any order, so each charges a
+	// private meter whose log merge replays in canonical order.
+	begin := func(lane int, u *slot, nodeM []Meter, direct bool) *Meter {
+		st := sc.lanes[lane]
+		st.unit, st.out = u, &u.out
+		if direct {
+			st.out = &out.PerNode[u.node]
 		}
+		if lanes == 1 {
+			return &nodeM[u.node]
+		}
+		u.meter.rec = &u.log
+		return &u.meter
 	}
-	if lanes <= 1 {
-		lanes, pool = 1, nil
-	} else if pool == nil {
-		pool = NewPool(lanes)
-		defer pool.Close()
-	}
-	seq := lanes == 1
-	sc.laneFns(lanes)
-	for _, st := range sc.lanes[:lanes] {
-		st.n = n
+	// merge folds finished units into their nodes in canonical order.
+	// Replaying an empty log and appending no rows are no-ops, so this
+	// is the same loop whatever begin chose.
+	merge := func(units []slot, nodeM []Meter) {
+		for i := range units {
+			u := &units[i]
+			nodeM[u.node].replay(u.log)
+			stats.Shuffled += u.count
+			stats.ShuffledCells += u.cells
+			stats.Output += u.outputs
+			out.PerNode[u.node] = append(out.PerNode[u.node], u.out...)
+		}
 	}
 
-	// ---- Map phase: one morsel per (node, sub-task). ----
-	slotBase := intBufs(&sc.slotBase, n+1)
-	m := 0
-	for node := 0; node < n; node++ {
-		slotBase[node] = m
-		k := 1
-		if job.MapMorsel != nil && job.MapMorsels != nil {
-			k = job.MapMorsels(node)
+	// ---- Map phase: one unit per (node, morsel). ----
+	sc.morsels = layout(sc.morsels, n, func(node int) int {
+		if job.MapMorsels == nil {
+			return 1
 		}
-		m += k
-	}
-	slotBase[n] = m
-	nSlots := m
-	slotNode := int32Bufs(&sc.slotNode, nSlots)
-	for node := 0; node < n; node++ {
-		for s := slotBase[node]; s < slotBase[node+1]; s++ {
-			slotNode[s] = int32(node)
-		}
-	}
-	buckets := keyedBufs(&sc.buckets, nSlots*n)
-	counts := intBufs(&sc.counts, nSlots)
-	cellCnt := intBufs(&sc.cells, nSlots)
-	outputs := intBufs(&sc.outputs, nSlots)
-	mapOut := rowBufs(&sc.mapOut, nSlots)
-	mapMeters := meterBufs(&sc.mapM, n)
-	// A job-level recorder tees every charge landing in a node meter —
-	// charged directly (sequential) or replayed from morsel logs
-	// (parallel) — into the JobRecord, in canonical order either way.
-	rec := opts.Record
-	if rec != nil {
-		rec.mapNode = make([][]charge, n)
-		for i := range mapMeters {
-			mapMeters[i].rec = &rec.mapNode[i]
-		}
-	}
-	var charges [][]charge
-	var morselM []Meter
-	if !seq {
-		charges = chargeBufs(&sc.charges, nSlots)
-		morselM = meterBufs(&sc.morselM, nSlots)
-		for s := range morselM {
-			morselM[s].rec = &charges[s]
-		}
-	}
-	runMorsel := func(slot, lane int) {
-		node := int(slotNode[slot])
-		st := sc.lanes[lane]
-		st.buckets = buckets[slot*n : (slot+1)*n]
-		st.count = &counts[slot]
-		st.cells = &cellCnt[slot]
-		st.outputs = &outputs[slot]
-		if slotBase[node+1]-slotBase[node] == 1 {
-			// A node's only morsel writes the node output directly.
-			st.out = &out.PerNode[node]
-		} else {
-			st.out = &mapOut[slot]
-		}
-		mm := &mapMeters[node]
-		if !seq {
-			mm = &morselM[slot]
-		}
-		if job.MapMorsel != nil {
-			job.MapMorsel(node, slot-slotBase[node], lane, mm, sc.emitFns[lane], sc.outFns[lane])
-		} else {
-			job.Map(node, mm, sc.emitFns[lane], sc.outFns[lane])
-		}
-	}
-	if seq {
-		for s := 0; s < nSlots; s++ {
-			runMorsel(s, 0)
-		}
-	} else {
-		pool.ForEach(nSlots, runMorsel)
-	}
-	// Merge in (node, morsel) order: replayed meters, counters and the
-	// simulated-work sum accumulate exactly as in a sequential sweep.
-	for node := 0; node < n; node++ {
-		base, end := slotBase[node], slotBase[node+1]
-		for s := base; s < end; s++ {
-			if !seq {
-				mapMeters[node].replay(charges[s])
-			}
-			stats.Shuffled += counts[s]
-			stats.ShuffledCells += cellCnt[s]
-			stats.Output += outputs[s]
-			if end-base > 1 && len(mapOut[s]) > 0 {
-				out.PerNode[node] = append(out.PerNode[node], mapOut[s]...)
-			}
-		}
-		if t := mapMeters[node].Total(); t > stats.MapTime {
-			stats.MapTime = t
-		}
-		work += mapMeters[node].Total()
-	}
+		return job.MapMorsels(node)
+	})
+	sc.buckets = ResetBufs(sc.buckets, len(sc.morsels)*n)
+	pool.ForEach(len(sc.morsels), func(i, lane int) {
+		u := &sc.morsels[i]
+		// A node's only morsel writes the node output directly.
+		m := begin(lane, u, mapM, u.of == 1)
+		sc.lanes[lane].buckets = sc.buckets[i*n : (i+1)*n]
+		job.MapMorsel(u.node, u.idx, lane, m, sc.emitFns[lane], sc.outFns[lane])
+	})
+	merge(sc.morsels, mapM)
 
 	// ---- Shuffle + reduce phases. ----
-	if !job.mapOnly() {
-		shuffled := keyedBufs(&sc.shuffled, n)
-		shufMeters := meterBufs(&sc.shufM, n)
-		redMeters := meterBufs(&sc.redM, n)
-		if rec != nil {
-			rec.shufNode = make([][]charge, n)
-			rec.redNode = make([][]charge, n)
-			for i := 0; i < n; i++ {
-				shufMeters[i].rec = &rec.shufNode[i]
-				redMeters[i].rec = &rec.redNode[i]
+	var shufM, redM []Meter
+	if !stats.MapOnly {
+		shufM, redM = make([]Meter, n), make([]Meter, n)
+		sc.shuffled = ResetBufs(sc.shuffled, n)
+		sc.rangeOff = ResetBufs(sc.rangeOff, n)
+		// Per destination: concatenate the pre-routed buckets in (source
+		// node, morsel) order, charge, sort into canonical group order
+		// and split into group-aligned ranges, one per lane at most. The
+		// single Shuffle charge per node needs no replay.
+		pool.ForEach(n, func(dest, _ int) {
+			buf := sc.shuffled[dest]
+			for s := range sc.morsels {
+				buf = append(buf, sc.buckets[s*n+dest]...)
 			}
-		}
-		rangeOff := int32SliceBufs(&sc.rangeOff, n)
-		maxRanges := 1
-		if job.ReduceRange != nil {
-			maxRanges = lanes
-		}
-		// Per destination: concatenate the pre-routed buckets in
-		// (source node, morsel) order — byte-identical to the order
-		// the sequential merge loop routed records in — then charge,
-		// sort into canonical group order and split into group-aligned
-		// ranges. The single Shuffle charge per node needs no replay.
-		routeNode := func(dest, lane int) {
-			buf := shuffled[dest]
-			for s := 0; s < nSlots; s++ {
-				buf = append(buf, buckets[s*n+dest]...)
-			}
-			shuffled[dest] = buf
-			shufMeters[dest].Shuffle(&cl.C, len(buf))
+			sc.shuffled[dest] = buf
+			shufM[dest].Shuffle(&cl.C, len(buf))
 			sortRecords(buf)
-			offs := append(rangeOff[dest][:0], 0)
-			if maxRanges > 1 {
-				target := (len(buf) + maxRanges - 1) / maxRanges
-				for r := 1; r < maxRanges; r++ {
-					pos := r * target
-					if pos <= int(offs[len(offs)-1]) {
-						continue
-					}
-					if pos >= len(buf) {
-						break
-					}
-					for pos < len(buf) && buf[pos].Key.Equal(&buf[pos-1].Key) {
-						pos++
-					}
-					if pos >= len(buf) {
-						break
-					}
-					offs = append(offs, int32(pos))
-				}
-			}
-			offs = append(offs, int32(len(buf)))
-			rangeOff[dest] = offs
-		}
-		if seq {
-			for node := 0; node < n; node++ {
-				routeNode(node, 0)
-			}
-		} else {
-			pool.ForEach(n, routeNode)
-		}
+			sc.rangeOff[dest] = splitRanges(sc.rangeOff[dest], buf, lanes)
+		})
 
-		// Flatten the (node, range) space so ranges of all nodes share
-		// one morsel queue.
-		rangeBase := intBufs(&sc.rangeBase, n+1)
-		total := 0
-		for node := 0; node < n; node++ {
-			rangeBase[node] = total
-			total += len(rangeOff[node]) - 1
-		}
-		rangeBase[n] = total
-		rangeNode := int32Bufs(&sc.rangeNode, total)
-		for node := 0; node < n; node++ {
-			for i := rangeBase[node]; i < rangeBase[node+1]; i++ {
-				rangeNode[i] = int32(node)
-			}
-		}
-		redOutputs := intBufs(&sc.redOutputs, total)
-		redOut := rowBufs(&sc.redOut, total)
-		groups := groupsBufs(&sc.groupsBuf, total)
-		var redCharges [][]charge
-		var rangeM []Meter
-		if !seq {
-			redCharges = chargeBufs(&sc.redCharges, total)
-			rangeM = meterBufs(&sc.rangeM, total)
-			for i := range rangeM {
-				rangeM[i].rec = &redCharges[i]
-			}
-		}
-		runRange := func(idx, lane int) {
-			node := int(rangeNode[idx])
-			rng := idx - rangeBase[node]
-			nRanges := rangeBase[node+1] - rangeBase[node]
-			offs := rangeOff[node]
-			g := &groups[idx]
-			g.recs = shuffled[node][offs[rng]:offs[rng+1]]
-			st := sc.lanes[lane]
-			st.outputs = &redOutputs[idx]
-			if nRanges == 1 && job.ReduceFinish == nil {
-				st.out = &out.PerNode[node]
-			} else {
-				st.out = &redOut[idx]
-			}
-			mm := &redMeters[node]
-			if !seq {
-				mm = &rangeM[idx]
-			}
-			if job.ReduceRange != nil {
-				job.ReduceRange(node, rng, nRanges, lane, mm, g, sc.outFns[lane])
-			} else {
-				job.Reduce(node, mm, g, sc.outFns[lane])
-			}
-		}
-		if seq {
-			for i := 0; i < total; i++ {
-				runRange(i, 0)
-			}
-		} else {
-			pool.ForEach(total, runRange)
-		}
-		// Replay range charges and merge deferred range outputs in
-		// (node, range) order before any finish work lands.
-		for node := 0; node < n; node++ {
-			for i := rangeBase[node]; i < rangeBase[node+1]; i++ {
-				if !seq {
-					redMeters[node].replay(redCharges[i])
-				}
-				if len(redOut[i]) > 0 {
-					out.PerNode[node] = append(out.PerNode[node], redOut[i]...)
-				}
-			}
-		}
-		var finOutputs []int
+		// One unit per (node, range): ranges of all nodes share one queue.
+		sc.ranges = layout(sc.ranges, n, func(node int) int { return len(sc.rangeOff[node]) - 1 })
+		pool.ForEach(len(sc.ranges), func(i, lane int) {
+			u := &sc.ranges[i]
+			offs := sc.rangeOff[u.node]
+			u.groups.recs = sc.shuffled[u.node][offs[u.idx]:offs[u.idx+1]]
+			m := begin(lane, u, redM, u.of == 1 && job.ReduceFinish == nil)
+			job.ReduceRange(u.node, u.idx, u.of, lane, m, &u.groups, sc.outFns[lane])
+		})
+		// Range charges and range outputs land before any finish work.
+		merge(sc.ranges, redM)
 		if job.ReduceFinish != nil {
-			finOutputs = intBufs(&sc.finOutputs, n)
-			var finCharges [][]charge
-			var finM []Meter
-			if !seq {
-				finCharges = chargeBufs(&sc.finCharges, n)
-				finM = meterBufs(&sc.finM, n)
-				for i := range finM {
-					finM[i].rec = &finCharges[i]
-				}
-			}
-			runFinish := func(node, lane int) {
-				st := sc.lanes[lane]
-				st.outputs = &finOutputs[node]
-				st.out = &out.PerNode[node]
-				mm := &redMeters[node]
-				if !seq {
-					mm = &finM[node]
-				}
-				job.ReduceFinish(node, rangeBase[node+1]-rangeBase[node], lane, mm, sc.outFns[lane])
-			}
-			if seq {
-				for node := 0; node < n; node++ {
-					runFinish(node, 0)
-				}
-			} else {
-				pool.ForEach(n, runFinish)
-			}
-			if !seq {
-				for node := 0; node < n; node++ {
-					redMeters[node].replay(finCharges[node])
-				}
-			}
-		}
-		for node := 0; node < n; node++ {
-			if t := shufMeters[node].Total(); t > stats.ShuffleTime {
-				stats.ShuffleTime = t
-			}
-			work += shufMeters[node].Total()
-			if t := redMeters[node].Total(); t > stats.ReduceTime {
-				stats.ReduceTime = t
-			}
-			work += redMeters[node].Total()
-			for i := rangeBase[node]; i < rangeBase[node+1]; i++ {
-				stats.Output += redOutputs[i]
-			}
-			if finOutputs != nil {
-				stats.Output += finOutputs[node]
-			}
+			sc.finishes = layout(sc.finishes, n, func(int) int { return 1 })
+			pool.ForEach(n, func(node, lane int) {
+				m := begin(lane, &sc.finishes[node], redM, true)
+				job.ReduceFinish(node, len(sc.rangeOff[node])-1, lane, m, sc.outFns[lane])
+			})
+			merge(sc.finishes, redM)
 		}
 	}
 
-	stats.Time = cl.C.JobInit + stats.MapTime + stats.ShuffleTime + stats.ReduceTime
-	work += cl.C.JobInit
-	cl.totalWork += work
-	cl.Jobs = append(cl.Jobs, stats)
-	if rec != nil {
-		rec.mapOnly = stats.MapOnly
-		rec.shuffled = stats.Shuffled
-		rec.shuffledCells = stats.ShuffledCells
-		rec.output = stats.Output
+	if rec := opts.Record; rec != nil {
+		*rec = JobRecord{stats: stats, mapM: mapM, shufM: shufM, redM: redM}
+		rec.stats.Name = ""
 	}
+	cl.fold(stats, mapM, shufM, redM)
 	return out
 }
 
@@ -924,27 +599,15 @@ func (cl *Cluster) Reset() {
 }
 
 // EncodeKey builds the seed runtime's string shuffle key from a group
-// identifier and attribute values. The execution path now uses packed
-// Keys (MakeKey); this encoding is retained as the reference
-// representation — property tests compare the binary path against it,
-// and the baseline simulators use it for distinct-row counting.
+// identifier and attribute values. The execution path uses packed Keys
+// (MakeKey); this encoding is retained as the reference representation
+// — property tests compare the binary path against it, and the
+// baseline simulators use it for distinct-row counting.
 func EncodeKey(group int, vals []uint32) string {
 	buf := make([]byte, 4+4*len(vals))
 	binary.LittleEndian.PutUint32(buf, uint32(group))
 	for i, v := range vals {
 		binary.LittleEndian.PutUint32(buf[4+4*i:], v)
-	}
-	return string(buf)
-}
-
-// Encode renders the key as its seed string encoding (EncodeKey of its
-// group and cells): the reference representation tests compare
-// against.
-func (k *Key) Encode() string {
-	buf := make([]byte, 4+4*k.n)
-	binary.LittleEndian.PutUint32(buf, k.group)
-	for i := 0; i < int(k.n); i++ {
-		binary.LittleEndian.PutUint32(buf[4+4*i:], k.Cell(i))
 	}
 	return string(buf)
 }

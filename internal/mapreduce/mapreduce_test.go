@@ -1,6 +1,8 @@
 package mapreduce
 
 import (
+	"reflect"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -13,24 +15,32 @@ func wordCountCluster(n int) (*Cluster, *dstore.Store) {
 	return NewCluster(store, DefaultConstants()), store
 }
 
+// runOn runs job on a pool of the given width, reaped afterwards;
+// width 0 is the nil pool.
+func runOn(cl *Cluster, lanes int, job Job, rec *JobRecord) *Output {
+	var pool *Pool
+	if lanes > 0 {
+		pool = NewPool(lanes)
+		defer pool.Close()
+	}
+	return cl.RunWith(job, RunOptions{Pool: pool, Record: rec})
+}
+
 func TestMapOnlyJob(t *testing.T) {
 	cl, store := wordCountCluster(3)
 	for i := 0; i < 3; i++ {
 		store.Node(i).Append("in", []string{"v"}, dstore.Row{rdf.TermID(i + 1)})
 	}
-	out := cl.Run(Job{
-		Name: "identity",
-		Map: func(node int, m *Meter, emit func(Keyed), out func(Row)) {
-			f, ok := store.Node(node).Get("in")
-			if !ok {
-				return
-			}
-			m.Read(&cl.C, f.NumRows())
-			for i := 0; i < f.NumRows(); i++ {
-				out(f.Row(i))
-			}
-		},
-	})
+	out := runOn(cl, 0, ClassicJob("identity", func(node int, m *Meter, emit func(Keyed), out func(Row)) {
+		f, ok := store.Node(node).Get("in")
+		if !ok {
+			return
+		}
+		m.Read(&cl.C, f.NumRows())
+		for i := 0; i < f.NumRows(); i++ {
+			out(f.Row(i))
+		}
+	}, nil), nil)
 	if out.Len() != 3 {
 		t.Errorf("output = %d rows, want 3", out.Len())
 	}
@@ -48,22 +58,21 @@ func TestMapOnlyJob(t *testing.T) {
 func TestShuffleGroupsByExactKey(t *testing.T) {
 	cl, _ := wordCountCluster(4)
 	// Each node emits (key = node%2, value = node); reduce counts per
-	// group.
-	var groupsSeen int
-	out := cl.Run(Job{
-		Name: "group",
-		Map: func(node int, m *Meter, emit func(Keyed), out func(Row)) {
+	// group. Reducers of different nodes run on different lanes, so the
+	// shared counter is atomic.
+	var groupsSeen atomic.Int32
+	out := runOn(cl, 4, ClassicJob("group",
+		func(node int, m *Meter, emit func(Keyed), out func(Row)) {
 			emit(Keyed{Key: MakeKey1(0, uint32(node%2)), Tag: 0, Row: Row{rdf.TermID(node)}})
 		},
-		Reduce: func(node int, m *Meter, groups *Groups, out func(Row)) {
+		func(node int, m *Meter, groups *Groups, out func(Row)) {
 			groups.Each(func(_ *Key, recs []Keyed) {
-				groupsSeen++
+				groupsSeen.Add(1)
 				out(Row{rdf.TermID(len(recs))})
 			})
-		},
-	})
-	if groupsSeen != 2 {
-		t.Errorf("saw %d groups, want 2", groupsSeen)
+		}), nil)
+	if n := groupsSeen.Load(); n != 2 {
+		t.Errorf("saw %d groups, want 2", n)
 	}
 	if out.Len() != 2 {
 		t.Errorf("output = %d rows, want 2", out.Len())
@@ -94,16 +103,13 @@ func TestEncodeKeyInjective(t *testing.T) {
 func TestTimingIsMaxOverNodesPlusInit(t *testing.T) {
 	cl, _ := wordCountCluster(2)
 	// Node 0 does 100 reads, node 1 does 10: map time must be the max.
-	cl.Run(Job{
-		Name: "skew",
-		Map: func(node int, m *Meter, emit func(Keyed), out func(Row)) {
-			if node == 0 {
-				m.Read(&cl.C, 100)
-			} else {
-				m.Read(&cl.C, 10)
-			}
-		},
-	})
+	runOn(cl, 0, ClassicJob("skew", func(node int, m *Meter, emit func(Keyed), out func(Row)) {
+		if node == 0 {
+			m.Read(&cl.C, 100)
+		} else {
+			m.Read(&cl.C, 10)
+		}
+	}, nil), nil)
 	j := cl.Jobs[0]
 	if j.MapTime != 100*cl.C.Read {
 		t.Errorf("map time = %v, want %v", j.MapTime, 100*cl.C.Read)
@@ -119,7 +125,7 @@ func TestTimingIsMaxOverNodesPlusInit(t *testing.T) {
 
 func TestReset(t *testing.T) {
 	cl, _ := wordCountCluster(1)
-	cl.Run(Job{Name: "noop", Map: func(int, *Meter, func(Keyed), func(Row)) {}})
+	runOn(cl, 0, ClassicJob("noop", func(int, *Meter, func(Keyed), func(Row)) {}, nil), nil)
 	cl.Reset()
 	if len(cl.Jobs) != 0 || cl.TotalWork() != 0 || cl.ResponseTime() != 0 {
 		t.Error("Reset did not clear stats")
@@ -193,9 +199,8 @@ func TestMeterAccumulates(t *testing.T) {
 // countJob fans rows out by a modular key and counts group sizes: a
 // small job whose output and stats exercise both phases.
 func countJob(cl *Cluster) Job {
-	return Job{
-		Name: "count",
-		Map: func(node int, m *Meter, emit func(Keyed), out func(Row)) {
+	return ClassicJob("count",
+		func(node int, m *Meter, emit func(Keyed), out func(Row)) {
 			for i := 0; i < 50; i++ {
 				m.Read(&cl.C, 1)
 				emit(Keyed{
@@ -205,48 +210,95 @@ func countJob(cl *Cluster) Job {
 				})
 			}
 		},
-		Reduce: func(node int, m *Meter, groups *Groups, out func(Row)) {
+		func(node int, m *Meter, groups *Groups, out func(Row)) {
 			groups.Each(func(_ *Key, recs []Keyed) {
 				m.Join(&cl.C, len(recs))
 				out(Row{rdf.TermID(len(recs))})
 			})
-		},
+		})
+}
+
+// TestParallelMatchesSequential runs the same job on four lanes and on
+// one and asserts identical outputs and stats.
+func TestParallelMatchesSequential(t *testing.T) {
+	run := func(lanes int) (*Output, JobStats) {
+		cl, _ := wordCountCluster(5)
+		// An explicit multi-worker pool, so the concurrent path is
+		// exercised even on a single-CPU machine.
+		out := runOn(cl, lanes, countJob(cl), nil)
+		return out, cl.Jobs[0]
+	}
+	pout, pstats := run(4)
+	sout, sstats := run(0)
+	if pstats != sstats {
+		t.Errorf("stats differ:\n4 lanes  %+v\none lane %+v", pstats, sstats)
+	}
+	if !reflect.DeepEqual(pout.PerNode, sout.PerNode) {
+		t.Errorf("outputs differ:\n4 lanes  %v\none lane %v", pout.PerNode, sout.PerNode)
 	}
 }
 
-// TestParallelMatchesSequential runs the same job on the parallel and
-// sequential runtimes and asserts identical outputs and stats.
-func TestParallelMatchesSequential(t *testing.T) {
-	run := func(sequential bool) (*Output, JobStats) {
-		cl, _ := wordCountCluster(5)
-		cl.Sequential = sequential
-		// Force a multi-worker pool even on a single-CPU machine, so
-		// the concurrent path is actually exercised.
-		cl.Parallelism = 4
-		out := cl.Run(countJob(cl))
-		return out, cl.Jobs[0]
+// TestClassicJobAcrossRanges runs a classic job through the adapter at
+// every pool width. Its reducer is group-local and charges per group —
+// amounts whose sums are order-sensitive at the ULP level — so when the
+// wider pools cut a node's groups into key ranges and call it once per
+// range, rows, JobStats and the replayed record must not move.
+func TestClassicJobAcrossRanges(t *testing.T) {
+	const nodes = 3
+	var reduceCalls atomic.Int32
+	job := func(cl *Cluster) Job {
+		return ClassicJob("classic",
+			func(node int, m *Meter, emit func(Keyed), out func(Row)) {
+				for i := 0; i < 60; i++ {
+					m.Read(&cl.C, i+1)
+					m.Check(&cl.C, 2*i+1)
+					emit(Keyed{Key: MakeKey1(0, uint32((node*7+i)%41)), Tag: 0, Row: Row{rdf.TermID(node), rdf.TermID(i)}})
+				}
+			},
+			func(node int, m *Meter, groups *Groups, out func(Row)) {
+				reduceCalls.Add(1)
+				groups.Each(func(key *Key, recs []Keyed) {
+					m.Check(&cl.C, len(recs)*2+1)
+					m.Join(&cl.C, len(recs))
+					out(Row{rdf.TermID(key.Cell(0)), rdf.TermID(len(recs))})
+				})
+			})
 	}
-	pout, pstats := run(false)
-	sout, sstats := run(true)
-	if pstats != sstats {
-		t.Errorf("stats differ:\nparallel   %+v\nsequential %+v", pstats, sstats)
+	type result struct {
+		rows     [][]Row
+		stats    JobStats
+		replayed JobStats
+		work     float64
 	}
-	if len(pout.PerNode) != len(sout.PerNode) {
-		t.Fatalf("node counts differ")
+	run := func(lanes int) result {
+		cl, _ := wordCountCluster(nodes)
+		rec := &JobRecord{}
+		out := runOn(cl, lanes, job(cl), rec)
+		cl2, _ := wordCountCluster(nodes)
+		return result{out.PerNode, cl.Jobs[0], cl2.Replay("classic", rec), cl.TotalWork()}
 	}
-	for node := range pout.PerNode {
-		if len(pout.PerNode[node]) != len(sout.PerNode[node]) {
-			t.Errorf("node %d: %d vs %d rows", node,
-				len(pout.PerNode[node]), len(sout.PerNode[node]))
+	want := run(0)
+	if want.stats != want.replayed {
+		t.Errorf("nil pool: replay differs:\n got %+v\nwant %+v", want.replayed, want.stats)
+	}
+	if n := reduceCalls.Swap(0); n != nodes {
+		t.Errorf("nil pool: %d reduce calls, want one per node (%d)", n, nodes)
+	}
+	for _, lanes := range []int{1, 2, 4} {
+		got := run(lanes)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("width %d differs from the nil pool:\n got %+v\nwant %+v", lanes, got, want)
+		}
+		if n := reduceCalls.Swap(0); lanes > 1 && n <= nodes {
+			t.Errorf("width %d: %d reduce calls, want the reducer split across key ranges (> %d)", lanes, n, nodes)
 		}
 	}
 }
 
-// TestParallelismOne degrades to the sequential path via the knob.
-func TestParallelismOne(t *testing.T) {
+// TestWidthOnePool runs on a pool that spawned no workers.
+func TestWidthOnePool(t *testing.T) {
 	cl, _ := wordCountCluster(4)
-	cl.Parallelism = 1
-	out := cl.Run(countJob(cl))
+	out := runOn(cl, 1, countJob(cl), nil)
 	if out.Len() == 0 {
 		t.Error("no output")
 	}
@@ -254,30 +306,23 @@ func TestParallelismOne(t *testing.T) {
 
 func TestPanicPropagates(t *testing.T) {
 	cl, _ := wordCountCluster(4)
-	cl.Parallelism = 4
 	defer func() {
 		if r := recover(); r != "boom" {
 			t.Errorf("recover() = %v, want boom", r)
 		}
 	}()
-	cl.Run(Job{
-		Name: "panics",
-		Map: func(node int, m *Meter, emit func(Keyed), out func(Row)) {
-			if node == 2 {
-				panic("boom")
-			}
-		},
-	})
+	runOn(cl, 4, ClassicJob("panics", func(node int, m *Meter, emit func(Keyed), out func(Row)) {
+		if node == 2 {
+			panic("boom")
+		}
+	}, nil), nil)
 }
 
 func TestOutputRowsOrderedByNode(t *testing.T) {
 	cl, _ := wordCountCluster(3)
-	out := cl.Run(Job{
-		Name: "pernode",
-		Map: func(node int, m *Meter, emit func(Keyed), outF func(Row)) {
-			outF(Row{rdf.TermID(node)})
-		},
-	})
+	out := runOn(cl, 0, ClassicJob("pernode", func(node int, m *Meter, emit func(Keyed), outF func(Row)) {
+		outF(Row{rdf.TermID(node)})
+	}, nil), nil)
 	if len(out.PerNode) != 3 {
 		t.Fatalf("PerNode = %d, want 3", len(out.PerNode))
 	}

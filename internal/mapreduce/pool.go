@@ -9,8 +9,7 @@ import (
 // batches. Workers are spawned once and parked on a channel between
 // batches, so a long-lived Pool (e.g. one owned by an execution
 // context) amortizes goroutine creation across every phase of every
-// job it runs — the morsel-driven replacement for spawning a fresh
-// goroutine set per job phase.
+// job it runs.
 //
 // Lane identity: the ForEach caller participates as lane 0; worker w
 // is permanently lane w (1..Lanes()-1). A batch hands each item the
@@ -38,8 +37,7 @@ type foreachState struct {
 }
 
 // run pulls items until the batch is drained. A panicking item is
-// recorded (first wins) and the lane moves on to the next item,
-// matching the per-node recovery of the transient-goroutine runtime.
+// recorded (first wins) and the lane moves on to the next item.
 func (s *foreachState) run(lane int) {
 	for {
 		i := int(s.next.Add(1)) - 1

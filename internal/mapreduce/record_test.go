@@ -9,23 +9,21 @@ import (
 // floating-point charges in a node- and phase-dependent pattern, so
 // any reordering of the additions would change the sums bit-wise.
 func chargeJob(cl *Cluster) Job {
-	return Job{
-		Name: "charges",
-		Map: func(node int, m *Meter, emit func(Keyed), out func(Row)) {
+	return ClassicJob("charges",
+		func(node int, m *Meter, emit func(Keyed), out func(Row)) {
 			for i := 0; i < 7+node*3; i++ {
 				m.Read(&cl.C, i+1)
 				m.Check(&cl.C, 2*i+1)
 				emit(Keyed{Key: MakeKey1(0, uint32((node+i)%5)), Tag: 0, Row: Row{1, 2}})
 			}
 		},
-		Reduce: func(node int, m *Meter, groups *Groups, out func(Row)) {
+		func(node int, m *Meter, groups *Groups, out func(Row)) {
 			groups.Each(func(_ *Key, recs []Keyed) {
 				m.Join(&cl.C, len(recs)*2+1)
 				m.Write(&cl.C, len(recs))
 				out(Row{3})
 			})
-		},
-	}
+		})
 }
 
 func TestReplayReproducesJobStats(t *testing.T) {
@@ -33,18 +31,16 @@ func TestReplayReproducesJobStats(t *testing.T) {
 	// order-sensitive at the ULP level, which is what Replay must get
 	// right.
 	for _, tc := range []struct {
-		name string
-		opts RunOptions
+		name  string
+		lanes int
 	}{
-		{"sequential", RunOptions{Sequential: true}},
-		{"parallel", RunOptions{Workers: 4}},
+		{"one-lane", 0},
+		{"four-lanes", 4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cl, _ := wordCountCluster(3)
 			rec := &JobRecord{}
-			opts := tc.opts
-			opts.Record = rec
-			cl.RunWith(chargeJob(cl), opts)
+			runOn(cl, tc.lanes, chargeJob(cl), rec)
 			want := cl.Jobs[0]
 			wantWork := cl.TotalWork()
 
@@ -72,19 +68,19 @@ func TestReplayReproducesJobStats(t *testing.T) {
 }
 
 func TestRecordParallelMatchesSequential(t *testing.T) {
-	// The recorded per-node charge sequences are lane-count invariant:
-	// a record captured at any parallelism replays to the same stats.
+	// The recorded per-node meters are lane-count invariant: a record
+	// captured at any parallelism replays to the same stats.
 	cl1, _ := wordCountCluster(3)
 	rec1 := &JobRecord{}
-	cl1.RunWith(chargeJob(cl1), RunOptions{Sequential: true, Record: rec1})
+	runOn(cl1, 0, chargeJob(cl1), rec1)
 	cl2, _ := wordCountCluster(3)
 	rec2 := &JobRecord{}
-	cl2.RunWith(chargeJob(cl2), RunOptions{Workers: 4, Record: rec2})
+	runOn(cl2, 4, chargeJob(cl2), rec2)
 	if !reflect.DeepEqual(cl1.Jobs[0], cl2.Jobs[0]) {
-		t.Fatalf("parallel stats diverge from sequential: %+v vs %+v", cl2.Jobs[0], cl1.Jobs[0])
+		t.Fatalf("four-lane stats diverge from one lane: %+v vs %+v", cl2.Jobs[0], cl1.Jobs[0])
 	}
 	if !reflect.DeepEqual(rec1, rec2) {
-		t.Error("records differ between sequential and parallel capture")
+		t.Error("records differ between one-lane and four-lane capture")
 	}
 	if rec1.MemBytes() <= 0 {
 		t.Error("MemBytes must be positive for a captured record")
@@ -94,13 +90,10 @@ func TestRecordParallelMatchesSequential(t *testing.T) {
 func TestRecordMapOnly(t *testing.T) {
 	cl, _ := wordCountCluster(2)
 	rec := &JobRecord{}
-	cl.RunWith(Job{
-		Name: "mo",
-		Map: func(node int, m *Meter, emit func(Keyed), out func(Row)) {
-			m.Read(&cl.C, 5+node)
-			out(Row{1})
-		},
-	}, RunOptions{Sequential: true, Record: rec})
+	runOn(cl, 0, ClassicJob("mo", func(node int, m *Meter, emit func(Keyed), out func(Row)) {
+		m.Read(&cl.C, 5+node)
+		out(Row{1})
+	}, nil), rec)
 	cl2, _ := wordCountCluster(2)
 	got := cl2.Replay("mo", rec)
 	if !reflect.DeepEqual(got, cl.Jobs[0]) {

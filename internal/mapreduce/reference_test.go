@@ -1,16 +1,16 @@
 package mapreduce
 
 import (
+	"encoding/binary"
 	"hash/fnv"
 	"sort"
 )
 
 // This file retains the seed runtime's string-keyed shuffle semantics
-// as an executable reference. Nothing here runs on the execution path;
-// the property tests cross-check the packed binary path (Key, inline
-// routing, sorted-group reduce) against these definitions, which are
-// the ground truth for what the simulated statistics were accumulated
-// over.
+// as an executable reference. It is test-only: the property tests
+// cross-check the packed binary path (Key, inline routing, sorted-group
+// reduce) against these definitions, which are the ground truth for
+// what the simulated statistics were accumulated over.
 
 // ReferenceRoute is the seed's routing hash: fnv.New32a over the
 // string-encoded key, sign-cleared. Key.route must agree with
@@ -43,4 +43,16 @@ func ReferenceOrder(groups map[string][]Keyed) []string {
 	}
 	sort.Strings(keys)
 	return keys
+}
+
+// Encode renders the key as its seed string encoding (EncodeKey of its
+// group and cells): the reference representation tests compare
+// against.
+func (k *Key) Encode() string {
+	buf := make([]byte, 4+4*k.n)
+	binary.LittleEndian.PutUint32(buf, k.group)
+	for i := 0; i < int(k.n); i++ {
+		binary.LittleEndian.PutUint32(buf[4+4*i:], k.Cell(i))
+	}
+	return string(buf)
 }

@@ -11,32 +11,25 @@ import (
 )
 
 // ExecContext carries cross-layer execution state threaded from the
-// engine facade down to the workers: the parallelism settings handed
-// to the mapreduce runtime, an optional per-job stats sink, and the
-// reusable scratch (per-lane arenas, shuffle buffers, plan-shaped
-// intermediate tables) the executor draws from. One ExecContext may
-// serve many plan executions; the scratch amortizes allocations across
-// them. An ExecContext serves one execution at a time.
+// engine facade down to the workers: the worker lanes jobs run on, an
+// optional per-job stats sink, and the reusable scratch (per-lane
+// arenas, shuffle buffers, plan-shaped intermediate tables) the
+// executor draws from. One ExecContext may serve many plan executions;
+// the scratch amortizes allocations across them. An ExecContext serves
+// one execution at a time.
 //
-// A context built with NewExecContext owns a persistent mapreduce
-// worker pool, lazily spawned on first use and parked between jobs;
-// the owner must call Close to reap the workers. A zero-value context
-// (the path Executor.Execute takes when handed none) never spawns
-// persistent workers — its jobs use transient per-Run pools — so it
-// needs no Close.
+// The lane count is fixed by NewExecContext, which spawns the context's
+// persistent mapreduce worker pool (parked between jobs); the owner
+// must call Close to reap the workers. A zero-value context — what
+// Executor.Execute uses when handed none — is one inline lane, as is a
+// closed one; neither holds goroutines.
 type ExecContext struct {
-	// Parallelism bounds the mapreduce worker lanes (0 = GOMAXPROCS).
-	Parallelism int
-	// Sequential forces the single-goroutine mapreduce runtime.
-	Sequential bool
 	// StatsSink, if non-nil, receives each job's stats as the job
 	// completes (before the next job starts).
 	StatsSink func(mapreduce.JobStats)
 
-	// pooled marks contexts that own a persistent worker pool.
-	pooled bool
-	closed bool
-	pool   *mapreduce.Pool
+	// pool is the context's worker lanes; nil is one inline lane.
+	pool *mapreduce.Pool
 
 	// arenas is per-lane scratch: morsels of one node may run on any
 	// lane, so mutable evaluation state is keyed by the lane a morsel
@@ -45,7 +38,7 @@ type ExecContext struct {
 
 	// shuffle is the reusable mapreduce shuffle scratch handed to the
 	// cluster for every job of every execution this context serves.
-	shuffle *mapreduce.Scratch
+	shuffle mapreduce.Scratch
 
 	// byID and interm are the executor's plan-shaped scratch: infos
 	// dense by ID and, per reduce join, its output rows per node.
@@ -58,7 +51,7 @@ type ExecContext struct {
 
 	// ranges is the per-(node, range) reduce accumulation: ReduceRange
 	// morsels fill disjoint slots, ReduceFinish merges a node's slots
-	// in range order. Sized node-major at nodes×laneCount.
+	// in range order. Sized node-major at nodes×lanes.
 	ranges     []rangeSlot
 	rangeWidth int
 }
@@ -74,14 +67,8 @@ type rangeSlot struct {
 
 // reset empties the slot for n infos.
 func (s *rangeSlot) reset(n int) {
-	s.rows = nodeRowBufs(s.rows, n)
-	for len(s.counts) < n {
-		s.counts = append(s.counts, nil)
-	}
-	s.counts = s.counts[:n]
-	for i := range s.counts {
-		s.counts[i] = s.counts[i][:0]
-	}
+	s.rows = mapreduce.ResetBufs(s.rows, n)
+	s.counts = mapreduce.ResetBufs(s.counts, n)
 	s.order = s.order[:0]
 }
 
@@ -96,56 +83,30 @@ type mapMorsel struct {
 	file  string   // partition file for per-file scan morsels
 }
 
-// NewExecContext returns a context with the given parallelism degree
-// that owns a persistent worker pool; callers must Close it.
-func NewExecContext(parallelism int) *ExecContext {
-	return &ExecContext{Parallelism: parallelism, pooled: true}
+// NewExecContext returns a context running jobs on the given number of
+// lanes (0 or less means GOMAXPROCS); callers must Close it.
+func NewExecContext(lanes int) *ExecContext {
+	if lanes <= 0 {
+		lanes = runtime.GOMAXPROCS(0)
+	}
+	return &ExecContext{pool: mapreduce.NewPool(lanes)}
 }
 
-// laneCount is the number of worker lanes executions through this
-// context use (mirrors the mapreduce runtime's resolution).
-func (c *ExecContext) laneCount() int {
-	if c.Sequential {
-		return 1
-	}
-	p := c.Parallelism
-	if p <= 0 {
-		p = runtime.GOMAXPROCS(0)
-	}
-	if p < 1 {
-		p = 1
-	}
-	return p
-}
+// lanes is the number of worker lanes executions through this context
+// run on.
+func (c *ExecContext) lanes() int { return c.pool.Lanes() }
 
-// workerPool returns the context's persistent pool, spawning it on
-// first use. Contexts that don't own a pool (or are closed) return
-// nil, making the mapreduce runtime fall back to transient lanes.
-func (c *ExecContext) workerPool() *mapreduce.Pool {
-	if !c.pooled || c.closed {
-		return nil
-	}
-	if c.pool == nil && c.laneCount() > 1 {
-		c.pool = mapreduce.NewPool(c.laneCount())
-	}
-	return c.pool
-}
-
-// Close reaps the context's persistent worker pool (if any). The
-// context must be idle; afterwards executions through it use transient
-// lanes. Closing twice is a no-op.
+// Close reaps the context's worker pool. The context must be idle;
+// afterwards it is one inline lane. Closing twice is a no-op.
 func (c *ExecContext) Close() {
-	c.closed = true
-	if c.pool != nil {
-		c.pool.Close()
-		c.pool = nil
-	}
+	c.pool.Close()
+	c.pool = nil
 }
 
 // ensureLanes sizes the per-lane arena set before jobs run, so the
 // concurrent morsel workers index it without synchronization.
 func (c *ExecContext) ensureLanes() {
-	for len(c.arenas) < c.laneCount() {
+	for len(c.arenas) < c.lanes() {
 		c.arenas = append(c.arenas, &arena{})
 	}
 }
@@ -154,29 +115,14 @@ func (c *ExecContext) ensureLanes() {
 // time, so the arena needs no locking.
 func (c *ExecContext) arenaFor(lane int) *arena { return c.arenas[lane] }
 
-// shuffleScratch returns the context's reusable mapreduce scratch.
-func (c *ExecContext) shuffleScratch() *mapreduce.Scratch {
-	if c.shuffle == nil {
-		c.shuffle = &mapreduce.Scratch{}
-	}
-	return c.shuffle
-}
-
 // infoSlots returns the dense info-by-ID table, zeroed at length n.
 func (c *ExecContext) infoSlots(n int) []*Info {
-	if cap(c.byID) < n {
-		c.byID = make([]*Info, n)
-	} else {
-		c.byID = c.byID[:n]
-		for i := range c.byID {
-			c.byID[i] = nil
-		}
-	}
+	c.byID = append(c.byID[:0], make([]*Info, n)...)
 	return c.byID
 }
 
 // intermSlots returns the per-info intermediate table at length n.
-// Slots are left as-is (nodeRowBufs resets the ones actually used).
+// Slots are left as-is (the executor resets the ones actually used).
 func (c *ExecContext) intermSlots(n int) [][][]mapreduce.Row {
 	for len(c.interm) < n {
 		c.interm = append(c.interm, nil)
@@ -184,46 +130,18 @@ func (c *ExecContext) intermSlots(n int) [][][]mapreduce.Row {
 	return c.interm[:n]
 }
 
-// morselTable returns the per-node morsel lists at n nodes, each reset
-// empty.
-func (c *ExecContext) morselTable(n int) [][]mapMorsel {
-	for len(c.morsels) < n {
-		c.morsels = append(c.morsels, nil)
-	}
-	c.morsels = c.morsels[:n]
-	for i := range c.morsels {
-		c.morsels[i] = c.morsels[i][:0]
-	}
-	return c.morsels
-}
-
 // rangeSlots sizes the reduce accumulation table for nodes×width
-// ranges and returns it (slots are reset lazily by their range).
-func (c *ExecContext) rangeSlots(nodes, width int) []rangeSlot {
-	need := nodes * width
-	for len(c.ranges) < need {
+// ranges (slots are reset lazily by their range).
+func (c *ExecContext) rangeSlots(nodes, width int) {
+	for len(c.ranges) < nodes*width {
 		c.ranges = append(c.ranges, rangeSlot{})
 	}
 	c.rangeWidth = width
-	return c.ranges[:need]
 }
 
 // rangeSlot returns the accumulation slot of (node, rng).
 func (c *ExecContext) rangeSlot(node, rng int) *rangeSlot {
 	return &c.ranges[node*c.rangeWidth+rng]
-}
-
-// nodeRowBufs returns n per-node row buffers, each reset to length
-// zero but keeping its backing array.
-func nodeRowBufs(buf [][]mapreduce.Row, n int) [][]mapreduce.Row {
-	for len(buf) < n {
-		buf = append(buf, nil)
-	}
-	buf = buf[:n]
-	for i := range buf {
-		buf[i] = buf[i][:0]
-	}
-	return buf
 }
 
 // arena is one worker lane's reusable scratch for local evaluation:

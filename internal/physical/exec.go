@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"cliquesquare/internal/core"
+	"cliquesquare/internal/dstore"
 	"cliquesquare/internal/mapreduce"
 	"cliquesquare/internal/partition"
 	"cliquesquare/internal/rdf"
@@ -26,13 +27,9 @@ type Executor struct {
 	Cluster *mapreduce.Cluster
 	Part    *partition.Partitioner
 	Dict    *rdf.Dict
-	// Ctx carries parallelism settings, the stats sink and the
-	// per-lane arenas; nil means a fresh default context inheriting
-	// the Cluster's runtime settings. Execute never mutates the
-	// Cluster's own configuration — runtime settings travel through
-	// the job-run call path (RunWith options), so a directly
-	// constructed Cluster keeps whatever Parallelism/Sequential/
-	// Scratch its owner set.
+	// Ctx carries the worker lanes, the stats sink and the per-lane
+	// arenas; nil means a fresh zero-value context, which is one inline
+	// lane.
 	Ctx *ExecContext
 	// View, if non-nil, is the partition epoch the execution reads.
 	// When nil, Execute pins the partitioner's current view. Either
@@ -44,7 +41,7 @@ type Executor struct {
 	// ResultCache, if non-nil, enables cross-query job result reuse:
 	// before running a job, Execute probes the cache under
 	// (Plan.JobKeys[l], view version); on a hit it serves the cached
-	// rows read-only and replays the recorded charges instead of
+	// rows read-only and replays the recorded meters instead of
 	// executing, on a miss it executes with recording and admits the
 	// result. Rows and JobStats are byte-identical either way. The
 	// cache must belong to the same engine (same cluster geometry,
@@ -71,30 +68,9 @@ type Result struct {
 	DataVersion uint64
 }
 
-// runJob executes one job on the cluster under the context's runtime
-// settings — capturing its charge trace into rec when non-nil — and
-// forwards its stats to the context's sink, if any.
-func (x *Executor) runJob(job mapreduce.Job, rec *mapreduce.JobRecord) *mapreduce.Output {
-	out := x.Cluster.RunWith(job, mapreduce.RunOptions{
-		Sequential: x.Ctx.Sequential,
-		Workers:    x.Ctx.Parallelism,
-		Pool:       x.Ctx.workerPool(),
-		Scratch:    x.Ctx.shuffleScratch(),
-		Record:     rec,
-		// Route by the pinned view's size, not the store's live size:
-		// a reshard may resize the store mid-query.
-		Nodes: x.view.Nodes(),
-	})
-	if x.Ctx.StatsSink != nil {
-		x.Ctx.StatsSink(x.Cluster.Jobs[len(x.Cluster.Jobs)-1])
-	}
-	return out
-}
-
-// replayJob appends a cached job's stats as if it had just run (see
-// mapreduce.Cluster.Replay) and forwards them to the stats sink.
-func (x *Executor) replayJob(name string, rec *mapreduce.JobRecord) {
-	x.Cluster.Replay(name, rec)
+// sinkJob forwards the job the cluster logged last — run or replayed —
+// to the context's stats sink, if any.
+func (x *Executor) sinkJob() {
 	if x.Ctx.StatsSink != nil {
 		x.Ctx.StatsSink(x.Cluster.Jobs[len(x.Cluster.Jobs)-1])
 	}
@@ -114,15 +90,7 @@ func copyRowHeaders(rows []mapreduce.Row) []mapreduce.Row {
 // jobs; timing in the Result covers only them.
 func (x *Executor) Execute(pp *Plan) (*Result, error) {
 	if x.Ctx == nil {
-		// No explicit context: inherit the cluster's runtime settings,
-		// so directly constructed Executors keep their Cluster
-		// configuration (an explicit Ctx is authoritative instead).
-		// The implicit context owns no persistent pool, so it needs no
-		// Close.
-		x.Ctx = &ExecContext{
-			Parallelism: x.Cluster.Parallelism,
-			Sequential:  x.Cluster.Sequential,
-		}
+		x.Ctx = &ExecContext{}
 	}
 	x.Ctx.ensureLanes()
 	// Pin one partition epoch for the whole execution: every scan of
@@ -133,227 +101,36 @@ func (x *Executor) Execute(pp *Plan) (*Result, error) {
 	}
 	jobsBefore := len(x.Cluster.Jobs)
 	workBefore := x.Cluster.TotalWork()
-	q := pp.Logical.Query
 
-	var finalRows []mapreduce.Row
-	if pp.MapOnly() {
-		// A map-only plan stays one morsel per node: its single
-		// metered projection check covers the node's whole output, so
-		// splitting would restructure the charge sequence.
-		name := fmt.Sprintf("%s-map-only", q.Name)
-		runMapOnly := func(rec *mapreduce.JobRecord) []mapreduce.Row {
-			out := x.runJob(mapreduce.Job{
-				Name: name,
-				MapMorsel: func(node, _, lane int, m *mapreduce.Meter, emit func(mapreduce.Keyed), out func(mapreduce.Row)) {
-					a := x.Ctx.arenaFor(lane)
-					rel := x.evalLocal(pp, pp.Root, node, m, "", a)
-					proj := rel.project(a, q.Select)
-					m.Check(&x.Cluster.C, len(proj.rows))
-					for _, r := range proj.rows {
-						out(r)
-					}
-				},
-			}, rec)
-			return x.finishRows(out.Rows())
+	// byID resolves infos densely by ID; interm[id] holds a reduce
+	// join's output rows per node, pre-sized so empty joins still have
+	// empty (not nil) per-node slices — and so concurrent morsel workers
+	// write disjoint slots of already-built tables. Both live in the
+	// context and are reused across executions.
+	nodes := x.view.Nodes()
+	byID := x.Ctx.infoSlots(len(pp.Infos))
+	interm := x.Ctx.intermSlots(len(pp.Infos))
+	for _, in := range pp.Infos {
+		byID[in.ID] = in
+		if in.Kind == KindReduceJoin {
+			interm[in.ID] = mapreduce.ResetBufs(interm[in.ID], nodes)
 		}
-		if x.ResultCache != nil {
-			ent, hit, err := x.ResultCache.Do(pp.JobKeys[0], x.view.VersionKey(), func() (*rescache.Entry, error) {
-				rec := &mapreduce.JobRecord{}
-				return rescache.NewEntry(rec, nil, runMapOnly(rec)), nil
-			})
-			if err != nil {
-				return nil, err
-			}
-			if hit {
-				x.replayJob(name, ent.Rec)
-			}
-			finalRows = copyRowHeaders(ent.Final)
-		} else {
-			finalRows = runMapOnly(nil)
-		}
-	} else {
-		// byID resolves infos densely by ID; interm[id] holds a reduce
-		// join's output rows per node, pre-sized so empty joins still
-		// have empty (not nil) per-node slices — and so concurrent
-		// morsel workers write disjoint slots of already-built tables.
-		// Both live in the context and are reused across executions.
-		nInfo := len(pp.Infos)
-		byID := x.Ctx.infoSlots(nInfo)
-		interm := x.Ctx.intermSlots(nInfo)
-		for _, in := range pp.Infos {
-			byID[in.ID] = in
-			if in.Kind == KindReduceJoin {
-				interm[in.ID] = nodeRowBufs(interm[in.ID], x.view.Nodes())
-			}
-		}
-		lanes := x.Ctx.laneCount()
-		x.Ctx.rangeSlots(x.view.Nodes(), lanes)
-		for l, infos := range pp.Levels {
-			isLast := l == len(pp.Levels)-1
-			name := fmt.Sprintf("%s-job%d", q.Name, l+1)
-			runLevel := func(rec *mapreduce.JobRecord) *mapreduce.Output {
-				// The map side of the level splits into sub-node morsels:
-				// one per (reduce join, child) — and per partition file
-				// for scan children — so parallelism isn't capped at the
-				// node count. The table is built sequentially here;
-				// morsels of one node may then run on any lane.
-				morsels := x.buildMorsels(pp, infos)
-				return x.runJob(mapreduce.Job{
-					Name: name,
-					MapMorsels: func(node int) int {
-						return len(morsels[node])
-					},
-					MapMorsel: func(node, morsel, lane int, m *mapreduce.Meter, emit func(mapreduce.Keyed), out func(mapreduce.Row)) {
-						x.runMapMorsel(pp, &morsels[node][morsel], node, lane, m, emit)
-					},
-					// The reduce side runs per key range: each range joins
-					// its groups into a private (node, range) slot, and
-					// the finish pass merges the slots in range order —
-					// range order concatenates back to the node's
-					// canonical group order, so join charges, projection
-					// checks and output rows replay the sequential sweep
-					// exactly.
-					ReduceRange: func(node, rng, _, lane int, m *mapreduce.Meter, groups *mapreduce.Groups, out func(mapreduce.Row)) {
-						a := x.Ctx.arenaFor(lane)
-						s := x.Ctx.rangeSlot(node, rng)
-						s.reset(nInfo)
-						groups.Each(func(key *mapreduce.Key, recs []mapreduce.Keyed) {
-							rj := byID[int(key.Group())]
-							id := rj.ID
-							rels := a.relBuf(len(rj.Op.Children))
-							for i, c := range rj.Op.Children {
-								rels[i].schema = c.Attrs
-								rels[i].rows = rels[i].rows[:0]
-							}
-							for ri := range recs {
-								rec := &recs[ri]
-								rels[rec.Tag].rows = append(rels[rec.Tag].rows, rec.Row)
-							}
-							var counts joinCounts
-							before := len(s.rows[id])
-							s.rows[id], counts = a.naryJoinInto(s.rows[id], rels, rj.Op.JoinAttrs, rj.Op.Attrs)
-							m.Join(&x.Cluster.C, counts.in+counts.out)
-							m.Write(&x.Cluster.C, counts.out)
-							if produced := len(s.rows[id]) - before; produced > 0 {
-								if len(s.counts[id]) == 0 {
-									s.order = append(s.order, int32(id))
-								}
-								s.counts[id] = append(s.counts[id], int32(produced))
-							}
-						})
-					},
-					ReduceFinish: func(node, ranges, lane int, m *mapreduce.Meter, out func(mapreduce.Row)) {
-						a := x.Ctx.arenaFor(lane)
-						// Merge the ranges' first-production orders into
-						// the node's global one (ranges partition the
-						// canonical group order, so first production
-						// globally is first production in the earliest
-						// range mentioning the info).
-						seen := a.seenBuf(nInfo)
-						order := a.rjOrder[:0]
-						for rng := 0; rng < ranges; rng++ {
-							for _, id32 := range x.Ctx.rangeSlot(node, rng).order {
-								if !seen[id32] {
-									seen[id32] = true
-									order = append(order, id32)
-								}
-							}
-						}
-						a.rjOrder = order
-						for _, id32 := range order {
-							seen[id32] = false
-						}
-						for _, id32 := range order {
-							id := int(id32)
-							rj := byID[id]
-							if isLast && rj.Op == pp.Root {
-								// Final projection onto the SELECT list,
-								// with the columns resolved once and each
-								// group's check charged in group order.
-								rel := relation{schema: rj.Op.Attrs}
-								cols := rel.appendCols(a.projCols[:0], q.Select)
-								a.projCols = cols
-								for rng := 0; rng < ranges; rng++ {
-									s := x.Ctx.rangeSlot(node, rng)
-									rows := s.rows[id]
-									pos := 0
-									for _, cnt := range s.counts[id] {
-										grp := rows[pos : pos+int(cnt)]
-										pos += int(cnt)
-										m.Check(&x.Cluster.C, len(grp))
-										for _, row := range grp {
-											nr := a.newRow(len(cols))
-											for i, c := range cols {
-												nr[i] = row[c]
-											}
-											out(nr)
-										}
-									}
-								}
-								continue
-							}
-							for rng := 0; rng < ranges; rng++ {
-								interm[id][node] = append(interm[id][node], x.Ctx.rangeSlot(node, rng).rows[id]...)
-							}
-						}
-					},
-				}, rec)
-			}
-			if x.ResultCache == nil {
-				out := runLevel(nil)
-				if isLast {
-					finalRows = x.finishRows(out.Rows())
-				}
-				continue
-			}
-			ent, hit, err := x.ResultCache.Do(pp.JobKeys[l], x.view.VersionKey(), func() (*rescache.Entry, error) {
-				rec := &mapreduce.JobRecord{}
-				out := runLevel(rec)
-				// Snapshot what the job produced: header copies of the
-				// level's intermediate rows (the context's own slices are
-				// recycled next execution) and, for the final job, the
-				// finished result set. The slab-backed cells are shared —
-				// handed out once, never mutated.
-				nNodes := x.view.Nodes()
-				snap := make([][][]mapreduce.Row, len(infos))
-				for i, in := range infos {
-					per := make([][]mapreduce.Row, nNodes)
-					for node := 0; node < nNodes; node++ {
-						per[node] = copyRowHeaders(interm[in.ID][node])
-					}
-					snap[i] = per
-				}
-				var final []mapreduce.Row
-				if isLast {
-					final = x.finishRows(out.Rows())
-				}
-				return rescache.NewEntry(rec, snap, final), nil
-			})
-			if err != nil {
-				return nil, err
-			}
-			if hit {
-				// Serve from cache: replay the recorded charges into the
-				// job log and restore the level's intermediate rows
-				// positionally — infos order is deterministic and the key
-				// pins the level's reduce-join IDs.
-				x.replayJob(name, ent.Rec)
-				for i := range ent.Interm {
-					id := infos[i].ID
-					for node, rows := range ent.Interm[i] {
-						interm[id][node] = append(interm[id][node], rows...)
-					}
-				}
-			}
-			if isLast {
-				finalRows = copyRowHeaders(ent.Final)
-			}
+	}
+	x.Ctx.rangeSlots(nodes, x.Ctx.lanes())
+
+	// A map-only plan is a one-job plan; either way the last job's rows
+	// are the result.
+	var rows []mapreduce.Row
+	for l := 0; l < pp.NumJobs(); l++ {
+		var err error
+		if rows, err = x.serveLevel(pp, l); err != nil {
+			return nil, err
 		}
 	}
 
 	res := &Result{
-		Schema:      append([]string(nil), q.Select...),
-		Rows:        finalRows,
+		Schema:      append([]string(nil), pp.Logical.Query.Select...),
+		Rows:        rows,
 		Work:        x.Cluster.TotalWork() - workBefore,
 		DataVersion: x.view.Version(),
 	}
@@ -364,14 +141,226 @@ func (x *Executor) Execute(pp *Plan) (*Result, error) {
 	return res, nil
 }
 
-// finishRows produces the canonical result set — distinct rows in
-// sorted order — using the context's worker pool for large results.
-func (x *Executor) finishRows(rows []mapreduce.Row) []mapreduce.Row {
-	var pool *mapreduce.Pool
-	if !x.Ctx.Sequential {
-		pool = x.Ctx.workerPool()
+// serveLevel produces job l of the plan — its reduce joins' rows in
+// the context's intermediate table, its JobStats in the cluster's log
+// and, for the last job, the finished result rows it returns — through
+// the result cache when there is one. A hit replays the recorded
+// meters and restores the rows; a miss runs the job recording and
+// snapshots them.
+func (x *Executor) serveLevel(pp *Plan, l int) ([]mapreduce.Row, error) {
+	last := l == pp.NumJobs()-1
+	run := func(rec *mapreduce.JobRecord) []mapreduce.Row {
+		out := x.runLevel(pp, l, rec)
+		if !last {
+			return nil
+		}
+		// The canonical result set: distinct rows in sorted order.
+		return dedupeSortRows(out.Rows(), x.Ctx.pool)
 	}
-	return dedupeSortRows(rows, pool)
+	if x.ResultCache == nil {
+		return run(nil), nil
+	}
+	var infos []*Info // the reduce joins whose rows the job leaves behind
+	if !pp.MapOnly() {
+		infos = pp.Levels[l]
+	}
+	interm := x.Ctx.interm
+	ent, hit, err := x.ResultCache.Do(pp.JobKeys[l], x.view.VersionKey(), func() (*rescache.Entry, error) {
+		rec := &mapreduce.JobRecord{}
+		final := run(rec)
+		// Snapshot header copies of the level's intermediate rows: the
+		// context's own slices are recycled next execution. The
+		// slab-backed cells are shared — handed out once, never mutated.
+		snap := make([][][]mapreduce.Row, len(infos))
+		for i, in := range infos {
+			snap[i] = make([][]mapreduce.Row, len(interm[in.ID]))
+			for node, rows := range interm[in.ID] {
+				snap[i][node] = copyRowHeaders(rows)
+			}
+		}
+		return rescache.NewEntry(rec, snap, final), nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	if hit {
+		// Log the job as if it had just run and restore its rows
+		// positionally — infos order is deterministic and the key pins
+		// the level's reduce-join IDs.
+		x.Cluster.Replay(jobName(pp, l), ent.Rec)
+		x.sinkJob()
+		for i, per := range ent.Interm {
+			id := infos[i].ID
+			for node, rows := range per {
+				interm[id][node] = append(interm[id][node], rows...)
+			}
+		}
+	}
+	if !last {
+		return nil, nil
+	}
+	return copyRowHeaders(ent.Final), nil
+}
+
+// jobName names job l of the plan in the cluster's log.
+func jobName(pp *Plan, l int) string {
+	if pp.MapOnly() {
+		return pp.Logical.Query.Name + "-map-only"
+	}
+	return fmt.Sprintf("%s-job%d", pp.Logical.Query.Name, l+1)
+}
+
+// runLevel executes job l of the plan on the context's lanes — filling
+// rec with what it metered when non-nil — and forwards its stats to the
+// sink.
+func (x *Executor) runLevel(pp *Plan, l int, rec *mapreduce.JobRecord) *mapreduce.Output {
+	var job mapreduce.Job
+	if pp.MapOnly() {
+		job = x.mapOnlyJob(pp)
+	} else {
+		job = x.levelJob(pp, l)
+	}
+	job.Name = jobName(pp, l)
+	out := x.Cluster.RunWith(job, mapreduce.RunOptions{
+		Pool:    x.Ctx.pool,
+		Scratch: &x.Ctx.shuffle,
+		Record:  rec,
+		// Route by the pinned view's size, not the store's live size:
+		// a reshard may resize the store mid-query.
+		Nodes: x.view.Nodes(),
+	})
+	x.sinkJob()
+	return out
+}
+
+// mapOnlyJob builds the single job of a map-only plan. It stays one
+// morsel per node: its single metered projection check covers the
+// node's whole output, so splitting would restructure the charge
+// sequence.
+func (x *Executor) mapOnlyJob(pp *Plan) mapreduce.Job {
+	sel := pp.Logical.Query.Select
+	return mapreduce.Job{
+		MapMorsel: func(node, _, lane int, m *mapreduce.Meter, _ func(mapreduce.Keyed), out func(mapreduce.Row)) {
+			a := x.Ctx.arenaFor(lane)
+			rel := x.evalLocal(pp, pp.Root, node, m, "", a)
+			proj := rel.project(a, sel)
+			m.Check(&x.Cluster.C, len(proj.rows))
+			for _, r := range proj.rows {
+				out(r)
+			}
+		},
+	}
+}
+
+// levelJob builds job l of a plan with reduce joins.
+//
+// The map side of the level splits into sub-node morsels: one per
+// (reduce join, child) — and per partition file for scan children — so
+// parallelism isn't capped at the node count. The table is built
+// sequentially here; morsels of one node may then run on any lane.
+//
+// The reduce side runs per key range: each range joins its groups into
+// a private (node, range) slot, and the finish pass merges the slots in
+// range order — range order concatenates back to the node's canonical
+// group order, so join charges, projection checks and output rows come
+// out exactly as from one sweep over the node.
+func (x *Executor) levelJob(pp *Plan, l int) mapreduce.Job {
+	q := pp.Logical.Query
+	isLast := l == len(pp.Levels)-1
+	nInfo := len(pp.Infos)
+	byID, interm := x.Ctx.byID, x.Ctx.interm
+	morsels := x.buildMorsels(pp, pp.Levels[l])
+	return mapreduce.Job{
+		MapMorsels: func(node int) int {
+			return len(morsels[node])
+		},
+		MapMorsel: func(node, morsel, lane int, m *mapreduce.Meter, emit func(mapreduce.Keyed), out func(mapreduce.Row)) {
+			x.runMapMorsel(pp, &morsels[node][morsel], node, lane, m, emit)
+		},
+		ReduceRange: func(node, rng, _, lane int, m *mapreduce.Meter, groups *mapreduce.Groups, out func(mapreduce.Row)) {
+			a := x.Ctx.arenaFor(lane)
+			s := x.Ctx.rangeSlot(node, rng)
+			s.reset(nInfo)
+			groups.Each(func(key *mapreduce.Key, recs []mapreduce.Keyed) {
+				rj := byID[int(key.Group())]
+				id := rj.ID
+				rels := a.relBuf(len(rj.Op.Children))
+				for i, c := range rj.Op.Children {
+					rels[i].schema = c.Attrs
+					rels[i].rows = rels[i].rows[:0]
+				}
+				for ri := range recs {
+					rec := &recs[ri]
+					rels[rec.Tag].rows = append(rels[rec.Tag].rows, rec.Row)
+				}
+				var counts joinCounts
+				before := len(s.rows[id])
+				s.rows[id], counts = a.naryJoinInto(s.rows[id], rels, rj.Op.JoinAttrs, rj.Op.Attrs)
+				m.Join(&x.Cluster.C, counts.in+counts.out)
+				m.Write(&x.Cluster.C, counts.out)
+				if produced := len(s.rows[id]) - before; produced > 0 {
+					if len(s.counts[id]) == 0 {
+						s.order = append(s.order, int32(id))
+					}
+					s.counts[id] = append(s.counts[id], int32(produced))
+				}
+			})
+		},
+		ReduceFinish: func(node, ranges, lane int, m *mapreduce.Meter, out func(mapreduce.Row)) {
+			a := x.Ctx.arenaFor(lane)
+			// Merge the ranges' first-production orders into the node's
+			// global one (ranges partition the canonical group order, so
+			// first production globally is first production in the
+			// earliest range mentioning the info).
+			seen := a.seenBuf(nInfo)
+			order := a.rjOrder[:0]
+			for rng := 0; rng < ranges; rng++ {
+				for _, id32 := range x.Ctx.rangeSlot(node, rng).order {
+					if !seen[id32] {
+						seen[id32] = true
+						order = append(order, id32)
+					}
+				}
+			}
+			a.rjOrder = order
+			for _, id32 := range order {
+				seen[id32] = false
+			}
+			for _, id32 := range order {
+				id := int(id32)
+				rj := byID[id]
+				if isLast && rj.Op == pp.Root {
+					// Final projection onto the SELECT list, with the
+					// columns resolved once and each group's check
+					// charged in group order.
+					rel := relation{schema: rj.Op.Attrs}
+					cols := rel.appendCols(a.projCols[:0], q.Select)
+					a.projCols = cols
+					for rng := 0; rng < ranges; rng++ {
+						s := x.Ctx.rangeSlot(node, rng)
+						rows := s.rows[id]
+						pos := 0
+						for _, cnt := range s.counts[id] {
+							grp := rows[pos : pos+int(cnt)]
+							pos += int(cnt)
+							m.Check(&x.Cluster.C, len(grp))
+							for _, row := range grp {
+								nr := a.newRow(len(cols))
+								for i, c := range cols {
+									nr[i] = row[c]
+								}
+								out(nr)
+							}
+						}
+					}
+					continue
+				}
+				for rng := 0; rng < ranges; rng++ {
+					interm[id][node] = append(interm[id][node], x.Ctx.rangeSlot(node, rng).rows[id]...)
+				}
+			}
+		},
+	}
 }
 
 // buildMorsels lays out one job level's map morsels per node, in the
@@ -382,7 +371,8 @@ func (x *Executor) finishRows(rows []mapreduce.Row) []mapreduce.Row {
 // emit nothing anywhere).
 func (x *Executor) buildMorsels(pp *Plan, level []*Info) [][]mapMorsel {
 	n := x.view.Nodes()
-	tbl := x.Ctx.morselTable(n)
+	x.Ctx.morsels = mapreduce.ResetBufs(x.Ctx.morsels, n)
+	tbl := x.Ctx.morsels
 	a := x.Ctx.arenaFor(0)
 	for _, rj := range level {
 		for i, c := range rj.Op.Children {
@@ -432,7 +422,7 @@ func (x *Executor) runMapMorsel(pp *Plan, mo *mapMorsel, node, lane int, m *mapr
 		return
 	}
 	if mo.file != "" {
-		x.scanFileEmit(pp, mo, node, lane, m, emit, a)
+		x.scanFileEmit(pp, mo, node, m, emit, a)
 		return
 	}
 	rel := x.evalLocal(pp, mo.child, node, m, mo.rj.Op.JoinAttrs[0], a)
@@ -446,72 +436,25 @@ func (x *Executor) runMapMorsel(pp *Plan, mo *mapMorsel, node, lane int, m *mapr
 // its matching rows keyed for the reduce join: the per-file morsel
 // fuses gathering with emission, so the file's rows are touched once
 // and no intermediate relation is materialized. Charges (Read, then
-// Check when filtered) and emissions per file are exactly the
-// sequential scan's; concatenated in file order they reproduce the
-// whole-scan sequence.
-func (x *Executor) scanFileEmit(pp *Plan, mo *mapMorsel, node, lane int, m *mapreduce.Meter, emit func(mapreduce.Keyed), a *arena) {
+// Check when filtered) and emissions per file are exactly the whole
+// scan's; concatenated in file order they reproduce its sequence.
+func (x *Executor) scanFileEmit(pp *Plan, mo *mapMorsel, node int, m *mapreduce.Meter, emit func(mapreduce.Keyed), a *arena) {
 	op := mo.child
-	tp := pp.Logical.Query.Patterns[op.Pattern]
-	if x.scanFilters(tp, op, a) {
+	if x.scanFilters(pp.Logical.Query.Patterns[op.Pattern], op, a) {
 		return
 	}
-	consts, varPos, repeats := a.scanConsts, a.scanVarPos, a.scanRepeats
 	f, ok := x.view.Node(node).Get(mo.file)
 	if !ok {
 		return
-	}
-	m.Read(&x.Cluster.C, f.NumRows())
-	if len(consts) > 0 || len(repeats) > 0 {
-		m.Check(&x.Cluster.C, f.NumRows())
-	}
-	sf := scanFile{f: f}
-	for _, cc := range consts {
-		if cc.pos == rdf.PPos {
-			continue
-		}
-		ids := f.Lookup(int(cc.pos), cc.id)
-		if !sf.useIdx || len(ids) < len(sf.cand) {
-			sf.cand, sf.useIdx = ids, true
-		}
-		if len(sf.cand) == 0 {
-			break
-		}
 	}
 	rel := relation{schema: op.Attrs}
 	a.emitCols = rel.appendCols(a.emitCols[:0], mo.rj.Op.JoinAttrs)
 	cols := a.emitCols
 	gid := uint32(mo.rj.ID)
 	tag := mo.tag
-	w := len(varPos)
-	slab := f.Slab()
-	fw := f.Width()
-	emitRow := func(c []rdf.TermID) {
-		for _, cc := range consts {
-			if c[cc.pos] != cc.id {
-				return
-			}
-		}
-		for _, rp := range repeats {
-			if c[rp[0]] != c[rp[1]] {
-				return
-			}
-		}
-		outRow := a.newRow(w)
-		for i, p := range varPos {
-			outRow[i] = c[p]
-		}
-		emit(mapreduce.Keyed{Key: mapreduce.MakeRowKey(gid, outRow, cols), Tag: tag, Row: outRow})
-	}
-	if sf.useIdx {
-		for _, ri := range sf.cand {
-			base := int(ri) * fw
-			emitRow(slab[base : base+fw])
-		}
-		return
-	}
-	for base := 0; base+fw <= len(slab); base += fw {
-		emitRow(slab[base : base+fw])
-	}
+	x.openScanFile(f, m, a).each(a, func(row mapreduce.Row) {
+		emit(mapreduce.Keyed{Key: mapreduce.MakeRowKey(gid, row, cols), Tag: tag, Row: row})
+	})
 }
 
 // evalLocal evaluates a scan or map-join subtree on one node. coVar is
@@ -611,106 +554,105 @@ func (x *Executor) scanFilters(tp sparql.TriplePattern, op *core.Op, a *arena) b
 	return false
 }
 
+// openScanFile meters one partition file of a scan whose filters
+// scanFilters resolved into a — Read, plus Check when the pattern
+// filters — and resolves the file's access path: an index-probed
+// selection vector for the most selective non-property constant, or a
+// full slab sweep. A property constant is never probed: partition files
+// hold a single property, so its index would be one entry listing every
+// row (each re-checks it, cheaply). The metering does not depend on the
+// path — the simulated Hadoop mapper still reads and checks the whole
+// file, the index only spares the simulator's own CPU.
+func (x *Executor) openScanFile(f *dstore.File, m *mapreduce.Meter, a *arena) scanFile {
+	m.Read(&x.Cluster.C, f.NumRows())
+	if len(a.scanConsts) > 0 || len(a.scanRepeats) > 0 {
+		m.Check(&x.Cluster.C, f.NumRows())
+	}
+	sf := scanFile{f: f}
+	for _, cc := range a.scanConsts {
+		if cc.pos == rdf.PPos {
+			continue
+		}
+		ids := f.Lookup(int(cc.pos), cc.id)
+		if !sf.useIdx || len(ids) < len(sf.cand) {
+			sf.cand, sf.useIdx = ids, true
+		}
+		if len(sf.cand) == 0 {
+			break
+		}
+	}
+	return sf
+}
+
+// candidates is how many rows each visits.
+func (sf scanFile) candidates() int {
+	if sf.useIdx {
+		return len(sf.cand)
+	}
+	return sf.f.NumRows()
+}
+
+// each filters the file's candidate rows by the pattern's constant and
+// repeated-variable checks and hands fn the variable columns of every
+// match, as a fresh slab-backed row.
+func (sf scanFile) each(a *arena, fn func(mapreduce.Row)) {
+	consts, varPos, repeats := a.scanConsts, a.scanVarPos, a.scanRepeats
+	slab, fw := sf.f.Slab(), sf.f.Width()
+rows:
+	for i, n := 0, sf.candidates(); i < n; i++ {
+		base := i * fw
+		if sf.useIdx {
+			base = int(sf.cand[i]) * fw
+		}
+		c := slab[base : base+fw]
+		for _, cc := range consts {
+			if c[cc.pos] != cc.id {
+				continue rows
+			}
+		}
+		for _, rp := range repeats {
+			if c[rp[0]] != c[rp[1]] {
+				continue rows
+			}
+		}
+		row := a.newRow(len(varPos))
+		for j, p := range varPos {
+			row[j] = c[p]
+		}
+		fn(row)
+	}
+}
+
 // scan reads one triple pattern's matching tuples from this node's
 // replica partitioned on coVar's position (Section 5.1 file layout),
 // applying the pattern's constant and repeated-variable filters.
-// Constant-bound patterns probe the dstore's CSR posting-list indexes
-// (the most selective constant's row-id selection vector) instead of
-// filtering the file row by row; unconstrained scans sweep the file's
-// contiguous cell slab directly. The metering is unchanged either way
-// — the simulated Hadoop mapper still reads and checks the whole file,
-// the index only spares the simulator's own CPU.
 func (x *Executor) scan(pp *Plan, op *core.Op, node int, m *mapreduce.Meter, coVar string, a *arena) relation {
 	tp := pp.Logical.Query.Patterns[op.Pattern]
 	pos := x.Part.ScanPos(scanPosition(tp, coVar))
 	rel := relation{schema: op.Attrs}
-
 	if x.scanFilters(tp, op, a) {
 		return rel
 	}
-	consts, varPos, repeats := a.scanConsts, a.scanVarPos, a.scanRepeats
-
+	// Open every file first, so the gather below can presize the output
+	// in one allocation.
 	nd := x.view.Node(node)
-	needCheck := len(consts) > 0 || len(repeats) > 0
-
-	// Plan phase: meter every file and resolve its access path — an
-	// index-probed selection vector for the most selective non-property
-	// constant, or a full slab sweep — so the gather below can presize
-	// the output in one allocation. A property constant is never probed:
-	// partition files hold a single property, so its index would be one
-	// entry listing every row (the filters below still re-check it,
-	// cheaply).
-	plans := a.scanPlans[:0]
+	files := a.scanPlans[:0]
 	total := 0
 	for _, fname := range x.scanFileNames(a, op, tp, pos) {
-		f, ok := nd.Get(fname)
-		if !ok {
-			continue
+		if f, ok := nd.Get(fname); ok {
+			sf := x.openScanFile(f, m, a)
+			total += sf.candidates()
+			files = append(files, sf)
 		}
-		m.Read(&x.Cluster.C, f.NumRows())
-		if needCheck {
-			m.Check(&x.Cluster.C, f.NumRows())
-		}
-		sf := scanFile{f: f}
-		for _, cc := range consts {
-			if cc.pos == rdf.PPos {
-				continue
-			}
-			ids := f.Lookup(int(cc.pos), cc.id)
-			if !sf.useIdx || len(ids) < len(sf.cand) {
-				sf.cand, sf.useIdx = ids, true
-			}
-			if len(sf.cand) == 0 {
-				break
-			}
-		}
-		if sf.useIdx {
-			total += len(sf.cand)
-		} else {
-			total += f.NumRows()
-		}
-		plans = append(plans, sf)
 	}
-	a.scanPlans = plans
+	a.scanPlans = files
 	if total == 0 {
 		return rel
 	}
-
-	// Gather phase: filter candidates and extract the variable columns
-	// into slab-backed output rows (one presized row-header buffer).
 	rel.rows = make([]mapreduce.Row, 0, total)
-	w := len(varPos)
-next:
-	for _, sf := range plans {
-		slab := sf.f.Slab()
-		fw := sf.f.Width()
-		emit := func(c []rdf.TermID) {
-			for _, cc := range consts {
-				if c[cc.pos] != cc.id {
-					return
-				}
-			}
-			for _, rp := range repeats {
-				if c[rp[0]] != c[rp[1]] {
-					return
-				}
-			}
-			outRow := a.newRow(w)
-			for i, p := range varPos {
-				outRow[i] = c[p]
-			}
-			rel.rows = append(rel.rows, outRow)
-		}
-		if sf.useIdx {
-			for _, ri := range sf.cand {
-				base := int(ri) * fw
-				emit(slab[base : base+fw])
-			}
-			continue next
-		}
-		for base := 0; base+fw <= len(slab); base += fw {
-			emit(slab[base : base+fw])
-		}
+	gather := func(row mapreduce.Row) { rel.rows = append(rel.rows, row) }
+	for _, sf := range files {
+		sf.each(a, gather)
 	}
 	return rel
 }

@@ -1,14 +1,14 @@
 // Package rescache is the epoch-versioned subplan result cache: a
 // sharded, byte-budgeted LRU (built on internal/plancache's sized
 // mode) mapping (canonical job signature, DataVersion) to the
-// materialized output of one executed MapReduce job plus the full
-// recorded charge trace that produced it (mapreduce.JobRecord).
+// materialized output of one executed MapReduce job plus what the job
+// metered (mapreduce.JobRecord).
 //
 // On a hit the executor skips the job's map/shuffle/reduce work
 // entirely: it serves the cached rows read-only (callers copy row
 // headers into their own slices; the slab-backed cells themselves are
 // immutable by the engine's handed-out-once arena discipline) and
-// replays the recorded charges, so rows AND simulated JobStats are
+// replays the record, so rows AND simulated JobStats are
 // byte-identical to an uncached run. Epoch invalidation is by
 // construction: the committed DataVersion is part of the key, so a
 // batch commit makes every older entry unreachable; the engine
@@ -27,7 +27,7 @@ import (
 	"cliquesquare/internal/plancache"
 )
 
-// Entry is one cached job result: the charge record for stats replay
+// Entry is one cached job result: the metering record for stats replay
 // and the job's materialized output. Exactly one of Interm/Final is
 // meaningful per entry kind: a non-final level job fills Interm (per
 // level input, per node — positional, matching the plan level's

@@ -56,12 +56,10 @@ type Config struct {
 	// "ring" the consistent-hash ring that makes AddNodes/RemoveNodes
 	// move only ~|ΔN|/N of the data.
 	Placement string
-	// Parallelism bounds the worker pool the runtime uses for per-node
-	// phases; 0 means GOMAXPROCS.
+	// Parallelism is the number of worker lanes a query's jobs run on;
+	// 0 means GOMAXPROCS, 1 runs everything inline on the caller.
+	// Results and stats are identical at every setting.
 	Parallelism int
-	// Sequential forces the single-goroutine runtime (results and
-	// stats are identical either way; this is the debugging baseline).
-	Sequential bool
 	// StatsSink, if non-nil, receives each job's stats as it completes.
 	StatsSink func(mapreduce.JobStats)
 	// PlanCacheSize caps the number of prepared plans the engine
@@ -150,7 +148,13 @@ func (cfg Config) mustPolicy() partition.Policy {
 // New partitions g across the configured cluster and returns the
 // engine.
 func New(g *rdf.Graph, cfg Config) *Engine {
-	store := dstore.NewStore(cfg.Nodes)
+	return newEngine(cfg, g, dstore.NewStore(cfg.Nodes))
+}
+
+// newEngine partitions g over store and builds the engine around it,
+// caches included: the one constructor behind New, NewDurable and
+// OpenDurable.
+func newEngine(cfg Config, g *rdf.Graph, store *dstore.Store) *Engine {
 	e := &Engine{
 		cfg:   cfg,
 		graph: g,
@@ -380,7 +384,6 @@ func (e *Engine) execContext() *physical.ExecContext {
 	}
 	e.ctxMu.Unlock()
 	c := physical.NewExecContext(e.cfg.Parallelism)
-	c.Sequential = e.cfg.Sequential
 	c.StatsSink = e.cfg.StatsSink
 	return c
 }

@@ -7,8 +7,6 @@ import (
 	"time"
 
 	"cliquesquare/internal/dstore"
-	"cliquesquare/internal/partition"
-	"cliquesquare/internal/plancache"
 	"cliquesquare/internal/rdf"
 	"cliquesquare/internal/wal"
 )
@@ -166,17 +164,7 @@ func OpenDurable(cfg Config, opts wal.Options) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	epoch := l.Epoch()
-	store := dstore.NewStoreAt(nodes, epoch-1)
-	e := &Engine{
-		cfg:   cfg,
-		graph: g,
-		store: store,
-		part:  partition.LoadWithPolicy(store, g, cfg.Partitioning, cfg.mustPolicy()),
-	}
-	if cfg.PlanCacheSize >= 0 {
-		e.cache = plancache.New[*cacheEntry](cfg.PlanCacheSize)
-	}
+	e := newEngine(cfg, g, dstore.NewStoreAt(nodes, l.Epoch()-1))
 	e.startDurable(l, opts)
 	return e, nil
 }

@@ -76,17 +76,17 @@ func uniqueJobKeys(t *testing.T, e *Engine) (unique, probes int) {
 func TestResultCacheDeterminism(t *testing.T) {
 	g := lubm.Generate(lubm.DefaultConfig(1))
 
-	// The uncached sequential run pins the golden answers; every other
+	// The uncached one-lane run pins the golden answers; every other
 	// configuration must reproduce them bit for bit.
 	refCfg := DefaultConfig()
-	refCfg.Sequential = true
+	refCfg.Parallelism = 1
 	want := runWorkload(t, New(g, refCfg))
 
 	matrix := []struct {
 		name string
 		tune func(*Config)
 	}{
-		{"sequential", func(c *Config) { c.Sequential = true }},
+		{"lanes1", func(c *Config) { c.Parallelism = 1 }},
 		{"lanes2", func(c *Config) { c.Parallelism = 2 }},
 		{"gomaxprocs", func(c *Config) { c.Parallelism = runtime.GOMAXPROCS(0) }},
 	}
@@ -257,5 +257,58 @@ func TestResultCacheDurableCommitPurges(t *testing.T) {
 	}
 	if st := eng.ResultCacheStats(); st.Entries != 0 {
 		t.Fatalf("durable commit left %d stale entries", st.Entries)
+	}
+}
+
+// TestResultCacheSurvivesRecovery checks that an engine reopened from
+// its log is built like a new one: configured with a result cache, the
+// recovered engine serves the second execution of a query from it, with
+// rows and JobStats equal to the first.
+func TestResultCacheSurvivesRecovery(t *testing.T) {
+	g := lubm.Generate(lubm.DefaultConfig(1))
+	fs := wal.NewMemFS()
+	cfg := DefaultConfig()
+	cfg.ResultCacheBytes = testRescacheBytes
+	eng, err := NewDurable(g, cfg, durableOpts(fs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ins, dels := randomBatch(rand.New(rand.NewSource(7)), g, 1)
+	if _, err := eng.ApplyBatch(ins, dels); err != nil {
+		t.Fatal(err)
+	}
+	// Abandon the engine without Close, as a crash would.
+	fs.CrashNow(wal.CrashDrop)
+	fs.Reboot()
+	rec, err := OpenDurable(cfg, durableOpts(fs))
+	if err != nil {
+		t.Fatalf("recovery: %v", err)
+	}
+	defer rec.Close()
+
+	q, err := lubm.Query("Q2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, _, err := rec.PrepareCached(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := rec.ExecutePrepared(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := rec.ExecutePrepared(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := rec.ResultCacheStats(); st.Hits == 0 {
+		t.Errorf("recovered engine took no result-cache hits: %+v", st)
+	}
+	if !reflect.DeepEqual(second.Rows, first.Rows) {
+		t.Errorf("cached rows diverge (%d vs %d)", len(second.Rows), len(first.Rows))
+	}
+	if !reflect.DeepEqual(second.Jobs, first.Jobs) {
+		t.Errorf("cached JobStats diverge:\n got %+v\nwant %+v", second.Jobs, first.Jobs)
 	}
 }

@@ -155,9 +155,8 @@ func (e *Engine) Run(q *sparql.Query) (*systems.RunResult, error) {
 		mergedVars, rightExtra := mergeVars(accVars, rightVars)
 		acc := accRows
 		right := rightRows
-		out := cl.Run(mapreduce.Job{
-			Name: fmt.Sprintf("%s-h2rdf-join%d", q.Name, k),
-			Map: func(node int, m *mapreduce.Meter, emit func(mapreduce.Keyed), _ func(mapreduce.Row)) {
+		out := cl.RunWith(mapreduce.ClassicJob(fmt.Sprintf("%s-h2rdf-join%d", q.Name, k),
+			func(node int, m *mapreduce.Meter, emit func(mapreduce.Keyed), _ func(mapreduce.Row)) {
 				n := e.cfg.Nodes
 				for i := node; i < len(acc); i += n {
 					m.Read(&c, 1)
@@ -168,7 +167,7 @@ func (e *Engine) Run(q *sparql.Query) (*systems.RunResult, error) {
 					emit(mapreduce.Keyed{Key: key(right[i], rCols), Tag: 1, Row: mapreduce.Row(right[i])})
 				}
 			},
-			Reduce: func(node int, m *mapreduce.Meter, groups *mapreduce.Groups, out func(mapreduce.Row)) {
+			func(node int, m *mapreduce.Meter, groups *mapreduce.Groups, out func(mapreduce.Row)) {
 				groups.Each(func(_ *mapreduce.Key, recs []mapreduce.Keyed) {
 					var left, rgt []mapreduce.Row
 					for _, r := range recs {
@@ -192,8 +191,7 @@ func (e *Engine) Run(q *sparql.Query) (*systems.RunResult, error) {
 						}
 					}
 				})
-			},
-		})
+			}), mapreduce.RunOptions{})
 		accVars = mergedVars
 		accRows = nil
 		for _, rows := range out.PerNode {

@@ -291,9 +291,8 @@ func (e *Engine) Run(q *sparql.Query) (*systems.RunResult, error) {
 		sCols := cols(s.vars, shared)
 		mergedVars, rightExtra := mergeVars(accVars, s.vars)
 		var nextRows [][][]rdf.TermID
-		out := cl.Run(mapreduce.Job{
-			Name: fmt.Sprintf("%s-shape-join%d", q.Name, k),
-			Map: func(node int, m *mapreduce.Meter, emit func(mapreduce.Keyed), _ func(mapreduce.Row)) {
+		out := cl.RunWith(mapreduce.ClassicJob(fmt.Sprintf("%s-shape-join%d", q.Name, k),
+			func(node int, m *mapreduce.Meter, emit func(mapreduce.Keyed), _ func(mapreduce.Row)) {
 				if !accEvalCharged {
 					m.Read(&c, subs[order[0]].touched[node])
 				} else {
@@ -308,7 +307,7 @@ func (e *Engine) Run(q *sparql.Query) (*systems.RunResult, error) {
 					emit(mapreduce.Keyed{Key: key(row, sCols), Tag: 1, Row: mapreduce.Row(row)})
 				}
 			},
-			Reduce: func(node int, m *mapreduce.Meter, groups *mapreduce.Groups, out func(mapreduce.Row)) {
+			func(node int, m *mapreduce.Meter, groups *mapreduce.Groups, out func(mapreduce.Row)) {
 				groups.Each(func(_ *mapreduce.Key, recs []mapreduce.Keyed) {
 					var left, right []mapreduce.Row
 					for _, r := range recs {
@@ -332,8 +331,7 @@ func (e *Engine) Run(q *sparql.Query) (*systems.RunResult, error) {
 						}
 					}
 				})
-			},
-		})
+			}), mapreduce.RunOptions{})
 		accEvalCharged = true
 		nextRows = make([][][]rdf.TermID, e.cfg.Nodes)
 		for node, rows := range out.PerNode {

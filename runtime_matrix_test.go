@@ -3,7 +3,7 @@ package cliquesquare
 // Determinism matrix for the morsel-driven runtime: the LUBM workload
 // must produce byte-identical rows AND JobStats at every parallelism
 // level, through pooled (persistent-worker) and fresh (per-query)
-// execution contexts alike, all matching the sequential pin. Run under
+// execution contexts alike, all matching the one-lane pin. Run under
 // -race this also shakes out data races between concurrent morsel
 // lanes. A companion test checks that closing a context (and an
 // engine) reaps its parked pool workers.
@@ -59,17 +59,14 @@ func TestMorselDeterminismMatrix(t *testing.T) {
 		return r
 	}
 
-	// Sequential pin.
+	// The pin: one inline lane, which is what a nil context means.
 	type pin struct {
 		hash string
 		jobs []mapreduce.JobStats
 	}
-	seqCtx := physical.NewExecContext(1)
-	seqCtx.Sequential = true
-	defer seqCtx.Close()
 	pins := make([]pin, len(plans))
 	for i, pp := range plans {
-		r := execute(seqCtx, pp)
+		r := execute(nil, pp)
 		pins[i] = pin{hash: hashRows(r.Rows), jobs: r.Jobs}
 	}
 
@@ -92,10 +89,10 @@ func TestMorselDeterminismMatrix(t *testing.T) {
 					}
 					r := execute(ctx, pp)
 					if h := hashRows(r.Rows); h != pins[i].hash {
-						t.Errorf("%s: row hash %s, sequential pin %s", queries[i].Name, h, pins[i].hash)
+						t.Errorf("%s: row hash %s, one-lane pin %s", queries[i].Name, h, pins[i].hash)
 					}
 					if !reflect.DeepEqual(r.Jobs, pins[i].jobs) {
-						t.Errorf("%s: job stats differ from sequential pin:\ngot %+v\npin %+v",
+						t.Errorf("%s: job stats differ from the one-lane pin:\ngot %+v\npin %+v",
 							queries[i].Name, r.Jobs, pins[i].jobs)
 					}
 					if shared == nil {
