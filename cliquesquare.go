@@ -93,8 +93,9 @@ type Options struct {
 	Placement string
 	// Durable, when non-nil, attaches a write-ahead log: every applied
 	// batch is fsynced (group-committed) before it is acknowledged,
-	// and Open recovers the engine after a crash. Nil keeps the
-	// original in-memory engine.
+	// and Open recovers the engine after a crash. Nil runs the same
+	// commit pipeline with no log: writes behave identically, epochs
+	// live only as long as the process.
 	Durable *DurableOptions
 }
 
@@ -202,11 +203,13 @@ func (opts Options) config() (csq.Config, error) {
 	return cfg, nil
 }
 
-// Close shuts the engine down: the group-commit queue is flushed
-// (every already-accepted batch is still committed and acknowledged),
-// the WAL is synced and closed. After Close, queries and updates
-// return ErrClosed. Close is idempotent; on a non-durable engine it
-// only marks the engine closed.
+// Close shuts the engine down once every accepted write has been
+// answered: with a log the group-commit queue is flushed (every
+// already-accepted batch is still committed and acknowledged) and the
+// WAL synced and closed, without one Close waits for the write in
+// flight; either way the data version no longer moves once Close has
+// returned. It then reaps the pooled worker lanes queries ran on. After
+// Close, queries and updates return ErrClosed. Close is idempotent.
 func (e *Engine) Close() error { return e.inner.Close() }
 
 // ReshardResult reports what a completed AddNodes/RemoveNodes did
@@ -243,9 +246,10 @@ func (e *Engine) Compact() error { return e.inner.Compact() }
 // (re-exported from the csq engine).
 type DurabilityStats = csq.DurabilityStats
 
-// DurabilityStats snapshots the durable subsystem's activity: records
-// and bytes logged, fsyncs, checkpoints, files garbage-collected, the
-// log directory's live bytes, and group-commit coalescing counters.
+// DurabilityStats snapshots commit and WAL activity: group-commit
+// coalescing counters, and — zero on an engine without a log — records
+// and bytes logged, fsyncs, checkpoints, files garbage-collected and
+// the log directory's live bytes.
 func (e *Engine) DurabilityStats() DurabilityStats { return e.inner.DurabilityStats() }
 
 // Result is a decoded query answer plus execution statistics.

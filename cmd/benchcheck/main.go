@@ -10,7 +10,6 @@
 // Usage:
 //
 //	benchcheck -baseline BENCH_pr2.json -new BENCH_pr6.json [-ns-slack 0.30]
-//	benchcheck -churn BENCH_pr7.json [-max-write-amp 20]
 //	benchcheck -scaling BENCH_pr8.json [-min-speedup 1.2]
 //	benchcheck -serving BENCH_pr9.json [-min-serving-speedup 1.0]
 //	benchcheck -reshard BENCH_pr10.json [-max-stall-ms 1000] [-max-moved-factor 2]
@@ -20,23 +19,18 @@
 // baseline to regress against). The comparison table is printed either
 // way.
 //
-// The second form gates a churn metrics file (the csq-bench -exp=churn
-// JSON report) instead of go test -json output: the equivalence oracle
-// must have passed, and for a durable run the crash-recovery oracle
-// must have passed and write amplification must stay under the bound.
+// The second form gates a scaling report (the csq-bench -exp=scaling
+// JSON) instead of go test -json output: the best parallel point on the
+// LUBM workload curve must reach the minimum speedup over the
+// sequential baseline. On machines with fewer than four cores the gate
+// skips (exit 0) — a near-serial machine cannot demonstrate parallel
+// speedup, only CI-class runners enforce it.
 //
-// The third form gates a scaling report (the csq-bench -exp=scaling
-// JSON): the best parallel point on the LUBM workload curve must reach
-// the minimum speedup over the sequential baseline. On machines with
-// fewer than four cores the gate skips (exit 0) — a near-serial
-// machine cannot demonstrate parallel speedup, only CI-class runners
-// enforce it.
-//
-// The fourth form gates a serving report produced with -rescache: the
+// The third form gates a serving report produced with -rescache: the
 // result cache must have taken real hits and cached QPS must reach the
 // minimum multiple of the uncached baseline measured in the same run.
 //
-// The fifth form gates an elastic-reshard report (csq-bench
+// The fourth form gates an elastic-reshard report (csq-bench
 // -exp=reshard): readers must have been served through both resizes
 // with answers intact, no single reader request may stall beyond the
 // bound, and each resize's moved-data fraction must stay within the
@@ -153,56 +147,6 @@ func pct(new, old float64) string {
 		return "n/a"
 	}
 	return fmt.Sprintf("%+.1f%%", 100*(new-old)/old)
-}
-
-// churnReport is the subset of the csq-bench churn JSON the gate
-// reads. Pointers distinguish "absent" from "false": the oracles must
-// be present and true, and recovery fields are demanded only of
-// durable runs.
-type churnReport struct {
-	EquivalenceOK *bool    `json:"equivalence_ok"`
-	Durable       bool     `json:"durable"`
-	RecoveryOK    *bool    `json:"recovery_ok"`
-	RecoveryMs    float64  `json:"recovery_ms"`
-	WriteAmp      *float64 `json:"write_amp"`
-}
-
-// checkChurn gates one churn metrics file and exits non-zero on any
-// violated invariant.
-func checkChurn(path string, maxWriteAmp float64) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchcheck: %v\n", err)
-		os.Exit(2)
-	}
-	var r churnReport
-	if err := json.Unmarshal(data, &r); err != nil {
-		fmt.Fprintf(os.Stderr, "benchcheck: %s: %v\n", path, err)
-		os.Exit(2)
-	}
-	failed := false
-	check := func(ok bool, format string, args ...any) {
-		verdict := "ok"
-		if !ok {
-			verdict = "FAIL"
-			failed = true
-		}
-		fmt.Printf("%s  %s\n", verdict, fmt.Sprintf(format, args...))
-	}
-	check(r.EquivalenceOK != nil && *r.EquivalenceOK, "fresh-engine equivalence oracle")
-	if r.Durable {
-		check(r.RecoveryOK != nil && *r.RecoveryOK, "crash-recovery oracle")
-		check(r.RecoveryMs > 0, "recovery time measured (%.1f ms)", r.RecoveryMs)
-		if r.WriteAmp != nil {
-			check(*r.WriteAmp <= maxWriteAmp, "write amplification %.2fx within %.1fx bound", *r.WriteAmp, maxWriteAmp)
-		} else {
-			check(false, "write amplification missing from a durable run")
-		}
-	}
-	if failed {
-		fmt.Fprintf(os.Stderr, "benchcheck: %s violates churn invariants\n", path)
-		os.Exit(1)
-	}
 }
 
 // scalingFile is the subset of the csq-bench scaling JSON the gate
@@ -386,8 +330,6 @@ func main() {
 	baselinePath := flag.String("baseline", "", "baseline results (go test -json), e.g. the committed BENCH_pr2.json")
 	newPath := flag.String("new", "", "new results (go test -json) to check against the baseline")
 	nsSlack := flag.Float64("ns-slack", 0.30, "allowed relative ns/op regression before failing (0.30 = 30%)")
-	churnPath := flag.String("churn", "", "churn metrics JSON to gate (csq-bench -exp=churn -out); replaces -baseline/-new")
-	maxWriteAmp := flag.Float64("max-write-amp", 20, "with -churn: maximum allowed durable write amplification")
 	scalingPath := flag.String("scaling", "", "scaling report JSON to gate (csq-bench -exp=scaling -out); replaces -baseline/-new")
 	minSpeedup := flag.Float64("min-speedup", 1.2, "with -scaling: required parallel speedup over sequential on the workload curve")
 	servingPath := flag.String("serving", "", "serving report JSON to gate (csq-bench -exp=serving -rescache -out); replaces -baseline/-new")
@@ -396,10 +338,6 @@ func main() {
 	maxStallMs := flag.Float64("max-stall-ms", 1000, "with -reshard: worst allowed single reader request during a resize")
 	maxMovedFactor := flag.Float64("max-moved-factor", 2, "with -reshard: allowed multiple of the ideal moved-data fraction")
 	flag.Parse()
-	if *churnPath != "" {
-		checkChurn(*churnPath, *maxWriteAmp)
-		return
-	}
 	if *scalingPath != "" {
 		checkScaling(*scalingPath, *minSpeedup)
 		return

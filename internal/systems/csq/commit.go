@@ -1,0 +1,219 @@
+package csq
+
+import (
+	"time"
+
+	"cliquesquare/internal/rdf"
+	"cliquesquare/internal/wal"
+)
+
+// request is one write handed to the commit pipeline: an ApplyBatch
+// caller's triple delta or, when reshard is non-zero, an
+// AddNodes/RemoveNodes caller's node-count delta (a resize always
+// flushes alone, never grouped with triple batches).
+type request struct {
+	ins, dels []rdf.Triple
+	reshard   int
+	resp      chan response
+	enqueued  time.Time
+}
+
+type response struct {
+	res   BatchResult
+	shard ReshardResult
+	err   error
+}
+
+// submit hands one write to the pipeline and waits for its answer.
+// Every write — batch or resize, logged or not — is flushed by the same
+// flushGroup / flushReshard; only how it reaches them differs, and that
+// follows from whether a log is attached. With one, the request is
+// queued for the batcher goroutine, the engine's only writer, which
+// coalesces concurrent callers into one fsync. Without one there is no
+// fsync to share and nothing that would stop a goroutine (log-less
+// engines are built freely and rarely closed), so the caller flushes
+// its own request as a group of one, holding wmu to be the only writer
+// meanwhile. Either way closed is checked under wmu: see Engine.wmu.
+func (e *Engine) submit(req *request) response {
+	req.resp = make(chan response, 1)
+	req.enqueued = time.Now()
+	if d := e.dur; d != nil {
+		e.wmu.RLock()
+		if e.closed.Load() {
+			e.wmu.RUnlock()
+			return response{err: ErrClosed}
+		}
+		d.reqs <- req
+		e.wmu.RUnlock()
+		return <-req.resp
+	}
+	e.wmu.Lock()
+	defer e.wmu.Unlock()
+	if e.closed.Load() {
+		return response{err: ErrClosed}
+	}
+	if req.reshard != 0 {
+		e.flushReshard(req)
+	} else {
+		e.flushGroup([]*request{req})
+	}
+	return <-req.resp
+}
+
+// flushGroup commits one group of batches as one epoch: it computes the
+// group's net delta, logs it (with the newly assigned dictionary terms)
+// as one fsynced record, applies it to the graph, the partitioner and
+// the caches, and answers every caller. A group that nets out to
+// nothing (every operation a no-op, or cancelled within the group)
+// writes no record and commits no epoch — committing one anyway would
+// only force every cached plan through a spurious revalidation. On a
+// log failure nothing was applied: the engine keeps serving reads of
+// the last durable epoch and every caller gets the log's sticky error.
+func (e *Engine) flushGroup(group []*request) {
+	start := time.Now()
+	ins, dels, counts := e.netDelta(group)
+	cs := CommitStats{GroupSize: len(group)}
+	ver := e.DataVersion()
+	var err error
+	committed := false
+	if len(ins) > 0 || len(dels) > 0 {
+		cs.Append, cs.Sync, err = e.logStep(&wal.Record{Inserts: ins, Deletes: dels})
+		committed = err == nil
+	}
+	if committed {
+		applyStart := time.Now()
+		e.stateMu.Lock()
+		e.graph.RemoveBatch(dels)
+		for _, t := range ins {
+			e.graph.Add(t)
+		}
+		ver = e.part.ApplyBatch(ins, dels, e.graph.Dict).Version()
+		e.invalidate(ver-1, ins, dels)
+		e.stateMu.Unlock()
+		cs.Apply = time.Since(applyStart)
+		e.batches.Add(uint64(len(group)))
+		e.groups.Add(1)
+	}
+	for i, req := range group {
+		if err != nil {
+			req.resp <- response{err: err}
+			continue
+		}
+		c := cs
+		c.Wait = start.Sub(req.enqueued)
+		req.resp <- response{res: BatchResult{
+			Inserted: counts[i][0], Deleted: counts[i][1], DataVersion: ver, Commit: c,
+		}}
+	}
+	// Nudge the compactor only after the callers are answered.
+	if committed {
+		e.nudgeCheckpoint()
+	}
+}
+
+// netDelta computes what a group changes, without touching the graph
+// (WAL-first: nothing mutates before the fsync). overlay is the desired
+// presence of every triple the group touches, layered over the
+// unmutated graph; touched preserves first-touch order so the net delta
+// — and the record logged from it — is deterministic. counts is each
+// caller's effective [inserted, deleted] against the group's running
+// state, deletes before inserts: an operation can count for its caller
+// and still net out of the group (a present triple deleted and
+// re-inserted stays where it is).
+func (e *Engine) netDelta(group []*request) (ins, dels []rdf.Triple, counts [][2]int) {
+	overlay := make(map[rdf.Triple]bool)
+	var touched []rdf.Triple
+	present := func(t rdf.Triple) bool {
+		if v, ok := overlay[t]; ok {
+			return v
+		}
+		return e.graph.Contains(t)
+	}
+	set := func(t rdf.Triple, p bool) {
+		if _, ok := overlay[t]; !ok {
+			touched = append(touched, t)
+		}
+		overlay[t] = p
+	}
+	counts = make([][2]int, len(group))
+	for i, req := range group {
+		for _, t := range req.dels {
+			if present(t) {
+				set(t, false)
+				counts[i][1]++
+			}
+		}
+		for _, t := range req.ins {
+			if !present(t) {
+				set(t, true)
+				counts[i][0]++
+			}
+		}
+	}
+	for _, t := range touched {
+		switch want, had := overlay[t], e.graph.Contains(t); {
+		case want && !had:
+			ins = append(ins, t)
+		case !want && had:
+			dels = append(dels, t)
+		}
+	}
+	return ins, dels, counts
+}
+
+// logStep makes the next epoch durable before it applies: it stamps rec
+// with that epoch and the first unlogged TermID, attaches the
+// dictionary terms assigned since the last record (to triple records
+// only — a topology record moves rows, it introduces no terms), and
+// appends + fsyncs it. Only the engine's writer calls it, which is what
+// keeps loggedTerms unshared. Without a log there is nothing to write
+// ahead to; the null log closes with the engine as the real one does,
+// which is what stops a resize racing Close at its next step boundary.
+func (e *Engine) logStep(rec *wal.Record) (appendD, syncD time.Duration, err error) {
+	d := e.dur
+	if d == nil {
+		if e.closed.Load() {
+			return 0, 0, ErrClosed
+		}
+		return 0, 0, nil
+	}
+	rec.Epoch = e.DataVersion() + 1
+	rec.FirstTerm = d.loggedTerms + 1
+	if rec.Topology == 0 {
+		rec.Terms = e.graph.Dict.TermsAfter(d.loggedTerms)
+	}
+	if appendD, syncD, err = d.log.Commit(rec); err == nil {
+		d.loggedTerms += rdf.TermID(len(rec.Terms))
+	}
+	return appendD, syncD, err
+}
+
+// invalidate is the cache side of every committed epoch; the caller
+// holds stateMu and has just moved the data version on from fromVer.
+// Result-cache entries of the old epoch are unreachable already (their
+// keys embed the version); purging stops their bytes occupying the
+// budget. Cached plans revalidate lazily because DataVersion moved;
+// folding the delta into their retained statistics here lets that
+// revalidation re-cost candidates in O(|delta| × patterns) instead of
+// rescanning the graph. A reshard step passes an empty delta — moving
+// rows between nodes changes no cardinality — so statistics carry
+// across it. Entries whose statistics already trail fromVer (they raced
+// their insertion against an earlier commit) are skipped; their next
+// use rebuilds statistics once and rejoins the incremental path.
+func (e *Engine) invalidate(fromVer uint64, ins, dels []rdf.Triple) {
+	if e.res != nil {
+		e.res.Purge()
+	}
+	if e.cache == nil {
+		return
+	}
+	toVer := e.DataVersion()
+	e.cache.Range(func(_ string, ent *cacheEntry) {
+		ent.statsMu.Lock()
+		if ent.stats != nil && ent.statsVersion == fromVer {
+			ent.stats.Apply(e.graph.Dict, ins, dels)
+			ent.statsVersion = toVer
+		}
+		ent.statsMu.Unlock()
+	})
+}

@@ -4,11 +4,18 @@
 // Section 5.4 cost model, translation to physical plans and execution
 // as MapReduce jobs on the simulator.
 //
-// Beyond the paper's load-once setting, the engine is mutable:
-// ApplyBatch applies insert/delete deltas to the graph and the
-// partitioned store as one snapshot epoch, while in-flight queries keep
-// reading their pinned epoch (snapshot isolation) and cached plans are
-// revalidated against the new cardinality statistics on their next use.
+// Beyond the paper's load-once setting, the engine is mutable, elastic
+// and optionally durable: ApplyBatch applies insert/delete deltas to
+// the graph and the partitioned store as one snapshot epoch, and
+// AddNodes/RemoveNodes re-place rows as a few more, while in-flight
+// queries keep reading their pinned epoch (snapshot isolation) and
+// cached plans are revalidated against the new cardinality statistics
+// on their next use.
+//
+// Every write takes one commit pipeline (commit.go): net delta → log →
+// apply → invalidate → answer, a reshard step being one more kind of
+// logged epoch. An engine without a write-ahead log runs the same
+// pipeline over a log step that does nothing.
 package csq
 
 import (
@@ -89,11 +96,14 @@ func DefaultConfig() Config {
 }
 
 // Engine is a loaded CSQ instance. All of its entry points — Prepare,
-// PrepareCached, ExecutePrepared, Plan, ExecutePlan, Run, ApplyBatch —
-// are safe for concurrent use: planning reads a pinned data epoch plus
-// immutable engine state, execution draws per-call scratch from the
-// context pool, writes serialize on the engine's write lock and publish
-// new epochs atomically, and the plan cache synchronizes itself.
+// PrepareCached, ExecutePrepared, Plan, ExecutePlan, Run, ApplyBatch,
+// AddNodes, RemoveNodes — are safe for concurrent use: planning reads a
+// pinned data epoch plus immutable engine state, execution draws
+// per-call scratch from the context pool, and the plan cache
+// synchronizes itself. Writes have exactly one writer at a time — the
+// batcher goroutine when a log is attached, else whichever caller holds
+// wmu — which publishes new epochs atomically. Locks nest in the order
+// writer (wmu or being the batcher) → stateMu → cacheEntry.statsMu.
 type Engine struct {
 	cfg   Config
 	graph *rdf.Graph
@@ -104,7 +114,8 @@ type Engine struct {
 	cache *plancache.Cache[*cacheEntry]
 	// res is the subplan result cache; nil unless ResultCacheBytes > 0.
 	// Keys embed the data epoch, so stale entries are unreachable after
-	// a commit; the commit paths additionally purge for budget hygiene.
+	// a commit; the commit pipeline additionally purges for budget
+	// hygiene.
 	res *rescache.Cache
 	// ctxMu guards the explicit ExecContext free list. Contexts are
 	// recycled (with their per-lane arenas and parked worker pools)
@@ -117,22 +128,36 @@ type Engine struct {
 	ctxFree   []*physical.ExecContext
 	ctxClosed bool
 
-	// stateMu guards the graph+partitioner pair as one unit: ApplyBatch
-	// holds the write side across graph mutation and epoch commit, and
-	// statistics reads (plan, revalidate) hold the read side so they
-	// never observe a half-applied batch. Query execution does not take
-	// it — executions read pinned immutable snapshots.
+	// stateMu guards the graph+partitioner pair as one unit: the writer
+	// holds the write side across graph mutation and epoch commit (per
+	// epoch — a resize releases it between steps), and statistics and
+	// checkpoint reads (plan, revalidate, snapshot) hold the read side
+	// so they never observe a half-applied batch. Query execution does
+	// not take it — executions read pinned immutable snapshots.
 	stateMu sync.RWMutex
-	// batches / revalidations / replans count update activity.
+	// batches / groups / revalidations / replans count update activity:
+	// committed ApplyBatch calls, the epochs that carried them, cached
+	// plans re-checked and re-chosen.
 	batches       atomic.Uint64
+	groups        atomic.Uint64
 	revalidations atomic.Uint64
 	replans       atomic.Uint64
 
 	// closed flips once on Close; every entry point then returns
-	// ErrClosed. dur is the durable subsystem (WAL + group commit +
-	// compactor), nil on an in-memory engine.
+	// ErrClosed. dur is what an attached log adds (WAL + batcher +
+	// compactor), nil without one.
 	closed atomic.Bool
 	dur    *durableState
+	// wmu orders write submission against Close: a submitter checks
+	// closed under wmu, and Close passes through the write side after
+	// setting it, so every write accepted before is answered by then
+	// and none is accepted after. With a log the submitter holds the
+	// read side just across the send to the batcher's queue. Without
+	// one it holds the write side for its whole flush, which makes it
+	// the engine's only writer meanwhile — the role the batcher
+	// otherwise has, and what the unlocked graph reads of netDelta and
+	// a resize's plan → steps sequence rely on.
+	wmu sync.RWMutex
 }
 
 // mustPolicy resolves the configured placement policy, panicking on an
@@ -187,8 +212,9 @@ type BatchResult struct {
 	Inserted, Deleted int
 	// DataVersion is the epoch the batch committed as.
 	DataVersion uint64
-	// Commit carries the group-commit stage timings on a durable
-	// engine (zero value otherwise).
+	// Commit carries the commit's stage timings and how many callers
+	// shared it (GroupSize is 1 and the log stages zero on an engine
+	// without a log).
 	Commit CommitStats
 }
 
@@ -198,73 +224,19 @@ type BatchResult struct {
 // either see the whole batch or none of it. Duplicate inserts, inserts
 // of triples already present, and deletes of absent triples are
 // filtered to a no-op, so the result matches loading the mutated graph
-// from scratch; a batch whose effective delta is empty commits no epoch
-// (the returned DataVersion is the current one). Concurrent queries
-// keep executing against their pinned epochs; cached plans revalidate
-// lazily on next use.
+// from scratch; a batch whose net delta is empty commits no epoch (the
+// returned DataVersion is the current one). Concurrent queries keep
+// executing against their pinned epochs; cached plans revalidate lazily
+// on next use.
 //
-// On a durable engine the batch is routed through the group-commit
-// batcher: it is acknowledged only after its WAL record is fsynced,
-// possibly sharing that fsync — and its epoch — with concurrent
-// callers (see BatchResult.Commit). ApplyBatch on a closed engine
-// returns ErrClosed; a WAL failure surfaces here and leaves the
+// With a log attached the batch is acknowledged only after its WAL
+// record is fsynced, possibly sharing that fsync — and its epoch — with
+// concurrent callers (see BatchResult.Commit). ApplyBatch on a closed
+// engine returns ErrClosed; a WAL failure surfaces here and leaves the
 // in-memory state untouched.
 func (e *Engine) ApplyBatch(inserts, deletes []rdf.Triple) (BatchResult, error) {
-	if e.closed.Load() {
-		return BatchResult{}, ErrClosed
-	}
-	if e.dur != nil {
-		return e.dur.apply(inserts, deletes)
-	}
-	e.stateMu.Lock()
-	defer e.stateMu.Unlock()
-	var dels []rdf.Triple
-	if len(deletes) > 0 {
-		seen := make(map[rdf.Triple]bool, len(deletes))
-		for _, t := range deletes {
-			if !seen[t] && e.graph.Contains(t) {
-				seen[t] = true
-				dels = append(dels, t)
-			}
-		}
-		e.graph.RemoveBatch(dels)
-	}
-	var ins []rdf.Triple
-	for _, t := range inserts {
-		if e.graph.Add(t) {
-			ins = append(ins, t)
-		}
-	}
-	if len(ins) == 0 && len(dels) == 0 {
-		// Nothing effectively changed: committing an epoch anyway would
-		// only force every cached plan through a spurious revalidation.
-		return BatchResult{DataVersion: e.DataVersion()}, nil
-	}
-	v := e.part.ApplyBatch(ins, dels, e.graph.Dict)
-	e.batches.Add(1)
-	if e.res != nil {
-		// Versioned keys already make the old epoch's entries
-		// unreachable; purge so their bytes stop occupying the budget.
-		e.res.Purge()
-	}
-	if e.cache != nil {
-		// Fold the effective delta into every cached plan's retained
-		// statistics so their next revalidation re-costs candidates in
-		// O(|delta| × patterns) instead of rescanning the graph. Entries
-		// whose statistics already trail (they raced their insertion
-		// against an earlier batch) are skipped; their next use rebuilds
-		// statistics once and rejoins the incremental path.
-		ver := v.Version()
-		e.cache.Range(func(_ string, ent *cacheEntry) {
-			ent.statsMu.Lock()
-			if ent.stats != nil && ent.statsVersion == ver-1 {
-				ent.stats.Apply(e.graph.Dict, ins, dels)
-				ent.statsVersion = ver
-			}
-			ent.statsMu.Unlock()
-		})
-	}
-	return BatchResult{Inserted: len(ins), Deleted: len(dels), DataVersion: v.Version()}, nil
+	r := e.submit(&request{ins: inserts, dels: deletes})
+	return r.res, r.err
 }
 
 // UpdateStats is a snapshot of the engine's update/revalidation

@@ -15,14 +15,16 @@ import (
 var ErrClosed = errors.New("csq: engine is closed")
 
 // CommitStats is the per-stage timing of the group commit that carried
-// a durable batch, reported in its BatchResult.
+// a batch, reported in its BatchResult.
 type CommitStats struct {
 	// GroupSize is how many concurrent ApplyBatch callers this commit
-	// coalesced into one WAL record and one fsync.
+	// coalesced into one WAL record and one fsync; always 1 without a
+	// log, where there is no fsync to share.
 	GroupSize int
-	// Wait is the time the caller's request sat queued before its group
-	// started flushing; Append and Sync split the WAL write; Apply is
-	// the in-memory epoch commit (graph + partitioner + plan-cache
+	// Wait is the time the caller's request waited (queued, or for the
+	// writer mutex) before its group started flushing; Append and Sync
+	// split the WAL write and are zero without a log; Apply is the
+	// in-memory epoch commit (graph + partitioner + plan-cache
 	// statistics).
 	Wait   time.Duration
 	Append time.Duration
@@ -30,7 +32,7 @@ type CommitStats struct {
 	Apply  time.Duration
 }
 
-// DurabilityStats snapshots the durable subsystem's activity.
+// DurabilityStats snapshots group-commit and WAL activity.
 type DurabilityStats struct {
 	// Log is the WAL's own activity (records, bytes, syncs,
 	// checkpoints, GC removals).
@@ -44,25 +46,9 @@ type DurabilityStats struct {
 	GroupedCallers uint64
 }
 
-// applyReq is one ApplyBatch caller queued for group commit — or, when
-// reshard is non-zero, one AddNodes/RemoveNodes caller whose resize the
-// batcher executes solo (never grouped with triple batches).
-type applyReq struct {
-	ins, dels []rdf.Triple
-	reshard   int // node-count delta; 0 = ordinary batch
-	resp      chan applyResp
-	enqueued  time.Time
-}
-
-type applyResp struct {
-	res   BatchResult
-	shard ReshardResult
-	err   error
-}
-
-// durableState is the durable half of an Engine: the WAL, the
-// group-commit batcher goroutine that is the engine's only writer, and
-// the background compactor that checkpoints and garbage-collects.
+// durableState is what an attached log adds to an Engine: the WAL, the
+// group-commit batcher goroutine that is then the engine's only writer,
+// and the background compactor that checkpoints and garbage-collects.
 type durableState struct {
 	e    *Engine
 	log  *wal.Log
@@ -70,26 +56,18 @@ type durableState struct {
 
 	// loggedTerms is the dictionary length already covered by the WAL
 	// (checkpoint + records); the next record logs the terms after it.
-	// Only the batcher goroutine touches it after construction.
+	// Only the batcher goroutine touches it after construction (logStep).
 	loggedTerms rdf.TermID
 
-	// qmu guards the stopped flag and the right to send on reqs:
-	// senders hold the read side across the check and the send, close
-	// holds the write side while closing the channel, so a send can
-	// never race the close.
-	qmu     sync.RWMutex
-	stopped bool
-	reqs    chan *applyReq
-
-	// ckptCh carries checkpoint requests to the compactor; a nil value
-	// is a background nudge, a non-nil channel wants the outcome.
+	// reqs is the batcher's queue and ckptCh the compactor's (a nil
+	// value is a background nudge, a non-nil channel wants the
+	// outcome). Senders hold Engine.wmu's read side across the closed
+	// check and the send, and Close passes through its write side
+	// before close closes them, so a send can never race the close.
+	reqs   chan *request
 	ckptCh chan chan error
 
 	batcherWG, compactorWG sync.WaitGroup
-
-	statMu         sync.Mutex
-	groups         uint64
-	groupedCallers uint64
 }
 
 // NewDurable partitions g and attaches a fresh write-ahead log in
@@ -99,13 +77,7 @@ type durableState struct {
 // that with OpenDurable instead.
 func NewDurable(g *rdf.Graph, cfg Config, opts wal.Options) (*Engine, error) {
 	e := New(g, cfg)
-	cp := &wal.Checkpoint{
-		Epoch:   e.DataVersion(),
-		Terms:   g.Dict.TermsAfter(0),
-		Triples: g.Triples(),
-		Nodes:   uint32(e.part.Current().Nodes()),
-	}
-	l, err := wal.Create(opts, cp)
+	l, err := wal.Create(opts, e.snapshot())
 	if err != nil {
 		return nil, err
 	}
@@ -126,41 +98,27 @@ func NewDurable(g *rdf.Graph, cfg Config, opts wal.Options) (*Engine, error) {
 // wal.ErrNoState means the directory holds nothing to recover.
 func OpenDurable(cfg Config, opts wal.Options) (*Engine, error) {
 	g := rdf.NewGraph()
-	install := func(first rdf.TermID, terms []rdf.Term) error {
-		for i, t := range terms {
-			if err := g.Dict.Install(first+rdf.TermID(i), t); err != nil {
+	nodes := cfg.Nodes
+	replay := func(r *wal.Record) error {
+		if r.Topology > 0 {
+			nodes = int(r.Topology)
+		}
+		for i, t := range r.Terms {
+			if err := g.Dict.Install(r.FirstTerm+rdf.TermID(i), t); err != nil {
 				return fmt.Errorf("csq: recovery: %w", err)
 			}
 		}
+		g.RemoveBatch(r.Deletes)
+		for _, t := range r.Inserts {
+			g.Add(t)
+		}
 		return nil
 	}
-	nodes := cfg.Nodes
-	l, _, err := wal.Open(opts,
-		func(cp *wal.Checkpoint) error {
-			if cp.Nodes > 0 {
-				nodes = int(cp.Nodes)
-			}
-			if err := install(1, cp.Terms); err != nil {
-				return err
-			}
-			for _, t := range cp.Triples {
-				g.Add(t)
-			}
-			return nil
-		},
-		func(r *wal.Record) error {
-			if r.Topology > 0 {
-				nodes = int(r.Topology)
-			}
-			if err := install(r.FirstTerm, r.Terms); err != nil {
-				return err
-			}
-			g.RemoveBatch(r.Deletes)
-			for _, t := range r.Inserts {
-				g.Add(t)
-			}
-			return nil
-		})
+	// A checkpoint replays as the one record that builds its state from
+	// an empty graph.
+	l, _, err := wal.Open(opts, func(cp *wal.Checkpoint) error {
+		return replay(&wal.Record{FirstTerm: 1, Terms: cp.Terms, Inserts: cp.Triples, Topology: cp.Nodes})
+	}, replay)
 	if err != nil {
 		return nil, err
 	}
@@ -178,7 +136,7 @@ func (e *Engine) startDurable(l *wal.Log, opts wal.Options) {
 		log:         l,
 		opts:        opts,
 		loggedTerms: rdf.TermID(e.graph.Dict.Len()),
-		reqs:        make(chan *applyReq, opts.GroupMaxOps),
+		reqs:        make(chan *request, opts.GroupMaxOps),
 		ckptCh:      make(chan chan error, 1),
 	}
 	e.dur = d
@@ -186,24 +144,6 @@ func (e *Engine) startDurable(l *wal.Log, opts wal.Options) {
 	go d.run()
 	d.compactorWG.Add(1)
 	go d.compactor()
-}
-
-// apply queues one batch for group commit and waits for its outcome.
-func (d *durableState) apply(ins, dels []rdf.Triple) (BatchResult, error) {
-	req := &applyReq{
-		ins: ins, dels: dels,
-		resp:     make(chan applyResp, 1),
-		enqueued: time.Now(),
-	}
-	d.qmu.RLock()
-	if d.stopped {
-		d.qmu.RUnlock()
-		return BatchResult{}, ErrClosed
-	}
-	d.reqs <- req
-	d.qmu.RUnlock()
-	r := <-req.resp
-	return r.res, r.err
 }
 
 // run is the batcher goroutine: it collects queued requests into
@@ -214,191 +154,92 @@ func (d *durableState) apply(ins, dels []rdf.Triple) (BatchResult, error) {
 // naturally from callers arriving while a flush's fsync is in flight.
 func (d *durableState) run() {
 	defer d.batcherWG.Done()
-	for {
-		req, ok := <-d.reqs
-		if !ok {
-			return
-		}
+	for req := range d.reqs {
 		if req.reshard != 0 {
-			d.flushReshard(req)
+			d.e.flushReshard(req)
 			continue
 		}
-		group := append(make([]*applyReq, 0, d.opts.GroupMaxOps), req)
-		// A resize encountered while grouping closes the group: it
-		// flushes after the batches that preceded it, alone.
-		var resize *applyReq
+		group := append(make([]*request, 0, d.opts.GroupMaxOps), req)
+		var window <-chan time.Time
 		if d.opts.GroupMaxWait > 0 {
-			timer := time.NewTimer(d.opts.GroupMaxWait)
-		wait:
-			for len(group) < d.opts.GroupMaxOps {
-				select {
-				case r, ok := <-d.reqs:
-					if !ok {
-						break wait
-					}
-					if r.reshard != 0 {
-						resize = r
-						break wait
-					}
-					group = append(group, r)
-				case <-timer.C:
-					break wait
-				}
+			window = time.After(d.opts.GroupMaxWait)
+		}
+		// A resize met while grouping closes the group: it flushes
+		// after the batches that preceded it, alone.
+		var resize *request
+		for len(group) < d.opts.GroupMaxOps && resize == nil {
+			r := d.next(window)
+			if r == nil {
+				break
 			}
-			timer.Stop()
-		} else {
-		drain:
-			for len(group) < d.opts.GroupMaxOps {
-				select {
-				case r, ok := <-d.reqs:
-					if !ok {
-						break drain
-					}
-					if r.reshard != 0 {
-						resize = r
-						break drain
-					}
-					group = append(group, r)
-				default:
-					break drain
-				}
+			if r.reshard != 0 {
+				resize = r
+			} else {
+				group = append(group, r)
 			}
 		}
-		d.flushGroup(group)
+		d.e.flushGroup(group)
 		if resize != nil {
-			d.flushReshard(resize)
+			d.e.flushReshard(resize)
 		}
 	}
 }
 
-// flushGroup commits one group: it computes each caller's effective
-// delta against the group's running state (without touching the graph
-// — WAL-first means nothing mutates before the fsync), writes the
-// group's net delta and the newly assigned dictionary terms as one
-// fsynced record, then applies the net delta to the graph, the
-// partitioner and the plan-cache statistics as one epoch, and answers
-// every caller. On a WAL failure nothing was applied: the engine keeps
-// serving reads of the last durable epoch and every queued write
-// reports the log's sticky error.
-func (d *durableState) flushGroup(group []*applyReq) {
-	e := d.e
-	start := time.Now()
-
-	// overlay is the desired presence of every triple the group
-	// touches, layered over the (unmutated) graph; touched preserves
-	// first-touch order so the net delta is deterministic.
-	overlay := make(map[rdf.Triple]bool)
-	var touched []rdf.Triple
-	present := func(t rdf.Triple) bool {
-		if v, ok := overlay[t]; ok {
-			return v
-		}
-		return e.graph.Contains(t)
-	}
-	set := func(t rdf.Triple, p bool) {
-		if _, ok := overlay[t]; !ok {
-			touched = append(touched, t)
-		}
-		overlay[t] = p
-	}
-	counts := make([][2]int, len(group)) // per caller: [inserted, deleted]
-	for i, req := range group {
-		for _, t := range req.dels {
-			if present(t) {
-				set(t, false)
-				counts[i][1]++
-			}
-		}
-		for _, t := range req.ins {
-			if !present(t) {
-				set(t, true)
-				counts[i][0]++
-			}
+// next returns the next queued request for an open group, or nil when
+// the group closes: the queue was closed, the window expired, or — with
+// no window — the queue is empty right now.
+func (d *durableState) next(window <-chan time.Time) *request {
+	if window == nil {
+		select {
+		case r := <-d.reqs:
+			return r
+		default:
+			return nil
 		}
 	}
-	var netIns, netDels []rdf.Triple
-	for _, t := range touched {
-		switch want, had := overlay[t], e.graph.Contains(t); {
-		case want && !had:
-			netIns = append(netIns, t)
-		case !want && had:
-			netDels = append(netDels, t)
+	select {
+	case r := <-d.reqs:
+		return r
+	case <-window:
+		return nil
+	}
+}
+
+// compactor is the background goroutine that writes checkpoints and
+// garbage-collects obsolete WAL generations when nudged (by the writer
+// crossing the byte threshold, or a manual Compact). A checkpoint
+// snapshots the current epoch into a checkpoint file, rotates the log
+// and drops generations below both the previous checkpoint and the
+// pinned-reader watermark; only the snapshot takes the state lock, so
+// concurrent group commits contend with the write on the log's own lock
+// alone.
+func (d *durableState) compactor() {
+	defer d.compactorWG.Done()
+	for resp := range d.ckptCh {
+		err := d.log.WriteCheckpoint(d.e.snapshot(), d.e.part.Watermark())
+		if resp != nil {
+			resp <- err
 		}
 	}
+}
 
-	if len(netIns) == 0 && len(netDels) == 0 {
-		// The group nets out to nothing (every caller's operations were
-		// no-ops or cancelled within the group): no record, no epoch.
-		ver := e.DataVersion()
-		for i, req := range group {
-			req.resp <- applyResp{res: BatchResult{
-				Inserted: counts[i][0], Deleted: counts[i][1], DataVersion: ver,
-				Commit: CommitStats{GroupSize: len(group), Wait: start.Sub(req.enqueued)},
-			}}
-		}
-		return
+// snapshot is the checkpoint image of the current epoch; the state read
+// lock freezes graph, epoch and topology together.
+func (e *Engine) snapshot() *wal.Checkpoint {
+	e.stateMu.RLock()
+	defer e.stateMu.RUnlock()
+	return &wal.Checkpoint{
+		Epoch:   e.DataVersion(),
+		Terms:   e.graph.Dict.TermsAfter(0),
+		Triples: e.graph.Triples(),
+		Nodes:   uint32(e.Nodes()),
 	}
+}
 
-	terms := e.graph.Dict.TermsAfter(d.loggedTerms)
-	rec := &wal.Record{
-		Epoch:     e.DataVersion() + 1,
-		FirstTerm: d.loggedTerms + 1,
-		Terms:     terms,
-		Inserts:   netIns,
-		Deletes:   netDels,
-	}
-	appendD, syncD, err := d.log.Commit(rec)
-	if err != nil {
-		for _, req := range group {
-			req.resp <- applyResp{err: err}
-		}
-		return
-	}
-	d.loggedTerms += rdf.TermID(len(terms))
-
-	applyStart := time.Now()
-	e.stateMu.Lock()
-	e.graph.RemoveBatch(netDels)
-	for _, t := range netIns {
-		e.graph.Add(t)
-	}
-	v := e.part.ApplyBatch(netIns, netDels, e.graph.Dict)
-	e.batches.Add(uint64(len(group)))
-	if e.cache != nil {
-		ver := v.Version()
-		e.cache.Range(func(_ string, ent *cacheEntry) {
-			ent.statsMu.Lock()
-			if ent.stats != nil && ent.statsVersion == ver-1 {
-				ent.stats.Apply(e.graph.Dict, netIns, netDels)
-				ent.statsVersion = ver
-			}
-			ent.statsMu.Unlock()
-		})
-	}
-	if e.res != nil {
-		e.res.Purge()
-	}
-	e.stateMu.Unlock()
-	applyD := time.Since(applyStart)
-
-	d.statMu.Lock()
-	d.groups++
-	d.groupedCallers += uint64(len(group))
-	d.statMu.Unlock()
-
-	ver := v.Version()
-	for i, req := range group {
-		req.resp <- applyResp{res: BatchResult{
-			Inserted: counts[i][0], Deleted: counts[i][1], DataVersion: ver,
-			Commit: CommitStats{
-				GroupSize: len(group),
-				Wait:      start.Sub(req.enqueued),
-				Append:    appendD, Sync: syncD, Apply: applyD,
-			},
-		}}
-	}
-
-	if d.log.NeedCheckpoint() {
+// nudgeCheckpoint wakes the compactor once the log has outgrown its
+// checkpoint threshold; with no log there is nothing to compact.
+func (e *Engine) nudgeCheckpoint() {
+	if d := e.dur; d != nil && d.log.NeedCheckpoint() {
 		select {
 		case d.ckptCh <- nil:
 		default: // a checkpoint is already pending
@@ -406,67 +247,34 @@ func (d *durableState) flushGroup(group []*applyReq) {
 	}
 }
 
-// compactor is the background goroutine that writes checkpoints and
-// garbage-collects obsolete WAL generations when nudged (by the
-// batcher crossing the byte threshold, or a manual Compact).
-func (d *durableState) compactor() {
-	defer d.compactorWG.Done()
-	for resp := range d.ckptCh {
-		err := d.checkpoint()
-		if resp != nil {
-			resp <- err
-		}
-	}
-}
-
-// checkpoint snapshots the current epoch into a checkpoint file,
-// rotates the log and garbage-collects generations below both the
-// previous checkpoint and the pinned-reader watermark. The state read
-// lock freezes graph and epoch together; the WAL write itself runs
-// outside it so concurrent group commits only contend on the log's own
-// lock.
-func (d *durableState) checkpoint() error {
-	e := d.e
-	e.stateMu.RLock()
-	cp := &wal.Checkpoint{
-		Epoch:   e.DataVersion(),
-		Terms:   e.graph.Dict.TermsAfter(0),
-		Triples: e.graph.Triples(),
-		Nodes:   uint32(e.part.Current().Nodes()),
-	}
-	e.stateMu.RUnlock()
-	return d.log.WriteCheckpoint(cp, e.part.Watermark())
-}
-
 // close shuts the durable subsystem down: the queue is closed and
 // drained (every accepted request still gets its response), the
 // compactor finishes, and the log is synced and closed.
 func (d *durableState) close() error {
-	d.qmu.Lock()
-	if d.stopped {
-		d.qmu.Unlock()
-		return nil
-	}
-	d.stopped = true
 	close(d.reqs)
-	d.qmu.Unlock()
 	d.batcherWG.Wait()
 	close(d.ckptCh)
 	d.compactorWG.Wait()
 	return d.log.Close()
 }
 
-// Close shuts the engine down. In durable mode it flushes the
-// group-commit queue (every already-accepted batch is still committed
-// and acknowledged), stops the compactor, syncs and closes the WAL.
+// Close shuts the engine down once every accepted write has been
+// answered. With a log it flushes the group-commit queue (every
+// already-accepted batch is still committed and acknowledged), stops
+// the compactor, syncs and closes the WAL; without one it waits out the
+// write in flight, so the data version never moves after Close returns.
 // It then reaps the pooled execution contexts' parked morsel workers —
-// after the durable drain, so a flushing batch never races the
-// runtime teardown. After Close every entry point returns ErrClosed.
-// Close is idempotent.
+// after the drain, so a flushing batch never races the runtime
+// teardown. After Close every entry point returns ErrClosed. Close is
+// idempotent.
 func (e *Engine) Close() error {
 	if !e.closed.CompareAndSwap(false, true) {
 		return nil
 	}
+	// Whoever holds wmu now saw closed unset and is let finish; whoever
+	// takes it next will see it set (see Engine.wmu).
+	e.wmu.Lock()
+	e.wmu.Unlock()
 	var err error
 	if e.dur != nil {
 		err = e.dur.close()
@@ -476,38 +284,32 @@ func (e *Engine) Close() error {
 }
 
 // Compact forces a checkpoint + WAL garbage collection now and reports
-// its outcome. On a non-durable engine it is a no-op.
+// its outcome. On an engine without a log it is a no-op.
 func (e *Engine) Compact() error {
 	if e.closed.Load() {
 		return ErrClosed
 	}
-	if e.dur == nil {
+	d := e.dur
+	if d == nil {
 		return nil
 	}
 	resp := make(chan error, 1)
-	e.dur.qmu.RLock()
-	if e.dur.stopped {
-		e.dur.qmu.RUnlock()
+	e.wmu.RLock()
+	if e.closed.Load() {
+		e.wmu.RUnlock()
 		return ErrClosed
 	}
-	e.dur.ckptCh <- resp
-	e.dur.qmu.RUnlock()
+	d.ckptCh <- resp
+	e.wmu.RUnlock()
 	return <-resp
 }
 
-// DurabilityStats snapshots WAL and group-commit activity; the zero
-// value on a non-durable engine.
+// DurabilityStats snapshots group-commit and WAL activity; Log and
+// LiveBytes are zero on an engine without a log.
 func (e *Engine) DurabilityStats() DurabilityStats {
-	if e.dur == nil {
-		return DurabilityStats{}
+	st := DurabilityStats{Groups: e.groups.Load(), GroupedCallers: e.batches.Load()}
+	if d := e.dur; d != nil {
+		st.Log, st.LiveBytes = d.log.Stats(), d.log.LiveBytes()
 	}
-	e.dur.statMu.Lock()
-	groups, callers := e.dur.groups, e.dur.groupedCallers
-	e.dur.statMu.Unlock()
-	return DurabilityStats{
-		Log:            e.dur.log.Stats(),
-		LiveBytes:      e.dur.log.LiveBytes(),
-		Groups:         groups,
-		GroupedCallers: callers,
-	}
+	return st
 }

@@ -110,10 +110,10 @@ type cacheEntry struct {
 	mu  sync.Mutex
 	cur atomic.Pointer[Prepared]
 
-	// statsMu guards stats and statsVersion. It is taken by ApplyBatch
-	// (while holding the engine's state write lock) and by revalidation
-	// (while holding ent.mu); holders never acquire the state lock or
-	// ent.mu, so the ordering is acyclic.
+	// statsMu guards stats and statsVersion. It is taken by the commit
+	// pipeline's invalidate (under the engine's state write lock) and
+	// by revalidation (while holding ent.mu); holders never acquire the
+	// state lock or ent.mu, so the ordering is acyclic.
 	statsMu      sync.Mutex
 	stats        *cost.Stats
 	statsVersion uint64

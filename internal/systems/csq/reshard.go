@@ -63,37 +63,11 @@ func (e *Engine) RemoveNodes(k int) (ReshardResult, error) {
 	return e.reshard(-k)
 }
 
-// reshard resizes the cluster by delta nodes. Non-durable engines hold
-// the state write lock across all steps (readers are unaffected — they
-// never take it); durable engines route the resize through the
-// group-commit batcher so it serializes with writes and WAL-logs each
-// step before applying it.
+// reshard hands a resize by delta nodes to the commit pipeline, where
+// it serializes with every other write.
 func (e *Engine) reshard(delta int) (ReshardResult, error) {
-	if e.closed.Load() {
-		return ReshardResult{}, ErrClosed
-	}
-	if e.dur != nil {
-		return e.dur.reshard(delta)
-	}
-	start := time.Now()
-	e.stateMu.Lock()
-	defer e.stateMu.Unlock()
-	rp, err := e.planResize(delta)
-	if err != nil {
-		return ReshardResult{}, err
-	}
-	fromVer := e.DataVersion()
-	for i := 0; i < rp.Steps(); i++ {
-		if e.closed.Load() {
-			// Close raced the reshard: stop at a step boundary, where
-			// the co-location invariant holds. The engine is closed, so
-			// no caller can observe the partial topology.
-			return ReshardResult{}, ErrClosed
-		}
-		e.part.ApplyStep(rp, i)
-	}
-	e.finishReshard(fromVer)
-	return e.reshardResult(rp, start), nil
+	r := e.submit(&request{reshard: delta})
+	return r.shard, r.err
 }
 
 // planResize turns a node-count delta into a reshard plan against the
@@ -107,61 +81,6 @@ func (e *Engine) planResize(delta int) (*partition.ReshardPlan, error) {
 	return e.part.PlanReshard(target)
 }
 
-// finishReshard is the cache side of a completed resize, mirroring
-// ApplyBatch's commit path. The caller holds stateMu. Result-cache
-// entries of every pre-reshard epoch are unreachable already (their
-// keys embed the version key, which every step moved); the purge
-// reclaims their bytes. Cached plans revalidate on next use because
-// DataVersion moved; their retained statistics carry across the jump
-// unchanged, since moving rows between nodes changes no cardinality.
-func (e *Engine) finishReshard(fromVer uint64) {
-	if e.res != nil {
-		e.res.Purge()
-	}
-	if e.cache != nil {
-		toVer := e.DataVersion()
-		e.cache.Range(func(_ string, ent *cacheEntry) {
-			ent.statsMu.Lock()
-			if ent.stats != nil && ent.statsVersion == fromVer {
-				ent.statsVersion = toVer
-			}
-			ent.statsMu.Unlock()
-		})
-	}
-}
-
-// reshardResult snapshots the outcome of an applied plan.
-func (e *Engine) reshardResult(rp *partition.ReshardPlan, start time.Time) ReshardResult {
-	return ReshardResult{
-		From: rp.OldN, To: rp.NewN,
-		Steps:     rp.Steps(),
-		MovedRows: rp.MovedRows, TotalRows: rp.TotalRows,
-		MovedFraction:   rp.MovedFraction(),
-		MovedCells:      rp.MovedCells,
-		DataVersion:     e.DataVersion(),
-		TopologyVersion: e.part.TopologyVersion(),
-		Wall:            time.Since(start),
-	}
-}
-
-// reshard queues a resize on the durable engine's batcher and waits.
-func (d *durableState) reshard(delta int) (ReshardResult, error) {
-	req := &applyReq{
-		reshard:  delta,
-		resp:     make(chan applyResp, 1),
-		enqueued: time.Now(),
-	}
-	d.qmu.RLock()
-	if d.stopped {
-		d.qmu.RUnlock()
-		return ReshardResult{}, ErrClosed
-	}
-	d.reqs <- req
-	d.qmu.RUnlock()
-	r := <-req.resp
-	return r.shard, r.err
-}
-
 // stepTopology is the cluster size after step i of the plan commits —
 // the value the step's WAL topology record carries. Growing resizes in
 // the first step (new nodes must exist to receive rows); shrinking in
@@ -173,47 +92,42 @@ func stepTopology(rp *partition.ReshardPlan, i int) int {
 	return rp.OldN
 }
 
-// flushReshard executes one queued resize on the batcher goroutine,
-// which is the engine's only writer: planning needs no lock, and writes
-// queued behind the resize wait their turn, exactly like a long group.
-// Each step is WAL-first — a topology record (empty triple delta,
+// flushReshard executes one resize. It runs on the engine's only
+// writer, so planning needs no lock and writes submitted behind it wait
+// their turn, exactly like a long group. Each step is one epoch and,
+// like a batch, WAL-first — a topology record (empty triple delta,
 // Topology = post-step size) is fsynced before the step applies — so a
 // crash at any point recovers to the topology of the last durable
-// record, a consistent placement of the full (unchanged) graph. A WAL
-// failure aborts between steps; the engine keeps serving the last
-// committed epoch, and the log's sticky error fails later writes.
-func (d *durableState) flushReshard(req *applyReq) {
-	e := d.e
+// record, a consistent placement of the full (unchanged) graph. stateMu
+// is held per step, not across the resize: every intermediate epoch
+// preserves co-location, so planners need not wait the whole move out.
+// A log failure (or Close, without a log) aborts between steps; the
+// engine keeps serving the last committed epoch, and the log's sticky
+// error fails later writes.
+func (e *Engine) flushReshard(req *request) {
 	start := time.Now()
 	rp, err := e.planResize(req.reshard)
+	for i := 0; err == nil && i < rp.Steps(); i++ {
+		if _, _, err = e.logStep(&wal.Record{Topology: uint32(stepTopology(rp, i))}); err == nil {
+			e.stateMu.Lock()
+			ver := e.part.ApplyStep(rp, i).Version()
+			e.invalidate(ver-1, nil, nil)
+			e.stateMu.Unlock()
+		}
+	}
 	if err != nil {
-		req.resp <- applyResp{err: err}
+		req.resp <- response{err: err}
 		return
 	}
-	fromVer := e.DataVersion()
-	for i := 0; i < rp.Steps(); i++ {
-		rec := &wal.Record{
-			Epoch:     e.DataVersion() + 1,
-			FirstTerm: d.loggedTerms + 1,
-			Topology:  uint32(stepTopology(rp, i)),
-		}
-		if _, _, err := d.log.Commit(rec); err != nil {
-			req.resp <- applyResp{err: err}
-			return
-		}
-		e.stateMu.Lock()
-		e.part.ApplyStep(rp, i)
-		e.stateMu.Unlock()
-	}
-	e.stateMu.Lock()
-	e.finishReshard(fromVer)
-	e.stateMu.Unlock()
-	req.resp <- applyResp{shard: e.reshardResult(rp, start)}
-
-	if d.log.NeedCheckpoint() {
-		select {
-		case d.ckptCh <- nil:
-		default:
-		}
-	}
+	req.resp <- response{shard: ReshardResult{
+		From: rp.OldN, To: rp.NewN,
+		Steps:     rp.Steps(),
+		MovedRows: rp.MovedRows, TotalRows: rp.TotalRows,
+		MovedFraction:   rp.MovedFraction(),
+		MovedCells:      rp.MovedCells,
+		DataVersion:     e.DataVersion(),
+		TopologyVersion: e.TopologyVersion(),
+		Wall:            time.Since(start),
+	}}
+	e.nudgeCheckpoint()
 }

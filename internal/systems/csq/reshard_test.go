@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -262,10 +263,13 @@ func TestReshardArgumentErrors(t *testing.T) {
 	}
 }
 
-// TestCloseDuringReshard races Close against in-flight reshards, in
-// memory and durable: every AddNodes call must either complete or
-// return ErrClosed (or a WAL-shutdown error on the durable path), never
-// panic or deadlock, and Close must return cleanly. Run under -race.
+// TestCloseDuringReshard races Close against in-flight writes — a
+// reshard and a stream of batches — without a log and with one: every
+// write must either complete or return ErrClosed (or a WAL-shutdown
+// error with a log), never panic or deadlock, Close must return
+// cleanly, and it must return only once the last accepted write has
+// been applied: the state read right after Close equals the state read
+// once the racing writers have joined. Run under -race.
 func TestCloseDuringReshard(t *testing.T) {
 	for _, durable := range []bool{false, true} {
 		name := "memory"
@@ -290,21 +294,60 @@ func TestCloseDuringReshard(t *testing.T) {
 				} else {
 					eng = New(g, cfg)
 				}
+				closing := func(err error) bool {
+					return err == nil || errors.Is(err, ErrClosed) || errors.Is(err, wal.ErrClosed)
+				}
+				type state struct {
+					data, topo   uint64
+					nodes, graph int
+				}
+				read := func() state {
+					return state{eng.DataVersion(), eng.TopologyVersion(), eng.Nodes(), eng.Graph().Len()}
+				}
+				var atClose state
 				var wg sync.WaitGroup
-				wg.Add(2)
+				wg.Add(3)
 				go func() {
 					defer wg.Done()
-					if _, rerr := eng.AddNodes(3); rerr != nil && !errors.Is(rerr, ErrClosed) && !errors.Is(rerr, wal.ErrClosed) {
+					if _, rerr := eng.AddNodes(3); !closing(rerr) {
 						t.Errorf("trial %d: AddNodes: %v", trial, rerr)
 					}
 				}()
 				go func() {
 					defer wg.Done()
+					for b := 0; b < 64; b++ {
+						ins := make([]rdf.Triple, 32)
+						for i := range ins {
+							ins[i] = rdf.Triple{
+								S: g.Dict.EncodeIRI(fmt.Sprintf("late%d-%d", b, i)),
+								P: g.Dict.EncodeIRI("p0"),
+								O: g.Dict.EncodeIRI("o0"),
+							}
+						}
+						if _, aerr := eng.ApplyBatch(ins, nil); aerr != nil {
+							if !closing(aerr) {
+								t.Errorf("trial %d: ApplyBatch: %v", trial, aerr)
+							}
+							return
+						}
+					}
+				}()
+				go func() {
+					defer wg.Done()
+					// Odd trials let the batch stream get going first, so
+					// Close meets a write mid-apply and not only at the door.
+					for trial%2 == 1 && eng.DataVersion() == 1 {
+						runtime.Gosched()
+					}
 					if cerr := eng.Close(); cerr != nil {
 						t.Errorf("trial %d: Close: %v", trial, cerr)
 					}
+					atClose = read()
 				}()
 				wg.Wait()
+				if end := read(); end != atClose {
+					t.Errorf("trial %d: a write landed after Close returned: %+v at Close, %+v once the writers joined", trial, atClose, end)
+				}
 				// Post-close, the engine must reject further resizes.
 				if _, rerr := eng.AddNodes(1); !errors.Is(rerr, ErrClosed) {
 					t.Errorf("trial %d: post-close AddNodes: %v, want ErrClosed", trial, rerr)
