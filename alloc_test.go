@@ -24,6 +24,12 @@ const (
 	// deepest multi-level reduce-join plan (measured ≈0.3k after the
 	// morsel rewrite; the seed was ≈6.2k).
 	shuffleHeavyAllocCeiling = 400
+	// cachedServeAllocCeiling bounds the objects one facade Query
+	// allocates when the result cache serves it, whatever the size of
+	// the answer (measured 140–190: parse, canonicalize, cache probes,
+	// replay, and two for the decode — row index and cell slab. When
+	// each cell was rendered afresh, Q1's 10.5k rows cost ≈21k).
+	cachedServeAllocCeiling = 300
 )
 
 // raceEnabled is set by race_test.go under -race: the detector's
@@ -96,5 +102,50 @@ func TestAllocRegressionShuffleHeavy(t *testing.T) {
 	})
 	if got := float64(res.AllocsPerOp()); got > shuffleHeavyAllocCeiling {
 		t.Errorf("shuffle-heavy execution = %.0f allocs/op, ceiling %d", got, shuffleHeavyAllocCeiling)
+	}
+}
+
+// TestAllocCachedServeIndependentOfRows pins the result boundary: a
+// request the result cache serves costs a fixed number of objects — a
+// decoded cell is a header copy of a dictionary-owned string and the
+// cached rows are served as a view — so a ten-row answer and a
+// ten-thousand-row one sit under the same small ceiling.
+func TestAllocCachedServeIndependentOfRows(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation inflates allocation counts")
+	}
+	eng, err := NewEngine(lubmGraph(6), Options{ResultCacheBytes: 64 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name             string
+		minRows, maxRows int
+	}{{"Q4", 5, 20}, {"Q1", 5000, 1 << 30}} {
+		q, err := lubm.Query(tc.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := q.String()
+		res, err := eng.Query(src) // warms the plan and result caches
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := len(res.Rows); n < tc.minRows || n > tc.maxRows {
+			t.Fatalf("%s answers %d rows, the test assumes %d..%d", tc.name, n, tc.minRows, tc.maxRows)
+		}
+		hits := eng.ResultCacheStats().Hits
+		got := testing.AllocsPerRun(10, func() {
+			if _, err := eng.Query(src); err != nil {
+				t.Error(err)
+			}
+		})
+		if eng.ResultCacheStats().Hits == hits {
+			t.Fatalf("%s: repeats were not served from the result cache", tc.name)
+		}
+		if got > cachedServeAllocCeiling {
+			t.Errorf("%s (%d rows) served from the result cache = %.0f allocs/op, ceiling %d",
+				tc.name, len(res.Rows), got, cachedServeAllocCeiling)
+		}
 	}
 }

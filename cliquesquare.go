@@ -257,7 +257,12 @@ type Result struct {
 	// Vars are the output column names (the SELECT variables).
 	Vars []string
 	// Rows are the distinct result tuples, decoded to N-Triples term
-	// syntax, sorted deterministically.
+	// syntax, sorted deterministically. The row index and the cell
+	// slices are this Result's own — re-slice, sort or overwrite them
+	// freely; no other answer sees it. A cell's string shares its bytes
+	// with the engine's dictionary (strings are immutable, so that is
+	// invisible short of unsafe): decoding a cell copies a string header
+	// and allocates nothing.
 	Rows [][]string
 	// Jobs is the number of MapReduce jobs run; MapOnly reports
 	// whether all of them were map-only (a PWOC plan).
@@ -282,6 +287,12 @@ type Result struct {
 
 // Term is a decoded RDF term (re-exported from the rdf package).
 type Term = rdf.Term
+
+// TermKindError is the error ApplyBatch returns (match it with
+// errors.As) for a Term whose Kind is none of the three RDF kinds — one
+// built by hand, not by IRI, Literal or a parser (re-exported from the
+// rdf package).
+type TermKindError = rdf.KindError
 
 // IRI returns an IRI term for use in update batches.
 func IRI(v string) Term { return rdf.NewIRI(v) }
@@ -334,8 +345,19 @@ type BatchResult = csq.BatchResult
 // it are identical to a fresh engine loaded from the mutated graph,
 // and cached plans revalidate against the new statistics on next use.
 // Inserts of triples already present and deletes of absent triples are
-// no-ops, reflected in the returned effective counts.
+// no-ops, reflected in the returned effective counts. A batch holding a
+// Term of no known kind is refused whole with a *TermKindError, before
+// any of its terms reaches the dictionary.
 func (e *Engine) ApplyBatch(b *Batch) (BatchResult, error) {
+	for _, ts := range [][][3]Term{b.ins, b.del} {
+		for _, t := range ts {
+			for _, term := range t {
+				if err := term.Check(); err != nil {
+					return BatchResult{}, fmt.Errorf("cliquesquare: apply batch: %w", err)
+				}
+			}
+		}
+	}
 	ins := make([]rdf.Triple, 0, len(b.ins))
 	for _, t := range b.ins {
 		ins = append(ins, rdf.Triple{
@@ -459,7 +481,10 @@ func (p *Prepared) PlanCached() bool { return p.cached }
 
 // Run executes the prepared plan and decodes the results. The rows and
 // simulated statistics are identical to an uncached Engine.Query of the
-// same text, whatever the cache did.
+// same text, whatever the cache did. Every call builds its own row
+// index and cell slab, also when the result cache served the ids; the
+// cells are header copies of the dictionary's rendered terms (see
+// Result.Rows).
 func (p *Prepared) Run() (*Result, error) {
 	r, err := p.eng.inner.ExecutePrepared(p.inner)
 	if err != nil {
@@ -476,7 +501,8 @@ func (p *Prepared) Run() (*Result, error) {
 		DataVersion:   r.DataVersion,
 	}
 	// Decode into pre-sized rows backed by one string slab: one
-	// allocation for the row index, one for all cells.
+	// allocation for the row index, one for all cells. r.Rows may be a
+	// view of a result-cache entry; it is only read here.
 	out.Rows = make([][]string, len(r.Rows))
 	cells := 0
 	for _, row := range r.Rows {
@@ -487,7 +513,7 @@ func (p *Prepared) Run() (*Result, error) {
 		dec := slab[:len(row):len(row)]
 		slab = slab[len(row):]
 		for i, id := range row {
-			dec[i] = p.eng.dict.Term(id).String()
+			dec[i] = p.eng.dict.Rendered(id)
 		}
 		out.Rows[ri] = dec
 	}

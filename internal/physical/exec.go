@@ -56,7 +56,11 @@ type Executor struct {
 type Result struct {
 	// Schema is the output column order (the query's SELECT variables).
 	Schema []string
-	// Rows are the distinct result tuples, sorted for determinism.
+	// Rows are the distinct result tuples, sorted for determinism. They
+	// are shared and immutable: with a result cache the slice is a view
+	// of the final job's cache entry, handed as-is to every execution
+	// that hits it. Read them; to reorder, truncate or overwrite, copy
+	// first (the facade decodes them into fresh [][]string).
 	Rows []mapreduce.Row
 	// Jobs are the per-job simulator statistics for this execution.
 	Jobs []mapreduce.JobStats
@@ -76,9 +80,9 @@ func (x *Executor) sinkJob() {
 	}
 }
 
-// copyRowHeaders clones a cached row set's headers so callers never
-// alias cache-owned slices; the slab-backed cells are shared (they are
-// immutable once handed out).
+// copyRowHeaders clones a row set's headers — into a cache entry, so it
+// survives the context recycling its intermediate slices; the
+// slab-backed cells are shared (they are immutable once handed out).
 func copyRowHeaders(rows []mapreduce.Row) []mapreduce.Row {
 	out := make([]mapreduce.Row, len(rows))
 	copy(out, rows)
@@ -146,7 +150,9 @@ func (x *Executor) Execute(pp *Plan) (*Result, error) {
 // and, for the last job, the finished result rows it returns — through
 // the result cache when there is one. A hit replays the recorded
 // meters and restores the rows; a miss runs the job recording and
-// snapshots them.
+// snapshots them. Intermediate rows are appended into the context's own
+// slices (later jobs' bookkeeping recycles those); the final rows are
+// returned as a view of the entry, hit or miss — see Result.Rows.
 func (x *Executor) serveLevel(pp *Plan, l int) ([]mapreduce.Row, error) {
 	last := l == pp.NumJobs()-1
 	run := func(rec *mapreduce.JobRecord) []mapreduce.Row {
@@ -199,7 +205,9 @@ func (x *Executor) serveLevel(pp *Plan, l int) ([]mapreduce.Row, error) {
 	if !last {
 		return nil, nil
 	}
-	return copyRowHeaders(ent.Final), nil
+	// Capacity clipped: an append by a careless reader reallocates
+	// instead of writing past the view into the entry's array.
+	return ent.Final[:len(ent.Final):len(ent.Final)], nil
 }
 
 // jobName names job l of the plan in the cluster's log.

@@ -34,7 +34,8 @@ func (g *Graph) Add(t Triple) bool {
 	return true
 }
 
-// AddTerms encodes the three terms and inserts the resulting triple.
+// AddTerms encodes the three terms and inserts the resulting triple. Like
+// Dict.Encode it panics on a hand-built Term of no known kind.
 func (g *Graph) AddTerms(s, p, o Term) Triple {
 	t := Triple{g.Dict.Encode(s), g.Dict.Encode(p), g.Dict.Encode(o)}
 	g.Add(t)

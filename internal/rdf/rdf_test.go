@@ -2,34 +2,57 @@ package rdf
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
 
+// dictTerms covers all three kinds, values shared across kinds, and
+// literals whose bytes look like another kind's markers.
+var dictTerms = []Term{
+	NewIRI("http://example.org/a"),
+	NewLiteral("hello"),
+	NewBlank("b0"),
+	NewIRI("hello"), // same value, different kind than the literal
+	NewLiteral(`say "hi"`),
+	NewLiteral("a>b"),
+	NewLiteral("_:b0"),
+	NewLiteral("<http://example.org/a>"),
+	NewIRI(""),
+	NewLiteral(""),
+	NewBlank(""),
+}
+
 func TestDictRoundTrip(t *testing.T) {
 	d := NewDict()
-	terms := []Term{
-		NewIRI("http://example.org/a"),
-		NewLiteral("hello"),
-		NewBlank("b0"),
-		NewIRI("hello"), // same value, different kind than the literal
-	}
-	ids := make([]TermID, len(terms))
-	for i, tm := range terms {
+	ids := make([]TermID, len(dictTerms))
+	for i, tm := range dictTerms {
 		ids[i] = d.Encode(tm)
+		if ids[i] != TermID(i+1) {
+			t.Errorf("Encode(%v) = %d, want the dense id %d", tm, ids[i], i+1)
+		}
 	}
-	for i, tm := range terms {
+	for i, tm := range dictTerms {
 		if got := d.Term(ids[i]); got != tm {
 			t.Errorf("Term(%d) = %v, want %v", ids[i], got, tm)
+		}
+		if got := d.Rendered(ids[i]); got != tm.String() || got != d.Term(ids[i]).String() {
+			t.Errorf("Rendered(%d) = %q, want %q", ids[i], got, tm.String())
 		}
 		id, ok := d.Lookup(tm)
 		if !ok || id != ids[i] {
 			t.Errorf("Lookup(%v) = %d,%v want %d,true", tm, id, ok, ids[i])
 		}
+		if again := d.Encode(tm); again != ids[i] {
+			t.Errorf("re-Encode(%v) = %d, want %d", tm, again, ids[i])
+		}
 	}
-	if d.Len() != len(terms) {
-		t.Errorf("Len = %d, want %d", d.Len(), len(terms))
+	if d.Len() != len(dictTerms) {
+		t.Errorf("Len = %d, want %d", d.Len(), len(dictTerms))
 	}
 }
 
@@ -62,12 +85,220 @@ func TestDictLookupMissing(t *testing.T) {
 
 func TestDictTermPanicsOnBadID(t *testing.T) {
 	d := NewDict()
-	defer func() {
-		if recover() == nil {
-			t.Error("Term(NoTerm) did not panic")
+	d.EncodeIRI("only")
+	for _, id := range []TermID{NoTerm, 2, ^TermID(0)} {
+		for name, resolve := range map[string]func(TermID){
+			"Term":     func(id TermID) { d.Term(id) },
+			"Rendered": func(id TermID) { d.Rendered(id) },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s(%d) did not panic", name, id)
+					}
+				}()
+				resolve(id)
+			}()
 		}
+	}
+}
+
+// TestDictRejectsUnknownKind: a Term whose Kind is none of the three
+// has no rendered form of its own (its bare Value would alias whatever
+// term it spells), so Install refuses it with a typed error, Lookup
+// never finds it and Encode — reachable only past the doors that
+// return that error — panics with it.
+func TestDictRejectsUnknownKind(t *testing.T) {
+	d := NewDict()
+	iri := d.EncodeIRI("x")
+	bad := Term{Kind: 9, Value: "<x>"}
+	var ke *KindError
+	if err := bad.Check(); !errors.As(err, &ke) || ke.Term != bad {
+		t.Errorf("Check(%v) = %v, want a KindError naming the term", bad, err)
+	}
+	for _, id := range []TermID{iri, TermID(d.Len() + 1)} {
+		if err := d.Install(id, bad); !errors.As(err, &ke) {
+			t.Errorf("Install(%d, %v) = %v, want a KindError", id, bad, err)
+		}
+	}
+	if id, ok := d.Lookup(bad); ok {
+		t.Errorf("Lookup(%v) found id %d (the IRI it spells is %d)", bad, id, iri)
+	}
+	func() {
+		defer func() {
+			if err, _ := recover().(error); !errors.As(err, &ke) {
+				t.Errorf("Encode(%v) panicked with %v, want a KindError", bad, err)
+			}
+		}()
+		d.Encode(bad)
 	}()
-	d.Term(NoTerm)
+	if d.Len() != 1 {
+		t.Errorf("Len = %d after refused terms, want 1", d.Len())
+	}
+	for _, good := range dictTerms {
+		if err := good.Check(); err != nil {
+			t.Errorf("Check(%v) = %v", good, err)
+		}
+	}
+}
+
+// manyTerms returns n distinct terms cycling through the three kinds.
+func manyTerms(n int) []Term {
+	out := make([]Term, n)
+	for i := range out {
+		v := fmt.Sprintf("http://example.org/term/%d", i)
+		out[i] = Term{Kind: TermKind(i % 3), Value: v}
+	}
+	return out
+}
+
+func TestDictInstall(t *testing.T) {
+	d := NewDict()
+	terms := manyTerms(chunkLen + 10) // the dense run crosses a chunk boundary
+	for i, tm := range terms {
+		if err := d.Install(TermID(i+1), tm); err != nil {
+			t.Fatalf("Install(%d): %v", i+1, err)
+		}
+	}
+	// Idempotent over what is already there, on both sides of the boundary.
+	for _, i := range []int{0, chunkLen - 1, chunkLen, len(terms) - 1} {
+		if err := d.Install(TermID(i+1), terms[i]); err != nil {
+			t.Errorf("re-Install(%d): %v", i+1, err)
+		}
+	}
+	if d.Len() != len(terms) {
+		t.Fatalf("Len = %d, want %d", d.Len(), len(terms))
+	}
+	for i, tm := range terms {
+		if got := d.Term(TermID(i + 1)); got != tm {
+			t.Fatalf("Term(%d) = %v, want %v", i+1, got, tm)
+		}
+		if id, ok := d.Lookup(tm); !ok || id != TermID(i+1) {
+			t.Fatalf("Lookup(%v) = %d,%v want %d,true", tm, id, ok, i+1)
+		}
+	}
+	next := TermID(len(terms) + 1)
+	for name, tc := range map[string]struct {
+		id TermID
+		t  Term
+	}{
+		"reserved id":   {NoTerm, NewIRI("z")},
+		"gap":           {next + 1, NewIRI("z")},
+		"value differs": {3, NewIRI("z")},
+		"kind differs":  {1, Term{Kind: Literal, Value: terms[0].Value}},
+	} {
+		if err := d.Install(tc.id, tc.t); err == nil {
+			t.Errorf("%s: Install(%d, %v) succeeded", name, tc.id, tc.t)
+		}
+	}
+	if d.Len() != len(terms) {
+		t.Errorf("Len = %d after refused installs, want %d", d.Len(), len(terms))
+	}
+	if id := d.Encode(NewIRI("z")); id != next {
+		t.Errorf("Encode after Install = %d, want the next free id %d", id, next)
+	}
+}
+
+func TestDictTermsAfter(t *testing.T) {
+	d := NewDict()
+	terms := manyTerms(2*chunkLen + 5)
+	for _, tm := range terms {
+		d.Encode(tm)
+	}
+	for _, after := range []int{0, 1, chunkLen - 1, chunkLen, chunkLen + 1, 2 * chunkLen, len(terms) - 1} {
+		got := d.TermsAfter(TermID(after))
+		if !reflect.DeepEqual(got, terms[after:]) {
+			t.Errorf("TermsAfter(%d): %d terms starting %v, want %d starting %v",
+				after, len(got), got[0], len(terms)-after, terms[after])
+		}
+	}
+	for _, after := range []int{len(terms), len(terms) + 1} {
+		if got := d.TermsAfter(TermID(after)); got != nil {
+			t.Errorf("TermsAfter(%d) = %d terms, want none", after, len(got))
+		}
+	}
+}
+
+// TestDictLookupDoesNotAllocate pins the probe: the key is rendered
+// into a stack buffer, so neither a hit nor a miss allocates (the IRI
+// is longer than the 32 bytes the runtime would have concatenated on
+// the stack anyway).
+func TestDictLookupDoesNotAllocate(t *testing.T) {
+	d := NewDict()
+	present := NewIRI("http://www.Department0.University0.edu/GraduateStudent42")
+	absent := NewIRI("http://www.Department0.University0.edu/GraduateStudent43")
+	want := d.Encode(present)
+	if n := testing.AllocsPerRun(100, func() {
+		if id, ok := d.Lookup(present); !ok || id != want {
+			t.Errorf("Lookup(present) = %d,%v", id, ok)
+		}
+		if id := d.Encode(present); id != want {
+			t.Errorf("Encode(present) = %d", id)
+		}
+	}); n != 0 {
+		t.Errorf("Lookup + Encode of a present term: %v allocs, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, ok := d.Lookup(absent); ok {
+			t.Error("Lookup(absent) reported ok")
+		}
+	}); n != 0 {
+		t.Errorf("Lookup of an absent term: %v allocs, want 0", n)
+	}
+}
+
+// TestDictConcurrentGrowth runs writers encoding fresh terms across
+// several chunk growths beside readers that resolve, without a lock,
+// every id a writer has handed them. Meaningful under -race.
+func TestDictConcurrentGrowth(t *testing.T) {
+	const writers, readers = 2, 2
+	per := 2*chunkLen + 100 // per writer: the slab grows ~4 times in all
+	d := NewDict()
+	type handed struct {
+		id TermID
+		t  Term
+	}
+	ch := make(chan handed, 64) // lets writers run a little ahead of readers
+	var ww, rw sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		ww.Add(1)
+		go func(w int) {
+			defer ww.Done()
+			for i := 0; i < per; i++ {
+				tm := Term{Kind: TermKind(i % 3), Value: fmt.Sprintf("w%d/%d", w, i)}
+				ch <- handed{d.Encode(tm), tm}
+			}
+		}(w)
+	}
+	for r := 0; r < readers; r++ {
+		rw.Add(1)
+		go func() {
+			defer rw.Done()
+			for h := range ch {
+				if got := d.Term(h.id); got != h.t {
+					t.Errorf("Term(%d) = %v, want %v", h.id, got, h.t)
+				}
+				if got := d.Rendered(h.id); got != h.t.String() {
+					t.Errorf("Rendered(%d) = %q, want %q", h.id, got, h.t.String())
+				}
+				if n := d.Len(); n < int(h.id) {
+					t.Errorf("Len = %d with id %d handed out", n, h.id)
+				}
+				if id, ok := d.Lookup(h.t); !ok || id != h.id {
+					t.Errorf("Lookup(%v) = %d,%v want %d,true", h.t, id, ok, h.id)
+				}
+				if ts := d.TermsAfter(h.id - 1); len(ts) == 0 || ts[0] != h.t {
+					t.Errorf("TermsAfter(%d) does not start with %v", h.id-1, h.t)
+				}
+			}
+		}()
+	}
+	ww.Wait()
+	close(ch)
+	rw.Wait()
+	if d.Len() != writers*per {
+		t.Errorf("Len = %d, want %d", d.Len(), writers*per)
+	}
 }
 
 func TestGraphDeduplicates(t *testing.T) {

@@ -65,16 +65,54 @@ func (t Term) String() string {
 	return t.Value
 }
 
-// key returns the dictionary key for the term. Kinds live in disjoint
-// namespaces so an IRI and a literal with the same lexical value encode
-// to different IDs.
-func (t Term) key() string {
+// appendRendered appends the term's N-Triples form — the bytes String
+// returns — to b. The dictionary files every term under this form; the
+// three kinds cannot collide because they differ in their first byte.
+func (t Term) appendRendered(b []byte) []byte {
 	switch t.Kind {
 	case IRI:
-		return "i" + t.Value
+		b = append(b, '<')
+		b = append(b, t.Value...)
+		return append(b, '>')
 	case Literal:
-		return "l" + t.Value
-	default:
-		return "b" + t.Value
+		b = append(b, '"')
+		b = append(b, t.Value...)
+		return append(b, '"')
+	case Blank:
+		b = append(b, "_:"...)
 	}
+	return append(b, t.Value...)
+}
+
+// parseRendered is the inverse of String for a well-formed rendered
+// term: the kind is read off the first byte and Value is the substring
+// between the markers, sharing s's bytes.
+func parseRendered(s string) Term {
+	switch s[0] {
+	case '<':
+		return Term{Kind: IRI, Value: s[1 : len(s)-1]}
+	case '"':
+		return Term{Kind: Literal, Value: s[1 : len(s)-1]}
+	}
+	return Term{Kind: Blank, Value: s[2:]}
+}
+
+// KindError reports a Term whose Kind is none of IRI, Literal and
+// Blank. Such a term has no N-Triples form of its own — rendered, it
+// would alias whatever term its bare Value happens to spell — so every
+// door into the dictionary refuses it.
+type KindError struct {
+	Term Term
+}
+
+func (e *KindError) Error() string {
+	return fmt.Sprintf("rdf: term %q has kind %v, want iri, literal or blank", e.Term.Value, e.Term.Kind)
+}
+
+// Check returns a *KindError unless t.Kind is IRI, Literal or Blank.
+func (t Term) Check() error {
+	if t.Kind > Blank {
+		return &KindError{Term: t}
+	}
+	return nil
 }

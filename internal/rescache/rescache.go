@@ -5,11 +5,15 @@
 // metered (mapreduce.JobRecord).
 //
 // On a hit the executor skips the job's map/shuffle/reduce work
-// entirely: it serves the cached rows read-only (callers copy row
-// headers into their own slices; the slab-backed cells themselves are
-// immutable by the engine's handed-out-once arena discipline) and
-// replays the record, so rows AND simulated JobStats are
-// byte-identical to an uncached run. Epoch invalidation is by
+// entirely: it serves the cached rows read-only and replays the
+// record, so rows AND simulated JobStats are byte-identical to an
+// uncached run. A final job's rows are served as a view — the entry's
+// own slice becomes physical.Result.Rows, which is documented shared
+// and immutable and which the facade only reads while decoding; an
+// intermediate job's rows are appended into the execution context's own
+// slices, which the next job consumes and the next execution recycles.
+// The slab-backed cells themselves are immutable either way, by the
+// engine's handed-out-once arena discipline. Epoch invalidation is by
 // construction: the committed DataVersion is part of the key, so a
 // batch commit makes every older entry unreachable; the engine
 // additionally purges on commit so stale bytes don't squat in the
@@ -33,8 +37,9 @@ import (
 // level input, per node — positional, matching the plan level's
 // reduce-join order), a final or map-only job fills Final (the
 // finished, deduped and sorted result rows). All row slices are
-// immutable once cached: servers must append their contents into
-// fresh slices, never alias or extend them.
+// immutable once cached: Interm is appended into the server's own
+// slices, Final is handed out as a read-only view — nobody writes
+// through or extends either.
 type Entry struct {
 	Rec    *mapreduce.JobRecord
 	Interm [][][]mapreduce.Row

@@ -743,6 +743,9 @@ func (r *reader) bytes(n int) []byte {
 	return v
 }
 
+// terms decodes a term list. A kind byte above rdf.Blank fails the
+// record like any other malformed field: no writer produces one, and
+// the dictionary being rebuilt has no place for such a term.
 func (r *reader) terms() []rdf.Term {
 	n := int(r.u32())
 	if !r.ok || n > len(r.b) { // each term takes ≥ 5 bytes
@@ -755,6 +758,10 @@ func (r *reader) terms() []rdf.Term {
 	out := make([]rdf.Term, 0, n)
 	for i := 0; i < n && r.ok; i++ {
 		kind := rdf.TermKind(r.u8())
+		if kind > rdf.Blank {
+			r.ok = false
+			return nil
+		}
 		val := string(r.bytes(int(r.u32())))
 		out = append(out, rdf.Term{Kind: kind, Value: val})
 	}

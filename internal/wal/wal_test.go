@@ -73,6 +73,24 @@ func TestRecordDecodeRejectsCorruption(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsUnknownTermKind: a term whose kind byte is above
+// rdf.Blank fails its record (and its checkpoint) although the checksum
+// holds — the dictionary recovery rebuilds could only alias it onto
+// another term. The highest valid kind still decodes.
+func TestDecodeRejectsUnknownTermKind(t *testing.T) {
+	for kind, want := range map[rdf.TermKind]bool{rdf.Blank: true, rdf.Blank + 1: false, 0xff: false} {
+		terms := []rdf.Term{mkTerm(1), {Kind: kind, Value: "x"}}
+		rec := &Record{Epoch: 1, FirstTerm: 1, Terms: terms}
+		if _, _, ok := decodeRecord(encodeRecord(nil, rec)); ok != want {
+			t.Errorf("record with term kind %d: decoded = %v, want %v", kind, ok, want)
+		}
+		cp := &Checkpoint{Epoch: 1, Terms: terms}
+		if _, err := decodeCheckpoint(encodeCheckpoint(cp)); (err == nil) != want {
+			t.Errorf("checkpoint with term kind %d: err = %v, want decoded = %v", kind, err, want)
+		}
+	}
+}
+
 func TestCheckpointRoundTrip(t *testing.T) {
 	cp := &Checkpoint{
 		Epoch:   42,

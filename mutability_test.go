@@ -6,8 +6,11 @@ package cliquesquare
 // cache keeps serving (revalidated) plans across epochs.
 
 import (
+	"errors"
 	"reflect"
 	"testing"
+
+	"cliquesquare/internal/rdf"
 )
 
 func TestFacadeUpdates(t *testing.T) {
@@ -141,6 +144,43 @@ func TestFacadeInsertDeleteSingles(t *testing.T) {
 	}
 	if len(res.Rows) != 1 || res.Rows[0][0] != `"Frank"` {
 		t.Errorf("literal insert answered %v", res.Rows)
+	}
+}
+
+// TestApplyBatchRejectsUnknownTermKind: a hand-built Term of no RDF
+// kind has no rendered form of its own — filed under its bare Value it
+// would share an id with whatever term that spells (here the blank
+// node _:x, or the IRI <x>) and one of the two would render as the
+// other. The batch is refused whole, before any term is encoded.
+func TestApplyBatchRejectsUnknownTermKind(t *testing.T) {
+	eng, err := NewEngine(socialGraph(), Options{Nodes: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	terms := eng.dict.Len()
+	for name, bad := range map[string]*Batch{
+		"insert": new(Batch).InsertSPO("new-s", "new-p", "new-o").Insert(IRI("alice"), IRI("knows"), Term{Kind: 9, Value: "_:x"}),
+		"delete": new(Batch).InsertSPO("new-s", "new-p", "new-o").Delete(Term{Kind: 3, Value: "<x>"}, IRI("knows"), IRI("bob")),
+	} {
+		var ke *TermKindError
+		if _, err := eng.ApplyBatch(bad); !errors.As(err, &ke) {
+			t.Errorf("%s of a term with an unknown kind: err = %v, want a TermKindError", name, err)
+		}
+	}
+	if eng.dict.Len() != terms || eng.DataVersion() != 1 {
+		t.Errorf("refused batches left %d terms at version %d, want %d at 1 (nothing encoded, nothing committed)",
+			eng.dict.Len(), eng.DataVersion(), terms)
+	}
+	// The terms the bad values spell stay what they are.
+	if _, err := eng.Insert(rdf.NewBlank("x"), IRI("knows"), IRI("x")); err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.Query(`SELECT ?a ?b WHERE { ?a <knows> ?b . ?a <knows> <x> }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := [][]string{{"_:x", "<x>"}}; !reflect.DeepEqual(res.Rows, want) {
+		t.Errorf("rows = %v, want %v", res.Rows, want)
 	}
 }
 

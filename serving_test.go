@@ -309,3 +309,69 @@ func TestCacheDisabled(t *testing.T) {
 		t.Errorf("disabled cache reported stats %+v", st)
 	}
 }
+
+// TestCachedRowsAreTheCallersOwn pins that the shared view a
+// result-cache hit serves inside the engine never reaches a public
+// caller: scribbling over every cell of a cached Query's Rows, then
+// reordering, truncating and extending them, leaves the next identical
+// Query byte-equal to an uncached engine's answer, and the engine-level
+// rows under the facade (the view itself) read the same on every
+// execution.
+func TestCachedRowsAreTheCallersOwn(t *testing.T) {
+	g := lubm.Generate(lubm.DefaultConfig(1))
+	cached, err := NewEngine(g, Options{ResultCacheBytes: 16 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := NewEngine(g, Options{PlanCacheSize: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range lubm.Queries() {
+		src := q.String()
+		want, err := plain.Query(src)
+		if err != nil {
+			t.Fatalf("%s: %v", q.Name, err)
+		}
+		for round := 0; round < 3; round++ { // a miss, then hits
+			got, err := cached.Query(src)
+			if err != nil {
+				t.Fatalf("%s: %v", q.Name, err)
+			}
+			if !reflect.DeepEqual(got.Rows, want.Rows) {
+				t.Fatalf("%s round %d: rows differ from the uncached engine's after the previous answer was overwritten", q.Name, round)
+			}
+			for _, row := range got.Rows {
+				for i := range row {
+					row[i] = "scribbled"
+				}
+			}
+			if n := len(got.Rows); n > 1 {
+				got.Rows[0], got.Rows[n-1] = got.Rows[n-1], got.Rows[0]
+				got.Rows[0] = append(got.Rows[0][:1], "spilled", "over")
+			}
+			got.Rows = append(got.Rows[:len(got.Rows)/2], []string{"extra"})
+		}
+		p, _, err := cached.inner.PrepareCached(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var runs [2][]mapreduce.Row
+		for i := range runs {
+			r, err := cached.inner.ExecutePrepared(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runs[i] = r.Rows
+		}
+		if !reflect.DeepEqual(runs[0], runs[1]) {
+			t.Errorf("%s: two executions of the cached plan returned different rows", q.Name)
+		}
+		if len(runs[0]) != len(want.Rows) {
+			t.Errorf("%s: cached plan returned %d rows, uncached answer has %d", q.Name, len(runs[0]), len(want.Rows))
+		}
+	}
+	if st := cached.ResultCacheStats(); st.Hits == 0 {
+		t.Error("no request was served from the result cache")
+	}
+}
