@@ -30,6 +30,13 @@ const (
 	// replay, and two for the decode — row index and cell slab. When
 	// each cell was rendered afresh, Q1's 10.5k rows cost ≈21k).
 	cachedServeAllocCeiling = 300
+	// variantPrepareBytesCeiling bounds the bytes one pass of
+	// BenchmarkPrepareColdVsCached/variant allocates: six cold prepares
+	// for a university no plan is cached for (measured ≈14 MB, four
+	// fifths of it plan enumeration; ≈53 MB when every candidate was
+	// compiled to be priced and every query pattern rescanned the graph
+	// into a bundle of its own).
+	variantPrepareBytesCeiling = 25 << 20
 )
 
 // raceEnabled is set by race_test.go under -race: the detector's
@@ -147,5 +154,21 @@ func TestAllocCachedServeIndependentOfRows(t *testing.T) {
 			t.Errorf("%s (%d rows) served from the result cache = %.0f allocs/op, ceiling %d",
 				tc.name, len(res.Rows), got, cachedServeAllocCeiling)
 		}
+	}
+}
+
+// TestAllocPrepareVariantBytes pins what a plan-cache miss costs when
+// the statistics of the shared patterns are resident: candidates are
+// priced from their classification and a pass fills only the patterns
+// that carry the new constant.
+func TestAllocPrepareVariantBytes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation measurement is a benchmark run")
+	}
+	if raceEnabled {
+		t.Skip("race instrumentation inflates allocation counts")
+	}
+	if got := testing.Benchmark(benchPrepareVariant).AllocedBytesPerOp(); got > variantPrepareBytesCeiling {
+		t.Errorf("unseen-constant pass of the six templates = %d B/op, ceiling %d", got, variantPrepareBytesCeiling)
 	}
 }

@@ -401,7 +401,8 @@ func (e *Engine) DataVersion() uint64 { return e.inner.DataVersion() }
 type UpdateStats = csq.UpdateStats
 
 // UpdateStats snapshots batches applied, cached plans revalidated
-// after epoch changes, and revalidations that switched plans.
+// after epoch changes, revalidations that switched plans, and the
+// statistics catalog's resident patterns and graph-pass fills.
 func (e *Engine) UpdateStats() UpdateStats { return e.inner.UpdateStats() }
 
 // CacheStats is a snapshot of the plan cache counters (re-exported

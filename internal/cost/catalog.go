@@ -1,0 +1,318 @@
+package cost
+
+import (
+	"slices"
+	"sync"
+
+	"cliquesquare/internal/rdf"
+	"cliquesquare/internal/sparql"
+)
+
+// Catalog holds the statistics of every distinct triple pattern some
+// holder currently references, once, whatever number of queries share
+// the pattern: its match count and one binding multiset per variable,
+// which is what lets Apply keep them exact under deletes.
+//
+// A query Acquires its patterns (a Ref), takes Snapshots through the Ref
+// and Releases it; a pattern is resident exactly while some Ref holds it.
+// Snapshot fills the patterns no one filled yet in one pass over the
+// graph, outside the catalog's mutex; Apply folds a commit's delta once
+// per resident pattern and moves the catalog to the commit's version.
+// The caller must keep Apply — and mutation of the graph — from
+// overlapping a Snapshot: the engine snapshots under its state read lock
+// and applies under the write side, so locks nest writer → state lock →
+// catalog mutex. Acquire, Release and Counters are safe at any time.
+type Catalog struct {
+	mu           sync.Mutex
+	pats         map[patKey]*pattern
+	version      uint64
+	fills, folds uint64
+}
+
+// NewCatalog returns an empty catalog at the given data version.
+func NewCatalog(version uint64) *Catalog {
+	return &Catalog{pats: make(map[patKey]*pattern), version: version}
+}
+
+// patKey identifies a pattern up to variable naming: per position the
+// constant term itself — not its id: a constant may enter the dictionary
+// later — or the variable's slot, numbered from 1 by first occurrence
+// inside the pattern. ?x p ?y and ?a p ?b share a key; ?x p ?x has its
+// own.
+type patKey [3]struct {
+	term rdf.Term
+	slot uint8 // 0 for a constant
+}
+
+// keyOf returns tp's key and the variable name behind each of its n
+// slots.
+func keyOf(tp sparql.TriplePattern) (k patKey, vars [3]string, n int) {
+	for p, pt := range [3]sparql.PatternTerm{tp.S, tp.P, tp.O} {
+		if !pt.IsVar {
+			k[p].term = pt.Term
+			continue
+		}
+		s := slices.Index(vars[:n], pt.Var)
+		if s < 0 {
+			s, n = n, n+1
+			vars[s] = pt.Var
+		}
+		k[p].slot = uint8(s + 1)
+	}
+	return k, vars, n
+}
+
+// pattern is one resident catalog entry: the key compiled to a matcher
+// over ids, and the statistics of its matches. refs, claimed and filled
+// are guarded by Catalog.mu.
+type pattern struct {
+	key     patKey
+	refs    int           // acquisitions outstanding
+	claimed bool          // a Snapshot is filling it, or has
+	filled  bool          // Apply maintains it from here on
+	ready   chan struct{} // closed once filled
+
+	// The matcher. id[p] is the constant at position p where the consts
+	// bit p is set; a set missing bit means the dictionary does not know
+	// that constant yet, so nothing matches until resolve finds it. eq
+	// bits 0, 1, 2 demand S=P, S=O, P=O (a repeated variable). pos[k] is
+	// the position variable slot k first occurs at.
+	id                  [3]rdf.TermID
+	consts, missing, eq uint8
+	pos                 [3]rdf.Pos
+	slots               int
+
+	n    int                     // matching triples
+	bind [3]map[rdf.TermID]int32 // bind[k]: occurrences per binding of slot k
+}
+
+func newPattern(k patKey) *pattern {
+	p := &pattern{key: k, ready: make(chan struct{})}
+	for i := range k {
+		if k[i].slot == 0 {
+			p.consts |= 1 << i
+			continue
+		}
+		if int(k[i].slot) > p.slots {
+			p.pos[p.slots], p.bind[p.slots] = rdf.Pos(i), make(map[rdf.TermID]int32)
+			p.slots++
+		}
+		for j := i + 1; j < 3; j++ {
+			if k[j].slot == k[i].slot {
+				p.eq |= 1 << (i + j - 1)
+			}
+		}
+	}
+	p.missing = p.consts
+	return p
+}
+
+// resolve (re-)attempts dictionary resolution of the constants still
+// missing, reporting whether none is left.
+func (p *pattern) resolve(d *rdf.Dict) bool {
+	for i := range p.key {
+		if p.missing&(1<<i) != 0 {
+			if id, ok := d.Lookup(p.key[i].term); ok {
+				p.id[i] = id
+				p.missing &^= 1 << i
+			}
+		}
+	}
+	return p.missing == 0
+}
+
+func (p *pattern) match(t rdf.Triple) bool {
+	return (p.consts&1 == 0 || t.S == p.id[0]) &&
+		(p.consts&2 == 0 || t.P == p.id[1]) &&
+		(p.consts&4 == 0 || t.O == p.id[2]) &&
+		(p.eq == 0 || (p.eq&1 == 0 || t.S == t.P) && (p.eq&2 == 0 || t.S == t.O) && (p.eq&4 == 0 || t.P == t.O))
+}
+
+// fold counts t in (d = +1) or out (d = -1) if it matches. A binding
+// whose count returns to zero is dropped, so len(bind[k]) stays the
+// distinct count.
+func (p *pattern) fold(t rdf.Triple, d int32) {
+	if !p.match(t) {
+		return
+	}
+	p.n += int(d)
+	for k := 0; k < p.slots; k++ {
+		m, id := p.bind[k], t.At(p.pos[k])
+		if c := m[id] + d; c == 0 {
+			delete(m, id)
+		} else {
+			m[id] = c
+		}
+	}
+}
+
+// dispatch routes a triple to the patterns it can match: those of its
+// property, and those whose property is a variable.
+type dispatch struct {
+	byProp  map[rdf.TermID][]*pattern
+	anyProp []*pattern
+}
+
+// add routes triples to p, unless a constant of p is still unknown to
+// the dictionary: no triple can match it then.
+func (dp *dispatch) add(d *rdf.Dict, p *pattern) {
+	switch {
+	case !p.resolve(d):
+	case p.consts&2 != 0:
+		if dp.byProp == nil {
+			dp.byProp = make(map[rdf.TermID][]*pattern)
+		}
+		dp.byProp[p.id[1]] = append(dp.byProp[p.id[1]], p)
+	default:
+		dp.anyProp = append(dp.anyProp, p)
+	}
+}
+
+func (dp *dispatch) fold(ts []rdf.Triple, d int32) {
+	for _, t := range ts {
+		for _, p := range dp.byProp[t.P] {
+			p.fold(t, d)
+		}
+		for _, p := range dp.anyProp {
+			p.fold(t, d)
+		}
+	}
+}
+
+// Ref is one query's hold on its patterns in a catalog, with the query's
+// fixed variable order: vars numbers its variables by first occurrence
+// over the patterns in index order, slots[i][k] is the number of pattern
+// i's variable slot k (-1 past its slots). JoinCard walks variables in
+// this order, never a map's.
+type Ref struct {
+	vars  []string
+	slots [][3]int
+	pats  []*pattern // per query pattern; nil once released
+}
+
+// Acquire registers q's patterns, creating the entries the catalog
+// lacks (unfilled: the first Snapshot through a Ref fills them). Every
+// Acquire is paired with one Release.
+func (c *Catalog) Acquire(q *sparql.Query) *Ref {
+	r := &Ref{slots: make([][3]int, len(q.Patterns)), pats: make([]*pattern, len(q.Patterns))}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for i, tp := range q.Patterns {
+		k, vars, n := keyOf(tp)
+		r.slots[i] = [3]int{-1, -1, -1}
+		for s := 0; s < n; s++ {
+			v := slices.Index(r.vars, vars[s])
+			if v < 0 {
+				v = len(r.vars)
+				r.vars = append(r.vars, vars[s])
+			}
+			r.slots[i][s] = v
+		}
+		p := c.pats[k]
+		if p == nil {
+			p = newPattern(k)
+			c.pats[k] = p
+		}
+		p.refs++
+		r.pats[i] = p
+	}
+	return r
+}
+
+// Release drops r's hold; a pattern no Ref holds any more leaves the
+// catalog. Releasing twice is harmless.
+func (c *Catalog) Release(r *Ref) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, p := range r.pats {
+		if p.refs--; p.refs == 0 {
+			delete(c.pats, p.key)
+		}
+	}
+	r.pats = nil
+}
+
+// Snapshot returns the statistics of r's query at the catalog's current
+// version. Patterns nobody has filled are claimed under the mutex,
+// filled together in one pass over g without it, and published; patterns
+// a concurrent Snapshot claimed are waited for (it holds no lock this
+// one needs).
+func (c *Catalog) Snapshot(g *rdf.Graph, r *Ref) *Stats {
+	var mine []*pattern
+	c.mu.Lock()
+	for _, p := range r.pats {
+		if !p.claimed {
+			p.claimed = true
+			mine = append(mine, p)
+		}
+	}
+	c.mu.Unlock()
+	if len(mine) > 0 {
+		var dp dispatch
+		for _, p := range mine {
+			dp.add(g.Dict, p)
+		}
+		dp.fold(g.Triples(), +1)
+		c.mu.Lock()
+		for _, p := range mine {
+			p.filled = true
+			close(p.ready)
+		}
+		c.fills += uint64(len(mine))
+		c.mu.Unlock()
+	}
+	for _, p := range r.pats {
+		<-p.ready
+	}
+	return c.read(r)
+}
+
+// read copies what costing reads of r's patterns, all filled.
+func (c *Catalog) read(r *Ref) *Stats {
+	s := &Stats{vars: r.vars, slots: r.slots, pats: make([]patStats, len(r.pats))}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	s.version = c.version
+	for i, p := range r.pats {
+		s.pats[i].card = float64(p.n)
+		for k := 0; k < p.slots; k++ {
+			s.pats[i].distinct[k] = float64(len(p.bind[k]))
+		}
+	}
+	return s
+}
+
+// Apply folds an effective delta (inserts of triples that were absent,
+// deletes of triples that were present — what the engine's commit
+// computes) into every filled pattern, once per pattern however many
+// queries share it, leaving each identical to a fresh fill over the
+// mutated graph, and moves the catalog to version. Cost is
+// O(|delta| × patterns of the triple's property), independent of graph
+// size. An unfilled pattern is skipped: its fill will read the mutated
+// graph. An empty delta (a reshard step) only moves the version.
+func (c *Catalog) Apply(version uint64, d *rdf.Dict, inserts, deletes []rdf.Triple) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.version = version
+	if len(inserts)+len(deletes) == 0 {
+		return
+	}
+	var dp dispatch
+	for _, p := range c.pats {
+		if p.filled {
+			dp.add(d, p) // resolving again: the inserts may have introduced a constant
+			c.folds++
+		}
+	}
+	dp.fold(inserts, +1)
+	dp.fold(deletes, -1)
+}
+
+// Counters reports the patterns resident now and, since construction,
+// the patterns filled from a graph pass and the pattern folds Apply
+// performed (one per filled pattern per non-empty delta).
+func (c *Catalog) Counters() (patterns int, fills, folds uint64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.pats), c.fills, c.folds
+}

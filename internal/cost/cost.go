@@ -4,10 +4,19 @@
 // per-job initialization charge. The optimizer ranks the (few) plans
 // its chosen variant produces with this model and executes the
 // cheapest.
+//
+// Statistics come in two layers. A Catalog is the shared, mutable one:
+// per distinct triple pattern the match count and binding multisets,
+// filled from the graph once and maintained by commit deltas. A Stats
+// is an immutable snapshot of it for one query at one data version —
+// what a Model reads, so pricing takes no lock and touches nothing
+// shared.
 package cost
 
 import (
 	"math"
+	"math/bits"
+	"slices"
 
 	"cliquesquare/internal/core"
 	"cliquesquare/internal/mapreduce"
@@ -16,220 +25,124 @@ import (
 	"cliquesquare/internal/sparql"
 )
 
-// Stats holds per-pattern cardinality statistics for one query over one
-// graph, collected with a single pass per pattern and maintainable
-// incrementally: Apply folds an insert/delete delta into the counts in
-// O(|delta| × patterns), so revalidating a cached plan after an update
-// never rescans the graph. The per-variable binding multisets that make
-// deletion exact are retained on the Stats; card and distinct are plain
-// integer counts stored in float64, so incremental maintenance and a
-// fresh rebuild produce bit-identical statistics.
+// Stats is what costing reads of one query's patterns: per pattern the
+// exact match count and per variable the distinct-binding count, plain
+// integer counts stored in float64, so a snapshot of a delta-maintained
+// catalog and one of a fresh fill are bit-identical. A Stats taken with
+// Catalog.Snapshot never changes and may be read from any goroutine.
 //
-// A Stats is not safe for concurrent use; callers serialize Apply
-// against readers (the engine guards each cache entry's Stats with its
-// own mutex).
+// NewStats is the standalone form: a private catalog of one query, which
+// its Apply keeps current in place. Such a Stats is not safe for
+// concurrent use while Apply runs.
 type Stats struct {
-	q *sparql.Query
-	// pats[i] is pattern i's matcher with constants pre-resolved to
-	// TermIDs (resolution is re-attempted in Apply for constants the
-	// dictionary did not know yet at build time).
-	pats []matcher
-	// card[i] is the number of triples matching pattern i.
-	card []float64
-	// distinct[i][v] is the number of distinct bindings of variable v
-	// among pattern i's matches.
-	distinct []map[string]float64
-	// counts[i][v] is the multiset behind distinct[i][v]: how many
-	// occurrences of each binding the per-position scan saw (a variable
-	// repeated within one pattern counts once per position, same as the
-	// fresh scan). Deletes decrement and drop zeroed keys, so
-	// len(counts[i][v]) always equals the fresh distinct count.
-	counts []map[string]map[rdf.TermID]int
+	// vars and slots are the query's fixed variable order, shared with
+	// the Ref the snapshot was taken through (see Ref).
+	vars    []string
+	slots   [][3]int
+	pats    []patStats
+	version uint64
+	// own and ref are the private catalog behind a NewStats result.
+	own *Catalog
+	ref *Ref
 }
 
-// matcher is a triple pattern with its constant terms resolved against
-// the dictionary. A constant absent from the dictionary stays
-// unresolved (no triple can match until it appears); Apply retries the
-// lookup, since inserts may introduce the term.
-type matcher struct {
-	tp       sparql.TriplePattern
-	constID  [3]rdf.TermID
-	resolved [3]bool
+// patStats is one pattern's share of a snapshot: its match count and the
+// distinct-binding count of each of its variable slots.
+type patStats struct {
+	card     float64
+	distinct [3]float64
 }
 
-// resolve (re-)attempts dictionary resolution of the pattern's constant
-// positions, reporting whether every constant is now resolved.
-func (pm *matcher) resolve(d *rdf.Dict) bool {
-	ok := true
-	for _, p := range []rdf.Pos{rdf.SPos, rdf.PPos, rdf.OPos} {
-		pt := pm.tp.At(p)
-		if pt.IsVar || pm.resolved[p] {
-			continue
-		}
-		if id, found := d.Lookup(pt.Term); found {
-			pm.constID[p], pm.resolved[p] = id, true
-		} else {
-			ok = false
-		}
-	}
-	return ok
-}
-
-// match checks t against the resolved pattern: constant positions must
-// equal their resolved ids, repeated variables must bind consistently.
-func (pm *matcher) match(t rdf.Triple) bool {
-	var bound [3]rdf.TermID
-	var names [3]string
-	nb := 0
-	for _, p := range []rdf.Pos{rdf.SPos, rdf.PPos, rdf.OPos} {
-		pt := pm.tp.At(p)
-		if !pt.IsVar {
-			if !pm.resolved[p] || pm.constID[p] != t.At(p) {
-				return false
-			}
-			continue
-		}
-		for i := 0; i < nb; i++ {
-			if names[i] == pt.Var && bound[i] != t.At(p) {
-				return false
-			}
-		}
-		names[nb], bound[nb] = pt.Var, t.At(p)
-		nb++
-	}
-	return true
-}
-
-// NewStats scans g once per pattern of q and records match counts and
-// per-variable distinct-value counts (with the backing multisets that
-// let Apply maintain them under deletes).
+// NewStats fills the statistics of q's patterns in one pass over g.
 func NewStats(g *rdf.Graph, q *sparql.Query) *Stats {
-	s := &Stats{
-		q:        q,
-		pats:     make([]matcher, len(q.Patterns)),
-		card:     make([]float64, len(q.Patterns)),
-		distinct: make([]map[string]float64, len(q.Patterns)),
-		counts:   make([]map[string]map[rdf.TermID]int, len(q.Patterns)),
-	}
-	for i, tp := range q.Patterns {
-		pm := matcher{tp: tp}
-		pm.resolve(g.Dict)
-		seen := make(map[string]map[rdf.TermID]int)
-		for _, v := range tp.Vars() {
-			seen[v] = make(map[rdf.TermID]int)
-		}
-		n := 0
-		for _, t := range g.Triples() {
-			if !pm.match(t) {
-				continue
-			}
-			n++
-			for _, p := range []rdf.Pos{rdf.SPos, rdf.PPos, rdf.OPos} {
-				if pt := tp.At(p); pt.IsVar {
-					seen[pt.Var][t.At(p)]++
-				}
-			}
-		}
-		s.pats[i] = pm
-		s.card[i] = float64(n)
-		s.counts[i] = seen
-		s.distinct[i] = make(map[string]float64, len(seen))
-		for v, m := range seen {
-			s.distinct[i][v] = float64(len(m))
-		}
-	}
+	c := NewCatalog(0)
+	r := c.Acquire(q)
+	s := c.Snapshot(g, r)
+	s.own, s.ref = c, r
 	return s
 }
 
-// Apply folds an effective insert/delete delta (inserts of triples now
-// present, deletes of triples that were present — exactly what the
-// engine's ApplyBatch computes) into the statistics, leaving them
-// identical to a fresh NewStats over the mutated graph. Cost is
-// O(|delta| × patterns) — independent of graph size — which is what
-// makes post-update plan-cache revalidation cheap.
+// Apply folds an effective insert/delete delta into a Stats built by
+// NewStats, leaving it identical to a fresh NewStats over the mutated
+// graph (see Catalog.Apply).
 func (s *Stats) Apply(d *rdf.Dict, inserts, deletes []rdf.Triple) {
-	for i := range s.pats {
-		pm := &s.pats[i]
-		// Inserts may have introduced a constant term the dictionary
-		// did not know when the matcher was built.
-		pm.resolve(d)
-		tp := pm.tp
-		n := 0
-		for _, t := range inserts {
-			if !pm.match(t) {
-				continue
-			}
-			n++
-			for _, p := range []rdf.Pos{rdf.SPos, rdf.PPos, rdf.OPos} {
-				if pt := tp.At(p); pt.IsVar {
-					s.counts[i][pt.Var][t.At(p)]++
-				}
-			}
-		}
-		for _, t := range deletes {
-			if !pm.match(t) {
-				continue
-			}
-			n--
-			for _, p := range []rdf.Pos{rdf.SPos, rdf.PPos, rdf.OPos} {
-				if pt := tp.At(p); pt.IsVar {
-					m := s.counts[i][pt.Var]
-					if m[t.At(p)]--; m[t.At(p)] <= 0 {
-						delete(m, t.At(p))
-					}
-				}
-			}
-		}
-		if n != 0 {
-			s.card[i] += float64(n)
-		}
-		for v, m := range s.counts[i] {
-			s.distinct[i][v] = float64(len(m))
-		}
-	}
+	s.own.Apply(s.version+1, d, inserts, deletes)
+	now := s.own.read(s.ref)
+	s.pats, s.version = now.pats, now.version
 }
 
+// Version is the data version the snapshot describes: the version its
+// catalog was at.
+func (s *Stats) Version() uint64 { return s.version }
+
+// Equal reports whether s and o, two snapshots for the same query, hold
+// the same numbers: every plan then prices the same under both.
+func (s *Stats) Equal(o *Stats) bool { return slices.Equal(s.pats, o.pats) }
+
 // PatternCard returns the exact match count of pattern i.
-func (s *Stats) PatternCard(i int) float64 { return s.card[i] }
+func (s *Stats) PatternCard(i int) float64 { return s.pats[i].card }
 
 // Distinct returns the distinct-value count of variable v in pattern
 // i's matches (0 if v does not occur there).
-func (s *Stats) Distinct(i int, v string) float64 { return s.distinct[i][v] }
+func (s *Stats) Distinct(i int, v string) float64 {
+	for k, vi := range s.slots[i] {
+		if vi >= 0 && s.vars[vi] == v {
+			return s.pats[i].distinct[k]
+		}
+	}
+	return 0
+}
 
 // JoinCard estimates the cardinality of joining the given pattern set,
 // using the classical independence model: the product of the pattern
 // cardinalities divided, for every shared variable, by the largest
-// per-pattern distinct count raised to (occurrences-1).
+// per-pattern distinct count raised to (occurrences-1). The divisions
+// run in the query's fixed variable order, so one Stats prices one
+// pattern list to one bit pattern on every call.
 func (s *Stats) JoinCard(patterns []int) float64 {
+	return s.joinCard(patterns, make([]varUse, len(s.vars)))
+}
+
+// varUse accumulates one variable over a pattern set: the patterns it
+// occurs in and its largest distinct count among them.
+type varUse struct {
+	occ  int
+	maxd float64
+}
+
+// joinCard is JoinCard over caller-owned scratch, one varUse per query
+// variable.
+func (s *Stats) joinCard(patterns []int, use []varUse) float64 {
 	if len(patterns) == 0 {
 		return 0
 	}
+	clear(use)
 	card := 1.0
-	occ := make(map[string]int)
-	maxd := make(map[string]float64)
 	for _, i := range patterns {
-		card *= s.card[i]
-		for v, d := range s.distinct[i] {
-			occ[v]++
-			if d > maxd[v] {
-				maxd[v] = d
+		card *= s.pats[i].card
+		for k, v := range s.slots[i] {
+			if v < 0 {
+				break
 			}
+			use[v].occ++
+			use[v].maxd = max(use[v].maxd, s.pats[i].distinct[k])
 		}
 	}
-	for v, k := range occ {
-		if k < 2 {
+	for _, u := range use {
+		if u.occ < 2 {
 			continue
 		}
-		d := maxd[v]
-		if d < 1 {
+		if u.maxd < 1 {
 			return 0 // a shared variable with no bindings: empty join
 		}
-		card /= math.Pow(d, float64(k-1))
+		card /= math.Pow(u.maxd, float64(u.occ-1))
 	}
 	return card
 }
 
-// Model prices logical plans under the Section 5.4 formulas.
+// Model prices logical plans under the Section 5.4 formulas. It holds
+// no state of its own beyond its two inputs, so one Model may price from
+// several goroutines when S is a snapshot.
 type Model struct {
 	C mapreduce.Constants
 	S *Stats
@@ -248,89 +161,121 @@ func NewModel(c mapreduce.Constants, s *Stats) *Model { return &Model{C: c, S: s
 //	c(π)   = out·c_check
 //
 // plus JobInit per MapReduce job.
-func (m *Model) PlanCost(p *core.Plan) float64 {
-	pp, err := physical.Compile(p)
+func (m *Model) PlanCost(p *core.Plan) float64 { return m.pricer().cost(p) }
+
+// pricer prices the candidates of one choice, all plans of the query S
+// describes. They are assembled from the same few sub-joins, so the
+// cardinality of a pattern set is estimated once and shared; a set is a
+// bitset over the query's patterns, and its patterns multiply in index
+// order whatever tree they were met in.
+type pricer struct {
+	m    *Model
+	sets int                // bytes per pattern set
+	memo map[string]float64 // JoinCard per pattern set
+	use  []varUse           // joinCard's scratch
+	idx  []int              // the set being estimated, as indexes
+
+	// The candidate being priced. set, card and done are indexed by
+	// physical.Info.ID: the operator's pattern set (sets bytes each),
+	// its estimated output and whether its cost is in total yet.
+	pp    *physical.Plan
+	total float64
+	set   []byte
+	card  []float64
+	done  []bool
+}
+
+func (m *Model) pricer() *pricer {
+	return &pricer{
+		m:    m,
+		sets: (len(m.S.pats) + 7) / 8,
+		memo: make(map[string]float64),
+		use:  make([]varUse, len(m.S.vars)),
+	}
+}
+
+func (pr *pricer) cost(p *core.Plan) float64 {
+	pp, err := physical.Classify(p, nil)
 	if err != nil {
 		return math.Inf(1)
 	}
-	total := m.C.JobInit * float64(pp.NumJobs())
-	counted := make(map[*core.Op]bool)
-	pats := make(map[*core.Op][]int)
-	var walk func(op *core.Op) float64
-	walk = func(op *core.Op) float64 {
-		// Cardinality estimate for op's pattern set, memoized.
-		if _, ok := pats[op]; !ok {
-			switch op.Kind {
-			case core.OpMatch:
-				pats[op] = []int{op.Pattern}
-			default:
-				var u []int
-				seen := make(map[int]bool)
-				for _, c := range op.Children {
-					walk(c)
-					for _, pi := range pats[c] {
-						if !seen[pi] {
-							seen[pi] = true
-							u = append(u, pi)
-						}
-					}
-				}
-				pats[op] = u
-			}
-		}
-		return m.S.JoinCard(pats[op])
-	}
-	var cost func(op *core.Op)
-	cost = func(op *core.Op) {
-		if counted[op] {
-			return
-		}
-		counted[op] = true
-		for _, c := range op.Children {
-			cost(c)
-		}
-		out := walk(op)
-		switch op.Kind {
-		case core.OpMatch:
-			total += m.S.PatternCard(op.Pattern) * m.C.Read
-			if patternFiltered(p.Query.Patterns[op.Pattern]) {
-				total += m.S.PatternCard(op.Pattern) * m.C.Check
-			}
-		case core.OpJoin:
-			in := 0.0
-			for _, c := range op.Children {
-				in += walk(c)
-			}
-			info := pp.Infos[op]
-			switch info.Kind {
-			case physical.KindMapJoin:
-				total += m.C.Join*(in+out) + out*m.C.Write
-			case physical.KindReduceJoin:
-				for _, c := range op.Children {
-					if pp.Infos[c].Kind == physical.KindReduceJoin {
-						// Map shuffler re-reading the previous job's
-						// output.
-						total += walk(c) * (m.C.Read + m.C.Write)
-					}
-				}
-				total += in*m.C.Shuffle + m.C.Join*(in+out) + out*m.C.Write
-			}
-		case core.OpProject:
-			total += out * m.C.Check
-		}
-	}
-	cost(p.Root)
-	return total
+	n := len(pp.Infos)
+	pr.pp, pr.total = pp, pr.m.C.JobInit*float64(pp.NumJobs())
+	pr.set = append(pr.set[:0], make([]byte, n*pr.sets)...)
+	pr.card = append(pr.card[:0], make([]float64, n)...)
+	pr.done = append(pr.done[:0], make([]bool, n)...)
+	root := pr.visit(pp.Root)
+	return pr.total + pr.card[root]*pr.m.C.Check // the projection
 }
 
-// patternFiltered reports whether a scan of tp needs a runtime filter
-// (constant subject/object or a repeated variable); the property
-// constant is resolved by file naming.
+// visit adds op's cost — after its inputs', each operator once — to the
+// total and returns op's ID.
+func (pr *pricer) visit(op *core.Op) int {
+	in, c := pr.pp.Infos[op], pr.m.C
+	id := in.ID
+	if pr.done[id] {
+		return id
+	}
+	pr.done[id] = true
+	set := pr.set[id*pr.sets : (id+1)*pr.sets]
+	if op.Kind == core.OpMatch {
+		set[op.Pattern/8] |= 1 << (op.Pattern % 8)
+		card := pr.m.S.PatternCard(op.Pattern)
+		pr.card[id] = card
+		pr.total += card * c.Read
+		if patternFiltered(pr.pp.Logical.Query.Patterns[op.Pattern]) {
+			pr.total += card * c.Check
+		}
+		return id
+	}
+	sum := 0.0
+	for _, ch := range op.Children {
+		ci := pr.visit(ch)
+		sum += pr.card[ci]
+		for b, w := range pr.set[ci*pr.sets : (ci+1)*pr.sets] {
+			set[b] |= w
+		}
+	}
+	out := pr.joinCard(set)
+	pr.card[id] = out
+	if in.Kind == physical.KindMapJoin {
+		pr.total += c.Join*(sum+out) + out*c.Write
+		return id
+	}
+	for _, ch := range op.Children {
+		if ci := pr.pp.Infos[ch]; ci.Kind == physical.KindReduceJoin {
+			// Map shuffler re-reading the previous job's output.
+			pr.total += pr.card[ci.ID] * (c.Read + c.Write)
+		}
+	}
+	pr.total += sum*c.Shuffle + c.Join*(sum+out) + out*c.Write
+	return id
+}
+
+func (pr *pricer) joinCard(set []byte) float64 {
+	if card, ok := pr.memo[string(set)]; ok {
+		return card
+	}
+	pr.idx = pr.idx[:0]
+	for b, w := range set {
+		for ; w != 0; w &= w - 1 {
+			pr.idx = append(pr.idx, b*8+bits.TrailingZeros8(w))
+		}
+	}
+	card := pr.m.S.joinCard(pr.idx, pr.use)
+	pr.memo[string(set)] = card
+	return card
+}
+
+// patternFiltered reports whether a scan of tp is charged a runtime
+// filter: a constant subject or object, or a variable repeated in an
+// all-variable pattern; the property constant is resolved by file
+// naming.
 func patternFiltered(tp sparql.TriplePattern) bool {
 	if !tp.S.IsVar || !tp.O.IsVar {
 		return true
 	}
-	return len(tp.Vars()) < 3 && tp.S.IsVar && tp.P.IsVar && tp.O.IsVar
+	return tp.P.IsVar && (tp.S.Var == tp.P.Var || tp.S.Var == tp.O.Var || tp.P.Var == tp.O.Var)
 }
 
 // Choose returns the cheapest plan under the model, or nil for an empty
@@ -347,8 +292,9 @@ func (m *Model) Choose(plans []*core.Plan) *core.Plan {
 // still wins. idx is -1 (cost +Inf) for an empty slice.
 func (m *Model) ChooseIndexed(plans []*core.Plan) (best *core.Plan, idx int, cost float64) {
 	idx, cost = -1, math.Inf(1)
+	pr := m.pricer()
 	for i, p := range plans {
-		if c := m.PlanCost(p); c < cost {
+		if c := pr.cost(p); c < cost {
 			best, idx, cost = p, i, c
 		}
 	}

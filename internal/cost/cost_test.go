@@ -2,11 +2,15 @@ package cost
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
 	"cliquesquare/internal/core"
+	"cliquesquare/internal/lubm"
 	"cliquesquare/internal/mapreduce"
 	"cliquesquare/internal/rdf"
 	"cliquesquare/internal/sparql"
@@ -126,49 +130,49 @@ func TestChooseEmpty(t *testing.T) {
 	}
 }
 
-// applyStats mutates the graph with one effective delta and mirrors it
-// into s via Apply, the way the engine's ApplyBatch does.
-func applyStats(g *rdf.Graph, s *Stats, ins, dels []rdf.Triple) {
-	var effDels []rdf.Triple
+// applyDelta mutates the graph by one batch and returns the effective
+// delta, the way the engine's commit computes it.
+func applyDelta(g *rdf.Graph, ins, dels []rdf.Triple) (effIns, effDels []rdf.Triple) {
 	for _, t := range dels {
-		if g.Contains(t) {
+		if g.Contains(t) && !slices.Contains(effDels, t) {
 			effDels = append(effDels, t)
 		}
 	}
 	g.RemoveBatch(effDels)
-	var effIns []rdf.Triple
 	for _, t := range ins {
 		if g.Add(t) {
 			effIns = append(effIns, t)
 		}
 	}
+	return effIns, effDels
+}
+
+// applyStats mutates the graph with one effective delta and mirrors it
+// into s via Apply.
+func applyStats(g *rdf.Graph, s *Stats, ins, dels []rdf.Triple) {
+	effIns, effDels := applyDelta(g, ins, dels)
 	s.Apply(g.Dict, effIns, effDels)
 }
 
-// checkStatsFresh asserts that incrementally maintained statistics are
-// identical to a fresh rebuild over the mutated graph.
-func checkStatsFresh(t *testing.T, g *rdf.Graph, q *sparql.Query, s *Stats, step string) {
+// checkStatsFresh asserts that delta-maintained statistics for q — the
+// snapshot s and the catalog patterns r behind it — are identical to a
+// standalone rebuild over the mutated graph: the snapshot bit for bit,
+// the patterns down to their binding multisets.
+func checkStatsFresh(t *testing.T, g *rdf.Graph, q *sparql.Query, s *Stats, r *Ref, step string) {
 	t.Helper()
 	fresh := NewStats(g, q)
-	for i := range q.Patterns {
-		if s.card[i] != fresh.card[i] {
-			t.Errorf("%s: card[%d] = %v incrementally, %v fresh", step, i, s.card[i], fresh.card[i])
+	if !s.Equal(fresh) {
+		t.Errorf("%s: %s: snapshot %v maintained, %v fresh", step, q.Name, s.pats, fresh.pats)
+	}
+	for i, want := range fresh.ref.pats {
+		got := r.pats[i]
+		if got.n != want.n {
+			t.Errorf("%s: %s: pattern %d matches %d maintained, %d fresh", step, q.Name, i, got.n, want.n)
 		}
-		for v, d := range fresh.distinct[i] {
-			if s.distinct[i][v] != d {
-				t.Errorf("%s: distinct[%d][%s] = %v incrementally, %v fresh", step, i, v, s.distinct[i][v], d)
-			}
-		}
-		for v, m := range fresh.counts[i] {
-			for id, n := range m {
-				if s.counts[i][v][id] != n {
-					t.Errorf("%s: counts[%d][%s][%d] = %d incrementally, %d fresh",
-						step, i, v, id, s.counts[i][v][id], n)
-				}
-			}
-			if len(s.counts[i][v]) != len(m) {
-				t.Errorf("%s: counts[%d][%s] has %d keys incrementally, %d fresh",
-					step, i, v, len(s.counts[i][v]), len(m))
+		for k := 0; k < want.slots; k++ {
+			if !maps.Equal(got.bind[k], want.bind[k]) {
+				t.Errorf("%s: %s: pattern %d slot %d: bindings %v maintained, %v fresh",
+					step, q.Name, i, k, got.bind[k], want.bind[k])
 			}
 		}
 	}
@@ -184,7 +188,7 @@ func TestStatsApplyMatchesFresh(t *testing.T) {
 	q := sparql.MustParse(`SELECT ?x ?z WHERE {
 		?x <p1> ?y . ?y <p2> ?z . ?z <p3> <d0> . ?x <loop> ?x }`)
 	s := NewStats(g, q)
-	checkStatsFresh(t, g, q, s, "initial")
+	checkStatsFresh(t, g, q, s, s.ref, "initial")
 
 	spo := func(sub, p, o string) rdf.Triple {
 		return rdf.Triple{S: g.Dict.EncodeIRI(sub), P: g.Dict.EncodeIRI(p), O: g.Dict.EncodeIRI(o)}
@@ -197,7 +201,7 @@ func TestStatsApplyMatchesFresh(t *testing.T) {
 		spo("n1", "loop", "n1"),
 		spo("n1", "loop", "n2"), // loop edge that does NOT match ?x <loop> ?x
 	}, nil)
-	checkStatsFresh(t, g, q, s, "after inserts")
+	checkStatsFresh(t, g, q, s, s.ref, "after inserts")
 
 	// Deletes, including the last p2 edge into c1 (its distinct binding
 	// must vanish) and the self-loop.
@@ -209,11 +213,144 @@ func TestStatsApplyMatchesFresh(t *testing.T) {
 		spo("n1", "loop", "n1"),
 		spo("never", "p1", "existed"), // no-op delete
 	})
-	checkStatsFresh(t, g, q, s, "after deletes")
+	checkStatsFresh(t, g, q, s, s.ref, "after deletes")
 
 	// Mixed batch: delete and re-insert overlapping rows.
 	applyStats(g, s,
 		[]rdf.Triple{spo("a0", "p1", "b0"), spo("b1", "p2", "c1")},
 		[]rdf.Triple{spo("a99", "p1", "b0")})
-	checkStatsFresh(t, g, q, s, "after mixed batch")
+	checkStatsFresh(t, g, q, s, s.ref, "after mixed batch")
+}
+
+// TestCatalogMatchesFresh drives several queries that share patterns —
+// a two-variable pattern under different variable names, a
+// constant-bound one, a repeated-variable ?x <loop> ?x, a constant the
+// dictionary first learns mid-stream and a pattern whose property is a
+// variable — through ONE catalog by seeded random insert/delete batches.
+// After every batch each query's snapshot is bit-equal to a standalone
+// NewStats over the mutated graph, the delta was folded once per
+// distinct pattern however many queries share it, and a pattern released
+// by its last user and acquired again is filled afresh, correctly.
+func TestCatalogMatchesFresh(t *testing.T) {
+	g := chainGraph(10)
+	var qs []*sparql.Query
+	for i, src := range []string{
+		`SELECT ?x ?z WHERE { ?x <p1> ?y . ?y <p2> ?z }`,
+		`SELECT ?a WHERE { ?a <p1> ?b . ?b <p2> <c0> }`,
+		`SELECT ?x WHERE { ?x <p1> ?y . ?x <loop> ?x }`,
+		`SELECT ?s ?p WHERE { ?s ?p <d0> . ?m <p2> ?s }`,
+		`SELECT ?x WHERE { ?x <p1> <late> . ?x <p1> ?w }`,
+	} {
+		q := sparql.MustParse(src)
+		q.Name = fmt.Sprintf("q%d", i)
+		qs = append(qs, q)
+	}
+	c := NewCatalog(1)
+	refs := make([]*Ref, len(qs))
+	for i, q := range qs {
+		refs[i] = c.Acquire(q)
+	}
+	check := func(step string) {
+		t.Helper()
+		for i, q := range qs {
+			if refs[i] != nil {
+				checkStatsFresh(t, g, q, c.Snapshot(g, refs[i]), refs[i], step)
+			}
+		}
+	}
+	check("initial")
+	patterns, fills, folds := c.Counters()
+	if patterns != 6 || fills != 6 || folds != 0 {
+		t.Fatalf("after the first snapshots: %d patterns, %d fills, %d folds; want 6, 6, 0 (10 query patterns, 6 distinct)", patterns, fills, folds)
+	}
+
+	rng := rand.New(rand.NewSource(11))
+	iri := func(v string) rdf.TermID { return g.Dict.EncodeIRI(v) }
+	props := []string{"p1", "p2", "p3", "loop"}
+	batch := func(round int) (ins, dels []rdf.Triple) {
+		ts := g.Triples()
+		for i := 0; i < 6; i++ {
+			dels = append(dels, ts[rng.Intn(len(ts))])
+		}
+		ins = append(ins, dels[rng.Intn(len(dels))]) // delete + re-insert in one batch
+		for i := 0; i < 8; i++ {
+			s := fmt.Sprintf("n%d", rng.Intn(12))
+			o := []string{s, "c0", "d0", fmt.Sprintf("b%d", rng.Intn(10)), fmt.Sprintf("n%d", rng.Intn(12))}[rng.Intn(5)]
+			if round >= 5 && rng.Intn(4) == 0 {
+				o = "late" // enters the dictionary in round 5 at the earliest
+			}
+			ins = append(ins, rdf.Triple{S: iri(s), P: iri(props[rng.Intn(len(props))]), O: iri(o)})
+		}
+		return ins, dels
+	}
+	for round := 1; round <= 24; round++ {
+		switch round {
+		case 8:
+			// q4 is the only user of ?x <p1> <late>: releasing it drops
+			// that pattern, and only that one.
+			c.Release(refs[4])
+			refs[4] = nil
+			if n, _, _ := c.Counters(); n != 5 {
+				t.Fatalf("round %d: %d patterns resident after releasing q4, want 5", round, n)
+			}
+		case 16:
+			refs[4] = c.Acquire(qs[4])
+		}
+		ins, dels := batch(round)
+		effIns, effDels := applyDelta(g, ins, dels)
+		patterns, fillsBefore, foldsBefore := c.Counters()
+		filledNow := patterns
+		if round == 16 {
+			filledNow-- // the re-acquired pattern is unfilled: Apply skips it, its fill reads the mutated graph
+		}
+		c.Apply(uint64(1+round), g.Dict, effIns, effDels)
+		if _, _, folds := c.Counters(); folds-foldsBefore != uint64(filledNow) {
+			t.Errorf("round %d: delta folded into %d patterns, want %d (once per distinct filled pattern)",
+				round, folds-foldsBefore, filledNow)
+		}
+		check(fmt.Sprintf("round %d", round))
+		wantFills := fillsBefore
+		if round == 16 {
+			wantFills++
+		}
+		if _, fills, _ := c.Counters(); fills != wantFills {
+			t.Errorf("round %d: %d fills, want %d", round, fills, wantFills)
+		}
+		if v := c.Snapshot(g, refs[0]).Version(); v != uint64(1+round) {
+			t.Errorf("round %d: snapshot at version %d, want %d", round, v, 1+round)
+		}
+	}
+	if _, ok := g.Dict.Lookup(rdf.NewIRI("late")); !ok {
+		t.Fatal("the stream never introduced <late>: late resolution was not exercised")
+	}
+	if s := c.Snapshot(g, refs[4]); s.PatternCard(0) == 0 {
+		t.Error("no triple matched ?x <p1> <late> by the end: late resolution was not exercised")
+	}
+	for _, r := range refs {
+		c.Release(r)
+	}
+	if n, _, _ := c.Counters(); n != 0 {
+		t.Errorf("%d patterns resident after every ref was released", n)
+	}
+}
+
+// TestJoinCardOneBitPattern pins the fixed variable order: the same
+// statistics price the same pattern set to the same bits on every call.
+// When the divisions ran in map-iteration order, all patterns of Q12,
+// Q13 and Q14 priced to two different bit patterns within 2,000 calls.
+func TestJoinCardOneBitPattern(t *testing.T) {
+	g := lubm.Generate(lubm.DefaultConfig(6))
+	for _, q := range lubm.Queries() {
+		s := NewStats(g, q)
+		all := make([]int, len(q.Patterns))
+		for i := range all {
+			all[i] = i
+		}
+		want := math.Float64bits(s.JoinCard(all))
+		for i := 0; i < 2000; i++ {
+			if got := math.Float64bits(s.JoinCard(all)); got != want {
+				t.Fatalf("%s: call %d priced all patterns to %#x, the first call to %#x", q.Name, i, got, want)
+			}
+		}
+	}
 }

@@ -1,6 +1,7 @@
 package lubm
 
 import (
+	"strings"
 	"testing"
 
 	"cliquesquare/internal/rdf"
@@ -80,6 +81,28 @@ func TestSelectiveClassification(t *testing.T) {
 	for _, name := range []string{"Q1", "Q5", "Q6", "Q7", "Q8", "Q12"} {
 		if Selective[name] {
 			t.Errorf("%s marked selective; Figure 21 lists it as non-selective", name)
+		}
+	}
+}
+
+func TestUniversityVariants(t *testing.T) {
+	var names []string
+	for _, q := range UniversityVariants(7) {
+		names = append(names, q.Name)
+		src := q.String()
+		if strings.Contains(src, UniversityIRI(0)) || strings.Contains(src, `"University3"`) {
+			t.Errorf("%s still names its template's university: %s", q.Name, src)
+		}
+		if !strings.Contains(src, UniversityIRI(7)) && !strings.Contains(src, `"University7"`) {
+			t.Errorf("%s does not name university 7: %s", q.Name, src)
+		}
+	}
+	if got := strings.Join(names, " "); got != "Q2 Q3 Q4 Q11 Q13 Q14" {
+		t.Errorf("variants of %s, want Q2 Q3 Q4 Q11 Q13 Q14", got)
+	}
+	for i, q := range UniversityVariants(0) {
+		if want := UniversityVariants(3)[i]; q.Name != want.Name {
+			t.Errorf("universities 0 and 3 vary different templates: %s vs %s", q.Name, want.Name)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package lubm
 
 import (
 	"fmt"
+	"strings"
 
 	"cliquesquare/internal/sparql"
 )
@@ -40,6 +41,30 @@ func Queries() []*sparql.Query {
 		q, err := sparql.Parse(prologue + qs.src)
 		if err != nil {
 			panic(fmt.Sprintf("lubm: %s does not parse: %v", qs.name, err))
+		}
+		q.Name = qs.name
+		out = append(out, q)
+	}
+	return out
+}
+
+// UniversityVariants returns the six workload queries that name one
+// university — by IRI (University0) or by name literal ("University3")
+// — each rewritten to name university c instead and keeping its query
+// name: the constant-bearing mix in which every new c is a set of plans
+// no cache has seen.
+func UniversityVariants(c int) []*sparql.Query {
+	byIRI, byName := "<"+UniversityIRI(0)+">", `"University3"`
+	var out []*sparql.Query
+	for _, qs := range querySources {
+		if !strings.Contains(qs.src, byIRI) && !strings.Contains(qs.src, byName) {
+			continue
+		}
+		src := strings.ReplaceAll(qs.src, byIRI, "<"+UniversityIRI(c)+">")
+		src = strings.ReplaceAll(src, byName, fmt.Sprintf(`"University%d"`, c))
+		q, err := sparql.Parse(prologue + src)
+		if err != nil {
+			panic(fmt.Sprintf("lubm: %s for university %d does not parse: %v", qs.name, c, err))
 		}
 		q.Name = qs.name
 		out = append(out, q)

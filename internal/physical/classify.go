@@ -59,9 +59,9 @@ type Info struct {
 // Plan is a compiled physical plan: the logical plan plus the physical
 // classification of every operator and the job layout.
 //
-// A Plan is immutable once CompileWith returns: execution never writes
-// to the plan, its Infos, or the logical operators beneath it, so one
-// compiled Plan may be executed by any number of goroutines
+// A Plan is immutable once CompileWith (or Classify) returns: execution
+// never writes to the plan, its Infos, or the logical operators beneath
+// it, so one compiled Plan may be executed by any number of goroutines
 // simultaneously. All per-execution state lives in the Executor, its
 // Cluster and the ExecContext's per-node arenas.
 type Plan struct {
@@ -77,7 +77,8 @@ type Plan struct {
 	// JobKeys canonically identify each job's computation for the
 	// subplan result cache: JobKeys[l] keys job l+1 (JobKeys[0] the
 	// single job of a map-only plan). Two jobs with equal keys over the
-	// same data epoch produce byte-identical rows and charges.
+	// same data epoch produce byte-identical rows and charges. CompileWith
+	// renders them; a plan that was only classified has none.
 	JobKeys []string
 }
 
@@ -110,19 +111,38 @@ func SubjectOnlyCoLocator() CoLocator {
 	}
 }
 
-// Compile classifies p's operators and lays out jobs. Per Section 5.2:
-// a join whose parents (inputs) are all match operators becomes a map
-// join; every other join becomes a reduce join. Reduce joins at the
-// same level share a MapReduce job.
+// Compile classifies p's operators, lays out jobs and keys them. Per
+// Section 5.2: a join whose parents (inputs) are all match operators
+// becomes a map join; every other join becomes a reduce join. Reduce
+// joins at the same level share a MapReduce job.
 func Compile(p *core.Plan) (*Plan, error) { return CompileWith(p, nil) }
 
 // CompileWith is Compile under an explicit co-location capability
-// (partitioning-scheme dependent).
+// (partitioning-scheme dependent): Classify plus the job keys, which
+// only a plan that will run needs. Its result is the one form of Plan
+// the executor accepts.
 func CompileWith(p *core.Plan, canColocate CoLocator) (*Plan, error) {
+	pp, err := Classify(p, canColocate)
+	if err != nil {
+		return nil, err
+	}
+	pp.buildJobKeys(p.Query)
+	return pp, nil
+}
+
+// Classify is the structural half of CompileWith: operator kinds,
+// reduce-join levels and with them the job count — everything the cost
+// model reads to price a candidate, and nothing rendered. The Plan it
+// returns has no JobKeys and warms no operator signature, so it is for
+// inspection and pricing only; a plan to execute comes from CompileWith.
+func Classify(p *core.Plan, canColocate CoLocator) (*Plan, error) {
 	if p.Root.Kind != core.OpProject || len(p.Root.Children) != 1 {
 		return nil, fmt.Errorf("physical: plan root must be a projection over one operator")
 	}
-	pp := &Plan{Logical: p, Root: p.Root.Children[0], Infos: make(map[*core.Op]*Info)}
+	pp := &Plan{Logical: p, Root: p.Root.Children[0], Infos: make(map[*core.Op]*Info, 2*len(p.Query.Patterns))}
+	// reduces collects the reduce joins children-first, each once: the
+	// deterministic order Levels lists them in.
+	var reduces []*Info
 	var walk func(op *core.Op) (*Info, error)
 	walk = func(op *core.Op) (*Info, error) {
 		if in, ok := pp.Infos[op]; ok {
@@ -156,6 +176,7 @@ func CompileWith(p *core.Plan, canColocate CoLocator) (*Plan, error) {
 			} else {
 				in.Kind = KindReduceJoin
 				in.Level = maxLevel + 1
+				reduces = append(reduces, in)
 			}
 		default:
 			return nil, fmt.Errorf("physical: unexpected operator %v below the projection", op.Kind)
@@ -166,26 +187,12 @@ func CompileWith(p *core.Plan, canColocate CoLocator) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Lay reduce joins out by level, in deterministic ID order.
 	if ri.Kind == KindReduceJoin {
 		pp.Levels = make([][]*Info, ri.Level)
-		var lay func(op *core.Op, seen map[*core.Op]bool)
-		seen := make(map[*core.Op]bool)
-		lay = func(op *core.Op, seen map[*core.Op]bool) {
-			if seen[op] {
-				return
-			}
-			seen[op] = true
-			for _, c := range op.Children {
-				lay(c, seen)
-			}
-			if in := pp.Infos[op]; in.Kind == KindReduceJoin {
-				pp.Levels[in.Level-1] = append(pp.Levels[in.Level-1], in)
-			}
+		for _, in := range reduces {
+			pp.Levels[in.Level-1] = append(pp.Levels[in.Level-1], in)
 		}
-		lay(pp.Root, seen)
 	}
-	pp.buildJobKeys(p.Query)
 	return pp, nil
 }
 

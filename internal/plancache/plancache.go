@@ -69,7 +69,10 @@ type Cache[V any] struct {
 	// weigher, when non-nil, switches the cache from entry-count to
 	// byte-budget eviction (NewSized): every completed value is weighed
 	// exactly once, after its compute finishes.
-	weigher      func(V) int64
+	weigher func(V) int64
+	// onEvict, when set, receives every successfully computed value
+	// that stops being (or never became) resident: see OnEvict.
+	onEvict      func(V)
 	hits         atomic.Uint64
 	misses       atomic.Uint64
 	evictions    atomic.Uint64
@@ -77,13 +80,16 @@ type Cache[V any] struct {
 }
 
 // entry is one cached key. ready is closed once val/err are set; LRU
-// links and weight are guarded by the shard lock, val/err by the ready
-// barrier.
+// links, weight and done are guarded by the shard lock, val/err by the
+// ready barrier. done is set, under the lock, once a compute succeeded:
+// whoever removes a done entry from the map owes its value to onEvict,
+// and a compute that finds its entry already removed pays that itself.
 type entry[V any] struct {
 	key        string
 	ready      chan struct{}
 	val        V
 	err        error
+	done       bool
 	weight     int64
 	prev, next *entry[V]
 }
@@ -150,45 +156,71 @@ func NewSized[V any](budgetBytes int64, weigher func(V) int64) *Cache[V] {
 	return c
 }
 
+// OnEvict registers fn to receive each successfully computed value
+// exactly once when the cache lets go of it: evicted by either policy,
+// purged, or — for a value whose entry was evicted or purged while its
+// compute was still in flight — as soon as the compute returns. fn runs
+// outside all cache locks, possibly while callers still use the value.
+// Call it before the cache is shared.
+func (c *Cache[V]) OnEvict(fn func(V)) { c.onEvict = fn }
+
+// evicted collects what a shard lets go of while its lock is held, to be
+// settled — counters and OnEvict — once the lock is released. Whether a
+// value is owed to OnEvict is decided here, under the lock: a done
+// entry's is, an in-flight entry's will be reported by its own compute.
+type evicted[V any] struct {
+	n, bytes uint64
+	owed     []V
+}
+
+func (ev *evicted[V]) take(s *shard[V], e *entry[V]) {
+	s.unlink(e)
+	delete(s.m, e.key)
+	s.bytes -= e.weight
+	ev.n++
+	ev.bytes += uint64(e.weight)
+	if e.done {
+		ev.owed = append(ev.owed, e.val)
+	}
+}
+
+func (c *Cache[V]) settle(ev *evicted[V]) {
+	c.evictions.Add(ev.n)
+	c.evictedBytes.Add(ev.bytes)
+	if c.onEvict != nil {
+		for _, v := range ev.owed {
+			c.onEvict(v)
+		}
+	}
+}
+
 // admit weighs a freshly computed entry against its shard's byte
 // budget: the weight joins the shard's resident bytes, then LRU tails
 // are evicted until the shard fits again (in-flight entries weigh
-// zero; their waiters still get their value). An entry evicted or
-// purged while it was computing is not accounted; one heavier than the
+// zero; their waiters still get their value). An entry heavier than the
 // whole shard budget is dropped outright.
 func (c *Cache[V]) admit(s *shard[V], e *entry[V]) {
 	w := c.weigher(e.val)
-	var evicted []*entry[V]
+	var ev evicted[V]
 	s.mu.Lock()
-	if cur, ok := s.m[e.key]; !ok || cur != e {
+	if s.m[e.key] != e {
 		s.mu.Unlock()
-		return
-	}
-	if w > s.budget {
-		s.unlink(e)
-		delete(s.m, e.key)
-		s.mu.Unlock()
-		c.evictions.Add(1)
-		c.evictedBytes.Add(uint64(w))
-		return
+		return // purged meanwhile
 	}
 	e.weight = w
 	s.bytes += w
+	if w > s.budget {
+		ev.take(s, e)
+	}
 	for s.bytes > s.budget {
 		lru := s.root.prev
 		if lru == e || lru == &s.root {
 			break
 		}
-		s.unlink(lru)
-		delete(s.m, lru.key)
-		s.bytes -= lru.weight
-		evicted = append(evicted, lru)
+		ev.take(s, lru)
 	}
 	s.mu.Unlock()
-	for _, ev := range evicted {
-		c.evictions.Add(1)
-		c.evictedBytes.Add(uint64(ev.weight))
-	}
+	c.settle(&ev)
 }
 
 // Do returns the value cached under key, computing it with compute on
@@ -216,35 +248,39 @@ func (c *Cache[V]) Do(key string, compute func() (V, error)) (v V, hit bool, err
 	e := &entry[V]{key: key, ready: make(chan struct{})}
 	s.m[key] = e
 	s.pushFront(e)
-	var evict *entry[V]
+	var ev evicted[V]
 	if len(s.m) > s.capacity {
 		// Evict the least recently used entry (never the one just
 		// inserted). An evicted in-flight entry still completes for its
 		// waiters; it is simply no longer findable.
 		if lru := s.root.prev; lru != e {
-			s.unlink(lru)
-			delete(s.m, lru.key)
-			evict = lru
+			ev.take(s, lru)
 		}
 	}
 	s.mu.Unlock()
-	if evict != nil {
-		c.evictions.Add(1)
-	}
+	c.settle(&ev)
 
 	e.val, e.err = compute()
 	close(e.ready)
 	c.misses.Add(1)
-	if e.err != nil {
-		s.mu.Lock()
-		if cur, ok := s.m[key]; ok && cur == e {
-			s.unlink(e)
-			delete(s.m, key)
-		}
-		s.mu.Unlock()
-		return v, false, e.err
+	s.mu.Lock()
+	resident := s.m[key] == e
+	if e.err != nil && resident {
+		s.unlink(e)
+		delete(s.m, key)
 	}
-	if c.weigher != nil {
+	e.done = e.err == nil
+	s.mu.Unlock()
+	switch {
+	case e.err != nil:
+		return v, false, e.err
+	case !resident:
+		// Evicted or purged while computing: the caller still gets its
+		// value, but the cache never held it.
+		if c.onEvict != nil {
+			c.onEvict(e.val)
+		}
+	case c.weigher != nil:
 		c.admit(s, e)
 	}
 	return e.val, false, nil
@@ -343,11 +379,22 @@ func (c *Cache[V]) Purge() {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
+		var held []V
+		if c.onEvict != nil {
+			for _, e := range s.m {
+				if e.done {
+					held = append(held, e.val)
+				}
+			}
+		}
 		s.m = make(map[string]*entry[V])
 		s.bytes = 0
 		s.root.prev = &s.root
 		s.root.next = &s.root
 		s.mu.Unlock()
+		for _, v := range held {
+			c.onEvict(v)
+		}
 	}
 }
 

@@ -88,7 +88,7 @@ func (e *Engine) flushGroup(group []*request) {
 			e.graph.Add(t)
 		}
 		ver = e.part.ApplyBatch(ins, dels, e.graph.Dict).Version()
-		e.invalidate(ver-1, ins, dels)
+		e.invalidate(ins, dels)
 		e.stateMu.Unlock()
 		cs.Apply = time.Since(applyStart)
 		e.batches.Add(uint64(len(group)))
@@ -189,31 +189,18 @@ func (e *Engine) logStep(rec *wal.Record) (appendD, syncD time.Duration, err err
 }
 
 // invalidate is the cache side of every committed epoch; the caller
-// holds stateMu and has just moved the data version on from fromVer.
-// Result-cache entries of the old epoch are unreachable already (their
-// keys embed the version); purging stops their bytes occupying the
-// budget. Cached plans revalidate lazily because DataVersion moved;
-// folding the delta into their retained statistics here lets that
-// revalidation re-cost candidates in O(|delta| × patterns) instead of
-// rescanning the graph. A reshard step passes an empty delta — moving
-// rows between nodes changes no cardinality — so statistics carry
-// across it. Entries whose statistics already trail fromVer (they raced
-// their insertion against an earlier commit) are skipped; their next
-// use rebuilds statistics once and rejoins the incremental path.
-func (e *Engine) invalidate(fromVer uint64, ins, dels []rdf.Triple) {
+// holds stateMu and has just moved the data version. Result-cache
+// entries of the old epoch are unreachable already (their keys embed the
+// version); purging stops their bytes occupying the budget. Cached plans
+// revalidate lazily because DataVersion moved; folding the delta into
+// the statistics catalog here — once per distinct pattern, however many
+// plans share it — is what lets that revalidation snapshot current
+// statistics without rescanning the graph. A reshard step passes an
+// empty delta (moving rows between nodes changes no cardinality): the
+// catalog only moves to the new version.
+func (e *Engine) invalidate(ins, dels []rdf.Triple) {
 	if e.res != nil {
 		e.res.Purge()
 	}
-	if e.cache == nil {
-		return
-	}
-	toVer := e.DataVersion()
-	e.cache.Range(func(_ string, ent *cacheEntry) {
-		ent.statsMu.Lock()
-		if ent.stats != nil && ent.statsVersion == fromVer {
-			ent.stats.Apply(e.graph.Dict, ins, dels)
-			ent.statsVersion = toVer
-		}
-		ent.statsMu.Unlock()
-	})
+	e.cat.Apply(e.DataVersion(), e.graph.Dict, ins, dels)
 }

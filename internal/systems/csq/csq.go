@@ -103,7 +103,7 @@ func DefaultConfig() Config {
 // synchronizes itself. Writes have exactly one writer at a time — the
 // batcher goroutine when a log is attached, else whichever caller holds
 // wmu — which publishes new epochs atomically. Locks nest in the order
-// writer (wmu or being the batcher) → stateMu → cacheEntry.statsMu.
+// writer (wmu or being the batcher) → stateMu → the catalog's mutex.
 type Engine struct {
 	cfg   Config
 	graph *rdf.Graph
@@ -112,6 +112,12 @@ type Engine struct {
 	// cache maps canonical query fingerprints to versioned plan
 	// entries; nil when caching is disabled.
 	cache *plancache.Cache[*cacheEntry]
+	// cat is the engine's one statistics object: every planner snapshots
+	// its query's patterns from it (readStats) and every committed epoch
+	// folds its delta into it once (invalidate), so it is always at the
+	// engine's data version. A pattern is resident while a cached plan —
+	// or a planner in flight — holds it.
+	cat *cost.Catalog
 	// res is the subplan result cache; nil unless ResultCacheBytes > 0.
 	// Keys embed the data epoch, so stale entries are unreachable after
 	// a commit; the commit pipeline additionally purges for budget
@@ -131,9 +137,9 @@ type Engine struct {
 	// stateMu guards the graph+partitioner pair as one unit: the writer
 	// holds the write side across graph mutation and epoch commit (per
 	// epoch — a resize releases it between steps), and statistics and
-	// checkpoint reads (plan, revalidate, snapshot) hold the read side
-	// so they never observe a half-applied batch. Query execution does
-	// not take it — executions read pinned immutable snapshots.
+	// checkpoint reads (readStats, snapshot) hold the read side so they
+	// never observe a half-applied batch. Query execution does not take
+	// it — executions read pinned immutable snapshots.
 	stateMu sync.RWMutex
 	// batches / groups / revalidations / replans count update activity:
 	// committed ApplyBatch calls, the epochs that carried them, cached
@@ -186,8 +192,10 @@ func newEngine(cfg Config, g *rdf.Graph, store *dstore.Store) *Engine {
 		store: store,
 		part:  partition.LoadWithPolicy(store, g, cfg.Partitioning, cfg.mustPolicy()),
 	}
+	e.cat = cost.NewCatalog(e.DataVersion())
 	if cfg.PlanCacheSize >= 0 {
 		e.cache = plancache.New[*cacheEntry](cfg.PlanCacheSize)
+		e.cache.OnEvict(func(ent *cacheEntry) { e.cat.Release(ent.ref) })
 	}
 	if cfg.ResultCacheBytes > 0 {
 		e.res = rescache.New(cfg.ResultCacheBytes)
@@ -249,38 +257,51 @@ type UpdateStats struct {
 	// revalidations that switched the entry to a different plan.
 	Revalidations uint64
 	Replans       uint64
+	// StatsPatterns is the number of distinct triple patterns resident
+	// in the statistics catalog now; StatsFills counts the patterns
+	// filled from a pass over the graph (a pattern some cached plan
+	// already holds is never filled again).
+	StatsPatterns uint64
+	StatsFills    uint64
 }
 
 // UpdateStats snapshots update activity since engine construction.
 func (e *Engine) UpdateStats() UpdateStats {
+	patterns, fills, _ := e.cat.Counters()
 	return UpdateStats{
 		Batches:       e.batches.Load(),
 		Revalidations: e.revalidations.Load(),
 		Replans:       e.replans.Load(),
+		StatsPatterns: uint64(patterns),
+		StatsFills:    fills,
 	}
 }
 
 // planOutcome is the full product of one optimize+select+compile run.
 type planOutcome struct {
-	chosen  *core.Plan // after projection push-down
-	pp      *physical.Plan
-	res     *core.Result
-	idx     int         // index of the winner within res.Unique
-	cost    float64     // its modeled cost at selection time
-	stats   *cost.Stats // the statistics the choice was made under
-	version uint64      // data version the statistics were read at
+	chosen *core.Plan // after projection push-down
+	pp     *physical.Plan
+	res    *core.Result
+	idx    int     // index of the winner within res.Unique
+	cost   float64 // its modeled cost at selection time
+	// stats is the snapshot the choice was made under (its Version is the
+	// plan's DataVersion); ref the hold on the query's catalog patterns
+	// that plan took, which whoever receives the outcome releases.
+	stats *cost.Stats
+	ref   *cost.Ref
 }
 
-// statsModel reads the cardinality statistics for q together with the
-// data version they belong to, under the state read lock: a concurrent
-// ApplyBatch (which mutates the graph before committing its epoch) can
-// never leak a half-applied batch into the statistics, so the version
-// tag and the statistics are always mutually consistent.
-func (e *Engine) statsModel(q *sparql.Query) (*cost.Model, uint64) {
+// readStats acquires q's patterns in the catalog and snapshots them.
+// The state read lock is held across the snapshot — which fills the
+// patterns the catalog lacks from the graph — and a commit mutates the
+// graph and folds the catalog under the write side, so a snapshot never
+// sees half a batch and always describes exactly its Version. The
+// caller releases ref.
+func (e *Engine) readStats(q *sparql.Query) (*cost.Ref, *cost.Stats) {
+	ref := e.cat.Acquire(q)
 	e.stateMu.RLock()
 	defer e.stateMu.RUnlock()
-	version := e.DataVersion()
-	return cost.NewModel(e.cfg.Constants, cost.NewStats(e.graph, q)), version
+	return ref, e.cat.Snapshot(e.graph, ref)
 }
 
 // plan optimizes q, selects the cheapest plan under current statistics
@@ -301,13 +322,14 @@ func (e *Engine) plan(q *sparql.Query) (*planOutcome, error) {
 	if len(res.Unique) == 0 {
 		return nil, fmt.Errorf("csq: %s produced no plan for %s", e.cfg.Method, q.Name)
 	}
-	model, version := e.statsModel(q)
-	best, idx, c := model.ChooseIndexed(res.Unique)
+	ref, st := e.readStats(q)
+	best, idx, c := cost.NewModel(e.cfg.Constants, st).ChooseIndexed(res.Unique)
 	chosen, pp, err := e.finishPlan(best)
 	if err != nil {
+		e.cat.Release(ref)
 		return nil, err
 	}
-	return &planOutcome{chosen: chosen, pp: pp, res: res, idx: idx, cost: c, stats: model.S, version: version}, nil
+	return &planOutcome{chosen: chosen, pp: pp, res: res, idx: idx, cost: c, stats: st, ref: ref}, nil
 }
 
 // finishPlan applies projection push-down, compiles the physical plan
@@ -339,6 +361,7 @@ func (e *Engine) Plan(q *sparql.Query) (*core.Plan, *physical.Plan, *core.Result
 	if err != nil {
 		return nil, nil, nil, err
 	}
+	e.cat.Release(out.ref)
 	return out.chosen, out.pp, out.res, nil
 }
 

@@ -24,8 +24,8 @@ type CommitStats struct {
 	// Wait is the time the caller's request waited (queued, or for the
 	// writer mutex) before its group started flushing; Append and Sync
 	// split the WAL write and are zero without a log; Apply is the
-	// in-memory epoch commit (graph + partitioner + plan-cache
-	// statistics).
+	// in-memory epoch commit (graph + partitioner + statistics
+	// catalog).
 	Wait   time.Duration
 	Append time.Duration
 	Sync   time.Duration

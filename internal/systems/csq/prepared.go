@@ -54,6 +54,9 @@ type Prepared struct {
 	unique     []*core.Plan
 	chosenIdx  int
 	chosenCost float64
+	// stats is the statistics snapshot this plan was chosen under: while
+	// a later snapshot equals it, the choice stands as it is.
+	stats *cost.Stats
 }
 
 // retainedCandidatesMax caps how many candidate plans a cached entry
@@ -81,10 +84,11 @@ func newPrepared(q *sparql.Query, out *planOutcome) *Prepared {
 		Height:        out.chosen.Height(),
 		PlansExplored: len(out.res.Plans),
 		UniquePlans:   len(out.res.Unique),
-		DataVersion:   out.version,
+		DataVersion:   out.stats.Version(),
 		unique:        retain(out.res.Unique),
 		chosenIdx:     out.idx,
 		chosenCost:    out.cost,
+		stats:         out.stats,
 	}
 }
 
@@ -96,37 +100,21 @@ func (e *Engine) Prepare(q *sparql.Query) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
+	e.cat.Release(out.ref)
 	return newPrepared(q, out), nil
 }
 
 // cacheEntry is one plan-cache slot: the current validated Prepared,
 // swapped atomically when revalidation refreshes or replaces it, plus a
-// mutex so concurrent revalidations of the same entry run once. The
-// entry also retains the query's cardinality statistics with the data
-// version they describe: ApplyBatch folds each committed delta into
-// them in place (O(|delta| × patterns)), so revalidation re-costs the
-// candidate set without ever rescanning the graph.
+// mutex so concurrent revalidations of the same entry run once. It
+// carries no statistics: those live once, in the engine's catalog. ref
+// is the entry's hold on its query's patterns there, released by the
+// plan cache's eviction callback — a pattern stays resident, and is
+// maintained by commits, exactly while some cached plan uses it.
 type cacheEntry struct {
 	mu  sync.Mutex
 	cur atomic.Pointer[Prepared]
-
-	// statsMu guards stats and statsVersion. It is taken by the commit
-	// pipeline's invalidate (under the engine's state write lock) and
-	// by revalidation (while holding ent.mu); holders never acquire the
-	// state lock or ent.mu, so the ordering is acyclic.
-	statsMu      sync.Mutex
-	stats        *cost.Stats
-	statsVersion uint64
-}
-
-// stashStats records freshly built statistics on the entry unless a
-// newer delta push already advanced them.
-func (ent *cacheEntry) stashStats(st *cost.Stats, version uint64) {
-	ent.statsMu.Lock()
-	if ent.stats == nil || version >= ent.statsVersion {
-		ent.stats, ent.statsVersion = st, version
-	}
-	ent.statsMu.Unlock()
+	ref *cost.Ref
 }
 
 // PrepareCached returns the prepared plan for q's cache key, planning
@@ -143,11 +131,13 @@ func (ent *cacheEntry) stashStats(st *cost.Stats, version uint64) {
 //
 // Entries are tagged with the data version whose statistics chose
 // them. A hit whose tag trails the current epoch is revalidated before
-// being served: the entry's retained candidate set is re-costed under
-// the entry's incrementally maintained statistics (plans survive epochs
-// — only the stats-derived cost choice can change), re-compiling only
-// when a different candidate now wins, so post-update cached executions
-// remain byte-identical to freshly planned ones.
+// being served: a fresh snapshot of the catalog's delta-maintained
+// statistics is compared with the one the plan was chosen under, the
+// retained candidate set is re-costed only if they differ (plans survive
+// epochs — only the stats-derived cost choice can change), and the plan
+// is re-compiled only when a different candidate now wins, so
+// post-update cached executions remain byte-identical to freshly
+// planned ones.
 func (e *Engine) PrepareCached(q *sparql.Query) (p *Prepared, hit bool, err error) {
 	// Validate up front: the uncached path rejects malformed queries in
 	// the optimizer, and an unvalidated query must not be able to
@@ -170,7 +160,7 @@ func (e *Engine) PrepareCached(q *sparql.Query) (p *Prepared, hit bool, err erro
 		}
 		p := newPrepared(q, out)
 		p.Fingerprint = key
-		ent := &cacheEntry{stats: out.stats, statsVersion: out.version}
+		ent := &cacheEntry{ref: out.ref}
 		ent.cur.Store(p)
 		return ent, nil
 	})
@@ -188,7 +178,7 @@ func (e *Engine) PrepareCached(q *sparql.Query) (p *Prepared, hit bool, err erro
 	if p = ent.cur.Load(); p.DataVersion == e.DataVersion() {
 		return p, hit, nil
 	}
-	np, err := e.revalidate(ent, p)
+	np, err := e.revalidate(p)
 	if err != nil {
 		return nil, false, err
 	}
@@ -197,80 +187,48 @@ func (e *Engine) PrepareCached(q *sparql.Query) (p *Prepared, hit bool, err erro
 }
 
 // revalidate re-checks a cached plan against the current epoch's
-// cardinality statistics: the retained candidate set is re-costed under
-// the entry's delta-maintained statistics and the winner recompiled if
-// it changed. Entries whose statistics missed a delta (or whose
-// candidate set was too large to retain) fall back to a fresh
-// statistics build (or full re-enumeration) — same deterministic
-// outcome, the incremental path is purely a fast path. The refreshed
+// cardinality statistics. It takes a fresh snapshot; if that equals the
+// one the plan was chosen under, every candidate prices as it did, so
+// the version tag moves and the choice is kept. Otherwise the retained
+// candidate set is re-costed — or, when it was too large to retain,
+// re-enumerated — and the winner recompiled if it changed. The refreshed
 // Prepared shares every surviving component with the old one (old
 // holders keep executing it safely).
-func (e *Engine) revalidate(ent *cacheEntry, p *Prepared) (*Prepared, error) {
+func (e *Engine) revalidate(p *Prepared) (*Prepared, error) {
 	e.revalidations.Add(1)
+	// A hold of its own: the entry's may be gone, evicted meanwhile.
+	ref, st := e.readStats(p.Query)
+	defer e.cat.Release(ref)
+	if st.Equal(p.stats) {
+		np := *p
+		np.DataVersion = st.Version()
+		return &np, nil
+	}
 	if p.unique == nil {
 		out, err := e.plan(p.Query)
 		if err != nil {
 			return nil, err
 		}
+		e.cat.Release(out.ref)
 		np := newPrepared(p.Query, out)
 		if np.Logical.Signature() != p.Logical.Signature() {
 			e.replans.Add(1)
 		}
 		np.Fingerprint = p.Fingerprint
-		ent.stashStats(out.stats, out.version)
 		return np, nil
 	}
-	idx, c, version, ok := e.chooseIncremental(ent, p.unique)
-	if !ok {
-		// The entry's statistics trail the current epoch (the entry
-		// raced its insertion against a batch): rebuild them once; every
-		// later batch maintains them in place.
-		model, v := e.statsModel(p.Query)
-		_, idx, c = model.ChooseIndexed(p.unique)
-		version = v
-		ent.stashStats(model.S, v)
+	_, idx, c := cost.NewModel(e.cfg.Constants, st).ChooseIndexed(p.unique)
+	np := *p
+	np.DataVersion, np.stats, np.chosenIdx, np.chosenCost = st.Version(), st, idx, c
+	if idx != p.chosenIdx {
+		e.replans.Add(1)
+		chosen, pp, err := e.finishPlan(p.unique[idx])
+		if err != nil {
+			return nil, err
+		}
+		np.Logical, np.Physical, np.Height = chosen, pp, chosen.Height()
 	}
-	if idx == p.chosenIdx {
-		np := *p
-		np.DataVersion = version
-		np.chosenCost = c
-		return &np, nil
-	}
-	e.replans.Add(1)
-	chosen, pp, err := e.finishPlan(p.unique[idx])
-	if err != nil {
-		return nil, err
-	}
-	return &Prepared{
-		Query:         p.Query,
-		Logical:       chosen,
-		Physical:      pp,
-		Height:        chosen.Height(),
-		PlansExplored: p.PlansExplored,
-		UniquePlans:   p.UniquePlans,
-		Fingerprint:   p.Fingerprint,
-		DataVersion:   version,
-		unique:        p.unique,
-		chosenIdx:     idx,
-		chosenCost:    c,
-	}, nil
-}
-
-// chooseIncremental re-runs cost-based choice over the retained
-// candidate set using the entry's delta-maintained statistics. It holds
-// the entry's stats lock across the costing so a concurrent ApplyBatch
-// cannot mutate the statistics mid-read; it never acquires the engine
-// state lock. ok is false when the statistics are absent or trail the
-// current data version (the caller then rebuilds them).
-func (e *Engine) chooseIncremental(ent *cacheEntry, unique []*core.Plan) (idx int, c float64, version uint64, ok bool) {
-	ent.statsMu.Lock()
-	defer ent.statsMu.Unlock()
-	if ent.stats == nil || ent.statsVersion != e.DataVersion() {
-		return 0, 0, 0, false
-	}
-	model := cost.NewModel(e.cfg.Constants, ent.stats)
-	_, idx, c = model.ChooseIndexed(unique)
-	return idx, c, ent.statsVersion, true
+	return &np, nil
 }
 
 // ExecutePrepared runs a prepared plan on a fresh cluster clock. Many

@@ -110,8 +110,8 @@ func (e *Engine) flushReshard(req *request) {
 	for i := 0; err == nil && i < rp.Steps(); i++ {
 		if _, _, err = e.logStep(&wal.Record{Topology: uint32(stepTopology(rp, i))}); err == nil {
 			e.stateMu.Lock()
-			ver := e.part.ApplyStep(rp, i).Version()
-			e.invalidate(ver-1, nil, nil)
+			e.part.ApplyStep(rp, i)
+			e.invalidate(nil, nil)
 			e.stateMu.Unlock()
 		}
 	}
