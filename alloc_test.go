@@ -1,11 +1,13 @@
 package cliquesquare
 
 // Allocation-regression pins for the columnar data plane: executing the
-// LUBM workload must stay under fixed allocs/op ceilings. The seed's
-// executor sat around 21k allocs/op on the full workload; the slab/CSR
-// data plane brought it under 4k, and these ceilings (with headroom for
-// scheduler noise) keep it from creeping back. Run alongside the
-// BENCH_pr6.json CI delta check — this one fails locally, before CI.
+// LUBM workload must stay under fixed allocs/op and B/op ceilings. The
+// seed's executor sat around 21k allocs/op on the full workload; the
+// slab/CSR data plane brought it under 4k and 5.5 MB, the flat
+// relations (no []Row between scan and result) under 1k and 0.7 MB,
+// and these ceilings (with headroom for scheduler noise) keep it from
+// creeping back. Run alongside the BENCH_pr6.json CI delta check — this
+// one fails locally, before CI.
 
 import (
 	"testing"
@@ -17,13 +19,23 @@ import (
 
 const (
 	// workloadAllocCeiling bounds allocs per execution of the whole
-	// 14-query LUBM workload (measured ≈3.6k after the morsel-driven
-	// runtime; the seed was ≈21k).
-	workloadAllocCeiling = 4000
+	// 14-query LUBM workload (measured ≈0.8k with flat relations; ≈3k
+	// when every relation was a []Row; the seed was ≈21k).
+	workloadAllocCeiling = 1200
+	// workloadBytesCeiling bounds the bytes the same execution allocates
+	// (measured ≈0.63 MB: the 14 final blocks and their views, and a few
+	// KB of bookkeeping per job; 5.48 MB when scans, joins, projections
+	// and outputs each grew a []Row by appending).
+	workloadBytesCeiling = 1 << 20
 	// shuffleHeavyAllocCeiling bounds allocs per execution of the
-	// deepest multi-level reduce-join plan (measured ≈0.3k after the
-	// morsel rewrite; the seed was ≈6.2k).
-	shuffleHeavyAllocCeiling = 400
+	// deepest multi-level reduce-join plan (measured ≈0.26k; the seed
+	// was ≈6.2k).
+	shuffleHeavyAllocCeiling = 330
+	// uncachedQueryAllocCeiling bounds the objects one facade Query
+	// allocates when it executes (plan cached, result cache off),
+	// whatever the size of the answer (measured 150–410: the count
+	// follows the plan's jobs and morsels, never its rows).
+	uncachedQueryAllocCeiling = 600
 	// cachedServeAllocCeiling bounds the objects one facade Query
 	// allocates when the result cache serves it, whatever the size of
 	// the answer (measured 140–190: parse, canonicalize, cache probes,
@@ -44,15 +56,14 @@ const (
 // uninstrumented builds.
 var raceEnabled bool
 
-func measureAllocs(t *testing.T, run func()) float64 {
+func measureAllocs(t *testing.T, run func()) testing.BenchmarkResult {
 	t.Helper()
-	res := testing.Benchmark(func(b *testing.B) {
+	return testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			run()
 		}
 	})
-	return float64(res.AllocsPerOp())
 }
 
 func TestAllocRegressionWorkload(t *testing.T) {
@@ -79,8 +90,11 @@ func TestAllocRegressionWorkload(t *testing.T) {
 			}
 		}
 	})
-	if got > workloadAllocCeiling {
-		t.Errorf("LUBM workload execution = %.0f allocs/op, ceiling %d", got, workloadAllocCeiling)
+	if n := got.AllocsPerOp(); n > workloadAllocCeiling {
+		t.Errorf("LUBM workload execution = %d allocs/op, ceiling %d", n, workloadAllocCeiling)
+	}
+	if n := got.AllocedBytesPerOp(); n > workloadBytesCeiling {
+		t.Errorf("LUBM workload execution = %d B/op, ceiling %d", n, workloadBytesCeiling)
 	}
 }
 
@@ -153,6 +167,48 @@ func TestAllocCachedServeIndependentOfRows(t *testing.T) {
 		if got > cachedServeAllocCeiling {
 			t.Errorf("%s (%d rows) served from the result cache = %.0f allocs/op, ceiling %d",
 				tc.name, len(res.Rows), got, cachedServeAllocCeiling)
+		}
+	}
+}
+
+// TestAllocUncachedExecuteIndependentOfRows is the executing side of the
+// same boundary: between scan and result the executor moves cells in
+// recycled flat blocks, so what one uncached Query allocates in objects
+// follows the shape of its plan — a ten-row answer and a
+// ten-thousand-row one sit under the same ceiling (the bytes do grow:
+// the result block, its view and the decoded strings are the answer).
+func TestAllocUncachedExecuteIndependentOfRows(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation inflates allocation counts")
+	}
+	eng, err := NewEngine(lubmGraph(6), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name             string
+		minRows, maxRows int
+	}{{"Q4", 5, 20}, {"Q1", 5000, 1 << 30}} {
+		q, err := lubm.Query(tc.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := q.String()
+		res, err := eng.Query(src) // warms the plan cache and the context's scratch
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := len(res.Rows); n < tc.minRows || n > tc.maxRows {
+			t.Fatalf("%s answers %d rows, the test assumes %d..%d", tc.name, n, tc.minRows, tc.maxRows)
+		}
+		got := testing.AllocsPerRun(10, func() {
+			if _, err := eng.Query(src); err != nil {
+				t.Error(err)
+			}
+		})
+		if got > uncachedQueryAllocCeiling {
+			t.Errorf("%s (%d rows) executed uncached = %.0f allocs/op, ceiling %d",
+				tc.name, len(res.Rows), got, uncachedQueryAllocCeiling)
 		}
 	}
 }

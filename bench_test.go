@@ -494,6 +494,40 @@ func BenchmarkDecodeCached(b *testing.B) {
 	}
 }
 
+// BenchmarkExecuteUncached measures a facade Query that executes: plan
+// cached, result cache off, so every request scans, joins, shuffles,
+// canonicalizes and decodes. Q1 answers ≈10.5k rows from a map-only
+// plan, Q5 a few hundred through a reduce join, Q11 none from two jobs.
+// B/op is what the result boundary requires — the final block, its
+// []Row view and the decoded [][]string — plus a few KB of per-job
+// bookkeeping; nothing between scan and result allocates per row.
+func BenchmarkExecuteUncached(b *testing.B) {
+	eng, err := NewEngine(lubmGraph(6), Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, name := range []string{"Q1", "Q5", "Q11"} {
+		q, err := lubm.Query(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		src := q.String()
+		res, err := eng.Query(src) // warms the plan cache and the context's scratch
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := eng.Query(src); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(len(res.Rows)), "rows")
+		})
+	}
+}
+
 // BenchmarkAblationProjectionPushdown measures the shuffle-volume
 // saving of the Section 4.2 projection push-down rewrite on a chain
 // query (reported as shuffled cells with and without the rewrite).

@@ -1,46 +1,79 @@
 package mapreduce
 
-// Property tests pinning the binary shuffle path to the retained
+// Property tests pinning the flat shuffle path to the retained
 // string-keyed reference implementation (reference_test.go): the
 // sorted-record grouping must present exactly the same (group →
 // records) multisets, in exactly the seed's sorted-string key order,
-// and the packed-key machinery must be allocation-free.
+// every record must land on the node the seed's routing picked, and
+// the record machinery must be pointer- and allocation-free.
 
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"cliquesquare/internal/rdf"
 )
 
-// randomRecords builds a batch with deliberately colliding keys: small
-// group/cell ranges, mixed key widths (including > inlineCells to
-// exercise the spill path).
-func randomRecords(rng *rand.Rand, n int) []Keyed {
-	recs := make([]Keyed, n)
-	for i := range recs {
-		group := uint32(rng.Intn(4))
-		width := 1 + rng.Intn(6) // 1..6 cells, beyond the inline capacity
-		cells := make([]uint32, width)
-		for j := range cells {
+// randomTuples builds a batch with deliberately colliding keys: small
+// group/cell ranges and mixed key widths, zero (an empty key) to six.
+// The key columns are the row's leading cells.
+func randomTuples(rng *rand.Rand, n int) []tuple {
+	ts := make([]tuple, n)
+	for i := range ts {
+		width := rng.Intn(7)
+		row := make(Row, width+2)
+		cols := make([]int, width)
+		for j := range cols {
 			// Values straddling byte boundaries so byte-swapped order
 			// differs from numeric order.
-			cells[j] = uint32(rng.Intn(5)) * 0x01010101
+			row[j] = rdf.TermID(rng.Intn(5)) * 0x01010101
+			cols[j] = j
 		}
-		recs[i] = Keyed{
-			Key: MakeKey(group, cells),
-			Tag: rng.Intn(2),
-			Row: Row{rdf.TermID(i), rdf.TermID(rng.Intn(100))},
-		}
+		row[width], row[width+1] = rdf.TermID(i), rdf.TermID(rng.Intn(100))
+		ts[i] = tuple{group: uint32(rng.Intn(4)), tag: rng.Intn(2), row: row, cols: cols}
 	}
-	return recs
+	return ts
 }
 
-// recordID renders a record for multiset comparison.
-func recordID(k Keyed) string {
-	return fmt.Sprintf("t%d|%v", k.Tag, k.Row)
+// tupleID renders a (tag, row) pair for multiset comparison.
+func tupleID(tag int, row Row) string { return fmt.Sprintf("t%d|%v", tag, row) }
+
+// sameMultiset reports whether a group's records are exactly the
+// reference's tuples, in any order.
+func sameMultiset(g Group, want []tuple) bool {
+	if g.Len() != len(want) {
+		return false
+	}
+	a, b := make([]string, g.Len()), make([]string, len(want))
+	for i := range a {
+		a[i] = tupleID(g.Record(i))
+		b[i] = tupleID(want[i].tag, want[i].row)
+	}
+	sort.Strings(a)
+	sort.Strings(b)
+	return reflect.DeepEqual(a, b)
+}
+
+// TestRecordIsSmallAndPointerFree pins what makes the shuffle buffers
+// cheap to hold and to sort: a record is at most 32 bytes and contains
+// no pointer, so the collector never scans a record array.
+func TestRecordIsSmallAndPointerFree(t *testing.T) {
+	if sz := unsafe.Sizeof(record{}); sz > 32 {
+		t.Errorf("record is %d bytes, want <= 32", sz)
+	}
+	rt := reflect.TypeOf(record{})
+	for i := 0; i < rt.NumField(); i++ {
+		switch k := rt.Field(i).Type.Kind(); k {
+		case reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+			reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		default:
+			t.Errorf("record.%s is a %v: only fixed-size integers keep the record pointer-free", rt.Field(i).Name, k)
+		}
+	}
 }
 
 // TestSortedGroupingMatchesReference cross-checks the radix-sorted
@@ -50,109 +83,164 @@ func recordID(k Keyed) string {
 func TestSortedGroupingMatchesReference(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
-		recs := randomRecords(rng, rng.Intn(300))
-		ref := ReferenceGroups(recs)
+		ts := randomTuples(rng, rng.Intn(300))
+		ref := ReferenceGroups(ts)
 		refOrder := ReferenceOrder(ref)
 
-		sorted := append([]Keyed(nil), recs...)
-		sortRecords(sorted)
-		groups := Groups{recs: sorted}
+		bk := emitAll(1, ts)
+		sorted := append([]record(nil), bk[0].recs...)
+		sortRecords(sorted, bk)
+		groups := Groups{recs: sorted, bk: bk}
+		if groups.Records() != len(ts) {
+			t.Fatalf("trial %d: %d records, emitted %d", trial, groups.Records(), len(ts))
+		}
 
-		var gotOrder []string
-		groups.Each(func(key *Key, grecs []Keyed) {
-			enc := key.Encode()
+		gotOrder := []string{}
+		groups.Each(func(g Group) {
+			enc := encodeRecord(&g.recs[0], bk)
 			gotOrder = append(gotOrder, enc)
 			want, ok := ref[enc]
 			if !ok {
 				t.Fatalf("trial %d: group %q not in reference", trial, enc)
 			}
-			if len(grecs) != len(want) {
-				t.Fatalf("trial %d: group %q has %d records, reference %d",
-					trial, enc, len(grecs), len(want))
+			if !sameMultiset(g, want) {
+				t.Fatalf("trial %d: group %q record multisets differ", trial, enc)
 			}
-			a := make([]string, len(grecs))
-			b := make([]string, len(want))
-			for i := range grecs {
-				a[i] = recordID(grecs[i])
-				b[i] = recordID(want[i])
+			if g.ID() != want[0].group || g.KeyLen() != len(want[0].cols) {
+				t.Fatalf("trial %d: group %q reports id %d and %d key cells", trial, enc, g.ID(), g.KeyLen())
 			}
-			sort.Strings(a)
-			sort.Strings(b)
-			for i := range a {
-				if a[i] != b[i] {
-					t.Fatalf("trial %d: group %q record multisets differ: %v vs %v",
-						trial, enc, a, b)
-				}
-			}
-			for i := range grecs {
-				if !grecs[i].Key.Equal(&grecs[0].Key) {
+			for i := range g.recs {
+				if encodeRecord(&g.recs[i], bk) != enc {
 					t.Fatalf("trial %d: group %q holds mixed keys", trial, enc)
 				}
 			}
 		})
-		if len(gotOrder) != len(refOrder) {
-			t.Fatalf("trial %d: %d groups, reference %d", trial, len(gotOrder), len(refOrder))
+		if !reflect.DeepEqual(gotOrder, refOrder) {
+			t.Fatalf("trial %d: groups visited as %q, reference order wants %q", trial, gotOrder, refOrder)
 		}
-		for i := range gotOrder {
-			if gotOrder[i] != refOrder[i] {
-				t.Fatalf("trial %d: group %d visited as %q, reference order wants %q",
-					trial, i, gotOrder[i], refOrder[i])
+	}
+}
+
+// TestFlatShuffleMatchesReference runs whole jobs — several morsels per
+// node, at one, two and four lanes — and checks each node's reduce
+// input against the reference: every tuple arrives at the node the
+// seed's routing picks, and each node sees the reference's groups, with
+// the reference's records, in the reference's order.
+func TestFlatShuffleMatchesReference(t *testing.T) {
+	const nodes, morsels = 3, 4
+	for trial := 0; trial < 20; trial++ {
+		rng := rand.New(rand.NewSource(int64(trial)))
+		// One batch per (node, morsel).
+		batches := make([][]tuple, nodes*morsels)
+		perDest := make([][]tuple, nodes)
+		for i := range batches {
+			batches[i] = randomTuples(rng, rng.Intn(120))
+			for _, tu := range batches[i] {
+				dest := ReferenceRoute(tu.encode()) % nodes
+				perDest[dest] = append(perDest[dest], tu)
+			}
+		}
+		for _, lanes := range []int{1, 2, 4} {
+			// got[node][rng] lists the groups a range saw, in order.
+			type seen struct {
+				enc string
+				ids []string
+			}
+			got := make([][][]seen, nodes)
+			for i := range got {
+				got[i] = make([][]seen, lanes)
+			}
+			job := Job{
+				Name:       "shuffle",
+				MapMorsels: func(int) int { return morsels },
+				MapMorsel: func(node, morsel, _ int, _ *Meter, emit *Emitter, _ *Block) {
+					for _, tu := range batches[node*morsels+morsel] {
+						emit.Emit(tu.group, tu.tag, tu.row, tu.cols)
+					}
+				},
+				ReduceRange: func(node, r, _, _ int, _ *Meter, groups *Groups, _ *Block) {
+					groups.Each(func(g Group) {
+						s := seen{enc: encodeRecord(&g.recs[0], g.bk)}
+						for i := 0; i < g.Len(); i++ {
+							s.ids = append(s.ids, tupleID(g.Record(i)))
+						}
+						sort.Strings(s.ids)
+						got[node][r] = append(got[node][r], s)
+					})
+				},
+			}
+			cl, _ := wordCountCluster(nodes)
+			runOn(cl, lanes, job, nil)
+			for node := 0; node < nodes; node++ {
+				ref := ReferenceGroups(perDest[node])
+				var want []seen
+				for _, enc := range ReferenceOrder(ref) {
+					s := seen{enc: enc}
+					for _, tu := range ref[enc] {
+						s.ids = append(s.ids, tupleID(tu.tag, tu.row))
+					}
+					sort.Strings(s.ids)
+					want = append(want, s)
+				}
+				var flat []seen
+				for _, r := range got[node] {
+					flat = append(flat, r...)
+				}
+				if !reflect.DeepEqual(flat, want) {
+					t.Fatalf("trial %d, %d lanes, node %d: reduce input differs from the reference\n got %v\nwant %v",
+						trial, lanes, node, flat, want)
+				}
 			}
 		}
 	}
 }
 
 // TestKeyPathAllocationFree pins the allocation contract of the
-// EncodeKey replacement and the routing hash: zero heap allocations
-// per record for keys up to inlineCells cells.
+// emission path: hashing, routing, writing the cells and the record
+// cost zero heap allocations per tuple once the buckets have grown —
+// whatever the key width — and so does comparing records.
 func TestKeyPathAllocationFree(t *testing.T) {
-	cells := []uint32{7, 11, 13, 17}
-	var sink uint64
-	if n := testing.AllocsPerRun(1000, func() {
-		k := MakeKey1(3, 42)
-		sink += uint64(k.route(7))
-	}); n != 0 {
-		t.Errorf("MakeKey1+route: %v allocs/op, want 0", n)
+	row := Row{9, 8, 7, 6, 5, 4}
+	bk := make([]bucket, 7)
+	e := &Emitter{n: 7, unit: &slot{}, buckets: bk}
+	for _, cols := range [][]int{{1}, {2, 0, 3}, {0, 1, 2, 3, 4, 5}} {
+		emit := func() {
+			for i := range bk {
+				bk[i].recs, bk[i].cells = bk[i].recs[:0], bk[i].cells[:0]
+			}
+			for i := 0; i < 64; i++ {
+				row[cols[0]] = rdf.TermID(i)
+				e.Emit(3, 1, row, cols)
+			}
+		}
+		emit() // grow the buckets
+		if n := testing.AllocsPerRun(100, emit); n != 0 {
+			t.Errorf("Emit (%d key cells): %v allocs per 64 tuples, want 0", len(cols), n)
+		}
 	}
+	one := emitAll(1, []tuple{
+		{group: 1, row: row, cols: []int{0, 1, 2, 3, 4}},
+		{group: 1, row: row, cols: []int{0, 1, 2, 3, 4}},
+	})
+	a, b := &one[0].recs[0], &one[0].recs[1]
 	if n := testing.AllocsPerRun(1000, func() {
-		k := MakeKey(3, cells)
-		sink += k.Hash()
-	}); n != 0 {
-		t.Errorf("MakeKey (4 cells): %v allocs/op, want 0", n)
-	}
-	row := Row{9, 8, 7, 6}
-	cols := []int{2, 0, 3}
-	if n := testing.AllocsPerRun(1000, func() {
-		k := MakeRowKey(5, row, cols)
-		sink += k.Hash()
-	}); n != 0 {
-		t.Errorf("MakeRowKey (3 cols): %v allocs/op, want 0", n)
-	}
-	want := MakeKey(5, []uint32{7, 9, 6})
-	if got := MakeRowKey(5, row, cols); !got.Equal(&want) || got.Hash() != want.Hash() {
-		t.Error("MakeRowKey disagrees with MakeKey over the same cells")
-	}
-	if n := testing.AllocsPerRun(1000, func() {
-		a := MakeKey(1, cells)
-		b := MakeKey(1, cells)
-		if a.Compare(&b) != 0 || !a.Equal(&b) {
-			t.Fatal("key self-comparison failed")
+		if compareFrom(a, b, 0, one) != 0 || !sameKey(a, b, one) {
+			t.Fatal("a key does not equal its copy")
 		}
 	}); n != 0 {
-		t.Errorf("Compare/Equal: %v allocs/op, want 0", n)
+		t.Errorf("compareFrom/sameKey: %v allocs/op, want 0", n)
 	}
-	_ = sink
 }
 
 // TestSortRecordsAllocationFree pins the reduce-side grouping sort:
 // sorting a shuffle buffer in place must not allocate.
 func TestSortRecordsAllocationFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	recs := randomRecords(rng, 512)
-	scratch := make([]Keyed, len(recs))
+	bk := emitAll(1, randomTuples(rng, 512))
+	scratch := make([]record, len(bk[0].recs))
 	if n := testing.AllocsPerRun(100, func() {
-		copy(scratch, recs)
-		sortRecords(scratch)
+		copy(scratch, bk[0].recs)
+		sortRecords(scratch, bk)
 	}); n != 0 {
 		t.Errorf("sortRecords: %v allocs/op, want 0", n)
 	}

@@ -2,13 +2,6 @@ package mapreduce
 
 import "math/bits"
 
-// inlineCells is how many key cells a Key stores without touching the
-// heap. CliqueSquare reduce joins key on a clique's shared variables —
-// almost always one attribute, occasionally two or three — so four
-// inline cells make the shuffle path allocation-free in practice;
-// wider keys spill their tail to a slice.
-const inlineCells = 4
-
 // FNV-1a parameters (hash/fnv's constants, inlined so hashing a key
 // needs no hasher object and no byte-slice materialization).
 const (
@@ -16,20 +9,25 @@ const (
 	fnv32Prime  = 16777619
 )
 
-// Key is a packed shuffle key: the group identifier (which reduce join
-// the record belongs to) plus the key-attribute cells, with a 64-bit
-// hash precomputed at construction. The low 32 bits of the hash are
-// the FNV-1a-32 of the key's string encoding (EncodeKey), i.e. exactly
-// what the seed runtime's hasher-object routing computed — so node
-// placement, and with it every simulated statistic, is byte-identical
-// to the string-keyed runtime. The high bits are a multiplicative mix
-// of it for hash-table consumers that want more than 32 bits.
-type Key struct {
-	hash  uint64
+// record is one shuffled tuple. Its key is the group (which reduce join
+// the tuple belongs to) and nkey key cells; tag says which input of
+// that join it is. The first key cell is inline — reduce joins key on a
+// clique's shared variables, almost always one — so sorting and
+// grouping one-cell keys never leave the record array; the cells of
+// bucket buf hold, from off, the remaining nkey-1 key cells and then
+// the tuple's width row cells. The struct is fixed-size and
+// pointer-free: sorting swaps 24 bytes and the collector never scans a
+// record array. tag and nkey are 16 bits wide: a join has at most as
+// many inputs as its query has triple patterns and at most as many key
+// attributes as it has variables.
+type record struct {
 	group uint32
-	n     uint32
-	cells [inlineCells]uint32
-	extra []uint32 // cells[inlineCells:] for wide keys
+	k0    uint32 // first key cell (0 for an empty key)
+	buf   uint32 // the bucket whose cell buffer holds the rest
+	off   uint32 // where in it
+	width uint32 // row cells
+	tag   uint16
+	nkey  uint16
 }
 
 // hashCell folds one cell's four little-endian bytes into the FNV-1a
@@ -42,102 +40,41 @@ func hashCell(h32, v uint32) uint32 {
 	return h32
 }
 
-// extendHash widens the route hash to 64 bits: the low word is the
-// FNV-1a-32 itself (preserving routing identity with the seed
-// runtime), the high word a multiplicative mix of it for consumers
-// wanting more spread — one hash accumulation per byte, not two.
-func extendHash(h32 uint32) uint64 {
-	x := uint64(h32) * 0x9E3779B97F4A7C15
-	return uint64(h32) | (x & 0xFFFFFFFF00000000)
+// route picks the destination node from a key's hash — hashCell folded
+// over the group, then each key cell, from fnv32Offset: the FNV-1a-32
+// of the key's string encoding (EncodeKey), i.e. exactly what the seed
+// runtime's fnv.New32a routing computed, so node placement, and with it
+// every simulated statistic, is byte-identical to the string-keyed
+// runtime.
+func route(h32 uint32, n int) int {
+	return int(h32&0x7FFFFFFF) % n
 }
 
-// MakeKey packs group and cells into a Key. It does not retain cells;
-// callers may reuse the slice. Keys of up to inlineCells cells are
-// built without allocating.
-func MakeKey(group uint32, cells []uint32) Key {
-	k := Key{group: group, n: uint32(len(cells))}
-	h32 := hashCell(fnv32Offset, group)
-	if len(cells) > inlineCells {
-		k.extra = make([]uint32, len(cells)-inlineCells)
+// keyCell returns the i-th key cell of r (i < r.nkey).
+func keyCell(r *record, i int, bk []bucket) uint32 {
+	if i == 0 {
+		return r.k0
 	}
-	for i, v := range cells {
-		if i < inlineCells {
-			k.cells[i] = v
-		} else {
-			k.extra[i-inlineCells] = v
-		}
-		h32 = hashCell(h32, v)
-	}
-	k.hash = extendHash(h32)
-	return k
+	return uint32(bk[r.buf].cells[int(r.off)+i-1])
 }
 
-// MakeRowKey packs the values of row at columns cols into a key: the
-// common "key a tuple on its join columns" path, with the
-// single-column case (the dominant key shape) fast-pathed.
-// Allocation-free up to inlineCells columns.
-func MakeRowKey(group uint32, row Row, cols []int) Key {
-	if len(cols) == 1 {
-		return MakeKey1(group, uint32(row[cols[0]]))
+// row returns r's row cells as a view of its bucket's cell buffer.
+func (r *record) row(bk []bucket) Row {
+	lo := int(r.off)
+	if r.nkey > 1 {
+		lo += int(r.nkey) - 1
 	}
-	k := Key{group: group, n: uint32(len(cols))}
-	h32 := hashCell(fnv32Offset, group)
-	if len(cols) > inlineCells {
-		k.extra = make([]uint32, len(cols)-inlineCells)
-	}
-	for i, c := range cols {
-		v := uint32(row[c])
-		if i < inlineCells {
-			k.cells[i] = v
-		} else {
-			k.extra[i-inlineCells] = v
-		}
-		h32 = hashCell(h32, v)
-	}
-	k.hash = extendHash(h32)
-	return k
+	hi := lo + int(r.width)
+	return bk[r.buf].cells[lo:hi:hi]
 }
 
-// MakeKey1 is the single-cell fast path (the dominant key shape:
-// reduce joins on one shared variable).
-func MakeKey1(group, cell uint32) Key {
-	k := Key{group: group, n: 1}
-	k.cells[0] = cell
-	k.hash = extendHash(hashCell(hashCell(fnv32Offset, group), cell))
-	return k
-}
-
-// Group returns the group identifier.
-func (k *Key) Group() uint32 { return k.group }
-
-// Len returns the number of key cells.
-func (k *Key) Len() int { return int(k.n) }
-
-// Cell returns the i-th key cell.
-func (k *Key) Cell(i int) uint32 {
-	if i < inlineCells {
-		return k.cells[i]
-	}
-	return k.extra[i-inlineCells]
-}
-
-// Hash returns the precomputed 64-bit hash (low 32 bits: FNV-1a-32 of
-// the seed string encoding).
-func (k *Key) Hash() uint64 { return k.hash }
-
-// route picks the destination node, identically to the seed runtime's
-// fnv.New32a over the encoded key string.
-func (k *Key) route(n int) int {
-	return int(uint32(k.hash)&0x7FFFFFFF) % n
-}
-
-// Equal reports exact key equality (same group and cells).
-func (k *Key) Equal(o *Key) bool {
-	if k.hash != o.hash || k.group != o.group || k.n != o.n {
+// sameKey reports exact key equality (same group and cells).
+func sameKey(a, b *record, bk []bucket) bool {
+	if a.group != b.group || a.nkey != b.nkey || a.k0 != b.k0 {
 		return false
 	}
-	for i := 0; i < int(k.n); i++ {
-		if k.Cell(i) != o.Cell(i) {
+	for i := 1; i < int(a.nkey); i++ {
+		if keyCell(a, i, bk) != keyCell(b, i, bk) {
 			return false
 		}
 	}
@@ -151,20 +88,22 @@ func (k *Key) Equal(o *Key) bool {
 // ordering first matches shorter-string-first: lane order is exactly
 // the seed's sort.Strings order over encoded keys, which the metering
 // sums were accumulated in.
-func keyLane(k *Key, d int) int64 {
+func keyLane(r *record, d int, bk []bucket) int64 {
 	if d == 0 {
-		return int64(bits.ReverseBytes32(k.group))
+		return int64(bits.ReverseBytes32(r.group))
 	}
-	if c := d - 1; c < int(k.n) {
-		return int64(bits.ReverseBytes32(k.Cell(c)))
+	if c := d - 1; c < int(r.nkey) {
+		return int64(bits.ReverseBytes32(keyCell(r, c, bk)))
 	}
 	return -1
 }
 
-// compareFrom compares two keys lane by lane starting at depth d.
-func compareFrom(a, b *Key, d int) int {
+// compareFrom compares two records' keys lane by lane starting at
+// depth d; from depth 0 it is the canonical order: the byte order of
+// the keys' seed string encodings.
+func compareFrom(a, b *record, d int, bk []bucket) int {
 	for {
-		la, lb := keyLane(a, d), keyLane(b, d)
+		la, lb := keyLane(a, d, bk), keyLane(b, d, bk)
 		if la != lb {
 			if la < lb {
 				return -1
@@ -178,29 +117,26 @@ func compareFrom(a, b *Key, d int) int {
 	}
 }
 
-// Compare orders keys in canonical order: the byte order of their seed
-// string encodings.
-func (k *Key) Compare(o *Key) int { return compareFrom(k, o, 0) }
-
 // sortRecords sorts shuffled records into canonical key order with a
 // three-way radix quicksort (Bentley–Sedgewick multikey quicksort)
 // over the key lanes: records with equal lane values are partitioned
 // together and recurse one lane deeper, so common prefixes — every
 // record of one reduce join shares the group lane — are compared once
-// per partition, not once per pair.
-func sortRecords(recs []Keyed) { radixSort(recs, 0) }
+// per partition, not once per pair. Only records move; bk, the bucket
+// table they point into, is read for key cells past the first.
+func sortRecords(recs []record, bk []bucket) { radixSort(recs, 0, bk) }
 
-func radixSort(recs []Keyed, d int) {
+func radixSort(recs []record, d int, bk []bucket) {
 	for len(recs) > 1 {
 		if len(recs) <= 16 {
-			insertionSort(recs, d)
+			insertionSort(recs, d, bk)
 			return
 		}
-		p := medianLane(recs, d)
-		lt, gt := partition3(recs, d, p)
-		radixSort(recs[:lt], d)
+		p := medianLane(recs, d, bk)
+		lt, gt := partition3(recs, d, p, bk)
+		radixSort(recs[:lt], d, bk)
 		if p != -1 {
-			radixSort(recs[lt:gt], d+1)
+			radixSort(recs[lt:gt], d+1, bk)
 		}
 		recs = recs[gt:]
 	}
@@ -208,10 +144,10 @@ func radixSort(recs []Keyed, d int) {
 
 // partition3 is a Dutch-national-flag partition of recs by the lane-d
 // value against pivot: returns the bounds of the equal region.
-func partition3(recs []Keyed, d int, pivot int64) (lt, gt int) {
+func partition3(recs []record, d int, pivot int64, bk []bucket) (lt, gt int) {
 	lt, gt = 0, len(recs)
 	for i := lt; i < gt; {
-		v := keyLane(&recs[i].Key, d)
+		v := keyLane(&recs[i], d, bk)
 		switch {
 		case v < pivot:
 			recs[lt], recs[i] = recs[i], recs[lt]
@@ -227,10 +163,10 @@ func partition3(recs []Keyed, d int, pivot int64) (lt, gt int) {
 	return lt, gt
 }
 
-func medianLane(recs []Keyed, d int) int64 {
-	a := keyLane(&recs[0].Key, d)
-	b := keyLane(&recs[len(recs)/2].Key, d)
-	c := keyLane(&recs[len(recs)-1].Key, d)
+func medianLane(recs []record, d int, bk []bucket) int64 {
+	a := keyLane(&recs[0], d, bk)
+	b := keyLane(&recs[len(recs)/2], d, bk)
+	c := keyLane(&recs[len(recs)-1], d, bk)
 	if a > b {
 		a, b = b, a
 	}
@@ -243,36 +179,64 @@ func medianLane(recs []Keyed, d int) int64 {
 	return b
 }
 
-func insertionSort(recs []Keyed, d int) {
+func insertionSort(recs []record, d int, bk []bucket) {
 	for i := 1; i < len(recs); i++ {
-		for j := i; j > 0 && compareFrom(&recs[j].Key, &recs[j-1].Key, d) < 0; j-- {
+		for j := i; j > 0 && compareFrom(&recs[j], &recs[j-1], d, bk) < 0; j-- {
 			recs[j], recs[j-1] = recs[j-1], recs[j]
 		}
 	}
 }
 
-// Groups is a reduce task's input: the records routed to one node,
-// sorted so equal keys are adjacent and groups appear in canonical key
-// order — the order the seed runtime produced by sort.Strings over its
-// string keys, preserved so floating-point metering sums accumulate
-// identically.
+// Groups is a reduce task's input: the records routed to one node (or
+// one key range of them), sorted so equal keys are adjacent and groups
+// appear in canonical key order — the order the seed runtime produced
+// by sort.Strings over its string keys, preserved so floating-point
+// metering sums accumulate identically.
 type Groups struct {
-	recs []Keyed
+	recs []record
+	bk   []bucket
 }
 
 // Records returns the total number of records across all groups.
 func (g *Groups) Records() int { return len(g.recs) }
 
-// Each calls fn once per distinct key with the records carrying it, in
-// canonical key order. The slice passed to fn aliases the shuffle
-// buffer and is only valid during the call.
-func (g *Groups) Each(fn func(key *Key, recs []Keyed)) {
+// Each calls fn once per distinct key with the group of records
+// carrying it, in canonical key order. The group and every row it
+// hands out are views of the shuffle scratch, valid only during the
+// call.
+func (g *Groups) Each(fn func(Group)) {
 	for i := 0; i < len(g.recs); {
 		j := i + 1
-		for j < len(g.recs) && g.recs[j].Key.Equal(&g.recs[i].Key) {
+		for j < len(g.recs) && sameKey(&g.recs[j], &g.recs[i], g.bk) {
 			j++
 		}
-		fn(&g.recs[i].Key, g.recs[i:j])
+		fn(Group{recs: g.recs[i:j], bk: g.bk})
 		i = j
 	}
+}
+
+// Group is the records sharing one key: a view handed out by
+// Groups.Each.
+type Group struct {
+	recs []record
+	bk   []bucket
+}
+
+// ID returns the group identifier the records were emitted under.
+func (g Group) ID() uint32 { return g.recs[0].group }
+
+// KeyLen returns the number of key cells.
+func (g Group) KeyLen() int { return int(g.recs[0].nkey) }
+
+// KeyCell returns the i-th key cell.
+func (g Group) KeyCell(i int) uint32 { return keyCell(&g.recs[0], i, g.bk) }
+
+// Len returns the number of records in the group.
+func (g Group) Len() int { return len(g.recs) }
+
+// Record returns the i-th record of the group: its input tag and its
+// row, a view of the cells written at emission.
+func (g Group) Record(i int) (tag int, row Row) {
+	r := &g.recs[i]
+	return int(r.tag), r.row(g.bk)
 }

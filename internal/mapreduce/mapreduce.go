@@ -17,28 +17,89 @@
 // meter directly; with more, every morsel logs its charges privately
 // and the logs are replayed into the per-node meters in canonical
 // morsel order, so the floating-point sums accumulate in exactly the
-// one-lane order. Shuffle routing happens at emission time into
-// per-(morsel, destination) buckets that are concatenated in (source
-// node, morsel) order.
+// one-lane order.
+//
+// The data plane is flat: tuples are cells in width-strided []TermID
+// arrays, never one slice header per row. A relation body is a Block
+// (width, row count, cells). An emitted tuple is a record — a 24-byte
+// pointer-free struct holding the group, the first key cell, the tag
+// and where the tuple's cells are — over cells written once, at
+// emission, into the cell buffer of the (morsel, destination) bucket
+// the key routes to. Routing concatenates a destination's buckets'
+// records in (source node, morsel) order and sorting permutes records
+// only; the cells never move again, and neither array holds a pointer,
+// so the garbage collector skips both.
+//
+// A Scratch owns every buffer a run fills — buckets, routed records,
+// slot tables and the per-node output blocks — and the next run handed
+// the same Scratch recycles all of them: a run's Output, and every view
+// Groups.Each hands a reducer (a group's key cells and its records'
+// rows, valid for the duration of the callback), alias that memory.
+// Whatever must outlive the next run is copied out by the caller.
 package mapreduce
 
 import (
 	"encoding/binary"
+	"slices"
 
 	"cliquesquare/internal/dstore"
+	"cliquesquare/internal/rdf"
 )
 
-// Row is a tuple flowing through a job.
+// Row is one tuple: width cells. Inside the runtime a Row is always a
+// view of some flat array (a Block, a partition file, a shuffle cell
+// buffer), valid as long as that array is.
 type Row = dstore.Row
 
-// Keyed is a shuffled record: a packed grouping key (built with
-// MakeKey/MakeKey1), an input tag (which join input the row belongs
-// to) and the row itself. Emitting one costs no heap allocation for
-// keys up to inlineCells cells wide.
-type Keyed struct {
-	Key Key
-	Tag int
-	Row Row
+// Block is a flat relation body: N rows of Width cells each, row i at
+// Cells[i*Width:(i+1)*Width]. The count is explicit because zero-width
+// rows (a fully bound pattern's matches) carry no cells but still
+// count.
+type Block struct {
+	Width, N int
+	Cells    []rdf.TermID
+}
+
+// Reset empties the block for rows of the given width, keeping its
+// backing array.
+func (b *Block) Reset(width int) { b.Width, b.N, b.Cells = width, 0, b.Cells[:0] }
+
+// Row returns row i as a view of the block, capacity clipped.
+func (b *Block) Row(i int) Row {
+	lo, hi := i*b.Width, (i+1)*b.Width
+	return b.Cells[lo:hi:hi]
+}
+
+// Extend grows the block by rows rows of the given width and returns
+// their cells for the caller to fill — the one way rows get into a
+// block. The first rows of an empty block fix its width.
+func (b *Block) Extend(rows, width int) []rdf.TermID {
+	if rows == 0 {
+		return nil
+	}
+	if b.N == 0 {
+		b.Width = width
+	} else if width != b.Width {
+		panic("mapreduce: rows of another width appended to a block")
+	}
+	n := len(b.Cells)
+	b.Cells = slices.Grow(b.Cells, rows*width)[:n+rows*width]
+	b.N += rows
+	return b.Cells[n:]
+}
+
+// Append copies one row's cells onto the block.
+func (b *Block) Append(row Row) { copy(b.Extend(1, len(row)), row) }
+
+// AppendBlock copies all of o's rows onto the block.
+func (b *Block) AppendBlock(o Block) { copy(b.Extend(o.N, o.Width), o.Cells) }
+
+// Clone returns an exactly sized copy that shares nothing with b: the
+// form in which rows outlive the scratch they were computed in.
+func (b *Block) Clone() Block {
+	cells := make([]rdf.TermID, len(b.Cells))
+	copy(cells, b.Cells)
+	return Block{Width: b.Width, N: b.N, Cells: cells}
 }
 
 // Constants are the per-tuple cost constants of Section 5.4 plus the
@@ -128,8 +189,8 @@ func (m *Meter) Total() float64 { return m.IO + m.CPU + m.Net }
 // Job describes one MapReduce job as independently schedulable morsels.
 //
 // MapMorsel runs MapMorsels(node) times per node; it may emit keyed
-// records into the shuffle and/or write rows to the job's direct output
-// (map-only output). Morsels of one node may run on different lanes
+// records into the shuffle (Emitter.Emit) and/or append rows to out,
+// the job's direct output (map-only output). Morsels of one node may run on different lanes
 // concurrently, so per-call scratch must be indexed by the lane
 // argument, and the concatenation of a node's morsel emissions, outputs
 // and metered charges in morsel order must equal what one per-node
@@ -141,7 +202,8 @@ func (m *Meter) Total() float64 { return m.IO + m.CPU + m.Net }
 // one per lane. ReduceFinish, if non-nil, then runs once per node to
 // combine the ranges (its metered charges and outputs follow all range
 // charges of that node, matching a groups-then-combine sweep). The
-// closures must charge their work to the provided Meter.
+// closures must charge their work to the provided Meter, and write
+// their output rows by appending to out — the runtime counts them.
 type Job struct {
 	Name string
 	// MapMorsels reports how many map morsels a node splits into (nil
@@ -149,12 +211,12 @@ type Job struct {
 	// nothing.
 	MapMorsels func(node int) int
 	// MapMorsel runs one map morsel of a node on a lane.
-	MapMorsel func(node, morsel, lane int, m *Meter, emit func(Keyed), out func(Row))
+	MapMorsel func(node, morsel, lane int, m *Meter, emit *Emitter, out *Block)
 	// ReduceRange runs one key range of a node's reduce input on a
 	// lane. ranges is the number of ranges the node was split into.
-	ReduceRange func(node, rng, ranges, lane int, m *Meter, groups *Groups, out func(Row))
+	ReduceRange func(node, rng, ranges, lane int, m *Meter, groups *Groups, out *Block)
 	// ReduceFinish combines a node's ranges after all of them ran.
-	ReduceFinish func(node, ranges, lane int, m *Meter, out func(Row))
+	ReduceFinish func(node, ranges, lane int, m *Meter, out *Block)
 }
 
 // ClassicJob adapts the classic MapReduce form — mapFn once per node,
@@ -165,10 +227,10 @@ type Job struct {
 // group's records alone, carrying nothing from one group to the next.
 // The per-range charges and rows of such a reducer concatenate, in
 // range order, to exactly those of one call over the whole node.
-func ClassicJob(name string, mapFn func(node int, m *Meter, emit func(Keyed), out func(Row)), reduce func(node int, m *Meter, groups *Groups, out func(Row))) Job {
-	job := Job{Name: name, MapMorsel: func(node, _, _ int, m *Meter, emit func(Keyed), out func(Row)) { mapFn(node, m, emit, out) }}
+func ClassicJob(name string, mapFn func(node int, m *Meter, emit *Emitter, out *Block), reduce func(node int, m *Meter, groups *Groups, out *Block)) Job {
+	job := Job{Name: name, MapMorsel: func(node, _, _ int, m *Meter, emit *Emitter, out *Block) { mapFn(node, m, emit, out) }}
 	if reduce != nil {
-		job.ReduceRange = func(node, _, _, _ int, m *Meter, groups *Groups, out func(Row)) { reduce(node, m, groups, out) }
+		job.ReduceRange = func(node, _, _, _ int, m *Meter, groups *Groups, out *Block) { reduce(node, m, groups, out) }
 	}
 	return job
 }
@@ -296,7 +358,7 @@ type slot struct {
 	node, idx, of int      // the node, and the unit's index among that node's of units
 	meter         Meter    // private meter logging into log (more than one lane only)
 	log           []charge // the unit's charges, in charge order
-	out           []Row    // rows written, unless the unit writes the node output directly
+	out           Block    // rows written, unless the unit writes the node output directly
 	outputs       int      // rows written
 	count, cells  int      // records and row cells emitted into the shuffle
 	groups        Groups   // a key range's records
@@ -304,7 +366,7 @@ type slot struct {
 
 // layout returns the slot table s sized for one phase: units(node)
 // slots per node, in node order, each reset for a new run but keeping
-// the backing arrays of its log and output rows.
+// the backing arrays of its log and output block.
 func layout(s []slot, n int, units func(node int) int) []slot {
 	s = s[:0]
 	for node := 0; node < n; node++ {
@@ -316,80 +378,109 @@ func layout(s []slot, n int, units func(node int) int) []slot {
 				s = append(s, slot{})
 			}
 			u := &s[len(s)-1]
-			*u = slot{node: node, idx: i, of: k, log: u.log[:0], out: u.out[:0]}
+			*u = slot{node: node, idx: i, of: k, log: u.log[:0], out: Block{Cells: u.out.Cells[:0]}}
 		}
 	}
 	return s
 }
 
-// ResetBufs returns buf at n buffers, each reset to length zero but
-// keeping its backing array — including buffers a shorter run left
-// parked beyond buf's length. It is the reuse idiom of every per-slot,
-// per-node and per-info buffer table in the runtime and the executor.
-func ResetBufs[E any](buf [][]E, n int) [][]E {
+// resize returns buf at n elements, keeping — untouched, backing arrays
+// included — the elements a shorter run left parked beyond buf's
+// length. The caller resets the ones it is about to use.
+func resize[E any](buf []E, n int) []E {
 	buf = buf[:cap(buf)]
 	if n > len(buf) {
-		buf = append(buf, make([][]E, n-len(buf))...)
+		buf = append(buf, make([]E, n-len(buf))...)
 	}
-	buf = buf[:n]
+	return buf[:n]
+}
+
+// ResetBufs returns buf at n buffers, each reset to length zero but
+// keeping its backing array: resize for tables of plain slices.
+func ResetBufs[E any](buf [][]E, n int) [][]E {
+	buf = resize(buf, n)
 	for i := range buf {
 		buf[i] = buf[i][:0]
 	}
 	return buf
 }
 
-// laneState is one lane's current unit bindings: where its emit and out
-// closures write. The closures themselves are built once per Scratch
-// lane and retargeted per unit, so running a unit allocates nothing.
-type laneState struct {
-	n       int       // cluster size (routing modulus)
-	unit    *slot     // the running unit: its counters
-	buckets [][]Keyed // per-destination emission buckets of a map morsel
-	out     *[]Row    // direct output target
+// ResetBlocks returns buf at n empty blocks that keep their backing
+// arrays: resize for tables of blocks.
+func ResetBlocks(buf []Block, n int) []Block {
+	buf = resize(buf, n)
+	for i := range buf {
+		buf[i].Reset(0)
+	}
+	return buf
+}
+
+// bucket holds what one map morsel emitted for one destination node:
+// the records, and the cells they point into.
+type bucket struct {
+	recs  []record
+	cells []rdf.TermID
+}
+
+// Emitter is a lane's handle on the shuffle while it runs one map
+// morsel. The runtime keeps one per lane and retargets it per unit, so
+// emitting allocates nothing once the buckets have grown.
+type Emitter struct {
+	n       int      // cluster size (routing modulus)
+	unit    *slot    // the running unit: its counters
+	base    uint32   // index of the unit's first bucket in the scratch's table
+	buckets []bucket // the unit's per-destination buckets
+}
+
+// Emit sends row into the shuffle under the key (group, row[keyCols...])
+// with the given input tag (which join input the row belongs to). The
+// row's cells are copied — once, into the cell buffer of the bucket the
+// key routes to — so the caller may reuse row as soon as Emit returns.
+func (e *Emitter) Emit(group uint32, tag int, row Row, keyCols []int) {
+	h := hashCell(fnv32Offset, group)
+	for _, c := range keyCols {
+		h = hashCell(h, uint32(row[c]))
+	}
+	dest := route(h, e.n)
+	b := &e.buckets[dest]
+	r := record{
+		group: group,
+		buf:   e.base + uint32(dest),
+		off:   uint32(len(b.cells)),
+		width: uint32(len(row)),
+		tag:   uint16(tag),
+		nkey:  uint16(len(keyCols)),
+	}
+	if len(keyCols) > 0 {
+		r.k0 = uint32(row[keyCols[0]])
+		for _, c := range keyCols[1:] {
+			b.cells = append(b.cells, row[c])
+		}
+	}
+	b.cells = append(b.cells, row...)
+	b.recs = append(b.recs, r)
+	e.unit.count++
+	e.unit.cells += len(row)
 }
 
 // Scratch holds the buffers one RunWith draws from: per-(morsel,
 // destination) emission buckets, the routed per-destination records,
-// the slot tables and the per-lane emit/out closures. Buffers are sized
-// on first use and reused (at their high-water capacity) by every
-// subsequent run handed the same Scratch. A Scratch serves one run at a
-// time — the lanes inside a run partition it per unit, but two
-// concurrent runs must not share one.
+// the slot tables, the per-node output blocks and the per-lane
+// emitters. Buffers are sized on first use and reused (at their
+// high-water capacity) by every subsequent run handed the same Scratch
+// — which is why a run's Output is only valid until the next one. A
+// Scratch serves one run at a time: the lanes inside a run partition it
+// per unit, but two concurrent runs must not share one.
 type Scratch struct {
-	buckets  [][]Keyed // map slot*n+dest -> records emitted for dest
-	shuffled [][]Keyed // dest node -> routed records
-	rangeOff [][]int32 // node -> group-aligned range offsets
+	buckets  []bucket   // map slot*n+dest -> what the morsel emitted for dest
+	shuffled [][]record // dest node -> routed records
+	rangeOff [][]int32  // node -> group-aligned range offsets
+	outputs  []Block    // node -> the job's output rows
 
 	// One slot per unit of each phase, in canonical order.
 	morsels, ranges, finishes []slot
 
-	// per-lane retargetable closures (allocated once per lane).
-	lanes   []*laneState
-	emitFns []func(Keyed)
-	outFns  []func(Row)
-}
-
-// laneFns sizes the per-lane closure set for a run over n nodes. Lane
-// states are allocated individually so the closures' captured pointers
-// survive growth.
-func (sc *Scratch) laneFns(lanes, n int) {
-	for len(sc.lanes) < lanes {
-		st := &laneState{}
-		sc.lanes = append(sc.lanes, st)
-		sc.emitFns = append(sc.emitFns, func(k Keyed) {
-			dest := k.Key.route(st.n)
-			st.buckets[dest] = append(st.buckets[dest], k)
-			st.unit.count++
-			st.unit.cells += len(k.Row)
-		})
-		sc.outFns = append(sc.outFns, func(r Row) {
-			*st.out = append(*st.out, r)
-			st.unit.outputs++
-		})
-	}
-	for _, st := range sc.lanes[:lanes] {
-		st.n = n
-	}
+	lanes []Emitter
 }
 
 // NewCluster creates a cluster over the given store.
@@ -417,26 +508,18 @@ func (cl *Cluster) TotalWork() float64 {
 	return cl.totalWork
 }
 
-// Output of a job: rows per node.
+// Output of a job: one block of rows per node. The blocks belong to the
+// run's Scratch and are recycled by its next run; without a caller's
+// Scratch they are the Output's own.
 type Output struct {
-	PerNode [][]Row
-}
-
-// Rows returns all output rows concatenated in node order, in one
-// exactly-sized allocation.
-func (o *Output) Rows() []Row {
-	out := make([]Row, 0, o.Len())
-	for _, rs := range o.PerNode {
-		out = append(out, rs...)
-	}
-	return out
+	PerNode []Block
 }
 
 // Len is the total number of output rows.
 func (o *Output) Len() int {
 	n := 0
-	for _, rs := range o.PerNode {
-		n += len(rs)
+	for i := range o.PerNode {
+		n += o.PerNode[i].N
 	}
 	return n
 }
@@ -444,7 +527,7 @@ func (o *Output) Len() int {
 // splitRanges cuts sorted recs into at most maxRanges group-aligned
 // ranges of roughly equal size and returns their offsets in offs[:0]:
 // range i is recs[offs[i]:offs[i+1]], and no group straddles a cut.
-func splitRanges(offs []int32, recs []Keyed, maxRanges int) []int32 {
+func splitRanges(offs []int32, recs []record, bk []bucket, maxRanges int) []int32 {
 	offs = append(offs[:0], 0)
 	target := (len(recs) + maxRanges - 1) / maxRanges
 	for r := 1; r < maxRanges; r++ {
@@ -452,7 +535,7 @@ func splitRanges(offs []int32, recs []Keyed, maxRanges int) []int32 {
 		if pos <= int(offs[len(offs)-1]) {
 			continue
 		}
-		for pos < len(recs) && recs[pos].Key.Equal(&recs[pos-1].Key) {
+		for pos < len(recs) && sameKey(&recs[pos], &recs[pos-1], bk) {
 			pos++
 		}
 		if pos >= len(recs) {
@@ -487,29 +570,30 @@ func (cl *Cluster) RunWith(job Job, opts RunOptions) *Output {
 	}
 	pool := opts.Pool
 	lanes := pool.Lanes()
-	sc.laneFns(lanes, n)
-	out := &Output{PerNode: make([][]Row, n)}
+	sc.lanes = resize(sc.lanes, lanes)
+	sc.outputs = ResetBlocks(sc.outputs, n)
+	out := &Output{PerNode: sc.outputs}
 	stats := JobStats{Name: job.Name, MapOnly: job.ReduceRange == nil}
 	mapM := make([]Meter, n)
 
-	// begin points a lane at the unit it is about to run — direct units
-	// write the node output itself, the others their own slot — and
-	// returns the meter the unit charges. This is the one place the lane
-	// count decides anything about metering: one lane runs the units in
-	// canonical order, so they charge their node's meter and log
-	// nothing; more lanes run them in any order, so each charges a
-	// private meter whose log merge replays in canonical order.
-	begin := func(lane int, u *slot, nodeM []Meter, direct bool) *Meter {
-		st := sc.lanes[lane]
-		st.unit, st.out = u, &u.out
+	// begin points a lane at the unit it is about to run and returns the
+	// meter the unit charges and the block it writes — the node output
+	// itself for direct units, the unit's own slot otherwise. This is the
+	// one place the lane count decides anything about metering: one lane
+	// runs the units in canonical order, so they charge their node's
+	// meter and log nothing; more lanes run them in any order, so each
+	// charges a private meter whose log merge replays in canonical order.
+	begin := func(lane int, u *slot, nodeM []Meter, direct bool) (*Meter, *Block) {
+		sc.lanes[lane].unit = u
+		dst := &u.out
 		if direct {
-			st.out = &out.PerNode[u.node]
+			dst = &out.PerNode[u.node]
 		}
 		if lanes == 1 {
-			return &nodeM[u.node]
+			return &nodeM[u.node], dst
 		}
 		u.meter.rec = &u.log
-		return &u.meter
+		return &u.meter, dst
 	}
 	// merge folds finished units into their nodes in canonical order.
 	// Replaying an empty log and appending no rows are no-ops, so this
@@ -521,7 +605,7 @@ func (cl *Cluster) RunWith(job Job, opts RunOptions) *Output {
 			stats.Shuffled += u.count
 			stats.ShuffledCells += u.cells
 			stats.Output += u.outputs
-			out.PerNode[u.node] = append(out.PerNode[u.node], u.out...)
+			out.PerNode[u.node].AppendBlock(u.out)
 		}
 	}
 
@@ -532,13 +616,20 @@ func (cl *Cluster) RunWith(job Job, opts RunOptions) *Output {
 		}
 		return job.MapMorsels(node)
 	})
-	sc.buckets = ResetBufs(sc.buckets, len(sc.morsels)*n)
+	sc.buckets = resize(sc.buckets, len(sc.morsels)*n)
+	for i := range sc.buckets {
+		b := &sc.buckets[i]
+		b.recs, b.cells = b.recs[:0], b.cells[:0]
+	}
 	pool.ForEach(len(sc.morsels), func(i, lane int) {
 		u := &sc.morsels[i]
 		// A node's only morsel writes the node output directly.
-		m := begin(lane, u, mapM, u.of == 1)
-		sc.lanes[lane].buckets = sc.buckets[i*n : (i+1)*n]
-		job.MapMorsel(u.node, u.idx, lane, m, sc.emitFns[lane], sc.outFns[lane])
+		m, dst := begin(lane, u, mapM, u.of == 1)
+		e := &sc.lanes[lane]
+		e.n, e.base, e.buckets = n, uint32(i*n), sc.buckets[i*n:(i+1)*n]
+		before := dst.N
+		job.MapMorsel(u.node, u.idx, lane, m, e, dst)
+		u.outputs = dst.N - before
 	})
 	merge(sc.morsels, mapM)
 
@@ -548,19 +639,19 @@ func (cl *Cluster) RunWith(job Job, opts RunOptions) *Output {
 		shufM, redM = make([]Meter, n), make([]Meter, n)
 		sc.shuffled = ResetBufs(sc.shuffled, n)
 		sc.rangeOff = ResetBufs(sc.rangeOff, n)
-		// Per destination: concatenate the pre-routed buckets in (source
-		// node, morsel) order, charge, sort into canonical group order
-		// and split into group-aligned ranges, one per lane at most. The
-		// single Shuffle charge per node needs no replay.
+		// Per destination: concatenate the pre-routed buckets' records in
+		// (source node, morsel) order, charge, sort into canonical group
+		// order and split into group-aligned ranges, one per lane at most.
+		// The single Shuffle charge per node needs no replay.
 		pool.ForEach(n, func(dest, _ int) {
 			buf := sc.shuffled[dest]
 			for s := range sc.morsels {
-				buf = append(buf, sc.buckets[s*n+dest]...)
+				buf = append(buf, sc.buckets[s*n+dest].recs...)
 			}
 			sc.shuffled[dest] = buf
 			shufM[dest].Shuffle(&cl.C, len(buf))
-			sortRecords(buf)
-			sc.rangeOff[dest] = splitRanges(sc.rangeOff[dest], buf, lanes)
+			sortRecords(buf, sc.buckets)
+			sc.rangeOff[dest] = splitRanges(sc.rangeOff[dest], buf, sc.buckets, lanes)
 		})
 
 		// One unit per (node, range): ranges of all nodes share one queue.
@@ -568,17 +659,22 @@ func (cl *Cluster) RunWith(job Job, opts RunOptions) *Output {
 		pool.ForEach(len(sc.ranges), func(i, lane int) {
 			u := &sc.ranges[i]
 			offs := sc.rangeOff[u.node]
-			u.groups.recs = sc.shuffled[u.node][offs[u.idx]:offs[u.idx+1]]
-			m := begin(lane, u, redM, u.of == 1 && job.ReduceFinish == nil)
-			job.ReduceRange(u.node, u.idx, u.of, lane, m, &u.groups, sc.outFns[lane])
+			u.groups = Groups{recs: sc.shuffled[u.node][offs[u.idx]:offs[u.idx+1]], bk: sc.buckets}
+			m, dst := begin(lane, u, redM, u.of == 1 && job.ReduceFinish == nil)
+			before := dst.N
+			job.ReduceRange(u.node, u.idx, u.of, lane, m, &u.groups, dst)
+			u.outputs = dst.N - before
 		})
 		// Range charges and range outputs land before any finish work.
 		merge(sc.ranges, redM)
 		if job.ReduceFinish != nil {
 			sc.finishes = layout(sc.finishes, n, func(int) int { return 1 })
 			pool.ForEach(n, func(node, lane int) {
-				m := begin(lane, &sc.finishes[node], redM, true)
-				job.ReduceFinish(node, len(sc.rangeOff[node])-1, lane, m, sc.outFns[lane])
+				u := &sc.finishes[node]
+				m, dst := begin(lane, u, redM, true)
+				before := dst.N
+				job.ReduceFinish(node, len(sc.rangeOff[node])-1, lane, m, dst)
+				u.outputs = dst.N - before
 			})
 			merge(sc.finishes, redM)
 		}
@@ -599,10 +695,10 @@ func (cl *Cluster) Reset() {
 }
 
 // EncodeKey builds the seed runtime's string shuffle key from a group
-// identifier and attribute values. The execution path uses packed Keys
-// (MakeKey); this encoding is retained as the reference representation
-// — property tests compare the binary path against it, and the
-// baseline simulators use it for distinct-row counting.
+// identifier and attribute values. The execution path keys records
+// in binary (Emitter.Emit); this encoding is retained as the reference
+// representation — property tests compare the binary path against it,
+// and the baseline simulators use it for distinct-row counting.
 func EncodeKey(group int, vals []uint32) string {
 	buf := make([]byte, 4+4*len(vals))
 	binary.LittleEndian.PutUint32(buf, uint32(group))

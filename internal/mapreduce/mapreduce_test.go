@@ -31,14 +31,14 @@ func TestMapOnlyJob(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		store.Node(i).Append("in", []string{"v"}, dstore.Row{rdf.TermID(i + 1)})
 	}
-	out := runOn(cl, 0, ClassicJob("identity", func(node int, m *Meter, emit func(Keyed), out func(Row)) {
+	out := runOn(cl, 0, ClassicJob("identity", func(node int, m *Meter, emit *Emitter, out *Block) {
 		f, ok := store.Node(node).Get("in")
 		if !ok {
 			return
 		}
 		m.Read(&cl.C, f.NumRows())
 		for i := 0; i < f.NumRows(); i++ {
-			out(f.Row(i))
+			out.Append(f.Row(i))
 		}
 	}, nil), nil)
 	if out.Len() != 3 {
@@ -62,13 +62,13 @@ func TestShuffleGroupsByExactKey(t *testing.T) {
 	// shared counter is atomic.
 	var groupsSeen atomic.Int32
 	out := runOn(cl, 4, ClassicJob("group",
-		func(node int, m *Meter, emit func(Keyed), out func(Row)) {
-			emit(Keyed{Key: MakeKey1(0, uint32(node%2)), Tag: 0, Row: Row{rdf.TermID(node)}})
+		func(node int, m *Meter, emit *Emitter, out *Block) {
+			emit.Emit(0, 0, Row{rdf.TermID(node % 2), rdf.TermID(node)}, []int{0})
 		},
-		func(node int, m *Meter, groups *Groups, out func(Row)) {
-			groups.Each(func(_ *Key, recs []Keyed) {
+		func(node int, m *Meter, groups *Groups, out *Block) {
+			groups.Each(func(g Group) {
 				groupsSeen.Add(1)
-				out(Row{rdf.TermID(len(recs))})
+				out.Append(Row{rdf.TermID(g.Len())})
 			})
 		}), nil)
 	if n := groupsSeen.Load(); n != 2 {
@@ -103,7 +103,7 @@ func TestEncodeKeyInjective(t *testing.T) {
 func TestTimingIsMaxOverNodesPlusInit(t *testing.T) {
 	cl, _ := wordCountCluster(2)
 	// Node 0 does 100 reads, node 1 does 10: map time must be the max.
-	runOn(cl, 0, ClassicJob("skew", func(node int, m *Meter, emit func(Keyed), out func(Row)) {
+	runOn(cl, 0, ClassicJob("skew", func(node int, m *Meter, emit *Emitter, out *Block) {
 		if node == 0 {
 			m.Read(&cl.C, 100)
 		} else {
@@ -125,7 +125,7 @@ func TestTimingIsMaxOverNodesPlusInit(t *testing.T) {
 
 func TestReset(t *testing.T) {
 	cl, _ := wordCountCluster(1)
-	runOn(cl, 0, ClassicJob("noop", func(int, *Meter, func(Keyed), func(Row)) {}, nil), nil)
+	runOn(cl, 0, ClassicJob("noop", func(int, *Meter, *Emitter, *Block) {}, nil), nil)
 	cl.Reset()
 	if len(cl.Jobs) != 0 || cl.TotalWork() != 0 || cl.ResponseTime() != 0 {
 		t.Error("Reset did not clear stats")
@@ -134,40 +134,51 @@ func TestReset(t *testing.T) {
 
 func TestRoutingDeterministic(t *testing.T) {
 	for i := 0; i < 10; i++ {
-		k := MakeKey1(uint32(i), uint32(i*7))
-		if k.route(7) != k.route(7) {
+		h := hashCell(hashCell(fnv32Offset, uint32(i)), uint32(i*7))
+		if route(h, 7) != route(h, 7) {
 			t.Fatal("route not deterministic")
 		}
 	}
 }
 
-// TestRoutingMatchesReference asserts the inline routing hash lands
-// every key on the node the seed's hasher-object routing picked.
+// TestRoutingMatchesReference asserts emission lands every tuple in the
+// bucket of the node the seed's hasher-object routing picked.
 func TestRoutingMatchesReference(t *testing.T) {
 	f := func(group uint16, cells []uint32, n uint8) bool {
 		nodes := int(n%16) + 1
-		k := MakeKey(uint32(group), cells)
-		return k.route(nodes) == ReferenceRoute(k.Encode())%nodes
+		tu := tuple{group: uint32(group), row: make(Row, len(cells)), cols: make([]int, len(cells))}
+		for i, c := range cells {
+			tu.row[i], tu.cols[i] = rdf.TermID(c), i
+		}
+		bk := emitAll(nodes, []tuple{tu})
+		return len(bk[ReferenceRoute(tu.encode())%nodes].recs) == 1
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
 }
 
-// TestKeyEncodeMatchesEncodeKey pins the packed key's reference
-// encoding, equality and ordering to the seed string representation.
+// TestKeyEncodeMatchesEncodeKey pins the record's key — its reference
+// encoding, equality and ordering — to the seed string representation.
 func TestKeyEncodeMatchesEncodeKey(t *testing.T) {
+	mk := func(g uint16, cells []uint32) tuple {
+		tu := tuple{group: uint32(g), row: make(Row, len(cells)), cols: make([]int, len(cells))}
+		for i, c := range cells {
+			tu.row[i], tu.cols[i] = rdf.TermID(c), i
+		}
+		return tu
+	}
 	f := func(g1, g2 uint16, c1, c2 []uint32) bool {
-		k1 := MakeKey(uint32(g1), c1)
-		k2 := MakeKey(uint32(g2), c2)
+		bk := emitAll(1, []tuple{mk(g1, c1), mk(g2, c2)})
+		k1, k2 := &bk[0].recs[0], &bk[0].recs[1]
 		s1, s2 := EncodeKey(int(g1), c1), EncodeKey(int(g2), c2)
-		if k1.Encode() != s1 || k2.Encode() != s2 {
+		if encodeRecord(k1, bk) != s1 || encodeRecord(k2, bk) != s2 {
 			return false
 		}
-		if k1.Equal(&k2) != (s1 == s2) {
+		if sameKey(k1, k2, bk) != (s1 == s2) {
 			return false
 		}
-		cmp := k1.Compare(&k2)
+		cmp := compareFrom(k1, k2, 0, bk)
 		switch {
 		case s1 < s2:
 			return cmp < 0
@@ -200,20 +211,16 @@ func TestMeterAccumulates(t *testing.T) {
 // small job whose output and stats exercise both phases.
 func countJob(cl *Cluster) Job {
 	return ClassicJob("count",
-		func(node int, m *Meter, emit func(Keyed), out func(Row)) {
+		func(node int, m *Meter, emit *Emitter, out *Block) {
 			for i := 0; i < 50; i++ {
 				m.Read(&cl.C, 1)
-				emit(Keyed{
-					Key: MakeKey1(0, uint32((node*50+i)%13)),
-					Tag: 0,
-					Row: Row{rdf.TermID(node), rdf.TermID(i)},
-				})
+				emit.Emit(0, 0, Row{rdf.TermID((node*50 + i) % 13), rdf.TermID(node), rdf.TermID(i)}, []int{0})
 			}
 		},
-		func(node int, m *Meter, groups *Groups, out func(Row)) {
-			groups.Each(func(_ *Key, recs []Keyed) {
-				m.Join(&cl.C, len(recs))
-				out(Row{rdf.TermID(len(recs))})
+		func(node int, m *Meter, groups *Groups, out *Block) {
+			groups.Each(func(g Group) {
+				m.Join(&cl.C, g.Len())
+				out.Append(Row{rdf.TermID(g.Len())})
 			})
 		})
 }
@@ -248,24 +255,24 @@ func TestClassicJobAcrossRanges(t *testing.T) {
 	var reduceCalls atomic.Int32
 	job := func(cl *Cluster) Job {
 		return ClassicJob("classic",
-			func(node int, m *Meter, emit func(Keyed), out func(Row)) {
+			func(node int, m *Meter, emit *Emitter, out *Block) {
 				for i := 0; i < 60; i++ {
 					m.Read(&cl.C, i+1)
 					m.Check(&cl.C, 2*i+1)
-					emit(Keyed{Key: MakeKey1(0, uint32((node*7+i)%41)), Tag: 0, Row: Row{rdf.TermID(node), rdf.TermID(i)}})
+					emit.Emit(0, 0, Row{rdf.TermID((node*7 + i) % 41), rdf.TermID(node), rdf.TermID(i)}, []int{0})
 				}
 			},
-			func(node int, m *Meter, groups *Groups, out func(Row)) {
+			func(node int, m *Meter, groups *Groups, out *Block) {
 				reduceCalls.Add(1)
-				groups.Each(func(key *Key, recs []Keyed) {
-					m.Check(&cl.C, len(recs)*2+1)
-					m.Join(&cl.C, len(recs))
-					out(Row{rdf.TermID(key.Cell(0)), rdf.TermID(len(recs))})
+				groups.Each(func(g Group) {
+					m.Check(&cl.C, g.Len()*2+1)
+					m.Join(&cl.C, g.Len())
+					out.Append(Row{rdf.TermID(g.KeyCell(0)), rdf.TermID(g.Len())})
 				})
 			})
 	}
 	type result struct {
-		rows     [][]Row
+		rows     []Block
 		stats    JobStats
 		replayed JobStats
 		work     float64
@@ -311,7 +318,7 @@ func TestPanicPropagates(t *testing.T) {
 			t.Errorf("recover() = %v, want boom", r)
 		}
 	}()
-	runOn(cl, 4, ClassicJob("panics", func(node int, m *Meter, emit func(Keyed), out func(Row)) {
+	runOn(cl, 4, ClassicJob("panics", func(node int, m *Meter, emit *Emitter, out *Block) {
 		if node == 2 {
 			panic("boom")
 		}
@@ -320,15 +327,15 @@ func TestPanicPropagates(t *testing.T) {
 
 func TestOutputRowsOrderedByNode(t *testing.T) {
 	cl, _ := wordCountCluster(3)
-	out := runOn(cl, 0, ClassicJob("pernode", func(node int, m *Meter, emit func(Keyed), outF func(Row)) {
-		outF(Row{rdf.TermID(node)})
+	out := runOn(cl, 0, ClassicJob("pernode", func(node int, m *Meter, emit *Emitter, outF *Block) {
+		outF.Append(Row{rdf.TermID(node)})
 	}, nil), nil)
 	if len(out.PerNode) != 3 {
 		t.Fatalf("PerNode = %d, want 3", len(out.PerNode))
 	}
 	for i, rs := range out.PerNode {
-		if len(rs) != 1 {
-			t.Errorf("node %d output %d rows, want 1", i, len(rs))
+		if rs.N != 1 || rs.Row(0)[0] != rdf.TermID(i) {
+			t.Errorf("node %d output %v, want its own id in one row", i, rs)
 		}
 	}
 }

@@ -3,6 +3,8 @@ package mapreduce
 import (
 	"reflect"
 	"testing"
+
+	"cliquesquare/internal/rdf"
 )
 
 // chargeJob builds a job whose meters accumulate many small
@@ -10,18 +12,18 @@ import (
 // any reordering of the additions would change the sums bit-wise.
 func chargeJob(cl *Cluster) Job {
 	return ClassicJob("charges",
-		func(node int, m *Meter, emit func(Keyed), out func(Row)) {
+		func(node int, m *Meter, emit *Emitter, out *Block) {
 			for i := 0; i < 7+node*3; i++ {
 				m.Read(&cl.C, i+1)
 				m.Check(&cl.C, 2*i+1)
-				emit(Keyed{Key: MakeKey1(0, uint32((node+i)%5)), Tag: 0, Row: Row{1, 2}})
+				emit.Emit(0, 0, Row{rdf.TermID((node + i) % 5), 1, 2}, []int{0})
 			}
 		},
-		func(node int, m *Meter, groups *Groups, out func(Row)) {
-			groups.Each(func(_ *Key, recs []Keyed) {
-				m.Join(&cl.C, len(recs)*2+1)
-				m.Write(&cl.C, len(recs))
-				out(Row{3})
+		func(node int, m *Meter, groups *Groups, out *Block) {
+			groups.Each(func(g Group) {
+				m.Join(&cl.C, g.Len()*2+1)
+				m.Write(&cl.C, g.Len())
+				out.Append(Row{3})
 			})
 		})
 }
@@ -90,9 +92,9 @@ func TestRecordParallelMatchesSequential(t *testing.T) {
 func TestRecordMapOnly(t *testing.T) {
 	cl, _ := wordCountCluster(2)
 	rec := &JobRecord{}
-	runOn(cl, 0, ClassicJob("mo", func(node int, m *Meter, emit func(Keyed), out func(Row)) {
+	runOn(cl, 0, ClassicJob("mo", func(node int, m *Meter, emit *Emitter, out *Block) {
 		m.Read(&cl.C, 5+node)
-		out(Row{1})
+		out.Append(Row{1})
 	}, nil), rec)
 	cl2, _ := wordCountCluster(2)
 	got := cl2.Replay("mo", rec)

@@ -10,6 +10,17 @@
 // reduce join whose deepest reduce-join descendant chain has length ℓ
 // runs in job ℓ, so independent joins of the same level share one job —
 // the mechanism that lets flat plans run in few jobs.
+//
+// Execution is flat from scan to result: a relation is a schema over a
+// mapreduce.Block (width, row count, one []TermID), scans copy matching
+// cells from the partition files' slabs into blocks, joins index row
+// numbers and append output cells, projections and shuffle emission
+// read and write cells. Every such block belongs to the ExecContext
+// (its per-lane arenas, range slots, intermediate table and shuffle
+// scratch) and is recycled by the context's next execution; what
+// outlives an execution — Result.Rows and result-cache entries — is
+// copied into exactly sized blocks of its own. Result.Rows, one header
+// slice over the final block, is the only []Row a query builds.
 package physical
 
 import (

@@ -18,6 +18,15 @@ import (
 // the scratch amortizes allocations across them. An ExecContext serves
 // one execution at a time.
 //
+// Ownership: every block of cells that lives inside one execution —
+// scan and map-join outputs (arena blocks), reduce-group inputs, the
+// per-range join outputs, the per-node intermediate relations, the
+// shuffle's cell buffers and the jobs' per-node outputs — belongs to
+// the context and is recycled, in place, by the next execution it
+// serves. Nothing that outlives the execution may alias it: the final
+// result (Result.Rows) and every result-cache entry are copied out
+// into exactly sized blocks of their own (dedupeSort, Block.Clone).
+//
 // The lane count is fixed by NewExecContext, which spawns the context's
 // persistent mapreduce worker pool (parked between jobs); the owner
 // must call Close to reap the workers. A zero-value context — what
@@ -41,9 +50,9 @@ type ExecContext struct {
 	shuffle mapreduce.Scratch
 
 	// byID and interm are the executor's plan-shaped scratch: infos
-	// dense by ID and, per reduce join, its output rows per node.
+	// dense by ID and, per reduce join, its output block per node.
 	byID   []*Info
-	interm [][][]mapreduce.Row
+	interm [][]mapreduce.Block
 
 	// morsels is the per-node map-morsel table of the current job,
 	// built sequentially before the job runs.
@@ -54,20 +63,27 @@ type ExecContext struct {
 	// in range order. Sized node-major at nodes×lanes.
 	ranges     []rangeSlot
 	rangeWidth int
+
+	// dedupeSort's scratch: per-part offsets, merge heads and head
+	// prefixes, each part's sorted row numbers, and the merged order of
+	// the survivors.
+	sortOffs, sortHeads []int
+	sortPrefix          []uint64
+	sortIdx, sortOrder  []int32
 }
 
-// rangeSlot is one key range's reduce-join accumulation: output rows,
+// rangeSlot is one key range's reduce-join accumulation: output block,
 // per-group output counts and first-production order, per info ID —
 // the range-local shard of what a whole-node reduce used to build.
 type rangeSlot struct {
-	rows   [][]mapreduce.Row
+	blocks []mapreduce.Block
 	counts [][]int32
 	order  []int32
 }
 
 // reset empties the slot for n infos.
 func (s *rangeSlot) reset(n int) {
-	s.rows = mapreduce.ResetBufs(s.rows, n)
+	s.blocks = mapreduce.ResetBlocks(s.blocks, n)
 	s.counts = mapreduce.ResetBufs(s.counts, n)
 	s.order = s.order[:0]
 }
@@ -79,7 +95,7 @@ type mapMorsel struct {
 	rj    *Info    // the reduce join being fed
 	child *core.Op // the child producing records
 	ci    *Info    // child's classification (nil for per-file scans)
-	tag   int      // child index within rj (the Keyed Tag)
+	tag   int      // child index within rj (the emitted records' tag)
 	file  string   // partition file for per-file scan morsels
 }
 
@@ -123,7 +139,7 @@ func (c *ExecContext) infoSlots(n int) []*Info {
 
 // intermSlots returns the per-info intermediate table at length n.
 // Slots are left as-is (the executor resets the ones actually used).
-func (c *ExecContext) intermSlots(n int) [][][]mapreduce.Row {
+func (c *ExecContext) intermSlots(n int) [][]mapreduce.Block {
 	for len(c.interm) < n {
 		c.interm = append(c.interm, nil)
 	}
@@ -145,29 +161,34 @@ func (c *ExecContext) rangeSlot(node, rng int) *rangeSlot {
 }
 
 // arena is one worker lane's reusable scratch for local evaluation:
-// the join tables, cursor slices and key-cell buffers naryJoin and the
-// shuffle emitters need per call, scan filter scratch, reduce-group
-// input buffers, plus a slab allocator for output rows. Scratch
-// buffers are reused across calls; slab rows are never reused (they
-// escape into relations and results), only allocated in large chunks.
+// the cell blocks scans and map joins write their output relations to,
+// the join tables, cursor slices and column buffers naryJoin and the
+// shuffle emitters need per call, scan filter scratch and reduce-group
+// input relations. Everything is reused across calls, morsels and
+// executions; nothing in it may be referenced once the execution that
+// filled it has returned.
 type arena struct {
+	// blocks is the morsel-scoped block stack: a morsel's local
+	// evaluation takes one block per relation it builds (nextBlock), and
+	// the next morsel on the lane takes the same blocks again.
+	blocks []*mapreduce.Block
+	used   int
+
 	tables   []*joinTable
 	colIdx   [][]int
-	lists    [][]mapreduce.Row
-	group    []mapreduce.Row
-	slab     []rdf.TermID
-	emitCols []int // shuffle-key column indexes, hoisted per relation
+	lists    [][]int32 // per join child: the probed row numbers
+	at       []int     // per join child: cell offset of the current row
+	emitCols []int     // shuffle-key column indexes, hoisted per relation
 
 	// joinPlans memoizes the schema-derived part of naryJoin (output
 	// column sources, residual checks) keyed on the children's schema
 	// and output-attrs slice identities.
 	joinPlans []*joinPlan
 
-	// scan filter scratch (Executor.scan).
+	// scan filter scratch (Executor.scanFiles).
 	scanConsts  []constCheck
 	scanRepeats [][2]rdf.Pos
 	scanVarPos  []rdf.Pos
-	scanPlans   []scanFile
 
 	// scan file-name memo: partition-file resolution is pure per
 	// (operator, replica position) within one pinned view, so the
@@ -183,6 +204,22 @@ type arena struct {
 	rjSeen    []bool
 	projCols  []int
 }
+
+// nextBlock hands out the morsel's next block, emptied for rows of the
+// given width. The block is valid until the lane's next morsel starts
+// (resetBlocks).
+func (a *arena) nextBlock(width int) *mapreduce.Block {
+	if a.used == len(a.blocks) {
+		a.blocks = append(a.blocks, &mapreduce.Block{})
+	}
+	b := a.blocks[a.used]
+	a.used++
+	b.Reset(width)
+	return b
+}
+
+// resetBlocks starts a new morsel: every block is up for reuse.
+func (a *arena) resetBlocks() { a.used = 0 }
 
 // fileKey identifies one scan's file resolution: the (immutable) plan
 // operator plus the replica position it reads.
@@ -203,8 +240,8 @@ type scanFile struct {
 	useIdx bool
 }
 
-// relBuf returns nc reusable group-input relations (rows buffers keep
-// their backing arrays; the caller resets schema and length).
+// relBuf returns nc reusable group-input relations (their blocks keep
+// their backing arrays; the caller resets schema and block).
 func (a *arena) relBuf(nc int) []relation {
 	for len(a.groupRels) < nc {
 		a.groupRels = append(a.groupRels, relation{})
@@ -282,58 +319,35 @@ outer:
 	return jp
 }
 
-const slabChunk = 8192
-
-// newRow returns a fresh width-w row, drawn from the arena's slab when
-// one is available (a nil arena degrades to a plain allocation). Slab
-// rows are handed out exactly once and never recycled, so they may
-// safely escape into results that outlive the arena's next reuse.
-func (a *arena) newRow(w int) mapreduce.Row {
-	if a == nil {
-		return make(mapreduce.Row, w)
-	}
-	if w > len(a.slab) {
-		n := slabChunk
-		if w > n {
-			n = w
-		}
-		a.slab = make([]rdf.TermID, n)
-	}
-	r := mapreduce.Row(a.slab[:w:w])
-	a.slab = a.slab[w:]
-	return r
-}
-
 // grow sizes the per-child scratch slices for a join of nc inputs.
 func (a *arena) grow(nc int) {
 	for len(a.tables) < nc {
 		a.tables = append(a.tables, &joinTable{})
 		a.colIdx = append(a.colIdx, nil)
 		a.lists = append(a.lists, nil)
-	}
-	if cap(a.group) < nc {
-		a.group = make([]mapreduce.Row, nc)
+		a.at = append(a.at, 0)
 	}
 }
 
 // joinTable is an open-addressing hash table over one join child's
 // rows, grouped by join key. Buckets index entries; after build, each
-// entry owns a contiguous span of the child's rows laid out grouped by
-// key (CSR layout), so a probe returns a ready []Row with no per-key
-// allocation. Keys are hashed and compared directly on the rows' cells
-// — the specialized equivalent of a map[uint32][]Row for the dominant
-// single-attribute join, generalizing to multi-attribute keys. All
-// storage is arena-owned and reused across joins.
+// entry owns a contiguous span of the child's row numbers laid out
+// grouped by key (CSR layout), so a probe returns a ready list with no
+// per-key allocation. Keys are hashed and compared directly on the
+// rows' cells — the specialized equivalent of a map[uint32][]int32 for
+// the dominant single-attribute join, generalizing to multi-attribute
+// keys. All storage is arena-owned, pointer-free and reused across
+// joins.
 type joinTable struct {
 	mask    uint32
-	buckets []int32  // entry index + 1; 0 = empty
-	hashes  []uint64 // per entry: full key hash
-	rep     []int32  // per entry: first row carrying the key
-	off     []int32  // per entry +1: CSR offsets into ordered
-	cnt     []int32  // build scratch: per entry count, then fill cursor
-	rowEnt  []int32  // build scratch: per row, its entry
-	ordered []mapreduce.Row
-	rows    []mapreduce.Row // the build child's rows (pinned until release)
+	buckets []int32         // entry index + 1; 0 = empty
+	hashes  []uint64        // per entry: full key hash
+	rep     []int32         // per entry: first row carrying the key
+	off     []int32         // per entry +1: CSR offsets into ordered
+	cnt     []int32         // build scratch: per entry count, then fill cursor
+	rowEnt  []int32         // build scratch: per row, its entry
+	ordered []int32         // row numbers, grouped by entry
+	rel     mapreduce.Block // the build child
 	cols    []int           // join-key columns in the child's schema
 }
 
@@ -371,30 +385,32 @@ func keyEqual(a mapreduce.Row, ca []int, b mapreduce.Row, cb []int) bool {
 	return true
 }
 
-// build indexes rows by their key columns.
-func (t *joinTable) build(rows []mapreduce.Row, cols []int) {
-	t.rows = rows
+// sized returns buf at length n, reallocating only when it is too small
+// (contents are unspecified).
+func sized[E any](buf []E, n int) []E {
+	if cap(buf) < n {
+		return make([]E, n)
+	}
+	return buf[:n]
+}
+
+// build indexes rel's rows by their key columns.
+func (t *joinTable) build(rel mapreduce.Block, cols []int) {
+	t.rel = rel
 	t.cols = append(t.cols[:0], cols...)
 	size := 8
-	for size < 2*len(rows) {
+	for size < 2*rel.N {
 		size <<= 1
 	}
-	if cap(t.buckets) < size {
-		t.buckets = make([]int32, size)
-	} else {
-		t.buckets = t.buckets[:size]
-		clear(t.buckets)
-	}
+	t.buckets = sized(t.buckets, size)
+	clear(t.buckets)
 	t.mask = uint32(size - 1)
 	t.hashes = t.hashes[:0]
 	t.rep = t.rep[:0]
 	t.cnt = t.cnt[:0]
-	if cap(t.rowEnt) < len(rows) {
-		t.rowEnt = make([]int32, len(rows))
-	} else {
-		t.rowEnt = t.rowEnt[:len(rows)]
-	}
-	for ri, row := range rows {
+	t.rowEnt = sized(t.rowEnt, rel.N)
+	for ri := 0; ri < rel.N; ri++ {
+		row := rel.Row(ri)
 		h := hashRowKey(row, cols)
 		slot := uint32(h) & t.mask
 		for {
@@ -408,7 +424,7 @@ func (t *joinTable) build(rows []mapreduce.Row, cols []int) {
 				break
 			}
 			ei := e - 1
-			if t.hashes[ei] == h && keyEqual(rows[t.rep[ei]], cols, row, cols) {
+			if t.hashes[ei] == h && keyEqual(rel.Row(int(t.rep[ei])), cols, row, cols) {
 				t.cnt[ei]++
 				t.rowEnt[ri] = ei
 				break
@@ -416,35 +432,26 @@ func (t *joinTable) build(rows []mapreduce.Row, cols []int) {
 			slot = (slot + 1) & t.mask
 		}
 	}
-	// CSR layout: lay rows out contiguously per entry, preserving their
-	// original order within each key group.
+	// CSR layout: list row numbers contiguously per entry, preserving
+	// their original order within each key group.
 	nEnt := len(t.rep)
-	if cap(t.off) < nEnt+1 {
-		t.off = make([]int32, nEnt+1)
-	} else {
-		t.off = t.off[:nEnt+1]
-	}
+	t.off = sized(t.off, nEnt+1)
 	t.off[0] = 0
 	for e := 0; e < nEnt; e++ {
 		t.off[e+1] = t.off[e] + t.cnt[e]
 		t.cnt[e] = t.off[e] // reuse as fill cursor
 	}
-	if cap(t.ordered) < len(rows) {
-		t.ordered = make([]mapreduce.Row, len(rows))
-	} else {
-		t.ordered = t.ordered[:len(rows)]
-	}
-	for ri, row := range rows {
-		e := t.rowEnt[ri]
-		t.ordered[t.cnt[e]] = row
+	t.ordered = sized(t.ordered, rel.N)
+	for ri, e := range t.rowEnt {
+		t.ordered[t.cnt[e]] = int32(ri)
 		t.cnt[e]++
 	}
 }
 
-// probe returns the rows whose key equals probe's key cells (columns
-// probeCols, hash h), or nil. The returned slice is valid until the
-// table is rebuilt or released.
-func (t *joinTable) probe(probe mapreduce.Row, probeCols []int, h uint64) []mapreduce.Row {
+// probe returns the numbers of the build child's rows whose key equals
+// probe's key cells (columns probeCols, hash h), or nil. The returned
+// slice is valid until the table is rebuilt.
+func (t *joinTable) probe(probe mapreduce.Row, probeCols []int, h uint64) []int32 {
 	slot := uint32(h) & t.mask
 	for {
 		e := t.buckets[slot]
@@ -452,18 +459,9 @@ func (t *joinTable) probe(probe mapreduce.Row, probeCols []int, h uint64) []mapr
 			return nil
 		}
 		ei := e - 1
-		if t.hashes[ei] == h && keyEqual(t.rows[t.rep[ei]], t.cols, probe, probeCols) {
+		if t.hashes[ei] == h && keyEqual(t.rel.Row(int(t.rep[ei])), t.cols, probe, probeCols) {
 			return t.ordered[t.off[ei]:t.off[ei+1]]
 		}
 		slot = (slot + 1) & t.mask
 	}
-}
-
-// release drops the table's references to the build child's rows so a
-// pooled arena doesn't pin a finished query's intermediates until its
-// next reuse. The index storage itself stays for the next build.
-func (t *joinTable) release() {
-	t.rows = nil
-	clear(t.ordered)
-	t.ordered = t.ordered[:0]
 }

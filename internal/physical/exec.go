@@ -56,11 +56,14 @@ type Executor struct {
 type Result struct {
 	// Schema is the output column order (the query's SELECT variables).
 	Schema []string
-	// Rows are the distinct result tuples, sorted for determinism. They
-	// are shared and immutable: with a result cache the slice is a view
-	// of the final job's cache entry, handed as-is to every execution
-	// that hits it. Read them; to reorder, truncate or overwrite, copy
-	// first (the facade decodes them into fresh [][]string).
+	// Rows are the distinct result tuples, sorted for determinism: one
+	// exactly sized header slice over the final result block — the only
+	// []Row an execution builds, and no part of it aliases the context
+	// that computed it. They are shared and immutable: with a result
+	// cache the slice is the final job's cache entry's, handed as-is to
+	// every execution that hits it. Read them; to reorder, truncate or
+	// overwrite, copy first (the facade decodes them into fresh
+	// [][]string).
 	Rows []mapreduce.Row
 	// Jobs are the per-job simulator statistics for this execution.
 	Jobs []mapreduce.JobStats
@@ -78,15 +81,6 @@ func (x *Executor) sinkJob() {
 	if x.Ctx.StatsSink != nil {
 		x.Ctx.StatsSink(x.Cluster.Jobs[len(x.Cluster.Jobs)-1])
 	}
-}
-
-// copyRowHeaders clones a row set's headers — into a cache entry, so it
-// survives the context recycling its intermediate slices; the
-// slab-backed cells are shared (they are immutable once handed out).
-func copyRowHeaders(rows []mapreduce.Row) []mapreduce.Row {
-	out := make([]mapreduce.Row, len(rows))
-	copy(out, rows)
-	return out
 }
 
 // Execute runs pp and returns its deduplicated, sorted results together
@@ -107,17 +101,16 @@ func (x *Executor) Execute(pp *Plan) (*Result, error) {
 	workBefore := x.Cluster.TotalWork()
 
 	// byID resolves infos densely by ID; interm[id] holds a reduce
-	// join's output rows per node, pre-sized so empty joins still have
-	// empty (not nil) per-node slices — and so concurrent morsel workers
-	// write disjoint slots of already-built tables. Both live in the
-	// context and are reused across executions.
+	// join's output block per node, pre-sized so concurrent morsel
+	// workers write disjoint slots of already-built tables. Both live in
+	// the context and are reused across executions.
 	nodes := x.view.Nodes()
 	byID := x.Ctx.infoSlots(len(pp.Infos))
 	interm := x.Ctx.intermSlots(len(pp.Infos))
 	for _, in := range pp.Infos {
 		byID[in.ID] = in
 		if in.Kind == KindReduceJoin {
-			interm[in.ID] = mapreduce.ResetBufs(interm[in.ID], nodes)
+			interm[in.ID] = mapreduce.ResetBlocks(interm[in.ID], nodes)
 		}
 	}
 	x.Ctx.rangeSlots(nodes, x.Ctx.lanes())
@@ -145,26 +138,28 @@ func (x *Executor) Execute(pp *Plan) (*Result, error) {
 	return res, nil
 }
 
-// serveLevel produces job l of the plan — its reduce joins' rows in
+// serveLevel produces job l of the plan — its reduce joins' blocks in
 // the context's intermediate table, its JobStats in the cluster's log
 // and, for the last job, the finished result rows it returns — through
 // the result cache when there is one. A hit replays the recorded
 // meters and restores the rows; a miss runs the job recording and
-// snapshots them. Intermediate rows are appended into the context's own
-// slices (later jobs' bookkeeping recycles those); the final rows are
-// returned as a view of the entry, hit or miss — see Result.Rows.
+// snapshots them. An entry owns exactly sized copies: intermediate
+// blocks are copied out of the context on a miss and back into it on a
+// hit (later jobs read them there, the next execution recycles them);
+// the final rows are the entry's own view, returned as it is, hit or
+// miss — see Result.Rows.
 func (x *Executor) serveLevel(pp *Plan, l int) ([]mapreduce.Row, error) {
 	last := l == pp.NumJobs()-1
-	run := func(rec *mapreduce.JobRecord) []mapreduce.Row {
+	run := func(rec *mapreduce.JobRecord) (mapreduce.Block, []mapreduce.Row) {
 		out := x.runLevel(pp, l, rec)
 		if !last {
-			return nil
+			return mapreduce.Block{}, nil
 		}
-		// The canonical result set: distinct rows in sorted order.
-		return dedupeSortRows(out.Rows(), x.Ctx.pool)
+		return x.Ctx.dedupeSort(out.PerNode)
 	}
 	if x.ResultCache == nil {
-		return run(nil), nil
+		_, rows := run(nil)
+		return rows, nil
 	}
 	var infos []*Info // the reduce joins whose rows the job leaves behind
 	if !pp.MapOnly() {
@@ -173,18 +168,15 @@ func (x *Executor) serveLevel(pp *Plan, l int) ([]mapreduce.Row, error) {
 	interm := x.Ctx.interm
 	ent, hit, err := x.ResultCache.Do(pp.JobKeys[l], x.view.VersionKey(), func() (*rescache.Entry, error) {
 		rec := &mapreduce.JobRecord{}
-		final := run(rec)
-		// Snapshot header copies of the level's intermediate rows: the
-		// context's own slices are recycled next execution. The
-		// slab-backed cells are shared — handed out once, never mutated.
-		snap := make([][][]mapreduce.Row, len(infos))
+		final, rows := run(rec)
+		snap := make([][]mapreduce.Block, len(infos))
 		for i, in := range infos {
-			snap[i] = make([][]mapreduce.Row, len(interm[in.ID]))
-			for node, rows := range interm[in.ID] {
-				snap[i][node] = copyRowHeaders(rows)
+			snap[i] = make([]mapreduce.Block, len(interm[in.ID]))
+			for node, blk := range interm[in.ID] {
+				snap[i][node] = blk.Clone()
 			}
 		}
-		return rescache.NewEntry(rec, snap, final), nil
+		return rescache.NewEntry(rec, snap, final, rows), nil
 	})
 	if err != nil {
 		return nil, err
@@ -197,8 +189,8 @@ func (x *Executor) serveLevel(pp *Plan, l int) ([]mapreduce.Row, error) {
 		x.sinkJob()
 		for i, per := range ent.Interm {
 			id := infos[i].ID
-			for node, rows := range per {
-				interm[id][node] = append(interm[id][node], rows...)
+			for node, blk := range per {
+				interm[id][node].AppendBlock(blk)
 			}
 		}
 	}
@@ -248,14 +240,13 @@ func (x *Executor) runLevel(pp *Plan, l int, rec *mapreduce.JobRecord) *mapreduc
 func (x *Executor) mapOnlyJob(pp *Plan) mapreduce.Job {
 	sel := pp.Logical.Query.Select
 	return mapreduce.Job{
-		MapMorsel: func(node, _, lane int, m *mapreduce.Meter, _ func(mapreduce.Keyed), out func(mapreduce.Row)) {
+		MapMorsel: func(node, _, lane int, m *mapreduce.Meter, _ *mapreduce.Emitter, out *mapreduce.Block) {
 			a := x.Ctx.arenaFor(lane)
+			a.resetBlocks()
 			rel := x.evalLocal(pp, pp.Root, node, m, "", a)
-			proj := rel.project(a, sel)
-			m.Check(&x.Cluster.C, len(proj.rows))
-			for _, r := range proj.rows {
-				out(r)
-			}
+			a.projCols = rel.appendCols(a.projCols[:0], sel)
+			projectInto(out, rel.Block, a.projCols)
+			m.Check(&x.Cluster.C, rel.N)
 		},
 	}
 }
@@ -282,31 +273,34 @@ func (x *Executor) levelJob(pp *Plan, l int) mapreduce.Job {
 		MapMorsels: func(node int) int {
 			return len(morsels[node])
 		},
-		MapMorsel: func(node, morsel, lane int, m *mapreduce.Meter, emit func(mapreduce.Keyed), out func(mapreduce.Row)) {
+		MapMorsel: func(node, morsel, lane int, m *mapreduce.Meter, emit *mapreduce.Emitter, _ *mapreduce.Block) {
 			x.runMapMorsel(pp, &morsels[node][morsel], node, lane, m, emit)
 		},
-		ReduceRange: func(node, rng, _, lane int, m *mapreduce.Meter, groups *mapreduce.Groups, out func(mapreduce.Row)) {
+		ReduceRange: func(node, rng, _, lane int, m *mapreduce.Meter, groups *mapreduce.Groups, _ *mapreduce.Block) {
 			a := x.Ctx.arenaFor(lane)
 			s := x.Ctx.rangeSlot(node, rng)
 			s.reset(nInfo)
-			groups.Each(func(key *mapreduce.Key, recs []mapreduce.Keyed) {
-				rj := byID[int(key.Group())]
+			groups.Each(func(g mapreduce.Group) {
+				rj := byID[int(g.ID())]
 				id := rj.ID
+				// The group's records, split by input, are the join's
+				// children: their cells are copied out of the shuffle
+				// buffers into the lane's per-input blocks.
 				rels := a.relBuf(len(rj.Op.Children))
 				for i, c := range rj.Op.Children {
 					rels[i].schema = c.Attrs
-					rels[i].rows = rels[i].rows[:0]
+					rels[i].Reset(len(c.Attrs))
 				}
-				for ri := range recs {
-					rec := &recs[ri]
-					rels[rec.Tag].rows = append(rels[rec.Tag].rows, rec.Row)
+				for i := 0; i < g.Len(); i++ {
+					tag, row := g.Record(i)
+					rels[tag].Append(row)
 				}
-				var counts joinCounts
-				before := len(s.rows[id])
-				s.rows[id], counts = a.naryJoinInto(s.rows[id], rels, rj.Op.JoinAttrs, rj.Op.Attrs)
+				dst := &s.blocks[id]
+				before := dst.N
+				counts := a.naryJoinInto(dst, rels, rj.Op.JoinAttrs, rj.Op.Attrs)
 				m.Join(&x.Cluster.C, counts.in+counts.out)
 				m.Write(&x.Cluster.C, counts.out)
-				if produced := len(s.rows[id]) - before; produced > 0 {
+				if produced := dst.N - before; produced > 0 {
 					if len(s.counts[id]) == 0 {
 						s.order = append(s.order, int32(id))
 					}
@@ -314,7 +308,7 @@ func (x *Executor) levelJob(pp *Plan, l int) mapreduce.Job {
 				}
 			})
 		},
-		ReduceFinish: func(node, ranges, lane int, m *mapreduce.Meter, out func(mapreduce.Row)) {
+		ReduceFinish: func(node, ranges, lane int, m *mapreduce.Meter, out *mapreduce.Block) {
 			a := x.Ctx.arenaFor(lane)
 			// Merge the ranges' first-production orders into the node's
 			// global one (ranges partition the canonical group order, so
@@ -337,34 +331,24 @@ func (x *Executor) levelJob(pp *Plan, l int) mapreduce.Job {
 			for _, id32 := range order {
 				id := int(id32)
 				rj := byID[id]
-				if isLast && rj.Op == pp.Root {
+				final := isLast && rj.Op == pp.Root
+				if final {
 					// Final projection onto the SELECT list, with the
-					// columns resolved once and each group's check
-					// charged in group order.
+					// columns resolved once.
 					rel := relation{schema: rj.Op.Attrs}
-					cols := rel.appendCols(a.projCols[:0], q.Select)
-					a.projCols = cols
-					for rng := 0; rng < ranges; rng++ {
-						s := x.Ctx.rangeSlot(node, rng)
-						rows := s.rows[id]
-						pos := 0
-						for _, cnt := range s.counts[id] {
-							grp := rows[pos : pos+int(cnt)]
-							pos += int(cnt)
-							m.Check(&x.Cluster.C, len(grp))
-							for _, row := range grp {
-								nr := a.newRow(len(cols))
-								for i, c := range cols {
-									nr[i] = row[c]
-								}
-								out(nr)
-							}
-						}
-					}
-					continue
+					a.projCols = rel.appendCols(a.projCols[:0], q.Select)
 				}
 				for rng := 0; rng < ranges; rng++ {
-					interm[id][node] = append(interm[id][node], x.Ctx.rangeSlot(node, rng).rows[id]...)
+					s := x.Ctx.rangeSlot(node, rng)
+					if !final {
+						interm[id][node].AppendBlock(s.blocks[id])
+						continue
+					}
+					// Each group's check is charged in group order.
+					for _, cnt := range s.counts[id] {
+						m.Check(&x.Cluster.C, int(cnt))
+					}
+					projectInto(out, s.blocks[id], a.projCols)
 				}
 			}
 		},
@@ -410,59 +394,35 @@ func (x *Executor) buildMorsels(pp *Plan, level []*Info) [][]mapMorsel {
 	return tbl
 }
 
-// runMapMorsel evaluates one map morsel: a map shuffler re-emitting
-// the previous job's output, one partition file of a scan, or a whole
-// map-join subtree — re-keyed for the reduce join it feeds.
-func (x *Executor) runMapMorsel(pp *Plan, mo *mapMorsel, node, lane int, m *mapreduce.Meter, emit func(mapreduce.Keyed)) {
+// runMapMorsel evaluates one map morsel — a map shuffler re-reading the
+// previous job's output, one partition file of a scan, or a whole
+// map-join subtree — and emits its rows keyed for the reduce join it
+// feeds.
+func (x *Executor) runMapMorsel(pp *Plan, mo *mapMorsel, node, lane int, m *mapreduce.Meter, emit *mapreduce.Emitter) {
 	a := x.Ctx.arenaFor(lane)
-	gid := uint32(mo.rj.ID)
-	if mo.ci.Kind == KindReduceJoin {
+	a.resetBlocks()
+	var rel relation
+	switch {
+	case mo.ci.Kind == KindReduceJoin:
 		// Map shuffler: re-read the previous job's output and re-emit
 		// re-keyed.
-		rows := x.Ctx.interm[mo.ci.ID][node]
-		m.Read(&x.Cluster.C, len(rows))
-		m.Write(&x.Cluster.C, len(rows))
-		rel := relation{schema: mo.child.Attrs, rows: rows}
-		a.emitCols = rel.appendCols(a.emitCols[:0], mo.rj.Op.JoinAttrs)
-		for _, row := range rows {
-			emit(mapreduce.Keyed{Key: mapreduce.MakeRowKey(gid, row, a.emitCols), Tag: mo.tag, Row: row})
-		}
-		return
+		rel = relation{schema: mo.child.Attrs, Block: x.Ctx.interm[mo.ci.ID][node]}
+		m.Read(&x.Cluster.C, rel.N)
+		m.Write(&x.Cluster.C, rel.N)
+	case mo.file != "":
+		// Charges (Read, then Check when filtered) and emissions per file
+		// are exactly the whole scan's; concatenated in file order they
+		// reproduce its sequence.
+		file := [1]string{mo.file}
+		rel = x.scanFiles(pp, mo.child, node, m, file[:], a)
+	default:
+		rel = x.evalLocal(pp, mo.child, node, m, mo.rj.Op.JoinAttrs[0], a)
 	}
-	if mo.file != "" {
-		x.scanFileEmit(pp, mo, node, m, emit, a)
-		return
-	}
-	rel := x.evalLocal(pp, mo.child, node, m, mo.rj.Op.JoinAttrs[0], a)
 	a.emitCols = rel.appendCols(a.emitCols[:0], mo.rj.Op.JoinAttrs)
-	for _, row := range rel.rows {
-		emit(mapreduce.Keyed{Key: mapreduce.MakeRowKey(gid, row, a.emitCols), Tag: mo.tag, Row: row})
-	}
-}
-
-// scanFileEmit evaluates one partition file of a scan child and emits
-// its matching rows keyed for the reduce join: the per-file morsel
-// fuses gathering with emission, so the file's rows are touched once
-// and no intermediate relation is materialized. Charges (Read, then
-// Check when filtered) and emissions per file are exactly the whole
-// scan's; concatenated in file order they reproduce its sequence.
-func (x *Executor) scanFileEmit(pp *Plan, mo *mapMorsel, node int, m *mapreduce.Meter, emit func(mapreduce.Keyed), a *arena) {
-	op := mo.child
-	if x.scanFilters(pp.Logical.Query.Patterns[op.Pattern], op, a) {
-		return
-	}
-	f, ok := x.view.Node(node).Get(mo.file)
-	if !ok {
-		return
-	}
-	rel := relation{schema: op.Attrs}
-	a.emitCols = rel.appendCols(a.emitCols[:0], mo.rj.Op.JoinAttrs)
-	cols := a.emitCols
 	gid := uint32(mo.rj.ID)
-	tag := mo.tag
-	x.openScanFile(f, m, a).each(a, func(row mapreduce.Row) {
-		emit(mapreduce.Keyed{Key: mapreduce.MakeRowKey(gid, row, cols), Tag: tag, Row: row})
-	})
+	for i := 0; i < rel.N; i++ {
+		emit.Emit(gid, mo.tag, rel.Row(i), a.emitCols)
+	}
 }
 
 // evalLocal evaluates a scan or map-join subtree on one node. coVar is
@@ -470,20 +430,26 @@ func (x *Executor) scanFileEmit(pp *Plan, mo *mapMorsel, node int, m *mapreduce.
 // partition replica the scan must read so co-located joins see
 // co-partitioned inputs. Map joins impose their own first join
 // attribute on their children. It runs concurrently across lanes; all
-// mutable scratch lives in the lane's arena.
+// mutable scratch — the returned relation's cells included — lives in
+// the lane's arena.
 func (x *Executor) evalLocal(pp *Plan, op *core.Op, node int, m *mapreduce.Meter, coVar string, a *arena) relation {
 	switch op.Kind {
 	case core.OpMatch:
-		return x.scan(pp, op, node, m, coVar, a)
+		// Read the pattern's matching tuples from this node's replica
+		// partitioned on coVar's position (Section 5.1 file layout).
+		tp := pp.Logical.Query.Patterns[op.Pattern]
+		pos := x.Part.ScanPos(scanPosition(tp, coVar))
+		return x.scanFiles(pp, op, node, m, x.scanFileNames(a, op, tp, pos), a)
 	case core.OpJoin:
 		children := make([]relation, len(op.Children))
 		for i, c := range op.Children {
 			children[i] = x.evalLocal(pp, c, node, m, op.JoinAttrs[0], a)
 		}
-		rows, counts := a.naryJoinInto(nil, children, op.JoinAttrs, op.Attrs)
+		dst := a.nextBlock(len(op.Attrs))
+		counts := a.naryJoinInto(dst, children, op.JoinAttrs, op.Attrs)
 		m.Join(&x.Cluster.C, counts.in+counts.out)
 		m.Write(&x.Cluster.C, counts.out)
-		return relation{schema: op.Attrs, rows: rows}
+		return relation{schema: op.Attrs, Block: *dst}
 	}
 	panic(fmt.Sprintf("physical: evalLocal on %v", op.Kind))
 }
@@ -592,22 +558,18 @@ func (x *Executor) openScanFile(f *dstore.File, m *mapreduce.Meter, a *arena) sc
 	return sf
 }
 
-// candidates is how many rows each visits.
-func (sf scanFile) candidates() int {
-	if sf.useIdx {
-		return len(sf.cand)
-	}
-	return sf.f.NumRows()
-}
-
 // each filters the file's candidate rows by the pattern's constant and
-// repeated-variable checks and hands fn the variable columns of every
-// match, as a fresh slab-backed row.
-func (sf scanFile) each(a *arena, fn func(mapreduce.Row)) {
+// repeated-variable checks and copies the variable columns of every
+// match from the file's slab straight onto dst.
+func (sf scanFile) each(a *arena, dst *mapreduce.Block) {
 	consts, varPos, repeats := a.scanConsts, a.scanVarPos, a.scanRepeats
 	slab, fw := sf.f.Slab(), sf.f.Width()
+	n := sf.f.NumRows()
+	if sf.useIdx {
+		n = len(sf.cand)
+	}
 rows:
-	for i, n := 0, sf.candidates(); i < n; i++ {
+	for i := 0; i < n; i++ {
 		base := i * fw
 		if sf.useIdx {
 			base = int(sf.cand[i]) * fw
@@ -623,45 +585,30 @@ rows:
 				continue rows
 			}
 		}
-		row := a.newRow(len(varPos))
+		row := dst.Extend(1, len(varPos))
 		for j, p := range varPos {
 			row[j] = c[p]
 		}
-		fn(row)
 	}
 }
 
-// scan reads one triple pattern's matching tuples from this node's
-// replica partitioned on coVar's position (Section 5.1 file layout),
-// applying the pattern's constant and repeated-variable filters.
-func (x *Executor) scan(pp *Plan, op *core.Op, node int, m *mapreduce.Meter, coVar string, a *arena) relation {
-	tp := pp.Logical.Query.Patterns[op.Pattern]
-	pos := x.Part.ScanPos(scanPosition(tp, coVar))
+// scanFiles gathers, into one arena block, the tuples of op's triple
+// pattern in the named partition files of one node, applying the
+// pattern's constant and repeated-variable filters. Files the node
+// does not hold are skipped.
+func (x *Executor) scanFiles(pp *Plan, op *core.Op, node int, m *mapreduce.Meter, names []string, a *arena) relation {
 	rel := relation{schema: op.Attrs}
-	if x.scanFilters(tp, op, a) {
+	if x.scanFilters(pp.Logical.Query.Patterns[op.Pattern], op, a) {
 		return rel
 	}
-	// Open every file first, so the gather below can presize the output
-	// in one allocation.
+	dst := a.nextBlock(len(op.Attrs))
 	nd := x.view.Node(node)
-	files := a.scanPlans[:0]
-	total := 0
-	for _, fname := range x.scanFileNames(a, op, tp, pos) {
+	for _, fname := range names {
 		if f, ok := nd.Get(fname); ok {
-			sf := x.openScanFile(f, m, a)
-			total += sf.candidates()
-			files = append(files, sf)
+			x.openScanFile(f, m, a).each(a, dst)
 		}
 	}
-	a.scanPlans = files
-	if total == 0 {
-		return rel
-	}
-	rel.rows = make([]mapreduce.Row, 0, total)
-	gather := func(row mapreduce.Row) { rel.rows = append(rel.rows, row) }
-	for _, sf := range files {
-		sf.each(a, gather)
-	}
+	rel.Block = *dst
 	return rel
 }
 

@@ -1,0 +1,179 @@
+package physical
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
+	"testing"
+
+	"cliquesquare/internal/mapreduce"
+	"cliquesquare/internal/rdf"
+)
+
+// rowRel is a relation in row form: the shape the executor had before
+// its data plane went flat, kept as the reference's input.
+type rowRel struct {
+	schema []string
+	rows   []mapreduce.Row
+}
+
+// flat renders r as the executor's flat relation.
+func (r rowRel) flat() relation {
+	rel := relation{schema: r.schema}
+	rel.Reset(len(r.schema))
+	for _, row := range r.rows {
+		rel.Append(row)
+	}
+	return rel
+}
+
+// refJoin is the reference n-ary join: nested loops over every
+// combination of one row per child, kept when all children agree on
+// every attribute two or more of them carry, projected onto attrs
+// (each taken from the first child providing it).
+func refJoin(children []rowRel, attrs []string) []string {
+	var out []string
+	pick := make([]mapreduce.Row, len(children))
+	var rec func(i int)
+	rec = func(i int) {
+		if i < len(children) {
+			for _, row := range children[i].rows {
+				pick[i] = row
+				rec(i + 1)
+			}
+			return
+		}
+		bound := map[string]rdf.TermID{}
+		for ci, c := range children {
+			for col, a := range c.schema {
+				if v, ok := bound[a]; ok && v != pick[ci][col] {
+					return
+				}
+				bound[a] = pick[ci][col]
+			}
+		}
+		row := make(mapreduce.Row, len(attrs))
+		for i, a := range attrs {
+			row[i] = bound[a]
+		}
+		out = append(out, fmt.Sprint(row))
+	}
+	rec(0)
+	sort.Strings(out)
+	return out
+}
+
+// checkJoin runs naryJoinInto on the flat form of children — appending
+// to a block that already holds a row — and compares rows and counts
+// with the reference.
+func checkJoin(t *testing.T, a *arena, label string, children []rowRel, joinAttrs, attrs []string) {
+	t.Helper()
+	rels := make([]relation, len(children))
+	in := 0
+	for i, c := range children {
+		rels[i] = c.flat()
+		in += len(c.rows)
+	}
+	var dst mapreduce.Block
+	sentinel := make(mapreduce.Row, len(attrs))
+	dst.Append(sentinel)
+	counts := a.naryJoinInto(&dst, rels, joinAttrs, attrs)
+	want := refJoin(children, attrs)
+	got := []string{}
+	for i := 1; i < dst.N; i++ {
+		got = append(got, fmt.Sprint(dst.Row(i)))
+	}
+	sort.Strings(got)
+	if len(got) != len(want) || len(want) > 0 && !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: %d rows, the nested-loop reference has %d\n got %v\nwant %v", label, len(got), len(want), got, want)
+	}
+	if counts.in != in || counts.out != len(want) {
+		t.Fatalf("%s: counts %+v, want in %d out %d", label, counts, in, len(want))
+	}
+	if dst.Width != len(attrs) || len(dst.Cells) != dst.N*dst.Width || fmt.Sprint(dst.Row(0)) != fmt.Sprint(sentinel) {
+		t.Fatalf("%s: the destination block is inconsistent: %d x %d over %d cells, first row %v", label, dst.N, dst.Width, len(dst.Cells), dst.Row(0))
+	}
+}
+
+// randomRel draws n rows over schema from a small value domain, so keys
+// collide and residual checks both pass and fail.
+func randomRel(rng *rand.Rand, schema []string, n int) rowRel {
+	r := rowRel{schema: schema}
+	for i := 0; i < n; i++ {
+		row := make(mapreduce.Row, len(schema))
+		for j := range row {
+			row[j] = rdf.TermID(rng.Intn(3))
+		}
+		r.rows = append(r.rows, row)
+	}
+	return r
+}
+
+// TestNaryJoinMatchesNestedLoops checks the flat join kernel against
+// nested loops over seeded random relations: two to four children, keys
+// of one, two, three and five attributes, attributes shared by some
+// children but not joined on (the residual checks), private attributes,
+// outputs that drop and reorder columns — all through one arena, so
+// table and cursor reuse across joins is covered too.
+func TestNaryJoinMatchesNestedLoops(t *testing.T) {
+	a := &arena{}
+	for trial := 0; trial < 300; trial++ {
+		rng := rand.New(rand.NewSource(int64(trial)))
+		nc := 2 + rng.Intn(3)
+		joinAttrs := []string{"k0", "k1", "k2", "k3", "k4"}[:[]int{1, 2, 3, 5}[trial%4]]
+		children := make([]rowRel, nc)
+		union := append([]string(nil), joinAttrs...)
+		for i := range children {
+			schema := append([]string(nil), joinAttrs...)
+			if rng.Intn(2) == 0 {
+				schema = append(schema, "shared") // carried by some children only
+			}
+			if rng.Intn(3) == 0 {
+				schema = append(schema, "shared2")
+			}
+			schema = append(schema, fmt.Sprintf("own%d", i))
+			rng.Shuffle(len(schema), func(x, y int) { schema[x], schema[y] = schema[y], schema[x] })
+			children[i] = randomRel(rng, schema, rng.Intn(12))
+			for _, s := range schema {
+				if !contains(union, s) {
+					union = append(union, s)
+				}
+			}
+		}
+		rng.Shuffle(len(union), func(x, y int) { union[x], union[y] = union[y], union[x] })
+		attrs := union[:rng.Intn(len(union)+1)]
+		checkJoin(t, a, fmt.Sprintf("trial %d", trial), children, joinAttrs, attrs)
+	}
+}
+
+func contains(ss []string, s string) bool {
+	for _, x := range ss {
+		if x == s {
+			return true
+		}
+	}
+	return false
+}
+
+// TestNaryJoinEdgeShapes pins the shapes a width-strided block could
+// get wrong: a zero-width child (a fully bound pattern's matches carry
+// no cells but multiply the output), a zero-width output, an empty
+// child, and a single child.
+func TestNaryJoinEdgeShapes(t *testing.T) {
+	a := &arena{}
+	rng := rand.New(rand.NewSource(7))
+	xy := randomRel(rng, []string{"x", "y"}, 9)
+	yz := randomRel(rng, []string{"y", "z"}, 9)
+	bound := rowRel{rows: []mapreduce.Row{{}, {}, {}}} // three matches, no variables
+	none := rowRel{schema: []string{"y", "w"}}
+
+	checkJoin(t, a, "zero-width child last", []rowRel{xy, bound}, nil, []string{"x", "y"})
+	checkJoin(t, a, "zero-width child first", []rowRel{bound, xy}, nil, []string{"y"})
+	checkJoin(t, a, "two zero-width children", []rowRel{bound, bound}, nil, nil)
+	checkJoin(t, a, "zero-width output", []rowRel{xy, yz}, []string{"y"}, nil)
+	checkJoin(t, a, "empty child", []rowRel{xy, none, yz}, []string{"y"}, []string{"x", "z"})
+	checkJoin(t, a, "empty first child", []rowRel{none, xy}, []string{"y"}, []string{"x", "w"})
+	checkJoin(t, a, "single child", []rowRel{xy}, []string{"y"}, []string{"y", "x"})
+	checkJoin(t, a, "repeated variable", []rowRel{xy, randomRel(rng, []string{"y", "x"}, 9)}, []string{"y"}, []string{"x", "y"})
+}

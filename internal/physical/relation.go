@@ -7,10 +7,13 @@ import (
 )
 
 // relation is a local (per-node or per-group) set of rows under a
-// column schema of variable names.
+// column schema of variable names: a flat block whose width is the
+// schema's length. The cells belong to whoever filled the block — an
+// arena, a range slot, the context's intermediate table — and a
+// relation value is a view of them.
 type relation struct {
 	schema []string
-	rows   []mapreduce.Row
+	mapreduce.Block
 }
 
 // col returns the column index of attribute a, or -1.
@@ -42,19 +45,24 @@ type joinCounts struct {
 // naryJoinInto computes the n-ary equality join of children on
 // joinAttrs, additionally enforcing equality on every attribute shared
 // by two or more children (the folded residual selection), and appends
-// the output rows — written directly in attrs column order, fusing the
-// post-join projection — to dst. Every child but the first is indexed
-// in an arena-owned open-addressing joinTable keyed directly on the
-// rows' join cells (no per-row key string); the first child's rows
-// stream through, probing each table with one precomputed hash. Output
-// rows come from the arena's slab; the column sources and residual
-// checks come from the arena's join-plan memo (they depend only on the
-// child schemas and attrs, which repeat across the thousands of
-// per-group joins of one reduce phase).
-func (a *arena) naryJoinInto(dst []mapreduce.Row, children []relation, joinAttrs, attrs []string) ([]mapreduce.Row, joinCounts) {
+// the output rows' cells — written directly in attrs column order,
+// fusing the post-join projection — to dst. Every child but the first
+// is indexed in an arena-owned open-addressing joinTable keyed directly
+// on the rows' join cells (no per-row key string) and listing row
+// numbers; the first child's rows stream through, probing each table
+// with one precomputed hash. The column sources and residual checks
+// come from the arena's join-plan memo (they depend only on the child
+// schemas and attrs, which repeat across the thousands of per-group
+// joins of one reduce phase).
+func (a *arena) naryJoinInto(dst *mapreduce.Block, children []relation, joinAttrs, attrs []string) joinCounts {
 	var counts joinCounts
-	if len(children) == 0 {
-		return dst, counts
+	empty := len(children) == 0
+	for i := range children {
+		counts.in += children[i].N
+		empty = empty || children[i].N == 0
+	}
+	if empty {
+		return counts
 	}
 	jp := a.joinPlanFor(children, attrs)
 	nc := len(children)
@@ -63,74 +71,55 @@ func (a *arena) naryJoinInto(dst []mapreduce.Row, children []relation, joinAttrs
 	// Resolve join-key columns once per child.
 	for i := range children {
 		a.colIdx[i] = children[i].appendCols(a.colIdx[i][:0], joinAttrs)
-		counts.in += len(children[i].rows)
 	}
 	for i := 1; i < nc; i++ {
-		a.tables[i].build(children[i].rows, a.colIdx[i])
+		a.tables[i].build(children[i].Block, a.colIdx[i])
 	}
-
-	srcChild, srcCol := jp.srcChild, jp.srcCol
-	checks := jp.checks
-	w := len(attrs)
 
 	// Stream the first child: every row whose key is present in all
 	// other children produces the consistent combinations of the
-	// per-child groups.
-	group := a.group[:nc]
-	lists := a.lists[:nc]
-	cols0 := a.colIdx[0]
-	for _, row0 := range children[0].rows {
+	// per-child groups. at[i] is where, in child i's cells, the row of
+	// the combination being enumerated starts.
+	at, lists := a.at[:nc], a.lists[:nc]
+	emit := func() {
+		for _, c := range jp.checks {
+			if children[c.aChild].Cells[at[c.aChild]+c.aCol] != children[c.bChild].Cells[at[c.bChild]+c.bCol] {
+				return
+			}
+		}
+		out := dst.Extend(1, len(attrs))
+		for i := range out {
+			out[i] = children[jp.srcChild[i]].Cells[at[jp.srcChild[i]]+jp.srcCol[i]]
+		}
+		counts.out++
+	}
+	c0, cols0 := &children[0], a.colIdx[0]
+rows:
+	for r := 0; r < c0.N; r++ {
+		row0 := c0.Row(r)
 		h := hashRowKey(row0, cols0)
-		ok := true
 		for i := 1; i < nc; i++ {
-			l := a.tables[i].probe(row0, cols0, h)
-			if l == nil {
-				ok = false
-				break
+			if lists[i] = a.tables[i].probe(row0, cols0, h); lists[i] == nil {
+				continue rows
 			}
-			lists[i] = l
 		}
-		if !ok {
-			continue
-		}
-		group[0] = row0
-		combine(lists, 1, group, func() {
-			for _, c := range checks {
-				if group[c.aChild][c.aCol] != group[c.bChild][c.bCol] {
-					return
-				}
-			}
-			row := a.newRow(w)
-			for i := 0; i < w; i++ {
-				row[i] = group[srcChild[i]][srcCol[i]]
-			}
-			dst = append(dst, row)
-			counts.out++
-		})
+		at[0] = r * c0.Width
+		combine(children, lists, 1, at, emit)
 	}
-	// Drop references to this join's inputs so pooled arenas don't pin
-	// a finished query's intermediate rows until their next reuse.
-	for i := 1; i < nc; i++ {
-		a.tables[i].release()
-	}
-	for i := 0; i < nc; i++ {
-		lists[i] = nil
-		group[i] = nil
-	}
-	return dst, counts
+	return counts
 }
 
-// combine enumerates the cross product of lists[i:], filling group in
-// place and invoking fn for each full combination (group[:i] is
-// already set by the caller).
-func combine(lists [][]mapreduce.Row, i int, group []mapreduce.Row, fn func()) {
+// combine enumerates the cross product of lists[i:] — row numbers of
+// children[i:] — filling at in place and invoking fn for each full
+// combination (at[:i] is already set by the caller).
+func combine(children []relation, lists [][]int32, i int, at []int, fn func()) {
 	if i == len(lists) {
 		fn()
 		return
 	}
-	for _, row := range lists[i] {
-		group[i] = row
-		combine(lists, i+1, group, fn)
+	for _, r := range lists[i] {
+		at[i] = int(r) * children[i].Width
+		combine(children, lists, i+1, at, fn)
 	}
 }
 
@@ -188,89 +177,15 @@ func residualChecks(schema []string, children []relation, srcChild, srcCol []int
 	return checks
 }
 
-// project returns rows restricted to attrs (which must exist in r's
-// schema), without deduplication. Output rows come from the arena's
-// slab when one is provided.
-func (r *relation) project(a *arena, attrs []string) relation {
-	cols := make([]int, len(attrs))
-	for i, at := range attrs {
-		cols[i] = r.col(at)
-	}
-	out := relation{schema: append([]string(nil), attrs...)}
-	for _, row := range r.rows {
-		nr := a.newRow(len(cols))
-		for i, c := range cols {
-			nr[i] = row[c]
-		}
-		out.rows = append(out.rows, nr)
-	}
-	return out
-}
-
-// hashRow hashes a row's full contents (FNV-1a word folding over the
-// cells, length mixed in, splitmix finalizer).
-func hashRow(row mapreduce.Row) uint64 {
-	h := uint64(14695981039346656037)
-	h = (h ^ uint64(len(row))) * 1099511628211
-	for _, v := range row {
-		h = (h ^ uint64(uint32(v))) * 1099511628211
-	}
-	return mix64(h)
-}
-
-func rowEqual(a, b mapreduce.Row) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+// projectInto appends src's rows, restricted to its columns cols, to
+// dst, without deduplication.
+func projectInto(dst *mapreduce.Block, src mapreduce.Block, cols []int) {
+	out := dst.Extend(src.N, len(cols))
+	for r, k := 0, 0; r < src.N; r++ {
+		row := src.Row(r)
+		for _, c := range cols {
+			out[k] = row[c]
+			k++
 		}
 	}
-	return true
-}
-
-// dedupe removes duplicate rows in place (set semantics of BGP
-// evaluation), keeping first occurrences in order. Rows are hashed on
-// their contents into an open-addressing set: no per-row key string,
-// one bucket-array allocation per call.
-func dedupe(rows []mapreduce.Row) []mapreduce.Row {
-	if len(rows) <= 1 {
-		return rows
-	}
-	size := 8
-	for size < 2*len(rows) {
-		size <<= 1
-	}
-	buckets := make([]int32, size) // kept-row index + 1; 0 = empty
-	mask := uint32(size - 1)
-	out := rows[:0]
-	for _, row := range rows {
-		h := hashRow(row)
-		slot := uint32(h) & mask
-		dup := false
-		for {
-			e := buckets[slot]
-			if e == 0 {
-				buckets[slot] = int32(len(out)) + 1
-				break
-			}
-			if rowEqual(out[e-1], row) {
-				dup = true
-				break
-			}
-			slot = (slot + 1) & mask
-		}
-		if !dup {
-			out = append(out, row)
-		}
-	}
-	return out
-}
-
-// sortRows orders rows lexicographically for deterministic output.
-func sortRows(rows []mapreduce.Row) {
-	sort.Slice(rows, func(i, j int) bool {
-		return rowLess(rows[i], rows[j])
-	})
 }

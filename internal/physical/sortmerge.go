@@ -1,70 +1,126 @@
 package physical
 
-import "cliquesquare/internal/mapreduce"
+import (
+	"slices"
+	"sort"
 
-// parallelSortMin is the result size below which the final
-// dedupe+sort runs single-threaded: chunking and merging only pay for
-// themselves on large result sets.
+	"cliquesquare/internal/mapreduce"
+	"cliquesquare/internal/rdf"
+)
+
+// parallelSortMin is the result size below which the final sort runs
+// on the calling lane alone: dispatching the parts to the pool only
+// pays for itself on large result sets.
 const parallelSortMin = 4096
 
-// rowLess is the canonical result order: lexicographic by cell, then
-// by length. It is total on distinct rows, which is what makes the
-// parallel path below exact — any algorithm producing the sorted
-// distinct set yields byte-identical output.
-func rowLess(a, b mapreduce.Row) bool {
-	for k := 0; k < len(a) && k < len(b); k++ {
-		if a[k] != b[k] {
-			return a[k] < b[k]
+// compareRows is the canonical result order: lexicographic by cell,
+// over rows of one width. It is total on distinct rows, which is what
+// makes dedupeSort exact — any algorithm producing the sorted distinct
+// set yields byte-identical output.
+func compareRows(a, b mapreduce.Row) int {
+	for k, v := range a {
+		if w := b[k]; v != w {
+			if v < w {
+				return -1
+			}
+			return 1
 		}
 	}
-	return len(a) < len(b)
+	return 0
 }
 
-// dedupeSortRows produces the canonical result set — distinct rows in
-// rowLess order — equal to dedupe followed by sortRows. Large inputs
-// split into per-lane chunks sorted concurrently on the pool, then a
-// k-way merge emits rows in order, dropping duplicates as they meet
-// (equal rows are adjacent across chunk heads under a total order).
-func dedupeSortRows(rows []mapreduce.Row, pool *mapreduce.Pool) []mapreduce.Row {
-	if pool.Lanes() <= 1 || len(rows) < parallelSortMin {
-		rows = dedupe(rows)
-		sortRows(rows)
-		return rows
+// rowPrefix packs a row's first two cells into one integer that orders
+// as the rows do, as far as it goes: the merge compares its parts'
+// heads by prefix and falls back to compareRows only on a tie.
+func rowPrefix(row mapreduce.Row) uint64 {
+	switch len(row) {
+	case 0:
+		return 0
+	case 1:
+		return uint64(row[0]) << 32
 	}
-	chunks := pool.Lanes()
-	per := (len(rows) + chunks - 1) / chunks
-	type span struct{ lo, hi int }
-	spans := make([]span, 0, chunks)
-	for lo := 0; lo < len(rows); lo += per {
-		hi := lo + per
-		if hi > len(rows) {
-			hi = len(rows)
+	return uint64(row[0])<<32 | uint64(row[1])
+}
+
+// dedupeSort produces the canonical result set of a job's output parts
+// (one block per node): the distinct rows in compareRows order, as an
+// exactly sized block that shares nothing with the context, and the
+// one []Row view over it. No row moves until then: each part's row
+// numbers are sorted on their own (concurrently on the pool when the
+// result is large), a k-way merge lists the rows in order, dropping
+// duplicates as they meet (equal rows are adjacent across part heads
+// under a total order), and only the survivors' cells are copied.
+func (c *ExecContext) dedupeSort(parts []mapreduce.Block) (mapreduce.Block, []mapreduce.Row) {
+	// idx holds each part's row numbers, part after part; part p's are
+	// idx[offs[p]:offs[p+1]].
+	offs, total, width := c.sortOffs[:0], 0, 0
+	for p := range parts {
+		offs = append(offs, total)
+		total += parts[p].N
+		if parts[p].N > 0 {
+			width = parts[p].Width
 		}
-		spans = append(spans, span{lo, hi})
 	}
-	pool.ForEach(len(spans), func(i, _ int) {
-		sortRows(rows[spans[i].lo:spans[i].hi])
+	offs = append(offs, total)
+	c.sortOffs = offs
+	c.sortIdx = sized(c.sortIdx, total)
+	idx := c.sortIdx
+	pool := c.pool
+	if total < parallelSortMin {
+		pool = nil
+	}
+	pool.ForEach(len(parts), func(p, _ int) {
+		part, rows := &parts[p], idx[offs[p]:offs[p+1]]
+		for i := range rows {
+			rows[i] = int32(i)
+		}
+		slices.SortFunc(rows, func(a, b int32) int { return compareRows(part.Row(int(a)), part.Row(int(b))) })
 	})
-	out := make([]mapreduce.Row, 0, len(rows))
-	idx := make([]int, len(spans))
+
+	// Merge: order lists, as positions in idx, the distinct rows in
+	// result order. heads[p] is part p's next unmerged position and
+	// prefix[p] that row's prefix.
+	order := c.sortOrder[:0]
+	heads := append(c.sortHeads[:0], offs[:len(parts)]...)
+	prefix := sized(c.sortPrefix, len(parts))
+	head := func(p int) mapreduce.Row { return parts[p].Row(int(idx[heads[p]])) }
+	for p := range parts {
+		if heads[p] < offs[p+1] {
+			prefix[p] = rowPrefix(head(p))
+		}
+	}
+	var last mapreduce.Row
 	for {
 		best := -1
-		for si := range spans {
-			p := spans[si].lo + idx[si]
-			if p >= spans[si].hi {
+		for p := range parts {
+			if heads[p] == offs[p+1] {
 				continue
 			}
-			if best == -1 || rowLess(rows[p], rows[spans[best].lo+idx[best]]) {
-				best = si
+			if best == -1 || prefix[p] < prefix[best] || prefix[p] == prefix[best] && compareRows(head(p), head(best)) < 0 {
+				best = p
 			}
 		}
 		if best == -1 {
-			return out
+			break
 		}
-		r := rows[spans[best].lo+idx[best]]
-		idx[best]++
-		if len(out) == 0 || !rowEqual(out[len(out)-1], r) {
-			out = append(out, r)
+		if row := head(best); len(order) == 0 || compareRows(last, row) != 0 {
+			order = append(order, int32(heads[best]))
+			last = row
+		}
+		if heads[best]++; heads[best] < offs[best+1] {
+			prefix[best] = rowPrefix(head(best))
 		}
 	}
+	c.sortOrder, c.sortHeads, c.sortPrefix = order, heads, prefix
+
+	out := mapreduce.Block{Width: width, N: len(order), Cells: make([]rdf.TermID, len(order)*width)}
+	view := make([]mapreduce.Row, len(order))
+	for i, pos := range order {
+		// order interleaves the parts: pos lies in the part whose span
+		// of idx holds it.
+		p := sort.SearchInts(offs, int(pos)+1) - 1
+		view[i] = out.Row(i)
+		copy(view[i], parts[p].Row(int(idx[pos])))
+	}
+	return out, view
 }

@@ -7,17 +7,18 @@
 // On a hit the executor skips the job's map/shuffle/reduce work
 // entirely: it serves the cached rows read-only and replays the
 // record, so rows AND simulated JobStats are byte-identical to an
-// uncached run. A final job's rows are served as a view — the entry's
-// own slice becomes physical.Result.Rows, which is documented shared
+// uncached run. An entry owns what it holds: flat, exactly sized
+// blocks allocated for it at admission, never a view of the execution
+// context that computed them (which recycles its memory on its next
+// execution). A final job's rows are served as the entry's own view —
+// its []Row becomes physical.Result.Rows, which is documented shared
 // and immutable and which the facade only reads while decoding; an
-// intermediate job's rows are appended into the execution context's own
-// slices, which the next job consumes and the next execution recycles.
-// The slab-backed cells themselves are immutable either way, by the
-// engine's handed-out-once arena discipline. Epoch invalidation is by
-// construction: the committed DataVersion is part of the key, so a
-// batch commit makes every older entry unreachable; the engine
-// additionally purges on commit so stale bytes don't squat in the
-// budget.
+// intermediate job's blocks are copied back into the serving
+// execution's context, where the next job consumes them. Epoch
+// invalidation is by construction: the committed DataVersion is part
+// of the key, so a batch commit makes every older entry unreachable;
+// the engine additionally purges on commit so stale bytes don't squat
+// in the budget.
 //
 // Singleflight comes with the underlying cache: N concurrent servers
 // hitting the same cold (signature, version) run the job once and all
@@ -26,50 +27,47 @@ package rescache
 
 import (
 	"strconv"
+	"unsafe"
 
 	"cliquesquare/internal/mapreduce"
 	"cliquesquare/internal/plancache"
+	"cliquesquare/internal/rdf"
 )
 
 // Entry is one cached job result: the metering record for stats replay
 // and the job's materialized output. Exactly one of Interm/Final is
-// meaningful per entry kind: a non-final level job fills Interm (per
-// level input, per node — positional, matching the plan level's
-// reduce-join order), a final or map-only job fills Final (the
-// finished, deduped and sorted result rows). All row slices are
-// immutable once cached: Interm is appended into the server's own
-// slices, Final is handed out as a read-only view — nobody writes
-// through or extends either.
+// meaningful per entry kind: a non-final level job fills Interm (one
+// block per level input and node — positional, matching the plan
+// level's reduce-join order), a final or map-only job fills Block (the
+// finished, deduped and sorted result rows) and Final, the one []Row
+// view over it, built once at admission so that a hit allocates
+// nothing. Everything is immutable once cached: nobody writes through
+// or extends a block or the view.
 type Entry struct {
 	Rec    *mapreduce.JobRecord
-	Interm [][][]mapreduce.Row
+	Interm [][]mapreduce.Block
+	Block  mapreduce.Block
 	Final  []mapreduce.Row
 	bytes  int64
 }
 
-// rowsBytes estimates the resident size of a row set: four bytes per
-// cell plus the slice header per row. The cells live in engine arenas
-// the entry keeps reachable, so they are charged here even though the
-// arena allocated them.
-func rowsBytes(rows []mapreduce.Row) int64 {
-	const sliceHeader = 24
-	b := int64(0)
-	for _, r := range rows {
-		b += sliceHeader + 4*int64(len(r))
-	}
-	return b
-}
-
-// NewEntry builds an entry and computes its cache weight once.
-func NewEntry(rec *mapreduce.JobRecord, interm [][][]mapreduce.Row, final []mapreduce.Row) *Entry {
-	e := &Entry{Rec: rec, Interm: interm, Final: final}
-	b := rec.MemBytes()
+// NewEntry builds an entry and computes its cache weight once: exactly
+// what the entry keeps resident — its blocks' arrays at their
+// capacity, the block headers, the view's row headers and the record.
+func NewEntry(rec *mapreduce.JobRecord, interm [][]mapreduce.Block, final mapreduce.Block, view []mapreduce.Row) *Entry {
+	const (
+		cell   = int64(unsafe.Sizeof(rdf.TermID(0)))
+		block  = int64(unsafe.Sizeof(mapreduce.Block{}))
+		header = int64(unsafe.Sizeof(mapreduce.Row(nil)))
+	)
+	e := &Entry{Rec: rec, Interm: interm, Block: final, Final: view}
+	b := rec.MemBytes() + cell*int64(cap(final.Cells)) + header*int64(cap(view))
 	for _, per := range interm {
-		for _, rows := range per {
-			b += rowsBytes(rows)
+		b += header + block*int64(cap(per))
+		for _, blk := range per {
+			b += cell * int64(cap(blk.Cells))
 		}
 	}
-	b += rowsBytes(final)
 	e.bytes = b
 	return e
 }

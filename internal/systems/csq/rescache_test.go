@@ -312,3 +312,55 @@ func TestResultCacheSurvivesRecovery(t *testing.T) {
 		t.Errorf("cached JobStats diverge:\n got %+v\nwant %+v", second.Jobs, first.Jobs)
 	}
 }
+
+// heapAfterGC is the live heap once everything unreachable is gone.
+func heapAfterGC() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestResultCacheBytesAreResidentBytes pins the cache's accounting to
+// what its entries really keep resident. An entry owns exactly sized
+// blocks — never a view of chunks cut for other rows too — so its
+// weight (block capacities × 4 + 24 × view length + block headers +
+// JobRecord.MemBytes()) is its memory: with the 14-query working set
+// cached and nothing else holding the rows, purging the cache must free
+// what the cache said it held, within 5% (the allocator's size-class
+// rounding and the cache's own map and list nodes are what is left).
+func TestResultCacheBytesAreResidentBytes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("generates a 20-university dataset")
+	}
+	g := lubm.Generate(lubm.DefaultConfig(20))
+	cfg := DefaultConfig()
+	cfg.ResultCacheBytes = testRescacheBytes
+	cfg.Parallelism = 1
+	eng := New(g, cfg)
+	for _, q := range lubm.Queries() {
+		p, _, err := eng.PrepareCached(q)
+		if err != nil {
+			t.Fatalf("%s: prepare: %v", q.Name, err)
+		}
+		// The result is dropped at once: only the cache holds the rows.
+		if _, err := eng.ExecutePrepared(p); err != nil {
+			t.Fatalf("%s: execute: %v", q.Name, err)
+		}
+	}
+	st := eng.ResultCacheStats()
+	if st.Entries == 0 || st.Evictions != 0 {
+		t.Fatalf("cache stats = %+v, want the whole working set resident", st)
+	}
+	with := heapAfterGC()
+	eng.res.Purge()
+	without := heapAfterGC()
+	freed := int64(with) - int64(without)
+	if diff := freed - st.Bytes; diff > st.Bytes/20 || diff < -st.Bytes/20 {
+		t.Errorf("the cache accounts %d B for %d entries, purging it freed %d B (%+.1f%%), want within 5%%",
+			st.Bytes, st.Entries, freed, 100*float64(diff)/float64(st.Bytes))
+	}
+	t.Logf("accounted %d B, freed %d B, %d entries", st.Bytes, freed, st.Entries)
+	runtime.KeepAlive(eng)
+}

@@ -156,47 +156,47 @@ func (e *Engine) Run(q *sparql.Query) (*systems.RunResult, error) {
 		acc := accRows
 		right := rightRows
 		out := cl.RunWith(mapreduce.ClassicJob(fmt.Sprintf("%s-h2rdf-join%d", q.Name, k),
-			func(node int, m *mapreduce.Meter, emit func(mapreduce.Keyed), _ func(mapreduce.Row)) {
+			func(node int, m *mapreduce.Meter, emit *mapreduce.Emitter, _ *mapreduce.Block) {
 				n := e.cfg.Nodes
 				for i := node; i < len(acc); i += n {
 					m.Read(&c, 1)
-					emit(mapreduce.Keyed{Key: key(acc[i], accCols), Tag: 0, Row: mapreduce.Row(acc[i])})
+					emit.Emit(0, 0, acc[i], accCols)
 				}
 				for i := node; i < len(right); i += n {
 					m.Read(&c, 1)
-					emit(mapreduce.Keyed{Key: key(right[i], rCols), Tag: 1, Row: mapreduce.Row(right[i])})
+					emit.Emit(0, 1, right[i], rCols)
 				}
 			},
-			func(node int, m *mapreduce.Meter, groups *mapreduce.Groups, out func(mapreduce.Row)) {
-				groups.Each(func(_ *mapreduce.Key, recs []mapreduce.Keyed) {
+			func(node int, m *mapreduce.Meter, groups *mapreduce.Groups, out *mapreduce.Block) {
+				groups.Each(func(g mapreduce.Group) {
 					var left, rgt []mapreduce.Row
-					for _, r := range recs {
-						if r.Tag == 0 {
-							left = append(left, r.Row)
+					for i := 0; i < g.Len(); i++ {
+						if tag, row := g.Record(i); tag == 0 {
+							left = append(left, row)
 						} else {
-							rgt = append(rgt, r.Row)
+							rgt = append(rgt, row)
 						}
 					}
 					m.Join(&c, len(left)+len(rgt))
+					nr := make(mapreduce.Row, 0, len(mergedVars))
 					for _, l := range left {
 						for _, r := range rgt {
-							nr := make(mapreduce.Row, 0, len(mergedVars))
-							nr = append(nr, l...)
+							nr = append(nr[:0], l...)
 							for _, rc := range rightExtra {
 								nr = append(nr, r[rc])
 							}
 							m.Join(&c, 1)
 							m.Write(&c, 1)
-							out(nr)
+							out.Append(nr)
 						}
 					}
 				})
 			}), mapreduce.RunOptions{})
 		accVars = mergedVars
 		accRows = nil
-		for _, rows := range out.PerNode {
-			for _, r := range rows {
-				accRows = append(accRows, []rdf.TermID(r))
+		for _, blk := range out.PerNode {
+			for i := 0; i < blk.N; i++ {
+				accRows = append(accRows, blk.Row(i))
 			}
 		}
 	}
@@ -322,11 +322,6 @@ func mergeVars(a, b []string) (merged []string, rightExtra []int) {
 		}
 	}
 	return merged, rightExtra
-}
-
-// key packs one row's join cells into a binary shuffle key.
-func key(row []rdf.TermID, cols []int) mapreduce.Key {
-	return mapreduce.MakeRowKey(0, row, cols)
 }
 
 func projectRows(vars []string, rows [][]rdf.TermID, sel []string) [][]rdf.TermID {

@@ -292,7 +292,7 @@ func (e *Engine) Run(q *sparql.Query) (*systems.RunResult, error) {
 		mergedVars, rightExtra := mergeVars(accVars, s.vars)
 		var nextRows [][][]rdf.TermID
 		out := cl.RunWith(mapreduce.ClassicJob(fmt.Sprintf("%s-shape-join%d", q.Name, k),
-			func(node int, m *mapreduce.Meter, emit func(mapreduce.Keyed), _ func(mapreduce.Row)) {
+			func(node int, m *mapreduce.Meter, emit *mapreduce.Emitter, _ *mapreduce.Block) {
 				if !accEvalCharged {
 					m.Read(&c, subs[order[0]].touched[node])
 				} else {
@@ -301,42 +301,42 @@ func (e *Engine) Run(q *sparql.Query) (*systems.RunResult, error) {
 				}
 				m.Read(&c, s.touched[node])
 				for _, row := range accRows[node] {
-					emit(mapreduce.Keyed{Key: key(row, accCols), Tag: 0, Row: mapreduce.Row(row)})
+					emit.Emit(0, 0, row, accCols)
 				}
 				for _, row := range s.perNode[node] {
-					emit(mapreduce.Keyed{Key: key(row, sCols), Tag: 1, Row: mapreduce.Row(row)})
+					emit.Emit(0, 1, row, sCols)
 				}
 			},
-			func(node int, m *mapreduce.Meter, groups *mapreduce.Groups, out func(mapreduce.Row)) {
-				groups.Each(func(_ *mapreduce.Key, recs []mapreduce.Keyed) {
+			func(node int, m *mapreduce.Meter, groups *mapreduce.Groups, out *mapreduce.Block) {
+				groups.Each(func(g mapreduce.Group) {
 					var left, right []mapreduce.Row
-					for _, r := range recs {
-						if r.Tag == 0 {
-							left = append(left, r.Row)
+					for i := 0; i < g.Len(); i++ {
+						if tag, row := g.Record(i); tag == 0 {
+							left = append(left, row)
 						} else {
-							right = append(right, r.Row)
+							right = append(right, row)
 						}
 					}
 					m.Join(&c, len(left)+len(right))
+					nr := make(mapreduce.Row, 0, len(mergedVars))
 					for _, l := range left {
 						for _, r := range right {
-							nr := make(mapreduce.Row, 0, len(mergedVars))
-							nr = append(nr, l...)
+							nr = append(nr[:0], l...)
 							for _, rc := range rightExtra {
 								nr = append(nr, r[rc])
 							}
 							m.Join(&c, 1)
 							m.Write(&c, 1)
-							out(nr)
+							out.Append(nr)
 						}
 					}
 				})
 			}), mapreduce.RunOptions{})
 		accEvalCharged = true
 		nextRows = make([][][]rdf.TermID, e.cfg.Nodes)
-		for node, rows := range out.PerNode {
-			for _, r := range rows {
-				nextRows[node] = append(nextRows[node], r)
+		for node, blk := range out.PerNode {
+			for i := 0; i < blk.N; i++ {
+				nextRows[node] = append(nextRows[node], blk.Row(i))
 			}
 		}
 		accRows = nextRows
@@ -432,11 +432,6 @@ func mergeVars(a, b []string) (merged []string, rightExtra []int) {
 		}
 	}
 	return merged, rightExtra
-}
-
-// key packs one row's join cells into a binary shuffle key.
-func key(row []rdf.TermID, cols []int) mapreduce.Key {
-	return mapreduce.MakeRowKey(0, row, cols)
 }
 
 func flatten(perNode [][][]rdf.TermID) [][]rdf.TermID {
