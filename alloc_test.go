@@ -10,6 +10,7 @@ package cliquesquare
 // one fails locally, before CI.
 
 import (
+	"runtime"
 	"testing"
 
 	"cliquesquare/internal/lubm"
@@ -44,11 +45,20 @@ const (
 	cachedServeAllocCeiling = 300
 	// variantPrepareBytesCeiling bounds the bytes one pass of
 	// BenchmarkPrepareColdVsCached/variant allocates: six cold prepares
-	// for a university no plan is cached for (measured ≈14 MB, four
-	// fifths of it plan enumeration; ≈53 MB when every candidate was
-	// compiled to be priced and every query pattern rescanned the graph
-	// into a bundle of its own).
-	variantPrepareBytesCeiling = 25 << 20
+	// for a university no plan is cached for (measured ≈0.19 MB: parse
+	// aside, a miss is a canonicalization, a statistics snapshot, one
+	// pricing walk over the shape's resident plan space and one compile;
+	// ≈14 MB when every miss enumerated its plan space again and
+	// classified each candidate into a map to price it).
+	variantPrepareBytesCeiling = 270 << 10
+	// passAfterCommitRatioCeiling bounds what the 14-query pass right
+	// after a commit allocates, relative to a warm pass: its 14
+	// revalidations snapshot and re-price, whatever the size of the
+	// query's plan space (measured 0.96 at 6 universities — the deletes
+	// shrink the answers; 9.8 when Q12, Q13 and Q14, whose spaces were
+	// too large to retain, were enumerated again: +15 MB on a 1.7 MB
+	// pass, 1.76 at the benchmark's 100 universities).
+	passAfterCommitRatioCeiling = 1.15
 )
 
 // raceEnabled is set by race_test.go under -race: the detector's
@@ -226,5 +236,46 @@ func TestAllocPrepareVariantBytes(t *testing.T) {
 	}
 	if got := testing.Benchmark(benchPrepareVariant).AllocedBytesPerOp(); got > variantPrepareBytesCeiling {
 		t.Errorf("unseen-constant pass of the six templates = %d B/op, ceiling %d", got, variantPrepareBytesCeiling)
+	}
+}
+
+// TestAllocPassAfterCommit pins what a commit costs its readers: the
+// first pass of the workload after it revalidates every cached plan, and
+// that is statistics and pricing — never an enumeration — so the pass
+// allocates about what a warm one does.
+func TestAllocPassAfterCommit(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation measurement over a 6-university dataset")
+	}
+	if raceEnabled {
+		t.Skip("race instrumentation inflates allocation counts")
+	}
+	g := lubm.Generate(lubm.DefaultConfig(6)) // its own: the commit mutates it
+	eng, err := NewEngine(g, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	qs := lubm.Queries()
+	passBytes := func() uint64 {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		queryAll(t, eng, qs)
+		runtime.ReadMemStats(&m1)
+		return m1.TotalAlloc - m0.TotalAlloc
+	}
+	for i := 0; i < 3; i++ {
+		passBytes() // plans cached, pooled scratch grown
+	}
+	warm := passBytes()
+	deleteSome(t, eng, g, 200, 37)
+	after := passBytes()
+	if us := eng.UpdateStats(); us.Revalidations != uint64(len(qs)) || us.Enumerations != uint64(len(qs)) {
+		t.Fatalf("the pass after the commit: %+v; want %d revalidations and no enumeration beyond the first %d", us, len(qs), len(qs))
+	}
+	if ratio := float64(after) / float64(warm); ratio > passAfterCommitRatioCeiling {
+		t.Errorf("pass after a commit = %d B, warm pass %d B: ratio %.2f, ceiling %.2f", after, warm, ratio, passAfterCommitRatioCeiling)
+	} else {
+		t.Logf("pass after a commit = %d B, warm pass %d B: ratio %.3f", after, warm, ratio)
 	}
 }

@@ -271,11 +271,13 @@ type Result struct {
 	// SimulatedTime is the simulated response time.
 	SimulatedTime time.Duration
 	// PlanHeight is the executed plan's height (max joins on a
-	// root-to-leaf path) and PlansExplored the optimizer's plan count.
+	// root-to-leaf path) and PlansExplored the optimizer's plan count
+	// for the query's shape.
 	PlanHeight    int
 	PlansExplored int
 	// PlanCached reports whether the executed plan came from the
-	// engine's plan cache rather than a fresh optimizer run.
+	// engine's plan cache rather than being chosen and compiled for
+	// this request.
 	PlanCached bool
 	// DataVersion is the data epoch this answer was computed from:
 	// 1 after the initial load, +1 per applied batch. An execution pins
@@ -401,8 +403,9 @@ func (e *Engine) DataVersion() uint64 { return e.inner.DataVersion() }
 type UpdateStats = csq.UpdateStats
 
 // UpdateStats snapshots batches applied, cached plans revalidated
-// after epoch changes, revalidations that switched plans, and the
-// statistics catalog's resident patterns and graph-pass fills.
+// after epoch changes, revalidations that switched plans, optimizer
+// runs and the plan spaces they left resident, and the statistics
+// catalog's resident patterns and graph-pass fills.
 func (e *Engine) UpdateStats() UpdateStats { return e.inner.UpdateStats() }
 
 // CacheStats is a snapshot of the plan cache counters (re-exported
@@ -410,7 +413,10 @@ func (e *Engine) UpdateStats() UpdateStats { return e.inner.UpdateStats() }
 type CacheStats = plancache.Stats
 
 // CacheStats snapshots the engine's plan cache activity: hits, misses
-// (= optimizer runs), evictions and resident entries.
+// (= plans chosen and compiled), evictions and resident entries. A miss
+// is not an optimizer run: the plan space a plan is chosen from belongs
+// to the query's written shape and is enumerated once for all its
+// constants — UpdateStats().Enumerations counts those runs.
 func (e *Engine) CacheStats() CacheStats { return e.inner.CacheStats() }
 
 // ResultCacheStats snapshots the subplan result cache: hits and misses
@@ -438,8 +444,8 @@ func (e *Engine) Run(q *Query) (*Result, error) {
 	return p.Run()
 }
 
-// Prepared is a planned, reusable query: the optimizer has already run
-// and the physical plan is compiled. A Prepared is immutable and may be
+// Prepared is a planned, reusable query: its plan is chosen and the
+// physical plan compiled. A Prepared is immutable and may be
 // Run any number of times, from any number of goroutines.
 type Prepared struct {
 	eng   *Engine
@@ -453,8 +459,11 @@ type Prepared struct {
 // Prepare parses and plans src once, so the plan can be executed many
 // times. Planning consults the engine's concurrency-safe plan cache:
 // queries differing only in variable names or triple-pattern order map
-// to one canonical fingerprint and share a single optimizer run, with
-// concurrent first requests collapsed by singleflight.
+// to one canonical fingerprint and share a single plan, with concurrent
+// first requests collapsed by singleflight. Below that, queries written
+// alike up to their constants and SELECT list share one enumerated plan
+// space: a new constant costs statistics, pricing and one compile, not
+// an optimizer run.
 func (e *Engine) Prepare(src string) (*Prepared, error) {
 	q, err := sparql.Parse(src)
 	if err != nil {

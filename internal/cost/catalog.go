@@ -183,22 +183,29 @@ func (dp *dispatch) fold(ts []rdf.Triple, d int32) {
 // fixed variable order: vars numbers its variables by first occurrence
 // over the patterns in index order, slots[i][k] is the number of pattern
 // i's variable slot k (-1 past its slots). JoinCard walks variables in
-// this order, never a map's.
+// this order, never a map's. filtered[i] is whether a scan of pattern i
+// is charged a runtime filter (patternFiltered).
 type Ref struct {
-	vars  []string
-	slots [][3]int
-	pats  []*pattern // per query pattern; nil once released
+	vars     []string
+	slots    [][3]int
+	filtered []bool
+	pats     []*pattern // per query pattern; nil once released
 }
 
 // Acquire registers q's patterns, creating the entries the catalog
 // lacks (unfilled: the first Snapshot through a Ref fills them). Every
 // Acquire is paired with one Release.
 func (c *Catalog) Acquire(q *sparql.Query) *Ref {
-	r := &Ref{slots: make([][3]int, len(q.Patterns)), pats: make([]*pattern, len(q.Patterns))}
+	r := &Ref{
+		slots:    make([][3]int, len(q.Patterns)),
+		filtered: make([]bool, len(q.Patterns)),
+		pats:     make([]*pattern, len(q.Patterns)),
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for i, tp := range q.Patterns {
 		k, vars, n := keyOf(tp)
+		r.filtered[i] = patternFiltered(tp)
 		r.slots[i] = [3]int{-1, -1, -1}
 		for s := 0; s < n; s++ {
 			v := slices.Index(r.vars, vars[s])
@@ -269,7 +276,7 @@ func (c *Catalog) Snapshot(g *rdf.Graph, r *Ref) *Stats {
 
 // read copies what costing reads of r's patterns, all filled.
 func (c *Catalog) read(r *Ref) *Stats {
-	s := &Stats{vars: r.vars, slots: r.slots, pats: make([]patStats, len(r.pats))}
+	s := &Stats{vars: r.vars, slots: r.slots, filtered: r.filtered, pats: make([]patStats, len(r.pats))}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s.version = c.version

@@ -15,12 +15,10 @@ package cost
 
 import (
 	"math"
-	"math/bits"
 	"slices"
 
 	"cliquesquare/internal/core"
 	"cliquesquare/internal/mapreduce"
-	"cliquesquare/internal/physical"
 	"cliquesquare/internal/rdf"
 	"cliquesquare/internal/sparql"
 )
@@ -35,12 +33,14 @@ import (
 // its Apply keeps current in place. Such a Stats is not safe for
 // concurrent use while Apply runs.
 type Stats struct {
-	// vars and slots are the query's fixed variable order, shared with
-	// the Ref the snapshot was taken through (see Ref).
-	vars    []string
-	slots   [][3]int
-	pats    []patStats
-	version uint64
+	// vars and slots are the query's fixed variable order and filtered
+	// its scans' filter flags, shared with the Ref the snapshot was taken
+	// through (see Ref).
+	vars     []string
+	slots    [][3]int
+	filtered []bool
+	pats     []patStats
+	version  uint64
 	// own and ref are the private catalog behind a NewStats result.
 	own *Catalog
 	ref *Ref
@@ -160,111 +160,109 @@ func NewModel(c mapreduce.Constants, s *Stats) *Model { return &Model{C: c, S: s
 //	c(RJ)  = Σin·c_shuffle + c_join·(Σin + out) + out·c_write
 //	c(π)   = out·c_check
 //
-// plus JobInit per MapReduce job.
-func (m *Model) PlanCost(p *core.Plan) float64 { return m.pricer().cost(p) }
+// plus JobInit per MapReduce job. A plan physical.Classify refuses
+// costs +Inf.
+func (m *Model) PlanCost(p *core.Plan) float64 {
+	return m.pricer(core.SpaceOf([]*core.Plan{p})).cost(0)
+}
 
-// pricer prices the candidates of one choice, all plans of the query S
-// describes. They are assembled from the same few sub-joins, so the
-// cardinality of a pattern set is estimated once and shared; a set is a
-// bitset over the query's patterns, and its patterns multiply in index
-// order whatever tree they were met in.
+// pricer prices the candidates of one Space, all plans of the query S
+// describes — the one pricing walk: plans handed over as trees are
+// interned into a Space first. An operator's kind, level and pattern set
+// come classified with the Space, and its estimated output depends on
+// its pattern set alone (the patterns multiply in index order whatever
+// tree they were met in), so both are computed once per choice however
+// many candidates share the operator; what is per candidate is the sum.
 type pricer struct {
-	m    *Model
-	sets int                // bytes per pattern set
-	memo map[string]float64 // JoinCard per pattern set
-	use  []varUse           // joinCard's scratch
-	idx  []int              // the set being estimated, as indexes
+	m  *Model
+	sp *core.Space
+	// setCard[si] is JoinCard of pattern set si, NaN until estimated.
+	setCard []float64
+	use     []varUse // joinCard's scratch
+	idx     []int    // the set being estimated, as indexes
 
-	// The candidate being priced. set, card and done are indexed by
-	// physical.Info.ID: the operator's pattern set (sets bytes each),
-	// its estimated output and whether its cost is in total yet.
-	pp    *physical.Plan
+	// The candidate being priced: seen[id] == stamp once operator id's
+	// cost is in total.
+	seen  []int32
+	stamp int32
 	total float64
-	set   []byte
-	card  []float64
-	done  []bool
 }
 
-func (m *Model) pricer() *pricer {
-	return &pricer{
-		m:    m,
-		sets: (len(m.S.pats) + 7) / 8,
-		memo: make(map[string]float64),
-		use:  make([]varUse, len(m.S.vars)),
+func (m *Model) pricer(sp *core.Space) *pricer {
+	pr := &pricer{
+		m:       m,
+		sp:      sp,
+		setCard: make([]float64, sp.Sets()),
+		use:     make([]varUse, len(m.S.vars)),
+		seen:    make([]int32, sp.Ops()),
 	}
+	for i := range pr.setCard {
+		pr.setCard[i] = math.NaN()
+	}
+	return pr
 }
 
-func (pr *pricer) cost(p *core.Plan) float64 {
-	pp, err := physical.Classify(p, nil)
-	if err != nil {
+// cost prices candidate i.
+func (pr *pricer) cost(i int) float64 {
+	root := pr.sp.Root(i)
+	if root < 0 {
 		return math.Inf(1)
 	}
-	n := len(pp.Infos)
-	pr.pp, pr.total = pp, pr.m.C.JobInit*float64(pp.NumJobs())
-	pr.set = append(pr.set[:0], make([]byte, n*pr.sets)...)
-	pr.card = append(pr.card[:0], make([]float64, n)...)
-	pr.done = append(pr.done[:0], make([]bool, n)...)
-	root := pr.visit(pp.Root)
-	return pr.total + pr.card[root]*pr.m.C.Check // the projection
+	pr.stamp++
+	pr.total = pr.m.C.JobInit * float64(pr.sp.Jobs(i))
+	pr.visit(root)
+	return pr.total + pr.card(root)*pr.m.C.Check // the projection
 }
 
-// visit adds op's cost — after its inputs', each operator once — to the
-// total and returns op's ID.
-func (pr *pricer) visit(op *core.Op) int {
-	in, c := pr.pp.Infos[op], pr.m.C
-	id := in.ID
-	if pr.done[id] {
-		return id
+// card is the estimated output of operator id.
+func (pr *pricer) card(id int32) float64 {
+	if p := pr.sp.Pattern(id); p >= 0 {
+		return pr.m.S.PatternCard(p)
 	}
-	pr.done[id] = true
-	set := pr.set[id*pr.sets : (id+1)*pr.sets]
-	if op.Kind == core.OpMatch {
-		set[op.Pattern/8] |= 1 << (op.Pattern % 8)
-		card := pr.m.S.PatternCard(op.Pattern)
-		pr.card[id] = card
+	si := pr.sp.Set(id)
+	if c := pr.setCard[si]; !math.IsNaN(c) {
+		return c
+	}
+	pr.idx = pr.sp.AppendSetPatterns(pr.idx[:0], si)
+	c := pr.m.S.joinCard(pr.idx, pr.use)
+	pr.setCard[si] = c
+	return c
+}
+
+// visit adds operator id's cost — after its inputs', each operator once
+// — to the total.
+func (pr *pricer) visit(id int32) {
+	if pr.seen[id] == pr.stamp {
+		return
+	}
+	pr.seen[id] = pr.stamp
+	c := pr.m.C
+	if p := pr.sp.Pattern(id); p >= 0 {
+		card := pr.card(id)
 		pr.total += card * c.Read
-		if patternFiltered(pr.pp.Logical.Query.Patterns[op.Pattern]) {
+		if pr.m.S.filtered[p] {
 			pr.total += card * c.Check
 		}
-		return id
+		return
 	}
+	kids := pr.sp.Children(id)
 	sum := 0.0
-	for _, ch := range op.Children {
-		ci := pr.visit(ch)
-		sum += pr.card[ci]
-		for b, w := range pr.set[ci*pr.sets : (ci+1)*pr.sets] {
-			set[b] |= w
-		}
+	for _, k := range kids {
+		pr.visit(k)
+		sum += pr.card(k)
 	}
-	out := pr.joinCard(set)
-	pr.card[id] = out
-	if in.Kind == physical.KindMapJoin {
+	out := pr.card(id)
+	if pr.sp.Level(id) == 0 { // a map join
 		pr.total += c.Join*(sum+out) + out*c.Write
-		return id
+		return
 	}
-	for _, ch := range op.Children {
-		if ci := pr.pp.Infos[ch]; ci.Kind == physical.KindReduceJoin {
+	for _, k := range kids {
+		if pr.sp.Level(k) > 0 {
 			// Map shuffler re-reading the previous job's output.
-			pr.total += pr.card[ci.ID] * (c.Read + c.Write)
+			pr.total += pr.card(k) * (c.Read + c.Write)
 		}
 	}
 	pr.total += sum*c.Shuffle + c.Join*(sum+out) + out*c.Write
-	return id
-}
-
-func (pr *pricer) joinCard(set []byte) float64 {
-	if card, ok := pr.memo[string(set)]; ok {
-		return card
-	}
-	pr.idx = pr.idx[:0]
-	for b, w := range set {
-		for ; w != 0; w &= w - 1 {
-			pr.idx = append(pr.idx, b*8+bits.TrailingZeros8(w))
-		}
-	}
-	card := pr.m.S.joinCard(pr.idx, pr.use)
-	pr.memo[string(set)] = card
-	return card
 }
 
 // patternFiltered reports whether a scan of tp is charged a runtime
@@ -286,17 +284,27 @@ func (m *Model) Choose(plans []*core.Plan) *core.Plan {
 }
 
 // ChooseIndexed is Choose, additionally reporting the chosen plan's
-// index within plans and its modeled cost. Re-running it over the same
-// slice with fresher statistics is how the engine revalidates a cached
-// plan after data updates: an unchanged index means the cached choice
-// still wins. idx is -1 (cost +Inf) for an empty slice.
+// index within plans and its modeled cost. idx is -1 (cost +Inf) for an
+// empty slice.
 func (m *Model) ChooseIndexed(plans []*core.Plan) (best *core.Plan, idx int, cost float64) {
-	idx, cost = -1, math.Inf(1)
-	pr := m.pricer()
-	for i, p := range plans {
-		if c := pr.cost(p); c < cost {
-			best, idx, cost = p, i, c
-		}
+	if idx, cost = m.ChooseSpace(core.SpaceOf(plans)); idx >= 0 {
+		best = plans[idx]
 	}
 	return best, idx, cost
+}
+
+// ChooseSpace returns the index of sp's cheapest candidate — the first
+// of them on a tie — and its modeled cost; -1 and +Inf when no
+// candidate has a finite cost. Re-running it over the same Space with
+// fresher statistics is how the engine revalidates a cached plan after
+// data updates: an unchanged index means the cached choice still wins.
+func (m *Model) ChooseSpace(sp *core.Space) (idx int, cost float64) {
+	idx, cost = -1, math.Inf(1)
+	pr := m.pricer(sp)
+	for i := 0; i < sp.Candidates(); i++ {
+		if c := pr.cost(i); c < cost {
+			idx, cost = i, c
+		}
+	}
+	return idx, cost
 }

@@ -12,8 +12,10 @@
 // builds the original entry-count LRU (the plan cache). NewSized builds
 // a byte-budgeted LRU: each completed value is weighed once on
 // admission and least-recently-used entries are evicted until the
-// resident weight fits the budget — the foundation the subplan result
-// cache (internal/rescache) builds on, where entries are materialized
+// resident weight fits the budget — what the engine keeps its enumerated
+// plan spaces in (one per written query shape, a few hundred bytes to
+// megabytes) and the foundation the subplan result cache
+// (internal/rescache) builds on, where entries are materialized
 // relations of wildly different sizes.
 package plancache
 

@@ -1,9 +1,11 @@
 package sparql
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"slices"
 	"sort"
 
 	"cliquesquare/internal/rdf"
@@ -44,94 +46,52 @@ type Canonical struct {
 // Canonicalize computes the canonical form of q. It does not modify q.
 //
 // The pattern order is fixed by color refinement (1-WL) on the
-// variable/pattern incidence structure: every variable starts with one
-// color, each round re-colors a pattern by its positions (constants by
-// value, variables by color) and a variable by the multiset of its
-// (pattern color, position) occurrences, until the variable partition
-// stabilizes. Colors are functions of structure alone, so the induced
-// pattern order — and therefore the whole canonical form — is invariant
-// under variable renaming and pattern permutation. Patterns refinement
-// cannot tell apart are structurally interchangeable for every query
-// shape in practice; in the rare symmetric cases 1-WL misjudges, ties
-// fall back to input order, which can only miss a cache hit, never
-// produce a wrong one (the Key digests the full canonical query).
+// term/pattern incidence structure: each round re-colors a pattern by
+// the colors of its three positions and a term by what it is plus the
+// multiset of its (pattern color, position) occurrences, until the term
+// partition stabilizes. It runs twice. In the first run a constant is an
+// anonymous term like a variable — it starts from its kind, a variable
+// from its places in the SELECT list — so the colors, the primary sort
+// key, are functions of exactly the structure Shape encodes: queries
+// that differ in their constants alone order their patterns alike, which
+// is what makes Shape independent of the constants. The second run
+// colors constants by value and breaks the first one's ties. Colors are
+// functions of structure alone, so the induced pattern order — and
+// therefore the whole canonical form — is invariant under variable
+// renaming and pattern permutation. Patterns refinement cannot tell
+// apart are structurally interchangeable for every query shape in
+// practice; in the rare symmetric cases 1-WL misjudges, ties fall back
+// to input order, which can only miss a cache hit, never produce a wrong
+// one (the Key digests the full canonical query).
 func Canonicalize(q *Query) Canonical {
-	// Collect variables deterministically (sorted).
-	vars := q.Vars()
-	color := make(map[string]string, len(vars))
-	for _, v := range vars {
-		color[v] = ""
-	}
-	pkeys := make([]string, len(q.Patterns))
-	patternColor := func(tp TriplePattern) string {
-		h := sha256.New()
-		for _, pt := range []PatternTerm{tp.S, tp.P, tp.O} {
-			if pt.IsVar {
-				h.Write([]byte{'v'})
-				h.Write([]byte(color[pt.Var]))
-			} else {
-				h.Write([]byte{'c', byte(pt.Term.Kind)})
-				h.Write([]byte(pt.Term.Value))
-			}
-			h.Write([]byte{0})
-		}
-		return string(h.Sum(nil))
-	}
-	distinct := 0
-	for round := 0; round <= len(q.Patterns)+1; round++ {
-		for i, tp := range q.Patterns {
-			pkeys[i] = patternColor(tp)
-		}
-		// Re-color variables by their occurrence multisets.
-		occs := make(map[string][]string, len(vars))
-		for i, tp := range q.Patterns {
-			for p, pt := range []PatternTerm{tp.S, tp.P, tp.O} {
-				if pt.IsVar {
-					occs[pt.Var] = append(occs[pt.Var], pkeys[i]+string(rune('0'+p)))
-				}
-			}
-		}
-		next := make(map[string]string, len(vars))
-		seen := make(map[string]bool, len(vars))
-		for _, v := range vars {
-			os := occs[v]
-			sort.Strings(os)
-			h := sha256.New()
-			for _, o := range os {
-				h.Write([]byte(o))
-			}
-			next[v] = string(h.Sum(nil))
-			seen[next[v]] = true
-		}
-		color = next
-		if len(seen) == distinct {
-			break // partition stable: no class split this round
-		}
-		distinct = len(seen)
-	}
-	// Order patterns by their final structural color; stable sort keeps
-	// input order among refinement-indistinguishable patterns.
+	shapeColor := refine(q, false)
+	fullColor := refine(q, true)
+	// Stable sort: input order among refinement-indistinguishable
+	// patterns.
 	order := make([]int, len(q.Patterns))
 	for i := range order {
 		order[i] = i
 	}
-	for i, tp := range q.Patterns {
-		pkeys[i] = patternColor(tp)
-	}
-	sort.SliceStable(order, func(a, b int) bool { return pkeys[order[a]] < pkeys[order[b]] })
+	sort.SliceStable(order, func(a, b int) bool {
+		i, j := order[a], order[b]
+		if shapeColor[i] != shapeColor[j] {
+			return shapeColor[i] < shapeColor[j]
+		}
+		return fullColor[i] < fullColor[j]
+	})
 
 	// Rename variables by first occurrence in the canonical order and
 	// lift constants into binding slots, then encode the canonical
 	// query. The encoding is injective — it is the canonical query
 	// itself — so equal digests (collisions aside) mean equal canonical
 	// queries.
-	rank := make(map[string]int, len(vars))
+	rank := make(map[string]int)
 	slot := make(map[rdf.Term]int)
 	var bindings []rdf.Term
 	var shape []byte
 	for _, i := range order {
 		tp := q.Patterns[i]
-		for _, pt := range []PatternTerm{tp.S, tp.P, tp.O} {
+		for _, pt := range [3]PatternTerm{tp.S, tp.P, tp.O} {
 			if pt.IsVar {
 				r, ok := rank[pt.Var]
 				if !ok {
@@ -176,6 +136,120 @@ func Canonicalize(q *Query) Canonical {
 	}
 	c.Key = hex.EncodeToString(kh.Sum(nil))
 	return c
+}
+
+// color is a refinement color: a digest of what it stands for. 64 bits
+// are plenty — a collision can only merge two color classes, that is,
+// leave one more tie to input order.
+type color uint64
+
+// colorOf digests b (FNV-1a).
+func colorOf(b []byte) color {
+	h := uint64(14695981039346656037)
+	for _, c := range b {
+		h = (h ^ uint64(c)) * 1099511628211
+	}
+	return color(h)
+}
+
+func appendColor(b []byte, c color) []byte { return binary.LittleEndian.AppendUint64(b, uint64(c)) }
+
+// refine runs color refinement over q's patterns and terms and returns
+// the patterns' colors once the term partition is stable. The refined
+// terms are the variables and — unless byValue — the distinct constants;
+// byValue, a constant is no term of its own but a fixed color, its kind
+// and value.
+func refine(q *Query, byValue bool) []color {
+	// Number the terms and give each its starting color, which every
+	// later color of the term digests again: 'v' and the variable's
+	// positions in SELECT, 'c' and the constant's kind.
+	terms := make(map[PatternTerm]int)
+	var seed [][]byte
+	at := make([][3]int, len(q.Patterns)) // term per position, -1 for a constant by value
+	for i, tp := range q.Patterns {
+		for p, pt := range [3]PatternTerm{tp.S, tp.P, tp.O} {
+			if byValue && !pt.IsVar {
+				at[i][p] = -1
+				continue
+			}
+			n, ok := terms[pt]
+			if !ok {
+				n = len(seed)
+				terms[pt] = n
+				if pt.IsVar {
+					seed = append(seed, []byte{'v'})
+				} else {
+					seed = append(seed, []byte{'c', byte(pt.Term.Kind)})
+				}
+			}
+			at[i][p] = n
+		}
+	}
+	for i, v := range q.Select {
+		if n, ok := terms[Variable(v)]; ok {
+			seed[n] = appendUvarint(seed[n], i)
+		}
+	}
+	tcol := make([]color, len(seed))
+	for n := range tcol {
+		tcol[n] = colorOf(seed[n])
+	}
+
+	pcol := make([]color, len(q.Patterns))
+	var buf []byte
+	colorPatterns := func() {
+		for i, tp := range q.Patterns {
+			buf = buf[:0]
+			for p, pt := range [3]PatternTerm{tp.S, tp.P, tp.O} {
+				if n := at[i][p]; n >= 0 {
+					buf = appendColor(append(buf, 't'), tcol[n])
+				} else {
+					buf = append(append(buf, 'c', byte(pt.Term.Kind)), pt.Term.Value...)
+				}
+				buf = append(buf, 0)
+			}
+			pcol[i] = colorOf(buf)
+		}
+	}
+	// occs[n] collects term n's occurrences of a round.
+	type occ struct {
+		pattern color
+		pos     int
+	}
+	occs := make([][]occ, len(tcol))
+	seen := make(map[color]struct{}, len(tcol))
+	distinct := 0
+	for round := 0; round <= len(q.Patterns)+1; round++ {
+		colorPatterns()
+		for n := range occs {
+			occs[n] = occs[n][:0]
+		}
+		for i := range q.Patterns {
+			for p, n := range at[i] {
+				if n >= 0 {
+					occs[n] = append(occs[n], occ{pcol[i], p})
+				}
+			}
+		}
+		clear(seen)
+		for n, os := range occs {
+			slices.SortFunc(os, func(a, b occ) int {
+				return cmp.Or(cmp.Compare(a.pattern, b.pattern), cmp.Compare(a.pos, b.pos))
+			})
+			buf = append(buf[:0], seed[n]...)
+			for _, o := range os {
+				buf = append(appendColor(buf, o.pattern), byte(o.pos))
+			}
+			tcol[n] = colorOf(buf)
+			seen[tcol[n]] = struct{}{}
+		}
+		if len(seen) == distinct {
+			break // partition stable: no class split this round
+		}
+		distinct = len(seen)
+	}
+	colorPatterns()
+	return pcol
 }
 
 // appendUvarint appends x in a self-delimiting binary form, keeping the

@@ -71,8 +71,9 @@ type Config struct {
 	StatsSink func(mapreduce.JobStats)
 	// PlanCacheSize caps the number of prepared plans the engine
 	// retains, keyed on canonical query fingerprints; 0 means a default
-	// of 256 entries, negative disables plan caching entirely. The cap
-	// is approximate: sharding rounds it up to the next multiple of the
+	// of 256 entries, negative disables plan caching entirely — the
+	// plans and the plan spaces they are chosen from. The cap is
+	// approximate: sharding rounds it up to the next multiple of the
 	// shard count (see plancache.New).
 	PlanCacheSize int
 	// ResultCacheBytes, when positive, enables the subplan result cache
@@ -112,6 +113,13 @@ type Engine struct {
 	// cache maps canonical query fingerprints to versioned plan
 	// entries; nil when caching is disabled.
 	cache *plancache.Cache[*cacheEntry]
+	// spaces maps a query's written constant-free shape
+	// (core.WrittenShape) to the plan space the optimizer enumerated for
+	// it, weighed by Space.Bytes under spaceCacheBytes; nil when caching
+	// is disabled. Every planner of the shape — whatever its constants,
+	// SELECT list or Name, a cold prepare as much as a revalidation —
+	// prices this one immutable Space.
+	spaces *plancache.Cache[*core.Space]
 	// cat is the engine's one statistics object: every planner snapshots
 	// its query's patterns from it (readStats) and every committed epoch
 	// folds its delta into it once (invalidate), so it is always at the
@@ -143,11 +151,12 @@ type Engine struct {
 	stateMu sync.RWMutex
 	// batches / groups / revalidations / replans count update activity:
 	// committed ApplyBatch calls, the epochs that carried them, cached
-	// plans re-checked and re-chosen.
+	// plans re-checked and re-chosen. enumerations counts optimizer runs.
 	batches       atomic.Uint64
 	groups        atomic.Uint64
 	revalidations atomic.Uint64
 	replans       atomic.Uint64
+	enumerations  atomic.Uint64
 
 	// closed flips once on Close; every entry point then returns
 	// ErrClosed. dur is what an attached log adds (WAL + batcher +
@@ -165,6 +174,13 @@ type Engine struct {
 	// a resize's plan → steps sequence rely on.
 	wmu sync.RWMutex
 }
+
+// spaceCacheBytes is the budget of the plan-space cache. The 14 LUBM
+// spaces weigh under 256 KB together; a shape whose space outweighs one
+// shard's share (an eighth) is enumerated for its waiters and not
+// retained, so pathological shapes cannot pin the tables of thousands
+// of candidates.
+const spaceCacheBytes = 8 << 20
 
 // mustPolicy resolves the configured placement policy, panicking on an
 // unknown name (the facade validates names before they reach here).
@@ -196,6 +212,7 @@ func newEngine(cfg Config, g *rdf.Graph, store *dstore.Store) *Engine {
 	if cfg.PlanCacheSize >= 0 {
 		e.cache = plancache.New[*cacheEntry](cfg.PlanCacheSize)
 		e.cache.OnEvict(func(ent *cacheEntry) { e.cat.Release(ent.ref) })
+		e.spaces = plancache.NewSized(spaceCacheBytes, func(sp *core.Space) int64 { return int64(sp.Bytes()) })
 	}
 	if cfg.ResultCacheBytes > 0 {
 		e.res = rescache.New(cfg.ResultCacheBytes)
@@ -254,9 +271,19 @@ type UpdateStats struct {
 	Batches uint64
 	// Revalidations counts cached plans re-checked against fresh
 	// statistics after a data-version change; Replans counts the
-	// revalidations that switched the entry to a different plan.
+	// revalidations that switched the entry to a different candidate of
+	// its plan space.
 	Revalidations uint64
 	Replans       uint64
+	// Enumerations counts optimizer runs since construction: one per
+	// written query shape while its plan space stays resident, whatever
+	// the number of constants, plans and revalidations that use it (and
+	// one per Engine.Plan call, which inspects a fresh enumeration).
+	// Spaces and SpaceBytes are the plan spaces resident now and their
+	// weight.
+	Enumerations uint64
+	Spaces       uint64
+	SpaceBytes   uint64
 	// StatsPatterns is the number of distinct triple patterns resident
 	// in the statistics catalog now; StatsFills counts the patterns
 	// filled from a pass over the graph (a pattern some cached plan
@@ -268,22 +295,28 @@ type UpdateStats struct {
 // UpdateStats snapshots update activity since engine construction.
 func (e *Engine) UpdateStats() UpdateStats {
 	patterns, fills, _ := e.cat.Counters()
-	return UpdateStats{
+	us := UpdateStats{
 		Batches:       e.batches.Load(),
 		Revalidations: e.revalidations.Load(),
 		Replans:       e.replans.Load(),
+		Enumerations:  e.enumerations.Load(),
 		StatsPatterns: uint64(patterns),
 		StatsFills:    fills,
 	}
+	if e.spaces != nil {
+		st := e.spaces.Stats()
+		us.Spaces, us.SpaceBytes = uint64(st.Entries), uint64(st.Bytes)
+	}
+	return us
 }
 
-// planOutcome is the full product of one optimize+select+compile run.
+// planOutcome is the full product of one select+compile run.
 type planOutcome struct {
 	chosen *core.Plan // after projection push-down
 	pp     *physical.Plan
-	res    *core.Result
-	idx    int     // index of the winner within res.Unique
-	cost   float64 // its modeled cost at selection time
+	space  *core.Space // the candidates it was chosen from
+	idx    int         // index of the winner among them
+	cost   float64     // its modeled cost at selection time
 	// stats is the snapshot the choice was made under (its Version is the
 	// plan's DataVersion); ref the hold on the query's catalog patterns
 	// that plan took, which whoever receives the outcome releases.
@@ -304,12 +337,9 @@ func (e *Engine) readStats(q *sparql.Query) (*cost.Ref, *cost.Stats) {
 	return ref, e.cat.Snapshot(e.graph, ref)
 }
 
-// plan optimizes q, selects the cheapest plan under current statistics
-// and compiles it.
-func (e *Engine) plan(q *sparql.Query) (*planOutcome, error) {
-	if e.closed.Load() {
-		return nil, ErrClosed
-	}
+// enumerate runs the optimizer on q under the configured budgets.
+func (e *Engine) enumerate(q *sparql.Query) (*core.Result, error) {
+	e.enumerations.Add(1)
 	res, err := core.Optimize(q, core.Options{
 		Method:           e.cfg.Method,
 		MaxPlans:         e.cfg.MaxPlans,
@@ -322,21 +352,69 @@ func (e *Engine) plan(q *sparql.Query) (*planOutcome, error) {
 	if len(res.Unique) == 0 {
 		return nil, fmt.Errorf("csq: %s produced no plan for %s", e.cfg.Method, q.Name)
 	}
+	return res, nil
+}
+
+// space returns the plan space of q's written shape: the resident one,
+// or the product of one enumeration that concurrent first requests of
+// the shape share (singleflight) and the cache retains if it fits. The
+// optimizer's budgets govern that one enumeration, and its Truncated
+// flag stays on the space.
+func (e *Engine) space(q *sparql.Query) (*core.Space, error) {
+	compute := func() (*core.Space, error) {
+		res, err := e.enumerate(q)
+		if err != nil {
+			return nil, err
+		}
+		return res.Space(), nil
+	}
+	if e.spaces == nil {
+		return compute()
+	}
+	sp, _, err := e.spaces.Do(core.WrittenShape(q), compute)
+	return sp, err
+}
+
+// plan selects the cheapest candidate of q's plan space under current
+// statistics and compiles it.
+func (e *Engine) plan(q *sparql.Query) (*planOutcome, error) {
+	if e.closed.Load() {
+		return nil, ErrClosed
+	}
+	// A space hit runs no optimizer, so nothing else would validate q.
+	if err := q.Validate(); err != nil {
+		return nil, err
+	}
+	sp, err := e.space(q)
+	if err != nil {
+		return nil, err
+	}
+	return e.choose(q, sp)
+}
+
+// choose is planning proper, the same for a cold prepare, a
+// revalidation and an inspection: snapshot q's statistics, price sp's
+// candidates, materialise and compile the winner.
+func (e *Engine) choose(q *sparql.Query, sp *core.Space) (*planOutcome, error) {
 	ref, st := e.readStats(q)
-	best, idx, c := cost.NewModel(e.cfg.Constants, st).ChooseIndexed(res.Unique)
-	chosen, pp, err := e.finishPlan(best)
+	idx, c := cost.NewModel(e.cfg.Constants, st).ChooseSpace(sp)
+	chosen, pp, err := e.finishPlan(q, sp, idx)
 	if err != nil {
 		e.cat.Release(ref)
 		return nil, err
 	}
-	return &planOutcome{chosen: chosen, pp: pp, res: res, idx: idx, cost: c, stats: st, ref: ref}, nil
+	return &planOutcome{chosen: chosen, pp: pp, space: sp, idx: idx, cost: c, stats: st, ref: ref}, nil
 }
 
-// finishPlan applies projection push-down, compiles the physical plan
-// and warms the logical plan's lazy memos (height, signature) so the
-// plan can be shared across goroutines without unsynchronized first
-// computations.
-func (e *Engine) finishPlan(best *core.Plan) (*core.Plan, *physical.Plan, error) {
+// finishPlan materialises candidate idx of sp for q, applies projection
+// push-down, compiles the physical plan and warms the logical plan's
+// lazy memos (height, signature) so the plan can be shared across
+// goroutines without unsynchronized first computations.
+func (e *Engine) finishPlan(q *sparql.Query, sp *core.Space, idx int) (*core.Plan, *physical.Plan, error) {
+	best, err := sp.Plan(q, idx)
+	if err != nil {
+		return nil, nil, err
+	}
 	if !e.cfg.NoProjectionPushdown {
 		best = core.PushProjections(best)
 	}
@@ -353,16 +431,25 @@ func (e *Engine) finishPlan(best *core.Plan) (*core.Plan, *physical.Plan, error)
 	return best, pp, nil
 }
 
-// Plan optimizes q and returns the cost-selected logical plan, its
-// physical compilation, and the optimizer result (for plan-space
-// statistics).
+// Plan optimizes q afresh and returns the cost-selected logical plan,
+// its physical compilation, and the optimizer result (for plan-space
+// statistics). It is the inspection entry: the enumeration it returns is
+// its own, not the cached space of q's shape, though the choice is made
+// from it the way every other is.
 func (e *Engine) Plan(q *sparql.Query) (*core.Plan, *physical.Plan, *core.Result, error) {
-	out, err := e.plan(q)
+	if e.closed.Load() {
+		return nil, nil, nil, ErrClosed
+	}
+	res, err := e.enumerate(q)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	out, err := e.choose(q, res.Space())
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	e.cat.Release(out.ref)
-	return out.chosen, out.pp, out.res, nil
+	return out.chosen, out.pp, res, nil
 }
 
 // execContext takes a context from the free list (or builds one from
@@ -451,11 +538,11 @@ func (e *Engine) ResultCacheStats() rescache.Stats {
 
 // Run implements systems.System: optimize, select, execute.
 func (e *Engine) Run(q *sparql.Query) (*systems.RunResult, error) {
-	_, pp, _, err := e.Plan(q)
+	p, err := e.Prepare(q)
 	if err != nil {
 		return nil, err
 	}
-	r, err := e.ExecutePlan(pp)
+	r, err := e.ExecutePlan(p.Physical)
 	if err != nil {
 		return nil, err
 	}

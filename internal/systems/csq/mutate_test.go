@@ -265,14 +265,69 @@ func mustPrepare(t *testing.T, e *Engine, q *sparql.Query) *Prepared {
 
 // TestRevalidationKeepsPlanAcrossEpochs pins incremental revalidation:
 // after an update whose statistics do not change the winning candidate,
-// the cached entry re-costs its retained set under the delta-maintained
-// statistics, keeps the same compiled plan object (no recompilation),
-// and advances its version tag.
+// the cached entry keeps the same compiled plan object (no
+// recompilation) and advances its version tag — without pricing when its
+// statistics did not move (Q1 under a triple no pattern matches), by
+// re-pricing its shape's plan space when they did. Q14's space holds 935
+// candidates: it too is re-priced, never enumerated again.
 func TestRevalidationKeepsPlanAcrossEpochs(t *testing.T) {
 	g := lubm.Generate(lubm.DefaultConfig(1))
 	cfg := DefaultConfig()
 	eng := New(g, cfg)
-	q, err := lubm.Query("Q1")
+	iri := g.Dict.EncodeIRI
+	for _, tc := range []struct {
+		query   string
+		ins     rdf.Triple
+		reprice bool
+	}{
+		{"Q1", rdf.Triple{S: iri("urn:x"), P: iri("urn:y"), O: iri("urn:z")}, false},
+		{"Q14", rdf.Triple{S: iri("urn:x"), P: iri(sparql.RDFType), O: iri(lubm.ClassGraduate)}, true},
+	} {
+		q, err := lubm.Query(tc.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p1, _, err := eng.PrepareCached(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := eng.UpdateStats()
+		if _, err := eng.ApplyBatch([]rdf.Triple{tc.ins}, nil); err != nil {
+			t.Fatal(err)
+		}
+		p2, hit, err := eng.PrepareCached(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !hit {
+			t.Errorf("%s: revalidated entry no longer reported as a cache hit", tc.query)
+		}
+		if p2.Physical != p1.Physical {
+			t.Errorf("%s: unchanged winning candidate was recompiled", tc.query)
+		}
+		if p2.DataVersion != eng.DataVersion() || p2.DataVersion == p1.DataVersion {
+			t.Errorf("%s: version tag not refreshed: %d -> %d (engine at %d)",
+				tc.query, p1.DataVersion, p2.DataVersion, eng.DataVersion())
+		}
+		if repriced := p2.stats != p1.stats; repriced != tc.reprice {
+			t.Errorf("%s: re-priced = %v, want %v", tc.query, repriced, tc.reprice)
+		}
+		us := eng.UpdateStats()
+		if us.Revalidations != before.Revalidations+1 || us.Replans != 0 || us.Enumerations != before.Enumerations {
+			t.Errorf("%s: update stats %+v -> %+v, want one more revalidation, no replan, no enumeration", tc.query, before, us)
+		}
+	}
+}
+
+// TestRevalidationReplansWhenWinnerChanges grows the data six-fold under
+// a cached Q11, whose cheapest candidate at one university is not its
+// cheapest at six: the revalidation re-prices the one space the shape
+// has, counts a replan, and serves the candidate, rows and JobStats of
+// an engine loaded with the grown data.
+func TestRevalidationReplansWhenWinnerChanges(t *testing.T) {
+	g := lubm.Generate(lubm.DefaultConfig(1))
+	eng := New(g, DefaultConfig())
+	q, err := lubm.Query("Q11")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,28 +335,41 @@ func TestRevalidationKeepsPlanAcrossEpochs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ins := []rdf.Triple{{
-		S: g.Dict.EncodeIRI("urn:x"), P: g.Dict.EncodeIRI("urn:y"), O: g.Dict.EncodeIRI("urn:z"),
-	}}
+	big := lubm.Generate(lubm.DefaultConfig(6))
+	var ins []rdf.Triple
+	for _, tr := range big.Triples() {
+		ins = append(ins, rdf.Triple{
+			S: g.Dict.Encode(big.Dict.Term(tr.S)), P: g.Dict.Encode(big.Dict.Term(tr.P)), O: g.Dict.Encode(big.Dict.Term(tr.O)),
+		})
+	}
 	if _, err := eng.ApplyBatch(ins, nil); err != nil {
 		t.Fatal(err)
 	}
-	p2, hit, err := eng.PrepareCached(q)
+	p2, _, err := eng.PrepareCached(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !hit {
-		t.Error("revalidated entry no longer reported as a cache hit")
+	loaded := New(g, DefaultConfig())
+	fresh := mustPrepare(t, loaded, q)
+	if p2.chosenIdx == p1.chosenIdx || p2.Physical == p1.Physical {
+		t.Fatalf("candidate %d still wins after the data grew six-fold; the test assumes the winner moves", p1.chosenIdx)
 	}
-	if p2.Physical != p1.Physical {
-		t.Error("unchanged winning candidate was recompiled")
+	if p2.chosenIdx != fresh.chosenIdx || p2.chosenCost != fresh.chosenCost || p2.Logical.Signature() != fresh.Logical.Signature() ||
+		!reflect.DeepEqual(p2.Physical.JobKeys, fresh.Physical.JobKeys) || p2.Height != fresh.Height {
+		t.Errorf("revalidation chose candidate %d at cost %v, a fresh engine candidate %d at %v", p2.chosenIdx, p2.chosenCost, fresh.chosenIdx, fresh.chosenCost)
 	}
-	if p2.DataVersion != eng.DataVersion() || p2.DataVersion == p1.DataVersion {
-		t.Errorf("version tag not refreshed: %d -> %d (engine at %d)",
-			p1.DataVersion, p2.DataVersion, eng.DataVersion())
+	got, err := eng.ExecutePrepared(p2)
+	if err != nil {
+		t.Fatal(err)
 	}
-	us := eng.UpdateStats()
-	if us.Revalidations != 1 || us.Replans != 0 {
-		t.Errorf("update stats = %+v, want 1 revalidation, 0 replans", us)
+	want, err := loaded.ExecutePrepared(fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Rows, want.Rows) || !reflect.DeepEqual(got.Jobs, want.Jobs) {
+		t.Errorf("rows or JobStats differ from the loaded engine's (%d rows vs %d)", len(got.Rows), len(want.Rows))
+	}
+	if us := eng.UpdateStats(); us.Revalidations != 1 || us.Replans != 1 || us.Enumerations != 1 {
+		t.Errorf("update stats %+v, want 1 revalidation, 1 replan, 1 enumeration", us)
 	}
 }

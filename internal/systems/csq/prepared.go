@@ -12,16 +12,16 @@ import (
 )
 
 // Prepared is the reusable artifact of planning one query: the
-// cost-selected logical plan, its compiled physical plan and the
-// optimizer's plan-space statistics. A Prepared is immutable after
+// cost-selected candidate of its shape's plan space, materialised as a
+// logical plan, its compiled physical plan and the plan space's size. A Prepared is immutable after
 // Prepare returns and safe to execute from many goroutines at once —
 // execution state lives in per-call ExecContexts, never in the plan —
 // which is what lets one cached Prepared serve concurrent requests.
 type Prepared struct {
 	// Query is the query instance that was planned. For cache hits this
 	// is the first instance of the cache key (canonical fingerprint +
-	// Name) to reach the optimizer; an alpha-equivalent, same-named
-	// later query shares its plan.
+	// Name) to be planned; an alpha-equivalent, same-named later query
+	// shares its plan.
 	Query *sparql.Query
 	// Logical is the chosen logical plan (after projection push-down).
 	Logical *core.Plan
@@ -30,8 +30,9 @@ type Prepared struct {
 	// Height is the logical plan's height, snapshotted at Prepare time
 	// so executions never touch the plan's lazy accessors.
 	Height int
-	// PlansExplored and UniquePlans report the optimizer's plan-space
-	// statistics for the run that produced this plan.
+	// PlansExplored and UniquePlans report the size of the plan space
+	// this plan was chosen from: the plans the enumeration of the
+	// query's shape generated, and the distinct ones among them.
 	PlansExplored int
 	UniquePlans   int
 	// Fingerprint is the cache key this plan is stored under: the
@@ -45,34 +46,14 @@ type Prepared struct {
 	// on the statistics), so holders may keep running it.
 	DataVersion uint64
 
-	// unique retains the optimizer's candidate plan set so revalidation
-	// can re-run cost-based choice without re-enumerating the plan
-	// space; chosenIdx is this plan's index within it and chosenCost
-	// its modeled cost when it was last chosen. Candidate sets larger
-	// than retainedCandidatesMax are not retained (unique is nil) to
-	// bound cache memory; revalidation then re-enumerates instead.
-	unique     []*core.Plan
+	// chosenIdx is this plan's index among the candidates of its shape's
+	// plan space (the engine keeps spaces per written shape, not per
+	// plan) and chosenCost its modeled cost when it was last chosen.
 	chosenIdx  int
 	chosenCost float64
 	// stats is the statistics snapshot this plan was chosen under: while
 	// a later snapshot equals it, the choice stands as it is.
 	stats *cost.Stats
-}
-
-// retainedCandidatesMax caps how many candidate plans a cached entry
-// keeps for revalidation. Real workload queries produce small unique
-// sets (the CliqueSquare variants are chosen for bounded plan spaces);
-// pathological synthetic shapes can reach Config.MaxPlans, which would
-// pin millions of operator nodes across a full cache.
-const retainedCandidatesMax = 64
-
-// retain returns the candidate set to keep on a Prepared, or nil when
-// it is too large to be worth pinning.
-func retain(unique []*core.Plan) []*core.Plan {
-	if len(unique) > retainedCandidatesMax {
-		return nil
-	}
-	return unique
 }
 
 // newPrepared wraps one planning outcome as an immutable Prepared.
@@ -82,18 +63,18 @@ func newPrepared(q *sparql.Query, out *planOutcome) *Prepared {
 		Logical:       out.chosen,
 		Physical:      out.pp,
 		Height:        out.chosen.Height(),
-		PlansExplored: len(out.res.Plans),
-		UniquePlans:   len(out.res.Unique),
+		PlansExplored: out.space.Explored,
+		UniquePlans:   out.space.Candidates(),
 		DataVersion:   out.stats.Version(),
-		unique:        retain(out.res.Unique),
 		chosenIdx:     out.idx,
 		chosenCost:    out.cost,
 		stats:         out.stats,
 	}
 }
 
-// Prepare optimizes, selects and compiles q into an immutable Prepared
-// plan, without consulting the plan cache. This is the plan-once half
+// Prepare selects and compiles q's plan into an immutable Prepared,
+// without consulting the plan cache (the plan space of q's shape is
+// still shared: see Engine.space). This is the plan-once half
 // of the plan-once/execute-many split; ExecutePrepared is the other.
 func (e *Engine) Prepare(q *sparql.Query) (*Prepared, error) {
 	out, err := e.plan(q)
@@ -123,6 +104,12 @@ type cacheEntry struct {
 // the plan came from the cache. With caching disabled
 // (Config.PlanCacheSize < 0) it degrades to Prepare.
 //
+// A miss is not an optimizer run: planning takes the plan space of q's
+// written shape — enumerated by the first query of that shape, whatever
+// its constants, and shared from then on — snapshots q's statistics,
+// prices the space's candidates and materialises and compiles the
+// winner.
+//
 // The cache key is q's canonical fingerprint (sparql.Canonicalize:
 // variable names and pattern order do not matter) plus q's Name —
 // simulated job names derive from the Name, so folding it into the key
@@ -133,11 +120,11 @@ type cacheEntry struct {
 // them. A hit whose tag trails the current epoch is revalidated before
 // being served: a fresh snapshot of the catalog's delta-maintained
 // statistics is compared with the one the plan was chosen under, the
-// retained candidate set is re-costed only if they differ (plans survive
-// epochs — only the stats-derived cost choice can change), and the plan
-// is re-compiled only when a different candidate now wins, so
-// post-update cached executions remain byte-identical to freshly
-// planned ones.
+// shape's plan space is re-priced only if they differ (plan spaces
+// survive epochs — only the stats-derived cost choice can change), and
+// a plan is materialised and compiled only when a different candidate
+// now wins, so post-update cached executions remain byte-identical to
+// freshly planned ones.
 func (e *Engine) PrepareCached(q *sparql.Query) (p *Prepared, hit bool, err error) {
 	// Validate up front: the uncached path rejects malformed queries in
 	// the optimizer, and an unvalidated query must not be able to
@@ -189,11 +176,11 @@ func (e *Engine) PrepareCached(q *sparql.Query) (p *Prepared, hit bool, err erro
 // revalidate re-checks a cached plan against the current epoch's
 // cardinality statistics. It takes a fresh snapshot; if that equals the
 // one the plan was chosen under, every candidate prices as it did, so
-// the version tag moves and the choice is kept. Otherwise the retained
-// candidate set is re-costed — or, when it was too large to retain,
-// re-enumerated — and the winner recompiled if it changed. The refreshed
-// Prepared shares every surviving component with the old one (old
-// holders keep executing it safely).
+// the version tag moves and the choice is kept. Otherwise the plan space
+// of the query's shape is re-priced, whatever its size, and the winner
+// materialised and compiled if it changed. The refreshed Prepared shares
+// every surviving component with the old one (old holders keep executing
+// it safely).
 func (e *Engine) revalidate(p *Prepared) (*Prepared, error) {
 	e.revalidations.Add(1)
 	// A hold of its own: the entry's may be gone, evicted meanwhile.
@@ -204,25 +191,16 @@ func (e *Engine) revalidate(p *Prepared) (*Prepared, error) {
 		np.DataVersion = st.Version()
 		return &np, nil
 	}
-	if p.unique == nil {
-		out, err := e.plan(p.Query)
-		if err != nil {
-			return nil, err
-		}
-		e.cat.Release(out.ref)
-		np := newPrepared(p.Query, out)
-		if np.Logical.Signature() != p.Logical.Signature() {
-			e.replans.Add(1)
-		}
-		np.Fingerprint = p.Fingerprint
-		return np, nil
+	sp, err := e.space(p.Query)
+	if err != nil {
+		return nil, err
 	}
-	_, idx, c := cost.NewModel(e.cfg.Constants, st).ChooseIndexed(p.unique)
+	idx, c := cost.NewModel(e.cfg.Constants, st).ChooseSpace(sp)
 	np := *p
 	np.DataVersion, np.stats, np.chosenIdx, np.chosenCost = st.Version(), st, idx, c
 	if idx != p.chosenIdx {
 		e.replans.Add(1)
-		chosen, pp, err := e.finishPlan(p.unique[idx])
+		chosen, pp, err := e.finishPlan(p.Query, sp, idx)
 		if err != nil {
 			return nil, err
 		}

@@ -1,0 +1,78 @@
+package cliquesquare
+
+import (
+	"testing"
+
+	"cliquesquare/internal/lubm"
+)
+
+// queryAll sends every query through the facade's Query.
+func queryAll(t *testing.T, eng *Engine, qs []*Query) {
+	t.Helper()
+	for _, q := range qs {
+		if _, err := eng.Query(q.String()); err != nil {
+			t.Fatalf("%s: %v", q.Name, err)
+		}
+	}
+}
+
+// deleteSome commits one batch deleting every step-th triple of g, n of
+// them, through eng (which was built over g).
+func deleteSome(t *testing.T, eng *Engine, g *Graph, n, step int) {
+	t.Helper()
+	b := new(Batch)
+	for i, tr := range g.Triples() {
+		if i%step == 0 && b.Len() < n {
+			b.Delete(g.Dict.Term(tr.S), g.Dict.Term(tr.P), g.Dict.Term(tr.O))
+		}
+	}
+	if res, err := eng.ApplyBatch(b); err != nil || res.Deleted != n {
+		t.Fatalf("delete batch: %d deleted, err %v; want %d", res.Deleted, err, n)
+	}
+}
+
+// TestEnumerationsPerShape pins what an optimizer run is paid for: a
+// written query shape, once. Any number of constants, of plan-cache
+// misses and of commits later, the engine has enumerated as many times
+// as it has seen shapes, and the spaces it keeps for that are small.
+func TestEnumerationsPerShape(t *testing.T) {
+	g := lubm.Generate(lubm.DefaultConfig(2))
+	eng, err := NewEngine(g, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	const passes = 5
+	for c := 0; c < passes; c++ {
+		queryAll(t, eng, lubm.UniversityVariants(c))
+	}
+	us := eng.UpdateStats()
+	if misses := eng.CacheStats().Misses; us.Enumerations != 6 || us.Spaces != 6 || misses != 6*passes {
+		t.Errorf("%d passes over the six templates: %d enumerations, %d spaces, %d plan-cache misses; want 6, 6 and %d",
+			passes, us.Enumerations, us.Spaces, misses, 6*passes)
+	}
+
+	// The workload's other eight shapes, then commits under all 14.
+	queryAll(t, eng, lubm.Queries())
+	for round := 0; round < 3; round++ {
+		deleteSome(t, eng, g, 50, 11+round)
+		queryAll(t, eng, lubm.Queries())
+	}
+	us = eng.UpdateStats()
+	if us.Enumerations != 14 || us.Spaces != 14 || us.Revalidations == 0 {
+		t.Errorf("the LUBM workload and three commits later: %+v; want 14 enumerations, 14 spaces, and revalidations", us)
+	}
+	if us.SpaceBytes > 256<<10 {
+		t.Errorf("the 14 LUBM plan spaces weigh %d B, want at most 256 KB", us.SpaceBytes)
+	}
+
+	q14, err := NewEngine(g, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q14.Close()
+	queryAll(t, q14, lubm.Queries()[13:])
+	if us := q14.UpdateStats(); us.Spaces != 1 || us.SpaceBytes > 128<<10 {
+		t.Errorf("Q14's space of 935 candidates: %d resident, %d B; want 1 of at most 128 KB", us.Spaces, us.SpaceBytes)
+	}
+}
