@@ -24,9 +24,10 @@ const (
 	// when every relation was a []Row; the seed was ≈21k).
 	workloadAllocCeiling = 1200
 	// workloadBytesCeiling bounds the bytes the same execution allocates
-	// (measured ≈0.63 MB: the 14 final blocks and their views, and a few
-	// KB of bookkeeping per job; 5.48 MB when scans, joins, projections
-	// and outputs each grew a []Row by appending).
+	// (measured ≈0.63 MB: ExecutePlan copies each answer out — 14 blocks
+	// and the []Row views over them, Rows.Materialise — beside a few KB of
+	// bookkeeping per job; 5.48 MB when scans, joins, projections and
+	// outputs each grew a []Row by appending).
 	workloadBytesCeiling = 1 << 20
 	// shuffleHeavyAllocCeiling bounds allocs per execution of the
 	// deepest multi-level reduce-join plan (measured ≈0.26k; the seed
@@ -40,9 +41,20 @@ const (
 	// cachedServeAllocCeiling bounds the objects one facade Query
 	// allocates when the result cache serves it, whatever the size of
 	// the answer (measured 140–190: parse, canonicalize, cache probes,
-	// replay, and two for the decode — row index and cell slab. When
-	// each cell was rendered afresh, Q1's 10.5k rows cost ≈21k).
+	// replay, and two for the decode — row index and cell slab; two more,
+	// the range closures, when a large answer is decoded on several
+	// lanes. When each cell was rendered afresh, Q1's 10.5k rows cost
+	// ≈21k).
 	cachedServeAllocCeiling = 300
+	// uncachedQueryFixedBytes is what one executing facade Query may
+	// allocate beyond its answer — the [][]string the public Result is:
+	// 24 B per row and 16 B per cell, with 2% for the allocator's size
+	// classes (measured ≈ 11 KB for map-only Q1: parse, canonicalize, the
+	// plan-cache probe and the job's bookkeeping. The finished ids are
+	// decoded where the execution left them; when they were first copied
+	// into a final block under a []Row view, Q1's 10.5k rows cost 0.34 MB
+	// more).
+	uncachedQueryFixedBytes = 24 << 10
 	// variantPrepareBytesCeiling bounds the bytes one pass of
 	// BenchmarkPrepareColdVsCached/variant allocates: six cold prepares
 	// for a university no plan is cached for (measured ≈0.19 MB: parse
@@ -139,8 +151,8 @@ func TestAllocRegressionShuffleHeavy(t *testing.T) {
 // TestAllocCachedServeIndependentOfRows pins the result boundary: a
 // request the result cache serves costs a fixed number of objects — a
 // decoded cell is a header copy of a dictionary-owned string and the
-// cached rows are served as a view — so a ten-row answer and a
-// ten-thousand-row one sit under the same small ceiling.
+// cached ids are read in place, in the entry's block — so a ten-row
+// answer and a ten-thousand-row one sit under the same small ceiling.
 func TestAllocCachedServeIndependentOfRows(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation inflates allocation counts")
@@ -185,8 +197,8 @@ func TestAllocCachedServeIndependentOfRows(t *testing.T) {
 // same boundary: between scan and result the executor moves cells in
 // recycled flat blocks, so what one uncached Query allocates in objects
 // follows the shape of its plan — a ten-row answer and a
-// ten-thousand-row one sit under the same ceiling (the bytes do grow:
-// the result block, its view and the decoded strings are the answer).
+// ten-thousand-row one sit under the same ceiling (the bytes do grow,
+// with the decoded answer and nothing else: TestAllocUncachedQueryBytes).
 func TestAllocUncachedExecuteIndependentOfRows(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation inflates allocation counts")
@@ -220,6 +232,50 @@ func TestAllocUncachedExecuteIndependentOfRows(t *testing.T) {
 			t.Errorf("%s (%d rows) executed uncached = %.0f allocs/op, ceiling %d",
 				tc.name, len(res.Rows), got, uncachedQueryAllocCeiling)
 		}
+	}
+}
+
+// TestAllocUncachedQueryBytes pins the bytes of the same boundary: an
+// executing Query allocates its public answer — row index and cell slab
+// — and a fixed few KB; the ids it decodes are never copied out of the
+// context that computed them.
+func TestAllocUncachedQueryBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation inflates allocation counts")
+	}
+	eng, err := NewEngine(lubmGraph(6), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	q, err := lubm.Query("Q1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := q.String()
+	res, err := eng.Query(src) // warms the plan cache and the context's scratch
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := len(res.Rows)
+	if rows < 5000 {
+		t.Fatalf("Q1 answers %d rows, the test assumes thousands", rows)
+	}
+	const runs = 20
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < runs; i++ {
+		if _, err := eng.Query(src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&m1)
+	got := (m1.TotalAlloc - m0.TotalAlloc) / runs
+	answer := uint64(24*rows + 16*rows*len(res.Vars))
+	if ceiling := answer + answer/50 + uncachedQueryFixedBytes; got > ceiling {
+		t.Errorf("Q1 (%d rows) executed uncached = %d B/query, ceiling %d: its [][]string is %d B", rows, got, ceiling, answer)
+	} else {
+		t.Logf("Q1 (%d rows) executed uncached = %d B/query, its [][]string %d B", rows, got, answer)
 	}
 }
 

@@ -464,9 +464,11 @@ func BenchmarkEndToEnd(b *testing.B) {
 
 // BenchmarkDecodeCached measures the result boundary on its own: a
 // warmed, result-cached facade Query, where the request is parse, cache
-// probes, replay and decode. Q1 answers ≈10.5k rows, Q6 and Q14 a few
-// dozen; B/op is the row index plus the cell slab (24 B/row + 16
-// B/cell), allocs/op does not depend on the row count.
+// probes, replay and decode — of the cache entry's block, read in place,
+// on the context's lanes when the answer is large. Q1 answers ≈10.5k
+// rows, Q6 and Q14 a few dozen; B/op is the row index plus the cell
+// slab (24 B/row + 16 B/cell), allocs/op does not depend on the row
+// count.
 func BenchmarkDecodeCached(b *testing.B) {
 	eng, err := NewEngine(lubmGraph(6), Options{ResultCacheBytes: 64 << 20})
 	if err != nil {
@@ -498,9 +500,10 @@ func BenchmarkDecodeCached(b *testing.B) {
 // cached, result cache off, so every request scans, joins, shuffles,
 // canonicalizes and decodes. Q1 answers ≈10.5k rows from a map-only
 // plan, Q5 a few hundred through a reduce join, Q11 none from two jobs.
-// B/op is what the result boundary requires — the final block, its
-// []Row view and the decoded [][]string — plus a few KB of per-job
-// bookkeeping; nothing between scan and result allocates per row.
+// B/op is what the public result requires — the decoded [][]string,
+// filled straight from the merge order over the last job's output —
+// plus a few KB of per-job bookkeeping; nothing between scan and
+// decoded answer allocates per row or copies the ids out.
 func BenchmarkExecuteUncached(b *testing.B) {
 	eng, err := NewEngine(lubmGraph(6), Options{})
 	if err != nil {

@@ -495,39 +495,60 @@ func (p *Prepared) PlanCached() bool { return p.cached }
 // index and cell slab, also when the result cache served the ids; the
 // cells are header copies of the dictionary's rendered terms (see
 // Result.Rows).
+//
+// The answer leaves the executor once: the ids are decoded where the
+// execution left them — the merge order over the last job's output, or
+// a result-cache entry's block — while the execution's context is still
+// held, a large answer on all of its lanes, and nothing of that source
+// survives the call except dictionary-owned strings.
 func (p *Prepared) Run() (*Result, error) {
-	r, err := p.eng.inner.ExecutePrepared(p.inner)
+	var out *Result
+	err := p.eng.inner.RunPlan(p.inner.Physical, func(r *physical.Result, rows physical.Rows) error {
+		n, w := rows.Len(), rows.Width()
+		if n > 0 && w != len(r.Schema) {
+			return fmt.Errorf("cliquesquare: %s: result rows have %d cells, the SELECT list %d variables",
+				p.inner.Query.Name, w, len(r.Schema))
+		}
+		out = &Result{
+			Vars:          p.vars,
+			Rows:          make([][]string, n),
+			Jobs:          len(r.Jobs),
+			MapOnly:       p.inner.Physical.MapOnly(),
+			SimulatedTime: time.Duration(r.Time) * time.Microsecond,
+			PlanHeight:    p.inner.Height,
+			PlansExplored: p.inner.PlansExplored,
+			PlanCached:    p.cached,
+			DataVersion:   r.DataVersion,
+		}
+		// One allocation for the row index, one for all cells; a row's
+		// number fixes its place in both, so ranges decode independently.
+		index, slab, dict := out.Rows, make([]string, n*w), p.eng.dict
+		if rows.Lanes() == 1 {
+			decodeRows(dict, rows, index, slab, 0, n)
+		} else {
+			// Only here does a closure reach the heap: a small answer, or
+			// one lane, decodes without allocating beyond index and slab.
+			rows.EachRange(func(lo, hi int) { decodeRows(dict, rows, index, slab, lo, hi) })
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	out := &Result{
-		Vars:          p.vars,
-		Jobs:          len(r.Jobs),
-		MapOnly:       p.inner.Physical.MapOnly(),
-		SimulatedTime: time.Duration(r.Time) * time.Microsecond,
-		PlanHeight:    p.inner.Height,
-		PlansExplored: p.inner.PlansExplored,
-		PlanCached:    p.cached,
-		DataVersion:   r.DataVersion,
-	}
-	// Decode into pre-sized rows backed by one string slab: one
-	// allocation for the row index, one for all cells. r.Rows may be a
-	// view of a result-cache entry; it is only read here.
-	out.Rows = make([][]string, len(r.Rows))
-	cells := 0
-	for _, row := range r.Rows {
-		cells += len(row)
-	}
-	slab := make([]string, cells)
-	for ri, row := range r.Rows {
-		dec := slab[:len(row):len(row)]
-		slab = slab[len(row):]
-		for i, id := range row {
-			dec[i] = p.eng.dict.Rendered(id)
-		}
-		out.Rows[ri] = dec
-	}
 	return out, nil
+}
+
+// decodeRows renders rows lo..hi of a borrowed result into their cells
+// of slab and points their index entries at them.
+func decodeRows(dict *rdf.Dict, rows physical.Rows, index [][]string, slab []string, lo, hi int) {
+	w := rows.Width()
+	for i := lo; i < hi; i++ {
+		dec := slab[i*w : (i+1)*w : (i+1)*w]
+		for j, id := range rows.Row(i) {
+			dec[j] = dict.Rendered(id)
+		}
+		index[i] = dec
+	}
 }
 
 // Explain returns a human-readable description of the plan chosen for

@@ -53,7 +53,7 @@ func timePlans(eng *csq.Engine, plans []*physical.Plan, reps int) (int64, error)
 	for r := 0; r <= reps; r++ {
 		start := time.Now()
 		for _, pp := range plans {
-			if _, err := eng.ExecutePlan(pp); err != nil {
+			if _, err := eng.ExecuteStats(pp); err != nil {
 				return 0, err
 			}
 		}

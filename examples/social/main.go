@@ -95,12 +95,12 @@ func main() {
 				log.Fatal(err)
 			}
 		}
-		r, err := eng.ExecutePlan(pp)
+		r, err := eng.ExecuteStats(pp)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("%-30s height %d, %s job(s), %5d rows, simulated %6.2f s\n",
-			entry.name, pp.Logical.Height(), pp.JobLabel(), len(r.Rows), r.Time/1e6)
+			entry.name, pp.Logical.Height(), pp.JobLabel(), r.N, r.Time/1e6)
 	}
 
 	// The same engine answers ad-hoc queries; show one PWOC star.

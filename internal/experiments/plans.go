@@ -82,17 +82,17 @@ func PlanComparison(cc ClusterConfig) ([]PlanRow, error) {
 					return nil, fmt.Errorf("%s: compile: %w", q.Name, err)
 				}
 			}
-			res, err := eng.ExecutePlan(pp)
+			res, err := eng.ExecuteStats(pp)
 			if err != nil {
 				return nil, fmt.Errorf("%s: execute: %w", q.Name, err)
 			}
 			row.Labels[i] = pp.JobLabel()
 			row.TimeSec[i] = res.Time / 1e6
 			if i == 0 {
-				row.Rows = len(res.Rows)
-			} else if len(res.Rows) != row.Rows {
+				row.Rows = res.N
+			} else if res.N != row.Rows {
 				return nil, fmt.Errorf("%s: plan %d returned %d rows, MSC returned %d",
-					q.Name, i, len(res.Rows), row.Rows)
+					q.Name, i, res.N, row.Rows)
 			}
 		}
 		out = append(out, row)

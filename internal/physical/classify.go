@@ -17,10 +17,14 @@
 // numbers and append output cells, projections and shuffle emission
 // read and write cells. Every such block belongs to the ExecContext
 // (its per-lane arenas, range slots, intermediate table and shuffle
-// scratch) and is recycled by the context's next execution; what
-// outlives an execution — Result.Rows and result-cache entries — is
-// copied into exactly sized blocks of its own. Result.Rows, one header
-// slice over the final block, is the only []Row a query builds.
+// scratch) and is recycled by the context's next execution. The result
+// is flat to the end as well: the final sort and merge leave an order
+// over the last job's output, and Executor.Run lends it to its caller
+// in place, as a Rows, to be consumed on the context's lanes. Only what
+// outlives an execution — result-cache entries, and the Result.Rows of
+// Execute, for callers that keep ids — is copied into exactly sized
+// blocks of its own; Rows.Materialise, behind Execute, is the only
+// place a []Row is built.
 package physical
 
 import (

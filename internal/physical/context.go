@@ -23,9 +23,14 @@ import (
 // per-range join outputs, the per-node intermediate relations, the
 // shuffle's cell buffers and the jobs' per-node outputs — belongs to
 // the context and is recycled, in place, by the next execution it
-// serves. Nothing that outlives the execution may alias it: the final
-// result (Result.Rows) and every result-cache entry are copied out
-// into exactly sized blocks of their own (dedupeSort, Block.Clone).
+// serves. Nothing that outlives the execution may alias it. The final
+// result is not copied out at all unless somebody asks: mergeParts
+// leaves it as an order over the last job's output, both context
+// scratch, and Executor.Run lends that to its callback as a Rows, valid
+// until the callback returns. What does outlive the execution — the
+// rows Execute returns (Rows.Materialise) and every result-cache entry
+// (Rows.block, Block.Clone) — is copied into exactly sized blocks of
+// its own.
 //
 // The lane count is fixed by NewExecContext, which spawns the context's
 // persistent mapreduce worker pool (parked between jobs); the owner
@@ -64,12 +69,16 @@ type ExecContext struct {
 	ranges     []rangeSlot
 	rangeWidth int
 
-	// dedupeSort's scratch: per-part offsets, merge heads and head
+	// mergeParts' scratch and product: the parts being merged (the last
+	// job's per-node output), their offsets, merge heads and head
 	// prefixes, each part's sorted row numbers, and the merged order of
-	// the survivors.
+	// the survivors — which, with sortParts and sortOffs, is what a
+	// merged Rows reads. sortFn is sortPart bound once.
+	sortParts           []mapreduce.Block
 	sortOffs, sortHeads []int
 	sortPrefix          []uint64
 	sortIdx, sortOrder  []int32
+	sortFn              func(part, lane int)
 }
 
 // rangeSlot is one key range's reduce-join accumulation: output block,

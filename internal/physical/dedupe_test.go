@@ -55,39 +55,90 @@ func randomParts(rng *rand.Rand, n, w, k, vals int) ([]mapreduce.Block, []mapred
 	return parts, rows
 }
 
-// TestDedupeMatchesReference checks dedupeSort against the row-form
+// sourceRows reads a source's rows one by one, copying each out of
+// whatever backs it.
+func sourceRows(r Rows) []mapreduce.Row {
+	out := []mapreduce.Row{}
+	for i := 0; i < r.Len(); i++ {
+		out = append(out, append(mapreduce.Row{}, r.Row(i)...))
+	}
+	return out
+}
+
+// TestDedupeMatchesReference checks mergeParts against the row-form
 // oracle for widths 0–8 on both sides of parallelSortMin, on one lane
 // (the parts are sorted inline) and on four (large results sort their
-// parts concurrently), with heavy and with light duplication.
+// parts concurrently), with heavy and with light duplication, empty
+// results and zero-row parts included: the rows read through the
+// borrowed source, the block cut from it and its materialised form all
+// equal the reference, and the materialised form is exactly sized and
+// shares nothing with the parts.
 func TestDedupeMatchesReference(t *testing.T) {
 	for _, lanes := range []int{1, 4} {
 		ctx := NewExecContext(lanes)
-		for trial := 0; trial < 54; trial++ {
+		for trial := 0; trial < 56; trial++ {
 			rng := rand.New(rand.NewSource(int64(trial)))
 			w := trial % 9
 			n := rng.Intn(300)
 			if trial%3 == 2 {
 				n = parallelSortMin + rng.Intn(parallelSortMin)
 			}
+			if trial >= 54 {
+				n = 0 // nothing but zero-row parts
+			}
 			vals := 6
 			if trial%2 == 1 {
 				vals = 1 << 20
 			}
 			parts, rows := randomParts(rng, n, w, 1+rng.Intn(7), vals)
+			if trial == 55 {
+				parts = nil // a job that produced no part at all
+			}
 			want := refDedupeSort(rows)
-			blk, got := ctx.dedupeSort(parts)
+			src := ctx.mergeParts(parts)
+			if src.Len() != len(want) || src.Width() != w && src.Len() > 0 {
+				t.Fatalf("lanes %d, trial %d (%d rows of width %d): the source has %d rows of width %d, want %d",
+					lanes, trial, n, w, src.Len(), src.Width(), len(want))
+			}
+			if got := sourceRows(src); !reflect.DeepEqual(got, want) {
+				t.Fatalf("lanes %d, trial %d (%d rows of width %d): rows read through the source differ from the reference", lanes, trial, n, w)
+			}
+			// Ranges tile the rows exactly, at every lane count.
+			covered := make([]int32, src.Len())
+			src.EachRange(func(lo, hi int) {
+				for i := lo; i < hi; i++ {
+					covered[i]++ // disjoint ranges: no two lanes share an i
+				}
+			})
+			for i, c := range covered {
+				if c != 1 {
+					t.Fatalf("lanes %d, trial %d: row %d was handed to %d ranges", lanes, trial, i, c)
+				}
+			}
+			owned := blockRows(src.block(), ctx)
+			if got := sourceRows(owned); !reflect.DeepEqual(got, want) {
+				t.Fatalf("lanes %d, trial %d: rows read through a block-backed source differ from the reference", lanes, trial)
+			}
+			got := src.Materialise()
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("lanes %d, trial %d (%d rows of width %d): result differs from the reference (%d rows, want %d)",
+				t.Fatalf("lanes %d, trial %d (%d rows of width %d): materialised result differs from the reference (%d rows, want %d)",
 					lanes, trial, n, w, len(got), len(want))
 			}
-			if blk.N != len(got) || blk.Width != w && blk.N > 0 || len(blk.Cells) != len(got)*w || cap(blk.Cells) != len(blk.Cells) || cap(got) != len(got) {
-				t.Fatalf("lanes %d, trial %d: block %d x %d with %d/%d cells under a view of %d/%d rows is not exactly sized",
-					lanes, trial, blk.N, blk.Width, len(blk.Cells), cap(blk.Cells), len(got), cap(got))
+			if cap(got) != len(got) {
+				t.Fatalf("lanes %d, trial %d: a view of %d/%d rows is not exactly sized", lanes, trial, len(got), cap(got))
 			}
-			for i, row := range got {
-				if w > 0 && &row[0] != &blk.Cells[i*w] {
-					t.Fatalf("lanes %d, trial %d: view row %d is not row %d of the block", lanes, trial, i, i)
+			// Over an owned block the view shares the block's cells.
+			if view := owned.Materialise(); !reflect.DeepEqual(view, want) || len(view) > 0 && w > 0 && &view[0][0] != &owned.blk.Cells[0] {
+				t.Fatalf("lanes %d, trial %d: a block-backed source did not materialise as a view of its block", lanes, trial)
+			}
+			// Over a merge order it shares nothing with the parts.
+			for p := range parts {
+				for i := range parts[p].Cells {
+					parts[p].Cells[i] = ^rdf.TermID(0)
 				}
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("lanes %d, trial %d: the materialised result changed when the parts were overwritten", lanes, trial)
 			}
 		}
 		ctx.Close()
@@ -95,14 +146,27 @@ func TestDedupeMatchesReference(t *testing.T) {
 }
 
 // TestDedupeAllocations pins the result boundary's allocation contract:
-// once the context's scratch has grown, canonicalizing a job's output
-// allocates the result block and its view — nothing per row.
+// once the context's scratch has grown, ordering a job's output
+// allocates nothing, reading it nothing, and only Materialise pays —
+// the block and its view, nothing per row.
 func TestDedupeAllocations(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	parts, _ := randomParts(rng, 1024, 2, 7, 40)
-	ctx := &ExecContext{}
-	ctx.dedupeSort(parts)
-	if got := testing.AllocsPerRun(100, func() { ctx.dedupeSort(parts) }); got > 4 {
-		t.Errorf("dedupeSort of 1024 rows: %v allocs/op, want the block, the view and at most two closures", got)
+	// Above parallelSortMin: on four lanes the parts are sorted on the pool.
+	parts, _ := randomParts(rng, 2*parallelSortMin, 2, 7, 400)
+	for _, ctx := range []*ExecContext{{}, NewExecContext(4)} {
+		src := ctx.mergeParts(parts)
+		var sum rdf.TermID
+		if got := testing.AllocsPerRun(100, func() {
+			src = ctx.mergeParts(parts)
+			for i := 0; i < src.Len(); i++ {
+				sum += src.Row(i)[0]
+			}
+		}); got != 0 {
+			t.Errorf("%d lanes: ordering and reading %d rows: %v allocs/op, want none on a warm context", ctx.lanes(), src.Len(), got)
+		}
+		if got := testing.AllocsPerRun(100, func() { src.Materialise() }); got != 2 {
+			t.Errorf("%d lanes: Materialise of %d rows: %v allocs/op, want the block and the view", ctx.lanes(), src.Len(), got)
+		}
+		ctx.Close()
 	}
 }

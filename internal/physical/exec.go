@@ -56,14 +56,15 @@ type Executor struct {
 type Result struct {
 	// Schema is the output column order (the query's SELECT variables).
 	Schema []string
-	// Rows are the distinct result tuples, sorted for determinism: one
-	// exactly sized header slice over the final result block — the only
-	// []Row an execution builds, and no part of it aliases the context
-	// that computed it. They are shared and immutable: with a result
-	// cache the slice is the final job's cache entry's, handed as-is to
-	// every execution that hits it. Read them; to reorder, truncate or
-	// overwrite, copy first (the facade decodes them into fresh
-	// [][]string).
+	// N is the number of distinct result tuples, set by every entrance.
+	N int
+	// Rows are the distinct result tuples, sorted for determinism — filled
+	// by Execute only (Rows.Materialise: one exactly sized header slice
+	// over a block the computing context does not own); Run leaves it nil
+	// and lends its callback the rows in place instead. They are shared
+	// and immutable: with a result cache the cells under the slice are the
+	// final job's cache entry's, the same for every execution that hits
+	// it. Read them; to reorder, truncate or overwrite, copy first.
 	Rows []mapreduce.Row
 	// Jobs are the per-job simulator statistics for this execution.
 	Jobs []mapreduce.JobStats
@@ -84,9 +85,26 @@ func (x *Executor) sinkJob() {
 }
 
 // Execute runs pp and returns its deduplicated, sorted results together
-// with the simulated timing. The cluster's job log grows by this plan's
-// jobs; timing in the Result covers only them.
+// with the simulated timing: Run, with the rows copied out
+// (Rows.Materialise) for callers that keep them.
 func (x *Executor) Execute(pp *Plan) (*Result, error) {
+	var res *Result
+	err := x.Run(pp, func(r *Result, rows Rows) error {
+		r.Rows, res = rows.Materialise(), r
+		return nil
+	})
+	return res, err
+}
+
+// Run executes pp and hands use the simulated timing (Result.Rows nil,
+// N set) and the deduplicated, sorted rows as a borrowed source: they
+// sit where the execution left them — an order over the last job's
+// output in the context, or a result-cache entry's block — so whoever
+// only counts, digests or decodes them copies nothing. rows, and every
+// Row read from it, is invalid once use returns; the Result is the
+// caller's to keep. The cluster's job log grows by this plan's jobs;
+// timing in the Result covers only them.
+func (x *Executor) Run(pp *Plan, use func(res *Result, rows Rows) error) error {
 	if x.Ctx == nil {
 		x.Ctx = &ExecContext{}
 	}
@@ -117,17 +135,17 @@ func (x *Executor) Execute(pp *Plan) (*Result, error) {
 
 	// A map-only plan is a one-job plan; either way the last job's rows
 	// are the result.
-	var rows []mapreduce.Row
+	var rows Rows
 	for l := 0; l < pp.NumJobs(); l++ {
 		var err error
 		if rows, err = x.serveLevel(pp, l); err != nil {
-			return nil, err
+			return err
 		}
 	}
 
 	res := &Result{
 		Schema:      append([]string(nil), pp.Logical.Query.Select...),
-		Rows:        rows,
+		N:           rows.Len(),
 		Work:        x.Cluster.TotalWork() - workBefore,
 		DataVersion: x.view.Version(),
 	}
@@ -135,7 +153,7 @@ func (x *Executor) Execute(pp *Plan) (*Result, error) {
 		res.Jobs = append(res.Jobs, js)
 		res.Time += js.Time
 	}
-	return res, nil
+	return use(res, rows)
 }
 
 // serveLevel produces job l of the plan — its reduce joins' blocks in
@@ -146,20 +164,19 @@ func (x *Executor) Execute(pp *Plan) (*Result, error) {
 // snapshots them. An entry owns exactly sized copies: intermediate
 // blocks are copied out of the context on a miss and back into it on a
 // hit (later jobs read them there, the next execution recycles them);
-// the final rows are the entry's own view, returned as it is, hit or
-// miss — see Result.Rows.
-func (x *Executor) serveLevel(pp *Plan, l int) ([]mapreduce.Row, error) {
+// the final rows are read from the entry's own block, hit or miss, so
+// with a cache every request reaches its consumer in one form.
+func (x *Executor) serveLevel(pp *Plan, l int) (Rows, error) {
 	last := l == pp.NumJobs()-1
-	run := func(rec *mapreduce.JobRecord) (mapreduce.Block, []mapreduce.Row) {
+	run := func(rec *mapreduce.JobRecord) Rows {
 		out := x.runLevel(pp, l, rec)
 		if !last {
-			return mapreduce.Block{}, nil
+			return Rows{}
 		}
-		return x.Ctx.dedupeSort(out.PerNode)
+		return x.Ctx.mergeParts(out.PerNode)
 	}
 	if x.ResultCache == nil {
-		_, rows := run(nil)
-		return rows, nil
+		return run(nil), nil
 	}
 	var infos []*Info // the reduce joins whose rows the job leaves behind
 	if !pp.MapOnly() {
@@ -168,7 +185,10 @@ func (x *Executor) serveLevel(pp *Plan, l int) ([]mapreduce.Row, error) {
 	interm := x.Ctx.interm
 	ent, hit, err := x.ResultCache.Do(pp.JobKeys[l], x.view.VersionKey(), func() (*rescache.Entry, error) {
 		rec := &mapreduce.JobRecord{}
-		final, rows := run(rec)
+		var final mapreduce.Block
+		if rows := run(rec); last {
+			final = rows.block()
+		}
 		snap := make([][]mapreduce.Block, len(infos))
 		for i, in := range infos {
 			snap[i] = make([]mapreduce.Block, len(interm[in.ID]))
@@ -176,10 +196,10 @@ func (x *Executor) serveLevel(pp *Plan, l int) ([]mapreduce.Row, error) {
 				snap[i][node] = blk.Clone()
 			}
 		}
-		return rescache.NewEntry(rec, snap, final, rows), nil
+		return rescache.NewEntry(pp.JobKeys[l], rec, snap, final), nil
 	})
 	if err != nil {
-		return nil, err
+		return Rows{}, err
 	}
 	if hit {
 		// Log the job as if it had just run and restore its rows
@@ -195,11 +215,9 @@ func (x *Executor) serveLevel(pp *Plan, l int) ([]mapreduce.Row, error) {
 		}
 	}
 	if !last {
-		return nil, nil
+		return Rows{}, nil
 	}
-	// Capacity clipped: an append by a careless reader reallocates
-	// instead of writing past the view into the entry's array.
-	return ent.Final[:len(ent.Final):len(ent.Final)], nil
+	return blockRows(ent.Block, x.Ctx), nil
 }
 
 // jobName names job l of the plan in the cluster's log.

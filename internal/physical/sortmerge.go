@@ -8,14 +8,15 @@ import (
 	"cliquesquare/internal/rdf"
 )
 
-// parallelSortMin is the result size below which the final sort runs
-// on the calling lane alone: dispatching the parts to the pool only
-// pays for itself on large result sets.
+// parallelSortMin is the result size below which the final sort, and a
+// consumer's pass over the finished rows (Rows.EachRange), run on the
+// calling lane alone: dispatching to the pool only pays for itself on
+// large result sets.
 const parallelSortMin = 4096
 
 // compareRows is the canonical result order: lexicographic by cell,
 // over rows of one width. It is total on distinct rows, which is what
-// makes dedupeSort exact — any algorithm producing the sorted distinct
+// makes mergeParts exact — any algorithm producing the sorted distinct
 // set yields byte-identical output.
 func compareRows(a, b mapreduce.Row) int {
 	for k, v := range a {
@@ -42,15 +43,16 @@ func rowPrefix(row mapreduce.Row) uint64 {
 	return uint64(row[0])<<32 | uint64(row[1])
 }
 
-// dedupeSort produces the canonical result set of a job's output parts
-// (one block per node): the distinct rows in compareRows order, as an
-// exactly sized block that shares nothing with the context, and the
-// one []Row view over it. No row moves until then: each part's row
-// numbers are sorted on their own (concurrently on the pool when the
-// result is large), a k-way merge lists the rows in order, dropping
-// duplicates as they meet (equal rows are adjacent across part heads
-// under a total order), and only the survivors' cells are copied.
-func (c *ExecContext) dedupeSort(parts []mapreduce.Block) (mapreduce.Block, []mapreduce.Row) {
+// mergeParts produces the canonical result set of a job's output parts
+// (one block per node) — the distinct rows in compareRows order —
+// without moving a row: each part's row numbers are sorted on their own
+// (concurrently on the pool when the result is large) and a k-way merge
+// lists the rows in order, dropping duplicates as they meet (equal rows
+// are adjacent across part heads under a total order). The product is
+// an order over the parts, left in the context's scratch, and the Rows
+// that reads through it: valid until the context's next job, and on a
+// warm context allocation-free.
+func (c *ExecContext) mergeParts(parts []mapreduce.Block) Rows {
 	// idx holds each part's row numbers, part after part; part p's are
 	// idx[offs[p]:offs[p+1]].
 	offs, total, width := c.sortOffs[:0], 0, 0
@@ -62,24 +64,21 @@ func (c *ExecContext) dedupeSort(parts []mapreduce.Block) (mapreduce.Block, []ma
 		}
 	}
 	offs = append(offs, total)
-	c.sortOffs = offs
+	c.sortOffs, c.sortParts = offs, parts
 	c.sortIdx = sized(c.sortIdx, total)
 	idx := c.sortIdx
 	pool := c.pool
 	if total < parallelSortMin {
 		pool = nil
 	}
-	pool.ForEach(len(parts), func(p, _ int) {
-		part, rows := &parts[p], idx[offs[p]:offs[p+1]]
-		for i := range rows {
-			rows[i] = int32(i)
-		}
-		slices.SortFunc(rows, func(a, b int32) int { return compareRows(part.Row(int(a)), part.Row(int(b))) })
-	})
+	if c.sortFn == nil {
+		c.sortFn = c.sortPart // bound once: a method value handed to the pool allocates
+	}
+	pool.ForEach(len(parts), c.sortFn)
 
-	// Merge: order lists, as positions in idx, the distinct rows in
-	// result order. heads[p] is part p's next unmerged position and
-	// prefix[p] that row's prefix.
+	// Merge: order lists the distinct rows in result order, each as its
+	// part's offset plus its row number there. heads[p] is part p's next
+	// unmerged position in idx and prefix[p] that row's prefix.
 	order := c.sortOrder[:0]
 	heads := append(c.sortHeads[:0], offs[:len(parts)]...)
 	prefix := sized(c.sortPrefix, len(parts))
@@ -104,7 +103,7 @@ func (c *ExecContext) dedupeSort(parts []mapreduce.Block) (mapreduce.Block, []ma
 			break
 		}
 		if row := head(best); len(order) == 0 || compareRows(last, row) != 0 {
-			order = append(order, int32(heads[best]))
+			order = append(order, int32(offs[best])+idx[heads[best]])
 			last = row
 		}
 		if heads[best]++; heads[best] < offs[best+1] {
@@ -112,15 +111,105 @@ func (c *ExecContext) dedupeSort(parts []mapreduce.Block) (mapreduce.Block, []ma
 		}
 	}
 	c.sortOrder, c.sortHeads, c.sortPrefix = order, heads, prefix
+	return Rows{blk: mapreduce.Block{Width: width, N: len(order)}, ctx: c, merged: true}
+}
 
-	out := mapreduce.Block{Width: width, N: len(order), Cells: make([]rdf.TermID, len(order)*width)}
-	view := make([]mapreduce.Row, len(order))
-	for i, pos := range order {
-		// order interleaves the parts: pos lies in the part whose span
-		// of idx holds it.
-		p := sort.SearchInts(offs, int(pos)+1) - 1
-		view[i] = out.Row(i)
-		copy(view[i], parts[p].Row(int(idx[pos])))
+// sortPart sorts part p's row numbers into its span of sortIdx.
+func (c *ExecContext) sortPart(p, _ int) {
+	part, rows := &c.sortParts[p], c.sortIdx[c.sortOffs[p]:c.sortOffs[p+1]]
+	for i := range rows {
+		rows[i] = int32(i)
 	}
-	return out, view
+	slices.SortFunc(rows, func(a, b int32) int { return compareRows(part.Row(int(a)), part.Row(int(b))) })
+}
+
+// Rows is a finished result as the executor hands it over: the distinct
+// rows in canonical order, read in place. It is backed either by the
+// merge order of the running context — positions into the last job's
+// per-node output, both the context's scratch — or by one owned block
+// (a result-cache entry's). Either way it is borrowed: valid only
+// inside the callback Executor.Run passes it to, and nothing may keep
+// it, or a Row it returned, beyond that. Materialise is the way out.
+type Rows struct {
+	// blk is the owned block; of a merge order it gives the shape only
+	// (width and row count, no cells).
+	blk mapreduce.Block
+	// ctx is the context serving the execution: its lanes run EachRange,
+	// and when merged its sort scratch is the source.
+	ctx    *ExecContext
+	merged bool
+}
+
+// blockRows is the source over one owned block, read on c's lanes.
+func blockRows(b mapreduce.Block, c *ExecContext) Rows { return Rows{blk: b, ctx: c} }
+
+// Len is the number of rows.
+func (r Rows) Len() int { return r.blk.N }
+
+// Width is the number of cells of every row.
+func (r Rows) Width() int { return r.blk.Width }
+
+// Row returns row i as a capacity-clipped slice into whatever backs the
+// source. Read it; it is gone when the source is.
+func (r Rows) Row(i int) mapreduce.Row {
+	if !r.merged {
+		return r.blk.Row(i)
+	}
+	// order interleaves the parts: a position lies in the part whose span
+	// of offsets holds it.
+	c, pos := r.ctx, int(r.ctx.sortOrder[i])
+	p := sort.SearchInts(c.sortOffs, pos+1) - 1
+	return c.sortParts[p].Row(pos - c.sortOffs[p])
+}
+
+// Lanes is the number of ranges EachRange cuts the rows into: the
+// context's lanes for a large result, one otherwise.
+func (r Rows) Lanes() int {
+	if r.Len() < parallelSortMin {
+		return 1
+	}
+	return r.ctx.lanes()
+}
+
+// EachRange cuts the rows into Lanes() contiguous ranges and calls
+// fn(lo, hi) once per range, concurrently on the context's lanes when
+// there are several. A row's number fixes where its consumer puts it,
+// so whatever fn builds is the same at every lane count. fn is retained
+// by the pool for the call: a caller that must not allocate on the
+// one-lane path checks Lanes() first and loops itself.
+func (r Rows) EachRange(fn func(lo, hi int)) {
+	k, n := r.Lanes(), r.Len()
+	if k == 1 {
+		fn(0, n)
+		return
+	}
+	r.ctx.pool.ForEach(k, func(i, _ int) { fn(i*n/k, (i+1)*n/k) })
+}
+
+// block copies the rows into an exactly sized block that shares nothing
+// with the source.
+func (r Rows) block() mapreduce.Block {
+	out := r.blk
+	out.Cells = make([]rdf.TermID, out.N*out.Width)
+	for i := 0; i < out.N; i++ {
+		copy(out.Row(i), r.Row(i))
+	}
+	return out
+}
+
+// Materialise returns the rows in the form that outlives the source:
+// one exactly sized header slice over a block the context does not own
+// — a fresh copy of a merge order's survivors, or the owned block
+// itself (a cache entry's: shared and immutable). It is the only place
+// the data plane builds a []Row.
+func (r Rows) Materialise() []mapreduce.Row {
+	b := r.blk
+	if r.merged {
+		b = r.block()
+	}
+	view := make([]mapreduce.Row, b.N)
+	for i := range view {
+		view[i] = b.Row(i)
+	}
+	return view
 }

@@ -10,15 +10,16 @@
 // uncached run. An entry owns what it holds: flat, exactly sized
 // blocks allocated for it at admission, never a view of the execution
 // context that computed them (which recycles its memory on its next
-// execution). A final job's rows are served as the entry's own view —
-// its []Row becomes physical.Result.Rows, which is documented shared
-// and immutable and which the facade only reads while decoding; an
-// intermediate job's blocks are copied back into the serving
-// execution's context, where the next job consumes them. Epoch
-// invalidation is by construction: the committed DataVersion is part
-// of the key, so a batch commit makes every older entry unreachable;
-// the engine additionally purges on commit so stale bytes don't squat
-// in the budget.
+// execution). A final job's rows are kept as cells only, one block, and
+// read in place by whoever the executor lends them to (physical.Rows) —
+// the facade decodes straight from it, a caller that wants row headers
+// builds them over it; it is shared and immutable. An intermediate
+// job's blocks are copied back into the serving execution's context,
+// where the next job consumes them. Epoch invalidation is by
+// construction: the committed DataVersion is part of the key, so a
+// batch commit makes every older entry unreachable; the engine
+// additionally purges on commit so stale bytes don't squat in the
+// budget.
 //
 // Singleflight comes with the underlying cache: N concurrent servers
 // hitting the same cold (signature, version) run the job once and all
@@ -35,33 +36,40 @@ import (
 )
 
 // Entry is one cached job result: the metering record for stats replay
-// and the job's materialized output. Exactly one of Interm/Final is
+// and the job's materialized output. Exactly one of Interm/Block is
 // meaningful per entry kind: a non-final level job fills Interm (one
 // block per level input and node — positional, matching the plan
 // level's reduce-join order), a final or map-only job fills Block (the
-// finished, deduped and sorted result rows) and Final, the one []Row
-// view over it, built once at admission so that a hit allocates
-// nothing. Everything is immutable once cached: nobody writes through
-// or extends a block or the view.
+// finished, deduped and sorted result rows — cells only, no row
+// headers: a hit reads them in place and allocates nothing). Everything
+// is immutable once cached: nobody writes through or extends a block.
 type Entry struct {
 	Rec    *mapreduce.JobRecord
 	Interm [][]mapreduce.Block
 	Block  mapreduce.Block
-	Final  []mapreduce.Row
 	bytes  int64
 }
 
-// NewEntry builds an entry and computes its cache weight once: exactly
-// what the entry keeps resident — its blocks' arrays at their
-// capacity, the block headers, the view's row headers and the record.
-func NewEntry(rec *mapreduce.JobRecord, interm [][]mapreduce.Block, final mapreduce.Block, view []mapreduce.Row) *Entry {
+// nodeBytes is what the cache itself keeps per entry beside the value
+// and the job key's bytes: plancache's list node (key header, value,
+// error, links, weight: 88 B), its ready channel (96 B), the key's slot
+// in the shard's map (a string header and a pointer, at the map's load
+// factor: ≈ 40 B) and the version prefix Do puts before the job key
+// (≤ 17 B).
+const nodeBytes = 240
+
+// NewEntry builds the entry to be cached under jobKey and computes its
+// cache weight once: exactly what the entry keeps resident — its blocks'
+// arrays at their capacity, the block headers, the record, the entry
+// itself, its key and the cache's node for it.
+func NewEntry(jobKey string, rec *mapreduce.JobRecord, interm [][]mapreduce.Block, final mapreduce.Block) *Entry {
 	const (
 		cell   = int64(unsafe.Sizeof(rdf.TermID(0)))
 		block  = int64(unsafe.Sizeof(mapreduce.Block{}))
-		header = int64(unsafe.Sizeof(mapreduce.Row(nil)))
+		header = int64(unsafe.Sizeof([]mapreduce.Block(nil)))
 	)
-	e := &Entry{Rec: rec, Interm: interm, Block: final, Final: view}
-	b := rec.MemBytes() + cell*int64(cap(final.Cells)) + header*int64(cap(view))
+	e := &Entry{Rec: rec, Interm: interm, Block: final}
+	b := rec.MemBytes() + cell*int64(cap(final.Cells)) + int64(unsafe.Sizeof(*e)) + int64(len(jobKey)) + nodeBytes
 	for _, per := range interm {
 		b += header + block*int64(cap(per))
 		for _, blk := range per {

@@ -97,14 +97,15 @@ func DefaultConfig() Config {
 }
 
 // Engine is a loaded CSQ instance. All of its entry points — Prepare,
-// PrepareCached, ExecutePrepared, Plan, ExecutePlan, Run, ApplyBatch,
-// AddNodes, RemoveNodes — are safe for concurrent use: planning reads a
-// pinned data epoch plus immutable engine state, execution draws
-// per-call scratch from the context pool, and the plan cache
-// synchronizes itself. Writes have exactly one writer at a time — the
-// batcher goroutine when a log is attached, else whichever caller holds
-// wmu — which publishes new epochs atomically. Locks nest in the order
-// writer (wmu or being the batcher) → stateMu → the catalog's mutex.
+// PrepareCached, ExecutePrepared, Plan, ExecutePlan, RunPlan, Run,
+// ApplyBatch, AddNodes, RemoveNodes — are safe for concurrent use:
+// planning reads a pinned data epoch plus immutable engine state,
+// execution draws per-call scratch from the context pool, and the plan
+// cache synchronizes itself. Writes have exactly one writer at a time —
+// the batcher goroutine when a log is attached, else whichever caller
+// holds wmu — which publishes new epochs atomically. Locks nest in the
+// order writer (wmu or being the batcher) → stateMu → the catalog's
+// mutex.
 type Engine struct {
 	cfg   Config
 	graph *rdf.Graph
@@ -499,32 +500,71 @@ func (e *Engine) closeContexts() {
 	}
 }
 
+// executor wires an executor for one plan execution: a pooled context,
+// the current epoch pinned, a fresh cluster clock. The caller releases
+// it when the execution — and whatever reads its borrowed rows — is
+// done.
+func (e *Engine) executor() (*physical.Executor, error) {
+	if e.closed.Load() {
+		return nil, ErrClosed
+	}
+	return &physical.Executor{
+		Cluster: mapreduce.NewCluster(e.store, e.cfg.Constants),
+		Part:    e.part,
+		Dict:    e.graph.Dict,
+		Ctx:     e.execContext(),
+		// Pin the epoch in the partitioner's registry for the duration:
+		// the durable compactor's watermark then never garbage-collects
+		// the WAL generation this execution is reading.
+		View:        e.part.Pin(e.part.Current()),
+		ResultCache: e.res,
+	}, nil
+}
+
+// release unpins x's epoch and returns its context to the free list.
+func (e *Engine) release(x *physical.Executor) {
+	e.part.Unpin(x.View)
+	e.putContext(x.Ctx)
+}
+
 // ExecutePlan runs an already-compiled plan on a fresh cluster clock,
 // with per-node phases executed concurrently (per Config.Parallelism).
 // The execution pins the current data epoch for its whole duration:
 // batches committing meanwhile are invisible to it, and the result's
-// DataVersion reports the epoch served.
+// DataVersion reports the epoch served. The rows are the caller's to
+// keep (physical.Result.Rows); RunPlan is the entrance that does not
+// copy them out.
 func (e *Engine) ExecutePlan(pp *physical.Plan) (*physical.Result, error) {
-	if e.closed.Load() {
-		return nil, ErrClosed
+	x, err := e.executor()
+	if err != nil {
+		return nil, err
 	}
-	ctx := e.execContext()
-	defer e.putContext(ctx)
-	// Pin the epoch in the partitioner's registry for the duration:
-	// the durable compactor's watermark then never garbage-collects
-	// the WAL generation this execution is reading.
-	view := e.part.Pin(e.part.Current())
-	defer e.part.Unpin(view)
-	cl := mapreduce.NewCluster(e.store, e.cfg.Constants)
-	x := &physical.Executor{
-		Cluster:     cl,
-		Part:        e.part,
-		Dict:        e.graph.Dict,
-		Ctx:         ctx,
-		View:        view,
-		ResultCache: e.res,
-	}
+	defer e.release(x)
 	return x.Execute(pp)
+}
+
+// RunPlan executes pp as ExecutePlan does and lends use the finished
+// rows where the execution left them (see physical.Executor.Run): the
+// pooled context and the pinned epoch are held until use returns —
+// also when it panics — and rows is invalid from then on. The Result
+// (Rows nil, N set) may be kept.
+func (e *Engine) RunPlan(pp *physical.Plan, use func(res *physical.Result, rows physical.Rows) error) error {
+	x, err := e.executor()
+	if err != nil {
+		return err
+	}
+	defer e.release(x)
+	return x.Run(pp, use)
+}
+
+// ExecuteStats executes pp for its statistics alone — the row count
+// (Result.N), JobStats and simulated time — and copies no row out.
+func (e *Engine) ExecuteStats(pp *physical.Plan) (res *physical.Result, err error) {
+	err = e.RunPlan(pp, func(r *physical.Result, _ physical.Rows) error {
+		res = r
+		return nil
+	})
+	return res, err
 }
 
 // ResultCacheStats snapshots the subplan result cache counters (all
@@ -542,14 +582,14 @@ func (e *Engine) Run(q *sparql.Query) (*systems.RunResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	r, err := e.ExecutePlan(p.Physical)
+	r, err := e.ExecuteStats(p.Physical)
 	if err != nil {
 		return nil, err
 	}
 	out := &systems.RunResult{
 		System: e.Name(),
 		Query:  q.Name,
-		Rows:   len(r.Rows),
+		Rows:   r.N,
 		Time:   r.Time,
 		Work:   r.Work,
 		Jobs:   len(r.Jobs),

@@ -324,12 +324,13 @@ func heapAfterGC() uint64 {
 
 // TestResultCacheBytesAreResidentBytes pins the cache's accounting to
 // what its entries really keep resident. An entry owns exactly sized
-// blocks — never a view of chunks cut for other rows too — so its
-// weight (block capacities × 4 + 24 × view length + block headers +
-// JobRecord.MemBytes()) is its memory: with the 14-query working set
-// cached and nothing else holding the rows, purging the cache must free
-// what the cache said it held, within 5% (the allocator's size-class
-// rounding and the cache's own map and list nodes are what is left).
+// blocks — never a view of chunks cut for other rows too, and no row
+// headers — so its weight (block capacities × 4 + block headers +
+// JobRecord.MemBytes() + the entry, its key and the cache's node for
+// it) is its memory: with the 14-query working set cached and nothing
+// else holding the rows, purging the cache must free what the cache
+// said it held, within 5% (the allocator's size-class rounding is what
+// is left).
 func TestResultCacheBytesAreResidentBytes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generates a 20-university dataset")

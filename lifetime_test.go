@@ -1,16 +1,20 @@
 package cliquesquare
 
 // Lifetime tests for the flat data plane. An ExecContext recycles, in
-// place, every block of cells an execution computed in — so anything
-// that outlives the execution (Result.Rows, a result-cache entry) must
-// own its memory. These tests keep results and entries alive across
-// reuses of the context that produced them and require them to still
-// hash to the golden pins; run under -race they also catch a reader of
-// an old result racing the context's next execution.
+// place, every block of cells an execution computed in — the finished
+// rows included, which Executor.Run only lends to its callback — so
+// anything that outlives the execution (Execute's Result.Rows, a
+// result-cache entry, a facade Result) must own its memory. These tests
+// keep results and entries alive across reuses of the context that
+// produced them and require them to still hash to the golden pins; run
+// under -race they also catch a reader of an old result racing the
+// context's next execution.
 
 import (
 	"encoding/json"
 	"os"
+	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -54,26 +58,21 @@ func (f *lifetimeFixture) linearPlan(t *testing.T, q *sparql.Query) *physical.Pl
 	return pp
 }
 
-func newLifetimeFixture(t *testing.T) *lifetimeFixture {
+// newPlanFixture partitions g and compiles the flat plan of every query
+// and the best linear plan of every query with a join.
+func newPlanFixture(t *testing.T, g *Graph, queries []*sparql.Query) *lifetimeFixture {
 	t.Helper()
 	f := &lifetimeFixture{
 		cfg:    csq.DefaultConfig(),
-		g:      lubm.Generate(lubm.DefaultConfig(2)),
+		g:      g,
 		flat:   make(map[string]*physical.Plan),
 		linear: make(map[string]*physical.Plan),
-	}
-	data, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(data, &f.golden); err != nil {
-		t.Fatal(err)
 	}
 	pol, _ := partition.PolicyByName(f.cfg.Placement)
 	f.store = dstore.NewStore(f.cfg.Nodes)
 	f.part = partition.LoadWithPolicy(f.store, f.g, f.cfg.Partitioning, pol)
 	planner := csq.New(f.g, f.cfg)
-	for _, q := range lubm.Queries() {
+	for _, q := range queries {
 		_, pp, _, err := planner.Plan(q)
 		if err != nil {
 			t.Fatalf("%s: plan: %v", q.Name, err)
@@ -86,22 +85,52 @@ func newLifetimeFixture(t *testing.T) *lifetimeFixture {
 	return f
 }
 
-// execute runs pp through ctx — on a fresh cluster clock, as the engine
-// does — with the given result cache (nil for none).
-func (f *lifetimeFixture) execute(t *testing.T, ctx *physical.ExecContext, rc *rescache.Cache, pp *physical.Plan) *physical.Result {
+// newLifetimeFixture is the golden workload: LUBM at 2 universities,
+// its 14 queries and their pins.
+func newLifetimeFixture(t *testing.T) *lifetimeFixture {
 	t.Helper()
-	x := &physical.Executor{
+	f := newPlanFixture(t, lubm.Generate(lubm.DefaultConfig(2)), lubm.Queries())
+	data, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(data, &f.golden); err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// executor wires an executor over ctx — on a fresh cluster clock, as the
+// engine does — with the given result cache (nil for none).
+func (f *lifetimeFixture) executor(ctx *physical.ExecContext, rc *rescache.Cache) *physical.Executor {
+	return &physical.Executor{
 		Cluster:     mapreduce.NewCluster(f.store, f.cfg.Constants),
 		Part:        f.part,
 		Dict:        f.g.Dict,
 		Ctx:         ctx,
 		ResultCache: rc,
 	}
-	r, err := x.Execute(pp)
+}
+
+// execute runs pp through ctx and returns the result with its rows
+// copied out.
+func (f *lifetimeFixture) execute(t *testing.T, ctx *physical.ExecContext, rc *rescache.Cache, pp *physical.Plan) *physical.Result {
+	t.Helper()
+	r, err := f.executor(ctx, rc).Execute(pp)
 	if err != nil {
 		t.Fatalf("execute: %v", err)
 	}
 	return r
+}
+
+// hashSource digests the rows of a borrowed source as hashRows does
+// materialised ones, reading each in place.
+func hashSource(rows physical.Rows) string {
+	view := make([]mapreduce.Row, rows.Len())
+	for i := range view {
+		view[i] = rows.Row(i)
+	}
+	return hashRows(view)
 }
 
 // kept is a result held on to while its context moves on.
@@ -124,7 +153,7 @@ func (k kept) check(t *testing.T, when string) {
 // context — larger and smaller ones, map-only and multi-level — and
 // after each requires every result kept so far to still hash to its
 // golden value: at one lane and four, without and with a result cache
-// (where the kept rows are the cache entry's view).
+// (where the kept rows are a view of the cache entry's block).
 func TestResultOutlivesContextReuse(t *testing.T) {
 	f := newLifetimeFixture(t)
 	// Q1 is the workload's largest answer, Q3 its largest map-only
@@ -161,52 +190,174 @@ func TestResultOutlivesContextReuse(t *testing.T) {
 	}
 }
 
-// TestCachedViewReadWhileContextExecutes has several goroutines hash a
-// cached final view over and over while the context that admitted it
-// executes other plans: under -race any write the context makes into
-// memory the view can reach is a reported race, and either way the
-// hashes must stay golden.
+// TestCachedViewReadWhileContextExecutes pins what a result-cache hit
+// lends: rows whose cells are the entry's own block — never the
+// admitting context's memory, never a copy. Several readers each hold a
+// hit's borrowed source open and hash it over and over, through
+// contexts of their own, while the context that admitted the entry
+// executes other plans and while the entry is purged from the cache:
+// under -race any write into memory the source can reach is a reported
+// race, and either way the hashes must stay golden.
 func TestCachedViewReadWhileContextExecutes(t *testing.T) {
 	f := newLifetimeFixture(t)
 	ctx := physical.NewExecContext(4)
 	defer ctx.Close()
 	rc := rescache.New(64 << 20)
-	k := kept{name: "flat/Q1", res: f.execute(t, ctx, rc, f.flat["Q1"]), want: f.golden.Flat["Q1"]}
+	pp, want := f.flat["Q1"], f.golden.Flat["Q1"]
+	k := kept{name: "flat/Q1", res: f.execute(t, ctx, rc, pp), want: want}
+	ent, hit, err := rc.Do(pp.JobKeys[pp.NumJobs()-1], f.part.Current().VersionKey(), func() (*rescache.Entry, error) {
+		t.Error("the final job of the plan just executed is not cached")
+		return &rescache.Entry{}, nil
+	})
+	if err != nil || !hit || ent.Block.N != want.Rows {
+		t.Fatalf("probing the final entry: hit %v, err %v", hit, err)
+	}
 
 	const readers = 4
-	stop := make(chan struct{})
+	stop, reading := make(chan struct{}), make(chan struct{}, readers)
 	var wg sync.WaitGroup
 	for r := 0; r < readers; r++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
+			own := physical.NewExecContext(1)
+			defer own.Close()
+			err := f.executor(own, rc).Run(pp, func(res *physical.Result, rows physical.Rows) error {
+				if res.N != want.Rows || &rows.Row(0)[0] != &ent.Block.Cells[0] {
+					t.Error("a result-cache hit did not lend the entry's own block")
 				}
-				if hashRows(k.res.Rows) != k.want.RowHash {
-					t.Error("a reader saw the cached view change under it")
-					return
+				reading <- struct{}{}
+				for {
+					select {
+					case <-stop:
+						return nil
+					default:
+					}
+					if hashSource(rows) != want.RowHash {
+						t.Error("a reader saw the cached block change under it")
+						return nil
+					}
 				}
+			})
+			if err != nil {
+				t.Error(err)
 			}
 		}()
+	}
+	for r := 0; r < readers; r++ {
+		<-reading
 	}
 	for round := 0; round < 3; round++ {
 		for _, name := range []string{"Q3", "Q8", "Q12", "Q1"} {
 			f.execute(t, ctx, rc, f.linear[name])
 			f.execute(t, ctx, nil, f.flat[name])
 		}
+		if round == 1 {
+			rc.Purge() // the readers' sources outlive the entry's residency
+		}
 	}
 	close(stop)
 	wg.Wait()
-	// A hit hands out the very view the readers held.
-	again := f.execute(t, ctx, rc, f.flat["Q1"])
-	if len(again.Rows) == 0 || &again.Rows[0] != &k.res.Rows[0] {
-		t.Error("a result-cache hit did not serve the entry's own view")
-	}
 	k.check(t, "after the readers")
+}
+
+// TestFacadeResultOutlivesItsContext takes a decoded answer from the
+// facade and digests it again after the engine's pooled contexts — the
+// one that computed it among them — served a hundred other queries from
+// four goroutines: a facade Result holds its own index and slab and
+// dictionary-owned strings, nothing of the context the ids were decoded
+// from, with the result cache off and on.
+func TestFacadeResultOutlivesItsContext(t *testing.T) {
+	f := newLifetimeFixture(t)
+	ids := renderedIDs(f.g.Dict)
+	for _, cacheBytes := range []int64{0, 64 << 20} {
+		eng, err := NewEngine(f.g, Options{Parallelism: 4, ResultCacheBytes: cacheBytes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		q1, _ := lubm.Query("Q1")
+		res, err := eng.Query(q1.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := f.golden.Flat["Q1"]
+		if got := hashRows(encodeRows(t, ids, res.Rows)); got != want.RowHash {
+			t.Fatalf("cache %d: Q1 decoded to other rows than the golden ones", cacheBytes)
+		}
+		var wg sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				qs := lubm.Queries()
+				for i := 0; i < 25; i++ {
+					q := qs[(w+3*i)%len(qs)]
+					if _, err := eng.Query(q.String()); err != nil {
+						t.Errorf("%s: %v", q.Name, err)
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+		if got := hashRows(encodeRows(t, ids, res.Rows)); got != want.RowHash || len(res.Rows) != want.Rows {
+			t.Errorf("cache %d: the kept answer changed while its context served other queries", cacheBytes)
+		}
+		eng.Close()
+	}
+}
+
+// TestPanickingConsumerLeavesContextClean has the callback of a borrowed
+// result panic on a worker lane, in the middle of a parallel pass over
+// the rows: the panic reaches the caller, the pinned epoch and the
+// context are released all the same — no second context is spawned for
+// the next query — and that query, through the very context, answers as
+// before.
+func TestPanickingConsumerLeavesContextClean(t *testing.T) {
+	cfg := csq.DefaultConfig()
+	cfg.Parallelism = 4
+	eng := csq.New(lubm.Generate(lubm.DefaultConfig(6)), cfg)
+	defer eng.Close()
+	q1, _ := lubm.Query("Q1")
+	p, err := eng.Prepare(q1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := eng.ExecutePrepared(p) // spawns the one pooled context
+	if err != nil {
+		t.Fatal(err)
+	}
+	goroutines := runtime.NumGoroutine()
+	func() {
+		defer func() {
+			if r := recover(); r != "consumer gave up" {
+				t.Errorf("recovered %v, want the consumer's panic", r)
+			}
+		}()
+		eng.RunPlan(p.Physical, func(_ *physical.Result, rows physical.Rows) error {
+			if rows.Lanes() != 4 {
+				t.Errorf("a %d-row answer is cut into %d ranges, the test needs the worker lanes", rows.Len(), rows.Lanes())
+			}
+			rows.EachRange(func(lo, hi int) {
+				if lo > 0 {
+					panic("consumer gave up")
+				}
+			})
+			return nil
+		})
+		t.Error("the consumer's panic did not reach the caller")
+	}()
+	for i := 0; i < 2; i++ {
+		after, err := eng.ExecutePrepared(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hashRows(after.Rows) != hashRows(before.Rows) || !reflect.DeepEqual(after.Jobs, before.Jobs) {
+			t.Fatalf("execution %d after the panic answers differently", i)
+		}
+	}
+	if n := runtime.NumGoroutine(); n != goroutines {
+		t.Errorf("%d goroutines after the panic, %d before: the context was not returned to the free list", n, goroutines)
+	}
 }
 
 // TestIntermediateEntryOutlivesAdmittingContext admits a multi-job
