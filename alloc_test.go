@@ -71,6 +71,17 @@ const (
 	// too large to retain, were enumerated again: +15 MB on a 1.7 MB
 	// pass, 1.76 at the benchmark's 100 universities).
 	passAfterCommitRatioCeiling = 1.15
+	// residentCeiling bounds the live heap an engine adds per triple once
+	// its caller has dropped the graph it was built from: twice the 36 B
+	// payload of three 12-byte replicas (measured 59.8 at 100
+	// universities, 158,849 triples: the replicas' slabs and file tables,
+	// and the dictionary — strings, slab, 4 B-a-slot id table).
+	// residentWithGraphCeiling is the same reading with the caller's graph
+	// kept: its triple slice and 4 B a slot of position table more
+	// (measured 81.2; 32 B/triple more when the graph keyed a Go map by
+	// the triple and the dictionary one by the string).
+	residentCeiling          = 72.0
+	residentWithGraphCeiling = 90.0
 )
 
 // raceEnabled is set by race_test.go under -race: the detector's
@@ -306,7 +317,7 @@ func TestAllocPassAfterCommit(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation inflates allocation counts")
 	}
-	g := lubm.Generate(lubm.DefaultConfig(6)) // its own: the commit mutates it
+	g := lubm.Generate(lubm.DefaultConfig(6)) // its own: deleteSome removes from it
 	eng, err := NewEngine(g, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -333,5 +344,47 @@ func TestAllocPassAfterCommit(t *testing.T) {
 		t.Errorf("pass after a commit = %d B, warm pass %d B: ratio %.2f, ceiling %.2f", after, warm, ratio, passAfterCommitRatioCeiling)
 	} else {
 		t.Logf("pass after a commit = %d B, warm pass %d B: ratio %.3f", after, warm, ratio)
+	}
+}
+
+// TestAllocResidentPerTriple is the standing residency guard: what an
+// idle engine keeps alive per triple, with the caller's graph dropped —
+// the partitioned store is the engine's only copy of the data — and with
+// it kept.
+func TestAllocResidentPerTriple(t *testing.T) {
+	if testing.Short() {
+		t.Skip("residency measurement over a 100-university dataset")
+	}
+	if raceEnabled {
+		t.Skip("race instrumentation inflates the heap")
+	}
+	live := func() uint64 {
+		var m runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	base := live()
+	var triples, kept float64
+	eng := func() *Engine { // the graph does not outlive this function
+		g := lubm.Generate(lubm.DefaultConfig(100))
+		eng, err := NewEngine(g, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		triples = float64(g.Len())
+		kept = float64(live()-base) / triples
+		runtime.KeepAlive(g)
+		return eng
+	}()
+	defer eng.Close()
+	dropped := float64(live()-base) / triples
+	t.Logf("%.0f triples: %.1f B/triple resident with the caller's graph kept, %.1f with it dropped", triples, kept, dropped)
+	if dropped > residentCeiling {
+		t.Errorf("%.1f B/triple resident with the graph dropped, ceiling %.0f", dropped, residentCeiling)
+	}
+	if kept > residentWithGraphCeiling {
+		t.Errorf("%.1f B/triple resident with the graph kept, ceiling %.0f", kept, residentWithGraphCeiling)
 	}
 }

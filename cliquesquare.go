@@ -171,7 +171,7 @@ func Open(opts Options) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{inner: inner, dict: inner.Graph().Dict}, nil
+	return &Engine{inner: inner, dict: inner.Dict()}, nil
 }
 
 // config resolves the facade options into an engine config.

@@ -15,13 +15,14 @@ import (
 //
 // A query Acquires its patterns (a Ref), takes Snapshots through the Ref
 // and Releases it; a pattern is resident exactly while some Ref holds it.
-// Snapshot fills the patterns no one filled yet in one pass over the
-// graph, outside the catalog's mutex; Apply folds a commit's delta once
-// per resident pattern and moves the catalog to the commit's version.
-// The caller must keep Apply — and mutation of the graph — from
-// overlapping a Snapshot: the engine snapshots under its state read lock
-// and applies under the write side, so locks nest writer → state lock →
-// catalog mutex. Acquire, Release and Counters are safe at any time.
+// Snapshot fills the patterns no one filled yet from a Source, outside
+// the catalog's mutex; Apply folds a commit's delta once per resident
+// pattern and moves the catalog to the commit's version. The caller must
+// keep Apply from overlapping a Snapshot, and hand Snapshot the data as
+// of the catalog's version: the engine snapshots its current view under
+// its state read lock and publishes and applies under the write side, so
+// locks nest writer → state lock → catalog mutex. Acquire, Release and
+// Counters are safe at any time.
 type Catalog struct {
 	mu           sync.Mutex
 	pats         map[patKey]*pattern
@@ -168,7 +169,7 @@ func (dp *dispatch) add(d *rdf.Dict, p *pattern) {
 	}
 }
 
-func (dp *dispatch) fold(ts []rdf.Triple, d int32) {
+func (dp *dispatch) fold(d int32, ts ...rdf.Triple) {
 	for _, t := range ts {
 		for _, p := range dp.byProp[t.P] {
 			p.fold(t, d)
@@ -176,6 +177,27 @@ func (dp *dispatch) fold(ts []rdf.Triple, d int32) {
 		for _, p := range dp.anyProp {
 			p.fold(t, d)
 		}
+	}
+}
+
+// Source is the dataset a fill reads: EachTriple calls fn for every
+// stored triple whose property is prop, or for every stored triple when
+// prop is NoTerm. A partition.View and an *rdf.Graph are Sources.
+type Source interface {
+	EachTriple(prop rdf.TermID, fn func(rdf.Triple))
+}
+
+// fill counts src into the routed patterns, reading no more of it than
+// they can match: their properties' triples while every pattern names
+// its property, everything once as soon as one does not.
+func (dp *dispatch) fill(src Source) {
+	one := func(t rdf.Triple) { dp.fold(+1, t) }
+	if len(dp.anyProp) > 0 {
+		src.EachTriple(rdf.NoTerm, one)
+		return
+	}
+	for prop := range dp.byProp {
+		src.EachTriple(prop, one)
 	}
 }
 
@@ -241,10 +263,10 @@ func (c *Catalog) Release(r *Ref) {
 
 // Snapshot returns the statistics of r's query at the catalog's current
 // version. Patterns nobody has filled are claimed under the mutex,
-// filled together in one pass over g without it, and published; patterns
-// a concurrent Snapshot claimed are waited for (it holds no lock this
-// one needs).
-func (c *Catalog) Snapshot(g *rdf.Graph, r *Ref) *Stats {
+// filled together from src without it — d resolves their constants — and
+// published; patterns a concurrent Snapshot claimed are waited for (it
+// holds no lock this one needs).
+func (c *Catalog) Snapshot(d *rdf.Dict, src Source, r *Ref) *Stats {
 	var mine []*pattern
 	c.mu.Lock()
 	for _, p := range r.pats {
@@ -257,9 +279,9 @@ func (c *Catalog) Snapshot(g *rdf.Graph, r *Ref) *Stats {
 	if len(mine) > 0 {
 		var dp dispatch
 		for _, p := range mine {
-			dp.add(g.Dict, p)
+			dp.add(d, p)
 		}
-		dp.fold(g.Triples(), +1)
+		dp.fill(src)
 		c.mu.Lock()
 		for _, p := range mine {
 			p.filled = true
@@ -293,10 +315,10 @@ func (c *Catalog) read(r *Ref) *Stats {
 // deletes of triples that were present — what the engine's commit
 // computes) into every filled pattern, once per pattern however many
 // queries share it, leaving each identical to a fresh fill over the
-// mutated graph, and moves the catalog to version. Cost is
+// mutated data, and moves the catalog to version. Cost is
 // O(|delta| × patterns of the triple's property), independent of graph
 // size. An unfilled pattern is skipped: its fill will read the mutated
-// graph. An empty delta (a reshard step) only moves the version.
+// data. An empty delta (a reshard step) only moves the version.
 func (c *Catalog) Apply(version uint64, d *rdf.Dict, inserts, deletes []rdf.Triple) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -311,12 +333,12 @@ func (c *Catalog) Apply(version uint64, d *rdf.Dict, inserts, deletes []rdf.Trip
 			c.folds++
 		}
 	}
-	dp.fold(inserts, +1)
-	dp.fold(deletes, -1)
+	dp.fold(+1, inserts...)
+	dp.fold(-1, deletes...)
 }
 
 // Counters reports the patterns resident now and, since construction,
-// the patterns filled from a graph pass and the pattern folds Apply
+// the patterns filled from a Source and the pattern folds Apply
 // performed (one per filled pattern per non-empty delta).
 func (c *Catalog) Counters() (patterns int, fills, folds uint64) {
 	c.mu.Lock()

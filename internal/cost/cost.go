@@ -7,7 +7,7 @@
 //
 // Statistics come in two layers. A Catalog is the shared, mutable one:
 // per distinct triple pattern the match count and binding multisets,
-// filled from the graph once and maintained by commit deltas. A Stats
+// filled from the data once and maintained by commit deltas. A Stats
 // is an immutable snapshot of it for one query at one data version —
 // what a Model reads, so pricing takes no lock and touches nothing
 // shared.
@@ -53,11 +53,11 @@ type patStats struct {
 	distinct [3]float64
 }
 
-// NewStats fills the statistics of q's patterns in one pass over g.
+// NewStats fills the statistics of q's patterns from g.
 func NewStats(g *rdf.Graph, q *sparql.Query) *Stats {
 	c := NewCatalog(0)
 	r := c.Acquire(q)
-	s := c.Snapshot(g, r)
+	s := c.Snapshot(g.Dict, g, r)
 	s.own, s.ref = c, r
 	return s
 }

@@ -254,7 +254,7 @@ func TestCatalogMatchesFresh(t *testing.T) {
 		t.Helper()
 		for i, q := range qs {
 			if refs[i] != nil {
-				checkStatsFresh(t, g, q, c.Snapshot(g, refs[i]), refs[i], step)
+				checkStatsFresh(t, g, q, c.Snapshot(g.Dict, g, refs[i]), refs[i], step)
 			}
 		}
 	}
@@ -316,14 +316,14 @@ func TestCatalogMatchesFresh(t *testing.T) {
 		if _, fills, _ := c.Counters(); fills != wantFills {
 			t.Errorf("round %d: %d fills, want %d", round, fills, wantFills)
 		}
-		if v := c.Snapshot(g, refs[0]).Version(); v != uint64(1+round) {
+		if v := c.Snapshot(g.Dict, g, refs[0]).Version(); v != uint64(1+round) {
 			t.Errorf("round %d: snapshot at version %d, want %d", round, v, 1+round)
 		}
 	}
 	if _, ok := g.Dict.Lookup(rdf.NewIRI("late")); !ok {
 		t.Fatal("the stream never introduced <late>: late resolution was not exercised")
 	}
-	if s := c.Snapshot(g, refs[4]); s.PatternCard(0) == 0 {
+	if s := c.Snapshot(g.Dict, g, refs[4]); s.PatternCard(0) == 0 {
 		t.Error("no triple matched ?x <p1> <late> by the end: late resolution was not exercised")
 	}
 	for _, r := range refs {

@@ -658,13 +658,14 @@ func (tx *Tx) Commit() *Snapshot {
 	return next
 }
 
-// cellKey encodes a span of cells as a comparable map key.
-func cellKey(r []rdf.TermID) string {
-	b := make([]byte, 4*len(r))
-	for i, v := range r {
-		binary.LittleEndian.PutUint32(b[4*i:], uint32(v))
+// appendCellKey appends the bytes a span of cells is keyed under. A map
+// probe through string(b) of the result allocates nothing, so one
+// buffer serves every row of a scan; only storing a key copies it.
+func appendCellKey(b []byte, r []rdf.TermID) []byte {
+	for _, v := range r {
+		b = binary.LittleEndian.AppendUint32(b, uint32(v))
 	}
-	return string(b)
+	return b
 }
 
 // applyMut builds the successor of old under mutation m, or nil when
@@ -679,10 +680,21 @@ func cellKey(r []rdf.TermID) string {
 func applyMut(old *File, name string, m *fileMut) *File {
 	hadDeletes := len(m.deletes) > 0
 	var want map[string]int
+	var key []byte
+	// take consumes one pending delete of row r, if there is one.
+	take := func(r []rdf.TermID) bool {
+		key = appendCellKey(key[:0], r)
+		c := want[string(key)]
+		if c > 0 {
+			want[string(key)] = c - 1
+		}
+		return c > 0
+	}
 	if hadDeletes {
 		want = make(map[string]int, len(m.deletes))
 		for _, r := range m.deletes {
-			want[cellKey(r)]++
+			key = appendCellKey(key[:0], r)
+			want[string(key)]++
 		}
 	}
 
@@ -696,8 +708,7 @@ func applyMut(old *File, name string, m *fileMut) *File {
 			remap = make([]int32, old.n)
 			next := int32(0)
 			for i := 0; i < old.n; i++ {
-				if k := cellKey(old.Row(i)); want[k] > 0 {
-					want[k]--
+				if take(old.Row(i)) {
 					remap[i] = -1
 					continue
 				}
@@ -720,12 +731,9 @@ func applyMut(old *File, name string, m *fileMut) *File {
 		if left > 0 && w > 0 { // leftover deletes consume same-tx appends
 			filtered := make([]rdf.TermID, 0, len(cells))
 			for i := 0; i+w <= len(cells); i += w {
-				r := cells[i : i+w]
-				if k := cellKey(r); want[k] > 0 {
-					want[k]--
-					continue
+				if r := cells[i : i+w]; !take(r) {
+					filtered = append(filtered, r...)
 				}
-				filtered = append(filtered, r...)
 			}
 			cells = filtered
 		}

@@ -365,3 +365,29 @@ func TestTxAppendThenDeleteNetsOut(t *testing.T) {
 		t.Error("fully netted-out new file exists")
 	}
 }
+
+// TestDeleteAllocsIndependentOfFileSize: resolving a commit's deletes
+// probes every base row of a touched file, and a probe allocates
+// nothing — a key built per row would show as an allocation count that
+// grows with the file.
+func TestDeleteAllocsIndependentOfFileSize(t *testing.T) {
+	schema := []string{"s", "p", "o"}
+	allocs := func(rows int) float64 {
+		s := NewStore(1)
+		tx := s.Begin()
+		for i := 0; i < rows; i++ {
+			tx.AppendCells(0, "f", schema, rdf.TermID(i+1), 7, rdf.TermID(i+2))
+		}
+		tx.Commit()
+		i := 0
+		return testing.AllocsPerRun(20, func() {
+			tx := s.Begin()
+			tx.DeleteRow(0, "f", Row{rdf.TermID(i + 1), 7, rdf.TermID(i + 2)})
+			tx.Commit()
+			i++
+		})
+	}
+	if small, large := allocs(64), allocs(4096); large > small {
+		t.Errorf("deleting one row allocates %v objects in a 64-row file and %v in a 4096-row file", small, large)
+	}
+}

@@ -23,8 +23,9 @@
 package partition
 
 import (
-	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -296,10 +297,13 @@ func (p *Partitioner) ScanPos(preferred rdf.Pos) rdf.Pos {
 // property prop. typeObj is non-zero only for the rdf:type property
 // partition's per-class split.
 func FileName(pos rdf.Pos, prop rdf.TermID, typeObj rdf.TermID) string {
+	var buf [32]byte
+	b := append(buf[:0], pos.String()...)
+	b = strconv.AppendUint(append(b, "/p"...), uint64(prop), 10)
 	if typeObj != rdf.NoTerm {
-		return fmt.Sprintf("%s/p%d/o%d", pos, prop, typeObj)
+		b = strconv.AppendUint(append(b, "/o"...), uint64(typeObj), 10)
 	}
-	return fmt.Sprintf("%s/p%d", pos, prop)
+	return string(b)
 }
 
 // Store returns the underlying file store.
@@ -382,6 +386,61 @@ func (v *View) Files(tp sparql.TriplePattern, pos rdf.Pos, dict *rdf.Dict) []str
 	}
 	sort.Strings(out)
 	return out
+}
+
+// EachTriple calls fn for every triple of the view's epoch whose
+// property is prop, or for every triple when prop is NoTerm, in a
+// reproducible order (property id, node, row). It reads the subject
+// replica, which holds each triple exactly once in every epoch — in both
+// modes and at every step of a reshard, which moves a row within one
+// transaction — and of it only the files of the properties concerned.
+func (v *View) EachTriple(prop rdf.TermID, fn func(rdf.Triple)) {
+	props := []rdf.TermID{prop}
+	if prop == rdf.NoTerm {
+		props = props[:0]
+		for p := range v.properties {
+			props = append(props, p)
+		}
+		slices.Sort(props)
+	}
+	for _, p := range props {
+		name := FileName(rdf.SPos, p, 0)
+		for n := 0; n < v.snap.N(); n++ {
+			if f, ok := v.snap.Node(n).Get(name); ok {
+				for c := f.Slab(); len(c) >= 3; c = c[3:] {
+					fn(rdf.Triple{S: c[0], P: c[1], O: c[2]})
+				}
+			}
+		}
+	}
+}
+
+// NumTriples is the number of triples stored at this view's epoch.
+func (v *View) NumTriples() int {
+	n := 0
+	for _, c := range v.properties {
+		n += c
+	}
+	return n
+}
+
+// Contains reports whether t is stored at this view's epoch: a lookup of
+// its subject in the one subject-replica file that can hold it (the index
+// is built on first use and carried from epoch to epoch by the store),
+// then a comparison of objects. It routes through the placement, so only
+// a view between two resizes answers: it is the writer's presence test.
+func (v *View) Contains(t rdf.Triple) bool {
+	f, ok := v.snap.Node(v.place.NodeFor(t.S)).Get(FileName(rdf.SPos, t.P, 0))
+	if !ok {
+		return false
+	}
+	slab := f.Slab()
+	for _, row := range f.Lookup(0, t.S) {
+		if slab[int(row)*3+2] == t.O {
+			return true
+		}
+	}
+	return false
 }
 
 // hash mixes a term ID for node placement (splitmix-style finalizer so

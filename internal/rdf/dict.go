@@ -2,6 +2,7 @@ package rdf
 
 import (
 	"fmt"
+	"hash/maphash"
 	"sync"
 	"sync/atomic"
 )
@@ -29,9 +30,9 @@ const probeLen = 128
 
 // Dict is a bidirectional dictionary between terms and TermIDs. It
 // holds each term once, in its rendered N-Triples form (what
-// Term.String returns): that one string is the key of the id map, the
-// value Rendered hands out and the backing of the Value that Term
-// returns.
+// Term.String returns): that one string is what the term → id table
+// compares a probe against, the value Rendered hands out and the
+// backing of the Value that Term returns.
 //
 // It is safe for concurrent use, and resolving an id takes no lock:
 // writers (Encode of a new term, Install) are serialised by mu, write
@@ -40,18 +41,51 @@ const probeLen = 128
 // that loads a count covering id therefore sees both the directory and
 // the entry. The zero value is not usable; construct with NewDict.
 type Dict struct {
-	mu  sync.RWMutex
-	ids map[string]TermID // rendered form → id; guarded by mu
+	mu sync.RWMutex
+	// table is the rendered form → id side, open-addressed with linear
+	// probing over the hash of the rendered bytes: a slot holds an id
+	// (NoTerm when free) and a probe is compared against Rendered(id), so
+	// the slab is the only copy of a key. A power of two long, load at or
+	// under 3/4. Guarded by mu.
+	table []TermID
+	seed  maphash.Seed
 
 	dir atomic.Pointer[[]*chunk] // entry id-1 is (*dir)[(id-1)>>chunkBits][(id-1)&(chunkLen-1)]
 	n   atomic.Uint32            // ids 1..n are assigned and readable
 }
 
 // NewDict returns an empty dictionary.
-func NewDict() *Dict {
-	d := &Dict{ids: make(map[string]TermID)}
+func NewDict() *Dict { return newDict(64) }
+
+// newDict returns an empty dictionary whose table starts at slots, a
+// power of two.
+func newDict(slots int) *Dict {
+	d := &Dict{table: make([]TermID, slots), seed: maphash.MakeSeed()}
 	d.dir.Store(new([]*chunk))
 	return d
+}
+
+// find returns the id filed under the rendered form k, whose hash is h,
+// or NoTerm. The caller holds mu.
+func (d *Dict) find(k []byte, h uint64) TermID {
+	mask := uint64(len(d.table) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		id := d.table[i]
+		if id == NoTerm || d.Rendered(id) == string(k) {
+			return id
+		}
+	}
+}
+
+// file puts id, which the table does not hold yet, in the first free
+// slot of the probe sequence of hash h.
+func (d *Dict) file(id TermID, h uint64) {
+	mask := uint64(len(d.table) - 1)
+	i := h & mask
+	for d.table[i] != NoTerm {
+		i = (i + 1) & mask
+	}
+	d.table[i] = id
 }
 
 // Encode returns the ID for t, assigning a fresh one if t is new. It
@@ -64,24 +98,26 @@ func (d *Dict) Encode(t Term) TermID {
 	}
 	var buf [probeLen]byte
 	k := t.appendRendered(buf[:0])
+	h := maphash.Bytes(d.seed, k)
 	d.mu.RLock()
-	id, ok := d.ids[string(k)]
+	id := d.find(k, h)
 	d.mu.RUnlock()
-	if ok {
+	if id != NoTerm {
 		return id
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if id, ok = d.ids[string(k)]; ok {
+	if id = d.find(k, h); id != NoTerm {
 		return id
 	}
-	return d.add(string(k))
+	return d.add(string(k), h)
 }
 
-// add appends the rendered term s under the next free id. The caller
-// holds mu for writing. The count is stored last: it is what publishes
-// the entry (and a grown directory) to lock-free readers.
-func (d *Dict) add(s string) TermID {
+// add appends the rendered term s, whose hash is h, under the next free
+// id. The caller holds mu for writing. The count is stored last: it is
+// what publishes the entry (and a grown directory) to lock-free readers.
+// A table past its load doubles first, re-filed from the slab.
+func (d *Dict) add(s string, h uint64) TermID {
 	n := d.n.Load()
 	dir := *d.dir.Load()
 	if int(n>>chunkBits) == len(dir) {
@@ -93,7 +129,13 @@ func (d *Dict) add(s string) TermID {
 	}
 	dir[n>>chunkBits][n&(chunkLen-1)] = s
 	id := TermID(n + 1)
-	d.ids[s] = id
+	if int(id)*4 > len(d.table)*3 {
+		d.table = make([]TermID, 2*len(d.table))
+		for old := TermID(1); old < id; old++ {
+			d.file(old, maphash.String(d.seed, d.Rendered(old)))
+		}
+	}
+	d.file(id, h)
 	d.n.Store(n + 1)
 	return id
 }
@@ -107,10 +149,11 @@ func (d *Dict) Lookup(t Term) (TermID, bool) {
 	}
 	var buf [probeLen]byte
 	k := t.appendRendered(buf[:0])
+	h := maphash.Bytes(d.seed, k)
 	d.mu.RLock()
-	id, ok := d.ids[string(k)]
+	id := d.find(k, h)
 	d.mu.RUnlock()
-	return id, ok
+	return id, id != NoTerm
 }
 
 // Rendered returns the N-Triples form of the term for id — exactly
@@ -154,7 +197,8 @@ func (d *Dict) Install(id TermID, t Term) error {
 		}
 		return nil
 	case id == next:
-		d.add(t.String())
+		s := t.String()
+		d.add(s, maphash.String(d.seed, s))
 		return nil
 	default:
 		return fmt.Errorf("rdf: install id %d leaves a gap (next free is %d)", id, next)

@@ -1,6 +1,9 @@
 package rdf
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
 // Graph is an in-memory RDF dataset: a dictionary plus a set of encoded
 // triples. Duplicate triples are stored once.
@@ -8,17 +11,66 @@ import "sync"
 // Graphs are safe for concurrent use. Mutations copy-on-write the
 // triple slice where needed, so a slice obtained from Triples remains a
 // stable point-in-time snapshot while writers add or remove triples.
+// The zero value with a Dict set is an empty graph.
 type Graph struct {
 	Dict *Dict
 
 	mu      sync.RWMutex
 	triples []Triple
-	seen    map[Triple]struct{}
+	// table indexes triples as a set, open-addressed with linear probing:
+	// a slot holds a triple's position in triples plus one, zero when
+	// free — 4 bytes where a Go map would store the triple again. Its
+	// length is a power of two that keeps the load at or under 3/4.
+	table []uint32
 }
 
 // NewGraph returns an empty graph with a fresh dictionary.
 func NewGraph() *Graph {
-	return &Graph{Dict: NewDict(), seen: make(map[Triple]struct{})}
+	return &Graph{Dict: NewDict()}
+}
+
+// hash spreads a triple over the table.
+func (t Triple) hash() uint64 {
+	x := uint64(t.S)*0x9E3779B97F4A7C15 ^ uint64(t.O)*0xBF58476D1CE4E5B9 ^ uint64(t.P)*0x94D049BB133111EB
+	return x ^ x>>32
+}
+
+// slot returns the table slot that holds t, with t's position in
+// g.triples, or the free slot t would take, with -1. The table has a
+// free slot; the caller holds mu.
+func (g *Graph) slot(t Triple) (i uint64, pos int) {
+	mask := uint64(len(g.table) - 1)
+	for i = t.hash() & mask; ; i = (i + 1) & mask {
+		if e := g.table[i]; e == 0 || g.triples[e-1] == t {
+			return i, int(e) - 1
+		}
+	}
+}
+
+// find returns the position of t in g.triples, or -1.
+func (g *Graph) find(t Triple) int {
+	if len(g.table) == 0 {
+		return -1
+	}
+	_, pos := g.slot(t)
+	return pos
+}
+
+// reindex rebuilds the table over g.triples, sized for n of them.
+func (g *Graph) reindex(n int) {
+	size := 8
+	for n*4 > size*3 {
+		size <<= 1
+	}
+	if size == len(g.table) {
+		clear(g.table)
+	} else {
+		g.table = make([]uint32, size)
+	}
+	for pos, t := range g.triples {
+		i, _ := g.slot(t)
+		g.table[i] = uint32(pos + 1)
+	}
 }
 
 // Add inserts an encoded triple, ignoring duplicates.
@@ -26,11 +78,15 @@ func NewGraph() *Graph {
 func (g *Graph) Add(t Triple) bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if _, dup := g.seen[t]; dup {
+	if n := len(g.triples) + 1; n*4 > len(g.table)*3 {
+		g.reindex(n)
+	}
+	i, pos := g.slot(t)
+	if pos >= 0 {
 		return false
 	}
-	g.seen[t] = struct{}{}
 	g.triples = append(g.triples, t)
+	g.table[i] = uint32(len(g.triples))
 	return true
 }
 
@@ -67,33 +123,33 @@ func (g *Graph) Remove(t Triple) bool {
 func (g *Graph) RemoveBatch(ts []Triple) int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	del := make(map[Triple]struct{}, len(ts))
+	var drop []int // positions of the listed triples that are present
 	for _, t := range ts {
-		if _, ok := g.seen[t]; ok {
-			del[t] = struct{}{}
+		if pos := g.find(t); pos >= 0 {
+			drop = append(drop, pos)
 		}
 	}
-	if len(del) == 0 {
+	if len(drop) == 0 {
 		return 0
 	}
-	next := make([]Triple, 0, len(g.triples)-len(del))
-	for _, t := range g.triples {
-		if _, drop := del[t]; drop {
-			delete(g.seen, t)
-			continue
-		}
-		next = append(next, t)
+	slices.Sort(drop)
+	drop = slices.Compact(drop)
+	next := make([]Triple, 0, len(g.triples)-len(drop))
+	from := 0
+	for _, pos := range drop {
+		next = append(next, g.triples[from:pos]...)
+		from = pos + 1
 	}
-	g.triples = next
-	return len(del)
+	g.triples = append(next, g.triples[from:]...)
+	g.reindex(len(g.triples))
+	return len(drop)
 }
 
 // Contains reports whether the graph holds the triple.
 func (g *Graph) Contains(t Triple) bool {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	_, ok := g.seen[t]
-	return ok
+	return g.find(t) >= 0
 }
 
 // Len reports the number of distinct triples.
@@ -111,4 +167,15 @@ func (g *Graph) Triples() []Triple {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	return g.triples
+}
+
+// EachTriple calls fn for every triple whose property is prop, or for
+// every triple when prop is NoTerm, in insertion order, over a snapshot
+// taken at the call.
+func (g *Graph) EachTriple(prop TermID, fn func(Triple)) {
+	for _, t := range g.Triples() {
+		if prop == NoTerm || t.P == prop {
+			fn(t)
+		}
+	}
 }

@@ -62,8 +62,8 @@ func (e *Engine) submit(req *request) response {
 
 // flushGroup commits one group of batches as one epoch: it computes the
 // group's net delta, logs it (with the newly assigned dictionary terms)
-// as one fsynced record, applies it to the graph, the partitioner and
-// the caches, and answers every caller. A group that nets out to
+// as one fsynced record, applies it to the partitioner and the caches,
+// and answers every caller. A group that nets out to
 // nothing (every operation a no-op, or cancelled within the group)
 // writes no record and commits no epoch — committing one anyway would
 // only force every cached plan through a spurious revalidation. On a
@@ -83,11 +83,7 @@ func (e *Engine) flushGroup(group []*request) {
 	if committed {
 		applyStart := time.Now()
 		e.stateMu.Lock()
-		e.graph.RemoveBatch(dels)
-		for _, t := range ins {
-			e.graph.Add(t)
-		}
-		ver = e.part.ApplyBatch(ins, dels, e.graph.Dict).Version()
+		ver = e.part.ApplyBatch(ins, dels, e.dict).Version()
 		e.invalidate(ins, dels)
 		e.stateMu.Unlock()
 		cs.Apply = time.Since(applyStart)
@@ -111,53 +107,71 @@ func (e *Engine) flushGroup(group []*request) {
 	}
 }
 
-// netDelta computes what a group changes, without touching the graph
-// (WAL-first: nothing mutates before the fsync). overlay is the desired
-// presence of every triple the group touches, layered over the
-// unmutated graph; touched preserves first-touch order so the net delta
-// — and the record logged from it — is deterministic. counts is each
-// caller's effective [inserted, deleted] against the group's running
-// state, deletes before inserts: an operation can count for its caller
-// and still net out of the group (a present triple deleted and
-// re-inserted stays where it is).
-func (e *Engine) netDelta(group []*request) (ins, dels []rdf.Triple, counts [][2]int) {
-	overlay := make(map[rdf.Triple]bool)
-	var touched []rdf.Triple
-	present := func(t rdf.Triple) bool {
-		if v, ok := overlay[t]; ok {
-			return v
-		}
-		return e.graph.Contains(t)
+// overlay is the desired presence of every triple a run of operations
+// touches, layered over a base it does not read; touched preserves
+// first-touch order, so whatever is derived from it is deterministic.
+type overlay struct {
+	want    map[rdf.Triple]bool
+	touched []rdf.Triple
+}
+
+func (o *overlay) set(t rdf.Triple, present bool) {
+	if o.want == nil {
+		o.want = make(map[rdf.Triple]bool)
 	}
-	set := func(t rdf.Triple, p bool) {
-		if _, ok := overlay[t]; !ok {
-			touched = append(touched, t)
-		}
-		overlay[t] = p
+	if _, ok := o.want[t]; !ok {
+		o.touched = append(o.touched, t)
 	}
-	counts = make([][2]int, len(group))
-	for i, req := range group {
-		for _, t := range req.dels {
-			if present(t) {
-				set(t, false)
-				counts[i][1]++
-			}
-		}
-		for _, t := range req.ins {
-			if !present(t) {
-				set(t, true)
-				counts[i][0]++
-			}
-		}
-	}
-	for _, t := range touched {
-		switch want, had := overlay[t], e.graph.Contains(t); {
+	o.want[t] = present
+}
+
+// net is what the overlay changes against a base answering had: the
+// touched triples wanted and absent, and those unwanted and present.
+func (o *overlay) net(had func(rdf.Triple) bool) (ins, dels []rdf.Triple) {
+	for _, t := range o.touched {
+		switch want, had := o.want[t], had(t); {
 		case want && !had:
 			ins = append(ins, t)
 		case !want && had:
 			dels = append(dels, t)
 		}
 	}
+	return ins, dels
+}
+
+// netDelta computes what a group changes, without touching the store
+// (WAL-first: nothing mutates before the fsync). The base of the overlay
+// is the current view, probed in its subject replica: the caller is the
+// engine's only writer, so no epoch commits under it. counts is each
+// caller's effective [inserted, deleted] against the group's running
+// state, deletes before inserts: an operation can count for its caller
+// and still net out of the group (a present triple deleted and
+// re-inserted stays where it is).
+func (e *Engine) netDelta(group []*request) (ins, dels []rdf.Triple, counts [][2]int) {
+	var o overlay
+	base := e.part.Current()
+	present := func(t rdf.Triple) bool {
+		if v, ok := o.want[t]; ok {
+			return v
+		}
+		return base.Contains(t)
+	}
+	counts = make([][2]int, len(group))
+	for i, req := range group {
+		for _, t := range req.dels {
+			if present(t) {
+				o.set(t, false)
+				counts[i][1]++
+			}
+		}
+		for _, t := range req.ins {
+			if !present(t) {
+				o.set(t, true)
+				counts[i][0]++
+			}
+		}
+	}
+	ins, dels = o.net(base.Contains)
 	return ins, dels, counts
 }
 
@@ -180,7 +194,7 @@ func (e *Engine) logStep(rec *wal.Record) (appendD, syncD time.Duration, err err
 	rec.Epoch = e.DataVersion() + 1
 	rec.FirstTerm = d.loggedTerms + 1
 	if rec.Topology == 0 {
-		rec.Terms = e.graph.Dict.TermsAfter(d.loggedTerms)
+		rec.Terms = e.dict.TermsAfter(d.loggedTerms)
 	}
 	if appendD, syncD, err = d.log.Commit(rec); err == nil {
 		d.loggedTerms += rdf.TermID(len(rec.Terms))
@@ -195,12 +209,12 @@ func (e *Engine) logStep(rec *wal.Record) (appendD, syncD time.Duration, err err
 // revalidate lazily because DataVersion moved; folding the delta into
 // the statistics catalog here — once per distinct pattern, however many
 // plans share it — is what lets that revalidation snapshot current
-// statistics without rescanning the graph. A reshard step passes an
+// statistics without rescanning the store. A reshard step passes an
 // empty delta (moving rows between nodes changes no cardinality): the
 // catalog only moves to the new version.
 func (e *Engine) invalidate(ins, dels []rdf.Triple) {
 	if e.res != nil {
 		e.res.Purge()
 	}
-	e.cat.Apply(e.DataVersion(), e.graph.Dict, ins, dels)
+	e.cat.Apply(e.DataVersion(), e.dict, ins, dels)
 }

@@ -26,7 +26,7 @@ func TestBothEnginesCommitAlike(t *testing.T) {
 		g    *rdf.Graph
 		rng  *rand.Rand
 	}
-	// Two identically generated graphs (the engines mutate them), so
+	// Two identically generated graphs (kept in step with their engines), so
 	// TermIDs — and with them placement and JobStats — line up.
 	var engs []*engine
 	for _, name := range []string{"no log", "log"} {
@@ -110,6 +110,7 @@ func TestBothEnginesCommitAlike(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s (%s): %v", st.name, en.name, err)
 				}
+				mutate(en.g, ins, dels)
 				out.Inserted, out.Deleted = br.Inserted, br.Deleted
 				// The commit reports itself on every engine: a lone caller
 				// is a group of one, Apply is timed iff an epoch committed,

@@ -6,7 +6,7 @@
 //
 // Beyond the paper's load-once setting, the engine is mutable, elastic
 // and optionally durable: ApplyBatch applies insert/delete deltas to
-// the graph and the partitioned store as one snapshot epoch, and
+// the partitioned store as one snapshot epoch, and
 // AddNodes/RemoveNodes re-place rows as a few more, while in-flight
 // queries keep reading their pinned epoch (snapshot isolation) and
 // cached plans are revalidated against the new cardinality statistics
@@ -107,10 +107,15 @@ func DefaultConfig() Config {
 // order writer (wmu or being the batcher) → stateMu → the catalog's
 // mutex.
 type Engine struct {
-	cfg   Config
-	graph *rdf.Graph
+	cfg Config
+	// The partitioned store is the engine's only copy of the data (the
+	// replicas are the dataset, Section 5.1): of the graph it is built
+	// from the engine keeps the dictionary, shared with its caller.
+	dict  *rdf.Dict
 	store *dstore.Store
 	part  *partition.Partitioner
+	// shim is what Graph returns: no triples, the engine's dictionary.
+	shim *rdf.Graph
 	// cache maps canonical query fingerprints to versioned plan
 	// entries; nil when caching is disabled.
 	cache *plancache.Cache[*cacheEntry]
@@ -143,12 +148,12 @@ type Engine struct {
 	ctxFree   []*physical.ExecContext
 	ctxClosed bool
 
-	// stateMu guards the graph+partitioner pair as one unit: the writer
-	// holds the write side across graph mutation and epoch commit (per
-	// epoch — a resize releases it between steps), and statistics and
-	// checkpoint reads (readStats, snapshot) hold the read side so they
-	// never observe a half-applied batch. Query execution does not take
-	// it — executions read pinned immutable snapshots.
+	// stateMu guards the partitioner+catalog pair as one unit: the writer
+	// holds the write side across epoch commit and catalog fold (per epoch
+	// — a resize releases it between steps), and statistics reads
+	// (readStats) hold the read side so a fill reads the view of exactly
+	// the version the catalog is at. Query execution and checkpoints do
+	// not take it — they read pinned immutable views.
 	stateMu sync.RWMutex
 	// batches / groups / revalidations / replans count update activity:
 	// committed ApplyBatch calls, the epochs that carried them, cached
@@ -171,7 +176,7 @@ type Engine struct {
 	// read side just across the send to the batcher's queue. Without
 	// one it holds the write side for its whole flush, which makes it
 	// the engine's only writer meanwhile — the role the batcher
-	// otherwise has, and what the unlocked graph reads of netDelta and
+	// otherwise has, and what netDelta's probes of the current view and
 	// a resize's plan → steps sequence rely on.
 	wmu sync.RWMutex
 }
@@ -201,13 +206,14 @@ func New(g *rdf.Graph, cfg Config) *Engine {
 
 // newEngine partitions g over store and builds the engine around it,
 // caches included: the one constructor behind New, NewDurable and
-// OpenDurable.
+// OpenDurable. It keeps g's dictionary and lets g go.
 func newEngine(cfg Config, g *rdf.Graph, store *dstore.Store) *Engine {
 	e := &Engine{
 		cfg:   cfg,
-		graph: g,
+		dict:  g.Dict,
 		store: store,
 		part:  partition.LoadWithPolicy(store, g, cfg.Partitioning, cfg.mustPolicy()),
+		shim:  &rdf.Graph{Dict: g.Dict},
 	}
 	e.cat = cost.NewCatalog(e.DataVersion())
 	if cfg.PlanCacheSize >= 0 {
@@ -224,8 +230,14 @@ func newEngine(cfg Config, g *rdf.Graph, store *dstore.Store) *Engine {
 // Name implements systems.System.
 func (e *Engine) Name() string { return "CSQ" }
 
-// Graph returns the loaded dataset.
-func (e *Engine) Graph() *rdf.Graph { return e.graph }
+// Dict returns the engine's dictionary: the one of the graph it was
+// built from, grown by every term a batch introduced since.
+func (e *Engine) Dict() *rdf.Dict { return e.dict }
+
+// Graph is a shim for callers that reach the dictionary through a graph
+// (the benchmark driver): the same empty graph around Dict() on every
+// call. The engine keeps no triples outside its store; use Dict.
+func (e *Engine) Graph() *rdf.Graph { return e.shim }
 
 // DataVersion is the current data epoch: 1 after the initial load,
 // incremented by every applied batch.
@@ -245,8 +257,8 @@ type BatchResult struct {
 }
 
 // ApplyBatch applies deletes then inserts to the dataset as one atomic
-// epoch: the graph, the partitioned store (three-replica delta
-// placement) and the placement metadata all move together, and queries
+// epoch: the partitioned store (three-replica delta placement) and the
+// placement metadata move together, and queries
 // either see the whole batch or none of it. Duplicate inserts, inserts
 // of triples already present, and deletes of absent triples are
 // filtered to a no-op, so the result matches loading the mutated graph
@@ -287,7 +299,7 @@ type UpdateStats struct {
 	SpaceBytes   uint64
 	// StatsPatterns is the number of distinct triple patterns resident
 	// in the statistics catalog now; StatsFills counts the patterns
-	// filled from a pass over the graph (a pattern some cached plan
+	// filled from a scan of the store (a pattern some cached plan
 	// already holds is never filled again).
 	StatsPatterns uint64
 	StatsFills    uint64
@@ -327,15 +339,16 @@ type planOutcome struct {
 
 // readStats acquires q's patterns in the catalog and snapshots them.
 // The state read lock is held across the snapshot — which fills the
-// patterns the catalog lacks from the graph — and a commit mutates the
-// graph and folds the catalog under the write side, so a snapshot never
-// sees half a batch and always describes exactly its Version. The
-// caller releases ref.
+// patterns the catalog lacks from the current view's subject replica —
+// and a commit publishes its view and folds the catalog under the write
+// side, so a fill reads exactly the epoch the catalog is at and a
+// snapshot always describes exactly its Version. The caller releases
+// ref.
 func (e *Engine) readStats(q *sparql.Query) (*cost.Ref, *cost.Stats) {
 	ref := e.cat.Acquire(q)
 	e.stateMu.RLock()
 	defer e.stateMu.RUnlock()
-	return ref, e.cat.Snapshot(e.graph, ref)
+	return ref, e.cat.Snapshot(e.dict, e.part.Current(), ref)
 }
 
 // enumerate runs the optimizer on q under the configured budgets.
@@ -511,7 +524,7 @@ func (e *Engine) executor() (*physical.Executor, error) {
 	return &physical.Executor{
 		Cluster: mapreduce.NewCluster(e.store, e.cfg.Constants),
 		Part:    e.part,
-		Dict:    e.graph.Dict,
+		Dict:    e.dict,
 		Ctx:     e.execContext(),
 		// Pin the epoch in the partitioner's registry for the duration:
 		// the durable compactor's watermark then never garbage-collects

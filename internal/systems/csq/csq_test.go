@@ -69,7 +69,7 @@ func TestEngineAccessors(t *testing.T) {
 	if eng.Name() != "CSQ" {
 		t.Errorf("Name = %q", eng.Name())
 	}
-	if eng.Graph() != g {
-		t.Error("Graph accessor lost the dataset")
+	if eng.Dict() != g.Dict || eng.Graph().Dict != g.Dict || eng.Graph().Len() != 0 {
+		t.Error("Dict / the Graph shim lost the dictionary, or the shim holds triples")
 	}
 }

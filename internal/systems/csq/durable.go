@@ -24,8 +24,7 @@ type CommitStats struct {
 	// Wait is the time the caller's request waited (queued, or for the
 	// writer mutex) before its group started flushing; Append and Sync
 	// split the WAL write and are zero without a log; Apply is the
-	// in-memory epoch commit (graph + partitioner + statistics
-	// catalog).
+	// in-memory epoch commit (partitioner + statistics catalog).
 	Wait   time.Duration
 	Append time.Duration
 	Sync   time.Duration
@@ -85,11 +84,13 @@ func NewDurable(g *rdf.Graph, cfg Config, opts wal.Options) (*Engine, error) {
 	return e, nil
 }
 
-// OpenDurable recovers the engine from the log in opts.Dir: the graph
-// is rebuilt from the newest valid checkpoint plus the records after
-// it (reproducing the exact TermID assignment, and with it node
-// placement), then partitioned so the initial load commits exactly the
-// recovered epoch — epoch numbers stay continuous across the crash.
+// OpenDurable recovers the engine from the log in opts.Dir: a scratch
+// graph is rebuilt from the newest valid checkpoint plus the records
+// after it (reproducing the exact TermID assignment, and with it node
+// placement), partitioned so the initial load commits exactly the
+// recovered epoch — epoch numbers stay continuous across the crash —
+// and let go. The tail's records fold into one net delta applied once:
+// recovery is one pass over the graph however many records it replays.
 // The cluster size comes from the log too — the checkpoint's recorded
 // size updated by every topology record after it — so an engine that
 // crashed mid-reshard recovers at the topology of its last durable
@@ -99,6 +100,7 @@ func NewDurable(g *rdf.Graph, cfg Config, opts wal.Options) (*Engine, error) {
 func OpenDurable(cfg Config, opts wal.Options) (*Engine, error) {
 	g := rdf.NewGraph()
 	nodes := cfg.Nodes
+	var tail overlay
 	replay := func(r *wal.Record) error {
 		if r.Topology > 0 {
 			nodes = int(r.Topology)
@@ -108,19 +110,32 @@ func OpenDurable(cfg Config, opts wal.Options) (*Engine, error) {
 				return fmt.Errorf("csq: recovery: %w", err)
 			}
 		}
-		g.RemoveBatch(r.Deletes)
+		for _, t := range r.Deletes {
+			tail.set(t, false)
+		}
 		for _, t := range r.Inserts {
-			g.Add(t)
+			tail.set(t, true)
 		}
 		return nil
 	}
 	// A checkpoint replays as the one record that builds its state from
-	// an empty graph.
+	// an empty graph; it comes before any record of the tail.
 	l, _, err := wal.Open(opts, func(cp *wal.Checkpoint) error {
-		return replay(&wal.Record{FirstTerm: 1, Terms: cp.Terms, Inserts: cp.Triples, Topology: cp.Nodes})
+		if err := replay(&wal.Record{FirstTerm: 1, Terms: cp.Terms, Topology: cp.Nodes}); err != nil {
+			return err
+		}
+		for _, t := range cp.Triples {
+			g.Add(t)
+		}
+		return nil
 	}, replay)
 	if err != nil {
 		return nil, err
+	}
+	ins, dels := tail.net(g.Contains)
+	g.RemoveBatch(dels)
+	for _, t := range ins {
+		g.Add(t)
 	}
 	e := newEngine(cfg, g, dstore.NewStoreAt(nodes, l.Epoch()-1))
 	e.startDurable(l, opts)
@@ -135,7 +150,7 @@ func (e *Engine) startDurable(l *wal.Log, opts wal.Options) {
 		e:           e,
 		log:         l,
 		opts:        opts,
-		loggedTerms: rdf.TermID(e.graph.Dict.Len()),
+		loggedTerms: rdf.TermID(e.dict.Len()),
 		reqs:        make(chan *request, opts.GroupMaxOps),
 		ckptCh:      make(chan chan error, 1),
 	}
@@ -210,9 +225,9 @@ func (d *durableState) next(window <-chan time.Time) *request {
 // crossing the byte threshold, or a manual Compact). A checkpoint
 // snapshots the current epoch into a checkpoint file, rotates the log
 // and drops generations below both the previous checkpoint and the
-// pinned-reader watermark; only the snapshot takes the state lock, so
-// concurrent group commits contend with the write on the log's own lock
-// alone.
+// pinned-reader watermark; the snapshot reads an immutable view and
+// takes no engine lock, so concurrent group commits contend with the
+// write on the log's own lock alone.
 func (d *durableState) compactor() {
 	defer d.compactorWG.Done()
 	for resp := range d.ckptCh {
@@ -223,17 +238,20 @@ func (d *durableState) compactor() {
 	}
 }
 
-// snapshot is the checkpoint image of the current epoch; the state read
-// lock freezes graph, epoch and topology together.
+// snapshot is the checkpoint image of the current epoch: the view's
+// subject replica and the dictionary as long as it is now. It takes no
+// lock: the view is immutable and carries its epoch and topology, and
+// the dictionary, which only grows, held every id of it at publication.
 func (e *Engine) snapshot() *wal.Checkpoint {
-	e.stateMu.RLock()
-	defer e.stateMu.RUnlock()
-	return &wal.Checkpoint{
-		Epoch:   e.DataVersion(),
-		Terms:   e.graph.Dict.TermsAfter(0),
-		Triples: e.graph.Triples(),
-		Nodes:   uint32(e.Nodes()),
+	v := e.part.Current()
+	cp := &wal.Checkpoint{
+		Epoch:   v.Version(),
+		Terms:   e.dict.TermsAfter(0),
+		Triples: make([]rdf.Triple, 0, v.NumTriples()),
+		Nodes:   uint32(v.Nodes()),
 	}
+	v.EachTriple(rdf.NoTerm, func(t rdf.Triple) { cp.Triples = append(cp.Triples, t) })
+	return cp
 }
 
 // nudgeCheckpoint wakes the compactor once the log has outgrown its

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"cliquesquare/internal/cost"
 	"cliquesquare/internal/lubm"
 	"cliquesquare/internal/rdf"
 	"cliquesquare/internal/sparql"
@@ -17,12 +18,29 @@ import (
 
 // tripleSet canonicalizes a graph as a set of decoded term triples, so
 // graphs with different TermID assignments compare by content.
-func tripleSet(g *rdf.Graph) map[[3]rdf.Term]bool {
-	out := make(map[[3]rdf.Term]bool, g.Len())
-	for _, t := range g.Triples() {
-		out[[3]rdf.Term{g.Dict.Term(t.S), g.Dict.Term(t.P), g.Dict.Term(t.O)}] = true
-	}
+func tripleSet(src cost.Source, d *rdf.Dict) map[[3]rdf.Term]bool {
+	out := make(map[[3]rdf.Term]bool)
+	src.EachTriple(rdf.NoTerm, func(t rdf.Triple) {
+		out[[3]rdf.Term{d.Term(t.S), d.Term(t.P), d.Term(t.O)}] = true
+	})
 	return out
+}
+
+// stored copies the engine's current epoch into a graph over its
+// dictionary: what the engine would have been loaded from.
+func stored(e *Engine) *rdf.Graph {
+	g := &rdf.Graph{Dict: e.dict}
+	e.part.Current().EachTriple(rdf.NoTerm, func(t rdf.Triple) { g.Add(t) })
+	return g
+}
+
+// mutate applies a batch to the test's own graph as the engine applies
+// it to its store: deletes, then inserts.
+func mutate(g *rdf.Graph, ins, dels []rdf.Triple) {
+	g.RemoveBatch(dels)
+	for _, t := range ins {
+		g.Add(t)
+	}
 }
 
 func durableOpts(fs *wal.MemFS) wal.Options {
@@ -58,6 +76,7 @@ func TestDurableRecoveryMatchesPreCrashEngine(t *testing.T) {
 		if br.Commit.GroupSize != 1 {
 			t.Fatalf("round %d: group size %d for a lone caller", round, br.Commit.GroupSize)
 		}
+		mutate(g, ins, dels)
 	}
 	ver := eng.DataVersion()
 	want := make(map[string]*struct {
@@ -88,7 +107,7 @@ func TestDurableRecoveryMatchesPreCrashEngine(t *testing.T) {
 	if got := rec.DataVersion(); got != ver {
 		t.Fatalf("recovered at epoch %d, crashed at %d", got, ver)
 	}
-	if !reflect.DeepEqual(tripleSet(rec.graph), tripleSet(g)) {
+	if !reflect.DeepEqual(tripleSet(rec.part.Current(), rec.dict), tripleSet(g, g.Dict)) {
 		t.Fatal("recovered graph diverges from the pre-crash graph")
 	}
 	for _, q := range qs {
@@ -112,7 +131,7 @@ func TestDurableRecoveryMatchesPreCrashEngine(t *testing.T) {
 	}
 
 	// Writes continue the epoch sequence where the crash left it.
-	ins, dels := randomBatch(rng, rec.graph, 99)
+	ins, dels := randomBatch(rng, stored(rec), 99)
 	br, err := rec.ApplyBatch(ins, dels)
 	if err != nil {
 		t.Fatal(err)
@@ -132,20 +151,20 @@ func durableBase() *rdf.Graph {
 
 // scriptBatch is batch i of the deterministic crash-matrix script:
 // three fresh triples in, the first triple of the previous batch out.
-func scriptBatch(g *rdf.Graph, i int) (ins, dels []rdf.Triple) {
-	p := g.Dict.EncodeIRI("urn:p")
+func scriptBatch(d *rdf.Dict, i int) (ins, dels []rdf.Triple) {
+	p := d.EncodeIRI("urn:p")
 	for j := 0; j < 3; j++ {
 		ins = append(ins, rdf.Triple{
-			S: g.Dict.EncodeIRI(fmt.Sprintf("urn:s%d-%d", i, j)),
+			S: d.EncodeIRI(fmt.Sprintf("urn:s%d-%d", i, j)),
 			P: p,
-			O: g.Dict.EncodeIRI(fmt.Sprintf("urn:o%d-%d", i, j)),
+			O: d.EncodeIRI(fmt.Sprintf("urn:o%d-%d", i, j)),
 		})
 	}
 	if i > 1 {
 		dels = append(dels, rdf.Triple{
-			S: g.Dict.EncodeIRI(fmt.Sprintf("urn:s%d-0", i-1)),
+			S: d.EncodeIRI(fmt.Sprintf("urn:s%d-0", i-1)),
 			P: p,
-			O: g.Dict.EncodeIRI(fmt.Sprintf("urn:o%d-0", i-1)),
+			O: d.EncodeIRI(fmt.Sprintf("urn:o%d-0", i-1)),
 		})
 	}
 	return ins, dels
@@ -172,7 +191,7 @@ func runCrashScript(fs *wal.MemFS) (acked []uint64, err error) {
 	}
 	defer eng.Close()
 	for i := 1; i <= crashScriptBatches; i++ {
-		ins, dels := scriptBatch(g, i)
+		ins, dels := scriptBatch(g.Dict, i)
 		if br, err := eng.ApplyBatch(ins, dels); err == nil {
 			acked = append(acked, br.DataVersion)
 		}
@@ -187,14 +206,11 @@ func runCrashScript(fs *wal.MemFS) (acked []uint64, err error) {
 // epoch: states[e-1] is the content of epoch e (epoch 1 is the load).
 func expectedStates() []map[[3]rdf.Term]bool {
 	g := durableBase()
-	states := []map[[3]rdf.Term]bool{tripleSet(g)}
+	states := []map[[3]rdf.Term]bool{tripleSet(g, g.Dict)}
 	for i := 1; i <= crashScriptBatches; i++ {
-		ins, dels := scriptBatch(g, i)
-		g.RemoveBatch(dels)
-		for _, tr := range ins {
-			g.Add(tr)
-		}
-		states = append(states, tripleSet(g))
+		ins, dels := scriptBatch(g.Dict, i)
+		mutate(g, ins, dels)
+		states = append(states, tripleSet(g, g.Dict))
 	}
 	return states
 }
@@ -246,10 +262,10 @@ func TestDurableCrashMatrix(t *testing.T) {
 			if e < 1 || e > uint64(len(states)) {
 				t.Fatalf("%s: recovered impossible epoch %d", name, e)
 			}
-			if !reflect.DeepEqual(tripleSet(rec.graph), states[e-1]) {
+			if !reflect.DeepEqual(tripleSet(rec.part.Current(), rec.dict), states[e-1]) {
 				t.Fatalf("%s: recovered epoch %d does not hold the scripted content", name, e)
 			}
-			ins, dels := scriptBatch(rec.graph, 77)
+			ins, dels := scriptBatch(rec.dict, 77)
 			br, err := rec.ApplyBatch(ins, dels)
 			if err != nil {
 				t.Fatalf("%s: post-recovery batch: %v", name, err)
@@ -319,11 +335,11 @@ func TestDurableGroupCommitCoalesces(t *testing.T) {
 		t.Errorf("epoch %d after %d groups", got, ds.Groups)
 	}
 	for i, tr := range triples {
-		if !eng.graph.Contains(tr) {
+		if !eng.part.Current().Contains(tr) {
 			t.Errorf("caller %d's insert missing from the graph", i)
 		}
 	}
-	final := tripleSet(eng.graph)
+	final := tripleSet(eng.part.Current(), eng.dict)
 	ver := eng.DataVersion()
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
@@ -337,7 +353,7 @@ func TestDurableGroupCommitCoalesces(t *testing.T) {
 	if rec.DataVersion() != ver {
 		t.Errorf("recovered epoch %d, want %d", rec.DataVersion(), ver)
 	}
-	if !reflect.DeepEqual(tripleSet(rec.graph), final) {
+	if !reflect.DeepEqual(tripleSet(rec.part.Current(), rec.dict), final) {
 		t.Error("grouped commits did not survive close and reopen")
 	}
 }
@@ -380,7 +396,7 @@ func TestDurableGroupInsertDeleteConflict(t *testing.T) {
 	close(start)
 	wg.Wait()
 
-	had := eng.graph.Contains(tr)
+	had := eng.part.Current().Contains(tr)
 	ver := eng.DataVersion()
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
@@ -390,9 +406,9 @@ func TestDurableGroupInsertDeleteConflict(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rec.Close()
-	if rec.graph.Contains(tr) != had || rec.DataVersion() != ver {
+	if rec.part.Current().Contains(tr) != had || rec.DataVersion() != ver {
 		t.Errorf("recovered state (has=%v, epoch %d) diverges from pre-close (has=%v, epoch %d)",
-			rec.graph.Contains(tr), rec.DataVersion(), had, ver)
+			rec.part.Current().Contains(tr), rec.DataVersion(), had, ver)
 	}
 }
 
@@ -409,7 +425,7 @@ func TestDurableSyncFailureKeepsServingReads(t *testing.T) {
 	}
 	defer eng.Close()
 
-	ins1, dels1 := scriptBatch(g, 1)
+	ins1, dels1 := scriptBatch(g.Dict, 1)
 	if _, err := eng.ApplyBatch(ins1, dels1); err != nil {
 		t.Fatal(err)
 	}
@@ -434,13 +450,13 @@ func TestDurableSyncFailureKeepsServingReads(t *testing.T) {
 	rows := probe()
 
 	fs.FailSyncAt(1)
-	ins2, dels2 := scriptBatch(g, 2)
+	ins2, dels2 := scriptBatch(g.Dict, 2)
 	if _, err := eng.ApplyBatch(ins2, dels2); !errors.Is(err, wal.ErrInjected) {
 		t.Fatalf("batch over failed fsync: err = %v, want ErrInjected", err)
 	}
 	// The injector disarmed after one failure, but the log failure is
 	// sticky: later writes and checkpoints keep reporting it.
-	ins3, dels3 := scriptBatch(g, 3)
+	ins3, dels3 := scriptBatch(g.Dict, 3)
 	if _, err := eng.ApplyBatch(ins3, dels3); !errors.Is(err, wal.ErrInjected) {
 		t.Fatalf("write after log failure: err = %v, want sticky ErrInjected", err)
 	}
@@ -470,7 +486,7 @@ func TestClosedEngineReturnsErrClosed(t *testing.T) {
 	if err := eng.Close(); err != nil {
 		t.Fatalf("second close: %v", err)
 	}
-	ins, _ := scriptBatch(g, 1)
+	ins, _ := scriptBatch(g.Dict, 1)
 	if _, err := eng.ApplyBatch(ins, nil); !errors.Is(err, ErrClosed) {
 		t.Errorf("ApplyBatch after close: %v", err)
 	}
@@ -500,7 +516,7 @@ func TestDurableCloseDrainsQueue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := tripleSet(g)
+	base := tripleSet(g, g.Dict)
 
 	const callers = 16
 	p := g.Dict.EncodeIRI("urn:p")
@@ -550,9 +566,9 @@ func TestDurableCloseDrainsQueue(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rec.Close()
-	if !reflect.DeepEqual(tripleSet(rec.graph), want) {
+	if !reflect.DeepEqual(tripleSet(rec.part.Current(), rec.dict), want) {
 		t.Errorf("recovered %d triples, want base plus the %d acked inserts",
-			rec.graph.Len(), len(want)-len(base))
+			rec.part.Current().NumTriples(), len(want)-len(base))
 	}
 }
 
@@ -617,7 +633,7 @@ func TestCompactorReclaimsLogSpace(t *testing.T) {
 	}
 
 	// The compacted log still recovers the exact final state.
-	final := tripleSet(eng.graph)
+	final := tripleSet(eng.part.Current(), eng.dict)
 	ver := eng.DataVersion()
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
@@ -627,7 +643,7 @@ func TestCompactorReclaimsLogSpace(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rec.Close()
-	if rec.DataVersion() != ver || !reflect.DeepEqual(tripleSet(rec.graph), final) {
+	if rec.DataVersion() != ver || !reflect.DeepEqual(tripleSet(rec.part.Current(), rec.dict), final) {
 		t.Errorf("recovery after GC diverges: epoch %d vs %d", rec.DataVersion(), ver)
 	}
 }

@@ -97,6 +97,7 @@ func TestIncrementalMatchesFreshEngine(t *testing.T) {
 		}
 
 		// Fresh engine over the mutated graph: the ground truth.
+		mutate(g, ins, dels)
 		fresh := New(g, DefaultConfig())
 		check := qs
 		if round < rounds {
@@ -345,6 +346,7 @@ func TestRevalidationReplansWhenWinnerChanges(t *testing.T) {
 	if _, err := eng.ApplyBatch(ins, nil); err != nil {
 		t.Fatal(err)
 	}
+	mutate(g, ins, nil)
 	p2, _, err := eng.PrepareCached(q)
 	if err != nil {
 		t.Fatal(err)

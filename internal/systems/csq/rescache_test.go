@@ -182,6 +182,7 @@ func TestResultCacheChurnInvalidation(t *testing.T) {
 		if err != nil {
 			t.Fatalf("round %d: apply: %v", round, err)
 		}
+		mutate(g, ins, dels)
 		if st := eng.ResultCacheStats(); st.Entries != 0 || st.Bytes != 0 {
 			t.Fatalf("round %d: commit left %d stale entries (%d bytes) resident", round, st.Entries, st.Bytes)
 		}

@@ -302,7 +302,7 @@ func TestCloseDuringReshard(t *testing.T) {
 					nodes, graph int
 				}
 				read := func() state {
-					return state{eng.DataVersion(), eng.TopologyVersion(), eng.Nodes(), eng.Graph().Len()}
+					return state{eng.DataVersion(), eng.TopologyVersion(), eng.Nodes(), eng.part.Current().NumTriples()}
 				}
 				var atClose state
 				var wg sync.WaitGroup
@@ -373,6 +373,7 @@ func TestDurableReshardRecovery(t *testing.T) {
 	if _, err := eng.ApplyBatch(ins, dels); err != nil {
 		t.Fatal(err)
 	}
+	mutate(g, ins, dels)
 	res, err := eng.AddNodes(3)
 	if err != nil {
 		t.Fatalf("AddNodes: %v", err)

@@ -115,6 +115,7 @@ func TestSpaceSharingOracle(t *testing.T) {
 		if _, err := eng.ApplyBatch(ins, dels); err != nil {
 			t.Fatal(err)
 		}
+		mutate(g, ins, dels)
 		check("after a commit", 6*round, 6*round+6) // a third of the universities per round
 	}
 	repriced := 0

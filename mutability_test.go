@@ -70,7 +70,11 @@ func TestFacadeUpdates(t *testing.T) {
 	}
 
 	// The mutated engine must agree with a fresh engine over the same
-	// (mutated) graph — the facade-level equivalence oracle.
+	// (mutated) graph — the facade-level equivalence oracle. The engine
+	// does not keep the caller's graph in step; the test does.
+	g.AddSPO("dave", "livesIn", "paris")
+	g.AddSPO("eve", "knows", "bob")
+	g.Remove(rdf.Triple{S: g.Dict.EncodeIRI("bob"), P: g.Dict.EncodeIRI("livesIn"), O: g.Dict.EncodeIRI("paris")})
 	fresh, err := NewEngine(g, Options{Nodes: 3})
 	if err != nil {
 		t.Fatal(err)

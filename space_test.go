@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"cliquesquare/internal/lubm"
+	"cliquesquare/internal/rdf"
 )
 
 // queryAll sends every query through the facade's Query.
@@ -17,18 +18,22 @@ func queryAll(t *testing.T, eng *Engine, qs []*Query) {
 }
 
 // deleteSome commits one batch deleting every step-th triple of g, n of
-// them, through eng (which was built over g).
+// them, through eng (which was built over g), and removes them from g,
+// which the engine does not keep in step.
 func deleteSome(t *testing.T, eng *Engine, g *Graph, n, step int) {
 	t.Helper()
 	b := new(Batch)
+	var dels []rdf.Triple
 	for i, tr := range g.Triples() {
 		if i%step == 0 && b.Len() < n {
 			b.Delete(g.Dict.Term(tr.S), g.Dict.Term(tr.P), g.Dict.Term(tr.O))
+			dels = append(dels, tr)
 		}
 	}
 	if res, err := eng.ApplyBatch(b); err != nil || res.Deleted != n {
 		t.Fatalf("delete batch: %d deleted, err %v; want %d", res.Deleted, err, n)
 	}
+	g.RemoveBatch(dels)
 }
 
 // TestEnumerationsPerShape pins what an optimizer run is paid for: a
