@@ -12,12 +12,12 @@
 // and its reduce work into per-key-range morsels; Cluster.RunWith
 // dispatches every phase through Pool.ForEach, which runs inline on a
 // nil or width-1 pool and across persistent worker lanes otherwise.
-// Simulated statistics are byte-identical whatever the lane count: with
-// one lane, morsels run in canonical order and charge their node's
-// meter directly; with more, every morsel logs its charges privately
-// and the logs are replayed into the per-node meters in canonical
-// morsel order, so the floating-point sums accumulate in exactly the
-// one-lane order.
+// Simulated statistics are byte-identical whatever the lane count: a
+// Meter counts tuples — reads, writes, checks, joins, shuffled — in
+// integers, every unit counts into a meter of its own, and a node's
+// counts are their exact, order-free sums. As in Section 5.4, a phase's
+// time is the per-tuple cost constants times those counts; the
+// constants are applied once, in the fold that builds a job's JobStats.
 //
 // The data plane is flat: tuples are cells in width-strided []TermID
 // arrays, never one slice header per row. A relation body is a Block
@@ -41,6 +41,7 @@ package mapreduce
 import (
 	"encoding/binary"
 	"slices"
+	"unsafe"
 
 	"cliquesquare/internal/dstore"
 	"cliquesquare/internal/rdf"
@@ -122,88 +123,57 @@ func DefaultConstants() Constants {
 	return Constants{Read: 1, Write: 1, Shuffle: 3, Check: 0.1, Join: 1, JobInit: 5e6}
 }
 
-// Accumulator lanes of a Meter.
-const (
-	chargeIO = iota
-	chargeCPU
-	chargeNet
-)
-
-// charge is one recorded metering event: which accumulator it hit and
-// the exact amount added. Replaying a morsel's charges into a node
-// meter in canonical morsel order reproduces, bit for bit, the sums a
-// one-lane sweep accumulates — each amount is the same product, added
-// in the same order.
-type charge struct {
-	lane uint8
-	v    float64
-}
-
-// Meter accumulates one node's (or one morsel's) simulated work during
-// one phase. A meter with a recorder attached additionally logs each
-// charge for ordered replay.
+// Meter counts one node's (or one unit's) simulated work during one
+// phase: the tuples behind each cost term of Section 5.4. The counts
+// are integers, so a node's meter is the exact sum of its units' in
+// whatever order they ran; Cluster.fold prices it.
 type Meter struct {
-	IO, CPU, Net float64
-	rec          *[]charge
+	Reads, Writes, Checks, Joins, Shuffled int64
 }
 
-func (m *Meter) charge(lane uint8, v float64) {
-	switch lane {
-	case chargeIO:
-		m.IO += v
-	case chargeCPU:
-		m.CPU += v
-	default:
-		m.Net += v
-	}
-	if m.rec != nil {
-		*m.rec = append(*m.rec, charge{lane, v})
-	}
+// Read counts reading n tuples.
+func (m *Meter) Read(n int) { m.Reads += int64(n) }
+
+// Write counts writing n tuples.
+func (m *Meter) Write(n int) { m.Writes += int64(n) }
+
+// Check counts n filter/projection evaluations.
+func (m *Meter) Check(n int) { m.Checks += int64(n) }
+
+// Join counts n tuples processed through a join.
+func (m *Meter) Join(n int) { m.Joins += int64(n) }
+
+// Shuffle counts n tuples received over the network.
+func (m *Meter) Shuffle(n int) { m.Shuffled += int64(n) }
+
+// add adds o's counts to m.
+func (m *Meter) add(o *Meter) {
+	m.Reads += o.Reads
+	m.Writes += o.Writes
+	m.Checks += o.Checks
+	m.Joins += o.Joins
+	m.Shuffled += o.Shuffled
 }
-
-// replay adds recorded charges in their recorded order.
-func (m *Meter) replay(cs []charge) {
-	for _, c := range cs {
-		m.charge(c.lane, c.v)
-	}
-}
-
-// Read charges reading n tuples.
-func (m *Meter) Read(c *Constants, n int) { m.charge(chargeIO, c.Read*float64(n)) }
-
-// Write charges writing n tuples.
-func (m *Meter) Write(c *Constants, n int) { m.charge(chargeIO, c.Write*float64(n)) }
-
-// Check charges n filter/projection evaluations.
-func (m *Meter) Check(c *Constants, n int) { m.charge(chargeCPU, c.Check*float64(n)) }
-
-// Join charges processing n tuples through a join.
-func (m *Meter) Join(c *Constants, n int) { m.charge(chargeCPU, c.Join*float64(n)) }
-
-// Shuffle charges receiving n tuples over the network.
-func (m *Meter) Shuffle(c *Constants, n int) { m.charge(chargeNet, c.Shuffle*float64(n)) }
-
-// Total is the node's simulated time for the phase.
-func (m *Meter) Total() float64 { return m.IO + m.CPU + m.Net }
 
 // Job describes one MapReduce job as independently schedulable morsels.
 //
 // MapMorsel runs MapMorsels(node) times per node; it may emit keyed
 // records into the shuffle (Emitter.Emit) and/or append rows to out,
-// the job's direct output (map-only output). Morsels of one node may run on different lanes
-// concurrently, so per-call scratch must be indexed by the lane
-// argument, and the concatenation of a node's morsel emissions, outputs
-// and metered charges in morsel order must equal what one per-node
-// sweep would produce (that concatenation is exactly what the runtime
-// reconstructs). ReduceRange — nil for a map-only job — runs over one
+// the job's direct output (map-only output). Morsels of one node may
+// run on different lanes concurrently, so per-call scratch must be
+// indexed by the lane argument, and the concatenation of a node's
+// morsel emissions and outputs in morsel order must equal what one
+// per-node sweep would produce (that concatenation is exactly what the
+// runtime reconstructs); what the morsels count must add up to the
+// sweep's. ReduceRange — nil for a map-only job — runs over one
 // group-aligned key range of the records routed to a node, grouped by
 // exact key and presented in canonical key order through the Groups
 // iterator; ranges partition the node's canonical group order, at most
 // one per lane. ReduceFinish, if non-nil, then runs once per node to
-// combine the ranges (its metered charges and outputs follow all range
-// charges of that node, matching a groups-then-combine sweep). The
-// closures must charge their work to the provided Meter, and write
-// their output rows by appending to out — the runtime counts them.
+// combine the ranges (its outputs follow all range outputs of that
+// node, matching a groups-then-combine sweep). The closures must count
+// their work on the provided Meter, and write their output rows by
+// appending to out — the runtime counts them.
 type Job struct {
 	Name string
 	// MapMorsels reports how many map morsels a node splits into (nil
@@ -223,10 +193,11 @@ type Job struct {
 // reduce (nil for a map-only job) over the groups routed to a node — to
 // the morsel form. The runtime cuts a node's groups into key ranges and
 // calls reduce once per range, so reduce must be group-local: whatever
-// it charges and emits, it charges and emits per group, from that
-// group's records alone, carrying nothing from one group to the next.
-// The per-range charges and rows of such a reducer concatenate, in
-// range order, to exactly those of one call over the whole node.
+// rows it emits, it emits per group, from that group's records alone,
+// carrying nothing from one group to the next. The per-range rows of
+// such a reducer concatenate, in range order, to exactly those of one
+// call over the whole node (and its per-range counts add up to that
+// call's).
 func ClassicJob(name string, mapFn func(node int, m *Meter, emit *Emitter, out *Block), reduce func(node int, m *Meter, groups *Groups, out *Block)) Job {
 	job := Job{Name: name, MapMorsel: func(node, _, _ int, m *Meter, emit *Emitter, out *Block) { mapFn(node, m, emit, out) }}
 	if reduce != nil {
@@ -248,57 +219,72 @@ type JobStats struct {
 	Time          float64 // init + map + shuffle + reduce
 }
 
-// JobRecord is what one executed job metered: the final per-node meters
-// of every phase plus the job's integer counters — all that JobStats
+// JobRecord is what one executed job metered: its per-node tuple counts
+// for every phase plus the job's integer counters — all that JobStats
 // and the total-work sum are folded from. Replaying a record
 // (Cluster.Replay) puts it through the same fold as the live run, so
 // the replayed JobStats are bit-identical without running any
 // map/shuffle/reduce work, which is what lets the subplan result cache
 // serve cached relations with stats indistinguishable from an uncached
-// run. Per-node meters are lane-count invariant, so one record is valid
-// at every parallelism level.
+// run. Counts do not depend on the lane count, so one record is valid
+// at every parallelism level, and they are priced when folded, so a
+// record does not depend on the cost constants either.
 //
-// A record is bound to the cluster geometry (node count) and cost
-// constants it was captured under. It excludes the job name, which is
-// query-dependent; Replay takes the name to stamp on the stats.
+// A record excludes the job name, which is query-dependent; Replay
+// takes the name to stamp on the stats.
 type JobRecord struct {
-	stats             JobStats // MapOnly and the counters; name and times unset
-	mapM, shufM, redM []Meter  // per node; shufM and redM are nil when map-only
+	stats  JobStats // MapOnly and the counters; name and times unset
+	meters []Meter  // the job's meter table (see phases)
 }
 
 // MemBytes estimates the record's resident size for cache accounting.
 func (r *JobRecord) MemBytes() int64 {
-	const meterSize = 32 // Meter{3 × float64, pointer}
-	return 256 + meterSize*int64(len(r.mapM)+len(r.shufM)+len(r.redM))
+	return 256 + int64(unsafe.Sizeof(Meter{}))*int64(len(r.meters))
 }
 
 // Replay appends a job to the cluster's stats as if the recorded job
 // had just run: JobStats (under the given name) and the total-work sum
-// come out of the same fold as an actual execution. The record must
-// have been captured on a cluster with the same cost constants; the
-// node count comes from the record itself, so a replay stays faithful
-// even after the live cluster was resized.
+// come out of the same fold as an actual execution, priced with this
+// cluster's cost constants. The node count comes from the record
+// itself, so a replay stays faithful even after the live cluster was
+// resized.
 func (cl *Cluster) Replay(name string, r *JobRecord) JobStats {
 	stats := r.stats
 	stats.Name = name
-	return cl.fold(stats, r.mapM, r.shufM, r.redM)
+	return cl.fold(stats, r.meters)
 }
 
-// fold turns a job's per-node phase meters, plus the integer counters
+// phases splits a job's meter table — one meter per node for the map
+// phase, then, unless the job is map-only, one per node for the shuffle
+// and one per node for the reduce phase — into its phases.
+func phases(meters []Meter, mapOnly bool) (mapM, shufM, redM []Meter) {
+	if mapOnly {
+		return meters, nil, nil
+	}
+	n := len(meters) / 3
+	return meters[:n], meters[n : 2*n], meters[2*n:]
+}
+
+// fold prices a job's meter table with the cost constants — the one
+// place they are applied — and turns it, plus the integer counters
 // already in stats, into the job's JobStats and total-work sum, and
 // logs the job. Phase times are maxima over nodes; work sums the map
 // totals in node order, then per node the shuffle and reduce totals,
-// then the job-init charge. Live runs and replays both end here, which
-// is what makes their floating-point results agree bit for bit.
-func (cl *Cluster) fold(stats JobStats, mapM, shufM, redM []Meter) JobStats {
+// then the job-init cost. Live runs and replays both end here, so
+// their floating-point results agree bit for bit.
+func (cl *Cluster) fold(stats JobStats, meters []Meter) JobStats {
+	c := &cl.C
 	work := 0.0
 	peak := func(phase *float64, m *Meter) {
-		t := m.Total()
+		io := c.Read*float64(m.Reads) + c.Write*float64(m.Writes)
+		cpu := c.Check*float64(m.Checks) + c.Join*float64(m.Joins)
+		t := io + cpu + c.Shuffle*float64(m.Shuffled)
 		if t > *phase {
 			*phase = t
 		}
 		work += t
 	}
+	mapM, shufM, redM := phases(meters, stats.MapOnly)
 	for i := range mapM {
 		peak(&stats.MapTime, &mapM[i])
 	}
@@ -306,8 +292,8 @@ func (cl *Cluster) fold(stats JobStats, mapM, shufM, redM []Meter) JobStats {
 		peak(&stats.ShuffleTime, &shufM[i])
 		peak(&stats.ReduceTime, &redM[i])
 	}
-	stats.Time = cl.C.JobInit + stats.MapTime + stats.ShuffleTime + stats.ReduceTime
-	work += cl.C.JobInit
+	stats.Time = c.JobInit + stats.MapTime + stats.ShuffleTime + stats.ReduceTime
+	work += c.JobInit
 	cl.totalWork += work
 	cl.Jobs = append(cl.Jobs, stats)
 	return stats
@@ -355,18 +341,17 @@ type RunOptions struct {
 // lanes share no mutable state; merging slots in table order is
 // merging in canonical (node, index) order.
 type slot struct {
-	node, idx, of int      // the node, and the unit's index among that node's of units
-	meter         Meter    // private meter logging into log (more than one lane only)
-	log           []charge // the unit's charges, in charge order
-	out           Block    // rows written, unless the unit writes the node output directly
-	outputs       int      // rows written
-	count, cells  int      // records and row cells emitted into the shuffle
-	groups        Groups   // a key range's records
+	node, idx, of int    // the node, and the unit's index among that node's of units
+	meter         Meter  // what the unit counted
+	out           Block  // rows written, unless the unit writes the node output directly
+	outputs       int    // rows written
+	count, cells  int    // records and row cells emitted into the shuffle
+	groups        Groups // a key range's records
 }
 
 // layout returns the slot table s sized for one phase: units(node)
 // slots per node, in node order, each reset for a new run but keeping
-// the backing arrays of its log and output block.
+// the backing array of its output block.
 func layout(s []slot, n int, units func(node int) int) []slot {
 	s = s[:0]
 	for node := 0; node < n; node++ {
@@ -378,7 +363,7 @@ func layout(s []slot, n int, units func(node int) int) []slot {
 				s = append(s, slot{})
 			}
 			u := &s[len(s)-1]
-			*u = slot{node: node, idx: i, of: k, log: u.log[:0], out: Block{Cells: u.out.Cells[:0]}}
+			*u = slot{node: node, idx: i, of: k, out: Block{Cells: u.out.Cells[:0]}}
 		}
 	}
 	return s
@@ -465,16 +450,18 @@ func (e *Emitter) Emit(group uint32, tag int, row Row, keyCols []int) {
 
 // Scratch holds the buffers one RunWith draws from: per-(morsel,
 // destination) emission buckets, the routed per-destination records,
-// the slot tables, the per-node output blocks and the per-lane
-// emitters. Buffers are sized on first use and reused (at their
-// high-water capacity) by every subsequent run handed the same Scratch
-// — which is why a run's Output is only valid until the next one. A
-// Scratch serves one run at a time: the lanes inside a run partition it
-// per unit, but two concurrent runs must not share one.
+// the slot tables, the per-node phase meters, the per-node output
+// blocks and the per-lane emitters. Buffers are sized on first use and
+// reused (at their high-water capacity) by every subsequent run handed
+// the same Scratch — which is why a run's Output is only valid until
+// the next one. A Scratch serves one run at a time: the lanes inside a
+// run partition it per unit, but two concurrent runs must not share
+// one.
 type Scratch struct {
 	buckets  []bucket   // map slot*n+dest -> what the morsel emitted for dest
 	shuffled [][]record // dest node -> routed records
 	rangeOff [][]int32  // node -> group-aligned range offsets
+	meters   []Meter    // the job's meter table (see phases)
 	outputs  []Block    // node -> the job's output rows
 
 	// One slot per unit of each phase, in canonical order.
@@ -552,13 +539,12 @@ func splitRanges(offs []int32, recs []record, bk []bucket, maxRanges int) []int3
 // structure.
 //
 // Determinism: rows and JobStats are byte-identical whatever the lane
-// count or scheduling. Integer counters are order-free; floating-point
-// meters see every charge in canonical (node, morsel) — then (node,
-// range), then finish — order, either directly (one lane runs the units
-// in that order) or by replaying each unit's logged charges in it; and
-// the shuffle input of every destination is the concatenation of
-// pre-routed per-(source, destination) buckets in (source node, morsel)
-// order.
+// count or scheduling. Meters and the other counters are integer sums,
+// which no order changes; the rows of every node are its units' rows
+// merged in canonical (node, morsel) — then (node, range), then finish
+// — order; and the shuffle input of every destination is the
+// concatenation of pre-routed per-(source, destination) buckets in
+// (source node, morsel) order.
 func (cl *Cluster) RunWith(job Job, opts RunOptions) *Output {
 	n := cl.N()
 	if opts.Nodes > 0 {
@@ -574,34 +560,30 @@ func (cl *Cluster) RunWith(job Job, opts RunOptions) *Output {
 	sc.outputs = ResetBlocks(sc.outputs, n)
 	out := &Output{PerNode: sc.outputs}
 	stats := JobStats{Name: job.Name, MapOnly: job.ReduceRange == nil}
-	mapM := make([]Meter, n)
+	if stats.MapOnly {
+		sc.meters = resize(sc.meters, n)
+	} else {
+		sc.meters = resize(sc.meters, 3*n)
+	}
+	clear(sc.meters)
+	mapM, shufM, redM := phases(sc.meters, stats.MapOnly)
 
 	// begin points a lane at the unit it is about to run and returns the
-	// meter the unit charges and the block it writes — the node output
-	// itself for direct units, the unit's own slot otherwise. This is the
-	// one place the lane count decides anything about metering: one lane
-	// runs the units in canonical order, so they charge their node's
-	// meter and log nothing; more lanes run them in any order, so each
-	// charges a private meter whose log merge replays in canonical order.
-	begin := func(lane int, u *slot, nodeM []Meter, direct bool) (*Meter, *Block) {
+	// block the unit writes: the node output itself for direct units,
+	// the unit's own slot otherwise.
+	begin := func(lane int, u *slot, direct bool) *Block {
 		sc.lanes[lane].unit = u
-		dst := &u.out
 		if direct {
-			dst = &out.PerNode[u.node]
+			return &out.PerNode[u.node]
 		}
-		if lanes == 1 {
-			return &nodeM[u.node], dst
-		}
-		u.meter.rec = &u.log
-		return &u.meter, dst
+		return &u.out
 	}
-	// merge folds finished units into their nodes in canonical order.
-	// Replaying an empty log and appending no rows are no-ops, so this
-	// is the same loop whatever begin chose.
+	// merge adds finished units' counts to their nodes' and appends their
+	// rows to their nodes' output, in canonical order.
 	merge := func(units []slot, nodeM []Meter) {
 		for i := range units {
 			u := &units[i]
-			nodeM[u.node].replay(u.log)
+			nodeM[u.node].add(&u.meter)
 			stats.Shuffled += u.count
 			stats.ShuffledCells += u.cells
 			stats.Output += u.outputs
@@ -624,32 +606,30 @@ func (cl *Cluster) RunWith(job Job, opts RunOptions) *Output {
 	pool.ForEach(len(sc.morsels), func(i, lane int) {
 		u := &sc.morsels[i]
 		// A node's only morsel writes the node output directly.
-		m, dst := begin(lane, u, mapM, u.of == 1)
+		dst := begin(lane, u, u.of == 1)
 		e := &sc.lanes[lane]
 		e.n, e.base, e.buckets = n, uint32(i*n), sc.buckets[i*n:(i+1)*n]
 		before := dst.N
-		job.MapMorsel(u.node, u.idx, lane, m, e, dst)
+		job.MapMorsel(u.node, u.idx, lane, &u.meter, e, dst)
 		u.outputs = dst.N - before
 	})
 	merge(sc.morsels, mapM)
 
 	// ---- Shuffle + reduce phases. ----
-	var shufM, redM []Meter
 	if !stats.MapOnly {
-		shufM, redM = make([]Meter, n), make([]Meter, n)
 		sc.shuffled = ResetBufs(sc.shuffled, n)
 		sc.rangeOff = ResetBufs(sc.rangeOff, n)
 		// Per destination: concatenate the pre-routed buckets' records in
-		// (source node, morsel) order, charge, sort into canonical group
-		// order and split into group-aligned ranges, one per lane at most.
-		// The single Shuffle charge per node needs no replay.
+		// (source node, morsel) order, count them, sort into canonical
+		// group order and split into group-aligned ranges, one per lane at
+		// most.
 		pool.ForEach(n, func(dest, _ int) {
 			buf := sc.shuffled[dest]
 			for s := range sc.morsels {
 				buf = append(buf, sc.buckets[s*n+dest].recs...)
 			}
 			sc.shuffled[dest] = buf
-			shufM[dest].Shuffle(&cl.C, len(buf))
+			shufM[dest].Shuffle(len(buf))
 			sortRecords(buf, sc.buckets)
 			sc.rangeOff[dest] = splitRanges(sc.rangeOff[dest], buf, sc.buckets, lanes)
 		})
@@ -660,20 +640,20 @@ func (cl *Cluster) RunWith(job Job, opts RunOptions) *Output {
 			u := &sc.ranges[i]
 			offs := sc.rangeOff[u.node]
 			u.groups = Groups{recs: sc.shuffled[u.node][offs[u.idx]:offs[u.idx+1]], bk: sc.buckets}
-			m, dst := begin(lane, u, redM, u.of == 1 && job.ReduceFinish == nil)
+			dst := begin(lane, u, u.of == 1 && job.ReduceFinish == nil)
 			before := dst.N
-			job.ReduceRange(u.node, u.idx, u.of, lane, m, &u.groups, dst)
+			job.ReduceRange(u.node, u.idx, u.of, lane, &u.meter, &u.groups, dst)
 			u.outputs = dst.N - before
 		})
-		// Range charges and range outputs land before any finish work.
+		// Range outputs land before any finish work's.
 		merge(sc.ranges, redM)
 		if job.ReduceFinish != nil {
 			sc.finishes = layout(sc.finishes, n, func(int) int { return 1 })
 			pool.ForEach(n, func(node, lane int) {
 				u := &sc.finishes[node]
-				m, dst := begin(lane, u, redM, true)
+				dst := begin(lane, u, true)
 				before := dst.N
-				job.ReduceFinish(node, len(sc.rangeOff[node])-1, lane, m, dst)
+				job.ReduceFinish(node, len(sc.rangeOff[node])-1, lane, &u.meter, dst)
 				u.outputs = dst.N - before
 			})
 			merge(sc.finishes, redM)
@@ -681,10 +661,10 @@ func (cl *Cluster) RunWith(job Job, opts RunOptions) *Output {
 	}
 
 	if rec := opts.Record; rec != nil {
-		*rec = JobRecord{stats: stats, mapM: mapM, shufM: shufM, redM: redM}
+		*rec = JobRecord{stats: stats, meters: slices.Clone(sc.meters)}
 		rec.stats.Name = ""
 	}
-	cl.fold(stats, mapM, shufM, redM)
+	cl.fold(stats, sc.meters)
 	return out
 }
 

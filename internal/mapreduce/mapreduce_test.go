@@ -36,7 +36,7 @@ func TestMapOnlyJob(t *testing.T) {
 		if !ok {
 			return
 		}
-		m.Read(&cl.C, f.NumRows())
+		m.Read(f.NumRows())
 		for i := 0; i < f.NumRows(); i++ {
 			out.Append(f.Row(i))
 		}
@@ -105,9 +105,9 @@ func TestTimingIsMaxOverNodesPlusInit(t *testing.T) {
 	// Node 0 does 100 reads, node 1 does 10: map time must be the max.
 	runOn(cl, 0, ClassicJob("skew", func(node int, m *Meter, emit *Emitter, out *Block) {
 		if node == 0 {
-			m.Read(&cl.C, 100)
+			m.Read(100)
 		} else {
-			m.Read(&cl.C, 10)
+			m.Read(10)
 		}
 	}, nil), nil)
 	j := cl.Jobs[0]
@@ -194,16 +194,24 @@ func TestKeyEncodeMatchesEncodeKey(t *testing.T) {
 }
 
 func TestMeterAccumulates(t *testing.T) {
-	c := DefaultConstants()
-	var m Meter
-	m.Read(&c, 10)
-	m.Write(&c, 5)
-	m.Check(&c, 20)
-	m.Join(&c, 3)
-	m.Shuffle(&c, 2)
-	want := 10*c.Read + 5*c.Write + 20*c.Check + 3*c.Join + 2*c.Shuffle
-	if m.Total() != want {
-		t.Errorf("Total = %v, want %v", m.Total(), want)
+	cl, _ := wordCountCluster(1)
+	runOn(cl, 0, ClassicJob("meter", func(_ int, m *Meter, _ *Emitter, _ *Block) {
+		for i := 0; i < 2; i++ {
+			m.Read(5)
+			m.Write(2)
+			m.Check(10)
+			m.Join(1)
+			m.Shuffle(1)
+		}
+		m.Join(1)
+		if want := (Meter{Reads: 10, Writes: 4, Checks: 20, Joins: 3, Shuffled: 2}); *m != want {
+			t.Errorf("meter = %+v, want %+v", *m, want)
+		}
+	}, nil), nil)
+	c := cl.C
+	want := 10*c.Read + 4*c.Write + 20*c.Check + 3*c.Join + 2*c.Shuffle
+	if got := cl.Jobs[0].MapTime; got != want {
+		t.Errorf("MapTime = %v, want %v", got, want)
 	}
 }
 
@@ -213,13 +221,13 @@ func countJob(cl *Cluster) Job {
 	return ClassicJob("count",
 		func(node int, m *Meter, emit *Emitter, out *Block) {
 			for i := 0; i < 50; i++ {
-				m.Read(&cl.C, 1)
+				m.Read(1)
 				emit.Emit(0, 0, Row{rdf.TermID((node*50 + i) % 13), rdf.TermID(node), rdf.TermID(i)}, []int{0})
 			}
 		},
 		func(node int, m *Meter, groups *Groups, out *Block) {
 			groups.Each(func(g Group) {
-				m.Join(&cl.C, g.Len())
+				m.Join(g.Len())
 				out.Append(Row{rdf.TermID(g.Len())})
 			})
 		})
@@ -246,10 +254,9 @@ func TestParallelMatchesSequential(t *testing.T) {
 }
 
 // TestClassicJobAcrossRanges runs a classic job through the adapter at
-// every pool width. Its reducer is group-local and charges per group —
-// amounts whose sums are order-sensitive at the ULP level — so when the
-// wider pools cut a node's groups into key ranges and call it once per
-// range, rows, JobStats and the replayed record must not move.
+// every pool width. Its reducer is group-local and counts per group, so
+// when the wider pools cut a node's groups into key ranges and call it
+// once per range, rows, JobStats and the replayed record must not move.
 func TestClassicJobAcrossRanges(t *testing.T) {
 	const nodes = 3
 	var reduceCalls atomic.Int32
@@ -257,16 +264,16 @@ func TestClassicJobAcrossRanges(t *testing.T) {
 		return ClassicJob("classic",
 			func(node int, m *Meter, emit *Emitter, out *Block) {
 				for i := 0; i < 60; i++ {
-					m.Read(&cl.C, i+1)
-					m.Check(&cl.C, 2*i+1)
+					m.Read(i + 1)
+					m.Check(2*i + 1)
 					emit.Emit(0, 0, Row{rdf.TermID((node*7 + i) % 41), rdf.TermID(node), rdf.TermID(i)}, []int{0})
 				}
 			},
 			func(node int, m *Meter, groups *Groups, out *Block) {
 				reduceCalls.Add(1)
 				groups.Each(func(g Group) {
-					m.Check(&cl.C, g.Len()*2+1)
-					m.Join(&cl.C, g.Len())
+					m.Check(g.Len()*2 + 1)
+					m.Join(g.Len())
 					out.Append(Row{rdf.TermID(g.KeyCell(0)), rdf.TermID(g.Len())})
 				})
 			})

@@ -1,37 +1,38 @@
 package mapreduce
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 
+	"cliquesquare/internal/dstore"
 	"cliquesquare/internal/rdf"
 )
 
-// chargeJob builds a job whose meters accumulate many small
-// floating-point charges in a node- and phase-dependent pattern, so
-// any reordering of the additions would change the sums bit-wise.
+// chargeJob builds a job whose meters accumulate many small counts in a
+// node- and phase-dependent pattern, checks (priced at a constant that
+// is not exactly representable) among them.
 func chargeJob(cl *Cluster) Job {
 	return ClassicJob("charges",
 		func(node int, m *Meter, emit *Emitter, out *Block) {
 			for i := 0; i < 7+node*3; i++ {
-				m.Read(&cl.C, i+1)
-				m.Check(&cl.C, 2*i+1)
+				m.Read(i + 1)
+				m.Check(2*i + 1)
 				emit.Emit(0, 0, Row{rdf.TermID((node + i) % 5), 1, 2}, []int{0})
 			}
 		},
 		func(node int, m *Meter, groups *Groups, out *Block) {
 			groups.Each(func(g Group) {
-				m.Join(&cl.C, g.Len()*2+1)
-				m.Write(&cl.C, g.Len())
+				m.Join(g.Len()*2 + 1)
+				m.Write(g.Len())
 				out.Append(Row{3})
 			})
 		})
 }
 
 func TestReplayReproducesJobStats(t *testing.T) {
-	// Check constant 0.1 is not exactly representable: sums are
-	// order-sensitive at the ULP level, which is what Replay must get
-	// right.
+	// Check constant 0.1 is not exactly representable: a replay must
+	// price the counts exactly as the live run did.
 	for _, tc := range []struct {
 		name  string
 		lanes int
@@ -70,7 +71,7 @@ func TestReplayReproducesJobStats(t *testing.T) {
 }
 
 func TestRecordParallelMatchesSequential(t *testing.T) {
-	// The recorded per-node meters are lane-count invariant: a record
+	// The recorded per-node counts are lane-count invariant: a record
 	// captured at any parallelism replays to the same stats.
 	cl1, _ := wordCountCluster(3)
 	rec1 := &JobRecord{}
@@ -93,12 +94,120 @@ func TestRecordMapOnly(t *testing.T) {
 	cl, _ := wordCountCluster(2)
 	rec := &JobRecord{}
 	runOn(cl, 0, ClassicJob("mo", func(node int, m *Meter, emit *Emitter, out *Block) {
-		m.Read(&cl.C, 5+node)
+		m.Read(5 + node)
 		out.Append(Row{1})
 	}, nil), rec)
 	cl2, _ := wordCountCluster(2)
 	got := cl2.Replay("mo", rec)
 	if !reflect.DeepEqual(got, cl.Jobs[0]) {
 		t.Errorf("map-only replay differs: %+v vs %+v", got, cl.Jobs[0])
+	}
+}
+
+// TestCountsAreOrderFree is the property the integer meters rest on:
+// random count sequences, split across random units — map morsels,
+// reduce key ranges, finish passes — and run at 1, 2 and 4 lanes give
+// bit-identical JobStats, and those are the summed counts priced once
+// (as the seed did: I/O, then CPU, then network), replayed or live.
+func TestCountsAreOrderFree(t *testing.T) {
+	type count struct{ kind, n int }
+	charge := func(m *Meter, cs []count) {
+		for _, c := range cs {
+			[]func(int){m.Read, m.Write, m.Check, m.Join}[c.kind](c.n)
+		}
+	}
+	for trial := 0; trial < 40; trial++ {
+		rng := rand.New(rand.NewSource(int64(trial)))
+		counts := func() []count {
+			cs := make([]count, rng.Intn(6))
+			for i := range cs {
+				cs[i] = count{rng.Intn(4), rng.Intn(1 << 20)}
+			}
+			return cs
+		}
+		nodes, keys := 1+rng.Intn(5), 1+rng.Intn(60)
+		c := Constants{Read: rng.Float64(), Write: rng.Float64(), Shuffle: 3 * rng.Float64(), Check: rng.Float64() / 7, Join: rng.Float64(), JobInit: 5e6 * rng.Float64()}
+		perKey := make([][]count, keys) // what reducing one key's group counts
+		for k := range perKey {
+			perKey[k] = counts()
+		}
+		type morsel struct {
+			counts []count
+			keys   []int
+		}
+		morsels, finish := make([][]morsel, nodes), make([][]count, nodes)
+		for node := range morsels {
+			morsels[node] = make([]morsel, rng.Intn(4))
+			for i := range morsels[node] {
+				mo := &morsels[node][i]
+				mo.counts = counts()
+				for j := rng.Intn(30); j > 0; j-- {
+					mo.keys = append(mo.keys, rng.Intn(keys))
+				}
+			}
+			finish[node] = counts()
+		}
+		job := Job{
+			Name:       "counts",
+			MapMorsels: func(node int) int { return len(morsels[node]) },
+			MapMorsel: func(node, i, _ int, m *Meter, emit *Emitter, _ *Block) {
+				charge(m, morsels[node][i].counts)
+				for _, k := range morsels[node][i].keys {
+					emit.Emit(0, 0, Row{rdf.TermID(k)}, []int{0})
+				}
+			},
+			ReduceRange: func(_, _, _, _ int, m *Meter, groups *Groups, _ *Block) {
+				groups.Each(func(g Group) { charge(m, perKey[g.KeyCell(0)]) })
+			},
+			ReduceFinish: func(node, _, _ int, m *Meter, _ *Block) { charge(m, finish[node]) },
+		}
+
+		// The reference: every node's counts per phase, summed, priced once.
+		sums := make([]Meter, 3*nodes)
+		mapM, shufM, redM := phases(sums, false)
+		want := JobStats{Name: job.Name}
+		reduced := make([]bool, keys)
+		for node := range morsels {
+			for _, mo := range morsels[node] {
+				charge(&mapM[node], mo.counts)
+				for _, k := range mo.keys {
+					dest := route(hashCell(hashCell(fnv32Offset, 0), uint32(k)), nodes)
+					shufM[dest].Shuffle(1)
+					if !reduced[k] {
+						reduced[k] = true
+						charge(&redM[dest], perKey[k])
+					}
+					want.Shuffled++
+					want.ShuffledCells++
+				}
+			}
+			charge(&redM[node], finish[node])
+		}
+		price := func(m Meter) float64 {
+			io := c.Read*float64(m.Reads) + c.Write*float64(m.Writes)
+			cpu := c.Check*float64(m.Checks) + c.Join*float64(m.Joins)
+			return io + cpu + c.Shuffle*float64(m.Shuffled)
+		}
+		for node := 0; node < nodes; node++ {
+			want.MapTime = max(want.MapTime, price(mapM[node]))
+			want.ShuffleTime = max(want.ShuffleTime, price(shufM[node]))
+			want.ReduceTime = max(want.ReduceTime, price(redM[node]))
+		}
+		want.Time = c.JobInit + want.MapTime + want.ShuffleTime + want.ReduceTime
+
+		for _, lanes := range []int{0, 1, 2, 4} {
+			cl := NewCluster(dstore.NewStore(nodes), c)
+			rec := &JobRecord{}
+			runOn(cl, lanes, job, rec)
+			if got := cl.Jobs[0]; !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d, %d lanes: stats %+v, want the summed counts priced once: %+v", trial, lanes, got, want)
+			}
+			if !reflect.DeepEqual(rec.meters, sums) {
+				t.Fatalf("trial %d, %d lanes: recorded %+v, want %+v", trial, lanes, rec.meters, sums)
+			}
+			if got := NewCluster(dstore.NewStore(1), c).Replay(job.Name, rec); !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d, %d lanes: replayed %+v, want %+v", trial, lanes, got, want)
+			}
+		}
 	}
 }

@@ -92,7 +92,7 @@ type Plan struct {
 	// JobKeys canonically identify each job's computation for the
 	// subplan result cache: JobKeys[l] keys job l+1 (JobKeys[0] the
 	// single job of a map-only plan). Two jobs with equal keys over the
-	// same data epoch produce byte-identical rows and charges. CompileWith
+	// same data epoch produce byte-identical rows and counts. CompileWith
 	// renders them; a plan that was only classified has none.
 	JobKeys []string
 }
@@ -213,7 +213,7 @@ func Classify(p *core.Plan, canColocate CoLocator) (*Plan, error) {
 
 // buildJobKeys renders one content key per job. A key must pin down
 // everything besides the data epoch (which the result cache layers in)
-// that shapes the job's rows and recorded charges: the content
+// that shapes the job's rows and recorded counts: the content
 // signatures of the level's reduce joins (covering their whole
 // subtrees, children in order), their plan-global IDs — shuffle
 // routing and record sort order derive from the ID — and,

@@ -63,10 +63,11 @@ type ExecContext struct {
 	// built sequentially before the job runs.
 	morsels [][]mapMorsel
 
-	// ranges is the per-(node, range) reduce accumulation: ReduceRange
-	// morsels fill disjoint slots, ReduceFinish merges a node's slots
-	// in range order. Sized node-major at nodes×lanes.
-	ranges     []rangeSlot
+	// ranges is the per-(node, range) reduce accumulation, an output
+	// block per info ID: ReduceRange morsels fill disjoint slots,
+	// ReduceFinish merges a node's slots in range order. Sized
+	// node-major at nodes×lanes.
+	ranges     [][]mapreduce.Block
 	rangeWidth int
 
 	// mergeParts' scratch and product: the parts being merged (the last
@@ -79,22 +80,6 @@ type ExecContext struct {
 	sortPrefix          []uint64
 	sortIdx, sortOrder  []int32
 	sortFn              func(part, lane int)
-}
-
-// rangeSlot is one key range's reduce-join accumulation: output block,
-// per-group output counts and first-production order, per info ID —
-// the range-local shard of what a whole-node reduce used to build.
-type rangeSlot struct {
-	blocks []mapreduce.Block
-	counts [][]int32
-	order  []int32
-}
-
-// reset empties the slot for n infos.
-func (s *rangeSlot) reset(n int) {
-	s.blocks = mapreduce.ResetBlocks(s.blocks, n)
-	s.counts = mapreduce.ResetBufs(s.counts, n)
-	s.order = s.order[:0]
 }
 
 // mapMorsel is one schedulable unit of a reduce-level job's map phase:
@@ -159,14 +144,21 @@ func (c *ExecContext) intermSlots(n int) [][]mapreduce.Block {
 // ranges (slots are reset lazily by their range).
 func (c *ExecContext) rangeSlots(nodes, width int) {
 	for len(c.ranges) < nodes*width {
-		c.ranges = append(c.ranges, rangeSlot{})
+		c.ranges = append(c.ranges, nil)
 	}
 	c.rangeWidth = width
 }
 
 // rangeSlot returns the accumulation slot of (node, rng).
-func (c *ExecContext) rangeSlot(node, rng int) *rangeSlot {
-	return &c.ranges[node*c.rangeWidth+rng]
+func (c *ExecContext) rangeSlot(node, rng int) []mapreduce.Block {
+	return c.ranges[node*c.rangeWidth+rng]
+}
+
+// resetRange empties the slot of (node, rng) for n infos and returns it.
+func (c *ExecContext) resetRange(node, rng, n int) []mapreduce.Block {
+	s := &c.ranges[node*c.rangeWidth+rng]
+	*s = mapreduce.ResetBlocks(*s, n)
+	return *s
 }
 
 // arena is one worker lane's reusable scratch for local evaluation:
@@ -205,12 +197,9 @@ type arena struct {
 	fileView  *partition.View
 	fileNames map[fileKey][]string
 
-	// reduce-phase scratch: per-group join inputs (groupRels), the
-	// finish pass's merged info order (rjOrder) with its seen marks
-	// (rjSeen), and the hoisted final-projection columns (projCols).
+	// reduce-phase scratch: per-group join inputs (groupRels) and the
+	// hoisted final-projection columns (projCols).
 	groupRels []relation
-	rjOrder   []int32
-	rjSeen    []bool
 	projCols  []int
 }
 
@@ -256,16 +245,6 @@ func (a *arena) relBuf(nc int) []relation {
 		a.groupRels = append(a.groupRels, relation{})
 	}
 	return a.groupRels[:nc]
-}
-
-// seenBuf returns the per-info seen marks at length n. Callers must
-// clear every mark they set before returning (cheaper than zeroing n).
-func (a *arena) seenBuf(n int) []bool {
-	if cap(a.rjSeen) < n {
-		a.rjSeen = make([]bool, n)
-	}
-	a.rjSeen = a.rjSeen[:n]
-	return a.rjSeen
 }
 
 // joinPlan is the memoized schema-derived scaffolding of one join

@@ -41,11 +41,12 @@ type Executor struct {
 	// ResultCache, if non-nil, enables cross-query job result reuse:
 	// before running a job, Execute probes the cache under
 	// (Plan.JobKeys[l], view version); on a hit it serves the cached
-	// rows read-only and replays the recorded meters instead of
+	// rows read-only and replays the recorded counts instead of
 	// executing, on a miss it executes with recording and admits the
 	// result. Rows and JobStats are byte-identical either way. The
 	// cache must belong to the same engine (same cluster geometry,
-	// cost constants, partitioning and dictionary) as the executor.
+	// partitioning and dictionary) as the executor; the counts it
+	// replays are priced with the executor's cost constants.
 	ResultCache *rescache.Cache
 
 	// view is the epoch pinned for the in-flight Execute call.
@@ -160,7 +161,7 @@ func (x *Executor) Run(pp *Plan, use func(res *Result, rows Rows) error) error {
 // the context's intermediate table, its JobStats in the cluster's log
 // and, for the last job, the finished result rows it returns — through
 // the result cache when there is one. A hit replays the recorded
-// meters and restores the rows; a miss runs the job recording and
+// counts and restores the rows; a miss runs the job recording and
 // snapshots them. An entry owns exactly sized copies: intermediate
 // blocks are copied out of the context on a miss and back into it on a
 // hit (later jobs read them there, the next execution recycles them);
@@ -251,10 +252,9 @@ func (x *Executor) runLevel(pp *Plan, l int, rec *mapreduce.JobRecord) *mapreduc
 	return out
 }
 
-// mapOnlyJob builds the single job of a map-only plan. It stays one
-// morsel per node: its single metered projection check covers the
-// node's whole output, so splitting would restructure the charge
-// sequence.
+// mapOnlyJob builds the single job of a map-only plan: one morsel per
+// node, evaluating the node's whole local subtree. Splitting it, as
+// levelJob splits its scans per partition file, is not done.
 func (x *Executor) mapOnlyJob(pp *Plan) mapreduce.Job {
 	sel := pp.Logical.Query.Select
 	return mapreduce.Job{
@@ -264,7 +264,7 @@ func (x *Executor) mapOnlyJob(pp *Plan) mapreduce.Job {
 			rel := x.evalLocal(pp, pp.Root, node, m, "", a)
 			a.projCols = rel.appendCols(a.projCols[:0], sel)
 			projectInto(out, rel.Block, a.projCols)
-			m.Check(&x.Cluster.C, rel.N)
+			m.Check(rel.N)
 		},
 	}
 }
@@ -277,10 +277,12 @@ func (x *Executor) mapOnlyJob(pp *Plan) mapreduce.Job {
 // sequentially here; morsels of one node may then run on any lane.
 //
 // The reduce side runs per key range: each range joins its groups into
-// a private (node, range) slot, and the finish pass merges the slots in
-// range order — range order concatenates back to the node's canonical
-// group order, so join charges, projection checks and output rows come
-// out exactly as from one sweep over the node.
+// a private (node, range) slot, counting the joins, writes and — for
+// the plan's root — the final projection's checks of every group it
+// produces, and the finish pass merges each reduce join's blocks in
+// range order. Range order concatenates back to the node's canonical
+// group order, so every reduce join's rows come out exactly as from one
+// sweep over the node.
 func (x *Executor) levelJob(pp *Plan, l int) mapreduce.Job {
 	q := pp.Logical.Query
 	isLast := l == len(pp.Levels)-1
@@ -296,11 +298,9 @@ func (x *Executor) levelJob(pp *Plan, l int) mapreduce.Job {
 		},
 		ReduceRange: func(node, rng, _, lane int, m *mapreduce.Meter, groups *mapreduce.Groups, _ *mapreduce.Block) {
 			a := x.Ctx.arenaFor(lane)
-			s := x.Ctx.rangeSlot(node, rng)
-			s.reset(nInfo)
+			blocks := x.Ctx.resetRange(node, rng, nInfo)
 			groups.Each(func(g mapreduce.Group) {
 				rj := byID[int(g.ID())]
-				id := rj.ID
 				// The group's records, split by input, are the join's
 				// children: their cells are copied out of the shuffle
 				// buffers into the lane's per-input blocks.
@@ -313,42 +313,19 @@ func (x *Executor) levelJob(pp *Plan, l int) mapreduce.Job {
 					tag, row := g.Record(i)
 					rels[tag].Append(row)
 				}
-				dst := &s.blocks[id]
+				dst := &blocks[rj.ID]
 				before := dst.N
 				counts := a.naryJoinInto(dst, rels, rj.Op.JoinAttrs, rj.Op.Attrs)
-				m.Join(&x.Cluster.C, counts.in+counts.out)
-				m.Write(&x.Cluster.C, counts.out)
-				if produced := dst.N - before; produced > 0 {
-					if len(s.counts[id]) == 0 {
-						s.order = append(s.order, int32(id))
-					}
-					s.counts[id] = append(s.counts[id], int32(produced))
+				m.Join(counts.in + counts.out)
+				m.Write(counts.out)
+				if isLast && rj.Op == pp.Root {
+					m.Check(dst.N - before) // the final projection
 				}
 			})
 		},
-		ReduceFinish: func(node, ranges, lane int, m *mapreduce.Meter, out *mapreduce.Block) {
+		ReduceFinish: func(node, ranges, lane int, _ *mapreduce.Meter, out *mapreduce.Block) {
 			a := x.Ctx.arenaFor(lane)
-			// Merge the ranges' first-production orders into the node's
-			// global one (ranges partition the canonical group order, so
-			// first production globally is first production in the
-			// earliest range mentioning the info).
-			seen := a.seenBuf(nInfo)
-			order := a.rjOrder[:0]
-			for rng := 0; rng < ranges; rng++ {
-				for _, id32 := range x.Ctx.rangeSlot(node, rng).order {
-					if !seen[id32] {
-						seen[id32] = true
-						order = append(order, id32)
-					}
-				}
-			}
-			a.rjOrder = order
-			for _, id32 := range order {
-				seen[id32] = false
-			}
-			for _, id32 := range order {
-				id := int(id32)
-				rj := byID[id]
+			for _, rj := range pp.Levels[l] {
 				final := isLast && rj.Op == pp.Root
 				if final {
 					// Final projection onto the SELECT list, with the
@@ -357,16 +334,12 @@ func (x *Executor) levelJob(pp *Plan, l int) mapreduce.Job {
 					a.projCols = rel.appendCols(a.projCols[:0], q.Select)
 				}
 				for rng := 0; rng < ranges; rng++ {
-					s := x.Ctx.rangeSlot(node, rng)
-					if !final {
-						interm[id][node].AppendBlock(s.blocks[id])
-						continue
+					blk := x.Ctx.rangeSlot(node, rng)[rj.ID]
+					if final {
+						projectInto(out, blk, a.projCols)
+					} else {
+						interm[rj.ID][node].AppendBlock(blk)
 					}
-					// Each group's check is charged in group order.
-					for _, cnt := range s.counts[id] {
-						m.Check(&x.Cluster.C, int(cnt))
-					}
-					projectInto(out, s.blocks[id], a.projCols)
 				}
 			}
 		},
@@ -425,12 +398,12 @@ func (x *Executor) runMapMorsel(pp *Plan, mo *mapMorsel, node, lane int, m *mapr
 		// Map shuffler: re-read the previous job's output and re-emit
 		// re-keyed.
 		rel = relation{schema: mo.child.Attrs, Block: x.Ctx.interm[mo.ci.ID][node]}
-		m.Read(&x.Cluster.C, rel.N)
-		m.Write(&x.Cluster.C, rel.N)
+		m.Read(rel.N)
+		m.Write(rel.N)
 	case mo.file != "":
-		// Charges (Read, then Check when filtered) and emissions per file
-		// are exactly the whole scan's; concatenated in file order they
-		// reproduce its sequence.
+		// Per file, the counts (Read, plus Check when filtered) add up to
+		// the whole scan's, and the emissions concatenate, in file order,
+		// to its sequence.
 		file := [1]string{mo.file}
 		rel = x.scanFiles(pp, mo.child, node, m, file[:], a)
 	default:
@@ -465,8 +438,8 @@ func (x *Executor) evalLocal(pp *Plan, op *core.Op, node int, m *mapreduce.Meter
 		}
 		dst := a.nextBlock(len(op.Attrs))
 		counts := a.naryJoinInto(dst, children, op.JoinAttrs, op.Attrs)
-		m.Join(&x.Cluster.C, counts.in+counts.out)
-		m.Write(&x.Cluster.C, counts.out)
+		m.Join(counts.in + counts.out)
+		m.Write(counts.out)
 		return relation{schema: op.Attrs, Block: *dst}
 	}
 	panic(fmt.Sprintf("physical: evalLocal on %v", op.Kind))
@@ -556,9 +529,9 @@ func (x *Executor) scanFilters(tp sparql.TriplePattern, op *core.Op, a *arena) b
 // path — the simulated Hadoop mapper still reads and checks the whole
 // file, the index only spares the simulator's own CPU.
 func (x *Executor) openScanFile(f *dstore.File, m *mapreduce.Meter, a *arena) scanFile {
-	m.Read(&x.Cluster.C, f.NumRows())
+	m.Read(f.NumRows())
 	if len(a.scanConsts) > 0 || len(a.scanRepeats) > 0 {
-		m.Check(&x.Cluster.C, f.NumRows())
+		m.Check(f.NumRows())
 	}
 	sf := scanFile{f: f}
 	for _, cc := range a.scanConsts {

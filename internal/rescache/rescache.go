@@ -2,12 +2,12 @@
 // sharded, byte-budgeted LRU (built on internal/plancache's sized
 // mode) mapping (canonical job signature, DataVersion) to the
 // materialized output of one executed MapReduce job plus what the job
-// metered (mapreduce.JobRecord).
+// metered (mapreduce.JobRecord: its per-node tuple counts).
 //
 // On a hit the executor skips the job's map/shuffle/reduce work
 // entirely: it serves the cached rows read-only and replays the
-// record, so rows AND simulated JobStats are byte-identical to an
-// uncached run. An entry owns what it holds: flat, exactly sized
+// record — prices its counts as a live run does — so rows AND
+// simulated JobStats are byte-identical to an uncached run. An entry owns what it holds: flat, exactly sized
 // blocks allocated for it at admission, never a view of the execution
 // context that computed them (which recycles its memory on its next
 // execution). A final job's rows are kept as cells only, one block, and

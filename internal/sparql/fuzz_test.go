@@ -2,6 +2,7 @@ package sparql
 
 import (
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -75,4 +76,60 @@ func min(a, b int) int {
 		return a
 	}
 	return b
+}
+
+// FuzzParseRoundTrip: Parse never panics; a query that parses renders
+// (String) to something that reparses to the same rendering; and the
+// canonical Key is the same across that round trip and under a
+// consistent renaming of the variables. It is deliberately not asked to
+// survive a permutation of the patterns: symmetric ties fall back to
+// input order by design (Canonicalize), and
+// { ?x <> ?c . ?c <> ?a . ?x <> ?e . ?e <> ?a } is such a tie. The
+// seeds are in testdata/fuzz/FuzzParseRoundTrip.
+func FuzzParseRoundTrip(f *testing.F) {
+	f.Fuzz(func(t *testing.T, src string) {
+		q, err := Parse(src)
+		if err != nil {
+			return
+		}
+		s := q.String()
+		q2, err := Parse(s)
+		if err != nil {
+			t.Fatalf("%q renders as %q, which does not parse: %v", src, s, err)
+		}
+		if s2 := q2.String(); s2 != s {
+			t.Fatalf("%q renders as %q, which renders as %q", src, s, s2)
+		}
+		key := Canonicalize(q).Key
+		if Canonicalize(q2).Key != key {
+			t.Fatalf("%q: the Key changed across the round trip through %q", src, s)
+		}
+		if r := renamed(q); Canonicalize(r).Key != key {
+			t.Fatalf("%q: the Key changed when its variables were renamed: %q", src, r)
+		}
+	})
+}
+
+// renamed returns q with its variables renamed consistently, numbered
+// against their sorted order.
+func renamed(q *Query) *Query {
+	vars := q.Vars()
+	to := make(map[string]string, len(vars))
+	for i, v := range vars {
+		to[v] = "r" + strconv.Itoa(len(vars)-i)
+	}
+	term := func(pt PatternTerm) PatternTerm {
+		if pt.IsVar {
+			return Variable(to[pt.Var])
+		}
+		return pt
+	}
+	r := &Query{}
+	for _, v := range q.Select {
+		r.Select = append(r.Select, to[v])
+	}
+	for _, tp := range q.Patterns {
+		r.Patterns = append(r.Patterns, TriplePattern{S: term(tp.S), P: term(tp.P), O: term(tp.O)})
+	}
+	return r
 }

@@ -27,13 +27,21 @@ func Variable(name string) PatternTerm { return PatternTerm{IsVar: true, Var: na
 // Constant returns a constant pattern term.
 func Constant(t rdf.Term) PatternTerm { return PatternTerm{Term: t} }
 
-// String renders the term in SPARQL syntax.
+// String renders the term in SPARQL syntax: a literal's `\` and `"` are
+// escaped the way the tokenizer reads them back (a backslash takes the
+// next byte as it is). rdf.Term.String — the dictionary's rendered key
+// — escapes nothing.
 func (pt PatternTerm) String() string {
 	if pt.IsVar {
 		return "?" + pt.Var
 	}
+	if pt.Term.Kind == rdf.Literal {
+		return `"` + literalEscaper.Replace(pt.Term.Value) + `"`
+	}
 	return pt.Term.String()
 }
+
+var literalEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`)
 
 // TriplePattern is a SPARQL triple pattern (s p o) where each position is
 // a variable or a constant.

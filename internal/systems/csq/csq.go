@@ -78,7 +78,7 @@ type Config struct {
 	PlanCacheSize int
 	// ResultCacheBytes, when positive, enables the subplan result cache
 	// with that byte budget: executed job results (materialized rows +
-	// recorded charge traces) are cached per (job signature, data
+	// recorded tuple counts) are cached per (job signature, data
 	// epoch) and served on repeat executions with rows and JobStats
 	// byte-identical to an uncached run. 0 (the default) disables it.
 	ResultCacheBytes int64

@@ -157,15 +157,16 @@ func (e *Engine) Run(q *sparql.Query) (*systems.RunResult, error) {
 		right := rightRows
 		out := cl.RunWith(mapreduce.ClassicJob(fmt.Sprintf("%s-h2rdf-join%d", q.Name, k),
 			func(node int, m *mapreduce.Meter, emit *mapreduce.Emitter, _ *mapreduce.Block) {
-				n := e.cfg.Nodes
+				n, reads := e.cfg.Nodes, 0
 				for i := node; i < len(acc); i += n {
-					m.Read(&c, 1)
 					emit.Emit(0, 0, acc[i], accCols)
+					reads++
 				}
 				for i := node; i < len(right); i += n {
-					m.Read(&c, 1)
 					emit.Emit(0, 1, right[i], rCols)
+					reads++
 				}
+				m.Read(reads)
 			},
 			func(node int, m *mapreduce.Meter, groups *mapreduce.Groups, out *mapreduce.Block) {
 				groups.Each(func(g mapreduce.Group) {
@@ -177,7 +178,9 @@ func (e *Engine) Run(q *sparql.Query) (*systems.RunResult, error) {
 							rgt = append(rgt, row)
 						}
 					}
-					m.Join(&c, len(left)+len(rgt))
+					pairs := len(left) * len(rgt)
+					m.Join(len(left) + len(rgt) + pairs)
+					m.Write(pairs)
 					nr := make(mapreduce.Row, 0, len(mergedVars))
 					for _, l := range left {
 						for _, r := range rgt {
@@ -185,8 +188,6 @@ func (e *Engine) Run(q *sparql.Query) (*systems.RunResult, error) {
 							for _, rc := range rightExtra {
 								nr = append(nr, r[rc])
 							}
-							m.Join(&c, 1)
-							m.Write(&c, 1)
 							out.Append(nr)
 						}
 					}

@@ -294,12 +294,12 @@ func (e *Engine) Run(q *sparql.Query) (*systems.RunResult, error) {
 		out := cl.RunWith(mapreduce.ClassicJob(fmt.Sprintf("%s-shape-join%d", q.Name, k),
 			func(node int, m *mapreduce.Meter, emit *mapreduce.Emitter, _ *mapreduce.Block) {
 				if !accEvalCharged {
-					m.Read(&c, subs[order[0]].touched[node])
+					m.Read(subs[order[0]].touched[node])
 				} else {
-					m.Read(&c, len(accRows[node]))
-					m.Write(&c, len(accRows[node]))
+					m.Read(len(accRows[node]))
+					m.Write(len(accRows[node]))
 				}
-				m.Read(&c, s.touched[node])
+				m.Read(s.touched[node])
 				for _, row := range accRows[node] {
 					emit.Emit(0, 0, row, accCols)
 				}
@@ -317,7 +317,9 @@ func (e *Engine) Run(q *sparql.Query) (*systems.RunResult, error) {
 							right = append(right, row)
 						}
 					}
-					m.Join(&c, len(left)+len(right))
+					pairs := len(left) * len(right)
+					m.Join(len(left) + len(right) + pairs)
+					m.Write(pairs)
 					nr := make(mapreduce.Row, 0, len(mergedVars))
 					for _, l := range left {
 						for _, r := range right {
@@ -325,8 +327,6 @@ func (e *Engine) Run(q *sparql.Query) (*systems.RunResult, error) {
 							for _, rc := range rightExtra {
 								nr = append(nr, r[rc])
 							}
-							m.Join(&c, 1)
-							m.Write(&c, 1)
 							out.Append(nr)
 						}
 					}

@@ -11,8 +11,6 @@ package cliquesquare
 // context's next execution.
 
 import (
-	"encoding/json"
-	"os"
 	"reflect"
 	"runtime"
 	"sync"
@@ -90,13 +88,7 @@ func newPlanFixture(t *testing.T, g *Graph, queries []*sparql.Query) *lifetimeFi
 func newLifetimeFixture(t *testing.T) *lifetimeFixture {
 	t.Helper()
 	f := newPlanFixture(t, lubm.Generate(lubm.DefaultConfig(2)), lubm.Queries())
-	data, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(data, &f.golden); err != nil {
-		t.Fatal(err)
-	}
+	f.golden = readGolden(t)
 	return f
 }
 

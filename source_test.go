@@ -86,8 +86,9 @@ func (a answer) equal(b answer) bool {
 // the golden LUBM fixture and of a seeded set of qgen shapes at 1, 2 and
 // 4 lanes with the result cache off, missing and hitting, and reads
 // each result both ways: through the borrowed source and through
-// Execute's materialised rows. Every reading must equal the reference —
-// the golden pin where there is one, else the one-lane uncached Execute.
+// Execute's materialised rows. Every reading must equal the reference,
+// the one-lane uncached Execute — which, where there is a golden pin,
+// must match it (pinDrift).
 func TestResultSourceEquivalence(t *testing.T) {
 	type fixture struct {
 		name   string
@@ -105,19 +106,19 @@ func TestResultSourceEquivalence(t *testing.T) {
 		for variant, plans := range map[string]map[string]*physical.Plan{"flat": f.flat, "linear": f.linear} {
 			for name, pp := range plans {
 				label := fmt.Sprintf("%s/%s/%s", fx.name, variant, name)
-				var want answer
+				r := f.execute(t, nil, nil, pp)
+				want := answer{hashRows(r.Rows), len(r.Rows), r.Jobs}
 				if fx.golden {
 					pin := f.golden.Flat[name]
 					if variant == "linear" {
 						pin = f.golden.Linear[name]
 					}
-					want = answer{pin.RowHash, pin.Rows, pin.Jobs}
-				} else {
-					r := f.execute(t, nil, nil, pp)
-					want = answer{hashRows(r.Rows), len(r.Rows), r.Jobs}
-					if len(r.Rows) > 0 {
-						nonEmpty++
+					var d pinDrift
+					if err := d.check(want.jobs, pin.Jobs); err != nil || want.hash != pin.RowHash || want.rows != pin.Rows {
+						t.Errorf("%s: the reference reads %d rows, golden %d, or other rows or JobStats (%v)", label, want.rows, pin.Rows, err)
 					}
+				} else if len(r.Rows) > 0 {
+					nonEmpty++
 				}
 				for _, lanes := range []int{1, 2, 4} {
 					ctx := physical.NewExecContext(lanes)
