@@ -112,7 +112,10 @@ type DurableOptions struct {
 	GroupMaxWait time.Duration
 	// CheckpointBytes is the WAL-bytes threshold that triggers a
 	// background checkpoint + log truncation; 0 means 8 MiB, negative
-	// disables automatic checkpoints (manual Compact still works).
+	// disables automatic checkpoints (manual Compact still works). A
+	// checkpoint is a delta file of the net change since the last full
+	// base, so its size follows what changed; a new base is written
+	// only once the deltas on the current one would reach its size.
 	CheckpointBytes int64
 }
 
@@ -238,8 +241,10 @@ func (e *Engine) Nodes() int { return e.inner.Nodes() }
 func (e *Engine) TopologyVersion() uint64 { return e.inner.TopologyVersion() }
 
 // Compact forces a checkpoint and write-ahead-log garbage collection
-// now, instead of waiting for the byte threshold. No-op on a
-// non-durable engine.
+// now, instead of waiting for the byte threshold. The checkpoint costs
+// what changed since the last full base (a delta file), and a new base
+// only once the deltas would reach its size. No-op on a non-durable
+// engine.
 func (e *Engine) Compact() error { return e.inner.Compact() }
 
 // DurabilityStats is a snapshot of WAL and group-commit activity

@@ -19,7 +19,8 @@ const (
 // pointer-free: sorting swaps 24 bytes and the collector never scans a
 // record array. tag and nkey are 16 bits wide: a join has at most as
 // many inputs as its query has triple patterns and at most as many key
-// attributes as it has variables.
+// attributes as it has variables, and physical.CompileWith refuses a
+// join beyond MaxInputs or MaxKeyCells.
 type record struct {
 	group uint32
 	k0    uint32 // first key cell (0 for an empty key)
@@ -29,6 +30,14 @@ type record struct {
 	tag   uint16
 	nkey  uint16
 }
+
+// MaxInputs and MaxKeyCells are what a record's 16-bit tag and nkey can
+// carry: the inputs of one reduce join (tags 0..MaxInputs-1) and the
+// key cells of one tuple.
+const (
+	MaxInputs   = 1 << 16
+	MaxKeyCells = 1<<16 - 1
+)
 
 // hashCell folds one cell's four little-endian bytes into the FNV-1a
 // accumulator (the byte order EncodeKey serializes).

@@ -32,6 +32,7 @@ import (
 	"strings"
 
 	"cliquesquare/internal/core"
+	"cliquesquare/internal/mapreduce"
 	"cliquesquare/internal/sparql"
 )
 
@@ -132,14 +133,37 @@ func SubjectOnlyCoLocator() CoLocator {
 // joins at the same level share a MapReduce job.
 func Compile(p *core.Plan) (*Plan, error) { return CompileWith(p, nil) }
 
+// ShuffleWidthError is returned by CompileWith for a reduce join the
+// shuffle cannot carry: a shuffled record tags the join input it
+// belongs to, and counts its key cells, in 16 bits each
+// (mapreduce.MaxInputs, mapreduce.MaxKeyCells).
+type ShuffleWidthError struct {
+	// Inputs and KeyWidth are the join's input count and join
+	// attribute count.
+	Inputs, KeyWidth int
+}
+
+func (e *ShuffleWidthError) Error() string {
+	return fmt.Sprintf("physical: a reduce join of %d inputs on %d attributes exceeds the shuffle's %d inputs and %d key cells",
+		e.Inputs, e.KeyWidth, mapreduce.MaxInputs, mapreduce.MaxKeyCells)
+}
+
 // CompileWith is Compile under an explicit co-location capability
 // (partitioning-scheme dependent): Classify plus the job keys, which
 // only a plan that will run needs. Its result is the one form of Plan
-// the executor accepts.
+// the executor accepts; a plan whose shuffle it could not carry fails
+// with a *ShuffleWidthError.
 func CompileWith(p *core.Plan, canColocate CoLocator) (*Plan, error) {
 	pp, err := Classify(p, canColocate)
 	if err != nil {
 		return nil, err
+	}
+	for _, level := range pp.Levels {
+		for _, in := range level {
+			if n, k := len(in.Op.Children), len(in.Op.JoinAttrs); n > mapreduce.MaxInputs || k > mapreduce.MaxKeyCells {
+				return nil, &ShuffleWidthError{Inputs: n, KeyWidth: k}
+			}
+		}
 	}
 	pp.buildJobKeys(p.Query)
 	return pp, nil

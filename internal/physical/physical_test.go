@@ -1,6 +1,7 @@
 package physical
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -238,6 +239,46 @@ func TestCompileRejectsBadRoot(t *testing.T) {
 		Root: &core.Op{Kind: core.OpMatch}}
 	if _, err := Compile(p); err == nil {
 		t.Error("Compile accepted a plan without projection root")
+	}
+}
+
+// TestCompileRefusesShuffleOverflow pins the bound of a shuffled
+// record's 16-bit tag and key count: a reduce join of up to
+// mapreduce.MaxInputs inputs on up to mapreduce.MaxKeyCells attributes
+// compiles, one more of either fails with a *ShuffleWidthError.
+func TestCompileRefusesShuffleOverflow(t *testing.T) {
+	q := sparql.MustParse(`SELECT ?x WHERE { ?x <p> ?y . ?x <q> ?z }`)
+	scans := []*core.Op{{Kind: core.OpMatch, Pattern: 0, Attrs: []string{"x", "y"}}, {Kind: core.OpMatch, Pattern: 1, Attrs: []string{"x", "z"}}}
+	never := func(*core.Op, *sparql.Query) bool { return false } // every join reduce-side
+	compile := func(inputs, keyWidth int) error {
+		join := &core.Op{Kind: core.OpJoin, Attrs: []string{"x"}}
+		for i := 0; i < inputs; i++ {
+			join.Children = append(join.Children, scans[i%2])
+		}
+		for i := 0; i < keyWidth; i++ {
+			join.JoinAttrs = append(join.JoinAttrs, fmt.Sprintf("v%d", i))
+		}
+		root := &core.Op{Kind: core.OpProject, Attrs: []string{"x"}, Children: []*core.Op{join}}
+		_, err := CompileWith(&core.Plan{Query: q, Root: root}, never)
+		return err
+	}
+	for _, c := range []struct {
+		inputs, keyWidth int
+		ok               bool
+	}{
+		{mapreduce.MaxInputs, 1, true},
+		{mapreduce.MaxInputs + 1, 1, false},
+		{2, mapreduce.MaxKeyCells, true},
+		{2, mapreduce.MaxKeyCells + 1, false},
+	} {
+		err := compile(c.inputs, c.keyWidth)
+		var we *ShuffleWidthError
+		switch {
+		case c.ok && err != nil:
+			t.Errorf("%d inputs on %d attributes: %v", c.inputs, c.keyWidth, err)
+		case !c.ok && (!errors.As(err, &we) || we.Inputs != c.inputs || we.KeyWidth != c.keyWidth):
+			t.Errorf("%d inputs on %d attributes: err = %v, want a *ShuffleWidthError naming them", c.inputs, c.keyWidth, err)
+		}
 	}
 }
 

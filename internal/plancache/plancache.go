@@ -347,33 +347,6 @@ func (c *Cache[V]) Stats() Stats {
 	}
 }
 
-// Range calls fn for every completed cached entry. In-flight
-// computations are skipped (Range never blocks on them) and recency is
-// not touched. The values are snapshotted per shard under its lock and
-// fn runs outside all cache locks, so fn may itself use the cache or
-// take unrelated locks; entries inserted or evicted while Range runs
-// may or may not be visited.
-func (c *Cache[V]) Range(fn func(key string, v V)) {
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		done := make([]*entry[V], 0, len(s.m))
-		for _, e := range s.m {
-			select {
-			case <-e.ready:
-				if e.err == nil {
-					done = append(done, e)
-				}
-			default:
-			}
-		}
-		s.mu.Unlock()
-		for _, e := range done {
-			fn(e.key, e.val)
-		}
-	}
-}
-
 // Purge drops every cached entry (counters are kept; resident bytes
 // reset). In-flight computations still complete for their waiters but
 // are not re-admitted.

@@ -145,48 +145,6 @@ func TestPurge(t *testing.T) {
 	}
 }
 
-func TestRange(t *testing.T) {
-	c := New[int](32)
-	for i := 0; i < 5; i++ {
-		k := string(rune('a' + i))
-		v := i
-		c.Do(k, func() (int, error) { return v, nil })
-	}
-	// An in-flight entry must be skipped, not blocked on.
-	started := make(chan struct{})
-	release := make(chan struct{})
-	go c.Do("slow", func() (int, error) {
-		close(started)
-		<-release
-		return 99, nil
-	})
-	<-started
-	got := map[string]int{}
-	c.Range(func(k string, v int) { got[k] = v })
-	close(release)
-	if len(got) != 5 {
-		t.Fatalf("Range visited %v, want the 5 completed entries", got)
-	}
-	for i := 0; i < 5; i++ {
-		if got[string(rune('a'+i))] != i {
-			t.Errorf("Range(%c) = %d, want %d", 'a'+i, got[string(rune('a'+i))], i)
-		}
-	}
-}
-
-func TestRangeReentrant(t *testing.T) {
-	c := New[int](32)
-	c.Do("x", func() (int, error) { return 1, nil })
-	// fn may use the cache itself: Range must not hold shard locks
-	// while calling it.
-	c.Range(func(k string, v int) {
-		c.Do("y-"+k, func() (int, error) { return v + 1, nil })
-	})
-	if v, ok := c.Get("y-x"); !ok || v != 2 {
-		t.Errorf("reentrant insert = %d, %v", v, ok)
-	}
-}
-
 // sizedSameShard returns distinct keys that all land in one shard of a
 // shardCount-sharded cache, so LRU/budget interactions are
 // deterministic in tests.

@@ -42,11 +42,19 @@ func prepareAll(t *testing.T, e *Engine, qs []*sparql.Query) []*Prepared {
 // catalog is at the engine's version, holds exactly the patterns the
 // resident cached plans reference, and that each of those plans'
 // statistics equal a fresh rebuild over a graph of the current epoch.
-func checkCatalogQuiescent(t *testing.T, e *Engine) {
+// asked lists every query prepared on e; the resident plans are found
+// among them.
+func checkCatalogQuiescent(t *testing.T, e *Engine, asked []*sparql.Query) {
 	t.Helper()
 	g := stored(e)
 	held := cost.NewCatalog(0)
-	e.cache.Range(func(_ string, ent *cacheEntry) {
+	resident := 0
+	for _, q := range asked {
+		ent, ok := e.cache.Get(sparql.Canonicalize(q).Key + "\x00" + q.Name)
+		if !ok {
+			continue
+		}
+		resident++
 		q := ent.cur.Load().Query
 		held.Acquire(q)
 		ref, st := e.readStats(q)
@@ -57,7 +65,10 @@ func checkCatalogQuiescent(t *testing.T, e *Engine) {
 		if !st.Equal(cost.NewStats(g, q)) {
 			t.Errorf("%s: catalog statistics differ from a fresh rebuild", q.Name)
 		}
-	})
+	}
+	if n := e.cache.Len(); resident != n {
+		t.Errorf("found %d of the %d cached plans among the queries asked", resident, n)
+	}
 	want, _, _ := held.Counters()
 	if got := e.UpdateStats().StatsPatterns; got != uint64(want) {
 		t.Errorf("catalog holds %d patterns, the cached plans reference %d", got, want)
@@ -131,22 +142,24 @@ func TestCatalogCounters(t *testing.T) {
 	if repriced == 0 {
 		t.Error("no plan was re-priced after a triple joined a pattern they scan")
 	}
-	checkCatalogQuiescent(t, eng)
+	checkCatalogQuiescent(t, eng, append(coldTemplates(t, 0), coldTemplates(t, 1)...))
 
 	// A cache of six plans in one shard: each variant's plan evicts a
 	// warm one, and the catalog ends where the warm pass left it.
 	cfg := DefaultConfig()
 	cfg.PlanCacheSize = 6
 	small := New(g, cfg)
-	prepareAll(t, small, coldTemplates(t, 0))
+	asked := coldTemplates(t, 0)
+	prepareAll(t, small, asked)
 	warmed := small.UpdateStats().StatsPatterns
 	for c := 1; c <= 2; c++ {
 		prepareAll(t, small, coldTemplates(t, c))
+		asked = append(asked, coldTemplates(t, c)...)
 		if got := small.UpdateStats().StatsPatterns; got != warmed {
 			t.Errorf("variant pass %d evicted the pass before it: %d patterns resident, want the warm pass's %d", c, got, warmed)
 		}
 	}
-	checkCatalogQuiescent(t, small)
+	checkCatalogQuiescent(t, small, asked)
 }
 
 // churnGraph is a small four-level chain with 48 tag constants.
@@ -246,7 +259,11 @@ func TestCatalogLifetimeUnderChurn(t *testing.T) {
 	if st := eng.cache.Stats(); st.Misses != capacity+2 || st.Entries != capacity {
 		t.Fatalf("after the parked computes: %+v", st)
 	}
-	checkCatalogQuiescent(t, eng) // the two evicted in flight released their patterns on completion
+	var asked []*sparql.Query
+	for c := 0; c < constants; c++ {
+		asked = append(asked, churnQuery(c))
+	}
+	checkCatalogQuiescent(t, eng, asked) // the two evicted in flight released their patterns on completion
 
 	// Readers walk the remaining constants (each also re-requesting the
 	// hot c0, so revalidation runs too) while the writer commits. Each
@@ -288,7 +305,7 @@ func TestCatalogLifetimeUnderChurn(t *testing.T) {
 	if st := eng.cache.Stats(); st.Misses < 10*capacity {
 		t.Fatalf("%d cold prepares, want at least 10x the capacity of %d", st.Misses, capacity)
 	}
-	checkCatalogQuiescent(t, eng)
+	checkCatalogQuiescent(t, eng, asked)
 	if us := eng.UpdateStats(); us.StatsPatterns > capacity*4 {
 		t.Errorf("%d patterns resident, more than capacity x patterns per plan", us.StatsPatterns)
 	}

@@ -34,7 +34,7 @@ type CommitStats struct {
 // DurabilityStats snapshots group-commit and WAL activity.
 type DurabilityStats struct {
 	// Log is the WAL's own activity (records, bytes, syncs,
-	// checkpoints, GC removals).
+	// checkpoints and the deltas among them, GC removals).
 	Log wal.Stats
 	// LiveBytes is the current on-log-directory footprint — the measure
 	// checkpoint GC shrinks.
@@ -70,7 +70,7 @@ type durableState struct {
 }
 
 // NewDurable partitions g and attaches a fresh write-ahead log in
-// opts.Dir, seeded with a checkpoint of g's current state: from here
+// opts.Dir, seeded with a base of g's current state: from here
 // on every ApplyBatch is fsynced before it is acknowledged. It fails
 // with wal.ErrExists when the directory already holds a log — recover
 // that with OpenDurable instead.
@@ -85,17 +85,18 @@ func NewDurable(g *rdf.Graph, cfg Config, opts wal.Options) (*Engine, error) {
 }
 
 // OpenDurable recovers the engine from the log in opts.Dir: a scratch
-// graph is rebuilt from the newest valid checkpoint plus the records
-// after it (reproducing the exact TermID assignment, and with it node
-// placement), partitioned so the initial load commits exactly the
-// recovered epoch — epoch numbers stay continuous across the crash —
-// and let go. The tail's records fold into one net delta applied once:
-// recovery is one pass over the graph however many records it replays.
-// The cluster size comes from the log too — the checkpoint's recorded
-// size updated by every topology record after it — so an engine that
-// crashed mid-reshard recovers at the topology of its last durable
-// step, with the full graph placed consistently at that size (a
-// checkpoint with no recorded size falls back to cfg.Nodes).
+// graph is rebuilt from the newest valid base, the delta on it and the
+// records after that (reproducing the exact TermID assignment, and with
+// it node placement), partitioned so the initial load commits exactly
+// the recovered epoch — epoch numbers stay continuous across the crash
+// — and let go. The delta and the tail's records fold into one net
+// delta applied once: recovery is one pass over the graph however many
+// records it replays. The cluster size comes from the log too — the
+// base's recorded size updated by the delta's and every topology record
+// after it — so an engine that crashed mid-reshard recovers at the
+// topology of its last durable step, with the full graph placed
+// consistently at that size (a base with no recorded size falls back
+// to cfg.Nodes).
 // wal.ErrNoState means the directory holds nothing to recover.
 func OpenDurable(cfg Config, opts wal.Options) (*Engine, error) {
 	g := rdf.NewGraph()
@@ -118,8 +119,8 @@ func OpenDurable(cfg Config, opts wal.Options) (*Engine, error) {
 		}
 		return nil
 	}
-	// A checkpoint replays as the one record that builds its state from
-	// an empty graph; it comes before any record of the tail.
+	// A base replays as the one record that builds its state from an
+	// empty graph; it comes before the delta and the tail.
 	l, _, err := wal.Open(opts, func(cp *wal.Checkpoint) error {
 		if err := replay(&wal.Record{FirstTerm: 1, Terms: cp.Terms, Topology: cp.Nodes}); err != nil {
 			return err
@@ -222,23 +223,34 @@ func (d *durableState) next(window <-chan time.Time) *request {
 
 // compactor is the background goroutine that writes checkpoints and
 // garbage-collects obsolete WAL generations when nudged (by the writer
-// crossing the byte threshold, or a manual Compact). A checkpoint
-// snapshots the current epoch into a checkpoint file, rotates the log
-// and drops generations below both the previous checkpoint and the
-// pinned-reader watermark; the snapshot reads an immutable view and
-// takes no engine lock, so concurrent group commits contend with the
-// write on the log's own lock alone.
+// crossing the byte threshold, or a manual Compact).
 func (d *durableState) compactor() {
 	defer d.compactorWG.Done()
 	for resp := range d.ckptCh {
-		err := d.log.WriteCheckpoint(d.e.snapshot(), d.e.part.Watermark())
+		err := d.checkpoint()
 		if resp != nil {
 			resp <- err
 		}
 	}
 }
 
-// snapshot is the checkpoint image of the current epoch: the view's
+// checkpoint writes one checkpoint of the current epoch. It is a delta,
+// which the log folds from its own files, unless the log asks for a full
+// base: then the engine's snapshot is written. Either way the log
+// rotates and drops what neither the previous checkpoint nor the
+// pinned-reader watermark needs. The snapshot reads an immutable view
+// and takes no engine lock, so concurrent group commits contend with a
+// checkpoint on the log's own lock alone.
+func (d *durableState) checkpoint() error {
+	wm := d.e.part.Watermark()
+	err := d.log.WriteDelta(d.e.DataVersion(), wm)
+	if errors.Is(err, wal.ErrNeedBase) {
+		err = d.log.WriteCheckpoint(d.e.snapshot(), wm)
+	}
+	return err
+}
+
+// snapshot is the base image of the current epoch: the view's
 // subject replica and the dictionary as long as it is now. It takes no
 // lock: the view is immutable and carries its epoch and topology, and
 // the dictionary, which only grows, held every id of it at publication.
@@ -302,7 +314,10 @@ func (e *Engine) Close() error {
 }
 
 // Compact forces a checkpoint + WAL garbage collection now and reports
-// its outcome. On an engine without a log it is a no-op.
+// its outcome. The checkpoint is a delta file of the net change since
+// the current base — its size follows what changed, not the data — and
+// a full base only once the deltas written on that base would reach
+// its size. On an engine without a log it is a no-op.
 func (e *Engine) Compact() error {
 	if e.closed.Load() {
 		return ErrClosed

@@ -180,14 +180,19 @@ func crashScriptCfg() Config {
 }
 
 // runCrashScript drives the scripted batch history against fs and
-// reports which epochs were acknowledged. Errors after engine
-// construction are expected (an armed crash poisons the log); the
-// script carries on so later fault points are reached in rehearsal.
-func runCrashScript(fs *wal.MemFS) (acked []uint64, err error) {
+// reports which epochs were acknowledged, and the log's statistics.
+// Errors after engine construction are expected (an armed crash poisons
+// the log); the script carries on so later fault points are reached in
+// rehearsal. It compacts after batches 1 to 3, so the fault points of
+// deltas and of full bases are in the matrix: against the two-triple
+// initial base, the first delta would outweigh it and folds into a base
+// instead; the next is a delta on that base, and the one after that a
+// base again.
+func runCrashScript(fs *wal.MemFS) (acked []uint64, st wal.Stats, err error) {
 	g := durableBase()
 	eng, err := NewDurable(g, crashScriptCfg(), durableOpts(fs))
 	if err != nil {
-		return nil, err
+		return nil, st, err
 	}
 	defer eng.Close()
 	for i := 1; i <= crashScriptBatches; i++ {
@@ -195,11 +200,11 @@ func runCrashScript(fs *wal.MemFS) (acked []uint64, err error) {
 		if br, err := eng.ApplyBatch(ins, dels); err == nil {
 			acked = append(acked, br.DataVersion)
 		}
-		if i == 3 {
-			_ = eng.Compact() // a checkpoint mid-script, so its fault points are in the matrix
+		if i <= 3 {
+			_ = eng.Compact()
 		}
 	}
-	return acked, nil
+	return acked, eng.DurabilityStats().Log, nil
 }
 
 // expectedStates returns the scripted triple set at every possible
@@ -224,9 +229,12 @@ func expectedStates() []map[[3]rdf.Term]bool {
 // epoch in sequence.
 func TestDurableCrashMatrix(t *testing.T) {
 	rehearse := wal.NewMemFS()
-	acked, err := runCrashScript(rehearse)
+	acked, st, err := runCrashScript(rehearse)
 	if err != nil || len(acked) != crashScriptBatches {
 		t.Fatalf("rehearsal: acked %v, err %v", acked, err)
+	}
+	if st.Deltas < 1 || st.Checkpoints-st.Deltas < 1 {
+		t.Fatalf("rehearsal wrote %d checkpoints of which %d deltas; want a delta and a base", st.Checkpoints, st.Deltas)
 	}
 	total := rehearse.Ops()
 	states := expectedStates()
@@ -236,7 +244,7 @@ func TestDurableCrashMatrix(t *testing.T) {
 			name := fmt.Sprintf("op%d/%s", n, mode)
 			fs := wal.NewMemFS()
 			fs.SetCrashAt(n, mode)
-			acked, _ := runCrashScript(fs)
+			acked, _, _ := runCrashScript(fs)
 			if !fs.Down() {
 				t.Fatalf("%s: script finished without tripping the armed crash", name)
 			}
@@ -645,5 +653,119 @@ func TestCompactorReclaimsLogSpace(t *testing.T) {
 	defer rec.Close()
 	if rec.DataVersion() != ver || !reflect.DeepEqual(tripleSet(rec.part.Current(), rec.dict), final) {
 		t.Errorf("recovery after GC diverges: epoch %d vs %d", rec.DataVersion(), ver)
+	}
+}
+
+// steadyChurn builds a durable engine over LUBM at univ universities in
+// state A = G − D1 and applies ten commits that alternate B = G − D0
+// and A (D0, D1 disjoint samples of 50 triples: each commit deletes one
+// and inserts the other, minting no term), then compacts. It returns
+// the checkpoint bytes that compaction wrote and the log's statistics.
+func steadyChurn(t *testing.T, univ int) (int64, wal.Stats) {
+	t.Helper()
+	g := lubm.Generate(lubm.DefaultConfig(univ))
+	all := g.Triples()
+	idx := rand.New(rand.NewSource(5)).Perm(len(all))[:100]
+	var d0, d1 []rdf.Triple
+	for i, k := range idx {
+		if i < 50 {
+			d0 = append(d0, all[k])
+		} else {
+			d1 = append(d1, all[k])
+		}
+	}
+	g.RemoveBatch(d1)
+	eng, err := NewDurable(g, crashScriptCfg(), durableOpts(wal.NewMemFS()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	before := eng.DurabilityStats().Log
+	for i := 0; i < 10; i++ {
+		ins, dels := d1, d0
+		if i%2 == 1 {
+			ins, dels = d0, d1
+		}
+		if br, err := eng.ApplyBatch(ins, dels); err != nil || br.Inserted != 50 || br.Deleted != 50 {
+			t.Fatalf("univ %d, commit %d: %+v, %v", univ, i, br, err)
+		}
+	}
+	if err := eng.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	after := eng.DurabilityStats().Log
+	return after.CheckpointBytes - before.CheckpointBytes, after
+}
+
+// TestCompactionBytesIndependentOfSize: under steady-size churn a
+// checkpoint costs what changed since the base — nothing, here — so
+// the same churn over two store sizes writes identical checkpoint
+// bytes: one delta with no term and no triple.
+func TestCompactionBytesIndependentOfSize(t *testing.T) {
+	small, st1 := steadyChurn(t, 1)
+	large, st2 := steadyChurn(t, 2)
+	if small != large {
+		t.Errorf("compaction wrote %d bytes at univ 1 and %d at univ 2", small, large)
+	}
+	for _, st := range []wal.Stats{st1, st2} {
+		if st.Checkpoints != 1 || st.Deltas != 1 {
+			t.Errorf("%d checkpoints of which %d deltas, want one delta", st.Checkpoints, st.Deltas)
+		}
+	}
+	if small > 64 {
+		t.Errorf("an empty delta took %d bytes", small)
+	}
+}
+
+// TestReshardThenDeltaRecovers: a delta folded over a resize carries
+// the new topology. The base was written at the load size and the
+// records after the delta are plain batches, so an engine recovered at
+// the resized topology took it from the delta.
+func TestReshardThenDeltaRecovers(t *testing.T) {
+	fs := wal.NewMemFS()
+	g := lubm.Generate(lubm.DefaultConfig(1))
+	cfg := ringConfig()
+	eng, err := NewDurable(g, cfg, durableOpts(fs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(17))
+	batch := func() {
+		ins, dels := randomBatch(rng, g, 1)
+		if _, err := eng.ApplyBatch(ins, dels); err != nil {
+			t.Fatal(err)
+		}
+		mutate(g, ins, dels)
+	}
+	batch()
+	if _, err := eng.AddNodes(3); err != nil {
+		t.Fatal(err)
+	}
+	batch()
+	if err := eng.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if st := eng.DurabilityStats().Log; st.Deltas != 1 {
+		t.Fatalf("compaction wrote %d deltas of %d checkpoints, want a delta", st.Deltas, st.Checkpoints)
+	}
+	batch()
+	ver, nodes := eng.DataVersion(), eng.Nodes()
+	fs.CrashNow(wal.CrashDrop)
+	fs.Reboot()
+	eng.Close()
+
+	rec, err := OpenDurable(cfg, durableOpts(fs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.Close()
+	if rec.Nodes() != nodes || nodes == cfg.Nodes {
+		t.Errorf("recovered on %d nodes, want %d (loaded on %d)", rec.Nodes(), nodes, cfg.Nodes)
+	}
+	if rec.DataVersion() != ver {
+		t.Errorf("recovered at epoch %d, want %d", rec.DataVersion(), ver)
+	}
+	if !reflect.DeepEqual(tripleSet(rec.part.Current(), rec.dict), tripleSet(g, g.Dict)) {
+		t.Error("recovered content diverges from the pre-crash content")
 	}
 }
