@@ -6,8 +6,8 @@ package cliquesquare
 // slab/CSR data plane brought it under 4k and 5.5 MB, the flat
 // relations (no []Row between scan and result) under 1k and 0.7 MB,
 // and these ceilings (with headroom for scheduler noise) keep it from
-// creeping back. Run alongside the BENCH_pr6.json CI delta check — this
-// one fails locally, before CI.
+// creeping back. They skip under -race, so CI runs them un-raced:
+// go test -count=1 -run TestAlloc .
 
 import (
 	"runtime"

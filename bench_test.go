@@ -215,8 +215,7 @@ func benchExecuteWorkload(b *testing.B, lanes int) {
 // BenchmarkParallelVsSequential measures the wall-clock speedup of
 // GOMAXPROCS lanes ("parallel") over one lane ("sequential") on the
 // LUBM workload at 7 nodes (the simulated results are identical; only
-// real execution time differs). The sub-benchmark names are what the
-// committed BENCH_pr2/BENCH_pr6 baselines key on.
+// real execution time differs).
 func BenchmarkParallelVsSequential(b *testing.B) {
 	b.Run("parallel", func(b *testing.B) { benchExecuteWorkload(b, 0) })
 	b.Run("sequential", func(b *testing.B) { benchExecuteWorkload(b, 1) })

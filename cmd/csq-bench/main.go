@@ -8,18 +8,13 @@
 //	csq-bench -exp=systems     # Figure 21 (CSQ vs SHAPE vs H2RDF+)
 //	csq-bench -exp=workload    # Figure 22 (query characteristics)
 //	csq-bench -exp=bounds      # Figure 8  (decomposition bounds)
-//	csq-bench -exp=serving     # concurrent serving: QPS, latency, cache
-//	csq-bench -exp=scaling     # morsel-runtime speedup vs worker count
-//	csq-bench -exp=reshard     # elastic resize: reader QPS/p95 through grow+shrink
 //	csq-bench -exp=all
 //
 // Flags tune the scale (-univ), cluster size (-nodes), the synthetic
-// workload size (-pershape) and the optimizer budgets. The serving,
-// scaling and reshard experiments are engineering extensions beyond
-// the paper's single-shot measurements: serving takes -clients and
-// -requests, reshard -clients, and -out writes their metrics as JSON.
-// Mixed read/write churn is the repo benchmark's to measure
-// (bench/run.sh --workload churn_durable).
+// workload size (-pershape) and the optimizer budgets. Serving, caching,
+// durable churn and their per-layer costs are the repo benchmark's to
+// measure (bench/run.sh --workload exec_scale|serve_cached|plan_cold|
+// churn_durable); this command only prints the paper's figures.
 package main
 
 import (
@@ -37,16 +32,12 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: planspace|plans|systems|workload|bounds|serving|scaling|reshard|all")
+	exp := flag.String("exp", "all", "experiment: planspace|plans|systems|workload|bounds|all")
 	univ := flag.Int("univ", 100, "LUBM scale (universities) for execution experiments")
 	nodes := flag.Int("nodes", 7, "simulated cluster nodes")
 	perShape := flag.Int("pershape", 30, "synthetic queries per shape (paper: 30)")
 	maxPlans := flag.Int("maxplans", 5000, "plan budget per optimizer run")
 	timeout := flag.Duration("timeout", 500*time.Millisecond, "optimizer timeout per query")
-	clients := flag.Int("clients", 8, "serving/reshard: concurrent reader goroutines")
-	requests := flag.Int("requests", 100, "serving: requests per reader (across the query mix)")
-	rescache := flag.Int64("rescache", 0, "serving: subplan result cache budget in bytes (0 disables); reports cached-vs-uncached QPS side by side")
-	out := flag.String("out", "", "serving/scaling/reshard: write metrics JSON to this file")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
 	memprofile := flag.String("memprofile", "", "write an allocation profile taken after the experiments to this file")
 	flag.Parse()
@@ -102,9 +93,6 @@ func main() {
 	run("workload", func() error { return workload(cc) })
 	run("plans", func() error { return plans(cc) })
 	run("systems", func() error { return systemsCmp(cc) })
-	run("serving", func() error { return serving(cc, *clients, *requests, *rescache, *out) })
-	run("scaling", func() error { return scaling(cc, *out) })
-	run("reshard", func() error { return reshardBench(cc, *clients, *out) })
 }
 
 func tw() *tabwriter.Writer {

@@ -19,7 +19,9 @@ func (e *ParseError) Error() string {
 
 // ReadNTriples parses a simplified N-Triples document into g. Supported
 // syntax per line: three terms followed by an optional trailing '.',
-// where a term is <iri>, "literal" (with \" and \\ escapes), or _:blank.
+// where a term is <iri>, "literal" (with the \n, \r and \t escapes; any
+// other escaped byte, \" and \\ included, stands for itself), or
+// _:blank. An IRI or blank label holding a line break is rejected.
 // Comment lines starting with '#' and blank lines are skipped.
 // It returns the number of triples read (including duplicates).
 func ReadNTriples(g *Graph, r io.Reader) (int, error) {
@@ -57,6 +59,9 @@ func parseLine(line string) ([3]Term, error) {
 		if err != nil {
 			return out, err
 		}
+		if !writable(t) {
+			return out, fmt.Errorf("line break in %s %q", t.Kind, t.Value)
+		}
 		out[i] = t
 		rest = tail
 	}
@@ -84,7 +89,16 @@ func parseTerm(s string) (Term, string, error) {
 				if i+1 >= len(s) {
 					return Term{}, "", fmt.Errorf("dangling escape in %q", s)
 				}
-				b.WriteByte(s[i+1])
+				switch c := s[i+1]; c {
+				case 'n':
+					b.WriteByte('\n')
+				case 'r':
+					b.WriteByte('\r')
+				case 't':
+					b.WriteByte('\t')
+				default:
+					b.WriteByte(c)
+				}
 				i += 2
 			case '"':
 				return NewLiteral(b.String()), s[i+1:], nil
@@ -106,13 +120,19 @@ func parseTerm(s string) (Term, string, error) {
 }
 
 // WriteNTriples serializes the graph in the same simplified N-Triples
-// syntax accepted by ReadNTriples.
+// syntax accepted by ReadNTriples, one triple per line. It fails on an
+// IRI or blank label that file could not hold (see writable).
 func WriteNTriples(g *Graph, w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	for _, t := range g.Triples() {
 		s := g.Dict.Term(t.S)
 		p := g.Dict.Term(t.P)
 		o := g.Dict.Term(t.O)
+		for _, term := range [3]Term{s, p, o} {
+			if !writable(term) {
+				return fmt.Errorf("ntriples: cannot write %s %q", term.Kind, term.Value)
+			}
+		}
 		if _, err := fmt.Fprintf(bw, "%s %s %s .\n", escape(s), escape(p), escape(o)); err != nil {
 			return err
 		}
@@ -120,11 +140,26 @@ func WriteNTriples(g *Graph, w io.Writer) error {
 	return bw.Flush()
 }
 
+// literalEscaper escapes a literal's value so it reads back whole and on
+// one line.
+var literalEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`, "\r", `\r`)
+
 func escape(t Term) string {
 	if t.Kind != Literal {
 		return t.String()
 	}
-	v := strings.ReplaceAll(t.Value, `\`, `\\`)
-	v = strings.ReplaceAll(v, `"`, `\"`)
-	return `"` + v + `"`
+	return `"` + literalEscaper.Replace(t.Value) + `"`
+}
+
+// writable reports whether t survives a write and a read. Literals are
+// escaped; IRIs and blank labels are written raw, so they must hold no
+// line break and not the byte that ends them ('>', or a space or tab).
+func writable(t Term) bool {
+	switch t.Kind {
+	case IRI:
+		return !strings.ContainsAny(t.Value, ">\r\n")
+	case Blank:
+		return !strings.ContainsAny(t.Value, " \t\r\n")
+	}
+	return true
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"reflect"
 	"strings"
 	"sync"
@@ -348,6 +349,7 @@ func TestReadNTriples(t *testing.T) {
 # a comment
 <http://x/a> <http://x/p> <http://x/b> .
 <http://x/a> <http://x/q> "lit with \"quote\" and \\slash" .
+<http://x/a> <http://x/r> "x\ny\rz\tw" .
 _:b0 <http://x/p> _:b1
 
 <http://x/a> <http://x/p> <http://x/b> .
@@ -357,11 +359,11 @@ _:b0 <http://x/p> _:b1
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 4 {
-		t.Errorf("read %d triples, want 4", n)
+	if n != 5 {
+		t.Errorf("read %d triples, want 5", n)
 	}
-	if g.Len() != 3 {
-		t.Errorf("graph holds %d distinct triples, want 3", g.Len())
+	if g.Len() != 4 {
+		t.Errorf("graph holds %d distinct triples, want 4", g.Len())
 	}
 	// Check the escaped literal decoded correctly.
 	id, ok := g.Dict.Lookup(NewLiteral(`lit with "quote" and \slash`))
@@ -369,6 +371,9 @@ _:b0 <http://x/p> _:b1
 		t.Error("escaped literal not found in dictionary")
 	}
 	_ = id
+	if _, ok := g.Dict.Lookup(NewLiteral("x\ny\rz\tw")); !ok {
+		t.Error(`\n, \r and \t escapes not decoded`)
+	}
 }
 
 func TestReadNTriplesErrors(t *testing.T) {
@@ -380,6 +385,8 @@ func TestReadNTriplesErrors(t *testing.T) {
 		`what <b> <c> .`,      // unknown term
 		`<a> <b> "x\`,         // dangling escape
 		`<a> <b> <c> . <d> .`, // trailing terms
+		"<a\rb> <p> <o> .",    // line break in an IRI
+		"_:a\rb <p> <o> .",    // line break in a blank label
 	} {
 		g := NewGraph()
 		if _, err := ReadNTriples(g, strings.NewReader(bad)); err == nil {
@@ -392,6 +399,7 @@ func TestNTriplesRoundTrip(t *testing.T) {
 	g := NewGraph()
 	g.AddSPO("http://x/a", "http://x/p", "http://x/b")
 	g.AddSPOLit("http://x/a", "http://x/name", `say "hi" \ bye`)
+	g.AddSPOLit("http://x/a", "http://x/text", "two\nlines\r\nand\ta tab")
 	g.AddTerms(NewBlank("n0"), NewIRI("http://x/p"), NewBlank("n1"))
 
 	var buf bytes.Buffer
@@ -414,6 +422,58 @@ func TestNTriplesRoundTrip(t *testing.T) {
 			t.Errorf("triple %v %v %v lost in round trip", s, p, o)
 		}
 	}
+}
+
+// TestWriteNTriplesRefusesUnwritableTerms: an IRI or blank label that
+// would end early or break its line is an error, not a file that
+// ReadNTriples rejects.
+func TestWriteNTriplesRefusesUnwritableTerms(t *testing.T) {
+	for _, bad := range []Term{
+		NewIRI("http://x/a>b"),
+		NewIRI("http://x/a\nb"),
+		NewIRI("http://x/a\rb"),
+		NewBlank("a b"),
+		NewBlank("a\nb"),
+	} {
+		g := NewGraph()
+		g.AddTerms(bad, NewIRI("http://x/p"), NewIRI("http://x/o"))
+		if err := WriteNTriples(g, io.Discard); err == nil {
+			t.Errorf("WriteNTriples accepted unwritable %v %q", bad.Kind, bad.Value)
+		}
+	}
+}
+
+// FuzzNTriplesRoundTrip: no input panics the reader, and whatever it
+// accepts is written without error and read back as the same triples in
+// the same order. The seed corpus is under testdata/fuzz/FuzzNTriplesRoundTrip.
+func FuzzNTriplesRoundTrip(f *testing.F) {
+	f.Fuzz(func(t *testing.T, src string) {
+		g := NewGraph()
+		if _, err := ReadNTriples(g, strings.NewReader(src)); err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteNTriples(g, &buf); err != nil {
+			t.Fatalf("WriteNTriples of an accepted document: %v", err)
+		}
+		written := buf.String()
+		g2 := NewGraph()
+		if _, err := ReadNTriples(g2, &buf); err != nil {
+			t.Fatalf("re-reading %q: %v", written, err)
+		}
+		a, b := g.Triples(), g2.Triples()
+		if len(a) != len(b) {
+			t.Fatalf("%d triples read back as %d from %q", len(a), len(b), written)
+		}
+		terms := func(g *Graph, tr Triple) [3]Term {
+			return [3]Term{g.Dict.Term(tr.S), g.Dict.Term(tr.P), g.Dict.Term(tr.O)}
+		}
+		for i := range a {
+			if x, y := terms(g, a[i]), terms(g2, b[i]); x != y {
+				t.Fatalf("triple %d: %q read back as %q", i, x, y)
+			}
+		}
+	})
 }
 
 func TestPosString(t *testing.T) {

@@ -79,6 +79,17 @@ func TestElasticGrowShrinkOracle(t *testing.T) {
 		}(w)
 	}
 
+	// Each resize must move data, and no more than twice the
+	// consistent-hashing ideal |ΔN|/max(From, To).
+	checkMoved := func(what string, rr ReshardResult, ideal float64) {
+		t.Helper()
+		if rr.MovedRows == 0 {
+			t.Errorf("%s moved no rows", what)
+		}
+		if rr.MovedFraction > 2*ideal {
+			t.Errorf("%s moved %.2f of rows, ideal %.2f", what, rr.MovedFraction, ideal)
+		}
+	}
 	grow, err := eng.AddNodes(3)
 	if err != nil {
 		t.Fatalf("AddNodes(3): %v", err)
@@ -86,12 +97,7 @@ func TestElasticGrowShrinkOracle(t *testing.T) {
 	if grow.From != 7 || grow.To != 10 || grow.TopologyVersion != 1 {
 		t.Fatalf("grow = %+v", grow)
 	}
-	if grow.MovedRows == 0 {
-		t.Error("grow moved no rows")
-	}
-	if f, ideal := grow.MovedFraction, 3.0/10.0; f > 2*ideal {
-		t.Errorf("grow moved %.2f of rows, ideal %.2f", f, ideal)
-	}
+	checkMoved("grow", grow, 3.0/10.0)
 	shrink, err := eng.RemoveNodes(5)
 	if err != nil {
 		t.Fatalf("RemoveNodes(5): %v", err)
@@ -99,6 +105,7 @@ func TestElasticGrowShrinkOracle(t *testing.T) {
 	if shrink.From != 10 || shrink.To != 5 || shrink.TopologyVersion != 2 {
 		t.Fatalf("shrink = %+v", shrink)
 	}
+	checkMoved("shrink", shrink, 5.0/10.0)
 	close(stop)
 	wg.Wait()
 
