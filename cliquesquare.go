@@ -103,9 +103,6 @@ type Options struct {
 type DurableOptions struct {
 	// Dir is the log directory (required).
 	Dir string
-	// GroupMaxOps caps how many concurrent ApplyBatch callers one
-	// group commit coalesces; 0 means 64.
-	GroupMaxOps int
 	// GroupMaxWait is how long the group-commit batcher holds an open
 	// group for more callers before flushing; 0 adds no latency
 	// (groups still form naturally while an fsync is in flight).
@@ -122,7 +119,6 @@ type DurableOptions struct {
 func (o *DurableOptions) wal() wal.Options {
 	return wal.Options{
 		Dir:             o.Dir,
-		GroupMaxOps:     o.GroupMaxOps,
 		GroupMaxWait:    o.GroupMaxWait,
 		CheckpointBytes: o.CheckpointBytes,
 	}

@@ -74,7 +74,7 @@ func TestBestLinearStructureAndResults(t *testing.T) {
 func execMatchesRef(t *testing.T, g *rdf.Graph, q *sparql.Query, p *core.Plan) {
 	t.Helper()
 	store := dstore.NewStore(4)
-	part := partition.Load(store, g)
+	part := partition.LoadWithPolicy(store, g, partition.ThreeReplica, nil)
 	x := &physical.Executor{
 		Cluster: mapreduce.NewCluster(store, mapreduce.DefaultConstants()),
 		Part:    part,

@@ -336,62 +336,14 @@ func (s *Snapshot) TotalRows() int {
 	return t
 }
 
-// Node is a live handle on one compute node: its read methods resolve
-// against the store's current snapshot, and its write methods are
-// single-file conveniences that commit a one-shot transaction (batch
-// writers should use Store.Begin instead).
-type Node struct {
-	ID    int
-	store *Store
-}
-
-// Append adds rows to the named file, creating it (with the given
-// schema) on first use, as a one-shot committed transaction. It panics
-// if an existing file has a different schema, which would indicate a
-// partitioning bug.
-func (n *Node) Append(name string, schema []string, rows ...Row) {
-	tx := n.store.Begin()
-	defer tx.Abort()
-	tx.Append(n.ID, name, schema, rows...)
-	tx.Commit()
-}
-
-// Get returns the named file from the current snapshot, if present.
-// Re-Get after a commit to observe newer epochs: the returned *File is
-// itself an immutable point-in-time view.
-func (n *Node) Get(name string) (*File, bool) {
-	return n.store.Current().Node(n.ID).Get(name)
-}
-
-// Delete removes the named file as a one-shot committed transaction.
-func (n *Node) Delete(name string) {
-	tx := n.store.Begin()
-	defer tx.Abort()
-	tx.DeleteFile(n.ID, name)
-	tx.Commit()
-}
-
-// Names returns all file names on the node in the current snapshot,
-// sorted.
-func (n *Node) Names() []string { return n.store.Current().Node(n.ID).Names() }
-
-// Rows reports the total number of rows stored on the node in the
-// current snapshot.
-func (n *Node) Rows() int { return n.store.Current().Node(n.ID).Rows() }
-
-// Store is the cluster-wide versioned file store: one Node per compute
-// node, a current Snapshot published atomically, and a single-writer
-// transaction log of epochs.
+// Store is the cluster-wide versioned file store: a current Snapshot
+// of every compute node's files, published atomically, and a
+// single-writer transaction log of epochs. The cluster size lives in
+// the snapshot, so a Tx.SetN resize takes effect the instant its epoch
+// publishes.
 type Store struct {
 	writeMu sync.Mutex // serializes Begin..Commit writer critical sections
 	cur     atomic.Pointer[Snapshot]
-
-	// handles are allocated on demand (Node) and merely name a node
-	// index; the authoritative cluster size lives in the current
-	// snapshot, so a Tx.SetN resize takes effect the instant its epoch
-	// publishes.
-	hmu     sync.Mutex
-	handles []*Node
 }
 
 // NewStore creates a store with n empty nodes at version 0.
@@ -408,10 +360,9 @@ func NewStoreAt(n int, version uint64) *Store {
 	if n <= 0 {
 		panic("dstore: store needs at least one node")
 	}
-	s := &Store{handles: make([]*Node, n)}
+	s := &Store{}
 	snap := &Snapshot{version: version, nodes: make([]map[string]*File, n)}
-	for i := range s.handles {
-		s.handles[i] = &Node{ID: i, store: s}
+	for i := range snap.nodes {
 		snap.nodes[i] = make(map[string]*File)
 	}
 	s.cur.Store(snap)
@@ -422,17 +373,6 @@ func NewStoreAt(n int, version uint64) *Store {
 // across a committed Tx.SetN; size-dependent work should read N once
 // from a pinned Snapshot instead.
 func (s *Store) N() int { return len(s.cur.Load().nodes) }
-
-// Node returns the live handle for node i, allocating handles lazily so
-// nodes added by a resize are addressable.
-func (s *Store) Node(i int) *Node {
-	s.hmu.Lock()
-	defer s.hmu.Unlock()
-	for len(s.handles) <= i {
-		s.handles = append(s.handles, &Node{ID: len(s.handles), store: s})
-	}
-	return s.handles[i]
-}
 
 // Current pins the latest published snapshot (one atomic load).
 func (s *Store) Current() *Snapshot { return s.cur.Load() }

@@ -7,6 +7,15 @@ import (
 	"cliquesquare/internal/rdf"
 )
 
+// commitAppend appends rows to the named file on node as a one-shot
+// transaction, creating the file with the given schema on first use.
+func commitAppend(s *Store, node int, name string, schema []string, rows ...Row) {
+	tx := s.Begin()
+	defer tx.Abort()
+	tx.Append(node, name, schema, rows...)
+	tx.Commit()
+}
+
 func TestStoreBasics(t *testing.T) {
 	s := NewStore(3)
 	if s.N() != 3 {
@@ -15,9 +24,9 @@ func TestStoreBasics(t *testing.T) {
 	if s.Version() != 0 {
 		t.Fatalf("fresh store at version %d, want 0", s.Version())
 	}
-	n0 := s.Node(0)
-	n0.Append("f1", []string{"s", "p", "o"}, Row{1, 2, 3}, Row{4, 5, 6})
-	n0.Append("f1", []string{"s", "p", "o"}, Row{7, 8, 9})
+	commitAppend(s, 0, "f1", []string{"s", "p", "o"}, Row{1, 2, 3}, Row{4, 5, 6})
+	commitAppend(s, 0, "f1", []string{"s", "p", "o"}, Row{7, 8, 9})
+	n0 := s.Current().Node(0)
 	f, ok := n0.Get("f1")
 	if !ok || f.NumRows() != 3 {
 		t.Fatalf("f1 = %v, %v", f, ok)
@@ -28,14 +37,16 @@ func TestStoreBasics(t *testing.T) {
 	if n0.Rows() != 3 || s.TotalRows() != 3 {
 		t.Errorf("Rows = %d, TotalRows = %d, want 3", n0.Rows(), s.TotalRows())
 	}
-	n0.Append("f0", []string{"x"}, Row{1})
-	names := n0.Names()
+	commitAppend(s, 0, "f0", []string{"x"}, Row{1})
+	names := s.Current().Node(0).Names()
 	if len(names) != 2 || names[0] != "f0" || names[1] != "f1" {
 		t.Errorf("Names = %v", names)
 	}
-	n0.Delete("f0")
-	if _, ok := n0.Get("f0"); ok {
-		t.Error("file survived Delete")
+	tx := s.Begin()
+	tx.DeleteFile(0, "f0")
+	tx.Commit()
+	if _, ok := s.Current().Node(0).Get("f0"); ok {
+		t.Error("file survived DeleteFile")
 	}
 	if s.Version() != 4 {
 		t.Errorf("version = %d after 4 one-shot txs, want 4", s.Version())
@@ -44,16 +55,15 @@ func TestStoreBasics(t *testing.T) {
 
 func TestSchemaMismatchPanics(t *testing.T) {
 	s := NewStore(1)
-	n := s.Node(0)
-	n.Append("f", []string{"a", "b"}, Row{1, 2})
+	commitAppend(s, 0, "f", []string{"a", "b"}, Row{1, 2})
 	defer func() {
 		if recover() == nil {
 			t.Error("schema mismatch did not panic")
 		}
 		// The aborted one-shot tx must have released the writer lock.
-		n.Append("g", []string{"a"}, Row{1})
+		commitAppend(s, 0, "g", []string{"a"}, Row{1})
 	}()
-	n.Append("f", []string{"a"}, Row{1})
+	commitAppend(s, 0, "f", []string{"a"}, Row{1})
 }
 
 func TestNewStorePanicsOnZeroNodes(t *testing.T) {
@@ -67,10 +77,9 @@ func TestNewStorePanicsOnZeroNodes(t *testing.T) {
 
 func TestLookup(t *testing.T) {
 	s := NewStore(1)
-	n := s.Node(0)
-	n.Append("f", []string{"s", "p", "o"},
+	commitAppend(s, 0, "f", []string{"s", "p", "o"},
 		Row{1, 10, 100}, Row{2, 10, 200}, Row{1, 20, 100})
-	f, _ := n.Get("f")
+	f, _ := s.Current().Node(0).Get("f")
 	if got := f.Lookup(0, 1); len(got) != 2 || got[0] != 0 || got[1] != 2 {
 		t.Errorf("Lookup(s,1) = %v, want [0 2]", got)
 	}
@@ -82,11 +91,11 @@ func TestLookup(t *testing.T) {
 	}
 	// A File is a snapshot: appending publishes a successor file while
 	// the held one (rows and index) stays frozen.
-	n.Append("f", []string{"s", "p", "o"}, Row{1, 30, 300})
+	commitAppend(s, 0, "f", []string{"s", "p", "o"}, Row{1, 30, 300})
 	if got := f.Lookup(0, 1); len(got) != 2 {
 		t.Errorf("pinned file's Lookup(s,1) = %v, want the 2 pre-append ids", got)
 	}
-	f2, _ := n.Get("f")
+	f2, _ := s.Current().Node(0).Get("f")
 	if got := f2.Lookup(0, 1); len(got) != 3 {
 		t.Errorf("Lookup(s,1) after re-Get = %v, want 3 row ids", got)
 	}
@@ -98,15 +107,14 @@ func TestLookup(t *testing.T) {
 // derived ids are correct.
 func TestIndexDerivedAcrossEpochs(t *testing.T) {
 	s := NewStore(1)
-	n := s.Node(0)
-	n.Append("f", []string{"s", "p", "o"},
+	commitAppend(s, 0, "f", []string{"s", "p", "o"},
 		Row{1, 10, 100}, Row{2, 10, 200}, Row{1, 20, 100}, Row{3, 20, 300})
-	f1, _ := n.Get("f")
+	f1, _ := s.Current().Node(0).Get("f")
 	f1.Lookup(0, 1) // build column 0
 
 	// Append-only successor: derived, not rebuilt.
-	n.Append("f", []string{"s", "p", "o"}, Row{1, 30, 300})
-	f2, _ := n.Get("f")
+	commitAppend(s, 0, "f", []string{"s", "p", "o"}, Row{1, 30, 300})
+	f2, _ := s.Current().Node(0).Get("f")
 	if f2.idx.Load() == nil || f2.idx.Load().cols[0] == nil {
 		t.Fatal("append successor did not inherit the built column index")
 	}
@@ -118,7 +126,7 @@ func TestIndexDerivedAcrossEpochs(t *testing.T) {
 	tx := s.Begin()
 	tx.DeleteRow(0, "f", Row{2, 10, 200})
 	tx.Commit()
-	f3, _ := n.Get("f")
+	f3, _ := s.Current().Node(0).Get("f")
 	if f3.idx.Load() == nil || f3.idx.Load().cols[0] == nil {
 		t.Fatal("deleting successor did not inherit the built column index")
 	}
@@ -243,7 +251,7 @@ func TestConcurrentAppendDeleteLookup(t *testing.T) {
 func TestConcurrentDeleteVisibility(t *testing.T) {
 	s := NewStore(1)
 	base := []Row{{1, 1, 1}, {2, 2, 2}, {3, 3, 3}}
-	s.Node(0).Append("f", []string{"s", "p", "o"}, base...)
+	commitAppend(s, 0, "f", []string{"s", "p", "o"}, base...)
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -291,18 +299,17 @@ func TestConcurrentDeleteVisibility(t *testing.T) {
 
 func TestConcurrentLookup(t *testing.T) {
 	s := NewStore(1)
-	n := s.Node(0)
 	rows := make([]Row, 1000)
 	for i := range rows {
 		rows[i] = Row{rdf.TermID(i % 7), rdf.TermID(i % 3), rdf.TermID(i)}
 	}
-	n.Append("f", []string{"s", "p", "o"}, rows...)
+	commitAppend(s, 0, "f", []string{"s", "p", "o"}, rows...)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			f, ok := n.Get("f")
+			f, ok := s.Current().Node(0).Get("f")
 			if !ok {
 				t.Error("Get failed")
 				return
@@ -324,7 +331,7 @@ func TestConcurrentLookup(t *testing.T) {
 
 func TestDeleteAbsentRowPanics(t *testing.T) {
 	s := NewStore(1)
-	s.Node(0).Append("f", []string{"x"}, Row{1})
+	commitAppend(s, 0, "f", []string{"x"}, Row{1})
 	tx := s.Begin()
 	defer tx.Abort()
 	tx.DeleteRow(0, "f", Row{99})
@@ -350,18 +357,18 @@ func TestRowClone(t *testing.T) {
 // both existing and brand-new files.
 func TestTxAppendThenDeleteNetsOut(t *testing.T) {
 	s := NewStore(1)
-	s.Node(0).Append("f", []string{"x"}, Row{1})
+	commitAppend(s, 0, "f", []string{"x"}, Row{1})
 	tx := s.Begin()
 	tx.Append(0, "f", []string{"x"}, Row{2})
 	tx.DeleteRow(0, "f", Row{2})
 	tx.Append(0, "g", []string{"x"}, Row{3})
 	tx.DeleteRow(0, "g", Row{3})
 	tx.Commit()
-	f, _ := s.Node(0).Get("f")
+	f, _ := s.Current().Node(0).Get("f")
 	if f.NumRows() != 1 || f.Row(0)[0] != 1 {
 		t.Errorf("f rows = %v, want just the base row", f.Slab())
 	}
-	if _, ok := s.Node(0).Get("g"); ok {
+	if _, ok := s.Current().Node(0).Get("g"); ok {
 		t.Error("fully netted-out new file exists")
 	}
 }

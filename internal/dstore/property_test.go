@@ -181,7 +181,7 @@ func TestSlabFilePropertyVsReference(t *testing.T) {
 		}
 		tx.Commit()
 
-		nd := s.Node(0)
+		nd := s.Current().Node(0)
 		for _, name := range names {
 			f, ok := nd.Get(name)
 			if !ok {
@@ -209,15 +209,15 @@ func TestSlabFilePropertyVsReference(t *testing.T) {
 	fresh := NewStore(1)
 	for _, name := range names {
 		if rows := ref.files[name]; len(rows) > 0 {
-			fresh.Node(0).Append(name, schema, rows...)
+			commitAppend(fresh, 0, name, schema, rows...)
 		}
 	}
 	for _, name := range names {
-		f, ok := s.Node(0).Get(name)
+		f, ok := s.Current().Node(0).Get(name)
 		if !ok {
 			continue
 		}
-		ff, _ := fresh.Node(0).Get(name)
+		ff, _ := fresh.Current().Node(0).Get(name)
 		for col := 0; col < len(schema); col++ {
 			for _, id := range keyDomain {
 				got, want := f.Lookup(col, id), ff.Lookup(col, id)

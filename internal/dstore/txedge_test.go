@@ -13,8 +13,8 @@ import (
 // pointer — nothing is rewritten.
 func TestEmptyCommitBumpsVersionSharesFiles(t *testing.T) {
 	s := NewStore(2)
-	s.Node(0).Append("f", []string{"x"}, Row{1})
-	s.Node(1).Append("g", []string{"x", "y"}, Row{2, 3})
+	commitAppend(s, 0, "f", []string{"x"}, Row{1})
+	commitAppend(s, 1, "g", []string{"x", "y"}, Row{2, 3})
 	before := s.Current()
 
 	tx := s.Begin()
@@ -43,8 +43,8 @@ func TestEmptyCommitBumpsVersionSharesFiles(t *testing.T) {
 // the full file.
 func TestDeleteAllRowsRemovesFile(t *testing.T) {
 	s := NewStore(1)
-	s.Node(0).Append("doomed", []string{"x"}, Row{1}, Row{2}, Row{3})
-	s.Node(0).Append("keep", []string{"x"}, Row{9})
+	commitAppend(s, 0, "doomed", []string{"x"}, Row{1}, Row{2}, Row{3})
+	commitAppend(s, 0, "keep", []string{"x"}, Row{9})
 	pinned := s.Current()
 	kept, _ := pinned.Node(0).Get("keep")
 
@@ -67,8 +67,8 @@ func TestDeleteAllRowsRemovesFile(t *testing.T) {
 		t.Error("pinned pre-commit snapshot lost the deleted file")
 	}
 	// Re-creating the name later starts from scratch.
-	s.Node(0).Append("doomed", []string{"x"}, Row{7})
-	f, ok := s.Node(0).Get("doomed")
+	commitAppend(s, 0, "doomed", []string{"x"}, Row{7})
+	f, ok := s.Current().Node(0).Get("doomed")
 	if !ok || f.NumRows() != 1 || f.Row(0)[0] != 7 {
 		t.Error("re-created file does not start fresh")
 	}
@@ -81,8 +81,8 @@ func TestDeleteAllRowsRemovesFile(t *testing.T) {
 // like a from-scratch build over the same rows.
 func TestTxInsertAndDeleteSameFile(t *testing.T) {
 	s := NewStore(1)
-	s.Node(0).Append("f", []string{"s", "o"}, Row{1, 10}, Row{2, 20}, Row{1, 30})
-	old, _ := s.Node(0).Get("f")
+	commitAppend(s, 0, "f", []string{"s", "o"}, Row{1, 10}, Row{2, 20}, Row{1, 30})
+	old, _ := s.Current().Node(0).Get("f")
 	if got := old.Lookup(0, 1); len(got) != 2 { // force the index build so commit derives it
 		t.Fatalf("base lookup = %v, want two rows", got)
 	}
@@ -93,7 +93,7 @@ func TestTxInsertAndDeleteSameFile(t *testing.T) {
 	tx.DeleteRow(0, "f", Row{3, 40}) // from this same transaction's appends
 	tx.Commit()
 
-	f, ok := s.Node(0).Get("f")
+	f, ok := s.Current().Node(0).Get("f")
 	if !ok {
 		t.Fatal("file vanished")
 	}

@@ -28,11 +28,13 @@ func runOn(cl *Cluster, lanes int, job Job, rec *JobRecord) *Output {
 
 func TestMapOnlyJob(t *testing.T) {
 	cl, store := wordCountCluster(3)
+	tx := store.Begin()
 	for i := 0; i < 3; i++ {
-		store.Node(i).Append("in", []string{"v"}, dstore.Row{rdf.TermID(i + 1)})
+		tx.Append(i, "in", []string{"v"}, dstore.Row{rdf.TermID(i + 1)})
 	}
+	tx.Commit()
 	out := runOn(cl, 0, ClassicJob("identity", func(node int, m *Meter, emit *Emitter, out *Block) {
-		f, ok := store.Node(node).Get("in")
+		f, ok := store.Current().Node(node).Get("in")
 		if !ok {
 			return
 		}

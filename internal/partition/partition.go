@@ -23,6 +23,7 @@
 package partition
 
 import (
+	"maps"
 	"slices"
 	"sort"
 	"strconv"
@@ -112,72 +113,37 @@ type View struct {
 	typeObjects map[rdf.TermID]int
 }
 
-// Load partitions g across the store's nodes with the paper's
-// three-replica scheme and returns the partitioner for subsequent file
-// resolution.
-func Load(store *dstore.Store, g *rdf.Graph) *Partitioner {
-	return LoadWithMode(store, g, ThreeReplica)
-}
-
-// LoadWithMode partitions g with the chosen replication scheme and the
-// default modulo placement, as one committed store epoch.
-func LoadWithMode(store *dstore.Store, g *rdf.Graph, mode Mode) *Partitioner {
-	return LoadWithPolicy(store, g, mode, ModuloPolicy)
-}
-
-// LoadWithPolicy partitions g with the chosen replication scheme and
-// placement policy, as one committed store epoch.
-func LoadWithPolicy(store *dstore.Store, g *rdf.Graph, mode Mode, policy Policy) *Partitioner {
+// New returns a partitioner over store that places nothing yet: its
+// view is the store's current snapshot, empty. A load is one ApplyBatch
+// of the triples onto it, so loading and writing place triples alike. A
+// nil policy is ModuloPolicy.
+func New(store *dstore.Store, mode Mode, policy Policy) *Partitioner {
 	if policy == nil {
 		policy = ModuloPolicy
 	}
 	p := &Partitioner{store: store, mode: mode, policy: policy}
-	v := &View{
-		p:           p,
-		place:       policy(store.N()),
-		properties:  make(map[rdf.TermID]int),
-		typeObjects: make(map[rdf.TermID]int),
-	}
-	if id, ok := g.Dict.Lookup(rdf.NewIRI(sparql.RDFType)); ok {
-		v.typeID = id
-	}
-	tx := store.Begin()
-	defer tx.Abort()
-	placeBatch(tx, v, g.Triples(), mode)
-	v.snap = tx.Commit()
-	p.cur.Store(v)
+	p.cur.Store(&View{p: p, snap: store.Current(), place: policy(store.N()),
+		properties: map[rdf.TermID]int{}, typeObjects: map[rdf.TermID]int{}})
 	return p
 }
 
-// placeBatch appends every triple's replicas into tx and maintains the
-// view's placement counters, mirroring the Section 5.1 layout.
-func placeBatch(tx *dstore.Tx, v *View, triples []rdf.Triple, mode Mode) {
-	pl := v.place
-	for _, t := range triples {
-		v.properties[t.P]++
-		tx.AppendCells(pl.NodeFor(t.S), FileName(rdf.SPos, t.P, 0), TripleSchema, t.S, t.P, t.O)
-		if mode == SubjectOnly {
-			continue
-		}
-		tx.AppendCells(pl.NodeFor(t.O), FileName(rdf.OPos, t.P, 0), TripleSchema, t.S, t.P, t.O)
-		if v.typeID != rdf.NoTerm && t.P == v.typeID {
-			v.typeObjects[t.O]++
-			tx.AppendCells(pl.NodeFor(t.P), FileName(rdf.PPos, t.P, t.O), TripleSchema, t.S, t.P, t.O)
-		} else {
-			tx.AppendCells(pl.NodeFor(t.P), FileName(rdf.PPos, t.P, 0), TripleSchema, t.S, t.P, t.O)
-		}
-	}
+// LoadWithPolicy partitions g onto the empty store as one committed
+// epoch.
+func LoadWithPolicy(store *dstore.Store, g *rdf.Graph, mode Mode, policy Policy) *Partitioner {
+	p := New(store, mode, policy)
+	p.ApplyBatch(g.Triples(), nil, g.Dict)
+	return p
 }
 
 // ApplyBatch re-derives the three-replica placement for a delta only:
 // deletes are removed from each replica file they were placed in, then
-// inserts are placed exactly as a full load would place them (including
-// creating files for new properties and new rdf:type class splits, and
-// dropping files and counters that end empty). The whole batch commits
-// as one dstore epoch; the returned View pins it with the updated
-// metadata. Callers must pass effective deltas: every delete was
-// stored, no insert already is (the csq engine's ApplyBatch filters
-// against the graph). dict resolves rdf:type on its first appearance.
+// inserts are placed (including creating files for new properties and
+// new rdf:type class splits, and dropping files and counters that end
+// empty). The whole batch commits as one dstore epoch; the returned
+// View pins it with the updated metadata. Callers must pass effective
+// deltas: every delete was stored, no insert already is (the csq
+// engine's ApplyBatch filters against the current view). dict resolves
+// rdf:type on its first appearance.
 func (p *Partitioner) ApplyBatch(inserts, deletes []rdf.Triple, dict *rdf.Dict) *View {
 	p.writeMu.Lock()
 	defer p.writeMu.Unlock()
@@ -187,14 +153,8 @@ func (p *Partitioner) ApplyBatch(inserts, deletes []rdf.Triple, dict *rdf.Dict) 
 		place:       old.place,
 		topo:        old.topo,
 		typeID:      old.typeID,
-		properties:  make(map[rdf.TermID]int, len(old.properties)),
-		typeObjects: make(map[rdf.TermID]int, len(old.typeObjects)),
-	}
-	for k, c := range old.properties {
-		v.properties[k] = c
-	}
-	for k, c := range old.typeObjects {
-		v.typeObjects[k] = c
+		properties:  maps.Clone(old.properties),
+		typeObjects: maps.Clone(old.typeObjects),
 	}
 	if v.typeID == rdf.NoTerm {
 		// rdf:type may enter the dictionary with this batch's inserts;
@@ -204,32 +164,46 @@ func (p *Partitioner) ApplyBatch(inserts, deletes []rdf.Triple, dict *rdf.Dict) 
 		}
 	}
 
-	pl := v.place
 	tx := p.store.Begin()
 	defer tx.Abort()
 	for _, t := range deletes {
 		row := dstore.Row{t.S, t.P, t.O}
-		if v.properties[t.P]--; v.properties[t.P] <= 0 {
-			delete(v.properties, t.P)
-		}
-		tx.DeleteRow(pl.NodeFor(t.S), FileName(rdf.SPos, t.P, 0), row)
-		if p.mode == SubjectOnly {
-			continue
-		}
-		tx.DeleteRow(pl.NodeFor(t.O), FileName(rdf.OPos, t.P, 0), row)
-		if v.typeID != rdf.NoTerm && t.P == v.typeID {
-			if v.typeObjects[t.O]--; v.typeObjects[t.O] <= 0 {
-				delete(v.typeObjects, t.O)
-			}
-			tx.DeleteRow(pl.NodeFor(t.P), FileName(rdf.PPos, t.P, t.O), row)
-		} else {
-			tx.DeleteRow(pl.NodeFor(t.P), FileName(rdf.PPos, t.P, 0), row)
-		}
+		v.route(t, -1, func(node int, file string) { tx.DeleteRow(node, file, row) })
 	}
-	placeBatch(tx, v, inserts, p.mode)
+	for _, t := range inserts {
+		v.route(t, 1, func(node int, file string) { tx.AppendCells(node, file, TripleSchema, t.S, t.P, t.O) })
+	}
 	v.snap = tx.Commit()
 	p.cur.Store(v)
 	return v
+}
+
+// route is the Section 5.1 rule, written once for inserts and deletes:
+// it calls f with the node and file of every replica of t that the
+// partitioner's mode stores — by subject; under ThreeReplica also by
+// object, and by property, in the class's own file for rdf:type — and
+// moves the view's counters by d (+1 for an insert, -1 for a delete),
+// dropping those that reach zero.
+func (v *View) route(t rdf.Triple, d int, f func(node int, file string)) {
+	count(v.properties, t.P, d)
+	f(v.place.NodeFor(t.S), FileName(rdf.SPos, t.P, 0))
+	if v.p.mode == SubjectOnly {
+		return
+	}
+	f(v.place.NodeFor(t.O), FileName(rdf.OPos, t.P, 0))
+	class := rdf.NoTerm
+	if v.typeID != rdf.NoTerm && t.P == v.typeID {
+		count(v.typeObjects, t.O, d)
+		class = t.O
+	}
+	f(v.place.NodeFor(t.P), FileName(rdf.PPos, t.P, class))
+}
+
+// count moves m[k] by d, deleting the entry once it reaches zero.
+func count(m map[rdf.TermID]int, k rdf.TermID, d int) {
+	if m[k] += d; m[k] <= 0 {
+		delete(m, k)
+	}
 }
 
 // Current pins the latest published view (one atomic load).

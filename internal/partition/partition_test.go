@@ -22,7 +22,7 @@ func sampleGraph() *rdf.Graph {
 func TestThreeReplicas(t *testing.T) {
 	g := sampleGraph()
 	store := dstore.NewStore(5)
-	Load(store, g)
+	LoadWithPolicy(store, g, ThreeReplica, nil)
 	if got, want := store.TotalRows(), 3*g.Len(); got != want {
 		t.Errorf("stored %d rows, want %d (3 replicas)", got, want)
 	}
@@ -31,12 +31,12 @@ func TestThreeReplicas(t *testing.T) {
 func TestCoLocationBySubject(t *testing.T) {
 	g := sampleGraph()
 	store := dstore.NewStore(5)
-	Load(store, g)
+	LoadWithPolicy(store, g, ThreeReplica, nil)
 	// All triples with the same subject must live on one node's
 	// subject partition.
 	loc := make(map[rdf.TermID]int)
 	for i := 0; i < store.N(); i++ {
-		nd := store.Node(i)
+		nd := store.Current().Node(i)
 		for _, name := range nd.Names() {
 			f, _ := nd.Get(name)
 			if name[0] != 's' {
@@ -56,7 +56,7 @@ func TestCoLocationBySubject(t *testing.T) {
 func TestFilesConstantProperty(t *testing.T) {
 	g := sampleGraph()
 	store := dstore.NewStore(3)
-	p := Load(store, g)
+	p := LoadWithPolicy(store, g, ThreeReplica, nil)
 	tp := sparql.MustParse(`SELECT ?a WHERE { ?a <knows> ?b }`).Patterns[0]
 	files := p.Files(tp, rdf.SPos, g.Dict)
 	if len(files) != 1 {
@@ -66,7 +66,7 @@ func TestFilesConstantProperty(t *testing.T) {
 	// nodes.
 	total := 0
 	for i := 0; i < store.N(); i++ {
-		if f, ok := store.Node(i).Get(files[0]); ok {
+		if f, ok := store.Current().Node(i).Get(files[0]); ok {
 			total += f.NumRows()
 		}
 	}
@@ -78,7 +78,7 @@ func TestFilesConstantProperty(t *testing.T) {
 func TestFilesRdfTypeSplit(t *testing.T) {
 	g := sampleGraph()
 	store := dstore.NewStore(3)
-	p := Load(store, g)
+	p := LoadWithPolicy(store, g, ThreeReplica, nil)
 	q := sparql.MustParse(fmt.Sprintf(`SELECT ?a WHERE { ?a <%s> <Class0> }`, sparql.RDFType))
 	tp := q.Patterns[0]
 	// In the property partition, the rdf:type pattern with constant
@@ -89,7 +89,7 @@ func TestFilesRdfTypeSplit(t *testing.T) {
 	}
 	total := 0
 	for i := 0; i < store.N(); i++ {
-		if f, ok := store.Node(i).Get(files[0]); ok {
+		if f, ok := store.Current().Node(i).Get(files[0]); ok {
 			total += f.NumRows()
 		}
 	}
@@ -108,7 +108,7 @@ func TestFilesRdfTypeSplit(t *testing.T) {
 func TestFilesVariableProperty(t *testing.T) {
 	g := sampleGraph()
 	store := dstore.NewStore(3)
-	p := Load(store, g)
+	p := LoadWithPolicy(store, g, ThreeReplica, nil)
 	q := sparql.MustParse(`SELECT ?a ?p WHERE { ?a ?p ?b }`)
 	files := p.Files(q.Patterns[0], rdf.SPos, g.Dict)
 	// Two properties: knows + rdf:type.
@@ -125,7 +125,7 @@ func TestFilesVariableProperty(t *testing.T) {
 func TestFilesUnknownProperty(t *testing.T) {
 	g := sampleGraph()
 	store := dstore.NewStore(3)
-	p := Load(store, g)
+	p := LoadWithPolicy(store, g, ThreeReplica, nil)
 	q := sparql.MustParse(`SELECT ?a WHERE { ?a <never-seen> ?b }`)
 	if files := p.Files(q.Patterns[0], rdf.SPos, g.Dict); files != nil {
 		t.Errorf("unknown property resolves to %v, want nil", files)
@@ -184,7 +184,7 @@ func TestApplyBatchMatchesFreshLoad(t *testing.T) {
 	for _, mode := range []Mode{ThreeReplica, SubjectOnly} {
 		g := sampleGraph()
 		store := dstore.NewStore(5)
-		p := LoadWithMode(store, g, mode)
+		p := LoadWithPolicy(store, g, mode, nil)
 
 		// Deletes: one knows edge, and every member of Class2 (so the
 		// class split file and its counter must disappear).
@@ -220,7 +220,7 @@ func TestApplyBatchMatchesFreshLoad(t *testing.T) {
 		}
 
 		fresh := dstore.NewStore(5)
-		fp := LoadWithMode(fresh, g, mode)
+		fp := LoadWithPolicy(fresh, g, mode, nil)
 		got, want := storeState(t, store), storeState(t, fresh)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%v: incremental store diverges from fresh load:\n got %v\nwant %v", mode, got, want)
@@ -252,7 +252,7 @@ func TestApplyBatchMatchesFreshLoad(t *testing.T) {
 func TestViewPinsEpoch(t *testing.T) {
 	g := sampleGraph()
 	store := dstore.NewStore(3)
-	p := Load(store, g)
+	p := LoadWithPolicy(store, g, ThreeReplica, nil)
 	old := p.Current()
 	tp := sparql.MustParse(`SELECT ?a ?b WHERE { ?a <knows> ?b }`).Patterns[0]
 	fname := old.Files(tp, rdf.SPos, g.Dict)[0]

@@ -15,7 +15,7 @@ import (
 
 func subjOnlyExec(g *rdf.Graph, n int) *Executor {
 	store := dstore.NewStore(n)
-	part := partition.LoadWithMode(store, g, partition.SubjectOnly)
+	part := partition.LoadWithPolicy(store, g, partition.SubjectOnly, nil)
 	return &Executor{
 		Cluster: mapreduce.NewCluster(store, mapreduce.DefaultConstants()),
 		Part:    part,
@@ -104,7 +104,7 @@ func TestSubjectOnlyChainNeedsShuffle(t *testing.T) {
 func TestSubjectOnlyStorageIsOneReplica(t *testing.T) {
 	g := testGraph()
 	store := dstore.NewStore(3)
-	partition.LoadWithMode(store, g, partition.SubjectOnly)
+	partition.LoadWithPolicy(store, g, partition.SubjectOnly, nil)
 	if store.TotalRows() != g.Len() {
 		t.Errorf("subject-only stored %d rows, want %d (one replica)", store.TotalRows(), g.Len())
 	}

@@ -40,7 +40,7 @@ func testGraph() *rdf.Graph {
 // newExec partitions g over n nodes and returns an executor.
 func newExec(g *rdf.Graph, n int) *Executor {
 	store := dstore.NewStore(n)
-	part := partition.Load(store, g)
+	part := partition.LoadWithPolicy(store, g, partition.ThreeReplica, nil)
 	cl := mapreduce.NewCluster(store, mapreduce.DefaultConstants())
 	return &Executor{Cluster: cl, Part: part, Dict: g.Dict}
 }

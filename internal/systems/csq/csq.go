@@ -199,22 +199,23 @@ func (cfg Config) mustPolicy() partition.Policy {
 }
 
 // New partitions g across the configured cluster and returns the
-// engine.
+// engine. It keeps g's dictionary and lets g go.
 func New(g *rdf.Graph, cfg Config) *Engine {
-	return newEngine(cfg, g, dstore.NewStore(cfg.Nodes))
+	return newEngine(cfg, g.Dict, g.Triples(), dstore.NewStore(cfg.Nodes))
 }
 
-// newEngine partitions g over store and builds the engine around it,
-// caches included: the one constructor behind New, NewDurable and
-// OpenDurable. It keeps g's dictionary and lets g go.
-func newEngine(cfg Config, g *rdf.Graph, store *dstore.Store) *Engine {
+// newEngine loads triples, encoded in dict, onto the empty store as one
+// epoch and builds the engine around them, caches included: the one
+// constructor behind New, NewDurable and OpenDurable.
+func newEngine(cfg Config, dict *rdf.Dict, triples []rdf.Triple, store *dstore.Store) *Engine {
 	e := &Engine{
 		cfg:   cfg,
-		dict:  g.Dict,
+		dict:  dict,
 		store: store,
-		part:  partition.LoadWithPolicy(store, g, cfg.Partitioning, cfg.mustPolicy()),
-		shim:  &rdf.Graph{Dict: g.Dict},
+		part:  partition.New(store, cfg.Partitioning, cfg.mustPolicy()),
+		shim:  &rdf.Graph{Dict: dict},
 	}
+	e.part.ApplyBatch(triples, nil, dict)
 	e.cat = cost.NewCatalog(e.DataVersion())
 	if cfg.PlanCacheSize >= 0 {
 		e.cache = plancache.New[*cacheEntry](cfg.PlanCacheSize)

@@ -3,6 +3,7 @@ package csq
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -84,64 +85,57 @@ func NewDurable(g *rdf.Graph, cfg Config, opts wal.Options) (*Engine, error) {
 	return e, nil
 }
 
-// OpenDurable recovers the engine from the log in opts.Dir: a scratch
-// graph is rebuilt from the newest valid base, the delta on it and the
-// records after that (reproducing the exact TermID assignment, and with
-// it node placement), partitioned so the initial load commits exactly
-// the recovered epoch — epoch numbers stay continuous across the crash
-// — and let go. The delta and the tail's records fold into one net
-// delta applied once: recovery is one pass over the graph however many
-// records it replays. The cluster size comes from the log too — the
-// base's recorded size updated by the delta's and every topology record
-// after it — so an engine that crashed mid-reshard recovers at the
-// topology of its last durable step, with the full graph placed
-// consistently at that size (a base with no recorded size falls back
-// to cfg.Nodes).
-// wal.ErrNoState means the directory holds nothing to recover.
+// OpenDurable recovers the engine from the log in opts.Dir. Recovery
+// is a load: the log hands over the newest valid base — the record that
+// builds its epoch from empty — and the net change since it, the delta
+// on it and the records after that folded into one record. Their terms
+// rebuild the dictionary in the logged numbering (and with it node
+// placement); the base's triples less the net deletes, then the net
+// inserts, are partitioned as one load that commits exactly the
+// recovered epoch, so epoch numbers stay continuous across the crash.
+// The cluster size is the base's, updated by the newest topology the
+// net record carries, so an engine that crashed mid-reshard recovers at
+// the topology of its last durable step, with every triple placed
+// consistently at that size (a base with no recorded size falls back to
+// cfg.Nodes). wal.ErrNoState means the directory holds nothing to
+// recover.
 func OpenDurable(cfg Config, opts wal.Options) (*Engine, error) {
-	g := rdf.NewGraph()
+	dict := rdf.NewDict()
 	nodes := cfg.Nodes
-	var tail overlay
-	replay := func(r *wal.Record) error {
+	var triples []rdf.Triple
+	install := func(r *wal.Record) error {
 		if r.Topology > 0 {
 			nodes = int(r.Topology)
 		}
 		for i, t := range r.Terms {
-			if err := g.Dict.Install(r.FirstTerm+rdf.TermID(i), t); err != nil {
+			if err := dict.Install(r.FirstTerm+rdf.TermID(i), t); err != nil {
 				return fmt.Errorf("csq: recovery: %w", err)
 			}
 		}
-		for _, t := range r.Deletes {
-			tail.set(t, false)
-		}
-		for _, t := range r.Inserts {
-			tail.set(t, true)
-		}
 		return nil
 	}
-	// A base replays as the one record that builds its state from an
-	// empty graph; it comes before the delta and the tail.
-	l, _, err := wal.Open(opts, func(cp *wal.Checkpoint) error {
-		if err := replay(&wal.Record{FirstTerm: 1, Terms: cp.Terms, Topology: cp.Nodes}); err != nil {
-			return err
+	l, _, err := wal.Open(opts, func(base *wal.Record) error {
+		triples = base.Inserts
+		return install(base)
+	}, func(net *wal.Record) error {
+		gone := make(map[rdf.Triple]bool, len(net.Deletes))
+		for _, t := range net.Deletes {
+			gone[t] = true
 		}
-		for _, t := range cp.Triples {
-			g.Add(t)
-		}
-		return nil
-	}, replay)
+		triples = append(slices.DeleteFunc(triples, func(t rdf.Triple) bool { return gone[t] }), net.Inserts...)
+		return install(net)
+	})
 	if err != nil {
 		return nil, err
 	}
-	ins, dels := tail.net(g.Contains)
-	g.RemoveBatch(dels)
-	for _, t := range ins {
-		g.Add(t)
-	}
-	e := newEngine(cfg, g, dstore.NewStoreAt(nodes, l.Epoch()-1))
+	e := newEngine(cfg, dict, triples, dstore.NewStoreAt(nodes, l.Epoch()-1))
 	e.startDurable(l, opts)
 	return e, nil
 }
+
+// groupMaxOps caps how many concurrent ApplyBatch callers one group
+// commit coalesces; the request queue buffers one group's worth.
+const groupMaxOps = 64
 
 // startDurable wires the log into the engine and starts the batcher
 // and compactor.
@@ -152,7 +146,7 @@ func (e *Engine) startDurable(l *wal.Log, opts wal.Options) {
 		log:         l,
 		opts:        opts,
 		loggedTerms: rdf.TermID(e.dict.Len()),
-		reqs:        make(chan *request, opts.GroupMaxOps),
+		reqs:        make(chan *request, groupMaxOps),
 		ckptCh:      make(chan chan error, 1),
 	}
 	e.dur = d
@@ -163,7 +157,7 @@ func (e *Engine) startDurable(l *wal.Log, opts wal.Options) {
 }
 
 // run is the batcher goroutine: it collects queued requests into
-// groups (bounded by GroupMaxOps and GroupMaxWait) and flushes each
+// groups (bounded by groupMaxOps and GroupMaxWait) and flushes each
 // group as one WAL record, one fsync and one epoch. With GroupMaxWait
 // zero a group is whatever the queue holds when the batcher gets to it
 // — single callers pay no added latency, and grouping still emerges
@@ -175,7 +169,7 @@ func (d *durableState) run() {
 			d.e.flushReshard(req)
 			continue
 		}
-		group := append(make([]*request, 0, d.opts.GroupMaxOps), req)
+		group := append(make([]*request, 0, groupMaxOps), req)
 		var window <-chan time.Time
 		if d.opts.GroupMaxWait > 0 {
 			window = time.After(d.opts.GroupMaxWait)
@@ -183,7 +177,7 @@ func (d *durableState) run() {
 		// A resize met while grouping closes the group: it flushes
 		// after the batches that preceded it, alone.
 		var resize *request
-		for len(group) < d.opts.GroupMaxOps && resize == nil {
+		for len(group) < groupMaxOps && resize == nil {
 			r := d.next(window)
 			if r == nil {
 				break
@@ -250,20 +244,22 @@ func (d *durableState) checkpoint() error {
 	return err
 }
 
-// snapshot is the base image of the current epoch: the view's
-// subject replica and the dictionary as long as it is now. It takes no
-// lock: the view is immutable and carries its epoch and topology, and
-// the dictionary, which only grows, held every id of it at publication.
-func (e *Engine) snapshot() *wal.Checkpoint {
+// snapshot is the base of the current epoch, the record that builds it
+// from empty: the dictionary as long as it is now, the view's subject
+// replica as inserts, and its cluster size. It takes no lock: the view
+// is immutable and carries its epoch and topology, and the dictionary,
+// which only grows, held every id of it at publication.
+func (e *Engine) snapshot() *wal.Record {
 	v := e.part.Current()
-	cp := &wal.Checkpoint{
-		Epoch:   v.Version(),
-		Terms:   e.dict.TermsAfter(0),
-		Triples: make([]rdf.Triple, 0, v.NumTriples()),
-		Nodes:   uint32(v.Nodes()),
+	b := &wal.Record{
+		Epoch:     v.Version(),
+		FirstTerm: 1,
+		Terms:     e.dict.TermsAfter(0),
+		Inserts:   make([]rdf.Triple, 0, v.NumTriples()),
+		Topology:  uint32(v.Nodes()),
 	}
-	v.EachTriple(rdf.NoTerm, func(t rdf.Triple) { cp.Triples = append(cp.Triples, t) })
-	return cp
+	v.EachTriple(rdf.NoTerm, func(t rdf.Triple) { b.Inserts = append(b.Inserts, t) })
+	return b
 }
 
 // nudgeCheckpoint wakes the compactor once the log has outgrown its

@@ -295,7 +295,6 @@ func TestDurableGroupCommitCoalesces(t *testing.T) {
 	fs := wal.NewMemFS()
 	cfg := crashScriptCfg()
 	opts := durableOpts(fs)
-	opts.GroupMaxOps = 16
 	opts.GroupMaxWait = 200 * time.Millisecond
 	eng, err := NewDurable(g, cfg, opts)
 	if err != nil {

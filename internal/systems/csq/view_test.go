@@ -179,12 +179,12 @@ func TestFillFromViewMatchesGraph(t *testing.T) {
 	}
 }
 
-// ckptSize writes cp as the seed checkpoint of a new log and returns the
+// ckptSize writes b as the initial base of a new log and returns the
 // size of the file it became.
-func ckptSize(t *testing.T, cp *wal.Checkpoint) int64 {
+func ckptSize(t *testing.T, b *wal.Record) int64 {
 	t.Helper()
 	fs := wal.NewMemFS()
-	l, err := wal.Create(durableOpts(fs), cp)
+	l, err := wal.Create(durableOpts(fs), b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,27 +226,28 @@ func TestCheckpointImageFromView(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				fromGraph := &wal.Checkpoint{
-					Epoch:   eng.DataVersion(),
-					Terms:   g.Dict.TermsAfter(0),
-					Triples: g.Triples(),
-					Nodes:   uint32(eng.Nodes()),
+				fromGraph := &wal.Record{
+					Epoch:     eng.DataVersion(),
+					FirstTerm: 1,
+					Terms:     g.Dict.TermsAfter(0),
+					Inserts:   g.Triples(),
+					Topology:  uint32(eng.Nodes()),
 				}
 				cp := eng.snapshot()
-				if cp.Epoch != fromGraph.Epoch || cp.Nodes != fromGraph.Nodes || !reflect.DeepEqual(cp.Terms, fromGraph.Terms) {
-					t.Fatalf("round %d: image at epoch %d on %d nodes with %d terms; want epoch %d, %d nodes, the dictionary's %d terms in id order",
-						round, cp.Epoch, cp.Nodes, len(cp.Terms), fromGraph.Epoch, fromGraph.Nodes, len(fromGraph.Terms))
+				if cp.Epoch != fromGraph.Epoch || cp.FirstTerm != 1 || cp.Topology != fromGraph.Topology || !reflect.DeepEqual(cp.Terms, fromGraph.Terms) {
+					t.Fatalf("round %d: image at epoch %d on %d nodes with %d terms from id %d; want epoch %d, %d nodes, the dictionary's %d terms from id 1",
+						round, cp.Epoch, cp.Topology, len(cp.Terms), cp.FirstTerm, fromGraph.Epoch, fromGraph.Topology, len(fromGraph.Terms))
 				}
-				if len(cp.Triples) != g.Len() {
-					t.Fatalf("round %d: image holds %d triples, the graph %d", round, len(cp.Triples), g.Len())
+				if len(cp.Inserts) != g.Len() || len(cp.Deletes) != 0 {
+					t.Fatalf("round %d: image holds %d inserts and %d deletes, the graph %d triples", round, len(cp.Inserts), len(cp.Deletes), g.Len())
 				}
-				for _, tr := range cp.Triples {
+				for _, tr := range cp.Inserts {
 					if !g.Contains(tr) {
 						t.Fatalf("round %d: image holds %v, the graph does not", round, tr)
 					}
 				}
 				seen := &rdf.Graph{Dict: g.Dict}
-				for _, tr := range cp.Triples {
+				for _, tr := range cp.Inserts {
 					if !seen.Add(tr) {
 						t.Fatalf("round %d: image holds %v twice", round, tr)
 					}

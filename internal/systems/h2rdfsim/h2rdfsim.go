@@ -133,7 +133,7 @@ func (e *Engine) Run(q *sparql.Query) (*systems.RunResult, error) {
 		res := index.EvalBGP(e.idx, e.graph.Dict, pats)
 		rr.Time = float64(res.Touched)*c.Read + float64(len(res.Rows))*c.Join
 		rr.Work = rr.Time
-		rr.Rows = distinctProjected(res, q.Select)
+		rr.Rows = systems.CountDistinct(systems.Project(res.Vars, res.Rows, q.Select))
 		return rr, nil
 	}
 
@@ -146,13 +146,13 @@ func (e *Engine) Run(q *sparql.Query) (*systems.RunResult, error) {
 	for k := 1; k < len(order); k++ {
 		tp := q.Patterns[order[k]]
 		rightVars, rightRows := e.scanPattern(tp)
-		shared := intersect(accVars, rightVars)
+		shared := systems.Intersect(accVars, rightVars)
 		if len(shared) == 0 {
 			return nil, fmt.Errorf("h2rdfsim: %s: disconnected join order", q.Name)
 		}
-		accCols := cols(accVars, shared)
-		rCols := cols(rightVars, shared)
-		mergedVars, rightExtra := mergeVars(accVars, rightVars)
+		accCols := systems.Cols(accVars, shared)
+		rCols := systems.Cols(rightVars, shared)
+		mergedVars, rightExtra := systems.MergeVars(accVars, rightVars)
 		acc := accRows
 		right := rightRows
 		out := cl.RunWith(mapreduce.ClassicJob(fmt.Sprintf("%s-h2rdf-join%d", q.Name, k),
@@ -168,31 +168,7 @@ func (e *Engine) Run(q *sparql.Query) (*systems.RunResult, error) {
 				}
 				m.Read(reads)
 			},
-			func(node int, m *mapreduce.Meter, groups *mapreduce.Groups, out *mapreduce.Block) {
-				groups.Each(func(g mapreduce.Group) {
-					var left, rgt []mapreduce.Row
-					for i := 0; i < g.Len(); i++ {
-						if tag, row := g.Record(i); tag == 0 {
-							left = append(left, row)
-						} else {
-							rgt = append(rgt, row)
-						}
-					}
-					pairs := len(left) * len(rgt)
-					m.Join(len(left) + len(rgt) + pairs)
-					m.Write(pairs)
-					nr := make(mapreduce.Row, 0, len(mergedVars))
-					for _, l := range left {
-						for _, r := range rgt {
-							nr = append(nr[:0], l...)
-							for _, rc := range rightExtra {
-								nr = append(nr, r[rc])
-							}
-							out.Append(nr)
-						}
-					}
-				})
-			}), mapreduce.RunOptions{})
+			systems.JoinReduce(len(mergedVars), rightExtra)), mapreduce.RunOptions{})
 		accVars = mergedVars
 		accRows = nil
 		for _, blk := range out.PerNode {
@@ -204,7 +180,7 @@ func (e *Engine) Run(q *sparql.Query) (*systems.RunResult, error) {
 	rr.Jobs = len(cl.Jobs)
 	rr.Time = cl.ResponseTime()
 	rr.Work = cl.TotalWork()
-	rr.Rows = countDistinct(projectRows(accVars, accRows, q.Select))
+	rr.Rows = systems.CountDistinct(systems.Project(accVars, accRows, q.Select))
 	return rr, nil
 }
 
@@ -265,87 +241,4 @@ func repeatOK(tp sparql.TriplePattern, t rdf.Triple) bool {
 		seen[pt.Var] = t.At(pos)
 	}
 	return true
-}
-
-func distinctProjected(res *index.EvalResult, sel []string) int {
-	cs := make([]int, len(sel))
-	for i, v := range sel {
-		cs[i] = res.Col(v)
-	}
-	seen := make(map[string]bool)
-	for _, row := range res.Rows {
-		vals := make([]uint32, len(cs))
-		for i, c := range cs {
-			vals[i] = uint32(row[c])
-		}
-		seen[mapreduce.EncodeKey(0, vals)] = true
-	}
-	return len(seen)
-}
-
-func intersect(a, b []string) []string {
-	in := make(map[string]bool, len(a))
-	for _, v := range a {
-		in[v] = true
-	}
-	var out []string
-	for _, v := range b {
-		if in[v] {
-			out = append(out, v)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-func cols(vars, want []string) []int {
-	out := make([]int, len(want))
-	for i, w := range want {
-		for j, v := range vars {
-			if v == w {
-				out[i] = j
-			}
-		}
-	}
-	return out
-}
-
-func mergeVars(a, b []string) (merged []string, rightExtra []int) {
-	merged = append(merged, a...)
-	in := make(map[string]bool, len(a))
-	for _, v := range a {
-		in[v] = true
-	}
-	for j, v := range b {
-		if !in[v] {
-			merged = append(merged, v)
-			rightExtra = append(rightExtra, j)
-		}
-	}
-	return merged, rightExtra
-}
-
-func projectRows(vars []string, rows [][]rdf.TermID, sel []string) [][]rdf.TermID {
-	cs := cols(vars, sel)
-	out := make([][]rdf.TermID, 0, len(rows))
-	for _, r := range rows {
-		nr := make([]rdf.TermID, len(cs))
-		for i, c := range cs {
-			nr[i] = r[c]
-		}
-		out = append(out, nr)
-	}
-	return out
-}
-
-func countDistinct(rows [][]rdf.TermID) int {
-	seen := make(map[string]bool, len(rows))
-	for _, r := range rows {
-		vals := make([]uint32, len(r))
-		for i, v := range r {
-			vals[i] = uint32(v)
-		}
-		seen[mapreduce.EncodeKey(0, vals)] = true
-	}
-	return len(seen)
 }

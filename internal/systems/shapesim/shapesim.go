@@ -270,7 +270,7 @@ func (e *Engine) Run(q *sparql.Query) (*systems.RunResult, error) {
 			rows += len(subs[0].perNode[node])
 		}
 		rr.Time = maxT
-		rr.Rows = countDistinct(project(subs[0].vars, flatten(subs[0].perNode), q.Select))
+		rr.Rows = systems.CountDistinct(systems.Project(subs[0].vars, flatten(subs[0].perNode), q.Select))
 		return rr, nil
 	}
 
@@ -286,10 +286,10 @@ func (e *Engine) Run(q *sparql.Query) (*systems.RunResult, error) {
 	accEvalCharged := false
 	for k := 1; k < len(order); k++ {
 		s := subs[order[k]]
-		shared := intersect(accVars, s.vars)
-		accCols := cols(accVars, shared)
-		sCols := cols(s.vars, shared)
-		mergedVars, rightExtra := mergeVars(accVars, s.vars)
+		shared := systems.Intersect(accVars, s.vars)
+		accCols := systems.Cols(accVars, shared)
+		sCols := systems.Cols(s.vars, shared)
+		mergedVars, rightExtra := systems.MergeVars(accVars, s.vars)
 		var nextRows [][][]rdf.TermID
 		out := cl.RunWith(mapreduce.ClassicJob(fmt.Sprintf("%s-shape-join%d", q.Name, k),
 			func(node int, m *mapreduce.Meter, emit *mapreduce.Emitter, _ *mapreduce.Block) {
@@ -307,31 +307,7 @@ func (e *Engine) Run(q *sparql.Query) (*systems.RunResult, error) {
 					emit.Emit(0, 1, row, sCols)
 				}
 			},
-			func(node int, m *mapreduce.Meter, groups *mapreduce.Groups, out *mapreduce.Block) {
-				groups.Each(func(g mapreduce.Group) {
-					var left, right []mapreduce.Row
-					for i := 0; i < g.Len(); i++ {
-						if tag, row := g.Record(i); tag == 0 {
-							left = append(left, row)
-						} else {
-							right = append(right, row)
-						}
-					}
-					pairs := len(left) * len(right)
-					m.Join(len(left) + len(right) + pairs)
-					m.Write(pairs)
-					nr := make(mapreduce.Row, 0, len(mergedVars))
-					for _, l := range left {
-						for _, r := range right {
-							nr = append(nr[:0], l...)
-							for _, rc := range rightExtra {
-								nr = append(nr, r[rc])
-							}
-							out.Append(nr)
-						}
-					}
-				})
-			}), mapreduce.RunOptions{})
+			systems.JoinReduce(len(mergedVars), rightExtra)), mapreduce.RunOptions{})
 		accEvalCharged = true
 		nextRows = make([][][]rdf.TermID, e.cfg.Nodes)
 		for node, blk := range out.PerNode {
@@ -347,7 +323,7 @@ func (e *Engine) Run(q *sparql.Query) (*systems.RunResult, error) {
 	rr.Work = cl.TotalWork()
 	// Charge the initial subquery evaluations' wall time (part of the
 	// first job's map phase, already included via meters above).
-	rr.Rows = countDistinct(project(accVars, flatten(accRows), q.Select))
+	rr.Rows = systems.CountDistinct(systems.Project(accVars, flatten(accRows), q.Select))
 	return rr, nil
 }
 
@@ -389,80 +365,10 @@ func connectedOrder(subs []*subResult) ([]int, error) {
 	return order, nil
 }
 
-func intersect(a, b []string) []string {
-	in := make(map[string]bool, len(a))
-	for _, v := range a {
-		in[v] = true
-	}
-	var out []string
-	for _, v := range b {
-		if in[v] {
-			out = append(out, v)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-func cols(vars, want []string) []int {
-	out := make([]int, len(want))
-	for i, w := range want {
-		out[i] = -1
-		for j, v := range vars {
-			if v == w {
-				out[i] = j
-			}
-		}
-	}
-	return out
-}
-
-// mergeVars appends b's variables not already in a; rightExtra are the
-// b-columns to copy.
-func mergeVars(a, b []string) (merged []string, rightExtra []int) {
-	merged = append(merged, a...)
-	in := make(map[string]bool, len(a))
-	for _, v := range a {
-		in[v] = true
-	}
-	for j, v := range b {
-		if !in[v] {
-			merged = append(merged, v)
-			rightExtra = append(rightExtra, j)
-		}
-	}
-	return merged, rightExtra
-}
-
 func flatten(perNode [][][]rdf.TermID) [][]rdf.TermID {
 	var out [][]rdf.TermID
 	for _, rows := range perNode {
 		out = append(out, rows...)
 	}
 	return out
-}
-
-func project(vars []string, rows [][]rdf.TermID, sel []string) [][]rdf.TermID {
-	cs := cols(vars, sel)
-	out := make([][]rdf.TermID, 0, len(rows))
-	for _, r := range rows {
-		nr := make([]rdf.TermID, len(cs))
-		for i, c := range cs {
-			nr[i] = r[c]
-		}
-		out = append(out, nr)
-	}
-	return out
-}
-
-func countDistinct(rows [][]rdf.TermID) int {
-	seen := make(map[string]bool, len(rows))
-	for _, r := range rows {
-		vals := make([]uint32, len(r))
-		for i, v := range r {
-			vals[i] = uint32(v)
-		}
-		seen[mapreduce.EncodeKey(0, vals)] = true
-	}
-	return len(seen)
 }

@@ -8,7 +8,10 @@ package systems
 
 import (
 	"fmt"
+	"sort"
 
+	"cliquesquare/internal/mapreduce"
+	"cliquesquare/internal/rdf"
 	"cliquesquare/internal/sparql"
 )
 
@@ -45,4 +48,117 @@ func (r *RunResult) JobLabel() string {
 type System interface {
 	Name() string
 	Run(q *sparql.Query) (*RunResult, error)
+}
+
+// The two baselines join relations of variable bindings — a variable
+// list naming the columns, and rows of term ids — one binary join per
+// MapReduce job. What follows is what both do with them.
+
+// Intersect returns the variables a and b share, sorted.
+func Intersect(a, b []string) []string {
+	in := make(map[string]bool, len(a))
+	for _, v := range a {
+		in[v] = true
+	}
+	var out []string
+	for _, v := range b {
+		if in[v] {
+			out = append(out, v)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// Cols returns the column of each wanted variable in vars, or -1 for a
+// variable vars lacks, so that reading it fails instead of reading
+// another column.
+func Cols(vars, want []string) []int {
+	out := make([]int, len(want))
+	for i, w := range want {
+		out[i] = -1
+		for j, v := range vars {
+			if v == w {
+				out[i] = j
+			}
+		}
+	}
+	return out
+}
+
+// MergeVars appends b's variables not already in a; rightExtra are the
+// b-columns to copy.
+func MergeVars(a, b []string) (merged []string, rightExtra []int) {
+	merged = append(merged, a...)
+	in := make(map[string]bool, len(a))
+	for _, v := range a {
+		in[v] = true
+	}
+	for j, v := range b {
+		if !in[v] {
+			merged = append(merged, v)
+			rightExtra = append(rightExtra, j)
+		}
+	}
+	return merged, rightExtra
+}
+
+// JoinReduce is the reducer of a binary join whose map side tagged the
+// left relation's rows 0 and the right's 1 under the join key: per
+// group, every left row extended by the rightExtra columns of every
+// right row, width columns in all.
+func JoinReduce(width int, rightExtra []int) func(node int, m *mapreduce.Meter, groups *mapreduce.Groups, out *mapreduce.Block) {
+	return func(node int, m *mapreduce.Meter, groups *mapreduce.Groups, out *mapreduce.Block) {
+		groups.Each(func(g mapreduce.Group) {
+			var left, right []mapreduce.Row
+			for i := 0; i < g.Len(); i++ {
+				if tag, row := g.Record(i); tag == 0 {
+					left = append(left, row)
+				} else {
+					right = append(right, row)
+				}
+			}
+			pairs := len(left) * len(right)
+			m.Join(len(left) + len(right) + pairs)
+			m.Write(pairs)
+			nr := make(mapreduce.Row, 0, width)
+			for _, l := range left {
+				for _, r := range right {
+					nr = append(nr[:0], l...)
+					for _, rc := range rightExtra {
+						nr = append(nr, r[rc])
+					}
+					out.Append(nr)
+				}
+			}
+		})
+	}
+}
+
+// Project keeps, of every row over vars, the columns of the selected
+// variables, in selection order.
+func Project(vars []string, rows [][]rdf.TermID, sel []string) [][]rdf.TermID {
+	cs := Cols(vars, sel)
+	out := make([][]rdf.TermID, 0, len(rows))
+	for _, r := range rows {
+		nr := make([]rdf.TermID, len(cs))
+		for i, c := range cs {
+			nr[i] = r[c]
+		}
+		out = append(out, nr)
+	}
+	return out
+}
+
+// CountDistinct counts the distinct rows.
+func CountDistinct(rows [][]rdf.TermID) int {
+	seen := make(map[string]bool, len(rows))
+	for _, r := range rows {
+		vals := make([]uint32, len(r))
+		for i, v := range r {
+			vals[i] = uint32(v)
+		}
+		seen[mapreduce.EncodeKey(0, vals)] = true
+	}
+	return len(seen)
 }

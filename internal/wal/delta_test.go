@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -13,9 +14,9 @@ import (
 
 // historyTerms is the dictionary size of every scripted history's
 // initial base. It sizes that base so a history compacted at epochs 2,
-// 4 and 6 writes a delta, a second delta and then, by the ski-rental
-// rule, a full base.
-const historyTerms = 20
+// 4 and 6 (or 2, 4 and 4 again) writes a delta, a second delta and then,
+// by the ski-rental rule, a full base.
+const historyTerms = 19
 
 // history scripts effective records over an initial base of historyTerms
 // terms and no triple: record e mints term historyTerms+e and inserts
@@ -45,13 +46,13 @@ func (h history) triples(e uint64) []rdf.Triple {
 	return out
 }
 
-// base is the full image at epoch e.
-func (h history) base(e uint64) *Checkpoint {
-	cp := &Checkpoint{Epoch: e, Triples: h.triples(e)}
+// base is the record that builds epoch e from empty.
+func (h history) base(e uint64) *Record {
+	b := &Record{Epoch: e, FirstTerm: 1, Inserts: h.triples(e)}
 	for i := 1; i <= historyTerms+int(e); i++ {
-		cp.Terms = append(cp.Terms, mkTerm(i))
+		b.Terms = append(b.Terms, mkTerm(i))
 	}
-	return cp
+	return b
 }
 
 // compact checkpoints epoch e as an engine does: a delta, or the full
@@ -93,11 +94,11 @@ func (h history) run(opts Options, n uint64, compactAt ...uint64) (acked uint64,
 	return acked, st, nil
 }
 
-// recovery is what Open handed over, applied: the base, the epoch of
-// the first record after it (a delta's when one was used), the epoch
+// recovery is what Open handed over, applied: the base, the checkpoint
+// recovery started from (a delta's epoch when one was used), the epoch
 // reached, the dictionary rebuilt and the triples held.
 type recovery struct {
-	base  *Checkpoint
+	base  *Record
 	first uint64
 	epoch uint64
 	terms []rdf.Term
@@ -105,35 +106,26 @@ type recovery struct {
 }
 
 // openHistory recovers a log, checking what Open hands over against the
-// record invariants: after the base, a first record at or after its
-// epoch, then consecutive epochs; contiguous terms that agree where
-// they overlap; effective inserts and deletes.
+// record invariants: after the base, exactly one net record, at or after
+// its epoch, whose terms follow the base's and whose inserts and deletes
+// are effective against it.
 func openHistory(opts Options) (*Log, *recovery, error) {
 	rc := &recovery{held: make(map[rdf.Triple]bool)}
-	l, cp, err := Open(opts, func(cp *Checkpoint) error {
-		rc.epoch, rc.terms = cp.Epoch, append([]rdf.Term(nil), cp.Terms...)
-		for _, t := range cp.Triples {
+	nets := 0
+	l, b, err := Open(opts, func(b *Record) error {
+		rc.epoch, rc.terms = b.Epoch, append([]rdf.Term(nil), b.Terms...)
+		for _, t := range b.Inserts {
 			rc.held[t] = true
 		}
 		return nil
 	}, func(r *Record) error {
-		if rc.first == 0 && r.Epoch < rc.epoch || rc.first != 0 && r.Epoch != rc.epoch+1 {
-			return fmt.Errorf("record of epoch %d after epoch %d", r.Epoch, rc.epoch)
+		if nets++; nets > 1 || r.Epoch < rc.epoch {
+			return fmt.Errorf("net record %d, of epoch %d, after the base of epoch %d", nets, r.Epoch, rc.epoch)
 		}
-		if rc.first == 0 {
-			rc.first = r.Epoch
+		if int(r.FirstTerm) != len(rc.terms)+1 {
+			return fmt.Errorf("epoch %d: terms from id %d after the base's %d", r.Epoch, r.FirstTerm, len(rc.terms))
 		}
-		if int(r.FirstTerm) > len(rc.terms)+1 {
-			return fmt.Errorf("epoch %d: terms from id %d after %d", r.Epoch, r.FirstTerm, len(rc.terms))
-		}
-		for i, t := range r.Terms {
-			switch id := int(r.FirstTerm) + i; {
-			case id > len(rc.terms):
-				rc.terms = append(rc.terms, t)
-			case rc.terms[id-1] != t:
-				return fmt.Errorf("epoch %d: id %d is %v, was %v", r.Epoch, id, t, rc.terms[id-1])
-			}
-		}
+		rc.terms = append(rc.terms, r.Terms...)
 		for _, t := range r.Deletes {
 			if !rc.held[t] {
 				return fmt.Errorf("epoch %d deletes absent %v", r.Epoch, t)
@@ -149,8 +141,14 @@ func openHistory(opts Options) (*Log, *recovery, error) {
 		rc.epoch = r.Epoch
 		return nil
 	})
-	rc.base = cp
-	return l, rc, err
+	if err != nil {
+		return nil, nil, err
+	}
+	if nets != 1 {
+		return l, rc, fmt.Errorf("Open handed over %d net records, want 1", nets)
+	}
+	rc.base, rc.first = b, l.CheckpointEpoch()
+	return l, rc, nil
 }
 
 // check compares the recovered state with the history at its epoch.
@@ -386,6 +384,44 @@ func TestInsertOnlyRespectsTwiceTheBase(t *testing.T) {
 	l.Close()
 	if _, rc, err := openHistory(opts); err != nil || rc.epoch != 60 || rc.check(h) != nil {
 		t.Errorf("recovered epoch %d: %v, %v", rc.epoch, err, rc.check(h))
+	}
+}
+
+// TestOpenFoldsTheTail: recovery hands over the change since the base as
+// one record, the delta and the records after it folded together: byte
+// for byte the record of the delta the recovered log then writes at the
+// same epoch.
+func TestOpenFoldsTheTail(t *testing.T) {
+	fs := NewMemFS()
+	opts := testOpts(fs)
+	h := history{churn: true}
+	if _, st, err := h.run(opts, 5, 2); err != nil || st.Deltas != 1 {
+		t.Fatalf("stats %+v, err %v; want a delta at epoch 2, then records 3 to 5", st, err)
+	}
+	var nets []*Record
+	l, b, err := Open(opts, nil, func(r *Record) error {
+		nets = append(nets, r)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if len(nets) != 1 {
+		t.Fatalf("Open handed over %d records, want the one net record", len(nets))
+	}
+	if b.Epoch != 0 || l.CheckpointEpoch() != 2 || nets[0].Epoch != 5 {
+		t.Fatalf("base %d, checkpoint %d, net record of epoch %d; want 0, 2 (the delta), 5", b.Epoch, l.CheckpointEpoch(), nets[0].Epoch)
+	}
+	if err := l.WriteDelta(5, 5); err != nil {
+		t.Fatal(err)
+	}
+	_, _, d, err := decodeImage(fs.DurableBytes(filepath.Join(opts.Dir, deltaName(0, 5))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := encodeRecord(nil, nets[0]), encodeRecord(nil, d); !bytes.Equal(got, want) {
+		t.Errorf("Open folded %x, the delta at the same epoch holds %x", got, want)
 	}
 }
 

@@ -20,20 +20,15 @@ func FuzzDecodeRecord(f *testing.F) {
 	})
 }
 
-// FuzzDecodeCheckpoint: no input panics the decoders of the two
-// checkpoint files, bases and deltas, and a file either accepts
+// FuzzDecodeCheckpoint: no input panics the checkpoint decoder — bases
+// and deltas are both record images — and an image it accepts
 // re-encodes byte for byte. The seed corpus is under
 // testdata/fuzz/FuzzDecodeCheckpoint.
 func FuzzDecodeCheckpoint(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if cp, err := decodeCheckpoint(data); err == nil {
-			if got := encodeCheckpoint(cp); !bytes.Equal(got, data) {
-				t.Fatalf("base %+v re-encodes to %x, decoded from %x", cp, got, data)
-			}
-		}
-		if b, paid, rec, err := decodeDelta(data); err == nil {
-			if got := encodeDelta(b, paid, rec); !bytes.Equal(got, data) {
-				t.Fatalf("delta %+v on %d re-encodes to %x, decoded from %x", rec, b, got, data)
+		if b, paid, rec, err := decodeImage(data); err == nil {
+			if got := encodeImage(b, paid, rec); !bytes.Equal(got, data) {
+				t.Fatalf("image %+v on %d re-encodes to %x, decoded from %x", rec, b, got, data)
 			}
 		}
 	})

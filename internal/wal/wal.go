@@ -5,35 +5,37 @@
 //
 // On disk a log directory holds three kinds of file:
 //
-//   - bases, ckpt-<epoch>: a full image of the dictionary and the
-//     triples at one epoch (a Checkpoint);
+//   - bases, ckpt-<epoch>: the state at one epoch as the one Record that
+//     builds it from empty — every term from id 1, every triple an
+//     insert, and the cluster size as its topology;
 //   - deltas, delta-<base>-<epoch>: the net change from base <base> to
 //     <epoch> as one Record — the terms minted since the base, the net
-//     inserts and deletes, the newest topology — with the base epoch
-//     in its header;
+//     inserts and deletes, the newest topology;
 //   - segments, wal-<epoch>.log: length-prefixed, CRC32C-checksummed
 //     records of the batches committed after <epoch>, one per batch: the
 //     epoch it committed, the dictionary terms first assigned in it (so
 //     recovery reproduces the exact TermID numbering, and with it the
 //     node placement of every triple), and its inserts and deletes.
 //
-// A checkpoint is a base or a delta. Compaction writes a delta, which
-// this package folds by itself from the previous delta on the same base
-// and the records after it: records are effective (see Record), so a
-// triple's first operation since the base says whether the base held
-// it, and the fold never reads the base. A full base, taken from the
-// engine's snapshot, is written instead only once the deltas written on
-// the current base would reach the base's own size (ski rental, with no
-// knob). Per base cycle the checkpoint bytes are thus below twice the
-// base, and recovery reads one base, at most one delta and the tail.
+// A checkpoint is a base or a delta, both written as a record image in
+// one codec. Compaction writes a delta, which this package folds by
+// itself from the previous delta on the same base and the records after
+// it: records are effective (see Record), so a triple's first operation
+// since the base says whether the base held it, and the fold never
+// reads the base. A full base, taken from the engine's snapshot, is
+// written instead only once the deltas written on the current base
+// would reach the base's own size (ski rental, with no knob). Per base
+// cycle the checkpoint bytes are thus below twice the base, and
+// recovery reads one base, at most one delta and the tail.
 //
 // The write protocol is WAL-first: a record is appended and fsynced
 // before the batch mutates any in-memory state, so an acknowledged
 // batch is always durable, and a crash can only lose batches that were
-// never acknowledged. Recovery loads the newest base that validates,
-// then the newest valid delta on it whose tail the segments still hold
-// (else the base alone), replays the records after that in epoch order,
-// and truncates the torn tail a mid-append crash leaves behind.
+// never acknowledged. Recovery is the same fold followed by a load: it
+// takes the newest base that validates, folds the newest valid delta on
+// it whose tail the segments still hold and the records after that into
+// one net record — what a delta written at the recovered epoch would
+// hold — and truncates the torn tail a mid-append crash leaves behind.
 //
 // Every checkpoint rotates the log onto a fresh segment and collects
 // garbage. Kept is the closure of the previous checkpoint, or of the
@@ -56,8 +58,11 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -65,11 +70,11 @@ import (
 	"cliquesquare/internal/rdf"
 )
 
-// Magic prefixes identify the three file types (8 bytes each).
+// Magic prefixes identify the two codecs (8 bytes each): segments of
+// framed records, and record images, which bases and deltas both are.
 const (
 	segMagic   = "CSQWAL1\n"
-	ckptMagic  = "CSQCKP1\n"
-	deltaMagic = "CSQDLT1\n"
+	imageMagic = "CSQDLT1\n"
 )
 
 var (
@@ -96,9 +101,6 @@ type Options struct {
 	Dir string
 	// FS is the filesystem seam; nil means the real filesystem.
 	FS FS
-	// GroupMaxOps caps how many concurrent ApplyBatch callers one
-	// group commit coalesces; 0 means 64.
-	GroupMaxOps int
 	// GroupMaxWait is how long the group-commit batcher holds an open
 	// group waiting for more callers before flushing. 0 flushes as
 	// soon as the queue drains (no added latency; grouping still
@@ -116,33 +118,20 @@ func (o Options) WithDefaults() Options {
 	if o.FS == nil {
 		o.FS = OS
 	}
-	if o.GroupMaxOps == 0 {
-		o.GroupMaxOps = 64
-	}
 	if o.CheckpointBytes == 0 {
 		o.CheckpointBytes = 8 << 20
 	}
 	return o
 }
 
-// Checkpoint is a base: a full image of the durable state at one
-// epoch, the dictionary contents (Terms[i] has TermID i+1) and the
-// triples. Replaying it reconstructs term numbering — and therefore
-// node placement — exactly.
-type Checkpoint struct {
-	Epoch   uint64
-	Terms   []rdf.Term
-	Triples []rdf.Triple
-	// Nodes is the cluster size at the checkpoint epoch. 0 means the
-	// checkpoint predates elastic topologies; recovery then falls back
-	// to the engine's configured size.
-	Nodes uint32
-}
-
 // Record is one committed batch: the epoch it created, the dictionary
 // terms first durably recorded by it, and the batch's triple delta. A
 // delta file holds one Record too, standing for every epoch from its
-// base to its own.
+// base to its own, and so does a base: the record that builds its
+// epoch's state from empty — the whole dictionary from FirstTerm 1
+// (which reproduces term numbering, and with it node placement,
+// exactly), every triple an insert, no delete, and the cluster size as
+// Topology.
 //
 // Two invariants let the log fold records without the data they apply
 // to:
@@ -169,6 +158,11 @@ type Record struct {
 	// since its base, or 0 when there was none.
 	Topology uint32
 }
+
+// Checkpoint is an alias of Record kept only for the frozen benchmark
+// program under bench/, whose Open callback spells it; new code says
+// Record.
+type Checkpoint = Record
 
 // Stats counts the log's activity since it was opened.
 type Stats struct {
@@ -264,40 +258,37 @@ func (g gen) newer(h gen) bool {
 	return g.kind > h.kind
 }
 
-// parseGen parses a segment, base or delta file name.
+// parseGen parses a segment, base or delta file name. A name parses
+// only if the log would write it back the same — sixteen lowercase hex
+// digits per epoch — so a stray file can never stand for a log file.
 func parseGen(name string) (gen, bool) {
-	if rest, ok := strings.CutPrefix(name, "ckpt-"); ok {
-		e, ok := hexEpoch(rest)
-		return gen{kind: baseFile, epoch: e, base: e}, ok
-	}
-	if rest, ok := strings.CutPrefix(name, "delta-"); ok && len(rest) == 33 && rest[16] == '-' {
-		b, ok1 := hexEpoch(rest[:16])
-		e, ok2 := hexEpoch(rest[17:])
-		return gen{kind: deltaFile, epoch: e, base: b}, ok1 && ok2 && b <= e
-	}
-	if rest, ok := strings.CutPrefix(name, "wal-"); ok {
-		if hex, ok := strings.CutSuffix(rest, ".log"); ok {
-			e, ok := hexEpoch(hex)
-			return gen{kind: segFile, epoch: e}, ok
+	var g gen
+	var err error
+	switch {
+	case strings.HasPrefix(name, "ckpt-"):
+		g.kind = baseFile
+		g.epoch, err = strconv.ParseUint(name[len("ckpt-"):], 16, 64)
+		g.base = g.epoch
+	case strings.HasPrefix(name, "delta-"):
+		b, e, _ := strings.Cut(name[len("delta-"):], "-")
+		g.kind = deltaFile
+		if g.base, err = strconv.ParseUint(b, 16, 64); err == nil {
+			g.epoch, err = strconv.ParseUint(e, 16, 64)
 		}
+	case strings.HasPrefix(name, "wal-"):
+		g.epoch, err = strconv.ParseUint(strings.TrimSuffix(name[len("wal-"):], ".log"), 16, 64)
+	default:
+		return gen{}, false
 	}
-	return gen{}, false
+	return g, err == nil && g.base <= g.epoch && g.name() == name
 }
 
-func hexEpoch(s string) (e uint64, ok bool) {
-	if len(s) != 16 {
-		return 0, false
-	}
-	_, err := fmt.Sscanf(s, "%016x", &e)
-	return e, err == nil
-}
-
-// Create initializes a fresh log in opts.Dir from the initial base cp
-// (the just-loaded state). It fails with ErrExists when the directory
-// already holds a log.
-func Create(opts Options, cp *Checkpoint) (*Log, error) {
+// Create initializes a fresh log in opts.Dir from the initial base b
+// (the just-loaded state; see Record). It fails with ErrExists when
+// the directory already holds a log.
+func Create(opts Options, b *Record) (*Log, error) {
 	opts = opts.WithDefaults()
-	l := &Log{opts: opts, fs: opts.FS, dir: opts.Dir, epoch: cp.Epoch, ckptEpoch: cp.Epoch}
+	l := &Log{opts: opts, fs: opts.FS, dir: opts.Dir, epoch: b.Epoch, ckptEpoch: b.Epoch}
 	if err := l.fs.MkdirAll(l.dir); err != nil {
 		return nil, fmt.Errorf("wal: create: %w", err)
 	}
@@ -310,77 +301,61 @@ func Create(opts Options, cp *Checkpoint) (*Log, error) {
 			return nil, ErrExists
 		}
 	}
-	if err := l.writeBase(cp); err != nil {
+	if err := l.writeBase(b); err != nil {
 		return nil, err
 	}
-	if err := l.openSegment(cp.Epoch, true); err != nil {
+	if err := l.openSegment(b.Epoch, true); err != nil {
 		return nil, err
 	}
 	return l, nil
 }
 
-// Open recovers the log in opts.Dir: it loads the newest base that
-// validates and hands it to seed (the caller reconstructs its base
-// state there), hands the newest valid delta on that base to fn as one
-// record whose Epoch is the delta's, replays every later record in
-// epoch order through fn, truncates any torn tail left by a crash, and
-// returns the log ready for appending plus the base recovery started
-// from. Either callback may be nil. ErrNoState means the directory
+// Open recovers the log in opts.Dir. It hands seed the newest base that
+// validates, whose delta and records are all still on disk, then hands
+// fn, exactly once, the net change since that base: the newest valid
+// delta on it and every record after that, folded into the one record
+// WriteDelta would write at the epoch recovered (an empty record at the
+// base's epoch when nothing followed it). It truncates any torn tail
+// left by a crash and returns the log ready for appending plus the
+// base. Either callback may be nil. ErrNoState means the directory
 // holds nothing to recover.
-func Open(opts Options, seed func(*Checkpoint) error, fn func(*Record) error) (*Log, *Checkpoint, error) {
+func Open(opts Options, seed, fn func(*Record) error) (*Log, *Record, error) {
 	opts = opts.WithDefaults()
 	l := &Log{opts: opts, fs: opts.FS, dir: opts.Dir}
 	if err := l.fs.MkdirAll(l.dir); err != nil {
 		return nil, nil, fmt.Errorf("wal: open: %w", err)
 	}
-	ents, err := l.fs.ReadDir(l.dir)
+	segs, ckpts, err := l.files()
 	if err != nil {
 		return nil, nil, fmt.Errorf("wal: open: %w", err)
 	}
-	var segs []uint64
-	var ckpts []gen
-	for _, e := range ents {
-		if strings.HasSuffix(e.Name, ".tmp") {
-			// Leftover of a checkpoint interrupted mid-write.
-			_ = l.fs.Remove(filepath.Join(l.dir, e.Name))
-			continue
-		}
-		if g, ok := parseGen(e.Name); ok && g.kind == segFile {
-			segs = append(segs, g.epoch)
-		} else if ok {
-			ckpts = append(ckpts, g)
-		}
-	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i] < segs[j] })
-	sort.Slice(ckpts, func(i, j int) bool { return ckpts[i].newer(ckpts[j]) })
 
 	// Start from the newest checkpoint that validates, whose base
 	// validates, and whose records are all on disk: GC deletes a prefix
 	// of the segments, so that is when none is left or the oldest one
 	// starts at or before it.
-	var cp *Checkpoint
-	var delta *Record
+	var b, delta *Record
 	var from gen
 	for _, g := range ckpts {
 		if len(segs) > 0 && segs[0] > g.epoch {
 			break // older checkpoints are not followed by their log either
 		}
-		c, size, err := l.readBase(g.base)
+		rec, size, err := l.readBase(g.base)
 		if err != nil {
 			continue
 		}
-		l.base, l.lastDelta, l.paid = base{c.Epoch, size, uint32(len(c.Terms))}, false, 0
+		l.base, l.lastDelta, l.paid = base{rec.Epoch, size, uint32(len(rec.Terms))}, false, 0
 		if g.kind == deltaFile {
-			rec, paid, err := l.readDelta(g.epoch)
+			d, paid, err := l.readDelta(g.epoch)
 			if err != nil {
 				continue
 			}
-			delta, l.lastDelta, l.paid = rec, true, paid
+			delta, l.lastDelta, l.paid = d, true, paid
 		}
-		cp, from = c, g
+		b, from = rec, g
 		break
 	}
-	if cp == nil {
+	if b == nil {
 		return nil, nil, fmt.Errorf("%w (no checkpoint both valid and followed by its log)", ErrNoState)
 	}
 	// Checkpoints newer than the one recovery starts from failed to
@@ -390,28 +365,33 @@ func Open(opts Options, seed func(*Checkpoint) error, fn func(*Record) error) (*
 			_ = l.fs.Remove(filepath.Join(l.dir, g.name()))
 		}
 	}
-	l.epoch, l.ckptEpoch = from.epoch, from.epoch
+	l.ckptEpoch = from.epoch
 	if seed != nil {
-		if err := seed(cp); err != nil {
+		if err := seed(b); err != nil {
 			return nil, nil, err
 		}
 	}
-	if delta != nil && fn != nil {
-		if err := fn(delta); err != nil {
-			return nil, nil, err
-		}
-	}
-	segs = tailOf(segs, l.ckptEpoch)
-	reuse, err := l.replaySegments(segs, l.ckptEpoch, fn)
+	f, torn, err := l.fold(delta, segs, math.MaxUint64)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("wal: open: %w", err)
+	}
+	l.epoch = f.rec.Epoch
+	if torn >= 0 {
+		if err := l.truncateTail(segs[len(segs)-1], torn); err != nil {
+			return nil, nil, err
+		}
+	}
+	if fn != nil {
+		if err := fn(f.net()); err != nil {
+			return nil, nil, err
+		}
 	}
 
 	// Reopen (or recreate) the newest segment for appending. A crash
-	// between checkpoint and rotation can leave the newest base behind
-	// the checkpoint; start a fresh segment at the recovered epoch
-	// then, as after a torn segment header.
-	if n := len(segs); reuse && segs[n-1] >= l.ckptEpoch {
+	// between checkpoint and rotation can leave the newest segment
+	// behind the checkpoint; start a fresh segment at the recovered
+	// epoch then, as after a torn segment header.
+	if n := len(segs); n > 0 && torn != 0 && segs[n-1] >= l.ckptEpoch {
 		seg, err := l.fs.OpenAppend(filepath.Join(l.dir, segName(segs[n-1])))
 		if err != nil {
 			return nil, nil, fmt.Errorf("wal: open: %w", err)
@@ -420,87 +400,106 @@ func Open(opts Options, seed func(*Checkpoint) error, fn func(*Record) error) (*
 	} else if err := l.openSegment(l.epoch, true); err != nil {
 		return nil, nil, err
 	}
-	return l, cp, nil
+	return l, b, nil
 }
 
-// tailOf is the suffix of the ascending segment bases segs that holds
-// every record after epoch: from the newest segment starting at or
-// before it.
-func tailOf(segs []uint64, epoch uint64) []uint64 {
-	i := sort.Search(len(segs), func(i int) bool { return segs[i] > epoch })
-	return segs[max(i-1, 0):]
+// files lists the log directory: the segments' bases ascending, the
+// checkpoints newest first. A .tmp file is what a checkpoint
+// interrupted mid-write left behind; nothing reads it, and it is
+// removed.
+func (l *Log) files() (segs []uint64, ckpts []gen, err error) {
+	ents, err := l.fs.ReadDir(l.dir)
+	if err != nil {
+		return nil, nil, err
+	}
+	for _, e := range ents {
+		g, ok := parseGen(e.Name)
+		switch {
+		case strings.HasSuffix(e.Name, ".tmp"):
+			_ = l.fs.Remove(filepath.Join(l.dir, e.Name))
+		case !ok:
+		case g.kind == segFile:
+			segs = append(segs, g.epoch)
+		default:
+			ckpts = append(ckpts, g)
+		}
+	}
+	slices.Sort(segs)
+	sort.Slice(ckpts, func(i, j int) bool { return ckpts[i].newer(ckpts[j]) })
+	return segs, ckpts, nil
 }
 
-// replaySegments walks the segments in base order, feeding valid
-// records after epoch from to fn and physically truncating the torn
-// tail of the final segment; reuse reports whether that segment is
-// whole enough to append to. A corrupt record anywhere but the tail of
-// the final segment is unrecoverable corruption (records are fsynced
-// before anything later is written, so only the very last append can
-// be torn).
-func (l *Log) replaySegments(segs []uint64, from uint64, fn func(*Record) error) (reuse bool, _ error) {
-	next := from + 1
+// fold nets the change since the base through epoch to, or through the
+// end of the log if that comes first: d, the newest delta on the base
+// (nil when the newest checkpoint is the base itself), then the records
+// after it in the ascending segments segs, in epoch order. Only the
+// final segment may end in a torn write — a header or record that does
+// not decode, all a crash mid-append can leave, since a record is
+// fsynced before anything is written after it — and torn is then the
+// length of its valid prefix (0 for a torn header), else -1. A record
+// that does not decode anywhere else is an error.
+func (l *Log) fold(d *Record, segs []uint64, to uint64) (f *folder, torn int64, err error) {
+	f = &folder{rec: Record{Epoch: l.base.epoch, FirstTerm: rdf.TermID(l.base.terms) + 1}}
+	if d != nil {
+		if err := f.add(d); err != nil {
+			return nil, -1, err
+		}
+	}
+	from := f.rec.Epoch
+	// The records after from start in the newest segment at or before it.
+	segs = segs[max(sort.Search(len(segs), func(i int) bool { return segs[i] > from })-1, 0):]
 	for i, b := range segs {
+		if f.rec.Epoch >= to {
+			break
+		}
 		name := segName(b)
 		data, err := l.readFile(name)
 		if err != nil {
-			return false, fmt.Errorf("wal: open: %w", err)
+			return nil, -1, err
 		}
 		last := i == len(segs)-1
-		off := int64(len(segMagic))
 		if len(data) < len(segMagic) || string(data[:len(segMagic)]) != segMagic {
 			if last {
-				// Crash during rotation: the fresh segment's header never
-				// made it down. Recreate it (openSegment).
-				return false, l.truncateTail(name, data, 0)
+				return f, 0, nil
 			}
-			return false, fmt.Errorf("wal: segment %s: bad header", name)
+			return nil, -1, fmt.Errorf("segment %s: bad header", name)
 		}
-		rest := data[off:]
-		for len(rest) > 0 {
-			rec, n, ok := decodeRecord(rest)
+		for off := len(segMagic); off < len(data) && f.rec.Epoch < to; {
+			rec, n, ok := decodeRecord(data[off:])
 			if !ok {
-				if !last {
-					return false, fmt.Errorf("wal: segment %s: corrupt record mid-log", name)
+				if last {
+					return f, int64(off), nil
 				}
-				return true, l.truncateTail(name, data, off)
+				return nil, -1, fmt.Errorf("segment %s: corrupt record mid-log", name)
 			}
-			rest = rest[n:]
-			off += int64(n)
+			off += n
 			if rec.Epoch <= from {
-				continue // already folded into the checkpoint
+				continue // folded into the checkpoint already
 			}
-			if rec.Epoch != next {
-				return false, fmt.Errorf("wal: segment %s: epoch %d out of sequence (want %d)", name, rec.Epoch, next)
+			if rec.Epoch != f.rec.Epoch+1 {
+				return nil, -1, fmt.Errorf("segment %s: epoch %d out of sequence (want %d)", name, rec.Epoch, f.rec.Epoch+1)
 			}
-			if fn != nil {
-				if err := fn(rec); err != nil {
-					return false, err
-				}
+			if err := f.add(rec); err != nil {
+				return nil, -1, err
 			}
-			next = rec.Epoch + 1
-			l.epoch = rec.Epoch
 		}
 	}
-	return len(segs) > 0, nil
+	return f, -1, nil
 }
 
-// truncateTail cuts a torn record off the final segment so later
-// appends extend a clean prefix; a segment whose header is torn
-// (validOff 0) is removed for openSegment to recreate whole.
-func (l *Log) truncateTail(name string, data []byte, validOff int64) error {
-	path := filepath.Join(l.dir, name)
-	if validOff == 0 {
+// truncateTail cuts the torn tail off segment b at its valid length, so
+// later appends extend a clean prefix; a segment whose header is torn
+// (valid 0) is removed for openSegment to recreate whole.
+func (l *Log) truncateTail(b uint64, valid int64) error {
+	path := filepath.Join(l.dir, segName(b))
+	if valid == 0 {
 		if err := l.fs.Remove(path); err != nil {
-			return fmt.Errorf("wal: remove torn segment %s: %w", name, err)
+			return fmt.Errorf("wal: remove torn segment %s: %w", segName(b), err)
 		}
 		return nil
 	}
-	if int64(len(data)) == validOff {
-		return nil
-	}
-	if err := l.fs.Truncate(path, validOff); err != nil {
-		return fmt.Errorf("wal: truncate torn tail of %s: %w", name, err)
+	if err := l.fs.Truncate(path, valid); err != nil {
+		return fmt.Errorf("wal: truncate torn tail of %s: %w", segName(b), err)
 	}
 	return nil
 }
@@ -651,11 +650,11 @@ func (l *Log) WriteDelta(epoch, watermark uint64) error {
 	if epoch < l.ckptEpoch || epoch > l.epoch {
 		return fmt.Errorf("wal: delta epoch %d outside [%d, %d]", epoch, l.ckptEpoch, l.epoch)
 	}
-	rec, err := l.fold(epoch)
+	rec, err := l.netAt(epoch)
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrNeedBase, err)
 	}
-	payload := encodeDelta(l.base.epoch, l.paid, rec)
+	payload := encodeImage(l.base.epoch, l.paid, rec)
 	if l.paid+int64(len(payload)) >= l.base.bytes {
 		return ErrNeedBase
 	}
@@ -670,36 +669,38 @@ func (l *Log) WriteDelta(epoch, watermark uint64) error {
 	return l.checkpointed(prev, epoch, watermark)
 }
 
-// WriteCheckpoint writes cp durably as the new base, rotates the log
-// onto a fresh segment, and garbage-collects what neither the
-// previous checkpoint's closure nor the caller's epoch watermark still
-// needs. cp.Epoch must not be behind the newest checkpoint — the image
-// must cover every record it obsoletes.
-func (l *Log) WriteCheckpoint(cp *Checkpoint, watermark uint64) error {
+// WriteCheckpoint writes b durably as the new base (see Record),
+// rotates the log onto a fresh segment, and garbage-collects what
+// neither the previous checkpoint's closure nor the caller's epoch
+// watermark still needs. b.Epoch must not be behind the newest
+// checkpoint — the image must cover every record it obsoletes.
+func (l *Log) WriteCheckpoint(b *Record, watermark uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if err := l.usable(); err != nil {
 		return err
 	}
-	if cp.Epoch < l.ckptEpoch {
-		return fmt.Errorf("wal: checkpoint epoch %d behind previous %d", cp.Epoch, l.ckptEpoch)
+	if b.Epoch < l.ckptEpoch {
+		return fmt.Errorf("wal: checkpoint epoch %d behind previous %d", b.Epoch, l.ckptEpoch)
 	}
 	prev := l.newest()
-	if err := l.writeBase(cp); err != nil {
+	if err := l.writeBase(b); err != nil {
 		l.failed = err
 		return err
 	}
-	return l.checkpointed(prev, cp.Epoch, watermark)
+	return l.checkpointed(prev, b.Epoch, watermark)
 }
 
-// writeBase writes cp as ckpt-<epoch> and makes it the base later
-// deltas apply to.
-func (l *Log) writeBase(cp *Checkpoint) error {
-	payload := encodeCheckpoint(cp)
-	if err := l.writeFile(ckptName(cp.Epoch), payload); err != nil {
+// writeBase writes b as ckpt-<epoch>, an image on itself, and makes it
+// the base later deltas apply to. The image holds what a base is — the
+// terms from id 1, the triples as inserts, the topology — so that
+// readBase accepts it whatever b.FirstTerm and b.Deletes say.
+func (l *Log) writeBase(b *Record) error {
+	payload := encodeImage(b.Epoch, 0, &Record{Epoch: b.Epoch, FirstTerm: 1, Terms: b.Terms, Inserts: b.Inserts, Topology: b.Topology})
+	if err := l.writeFile(ckptName(b.Epoch), payload); err != nil {
 		return err
 	}
-	l.base = base{cp.Epoch, int64(len(payload)), uint32(len(cp.Terms))}
+	l.base = base{b.Epoch, int64(len(payload)), uint32(len(b.Terms))}
 	l.lastDelta, l.paid = false, 0
 	return nil
 }
@@ -784,71 +785,35 @@ func (l *Log) collect(prev gen, watermark uint64) {
 	}
 }
 
-// fold is the net change from the base to epoch: the newest delta on
-// the base, if any, then every record after it up to epoch.
-func (l *Log) fold(epoch uint64) (*Record, error) {
-	f := folder{rec: Record{Epoch: epoch, FirstTerm: rdf.TermID(l.base.terms) + 1}}
-	from := l.base.epoch
+// netAt is the net change from the base through epoch, folded from the
+// log's own files: the newest delta on the base, if any, then every
+// record after it.
+func (l *Log) netAt(epoch uint64) (*Record, error) {
+	var d *Record
 	if l.lastDelta {
-		d, _, err := l.readDelta(l.ckptEpoch)
-		if err != nil {
+		var err error
+		if d, _, err = l.readDelta(l.ckptEpoch); err != nil {
 			return nil, err
 		}
-		if err := f.add(d); err != nil {
-			return nil, err
-		}
-		from = l.ckptEpoch
 	}
-	ents, err := l.fs.ReadDir(l.dir)
+	segs, _, err := l.files()
 	if err != nil {
 		return nil, err
 	}
-	var segs []uint64
-	for _, e := range ents {
-		if g, ok := parseGen(e.Name); ok && g.kind == segFile {
-			segs = append(segs, g.epoch)
-		}
+	f, _, err := l.fold(d, segs, epoch)
+	if err == nil && f.rec.Epoch != epoch {
+		err = fmt.Errorf("records %d..%d missing", f.rec.Epoch+1, epoch)
 	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i] < segs[j] })
-	next := from + 1
-	for _, b := range tailOf(segs, from) {
-		if next > epoch {
-			break
-		}
-		data, err := l.readFile(segName(b))
-		if err != nil {
-			return nil, err
-		}
-		if len(data) < len(segMagic) || string(data[:len(segMagic)]) != segMagic {
-			return nil, fmt.Errorf("segment %s: bad header", segName(b))
-		}
-		for rest := data[len(segMagic):]; len(rest) > 0 && next <= epoch; {
-			rec, n, ok := decodeRecord(rest)
-			if !ok {
-				return nil, fmt.Errorf("segment %s: corrupt record", segName(b))
-			}
-			rest = rest[n:]
-			if rec.Epoch <= from {
-				continue
-			}
-			if rec.Epoch != next {
-				return nil, fmt.Errorf("segment %s: epoch %d out of sequence (want %d)", segName(b), rec.Epoch, next)
-			}
-			if err := f.add(rec); err != nil {
-				return nil, err
-			}
-			next++
-		}
-	}
-	if next != epoch+1 {
-		return nil, fmt.Errorf("records %d..%d missing", next, epoch)
+	if err != nil {
+		return nil, err
 	}
 	return f.net(), nil
 }
 
 // folder nets effective records: it keeps, per triple touched, whether
 // the base held it (the opposite of its first operation) and whether it
-// is held now (its last), in first-touch order.
+// is held now (its last), in first-touch order. rec.Epoch is the epoch
+// of the last record added.
 type folder struct {
 	rec     Record
 	held    map[rdf.Triple][2]bool // [at the base, now]
@@ -866,6 +831,7 @@ func (f *folder) add(r *Record) error {
 	if r.Topology != 0 {
 		f.rec.Topology = r.Topology
 	}
+	f.rec.Epoch = r.Epoch
 	for _, t := range r.Deletes {
 		f.touch(t, false)
 	}
@@ -929,17 +895,18 @@ func (l *Log) writeFile(name string, payload []byte) error {
 	return nil
 }
 
-// readBase loads and validates base b, returning its file size too.
-func (l *Log) readBase(b uint64) (*Checkpoint, int64, error) {
+// readBase loads and validates base b — an image on itself whose record
+// builds epoch b from empty — returning its file size too.
+func (l *Log) readBase(b uint64) (*Record, int64, error) {
 	data, err := l.readFile(ckptName(b))
 	if err != nil {
 		return nil, 0, err
 	}
-	cp, err := decodeCheckpoint(data)
-	if err == nil && cp.Epoch != b {
-		err = fmt.Errorf("wal: checkpoint %s holds epoch %d", ckptName(b), cp.Epoch)
+	on, paid, rec, err := decodeImage(data)
+	if err == nil && (on != b || paid != 0 || rec.Epoch != b || rec.FirstTerm != 1 || len(rec.Deletes) > 0) {
+		err = fmt.Errorf("wal: checkpoint %s is not a base of epoch %d", ckptName(b), b)
 	}
-	return cp, int64(len(data)), err
+	return rec, int64(len(data)), err
 }
 
 // readDelta loads and validates the delta at epoch on the current base;
@@ -950,7 +917,7 @@ func (l *Log) readDelta(epoch uint64) (rec *Record, paid int64, err error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	b, before, rec, err := decodeDelta(data)
+	b, before, rec, err := decodeImage(data)
 	switch {
 	case err != nil:
 		return nil, 0, err
@@ -1027,12 +994,13 @@ func (l *Log) Close() error {
 // Record payload:  u64 epoch | u32 topology | u32 firstTerm | u32 nTerms | terms
 //                  | u32 nIns | ins (3×u32 each) | u32 nDel | dels
 // Term:            u8 kind | u32 len | value bytes
-// Base file:       magic | u64 epoch | u32 nodes | u32 nTerms | terms
-//                  | u32 nTriples | triples | u32 crc(all after magic)
-// Delta file:      magic | u64 base | u64 paid | record payload
+// Image file:      magic | u64 base | u64 paid | record payload
 //                  | u32 crc(all after magic)
 //
-// A delta's paid is the delta bytes written on its base before it.
+// Both kinds of checkpoint are images. A delta's record is the net
+// change from its base, and paid the delta bytes written on that base
+// before it. A base is an image on itself with paid 0, whose record
+// builds its epoch from empty (see Record).
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
@@ -1209,69 +1177,29 @@ func decodeRecord(data []byte) (rec *Record, n int, ok bool) {
 	return rec, 8 + plen, true
 }
 
-// seal appends the checksum of everything after magic to a checkpoint
-// file's bytes b.
-func seal(b []byte, magic string) []byte {
-	return putU32(b, crc32.Checksum(b[len(magic):], crcTable))
-}
-
-// unseal checks a checkpoint file's magic and checksum and returns a
-// reader over its body.
-func unseal(data []byte, magic, what string) (*reader, error) {
-	if len(data) < len(magic)+4 || string(data[:len(magic)]) != magic {
-		return nil, fmt.Errorf("wal: %s: bad header", what)
-	}
-	body := data[len(magic) : len(data)-4]
-	if crc32.Checksum(body, crcTable) != binary.LittleEndian.Uint32(data[len(data)-4:]) {
-		return nil, fmt.Errorf("wal: %s: checksum mismatch", what)
-	}
-	return &reader{b: body, ok: true}, nil
-}
-
-// encodeCheckpoint serializes cp as a whole base file.
-func encodeCheckpoint(cp *Checkpoint) []byte {
-	b := []byte(ckptMagic)
-	b = putU64(b, cp.Epoch)
-	b = putU32(b, cp.Nodes)
-	b = appendTerms(b, cp.Terms)
-	b = appendTriples(b, cp.Triples)
-	return seal(b, ckptMagic)
-}
-
-// decodeCheckpoint validates and decodes one base file.
-func decodeCheckpoint(data []byte) (*Checkpoint, error) {
-	r, err := unseal(data, ckptMagic, "checkpoint")
-	if err != nil {
-		return nil, err
-	}
-	cp := &Checkpoint{Epoch: r.u64(), Nodes: r.u32()}
-	cp.Terms = r.terms()
-	cp.Triples = r.triples()
-	if !r.done() {
-		return nil, errors.New("wal: checkpoint: malformed body")
-	}
-	return cp, nil
-}
-
-// encodeDelta serializes rec as a delta file on base b, paid being the
-// delta bytes written on b before it.
-func encodeDelta(b uint64, paid int64, rec *Record) []byte {
-	out := []byte(deltaMagic)
+// encodeImage serializes rec as a checkpoint file on base b, paid being
+// the delta bytes written on b before it (0 for a base).
+func encodeImage(b uint64, paid int64, rec *Record) []byte {
+	out := []byte(imageMagic)
 	out = putU64(out, b)
 	out = putU64(out, uint64(paid))
 	out = appendRecordBody(out, rec)
-	return seal(out, deltaMagic)
+	return putU32(out, crc32.Checksum(out[len(imageMagic):], crcTable))
 }
 
-// decodeDelta validates and decodes one delta file.
-func decodeDelta(data []byte) (b uint64, paid int64, rec *Record, err error) {
-	r, err := unseal(data, deltaMagic, "delta")
-	if err != nil {
-		return 0, 0, nil, err
+// decodeImage validates and decodes one checkpoint file.
+func decodeImage(data []byte) (b uint64, paid int64, rec *Record, err error) {
+	if len(data) < len(imageMagic)+4 || string(data[:len(imageMagic)]) != imageMagic {
+		return 0, 0, nil, errors.New("wal: checkpoint: bad header")
 	}
+	body := data[len(imageMagic) : len(data)-4]
+	if crc32.Checksum(body, crcTable) != binary.LittleEndian.Uint32(data[len(data)-4:]) {
+		return 0, 0, nil, errors.New("wal: checkpoint: checksum mismatch")
+	}
+	r := &reader{b: body, ok: true}
 	b, paid = r.u64(), int64(r.u64())
 	if rec = r.record(); !r.done() {
-		return 0, 0, nil, errors.New("wal: delta: malformed body")
+		return 0, 0, nil, errors.New("wal: checkpoint: malformed body")
 	}
 	return b, paid, rec, nil
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"cliquesquare/internal/rdf"
@@ -74,9 +75,9 @@ func TestRecordDecodeRejectsCorruption(t *testing.T) {
 }
 
 // TestDecodeRejectsUnknownTermKind: a term whose kind byte is above
-// rdf.Blank fails its record (and its checkpoint) although the checksum
-// holds — the dictionary recovery rebuilds could only alias it onto
-// another term. The highest valid kind still decodes.
+// rdf.Blank fails its record (and its checkpoint image) although the
+// checksum holds — the dictionary recovery rebuilds could only alias it
+// onto another term. The highest valid kind still decodes.
 func TestDecodeRejectsUnknownTermKind(t *testing.T) {
 	for kind, want := range map[rdf.TermKind]bool{rdf.Blank: true, rdf.Blank + 1: false, 0xff: false} {
 		terms := []rdf.Term{mkTerm(1), {Kind: kind, Value: "x"}}
@@ -84,29 +85,33 @@ func TestDecodeRejectsUnknownTermKind(t *testing.T) {
 		if _, _, ok := decodeRecord(encodeRecord(nil, rec)); ok != want {
 			t.Errorf("record with term kind %d: decoded = %v, want %v", kind, ok, want)
 		}
-		cp := &Checkpoint{Epoch: 1, Terms: terms}
-		if _, err := decodeCheckpoint(encodeCheckpoint(cp)); (err == nil) != want {
+		if _, _, _, err := decodeImage(encodeImage(1, 0, rec)); (err == nil) != want {
 			t.Errorf("checkpoint with term kind %d: err = %v, want decoded = %v", kind, err, want)
 		}
 	}
 }
 
+// TestCheckpointRoundTrip: a base image decodes to the record it was
+// written from, with its base and paid header, and a flipped byte fails
+// the checksum.
 func TestCheckpointRoundTrip(t *testing.T) {
-	cp := &Checkpoint{
-		Epoch:   42,
-		Terms:   []rdf.Term{mkTerm(1), {Kind: rdf.Literal, Value: "x"}},
-		Triples: []rdf.Triple{{S: 1, P: 2, O: 3}},
+	b := &Record{
+		Epoch:     42,
+		FirstTerm: 1,
+		Terms:     []rdf.Term{mkTerm(1), {Kind: rdf.Literal, Value: "x"}},
+		Inserts:   []rdf.Triple{{S: 1, P: 2, O: 3}},
+		Topology:  7,
 	}
-	got, err := decodeCheckpoint(encodeCheckpoint(cp))
+	img := encodeImage(b.Epoch, 0, b)
+	on, paid, got, err := decodeImage(img)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, cp) {
-		t.Fatalf("got %+v want %+v", got, cp)
+	if on != 42 || paid != 0 || !reflect.DeepEqual(got, b) {
+		t.Fatalf("got %+v on %d, paid %d; want %+v on 42, paid 0", got, on, paid, b)
 	}
-	bad := encodeCheckpoint(cp)
-	bad[len(bad)/2] ^= 0xff
-	if _, err := decodeCheckpoint(bad); err == nil {
+	img[len(img)/2] ^= 0xff
+	if _, _, _, err := decodeImage(img); err == nil {
 		t.Fatal("decoded corrupt checkpoint")
 	}
 }
@@ -122,61 +127,37 @@ func appendSync(t *testing.T, l *Log, r *Record) {
 	}
 }
 
-// replayAll opens the log collecting every replayed record.
-func replayAll(t *testing.T, opts Options) (*Log, *Checkpoint, []*Record) {
-	t.Helper()
-	var got []*Record
-	l, cp, err := Open(opts, nil, func(r *Record) error {
-		got = append(got, r)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return l, cp, got
-}
-
 func TestCreateOpenReplay(t *testing.T) {
 	fs := NewMemFS()
 	opts := testOpts(fs)
-	cp0 := &Checkpoint{Epoch: 0, Terms: []rdf.Term{mkTerm(0)}}
-	l, err := Create(opts, cp0)
+	h := history{}
+	if _, _, err := h.run(opts, 5); err != nil {
+		t.Fatal(err)
+	}
+	l, rc, err := openHistory(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for e := uint64(1); e <= 5; e++ {
-		appendSync(t, l, mkRecord(e))
+	defer l.Close()
+	if rc.base.Epoch != 0 || len(rc.base.Terms) != historyTerms || rc.epoch != 5 {
+		t.Fatalf("recovered base %d with %d terms, to epoch %d; want 0, %d, 5", rc.base.Epoch, len(rc.base.Terms), rc.epoch, historyTerms)
 	}
-	if err := l.Close(); err != nil {
+	if err := rc.check(h); err != nil {
 		t.Fatal(err)
 	}
-
-	l2, cp, got := replayAll(t, opts)
-	defer l2.Close()
-	if cp.Epoch != 0 || !reflect.DeepEqual(cp.Terms, cp0.Terms) {
-		t.Fatalf("recovered checkpoint %+v", cp)
-	}
-	if len(got) != 5 {
-		t.Fatalf("replayed %d records, want 5", len(got))
-	}
-	for i, r := range got {
-		if r.Epoch != uint64(i+1) {
-			t.Fatalf("record %d has epoch %d", i, r.Epoch)
-		}
-	}
 	// The recovered log must accept the next epoch.
-	appendSync(t, l2, mkRecord(6))
+	appendSync(t, l, h.record(6))
 }
 
 func TestCreateRefusesExistingState(t *testing.T) {
 	fs := NewMemFS()
 	opts := testOpts(fs)
-	l, err := Create(opts, &Checkpoint{})
+	l, err := Create(opts, &Record{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	l.Close()
-	if _, err := Create(opts, &Checkpoint{}); !errors.Is(err, ErrExists) {
+	if _, err := Create(opts, &Record{}); !errors.Is(err, ErrExists) {
 		t.Fatalf("second Create: got %v, want ErrExists", err)
 	}
 }
@@ -188,7 +169,7 @@ func TestOpenEmptyDirIsNoState(t *testing.T) {
 }
 
 func TestAppendEpochOutOfSequence(t *testing.T) {
-	l, err := Create(testOpts(NewMemFS()), &Checkpoint{Epoch: 3})
+	l, err := Create(testOpts(NewMemFS()), &Record{Epoch: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,15 +185,16 @@ func TestAppendEpochOutOfSequence(t *testing.T) {
 func TestTornTailTruncatedOnRecovery(t *testing.T) {
 	fs := NewMemFS()
 	opts := testOpts(fs)
-	l, err := Create(opts, &Checkpoint{})
+	h := history{churn: true}
+	l, err := Create(opts, h.base(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	appendSync(t, l, mkRecord(1))
-	appendSync(t, l, mkRecord(2))
+	appendSync(t, l, h.record(1))
+	appendSync(t, l, h.record(2))
 	// Epoch 3 is appended but the crash tears its write in half: the
 	// record never synced, so recovery must keep exactly epochs 1-2.
-	if err := l.Append(mkRecord(3)); err != nil {
+	if err := l.Append(h.record(3)); err != nil {
 		t.Fatal(err)
 	}
 	fs.SetCrashAt(1, CrashTorn)
@@ -221,132 +203,174 @@ func TestTornTailTruncatedOnRecovery(t *testing.T) {
 	}
 	fs.Reboot()
 
-	l2, _, got := replayAll(t, opts)
-	if len(got) != 2 {
-		t.Fatalf("replayed %d records, want 2", len(got))
+	l2, rc, err := openHistory(opts)
+	if err != nil || rc.epoch != 2 || rc.check(h) != nil {
+		t.Fatalf("recovered epoch %d (%v, %v), want 2", rc.epoch, err, rc.check(h))
 	}
 	// The torn tail must be physically gone: the next append extends a
 	// clean prefix and survives a further clean recovery.
-	appendSync(t, l2, mkRecord(3))
+	appendSync(t, l2, h.record(3))
 	l2.Close()
-	_, _, got2 := replayAll(t, opts)
-	if len(got2) != 3 || got2[2].Epoch != 3 {
-		t.Fatalf("after re-append: replayed %d records (last %+v)", len(got2), got2[len(got2)-1])
+	if _, rc, err = openHistory(opts); err != nil || rc.epoch != 3 || rc.check(h) != nil {
+		t.Fatalf("after re-append: recovered epoch %d (%v, %v), want 3", rc.epoch, err, rc.check(h))
 	}
 }
 
 func TestCheckpointFallback(t *testing.T) {
 	fs := NewMemFS()
 	opts := testOpts(fs)
-	l, err := Create(opts, &Checkpoint{Epoch: 0})
+	h := history{churn: true}
+	l, err := Create(opts, h.base(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	appendSync(t, l, mkRecord(1))
-	appendSync(t, l, mkRecord(2))
-	cp2 := &Checkpoint{Epoch: 2, Triples: []rdf.Triple{{S: 1, P: 2, O: 3}}}
-	if err := l.WriteCheckpoint(cp2, 2); err != nil {
+	appendSync(t, l, h.record(1))
+	appendSync(t, l, h.record(2))
+	if err := l.WriteCheckpoint(h.base(2), 2); err != nil {
 		t.Fatal(err)
 	}
-	appendSync(t, l, mkRecord(3))
+	appendSync(t, l, h.record(3))
 	l.Close()
 
-	// Corrupt the newest checkpoint in place: Open must fall back to
-	// the epoch-0 checkpoint and replay everything from there. The
-	// epoch-0 segment was GC'd (watermark 2 > 0 would remove it)...
-	// keep=min(prev=0, wm=2)=0, so nothing was removed and the full
-	// chain is still present.
-	name := filepath.Join(opts.Dir, ckptName(2))
-	data := fs.DurableBytes(name)
-	if data == nil {
-		t.Fatalf("checkpoint %s missing", name)
+	// Corrupt the newest checkpoint in place: Open must fall back to the
+	// epoch-0 base and fold everything after it. GC kept that base's
+	// closure (the previous checkpoint is its anchor), so the full chain
+	// is still present.
+	corrupt(t, fs, ckptName(2))
+	l2, rc, err := openHistory(opts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	data[len(data)-1] ^= 0xff
-	fs.mu.Lock()
-	fs.files[clean(name)] = &memFile{durable: data}
-	fs.mu.Unlock()
-
-	l2, cp, got := replayAll(t, opts)
 	defer l2.Close()
-	if cp.Epoch != 0 {
-		t.Fatalf("fell back to checkpoint epoch %d, want 0", cp.Epoch)
+	if rc.base.Epoch != 0 || rc.epoch != 3 {
+		t.Fatalf("fell back to base %d and reached epoch %d, want 0 and 3", rc.base.Epoch, rc.epoch)
 	}
-	if len(got) != 3 {
-		t.Fatalf("replayed %d records, want 3", len(got))
+	if err := rc.check(h); err != nil {
+		t.Fatal(err)
 	}
 }
 
 func TestCheckpointGCRemovesOldGenerations(t *testing.T) {
 	fs := NewMemFS()
 	opts := testOpts(fs)
-	l, err := Create(opts, &Checkpoint{Epoch: 0})
+	h := history{churn: true}
+	l, err := Create(opts, h.base(0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for e := uint64(1); e <= 3; e++ {
-		appendSync(t, l, mkRecord(e))
+		appendSync(t, l, h.record(e))
 	}
-	if err := l.WriteCheckpoint(&Checkpoint{Epoch: 3}, 3); err != nil {
+	if err := l.WriteCheckpoint(h.base(3), 3); err != nil {
 		t.Fatal(err)
 	}
-	before := l.LiveBytes()
 	for e := uint64(4); e <= 6; e++ {
-		appendSync(t, l, mkRecord(e))
+		appendSync(t, l, h.record(e))
 	}
 	// Second checkpoint: generation 0 is now older than both the kept
 	// pair (3, 6) and the watermark, so its files must be deleted.
-	if err := l.WriteCheckpoint(&Checkpoint{Epoch: 6}, 6); err != nil {
+	if err := l.WriteCheckpoint(h.base(6), 6); err != nil {
 		t.Fatal(err)
 	}
-	ents, err := fs.ReadDir(opts.Dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range ents {
-		if g, ok := parseGen(e.Name); ok && g.epoch < 3 {
-			t.Fatalf("generation-0 file %s survived GC", e.Name)
+	for _, name := range logFiles(t, fs) {
+		if g, ok := parseGen(name); ok && g.epoch < 3 {
+			t.Fatalf("generation-0 file %s survived GC", name)
 		}
 	}
 	if s := l.Stats(); s.RemovedFiles == 0 {
 		t.Fatal("stats report no files removed")
 	}
-	if after := l.LiveBytes(); after >= before+int64(len(segMagic))*2 {
-		// Two checkpoints' worth of state is retained by design; the
-		// epoch-0 generation must be gone. (Checkpoints here are tiny,
-		// so live bytes stay around the pre-churn level.)
-		t.Logf("live bytes before=%d after=%d", before, after)
-	}
 
 	// A low watermark (pinned reader) blocks GC of its generation.
 	for e := uint64(7); e <= 9; e++ {
-		appendSync(t, l, mkRecord(e))
+		appendSync(t, l, h.record(e))
 	}
-	if err := l.WriteCheckpoint(&Checkpoint{Epoch: 9}, 4); err != nil {
+	if err := l.WriteCheckpoint(h.base(9), 4); err != nil {
 		t.Fatal(err)
 	}
-	ents, _ = fs.ReadDir(opts.Dir)
-	seen3 := false
-	for _, e := range ents {
-		if g, ok := parseGen(e.Name); ok && g.kind == segFile && g.epoch == 3 {
-			seen3 = true
-		}
-	}
-	if !seen3 {
+	if !slices.Contains(logFiles(t, fs), segName(3)) {
 		t.Fatal("segment for generation 3 was GC'd despite watermark 4 needing checkpoint 3 + replay")
 	}
 	l.Close()
 
 	// Recovery after GC still works from what remains.
-	_, cp, got := replayAll(t, opts)
-	if cp.Epoch != 9 || len(got) != 0 {
-		t.Fatalf("recovered cp=%d with %d records, want cp=9, 0 records", cp.Epoch, len(got))
+	_, rc, err := openHistory(opts)
+	if err != nil || rc.base.Epoch != 9 || rc.epoch != 9 || rc.check(h) != nil {
+		t.Fatalf("recovered base %d to epoch %d (%v, %v), want 9 and 9", rc.base.Epoch, rc.epoch, err, rc.check(h))
 	}
+}
+
+// TestStrayFileNamesIgnored: a file named as the log would never name
+// one — uppercase hex, a space or too few digits in an epoch — is no log
+// file. Open recovers beside it, and GC neither removes it nor counts a
+// removal it did not make.
+func TestStrayFileNamesIgnored(t *testing.T) {
+	strays := []string{"wal-000000000000000A.log", "ckpt-000000000000000A", "wal- 00000000000001a.log"}
+	for _, name := range append(strays, "ckpt-1a", "delta-0000000000000000-000000000000000A", "wal-000000000000001a") {
+		if g, ok := parseGen(name); ok {
+			t.Errorf("%q parses as %+v", name, g)
+		}
+	}
+	fs := NewMemFS()
+	opts := testOpts(fs)
+	h := history{churn: true}
+	if _, _, err := h.run(opts, 2); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range strays {
+		f, err := fs.Create(filepath.Join(opts.Dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Write([]byte(segMagic)); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+	}
+	l, rc, err := openHistory(opts)
+	if err != nil {
+		t.Fatalf("recovery beside stray files: %v", err)
+	}
+	if err := rc.check(h); err != nil || rc.epoch != 2 {
+		t.Fatalf("recovered epoch %d: %v", rc.epoch, err)
+	}
+	seen := make(map[string]bool)
+	for e := uint64(3); e <= 40; e++ {
+		appendSync(t, l, h.record(e))
+		if e%10 == 0 {
+			for _, name := range logFiles(t, fs) {
+				seen[name] = true
+			}
+			if err := l.WriteCheckpoint(h.base(e), e); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	final := logFiles(t, fs)
+	removed := len(seen)
+	for _, name := range final {
+		if seen[name] {
+			removed--
+		}
+	}
+	for _, name := range strays {
+		if !slices.Contains(final, name) {
+			t.Errorf("GC removed the stray file %q", name)
+		}
+	}
+	if got := l.Stats().RemovedFiles; got != uint64(removed) {
+		t.Errorf("GC counts %d removals, %d log files are gone", got, removed)
+	}
+	l.Close()
 }
 
 func TestSyncFailurePoisonsLog(t *testing.T) {
 	fs := NewMemFS()
 	opts := testOpts(fs)
-	l, err := Create(opts, &Checkpoint{})
+	l, err := Create(opts, &Record{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +390,7 @@ func TestSyncFailurePoisonsLog(t *testing.T) {
 	if err2 := l.Sync(); !errors.Is(err2, ErrInjected) {
 		t.Fatalf("second sync: %v", err2)
 	}
-	if err2 := l.WriteCheckpoint(&Checkpoint{Epoch: 2}, 0); !errors.Is(err2, ErrInjected) {
+	if err2 := l.WriteCheckpoint(&Record{Epoch: 2}, 0); !errors.Is(err2, ErrInjected) {
 		t.Fatalf("checkpoint after failed sync: %v", err2)
 	}
 	if l.Err() == nil {
@@ -375,7 +399,7 @@ func TestSyncFailurePoisonsLog(t *testing.T) {
 }
 
 func TestClosedLogRejectsOperations(t *testing.T) {
-	l, err := Create(testOpts(NewMemFS()), &Checkpoint{})
+	l, err := Create(testOpts(NewMemFS()), &Record{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,7 +43,7 @@ func TestMorselDeterminismMatrix(t *testing.T) {
 	// A private store/partitioner (identical to the engine's layout) so
 	// the test controls the execution context directly.
 	store := dstore.NewStore(cfg.Nodes)
-	part := partition.LoadWithMode(store, g, cfg.Partitioning)
+	part := partition.LoadWithPolicy(store, g, cfg.Partitioning, nil)
 	execute := func(ctx *physical.ExecContext, pp *physical.Plan) *physical.Result {
 		t.Helper()
 		x := &physical.Executor{
@@ -139,7 +139,7 @@ func TestPoolWorkerReaping(t *testing.T) {
 		t.Fatalf("plan: %v", err)
 	}
 	store := dstore.NewStore(cfg.Nodes)
-	part := partition.LoadWithMode(store, g, cfg.Partitioning)
+	part := partition.LoadWithPolicy(store, g, cfg.Partitioning, nil)
 	ctx := physical.NewExecContext(4)
 	x := &physical.Executor{
 		Cluster: mapreduce.NewCluster(store, cfg.Constants),
