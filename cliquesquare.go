@@ -78,7 +78,7 @@ type Options struct {
 	PlanCacheSize int
 	// ResultCacheBytes, when positive, enables the subplan result
 	// cache with that byte budget: executed job results (materialized
-	// intermediate relations plus their recorded charge traces) are
+	// intermediate relations plus their recorded tuple counts) are
 	// cached per (job signature, data epoch) and reused across queries
 	// sharing structure, with rows and simulated JobStats
 	// byte-identical to an uncached run. Committed batches invalidate

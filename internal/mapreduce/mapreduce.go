@@ -95,14 +95,6 @@ func (b *Block) Append(row Row) { copy(b.Extend(1, len(row)), row) }
 // AppendBlock copies all of o's rows onto the block.
 func (b *Block) AppendBlock(o Block) { copy(b.Extend(o.N, o.Width), o.Cells) }
 
-// Clone returns an exactly sized copy that shares nothing with b: the
-// form in which rows outlive the scratch they were computed in.
-func (b *Block) Clone() Block {
-	cells := make([]rdf.TermID, len(b.Cells))
-	copy(cells, b.Cells)
-	return Block{Width: b.Width, N: b.N, Cells: cells}
-}
-
 // Constants are the per-tuple cost constants of Section 5.4 plus the
 // per-job initialization overhead that makes extra MapReduce jobs
 // expensive (the effect flat plans exploit). Units are microseconds of
@@ -169,11 +161,10 @@ func (m *Meter) add(o *Meter) {
 // group-aligned key range of the records routed to a node, grouped by
 // exact key and presented in canonical key order through the Groups
 // iterator; ranges partition the node's canonical group order, at most
-// one per lane. ReduceFinish, if non-nil, then runs once per node to
-// combine the ranges (its outputs follow all range outputs of that
-// node, matching a groups-then-combine sweep). The closures must count
-// their work on the provided Meter, and write their output rows by
-// appending to out — the runtime counts them.
+// one per lane. A node's output is its ranges' out rows in range order,
+// as one sweep over the node's groups would write them. The closures
+// must count their work on the provided Meter, and write their output
+// rows by appending to out — the runtime counts them.
 type Job struct {
 	Name string
 	// MapMorsels reports how many map morsels a node splits into (nil
@@ -185,14 +176,13 @@ type Job struct {
 	// ReduceRange runs one key range of a node's reduce input on a
 	// lane. ranges is the number of ranges the node was split into.
 	ReduceRange func(node, rng, ranges, lane int, m *Meter, groups *Groups, out *Block)
-	// ReduceFinish combines a node's ranges after all of them ran.
-	ReduceFinish func(node, ranges, lane int, m *Meter, out *Block)
 }
 
 // ClassicJob adapts the classic MapReduce form — mapFn once per node,
 // reduce (nil for a map-only job) over the groups routed to a node — to
 // the morsel form. The runtime cuts a node's groups into key ranges and
-// calls reduce once per range, so reduce must be group-local: whatever
+// calls reduce once per range, with no pass after the ranges that could
+// combine them, so reduce must be group-local: whatever
 // rows it emits, it emits per group, from that group's records alone,
 // carrying nothing from one group to the next. The per-range rows of
 // such a reducer concatenate, in range order, to exactly those of one
@@ -335,16 +325,15 @@ type RunOptions struct {
 	Record *JobRecord
 }
 
-// slot is the private state of one schedulable unit — a map morsel, a
-// reduce key range or a node's reduce finish: whose it is, what it
-// metered and what it produced. A unit writes only its own slot, so
-// lanes share no mutable state; merging slots in table order is
-// merging in canonical (node, index) order.
+// slot is the private state of one schedulable unit — a map morsel or
+// a reduce key range: whose it is, what it metered and what it
+// produced. A unit writes only its own slot, so lanes share no mutable
+// state; merging slots in table order is merging in canonical (node,
+// index) order.
 type slot struct {
 	node, idx, of int    // the node, and the unit's index among that node's of units
 	meter         Meter  // what the unit counted
 	out           Block  // rows written, unless the unit writes the node output directly
-	outputs       int    // rows written
 	count, cells  int    // records and row cells emitted into the shuffle
 	groups        Groups // a key range's records
 }
@@ -357,11 +346,7 @@ func layout(s []slot, n int, units func(node int) int) []slot {
 	for node := 0; node < n; node++ {
 		k := units(node)
 		for i := 0; i < k; i++ {
-			if len(s) < cap(s) {
-				s = s[:len(s)+1]
-			} else {
-				s = append(s, slot{})
-			}
+			s = resize(s, len(s)+1)
 			u := &s[len(s)-1]
 			*u = slot{node: node, idx: i, of: k, out: Block{Cells: u.out.Cells[:0]}}
 		}
@@ -465,7 +450,7 @@ type Scratch struct {
 	outputs  []Block    // node -> the job's output rows
 
 	// One slot per unit of each phase, in canonical order.
-	morsels, ranges, finishes []slot
+	morsels, ranges []slot
 
 	lanes []Emitter
 }
@@ -541,10 +526,10 @@ func splitRanges(offs []int32, recs []record, bk []bucket, maxRanges int) []int3
 // Determinism: rows and JobStats are byte-identical whatever the lane
 // count or scheduling. Meters and the other counters are integer sums,
 // which no order changes; the rows of every node are its units' rows
-// merged in canonical (node, morsel) — then (node, range), then finish
-// — order; and the shuffle input of every destination is the
-// concatenation of pre-routed per-(source, destination) buckets in
-// (source node, morsel) order.
+// merged in canonical (node, morsel) — then (node, range) — order; and
+// the shuffle input of every destination is the concatenation of
+// pre-routed per-(source, destination) buckets in (source node, morsel)
+// order.
 func (cl *Cluster) RunWith(job Job, opts RunOptions) *Output {
 	n := cl.N()
 	if opts.Nodes > 0 {
@@ -569,11 +554,11 @@ func (cl *Cluster) RunWith(job Job, opts RunOptions) *Output {
 	mapM, shufM, redM := phases(sc.meters, stats.MapOnly)
 
 	// begin points a lane at the unit it is about to run and returns the
-	// block the unit writes: the node output itself for direct units,
-	// the unit's own slot otherwise.
-	begin := func(lane int, u *slot, direct bool) *Block {
+	// block the unit writes: a node's only unit writes the node output
+	// itself, the others their own slot.
+	begin := func(lane int, u *slot) *Block {
 		sc.lanes[lane].unit = u
-		if direct {
+		if u.of == 1 {
 			return &out.PerNode[u.node]
 		}
 		return &u.out
@@ -586,7 +571,6 @@ func (cl *Cluster) RunWith(job Job, opts RunOptions) *Output {
 			nodeM[u.node].add(&u.meter)
 			stats.Shuffled += u.count
 			stats.ShuffledCells += u.cells
-			stats.Output += u.outputs
 			out.PerNode[u.node].AppendBlock(u.out)
 		}
 	}
@@ -605,13 +589,10 @@ func (cl *Cluster) RunWith(job Job, opts RunOptions) *Output {
 	}
 	pool.ForEach(len(sc.morsels), func(i, lane int) {
 		u := &sc.morsels[i]
-		// A node's only morsel writes the node output directly.
-		dst := begin(lane, u, u.of == 1)
+		dst := begin(lane, u)
 		e := &sc.lanes[lane]
 		e.n, e.base, e.buckets = n, uint32(i*n), sc.buckets[i*n:(i+1)*n]
-		before := dst.N
 		job.MapMorsel(u.node, u.idx, lane, &u.meter, e, dst)
-		u.outputs = dst.N - before
 	})
 	merge(sc.morsels, mapM)
 
@@ -640,25 +621,11 @@ func (cl *Cluster) RunWith(job Job, opts RunOptions) *Output {
 			u := &sc.ranges[i]
 			offs := sc.rangeOff[u.node]
 			u.groups = Groups{recs: sc.shuffled[u.node][offs[u.idx]:offs[u.idx+1]], bk: sc.buckets}
-			dst := begin(lane, u, u.of == 1 && job.ReduceFinish == nil)
-			before := dst.N
-			job.ReduceRange(u.node, u.idx, u.of, lane, &u.meter, &u.groups, dst)
-			u.outputs = dst.N - before
+			job.ReduceRange(u.node, u.idx, u.of, lane, &u.meter, &u.groups, begin(lane, u))
 		})
-		// Range outputs land before any finish work's.
 		merge(sc.ranges, redM)
-		if job.ReduceFinish != nil {
-			sc.finishes = layout(sc.finishes, n, func(int) int { return 1 })
-			pool.ForEach(n, func(node, lane int) {
-				u := &sc.finishes[node]
-				dst := begin(lane, u, true)
-				before := dst.N
-				job.ReduceFinish(node, len(sc.rangeOff[node])-1, lane, &u.meter, dst)
-				u.outputs = dst.N - before
-			})
-			merge(sc.finishes, redM)
-		}
 	}
+	stats.Output = out.Len()
 
 	if rec := opts.Record; rec != nil {
 		*rec = JobRecord{stats: stats, meters: slices.Clone(sc.meters)}

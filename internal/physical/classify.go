@@ -16,8 +16,8 @@
 // cells from the partition files' slabs into blocks, joins index row
 // numbers and append output cells, projections and shuffle emission
 // read and write cells. Every such block belongs to the ExecContext
-// (its per-lane arenas, range slots, intermediate table and shuffle
-// scratch) and is recycled by the context's next execution. The result
+// (its per-lane arenas, per-(node, range) intermediate table and
+// shuffle scratch) and is recycled by the context's next execution. The result
 // is flat to the end as well: the final sort and merge leave an order
 // over the last job's output, and Executor.Run lends it to its caller
 // in place, as a Rows, to be consumed on the context's lanes. Only what

@@ -20,17 +20,16 @@ import (
 //
 // Ownership: every block of cells that lives inside one execution —
 // scan and map-join outputs (arena blocks), reduce-group inputs, the
-// per-range join outputs, the per-node intermediate relations, the
-// shuffle's cell buffers and the jobs' per-node outputs — belongs to
-// the context and is recycled, in place, by the next execution it
-// serves. Nothing that outlives the execution may alias it. The final
-// result is not copied out at all unless somebody asks: mergeParts
-// leaves it as an order over the last job's output, both context
-// scratch, and Executor.Run lends that to its callback as a Rows, valid
-// until the callback returns. What does outlive the execution — the
-// rows Execute returns (Rows.Materialise) and every result-cache entry
-// (Rows.block, Block.Clone) — is copied into exactly sized blocks of
-// its own.
+// per-(node, range) intermediate relations, the shuffle's cell buffers
+// and the jobs' per-node outputs — belongs to the context and is
+// recycled, in place, by the next execution it serves. Nothing that
+// outlives the execution may alias it. The final result is not copied
+// out at all unless somebody asks: mergeParts leaves it as an order
+// over the last job's output, both context scratch, and Executor.Run
+// lends that to its callback as a Rows, valid until the callback
+// returns. What does outlive the execution — the rows Execute returns
+// (Rows.Materialise) and every result-cache entry (Rows.block, concat)
+// — is copied into exactly sized blocks of its own.
 //
 // The lane count is fixed by NewExecContext, which spawns the context's
 // persistent mapreduce worker pool (parked between jobs); the owner
@@ -47,7 +46,8 @@ type ExecContext struct {
 
 	// arenas is per-lane scratch: morsels of one node may run on any
 	// lane, so mutable evaluation state is keyed by the lane a morsel
-	// runs on, not by node.
+	// runs on, not by node. A lane runs one morsel at a time, so its
+	// arena needs no locking.
 	arenas []*arena
 
 	// shuffle is the reusable mapreduce shuffle scratch handed to the
@@ -55,20 +55,15 @@ type ExecContext struct {
 	shuffle mapreduce.Scratch
 
 	// byID and interm are the executor's plan-shaped scratch: infos
-	// dense by ID and, per reduce join, its output block per node.
+	// dense by ID and interm[id][node][rng], a reduce join's output in
+	// one key range of one node; in range order, a node's ranges are
+	// its relation.
 	byID   []*Info
-	interm [][]mapreduce.Block
+	interm [][][]mapreduce.Block
 
 	// morsels is the per-node map-morsel table of the current job,
 	// built sequentially before the job runs.
 	morsels [][]mapMorsel
-
-	// ranges is the per-(node, range) reduce accumulation, an output
-	// block per info ID: ReduceRange morsels fill disjoint slots,
-	// ReduceFinish merges a node's slots in range order. Sized
-	// node-major at nodes×lanes.
-	ranges     [][]mapreduce.Block
-	rangeWidth int
 
 	// mergeParts' scratch and product: the parts being merged (the last
 	// job's per-node output), their offsets, merge heads and head
@@ -83,14 +78,15 @@ type ExecContext struct {
 }
 
 // mapMorsel is one schedulable unit of a reduce-level job's map phase:
-// one child of one reduce join on one node — split per partition file
-// for scans, whole-subtree for map joins and shufflers.
+// one child of one reduce join on one node — per partition file for
+// scans, per key range for shufflers, whole-subtree for map joins.
 type mapMorsel struct {
 	rj    *Info    // the reduce join being fed
 	child *core.Op // the child producing records
 	ci    *Info    // child's classification (nil for per-file scans)
 	tag   int      // child index within rj (the emitted records' tag)
 	file  string   // partition file for per-file scan morsels
+	rng   int      // key range of the re-read output for shuffler morsels
 }
 
 // NewExecContext returns a context running jobs on the given number of
@@ -113,52 +109,29 @@ func (c *ExecContext) Close() {
 	c.pool = nil
 }
 
-// ensureLanes sizes the per-lane arena set before jobs run, so the
-// concurrent morsel workers index it without synchronization.
-func (c *ExecContext) ensureLanes() {
+// prepare readies the context for one execution of pp: an arena per
+// lane, the infos dense by ID, and every reduce join's blocks emptied
+// for nodes × lanes key ranges — all pre-sized, so concurrent morsel
+// workers index already-built tables without synchronization. Backing
+// arrays are kept across executions.
+func (c *ExecContext) prepare(pp *Plan, nodes int) {
 	for len(c.arenas) < c.lanes() {
 		c.arenas = append(c.arenas, &arena{})
 	}
-}
-
-// arenaFor returns a lane's scratch arena. A lane runs one morsel at a
-// time, so the arena needs no locking.
-func (c *ExecContext) arenaFor(lane int) *arena { return c.arenas[lane] }
-
-// infoSlots returns the dense info-by-ID table, zeroed at length n.
-func (c *ExecContext) infoSlots(n int) []*Info {
-	c.byID = append(c.byID[:0], make([]*Info, n)...)
-	return c.byID
-}
-
-// intermSlots returns the per-info intermediate table at length n.
-// Slots are left as-is (the executor resets the ones actually used).
-func (c *ExecContext) intermSlots(n int) [][]mapreduce.Block {
-	for len(c.interm) < n {
+	c.byID = append(c.byID[:0], make([]*Info, len(pp.Infos))...)
+	for len(c.interm) < len(pp.Infos) {
 		c.interm = append(c.interm, nil)
 	}
-	return c.interm[:n]
-}
-
-// rangeSlots sizes the reduce accumulation table for nodes×width
-// ranges (slots are reset lazily by their range).
-func (c *ExecContext) rangeSlots(nodes, width int) {
-	for len(c.ranges) < nodes*width {
-		c.ranges = append(c.ranges, nil)
+	for _, in := range pp.Infos {
+		c.byID[in.ID] = in
+		if in.Kind == KindReduceJoin {
+			per := mapreduce.ResetBufs(c.interm[in.ID], nodes)
+			for node := range per {
+				per[node] = mapreduce.ResetBlocks(per[node], c.lanes())
+			}
+			c.interm[in.ID] = per
+		}
 	}
-	c.rangeWidth = width
-}
-
-// rangeSlot returns the accumulation slot of (node, rng).
-func (c *ExecContext) rangeSlot(node, rng int) []mapreduce.Block {
-	return c.ranges[node*c.rangeWidth+rng]
-}
-
-// resetRange empties the slot of (node, rng) for n infos and returns it.
-func (c *ExecContext) resetRange(node, rng, n int) []mapreduce.Block {
-	s := &c.ranges[node*c.rangeWidth+rng]
-	*s = mapreduce.ResetBlocks(*s, n)
-	return *s
 }
 
 // arena is one worker lane's reusable scratch for local evaluation:
@@ -197,8 +170,8 @@ type arena struct {
 	fileView  *partition.View
 	fileNames map[fileKey][]string
 
-	// reduce-phase scratch: per-group join inputs (groupRels) and the
-	// hoisted final-projection columns (projCols).
+	// per-group join inputs of the reduce phase (groupRels) and the
+	// hoisted final-projection columns of a map-only job (projCols).
 	groupRels []relation
 	projCols  []int
 }

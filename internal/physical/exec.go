@@ -109,7 +109,6 @@ func (x *Executor) Run(pp *Plan, use func(res *Result, rows Rows) error) error {
 	if x.Ctx == nil {
 		x.Ctx = &ExecContext{}
 	}
-	x.Ctx.ensureLanes()
 	// Pin one partition epoch for the whole execution: every scan of
 	// every job reads this snapshot, whatever writers commit meanwhile.
 	x.view = x.View
@@ -119,20 +118,7 @@ func (x *Executor) Run(pp *Plan, use func(res *Result, rows Rows) error) error {
 	jobsBefore := len(x.Cluster.Jobs)
 	workBefore := x.Cluster.TotalWork()
 
-	// byID resolves infos densely by ID; interm[id] holds a reduce
-	// join's output block per node, pre-sized so concurrent morsel
-	// workers write disjoint slots of already-built tables. Both live in
-	// the context and are reused across executions.
-	nodes := x.view.Nodes()
-	byID := x.Ctx.infoSlots(len(pp.Infos))
-	interm := x.Ctx.intermSlots(len(pp.Infos))
-	for _, in := range pp.Infos {
-		byID[in.ID] = in
-		if in.Kind == KindReduceJoin {
-			interm[in.ID] = mapreduce.ResetBlocks(interm[in.ID], nodes)
-		}
-	}
-	x.Ctx.rangeSlots(nodes, x.Ctx.lanes())
+	x.Ctx.prepare(pp, x.view.Nodes())
 
 	// A map-only plan is a one-job plan; either way the last job's rows
 	// are the result.
@@ -163,10 +149,12 @@ func (x *Executor) Run(pp *Plan, use func(res *Result, rows Rows) error) error {
 // the result cache when there is one. A hit replays the recorded
 // counts and restores the rows; a miss runs the job recording and
 // snapshots them. An entry owns exactly sized copies: intermediate
-// blocks are copied out of the context on a miss and back into it on a
-// hit (later jobs read them there, the next execution recycles them);
-// the final rows are read from the entry's own block, hit or miss, so
-// with a cache every request reaches its consumer in one form.
+// blocks are copied out of the context on a miss — a node's ranges
+// concatenated into one block — and back into it on a hit, as the
+// node's range 0 (later jobs read them there, the next execution
+// recycles them); the final rows are read from the entry's own block,
+// hit or miss, so with a cache every request reaches its consumer in
+// one form.
 func (x *Executor) serveLevel(pp *Plan, l int) (Rows, error) {
 	last := l == pp.NumJobs()-1
 	run := func(rec *mapreduce.JobRecord) Rows {
@@ -193,8 +181,8 @@ func (x *Executor) serveLevel(pp *Plan, l int) (Rows, error) {
 		snap := make([][]mapreduce.Block, len(infos))
 		for i, in := range infos {
 			snap[i] = make([]mapreduce.Block, len(interm[in.ID]))
-			for node, blk := range interm[in.ID] {
-				snap[i][node] = blk.Clone()
+			for node, rngs := range interm[in.ID] {
+				snap[i][node] = concat(rngs)
 			}
 		}
 		return rescache.NewEntry(pp.JobKeys[l], rec, snap, final), nil
@@ -205,13 +193,13 @@ func (x *Executor) serveLevel(pp *Plan, l int) (Rows, error) {
 	if hit {
 		// Log the job as if it had just run and restore its rows
 		// positionally — infos order is deterministic and the key pins
-		// the level's reduce-join IDs.
+		// the level's reduce-join IDs. Run emptied every range, so a
+		// node's rows in range 0 are all of them.
 		x.Cluster.Replay(jobName(pp, l), ent.Rec)
 		x.sinkJob()
 		for i, per := range ent.Interm {
-			id := infos[i].ID
 			for node, blk := range per {
-				interm[id][node].AppendBlock(blk)
+				interm[infos[i].ID][node][0].AppendBlock(blk)
 			}
 		}
 	}
@@ -219,6 +207,20 @@ func (x *Executor) serveLevel(pp *Plan, l int) (Rows, error) {
 		return Rows{}, nil
 	}
 	return blockRows(ent.Block, x.Ctx), nil
+}
+
+// concat copies a node's range blocks, in range order, into one exactly
+// sized block that shares nothing with them.
+func concat(rngs []mapreduce.Block) mapreduce.Block {
+	n := 0
+	for _, b := range rngs {
+		n += len(b.Cells)
+	}
+	out := mapreduce.Block{Cells: make([]rdf.TermID, 0, n)}
+	for _, b := range rngs {
+		out.AppendBlock(b)
+	}
+	return out
 }
 
 // jobName names job l of the plan in the cluster's log.
@@ -259,7 +261,7 @@ func (x *Executor) mapOnlyJob(pp *Plan) mapreduce.Job {
 	sel := pp.Logical.Query.Select
 	return mapreduce.Job{
 		MapMorsel: func(node, _, lane int, m *mapreduce.Meter, _ *mapreduce.Emitter, out *mapreduce.Block) {
-			a := x.Ctx.arenaFor(lane)
+			a := x.Ctx.arenas[lane]
 			a.resetBlocks()
 			rel := x.evalLocal(pp, pp.Root, node, m, "", a)
 			a.projCols = rel.appendCols(a.projCols[:0], sel)
@@ -272,33 +274,30 @@ func (x *Executor) mapOnlyJob(pp *Plan) mapreduce.Job {
 // levelJob builds job l of a plan with reduce joins.
 //
 // The map side of the level splits into sub-node morsels: one per
-// (reduce join, child) — and per partition file for scan children — so
-// parallelism isn't capped at the node count. The table is built
-// sequentially here; morsels of one node may then run on any lane.
+// (reduce join, child) — and per partition file for scan children, per
+// key range for shufflers — so parallelism isn't capped at the node
+// count. The table is built sequentially here; morsels of one node may
+// then run on any lane.
 //
 // The reduce side runs per key range: each range joins its groups into
-// a private (node, range) slot, counting the joins, writes and — for
-// the plan's root — the final projection's checks of every group it
-// produces, and the finish pass merges each reduce join's blocks in
-// range order. Range order concatenates back to the node's canonical
-// group order, so every reduce join's rows come out exactly as from one
-// sweep over the node.
+// the reduce join's own (node, range) block, counting the joins and
+// writes of every group it produces. The plan's root in the last job
+// joins straight onto the SELECT list, into the job output the runtime
+// hands the range, and counts the projection's checks too. Range order
+// concatenates back to the node's canonical group order, so every
+// reduce join's rows come out exactly as from one sweep over the node.
 func (x *Executor) levelJob(pp *Plan, l int) mapreduce.Job {
-	q := pp.Logical.Query
+	sel := pp.Logical.Query.Select
 	isLast := l == len(pp.Levels)-1
-	nInfo := len(pp.Infos)
 	byID, interm := x.Ctx.byID, x.Ctx.interm
 	morsels := x.buildMorsels(pp, pp.Levels[l])
 	return mapreduce.Job{
-		MapMorsels: func(node int) int {
-			return len(morsels[node])
-		},
+		MapMorsels: func(node int) int { return len(morsels[node]) },
 		MapMorsel: func(node, morsel, lane int, m *mapreduce.Meter, emit *mapreduce.Emitter, _ *mapreduce.Block) {
 			x.runMapMorsel(pp, &morsels[node][morsel], node, lane, m, emit)
 		},
-		ReduceRange: func(node, rng, _, lane int, m *mapreduce.Meter, groups *mapreduce.Groups, _ *mapreduce.Block) {
-			a := x.Ctx.arenaFor(lane)
-			blocks := x.Ctx.resetRange(node, rng, nInfo)
+		ReduceRange: func(node, rng, _, lane int, m *mapreduce.Meter, groups *mapreduce.Groups, out *mapreduce.Block) {
+			a := x.Ctx.arenas[lane]
 			groups.Each(func(g mapreduce.Group) {
 				rj := byID[int(g.ID())]
 				// The group's records, split by input, are the join's
@@ -313,50 +312,34 @@ func (x *Executor) levelJob(pp *Plan, l int) mapreduce.Job {
 					tag, row := g.Record(i)
 					rels[tag].Append(row)
 				}
-				dst := &blocks[rj.ID]
-				before := dst.N
-				counts := a.naryJoinInto(dst, rels, rj.Op.JoinAttrs, rj.Op.Attrs)
+				final := isLast && rj.Op == pp.Root
+				dst, attrs := &interm[rj.ID][node][rng], rj.Op.Attrs
+				if final {
+					dst, attrs = out, sel
+				}
+				counts := a.naryJoinInto(dst, rels, rj.Op.JoinAttrs, attrs)
 				m.Join(counts.in + counts.out)
 				m.Write(counts.out)
-				if isLast && rj.Op == pp.Root {
-					m.Check(dst.N - before) // the final projection
+				if final {
+					m.Check(counts.out) // the final projection
 				}
 			})
-		},
-		ReduceFinish: func(node, ranges, lane int, _ *mapreduce.Meter, out *mapreduce.Block) {
-			a := x.Ctx.arenaFor(lane)
-			for _, rj := range pp.Levels[l] {
-				final := isLast && rj.Op == pp.Root
-				if final {
-					// Final projection onto the SELECT list, with the
-					// columns resolved once.
-					rel := relation{schema: rj.Op.Attrs}
-					a.projCols = rel.appendCols(a.projCols[:0], q.Select)
-				}
-				for rng := 0; rng < ranges; rng++ {
-					blk := x.Ctx.rangeSlot(node, rng)[rj.ID]
-					if final {
-						projectInto(out, blk, a.projCols)
-					} else {
-						interm[rj.ID][node].AppendBlock(blk)
-					}
-				}
-			}
 		},
 	}
 }
 
 // buildMorsels lays out one job level's map morsels per node, in the
-// canonical (reduce join, child, file) order a sequential per-node
-// sweep evaluates: one morsel per map-shuffler or map-join child, one
-// morsel per present partition file for scan children. Scans whose
+// canonical (reduce join, child, file or range) order a sequential
+// per-node sweep evaluates: one morsel per map-join child, one per
+// present partition file for scan children, one per key range of the
+// re-read output for map-shuffler children. Scans whose
 // constants miss the dictionary produce no morsels (they charge and
 // emit nothing anywhere).
 func (x *Executor) buildMorsels(pp *Plan, level []*Info) [][]mapMorsel {
 	n := x.view.Nodes()
 	x.Ctx.morsels = mapreduce.ResetBufs(x.Ctx.morsels, n)
 	tbl := x.Ctx.morsels
-	a := x.Ctx.arenaFor(0)
+	a := x.Ctx.arenas[0]
 	for _, rj := range level {
 		for i, c := range rj.Op.Children {
 			ci := pp.Infos[c]
@@ -378,7 +361,13 @@ func (x *Executor) buildMorsels(pp *Plan, level []*Info) [][]mapMorsel {
 				continue
 			}
 			for node := 0; node < n; node++ {
-				tbl[node] = append(tbl[node], mapMorsel{rj: rj, child: c, ci: ci, tag: i})
+				if ci.Kind != KindReduceJoin {
+					tbl[node] = append(tbl[node], mapMorsel{rj: rj, child: c, ci: ci, tag: i})
+					continue
+				}
+				for rng := range x.Ctx.interm[ci.ID][node] {
+					tbl[node] = append(tbl[node], mapMorsel{rj: rj, child: c, ci: ci, tag: i, rng: rng})
+				}
 			}
 		}
 	}
@@ -390,14 +379,16 @@ func (x *Executor) buildMorsels(pp *Plan, level []*Info) [][]mapMorsel {
 // map-join subtree — and emits its rows keyed for the reduce join it
 // feeds.
 func (x *Executor) runMapMorsel(pp *Plan, mo *mapMorsel, node, lane int, m *mapreduce.Meter, emit *mapreduce.Emitter) {
-	a := x.Ctx.arenaFor(lane)
+	a := x.Ctx.arenas[lane]
 	a.resetBlocks()
 	var rel relation
 	switch {
 	case mo.ci.Kind == KindReduceJoin:
-		// Map shuffler: re-read the previous job's output and re-emit
-		// re-keyed.
-		rel = relation{schema: mo.child.Attrs, Block: x.Ctx.interm[mo.ci.ID][node]}
+		// Map shuffler: re-read one key range of an earlier job's output
+		// and re-emit it re-keyed. Per range, the counts add up to the
+		// node's, and the emissions concatenate, in range order, to its
+		// sequence.
+		rel = relation{schema: mo.child.Attrs, Block: x.Ctx.interm[mo.ci.ID][node][mo.rng]}
 		m.Read(rel.N)
 		m.Write(rel.N)
 	case mo.file != "":

@@ -51,9 +51,6 @@ type Config struct {
 	MaxPlans         int
 	MaxCoversPerStep int
 	Timeout          time.Duration
-	// NoProjectionPushdown disables the Section 4.2 projection
-	// push-down rewrite (useful for the shuffle-volume ablation).
-	NoProjectionPushdown bool
 	// Partitioning selects the replication scheme; the default is the
 	// paper's three-replica layout. SubjectOnly is the single-replica
 	// ablation: only s-s first-level joins stay map-side.
@@ -430,9 +427,7 @@ func (e *Engine) finishPlan(q *sparql.Query, sp *core.Space, idx int) (*core.Pla
 	if err != nil {
 		return nil, nil, err
 	}
-	if !e.cfg.NoProjectionPushdown {
-		best = core.PushProjections(best)
-	}
+	best = core.PushProjections(best)
 	var caps physical.CoLocator
 	if e.cfg.Partitioning == partition.SubjectOnly {
 		caps = physical.SubjectOnlyCoLocator()
