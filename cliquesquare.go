@@ -76,13 +76,13 @@ type Options struct {
 	// identical results and statistics — the cache only removes
 	// repeated optimizer work.
 	PlanCacheSize int
-	// ResultCacheBytes, when positive, enables the subplan result
-	// cache with that byte budget: executed job results (materialized
-	// intermediate relations plus their recorded tuple counts) are
-	// cached per (job signature, data epoch) and reused across queries
-	// sharing structure, with rows and simulated JobStats
-	// byte-identical to an uncached run. Committed batches invalidate
-	// all entries (the epoch is part of the key). 0 disables it.
+	// ResultCacheBytes, when positive, enables the result cache with
+	// that byte budget: each executed plan's answer (its result rows
+	// plus every job's recorded tuple counts) is cached per (plan key,
+	// data epoch) and served to every later execution of an equal plan,
+	// with rows and simulated JobStats byte-identical to an uncached
+	// run. Committed batches invalidate all entries (the epoch is part
+	// of the key). 0 disables it.
 	ResultCacheBytes int64
 	// Placement names the triple-to-node placement policy: "" or
 	// "modulo" is the paper's hash(id) mod n scheme, "ring" a
@@ -420,9 +420,9 @@ type CacheStats = plancache.Stats
 // constants — UpdateStats().Enumerations counts those runs.
 func (e *Engine) CacheStats() CacheStats { return e.inner.CacheStats() }
 
-// ResultCacheStats snapshots the subplan result cache: hits and misses
-// count job-level probes, Bytes is the resident weight of cached
-// results, EvictedBytes the cumulative weight dropped by the byte
+// ResultCacheStats snapshots the result cache: hits and misses count
+// probes, one per plan execution, Bytes is the resident weight of cached
+// answers, EvictedBytes the cumulative weight dropped by the byte
 // budget. All zero when Options.ResultCacheBytes is unset.
 func (e *Engine) ResultCacheStats() CacheStats { return e.inner.ResultCacheStats() }
 

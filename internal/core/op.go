@@ -128,8 +128,8 @@ func (op *Op) Signature() string {
 // query-relative indexes, with children rendered in order. Two
 // operators with equal content signatures over graphs at the same
 // DataVersion compute the same relation with the same per-node work
-// split, which is what the subplan result cache (internal/rescache)
-// keys on. Unlike Signature, child order is preserved: the physical
+// split, which is what the result cache (internal/rescache) keys plans
+// on, through physical.Plan.Key. Unlike Signature, child order is preserved: the physical
 // layer derives shuffle routing from input order, so order-insensitive
 // matching would be unsound there.
 func (op *Op) ContentSignature(q *sparql.Query) string {

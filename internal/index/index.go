@@ -71,9 +71,10 @@ func Build(triples []rdf.Triple) *Store {
 func (st *Store) Len() int { return len(st.perms[SPO]) }
 
 // Lookup returns the triples matching the bound components (0 = free),
-// using the permutation whose prefix covers the bound positions, so the
-// scan touches only matching triples plus O(log n) search. Touched
-// reports how many triples the scan visited (== len(result)).
+// using the permutation whose prefix is exactly the bound positions, so
+// the sorted range of that prefix is the answer: the scan touches only
+// matching triples plus O(log n) search. Touched reports how many
+// triples the scan visited (== len(result)).
 func (st *Store) Lookup(s, p, o rdf.TermID) (result []rdf.Triple, touched int) {
 	perm := choosePerm(s != 0, p != 0, o != 0)
 	data := st.perms[perm]
@@ -102,42 +103,7 @@ func (st *Store) Lookup(s, p, o rdf.TermID) (result []rdf.Triple, touched int) {
 	hi := sort.Search(len(data), func(i int) bool {
 		return cmpPrefix(data[i], ord, want, bound) > 0
 	})
-	out := data[lo:hi]
-	// Any bound component beyond the prefix needs a residual filter
-	// (possible only when s and o are bound but p is not: OSP covers
-	// both, so in practice the prefix always covers all bound ones;
-	// keep the filter for safety).
-	var filtered []rdf.Triple
-	needFilter := false
-	for _, pos := range []rdf.Pos{rdf.SPos, rdf.PPos, rdf.OPos} {
-		if w := want(pos); w != 0 {
-			covered := false
-			for i := 0; i < bound; i++ {
-				if ord[i] == pos {
-					covered = true
-				}
-			}
-			if !covered {
-				needFilter = true
-			}
-		}
-	}
-	if !needFilter {
-		return out, len(out)
-	}
-	for _, t := range out {
-		ok := true
-		for _, pos := range []rdf.Pos{rdf.SPos, rdf.PPos, rdf.OPos} {
-			if w := want(pos); w != 0 && t.At(pos) != w {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			filtered = append(filtered, t)
-		}
-	}
-	return filtered, len(out)
+	return data[lo:hi], hi - lo
 }
 
 func cmpPrefix(t rdf.Triple, ord [3]rdf.Pos, want func(rdf.Pos) rdf.TermID, bound int) int {
@@ -153,8 +119,8 @@ func cmpPrefix(t rdf.Triple, ord [3]rdf.Pos, want func(rdf.Pos) rdf.TermID, boun
 	return 0
 }
 
-// choosePerm picks a permutation whose sorted prefix starts with the
-// bound components.
+// choosePerm picks a permutation whose first components are exactly the
+// bound ones, in some order.
 func choosePerm(s, p, o bool) Perm {
 	switch {
 	case s && p:

@@ -57,6 +57,28 @@ func TestLookupAllPatterns(t *testing.T) {
 	}
 }
 
+// TestChoosePermLeadsWithBound is what lets Lookup return the sorted
+// range of the bound prefix unfiltered: for every s/p/o boundness, the
+// chosen permutation's first k positions are exactly the k bound ones.
+func TestChoosePermLeadsWithBound(t *testing.T) {
+	for mask := 0; mask < 8; mask++ {
+		bound := map[rdf.Pos]bool{rdf.SPos: mask&1 != 0, rdf.PPos: mask&2 != 0, rdf.OPos: mask&4 != 0}
+		k := 0
+		for _, b := range bound {
+			if b {
+				k++
+			}
+		}
+		ord := choosePerm(bound[rdf.SPos], bound[rdf.PPos], bound[rdf.OPos]).order()
+		for i, pos := range ord {
+			if bound[pos] != (i < k) {
+				t.Errorf("s/p/o bound %v: permutation order %v does not lead with the %d bound positions", bound, ord, k)
+				break
+			}
+		}
+	}
+}
+
 func TestLookupSelectiveTouchesFew(t *testing.T) {
 	_, st := buildGraph()
 	full, _ := st.Lookup(0, 0, 0)

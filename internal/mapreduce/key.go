@@ -95,8 +95,9 @@ func sameKey(a, b *record, bk []bucket) bool {
 // with -1 past the end. Byte-swapping makes numeric lane order equal
 // byte order of the little-endian string encoding, and exhausted keys
 // ordering first matches shorter-string-first: lane order is exactly
-// the seed's sort.Strings order over encoded keys, which the metering
-// sums were accumulated in.
+// the seed's sort.Strings order over encoded keys. Meters are integer
+// counts, so no sum depends on it; it fixes the order groups reach a
+// reducer in, and with it the order of every job output's rows.
 func keyLane(r *record, d int, bk []bucket) int64 {
 	if d == 0 {
 		return int64(bits.ReverseBytes32(r.group))
@@ -199,8 +200,8 @@ func insertionSort(recs []record, d int, bk []bucket) {
 // Groups is a reduce task's input: the records routed to one node (or
 // one key range of them), sorted so equal keys are adjacent and groups
 // appear in canonical key order — the order the seed runtime produced
-// by sort.Strings over its string keys, preserved so floating-point
-// metering sums accumulate identically.
+// by sort.Strings over its string keys, kept as a deterministic group
+// order (TestSortedGroupingMatchesReference pins it).
 type Groups struct {
 	recs []record
 	bk   []bucket

@@ -214,9 +214,8 @@ type JobStats struct {
 // and the total-work sum are folded from. Replaying a record
 // (Cluster.Replay) puts it through the same fold as the live run, so
 // the replayed JobStats are bit-identical without running any
-// map/shuffle/reduce work, which is what lets the subplan result cache
-// serve cached relations with stats indistinguishable from an uncached
-// run. Counts do not depend on the lane count, so one record is valid
+// map/shuffle/reduce work, which is what lets the result cache serve
+// cached answers with stats indistinguishable from an uncached run. Counts do not depend on the lane count, so one record is valid
 // at every parallelism level, and they are priced when folded, so a
 // record does not depend on the cost constants either.
 //

@@ -17,14 +17,16 @@
 // numbers and append output cells, projections and shuffle emission
 // read and write cells. Every such block belongs to the ExecContext
 // (its per-lane arenas, per-(node, range) intermediate table and
-// shuffle scratch) and is recycled by the context's next execution. The result
-// is flat to the end as well: the final sort and merge leave an order
-// over the last job's output, and Executor.Run lends it to its caller
-// in place, as a Rows, to be consumed on the context's lanes. Only what
-// outlives an execution — result-cache entries, and the Result.Rows of
-// Execute, for callers that keep ids — is copied into exactly sized
-// blocks of its own; Rows.Materialise, behind Execute, is the only
-// place a []Row is built.
+// shuffle scratch) and is recycled by the context's next execution;
+// an intermediate relation exists only to feed the next job of the same
+// execution. The result is flat to the end as well: the final sort and
+// merge leave an order over the last job's output, and Executor.Run
+// lends it to its caller in place, as a Rows, to be consumed on the
+// context's lanes. Only what outlives an execution is copied into
+// exactly sized blocks of its own: a result-cache entry, which keeps a
+// whole answer (the merged rows and every job's record, keyed by
+// Plan.Key), and the Result.Rows of Execute, for callers that keep ids;
+// Rows.Materialise, behind Execute, is the only place a []Row is built.
 package physical
 
 import (
@@ -90,12 +92,11 @@ type Plan struct {
 	// Levels[ℓ-1] lists the reduce joins of job ℓ in a deterministic
 	// order. Empty iff the plan is map-only.
 	Levels [][]*Info
-	// JobKeys canonically identify each job's computation for the
-	// subplan result cache: JobKeys[l] keys job l+1 (JobKeys[0] the
-	// single job of a map-only plan). Two jobs with equal keys over the
-	// same data epoch produce byte-identical rows and counts. CompileWith
-	// renders them; a plan that was only classified has none.
-	JobKeys []string
+	// Key canonically identifies the plan's whole computation for the
+	// result cache: two plans with equal keys over the same data epoch
+	// produce byte-identical rows and per-job counts. CompileWith
+	// renders it; a plan that was only classified has none.
+	Key string
 }
 
 // CoLocator decides whether a first-level join's scan inputs are
@@ -127,7 +128,7 @@ func SubjectOnlyCoLocator() CoLocator {
 	}
 }
 
-// Compile classifies p's operators, lays out jobs and keys them. Per
+// Compile classifies p's operators, lays out jobs and keys the plan. Per
 // Section 5.2: a join whose parents (inputs) are all match operators
 // becomes a map join; every other join becomes a reduce join. Reduce
 // joins at the same level share a MapReduce job.
@@ -149,7 +150,7 @@ func (e *ShuffleWidthError) Error() string {
 }
 
 // CompileWith is Compile under an explicit co-location capability
-// (partitioning-scheme dependent): Classify plus the job keys, which
+// (partitioning-scheme dependent): Classify plus the plan key, which
 // only a plan that will run needs. Its result is the one form of Plan
 // the executor accepts; a plan whose shuffle it could not carry fails
 // with a *ShuffleWidthError.
@@ -165,14 +166,14 @@ func CompileWith(p *core.Plan, canColocate CoLocator) (*Plan, error) {
 			}
 		}
 	}
-	pp.buildJobKeys(p.Query)
+	pp.buildKey(p.Query)
 	return pp, nil
 }
 
 // Classify is the structural half of CompileWith: operator kinds,
 // reduce-join levels and with them the job count — everything the cost
 // model reads to price a candidate, and nothing rendered. The Plan it
-// returns has no JobKeys and warms no operator signature, so it is for
+// returns has no Key and warms no operator signature, so it is for
 // inspection and pricing only; a plan to execute comes from CompileWith.
 func Classify(p *core.Plan, canColocate CoLocator) (*Plan, error) {
 	if p.Root.Kind != core.OpProject || len(p.Root.Children) != 1 {
@@ -235,39 +236,32 @@ func Classify(p *core.Plan, canColocate CoLocator) (*Plan, error) {
 	return pp, nil
 }
 
-// buildJobKeys renders one content key per job. A key must pin down
-// everything besides the data epoch (which the result cache layers in)
-// that shapes the job's rows and recorded counts: the content
-// signatures of the level's reduce joins (covering their whole
-// subtrees, children in order), their plan-global IDs — shuffle
-// routing and record sort order derive from the ID — and,
-// transitively, every earlier level's key, because the job re-reads
-// those jobs' intermediate output whose row order depends on their IDs
-// in turn. The final job appends the SELECT list its projection
-// targets. Building the keys here also warms every operator's memoized
+// buildKey renders the plan's content key. It must pin down everything
+// besides the data epoch (which the result cache layers in) that shapes
+// the rows and every job's recorded counts: per job level, the content
+// signatures of its reduce joins (covering their whole subtrees,
+// children in order) and their plan-global IDs — shuffle routing and
+// record sort order derive from the ID — or, for a map-only plan, the
+// signature of its root; then the SELECT list the final projection
+// targets. Building the key here also warms every operator's memoized
 // content signature before the immutable Plan is shared across
 // goroutines.
-func (pp *Plan) buildJobKeys(q *sparql.Query) {
-	sel := strings.Join(q.Select, ",")
+func (pp *Plan) buildKey(q *sparql.Query) {
+	var b strings.Builder
 	if pp.MapOnly() {
-		pp.JobKeys = []string{"MO|" + pp.Root.ContentSignature(q) + "|S:" + sel}
-		return
+		b.WriteString("MO|" + pp.Root.ContentSignature(q))
 	}
-	pp.JobKeys = make([]string, len(pp.Levels))
-	prev := ""
 	for l, infos := range pp.Levels {
-		var b strings.Builder
-		b.WriteString(prev)
+		if l > 0 {
+			b.WriteString("\n")
+		}
 		fmt.Fprintf(&b, "L%d", l+1)
 		for _, in := range infos {
 			fmt.Fprintf(&b, "|%d:%s", in.ID, in.Op.ContentSignature(q))
 		}
-		if l == len(pp.Levels)-1 {
-			b.WriteString("|S:" + sel)
-		}
-		pp.JobKeys[l] = b.String()
-		prev = pp.JobKeys[l] + "\n"
 	}
+	b.WriteString("|S:" + strings.Join(q.Select, ","))
+	pp.Key = b.String()
 }
 
 // MapOnly reports whether the whole plan evaluates in a single map-only

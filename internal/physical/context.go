@@ -28,8 +28,9 @@ import (
 // over the last job's output, both context scratch, and Executor.Run
 // lends that to its callback as a Rows, valid until the callback
 // returns. What does outlive the execution — the rows Execute returns
-// (Rows.Materialise) and every result-cache entry (Rows.block, concat)
-// — is copied into exactly sized blocks of its own.
+// (Rows.Materialise) and a result-cache entry's answer (Rows.block) —
+// is copied into exactly sized blocks of its own. A result-cache hit
+// reads none of this scratch: it never prepares the context.
 //
 // The lane count is fixed by NewExecContext, which spawns the context's
 // persistent mapreduce worker pool (parked between jobs); the owner

@@ -38,15 +38,15 @@ type Executor struct {
 	// isolation), and Result.DataVersion reports the epoch served.
 	View *partition.View
 
-	// ResultCache, if non-nil, enables cross-query job result reuse:
-	// before running a job, Execute probes the cache under
-	// (Plan.JobKeys[l], view version); on a hit it serves the cached
-	// rows read-only and replays the recorded counts instead of
-	// executing, on a miss it executes with recording and admits the
-	// result. Rows and JobStats are byte-identical either way. The
-	// cache must belong to the same engine (same cluster geometry,
-	// partitioning and dictionary) as the executor; the counts it
-	// replays are priced with the executor's cost constants.
+	// ResultCache, if non-nil, enables cross-execution answer reuse:
+	// Run probes the cache once, under (Plan.Key, view version); on a
+	// hit it serves the cached rows read-only and replays every job's
+	// recorded counts instead of executing, on a miss it executes every
+	// job with recording and admits the answer. Rows and JobStats are
+	// byte-identical either way. The cache must belong to the same
+	// engine (same cluster geometry, partitioning and dictionary) as the
+	// executor; the counts it replays are priced with the executor's
+	// cost constants.
 	ResultCache *rescache.Cache
 
 	// view is the epoch pinned for the in-flight Execute call.
@@ -64,8 +64,8 @@ type Result struct {
 	// over a block the computing context does not own); Run leaves it nil
 	// and lends its callback the rows in place instead. They are shared
 	// and immutable: with a result cache the cells under the slice are the
-	// final job's cache entry's, the same for every execution that hits
-	// it. Read them; to reorder, truncate or overwrite, copy first.
+	// plan's cache entry's, the same for every execution that hits it.
+	// Read them; to reorder, truncate or overwrite, copy first.
 	Rows []mapreduce.Row
 	// Jobs are the per-job simulator statistics for this execution.
 	Jobs []mapreduce.JobStats
@@ -105,6 +105,13 @@ func (x *Executor) Execute(pp *Plan) (*Result, error) {
 // Row read from it, is invalid once use returns; the Result is the
 // caller's to keep. The cluster's job log grows by this plan's jobs;
 // timing in the Result covers only them.
+//
+// With a result cache the answer is served through it, one probe per
+// execution: a hit replays every job's record in job order and lends
+// the entry's block, without touching the context's scratch; a miss
+// runs every job recording and copies the merged rows into the entry
+// it admits. Either way the rows are read from the entry's own block,
+// so with a cache every request reaches its consumer in one form.
 func (x *Executor) Run(pp *Plan, use func(res *Result, rows Rows) error) error {
 	if x.Ctx == nil {
 		x.Ctx = &ExecContext{}
@@ -118,16 +125,22 @@ func (x *Executor) Run(pp *Plan, use func(res *Result, rows Rows) error) error {
 	jobsBefore := len(x.Cluster.Jobs)
 	workBefore := x.Cluster.TotalWork()
 
-	x.Ctx.prepare(pp, x.view.Nodes())
-
-	// A map-only plan is a one-job plan; either way the last job's rows
-	// are the result.
 	var rows Rows
-	for l := 0; l < pp.NumJobs(); l++ {
-		var err error
-		if rows, err = x.serveLevel(pp, l); err != nil {
-			return err
+	if x.ResultCache == nil {
+		rows = x.runJobs(pp, nil)
+	} else {
+		ent, hit := x.ResultCache.Do(pp.Key, x.view.VersionKey(), func() *rescache.Entry {
+			recs := make([]*mapreduce.JobRecord, pp.NumJobs())
+			return rescache.NewEntry(pp.Key, recs, x.runJobs(pp, recs).block())
+		})
+		if hit {
+			// Log every job as if it had just run.
+			for l, rec := range ent.Recs {
+				x.Cluster.Replay(jobName(pp, l), rec)
+				x.sinkJob()
+			}
 		}
+		rows = blockRows(ent.Block, x.Ctx)
 	}
 
 	res := &Result{
@@ -143,84 +156,21 @@ func (x *Executor) Run(pp *Plan, use func(res *Result, rows Rows) error) error {
 	return use(res, rows)
 }
 
-// serveLevel produces job l of the plan — its reduce joins' blocks in
-// the context's intermediate table, its JobStats in the cluster's log
-// and, for the last job, the finished result rows it returns — through
-// the result cache when there is one. A hit replays the recorded
-// counts and restores the rows; a miss runs the job recording and
-// snapshots them. An entry owns exactly sized copies: intermediate
-// blocks are copied out of the context on a miss — a node's ranges
-// concatenated into one block — and back into it on a hit, as the
-// node's range 0 (later jobs read them there, the next execution
-// recycles them); the final rows are read from the entry's own block,
-// hit or miss, so with a cache every request reaches its consumer in
-// one form.
-func (x *Executor) serveLevel(pp *Plan, l int) (Rows, error) {
-	last := l == pp.NumJobs()-1
-	run := func(rec *mapreduce.JobRecord) Rows {
-		out := x.runLevel(pp, l, rec)
-		if !last {
-			return Rows{}
+// runJobs prepares the context and runs every job of the plan on it —
+// a map-only plan is a one-job plan — recording job l into recs[l] when
+// recs is non-nil. The last job's merged rows are the result.
+func (x *Executor) runJobs(pp *Plan, recs []*mapreduce.JobRecord) Rows {
+	x.Ctx.prepare(pp, x.view.Nodes())
+	var out *mapreduce.Output
+	for l := 0; l < pp.NumJobs(); l++ {
+		var rec *mapreduce.JobRecord
+		if recs != nil {
+			rec = &mapreduce.JobRecord{}
+			recs[l] = rec
 		}
-		return x.Ctx.mergeParts(out.PerNode)
+		out = x.runLevel(pp, l, rec)
 	}
-	if x.ResultCache == nil {
-		return run(nil), nil
-	}
-	var infos []*Info // the reduce joins whose rows the job leaves behind
-	if !pp.MapOnly() {
-		infos = pp.Levels[l]
-	}
-	interm := x.Ctx.interm
-	ent, hit, err := x.ResultCache.Do(pp.JobKeys[l], x.view.VersionKey(), func() (*rescache.Entry, error) {
-		rec := &mapreduce.JobRecord{}
-		var final mapreduce.Block
-		if rows := run(rec); last {
-			final = rows.block()
-		}
-		snap := make([][]mapreduce.Block, len(infos))
-		for i, in := range infos {
-			snap[i] = make([]mapreduce.Block, len(interm[in.ID]))
-			for node, rngs := range interm[in.ID] {
-				snap[i][node] = concat(rngs)
-			}
-		}
-		return rescache.NewEntry(pp.JobKeys[l], rec, snap, final), nil
-	})
-	if err != nil {
-		return Rows{}, err
-	}
-	if hit {
-		// Log the job as if it had just run and restore its rows
-		// positionally — infos order is deterministic and the key pins
-		// the level's reduce-join IDs. Run emptied every range, so a
-		// node's rows in range 0 are all of them.
-		x.Cluster.Replay(jobName(pp, l), ent.Rec)
-		x.sinkJob()
-		for i, per := range ent.Interm {
-			for node, blk := range per {
-				interm[infos[i].ID][node][0].AppendBlock(blk)
-			}
-		}
-	}
-	if !last {
-		return Rows{}, nil
-	}
-	return blockRows(ent.Block, x.Ctx), nil
-}
-
-// concat copies a node's range blocks, in range order, into one exactly
-// sized block that shares nothing with them.
-func concat(rngs []mapreduce.Block) mapreduce.Block {
-	n := 0
-	for _, b := range rngs {
-		n += len(b.Cells)
-	}
-	out := mapreduce.Block{Cells: make([]rdf.TermID, 0, n)}
-	for _, b := range rngs {
-		out.AppendBlock(b)
-	}
-	return out
+	return x.Ctx.mergeParts(out.PerNode)
 }
 
 // jobName names job l of the plan in the cluster's log.

@@ -14,9 +14,9 @@
 // admission and least-recently-used entries are evicted until the
 // resident weight fits the budget — what the engine keeps its enumerated
 // plan spaces in (one per written query shape, a few hundred bytes to
-// megabytes) and the foundation the subplan result cache
-// (internal/rescache) builds on, where entries are materialized
-// relations of wildly different sizes.
+// megabytes) and the foundation the result cache (internal/rescache)
+// builds on, where entries are materialized answers of wildly different
+// sizes.
 package plancache
 
 import (

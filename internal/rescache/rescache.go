@@ -1,29 +1,29 @@
-// Package rescache is the epoch-versioned subplan result cache: a
-// sharded, byte-budgeted LRU (built on internal/plancache's sized
-// mode) mapping (canonical job signature, DataVersion) to the
-// materialized output of one executed MapReduce job plus what the job
-// metered (mapreduce.JobRecord: its per-node tuple counts).
+// Package rescache is the epoch-versioned result cache: a sharded,
+// byte-budgeted LRU (built on internal/plancache's sized mode) mapping
+// (plan key, DataVersion) to one whole answer — the plan's finished
+// rows plus what each of its MapReduce jobs metered
+// (mapreduce.JobRecord: its per-node tuple counts), in job order.
 //
-// On a hit the executor skips the job's map/shuffle/reduce work
-// entirely: it serves the cached rows read-only and replays the
-// record — prices its counts as a live run does — so rows AND
-// simulated JobStats are byte-identical to an uncached run. An entry owns what it holds: flat, exactly sized
-// blocks allocated for it at admission, never a view of the execution
-// context that computed them (which recycles its memory on its next
-// execution). A final job's rows are kept as cells only, one block, and
-// read in place by whoever the executor lends them to (physical.Rows) —
-// the facade decodes straight from it, a caller that wants row headers
-// builds them over it; it is shared and immutable. An intermediate
-// job's blocks are copied back into the serving execution's context,
-// where the next job consumes them. Epoch invalidation is by
-// construction: the committed DataVersion is part of the key, so a
-// batch commit makes every older entry unreachable; the engine
-// additionally purges on commit so stale bytes don't squat in the
-// budget.
+// An intermediate job output exists only to feed the next job of the
+// same plan, so the cache keeps answers, not jobs: one entry and one
+// probe per execution. On a hit the executor runs no map/shuffle/reduce
+// work at all: it serves the cached rows read-only and replays every
+// record — prices its counts as a live run does — so rows AND simulated
+// JobStats are byte-identical to an uncached run. An entry owns what it
+// holds: one flat, exactly sized block allocated for it at admission,
+// never a view of the execution context that computed it (which
+// recycles its memory on its next execution). The rows are kept as
+// cells only and read in place by whoever the executor lends them to
+// (physical.Rows) — the facade decodes straight from them, a caller
+// that wants row headers builds them over the block; it is shared and
+// immutable. Epoch invalidation is by construction: the committed
+// DataVersion is part of the key, so a batch commit makes every older
+// entry unreachable; the engine additionally purges on commit so stale
+// bytes don't squat in the budget.
 //
 // Singleflight comes with the underlying cache: N concurrent servers
-// hitting the same cold (signature, version) run the job once and all
-// share the entry.
+// hitting the same cold (plan key, version) execute the plan once and
+// all share the entry.
 package rescache
 
 import (
@@ -35,48 +35,39 @@ import (
 	"cliquesquare/internal/rdf"
 )
 
-// Entry is one cached job result: the metering record for stats replay
-// and the job's materialized output. Exactly one of Interm/Block is
-// meaningful per entry kind: a non-final level job fills Interm (one
-// block per level input and node — positional, matching the plan
-// level's reduce-join order), a final or map-only job fills Block (the
-// finished, deduped and sorted result rows — cells only, no row
-// headers: a hit reads them in place and allocates nothing). Everything
-// is immutable once cached: nobody writes through or extends a block.
+// Entry is one cached answer: every job's metering record, in job
+// order, for stats replay, and the finished, deduped and sorted result
+// rows — cells only, no row headers: a hit reads them in place and
+// allocates nothing. Everything is immutable once cached: nobody writes
+// through or extends the block.
 type Entry struct {
-	Rec    *mapreduce.JobRecord
-	Interm [][]mapreduce.Block
-	Block  mapreduce.Block
-	bytes  int64
+	Recs  []*mapreduce.JobRecord
+	Block mapreduce.Block
+	bytes int64
 }
 
 // nodeBytes is what the cache itself keeps per entry beside the value
-// and the job key's bytes: plancache's list node (key header, value,
+// and the plan key's bytes: plancache's list node (key header, value,
 // error, links, weight: 88 B), its ready channel (96 B), the key's slot
 // in the shard's map (a string header and a pointer, at the map's load
-// factor: ≈ 40 B) and the version prefix Do puts before the job key
+// factor: ≈ 40 B) and the version prefix Do puts before the plan key
 // (≤ 17 B).
 const nodeBytes = 240
 
-// NewEntry builds the entry to be cached under jobKey and computes its
-// cache weight once: exactly what the entry keeps resident — its blocks'
-// arrays at their capacity, the block headers, the record, the entry
-// itself, its key and the cache's node for it.
-func NewEntry(jobKey string, rec *mapreduce.JobRecord, interm [][]mapreduce.Block, final mapreduce.Block) *Entry {
+// NewEntry builds the entry to be cached under key and computes its
+// cache weight once: exactly what the entry keeps resident — its block's
+// array at its capacity, the records and the slice holding them, the
+// entry itself, its key and the cache's node for it.
+func NewEntry(key string, recs []*mapreduce.JobRecord, final mapreduce.Block) *Entry {
 	const (
-		cell   = int64(unsafe.Sizeof(rdf.TermID(0)))
-		block  = int64(unsafe.Sizeof(mapreduce.Block{}))
-		header = int64(unsafe.Sizeof([]mapreduce.Block(nil)))
+		cell = int64(unsafe.Sizeof(rdf.TermID(0)))
+		ptr  = int64(unsafe.Sizeof((*mapreduce.JobRecord)(nil)))
 	)
-	e := &Entry{Rec: rec, Interm: interm, Block: final}
-	b := rec.MemBytes() + cell*int64(cap(final.Cells)) + int64(unsafe.Sizeof(*e)) + int64(len(jobKey)) + nodeBytes
-	for _, per := range interm {
-		b += header + block*int64(cap(per))
-		for _, blk := range per {
-			b += cell * int64(cap(blk.Cells))
-		}
+	e := &Entry{Recs: recs, Block: final}
+	e.bytes = cell*int64(cap(final.Cells)) + ptr*int64(cap(recs)) + int64(unsafe.Sizeof(*e)) + int64(len(key)) + nodeBytes
+	for _, r := range recs {
+		e.bytes += r.MemBytes()
 	}
-	e.bytes = b
 	return e
 }
 
@@ -86,7 +77,7 @@ func (e *Entry) Bytes() int64 { return e.bytes }
 // Stats re-exports the underlying cache counters.
 type Stats = plancache.Stats
 
-// Cache is the engine-owned subplan result cache.
+// Cache is the engine-owned result cache.
 type Cache struct {
 	c *plancache.Cache[*Entry]
 }
@@ -97,12 +88,12 @@ func New(budgetBytes int64) *Cache {
 	return &Cache{c: plancache.NewSized(budgetBytes, (*Entry).Bytes)}
 }
 
-// Do returns the entry cached under (jobKey, version), computing it on
+// Do returns the entry cached under (key, version), computing it on
 // first use. Concurrent calls for the same key join one in-flight
 // computation. hit reports whether the entry came from the cache.
-func (c *Cache) Do(jobKey string, version uint64, compute func() (*Entry, error)) (e *Entry, hit bool, err error) {
-	key := strconv.FormatUint(version, 16) + "\x00" + jobKey
-	return c.c.Do(key, compute)
+func (c *Cache) Do(key string, version uint64, compute func() *Entry) (e *Entry, hit bool) {
+	e, hit, _ = c.c.Do(strconv.FormatUint(version, 16)+"\x00"+key, func() (*Entry, error) { return compute(), nil })
+	return e, hit
 }
 
 // Purge drops every entry. Called on batch commit: versioned keys

@@ -7,38 +7,23 @@ import (
 	"encoding/hex"
 	"slices"
 	"sort"
-
-	"cliquesquare/internal/rdf"
 )
 
 // Canonical is the canonical form of a query, the unit the plan cache
 // keys on. Canonicalization renames variables by first occurrence in a
-// deterministically ordered pattern list and lifts constants out into a
-// binding vector, so that queries differing only in variable names or
-// pattern order — and, at the Shape level, only in their constants —
-// are recognized as the same query shape.
+// deterministically ordered pattern list, so that queries differing only
+// in variable names or pattern order are recognized as the same query.
 //
-// Two fingerprints are derived:
-//
-//   - Shape digests the constant-free structure: the canonically
-//     ordered patterns with variables replaced by canonical ordinals
-//     and constants by binding-slot ordinals, plus the SELECT list.
-//     Alpha-equivalent queries with different constants share a Shape.
-//   - Key digests the Shape together with the binding vector. Equal
-//     Keys imply equal canonical queries (same pattern multiset up to
-//     variable renaming, same constants, same SELECT order), so a plan
-//     prepared for one query with a given Key is valid — and chooses
-//     the same operators, costs and statistics — for every other query
-//     with that Key. Key is what the plan cache indexes on.
-//
-// The query Name is a display label and takes part in neither digest.
+// Key digests the canonical query: the canonically ordered patterns
+// with variables replaced by canonical ordinals and constants written
+// out, plus the SELECT list. Equal Keys imply equal canonical queries
+// (same pattern multiset up to variable renaming, same constants, same
+// SELECT order), so a plan prepared for one query with a given Key is
+// valid — and chooses the same operators, costs and statistics — for
+// every other query with that Key. The query Name is a display label
+// and takes no part in it.
 type Canonical struct {
-	// Shape is the hex fingerprint of the constant-free query shape.
-	Shape string
-	// Bindings are the lifted constants in binding-slot order (slot i
-	// holds the i-th distinct constant of the canonical pattern order).
-	Bindings []rdf.Term
-	// Key is the hex fingerprint of shape plus bindings: the full,
+	// Key is the hex fingerprint of the canonical query: the full,
 	// semantics-preserving plan-cache key.
 	Key string
 }
@@ -46,17 +31,12 @@ type Canonical struct {
 // Canonicalize computes the canonical form of q. It does not modify q.
 //
 // The pattern order is fixed by color refinement (1-WL) on the
-// term/pattern incidence structure: each round re-colors a pattern by
-// the colors of its three positions and a term by what it is plus the
-// multiset of its (pattern color, position) occurrences, until the term
-// partition stabilizes. It runs twice. In the first run a constant is an
-// anonymous term like a variable — it starts from its kind, a variable
-// from its places in the SELECT list — so the colors, the primary sort
-// key, are functions of exactly the structure Shape encodes: queries
-// that differ in their constants alone order their patterns alike, which
-// is what makes Shape independent of the constants. The second run
-// colors constants by value and breaks the first one's ties. Colors are
-// functions of structure alone, so the induced pattern order — and
+// pattern/variable incidence structure: each round re-colors a pattern
+// by what stands at its three positions — a variable's color, or a
+// constant's kind and value — and a variable by its places in the SELECT
+// list plus the multiset of its (pattern color, position) occurrences,
+// until the variable partition stabilizes. Colors are functions of
+// structure and constants alone, so the induced pattern order — and
 // therefore the whole canonical form — is invariant under variable
 // renaming and pattern permutation. Patterns refinement cannot tell
 // apart are structurally interchangeable for every query shape in
@@ -64,31 +44,21 @@ type Canonical struct {
 // to input order, which can only miss a cache hit, never produce a wrong
 // one (the Key digests the full canonical query).
 func Canonicalize(q *Query) Canonical {
-	shapeColor := refine(q, false)
-	fullColor := refine(q, true)
+	pcol := refine(q)
 	// Stable sort: input order among refinement-indistinguishable
 	// patterns.
 	order := make([]int, len(q.Patterns))
 	for i := range order {
 		order[i] = i
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		i, j := order[a], order[b]
-		if shapeColor[i] != shapeColor[j] {
-			return shapeColor[i] < shapeColor[j]
-		}
-		return fullColor[i] < fullColor[j]
-	})
+	sort.SliceStable(order, func(a, b int) bool { return pcol[order[a]] < pcol[order[b]] })
 
-	// Rename variables by first occurrence in the canonical order and
-	// lift constants into binding slots, then encode the canonical
-	// query. The encoding is injective — it is the canonical query
-	// itself — so equal digests (collisions aside) mean equal canonical
-	// queries.
+	// Rename variables by first occurrence in the canonical order, then
+	// encode the canonical query. The encoding is injective — it is the
+	// canonical query itself — so equal digests (collisions aside) mean
+	// equal canonical queries.
 	rank := make(map[string]int)
-	slot := make(map[rdf.Term]int)
-	var bindings []rdf.Term
-	var shape []byte
+	var enc []byte
 	for _, i := range order {
 		tp := q.Patterns[i]
 		for _, pt := range [3]PatternTerm{tp.S, tp.P, tp.O} {
@@ -98,44 +68,30 @@ func Canonicalize(q *Query) Canonical {
 					r = len(rank)
 					rank[pt.Var] = r
 				}
-				shape = appendUvarint(append(shape, 'v'), r)
+				enc = appendUvarint(append(enc, 'v'), r)
 				continue
 			}
-			s, ok := slot[pt.Term]
-			if !ok {
-				s = len(bindings)
-				slot[pt.Term] = s
-				bindings = append(bindings, pt.Term)
-			}
-			shape = appendUvarint(append(shape, 'b'), s)
+			enc = appendUvarint(append(enc, 'c', byte(pt.Term.Kind)), len(pt.Term.Value))
+			enc = append(enc, pt.Term.Value...)
 		}
-		shape = append(shape, '.')
+		enc = append(enc, '.')
 	}
-	shape = append(shape, 's')
+	enc = append(enc, 's')
 	for _, v := range q.Select {
 		if r, ok := rank[v]; ok {
-			shape = appendUvarint(shape, r)
+			enc = appendUvarint(enc, r)
 			continue
 		}
 		// A selected variable absent from every pattern (an invalid
 		// query — Validate rejects it) must still encode distinctly, so
 		// a malformed query can never share a fingerprint with a valid
 		// one.
-		shape = append(shape, 'u')
-		shape = append(shape, v...)
-		shape = append(shape, 0)
+		enc = append(enc, 'u')
+		enc = append(enc, v...)
+		enc = append(enc, 0)
 	}
-
-	h := sha256.Sum256(shape)
-	c := Canonical{Shape: hex.EncodeToString(h[:]), Bindings: bindings}
-	kh := sha256.New()
-	kh.Write(shape)
-	for _, t := range bindings {
-		kh.Write([]byte{0, byte(t.Kind)})
-		kh.Write([]byte(t.Value))
-	}
-	c.Key = hex.EncodeToString(kh.Sum(nil))
-	return c
+	h := sha256.Sum256(enc)
+	return Canonical{Key: hex.EncodeToString(h[:])}
 }
 
 // color is a refinement color: a digest of what it stands for. 64 bits
@@ -154,39 +110,32 @@ func colorOf(b []byte) color {
 
 func appendColor(b []byte, c color) []byte { return binary.LittleEndian.AppendUint64(b, uint64(c)) }
 
-// refine runs color refinement over q's patterns and terms and returns
-// the patterns' colors once the term partition is stable. The refined
-// terms are the variables and — unless byValue — the distinct constants;
-// byValue, a constant is no term of its own but a fixed color, its kind
-// and value.
-func refine(q *Query, byValue bool) []color {
-	// Number the terms and give each its starting color, which every
-	// later color of the term digests again: 'v' and the variable's
-	// positions in SELECT, 'c' and the constant's kind.
-	terms := make(map[PatternTerm]int)
+// refine runs color refinement over q's patterns and variables and
+// returns the patterns' colors once the variable partition is stable. A
+// constant is no refined term but a fixed color: its kind and value.
+func refine(q *Query) []color {
+	// Number the variables and give each its starting color, which every
+	// later color of the variable digests again: its positions in SELECT.
+	vars := make(map[string]int)
 	var seed [][]byte
-	at := make([][3]int, len(q.Patterns)) // term per position, -1 for a constant by value
+	at := make([][3]int, len(q.Patterns)) // variable per position, -1 for a constant
 	for i, tp := range q.Patterns {
 		for p, pt := range [3]PatternTerm{tp.S, tp.P, tp.O} {
-			if byValue && !pt.IsVar {
+			if !pt.IsVar {
 				at[i][p] = -1
 				continue
 			}
-			n, ok := terms[pt]
+			n, ok := vars[pt.Var]
 			if !ok {
 				n = len(seed)
-				terms[pt] = n
-				if pt.IsVar {
-					seed = append(seed, []byte{'v'})
-				} else {
-					seed = append(seed, []byte{'c', byte(pt.Term.Kind)})
-				}
+				vars[pt.Var] = n
+				seed = append(seed, []byte{'v'})
 			}
 			at[i][p] = n
 		}
 	}
 	for i, v := range q.Select {
-		if n, ok := terms[Variable(v)]; ok {
+		if n, ok := vars[v]; ok {
 			seed[n] = appendUvarint(seed[n], i)
 		}
 	}
@@ -211,7 +160,7 @@ func refine(q *Query, byValue bool) []color {
 			pcol[i] = colorOf(buf)
 		}
 	}
-	// occs[n] collects term n's occurrences of a round.
+	// occs[n] collects variable n's occurrences of a round.
 	type occ struct {
 		pattern color
 		pos     int
@@ -253,7 +202,7 @@ func refine(q *Query, byValue bool) []color {
 }
 
 // appendUvarint appends x in a self-delimiting binary form, keeping the
-// shape encoding unambiguous.
+// canonical encoding unambiguous.
 func appendUvarint(buf []byte, x int) []byte {
 	var tmp [binary.MaxVarintLen64]byte
 	return append(buf, tmp[:binary.PutUvarint(tmp[:], uint64(x))]...)

@@ -73,10 +73,10 @@ type Config struct {
 	// approximate: sharding rounds it up to the next multiple of the
 	// shard count (see plancache.New).
 	PlanCacheSize int
-	// ResultCacheBytes, when positive, enables the subplan result cache
-	// with that byte budget: executed job results (materialized rows +
-	// recorded tuple counts) are cached per (job signature, data
-	// epoch) and served on repeat executions with rows and JobStats
+	// ResultCacheBytes, when positive, enables the result cache with
+	// that byte budget: executed plans' answers (result rows + every
+	// job's recorded tuple counts) are cached per (plan key, data epoch)
+	// and served on repeat executions with rows and JobStats
 	// byte-identical to an uncached run. 0 (the default) disables it.
 	ResultCacheBytes int64
 }
@@ -129,7 +129,7 @@ type Engine struct {
 	// engine's data version. A pattern is resident while a cached plan —
 	// or a planner in flight — holds it.
 	cat *cost.Catalog
-	// res is the subplan result cache; nil unless ResultCacheBytes > 0.
+	// res is the result cache; nil unless ResultCacheBytes > 0.
 	// Keys embed the data epoch, so stale entries are unreachable after
 	// a commit; the commit pipeline additionally purges for budget
 	// hygiene.
@@ -576,7 +576,7 @@ func (e *Engine) ExecuteStats(pp *physical.Plan) (res *physical.Result, err erro
 	return res, err
 }
 
-// ResultCacheStats snapshots the subplan result cache counters (all
+// ResultCacheStats snapshots the result cache counters (all
 // zero when the cache is disabled).
 func (e *Engine) ResultCacheStats() rescache.Stats {
 	if e.res == nil {

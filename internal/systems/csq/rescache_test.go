@@ -48,9 +48,9 @@ func compareResults(t *testing.T, label string, got, want []*physical.Result) {
 	}
 }
 
-// uniqueJobKeys counts the distinct job signatures the workload probes
-// (the cross-query overlap the cache exploits) and the total probes.
-func uniqueJobKeys(t *testing.T, e *Engine) (unique, probes int) {
+// uniquePlans counts the distinct plan keys one pass of the workload
+// probes and its probes: one per execution.
+func uniquePlans(t *testing.T, e *Engine) (unique, probes int) {
 	t.Helper()
 	seen := make(map[string]bool)
 	for _, q := range oracleQueries(t) {
@@ -58,10 +58,8 @@ func uniqueJobKeys(t *testing.T, e *Engine) (unique, probes int) {
 		if err != nil {
 			t.Fatalf("%s: %v", q.Name, err)
 		}
-		for _, k := range p.Physical.JobKeys {
-			seen[k] = true
-			probes++
-		}
+		seen[p.Physical.Key] = true
+		probes++
 	}
 	return len(seen), probes
 }
@@ -69,10 +67,11 @@ func uniqueJobKeys(t *testing.T, e *Engine) (unique, probes int) {
 // TestResultCacheDeterminism is the cache-invisibility oracle: with
 // the subplan result cache enabled, the serving workload's rows and
 // simulated JobStats are byte-identical to an uncached engine at every
-// parallelism level, repeated executions are served from cache, and
-// exactly one execution happens per unique job signature — including
-// under concurrent serving, where singleflight must collapse racing
-// cold probes into one compute. Run under -race in CI.
+// parallelism level, repeated executions are served from cache, every
+// execution probes the cache once, and exactly one execution misses per
+// distinct plan key — including under concurrent serving, where
+// singleflight must collapse racing cold probes into one compute. Run
+// under -race in CI.
 func TestResultCacheDeterminism(t *testing.T) {
 	g := lubm.Generate(lubm.DefaultConfig(1))
 
@@ -100,24 +99,24 @@ func TestResultCacheDeterminism(t *testing.T) {
 			first := runWorkload(t, eng)
 			compareResults(t, "cold", first, want)
 
-			unique, probes := uniqueJobKeys(t, eng)
+			unique, probes := uniquePlans(t, eng)
 			st := eng.ResultCacheStats()
 			if int(st.Misses) != unique {
-				t.Errorf("misses = %d, want exactly one execution per unique job signature (%d)", st.Misses, unique)
+				t.Errorf("misses = %d, want exactly one per distinct plan key (%d)", st.Misses, unique)
 			}
 			if int(st.Hits+st.Misses) != probes {
-				t.Errorf("probes = %d, want %d", st.Hits+st.Misses, probes)
+				t.Errorf("probes = %d, want one per execution (%d)", st.Hits+st.Misses, probes)
 			}
 			if st.Evictions != 0 || st.Bytes <= 0 || st.Entries != unique {
 				t.Errorf("cache stats = %+v, want %d resident entries and no evictions", st, unique)
 			}
 
-			// Warm pass: every job is served from cache, answers unchanged.
+			// Warm pass: every answer is served from cache, unchanged.
 			second := runWorkload(t, eng)
 			compareResults(t, "warm", second, want)
 			st2 := eng.ResultCacheStats()
 			if st2.Misses != st.Misses {
-				t.Errorf("warm pass re-executed jobs: misses %d -> %d", st.Misses, st2.Misses)
+				t.Errorf("warm pass re-executed plans: misses %d -> %d", st.Misses, st2.Misses)
 			}
 			if int(st2.Hits) != int(st.Hits)+probes {
 				t.Errorf("warm pass hits = %d, want %d", st2.Hits, int(st.Hits)+probes)
@@ -126,7 +125,7 @@ func TestResultCacheDeterminism(t *testing.T) {
 	}
 
 	// Concurrent serving against a cold cache: singleflight must give
-	// exactly one execution per unique signature, and every racer's
+	// exactly one execution per distinct plan key, and every racer's
 	// answers stay byte-identical to the golden pins.
 	t.Run("concurrent", func(t *testing.T) {
 		cfg := DefaultConfig()
@@ -146,10 +145,10 @@ func TestResultCacheDeterminism(t *testing.T) {
 		for r := 0; r < racers; r++ {
 			compareResults(t, "racer", results[r], want)
 		}
-		unique, probes := uniqueJobKeys(t, eng)
+		unique, probes := uniquePlans(t, eng)
 		st := eng.ResultCacheStats()
 		if int(st.Misses) != unique {
-			t.Errorf("concurrent misses = %d, want %d (one compute per signature under singleflight)", st.Misses, unique)
+			t.Errorf("concurrent misses = %d, want %d (one compute per plan key under singleflight)", st.Misses, unique)
 		}
 		if int(st.Hits+st.Misses) != racers*probes {
 			t.Errorf("probe total = %d, want %d", st.Hits+st.Misses, racers*probes)
@@ -324,14 +323,14 @@ func heapAfterGC() uint64 {
 }
 
 // TestResultCacheBytesAreResidentBytes pins the cache's accounting to
-// what its entries really keep resident. An entry owns exactly sized
-// blocks — never a view of chunks cut for other rows too, and no row
-// headers — so its weight (block capacities × 4 + block headers +
-// JobRecord.MemBytes() + the entry, its key and the cache's node for
-// it) is its memory: with the 14-query working set cached and nothing
-// else holding the rows, purging the cache must free what the cache
-// said it held, within 5% (the allocator's size-class rounding is what
-// is left).
+// what its entries really keep resident. An entry owns one exactly sized
+// block — never a view of chunks cut for other rows too, and no row
+// headers — so its weight (block capacity × 4 + every job's
+// JobRecord.MemBytes() and pointer + the entry, its key and the cache's
+// node for it) is its memory: with the 14-query working set cached and
+// nothing else holding the rows, purging the cache must free what the
+// cache said it held, within 5% (the allocator's size-class rounding is
+// what is left).
 func TestResultCacheBytesAreResidentBytes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generates a 20-university dataset")

@@ -42,7 +42,7 @@ type lifetimeFixture struct {
 
 // linearPlan compiles q's best binary linear plan: one reduce level per
 // join, the multi-job shape whose intermediates cross the context's
-// per-node blocks and the cache's intermediate entries.
+// per-(node, range) blocks.
 func (f *lifetimeFixture) linearPlan(t *testing.T, q *sparql.Query) *physical.Plan {
 	t.Helper()
 	linear, err := binplan.BestLinear(q, cost.NewModel(f.cfg.Constants, cost.NewStats(f.g, q)))
@@ -197,12 +197,12 @@ func TestCachedViewReadWhileContextExecutes(t *testing.T) {
 	rc := rescache.New(64 << 20)
 	pp, want := f.flat["Q1"], f.golden.Flat["Q1"]
 	k := kept{name: "flat/Q1", res: f.execute(t, ctx, rc, pp), want: want}
-	ent, hit, err := rc.Do(pp.JobKeys[pp.NumJobs()-1], f.part.Current().VersionKey(), func() (*rescache.Entry, error) {
-		t.Error("the final job of the plan just executed is not cached")
-		return &rescache.Entry{}, nil
+	ent, hit := rc.Do(pp.Key, f.part.Current().VersionKey(), func() *rescache.Entry {
+		t.Error("the answer of the plan just executed is not cached")
+		return &rescache.Entry{}
 	})
-	if err != nil || !hit || ent.Block.N != want.Rows {
-		t.Fatalf("probing the final entry: hit %v, err %v", hit, err)
+	if !hit || ent.Block.N != want.Rows {
+		t.Fatalf("probing the plan's entry: hit %v", hit)
 	}
 
 	const readers = 4
@@ -349,66 +349,5 @@ func TestPanickingConsumerLeavesContextClean(t *testing.T) {
 	}
 	if n := runtime.NumGoroutine(); n != goroutines {
 		t.Errorf("%d goroutines after the panic, %d before: the context was not returned to the free list", n, goroutines)
-	}
-}
-
-// TestIntermediateEntryOutlivesAdmittingContext admits a multi-job
-// plan's intermediate entries through one context, reuses that context
-// for every other linear plan — twice over, so each of its per-node
-// intermediate blocks is rewritten in place by larger and by smaller
-// relations — and then serves the entries to an execution whose last
-// job is not cached: the same query with its SELECT list reversed
-// shares every job but the final projection, so the restored
-// intermediate blocks are actually joined again. The answer must be the
-// uncached one.
-func TestIntermediateEntryOutlivesAdmittingContext(t *testing.T) {
-	f := newLifetimeFixture(t)
-	for _, name := range []string{"Q8", "Q9", "Q12"} {
-		q, err := lubm.Query(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rev := *q
-		rev.Select = nil
-		for i := len(q.Select) - 1; i >= 0; i-- {
-			rev.Select = append(rev.Select, q.Select[i])
-		}
-		pp, revPP := f.linear[name], f.linearPlan(t, &rev)
-		jobs := pp.NumJobs()
-		if jobs < 3 || revPP.NumJobs() != jobs || len(q.Select) < 2 {
-			t.Fatalf("%s: the test needs a multi-job plan that keeps its shape under a reversed SELECT (%d and %d jobs, %d variables)",
-				name, jobs, revPP.NumJobs(), len(q.Select))
-		}
-		want := f.execute(t, nil, nil, revPP)
-
-		for _, lanes := range []int{1, 4} {
-			rc := rescache.New(64 << 20)
-			admitting := physical.NewExecContext(lanes)
-			k := kept{name: "linear/" + name, res: f.execute(t, admitting, rc, pp), want: f.golden.Linear[name]}
-			for round := 0; round < 2; round++ {
-				for _, other := range lubm.Queries() {
-					if opp := f.linear[other.Name]; opp != nil && other.Name != name {
-						f.execute(t, admitting, nil, opp)
-					}
-				}
-			}
-			before := rc.Stats()
-			for _, ctx := range []*physical.ExecContext{admitting, physical.NewExecContext(lanes)} {
-				got := f.execute(t, ctx, rc, revPP)
-				if hashRows(got.Rows) != hashRows(want.Rows) || len(got.Rows) != len(want.Rows) {
-					t.Fatalf("%s, lanes %d: an execution over restored intermediate entries answers %d rows, the uncached one %d, or different ones",
-						name, lanes, len(got.Rows), len(want.Rows))
-				}
-				ctx.Close()
-			}
-			after := rc.Stats()
-			if hits := int(after.Hits - before.Hits); hits != 2*jobs-1 {
-				t.Errorf("%s, lanes %d: %d cache hits, want every intermediate job of both runs and the second run's last (%d)", name, lanes, hits, 2*jobs-1)
-			}
-			if misses := int(after.Misses - before.Misses); misses != 1 {
-				t.Errorf("%s, lanes %d: %d cache misses, want only the first run's last job", name, lanes, misses)
-			}
-			k.check(t, "after serving its intermediates")
-		}
 	}
 }
