@@ -113,11 +113,11 @@ func TestAllocRegressionWorkload(t *testing.T) {
 	eng := csq.New(g, csq.DefaultConfig())
 	var plans []*physical.Plan
 	for _, q := range lubm.Queries() {
-		_, pp, _, err := eng.Plan(q)
+		p, err := eng.Prepare(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		plans = append(plans, pp)
+		plans = append(plans, p.Physical)
 	}
 	got := measureAllocs(t, func() {
 		for _, pp := range plans {

@@ -16,7 +16,6 @@ package cliquesquare
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"cliquesquare/internal/binplan"
 	"cliquesquare/internal/core"
@@ -39,7 +38,6 @@ func benchPlanSpaceConfig() experiments.PlanSpaceConfig {
 	cfg.PerShape = 10
 	cfg.MaxPlans = 2000
 	cfg.CoversPerStep = 1000
-	cfg.Timeout = 200 * time.Millisecond
 	return cfg
 }
 
@@ -69,12 +67,7 @@ func BenchmarkFig18OptimizationTime(b *testing.B) {
 			q := workload[sh][7] // the 8-pattern query
 			b.Run(fmt.Sprintf("%s/%s", m, sh), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					_, err := core.Optimize(q, core.Options{
-						Method:           m,
-						MaxPlans:         2000,
-						MaxCoversPerStep: 1000,
-						Timeout:          200 * time.Millisecond,
-					})
+					_, err := core.Optimize(q, core.Options{Method: m, MaxPlans: 2000, MaxCoversPerStep: 1000})
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -107,7 +100,7 @@ func BenchmarkFig20PlanExecution(b *testing.B) {
 	eng := csq.New(g, cfg)
 	for _, q := range lubm.Queries() {
 		model := cost.NewModel(cfg.Constants, cost.NewStats(g, q))
-		_, mscPP, _, err := eng.Plan(q)
+		msc, err := eng.Prepare(q)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -130,7 +123,7 @@ func BenchmarkFig20PlanExecution(b *testing.B) {
 		for _, variant := range []struct {
 			name string
 			pp   *physical.Plan
-		}{{"msc", mscPP}, {"bushy", bushyPP}, {"linear", linearPP}} {
+		}{{"msc", msc.Physical}, {"bushy", bushyPP}, {"linear", linearPP}} {
 			b.Run(q.Name+"/"+variant.name, func(b *testing.B) {
 				var sim float64
 				for i := 0; i < b.N; i++ {
@@ -196,11 +189,11 @@ func benchExecuteWorkload(b *testing.B, lanes int) {
 	eng := csq.New(g, cfg)
 	var plans []*physical.Plan
 	for _, q := range lubm.Queries() {
-		_, pp, _, err := eng.Plan(q)
+		p, err := eng.Prepare(q)
 		if err != nil {
 			b.Fatal(err)
 		}
-		plans = append(plans, pp)
+		plans = append(plans, p.Physical)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -373,11 +366,11 @@ func BenchmarkAblationJobInit(b *testing.B) {
 		b.Run(fmt.Sprintf("init=%.0e", init), func(b *testing.B) {
 			var ratio float64
 			for i := 0; i < b.N; i++ {
-				_, mscPP, _, err := eng.Plan(q)
+				msc, err := eng.Prepare(q)
 				if err != nil {
 					b.Fatal(err)
 				}
-				rm, err := eng.ExecutePlan(mscPP)
+				rm, err := eng.ExecutePlan(msc.Physical)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -541,8 +534,9 @@ func BenchmarkAblationProjectionPushdown(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	eng := csq.New(g, csq.DefaultConfig())
-	_, _, res, err := eng.Plan(q)
+	cfg := csq.DefaultConfig()
+	eng := csq.New(g, cfg)
+	res, err := core.Optimize(q, core.Options{Method: cfg.Method, MaxPlans: cfg.MaxPlans, MaxCoversPerStep: cfg.MaxCoversPerStep})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -592,11 +586,11 @@ func BenchmarkAblationPartitioning(b *testing.B) {
 		b.Run(mode.String(), func(b *testing.B) {
 			var sim, reduceJobs float64
 			for i := 0; i < b.N; i++ {
-				_, pp, _, err := eng.Plan(q)
+				p, err := eng.Prepare(q)
 				if err != nil {
 					b.Fatal(err)
 				}
-				r, err := eng.ExecutePlan(pp)
+				r, err := eng.ExecutePlan(p.Physical)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -20,7 +20,6 @@ package cliquesquare
 import (
 	"fmt"
 	"io"
-	"strings"
 	"time"
 
 	"cliquesquare/internal/core"
@@ -62,8 +61,6 @@ type Options struct {
 	// Method names the optimizer variant ("MSC", "MSC+", "SC", ...);
 	// empty means MSC, the paper's recommendation.
 	Method string
-	// Timeout bounds optimization; 0 means 100s (the paper's cap).
-	Timeout time.Duration
 	// Parallelism is the number of worker lanes a query's jobs run on;
 	// 0 means GOMAXPROCS, negative means one lane (everything inline on
 	// the caller, the same as 1). Results and statistics are identical
@@ -185,9 +182,6 @@ func (opts Options) config() (csq.Config, error) {
 			return cfg, err
 		}
 		cfg.Method = m
-	}
-	if opts.Timeout > 0 {
-		cfg.Timeout = opts.Timeout
 	}
 	cfg.Parallelism = opts.Parallelism
 	if cfg.Parallelism < 0 {
@@ -553,25 +547,26 @@ func decodeRows(dict *rdf.Dict, rows physical.Rows, index [][]string, slab []str
 }
 
 // Explain returns a human-readable description of the plan chosen for
-// src: the logical operator tree and the MapReduce job layout.
+// src: the logical operator tree and the MapReduce job layout. The plan
+// is the one Query would run, chosen from the same plan space of src's
+// shape, so explaining a query runs no optimizer of its own.
 func (e *Engine) Explain(src string) (string, error) {
 	q, err := sparql.Parse(src)
 	if err != nil {
 		return "", err
 	}
-	plan, pp, ores, err := e.inner.Plan(q)
+	p, err := e.inner.Prepare(q)
 	if err != nil {
 		return "", err
 	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "query: %s\nplans explored: %d (unique %d), chosen height %d\n\nlogical plan:\n%s\njobs (%s):\n%s",
-		q, len(ores.Plans), len(ores.Unique), plan.Height(), plan, pp.JobLabel(), pp.Describe())
-	return b.String(), nil
+	return fmt.Sprintf("query: %s\nplans explored: %d (unique %d), chosen height %d\n\nlogical plan:\n%s\njobs (%s):\n%s",
+		q, p.PlansExplored, p.UniquePlans, p.Height, p.Logical, p.Physical.JobLabel(), p.Physical.Describe()), nil
 }
 
 // Plans enumerates the logical plans a variant builds for src,
 // returning their heights and canonical signatures (for plan-space
-// exploration, mirroring Section 6.2).
+// exploration, mirroring Section 6.2), under the engine's own count
+// budgets (csq.DefaultConfig).
 func (e *Engine) Plans(src, method string) (heights []int, signatures []string, err error) {
 	q, err := sparql.Parse(src)
 	if err != nil {
@@ -583,7 +578,8 @@ func (e *Engine) Plans(src, method string) (heights []int, signatures []string, 
 			return nil, nil, err
 		}
 	}
-	res, err := core.Optimize(q, core.Options{Method: m, MaxPlans: 20000, Timeout: 30 * time.Second})
+	cfg := csq.DefaultConfig()
+	res, err := core.Optimize(q, core.Options{Method: m, MaxPlans: cfg.MaxPlans, MaxCoversPerStep: cfg.MaxCoversPerStep})
 	if err != nil {
 		return nil, nil, err
 	}

@@ -11,7 +11,9 @@
 //	csq-bench -exp=all
 //
 // Flags tune the scale (-univ), cluster size (-nodes), the synthetic
-// workload size (-pershape) and the optimizer budgets. Serving, caching,
+// workload size (-pershape) and the optimizer's plan budget (-maxplans,
+// a count: Figures 16, 17 and 19 are the same on every machine, and a
+// table after Figure 19 counts the queries a budget cut). Serving, caching,
 // durable churn and their per-layer costs are the repo benchmark's to
 // measure (bench/run.sh --workload exec_scale|serve_cached|plan_cold|
 // churn_durable); this command only prints the paper's figures.
@@ -24,7 +26,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"text/tabwriter"
-	"time"
 
 	"cliquesquare/internal/experiments"
 	"cliquesquare/internal/qgen"
@@ -37,7 +38,6 @@ func main() {
 	nodes := flag.Int("nodes", 7, "simulated cluster nodes")
 	perShape := flag.Int("pershape", 30, "synthetic queries per shape (paper: 30)")
 	maxPlans := flag.Int("maxplans", 5000, "plan budget per optimizer run")
-	timeout := flag.Duration("timeout", 500*time.Millisecond, "optimizer timeout per query")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
 	memprofile := flag.String("memprofile", "", "write an allocation profile taken after the experiments to this file")
 	flag.Parse()
@@ -89,7 +89,7 @@ func main() {
 		}
 	}
 	run("bounds", func() error { return bounds() })
-	run("planspace", func() error { return planSpaces(*perShape, *maxPlans, *timeout) })
+	run("planspace", func() error { return planSpaces(*perShape, *maxPlans) })
 	run("workload", func() error { return workload(cc) })
 	run("plans", func() error { return plans(cc) })
 	run("systems", func() error { return systemsCmp(cc) })
@@ -118,11 +118,10 @@ func bounds() error {
 	return w.Flush()
 }
 
-func planSpaces(perShape, maxPlans int, timeout time.Duration) error {
+func planSpaces(perShape, maxPlans int) error {
 	cfg := experiments.DefaultPlanSpaceConfig()
 	cfg.PerShape = perShape
 	cfg.MaxPlans = maxPlans
-	cfg.Timeout = timeout
 	cells := experiments.PlanSpaces(cfg)
 	byKey := make(map[string]experiments.PlanSpaceCell)
 	for _, c := range cells {
@@ -158,8 +157,13 @@ func planSpaces(perShape, maxPlans int, timeout time.Duration) error {
 		func(c experiments.PlanSpaceCell) string { return fmt.Sprintf("%.2f", c.AvgTimeMS) }); err != nil {
 		return err
 	}
-	return print("== Figure 19: average uniqueness ratio ==",
-		func(c experiments.PlanSpaceCell) string { return fmt.Sprintf("%.2f%%", 100*c.UniquenessRatio) })
+	if err := print("== Figure 19: average uniqueness ratio ==",
+		func(c experiments.PlanSpaceCell) string { return fmt.Sprintf("%.2f%%", 100*c.UniquenessRatio) }); err != nil {
+		return err
+	}
+	return print(fmt.Sprintf("== Queries of %d per cell cut by a count budget (%d plans, %d covers per step) ==",
+		cfg.PerShape, cfg.MaxPlans, cfg.CoversPerStep),
+		func(c experiments.PlanSpaceCell) string { return fmt.Sprint(c.Truncated) })
 }
 
 func workload(cc experiments.ClusterConfig) error {

@@ -29,16 +29,15 @@ func main() {
 	lubmName := flag.String("lubm", "", "use a workload query by name (Q1..Q14)")
 	show := flag.String("show", "", "print every unique plan of this variant")
 	maxPlans := flag.Int("maxplans", 20000, "plan budget per variant")
-	timeout := flag.Duration("timeout", 5*time.Second, "per-variant timeout")
 	flag.Parse()
 
-	if err := run(*query, *lubmName, *show, *maxPlans, *timeout); err != nil {
+	if err := run(*query, *lubmName, *show, *maxPlans); err != nil {
 		fmt.Fprintln(os.Stderr, "csq-explain:", err)
 		os.Exit(1)
 	}
 }
 
-func run(query, lubmName, show string, maxPlans int, timeout time.Duration) error {
+func run(query, lubmName, show string, maxPlans int) error {
 	var q *sparql.Query
 	var err error
 	switch {
@@ -58,11 +57,7 @@ func run(query, lubmName, show string, maxPlans int, timeout time.Duration) erro
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "Variant\tplans\tunique\tmin height\topt time\ttruncated")
 	for _, m := range vargraph.AllMethods {
-		res, err := core.Optimize(q, core.Options{
-			Method:   m,
-			MaxPlans: maxPlans,
-			Timeout:  timeout,
-		})
+		res, err := core.Optimize(q, core.Options{Method: m, MaxPlans: maxPlans})
 		if err != nil {
 			return err
 		}
@@ -80,7 +75,7 @@ func run(query, lubmName, show string, maxPlans int, timeout time.Duration) erro
 	if err != nil {
 		return err
 	}
-	res, err := core.Optimize(q, core.Options{Method: m, MaxPlans: maxPlans, Timeout: timeout})
+	res, err := core.Optimize(q, core.Options{Method: m, MaxPlans: maxPlans})
 	if err != nil {
 		return err
 	}

@@ -19,11 +19,11 @@ func runWorkload(t *testing.T, eng *csq.Engine) (map[string][][]uint32, map[stri
 	rows := make(map[string][][]uint32)
 	stats := make(map[string]interface{})
 	for _, q := range lubm.Queries() {
-		_, pp, _, err := eng.Plan(q)
+		p, err := eng.Prepare(q)
 		if err != nil {
 			t.Fatalf("%s: plan: %v", q.Name, err)
 		}
-		r, err := eng.ExecutePlan(pp)
+		r, err := eng.ExecutePlan(p.Physical)
 		if err != nil {
 			t.Fatalf("%s: execute: %v", q.Name, err)
 		}

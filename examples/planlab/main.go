@@ -31,12 +31,7 @@ func main() {
 	fmt.Printf("%-6s %8s %8s %12s %10s\n", "option", "plans", "unique", "min height", "time")
 	var msc *core.Result
 	for _, m := range vargraph.AllMethods {
-		res, err := core.Optimize(q, core.Options{
-			Method:           m,
-			MaxPlans:         5000,
-			MaxCoversPerStep: 2000,
-			Timeout:          2 * time.Second,
-		})
+		res, err := core.Optimize(q, core.Options{Method: m, MaxPlans: 5000, MaxCoversPerStep: 2000})
 		if err != nil {
 			log.Fatal(err)
 		}

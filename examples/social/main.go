@@ -64,7 +64,7 @@ func main() {
 	eng := csq.New(g, cfg)
 	model := cost.NewModel(cfg.Constants, cost.NewStats(g, q))
 
-	_, mscPP, opt, err := eng.Plan(q)
+	msc, err := eng.Prepare(q)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -77,15 +77,15 @@ func main() {
 		log.Fatal(err)
 	}
 
-	fmt.Printf("MSC explored %d plans (%d unique), flattest height %d\n\n",
-		len(opt.Plans), len(opt.Unique), opt.MinHeight())
+	fmt.Printf("MSC explored %d plans (%d unique), chose height %d\n\n",
+		msc.PlansExplored, msc.UniquePlans, msc.Height)
 
 	for _, entry := range []struct {
 		name string
 		plan *core.Plan
 		pp   *physical.Plan
 	}{
-		{"CliqueSquare-MSC (flat n-ary)", nil, mscPP},
+		{"CliqueSquare-MSC (flat n-ary)", nil, msc.Physical},
 		{"best binary bushy", bushy, nil},
 		{"best binary linear", linear, nil},
 	} {

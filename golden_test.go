@@ -82,11 +82,11 @@ func captureWorkload(t *testing.T) goldenWorkload {
 		m[name] = goldenQuery{Rows: len(r.Rows), RowHash: hashRows(r.Rows), Jobs: r.Jobs}
 	}
 	for _, q := range lubm.Queries() {
-		_, pp, _, err := eng.Plan(q)
+		p, err := eng.Prepare(q)
 		if err != nil {
 			t.Fatalf("%s: plan: %v", q.Name, err)
 		}
-		record(got.Flat, q.Name, pp)
+		record(got.Flat, q.Name, p.Physical)
 
 		if len(q.Patterns) < 2 {
 			continue

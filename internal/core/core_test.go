@@ -1,9 +1,9 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"cliquesquare/internal/sparql"
 	"cliquesquare/internal/vargraph"
@@ -36,7 +36,7 @@ func star14() *sparql.Query {
 
 func optimize(t *testing.T, q *sparql.Query, m vargraph.Method) *Result {
 	t.Helper()
-	res, err := Optimize(q, Options{Method: m, MaxPlans: 200000, Timeout: 30 * time.Second})
+	res, err := Optimize(q, Options{Method: m, MaxPlans: 200000})
 	if err != nil {
 		t.Fatalf("Optimize(%v): %v", m, err)
 	}
@@ -299,13 +299,27 @@ func TestOptimizeSinglePattern(t *testing.T) {
 	}
 }
 
+// TestMaxPlansBudget: a run cut by its counts stops at exactly the cap,
+// and it is the same cut every time — the budget is a count, not a
+// clock, so it keeps the same unique plans in the same order.
 func TestMaxPlansBudget(t *testing.T) {
-	res, err := Optimize(paperQ1(), Options{Method: vargraph.SC, MaxPlans: 50, MaxCoversPerStep: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Plans) != 50 || !res.Truncated {
-		t.Errorf("plans=%d truncated=%v, want 50, true", len(res.Plans), res.Truncated)
+	var prev []string
+	for run := 0; run < 2; run++ {
+		res, err := Optimize(paperQ1(), Options{Method: vargraph.SC, MaxPlans: 50, MaxCoversPerStep: 100})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Plans) != 50 || !res.Truncated {
+			t.Errorf("plans=%d truncated=%v, want 50, true", len(res.Plans), res.Truncated)
+		}
+		var sigs []string
+		for _, p := range res.Unique {
+			sigs = append(sigs, p.Signature())
+		}
+		if prev != nil && !slices.Equal(sigs, prev) {
+			t.Errorf("run %d: %d unique plans differ from run 0's %d", run, len(sigs), len(prev))
+		}
+		prev = sigs
 	}
 }
 

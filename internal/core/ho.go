@@ -1,8 +1,6 @@
 package core
 
 import (
-	"time"
-
 	"cliquesquare/internal/sparql"
 	"cliquesquare/internal/vargraph"
 )
@@ -10,10 +8,13 @@ import (
 // OptimalHeight returns the minimal plan height for q over the whole
 // plan space. By Theorem 4.3 CliqueSquare-MSC is HO-partial — it always
 // produces at least one height-optimal plan — so the minimum over MSC's
-// (small) plan space is the optimum. MSC never fails to find a plan for
-// a valid connected query, so the result is well defined.
+// (small) plan space is the optimum. That holds only for the whole MSC
+// space, so the run has no budget: a cut run could miss every
+// height-optimal plan and return a taller height silently. MSC never
+// fails to find a plan for a valid connected query, so the result is
+// well defined.
 func OptimalHeight(q *sparql.Query) (int, error) {
-	res, err := Optimize(q, Options{Method: vargraph.MSC, Timeout: 30 * time.Second})
+	res, err := Optimize(q, Options{Method: vargraph.MSC})
 	if err != nil {
 		return 0, err
 	}

@@ -7,19 +7,22 @@ import (
 	"cliquesquare/internal/vargraph"
 )
 
-// Options configures one run of the CliqueSquare algorithm.
+// Options configures one run of the CliqueSquare algorithm. Its budgets
+// are counts: the paper caps each run at 100 s of wall time instead, but
+// a clock would make the plan space, and every figure drawn from it,
+// depend on the machine. A run under counts is the same everywhere.
 type Options struct {
 	// Method is the clique-decomposition variant (default MSC, the
 	// paper's recommendation).
 	Method vargraph.Method
 	// MaxPlans caps the total number of plans generated; 0 means
-	// unlimited. The paper bounds exploration with a timeout instead;
-	// both knobs are honoured.
+	// unlimited.
 	MaxPlans int
 	// MaxCoversPerStep caps the decompositions enumerated per
-	// recursion step; 0 means unlimited.
+	// recursion step; 0 means MaxPlans (and no cap if that is 0 too).
 	MaxCoversPerStep int
-	// Timeout bounds wall-clock optimization time; 0 means none.
+	// Timeout is ignored: no clock bounds a run. It remains only for
+	// callers that still set it.
 	Timeout time.Duration
 }
 
@@ -36,10 +39,11 @@ type Result struct {
 	// Reductions counts clique reductions performed — the T(n) cost
 	// metric of Section 4.5.
 	Reductions int
-	// Truncated reports whether any budget (plans, covers, timeout)
-	// cut the exploration short.
+	// Truncated reports whether a count budget (plans, or covers per
+	// step) cut the exploration short.
 	Truncated bool
-	// Elapsed is the wall-clock optimization time.
+	// Elapsed is the wall-clock optimization time (Figure 18); it
+	// bounds nothing.
 	Elapsed time.Duration
 }
 
@@ -101,53 +105,29 @@ func Optimize(q *sparql.Query, opts Options) (*Result, error) {
 		return nil, err
 	}
 	start := time.Now()
-	res := &Result{Method: opts.Method}
-	var deadline time.Time
-	if opts.Timeout > 0 {
-		deadline = start.Add(opts.Timeout)
+	if opts.MaxCoversPerStep == 0 {
+		// A plan budget alone does not bound one step: the covers of the
+		// first graph can number far more than MaxPlans, all enumerated
+		// before a single plan is built. No step needs more covers than
+		// the run may build plans.
+		opts.MaxCoversPerStep = opts.MaxPlans
 	}
-	coversCap := opts.MaxCoversPerStep
-	if coversCap == 0 && opts.MaxPlans > 0 {
-		// Guarantee progress: without a per-step cap, enumerating all
-		// covers of the first decomposition can exhaust the whole
-		// timeout before a single plan is produced.
-		coversCap = opts.MaxPlans
-	}
-	o := &optimizer{
-		q:    q,
-		opts: opts,
-		res:  res,
-		seen: make(map[string]bool),
-		budget: vargraph.Budget{
-			MaxCovers: coversCap,
-			Deadline:  deadline,
-		},
-		deadline: deadline,
-	}
-	g := vargraph.FromQuery(q)
-	o.run(g, nil)
-	res.Elapsed = time.Since(start)
-	return res, nil
+	o := &optimizer{q: q, opts: opts, res: &Result{Method: opts.Method}, seen: make(map[string]bool)}
+	o.run(vargraph.FromQuery(q), nil)
+	o.res.Elapsed = time.Since(start)
+	return o.res, nil
 }
 
 type optimizer struct {
-	q        *sparql.Query
-	opts     Options
-	res      *Result
-	seen     map[string]bool
-	budget   vargraph.Budget
-	deadline time.Time
+	q    *sparql.Query
+	opts Options
+	res  *Result
+	seen map[string]bool
 }
 
+// capped reports whether the run has built all the plans it may.
 func (o *optimizer) capped() bool {
-	if o.opts.MaxPlans > 0 && len(o.res.Plans) >= o.opts.MaxPlans {
-		return true
-	}
-	if !o.deadline.IsZero() && time.Now().After(o.deadline) {
-		o.res.Truncated = true
-		return true
-	}
-	return false
+	return o.opts.MaxPlans > 0 && len(o.res.Plans) >= o.opts.MaxPlans
 }
 
 // run is the CLIQUESQUARE recursion of Algorithm 1: states traces the
@@ -166,15 +146,11 @@ func (o *optimizer) run(g *vargraph.Graph, states []*vargraph.Graph) {
 			o.seen[sig] = true
 			o.res.Unique = append(o.res.Unique, p)
 		}
-		if o.opts.MaxPlans > 0 && len(o.res.Plans) >= o.opts.MaxPlans {
-			o.res.Truncated = true
-		}
+		o.res.Truncated = o.res.Truncated || o.capped()
 		return
 	}
-	ds, trunc := vargraph.Decompositions(g, o.opts.Method, &o.budget)
-	if trunc {
-		o.res.Truncated = true
-	}
+	ds, trunc := vargraph.Decompositions(g, o.opts.Method, o.opts.MaxCoversPerStep)
+	o.res.Truncated = o.res.Truncated || trunc
 	for _, d := range ds {
 		if o.capped() {
 			return

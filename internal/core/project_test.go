@@ -2,7 +2,6 @@ package core
 
 import (
 	"testing"
-	"time"
 
 	"cliquesquare/internal/sparql"
 	"cliquesquare/internal/vargraph"
@@ -10,7 +9,7 @@ import (
 
 func optimizeOne(t *testing.T, q *sparql.Query) *Plan {
 	t.Helper()
-	res, err := Optimize(q, Options{Method: vargraph.MSC, Timeout: 10 * time.Second})
+	res, err := Optimize(q, Options{Method: vargraph.MSC})
 	if err != nil {
 		t.Fatal(err)
 	}

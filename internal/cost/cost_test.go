@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
-	"time"
 
 	"cliquesquare/internal/core"
 	"cliquesquare/internal/lubm"
@@ -96,7 +95,7 @@ func TestPlanCostPrefersFlatPlan(t *testing.T) {
 	s := NewStats(g, q)
 	m := NewModel(mapreduce.DefaultConstants(), s)
 
-	res, err := core.Optimize(q, core.Options{Method: vargraph.MSC, Timeout: 10 * time.Second})
+	res, err := core.Optimize(q, core.Options{Method: vargraph.MSC})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,15 +19,15 @@ import (
 
 // PlanSpaceConfig bounds the Figures 16-19 measurement. The paper caps
 // each optimizer run at 100 s on its hardware; the defaults here cap
-// plans and time per query so the full 8-variant × 120-query sweep
-// stays laptop-friendly (capped variants report their budget ceiling,
-// preserving the "explodes vs stays small" contrast).
+// plans and covers per step, counts rather than a clock, so the full
+// 8-variant × 120-query sweep stays laptop-friendly and Figures 16, 17
+// and 19 are the same on every machine (capped variants report their
+// budget ceiling, preserving the "explodes vs stays small" contrast).
 type PlanSpaceConfig struct {
 	Seed          int64
 	PerShape      int
 	MaxPlans      int
 	CoversPerStep int
-	Timeout       time.Duration
 }
 
 // DefaultPlanSpaceConfig mirrors the paper's 120-query workload.
@@ -37,7 +37,6 @@ func DefaultPlanSpaceConfig() PlanSpaceConfig {
 		PerShape:      30,
 		MaxPlans:      5000,
 		CoversPerStep: 2000,
-		Timeout:       500 * time.Millisecond,
 	}
 }
 
@@ -54,7 +53,7 @@ type PlanSpaceCell struct {
 	AvgTimeMS float64
 	// UniquenessRatio averages |unique| / |plans| (Figure 19).
 	UniquenessRatio float64
-	// Truncated counts queries whose exploration hit a budget.
+	// Truncated counts queries whose exploration a count budget cut.
 	Truncated int
 }
 
@@ -62,7 +61,8 @@ type PlanSpaceCell struct {
 // synthetic workload, reporting per-shape averages.
 func PlanSpaces(cfg PlanSpaceConfig) []PlanSpaceCell {
 	workload := qgen.Workload(cfg.Seed, cfg.PerShape)
-	// Optimal heights once per query (via MSC, which is HO-partial).
+	// Optimal heights once per query (via a whole MSC run, which is
+	// HO-partial).
 	hStar := make(map[string]int)
 	for _, sh := range qgen.Shapes {
 		for _, q := range workload[sh] {
@@ -83,7 +83,6 @@ func PlanSpaces(cfg PlanSpaceConfig) []PlanSpaceCell {
 					Method:           m,
 					MaxPlans:         cfg.MaxPlans,
 					MaxCoversPerStep: cfg.CoversPerStep,
-					Timeout:          cfg.Timeout,
 				})
 				if err != nil {
 					panic(fmt.Sprintf("experiments: %v on %s: %v", m, q.Name, err))

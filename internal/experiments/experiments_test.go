@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"testing"
-	"time"
 
 	"cliquesquare/internal/qgen"
 	"cliquesquare/internal/vargraph"
@@ -16,7 +15,29 @@ func smallPlanSpaceConfig() PlanSpaceConfig {
 		PerShape:      8, // sizes 1..8
 		MaxPlans:      800,
 		CoversPerStep: 400,
-		Timeout:       200 * time.Millisecond,
+	}
+}
+
+// TestPlanSpacesRepeat: the sweep's budgets are counts, so two runs
+// agree on every figure but the wall-clock one (Figure 18), whatever
+// the machine and its load.
+func TestPlanSpacesRepeat(t *testing.T) {
+	a, b := PlanSpaces(smallPlanSpaceConfig()), PlanSpaces(smallPlanSpaceConfig())
+	if len(a) != len(b) {
+		t.Fatalf("%d cells, then %d", len(a), len(b))
+	}
+	truncated := 0
+	for i := range a {
+		a[i].AvgTimeMS, b[i].AvgTimeMS = 0, 0
+		if a[i] != b[i] {
+			t.Errorf("cell %d differs between runs:\n%+v\n%+v", i, a[i], b[i])
+		}
+		truncated += a[i].Truncated
+	}
+	// The budgets must bite somewhere, or the test shows nothing about
+	// how a cut run repeats.
+	if truncated == 0 {
+		t.Error("no cell was cut by the count budgets")
 	}
 }
 

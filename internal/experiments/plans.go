@@ -62,11 +62,10 @@ func PlanComparison(cc ClusterConfig) ([]PlanRow, error) {
 		row := PlanRow{Query: q.Name, TPs: len(q.Patterns)}
 		model := cost.NewModel(cc.Constants, cost.NewStats(g, q))
 
-		mscPlan, mscPP, _, err := eng.Plan(q)
+		msc, err := eng.Prepare(q)
 		if err != nil {
 			return nil, fmt.Errorf("%s: msc: %w", q.Name, err)
 		}
-		_ = mscPlan
 		bushy, err := binplan.BestBushy(q, model)
 		if err != nil {
 			return nil, fmt.Errorf("%s: bushy: %w", q.Name, err)
@@ -76,7 +75,7 @@ func PlanComparison(cc ClusterConfig) ([]PlanRow, error) {
 			return nil, fmt.Errorf("%s: linear: %w", q.Name, err)
 		}
 		for i, p := range []*core.Plan{nil, bushy, linear} {
-			pp := mscPP
+			pp := msc.Physical
 			if p != nil {
 				if pp, err = physical.Compile(p); err != nil {
 					return nil, fmt.Errorf("%s: compile: %w", q.Name, err)

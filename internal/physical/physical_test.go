@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
-	"time"
 
 	"cliquesquare/internal/core"
 	"cliquesquare/internal/dstore"
@@ -48,7 +47,7 @@ func newExec(g *rdf.Graph, n int) *Executor {
 // runBest optimizes q with MSC, picks the first plan, and executes it.
 func runBest(t *testing.T, x *Executor, q *sparql.Query) (*Result, *Plan) {
 	t.Helper()
-	res, err := core.Optimize(q, core.Options{Method: vargraph.MSC, Timeout: 10 * time.Second})
+	res, err := core.Optimize(q, core.Options{Method: vargraph.MSC})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package physical
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"cliquesquare/internal/core"
 	"cliquesquare/internal/rdf"
@@ -30,7 +29,7 @@ func TestProjectionPushdownReducesShuffleVolume(t *testing.T) {
 	q := sparql.MustParse(`SELECT ?a ?e WHERE {
 		?a <p1> ?b . ?b <p2> ?c . ?c <p3> ?d . ?d <p4> ?e }`)
 	q.Name = "pushdown"
-	res, err := core.Optimize(q, core.Options{Method: vargraph.MSC, Timeout: 10 * time.Second})
+	res, err := core.Optimize(q, core.Options{Method: vargraph.MSC})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"slices"
 	"testing"
-	"time"
 
 	"cliquesquare/internal/core"
 	"cliquesquare/internal/lubm"
@@ -27,7 +26,7 @@ func TestStaleRangeBlocksNeverLeak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Optimize(q, core.Options{Method: vargraph.MSC, Timeout: 10 * time.Second})
+	res, err := core.Optimize(q, core.Options{Method: vargraph.MSC})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,11 +46,14 @@ type Config struct {
 	Constants mapreduce.Constants
 	// Method is the optimizer variant (MSC recommended).
 	Method vargraph.Method
-	// MaxPlans / MaxCoversPerStep / Timeout bound optimization, like
-	// the paper's 100 s timeout.
+	// MaxPlans / MaxCoversPerStep bound optimization, as counts (see
+	// core.Options): they stand for the paper's 100 s cap, and a plan
+	// space does not depend on the machine it was enumerated on.
 	MaxPlans         int
 	MaxCoversPerStep int
-	Timeout          time.Duration
+	// Timeout is ignored; the engine never reads it. It remains only for
+	// callers that still set it.
+	Timeout time.Duration
 	// Partitioning selects the replication scheme; the default is the
 	// paper's three-replica layout. SubjectOnly is the single-replica
 	// ablation: only s-s first-level joins stay map-side.
@@ -81,7 +84,8 @@ type Config struct {
 	ResultCacheBytes int64
 }
 
-// DefaultConfig mirrors the paper's setup: 7 nodes, MSC.
+// DefaultConfig mirrors the paper's setup: 7 nodes, MSC, with 20,000
+// plans and 5,000 covers per step in place of its 100 s cap.
 func DefaultConfig() Config {
 	return Config{
 		Nodes:            7,
@@ -89,12 +93,11 @@ func DefaultConfig() Config {
 		Method:           vargraph.MSC,
 		MaxPlans:         20000,
 		MaxCoversPerStep: 5000,
-		Timeout:          100 * time.Second,
 	}
 }
 
 // Engine is a loaded CSQ instance. All of its entry points — Prepare,
-// PrepareCached, ExecutePrepared, Plan, ExecutePlan, RunPlan, Run,
+// PrepareCached, ExecutePrepared, ExecutePlan, RunPlan, Run,
 // ApplyBatch, AddNodes, RemoveNodes — are safe for concurrent use:
 // planning reads a pinned data epoch plus immutable engine state,
 // execution draws per-call scratch from the context pool, and the plan
@@ -288,10 +291,9 @@ type UpdateStats struct {
 	Replans       uint64
 	// Enumerations counts optimizer runs since construction: one per
 	// written query shape while its plan space stays resident, whatever
-	// the number of constants, plans and revalidations that use it (and
-	// one per Engine.Plan call, which inspects a fresh enumeration).
-	// Spaces and SpaceBytes are the plan spaces resident now and their
-	// weight.
+	// the number of constants, plans, revalidations and inspections that
+	// use it. Spaces and SpaceBytes are the plan spaces resident now and
+	// their weight.
 	Enumerations uint64
 	Spaces       uint64
 	SpaceBytes   uint64
@@ -356,7 +358,6 @@ func (e *Engine) enumerate(q *sparql.Query) (*core.Result, error) {
 		Method:           e.cfg.Method,
 		MaxPlans:         e.cfg.MaxPlans,
 		MaxCoversPerStep: e.cfg.MaxCoversPerStep,
-		Timeout:          e.cfg.Timeout,
 	})
 	if err != nil {
 		return nil, err
@@ -387,8 +388,10 @@ func (e *Engine) space(q *sparql.Query) (*core.Space, error) {
 	return sp, err
 }
 
-// plan selects the cheapest candidate of q's plan space under current
-// statistics and compiles it.
+// plan is planning proper: take q's plan space, snapshot q's
+// statistics, price the space's candidates, materialise and compile the
+// winner. Every plan the engine hands out is a candidate of its written
+// shape's one space.
 func (e *Engine) plan(q *sparql.Query) (*planOutcome, error) {
 	if e.closed.Load() {
 		return nil, ErrClosed
@@ -401,13 +404,6 @@ func (e *Engine) plan(q *sparql.Query) (*planOutcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	return e.choose(q, sp)
-}
-
-// choose is planning proper, the same for a cold prepare, a
-// revalidation and an inspection: snapshot q's statistics, price sp's
-// candidates, materialise and compile the winner.
-func (e *Engine) choose(q *sparql.Query, sp *core.Space) (*planOutcome, error) {
 	ref, st := e.readStats(q)
 	idx, c := cost.NewModel(e.cfg.Constants, st).ChooseSpace(sp)
 	chosen, pp, err := e.finishPlan(q, sp, idx)
@@ -439,27 +435,6 @@ func (e *Engine) finishPlan(q *sparql.Query, sp *core.Space, idx int) (*core.Pla
 	best.Height()
 	best.Signature()
 	return best, pp, nil
-}
-
-// Plan optimizes q afresh and returns the cost-selected logical plan,
-// its physical compilation, and the optimizer result (for plan-space
-// statistics). It is the inspection entry: the enumeration it returns is
-// its own, not the cached space of q's shape, though the choice is made
-// from it the way every other is.
-func (e *Engine) Plan(q *sparql.Query) (*core.Plan, *physical.Plan, *core.Result, error) {
-	if e.closed.Load() {
-		return nil, nil, nil, ErrClosed
-	}
-	res, err := e.enumerate(q)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	out, err := e.choose(q, res.Space())
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	e.cat.Release(out.ref)
-	return out.chosen, out.pp, res, nil
 }
 
 // execContext takes a context from the free list (or builds one from

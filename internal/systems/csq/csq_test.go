@@ -30,8 +30,8 @@ func TestPlanFailsWhenVariantFindsNoPlan(t *testing.T) {
 	q := sparql.MustParse(`PREFIX ub: <` + lubm.NS + `>
 		SELECT ?x WHERE { ?x ub:memberOf ?d . ?d ub:subOrganizationOf ?u . ?u ub:name ?n }`)
 	q.Name = "chain3"
-	if _, _, _, err := eng.Plan(q); err == nil {
-		t.Error("Plan succeeded although XC+ finds no plan for a 3-chain")
+	if _, err := eng.Prepare(q); err == nil {
+		t.Error("Prepare succeeded although XC+ finds no plan for a 3-chain")
 	}
 }
 

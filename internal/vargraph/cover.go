@@ -3,72 +3,14 @@ package vargraph
 import (
 	"math/bits"
 	"sort"
-	"time"
 )
-
-// Budget bounds a decomposition enumeration. The zero value means
-// unlimited. Budgets mirror the paper's experimental setup, which runs
-// each optimizer variant under a wall-clock timeout.
-type Budget struct {
-	// MaxCovers caps the number of covers returned per enumeration
-	// call; 0 means no cap.
-	MaxCovers int
-	// Deadline, if non-zero, stops enumeration when passed.
-	Deadline time.Time
-
-	// calls counts covers since the last clock read and stride how
-	// many covers pass between reads, amortizing the deadline check.
-	calls, stride int
-	lastCheck     time.Time
-}
-
-// Deadline-check amortization: capped sits on the enumeration hot
-// path, where a clock read per cover would dominate the actual cover
-// search when covers are cheap. The stride between clock reads adapts
-// to the observed cover rate — it doubles (up to maxStride) while
-// covers arrive faster than checkInterval per stride and shrinks back
-// when they are slow — so fast enumerations pay one clock read per 64
-// covers while slow ones keep the deadline overshoot bounded to about
-// a stride of near-checkInterval work.
-const (
-	maxStride     = 64
-	checkInterval = 100 * time.Microsecond
-)
-
-func (b *Budget) capped(have int) bool {
-	if b == nil {
-		return false
-	}
-	if b.MaxCovers > 0 && have >= b.MaxCovers {
-		return true
-	}
-	if b.Deadline.IsZero() {
-		return false
-	}
-	if b.stride == 0 {
-		b.stride = 1
-	}
-	if b.calls++; b.calls < b.stride {
-		return false
-	}
-	b.calls = 0
-	now := time.Now()
-	if !b.lastCheck.IsZero() {
-		if elapsed := now.Sub(b.lastCheck); elapsed < checkInterval && b.stride < maxStride {
-			b.stride *= 2
-		} else if elapsed > 4*checkInterval && b.stride > 1 {
-			b.stride /= 2
-		}
-	}
-	b.lastCheck = now
-	return now.After(b.Deadline)
-}
 
 // Decompositions enumerates the clique decompositions of g under method
-// m (the CLIQUEDECOMPOSITIONS step of Algorithm 1). It reports whether
-// the enumeration was truncated by the budget. Results are deterministic
-// for a given graph and method.
-func Decompositions(g *Graph, m Method, b *Budget) ([]Decomposition, bool) {
+// m (the CLIQUEDECOMPOSITIONS step of Algorithm 1), stopping once it has
+// maxCovers of them (0 means no cap). It reports whether that count cut
+// the enumeration short. The budget is a count, not a clock, so results
+// are deterministic for a given graph, method and cap on every machine.
+func Decompositions(g *Graph, m Method, maxCovers int) ([]Decomposition, bool) {
 	n := g.Len()
 	if n <= 1 {
 		return nil, false
@@ -82,7 +24,7 @@ func Decompositions(g *Graph, m Method, b *Budget) ([]Decomposition, bool) {
 	if len(pool) == 0 {
 		return nil, false
 	}
-	e := &coverEnum{pool: enumOrder(pool), n: n, maxSize: n - 1, budget: b}
+	e := &coverEnum{pool: enumOrder(pool), n: n, maxSize: n - 1, maxCovers: maxCovers}
 	if m.Exact() {
 		if m.Minimum() {
 			return e.minimize(e.exactCovers)
@@ -120,12 +62,12 @@ func enumOrder(pool []Clique) []Clique {
 // pool. Node sets are manipulated as bitmasks (graphs here never exceed
 // 64 nodes: queries have at most a few dozen triple patterns).
 type coverEnum struct {
-	pool    []Clique
-	n       int
-	maxSize int
-	budget  *Budget
-	masks   []uint64 // lazily built per-clique bitmasks
-	full    uint64
+	pool      []Clique
+	n         int
+	maxSize   int
+	maxCovers int      // stop at this many covers; 0, never reached, means no cap
+	masks     []uint64 // lazily built per-clique bitmasks
+	full      uint64
 }
 
 func (e *coverEnum) init() {
@@ -176,7 +118,7 @@ func (e *coverEnum) simpleCovers(sizeCap int) ([]Decomposition, bool) {
 		}
 		if covered == e.full && len(chosen) > 0 {
 			out = append(out, e.build(chosen))
-			if e.budget.capped(len(out)) {
+			if len(out) == e.maxCovers {
 				truncated = true
 				return
 			}
@@ -227,9 +169,7 @@ func (e *coverEnum) exactCovers(sizeCap int) ([]Decomposition, bool) {
 		if covered == e.full {
 			if len(chosen) > 0 {
 				out = append(out, e.build(chosen))
-				if e.budget.capped(len(out)) {
-					truncated = true
-				}
+				truncated = len(out) == e.maxCovers
 			}
 			return
 		}

@@ -35,7 +35,7 @@ func TestReductionShrinksGraph(t *testing.T) {
 		q := qgen.Generate(qgen.Shapes[iter%len(qgen.Shapes)], 2+rng.Intn(5), rng)
 		g := FromQuery(q)
 		for _, m := range AllMethods {
-			ds, _ := Decompositions(g, m, &Budget{MaxCovers: 50})
+			ds, _ := Decompositions(g, m, 50)
 			for _, d := range ds {
 				g2 := g.Reduce(d)
 				if g2.Len() >= g.Len() {
@@ -84,8 +84,8 @@ func TestDecompositionsDeterministic(t *testing.T) {
 	q := qgen.Generate(qgen.Dense, 6, rng)
 	g := FromQuery(q)
 	for _, m := range AllMethods {
-		a, _ := Decompositions(g, m, &Budget{MaxCovers: 200})
-		b, _ := Decompositions(g, m, &Budget{MaxCovers: 200})
+		a, _ := Decompositions(g, m, 200)
+		b, _ := Decompositions(g, m, 200)
 		if len(a) != len(b) {
 			t.Fatalf("%v: %d vs %d decompositions", m, len(a), len(b))
 		}

@@ -2,7 +2,6 @@ package vargraph
 
 import (
 	"testing"
-	"time"
 
 	"cliquesquare/internal/sparql"
 )
@@ -232,7 +231,7 @@ func TestReduceSingletonPassThrough(t *testing.T) {
 func TestDecompositionsRespectSizeLimit(t *testing.T) {
 	for _, m := range AllMethods {
 		g := FromQuery(paperQ1())
-		ds, _ := Decompositions(g, m, &Budget{MaxCovers: 500})
+		ds, _ := Decompositions(g, m, 500)
 		for _, d := range ds {
 			if len(d) >= g.Len() {
 				t.Errorf("%v: decomposition size %d >= nodes %d", m, len(d), g.Len())
@@ -253,7 +252,7 @@ func TestDecompositionsRespectSizeLimit(t *testing.T) {
 func TestExactCoversAreDisjoint(t *testing.T) {
 	g := FromQuery(paperQ1())
 	for _, m := range []Method{XC, MXC} {
-		ds, _ := Decompositions(g, m, &Budget{MaxCovers: 2000})
+		ds, _ := Decompositions(g, m, 2000)
 		if len(ds) == 0 {
 			t.Fatalf("%v found no exact covers for Q1", m)
 		}
@@ -277,7 +276,7 @@ func TestMaximalExactCoverFailsOnChain3(t *testing.T) {
 	// no decomposition.
 	g := FromQuery(chain3())
 	for _, m := range []Method{XCPlus, MXCPlus} {
-		ds, trunc := Decompositions(g, m, nil)
+		ds, trunc := Decompositions(g, m, 0)
 		if len(ds) != 0 || trunc {
 			t.Errorf("%v on chain3: got %d decompositions, want 0", m, len(ds))
 		}
@@ -286,7 +285,7 @@ func TestMaximalExactCoverFailsOnChain3(t *testing.T) {
 
 func TestMinimumCoversAreMinimum(t *testing.T) {
 	g := FromQuery(paperQ1())
-	msc, _ := Decompositions(g, MSC, nil)
+	msc, _ := Decompositions(g, MSC, 0)
 	if len(msc) == 0 {
 		t.Fatal("MSC found no covers")
 	}
@@ -324,8 +323,8 @@ func TestSimpleCoverSupersetAllowed(t *testing.T) {
 	// minimum cover ({t1,t2},{t3,t4}) but several simple covers.
 	q := sparql.MustParse(`SELECT ?x WHERE { ?x <p1> ?a . ?a <p2> ?b . ?b <p3> ?c . ?c <p4> ?y }`)
 	g := FromQuery(q)
-	sc, _ := Decompositions(g, SC, nil)
-	msc, _ := Decompositions(g, MSC, nil)
+	sc, _ := Decompositions(g, SC, 0)
+	msc, _ := Decompositions(g, MSC, 0)
 	if len(msc) != 1 {
 		t.Errorf("MSC found %d covers for chain4, want 1", len(msc))
 	}
@@ -336,29 +335,16 @@ func TestSimpleCoverSupersetAllowed(t *testing.T) {
 
 func TestBudgetTruncates(t *testing.T) {
 	g := FromQuery(paperQ1())
-	ds, trunc := Decompositions(g, SC, &Budget{MaxCovers: 10})
+	ds, trunc := Decompositions(g, SC, 10)
 	if len(ds) != 10 || !trunc {
 		t.Errorf("got %d covers, truncated=%v; want 10, true", len(ds), trunc)
-	}
-}
-
-func TestBudgetDeadlineTruncates(t *testing.T) {
-	// An already-expired deadline stops the enumeration at the first
-	// cover — the amortized clock check still observes call one.
-	g := FromQuery(paperQ1())
-	ds, trunc := Decompositions(g, SC, &Budget{Deadline: time.Now().Add(-time.Second)})
-	if !trunc {
-		t.Error("expired deadline did not truncate the enumeration")
-	}
-	if len(ds) > 1 {
-		t.Errorf("deadline observed only after %d covers (stride starts at 1)", len(ds))
 	}
 }
 
 func TestSingleNodeGraphNoDecompositions(t *testing.T) {
 	q := sparql.MustParse(`SELECT ?x WHERE { ?x <p> ?y }`)
 	g := FromQuery(q)
-	ds, _ := Decompositions(g, SC, nil)
+	ds, _ := Decompositions(g, SC, 0)
 	if len(ds) != 0 {
 		t.Errorf("1-node graph decomposed: %v", ds)
 	}
@@ -368,7 +354,7 @@ func TestTwoNodeGraph(t *testing.T) {
 	q := sparql.MustParse(`SELECT ?x WHERE { ?x <p1> ?y . ?x <p2> ?z }`)
 	g := FromQuery(q)
 	for _, m := range AllMethods {
-		ds, _ := Decompositions(g, m, nil)
+		ds, _ := Decompositions(g, m, 0)
 		if len(ds) != 1 {
 			t.Errorf("%v: %d decompositions for 2-node graph, want 1", m, len(ds))
 			continue

@@ -71,11 +71,11 @@ func newPlanFixture(t *testing.T, g *Graph, queries []*sparql.Query) *lifetimeFi
 	f.part = partition.LoadWithPolicy(f.store, f.g, f.cfg.Partitioning, pol)
 	planner := csq.New(f.g, f.cfg)
 	for _, q := range queries {
-		_, pp, _, err := planner.Plan(q)
+		p, err := planner.Prepare(q)
 		if err != nil {
 			t.Fatalf("%s: plan: %v", q.Name, err)
 		}
-		f.flat[q.Name] = pp
+		f.flat[q.Name] = p.Physical
 		if len(q.Patterns) >= 2 {
 			f.linear[q.Name] = f.linearPlan(t, q)
 		}

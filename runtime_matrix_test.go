@@ -33,11 +33,11 @@ func TestMorselDeterminismMatrix(t *testing.T) {
 	queries := lubm.Queries()
 	plans := make([]*physical.Plan, len(queries))
 	for i, q := range queries {
-		_, pp, _, err := planEng.Plan(q)
+		p, err := planEng.Prepare(q)
 		if err != nil {
 			t.Fatalf("%s: plan: %v", q.Name, err)
 		}
-		plans[i] = pp
+		plans[i] = p.Physical
 	}
 
 	// A private store/partitioner (identical to the engine's layout) so
@@ -134,7 +134,7 @@ func TestPoolWorkerReaping(t *testing.T) {
 	// execution; Close must reap them.
 	cfg := csq.DefaultConfig()
 	eng := csq.New(g, cfg)
-	_, pp, _, err := eng.Plan(q)
+	p, err := eng.Prepare(q)
 	if err != nil {
 		t.Fatalf("plan: %v", err)
 	}
@@ -147,7 +147,7 @@ func TestPoolWorkerReaping(t *testing.T) {
 		Dict:    g.Dict,
 		Ctx:     ctx,
 	}
-	if _, err := x.Execute(pp); err != nil {
+	if _, err := x.Execute(p.Physical); err != nil {
 		t.Fatalf("execute: %v", err)
 	}
 	ctx.Close()

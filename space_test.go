@@ -70,6 +70,16 @@ func TestEnumerationsPerShape(t *testing.T) {
 	if us.SpaceBytes > 256<<10 {
 		t.Errorf("the 14 LUBM plan spaces weigh %d B, want at most 256 KB", us.SpaceBytes)
 	}
+	// Explain shows the plan Query runs, chosen from the same space: it
+	// runs no optimizer of its own.
+	for _, q := range lubm.Queries() {
+		if _, err := eng.Explain(q.String()); err != nil {
+			t.Fatalf("explain %s: %v", q.Name, err)
+		}
+	}
+	if n := eng.UpdateStats().Enumerations; n != 14 {
+		t.Errorf("explaining the 14 LUBM queries took the enumerations to %d, want 14", n)
+	}
 
 	q14, err := NewEngine(g, Options{})
 	if err != nil {
