@@ -20,8 +20,9 @@ import (
 
 const (
 	// workloadAllocCeiling bounds allocs per execution of the whole
-	// 14-query LUBM workload (measured 497–499 at 1–8 lanes with integer
-	// meters in the scratch; 539 when each run allocated its phase meters
+	// 14-query LUBM workload (measured 261 at 2 lanes once a map join took
+	// its input list from the lane's arena, 471 before; 497–499 at 1–8
+	// lanes with integer meters in the scratch; 539 when each run allocated its phase meters
 	// and logged float charges; ≈3k when every relation was a []Row; the
 	// seed was ≈21k).
 	workloadAllocCeiling = 520
@@ -60,12 +61,14 @@ const (
 	uncachedQueryFixedBytes = 24 << 10
 	// variantPrepareBytesCeiling bounds the bytes one pass of
 	// BenchmarkPrepareColdVsCached/variant allocates: six cold prepares
-	// for a university no plan is cached for (measured ≈0.19 MB: parse
+	// for a university no plan is cached for (measured ≈47.9 KB: parse
 	// aside, a miss is a canonicalization, a statistics snapshot, one
-	// pricing walk over the shape's resident plan space and one compile;
-	// ≈14 MB when every miss enumerated its plan space again and
-	// classified each candidate into a map to price it).
-	variantPrepareBytesCeiling = 270 << 10
+	// pricing walk over the shape's resident plan space and a bind of the
+	// winner's compiled candidate — a plan header and its key; 141.5 KB
+	// when every miss materialised, pushed down, compiled and keyed the
+	// winner anew; ≈14 MB when every miss enumerated its plan space again
+	// and classified each candidate into a map to price it).
+	variantPrepareBytesCeiling = 67 << 10
 	// passAfterCommitRatioCeiling bounds what the 14-query pass right
 	// after a commit allocates, relative to a warm pass: its 14
 	// revalidations snapshot and re-price, whatever the size of the

@@ -399,8 +399,8 @@ type UpdateStats = csq.UpdateStats
 
 // UpdateStats snapshots batches applied, cached plans revalidated
 // after epoch changes, revalidations that switched plans, optimizer
-// runs and the plan spaces they left resident, and the statistics
-// catalog's resident patterns and graph-pass fills.
+// runs and the plan spaces they left resident, candidates compiled, and
+// the statistics catalog's resident patterns and graph-pass fills.
 func (e *Engine) UpdateStats() UpdateStats { return e.inner.UpdateStats() }
 
 // CacheStats is a snapshot of the plan cache counters (re-exported
@@ -408,10 +408,12 @@ func (e *Engine) UpdateStats() UpdateStats { return e.inner.UpdateStats() }
 type CacheStats = plancache.Stats
 
 // CacheStats snapshots the engine's plan cache activity: hits, misses
-// (= plans chosen and compiled), evictions and resident entries. A miss
-// is not an optimizer run: the plan space a plan is chosen from belongs
-// to the query's written shape and is enumerated once for all its
-// constants — UpdateStats().Enumerations counts those runs.
+// (= plans chosen and bound), evictions and resident entries. A miss is
+// neither an optimizer run nor, mostly, a compile: the plan space a plan
+// is chosen from belongs to the query's written shape and is enumerated
+// once for all its constants, and each candidate chosen from it is
+// compiled once per SELECT list and bound to every query that chooses
+// it — UpdateStats().Enumerations and .Compiles count those runs.
 func (e *Engine) CacheStats() CacheStats { return e.inner.CacheStats() }
 
 // ResultCacheStats snapshots the result cache: hits and misses count
@@ -439,8 +441,8 @@ func (e *Engine) Run(q *Query) (*Result, error) {
 	return p.Run()
 }
 
-// Prepared is a planned, reusable query: its plan is chosen and the
-// physical plan compiled. A Prepared is immutable and may be
+// Prepared is a planned, reusable query: its plan is chosen and its
+// compiled physical plan bound to it. A Prepared is immutable and may be
 // Run any number of times, from any number of goroutines.
 type Prepared struct {
 	eng   *Engine
@@ -457,8 +459,9 @@ type Prepared struct {
 // to one canonical fingerprint and share a single plan, with concurrent
 // first requests collapsed by singleflight. Below that, queries written
 // alike up to their constants and SELECT list share one enumerated plan
-// space: a new constant costs statistics, pricing and one compile, not
-// an optimizer run.
+// space, and those that also share a SELECT list share the candidates
+// compiled from it: a new constant costs statistics, pricing and a bind,
+// not an optimizer run or a compile.
 func (e *Engine) Prepare(src string) (*Prepared, error) {
 	q, err := sparql.Parse(src)
 	if err != nil {

@@ -67,13 +67,14 @@ type Op struct {
 	// Children are the operator inputs, empty for OpMatch.
 	Children []*Op
 
-	// sig, csig and height memoize Signature, ContentSignature and
-	// Height. The first call writes them; once computed, further calls
-	// only read. Warm them (csq.Engine.Prepare and physical.CompileWith
-	// do) before sharing an Op across goroutines: the lazy first
-	// computation is not synchronized.
+	// sig and height memoize Signature and Height. The first call writes
+	// them; once computed, further calls only read. Warm them (the csq
+	// engine does when it compiles a candidate) before sharing an Op
+	// across goroutines: the lazy first computation is not synchronized.
+	// Neither names a constant, so an operator shared by the plans of
+	// several queries of one written shape memoizes the same values for
+	// all of them.
 	sig    string
-	csig   string
 	height int // computed height + 1; 0 = not yet computed
 }
 
@@ -121,35 +122,6 @@ func (op *Op) Signature() string {
 		op.sig = "P[" + strings.Join(op.Attrs, ",") + "](" + op.Children[0].Signature() + ")"
 	}
 	return op.sig
-}
-
-// ContentSignature returns a canonical string identifying the operator
-// subplan by the *content* of its triple patterns rather than their
-// query-relative indexes, with children rendered in order. Two
-// operators with equal content signatures over graphs at the same
-// DataVersion compute the same relation with the same per-node work
-// split, which is what the result cache (internal/rescache) keys plans
-// on, through physical.Plan.Key. Unlike Signature, child order is preserved: the physical
-// layer derives shuffle routing from input order, so order-insensitive
-// matching would be unsound there.
-func (op *Op) ContentSignature(q *sparql.Query) string {
-	if op.csig != "" {
-		return op.csig
-	}
-	switch op.Kind {
-	case OpMatch:
-		tp := q.Patterns[op.Pattern]
-		op.csig = "M(" + tp.S.String() + " " + tp.P.String() + " " + tp.O.String() + ")[" + strings.Join(op.Attrs, ",") + "]"
-	case OpJoin:
-		kids := make([]string, len(op.Children))
-		for i, c := range op.Children {
-			kids[i] = c.ContentSignature(q)
-		}
-		op.csig = "J[" + strings.Join(op.JoinAttrs, ",") + "][" + strings.Join(op.Residual, ",") + "][" + strings.Join(op.Attrs, ",") + "](" + strings.Join(kids, ";") + ")"
-	case OpProject:
-		op.csig = "P[" + strings.Join(op.Attrs, ",") + "](" + op.Children[0].ContentSignature(q) + ")"
-	}
-	return op.csig
 }
 
 // Plan is a logical query plan: a rooted operator DAG for a query.

@@ -31,7 +31,9 @@ package physical
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
+	"unsafe"
 
 	"cliquesquare/internal/core"
 	"cliquesquare/internal/mapreduce"
@@ -77,11 +79,13 @@ type Info struct {
 // Plan is a compiled physical plan: the logical plan plus the physical
 // classification of every operator and the job layout.
 //
-// A Plan is immutable once CompileWith (or Classify) returns: execution
-// never writes to the plan, its Infos, or the logical operators beneath
-// it, so one compiled Plan may be executed by any number of goroutines
+// A Plan is immutable once CompileWith (or Classify, or Bind) returns:
+// execution never writes to the plan, its Infos, or the logical
+// operators beneath it, so one compiled Plan — and everything its binds
+// share with it — may be executed by any number of goroutines
 // simultaneously. All per-execution state lives in the Executor, its
-// Cluster and the ExecContext's per-node arenas.
+// Cluster and the ExecContext's per-node arenas. The constants the plan
+// runs with are read from Logical.Query only.
 type Plan struct {
 	Logical *core.Plan
 	// Root is the operator under the final projection.
@@ -94,8 +98,8 @@ type Plan struct {
 	Levels [][]*Info
 	// Key canonically identifies the plan's whole computation for the
 	// result cache: two plans with equal keys over the same data epoch
-	// produce byte-identical rows and per-job counts. CompileWith
-	// renders it; a plan that was only classified has none.
+	// produce byte-identical rows and per-job counts. CompileWith and
+	// Bind render it; a plan that was only classified has none.
 	Key string
 }
 
@@ -152,8 +156,8 @@ func (e *ShuffleWidthError) Error() string {
 // CompileWith is Compile under an explicit co-location capability
 // (partitioning-scheme dependent): Classify plus the plan key, which
 // only a plan that will run needs. Its result is the one form of Plan
-// the executor accepts; a plan whose shuffle it could not carry fails
-// with a *ShuffleWidthError.
+// the executor accepts — as is every Bind of it; a plan whose shuffle it
+// could not carry fails with a *ShuffleWidthError.
 func CompileWith(p *core.Plan, canColocate CoLocator) (*Plan, error) {
 	pp, err := Classify(p, canColocate)
 	if err != nil {
@@ -166,15 +170,30 @@ func CompileWith(p *core.Plan, canColocate CoLocator) (*Plan, error) {
 			}
 		}
 	}
-	pp.buildKey(p.Query)
+	pp.Key = pp.renderKey(0)
 	return pp, nil
+}
+
+// Bind returns pp's plan for q, a query of the written shape
+// (core.WrittenShape) and SELECT list of the one pp was compiled for,
+// whatever its constants: a new header whose logical plan is q's and
+// whose Key is rendered for q. The operator DAG, Infos and Levels are
+// pp's, shared read-only — none of them names a constant (Sections 3-4:
+// a plan is a function of the variable graph), so they are what a
+// compile of q would build. Constants enter only where the executor
+// reads q's patterns, at scan time, and in the key.
+func (pp *Plan) Bind(q *sparql.Query) *Plan {
+	b := *pp
+	b.Logical = &core.Plan{Query: q, Root: pp.Logical.Root}
+	b.Key = b.renderKey(len(pp.Key) + len(pp.Key)/8)
+	return &b
 }
 
 // Classify is the structural half of CompileWith: operator kinds,
 // reduce-join levels and with them the job count — everything the cost
 // model reads to price a candidate, and nothing rendered. The Plan it
-// returns has no Key and warms no operator signature, so it is for
-// inspection and pricing only; a plan to execute comes from CompileWith.
+// returns has no Key, so it is for inspection and pricing only; a plan
+// to execute comes from CompileWith.
 func Classify(p *core.Plan, canColocate CoLocator) (*Plan, error) {
 	if p.Root.Kind != core.OpProject || len(p.Root.Children) != 1 {
 		return nil, fmt.Errorf("physical: plan root must be a projection over one operator")
@@ -236,32 +255,72 @@ func Classify(p *core.Plan, canColocate CoLocator) (*Plan, error) {
 	return pp, nil
 }
 
-// buildKey renders the plan's content key. It must pin down everything
-// besides the data epoch (which the result cache layers in) that shapes
-// the rows and every job's recorded counts: per job level, the content
-// signatures of its reduce joins (covering their whole subtrees,
-// children in order) and their plan-global IDs — shuffle routing and
-// record sort order derive from the ID — or, for a map-only plan, the
-// signature of its root; then the SELECT list the final projection
-// targets. Building the key here also warms every operator's memoized
-// content signature before the immutable Plan is shared across
-// goroutines.
-func (pp *Plan) buildKey(q *sparql.Query) {
-	var b strings.Builder
+// renderKey renders the plan's content key for its logical plan's query
+// in one pass, into a buffer of capacity hint. The key must pin down
+// everything besides the data epoch (which the result cache layers in)
+// that shapes the rows and every job's recorded counts: per job level,
+// the content of its reduce joins (their whole subtrees, children in
+// order, patterns by their terms) and their plan-global IDs — shuffle
+// routing and record sort order derive from the ID — or, for a map-only
+// plan, the content of its root; then the SELECT list the final
+// projection targets. Nothing is memoized on the operators: they may be
+// shared by the plans of queries that differ in their constants.
+func (pp *Plan) renderKey(hint int) string {
+	q := pp.Logical.Query
+	b := make([]byte, 0, hint)
 	if pp.MapOnly() {
-		b.WriteString("MO|" + pp.Root.ContentSignature(q))
+		b = appendContent(append(b, "MO|"...), pp.Root, q)
 	}
 	for l, infos := range pp.Levels {
 		if l > 0 {
-			b.WriteString("\n")
+			b = append(b, '\n')
 		}
-		fmt.Fprintf(&b, "L%d", l+1)
+		b = strconv.AppendInt(append(b, 'L'), int64(l+1), 10)
 		for _, in := range infos {
-			fmt.Fprintf(&b, "|%d:%s", in.ID, in.Op.ContentSignature(q))
+			b = strconv.AppendInt(append(b, '|'), int64(in.ID), 10)
+			b = appendContent(append(b, ':'), in.Op, q)
 		}
 	}
-	b.WriteString("|S:" + strings.Join(q.Select, ","))
-	pp.Key = b.String()
+	b = appendJoined(append(b, "|S:"...), q.Select)
+	// b is never written again: the key takes its bytes, as
+	// strings.Builder hands over its buffer, rather than a copy.
+	return unsafe.String(unsafe.SliceData(b), len(b))
+}
+
+// appendContent appends the content of the subplan under op, a match or
+// a join of q's plan: a match as its pattern's terms and its attributes,
+// a join as its join, residual and output attributes and its inputs in
+// order — the physical layer derives shuffle routing from input order.
+func appendContent(b []byte, op *core.Op, q *sparql.Query) []byte {
+	if op.Kind == core.OpMatch {
+		tp := &q.Patterns[op.Pattern]
+		b = tp.S.Append(append(b, "M("...))
+		b = tp.P.Append(append(b, ' '))
+		b = tp.O.Append(append(b, ' '))
+		return append(appendJoined(append(b, ")["...), op.Attrs), ']')
+	}
+	b = appendJoined(append(b, "J["...), op.JoinAttrs)
+	b = appendJoined(append(b, "]["...), op.Residual)
+	b = appendJoined(append(b, "]["...), op.Attrs)
+	b = append(b, "]("...)
+	for i, c := range op.Children {
+		if i > 0 {
+			b = append(b, ';')
+		}
+		b = appendContent(b, c, q)
+	}
+	return append(b, ')')
+}
+
+// appendJoined appends ss separated by commas.
+func appendJoined(b []byte, ss []string) []byte {
+	for i, s := range ss {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, s...)
+	}
+	return b
 }
 
 // MapOnly reports whether the whole plan evaluates in a single map-only

@@ -8,6 +8,7 @@ import (
 	"cliquesquare/internal/mapreduce"
 	"cliquesquare/internal/partition"
 	"cliquesquare/internal/rdf"
+	"cliquesquare/internal/sparql"
 )
 
 // ExecContext carries cross-layer execution state threaded from the
@@ -166,15 +167,18 @@ type arena struct {
 	scanVarPos  []rdf.Pos
 
 	// scan file-name memo: partition-file resolution is pure per
-	// (operator, replica position) within one pinned view, so the
+	// (pattern, replica position) within one pinned view, so the
 	// resolved name lists are cached until the view changes.
 	fileView  *partition.View
 	fileNames map[fileKey][]string
 
-	// per-group join inputs of the reduce phase (groupRels) and the
-	// hoisted final-projection columns of a map-only job (projCols).
-	groupRels []relation
-	projCols  []int
+	// per-group join inputs of the reduce phase (groupRels), a map
+	// join's inputs (joinInputs) and the hoisted final-projection columns
+	// of a map-only job (projCols). A lane runs a map morsel or a reduce
+	// range, never both at once.
+	groupRels  []relation
+	joinInputs []relation
+	projCols   []int
 }
 
 // nextBlock hands out the morsel's next block, emptied for rows of the
@@ -193,10 +197,10 @@ func (a *arena) nextBlock(width int) *mapreduce.Block {
 // resetBlocks starts a new morsel: every block is up for reuse.
 func (a *arena) resetBlocks() { a.used = 0 }
 
-// fileKey identifies one scan's file resolution: the (immutable) plan
-// operator plus the replica position it reads.
+// fileKey identifies one scan's file resolution: the pattern it matches
+// plus the replica position it reads.
 type fileKey struct {
-	op  *core.Op
+	tp  sparql.TriplePattern
 	pos rdf.Pos
 }
 

@@ -208,7 +208,7 @@ func (x *Executor) runLevel(pp *Plan, l int, rec *mapreduce.JobRecord) *mapreduc
 // node, evaluating the node's whole local subtree. Splitting it, as
 // levelJob splits its scans per partition file, is not done.
 func (x *Executor) mapOnlyJob(pp *Plan) mapreduce.Job {
-	sel := pp.Logical.Query.Select
+	sel := pp.Logical.Root.Attrs
 	return mapreduce.Job{
 		MapMorsel: func(node, _, lane int, m *mapreduce.Meter, _ *mapreduce.Emitter, out *mapreduce.Block) {
 			a := x.Ctx.arenas[lane]
@@ -236,8 +236,11 @@ func (x *Executor) mapOnlyJob(pp *Plan) mapreduce.Job {
 // hands the range, and counts the projection's checks too. Range order
 // concatenates back to the node's canonical group order, so every
 // reduce join's rows come out exactly as from one sweep over the node.
+// The SELECT list is read off the final projection, not the query: that
+// slice is shared by every bind of the plan, so the lanes' join-plan
+// memo, which keys on slice identity, serves all of them.
 func (x *Executor) levelJob(pp *Plan, l int) mapreduce.Job {
-	sel := pp.Logical.Query.Select
+	sel := pp.Logical.Root.Attrs
 	isLast := l == len(pp.Levels)-1
 	byID, interm := x.Ctx.byID, x.Ctx.interm
 	morsels := x.buildMorsels(pp, pp.Levels[l])
@@ -299,7 +302,7 @@ func (x *Executor) buildMorsels(pp *Plan, level []*Info) [][]mapMorsel {
 					continue
 				}
 				pos := x.Part.ScanPos(scanPosition(tp, rj.Op.JoinAttrs[0]))
-				names := x.scanFileNames(a, c, tp, pos)
+				names := x.scanFileNames(a, tp, pos)
 				for node := 0; node < n; node++ {
 					nd := x.view.Node(node)
 					for _, fname := range names {
@@ -362,8 +365,9 @@ func (x *Executor) runMapMorsel(pp *Plan, mo *mapMorsel, node, lane int, m *mapr
 // partition replica the scan must read so co-located joins see
 // co-partitioned inputs. Map joins impose their own first join
 // attribute on their children. It runs concurrently across lanes; all
-// mutable scratch — the returned relation's cells included — lives in
-// the lane's arena.
+// mutable scratch — the returned relation's cells and a map join's
+// input list included — lives in the lane's arena. A map join's inputs
+// are scans, so the input list is never in use twice at once.
 func (x *Executor) evalLocal(pp *Plan, op *core.Op, node int, m *mapreduce.Meter, coVar string, a *arena) relation {
 	switch op.Kind {
 	case core.OpMatch:
@@ -371,9 +375,10 @@ func (x *Executor) evalLocal(pp *Plan, op *core.Op, node int, m *mapreduce.Meter
 		// partitioned on coVar's position (Section 5.1 file layout).
 		tp := pp.Logical.Query.Patterns[op.Pattern]
 		pos := x.Part.ScanPos(scanPosition(tp, coVar))
-		return x.scanFiles(pp, op, node, m, x.scanFileNames(a, op, tp, pos), a)
+		return x.scanFiles(pp, op, node, m, x.scanFileNames(a, tp, pos), a)
 	case core.OpJoin:
-		children := make([]relation, len(op.Children))
+		a.joinInputs = sized(a.joinInputs, len(op.Children))
+		children := a.joinInputs
 		for i, c := range op.Children {
 			children[i] = x.evalLocal(pp, c, node, m, op.JoinAttrs[0], a)
 		}
@@ -393,11 +398,15 @@ type constCheck struct {
 	id  rdf.TermID
 }
 
-// scanFileNames resolves the partition files a scan must read through
-// the arena's per-view memo: resolution is pure per (operator, replica
-// position) within one pinned view, so repeated executions through a
-// pooled context skip the name formatting entirely.
-func (x *Executor) scanFileNames(a *arena, op *core.Op, tp sparql.TriplePattern, pos rdf.Pos) []string {
+// scanFileNames resolves the partition files a scan of pattern tp must
+// read through the arena's per-view memo: resolution is pure per
+// (pattern, replica position) within one pinned view, so repeated
+// executions through a pooled context skip the name formatting
+// entirely. The memo keys on the pattern's terms, not on the scan
+// operator: one operator is shared by the plans of every query of its
+// written shape, and under Section 5.1's rdf:type split it reads other
+// files for another class.
+func (x *Executor) scanFileNames(a *arena, tp sparql.TriplePattern, pos rdf.Pos) []string {
 	if a.fileView != x.view || len(a.fileNames) > fileNamesCap {
 		a.fileView = x.view
 		if a.fileNames == nil {
@@ -406,7 +415,7 @@ func (x *Executor) scanFileNames(a *arena, op *core.Op, tp sparql.TriplePattern,
 			clear(a.fileNames)
 		}
 	}
-	k := fileKey{op: op, pos: pos}
+	k := fileKey{tp: tp, pos: pos}
 	names, ok := a.fileNames[k]
 	if !ok {
 		names = x.view.Files(tp, pos, x.Dict)

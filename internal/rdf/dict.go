@@ -97,7 +97,7 @@ func (d *Dict) Encode(t Term) TermID {
 		panic(err)
 	}
 	var buf [probeLen]byte
-	k := t.appendRendered(buf[:0])
+	k := t.AppendRendered(buf[:0])
 	h := maphash.Bytes(d.seed, k)
 	d.mu.RLock()
 	id := d.find(k, h)
@@ -148,7 +148,7 @@ func (d *Dict) Lookup(t Term) (TermID, bool) {
 		return NoTerm, false
 	}
 	var buf [probeLen]byte
-	k := t.appendRendered(buf[:0])
+	k := t.AppendRendered(buf[:0])
 	h := maphash.Bytes(d.seed, k)
 	d.mu.RLock()
 	id := d.find(k, h)

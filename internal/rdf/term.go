@@ -65,10 +65,10 @@ func (t Term) String() string {
 	return t.Value
 }
 
-// appendRendered appends the term's N-Triples form — the bytes String
+// AppendRendered appends the term's N-Triples form — the bytes String
 // returns — to b. The dictionary files every term under this form; the
 // three kinds cannot collide because they differ in their first byte.
-func (t Term) appendRendered(b []byte) []byte {
+func (t Term) AppendRendered(b []byte) []byte {
 	switch t.Kind {
 	case IRI:
 		b = append(b, '<')

@@ -31,17 +31,26 @@ func Constant(t rdf.Term) PatternTerm { return PatternTerm{Term: t} }
 // escaped the way the tokenizer reads them back (a backslash takes the
 // next byte as it is). rdf.Term.String — the dictionary's rendered key
 // — escapes nothing.
-func (pt PatternTerm) String() string {
-	if pt.IsVar {
-		return "?" + pt.Var
-	}
-	if pt.Term.Kind == rdf.Literal {
-		return `"` + literalEscaper.Replace(pt.Term.Value) + `"`
-	}
-	return pt.Term.String()
-}
+func (pt PatternTerm) String() string { return string(pt.Append(nil)) }
 
-var literalEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`)
+// Append appends the term's SPARQL rendering, the bytes String returns,
+// to b.
+func (pt PatternTerm) Append(b []byte) []byte {
+	switch {
+	case pt.IsVar:
+		return append(append(b, '?'), pt.Var...)
+	case pt.Term.Kind == rdf.Literal:
+		b = append(b, '"')
+		for i := 0; i < len(pt.Term.Value); i++ {
+			if c := pt.Term.Value[i]; c == '\\' || c == '"' {
+				b = append(b, '\\')
+			}
+			b = append(b, pt.Term.Value[i])
+		}
+		return append(b, '"')
+	}
+	return pt.Term.AppendRendered(b)
+}
 
 // TriplePattern is a SPARQL triple pattern (s p o) where each position is
 // a variable or a constant.

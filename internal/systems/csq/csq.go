@@ -20,6 +20,7 @@ package csq
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -121,11 +122,12 @@ type Engine struct {
 	cache *plancache.Cache[*cacheEntry]
 	// spaces maps a query's written constant-free shape
 	// (core.WrittenShape) to the plan space the optimizer enumerated for
-	// it, weighed by Space.Bytes under spaceCacheBytes; nil when caching
-	// is disabled. Every planner of the shape — whatever its constants,
-	// SELECT list or Name, a cold prepare as much as a revalidation —
-	// prices this one immutable Space.
-	spaces *plancache.Cache[*core.Space]
+	// it and the candidates compiled from it, weighed by Space.Bytes under
+	// spaceCacheBytes; nil when caching is disabled. Every planner of the
+	// shape — whatever its constants, SELECT list or Name, a cold prepare
+	// as much as a revalidation — prices this one immutable Space and
+	// binds a candidate compiled once.
+	spaces *plancache.Cache[*shapePlans]
 	// cat is the engine's one statistics object: every planner snapshots
 	// its query's patterns from it (readStats) and every committed epoch
 	// folds its delta into it once (invalidate), so it is always at the
@@ -157,12 +159,14 @@ type Engine struct {
 	stateMu sync.RWMutex
 	// batches / groups / revalidations / replans count update activity:
 	// committed ApplyBatch calls, the epochs that carried them, cached
-	// plans re-checked and re-chosen. enumerations counts optimizer runs.
+	// plans re-checked and re-chosen. enumerations counts optimizer runs,
+	// compiles the candidates compiled.
 	batches       atomic.Uint64
 	groups        atomic.Uint64
 	revalidations atomic.Uint64
 	replans       atomic.Uint64
 	enumerations  atomic.Uint64
+	compiles      atomic.Uint64
 
 	// closed flips once on Close; every entry point then returns
 	// ErrClosed. dur is what an attached log adds (WAL + batcher +
@@ -220,7 +224,7 @@ func newEngine(cfg Config, dict *rdf.Dict, triples []rdf.Triple, store *dstore.S
 	if cfg.PlanCacheSize >= 0 {
 		e.cache = plancache.New[*cacheEntry](cfg.PlanCacheSize)
 		e.cache.OnEvict(func(ent *cacheEntry) { e.cat.Release(ent.ref) })
-		e.spaces = plancache.NewSized(spaceCacheBytes, func(sp *core.Space) int64 { return int64(sp.Bytes()) })
+		e.spaces = plancache.NewSized(spaceCacheBytes, func(sh *shapePlans) int64 { return int64(sh.space.Bytes()) })
 	}
 	if cfg.ResultCacheBytes > 0 {
 		e.res = rescache.New(cfg.ResultCacheBytes)
@@ -292,9 +296,12 @@ type UpdateStats struct {
 	// Enumerations counts optimizer runs since construction: one per
 	// written query shape while its plan space stays resident, whatever
 	// the number of constants, plans, revalidations and inspections that
-	// use it. Spaces and SpaceBytes are the plan spaces resident now and
-	// their weight.
+	// use it. Compiles counts the candidates compiled since construction:
+	// one per (shape, chosen candidate, SELECT list) while the shape stays
+	// resident, whatever the number of constants bound to it. Spaces and
+	// SpaceBytes are the plan spaces resident now and their weight.
 	Enumerations uint64
+	Compiles     uint64
 	Spaces       uint64
 	SpaceBytes   uint64
 	// StatsPatterns is the number of distinct triple patterns resident
@@ -313,6 +320,7 @@ func (e *Engine) UpdateStats() UpdateStats {
 		Revalidations: e.revalidations.Load(),
 		Replans:       e.replans.Load(),
 		Enumerations:  e.enumerations.Load(),
+		Compiles:      e.compiles.Load(),
 		StatsPatterns: uint64(patterns),
 		StatsFills:    fills,
 	}
@@ -323,13 +331,12 @@ func (e *Engine) UpdateStats() UpdateStats {
 	return us
 }
 
-// planOutcome is the full product of one select+compile run.
+// planOutcome is the full product of one select+bind run.
 type planOutcome struct {
-	chosen *core.Plan // after projection push-down
-	pp     *physical.Plan
-	space  *core.Space // the candidates it was chosen from
-	idx    int         // index of the winner among them
-	cost   float64     // its modeled cost at selection time
+	pp    *physical.Plan // bound to the query
+	space *core.Space    // the candidates it was chosen from
+	idx   int            // index of the winner among them
+	cost  float64        // its modeled cost at selection time
 	// stats is the snapshot the choice was made under (its Version is the
 	// plan's DataVersion); ref the hold on the query's catalog patterns
 	// that plan took, which whoever receives the outcome releases.
@@ -368,60 +375,100 @@ func (e *Engine) enumerate(q *sparql.Query) (*core.Result, error) {
 	return res, nil
 }
 
-// space returns the plan space of q's written shape: the resident one,
-// or the product of one enumeration that concurrent first requests of
-// the shape share (singleflight) and the cache retains if it fits. The
-// optimizer's budgets govern that one enumeration, and its Truncated
-// flag stays on the space.
-func (e *Engine) space(q *sparql.Query) (*core.Space, error) {
-	compute := func() (*core.Space, error) {
+// shapePlans is what the engine keeps per written query shape: the plan
+// space enumerated for it and the candidates compiled from that space so
+// far. A compiled candidate names no constant — the optimizer reads the
+// variable graph only, and constants enter a plan at scan time and in
+// its result-cache key — so the queries of the shape that choose it
+// under one SELECT list all bind the one compile (physical.Plan.Bind).
+type shapePlans struct {
+	space *core.Space
+	// mu guards compiled, the candidates compiled so far, each for one
+	// SELECT list. A compiled plan is never written once it is in the
+	// table.
+	mu       sync.Mutex
+	compiled []compiledPlan
+}
+
+// compiledPlan is candidate idx of a shape's space, compiled for the
+// SELECT list of its final projection.
+type compiledPlan struct {
+	idx int
+	pp  *physical.Plan
+}
+
+// compiledCap bounds a shape's compiled candidates; reaching it resets
+// the table (a shape's queries choose few candidates under few SELECT
+// lists; the bound only guards pathological churn).
+const compiledCap = 16
+
+// shape returns the plans of q's written shape: the resident ones, or the
+// product of one enumeration that concurrent first requests of the shape
+// share (singleflight) and the cache retains if it fits. The optimizer's
+// budgets govern that one enumeration, and its Truncated flag stays on
+// the space. An engine without caches enumerates for every call and
+// compiles into a table nobody keeps.
+func (e *Engine) shape(q *sparql.Query) (*shapePlans, error) {
+	compute := func() (*shapePlans, error) {
 		res, err := e.enumerate(q)
 		if err != nil {
 			return nil, err
 		}
-		return res.Space(), nil
+		return &shapePlans{space: res.Space()}, nil
 	}
 	if e.spaces == nil {
 		return compute()
 	}
-	sp, _, err := e.spaces.Do(core.WrittenShape(q), compute)
-	return sp, err
+	sh, _, err := e.spaces.Do(core.WrittenShape(q), compute)
+	return sh, err
 }
 
-// plan is planning proper: take q's plan space, snapshot q's
-// statistics, price the space's candidates, materialise and compile the
-// winner. Every plan the engine hands out is a candidate of its written
-// shape's one space.
+// plan is planning proper: take q's shape, snapshot q's statistics,
+// price the shape's candidates and bind the winner. Every plan the
+// engine hands out is a candidate of its written shape's one space. The
+// caller has validated q.
 func (e *Engine) plan(q *sparql.Query) (*planOutcome, error) {
 	if e.closed.Load() {
 		return nil, ErrClosed
 	}
-	// A space hit runs no optimizer, so nothing else would validate q.
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
-	sp, err := e.space(q)
+	sh, err := e.shape(q)
 	if err != nil {
 		return nil, err
 	}
 	ref, st := e.readStats(q)
-	idx, c := cost.NewModel(e.cfg.Constants, st).ChooseSpace(sp)
-	chosen, pp, err := e.finishPlan(q, sp, idx)
+	idx, c := cost.NewModel(e.cfg.Constants, st).ChooseSpace(sh.space)
+	pp, err := e.finishPlan(sh, q, idx)
 	if err != nil {
 		e.cat.Release(ref)
 		return nil, err
 	}
-	return &planOutcome{chosen: chosen, pp: pp, space: sp, idx: idx, cost: c, stats: st, ref: ref}, nil
+	return &planOutcome{pp: pp, space: sh.space, idx: idx, cost: c, stats: st, ref: ref}, nil
 }
 
-// finishPlan materialises candidate idx of sp for q, applies projection
-// push-down, compiles the physical plan and warms the logical plan's
-// lazy memos (height, signature) so the plan can be shared across
-// goroutines without unsynchronized first computations.
-func (e *Engine) finishPlan(q *sparql.Query, sp *core.Space, idx int) (*core.Plan, *physical.Plan, error) {
-	best, err := sp.Plan(q, idx)
+// finishPlan returns candidate idx of sh's space as q's plan: the
+// candidate compiled for q's SELECT list — on first use, under the
+// table's lock, so that each is compiled once — bound to q.
+func (e *Engine) finishPlan(sh *shapePlans, q *sparql.Query, idx int) (*physical.Plan, error) {
+	pp, err := e.compiled(sh, q, idx)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
+	}
+	return pp.Bind(q), nil
+}
+
+// compiled returns candidate idx of sh's space compiled for q's SELECT
+// list, compiling it if the table lacks it.
+func (e *Engine) compiled(sh *shapePlans, q *sparql.Query, idx int) (*physical.Plan, error) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	for _, c := range sh.compiled {
+		if c.idx == idx && slices.Equal(c.pp.Logical.Root.Attrs, q.Select) {
+			return c.pp, nil
+		}
+	}
+	best, err := sh.space.Plan(q, idx)
+	if err != nil {
+		return nil, err
 	}
 	best = core.PushProjections(best)
 	var caps physical.CoLocator
@@ -430,11 +477,18 @@ func (e *Engine) finishPlan(q *sparql.Query, sp *core.Space, idx int) (*core.Pla
 	}
 	pp, err := physical.CompileWith(best, caps)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
+	// Warm the lazy memos (height, signature) before the operators are
+	// shared across goroutines: later calls only read them.
 	best.Height()
 	best.Signature()
-	return best, pp, nil
+	if len(sh.compiled) >= compiledCap {
+		sh.compiled = sh.compiled[:0]
+	}
+	sh.compiled = append(sh.compiled, compiledPlan{idx: idx, pp: pp})
+	e.compiles.Add(1)
+	return pp, nil
 }
 
 // execContext takes a context from the free list (or builds one from

@@ -12,20 +12,23 @@ import (
 )
 
 // Prepared is the reusable artifact of planning one query: the
-// cost-selected candidate of its shape's plan space, materialised as a
-// logical plan, its compiled physical plan and the plan space's size. A Prepared is immutable after
-// Prepare returns and safe to execute from many goroutines at once —
-// execution state lives in per-call ExecContexts, never in the plan —
-// which is what lets one cached Prepared serve concurrent requests.
+// cost-selected candidate of its shape's plan space, as a logical plan
+// and a compiled physical plan bound to the query, and the plan space's
+// size. A Prepared is immutable after Prepare returns and safe to
+// execute from many goroutines at once — execution state lives in
+// per-call ExecContexts, never in the plan — which is what lets one
+// cached Prepared serve concurrent requests.
 type Prepared struct {
 	// Query is the query instance that was planned. For cache hits this
 	// is the first instance of the cache key (canonical fingerprint +
 	// Name) to be planned; an alpha-equivalent, same-named later query
 	// shares its plan.
 	Query *sparql.Query
-	// Logical is the chosen logical plan (after projection push-down).
+	// Logical is the chosen logical plan (after projection push-down)
+	// over Query. Its operators are shared, read-only, with every plan
+	// the engine bound from the same compiled candidate.
 	Logical *core.Plan
-	// Physical is the compiled physical plan.
+	// Physical is the compiled physical plan, bound to Query.
 	Physical *physical.Plan
 	// Height is the logical plan's height, snapshotted at Prepare time
 	// so executions never touch the plan's lazy accessors.
@@ -60,9 +63,9 @@ type Prepared struct {
 func newPrepared(q *sparql.Query, out *planOutcome) *Prepared {
 	return &Prepared{
 		Query:         q,
-		Logical:       out.chosen,
+		Logical:       out.pp.Logical,
 		Physical:      out.pp,
-		Height:        out.chosen.Height(),
+		Height:        out.pp.Logical.Height(),
 		PlansExplored: out.space.Explored,
 		UniquePlans:   out.space.Candidates(),
 		DataVersion:   out.stats.Version(),
@@ -72,11 +75,21 @@ func newPrepared(q *sparql.Query, out *planOutcome) *Prepared {
 	}
 }
 
-// Prepare selects and compiles q's plan into an immutable Prepared,
-// without consulting the plan cache (the plan space of q's shape is
-// still shared: see Engine.space). This is the plan-once half
-// of the plan-once/execute-many split; ExecutePrepared is the other.
+// Prepare selects q's plan and binds it into an immutable Prepared,
+// without consulting the plan cache (the plan space of q's shape and its
+// compiled candidates are still shared: see Engine.shape). This is the
+// plan-once half of the plan-once/execute-many split; ExecutePrepared is
+// the other.
 func (e *Engine) Prepare(q *sparql.Query) (*Prepared, error) {
+	// A shape hit runs no optimizer, so nothing else would validate q.
+	if err := q.Validate(); err != nil {
+		return nil, err
+	}
+	return e.prepare(q)
+}
+
+// prepare is Prepare for a validated query.
+func (e *Engine) prepare(q *sparql.Query) (*Prepared, error) {
 	out, err := e.plan(q)
 	if err != nil {
 		return nil, err
@@ -104,11 +117,12 @@ type cacheEntry struct {
 // the plan came from the cache. With caching disabled
 // (Config.PlanCacheSize < 0) it degrades to Prepare.
 //
-// A miss is not an optimizer run: planning takes the plan space of q's
-// written shape — enumerated by the first query of that shape, whatever
-// its constants, and shared from then on — snapshots q's statistics,
-// prices the space's candidates and materialises and compiles the
-// winner.
+// A miss is not an optimizer run, nor, mostly, a compile: planning takes
+// the plan space of q's written shape — enumerated by the first query of
+// that shape, whatever its constants, and shared from then on —
+// snapshots q's statistics, prices the space's candidates and binds the
+// winner, compiled by the first query of the shape that chose it under
+// q's SELECT list.
 //
 // The cache key is q's canonical fingerprint (sparql.Canonicalize:
 // variable names and pattern order do not matter) plus q's Name —
@@ -122,13 +136,13 @@ type cacheEntry struct {
 // statistics is compared with the one the plan was chosen under, the
 // shape's plan space is re-priced only if they differ (plan spaces
 // survive epochs — only the stats-derived cost choice can change), and
-// a plan is materialised and compiled only when a different candidate
-// now wins, so post-update cached executions remain byte-identical to
-// freshly planned ones.
+// a plan is bound afresh only when a different candidate now wins, so
+// post-update cached executions remain byte-identical to freshly
+// planned ones.
 func (e *Engine) PrepareCached(q *sparql.Query) (p *Prepared, hit bool, err error) {
-	// Validate up front: the uncached path rejects malformed queries in
-	// the optimizer, and an unvalidated query must not be able to
-	// collide with — and be served from — a valid query's cache entry.
+	// Validate up front, once: a shape hit runs no optimizer, and an
+	// unvalidated query must not be able to collide with — and be served
+	// from — a valid query's cache entry.
 	if err := q.Validate(); err != nil {
 		return nil, false, err
 	}
@@ -136,7 +150,7 @@ func (e *Engine) PrepareCached(q *sparql.Query) (p *Prepared, hit bool, err erro
 		return nil, false, ErrClosed
 	}
 	if e.cache == nil {
-		p, err = e.Prepare(q)
+		p, err = e.prepare(q)
 		return p, false, err
 	}
 	key := sparql.Canonicalize(q).Key + "\x00" + q.Name
@@ -178,9 +192,8 @@ func (e *Engine) PrepareCached(q *sparql.Query) (p *Prepared, hit bool, err erro
 // one the plan was chosen under, every candidate prices as it did, so
 // the version tag moves and the choice is kept. Otherwise the plan space
 // of the query's shape is re-priced, whatever its size, and the winner
-// materialised and compiled if it changed. The refreshed Prepared shares
-// every surviving component with the old one (old holders keep executing
-// it safely).
+// bound if it changed. The refreshed Prepared shares every surviving
+// component with the old one (old holders keep executing it safely).
 func (e *Engine) revalidate(p *Prepared) (*Prepared, error) {
 	e.revalidations.Add(1)
 	// A hold of its own: the entry's may be gone, evicted meanwhile.
@@ -191,20 +204,20 @@ func (e *Engine) revalidate(p *Prepared) (*Prepared, error) {
 		np.DataVersion = st.Version()
 		return &np, nil
 	}
-	sp, err := e.space(p.Query)
+	sh, err := e.shape(p.Query)
 	if err != nil {
 		return nil, err
 	}
-	idx, c := cost.NewModel(e.cfg.Constants, st).ChooseSpace(sp)
+	idx, c := cost.NewModel(e.cfg.Constants, st).ChooseSpace(sh.space)
 	np := *p
 	np.DataVersion, np.stats, np.chosenIdx, np.chosenCost = st.Version(), st, idx, c
 	if idx != p.chosenIdx {
 		e.replans.Add(1)
-		chosen, pp, err := e.finishPlan(p.Query, sp, idx)
+		pp, err := e.finishPlan(sh, p.Query, idx)
 		if err != nil {
 			return nil, err
 		}
-		np.Logical, np.Physical, np.Height = chosen, pp, chosen.Height()
+		np.Logical, np.Physical, np.Height = pp.Logical, pp, pp.Logical.Height()
 	}
 	return &np, nil
 }

@@ -153,7 +153,7 @@ func TestSpaceCarriesEnumerationBudget(t *testing.T) {
 				c, p.PlansExplored, p.UniquePlans, want.PlansExplored, want.UniquePlans)
 		}
 		sameChoice(t, q.Name, p, want)
-		if sp, ok := eng.spaces.Get(core.WrittenShape(q)); !ok || !sp.Truncated {
+		if sh, ok := eng.spaces.Get(core.WrittenShape(q)); !ok || !sh.space.Truncated {
 			t.Errorf("university %d: the shape's space is resident %v, want resident and marked truncated", c, ok)
 		}
 	}
