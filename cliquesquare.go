@@ -100,12 +100,14 @@ type Options struct {
 type DurableOptions struct {
 	// Dir is the log directory (required).
 	Dir string
-	// GroupMaxWait is how long the group-commit batcher holds an open
-	// group for more callers before flushing; 0 adds no latency
-	// (groups still form naturally while an fsync is in flight).
+	// GroupMaxWait is ignored; the engine never reads it. A group commit
+	// never waits for callers: it carries those that queued while the
+	// previous one was in flight. The field remains only for callers that
+	// still set it.
 	GroupMaxWait time.Duration
-	// CheckpointBytes is the WAL-bytes threshold that triggers a
-	// background checkpoint + log truncation; 0 means 8 MiB, negative
+	// CheckpointBytes is the WAL-bytes threshold at which the writer whose
+	// commit crosses it runs a checkpoint + log truncation, once it has
+	// answered its callers; 0 means 8 MiB, negative
 	// disables automatic checkpoints (manual Compact still works). A
 	// checkpoint is a delta file of the net change since the last full
 	// base, so its size follows what changed; a new base is written
@@ -116,7 +118,6 @@ type DurableOptions struct {
 func (o *DurableOptions) wal() wal.Options {
 	return wal.Options{
 		Dir:             o.Dir,
-		GroupMaxWait:    o.GroupMaxWait,
 		CheckpointBytes: o.CheckpointBytes,
 	}
 }
@@ -197,12 +198,13 @@ func (opts Options) config() (csq.Config, error) {
 }
 
 // Close shuts the engine down once every accepted write has been
-// answered: with a log the group-commit queue is flushed (every
-// already-accepted batch is still committed and acknowledged) and the
-// WAL synced and closed, without one Close waits for the write in
-// flight; either way the data version no longer moves once Close has
-// returned. It then reaps the pooled worker lanes queries ran on. After
-// Close, queries and updates return ErrClosed. Close is idempotent.
+// answered: it stops accepting writes and commits whatever is still
+// queued (every already-accepted batch is still committed and
+// acknowledged, and a resize that has started completes), so the data
+// version no longer moves once Close has returned; with a log it then
+// syncs and closes the WAL. It reaps the pooled worker lanes queries ran
+// on last. After Close, queries and updates return ErrClosed. Close is
+// idempotent.
 func (e *Engine) Close() error { return e.inner.Close() }
 
 // ReshardResult reports what a completed AddNodes/RemoveNodes did
@@ -231,7 +233,8 @@ func (e *Engine) Nodes() int { return e.inner.Nodes() }
 func (e *Engine) TopologyVersion() uint64 { return e.inner.TopologyVersion() }
 
 // Compact forces a checkpoint and write-ahead-log garbage collection
-// now, instead of waiting for the byte threshold. The checkpoint costs
+// now, in the calling goroutine, instead of waiting for the byte
+// threshold. The checkpoint costs
 // what changed since the last full base (a delta file), and a new base
 // only once the deltas would reach its size. No-op on a non-durable
 // engine.

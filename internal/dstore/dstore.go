@@ -391,7 +391,6 @@ type fileMut struct {
 	schema  []string
 	cells   []rdf.TermID // appended rows, flattened at len(schema) width
 	deletes []Row        // rows to remove, matched by value
-	drop    bool         // remove the whole file (before applying appends)
 }
 
 // Tx is a write transaction: it buffers appends and deletes across any
@@ -490,14 +489,10 @@ func (tx *Tx) checkSchema(node int, name string, schema []string) *fileMut {
 }
 
 // baseSchema resolves the schema a buffered mutation must agree with:
-// earlier buffered appends win, else the base snapshot's file (unless
-// the file is being dropped).
+// earlier buffered appends win, else the base snapshot's file.
 func (tx *Tx) baseSchema(node int, name string, m *fileMut) []string {
 	if m.schema != nil {
 		return m.schema
-	}
-	if m.drop {
-		return nil
 	}
 	// Nodes beyond the base width (added by SetN) have no base files.
 	if node < len(tx.base.nodes) {
@@ -516,13 +511,6 @@ func (tx *Tx) baseSchema(node int, name string, m *fileMut) []string {
 func (tx *Tx) DeleteRow(node int, name string, row Row) {
 	m := tx.mut(node, name)
 	m.deletes = append(m.deletes, row)
-}
-
-// DeleteFile buffers the removal of the whole named file on a node.
-// Appends buffered after the drop recreate it.
-func (tx *Tx) DeleteFile(node int, name string) {
-	m := tx.mut(node, name)
-	*m = fileMut{drop: true}
 }
 
 // Abort discards the transaction and releases the writer lock. Aborting
@@ -572,12 +560,7 @@ func (tx *Tx) Commit() *Snapshot {
 		}
 		sort.Strings(names)
 		for _, name := range names {
-			m := nm[name]
-			old := files[name]
-			if m.drop {
-				old = nil
-			}
-			nf := applyMut(old, name, m)
+			nf := applyMut(files[name], name, nm[name])
 			if nf == nil {
 				delete(files, name)
 			} else {
@@ -685,9 +668,6 @@ func applyMut(old *File, name string, m *fileMut) *File {
 	}
 
 	if old == nil {
-		if m.schema == nil { // drop of a file that never existed
-			return nil
-		}
 		if len(cells) == 0 && hadDeletes {
 			return nil // netted out before it ever existed
 		}

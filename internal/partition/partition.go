@@ -78,7 +78,7 @@ type Partitioner struct {
 
 	// pinMu guards pins, a refcount per pinned epoch. The Go runtime
 	// already reclaims unpinned snapshots; the registry exists so the
-	// durable engine's compactor knows the oldest epoch a concurrent
+	// durable engine's checkpoints know the oldest epoch a concurrent
 	// execution still reads (the watermark) and keeps the WAL
 	// generations that can reconstruct it.
 	pinMu sync.Mutex

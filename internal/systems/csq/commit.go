@@ -10,12 +10,14 @@ import (
 // request is one write handed to the commit pipeline: an ApplyBatch
 // caller's triple delta or, when reshard is non-zero, an
 // AddNodes/RemoveNodes caller's node-count delta (a resize always
-// flushes alone, never grouped with triple batches).
+// flushes alone, never grouped with triple batches). The writer that
+// flushes it answers it under wmu, where its caller reads done.
 type request struct {
 	ins, dels []rdf.Triple
 	reshard   int
-	resp      chan response
 	enqueued  time.Time
+	out       response
+	done      bool
 }
 
 type response struct {
@@ -24,40 +26,65 @@ type response struct {
 	err   error
 }
 
-// submit hands one write to the pipeline and waits for its answer.
-// Every write — batch or resize, logged or not — is flushed by the same
-// flushGroup / flushReshard; only how it reaches them differs, and that
-// follows from whether a log is attached. With one, the request is
-// queued for the batcher goroutine, the engine's only writer, which
-// coalesces concurrent callers into one fsync. Without one there is no
-// fsync to share and nothing that would stop a goroutine (log-less
-// engines are built freely and rarely closed), so the caller flushes
-// its own request as a group of one, holding wmu to be the only writer
-// meanwhile. Either way closed is checked under wmu: see Engine.wmu.
+func (r *request) answer(out response) { r.out, r.done = out, true }
+
+// groupMaxOps caps how many queued ApplyBatch callers one group commit
+// coalesces.
+const groupMaxOps = 64
+
+// submit hands one write to the pipeline and waits for its answer. Every
+// write, on every engine, arrives the same way: it joins the queue
+// (unless Close has begun), and its caller then takes the writer role
+// and flushes groups from the head of the queue until its own request is
+// answered — by itself, or by an earlier writer that carried it in a
+// group. Callers that arrive while a flush is in flight therefore queue
+// behind it and commit together: one epoch and, with a log, one record
+// and one fsync. A caller stops as soon as its own request is answered,
+// so none keeps flushing writes that arrived after it. A checkpoint the
+// log has grown into runs here too, once the writer role is released.
 func (e *Engine) submit(req *request) response {
-	req.resp = make(chan response, 1)
 	req.enqueued = time.Now()
-	if d := e.dur; d != nil {
-		e.wmu.RLock()
-		if e.closed.Load() {
-			e.wmu.RUnlock()
-			return response{err: ErrClosed}
-		}
-		d.reqs <- req
-		e.wmu.RUnlock()
-		return <-req.resp
-	}
-	e.wmu.Lock()
-	defer e.wmu.Unlock()
+	e.qmu.Lock()
 	if e.closed.Load() {
+		e.qmu.Unlock()
 		return response{err: ErrClosed}
 	}
-	if req.reshard != 0 {
-		e.flushReshard(req)
-	} else {
-		e.flushGroup([]*request{req})
+	e.queue = append(e.queue, req)
+	e.qmu.Unlock()
+	e.wmu.Lock()
+	for !req.done {
+		e.flushNext()
 	}
-	return <-req.resp
+	e.wmu.Unlock()
+	e.checkpointIfDue()
+	return req.out
+}
+
+// flushNext flushes the group at the head of the queue and reports
+// whether there was one; the caller holds wmu. A group is up to
+// groupMaxOps batches in arrival order; a resize closes the group before
+// it and flushes alone.
+func (e *Engine) flushNext() bool {
+	e.qmu.Lock()
+	n := 0
+	for n < len(e.queue) && n < groupMaxOps && e.queue[n].reshard == 0 {
+		n++
+	}
+	if n == 0 && len(e.queue) > 0 {
+		n = 1
+	}
+	group := e.queue[:n:n]
+	e.queue = e.queue[n:]
+	e.qmu.Unlock()
+	switch {
+	case n == 0:
+		return false
+	case group[0].reshard != 0:
+		e.flushReshard(group[0])
+	default:
+		e.flushGroup(group)
+	}
+	return true
 }
 
 // flushGroup commits one group of batches as one epoch: it computes the
@@ -75,35 +102,28 @@ func (e *Engine) flushGroup(group []*request) {
 	cs := CommitStats{GroupSize: len(group)}
 	ver := e.DataVersion()
 	var err error
-	committed := false
 	if len(ins) > 0 || len(dels) > 0 {
-		cs.Append, cs.Sync, err = e.logStep(&wal.Record{Inserts: ins, Deletes: dels})
-		committed = err == nil
-	}
-	if committed {
-		applyStart := time.Now()
-		e.stateMu.Lock()
-		ver = e.part.ApplyBatch(ins, dels, e.dict).Version()
-		e.invalidate(ins, dels)
-		e.stateMu.Unlock()
-		cs.Apply = time.Since(applyStart)
-		e.batches.Add(uint64(len(group)))
-		e.groups.Add(1)
+		if cs.Append, cs.Sync, err = e.logStep(&wal.Record{Inserts: ins, Deletes: dels}); err == nil {
+			applyStart := time.Now()
+			e.stateMu.Lock()
+			ver = e.part.ApplyBatch(ins, dels, e.dict).Version()
+			e.invalidate(ins, dels)
+			e.stateMu.Unlock()
+			cs.Apply = time.Since(applyStart)
+			e.batches.Add(uint64(len(group)))
+			e.groups.Add(1)
+		}
 	}
 	for i, req := range group {
 		if err != nil {
-			req.resp <- response{err: err}
+			req.answer(response{err: err})
 			continue
 		}
 		c := cs
 		c.Wait = start.Sub(req.enqueued)
-		req.resp <- response{res: BatchResult{
+		req.answer(response{res: BatchResult{
 			Inserted: counts[i][0], Deleted: counts[i][1], DataVersion: ver, Commit: c,
-		}}
-	}
-	// Nudge the compactor only after the callers are answered.
-	if committed {
-		e.nudgeCheckpoint()
+		}})
 	}
 }
 
@@ -181,14 +201,10 @@ func (e *Engine) netDelta(group []*request) (ins, dels []rdf.Triple, counts [][2
 // only — a topology record moves rows, it introduces no terms), and
 // appends + fsyncs it. Only the engine's writer calls it, which is what
 // keeps loggedTerms unshared. Without a log there is nothing to write
-// ahead to; the null log closes with the engine as the real one does,
-// which is what stops a resize racing Close at its next step boundary.
+// ahead to.
 func (e *Engine) logStep(rec *wal.Record) (appendD, syncD time.Duration, err error) {
 	d := e.dur
 	if d == nil {
-		if e.closed.Load() {
-			return 0, 0, ErrClosed
-		}
 		return 0, 0, nil
 	}
 	rec.Epoch = e.DataVersion() + 1

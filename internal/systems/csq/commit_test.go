@@ -10,6 +10,7 @@ import (
 
 	"cliquesquare/internal/lubm"
 	"cliquesquare/internal/rdf"
+	"cliquesquare/internal/sparql"
 	"cliquesquare/internal/wal"
 )
 
@@ -142,24 +143,84 @@ func TestBothEnginesCommitAlike(t *testing.T) {
 	compareResults(t, "no log vs log", runWorkload(t, engs[0].e), runWorkload(t, engs[1].e))
 }
 
-// TestResizeInsideBatchStream pins the batcher's one collection loop
-// where batches and a resize meet: k batches, a resize and k more
-// batches are queued, in that order, behind a flush the test holds
-// open. With and without a group window the batches before the resize
-// must commit as one group, the resize alone on the epochs right after
-// it, the batches behind it as the next group — and the engine must end
-// up identical to a fresh one at the final size over the final graph.
+// engineKinds names the two engines the write tests run on: one commit
+// pipeline, without a log and with one.
+var engineKinds = []string{"memory", "durable"}
+
+// newKind builds an engine of the named kind over g; a durable one logs
+// to fs.
+func newKind(t *testing.T, kind string, g *rdf.Graph, cfg Config, fs *wal.MemFS) *Engine {
+	t.Helper()
+	if kind == "memory" {
+		return New(g, cfg)
+	}
+	e, err := NewDurable(g, cfg, durableOpts(fs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+// queued is the number of writes accepted and not yet flushed.
+func (e *Engine) queued() int {
+	e.qmu.Lock()
+	defer e.qmu.Unlock()
+	return len(e.queue)
+}
+
+// plugWriter holds eng's writer inside a flush: with the state read lock
+// taken, the plug write gets as far as applying its epoch and waits
+// there, holding the writer role, so whatever is submitted meanwhile
+// stays queued, in order. await polls a condition while the plug holds;
+// release lets the plug commit and returns once it has.
+func plugWriter(t *testing.T, eng *Engine, plug func() error) (await func(what string, cond func() bool), release func()) {
+	var once sync.Once
+	done := make(chan struct{})
+	release = func() {
+		once.Do(eng.stateMu.RUnlock)
+		<-done
+	}
+	await = func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !cond(); runtime.Gosched() {
+			if time.Now().After(deadline) {
+				release() // let the deferred Close drain
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+	eng.stateMu.RLock()
+	go func() {
+		defer close(done)
+		if err := plug(); err != nil {
+			t.Errorf("plug: %v", err)
+		}
+	}()
+	// The plug queues before it takes the writer role, so with the role
+	// held an empty queue means the plug has taken its own request.
+	await("the plug to hold the writer role", func() bool {
+		if eng.wmu.TryLock() {
+			eng.wmu.Unlock()
+			return false
+		}
+		return eng.queued() == 0
+	})
+	return await, release
+}
+
+// TestResizeInsideBatchStream pins the flush order where batches and a
+// resize meet: k batches, a resize and k more batches are queued, in
+// that order, behind a flush the test holds open. On either engine the
+// batches before the resize must commit as one group, the resize alone
+// on the epochs right after it, the batches behind it as the next group
+// — and the engine must end up identical to a fresh one at the final
+// size over the final graph.
 func TestResizeInsideBatchStream(t *testing.T) {
 	const k = 4
-	for _, wait := range []time.Duration{0, 200 * time.Millisecond} {
-		t.Run(fmt.Sprint("GroupMaxWait=", wait), func(t *testing.T) {
+	for _, kind := range engineKinds {
+		t.Run(kind, func(t *testing.T) {
 			g := lubm.Generate(lubm.DefaultConfig(1))
-			opts := durableOpts(wal.NewMemFS())
-			opts.GroupMaxWait = wait
-			eng, err := NewDurable(g, ringConfig(), opts)
-			if err != nil {
-				t.Fatal(err)
-			}
+			eng := newKind(t, kind, g, ringConfig(), wal.NewMemFS())
 			defer eng.Close()
 			insert := func(i int) (BatchResult, error) {
 				return eng.ApplyBatch([]rdf.Triple{{
@@ -168,33 +229,14 @@ func TestResizeInsideBatchStream(t *testing.T) {
 					O: g.Dict.EncodeIRI(fmt.Sprint("urn:stream:o", i)),
 				}}, nil)
 			}
-			await := func(what string, cond func() bool) {
-				t.Helper()
-				for deadline := time.Now().Add(10 * time.Second); !cond(); runtime.Gosched() {
-					if time.Now().After(deadline) {
-						eng.stateMu.RUnlock() // let the deferred Close drain
-						t.Fatalf("timed out waiting for %s", what)
-					}
-				}
-			}
-
-			// Hold the batcher inside a flush: with the state read lock
-			// taken, the plug batch gets as far as its WAL record and
-			// then waits to apply, so whatever is queued meanwhile stays
-			// queued, in order.
-			var wg sync.WaitGroup
-			eng.stateMu.RLock()
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				if _, err := insert(-1); err != nil {
-					t.Errorf("plug: %v", err)
-				}
-			}()
-			await("the plug's WAL record", func() bool { return eng.dur.log.Stats().Records == 1 })
+			await, release := plugWriter(t, eng, func() error {
+				_, err := insert(-1)
+				return err
+			})
 
 			batches := make([]BatchResult, 2*k)
 			var shard ReshardResult
+			var wg sync.WaitGroup
 			for i := 0; i <= 2*k; i++ {
 				wg.Add(1)
 				go func(i int) {
@@ -212,9 +254,9 @@ func TestResizeInsideBatchStream(t *testing.T) {
 						t.Errorf("request %d: %v", i, err)
 					}
 				}(i)
-				await("the request to queue", func() bool { return len(eng.dur.reqs) == i+1 })
+				await("the request to queue", func() bool { return eng.queued() == i+1 })
 			}
-			eng.stateMu.RUnlock()
+			release()
 			wg.Wait()
 			if t.Failed() {
 				t.FailNow()
@@ -242,6 +284,53 @@ func TestResizeInsideBatchStream(t *testing.T) {
 			cfg := ringConfig()
 			cfg.Nodes = 10
 			compareResults(t, "stream vs fresh", runWorkload(t, eng), runWorkload(t, New(g, cfg)))
+		})
+	}
+}
+
+// TestEngineStartsNoGoroutine: writes, resizes, checkpoints and Close run
+// in their callers' goroutines, and at one lane an execution context
+// parks no worker either. So building an engine — without a log, over a
+// fresh log, or recovered from one — and driving a query, a batch, a
+// resize, a Compact and Close through it leaves the goroutine count
+// where it was.
+func TestEngineStartsNoGoroutine(t *testing.T) {
+	cfg := crashScriptCfg()
+	cfg.Parallelism = 1
+	fs := wal.NewMemFS()
+	q := sparql.MustParse(`SELECT ?s ?o WHERE { ?s <urn:p> ?o }`)
+	for i, kind := range []string{"New", "NewDurable", "OpenDurable"} {
+		t.Run(kind, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			check := func(what string, err error) {
+				t.Helper()
+				if err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+				if n := runtime.NumGoroutine(); n > base {
+					t.Errorf("after %s: %d goroutines, %d before the engine", what, n, base)
+				}
+			}
+			var eng *Engine
+			var err error
+			switch kind {
+			case "New":
+				eng = New(durableBase(), cfg)
+			case "NewDurable":
+				eng, err = NewDurable(durableBase(), cfg, durableOpts(fs))
+			case "OpenDurable":
+				eng, err = OpenDurable(cfg, durableOpts(fs))
+			}
+			check("building", err)
+			_, err = eng.ExecutePrepared(mustPrepare(t, eng, q))
+			check("a query", err)
+			ins, dels := scriptBatch(eng.Dict(), i+1)
+			_, err = eng.ApplyBatch(ins, dels)
+			check("a batch", err)
+			_, err = eng.AddNodes(1)
+			check("a resize", err)
+			check("Compact", eng.Compact())
+			check("Close", eng.Close())
 		})
 	}
 }

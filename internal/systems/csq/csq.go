@@ -15,7 +15,13 @@
 // Every write takes one commit pipeline (commit.go): net delta → log →
 // apply → invalidate → answer, a reshard step being one more kind of
 // logged epoch. An engine without a write-ahead log runs the same
-// pipeline over a log step that does nothing.
+// pipeline over a log step that does nothing. Writes reach it one way on
+// every engine: a caller queues its write, then takes the writer role
+// and commits groups from the head of the queue until its own write is
+// answered. The engine starts no goroutine of its own — writes,
+// checkpoints and Close run in their callers' goroutines; the morsel
+// worker pools of its execution contexts are the only goroutines it
+// owns.
 package csq
 
 import (
@@ -103,10 +109,10 @@ func DefaultConfig() Config {
 // planning reads a pinned data epoch plus immutable engine state,
 // execution draws per-call scratch from the context pool, and the plan
 // cache synchronizes itself. Writes have exactly one writer at a time —
-// the batcher goroutine when a log is attached, else whichever caller
-// holds wmu — which publishes new epochs atomically. Locks nest in the
-// order writer (wmu or being the batcher) → stateMu → the catalog's
-// mutex.
+// whichever caller holds wmu — which publishes new epochs atomically.
+// Locks nest in the order wmu → stateMu → the catalog's mutex; qmu is
+// held only briefly, under nothing but wmu, and a durable engine's
+// checkpoint mutex is never held with wmu.
 type Engine struct {
 	cfg Config
 	// The partitioned store is the engine's only copy of the data (the
@@ -168,21 +174,22 @@ type Engine struct {
 	enumerations  atomic.Uint64
 	compiles      atomic.Uint64
 
-	// closed flips once on Close; every entry point then returns
-	// ErrClosed. dur is what an attached log adds (WAL + batcher +
-	// compactor), nil without one.
+	// closed flips once, under qmu, when Close begins; every entry point
+	// then returns ErrClosed. dur is what an attached log adds (the WAL
+	// and its checkpoint mutex), nil without one.
 	closed atomic.Bool
 	dur    *durableState
-	// wmu orders write submission against Close: a submitter checks
-	// closed under wmu, and Close passes through the write side after
-	// setting it, so every write accepted before is answered by then
-	// and none is accepted after. With a log the submitter holds the
-	// read side just across the send to the batcher's queue. Without
-	// one it holds the write side for its whole flush, which makes it
-	// the engine's only writer meanwhile — the role the batcher
-	// otherwise has, and what netDelta's probes of the current view and
-	// a resize's plan → steps sequence rely on.
-	wmu sync.RWMutex
+	// qmu guards queue, the writes accepted and not yet flushed in arrival
+	// order, and the flip of closed: a write is accepted only while closed
+	// is unset, so Close, which drains the queue once it has set closed,
+	// answers every write accepted before it and none is accepted after.
+	qmu   sync.Mutex
+	queue []*request
+	// wmu is the writer role: its holder flushes groups from the head of
+	// queue and is the engine's only writer meanwhile, which is what
+	// netDelta's probes of the current view and a resize's plan → steps
+	// sequence rely on.
+	wmu sync.Mutex
 }
 
 // spaceCacheBytes is the budget of the plan-space cache. The 14 LUBM
@@ -256,8 +263,7 @@ type BatchResult struct {
 	// DataVersion is the epoch the batch committed as.
 	DataVersion uint64
 	// Commit carries the commit's stage timings and how many callers
-	// shared it (GroupSize is 1 and the log stages zero on an engine
-	// without a log).
+	// shared it (the log stages are zero on an engine without a log).
 	Commit CommitStats
 }
 
@@ -272,9 +278,10 @@ type BatchResult struct {
 // executing against their pinned epochs; cached plans revalidate lazily
 // on next use.
 //
-// With a log attached the batch is acknowledged only after its WAL
-// record is fsynced, possibly sharing that fsync — and its epoch — with
-// concurrent callers (see BatchResult.Commit). ApplyBatch on a closed
+// The batch may share its epoch with concurrent callers, on every
+// engine (see BatchResult.Commit). With a log attached it is
+// acknowledged only after its WAL record — that epoch's one record — is
+// fsynced. ApplyBatch on a closed
 // engine returns ErrClosed; a WAL failure surfaces here and leaves the
 // in-memory state untouched.
 func (e *Engine) ApplyBatch(inserts, deletes []rdf.Triple) (BatchResult, error) {
@@ -329,19 +336,6 @@ func (e *Engine) UpdateStats() UpdateStats {
 		us.Spaces, us.SpaceBytes = uint64(st.Entries), uint64(st.Bytes)
 	}
 	return us
-}
-
-// planOutcome is the full product of one select+bind run.
-type planOutcome struct {
-	pp    *physical.Plan // bound to the query
-	space *core.Space    // the candidates it was chosen from
-	idx   int            // index of the winner among them
-	cost  float64        // its modeled cost at selection time
-	// stats is the snapshot the choice was made under (its Version is the
-	// plan's DataVersion); ref the hold on the query's catalog patterns
-	// that plan took, which whoever receives the outcome releases.
-	stats *cost.Stats
-	ref   *cost.Ref
 }
 
 // readStats acquires q's patterns in the catalog and snapshots them.
@@ -423,37 +417,51 @@ func (e *Engine) shape(q *sparql.Query) (*shapePlans, error) {
 	return sh, err
 }
 
-// plan is planning proper: take q's shape, snapshot q's statistics,
-// price the shape's candidates and bind the winner. Every plan the
-// engine hands out is a candidate of its written shape's one space. The
-// caller has validated q.
-func (e *Engine) plan(q *sparql.Query) (*planOutcome, error) {
+// plan is planning proper, for a cold prepare (prev nil) and for the
+// revalidation of prev alike: snapshot q's statistics, price the
+// candidates of q's written shape and bind the winner to q. Every plan
+// the engine hands out is a candidate of its shape's one space. A
+// revalidation whose snapshot equals prev's keeps prev's choice without
+// pricing, and one whose winner is prev's keeps prev's bound plan;
+// either way the result shares every surviving component with prev, so
+// prev's holders keep executing it safely. The caller has validated q
+// and releases ref, the plan's hold on q's catalog patterns.
+func (e *Engine) plan(q *sparql.Query, prev *Prepared) (p *Prepared, ref *cost.Ref, err error) {
 	if e.closed.Load() {
-		return nil, ErrClosed
-	}
-	sh, err := e.shape(q)
-	if err != nil {
-		return nil, err
+		return nil, nil, ErrClosed
 	}
 	ref, st := e.readStats(q)
-	idx, c := cost.NewModel(e.cfg.Constants, st).ChooseSpace(sh.space)
-	pp, err := e.finishPlan(sh, q, idx)
+	p = &Prepared{Query: q}
+	if prev != nil {
+		*p = *prev
+	}
+	p.DataVersion = st.Version()
+	if prev != nil && st.Equal(prev.stats) {
+		return p, ref, nil
+	}
+	p.stats = st
+	sh, err := e.shape(q)
 	if err != nil {
 		e.cat.Release(ref)
-		return nil, err
+		return nil, nil, err
 	}
-	return &planOutcome{pp: pp, space: sh.space, idx: idx, cost: c, stats: st, ref: ref}, nil
-}
-
-// finishPlan returns candidate idx of sh's space as q's plan: the
-// candidate compiled for q's SELECT list — on first use, under the
-// table's lock, so that each is compiled once — bound to q.
-func (e *Engine) finishPlan(sh *shapePlans, q *sparql.Query, idx int) (*physical.Plan, error) {
+	idx, c := cost.NewModel(e.cfg.Constants, st).ChooseSpace(sh.space)
+	p.chosenCost = c
+	if prev != nil {
+		if idx == prev.chosenIdx {
+			return p, ref, nil
+		}
+		e.replans.Add(1)
+	}
 	pp, err := e.compiled(sh, q, idx)
 	if err != nil {
-		return nil, err
+		e.cat.Release(ref)
+		return nil, nil, err
 	}
-	return pp.Bind(q), nil
+	pp = pp.Bind(q)
+	p.Logical, p.Physical, p.Height, p.chosenIdx = pp.Logical, pp, pp.Logical.Height(), idx
+	p.PlansExplored, p.UniquePlans = sh.space.Explored, sh.space.Candidates()
+	return p, ref, nil
 }
 
 // compiled returns candidate idx of sh's space compiled for q's SELECT
@@ -552,7 +560,7 @@ func (e *Engine) executor() (*physical.Executor, error) {
 		Dict:    e.dict,
 		Ctx:     e.execContext(),
 		// Pin the epoch in the partitioner's registry for the duration:
-		// the durable compactor's watermark then never garbage-collects
+		// a checkpoint's watermark then never garbage-collects
 		// the WAL generation this execution is reading.
 		View:        e.part.Pin(e.part.Current()),
 		ResultCache: e.res,

@@ -18,14 +18,15 @@ var ErrClosed = errors.New("csq: engine is closed")
 // CommitStats is the per-stage timing of the group commit that carried
 // a batch, reported in its BatchResult.
 type CommitStats struct {
-	// GroupSize is how many concurrent ApplyBatch callers this commit
-	// coalesced into one WAL record and one fsync; always 1 without a
-	// log, where there is no fsync to share.
+	// GroupSize is how many ApplyBatch callers this commit coalesced into
+	// one epoch — and, with a log, one WAL record and one fsync: the
+	// callers queued while an earlier flush was in flight. It is the same
+	// on every engine.
 	GroupSize int
-	// Wait is the time the caller's request waited (queued, or for the
-	// writer mutex) before its group started flushing; Append and Sync
-	// split the WAL write and are zero without a log; Apply is the
-	// in-memory epoch commit (partitioner + statistics catalog).
+	// Wait is the time the caller's request spent queued before its
+	// group started flushing; Append and Sync split the WAL write and are
+	// zero without a log; Apply is the in-memory epoch commit
+	// (partitioner + statistics catalog).
 	Wait   time.Duration
 	Append time.Duration
 	Sync   time.Duration
@@ -46,28 +47,20 @@ type DurabilityStats struct {
 	GroupedCallers uint64
 }
 
-// durableState is what an attached log adds to an Engine: the WAL, the
-// group-commit batcher goroutine that is then the engine's only writer,
-// and the background compactor that checkpoints and garbage-collects.
+// durableState is what an attached log adds to an Engine: the WAL and
+// the mutex that lets one checkpoint run at a time.
 type durableState struct {
-	e    *Engine
-	log  *wal.Log
-	opts wal.Options
+	log *wal.Log
 
 	// loggedTerms is the dictionary length already covered by the WAL
 	// (checkpoint + records); the next record logs the terms after it.
-	// Only the batcher goroutine touches it after construction (logStep).
+	// Only the writer touches it after construction (logStep).
 	loggedTerms rdf.TermID
 
-	// reqs is the batcher's queue and ckptCh the compactor's (a nil
-	// value is a background nudge, a non-nil channel wants the
-	// outcome). Senders hold Engine.wmu's read side across the closed
-	// check and the send, and Close passes through its write side
-	// before close closes them, so a send can never race the close.
-	reqs   chan *request
-	ckptCh chan chan error
-
-	batcherWG, compactorWG sync.WaitGroup
+	// ckptMu is held across a checkpoint, and by Close across closing the
+	// log: a checkpoint runs in the goroutine that asked for it (Compact,
+	// or a writer whose commit crossed CheckpointBytes), never two at once.
+	ckptMu sync.Mutex
 }
 
 // NewDurable partitions g and attaches a fresh write-ahead log in
@@ -81,7 +74,7 @@ func NewDurable(g *rdf.Graph, cfg Config, opts wal.Options) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e.startDurable(l, opts)
+	e.attach(l)
 	return e, nil
 }
 
@@ -129,117 +122,31 @@ func OpenDurable(cfg Config, opts wal.Options) (*Engine, error) {
 		return nil, err
 	}
 	e := newEngine(cfg, dict, triples, dstore.NewStoreAt(nodes, l.Epoch()-1))
-	e.startDurable(l, opts)
+	e.attach(l)
 	return e, nil
 }
 
-// groupMaxOps caps how many concurrent ApplyBatch callers one group
-// commit coalesces; the request queue buffers one group's worth.
-const groupMaxOps = 64
-
-// startDurable wires the log into the engine and starts the batcher
-// and compactor.
-func (e *Engine) startDurable(l *wal.Log, opts wal.Options) {
-	opts = opts.WithDefaults()
-	d := &durableState{
-		e:           e,
-		log:         l,
-		opts:        opts,
-		loggedTerms: rdf.TermID(e.dict.Len()),
-		reqs:        make(chan *request, groupMaxOps),
-		ckptCh:      make(chan chan error, 1),
-	}
-	e.dur = d
-	d.batcherWG.Add(1)
-	go d.run()
-	d.compactorWG.Add(1)
-	go d.compactor()
+// attach wires the log into the engine.
+func (e *Engine) attach(l *wal.Log) {
+	e.dur = &durableState{log: l, loggedTerms: rdf.TermID(e.dict.Len())}
 }
 
-// run is the batcher goroutine: it collects queued requests into
-// groups (bounded by groupMaxOps and GroupMaxWait) and flushes each
-// group as one WAL record, one fsync and one epoch. With GroupMaxWait
-// zero a group is whatever the queue holds when the batcher gets to it
-// — single callers pay no added latency, and grouping still emerges
-// naturally from callers arriving while a flush's fsync is in flight.
-func (d *durableState) run() {
-	defer d.batcherWG.Done()
-	for req := range d.reqs {
-		if req.reshard != 0 {
-			d.e.flushReshard(req)
-			continue
-		}
-		group := append(make([]*request, 0, groupMaxOps), req)
-		var window <-chan time.Time
-		if d.opts.GroupMaxWait > 0 {
-			window = time.After(d.opts.GroupMaxWait)
-		}
-		// A resize met while grouping closes the group: it flushes
-		// after the batches that preceded it, alone.
-		var resize *request
-		for len(group) < groupMaxOps && resize == nil {
-			r := d.next(window)
-			if r == nil {
-				break
-			}
-			if r.reshard != 0 {
-				resize = r
-			} else {
-				group = append(group, r)
-			}
-		}
-		d.e.flushGroup(group)
-		if resize != nil {
-			d.e.flushReshard(resize)
-		}
-	}
-}
-
-// next returns the next queued request for an open group, or nil when
-// the group closes: the queue was closed, the window expired, or — with
-// no window — the queue is empty right now.
-func (d *durableState) next(window <-chan time.Time) *request {
-	if window == nil {
-		select {
-		case r := <-d.reqs:
-			return r
-		default:
-			return nil
-		}
-	}
-	select {
-	case r := <-d.reqs:
-		return r
-	case <-window:
-		return nil
-	}
-}
-
-// compactor is the background goroutine that writes checkpoints and
-// garbage-collects obsolete WAL generations when nudged (by the writer
-// crossing the byte threshold, or a manual Compact).
-func (d *durableState) compactor() {
-	defer d.compactorWG.Done()
-	for resp := range d.ckptCh {
-		err := d.checkpoint()
-		if resp != nil {
-			resp <- err
-		}
-	}
-}
-
-// checkpoint writes one checkpoint of the current epoch. It is a delta,
-// which the log folds from its own files, unless the log asks for a full
-// base: then the engine's snapshot is written. Either way the log
-// rotates and drops what neither the previous checkpoint nor the
+// checkpoint writes one checkpoint of the current epoch, or returns
+// ErrClosed once Close has begun; the caller holds dur.ckptMu. It is a
+// delta, which the log folds from its own files, unless the log asks
+// for a full base: then the engine's snapshot is written. Either way the
+// log rotates and drops what neither the previous checkpoint nor the
 // pinned-reader watermark needs. The snapshot reads an immutable view
 // and takes no engine lock, so concurrent group commits contend with a
 // checkpoint on the log's own lock alone.
-func (d *durableState) checkpoint() error {
-	wm := d.e.part.Watermark()
-	err := d.log.WriteDelta(d.e.DataVersion(), wm)
+func (e *Engine) checkpoint() error {
+	if e.closed.Load() {
+		return ErrClosed
+	}
+	wm := e.part.Watermark()
+	err := e.dur.log.WriteDelta(e.DataVersion(), wm)
 	if errors.Is(err, wal.ErrNeedBase) {
-		err = d.log.WriteCheckpoint(d.e.snapshot(), wm)
+		err = e.dur.log.WriteCheckpoint(e.snapshot(), wm)
 	}
 	return err
 }
@@ -262,58 +169,55 @@ func (e *Engine) snapshot() *wal.Record {
 	return b
 }
 
-// nudgeCheckpoint wakes the compactor once the log has outgrown its
-// checkpoint threshold; with no log there is nothing to compact.
-func (e *Engine) nudgeCheckpoint() {
-	if d := e.dur; d != nil && d.log.NeedCheckpoint() {
-		select {
-		case d.ckptCh <- nil:
-		default: // a checkpoint is already pending
-		}
+// checkpointIfDue writes a checkpoint once the log has outgrown its
+// threshold, unless one is running already; a writer calls it after it
+// has released the writer role. With no log there is nothing to
+// compact. Its outcome is the log's to keep: a write failure is sticky
+// there and fails the next commit.
+func (e *Engine) checkpointIfDue() {
+	if d := e.dur; d != nil && d.log.NeedCheckpoint() && d.ckptMu.TryLock() {
+		_ = e.checkpoint()
+		d.ckptMu.Unlock()
 	}
-}
-
-// close shuts the durable subsystem down: the queue is closed and
-// drained (every accepted request still gets its response), the
-// compactor finishes, and the log is synced and closed.
-func (d *durableState) close() error {
-	close(d.reqs)
-	d.batcherWG.Wait()
-	close(d.ckptCh)
-	d.compactorWG.Wait()
-	return d.log.Close()
 }
 
 // Close shuts the engine down once every accepted write has been
-// answered. With a log it flushes the group-commit queue (every
-// already-accepted batch is still committed and acknowledged), stops
-// the compactor, syncs and closes the WAL; without one it waits out the
-// write in flight, so the data version never moves after Close returns.
-// It then reaps the pooled execution contexts' parked morsel workers —
-// after the drain, so a flushing batch never races the runtime
-// teardown. After Close every entry point returns ErrClosed. Close is
-// idempotent.
+// answered. It stops accepting writes, takes the writer role and
+// flushes whatever is still queued — so a resize that has started
+// completes, on every engine — and the data version never moves after
+// Close returns. With a log it then waits out a running checkpoint and
+// syncs and closes the WAL. It reaps the pooled execution contexts'
+// parked morsel workers last, so a flushing batch never races the
+// runtime teardown. After Close every entry point returns ErrClosed.
+// Close is idempotent.
 func (e *Engine) Close() error {
-	if !e.closed.CompareAndSwap(false, true) {
+	e.qmu.Lock()
+	wasClosed := e.closed.Swap(true)
+	e.qmu.Unlock()
+	if wasClosed {
 		return nil
 	}
-	// Whoever holds wmu now saw closed unset and is let finish; whoever
-	// takes it next will see it set (see Engine.wmu).
 	e.wmu.Lock()
+	for e.flushNext() {
+	}
 	e.wmu.Unlock()
 	var err error
-	if e.dur != nil {
-		err = e.dur.close()
+	if d := e.dur; d != nil {
+		d.ckptMu.Lock()
+		err = d.log.Close()
+		d.ckptMu.Unlock()
 	}
 	e.closeContexts()
 	return err
 }
 
-// Compact forces a checkpoint + WAL garbage collection now and reports
-// its outcome. The checkpoint is a delta file of the net change since
-// the current base — its size follows what changed, not the data — and
-// a full base only once the deltas written on that base would reach
-// its size. On an engine without a log it is a no-op.
+// Compact forces a checkpoint + WAL garbage collection now, in the
+// calling goroutine, and reports its outcome. The checkpoint is a delta
+// file of the net change since the current base — its size follows what
+// changed, not the data — and a full base only once the deltas written
+// on that base would reach its size. A Compact that races Close either
+// completes or returns ErrClosed. On an engine without a log it is a
+// no-op.
 func (e *Engine) Compact() error {
 	if e.closed.Load() {
 		return ErrClosed
@@ -322,15 +226,9 @@ func (e *Engine) Compact() error {
 	if d == nil {
 		return nil
 	}
-	resp := make(chan error, 1)
-	e.wmu.RLock()
-	if e.closed.Load() {
-		e.wmu.RUnlock()
-		return ErrClosed
-	}
-	d.ckptCh <- resp
-	e.wmu.RUnlock()
-	return <-resp
+	d.ckptMu.Lock()
+	defer d.ckptMu.Unlock()
+	return e.checkpoint()
 }
 
 // DurabilityStats snapshots group-commit and WAL activity; Log and

@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"sync"
 	"testing"
-	"time"
 
 	"cliquesquare/internal/cost"
 	"cliquesquare/internal/lubm"
@@ -286,72 +285,15 @@ func TestDurableCrashMatrix(t *testing.T) {
 	}
 }
 
-// TestDurableGroupCommitCoalesces checks that concurrent writers share
-// WAL records and fsyncs: with a generous group window, independent
-// callers land in few groups, every caller's insert commits, and the
-// grouped epochs survive a clean close and reopen.
-func TestDurableGroupCommitCoalesces(t *testing.T) {
-	g := durableBase()
-	fs := wal.NewMemFS()
-	cfg := crashScriptCfg()
-	opts := durableOpts(fs)
-	opts.GroupMaxWait = 200 * time.Millisecond
-	eng, err := NewDurable(g, cfg, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	const callers = 8
-	p := g.Dict.EncodeIRI("urn:p")
-	triples := make([]rdf.Triple, callers)
-	for i := range triples {
-		triples[i] = rdf.Triple{
-			S: g.Dict.EncodeIRI(fmt.Sprintf("urn:c%d", i)),
-			P: p,
-			O: g.Dict.EncodeIRI(fmt.Sprintf("urn:d%d", i)),
-		}
-	}
-	start := make(chan struct{})
-	var wg sync.WaitGroup
-	for i := 0; i < callers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			<-start
-			br, err := eng.ApplyBatch([]rdf.Triple{triples[i]}, nil)
-			if err != nil {
-				t.Errorf("caller %d: %v", i, err)
-				return
-			}
-			if br.Inserted != 1 {
-				t.Errorf("caller %d: inserted %d rows", i, br.Inserted)
-			}
-		}(i)
-	}
-	close(start)
-	wg.Wait()
-
-	ds := eng.DurabilityStats()
-	if ds.GroupedCallers != callers {
-		t.Errorf("grouped %d callers, want %d", ds.GroupedCallers, callers)
-	}
-	if ds.Groups >= callers {
-		t.Errorf("no coalescing: %d groups for %d concurrent callers", ds.Groups, callers)
-	}
-	if got := eng.DataVersion(); got != 1+ds.Groups {
-		t.Errorf("epoch %d after %d groups", got, ds.Groups)
-	}
-	for i, tr := range triples {
-		if !eng.part.Current().Contains(tr) {
-			t.Errorf("caller %d's insert missing from the graph", i)
-		}
-	}
-	final := tripleSet(eng.part.Current(), eng.dict)
-	ver := eng.DataVersion()
+// reopenMatches closes a durable engine and requires the engine
+// recovered from its log to stand at the same epoch with the same
+// content.
+func reopenMatches(t *testing.T, eng *Engine, cfg Config, fs *wal.MemFS) {
+	t.Helper()
+	final, ver := tripleSet(eng.part.Current(), eng.dict), eng.DataVersion()
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
 	}
-
 	rec, err := OpenDurable(cfg, durableOpts(fs))
 	if err != nil {
 		t.Fatal(err)
@@ -361,61 +303,136 @@ func TestDurableGroupCommitCoalesces(t *testing.T) {
 		t.Errorf("recovered epoch %d, want %d", rec.DataVersion(), ver)
 	}
 	if !reflect.DeepEqual(tripleSet(rec.part.Current(), rec.dict), final) {
-		t.Error("grouped commits did not survive close and reopen")
+		t.Error("the committed state did not survive close and reopen")
+	}
+}
+
+// TestDurableGroupCommitCoalesces checks that callers queued behind a
+// flush in flight share the next epoch — and, with a log, its record and
+// fsync: on either engine, with the writer held by a plug, eight callers
+// queue and then commit as one group of eight at the epoch after the
+// plug's, and the grouped epoch survives a clean close and reopen.
+func TestDurableGroupCommitCoalesces(t *testing.T) {
+	for _, kind := range engineKinds {
+		t.Run(kind, func(t *testing.T) {
+			g := durableBase()
+			fs := wal.NewMemFS()
+			cfg := crashScriptCfg()
+			eng := newKind(t, kind, g, cfg, fs)
+			defer eng.Close()
+
+			const callers = 8
+			p := g.Dict.EncodeIRI("urn:p")
+			triple := func(s, o string) rdf.Triple {
+				return rdf.Triple{S: g.Dict.EncodeIRI(s), P: p, O: g.Dict.EncodeIRI(o)}
+			}
+			await, release := plugWriter(t, eng, func() error {
+				_, err := eng.ApplyBatch([]rdf.Triple{triple("urn:plug", "urn:plugged")}, nil)
+				return err
+			})
+			triples := make([]rdf.Triple, callers)
+			results := make([]BatchResult, callers)
+			var wg sync.WaitGroup
+			for i := range triples {
+				triples[i] = triple(fmt.Sprintf("urn:c%d", i), fmt.Sprintf("urn:d%d", i))
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					var err error
+					if results[i], err = eng.ApplyBatch([]rdf.Triple{triples[i]}, nil); err != nil {
+						t.Errorf("caller %d: %v", i, err)
+					}
+				}(i)
+			}
+			await("every caller to queue", func() bool { return eng.queued() == callers })
+			release()
+			wg.Wait()
+
+			for i, br := range results {
+				if br.DataVersion != 3 || br.Commit.GroupSize != callers || br.Inserted != 1 {
+					t.Errorf("caller %d: epoch %d in a group of %d (inserted %d), want epoch 3 in a group of %d",
+						i, br.DataVersion, br.Commit.GroupSize, br.Inserted, callers)
+				}
+				if !eng.part.Current().Contains(triples[i]) {
+					t.Errorf("caller %d's insert missing from the graph", i)
+				}
+			}
+			if ds := eng.DurabilityStats(); ds.Groups != 2 || ds.GroupedCallers != callers+1 {
+				t.Errorf("%d groups carried %d callers, want 2 carrying %d", ds.Groups, ds.GroupedCallers, callers+1)
+			}
+			if eng.DataVersion() != 3 {
+				t.Errorf("engine at epoch %d, want 3", eng.DataVersion())
+			}
+			if kind == "durable" {
+				reopenMatches(t, eng, cfg, fs)
+			}
+		})
 	}
 }
 
 // TestDurableGroupInsertDeleteConflict commits an insert and a delete
-// of the same never-stored triple in one group. Whichever order the
-// group resolves them in, the commit must not panic the partitioner
-// (the net delta may not delete a row that was never stored) and the
-// recovered state must equal the in-memory outcome.
+// of the same never-stored triple in one group, queued in each order
+// behind a plug. Insert then delete nets out: each caller counts its
+// operation, but the group commits no epoch and must not panic the
+// partitioner (the net delta may not delete a row that was never
+// stored). Delete then insert commits the insert alone. On a log the
+// recovered state equals the in-memory outcome.
 func TestDurableGroupInsertDeleteConflict(t *testing.T) {
-	g := durableBase()
-	fs := wal.NewMemFS()
-	cfg := crashScriptCfg()
-	opts := durableOpts(fs)
-	opts.GroupMaxWait = 200 * time.Millisecond
-	eng, err := NewDurable(g, cfg, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := rdf.Triple{
-		S: g.Dict.EncodeIRI("urn:x"),
-		P: g.Dict.EncodeIRI("urn:p"),
-		O: g.Dict.EncodeIRI("urn:y"),
-	}
-	start := make(chan struct{})
-	var wg sync.WaitGroup
-	for _, batch := range []struct{ ins, dels []rdf.Triple }{
-		{ins: []rdf.Triple{tr}},
-		{dels: []rdf.Triple{tr}},
-	} {
-		wg.Add(1)
-		go func(ins, dels []rdf.Triple) {
-			defer wg.Done()
-			<-start
-			if _, err := eng.ApplyBatch(ins, dels); err != nil {
-				t.Errorf("apply: %v", err)
-			}
-		}(batch.ins, batch.dels)
-	}
-	close(start)
-	wg.Wait()
+	for _, kind := range engineKinds {
+		for _, insertFirst := range []bool{true, false} {
+			t.Run(fmt.Sprintf("%s/insertFirst=%v", kind, insertFirst), func(t *testing.T) {
+				g := durableBase()
+				fs := wal.NewMemFS()
+				cfg := crashScriptCfg()
+				eng := newKind(t, kind, g, cfg, fs)
+				defer eng.Close()
+				p := g.Dict.EncodeIRI("urn:p")
+				tr := rdf.Triple{S: g.Dict.EncodeIRI("urn:x"), P: p, O: g.Dict.EncodeIRI("urn:y")}
+				plug := rdf.Triple{S: g.Dict.EncodeIRI("urn:plug"), P: p, O: g.Dict.EncodeIRI("urn:plugged")}
+				await, release := plugWriter(t, eng, func() error {
+					_, err := eng.ApplyBatch([]rdf.Triple{plug}, nil)
+					return err
+				})
+				ops := [][2][]rdf.Triple{{{tr}, nil}, {nil, {tr}}} // {inserts, deletes}
+				if !insertFirst {
+					ops[0], ops[1] = ops[1], ops[0]
+				}
+				results := make([]BatchResult, len(ops))
+				var wg sync.WaitGroup
+				for i, op := range ops {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						var err error
+						if results[i], err = eng.ApplyBatch(op[0], op[1]); err != nil {
+							t.Errorf("apply: %v", err)
+						}
+					}()
+					await("the operation to queue", func() bool { return eng.queued() == i+1 })
+				}
+				release()
+				wg.Wait()
 
-	had := eng.part.Current().Contains(tr)
-	ver := eng.DataVersion()
-	if err := eng.Close(); err != nil {
-		t.Fatal(err)
-	}
-	rec, err := OpenDurable(cfg, durableOpts(fs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rec.Close()
-	if rec.part.Current().Contains(tr) != had || rec.DataVersion() != ver {
-		t.Errorf("recovered state (has=%v, epoch %d) diverges from pre-close (has=%v, epoch %d)",
-			rec.part.Current().Contains(tr), rec.DataVersion(), had, ver)
+				// The plug committed epoch 2. Each operation counts against
+				// the group's running state: [inserted, deleted].
+				wantVer, wantHas, want := uint64(2), false, [][2]int{{1, 0}, {0, 1}}
+				if !insertFirst {
+					wantVer, wantHas, want = 3, true, [][2]int{{0, 0}, {1, 0}}
+				}
+				for i, br := range results {
+					if br.DataVersion != wantVer || br.Commit.GroupSize != 2 || [2]int{br.Inserted, br.Deleted} != want[i] {
+						t.Errorf("operation %d: epoch %d in a group of %d, counted %d/%d; want epoch %d in a group of 2, counted %d/%d",
+							i, br.DataVersion, br.Commit.GroupSize, br.Inserted, br.Deleted, wantVer, want[i][0], want[i][1])
+					}
+				}
+				if has := eng.part.Current().Contains(tr); has != wantHas || eng.DataVersion() != wantVer {
+					t.Errorf("engine at epoch %d holding the triple: %v; want epoch %d, %v", eng.DataVersion(), has, wantVer, wantHas)
+				}
+				if kind == "durable" {
+					reopenMatches(t, eng, cfg, fs)
+				}
+			})
+		}
 	}
 }
 
@@ -511,71 +528,79 @@ func TestClosedEngineReturnsErrClosed(t *testing.T) {
 	}
 }
 
-// TestDurableCloseDrainsQueue races Close against concurrent writers:
-// every caller must get either a durable commit or ErrClosed (never a
-// hang or a lost ack), and the reopened engine must hold exactly the
-// base plus the acknowledged inserts.
+// TestDurableCloseDrainsQueue races Close against concurrent writers on
+// either engine: every caller must get either a commit or ErrClosed
+// (never a hang or a lost ack), and the engine after Close — and, with a
+// log, the engine reopened from it — must hold exactly the base plus the
+// acknowledged inserts.
 func TestDurableCloseDrainsQueue(t *testing.T) {
-	g := durableBase()
-	fs := wal.NewMemFS()
-	cfg := crashScriptCfg()
-	eng, err := NewDurable(g, cfg, durableOpts(fs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := tripleSet(g, g.Dict)
+	for _, kind := range engineKinds {
+		t.Run(kind, func(t *testing.T) {
+			g := durableBase()
+			fs := wal.NewMemFS()
+			cfg := crashScriptCfg()
+			eng := newKind(t, kind, g, cfg, fs)
+			base := tripleSet(g, g.Dict)
 
-	const callers = 16
-	p := g.Dict.EncodeIRI("urn:p")
-	triples := make([]rdf.Triple, callers)
-	for i := range triples {
-		triples[i] = rdf.Triple{
-			S: g.Dict.EncodeIRI(fmt.Sprintf("urn:race%d", i)),
-			P: p,
-			O: g.Dict.EncodeIRI(fmt.Sprintf("urn:target%d", i)),
-		}
-	}
-	ackedCh := make(chan rdf.Triple, callers)
-	start := make(chan struct{})
-	var wg sync.WaitGroup
-	for i := 0; i < callers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			<-start
-			_, err := eng.ApplyBatch([]rdf.Triple{triples[i]}, nil)
-			switch {
-			case err == nil:
-				ackedCh <- triples[i]
-			case errors.Is(err, ErrClosed):
-			default:
-				t.Errorf("caller %d: unexpected error %v", i, err)
+			const callers = 16
+			p := g.Dict.EncodeIRI("urn:p")
+			triples := make([]rdf.Triple, callers)
+			for i := range triples {
+				triples[i] = rdf.Triple{
+					S: g.Dict.EncodeIRI(fmt.Sprintf("urn:race%d", i)),
+					P: p,
+					O: g.Dict.EncodeIRI(fmt.Sprintf("urn:target%d", i)),
+				}
 			}
-		}(i)
-	}
-	close(start)
-	if err := eng.Close(); err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-	close(ackedCh)
+			ackedCh := make(chan rdf.Triple, callers)
+			start := make(chan struct{})
+			var wg sync.WaitGroup
+			for i := 0; i < callers; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					<-start
+					_, err := eng.ApplyBatch([]rdf.Triple{triples[i]}, nil)
+					switch {
+					case err == nil:
+						ackedCh <- triples[i]
+					case errors.Is(err, ErrClosed):
+					default:
+						t.Errorf("caller %d: unexpected error %v", i, err)
+					}
+				}(i)
+			}
+			close(start)
+			if err := eng.Close(); err != nil {
+				t.Fatal(err)
+			}
+			atClose := tripleSet(eng.part.Current(), eng.dict)
+			wg.Wait()
+			close(ackedCh)
 
-	want := base
-	for tr := range ackedCh {
-		want[[3]rdf.Term{g.Dict.Term(tr.S), g.Dict.Term(tr.P), g.Dict.Term(tr.O)}] = true
-	}
-	if _, err := eng.ApplyBatch(triples[:1], nil); !errors.Is(err, ErrClosed) {
-		t.Errorf("ApplyBatch after close: %v", err)
-	}
-
-	rec, err := OpenDurable(cfg, durableOpts(fs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rec.Close()
-	if !reflect.DeepEqual(tripleSet(rec.part.Current(), rec.dict), want) {
-		t.Errorf("recovered %d triples, want base plus the %d acked inserts",
-			rec.part.Current().NumTriples(), len(want)-len(base))
+			want := base
+			for tr := range ackedCh {
+				want[[3]rdf.Term{g.Dict.Term(tr.S), g.Dict.Term(tr.P), g.Dict.Term(tr.O)}] = true
+			}
+			if _, err := eng.ApplyBatch(triples[:1], nil); !errors.Is(err, ErrClosed) {
+				t.Errorf("ApplyBatch after close: %v", err)
+			}
+			if !reflect.DeepEqual(atClose, want) {
+				t.Errorf("engine held %d triples at Close, want base plus the %d acked inserts", len(atClose), len(want)-len(base))
+			}
+			if kind == "memory" {
+				return
+			}
+			rec, err := OpenDurable(cfg, durableOpts(fs))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rec.Close()
+			if !reflect.DeepEqual(tripleSet(rec.part.Current(), rec.dict), want) {
+				t.Errorf("recovered %d triples, want base plus the %d acked inserts",
+					rec.part.Current().NumTriples(), len(want)-len(base))
+			}
+		})
 	}
 }
 

@@ -59,22 +59,6 @@ type Prepared struct {
 	stats *cost.Stats
 }
 
-// newPrepared wraps one planning outcome as an immutable Prepared.
-func newPrepared(q *sparql.Query, out *planOutcome) *Prepared {
-	return &Prepared{
-		Query:         q,
-		Logical:       out.pp.Logical,
-		Physical:      out.pp,
-		Height:        out.pp.Logical.Height(),
-		PlansExplored: out.space.Explored,
-		UniquePlans:   out.space.Candidates(),
-		DataVersion:   out.stats.Version(),
-		chosenIdx:     out.idx,
-		chosenCost:    out.cost,
-		stats:         out.stats,
-	}
-}
-
 // Prepare selects q's plan and binds it into an immutable Prepared,
 // without consulting the plan cache (the plan space of q's shape and its
 // compiled candidates are still shared: see Engine.shape). This is the
@@ -85,17 +69,20 @@ func (e *Engine) Prepare(q *sparql.Query) (*Prepared, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	return e.prepare(q)
+	return e.prepare(q, nil)
 }
 
-// prepare is Prepare for a validated query.
-func (e *Engine) prepare(q *sparql.Query) (*Prepared, error) {
-	out, err := e.plan(q)
+// prepare plans a validated query (see plan) — cold, or as the
+// revalidation of prev — under a hold on its patterns that it releases.
+// A revalidation needs a hold of its own: the entry's may be gone,
+// evicted meanwhile.
+func (e *Engine) prepare(q *sparql.Query, prev *Prepared) (*Prepared, error) {
+	p, ref, err := e.plan(q, prev)
 	if err != nil {
 		return nil, err
 	}
-	e.cat.Release(out.ref)
-	return newPrepared(q, out), nil
+	e.cat.Release(ref)
+	return p, nil
 }
 
 // cacheEntry is one plan-cache slot: the current validated Prepared,
@@ -150,18 +137,17 @@ func (e *Engine) PrepareCached(q *sparql.Query) (p *Prepared, hit bool, err erro
 		return nil, false, ErrClosed
 	}
 	if e.cache == nil {
-		p, err = e.prepare(q)
+		p, err = e.prepare(q, nil)
 		return p, false, err
 	}
 	key := sparql.Canonicalize(q).Key + "\x00" + q.Name
 	ent, hit, err := e.cache.Do(key, func() (*cacheEntry, error) {
-		out, err := e.plan(q)
+		p, ref, err := e.plan(q, nil)
 		if err != nil {
 			return nil, err
 		}
-		p := newPrepared(q, out)
 		p.Fingerprint = key
-		ent := &cacheEntry{ref: out.ref}
+		ent := &cacheEntry{ref: ref}
 		ent.cur.Store(p)
 		return ent, nil
 	})
@@ -179,47 +165,13 @@ func (e *Engine) PrepareCached(q *sparql.Query) (p *Prepared, hit bool, err erro
 	if p = ent.cur.Load(); p.DataVersion == e.DataVersion() {
 		return p, hit, nil
 	}
-	np, err := e.revalidate(p)
+	e.revalidations.Add(1)
+	np, err := e.prepare(p.Query, p)
 	if err != nil {
 		return nil, false, err
 	}
 	ent.cur.Store(np)
 	return np, hit, nil
-}
-
-// revalidate re-checks a cached plan against the current epoch's
-// cardinality statistics. It takes a fresh snapshot; if that equals the
-// one the plan was chosen under, every candidate prices as it did, so
-// the version tag moves and the choice is kept. Otherwise the plan space
-// of the query's shape is re-priced, whatever its size, and the winner
-// bound if it changed. The refreshed Prepared shares every surviving
-// component with the old one (old holders keep executing it safely).
-func (e *Engine) revalidate(p *Prepared) (*Prepared, error) {
-	e.revalidations.Add(1)
-	// A hold of its own: the entry's may be gone, evicted meanwhile.
-	ref, st := e.readStats(p.Query)
-	defer e.cat.Release(ref)
-	if st.Equal(p.stats) {
-		np := *p
-		np.DataVersion = st.Version()
-		return &np, nil
-	}
-	sh, err := e.shape(p.Query)
-	if err != nil {
-		return nil, err
-	}
-	idx, c := cost.NewModel(e.cfg.Constants, st).ChooseSpace(sh.space)
-	np := *p
-	np.DataVersion, np.stats, np.chosenIdx, np.chosenCost = st.Version(), st, idx, c
-	if idx != p.chosenIdx {
-		e.replans.Add(1)
-		pp, err := e.finishPlan(sh, p.Query, idx)
-		if err != nil {
-			return nil, err
-		}
-		np.Logical, np.Physical, np.Height = pp.Logical, pp, pp.Logical.Height()
-	}
-	return &np, nil
 }
 
 // ExecutePrepared runs a prepared plan on a fresh cluster clock. Many

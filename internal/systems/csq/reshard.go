@@ -101,9 +101,8 @@ func stepTopology(rp *partition.ReshardPlan, i int) int {
 // record, a consistent placement of the full (unchanged) graph. stateMu
 // is held per step, not across the resize: every intermediate epoch
 // preserves co-location, so planners need not wait the whole move out.
-// A log failure (or Close, without a log) aborts between steps; the
-// engine keeps serving the last committed epoch, and the log's sticky
-// error fails later writes.
+// A log failure aborts between steps; the engine keeps serving the last
+// committed epoch, and the log's sticky error fails later writes.
 func (e *Engine) flushReshard(req *request) {
 	start := time.Now()
 	rp, err := e.planResize(req.reshard)
@@ -116,10 +115,10 @@ func (e *Engine) flushReshard(req *request) {
 		}
 	}
 	if err != nil {
-		req.resp <- response{err: err}
+		req.answer(response{err: err})
 		return
 	}
-	req.resp <- response{shard: ReshardResult{
+	req.answer(response{shard: ReshardResult{
 		From: rp.OldN, To: rp.NewN,
 		Steps:     rp.Steps(),
 		MovedRows: rp.MovedRows, TotalRows: rp.TotalRows,
@@ -128,6 +127,5 @@ func (e *Engine) flushReshard(req *request) {
 		DataVersion:     e.DataVersion(),
 		TopologyVersion: e.TopologyVersion(),
 		Wall:            time.Since(start),
-	}}
-	e.nudgeCheckpoint()
+	}})
 }

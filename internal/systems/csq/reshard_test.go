@@ -278,12 +278,8 @@ func TestReshardArgumentErrors(t *testing.T) {
 // been applied: the state read right after Close equals the state read
 // once the racing writers have joined. Run under -race.
 func TestCloseDuringReshard(t *testing.T) {
-	for _, durable := range []bool{false, true} {
-		name := "memory"
-		if durable {
-			name = "durable"
-		}
-		t.Run(name, func(t *testing.T) {
+	for _, kind := range engineKinds {
+		t.Run(kind, func(t *testing.T) {
 			for trial := 0; trial < 8; trial++ {
 				g := rdf.NewGraph()
 				for i := 0; i < 200; i++ {
@@ -291,16 +287,7 @@ func TestCloseDuringReshard(t *testing.T) {
 				}
 				cfg := ringConfig()
 				cfg.Nodes = 4
-				var eng *Engine
-				var err error
-				if durable {
-					eng, err = NewDurable(g, cfg, durableOpts(wal.NewMemFS()))
-					if err != nil {
-						t.Fatal(err)
-					}
-				} else {
-					eng = New(g, cfg)
-				}
+				eng := newKind(t, kind, g, cfg, wal.NewMemFS())
 				closing := func(err error) bool {
 					return err == nil || errors.Is(err, ErrClosed) || errors.Is(err, wal.ErrClosed)
 				}

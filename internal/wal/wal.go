@@ -101,14 +101,12 @@ type Options struct {
 	Dir string
 	// FS is the filesystem seam; nil means the real filesystem.
 	FS FS
-	// GroupMaxWait is how long the group-commit batcher holds an open
-	// group waiting for more callers before flushing. 0 flushes as
-	// soon as the queue drains (no added latency; grouping still
-	// happens naturally while a flush's fsync is in progress).
+	// GroupMaxWait is ignored; nothing reads it. It remains only for
+	// callers that still set it.
 	GroupMaxWait time.Duration
-	// CheckpointBytes is the log-bytes-since-checkpoint threshold that
-	// triggers a background checkpoint (a delta, or a base when one is
-	// due) and log truncation; 0 means 8 MiB, negative disables
+	// CheckpointBytes is the log-bytes-since-checkpoint threshold past
+	// which NeedCheckpoint asks for a checkpoint (a delta, or a base when
+	// one is due) and log truncation; 0 means 8 MiB, negative disables
 	// automatic checkpoints.
 	CheckpointBytes int64
 }
