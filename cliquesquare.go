@@ -213,15 +213,14 @@ type ReshardResult = csq.ReshardResult
 
 // AddNodes grows the cluster by k nodes, relocating only the rows
 // whose placement changed (under the "ring" policy, roughly the ideal
-// k/(n+k) fraction). The resize executes as a short sequence of
-// ordinary store epochs; queries keep serving from their pinned
-// snapshots throughout, and on a durable engine every step is
-// WAL-logged before it applies.
+// k/(n+k) fraction). The resize commits like a batch: one store epoch
+// and, on a durable engine, one WAL record written before it applies.
+// Queries keep serving from their pinned snapshots throughout.
 func (e *Engine) AddNodes(k int) (ReshardResult, error) { return e.inner.AddNodes(k) }
 
 // RemoveNodes shrinks the cluster by k nodes (the highest-numbered
-// ones), draining their rows to the survivors first. Semantics
-// otherwise match AddNodes.
+// ones), moving their rows to the survivors in the same epoch.
+// Semantics otherwise match AddNodes.
 func (e *Engine) RemoveNodes(k int) (ReshardResult, error) { return e.inner.RemoveNodes(k) }
 
 // Nodes reports the current cluster size (Options.Nodes until the
@@ -278,7 +277,7 @@ type Result struct {
 	// this request.
 	PlanCached bool
 	// DataVersion is the data epoch this answer was computed from:
-	// 1 after the initial load, +1 per applied batch. An execution pins
+	// 1 after the initial load, +1 per applied batch or resize. An execution pins
 	// one epoch end to end (snapshot isolation), so the answer reflects
 	// exactly the batches committed up to this version — never a torn
 	// batch.
@@ -391,7 +390,7 @@ func (e *Engine) Delete(s, p, o Term) (BatchResult, error) {
 }
 
 // DataVersion is the engine's current data epoch: 1 after the initial
-// load, incremented by every applied batch. Compare with
+// load, incremented by every applied batch and every resize. Compare with
 // Result.DataVersion to measure read staleness under concurrent
 // writes.
 func (e *Engine) DataVersion() uint64 { return e.inner.DataVersion() }

@@ -318,7 +318,7 @@ func (c *Catalog) read(r *Ref) *Stats {
 // mutated data, and moves the catalog to version. Cost is
 // O(|delta| × patterns of the triple's property), independent of graph
 // size. An unfilled pattern is skipped: its fill will read the mutated
-// data. An empty delta (a reshard step) only moves the version.
+// data. An empty delta (a resize) only moves the version.
 func (c *Catalog) Apply(version uint64, d *rdf.Dict, inserts, deletes []rdf.Triple) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

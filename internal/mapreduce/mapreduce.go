@@ -179,19 +179,14 @@ type Job struct {
 }
 
 // ClassicJob adapts the classic MapReduce form — mapFn once per node,
-// reduce (nil for a map-only job) over the groups routed to a node — to
-// the morsel form. The runtime cuts a node's groups into key ranges and
-// calls reduce once per range, with no pass after the ranges that could
-// combine them, so reduce must be group-local: whatever
-// rows it emits, it emits per group, from that group's records alone,
-// carrying nothing from one group to the next. The per-range rows of
-// such a reducer concatenate, in range order, to exactly those of one
-// call over the whole node (and its per-range counts add up to that
-// call's).
-func ClassicJob(name string, mapFn func(node int, m *Meter, emit *Emitter, out *Block), reduce func(node int, m *Meter, groups *Groups, out *Block)) Job {
+// reduce (nil for a map-only job) once per group routed to a node, in
+// canonical key order — to the morsel form.
+func ClassicJob(name string, mapFn func(node int, m *Meter, emit *Emitter, out *Block), reduce func(node int, m *Meter, g Group, out *Block)) Job {
 	job := Job{Name: name, MapMorsel: func(node, _, _ int, m *Meter, emit *Emitter, out *Block) { mapFn(node, m, emit, out) }}
 	if reduce != nil {
-		job.ReduceRange = func(node, _, _, _ int, m *Meter, groups *Groups, out *Block) { reduce(node, m, groups, out) }
+		job.ReduceRange = func(node, _, _, _ int, m *Meter, groups *Groups, out *Block) {
+			groups.Each(func(g Group) { reduce(node, m, g, out) })
+		}
 	}
 	return job
 }

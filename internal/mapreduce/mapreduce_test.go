@@ -67,11 +67,9 @@ func TestShuffleGroupsByExactKey(t *testing.T) {
 		func(node int, m *Meter, emit *Emitter, out *Block) {
 			emit.Emit(0, 0, Row{rdf.TermID(node % 2), rdf.TermID(node)}, []int{0})
 		},
-		func(node int, m *Meter, groups *Groups, out *Block) {
-			groups.Each(func(g Group) {
-				groupsSeen.Add(1)
-				out.Append(Row{rdf.TermID(g.Len())})
-			})
+		func(node int, m *Meter, g Group, out *Block) {
+			groupsSeen.Add(1)
+			out.Append(Row{rdf.TermID(g.Len())})
 		}), nil)
 	if n := groupsSeen.Load(); n != 2 {
 		t.Errorf("saw %d groups, want 2", n)
@@ -227,11 +225,9 @@ func countJob(cl *Cluster) Job {
 				emit.Emit(0, 0, Row{rdf.TermID((node*50 + i) % 13), rdf.TermID(node), rdf.TermID(i)}, []int{0})
 			}
 		},
-		func(node int, m *Meter, groups *Groups, out *Block) {
-			groups.Each(func(g Group) {
-				m.Join(g.Len())
-				out.Append(Row{rdf.TermID(g.Len())})
-			})
+		func(node int, m *Meter, g Group, out *Block) {
+			m.Join(g.Len())
+			out.Append(Row{rdf.TermID(g.Len())})
 		})
 }
 
@@ -256,14 +252,14 @@ func TestParallelMatchesSequential(t *testing.T) {
 }
 
 // TestClassicJobAcrossRanges runs a classic job through the adapter at
-// every pool width. Its reducer is group-local and counts per group, so
-// when the wider pools cut a node's groups into key ranges and call it
-// once per range, rows, JobStats and the replayed record must not move.
+// every pool width. Its reducer sees one group at a time, so when the
+// wider pools cut a node's groups into key ranges, rows, JobStats and
+// the replayed record must not move.
 func TestClassicJobAcrossRanges(t *testing.T) {
 	const nodes = 3
 	var reduceCalls atomic.Int32
 	job := func(cl *Cluster) Job {
-		return ClassicJob("classic",
+		j := ClassicJob("classic",
 			func(node int, m *Meter, emit *Emitter, out *Block) {
 				for i := 0; i < 60; i++ {
 					m.Read(i + 1)
@@ -271,14 +267,17 @@ func TestClassicJobAcrossRanges(t *testing.T) {
 					emit.Emit(0, 0, Row{rdf.TermID((node*7 + i) % 41), rdf.TermID(node), rdf.TermID(i)}, []int{0})
 				}
 			},
-			func(node int, m *Meter, groups *Groups, out *Block) {
-				reduceCalls.Add(1)
-				groups.Each(func(g Group) {
-					m.Check(g.Len()*2 + 1)
-					m.Join(g.Len())
-					out.Append(Row{rdf.TermID(g.KeyCell(0)), rdf.TermID(g.Len())})
-				})
+			func(node int, m *Meter, g Group, out *Block) {
+				m.Check(g.Len()*2 + 1)
+				m.Join(g.Len())
+				out.Append(Row{rdf.TermID(g.KeyCell(0)), rdf.TermID(g.Len())})
 			})
+		reduce := j.ReduceRange
+		j.ReduceRange = func(node, rng, ranges, lane int, m *Meter, groups *Groups, out *Block) {
+			reduceCalls.Add(1)
+			reduce(node, rng, ranges, lane, m, groups, out)
+		}
+		return j
 	}
 	type result struct {
 		rows     []Block
@@ -298,7 +297,7 @@ func TestClassicJobAcrossRanges(t *testing.T) {
 		t.Errorf("nil pool: replay differs:\n got %+v\nwant %+v", want.replayed, want.stats)
 	}
 	if n := reduceCalls.Swap(0); n != nodes {
-		t.Errorf("nil pool: %d reduce calls, want one per node (%d)", n, nodes)
+		t.Errorf("nil pool: %d reduce ranges, want one per node (%d)", n, nodes)
 	}
 	for _, lanes := range []int{1, 2, 4} {
 		got := run(lanes)
@@ -306,7 +305,7 @@ func TestClassicJobAcrossRanges(t *testing.T) {
 			t.Errorf("width %d differs from the nil pool:\n got %+v\nwant %+v", lanes, got, want)
 		}
 		if n := reduceCalls.Swap(0); lanes > 1 && n <= nodes {
-			t.Errorf("width %d: %d reduce calls, want the reducer split across key ranges (> %d)", lanes, n, nodes)
+			t.Errorf("width %d: %d reduce ranges, want a node's groups split across key ranges (> %d)", lanes, n, nodes)
 		}
 	}
 }

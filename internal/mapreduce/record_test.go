@@ -21,12 +21,10 @@ func chargeJob(cl *Cluster) Job {
 				emit.Emit(0, 0, Row{rdf.TermID((node + i) % 5), 1, 2}, []int{0})
 			}
 		},
-		func(node int, m *Meter, groups *Groups, out *Block) {
-			groups.Each(func(g Group) {
-				m.Join(g.Len()*2 + 1)
-				m.Write(g.Len())
-				out.Append(Row{3})
-			})
+		func(node int, m *Meter, g Group, out *Block) {
+			m.Join(g.Len()*2 + 1)
+			m.Write(g.Len())
+			out.Append(Row{3})
 		})
 }
 

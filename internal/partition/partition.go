@@ -69,7 +69,7 @@ type Partitioner struct {
 	store *dstore.Store
 	mode  Mode
 	// policy builds the Placement for a given cluster size; the default
-	// is ModuloPolicy (the paper's hash(id) mod n). Reshard re-invokes
+	// is ModuloPolicy (the paper's hash(id) mod n). Resize re-invokes
 	// it at the target size to derive the move set.
 	policy Policy
 
@@ -94,14 +94,11 @@ type View struct {
 	snap *dstore.Snapshot
 	// place is the placement writers route new triples through at this
 	// epoch. Readers never consult it — scans read partition files by
-	// name from every node — which is exactly why a pinned mid-reshard
-	// View keeps answering correctly while rows migrate underneath
-	// newer epochs.
+	// name from every node — so a View pinned before a resize keeps
+	// answering from the old placement after the new one publishes.
 	place Placement
 	// topo counts completed topology changes: 0 for the load topology,
-	// +1 per reshard. It folds into VersionKey so version-keyed caches
-	// can never collide across topologies even if epoch numbering were
-	// ever reused.
+	// +1 per resize.
 	topo uint64
 	// typeID is the dictionary ID of rdf:type (NoTerm if absent when
 	// the view was published).
@@ -247,14 +244,8 @@ func (p *Partitioner) Watermark() uint64 {
 	return min
 }
 
-// Mode reports the replication scheme in use.
-func (p *Partitioner) Mode() Mode { return p.mode }
-
-// Policy reports the placement policy in use.
-func (p *Partitioner) Policy() Policy { return p.policy }
-
 // TopologyVersion is the current view's topology version: 0 at load,
-// +1 per completed reshard.
+// +1 per completed resize.
 func (p *Partitioner) TopologyVersion() uint64 { return p.cur.Load().topo }
 
 // ScanPos resolves the replica position a scan should read: the
@@ -280,36 +271,14 @@ func FileName(pos rdf.Pos, prop rdf.TermID, typeObj rdf.TermID) string {
 	return string(b)
 }
 
-// Store returns the underlying file store.
-func (p *Partitioner) Store() *dstore.Store { return p.store }
-
-// TypeID returns the dictionary ID of rdf:type as of the current view
-// (NoTerm if unseen).
-func (p *Partitioner) TypeID() rdf.TermID { return p.cur.Load().typeID }
-
-// Files resolves scan files against the current view; executions that
-// must stay on one epoch should pin a View and resolve through it.
-func (p *Partitioner) Files(tp sparql.TriplePattern, pos rdf.Pos, dict *rdf.Dict) []string {
-	return p.cur.Load().Files(tp, pos, dict)
-}
-
 // Version is the view's epoch number (the dstore snapshot version).
 func (v *View) Version() uint64 { return v.snap.Version() }
 
-// Topology is the view's topology version: 0 at load, +1 per reshard.
+// Topology is the view's topology version: 0 at load, +1 per resize.
 func (v *View) Topology() uint64 { return v.topo }
-
-// VersionKey folds the topology version into the epoch number for
-// version-keyed caches: identical to Version while the topology never
-// changed (topo 0), and guaranteed distinct across topologies after a
-// reshard — entries from an old topology go stale by construction.
-func (v *View) VersionKey() uint64 { return v.snap.Version() ^ v.topo<<48 }
 
 // Nodes is the cluster size at this view's epoch.
 func (v *View) Nodes() int { return v.snap.N() }
-
-// Placement is the placement writers route through at this epoch.
-func (v *View) Placement() Placement { return v.place }
 
 // Snap returns the pinned dstore snapshot.
 func (v *View) Snap() *dstore.Snapshot { return v.snap }
@@ -366,8 +335,8 @@ func (v *View) Files(tp sparql.TriplePattern, pos rdf.Pos, dict *rdf.Dict) []str
 // property is prop, or for every triple when prop is NoTerm, in a
 // reproducible order (property id, node, row). It reads the subject
 // replica, which holds each triple exactly once in every epoch — in both
-// modes and at every step of a reshard, which moves a row within one
-// transaction — and of it only the files of the properties concerned.
+// modes, and across a resize, which moves a row within one transaction —
+// and of it only the files of the properties concerned.
 func (v *View) EachTriple(prop rdf.TermID, fn func(rdf.Triple)) {
 	props := []rdf.TermID{prop}
 	if prop == rdf.NoTerm {
@@ -401,8 +370,9 @@ func (v *View) NumTriples() int {
 // Contains reports whether t is stored at this view's epoch: a lookup of
 // its subject in the one subject-replica file that can hold it (the index
 // is built on first use and carried from epoch to epoch by the store),
-// then a comparison of objects. It routes through the placement, so only
-// a view between two resizes answers: it is the writer's presence test.
+// then a comparison of objects. It routes through the view's own
+// placement, which every epoch's rows follow: it is the writer's presence
+// test.
 func (v *View) Contains(t rdf.Triple) bool {
 	f, ok := v.snap.Node(v.place.NodeFor(t.S)).Get(FileName(rdf.SPos, t.P, 0))
 	if !ok {

@@ -58,7 +58,7 @@ func TestFilesConstantProperty(t *testing.T) {
 	store := dstore.NewStore(3)
 	p := LoadWithPolicy(store, g, ThreeReplica, nil)
 	tp := sparql.MustParse(`SELECT ?a WHERE { ?a <knows> ?b }`).Patterns[0]
-	files := p.Files(tp, rdf.SPos, g.Dict)
+	files := p.Current().Files(tp, rdf.SPos, g.Dict)
 	if len(files) != 1 {
 		t.Fatalf("Files = %v, want one file", files)
 	}
@@ -83,7 +83,7 @@ func TestFilesRdfTypeSplit(t *testing.T) {
 	tp := q.Patterns[0]
 	// In the property partition, the rdf:type pattern with constant
 	// object resolves to exactly one per-class file.
-	files := p.Files(tp, rdf.PPos, g.Dict)
+	files := p.Current().Files(tp, rdf.PPos, g.Dict)
 	if len(files) != 1 {
 		t.Fatalf("Files = %v, want 1 split file", files)
 	}
@@ -99,7 +99,7 @@ func TestFilesRdfTypeSplit(t *testing.T) {
 	}
 	// With a variable object it must return all class splits.
 	q2 := sparql.MustParse(fmt.Sprintf(`SELECT ?a ?c WHERE { ?a <%s> ?c }`, sparql.RDFType))
-	files = p.Files(q2.Patterns[0], rdf.PPos, g.Dict)
+	files = p.Current().Files(q2.Patterns[0], rdf.PPos, g.Dict)
 	if len(files) != 3 {
 		t.Errorf("variable-object rdf:type resolves to %v, want 3 files", files)
 	}
@@ -110,12 +110,12 @@ func TestFilesVariableProperty(t *testing.T) {
 	store := dstore.NewStore(3)
 	p := LoadWithPolicy(store, g, ThreeReplica, nil)
 	q := sparql.MustParse(`SELECT ?a ?p WHERE { ?a ?p ?b }`)
-	files := p.Files(q.Patterns[0], rdf.SPos, g.Dict)
+	files := p.Current().Files(q.Patterns[0], rdf.SPos, g.Dict)
 	// Two properties: knows + rdf:type.
 	if len(files) != 2 {
 		t.Errorf("variable property resolves to %v, want 2 files", files)
 	}
-	filesP := p.Files(q.Patterns[0], rdf.PPos, g.Dict)
+	filesP := p.Current().Files(q.Patterns[0], rdf.PPos, g.Dict)
 	// In the property partition rdf:type is split by class: knows + 3.
 	if len(filesP) != 4 {
 		t.Errorf("variable property over p-partition resolves to %d files, want 4", len(filesP))
@@ -127,7 +127,7 @@ func TestFilesUnknownProperty(t *testing.T) {
 	store := dstore.NewStore(3)
 	p := LoadWithPolicy(store, g, ThreeReplica, nil)
 	q := sparql.MustParse(`SELECT ?a WHERE { ?a <never-seen> ?b }`)
-	if files := p.Files(q.Patterns[0], rdf.SPos, g.Dict); files != nil {
+	if files := p.Current().Files(q.Patterns[0], rdf.SPos, g.Dict); files != nil {
 		t.Errorf("unknown property resolves to %v, want nil", files)
 	}
 }
@@ -238,9 +238,9 @@ func TestApplyBatchMatchesFreshLoad(t *testing.T) {
 		for _, src := range qs {
 			tp := sparql.MustParse(src).Patterns[0]
 			for _, pos := range []rdf.Pos{rdf.SPos, rdf.PPos, rdf.OPos} {
-				if !reflect.DeepEqual(p.Files(tp, pos, g.Dict), fp.Files(tp, pos, g.Dict)) {
+				if !reflect.DeepEqual(p.Current().Files(tp, pos, g.Dict), fp.Current().Files(tp, pos, g.Dict)) {
 					t.Errorf("%v: Files(%s, %s) = %v, fresh %v",
-						mode, src, pos, p.Files(tp, pos, g.Dict), fp.Files(tp, pos, g.Dict))
+						mode, src, pos, p.Current().Files(tp, pos, g.Dict), fp.Current().Files(tp, pos, g.Dict))
 				}
 			}
 		}

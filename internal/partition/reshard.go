@@ -1,22 +1,13 @@
 // Live resharding: changing the cluster size without reloading.
 //
-// A reshard is planned as the minimal move-set between the current
-// placement and the policy's placement at the target size, then
-// executed as a short sequence of ordinary store epochs — one per
-// destination node. Each step moves, atomically, every row whose
-// placement key is newly owned by that destination: a delete from the
-// old node plus an append on the new one, in one Tx. Because a key's
-// rows (across all its replica positions) relocate in exactly one step,
-// the Section 5.1 co-location invariant — all rows keyed by a term in a
-// replica position live on one node — holds in every intermediate
-// epoch, so queries pinned to any view mid-reshard stay correct, and
-// readers never consult the placement at all (scans read files by name
-// from every node).
-//
-// The caller (csq.Engine) excludes concurrent writers for the duration
-// of a reshard; the partitioner only requires that no ApplyBatch lands
-// between PlanReshard and the last ApplyStep, since the plan's row
-// views are taken against the snapshot it was planned on.
+// A resize is one epoch, committed like a batch: every row whose
+// placement key the policy puts on another node at the target size is
+// deleted from its node and appended to its new one, the cluster size
+// changes, and the new view publishes, all in one Tx. A view pinned
+// before the resize keeps reading the old placement; the next one reads
+// the new placement complete, so no view ever sees a key's rows split
+// across nodes. Readers never consult the placement at all — scans read
+// files by name from every node.
 package partition
 
 import (
@@ -26,52 +17,23 @@ import (
 	"cliquesquare/internal/rdf"
 )
 
-// ReshardPlan is the move-set diff between the current topology and a
-// target size: one step per destination node that receives rows, in
-// ascending destination order, plus the bookkeeping the caller's
-// benchmarks report.
-type ReshardPlan struct {
-	// OldN and NewN are the cluster sizes on either side of the plan.
-	OldN, NewN int
+// ResizeStats is the bookkeeping of one Resize.
+type ResizeStats struct {
 	// MovedRows counts row relocations (replicas counted separately);
-	// TotalRows is the snapshot's full row count, so MovedRows/TotalRows
-	// is the moved fraction an elastic placement keeps near the ideal
+	// TotalRows is the store's full row count, so MovedRows/TotalRows is
+	// the moved fraction an elastic placement keeps near the ideal
 	// |ΔN|/max(N).
 	MovedRows, TotalRows int
 	// MovedCells counts the TermID cells relocated (rows × width).
 	MovedCells int
-
-	steps []reshardStep
-	place Placement // the target placement
-	base  *View     // the view the plan was computed against
 }
-
-// reshardStep is one epoch of the plan: every row newly owned by dest.
-type reshardStep struct {
-	dest  int
-	moves []rowMove
-}
-
-// rowMove relocates one row from (node, file) to the step's destination
-// (same file name). The row is a view into the planned snapshot's
-// immutable slab.
-type rowMove struct {
-	node int
-	file string
-	row  dstore.Row
-}
-
-// Steps reports how many epochs executing the plan commits. It is at
-// least 1 whenever the size changes (the topology switch itself
-// commits), even if no rows move.
-func (rp *ReshardPlan) Steps() int { return len(rp.steps) }
 
 // MovedFraction is MovedRows / TotalRows (0 for an empty store).
-func (rp *ReshardPlan) MovedFraction() float64 {
-	if rp.TotalRows == 0 {
+func (s ResizeStats) MovedFraction() float64 {
+	if s.TotalRows == 0 {
 		return 0
 	}
-	return float64(rp.MovedRows) / float64(rp.TotalRows)
+	return float64(s.MovedRows) / float64(s.TotalRows)
 }
 
 // keyOf resolves the placement key of a row in a partition file: the
@@ -89,96 +51,50 @@ func keyOf(file string, row dstore.Row) rdf.TermID {
 	panic(fmt.Sprintf("partition: file %q has no position prefix", file))
 }
 
-// PlanReshard diffs the current placement against the policy's
-// placement at newN nodes and returns the move-set plan. The plan binds
-// to the current view; committing any other write before the plan's
-// last step is applied invalidates it (the csq engine serializes this).
-func (p *Partitioner) PlanReshard(newN int) (*ReshardPlan, error) {
+// Resize re-places the current view at newN nodes under the policy and
+// commits it as one epoch with the next topology version. It walks the
+// view's files node by node, in name and row order, so each destination
+// file receives its rows in that order after the rows it keeps.
+func (p *Partitioner) Resize(newN int) (ResizeStats, error) {
+	var st ResizeStats
 	if newN <= 0 {
-		return nil, fmt.Errorf("partition: reshard to %d nodes", newN)
+		return st, fmt.Errorf("partition: reshard to %d nodes", newN)
 	}
-	v := p.cur.Load()
-	oldN := v.snap.N()
-	if newN == oldN {
-		return nil, fmt.Errorf("partition: reshard to current size %d", newN)
-	}
-	next := p.policy(newN)
-	rp := &ReshardPlan{OldN: oldN, NewN: newN, place: next, base: v}
-	byDest := make(map[int]*reshardStep)
-	for node := 0; node < oldN; node++ {
-		nd := v.snap.Node(node)
-		for _, fname := range nd.Names() {
-			f, _ := nd.Get(fname)
-			rp.TotalRows += f.NumRows()
-			for i := 0; i < f.NumRows(); i++ {
-				row := f.Row(i)
-				dest := next.NodeFor(keyOf(fname, row))
-				if dest == node {
-					continue
-				}
-				st := byDest[dest]
-				if st == nil {
-					st = &reshardStep{dest: dest}
-					byDest[dest] = st
-				}
-				st.moves = append(st.moves, rowMove{node: node, file: fname, row: row})
-				rp.MovedRows++
-				rp.MovedCells += len(row)
-			}
-		}
-	}
-	for dest := 0; dest < newN; dest++ {
-		if st := byDest[dest]; st != nil {
-			rp.steps = append(rp.steps, *st)
-		}
-	}
-	if len(rp.steps) == 0 {
-		// Nothing moves (an empty store, say) — the topology switch
-		// still needs one epoch to carry SetN and publish the new view.
-		rp.steps = []reshardStep{{dest: -1}}
-	}
-	return rp, nil
-}
-
-// ApplyStep commits step i of the plan as one store epoch and publishes
-// the view for it. The first step resizes a growing cluster (new nodes
-// must exist to receive appends); the last step resizes a shrinking one
-// (removed nodes are provably empty only once every move landed) and
-// stamps the new topology version. Steps must be applied in order,
-// exactly once, with no interleaved ApplyBatch.
-func (p *Partitioner) ApplyStep(rp *ReshardPlan, i int) *View {
 	p.writeMu.Lock()
 	defer p.writeMu.Unlock()
 	old := p.cur.Load()
-	if i == 0 && old != rp.base {
-		panic("partition: reshard plan is stale (a write committed after planning)")
+	oldN := old.snap.N()
+	if newN == oldN {
+		return st, fmt.Errorf("partition: reshard to current size %d", newN)
 	}
-	last := i == len(rp.steps)-1
 	v := &View{
 		p:           p,
-		place:       rp.place,
-		topo:        rp.base.topo,
+		place:       p.policy(newN),
+		topo:        old.topo + 1,
 		typeID:      old.typeID,
 		properties:  old.properties,
 		typeObjects: old.typeObjects,
 	}
-	if last {
-		v.topo = rp.base.topo + 1
-	}
 	tx := p.store.Begin()
 	defer tx.Abort()
-	if i == 0 && rp.NewN > rp.OldN {
-		tx.SetN(rp.NewN)
-	}
-	if last && rp.NewN < rp.OldN {
-		tx.SetN(rp.NewN)
-	}
-	st := &rp.steps[i]
-	for _, mv := range st.moves {
-		tx.DeleteRow(mv.node, mv.file, mv.row)
-		tx.AppendCells(st.dest, mv.file, TripleSchema, mv.row...)
+	tx.SetN(newN)
+	for node := 0; node < oldN; node++ {
+		nd := old.snap.Node(node)
+		for _, name := range nd.Names() {
+			f, _ := nd.Get(name)
+			st.TotalRows += f.NumRows()
+			for i := 0; i < f.NumRows(); i++ {
+				row := f.Row(i)
+				if dest := v.place.NodeFor(keyOf(name, row)); dest != node {
+					tx.DeleteRow(node, name, row)
+					tx.AppendCells(dest, name, TripleSchema, row...)
+					st.MovedRows++
+					st.MovedCells += len(row)
+				}
+			}
+		}
 	}
 	v.snap = tx.Commit()
 	p.cur.Store(v)
-	return v
+	return st, nil
 }

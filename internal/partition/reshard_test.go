@@ -22,10 +22,10 @@ func biggerGraph() *rdf.Graph {
 }
 
 // TestReshardMatchesFreshLoad is the partition-layer elastic oracle:
-// growing and then shrinking a ring-placed store through
-// PlanReshard/ApplyStep leaves it byte-identical — per node, per file,
-// per row set — to a fresh load at the target size. Row order within a
-// file may differ (moves append at the tail), so files compare as row
+// growing and then shrinking a ring-placed store through Resize leaves
+// it byte-identical — per node, per file, per row set — to a fresh load
+// at the target size, each resize committing one epoch. Row order within
+// a file may differ (moves append at the tail), so files compare as row
 // multisets.
 func TestReshardMatchesFreshLoad(t *testing.T) {
 	g := biggerGraph()
@@ -33,19 +33,15 @@ func TestReshardMatchesFreshLoad(t *testing.T) {
 	p := LoadWithPolicy(store, g, ThreeReplica, RingPolicy)
 
 	for _, target := range []int{8, 3} {
-		rp, err := p.PlanReshard(target)
-		if err != nil {
-			t.Fatalf("PlanReshard(%d): %v", target, err)
+		before, ver := store.TotalRows(), store.Version()
+		if _, err := p.Resize(target); err != nil {
+			t.Fatalf("Resize(%d): %v", target, err)
 		}
-		if rp.Steps() < 1 {
-			t.Fatalf("PlanReshard(%d): no steps", target)
+		if got := store.TotalRows(); got != before {
+			t.Fatalf("Resize(%d) changed the row count: %d -> %d", target, before, got)
 		}
-		before := store.TotalRows()
-		for i := 0; i < rp.Steps(); i++ {
-			p.ApplyStep(rp, i)
-			if got := store.TotalRows(); got != before {
-				t.Fatalf("step %d changed the row count: %d -> %d", i, before, got)
-			}
+		if got := store.Version(); got != ver+1 {
+			t.Fatalf("Resize(%d) moved the epoch %d -> %d, want one epoch", target, ver, got)
 		}
 		if store.N() != target {
 			t.Fatalf("store at %d nodes after reshard to %d", store.N(), target)
@@ -85,38 +81,6 @@ func stateAsSets(t *testing.T, s *dstore.Store) map[int]map[string]map[string]in
 	return out
 }
 
-// TestReshardPreservesCoLocation checks the serve-during-reshard
-// invariant at every intermediate epoch: after each step, all rows
-// keyed by one term in a replica position still live on a single node,
-// so any view pinned between steps reads a correct placement.
-func TestReshardPreservesCoLocation(t *testing.T) {
-	g := biggerGraph()
-	store := dstore.NewStore(4)
-	p := LoadWithPolicy(store, g, ThreeReplica, RingPolicy)
-	rp, err := p.PlanReshard(9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < rp.Steps(); i++ {
-		p.ApplyStep(rp, i)
-		snap := store.Current()
-		loc := make(map[string]int)
-		for node := 0; node < snap.N(); node++ {
-			nv := snap.Node(node)
-			for _, name := range nv.Names() {
-				f, _ := nv.Get(name)
-				for ri := 0; ri < f.NumRows(); ri++ {
-					key := fmt.Sprintf("%c%d", name[0], keyOf(name, f.Row(ri)))
-					if prev, ok := loc[key]; ok && prev != node {
-						t.Fatalf("after step %d: key %s split across nodes %d and %d", i, key, prev, node)
-					}
-					loc[key] = node
-				}
-			}
-		}
-	}
-}
-
 // TestReshardPinnedViewUnchanged: a view pinned before the reshard
 // keeps reading the old topology's files while the reshard runs.
 func TestReshardPinnedViewUnchanged(t *testing.T) {
@@ -129,12 +93,8 @@ func TestReshardPinnedViewUnchanged(t *testing.T) {
 		oldRows[i] = old.Node(i).Rows()
 	}
 
-	rp, err := p.PlanReshard(8)
-	if err != nil {
+	if _, err := p.Resize(8); err != nil {
 		t.Fatal(err)
-	}
-	for i := 0; i < rp.Steps(); i++ {
-		p.ApplyStep(rp, i)
 	}
 
 	if old.Nodes() != 5 || old.Topology() != 0 {
@@ -149,8 +109,8 @@ func TestReshardPinnedViewUnchanged(t *testing.T) {
 	if cur.Nodes() != 8 || cur.Topology() != 1 {
 		t.Fatalf("current view: %d nodes, topo %d, want 8/1", cur.Nodes(), cur.Topology())
 	}
-	if old.VersionKey() == cur.VersionKey() {
-		t.Fatal("version key did not change across the reshard")
+	if cur.Version() != old.Version()+1 {
+		t.Fatalf("epoch %d -> %d across the reshard, want one epoch", old.Version(), cur.Version())
 	}
 }
 
@@ -161,33 +121,35 @@ func TestReshardMovedFraction(t *testing.T) {
 	g := biggerGraph()
 	store := dstore.NewStore(7)
 	p := LoadWithPolicy(store, g, ThreeReplica, RingPolicy)
-	rp, err := p.PlanReshard(10)
+	st, err := p.Resize(10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ideal := 3.0 / 10.0
-	if f := rp.MovedFraction(); f > 2*ideal {
+	if f := st.MovedFraction(); f > 2*ideal {
 		t.Errorf("ring reshard 7->10 moved %.2f of rows, ideal %.2f", f, ideal)
 	}
-	if rp.MovedRows == 0 {
-		t.Error("reshard plan moved nothing")
+	if st.MovedRows == 0 {
+		t.Error("reshard moved nothing")
 	}
 }
 
-// TestReshardEmptyStore: resizing an empty store still commits a step
-// so the topology switch publishes.
+// TestReshardEmptyStore: resizing an empty store still commits one
+// epoch, which carries the size change and publishes the topology.
 func TestReshardEmptyStore(t *testing.T) {
 	g := rdf.NewGraph()
 	store := dstore.NewStore(3)
 	p := LoadWithPolicy(store, g, ThreeReplica, RingPolicy)
-	rp, err := p.PlanReshard(5)
+	old := p.Current()
+	st, err := p.Resize(5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rp.Steps() != 1 {
-		t.Fatalf("empty reshard has %d steps, want 1", rp.Steps())
+	v := p.Current()
+	if st.MovedRows != 0 || v.Version() != old.Version()+1 || v.Topology() != 1 {
+		t.Fatalf("empty reshard: moved %d rows, epoch %d -> %d, topo %d; want one epoch at topo 1",
+			st.MovedRows, old.Version(), v.Version(), v.Topology())
 	}
-	v := p.ApplyStep(rp, 0)
 	if v.Nodes() != 5 || store.N() != 5 {
 		t.Fatalf("empty reshard left %d/%d nodes", v.Nodes(), store.N())
 	}
@@ -200,12 +162,8 @@ func TestReshardThenApplyBatch(t *testing.T) {
 	g := biggerGraph()
 	store := dstore.NewStore(5)
 	p := LoadWithPolicy(store, g, ThreeReplica, RingPolicy)
-	rp, err := p.PlanReshard(8)
-	if err != nil {
+	if _, err := p.Resize(8); err != nil {
 		t.Fatal(err)
-	}
-	for i := 0; i < rp.Steps(); i++ {
-		p.ApplyStep(rp, i)
 	}
 
 	ins := []rdf.Triple{
@@ -233,7 +191,7 @@ func TestReshardThenApplyBatch(t *testing.T) {
 	}
 
 	tp := sparql.MustParse(`SELECT ?a ?b WHERE { ?a <worksAt> ?b }`).Patterns[0]
-	if files := p.Files(tp, rdf.SPos, g.Dict); len(files) != 1 {
+	if files := p.Current().Files(tp, rdf.SPos, g.Dict); len(files) != 1 {
 		t.Errorf("Files after reshard+batch = %v, want one file", files)
 	}
 }

@@ -129,7 +129,7 @@ func (x *Executor) Run(pp *Plan, use func(res *Result, rows Rows) error) error {
 	if x.ResultCache == nil {
 		rows = x.runJobs(pp, nil)
 	} else {
-		ent, hit := x.ResultCache.Do(pp.Key, x.view.VersionKey(), func() *rescache.Entry {
+		ent, hit := x.ResultCache.Do(pp.Key, x.view.Version(), func() *rescache.Entry {
 			recs := make([]*mapreduce.JobRecord, pp.NumJobs())
 			return rescache.NewEntry(pp.Key, recs, x.runJobs(pp, recs).block())
 		})

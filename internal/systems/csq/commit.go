@@ -225,7 +225,7 @@ func (e *Engine) logStep(rec *wal.Record) (appendD, syncD time.Duration, err err
 // revalidate lazily because DataVersion moved; folding the delta into
 // the statistics catalog here — once per distinct pattern, however many
 // plans share it — is what lets that revalidation snapshot current
-// statistics without rescanning the store. A reshard step passes an
+// statistics without rescanning the store. A resize passes an
 // empty delta (moving rows between nodes changes no cardinality): the
 // catalog only moves to the new version.
 func (e *Engine) invalidate(ins, dels []rdf.Triple) {

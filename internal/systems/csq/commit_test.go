@@ -212,7 +212,7 @@ func plugWriter(t *testing.T, eng *Engine, plug func() error) (await func(what s
 // resize meet: k batches, a resize and k more batches are queued, in
 // that order, behind a flush the test holds open. On either engine the
 // batches before the resize must commit as one group, the resize alone
-// on the epochs right after it, the batches behind it as the next group
+// as the one epoch right after it, the batches behind it as the next group
 // — and the engine must end up identical to a fresh one at the final
 // size over the final graph.
 func TestResizeInsideBatchStream(t *testing.T) {
@@ -263,10 +263,10 @@ func TestResizeInsideBatchStream(t *testing.T) {
 			}
 
 			// The plug committed epoch 2; the k batches before the resize
-			// share epoch 3, the resize takes the Steps epochs after it,
-			// the k batches behind it share the one after those.
-			if shard.Steps < 1 || shard.DataVersion != 3+uint64(shard.Steps) {
-				t.Fatalf("resize committed %d steps ending at epoch %d, want them to follow epoch 3 directly", shard.Steps, shard.DataVersion)
+			// share epoch 3, the resize is epoch 4, the k batches behind it
+			// share epoch 5.
+			if shard.DataVersion != 4 {
+				t.Fatalf("resize committed epoch %d, want 4: one epoch right after the batches before it", shard.DataVersion)
 			}
 			for i, br := range batches {
 				want := uint64(3)

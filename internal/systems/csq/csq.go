@@ -7,14 +7,14 @@
 // Beyond the paper's load-once setting, the engine is mutable, elastic
 // and optionally durable: ApplyBatch applies insert/delete deltas to
 // the partitioned store as one snapshot epoch, and
-// AddNodes/RemoveNodes re-place rows as a few more, while in-flight
+// AddNodes/RemoveNodes re-place rows as one more, while in-flight
 // queries keep reading their pinned epoch (snapshot isolation) and
 // cached plans are revalidated against the new cardinality statistics
 // on their next use.
 //
 // Every write takes one commit pipeline (commit.go): net delta → log →
-// apply → invalidate → answer, a reshard step being one more kind of
-// logged epoch. An engine without a write-ahead log runs the same
+// apply → invalidate → answer, a resize being one more kind of logged
+// epoch. An engine without a write-ahead log runs the same
 // pipeline over a log step that does nothing. Writes reach it one way on
 // every engine: a caller queues its write, then takes the writer role
 // and commits groups from the head of the queue until its own write is
@@ -157,8 +157,8 @@ type Engine struct {
 	ctxClosed bool
 
 	// stateMu guards the partitioner+catalog pair as one unit: the writer
-	// holds the write side across epoch commit and catalog fold (per epoch
-	// — a resize releases it between steps), and statistics reads
+	// holds the write side across epoch commit and catalog fold (a resize's
+	// one epoch included), and statistics reads
 	// (readStats) hold the read side so a fill reads the view of exactly
 	// the version the catalog is at. Query execution and checkpoints do
 	// not take it — they read pinned immutable views.
@@ -187,8 +187,8 @@ type Engine struct {
 	queue []*request
 	// wmu is the writer role: its holder flushes groups from the head of
 	// queue and is the engine's only writer meanwhile, which is what
-	// netDelta's probes of the current view and a resize's plan → steps
-	// sequence rely on.
+	// netDelta's probes of the current view and a resize's reading of the
+	// current size rely on.
 	wmu sync.Mutex
 }
 
@@ -252,7 +252,7 @@ func (e *Engine) Dict() *rdf.Dict { return e.dict }
 func (e *Engine) Graph() *rdf.Graph { return e.shim }
 
 // DataVersion is the current data epoch: 1 after the initial load,
-// incremented by every applied batch.
+// incremented by every applied batch and every resize.
 func (e *Engine) DataVersion() uint64 { return e.part.Current().Version() }
 
 // BatchResult reports what an ApplyBatch call actually changed.

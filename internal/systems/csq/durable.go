@@ -87,10 +87,10 @@ func NewDurable(g *rdf.Graph, cfg Config, opts wal.Options) (*Engine, error) {
 // inserts, are partitioned as one load that commits exactly the
 // recovered epoch, so epoch numbers stay continuous across the crash.
 // The cluster size is the base's, updated by the newest topology the
-// net record carries, so an engine that crashed mid-reshard recovers at
-// the topology of its last durable step, with every triple placed
-// consistently at that size (a base with no recorded size falls back to
-// cfg.Nodes). wal.ErrNoState means the directory holds nothing to
+// net record carries, so an engine that crashed during a resize recovers
+// at the old size or, once the resize's one topology record is durable,
+// the new one, with every triple placed consistently at that size (a
+// base with no recorded size falls back to cfg.Nodes). wal.ErrNoState means the directory holds nothing to
 // recover.
 func OpenDurable(cfg Config, opts wal.Options) (*Engine, error) {
 	dict := rdf.NewDict()

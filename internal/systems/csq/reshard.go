@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"cliquesquare/internal/partition"
 	"cliquesquare/internal/wal"
 )
 
@@ -12,8 +11,6 @@ import (
 type ReshardResult struct {
 	// From and To are the cluster sizes on either side of the resize.
 	From, To int
-	// Steps is the number of epochs the move-set committed as.
-	Steps int
 	// MovedRows / TotalRows is the data that physically relocated
 	// (MovedFraction precomputes the ratio); an elastic placement keeps
 	// it near the ideal |To-From|/max(From,To), where the paper's
@@ -22,12 +19,13 @@ type ReshardResult struct {
 	MovedFraction        float64
 	// MovedCells counts relocated TermID cells (rows × width).
 	MovedCells int
-	// DataVersion is the epoch after the last step; TopologyVersion the
-	// post-resize topology counter (0 at load, +1 per resize).
+	// DataVersion is the epoch the resize committed (one past the one
+	// before it); TopologyVersion the post-resize topology counter (0 at
+	// load, +1 per resize).
 	DataVersion     uint64
 	TopologyVersion uint64
 	// Wall is the end-to-end reshard duration as seen by the caller's
-	// request (planning plus every step commit).
+	// request (the scan of the store and the commit).
 	Wall time.Duration
 }
 
@@ -40,12 +38,11 @@ func (e *Engine) Nodes() int { return e.part.Current().Nodes() }
 func (e *Engine) TopologyVersion() uint64 { return e.part.TopologyVersion() }
 
 // AddNodes grows the cluster by k nodes, relocating only the rows whose
-// placement changed. In-flight queries keep serving from their pinned
-// views throughout; each intermediate epoch preserves the co-location
-// invariant, so a query pinned mid-reshard is as correct as one pinned
-// before or after. On a durable engine every step is WAL-logged (as a
-// topology record) before it applies, so a crash mid-reshard recovers
-// to a consistent topology.
+// placement changed. The resize commits as one epoch, like a batch: a
+// query pinned before it keeps reading the old placement, one pinned
+// after reads the new one. On a durable engine it is one topology record
+// in the WAL, fsynced before the epoch applies, so a crash at any point
+// recovers at the old size or the new one.
 func (e *Engine) AddNodes(k int) (ReshardResult, error) {
 	if k <= 0 {
 		return ReshardResult{}, fmt.Errorf("csq: AddNodes(%d): k must be positive", k)
@@ -54,8 +51,8 @@ func (e *Engine) AddNodes(k int) (ReshardResult, error) {
 }
 
 // RemoveNodes shrinks the cluster by k nodes (the highest-numbered
-// ones), draining their rows to the survivors first. Semantics
-// otherwise match AddNodes.
+// ones), moving their rows to the survivors in the same epoch.
+// Semantics otherwise match AddNodes.
 func (e *Engine) RemoveNodes(k int) (ReshardResult, error) {
 	if k <= 0 {
 		return ReshardResult{}, fmt.Errorf("csq: RemoveNodes(%d): k must be positive", k)
@@ -70,60 +67,40 @@ func (e *Engine) reshard(delta int) (ReshardResult, error) {
 	return r.shard, r.err
 }
 
-// planResize turns a node-count delta into a reshard plan against the
-// current topology.
-func (e *Engine) planResize(delta int) (*partition.ReshardPlan, error) {
-	cur := e.part.Current().Nodes()
-	target := cur + delta
-	if target < 1 {
-		return nil, fmt.Errorf("csq: resize %d%+d leaves no nodes", cur, delta)
-	}
-	return e.part.PlanReshard(target)
-}
-
-// stepTopology is the cluster size after step i of the plan commits —
-// the value the step's WAL topology record carries. Growing resizes in
-// the first step (new nodes must exist to receive rows); shrinking in
-// the last (dropped nodes are empty only then).
-func stepTopology(rp *partition.ReshardPlan, i int) int {
-	if rp.NewN > rp.OldN || i == rp.Steps()-1 {
-		return rp.NewN
-	}
-	return rp.OldN
-}
-
-// flushReshard executes one resize. It runs on the engine's only
-// writer, so planning needs no lock and writes submitted behind it wait
-// their turn, exactly like a long group. Each step is one epoch and,
-// like a batch, WAL-first — a topology record (empty triple delta,
-// Topology = post-step size) is fsynced before the step applies — so a
-// crash at any point recovers to the topology of the last durable
-// record, a consistent placement of the full (unchanged) graph. stateMu
-// is held per step, not across the resize: every intermediate epoch
-// preserves co-location, so planners need not wait the whole move out.
-// A log failure aborts between steps; the engine keeps serving the last
-// committed epoch, and the log's sticky error fails later writes.
+// flushReshard executes one resize exactly as flushGroup commits a
+// batch: WAL-first — one topology record (empty triple delta, Topology =
+// the new size) is fsynced before anything moves — then, under stateMu,
+// one epoch that moves every row the new placement puts elsewhere and
+// changes the size, and one cache invalidation. A crash at any point
+// recovers at the old size or the new one, each a consistent placement
+// of the full (unchanged) graph. On a log failure nothing moved: the
+// engine keeps serving the last committed epoch, and the log's sticky
+// error fails later writes.
 func (e *Engine) flushReshard(req *request) {
 	start := time.Now()
-	rp, err := e.planResize(req.reshard)
-	for i := 0; err == nil && i < rp.Steps(); i++ {
-		if _, _, err = e.logStep(&wal.Record{Topology: uint32(stepTopology(rp, i))}); err == nil {
-			e.stateMu.Lock()
-			e.part.ApplyStep(rp, i)
-			e.invalidate(nil, nil)
-			e.stateMu.Unlock()
-		}
+	from := e.Nodes()
+	to := from + req.reshard
+	if to < 1 {
+		req.answer(response{err: fmt.Errorf("csq: resize %d%+d leaves no nodes", from, req.reshard)})
+		return
 	}
+	if _, _, err := e.logStep(&wal.Record{Topology: uint32(to)}); err != nil {
+		req.answer(response{err: err})
+		return
+	}
+	e.stateMu.Lock()
+	st, err := e.part.Resize(to)
+	e.invalidate(nil, nil)
+	e.stateMu.Unlock()
 	if err != nil {
 		req.answer(response{err: err})
 		return
 	}
 	req.answer(response{shard: ReshardResult{
-		From: rp.OldN, To: rp.NewN,
-		Steps:     rp.Steps(),
-		MovedRows: rp.MovedRows, TotalRows: rp.TotalRows,
-		MovedFraction:   rp.MovedFraction(),
-		MovedCells:      rp.MovedCells,
+		From: from, To: to,
+		MovedRows: st.MovedRows, TotalRows: st.TotalRows,
+		MovedFraction:   st.MovedFraction(),
+		MovedCells:      st.MovedCells,
 		DataVersion:     e.DataVersion(),
 		TopologyVersion: e.TopologyVersion(),
 		Wall:            time.Since(start),

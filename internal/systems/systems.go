@@ -107,31 +107,29 @@ func MergeVars(a, b []string) (merged []string, rightExtra []int) {
 // left relation's rows 0 and the right's 1 under the join key: per
 // group, every left row extended by the rightExtra columns of every
 // right row, width columns in all.
-func JoinReduce(width int, rightExtra []int) func(node int, m *mapreduce.Meter, groups *mapreduce.Groups, out *mapreduce.Block) {
-	return func(node int, m *mapreduce.Meter, groups *mapreduce.Groups, out *mapreduce.Block) {
-		groups.Each(func(g mapreduce.Group) {
-			var left, right []mapreduce.Row
-			for i := 0; i < g.Len(); i++ {
-				if tag, row := g.Record(i); tag == 0 {
-					left = append(left, row)
-				} else {
-					right = append(right, row)
-				}
+func JoinReduce(width int, rightExtra []int) func(node int, m *mapreduce.Meter, g mapreduce.Group, out *mapreduce.Block) {
+	return func(node int, m *mapreduce.Meter, g mapreduce.Group, out *mapreduce.Block) {
+		var left, right []mapreduce.Row
+		for i := 0; i < g.Len(); i++ {
+			if tag, row := g.Record(i); tag == 0 {
+				left = append(left, row)
+			} else {
+				right = append(right, row)
 			}
-			pairs := len(left) * len(right)
-			m.Join(len(left) + len(right) + pairs)
-			m.Write(pairs)
-			nr := make(mapreduce.Row, 0, width)
-			for _, l := range left {
-				for _, r := range right {
-					nr = append(nr[:0], l...)
-					for _, rc := range rightExtra {
-						nr = append(nr, r[rc])
-					}
-					out.Append(nr)
+		}
+		pairs := len(left) * len(right)
+		m.Join(len(left) + len(right) + pairs)
+		m.Write(pairs)
+		nr := make(mapreduce.Row, 0, width)
+		for _, l := range left {
+			for _, r := range right {
+				nr = append(nr[:0], l...)
+				for _, rc := range rightExtra {
+					nr = append(nr, r[rc])
 				}
+				out.Append(nr)
 			}
-		})
+		}
 	}
 }
 

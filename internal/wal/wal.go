@@ -149,7 +149,7 @@ type Record struct {
 	Terms     []rdf.Term
 	Inserts   []rdf.Triple
 	Deletes   []rdf.Triple
-	// Topology, when non-zero, marks this record as one reshard step:
+	// Topology, when non-zero, marks this record as one whole resize:
 	// after applying the (usually empty) triple delta, the cluster is
 	// sized Topology nodes and rows are re-placed accordingly. Ordinary
 	// batch records leave it 0; a delta carries the newest topology
