@@ -88,6 +88,13 @@ const (
 	// the triple and the dictionary one by the string).
 	residentCeiling          = 72.0
 	residentWithGraphCeiling = 90.0
+	// residentWarmCeiling bounds the same engine, graph dropped, after
+	// three passes of the 14 LUBM queries on two lanes (measured 103.0: the
+	// idle 59.8, 13.2 of statistics catalog and cached plans, 30.2 of
+	// execution context — a 29 B/triple buffer pool, what the hungriest
+	// query reached; 125.2 when every scratch position kept its own
+	// largest-ever array and every single-slot pattern a binding map).
+	residentWarmCeiling = 113.0
 )
 
 // raceEnabled is set by race_test.go under -race: the detector's
@@ -358,7 +365,9 @@ func TestAllocPassAfterCommit(t *testing.T) {
 // TestAllocResidentPerTriple is the standing residency guard: what an
 // idle engine keeps alive per triple, with the caller's graph dropped —
 // the partitioned store is the engine's only copy of the data — and with
-// it kept.
+// it kept; and what the same engine keeps once warm, after three passes
+// of the 14 LUBM queries on two lanes: its caches and its pooled
+// execution context's scratch.
 func TestAllocResidentPerTriple(t *testing.T) {
 	if testing.Short() {
 		t.Skip("residency measurement over a 100-university dataset")
@@ -377,7 +386,7 @@ func TestAllocResidentPerTriple(t *testing.T) {
 	var triples, kept float64
 	eng := func() *Engine { // the graph does not outlive this function
 		g := lubm.Generate(lubm.DefaultConfig(100))
-		eng, err := NewEngine(g, Options{})
+		eng, err := NewEngine(g, Options{Parallelism: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -394,5 +403,13 @@ func TestAllocResidentPerTriple(t *testing.T) {
 	}
 	if kept > residentWithGraphCeiling {
 		t.Errorf("%.1f B/triple resident with the graph kept, ceiling %.0f", kept, residentWithGraphCeiling)
+	}
+	for i := 0; i < 3; i++ {
+		queryAll(t, eng, lubm.Queries())
+	}
+	warm := float64(live()-base) / triples
+	t.Logf("%.1f B/triple resident once warm (%d B of context scratch)", warm, eng.UpdateStats().ScratchBytes)
+	if warm > residentWarmCeiling {
+		t.Errorf("%.1f B/triple resident once warm, ceiling %.1f", warm, residentWarmCeiling)
 	}
 }

@@ -396,7 +396,11 @@ func (e *Engine) Delete(s, p, o Term) (BatchResult, error) {
 func (e *Engine) DataVersion() uint64 { return e.inner.DataVersion() }
 
 // UpdateStats is a snapshot of the engine's update and plan
-// revalidation counters (re-exported from the csq engine).
+// revalidation counters (re-exported from the csq engine). Contexts is
+// the number of execution contexts the engine keeps pooled, and
+// ScratchBytes the bytes their buffer pools hold: each context keeps
+// what the hungriest execution through it needed, not what all of them
+// needed together.
 type UpdateStats = csq.UpdateStats
 
 // UpdateStats snapshots batches applied, cached plans revalidated

@@ -10,8 +10,11 @@ import (
 
 // Catalog holds the statistics of every distinct triple pattern some
 // holder currently references, once, whatever number of queries share
-// the pattern: its match count and one binding multiset per variable,
-// which is what lets Apply keep them exact under deletes.
+// the pattern: its match count and, for a pattern of two or three
+// variable slots, one binding multiset per slot, which is what lets
+// Apply keep them exact under deletes. A pattern of one slot (?x a C,
+// ?x p <c>, ?x p ?x) keeps none: its matches differ only in that slot,
+// so its distinct count is its match count.
 //
 // A query Acquires its patterns (a Ref), takes Snapshots through the Ref
 // and Releases it; a pattern is resident exactly while some Ref holds it.
@@ -84,7 +87,7 @@ type pattern struct {
 	slots               int
 
 	n    int                     // matching triples
-	bind [3]map[rdf.TermID]int32 // bind[k]: occurrences per binding of slot k
+	bind [3]map[rdf.TermID]int32 // bind[k]: occurrences per binding of slot k; nil for one slot
 }
 
 func newPattern(k patKey) *pattern {
@@ -95,7 +98,7 @@ func newPattern(k patKey) *pattern {
 			continue
 		}
 		if int(k[i].slot) > p.slots {
-			p.pos[p.slots], p.bind[p.slots] = rdf.Pos(i), make(map[rdf.TermID]int32)
+			p.pos[p.slots] = rdf.Pos(i)
 			p.slots++
 		}
 		for j := i + 1; j < 3; j++ {
@@ -105,6 +108,11 @@ func newPattern(k patKey) *pattern {
 		}
 	}
 	p.missing = p.consts
+	if p.slots > 1 {
+		for s := range p.slots {
+			p.bind[s] = make(map[rdf.TermID]int32)
+		}
+	}
 	return p
 }
 
@@ -137,6 +145,9 @@ func (p *pattern) fold(t rdf.Triple, d int32) {
 		return
 	}
 	p.n += int(d)
+	if p.slots == 1 {
+		return
+	}
 	for k := 0; k < p.slots; k++ {
 		m, id := p.bind[k], t.At(p.pos[k])
 		if c := m[id] + d; c == 0 {
@@ -306,6 +317,9 @@ func (c *Catalog) read(r *Ref) *Stats {
 		s.pats[i].card = float64(p.n)
 		for k := 0; k < p.slots; k++ {
 			s.pats[i].distinct[k] = float64(len(p.bind[k]))
+		}
+		if p.slots == 1 {
+			s.pats[i].distinct[0] = float64(p.n)
 		}
 	}
 	return s

@@ -156,7 +156,9 @@ func applyStats(g *rdf.Graph, s *Stats, ins, dels []rdf.Triple) {
 // checkStatsFresh asserts that delta-maintained statistics for q — the
 // snapshot s and the catalog patterns r behind it — are identical to a
 // standalone rebuild over the mutated graph: the snapshot bit for bit,
-// the patterns down to their binding multisets.
+// the patterns down to their binding multisets, which a pattern of one
+// slot does not keep. Every distinct count equals one counted off the
+// graph.
 func checkStatsFresh(t *testing.T, g *rdf.Graph, q *sparql.Query, s *Stats, r *Ref, step string) {
 	t.Helper()
 	fresh := NewStats(g, q)
@@ -168,6 +170,20 @@ func checkStatsFresh(t *testing.T, g *rdf.Graph, q *sparql.Query, s *Stats, r *R
 		if got.n != want.n {
 			t.Errorf("%s: %s: pattern %d matches %d maintained, %d fresh", step, q.Name, i, got.n, want.n)
 		}
+		if got.slots == 1 && got.bind[0] != nil {
+			t.Errorf("%s: %s: pattern %d has one slot and keeps a binding multiset", step, q.Name, i)
+		}
+		for k := 0; k < got.slots; k++ {
+			seen := map[rdf.TermID]bool{}
+			for _, tr := range g.Triples() {
+				if got.match(tr) {
+					seen[tr.At(got.pos[k])] = true
+				}
+			}
+			if d := s.pats[i].distinct[k]; d != float64(len(seen)) {
+				t.Errorf("%s: %s: pattern %d slot %d: %v distinct, the graph has %d", step, q.Name, i, k, d, len(seen))
+			}
+		}
 		for k := 0; k < want.slots; k++ {
 			if !maps.Equal(got.bind[k], want.bind[k]) {
 				t.Errorf("%s: %s: pattern %d slot %d: bindings %v maintained, %v fresh",
@@ -178,14 +194,16 @@ func checkStatsFresh(t *testing.T, g *rdf.Graph, q *sparql.Query, s *Stats, r *R
 }
 
 // TestStatsApplyMatchesFresh drives a graph through insert and delete
-// batches — including constant-bound and repeated-variable patterns and
-// a constant term the dictionary first learns mid-stream — and checks
-// after every batch that Apply left the statistics identical to a fresh
-// NewStats over the mutated graph.
+// batches — including constant-bound and repeated-variable patterns, the
+// single-slot ones (?z <p3> <d0>, ?y <p2> <c1>, ?x <loop> ?x) losing
+// matches to deletes down to none, and a constant term the dictionary
+// first learns mid-stream — and checks after every batch that Apply
+// left the statistics identical to a fresh NewStats over the mutated
+// graph.
 func TestStatsApplyMatchesFresh(t *testing.T) {
 	g := chainGraph(10)
 	q := sparql.MustParse(`SELECT ?x ?z WHERE {
-		?x <p1> ?y . ?y <p2> ?z . ?z <p3> <d0> . ?x <loop> ?x }`)
+		?x <p1> ?y . ?y <p2> ?z . ?z <p3> <d0> . ?x <loop> ?x . ?y <p2> <c1> }`)
 	s := NewStats(g, q)
 	checkStatsFresh(t, g, q, s, s.ref, "initial")
 
@@ -203,12 +221,14 @@ func TestStatsApplyMatchesFresh(t *testing.T) {
 	checkStatsFresh(t, g, q, s, s.ref, "after inserts")
 
 	// Deletes, including the last p2 edge into c1 (its distinct binding
-	// must vanish) and the self-loop.
+	// must vanish, and ?y <p2> <c1> is left with no match), a p3 edge
+	// into d0 and the self-loop.
 	applyStats(g, s, nil, []rdf.Triple{
 		spo("a0", "p1", "b0"),
 		spo("b1", "p2", "c1"),
 		spo("b4", "p2", "c1"),
 		spo("b7", "p2", "c1"),
+		spo("c2", "p3", "d0"),
 		spo("n1", "loop", "n1"),
 		spo("never", "p1", "existed"), // no-op delete
 	})

@@ -30,12 +30,13 @@
 // only; the cells never move again, and neither array holds a pointer,
 // so the garbage collector skips both.
 //
-// A Scratch owns every buffer a run fills — buckets, routed records,
-// slot tables and the per-node output blocks — and the next run handed
-// the same Scratch recycles all of them: a run's Output, and every view
-// Groups.Each hands a reducer (a group's key cells and its records'
-// rows, valid for the duration of the callback), alias that memory.
-// Whatever must outlive the next run is copied out by the caller.
+// A Scratch holds the positions a run fills — buckets, routed records,
+// slot tables and the per-node output blocks — and draws their bytes
+// from its Bufs pool: a run's Output, and every view Groups.Each hands
+// a reducer (a group's key cells and its records' rows, valid for the
+// duration of the callback), alias pool memory that the next run handed
+// the same Scratch, or the Scratch's Release, gives back. Whatever must
+// outlive that is copied out by the caller.
 package mapreduce
 
 import (
@@ -59,11 +60,16 @@ type Row = dstore.Row
 type Block struct {
 	Width, N int
 	Cells    []rdf.TermID
+	bufs     *Bufs // where Extend draws cells from; nil is the Go heap
 }
 
 // Reset empties the block for rows of the given width, keeping its
 // backing array.
 func (b *Block) Reset(width int) { b.Width, b.N, b.Cells = width, 0, b.Cells[:0] }
+
+// Free empties the block and hands its cells back to its pool: the
+// block keeps a header only.
+func (b *Block) Free() { b.Width, b.N, b.Cells = 0, 0, Free(b.bufs, b.Cells) }
 
 // Row returns row i as a view of the block, capacity clipped.
 func (b *Block) Row(i int) Row {
@@ -84,7 +90,7 @@ func (b *Block) Extend(rows, width int) []rdf.TermID {
 		panic("mapreduce: rows of another width appended to a block")
 	}
 	n := len(b.Cells)
-	b.Cells = slices.Grow(b.Cells, rows*width)[:n+rows*width]
+	b.Cells = Grow(b.bufs, b.Cells, rows*width)[:n+rows*width]
 	b.N += rows
 	return b.Cells[n:]
 }
@@ -333,48 +339,35 @@ type slot struct {
 }
 
 // layout returns the slot table s sized for one phase: units(node)
-// slots per node, in node order, each reset for a new run but keeping
-// the backing array of its output block.
-func layout(s []slot, n int, units func(node int) int) []slot {
+// slots per node, in node order, each a fresh header whose output block
+// draws on p. Positions hold headers and the pool holds bytes: the
+// previous phase's slots handed their blocks back as they merged.
+func layout(s []slot, n int, p *Bufs, units func(node int) int) []slot {
 	s = s[:0]
 	for node := 0; node < n; node++ {
 		k := units(node)
 		for i := 0; i < k; i++ {
-			s = resize(s, len(s)+1)
-			u := &s[len(s)-1]
-			*u = slot{node: node, idx: i, of: k, out: Block{Cells: u.out.Cells[:0]}}
+			s = append(s, slot{node: node, idx: i, of: k, out: p.Block()})
 		}
 	}
 	return s
 }
 
-// resize returns buf at n elements, keeping — untouched, backing arrays
-// included — the elements a shorter run left parked beyond buf's
-// length. The caller resets the ones it is about to use.
-func resize[E any](buf []E, n int) []E {
-	buf = buf[:cap(buf)]
-	if n > len(buf) {
-		buf = append(buf, make([]E, n-len(buf))...)
-	}
-	return buf[:n]
-}
+// resize returns buf at n elements. Positions hold headers only — the
+// pool holds the bytes — so what a longer run left beyond n needs no
+// keeping, and the caller resets the elements it is about to use.
+func resize[E any](buf []E, n int) []E { return slices.Grow(buf[:0], n)[:n] }
 
-// ResetBufs returns buf at n buffers, each reset to length zero but
-// keeping its backing array: resize for tables of plain slices.
-func ResetBufs[E any](buf [][]E, n int) [][]E {
+// ResetBlocks returns buf at n empty blocks drawing on p. Positions hold
+// headers and the pool holds bytes: a block of buf still holding cells
+// hands them back to its pool first.
+func ResetBlocks(buf []Block, n int, p *Bufs) []Block {
+	for i := range buf {
+		buf[i].Free()
+	}
 	buf = resize(buf, n)
 	for i := range buf {
-		buf[i] = buf[i][:0]
-	}
-	return buf
-}
-
-// ResetBlocks returns buf at n empty blocks that keep their backing
-// arrays: resize for tables of blocks.
-func ResetBlocks(buf []Block, n int) []Block {
-	buf = resize(buf, n)
-	for i := range buf {
-		buf[i].Reset(0)
+		buf[i] = p.Block()
 	}
 	return buf
 }
@@ -387,13 +380,15 @@ type bucket struct {
 }
 
 // Emitter is a lane's handle on the shuffle while it runs one map
-// morsel. The runtime keeps one per lane and retargets it per unit, so
-// emitting allocates nothing once the buckets have grown.
+// morsel. The runtime keeps one per lane and retargets it per unit, and
+// buckets grow from the pool, so emitting allocates nothing on a warm
+// pool.
 type Emitter struct {
 	n       int      // cluster size (routing modulus)
 	unit    *slot    // the running unit: its counters
 	base    uint32   // index of the unit's first bucket in the scratch's table
 	buckets []bucket // the unit's per-destination buckets
+	bufs    *Bufs
 }
 
 // Emit sends row into the shuffle under the key (group, row[keyCols...])
@@ -415,6 +410,12 @@ func (e *Emitter) Emit(group uint32, tag int, row Row, keyCols []int) {
 		tag:   uint16(tag),
 		nkey:  uint16(len(keyCols)),
 	}
+	if k := len(row) + max(len(keyCols)-1, 0); len(b.cells)+k > cap(b.cells) {
+		b.cells = Grow(e.bufs, b.cells, k)
+	}
+	if len(b.recs) == cap(b.recs) {
+		b.recs = Grow(e.bufs, b.recs, 1)
+	}
 	if len(keyCols) > 0 {
 		r.k0 = uint32(row[keyCols[0]])
 		for _, c := range keyCols[1:] {
@@ -427,16 +428,19 @@ func (e *Emitter) Emit(group uint32, tag int, row Row, keyCols []int) {
 	e.unit.cells += len(row)
 }
 
-// Scratch holds the buffers one RunWith draws from: per-(morsel,
+// Scratch holds the positions one RunWith fills: per-(morsel,
 // destination) emission buckets, the routed per-destination records,
 // the slot tables, the per-node phase meters, the per-node output
-// blocks and the per-lane emitters. Buffers are sized on first use and
-// reused (at their high-water capacity) by every subsequent run handed
-// the same Scratch — which is why a run's Output is only valid until
-// the next one. A Scratch serves one run at a time: the lanes inside a
+// blocks and the per-lane emitters. The bytes of buckets, records and
+// blocks come from Bufs (the Go heap when nil): a run hands back what
+// only it read as it returns, and its Output when the next run starts
+// or Release is called — which is why a run's Output is only valid
+// until then. A Scratch serves one run at a time: the lanes inside a
 // run partition it per unit, but two concurrent runs must not share
 // one.
 type Scratch struct {
+	Bufs *Bufs
+
 	buckets  []bucket   // map slot*n+dest -> what the morsel emitted for dest
 	shuffled [][]record // dest node -> routed records
 	rangeOff [][]int32  // node -> group-aligned range offsets
@@ -447,6 +451,29 @@ type Scratch struct {
 	morsels, ranges []slot
 
 	lanes []Emitter
+}
+
+// drop hands back what only the run itself reads: the buckets, the
+// routed records and the units' own output blocks.
+func (sc *Scratch) drop() {
+	for i := range sc.buckets {
+		b := &sc.buckets[i]
+		b.recs, b.cells = Free(sc.Bufs, b.recs), Free(sc.Bufs, b.cells)
+	}
+	for i := range sc.shuffled {
+		sc.shuffled[i] = Free(sc.Bufs, sc.shuffled[i])
+	}
+	for _, units := range [][]slot{sc.morsels, sc.ranges} {
+		for i := range units {
+			units[i].out.Free()
+		}
+	}
+}
+
+// Release hands every buffer back to the pool, the last Output included.
+func (sc *Scratch) Release() {
+	sc.drop()
+	sc.outputs = ResetBlocks(sc.outputs, 0, nil)
 }
 
 // NewCluster creates a cluster over the given store.
@@ -475,8 +502,8 @@ func (cl *Cluster) TotalWork() float64 {
 }
 
 // Output of a job: one block of rows per node. The blocks belong to the
-// run's Scratch and are recycled by its next run; without a caller's
-// Scratch they are the Output's own.
+// run's Scratch and go back to its pool when its next run starts or it
+// is released; without a caller's Scratch they are the Output's own.
 type Output struct {
 	PerNode []Block
 }
@@ -536,7 +563,7 @@ func (cl *Cluster) RunWith(job Job, opts RunOptions) *Output {
 	pool := opts.Pool
 	lanes := pool.Lanes()
 	sc.lanes = resize(sc.lanes, lanes)
-	sc.outputs = ResetBlocks(sc.outputs, n)
+	sc.outputs = ResetBlocks(sc.outputs, n, sc.Bufs)
 	out := &Output{PerNode: sc.outputs}
 	stats := JobStats{Name: job.Name, MapOnly: job.ReduceRange == nil}
 	if stats.MapOnly {
@@ -557,7 +584,7 @@ func (cl *Cluster) RunWith(job Job, opts RunOptions) *Output {
 		}
 		return &u.out
 	}
-	// merge adds finished units' counts to their nodes' and appends their
+	// merge adds finished units' counts to their nodes' and moves their
 	// rows to their nodes' output, in canonical order.
 	merge := func(units []slot, nodeM []Meter) {
 		for i := range units {
@@ -566,40 +593,41 @@ func (cl *Cluster) RunWith(job Job, opts RunOptions) *Output {
 			stats.Shuffled += u.count
 			stats.ShuffledCells += u.cells
 			out.PerNode[u.node].AppendBlock(u.out)
+			u.out.Free()
 		}
 	}
 
 	// ---- Map phase: one unit per (node, morsel). ----
-	sc.morsels = layout(sc.morsels, n, func(node int) int {
+	sc.morsels = layout(sc.morsels, n, sc.Bufs, func(node int) int {
 		if job.MapMorsels == nil {
 			return 1
 		}
 		return job.MapMorsels(node)
 	})
 	sc.buckets = resize(sc.buckets, len(sc.morsels)*n)
-	for i := range sc.buckets {
-		b := &sc.buckets[i]
-		b.recs, b.cells = b.recs[:0], b.cells[:0]
-	}
 	pool.ForEach(len(sc.morsels), func(i, lane int) {
 		u := &sc.morsels[i]
 		dst := begin(lane, u)
 		e := &sc.lanes[lane]
-		e.n, e.base, e.buckets = n, uint32(i*n), sc.buckets[i*n:(i+1)*n]
+		e.n, e.base, e.buckets, e.bufs = n, uint32(i*n), sc.buckets[i*n:(i+1)*n], sc.Bufs
 		job.MapMorsel(u.node, u.idx, lane, &u.meter, e, dst)
 	})
 	merge(sc.morsels, mapM)
 
 	// ---- Shuffle + reduce phases. ----
 	if !stats.MapOnly {
-		sc.shuffled = ResetBufs(sc.shuffled, n)
-		sc.rangeOff = ResetBufs(sc.rangeOff, n)
+		sc.shuffled = resize(sc.shuffled, n)
+		sc.rangeOff = resize(sc.rangeOff, n)
 		// Per destination: concatenate the pre-routed buckets' records in
 		// (source node, morsel) order, count them, sort into canonical
 		// group order and split into group-aligned ranges, one per lane at
 		// most.
 		pool.ForEach(n, func(dest, _ int) {
-			buf := sc.shuffled[dest]
+			total := 0
+			for s := range sc.morsels {
+				total += len(sc.buckets[s*n+dest].recs)
+			}
+			buf := Grow(sc.Bufs, sc.shuffled[dest], total)
 			for s := range sc.morsels {
 				buf = append(buf, sc.buckets[s*n+dest].recs...)
 			}
@@ -610,7 +638,7 @@ func (cl *Cluster) RunWith(job Job, opts RunOptions) *Output {
 		})
 
 		// One unit per (node, range): ranges of all nodes share one queue.
-		sc.ranges = layout(sc.ranges, n, func(node int) int { return len(sc.rangeOff[node]) - 1 })
+		sc.ranges = layout(sc.ranges, n, sc.Bufs, func(node int) int { return len(sc.rangeOff[node]) - 1 })
 		pool.ForEach(len(sc.ranges), func(i, lane int) {
 			u := &sc.ranges[i]
 			offs := sc.rangeOff[u.node]
@@ -626,6 +654,7 @@ func (cl *Cluster) RunWith(job Job, opts RunOptions) *Output {
 		rec.stats.Name = ""
 	}
 	cl.fold(stats, sc.meters)
+	sc.drop()
 	return out
 }
 

@@ -2,6 +2,7 @@ package physical
 
 import (
 	"runtime"
+	"slices"
 
 	"cliquesquare/internal/core"
 	"cliquesquare/internal/dstore"
@@ -19,16 +20,21 @@ import (
 // the scratch amortizes allocations across them. An ExecContext serves
 // one execution at a time.
 //
-// Ownership: every block of cells that lives inside one execution —
-// scan and map-join outputs (arena blocks), reduce-group inputs, the
-// per-(node, range) intermediate relations, the shuffle's cell buffers
-// and the jobs' per-node outputs — belongs to the context and is
-// recycled, in place, by the next execution it serves. Nothing that
-// outlives the execution may alias it. The final result is not copied
-// out at all unless somebody asks: mergeParts leaves it as an order
-// over the last job's output, both context scratch, and Executor.Run
-// lends that to its callback as a Rows, valid until the callback
-// returns. What does outlive the execution — the rows Execute returns
+// Ownership: every buffer that lives inside one execution — scan and
+// map-join outputs (arena blocks), reduce-group inputs, join tables,
+// the per-(node, range) intermediate relations, the shuffle's buckets
+// and routed records, the jobs' per-node outputs and the merge order —
+// is borrowed from the context's one buffer pool, and all of them go
+// back to it when the execution releases its rows (release, at the end
+// of Executor.Run, also when its consumer panics). Positions hold
+// headers and the pool holds bytes: between executions a slot, bucket
+// or block keeps no array, so a warm context holds one execution's
+// peak, which the next execution draws from again. Nothing that
+// outlives the execution may alias pool memory. The final result is
+// not copied out at all unless somebody asks: mergeParts leaves it as
+// an order over the last job's output, both context scratch, and
+// Executor.Run lends that to its callback as a Rows, valid until the
+// callback returns. What does outlive the execution — the rows Execute returns
 // (Rows.Materialise) and a result-cache entry's answer (Rows.block) —
 // is copied into exactly sized blocks of its own. A result-cache hit
 // reads none of this scratch: it never prepares the context.
@@ -45,6 +51,10 @@ type ExecContext struct {
 
 	// pool is the context's worker lanes; nil is one inline lane.
 	pool *mapreduce.Pool
+
+	// bufs is the buffer pool every execution through the context draws
+	// its scratch bytes from.
+	bufs mapreduce.Bufs
 
 	// arenas is per-lane scratch: morsels of one node may run on any
 	// lane, so mutable evaluation state is keyed by the lane a morsel
@@ -114,12 +124,13 @@ func (c *ExecContext) Close() {
 // prepare readies the context for one execution of pp: an arena per
 // lane, the infos dense by ID, and every reduce join's blocks emptied
 // for nodes × lanes key ranges — all pre-sized, so concurrent morsel
-// workers index already-built tables without synchronization. Backing
-// arrays are kept across executions.
+// workers index already-built tables without synchronization. Every
+// buffer is drawn from the context's pool as it grows.
 func (c *ExecContext) prepare(pp *Plan, nodes int) {
 	for len(c.arenas) < c.lanes() {
-		c.arenas = append(c.arenas, &arena{})
+		c.arenas = append(c.arenas, &arena{bufs: &c.bufs})
 	}
+	c.shuffle.Bufs = &c.bufs
 	c.byID = append(c.byID[:0], make([]*Info, len(pp.Infos))...)
 	for len(c.interm) < len(pp.Infos) {
 		c.interm = append(c.interm, nil)
@@ -127,23 +138,45 @@ func (c *ExecContext) prepare(pp *Plan, nodes int) {
 	for _, in := range pp.Infos {
 		c.byID[in.ID] = in
 		if in.Kind == KindReduceJoin {
-			per := mapreduce.ResetBufs(c.interm[in.ID], nodes)
+			per := slices.Grow(c.interm[in.ID][:0], nodes)[:nodes]
 			for node := range per {
-				per[node] = mapreduce.ResetBlocks(per[node], c.lanes())
+				per[node] = mapreduce.ResetBlocks(per[node], c.lanes(), &c.bufs)
 			}
 			c.interm[in.ID] = per
 		}
 	}
 }
 
+// release hands every buffer the execution borrowed back to the pool.
+func (c *ExecContext) release() {
+	c.shuffle.Release()
+	for _, a := range c.arenas {
+		a.release()
+	}
+	for _, per := range c.interm {
+		for node := range per {
+			per[node] = mapreduce.ResetBlocks(per[node], 0, nil)
+		}
+	}
+	c.sortIdx = mapreduce.Free(&c.bufs, c.sortIdx)
+	c.sortOrder = mapreduce.Free(&c.bufs, c.sortOrder)
+	c.bufs.Reset()
+}
+
+// ScratchBytes reports the bytes the context's buffer pool holds.
+func (c *ExecContext) ScratchBytes() int64 { return c.bufs.Bytes() }
+
 // arena is one worker lane's reusable scratch for local evaluation:
 // the cell blocks scans and map joins write their output relations to,
 // the join tables, cursor slices and column buffers naryJoin and the
 // shuffle emitters need per call, scan filter scratch and reduce-group
-// input relations. Everything is reused across calls, morsels and
-// executions; nothing in it may be referenced once the execution that
-// filled it has returned.
+// input relations. Everything is reused across calls and morsels; the
+// blocks and tables draw their bytes from bufs and hand them back at
+// the end of the execution (release), and nothing in it may be
+// referenced after that.
 type arena struct {
+	bufs *mapreduce.Bufs // the context's pool; nil is the Go heap
+
 	// blocks is the morsel-scoped block stack: a morsel's local
 	// evaluation takes one block per relation it builds (nextBlock), and
 	// the next morsel on the lane takes the same blocks again.
@@ -186,7 +219,8 @@ type arena struct {
 // (resetBlocks).
 func (a *arena) nextBlock(width int) *mapreduce.Block {
 	if a.used == len(a.blocks) {
-		a.blocks = append(a.blocks, &mapreduce.Block{})
+		b := a.bufs.Block()
+		a.blocks = append(a.blocks, &b)
 	}
 	b := a.blocks[a.used]
 	a.used++
@@ -196,6 +230,19 @@ func (a *arena) nextBlock(width int) *mapreduce.Block {
 
 // resetBlocks starts a new morsel: every block is up for reuse.
 func (a *arena) resetBlocks() { a.used = 0 }
+
+// release hands the lane's blocks and tables back to the pool.
+func (a *arena) release() {
+	for _, b := range a.blocks {
+		b.Free()
+	}
+	for i := range a.groupRels {
+		a.groupRels[i].Free()
+	}
+	for _, t := range a.tables {
+		t.release(a.bufs)
+	}
+}
 
 // fileKey identifies one scan's file resolution: the pattern it matches
 // plus the replica position it reads.
@@ -220,7 +267,7 @@ type scanFile struct {
 // their backing arrays; the caller resets schema and block).
 func (a *arena) relBuf(nc int) []relation {
 	for len(a.groupRels) < nc {
-		a.groupRels = append(a.groupRels, relation{})
+		a.groupRels = append(a.groupRels, relation{Block: a.bufs.Block()})
 	}
 	return a.groupRels[:nc]
 }
@@ -302,15 +349,13 @@ func (a *arena) grow(nc int) {
 // per-key allocation. Keys are hashed and compared directly on the
 // rows' cells — the specialized equivalent of a map[uint32][]int32 for
 // the dominant single-attribute join, generalizing to multi-attribute
-// keys. All storage is arena-owned, pointer-free and reused across
-// joins.
+// keys. All storage is pointer-free, drawn from the pool and reused
+// across the joins of one execution.
 type joinTable struct {
 	mask    uint32
 	buckets []int32         // entry index + 1; 0 = empty
-	hashes  []uint64        // per entry: full key hash
 	rep     []int32         // per entry: first row carrying the key
-	off     []int32         // per entry +1: CSR offsets into ordered
-	cnt     []int32         // build scratch: per entry count, then fill cursor
+	off     []int32         // entry e's rows are ordered[off[e+1]:off[e+2]]
 	rowEnt  []int32         // build scratch: per row, its entry
 	ordered []int32         // row numbers, grouped by entry
 	rel     mapreduce.Block // the build child
@@ -351,67 +396,65 @@ func keyEqual(a mapreduce.Row, ca []int, b mapreduce.Row, cb []int) bool {
 	return true
 }
 
-// sized returns buf at length n, reallocating only when it is too small
-// (contents are unspecified).
-func sized[E any](buf []E, n int) []E {
-	if cap(buf) < n {
-		return make([]E, n)
-	}
-	return buf[:n]
+// sized returns buf at length n, contents unspecified, drawing on p
+// only when buf is too small.
+func sized[E mapreduce.Elem](p *mapreduce.Bufs, buf []E, n int) []E {
+	return mapreduce.Grow(p, buf[:0], n)[:n]
 }
 
-// build indexes rel's rows by their key columns.
-func (t *joinTable) build(rel mapreduce.Block, cols []int) {
+// build indexes rel's rows by their key columns, its arrays drawn from
+// p. A key's entry is made at its first row, so entries ≤ rows.
+func (t *joinTable) build(p *mapreduce.Bufs, rel mapreduce.Block, cols []int) {
 	t.rel = rel
 	t.cols = append(t.cols[:0], cols...)
 	size := 8
 	for size < 2*rel.N {
 		size <<= 1
 	}
-	t.buckets = sized(t.buckets, size)
+	t.buckets = sized(p, t.buckets, size)
 	clear(t.buckets)
 	t.mask = uint32(size - 1)
-	t.hashes = t.hashes[:0]
-	t.rep = t.rep[:0]
-	t.cnt = t.cnt[:0]
-	t.rowEnt = sized(t.rowEnt, rel.N)
+	t.rep = sized(p, t.rep, rel.N)[:0]
+	t.rowEnt = sized(p, t.rowEnt, rel.N)
+	t.off = sized(p, t.off, rel.N+2)
+	clear(t.off)
 	for ri := 0; ri < rel.N; ri++ {
 		row := rel.Row(ri)
-		h := hashRowKey(row, cols)
-		slot := uint32(h) & t.mask
+		slot := uint32(hashRowKey(row, cols)) & t.mask
 		for {
 			e := t.buckets[slot]
 			if e == 0 {
 				t.buckets[slot] = int32(len(t.rep)) + 1
-				t.rowEnt[ri] = int32(len(t.rep))
-				t.hashes = append(t.hashes, h)
+				e = int32(len(t.rep)) + 1
 				t.rep = append(t.rep, int32(ri))
-				t.cnt = append(t.cnt, 1)
-				break
+			} else if !keyEqual(rel.Row(int(t.rep[e-1])), cols, row, cols) {
+				slot = (slot + 1) & t.mask
+				continue
 			}
-			ei := e - 1
-			if t.hashes[ei] == h && keyEqual(rel.Row(int(t.rep[ei])), cols, row, cols) {
-				t.cnt[ei]++
-				t.rowEnt[ri] = ei
-				break
-			}
-			slot = (slot + 1) & t.mask
+			t.rowEnt[ri] = e - 1
+			t.off[e]++
+			break
 		}
 	}
-	// CSR layout: list row numbers contiguously per entry, preserving
-	// their original order within each key group.
-	nEnt := len(t.rep)
-	t.off = sized(t.off, nEnt+1)
-	t.off[0] = 0
-	for e := 0; e < nEnt; e++ {
-		t.off[e+1] = t.off[e] + t.cnt[e]
-		t.cnt[e] = t.off[e] // reuse as fill cursor
+	// CSR layout: off[e+1], entry e's row count, summed to its span's end,
+	// steps back to its start as the rows are laid out last to first —
+	// so each key group keeps its rows' original order.
+	for e := range t.rep {
+		t.off[e+2] += t.off[e+1]
 	}
-	t.ordered = sized(t.ordered, rel.N)
-	for ri, e := range t.rowEnt {
-		t.ordered[t.cnt[e]] = int32(ri)
-		t.cnt[e]++
+	t.ordered = sized(p, t.ordered, rel.N)
+	for ri := rel.N - 1; ri >= 0; ri-- {
+		e := t.rowEnt[ri]
+		t.off[e+1]--
+		t.ordered[t.off[e+1]] = int32(ri)
 	}
+	t.off[len(t.rep)+1] = int32(rel.N)
+}
+
+// release hands the table's arrays back to p.
+func (t *joinTable) release(p *mapreduce.Bufs) {
+	t.buckets, t.rep, t.off = mapreduce.Free(p, t.buckets), mapreduce.Free(p, t.rep), mapreduce.Free(p, t.off)
+	t.rowEnt, t.ordered, t.rel = mapreduce.Free(p, t.rowEnt), mapreduce.Free(p, t.ordered), mapreduce.Block{}
 }
 
 // probe returns the numbers of the build child's rows whose key equals
@@ -424,9 +467,8 @@ func (t *joinTable) probe(probe mapreduce.Row, probeCols []int, h uint64) []int3
 		if e == 0 {
 			return nil
 		}
-		ei := e - 1
-		if t.hashes[ei] == h && keyEqual(t.rel.Row(int(t.rep[ei])), t.cols, probe, probeCols) {
-			return t.ordered[t.off[ei]:t.off[ei+1]]
+		if keyEqual(t.rel.Row(int(t.rep[e-1])), t.cols, probe, probeCols) {
+			return t.ordered[t.off[e]:t.off[e+1]]
 		}
 		slot = (slot + 1) & t.mask
 	}

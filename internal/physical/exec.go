@@ -2,6 +2,7 @@ package physical
 
 import (
 	"fmt"
+	"slices"
 
 	"cliquesquare/internal/core"
 	"cliquesquare/internal/dstore"
@@ -116,6 +117,7 @@ func (x *Executor) Run(pp *Plan, use func(res *Result, rows Rows) error) error {
 	if x.Ctx == nil {
 		x.Ctx = &ExecContext{}
 	}
+	defer x.Ctx.release()
 	// Pin one partition epoch for the whole execution: every scan of
 	// every job reads this snapshot, whatever writers commit meanwhile.
 	x.view = x.View
@@ -290,8 +292,11 @@ func (x *Executor) levelJob(pp *Plan, l int) mapreduce.Job {
 // emit nothing anywhere).
 func (x *Executor) buildMorsels(pp *Plan, level []*Info) [][]mapMorsel {
 	n := x.view.Nodes()
-	x.Ctx.morsels = mapreduce.ResetBufs(x.Ctx.morsels, n)
-	tbl := x.Ctx.morsels
+	tbl := slices.Grow(x.Ctx.morsels[:0], n)[:n]
+	for node := range tbl {
+		tbl[node] = tbl[node][:0]
+	}
+	x.Ctx.morsels = tbl
 	a := x.Ctx.arenas[0]
 	for _, rj := range level {
 		for i, c := range rj.Op.Children {
@@ -377,7 +382,7 @@ func (x *Executor) evalLocal(pp *Plan, op *core.Op, node int, m *mapreduce.Meter
 		pos := x.Part.ScanPos(scanPosition(tp, coVar))
 		return x.scanFiles(pp, op, node, m, x.scanFileNames(a, tp, pos), a)
 	case core.OpJoin:
-		a.joinInputs = sized(a.joinInputs, len(op.Children))
+		a.joinInputs = slices.Grow(a.joinInputs[:0], len(op.Children))[:len(op.Children)]
 		children := a.joinInputs
 		for i, c := range op.Children {
 			children[i] = x.evalLocal(pp, c, node, m, op.JoinAttrs[0], a)

@@ -30,8 +30,8 @@ func TestStaleRangeBlocksNeverLeak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// filled reports whether the last run through ctx left rows in every
-	// range block of pp's non-final reduce joins.
+	// filled reports whether the run through ctx, while it lends its rows,
+	// holds rows in every range block of pp's non-final reduce joins.
 	filled := func(ctx *ExecContext, pp *Plan) bool {
 		for _, in := range pp.Infos {
 			if in.Kind != KindReduceJoin || in.Op == pp.Root {
@@ -61,10 +61,11 @@ func TestStaleRangeBlocksNeverLeak(t *testing.T) {
 		cache = rescache.New(64 << 20)
 		x := newExec(g, 3)
 		x.Ctx, x.ResultCache = ctx, cache
-		if _, err := x.Execute(cand); err != nil {
+		full := false
+		if err := x.Run(cand, func(*Result, Rows) error { full = filled(ctx, cand); return nil }); err != nil {
 			t.Fatal(err)
 		}
-		if filled(ctx, cand) {
+		if full {
 			pp, plan = cand, p
 			break
 		}

@@ -73,7 +73,7 @@ func (a *arena) naryJoinInto(dst *mapreduce.Block, children []relation, joinAttr
 		a.colIdx[i] = children[i].appendCols(a.colIdx[i][:0], joinAttrs)
 	}
 	for i := 1; i < nc; i++ {
-		a.tables[i].build(children[i].Block, a.colIdx[i])
+		a.tables[i].build(a.bufs, children[i].Block, a.colIdx[i])
 	}
 
 	// Stream the first child: every row whose key is present in all

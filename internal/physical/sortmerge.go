@@ -65,7 +65,7 @@ func (c *ExecContext) mergeParts(parts []mapreduce.Block) Rows {
 	}
 	offs = append(offs, total)
 	c.sortOffs, c.sortParts = offs, parts
-	c.sortIdx = sized(c.sortIdx, total)
+	c.sortIdx = sized(&c.bufs, c.sortIdx, total)
 	idx := c.sortIdx
 	pool := c.pool
 	if total < parallelSortMin {
@@ -79,9 +79,9 @@ func (c *ExecContext) mergeParts(parts []mapreduce.Block) Rows {
 	// Merge: order lists the distinct rows in result order, each as its
 	// part's offset plus its row number there. heads[p] is part p's next
 	// unmerged position in idx and prefix[p] that row's prefix.
-	order := c.sortOrder[:0]
+	order := sized(&c.bufs, c.sortOrder, total)[:0]
 	heads := append(c.sortHeads[:0], offs[:len(parts)]...)
-	prefix := sized(c.sortPrefix, len(parts))
+	prefix := slices.Grow(c.sortPrefix[:0], len(parts))[:len(parts)]
 	head := func(p int) mapreduce.Row { return parts[p].Row(int(idx[heads[p]])) }
 	for p := range parts {
 		if heads[p] < offs[p+1] {

@@ -317,6 +317,12 @@ type UpdateStats struct {
 	// already holds is never filled again).
 	StatsPatterns uint64
 	StatsFills    uint64
+	// Contexts is the number of execution contexts pooled now, idle on
+	// the free list, and ScratchBytes the bytes their buffer pools hold:
+	// per context, what the hungriest execution through it reached,
+	// however many ran.
+	Contexts     uint64
+	ScratchBytes uint64
 }
 
 // UpdateStats snapshots update activity since engine construction.
@@ -334,6 +340,11 @@ func (e *Engine) UpdateStats() UpdateStats {
 	if e.spaces != nil {
 		st := e.spaces.Stats()
 		us.Spaces, us.SpaceBytes = uint64(st.Entries), uint64(st.Bytes)
+	}
+	e.ctxMu.Lock()
+	defer e.ctxMu.Unlock()
+	for _, c := range e.ctxFree {
+		us.Contexts, us.ScratchBytes = us.Contexts+1, us.ScratchBytes+uint64(c.ScratchBytes())
 	}
 	return us
 }

@@ -303,7 +303,9 @@ func TestFacadeResultOutlivesItsContext(t *testing.T) {
 // the rows: the panic reaches the caller, the pinned epoch and the
 // context are released all the same — no second context is spawned for
 // the next query — and that query, through the very context, answers as
-// before.
+// before. Every buffer the execution borrowed went back to the context's
+// pool: its bytes are what they were before the call, and a buffer still
+// lent would have made the release panic in place of the consumer.
 func TestPanickingConsumerLeavesContextClean(t *testing.T) {
 	cfg := csq.DefaultConfig()
 	cfg.Parallelism = 4
@@ -314,11 +316,13 @@ func TestPanickingConsumerLeavesContextClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before, err := eng.ExecutePrepared(p) // spawns the one pooled context
-	if err != nil {
-		t.Fatal(err)
+	var before *physical.Result
+	for i := 0; i < 3; i++ { // spawns the one pooled context and grows its pool
+		if before, err = eng.ExecutePrepared(p); err != nil {
+			t.Fatal(err)
+		}
 	}
-	goroutines := runtime.NumGoroutine()
+	goroutines, pooled := runtime.NumGoroutine(), eng.UpdateStats()
 	func() {
 		defer func() {
 			if r := recover(); r != "consumer gave up" {
@@ -338,6 +342,10 @@ func TestPanickingConsumerLeavesContextClean(t *testing.T) {
 		})
 		t.Error("the consumer's panic did not reach the caller")
 	}()
+	if us := eng.UpdateStats(); us.Contexts != pooled.Contexts || us.ScratchBytes != pooled.ScratchBytes {
+		t.Errorf("after the panic %d contexts hold %d B of scratch, before it %d held %d B",
+			us.Contexts, us.ScratchBytes, pooled.Contexts, pooled.ScratchBytes)
+	}
 	for i := 0; i < 2; i++ {
 		after, err := eng.ExecutePrepared(p)
 		if err != nil {
