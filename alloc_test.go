@@ -78,23 +78,28 @@ const (
 	// pass, 1.76 at the benchmark's 100 universities).
 	passAfterCommitRatioCeiling = 1.15
 	// residentCeiling bounds the live heap an engine adds per triple once
-	// its caller has dropped the graph it was built from: twice the 36 B
-	// payload of three 12-byte replicas (measured 59.8 at 100
-	// universities, 158,849 triples: the replicas' slabs and file tables,
-	// and the dictionary — strings, slab, 4 B-a-slot id table).
+	// its caller has dropped the graph it was built from: 1.1× the
+	// measured 46.8 at 100 universities, 158,849 triples — the replicas'
+	// slabs and file tables, and the dictionary (strings, slab, 4 B-a-slot
+	// id table). The slabs' payload is 23.25 B: a file stores only the
+	// cells its name does not fix, so each replica row is (s, o), 8 B,
+	// and a class file's row is (s), 4 B — 3 × 8 = 24 B a triple, less
+	// 4 B for each rdf:type triple, 18.6% of them (24 − 0.75). It was
+	// 36 B with three 12-byte rows, and the readings 59.8 / 81.2 / 103.0.
 	// residentWithGraphCeiling is the same reading with the caller's graph
 	// kept: its triple slice and 4 B a slot of position table more
-	// (measured 81.2; 32 B/triple more when the graph keyed a Go map by
-	// the triple and the dictionary one by the string).
-	residentCeiling          = 72.0
-	residentWithGraphCeiling = 90.0
+	// (measured 68.2, ceiling 1.1× it; 32 B/triple more when the graph
+	// keyed a Go map by the triple and the dictionary one by the string).
+	residentCeiling          = 51.5
+	residentWithGraphCeiling = 75.0
 	// residentWarmCeiling bounds the same engine, graph dropped, after
-	// three passes of the 14 LUBM queries on two lanes (measured 103.0: the
-	// idle 59.8, 13.2 of statistics catalog and cached plans, 30.2 of
-	// execution context — a 29 B/triple buffer pool, what the hungriest
-	// query reached; 125.2 when every scratch position kept its own
-	// largest-ever array and every single-slot pattern a binding map).
-	residentWarmCeiling = 113.0
+	// three passes of the 14 LUBM queries on two lanes: 1.1× the
+	// measured 90.1 — the idle 46.8, and 43.3 of statistics catalog,
+	// cached plans and execution context, a 29 B/triple buffer pool of it
+	// (what the hungriest query reached; 125.2 when every scratch
+	// position kept its own largest-ever array and every single-slot
+	// pattern a binding map).
+	residentWarmCeiling = 99.1
 )
 
 // raceEnabled is set by race_test.go under -race: the detector's
@@ -399,10 +404,10 @@ func TestAllocResidentPerTriple(t *testing.T) {
 	dropped := float64(live()-base) / triples
 	t.Logf("%.0f triples: %.1f B/triple resident with the caller's graph kept, %.1f with it dropped", triples, kept, dropped)
 	if dropped > residentCeiling {
-		t.Errorf("%.1f B/triple resident with the graph dropped, ceiling %.0f", dropped, residentCeiling)
+		t.Errorf("%.1f B/triple resident with the graph dropped, ceiling %.1f", dropped, residentCeiling)
 	}
 	if kept > residentWithGraphCeiling {
-		t.Errorf("%.1f B/triple resident with the graph kept, ceiling %.0f", kept, residentWithGraphCeiling)
+		t.Errorf("%.1f B/triple resident with the graph kept, ceiling %.1f", kept, residentWithGraphCeiling)
 	}
 	for i := 0; i < 3; i++ {
 		queryAll(t, eng, lubm.Queries())

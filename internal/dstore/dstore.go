@@ -1,7 +1,7 @@
 // Package dstore simulates the distributed file system underneath
 // CliqueSquare: every compute node holds a set of named partition files
-// of fixed-width tuple rows (an HDFS-like layout, with the three-replica
-// placement of Section 5.1 implemented by the partition package on top).
+// of tuple rows, each file at its own schema's fixed width (an HDFS-like
+// layout; the partition package places Section 5.1's three replicas).
 //
 // The store is versioned with copy-on-write snapshot isolation. All
 // reads go through an immutable Snapshot: Store.Current pins the latest
@@ -28,6 +28,7 @@ package dstore
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -48,7 +49,7 @@ func (r Row) Clone() Row { return append(Row(nil), r...) }
 // the next epoch; readers holding this one keep an unchanging view.
 type File struct {
 	Name   string
-	Schema []string // column names (e.g. "s", "p", "o")
+	Schema []string // column names, one per cell of a row
 
 	// slab holds the rows back to back: row i occupies
 	// slab[i*w : (i+1)*w] where w = len(Schema). n is the row count.
@@ -344,7 +345,13 @@ func (s *Snapshot) TotalRows() int {
 type Store struct {
 	writeMu sync.Mutex // serializes Begin..Commit writer critical sections
 	cur     atomic.Pointer[Snapshot]
+	wide    []string // see ProjectFrom
 }
+
+// ProjectFrom lets writers give a file rows of the schema wide, wider
+// than the file's own: AppendCells and DeleteRow keep of such a row the
+// columns the file's schema names. Call it before the first Begin.
+func (s *Store) ProjectFrom(wide []string) { s.wide = wide }
 
 // NewStore creates a store with n empty nodes at version 0.
 func NewStore(n int) *Store {
@@ -454,38 +461,51 @@ func (tx *Tx) mut(node int, name string) *fileMut {
 // a schema-width mismatch with the base file or earlier buffered
 // appends, which would indicate a partitioning bug.
 func (tx *Tx) Append(node int, name string, schema []string, rows ...Row) {
-	m := tx.checkSchema(node, name, schema)
+	tx.checkSchema(node, name, schema)
 	for _, r := range rows {
 		if len(r) != len(schema) {
 			panic(fmt.Sprintf("dstore: file %q row width %d vs schema %v", name, len(r), schema))
 		}
-		m.cells = append(m.cells, r...)
+		tx.AppendCells(node, name, schema, r...)
 	}
 }
 
 // AppendCells buffers one or more rows given as flattened cells (a
 // multiple of the schema width), avoiding any per-row slice
-// allocation. It panics on a schema mismatch like Append.
+// allocation. It panics on a schema mismatch like Append; rows of the
+// store's wide schema are projected (ProjectFrom).
 func (tx *Tx) AppendCells(node int, name string, schema []string, cells ...rdf.TermID) {
 	m := tx.checkSchema(node, name, schema)
 	if len(schema) == 0 || len(cells)%len(schema) != 0 {
 		panic(fmt.Sprintf("dstore: file %q: %d cells is not a multiple of width %d", name, len(cells), len(schema)))
 	}
+	for ; len(cells) > 0 && len(m.schema) != len(schema); cells = cells[len(schema):] {
+		m.cells = append(m.cells, tx.project(m.schema, cells[:len(schema)])...)
+	}
 	m.cells = append(m.cells, cells...)
 }
 
 // checkSchema resolves the buffered mutation for a file and verifies
-// the caller's schema width against it.
+// the caller's schema width against it: equal, or the store's wide
+// schema.
 func (tx *Tx) checkSchema(node int, name string, schema []string) *fileMut {
 	m := tx.mut(node, name)
-	base := tx.baseSchema(node, name, m)
-	if base != nil && len(base) != len(schema) {
-		panic(fmt.Sprintf("dstore: file %q schema mismatch: %v vs %v", name, base, schema))
-	}
-	if m.schema == nil {
+	if m.schema = tx.baseSchema(node, name, m); m.schema == nil {
 		m.schema = schema
+	} else if len(m.schema) != len(schema) && !slices.Equal(schema, tx.s.wide) {
+		panic(fmt.Sprintf("dstore: file %q schema mismatch: %v vs %v", name, m.schema, schema))
 	}
 	return m
+}
+
+// project keeps of row, a row of the store's wide schema, the columns
+// the file schema fs names.
+func (tx *Tx) project(fs []string, row []rdf.TermID) Row {
+	out := make(Row, len(fs))
+	for i, col := range fs {
+		out[i] = row[slices.Index(tx.s.wide, col)]
+	}
+	return out
 }
 
 // baseSchema resolves the schema a buffered mutation must agree with:
@@ -507,9 +527,15 @@ func (tx *Tx) baseSchema(node int, name string, m *fileMut) []string {
 // named file on a node. The row may come from the base snapshot or
 // from an earlier Append in this same transaction (the pair nets out);
 // Commit panics if it is neither — the caller deleting a triple that
-// was never stored indicates a partitioning bug.
+// was never stored indicates a partitioning bug. A row of the store's
+// wide schema is projected (ProjectFrom).
 func (tx *Tx) DeleteRow(node int, name string, row Row) {
 	m := tx.mut(node, name)
+	if len(row) == len(tx.s.wide) {
+		if fs := tx.baseSchema(node, name, m); fs != nil && len(fs) != len(row) {
+			row = tx.project(fs, row)
+		}
+	}
 	m.deletes = append(m.deletes, row)
 }
 

@@ -1,6 +1,7 @@
 package dstore
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
@@ -390,5 +391,31 @@ func TestDeleteAllocsIndependentOfFileSize(t *testing.T) {
 	}
 	if small, large := allocs(64), allocs(4096); large > small {
 		t.Errorf("deleting one row allocates %v objects in a 64-row file and %v in a 4096-row file", small, large)
+	}
+}
+
+// TestProjectFromNarrowsWideRows: on a store whose writers may give
+// rows of a wider schema, appends and deletes of such rows keep the
+// columns each file's own schema names, and a file at the wide schema
+// takes them whole.
+func TestProjectFromNarrowsWideRows(t *testing.T) {
+	wide := []string{"s", "p", "o"}
+	s := NewStore(1)
+	s.ProjectFrom(wide)
+	commitAppend(s, 0, "pair", []string{"s", "o"}, Row{1, 3}, Row{4, 6})
+	commitAppend(s, 0, "class", []string{"s"}, Row{1}, Row{4})
+	tx := s.Begin()
+	tx.DeleteRow(0, "pair", Row{1, 2, 3})
+	tx.AppendCells(0, "pair", wide, 7, 8, 9, 10, 11, 12)
+	tx.DeleteRow(0, "class", Row{4, 5, 6})
+	tx.Append(0, "class", wide, Row{7, 8, 9})
+	tx.AppendCells(0, "whole", wide, 1, 2, 3)
+	tx.Commit()
+	want := map[string][]rdf.TermID{"pair": {4, 6, 7, 9, 10, 12}, "class": {1, 7}, "whole": {1, 2, 3}}
+	for name, cells := range want {
+		f, ok := s.Current().Node(0).Get(name)
+		if !ok || !reflect.DeepEqual(f.Slab(), cells) {
+			t.Errorf("file %s holds %v, want %v", name, f.Slab(), cells)
+		}
 	}
 }

@@ -6,9 +6,10 @@
 //     hash(p) in the property partition, and on node hash(o) in the
 //     object partition;
 //  2. within a node, each partition's triples are grouped into one file
-//     per property value;
+//     per property value, whose name fixes it: a row is (s, o);
 //  3. the property partition of rdf:type is further split by object
-//     (class) value, since rdf:type dominates most datasets.
+//     (class) value, since rdf:type dominates most datasets: a class
+//     file's name fixes the object too, and a row is (s).
 //
 // This makes every first-level join — on any of s, p, o — evaluable
 // locally on each node (parallelizable without communication).
@@ -27,6 +28,7 @@ import (
 	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -35,8 +37,14 @@ import (
 	"cliquesquare/internal/sparql"
 )
 
-// TripleSchema is the column schema of partition files.
+// TripleSchema names a whole triple's cells, which no partition file
+// stores: the store projects rows given in it (dstore.Store.ProjectFrom)
+// for writers that address the files with whole triples.
 var TripleSchema = []string{"s", "p", "o"}
+
+// A partition file stores the positions its name does not fix (see
+// FileTerms): (s, o), and (s) in an rdf:type class file.
+var pairSchema, classSchema = []string{"s", "o"}, []string{"s"}
 
 // Mode selects the replication scheme.
 type Mode uint8
@@ -118,6 +126,7 @@ func New(store *dstore.Store, mode Mode, policy Policy) *Partitioner {
 	if policy == nil {
 		policy = ModuloPolicy
 	}
+	store.ProjectFrom(TripleSchema)
 	p := &Partitioner{store: store, mode: mode, policy: policy}
 	p.cur.Store(&View{p: p, snap: store.Current(), place: policy(store.N()),
 		properties: map[rdf.TermID]int{}, typeObjects: map[rdf.TermID]int{}})
@@ -164,11 +173,12 @@ func (p *Partitioner) ApplyBatch(inserts, deletes []rdf.Triple, dict *rdf.Dict) 
 	tx := p.store.Begin()
 	defer tx.Abort()
 	for _, t := range deletes {
-		row := dstore.Row{t.S, t.P, t.O}
-		v.route(t, -1, func(node int, file string) { tx.DeleteRow(node, file, row) })
+		row := dstore.Row{t.S, t.O}
+		v.route(t, -1, func(node int, file string, schema []string) { tx.DeleteRow(node, file, row[:len(schema)]) })
 	}
 	for _, t := range inserts {
-		v.route(t, 1, func(node int, file string) { tx.AppendCells(node, file, TripleSchema, t.S, t.P, t.O) })
+		row := [2]rdf.TermID{t.S, t.O}
+		v.route(t, 1, func(node int, file string, schema []string) { tx.AppendCells(node, file, schema, row[:len(schema)]...) })
 	}
 	v.snap = tx.Commit()
 	p.cur.Store(v)
@@ -176,24 +186,24 @@ func (p *Partitioner) ApplyBatch(inserts, deletes []rdf.Triple, dict *rdf.Dict) 
 }
 
 // route is the Section 5.1 rule, written once for inserts and deletes:
-// it calls f with the node and file of every replica of t that the
-// partitioner's mode stores — by subject; under ThreeReplica also by
+// it calls f with the node, file and schema of every replica of t that
+// the partitioner's mode stores — by subject; under ThreeReplica also by
 // object, and by property, in the class's own file for rdf:type — and
 // moves the view's counters by d (+1 for an insert, -1 for a delete),
 // dropping those that reach zero.
-func (v *View) route(t rdf.Triple, d int, f func(node int, file string)) {
+func (v *View) route(t rdf.Triple, d int, f func(node int, file string, schema []string)) {
 	count(v.properties, t.P, d)
-	f(v.place.NodeFor(t.S), FileName(rdf.SPos, t.P, 0))
+	f(v.place.NodeFor(t.S), FileName(rdf.SPos, t.P, 0), pairSchema)
 	if v.p.mode == SubjectOnly {
 		return
 	}
-	f(v.place.NodeFor(t.O), FileName(rdf.OPos, t.P, 0))
-	class := rdf.NoTerm
+	f(v.place.NodeFor(t.O), FileName(rdf.OPos, t.P, 0), pairSchema)
 	if v.typeID != rdf.NoTerm && t.P == v.typeID {
 		count(v.typeObjects, t.O, d)
-		class = t.O
+		f(v.place.NodeFor(t.P), FileName(rdf.PPos, t.P, t.O), classSchema)
+		return
 	}
-	f(v.place.NodeFor(t.P), FileName(rdf.PPos, t.P, class))
+	f(v.place.NodeFor(t.P), FileName(rdf.PPos, t.P, 0), pairSchema)
 }
 
 // count moves m[k] by d, deleting the entry once it reaches zero.
@@ -271,6 +281,19 @@ func FileName(pos rdf.Pos, prop rdf.TermID, typeObj rdf.TermID) string {
 	return string(b)
 }
 
+// FileTerms parses the cells a partition file's name fixes: its
+// property, and for a class file of the rdf:type property replica its
+// class (NoTerm for every other file).
+func FileTerms(name string) (prop, class rdf.TermID) {
+	p, c, isClass := strings.Cut(name[len("s/p"):], "/o")
+	id, _ := strconv.ParseUint(p, 10, 32)
+	if isClass {
+		cid, _ := strconv.ParseUint(c, 10, 32)
+		class = rdf.TermID(cid)
+	}
+	return rdf.TermID(id), class
+}
+
 // Version is the view's epoch number (the dstore snapshot version).
 func (v *View) Version() uint64 { return v.snap.Version() }
 
@@ -336,7 +359,8 @@ func (v *View) Files(tp sparql.TriplePattern, pos rdf.Pos, dict *rdf.Dict) []str
 // reproducible order (property id, node, row). It reads the subject
 // replica, which holds each triple exactly once in every epoch — in both
 // modes, and across a resize, which moves a row within one transaction —
-// and of it only the files of the properties concerned.
+// and of it only the files of the properties concerned, rebuilding each
+// triple from a row's (s, o) and the file's property.
 func (v *View) EachTriple(prop rdf.TermID, fn func(rdf.Triple)) {
 	props := []rdf.TermID{prop}
 	if prop == rdf.NoTerm {
@@ -350,8 +374,8 @@ func (v *View) EachTriple(prop rdf.TermID, fn func(rdf.Triple)) {
 		name := FileName(rdf.SPos, p, 0)
 		for n := 0; n < v.snap.N(); n++ {
 			if f, ok := v.snap.Node(n).Get(name); ok {
-				for c := f.Slab(); len(c) >= 3; c = c[3:] {
-					fn(rdf.Triple{S: c[0], P: c[1], O: c[2]})
+				for c := f.Slab(); len(c) >= 2; c = c[2:] {
+					fn(rdf.Triple{S: c[0], P: p, O: c[1]})
 				}
 			}
 		}
@@ -370,9 +394,9 @@ func (v *View) NumTriples() int {
 // Contains reports whether t is stored at this view's epoch: a lookup of
 // its subject in the one subject-replica file that can hold it (the index
 // is built on first use and carried from epoch to epoch by the store),
-// then a comparison of objects. It routes through the view's own
-// placement, which every epoch's rows follow: it is the writer's presence
-// test.
+// then a comparison of objects, which the file stores in column 1. It
+// routes through the view's own placement, which every epoch's rows
+// follow: it is the writer's presence test.
 func (v *View) Contains(t rdf.Triple) bool {
 	f, ok := v.snap.Node(v.place.NodeFor(t.S)).Get(FileName(rdf.SPos, t.P, 0))
 	if !ok {
@@ -380,7 +404,7 @@ func (v *View) Contains(t rdf.Triple) bool {
 	}
 	slab := f.Slab()
 	for _, row := range f.Lookup(0, t.S) {
-		if slab[int(row)*3+2] == t.O {
+		if slab[int(row)*2+1] == t.O {
 			return true
 		}
 	}

@@ -150,6 +150,14 @@ func TestFileName(t *testing.T) {
 	if got := FileName(rdf.PPos, 42, 7); got != "p/p42/o7" {
 		t.Errorf("FileName = %q", got)
 	}
+	for _, c := range []struct {
+		pos         rdf.Pos
+		prop, class rdf.TermID
+	}{{rdf.SPos, 42, 0}, {rdf.OPos, 4294967295, 0}, {rdf.PPos, 42, 7}} {
+		if p, o := FileTerms(FileName(c.pos, c.prop, c.class)); p != c.prop || o != c.class {
+			t.Errorf("FileTerms(FileName(%v)) = %d, %d", c, p, o)
+		}
+	}
 }
 
 // storeState flattens a store's current snapshot to a comparable map:

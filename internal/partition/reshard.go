@@ -12,8 +12,8 @@ package partition
 
 import (
 	"fmt"
+	"strings"
 
-	"cliquesquare/internal/dstore"
 	"cliquesquare/internal/rdf"
 )
 
@@ -24,7 +24,8 @@ type ResizeStats struct {
 	// the moved fraction an elastic placement keeps near the ideal
 	// |ΔN|/max(N).
 	MovedRows, TotalRows int
-	// MovedCells counts the TermID cells relocated (rows × width).
+	// MovedCells counts the TermID cells relocated: rows × the width of
+	// their file, 2 for an (s, o) file and 1 for a class file.
 	MovedCells int
 }
 
@@ -34,21 +35,6 @@ func (s ResizeStats) MovedFraction() float64 {
 		return 0
 	}
 	return float64(s.MovedRows) / float64(s.TotalRows)
-}
-
-// keyOf resolves the placement key of a row in a partition file: the
-// file name's leading position byte ("s/…", "p/…", "o/…") names the
-// replica position, and the key is the row's term at it.
-func keyOf(file string, row dstore.Row) rdf.TermID {
-	switch file[0] {
-	case 's':
-		return row[0]
-	case 'p':
-		return row[1]
-	case 'o':
-		return row[2]
-	}
-	panic(fmt.Sprintf("partition: file %q has no position prefix", file))
 }
 
 // Resize re-places the current view at newN nodes under the policy and
@@ -83,11 +69,20 @@ func (p *Partitioner) Resize(newN int) (ResizeStats, error) {
 		for _, name := range nd.Names() {
 			f, _ := nd.Get(name)
 			st.TotalRows += f.NumRows()
+			// The placement key: a row's subject ("s/…", column 0) or
+			// object ("o/…", column 1), or the property a "p/…" name fixes.
+			col, key := strings.IndexByte("so", name[0]), rdf.NoTerm
+			if col < 0 {
+				key, _ = FileTerms(name)
+			}
 			for i := 0; i < f.NumRows(); i++ {
 				row := f.Row(i)
-				if dest := v.place.NodeFor(keyOf(name, row)); dest != node {
+				if col >= 0 {
+					key = row[col]
+				}
+				if dest := v.place.NodeFor(key); dest != node {
 					tx.DeleteRow(node, name, row)
-					tx.AppendCells(dest, name, TripleSchema, row...)
+					tx.AppendCells(dest, name, f.Schema, row...)
 					st.MovedRows++
 					st.MovedCells += len(row)
 				}

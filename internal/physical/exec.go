@@ -477,23 +477,28 @@ func (x *Executor) scanFilters(tp sparql.TriplePattern, op *core.Op, a *arena) b
 // openScanFile meters one partition file of a scan whose filters
 // scanFilters resolved into a — Read, plus Check when the pattern
 // filters — and resolves the file's access path: an index-probed
-// selection vector for the most selective non-property constant, or a
-// full slab sweep. A property constant is never probed: partition files
-// hold a single property, so its index would be one entry listing every
-// row (each re-checks it, cheaply). The metering does not depend on the
-// path — the simulated Hadoop mapper still reads and checks the whole
-// file, the index only spares the simulator's own CPU.
+// selection vector for the most selective stored constant, or a full
+// slab sweep. A constant on a position the file's name fixes (the
+// property, a class file's object) is decided once for the whole file:
+// it either matches every row or none. The metering does not depend on
+// the path — the simulated Hadoop mapper still reads and checks the
+// whole file, the index only spares the simulator's own CPU.
 func (x *Executor) openScanFile(f *dstore.File, m *mapreduce.Meter, a *arena) scanFile {
 	m.Read(f.NumRows())
 	if len(a.scanConsts) > 0 || len(a.scanRepeats) > 0 {
 		m.Check(f.NumRows())
 	}
 	sf := scanFile{f: f}
+	sf.fixed[rdf.PPos], sf.fixed[rdf.OPos] = partition.FileTerms(f.Name)
 	for _, cc := range a.scanConsts {
-		if cc.pos == rdf.PPos {
-			continue
+		if fixed := sf.fixed[cc.pos]; fixed != rdf.NoTerm {
+			if fixed == cc.id {
+				continue
+			}
+			sf.cand, sf.useIdx = nil, true
+			break
 		}
-		ids := f.Lookup(int(cc.pos), cc.id)
+		ids := f.Lookup(min(int(cc.pos), 1), cc.id) // s is column 0, o column 1
 		if !sf.useIdx || len(ids) < len(sf.cand) {
 			sf.cand, sf.useIdx = ids, true
 		}
@@ -506,7 +511,8 @@ func (x *Executor) openScanFile(f *dstore.File, m *mapreduce.Meter, a *arena) sc
 
 // each filters the file's candidate rows by the pattern's constant and
 // repeated-variable checks and copies the variable columns of every
-// match from the file's slab straight onto dst.
+// match onto dst, reading each row as a triple: its stored (s, o) or
+// (s) cells over the cells the file's name fixes.
 func (sf scanFile) each(a *arena, dst *mapreduce.Block) {
 	consts, varPos, repeats := a.scanConsts, a.scanVarPos, a.scanRepeats
 	slab, fw := sf.f.Slab(), sf.f.Width()
@@ -514,13 +520,17 @@ func (sf scanFile) each(a *arena, dst *mapreduce.Block) {
 	if sf.useIdx {
 		n = len(sf.cand)
 	}
+	c := sf.fixed
 rows:
 	for i := 0; i < n; i++ {
 		base := i * fw
 		if sf.useIdx {
 			base = int(sf.cand[i]) * fw
 		}
-		c := slab[base : base+fw]
+		c[rdf.SPos] = slab[base]
+		if fw > 1 {
+			c[rdf.OPos] = slab[base+1]
+		}
 		for _, cc := range consts {
 			if c[cc.pos] != cc.id {
 				continue rows

@@ -17,7 +17,8 @@ type ReshardResult struct {
 	// modulo placement reshuffles nearly everything.
 	MovedRows, TotalRows int
 	MovedFraction        float64
-	// MovedCells counts relocated TermID cells (rows × width).
+	// MovedCells counts relocated TermID cells: rows × their file's
+	// width, 2 cells a row and 1 in an rdf:type class file.
 	MovedCells int
 	// DataVersion is the epoch the resize committed (one past the one
 	// before it); TopologyVersion the post-resize topology counter (0 at
