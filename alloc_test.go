@@ -93,13 +93,17 @@ const (
 	residentCeiling          = 51.5
 	residentWithGraphCeiling = 75.0
 	// residentWarmCeiling bounds the same engine, graph dropped, after
-	// three passes of the 14 LUBM queries on two lanes: 1.1× the
-	// measured 90.1 — the idle 46.8, and 43.3 of statistics catalog,
-	// cached plans and execution context, a 29 B/triple buffer pool of it
-	// (what the hungriest query reached; 125.2 when every scratch
-	// position kept its own largest-ever array and every single-slot
-	// pattern a binding map).
-	residentWarmCeiling = 99.1
+	// three passes of the 14 LUBM queries on two lanes: 1.05× the
+	// measured 80.7 (79.9–81.0) — the idle 46.8, and 33.9 of statistics
+	// catalog, cached plans and execution context, of which the buffer
+	// pool, what the hungriest query reached, is about 3.16 MB: 19.9
+	// B/triple. It held 4,549,824 B, 28.6 B/triple, and the engine
+	// 89.3–90.1, when a shuffled tuple had a record in its bucket and a
+	// copy in its destination's array, the final merge sorted row
+	// numbers beside their order and a map-only root join wrote a block
+	// the projection copied; 125.2 when every scratch position kept its
+	// own largest-ever array and every single-slot pattern a binding map.
+	residentWarmCeiling = 84.7
 )
 
 // raceEnabled is set by race_test.go under -race: the detector's

@@ -11,7 +11,7 @@ import (
 )
 
 // Bufs is the buffer pool of one execution context: every buffer of
-// cells, records or row numbers an execution computes in is
+// cells, records, run headers or row numbers an execution computes in is
 // carved from the chunks of 8-byte words it keeps, viewed as the
 // borrower's element type. A request takes a piece handed back earlier
 // in the execution — the smallest class that holds it, split to size —
@@ -34,7 +34,7 @@ type Bufs struct {
 // Elem is what a pool buffer holds: pointer-free elements whose sizes
 // divide bufUnit, the bytes buffers are measured in.
 type Elem interface {
-	rdf.TermID | int32 | record
+	rdf.TermID | int32 | record | run
 }
 
 const bufUnit = 24

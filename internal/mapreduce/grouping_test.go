@@ -88,7 +88,18 @@ func TestSortedGroupingMatchesReference(t *testing.T) {
 		refOrder := ReferenceOrder(ref)
 
 		bk := emitAll(1, ts)
-		sorted := append([]record(nil), bk[0].recs...)
+		// One run header per change of shape from one tuple to the next.
+		runs := 0
+		for i, tu := range ts {
+			if i == 0 || tu.group != ts[i-1].group || tu.tag != ts[i-1].tag ||
+				len(tu.cols) != len(ts[i-1].cols) || len(tu.row) != len(ts[i-1].row) {
+				runs++
+			}
+		}
+		if len(bk[0].runs) != runs {
+			t.Fatalf("trial %d: %d run headers over %d tuples, want %d", trial, len(bk[0].runs), len(ts), runs)
+		}
+		sorted := routed(bk, 0)
 		sortRecords(sorted, bk)
 		groups := Groups{recs: sorted, bk: bk}
 		if groups.Records() != len(ts) {
@@ -196,9 +207,10 @@ func TestFlatShuffleMatchesReference(t *testing.T) {
 }
 
 // TestKeyPathAllocationFree pins the allocation contract of the
-// emission path: hashing, routing, writing the cells and the record
+// emission path: hashing, routing, writing the cells and the run header
 // cost zero heap allocations per tuple once the buckets have grown —
-// whatever the key width — and so does comparing records.
+// whatever the key width — and so does comparing the records routing
+// builds from them.
 func TestKeyPathAllocationFree(t *testing.T) {
 	row := Row{9, 8, 7, 6, 5, 4}
 	bk := make([]bucket, 7)
@@ -206,7 +218,7 @@ func TestKeyPathAllocationFree(t *testing.T) {
 	for _, cols := range [][]int{{1}, {2, 0, 3}, {0, 1, 2, 3, 4, 5}} {
 		emit := func() {
 			for i := range bk {
-				bk[i].recs, bk[i].cells = bk[i].recs[:0], bk[i].cells[:0]
+				bk[i].runs, bk[i].cells = bk[i].runs[:0], bk[i].cells[:0]
 			}
 			for i := 0; i < 64; i++ {
 				row[cols[0]] = rdf.TermID(i)
@@ -222,7 +234,8 @@ func TestKeyPathAllocationFree(t *testing.T) {
 		{group: 1, row: row, cols: []int{0, 1, 2, 3, 4}},
 		{group: 1, row: row, cols: []int{0, 1, 2, 3, 4}},
 	})
-	a, b := &one[0].recs[0], &one[0].recs[1]
+	recs := routed(one, 0)
+	a, b := &recs[0], &recs[1]
 	if n := testing.AllocsPerRun(1000, func() {
 		if compareFrom(a, b, 0, one) != 0 || !sameKey(a, b, one) {
 			t.Fatal("a key does not equal its copy")
@@ -237,9 +250,10 @@ func TestKeyPathAllocationFree(t *testing.T) {
 func TestSortRecordsAllocationFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	bk := emitAll(1, randomTuples(rng, 512))
-	scratch := make([]record, len(bk[0].recs))
+	recs := routed(bk, 0)
+	scratch := make([]record, len(recs))
 	if n := testing.AllocsPerRun(100, func() {
-		copy(scratch, bk[0].recs)
+		copy(scratch, recs)
 		sortRecords(scratch, bk)
 	}); n != 0 {
 		t.Errorf("sortRecords: %v allocs/op, want 0", n)

@@ -9,22 +9,23 @@ const (
 	fnv32Prime  = 16777619
 )
 
-// record is one shuffled tuple. Its key is the group (which reduce join
-// the tuple belongs to) and nkey key cells; tag says which input of
-// that join it is. The first key cell is inline — reduce joins key on a
-// clique's shared variables, almost always one — so sorting and
-// grouping one-cell keys never leave the record array; the cells of
-// bucket buf hold, from off, the remaining nkey-1 key cells and then
-// the tuple's width row cells. The struct is fixed-size and
-// pointer-free: sorting swaps 24 bytes and the collector never scans a
-// record array. tag and nkey are 16 bits wide: a join has at most as
-// many inputs as its query has triple patterns and at most as many key
-// attributes as it has variables, and physical.CompileWith refuses a
-// join beyond MaxInputs or MaxKeyCells.
+// record is one shuffled tuple, built once, by routing, straight into
+// its destination's array. Its key is the group (which reduce join the
+// tuple belongs to) and nkey key cells; tag says which input of that
+// join it is. The cells of bucket buf hold, from off, the tuple's nkey
+// key cells and then its width row cells, as Emit wrote them; the
+// first key cell is copied inline too — reduce joins key on a clique's
+// shared variables, almost always one — so sorting and grouping
+// one-cell keys never leave the record array. The struct is fixed-size
+// and pointer-free: sorting swaps 24 bytes and the collector never
+// scans a record array. tag and nkey are 16 bits wide: a join has at
+// most as many inputs as its query has triple patterns and at most as
+// many key attributes as it has variables, and physical.CompileWith
+// refuses a join beyond MaxInputs or MaxKeyCells.
 type record struct {
 	group uint32
 	k0    uint32 // first key cell (0 for an empty key)
-	buf   uint32 // the bucket whose cell buffer holds the rest
+	buf   uint32 // the bucket whose cell buffer holds the tuple's cells
 	off   uint32 // where in it
 	width uint32 // row cells
 	tag   uint16
@@ -64,15 +65,12 @@ func keyCell(r *record, i int, bk []bucket) uint32 {
 	if i == 0 {
 		return r.k0
 	}
-	return uint32(bk[r.buf].cells[int(r.off)+i-1])
+	return uint32(bk[r.buf].cells[int(r.off)+i])
 }
 
 // row returns r's row cells as a view of its bucket's cell buffer.
 func (r *record) row(bk []bucket) Row {
-	lo := int(r.off)
-	if r.nkey > 1 {
-		lo += int(r.nkey) - 1
-	}
+	lo := int(r.off) + int(r.nkey)
 	hi := lo + int(r.width)
 	return bk[r.buf].cells[lo:hi:hi]
 }

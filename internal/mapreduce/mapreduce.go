@@ -21,14 +21,15 @@
 //
 // The data plane is flat: tuples are cells in width-strided []TermID
 // arrays, never one slice header per row. A relation body is a Block
-// (width, row count, cells). An emitted tuple is a record — a 24-byte
+// (width, row count, cells). An emitted tuple is its key and row cells,
+// written once, at emission, into the cell buffer of the (morsel,
+// destination) bucket the key routes to, under one header per run of
+// one shape. Routing builds each tuple's one record — a 24-byte
 // pointer-free struct holding the group, the first key cell, the tag
-// and where the tuple's cells are — over cells written once, at
-// emission, into the cell buffer of the (morsel, destination) bucket
-// the key routes to. Routing concatenates a destination's buckets'
-// records in (source node, morsel) order and sorting permutes records
-// only; the cells never move again, and neither array holds a pointer,
-// so the garbage collector skips both.
+// and where the tuple's cells are — straight into its destination's
+// array in (source node, morsel, emission) order, and sorting permutes
+// records only; the cells never move again, and no array holds a
+// pointer, so the garbage collector skips them all.
 //
 // A Scratch holds the positions a run fills — buckets, routed records,
 // slot tables and the per-node output blocks — and draws their bytes
@@ -94,6 +95,11 @@ func (b *Block) Extend(rows, width int) []rdf.TermID {
 	b.N += rows
 	return b.Cells[n:]
 }
+
+// Reserve makes room for rows more rows of the given width, so that
+// extending the block by them draws no more memory: on an empty block,
+// just that room.
+func (b *Block) Reserve(rows, width int) { b.Cells = Grow(b.bufs, b.Cells, rows*width) }
 
 // Append copies one row's cells onto the block.
 func (b *Block) Append(row Row) { copy(b.Extend(1, len(row)), row) }
@@ -373,10 +379,25 @@ func ResetBlocks(buf []Block, n int, p *Bufs) []Block {
 }
 
 // bucket holds what one map morsel emitted for one destination node:
-// the records, and the cells they point into.
+// each tuple's key cells and row cells, one tuple after the other, and
+// one run header per stretch of tuples of one shape.
 type bucket struct {
-	recs  []record
+	runs  []run
 	cells []rdf.TermID
+}
+
+// shape is what the tuples of one run share.
+type shape struct {
+	group, width uint32
+	tag, nkey    uint16
+}
+
+// run is a stretch of n tuples of one shape that a bucket holds back to
+// back from cell off. A CSQ map morsel emits one run per bucket.
+type run struct {
+	shape
+	off, n uint32
+	_      uint32 // pads the header to the pool's 24-byte unit
 }
 
 // Emitter is a lane's handle on the shuffle while it runs one map
@@ -386,44 +407,32 @@ type bucket struct {
 type Emitter struct {
 	n       int      // cluster size (routing modulus)
 	unit    *slot    // the running unit: its counters
-	base    uint32   // index of the unit's first bucket in the scratch's table
 	buckets []bucket // the unit's per-destination buckets
 	bufs    *Bufs
 }
 
 // Emit sends row into the shuffle under the key (group, row[keyCols...])
-// with the given input tag (which join input the row belongs to). The
-// row's cells are copied — once, into the cell buffer of the bucket the
-// key routes to — so the caller may reuse row as soon as Emit returns.
+// with the given input tag (which join input the row belongs to). Key
+// and row cells are copied — once, into the cell buffer of the bucket
+// the key routes to — so the caller may reuse row once Emit returns.
 func (e *Emitter) Emit(group uint32, tag int, row Row, keyCols []int) {
 	h := hashCell(fnv32Offset, group)
 	for _, c := range keyCols {
 		h = hashCell(h, uint32(row[c]))
 	}
-	dest := route(h, e.n)
-	b := &e.buckets[dest]
-	r := record{
-		group: group,
-		buf:   e.base + uint32(dest),
-		off:   uint32(len(b.cells)),
-		width: uint32(len(row)),
-		tag:   uint16(tag),
-		nkey:  uint16(len(keyCols)),
-	}
-	if k := len(row) + max(len(keyCols)-1, 0); len(b.cells)+k > cap(b.cells) {
+	b := &e.buckets[route(h, e.n)]
+	if k := len(keyCols) + len(row); len(b.cells)+k > cap(b.cells) {
 		b.cells = Grow(e.bufs, b.cells, k)
 	}
-	if len(b.recs) == cap(b.recs) {
-		b.recs = Grow(e.bufs, b.recs, 1)
+	sh := shape{group: group, width: uint32(len(row)), tag: uint16(tag), nkey: uint16(len(keyCols))}
+	if n := len(b.runs); n == 0 || b.runs[n-1].shape != sh {
+		b.runs = append(Grow(e.bufs, b.runs, 1), run{shape: sh, off: uint32(len(b.cells))})
 	}
-	if len(keyCols) > 0 {
-		r.k0 = uint32(row[keyCols[0]])
-		for _, c := range keyCols[1:] {
-			b.cells = append(b.cells, row[c])
-		}
+	b.runs[len(b.runs)-1].n++
+	for _, c := range keyCols {
+		b.cells = append(b.cells, row[c])
 	}
 	b.cells = append(b.cells, row...)
-	b.recs = append(b.recs, r)
 	e.unit.count++
 	e.unit.cells += len(row)
 }
@@ -458,7 +467,7 @@ type Scratch struct {
 func (sc *Scratch) drop() {
 	for i := range sc.buckets {
 		b := &sc.buckets[i]
-		b.recs, b.cells = Free(sc.Bufs, b.recs), Free(sc.Bufs, b.cells)
+		b.runs, b.cells = Free(sc.Bufs, b.runs), Free(sc.Bufs, b.cells)
 	}
 	for i := range sc.shuffled {
 		sc.shuffled[i] = Free(sc.Bufs, sc.shuffled[i])
@@ -468,6 +477,32 @@ func (sc *Scratch) drop() {
 			units[i].out.Free()
 		}
 	}
+}
+
+// route builds into buf, grown once, the record of every tuple the map
+// morsels emitted for dest, in (source node, morsel, emission) order.
+func (sc *Scratch) route(buf []record, dest, n int) []record {
+	total := 0
+	for s := dest; s < len(sc.buckets); s += n {
+		for _, r := range sc.buckets[s].runs {
+			total += int(r.n)
+		}
+	}
+	buf = Grow(sc.Bufs, buf, total)
+	for s := dest; s < len(sc.buckets); s += n {
+		cells := sc.buckets[s].cells
+		for _, r := range sc.buckets[s].runs {
+			rec := record{group: r.group, buf: uint32(s), off: r.off, width: r.width, tag: r.tag, nkey: r.nkey}
+			for range r.n {
+				if r.nkey > 0 {
+					rec.k0 = uint32(cells[rec.off])
+				}
+				buf = append(buf, rec)
+				rec.off += uint32(r.nkey) + r.width
+			}
+		}
+	}
+	return buf
 }
 
 // Release hands every buffer back to the pool, the last Output included.
@@ -609,7 +644,7 @@ func (cl *Cluster) RunWith(job Job, opts RunOptions) *Output {
 		u := &sc.morsels[i]
 		dst := begin(lane, u)
 		e := &sc.lanes[lane]
-		e.n, e.base, e.buckets, e.bufs = n, uint32(i*n), sc.buckets[i*n:(i+1)*n], sc.Bufs
+		e.n, e.buckets, e.bufs = n, sc.buckets[i*n:(i+1)*n], sc.Bufs
 		job.MapMorsel(u.node, u.idx, lane, &u.meter, e, dst)
 	})
 	merge(sc.morsels, mapM)
@@ -618,19 +653,12 @@ func (cl *Cluster) RunWith(job Job, opts RunOptions) *Output {
 	if !stats.MapOnly {
 		sc.shuffled = resize(sc.shuffled, n)
 		sc.rangeOff = resize(sc.rangeOff, n)
-		// Per destination: concatenate the pre-routed buckets' records in
-		// (source node, morsel) order, count them, sort into canonical
-		// group order and split into group-aligned ranges, one per lane at
-		// most.
+		// Per destination: build the records of the pre-routed buckets'
+		// tuples in (source node, morsel, emission) order, count them,
+		// sort into canonical group order and split into group-aligned
+		// ranges, one per lane at most.
 		pool.ForEach(n, func(dest, _ int) {
-			total := 0
-			for s := range sc.morsels {
-				total += len(sc.buckets[s*n+dest].recs)
-			}
-			buf := Grow(sc.Bufs, sc.shuffled[dest], total)
-			for s := range sc.morsels {
-				buf = append(buf, sc.buckets[s*n+dest].recs...)
-			}
+			buf := sc.route(sc.shuffled[dest], dest, n)
 			sc.shuffled[dest] = buf
 			shufM[dest].Shuffle(len(buf))
 			sortRecords(buf, sc.buckets)

@@ -151,7 +151,7 @@ func TestRoutingMatchesReference(t *testing.T) {
 			tu.row[i], tu.cols[i] = rdf.TermID(c), i
 		}
 		bk := emitAll(nodes, []tuple{tu})
-		return len(bk[ReferenceRoute(tu.encode())%nodes].recs) == 1
+		return len(routed(bk, ReferenceRoute(tu.encode())%nodes)) == 1
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -170,7 +170,8 @@ func TestKeyEncodeMatchesEncodeKey(t *testing.T) {
 	}
 	f := func(g1, g2 uint16, c1, c2 []uint32) bool {
 		bk := emitAll(1, []tuple{mk(g1, c1), mk(g2, c2)})
-		k1, k2 := &bk[0].recs[0], &bk[0].recs[1]
+		recs := routed(bk, 0)
+		k1, k2 := &recs[0], &recs[1]
 		s1, s2 := EncodeKey(int(g1), c1), EncodeKey(int(g2), c2)
 		if encodeRecord(k1, bk) != s1 || encodeRecord(k2, bk) != s2 {
 			return false

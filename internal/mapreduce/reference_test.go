@@ -43,6 +43,13 @@ func emitAll(n int, ts []tuple) []bucket {
 	return bk
 }
 
+// routed builds the records of the tuples emitAll's morsel sent to
+// dest through the runtime's routing step.
+func routed(bk []bucket, dest int) []record {
+	sc := Scratch{buckets: bk}
+	return sc.route(nil, dest, len(bk))
+}
+
 // encodeRecord renders a record's key as its seed string encoding: the
 // reference representation tests compare against.
 func encodeRecord(r *record, bk []bucket) string {

@@ -29,15 +29,18 @@ import (
 // of Executor.Run, also when its consumer panics). Positions hold
 // headers and the pool holds bytes: between executions a slot, bucket
 // or block keeps no array, so a warm context holds one execution's
-// peak, which the next execution draws from again. Nothing that
-// outlives the execution may alias pool memory. The final result is
-// not copied out at all unless somebody asks: mergeParts leaves it as
-// an order over the last job's output, both context scratch, and
+// peak, which the next execution draws from again — each tuple once: a
+// shuffled tuple's cells and its one record, a map-only root's node
+// output sized once, the last job's output sorted in place. Nothing
+// that outlives the execution may alias pool memory. The final result
+// is not copied out at all unless somebody asks: mergeParts leaves it
+// as an order over the last job's output, both context scratch, and
 // Executor.Run lends that to its callback as a Rows, valid until the
-// callback returns. What does outlive the execution — the rows Execute returns
-// (Rows.Materialise) and a result-cache entry's answer (Rows.block) —
-// is copied into exactly sized blocks of its own. A result-cache hit
-// reads none of this scratch: it never prepares the context.
+// callback returns. What does outlive the execution — the rows Execute
+// returns (Rows.Materialise) and a result-cache entry's answer
+// (Rows.block) — is copied into exactly sized blocks of its own. A
+// result-cache hit reads none of this scratch: it never prepares the
+// context.
 //
 // The lane count is fixed by NewExecContext, which spawns the context's
 // persistent mapreduce worker pool (parked between jobs); the owner
@@ -78,14 +81,14 @@ type ExecContext struct {
 	morsels [][]mapMorsel
 
 	// mergeParts' scratch and product: the parts being merged (the last
-	// job's per-node output), their offsets, merge heads and head
-	// prefixes, each part's sorted row numbers, and the merged order of
-	// the survivors — which, with sortParts and sortOffs, is what a
-	// merged Rows reads. sortFn is sortPart bound once.
+	// job's per-node output, each sorted in place), their offsets, merge
+	// heads and head prefixes, and the merged order of the survivors —
+	// which, with sortParts and sortOffs, is what a merged Rows reads.
+	// sortFn is sortPart bound once.
 	sortParts           []mapreduce.Block
 	sortOffs, sortHeads []int
 	sortPrefix          []uint64
-	sortIdx, sortOrder  []int32
+	sortOrder           []int32
 	sortFn              func(part, lane int)
 }
 
@@ -158,7 +161,6 @@ func (c *ExecContext) release() {
 			per[node] = mapreduce.ResetBlocks(per[node], 0, nil)
 		}
 	}
-	c.sortIdx = mapreduce.Free(&c.bufs, c.sortIdx)
 	c.sortOrder = mapreduce.Free(&c.bufs, c.sortOrder)
 	c.bufs.Reset()
 }
@@ -205,13 +207,11 @@ type arena struct {
 	fileView  *partition.View
 	fileNames map[fileKey][]string
 
-	// per-group join inputs of the reduce phase (groupRels), a map
-	// join's inputs (joinInputs) and the hoisted final-projection columns
-	// of a map-only job (projCols). A lane runs a map morsel or a reduce
+	// per-group join inputs of the reduce phase (groupRels) and a map
+	// join's inputs (joinInputs). A lane runs a map morsel or a reduce
 	// range, never both at once.
 	groupRels  []relation
 	joinInputs []relation
-	projCols   []int
 }
 
 // nextBlock hands out the morsel's next block, emptied for rows of the

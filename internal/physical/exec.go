@@ -207,7 +207,8 @@ func (x *Executor) runLevel(pp *Plan, l int, rec *mapreduce.JobRecord) *mapreduc
 }
 
 // mapOnlyJob builds the single job of a map-only plan: one morsel per
-// node, evaluating the node's whole local subtree. Splitting it, as
+// node, evaluating the node's whole local subtree with the root writing
+// the SELECT columns straight into the node output. Splitting it, as
 // levelJob splits its scans per partition file, is not done.
 func (x *Executor) mapOnlyJob(pp *Plan) mapreduce.Job {
 	sel := pp.Logical.Root.Attrs
@@ -215,10 +216,8 @@ func (x *Executor) mapOnlyJob(pp *Plan) mapreduce.Job {
 		MapMorsel: func(node, _, lane int, m *mapreduce.Meter, _ *mapreduce.Emitter, out *mapreduce.Block) {
 			a := x.Ctx.arenas[lane]
 			a.resetBlocks()
-			rel := x.evalLocal(pp, pp.Root, node, m, "", a)
-			a.projCols = rel.appendCols(a.projCols[:0], sel)
-			projectInto(out, rel.Block, a.projCols)
-			m.Check(rel.N)
+			x.evalInto(out, sel, pp, pp.Root, node, m, "", a)
+			m.Check(out.N) // the node's only morsel: out holds its rows alone
 		},
 	}
 }
@@ -272,7 +271,7 @@ func (x *Executor) levelJob(pp *Plan, l int) mapreduce.Job {
 				if final {
 					dst, attrs = out, sel
 				}
-				counts := a.naryJoinInto(dst, rels, rj.Op.JoinAttrs, attrs)
+				counts := a.naryJoinInto(dst, rels, rj.Op.JoinAttrs, attrs, false)
 				m.Join(counts.in + counts.out)
 				m.Write(counts.out)
 				if final {
@@ -303,7 +302,7 @@ func (x *Executor) buildMorsels(pp *Plan, level []*Info) [][]mapMorsel {
 			ci := pp.Infos[c]
 			if ci.Kind == KindScan {
 				tp := pp.Logical.Query.Patterns[c.Pattern]
-				if x.scanFilters(tp, c, a) {
+				if x.scanFilters(tp, c.Attrs, a) {
 					continue
 				}
 				pos := x.Part.ScanPos(scanPosition(tp, rj.Op.JoinAttrs[0]))
@@ -354,7 +353,9 @@ func (x *Executor) runMapMorsel(pp *Plan, mo *mapMorsel, node, lane int, m *mapr
 		// the whole scan's, and the emissions concatenate, in file order,
 		// to its sequence.
 		file := [1]string{mo.file}
-		rel = x.scanFiles(pp, mo.child, node, m, file[:], a)
+		dst := a.nextBlock(len(mo.child.Attrs))
+		x.scanFiles(dst, mo.child.Attrs, pp, mo.child, node, m, file[:], a)
+		rel = relation{schema: mo.child.Attrs, Block: *dst}
 	default:
 		rel = x.evalLocal(pp, mo.child, node, m, mo.rj.Op.JoinAttrs[0], a)
 	}
@@ -365,35 +366,42 @@ func (x *Executor) runMapMorsel(pp *Plan, mo *mapMorsel, node, lane int, m *mapr
 	}
 }
 
-// evalLocal evaluates a scan or map-join subtree on one node. coVar is
-// the partition variable context for scans: the attribute whose
-// partition replica the scan must read so co-located joins see
-// co-partitioned inputs. Map joins impose their own first join
-// attribute on their children. It runs concurrently across lanes; all
-// mutable scratch — the returned relation's cells and a map join's
-// input list included — lives in the lane's arena. A map join's inputs
-// are scans, so the input list is never in use twice at once.
+// evalLocal evaluates a subtree on one node into a lane arena block.
 func (x *Executor) evalLocal(pp *Plan, op *core.Op, node int, m *mapreduce.Meter, coVar string, a *arena) relation {
+	dst := a.nextBlock(len(op.Attrs))
+	x.evalInto(dst, op.Attrs, pp, op, node, m, coVar, a)
+	return relation{schema: op.Attrs, Block: *dst}
+}
+
+// evalInto evaluates a scan or map-join subtree on one node, appending
+// the attrs columns (op's, or some of them) of its rows to dst — the
+// job output for a map-only plan's root, which a root join sizes once.
+// coVar is the partition variable context for scans: the attribute
+// whose partition replica the scan must read so co-located joins see
+// co-partitioned inputs; map joins impose their own first join
+// attribute on their children. It runs concurrently across lanes; all
+// other mutable scratch lives in the lane's arena (a map join's inputs
+// are scans, so its input list is never in use twice at once).
+func (x *Executor) evalInto(dst *mapreduce.Block, attrs []string, pp *Plan, op *core.Op, node int, m *mapreduce.Meter, coVar string, a *arena) {
 	switch op.Kind {
 	case core.OpMatch:
 		// Read the pattern's matching tuples from this node's replica
 		// partitioned on coVar's position (Section 5.1 file layout).
 		tp := pp.Logical.Query.Patterns[op.Pattern]
 		pos := x.Part.ScanPos(scanPosition(tp, coVar))
-		return x.scanFiles(pp, op, node, m, x.scanFileNames(a, tp, pos), a)
+		x.scanFiles(dst, attrs, pp, op, node, m, x.scanFileNames(a, tp, pos), a)
 	case core.OpJoin:
 		a.joinInputs = slices.Grow(a.joinInputs[:0], len(op.Children))[:len(op.Children)]
 		children := a.joinInputs
 		for i, c := range op.Children {
 			children[i] = x.evalLocal(pp, c, node, m, op.JoinAttrs[0], a)
 		}
-		dst := a.nextBlock(len(op.Attrs))
-		counts := a.naryJoinInto(dst, children, op.JoinAttrs, op.Attrs)
+		counts := a.naryJoinInto(dst, children, op.JoinAttrs, attrs, op == pp.Root)
 		m.Join(counts.in + counts.out)
 		m.Write(counts.out)
-		return relation{schema: op.Attrs, Block: *dst}
+	default:
+		panic(fmt.Sprintf("physical: evalInto on %v", op.Kind))
 	}
-	panic(fmt.Sprintf("physical: evalLocal on %v", op.Kind))
 }
 
 // constCheck is one constant-position filter of a scan: the triple
@@ -429,48 +437,37 @@ func (x *Executor) scanFileNames(a *arena, tp sparql.TriplePattern, pos rdf.Pos)
 	return names
 }
 
-// scanFilters resolves a pattern's constant checks, variable
-// extraction columns and repeated-variable filters into the arena's
-// scratch (a.scanConsts, a.scanVarPos, a.scanRepeats), reporting
-// whether the scan is impossible (a constant missing from the
+// scanFilters resolves a pattern's constant checks, repeated-variable
+// filters and the extraction positions of its variables attrs into the
+// arena's scratch (a.scanConsts, a.scanRepeats, a.scanVarPos),
+// reporting whether the scan is impossible (a constant missing from the
 // dictionary — such a scan reads, charges and emits nothing).
-func (x *Executor) scanFilters(tp sparql.TriplePattern, op *core.Op, a *arena) bool {
-	consts := a.scanConsts[:0]
-	impossible := false
-	for _, p := range []rdf.Pos{rdf.SPos, rdf.PPos, rdf.OPos} {
+func (x *Executor) scanFilters(tp sparql.TriplePattern, attrs []string, a *arena) bool {
+	consts, repeats := a.scanConsts[:0], a.scanRepeats[:0]
+	for p := rdf.SPos; p <= rdf.OPos; p++ {
 		pt := tp.At(p)
-		if pt.IsVar {
-			continue
+		if !pt.IsVar {
+			id, ok := x.Dict.Lookup(pt.Term)
+			if !ok {
+				return true
+			}
+			consts = append(consts, constCheck{p, id})
 		}
-		id, ok := x.Dict.Lookup(pt.Term)
-		if !ok {
-			impossible = true
-			break
-		}
-		consts = append(consts, constCheck{p, id})
-	}
-	a.scanConsts = consts
-	if impossible {
-		return true
-	}
-	varPos := a.scanVarPos[:0]
-	repeats := a.scanRepeats[:0]
-	for _, attr := range op.Attrs {
-		first := rdf.Pos(255)
-		for _, p := range []rdf.Pos{rdf.SPos, rdf.PPos, rdf.OPos} {
-			pt := tp.At(p)
-			if pt.IsVar && pt.Var == attr {
-				if first == 255 {
-					first = p
-				} else {
-					repeats = append(repeats, [2]rdf.Pos{first, p})
-				}
+		for q := p + 1; q <= rdf.OPos; q++ {
+			if u := tp.At(q); pt.IsVar && u.IsVar && u.Var == pt.Var {
+				repeats = append(repeats, [2]rdf.Pos{p, q})
 			}
 		}
-		varPos = append(varPos, first)
 	}
-	a.scanVarPos = varPos
-	a.scanRepeats = repeats
+	varPos := a.scanVarPos[:0]
+	for _, attr := range attrs {
+		p := rdf.SPos // attr's first position
+		for pt := tp.At(p); !pt.IsVar || pt.Var != attr; pt = tp.At(p) {
+			p++
+		}
+		varPos = append(varPos, p)
+	}
+	a.scanConsts, a.scanRepeats, a.scanVarPos = consts, repeats, varPos
 	return false
 }
 
@@ -548,24 +545,20 @@ rows:
 	}
 }
 
-// scanFiles gathers, into one arena block, the tuples of op's triple
-// pattern in the named partition files of one node, applying the
-// pattern's constant and repeated-variable filters. Files the node
-// does not hold are skipped.
-func (x *Executor) scanFiles(pp *Plan, op *core.Op, node int, m *mapreduce.Meter, names []string, a *arena) relation {
-	rel := relation{schema: op.Attrs}
-	if x.scanFilters(pp.Logical.Query.Patterns[op.Pattern], op, a) {
-		return rel
+// scanFiles appends to dst the attrs columns (op's, or some of them) of
+// the tuples of op's triple pattern in the named partition files of one
+// node, applying the pattern's constant and repeated-variable filters.
+// Files the node does not hold are skipped.
+func (x *Executor) scanFiles(dst *mapreduce.Block, attrs []string, pp *Plan, op *core.Op, node int, m *mapreduce.Meter, names []string, a *arena) {
+	if x.scanFilters(pp.Logical.Query.Patterns[op.Pattern], attrs, a) {
+		return
 	}
-	dst := a.nextBlock(len(op.Attrs))
 	nd := x.view.Node(node)
 	for _, fname := range names {
 		if f, ok := nd.Get(fname); ok {
 			x.openScanFile(f, m, a).each(a, dst)
 		}
 	}
-	rel.Block = *dst
-	return rel
 }
 
 // scanPosition picks the replica a pattern scan reads: the position of

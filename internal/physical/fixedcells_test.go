@@ -144,15 +144,10 @@ func scanThrough(t *testing.T, x *Executor, q *sparql.Query, pos rdf.Pos) ([]str
 	var rows []string
 	for node := 0; node < x.view.Nodes(); node++ {
 		a.resetBlocks()
-		rel := x.scanFiles(pp, pp.Root, node, &m, names, a)
-		cols := rel.appendCols(nil, q.Select)
-		for i := 0; i < rel.N; i++ {
-			row := rel.Row(i)
-			cells := make([]rdf.TermID, len(cols))
-			for j, c := range cols {
-				cells[j] = row[c]
-			}
-			rows = append(rows, fmt.Sprint(cells))
+		dst := a.nextBlock(len(q.Select))
+		x.scanFiles(dst, q.Select, pp, pp.Root, node, &m, names, a)
+		for i := 0; i < dst.N; i++ {
+			rows = append(rows, fmt.Sprint([]rdf.TermID(dst.Row(i))))
 		}
 	}
 	slices.Sort(rows)

@@ -65,8 +65,9 @@ func refJoin(children []rowRel, attrs []string) []string {
 }
 
 // checkJoin runs naryJoinInto on the flat form of children — appending
-// to a block that already holds a row — and compares rows and counts
-// with the reference.
+// to a block that already holds a row, growing it as rows come and
+// sized once up front — and compares rows and counts with the
+// reference.
 func checkJoin(t *testing.T, a *arena, label string, children []rowRel, joinAttrs, attrs []string) {
 	t.Helper()
 	rels := make([]relation, len(children))
@@ -75,24 +76,26 @@ func checkJoin(t *testing.T, a *arena, label string, children []rowRel, joinAttr
 		rels[i] = c.flat()
 		in += len(c.rows)
 	}
-	var dst mapreduce.Block
-	sentinel := make(mapreduce.Row, len(attrs))
-	dst.Append(sentinel)
-	counts := a.naryJoinInto(&dst, rels, joinAttrs, attrs)
 	want := refJoin(children, attrs)
-	got := []string{}
-	for i := 1; i < dst.N; i++ {
-		got = append(got, fmt.Sprint(dst.Row(i)))
-	}
-	sort.Strings(got)
-	if len(got) != len(want) || len(want) > 0 && !reflect.DeepEqual(got, want) {
-		t.Fatalf("%s: %d rows, the nested-loop reference has %d\n got %v\nwant %v", label, len(got), len(want), got, want)
-	}
-	if counts.in != in || counts.out != len(want) {
-		t.Fatalf("%s: counts %+v, want in %d out %d", label, counts, in, len(want))
-	}
-	if dst.Width != len(attrs) || len(dst.Cells) != dst.N*dst.Width || fmt.Sprint(dst.Row(0)) != fmt.Sprint(sentinel) {
-		t.Fatalf("%s: the destination block is inconsistent: %d x %d over %d cells, first row %v", label, dst.N, dst.Width, len(dst.Cells), dst.Row(0))
+	for _, size := range []bool{false, true} {
+		var dst mapreduce.Block
+		sentinel := make(mapreduce.Row, len(attrs))
+		dst.Append(sentinel)
+		counts := a.naryJoinInto(&dst, rels, joinAttrs, attrs, size)
+		got := []string{}
+		for i := 1; i < dst.N; i++ {
+			got = append(got, fmt.Sprint(dst.Row(i)))
+		}
+		sort.Strings(got)
+		if len(got) != len(want) || len(want) > 0 && !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s (size %v): %d rows, the nested-loop reference has %d\n got %v\nwant %v", label, size, len(got), len(want), got, want)
+		}
+		if counts.in != in || counts.out != len(want) {
+			t.Fatalf("%s (size %v): counts %+v, want in %d out %d", label, size, counts, in, len(want))
+		}
+		if dst.Width != len(attrs) || len(dst.Cells) != dst.N*dst.Width || fmt.Sprint(dst.Row(0)) != fmt.Sprint(sentinel) {
+			t.Fatalf("%s (size %v): the destination block is inconsistent: %d x %d over %d cells, first row %v", label, size, dst.N, dst.Width, len(dst.Cells), dst.Row(0))
+		}
 	}
 }
 

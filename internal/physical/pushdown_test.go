@@ -110,3 +110,31 @@ func TestLevelSkippingMapShuffler(t *testing.T) {
 		t.Fatalf("got %d rows, want %d", len(r.Rows), len(want))
 	}
 }
+
+// TestRepeatedVariableSurvivesPushdown checks that a pattern repeating a
+// variable keeps its filter when projection pushdown trims that
+// variable from the scan's schema: `?x ?p ?x` matches only triples
+// whose subject is their object, whatever the scan outputs.
+func TestRepeatedVariableSurvivesPushdown(t *testing.T) {
+	g := rdf.NewGraph()
+	g.AddSPO("a", "loops", "a")
+	g.AddSPO("a", "links", "b")
+	g.AddSPO("b", "links", "c")
+	q := sparql.MustParse(`SELECT ?p WHERE { ?x ?p ?x }`)
+	q.Name = "loop"
+	res, err := core.Optimize(q, core.Options{Method: vargraph.MSC})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pp, err := Compile(core.PushProjections(res.Unique[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := newExec(g, 3).Execute(pp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := refeval.Eval(g, q); len(r.Rows) != len(want) || len(want) != 1 {
+		t.Fatalf("got %d rows, want %d (the reference's), and it has 1", len(r.Rows), len(want))
+	}
+}

@@ -53,8 +53,10 @@ type joinCounts struct {
 // with one precomputed hash. The column sources and residual checks
 // come from the arena's join-plan memo (they depend only on the child
 // schemas and attrs, which repeat across the thousands of per-group
-// joins of one reduce phase).
-func (a *arena) naryJoinInto(dst *mapreduce.Block, children []relation, joinAttrs, attrs []string) joinCounts {
+// joins of one reduce phase). With size set, a first pass counts the
+// combinations — the output rows, and rows residual checks would drop —
+// and grows dst once for them all; it meters nothing.
+func (a *arena) naryJoinInto(dst *mapreduce.Block, children []relation, joinAttrs, attrs []string, size bool) joinCounts {
 	var counts joinCounts
 	empty := len(children) == 0
 	for i := range children {
@@ -79,33 +81,53 @@ func (a *arena) naryJoinInto(dst *mapreduce.Block, children []relation, joinAttr
 	// Stream the first child: every row whose key is present in all
 	// other children produces the consistent combinations of the
 	// per-child groups. at[i] is where, in child i's cells, the row of
-	// the combination being enumerated starts.
-	at, lists := a.at[:nc], a.lists[:nc]
+	// the combination being enumerated starts. Rows go to out, dst's
+	// header copied to the stack: no lane shares its cache line.
+	at, lists, out := a.at[:nc], a.lists[:nc], *dst
 	emit := func() {
 		for _, c := range jp.checks {
 			if children[c.aChild].Cells[at[c.aChild]+c.aCol] != children[c.bChild].Cells[at[c.bChild]+c.bCol] {
 				return
 			}
 		}
-		out := dst.Extend(1, len(attrs))
-		for i := range out {
-			out[i] = children[jp.srcChild[i]].Cells[at[jp.srcChild[i]]+jp.srcCol[i]]
+		row := out.Extend(1, len(attrs))
+		for i := range row {
+			row[i] = children[jp.srcChild[i]].Cells[at[jp.srcChild[i]]+jp.srcCol[i]]
 		}
 		counts.out++
 	}
 	c0, cols0 := &children[0], a.colIdx[0]
-rows:
-	for r := 0; r < c0.N; r++ {
-		row0 := c0.Row(r)
-		h := hashRowKey(row0, cols0)
-		for i := 1; i < nc; i++ {
-			if lists[i] = a.tables[i].probe(row0, cols0, h); lists[i] == nil {
-				continue rows
+	// each probes every other child's table with each row of the first
+	// and calls fn with the rows matching in all of them, lists filled.
+	each := func(fn func(r int)) {
+	rows:
+		for r := 0; r < c0.N; r++ {
+			row0 := c0.Row(r)
+			h := hashRowKey(row0, cols0)
+			for i := 1; i < nc; i++ {
+				if lists[i] = a.tables[i].probe(row0, cols0, h); lists[i] == nil {
+					continue rows
+				}
 			}
+			fn(r)
 		}
+	}
+	if size {
+		rows := 0
+		each(func(int) {
+			k := 1
+			for _, l := range lists[1:] {
+				k *= len(l)
+			}
+			rows += k
+		})
+		out.Reserve(rows, len(attrs))
+	}
+	each(func(r int) {
 		at[0] = r * c0.Width
 		combine(children, lists, 1, at, emit)
-	}
+	})
+	*dst = out
 	return counts
 }
 
@@ -175,17 +197,4 @@ func residualChecks(schema []string, children []relation, srcChild, srcCol []int
 		}
 	}
 	return checks
-}
-
-// projectInto appends src's rows, restricted to its columns cols, to
-// dst, without deduplication.
-func projectInto(dst *mapreduce.Block, src mapreduce.Block, cols []int) {
-	out := dst.Extend(src.N, len(cols))
-	for r, k := 0, 0; r < src.N; r++ {
-		row := src.Row(r)
-		for _, c := range cols {
-			out[k] = row[c]
-			k++
-		}
-	}
 }

@@ -43,18 +43,17 @@ func rowPrefix(row mapreduce.Row) uint64 {
 	return uint64(row[0])<<32 | uint64(row[1])
 }
 
-// mergeParts produces the canonical result set of a job's output parts
-// (one block per node) — the distinct rows in compareRows order —
-// without moving a row: each part's row numbers are sorted on their own
+// mergeParts produces the canonical result set of the last job's output
+// parts (one block per node, read by nothing else) — the distinct rows
+// in compareRows order: each part's rows are sorted in place
 // (concurrently on the pool when the result is large) and a k-way merge
-// lists the rows in order, dropping duplicates as they meet (equal rows
-// are adjacent across part heads under a total order). The product is
-// an order over the parts, left in the context's scratch, and the Rows
-// that reads through it: valid until the context's next job, and on a
-// warm context allocation-free.
+// lists them in order, dropping duplicates as they meet (equal rows are
+// adjacent across part heads under a total order). The product is an
+// order over the sorted parts, left in the context's scratch, and the
+// Rows that reads through it: valid until the context's next job, and
+// on a warm context allocation-free.
 func (c *ExecContext) mergeParts(parts []mapreduce.Block) Rows {
-	// idx holds each part's row numbers, part after part; part p's are
-	// idx[offs[p]:offs[p+1]].
+	// Rows are numbered part after part: part p's are offs[p]:offs[p+1].
 	offs, total, width := c.sortOffs[:0], 0, 0
 	for p := range parts {
 		offs = append(offs, total)
@@ -65,8 +64,6 @@ func (c *ExecContext) mergeParts(parts []mapreduce.Block) Rows {
 	}
 	offs = append(offs, total)
 	c.sortOffs, c.sortParts = offs, parts
-	c.sortIdx = sized(&c.bufs, c.sortIdx, total)
-	idx := c.sortIdx
 	pool := c.pool
 	if total < parallelSortMin {
 		pool = nil
@@ -76,13 +73,13 @@ func (c *ExecContext) mergeParts(parts []mapreduce.Block) Rows {
 	}
 	pool.ForEach(len(parts), c.sortFn)
 
-	// Merge: order lists the distinct rows in result order, each as its
-	// part's offset plus its row number there. heads[p] is part p's next
-	// unmerged position in idx and prefix[p] that row's prefix.
+	// Merge: order lists the distinct rows in result order, each by its
+	// number. heads[p] is part p's next unmerged row and prefix[p] that
+	// row's prefix.
 	order := sized(&c.bufs, c.sortOrder, total)[:0]
 	heads := append(c.sortHeads[:0], offs[:len(parts)]...)
 	prefix := slices.Grow(c.sortPrefix[:0], len(parts))[:len(parts)]
-	head := func(p int) mapreduce.Row { return parts[p].Row(int(idx[heads[p]])) }
+	head := func(p int) mapreduce.Row { return parts[p].Row(heads[p] - offs[p]) }
 	for p := range parts {
 		if heads[p] < offs[p+1] {
 			prefix[p] = rowPrefix(head(p))
@@ -103,7 +100,7 @@ func (c *ExecContext) mergeParts(parts []mapreduce.Block) Rows {
 			break
 		}
 		if row := head(best); len(order) == 0 || compareRows(last, row) != 0 {
-			order = append(order, int32(offs[best])+idx[heads[best]])
+			order = append(order, int32(heads[best]))
 			last = row
 		}
 		if heads[best]++; heads[best] < offs[best+1] {
@@ -114,22 +111,37 @@ func (c *ExecContext) mergeParts(parts []mapreduce.Block) Rows {
 	return Rows{blk: mapreduce.Block{Width: width, N: len(order)}, ctx: c, merged: true}
 }
 
-// sortPart sorts part p's row numbers into its span of sortIdx.
+// sortPart sorts part p's rows in place; rows of one cell are the cells.
 func (c *ExecContext) sortPart(p, _ int) {
-	part, rows := &c.sortParts[p], c.sortIdx[c.sortOffs[p]:c.sortOffs[p+1]]
-	for i := range rows {
-		rows[i] = int32(i)
+	if b := &c.sortParts[p]; b.Width == 1 {
+		slices.Sort(b.Cells)
+	} else {
+		sort.Sort((*partRows)(b))
 	}
-	slices.SortFunc(rows, func(a, b int32) int { return compareRows(part.Row(int(a)), part.Row(int(b))) })
+}
+
+// partRows sorts a block's rows by swapping their cells (rows of width
+// 0 are all equal).
+type partRows mapreduce.Block
+
+func (b *partRows) Len() int                { return b.N }
+func (b *partRows) row(i int) mapreduce.Row { return (*mapreduce.Block)(b).Row(i) }
+func (b *partRows) Less(i, j int) bool      { return compareRows(b.row(i), b.row(j)) < 0 }
+func (b *partRows) Swap(i, j int) {
+	x, y := b.row(i), b.row(j)
+	for k := range x {
+		x[k], y[k] = y[k], x[k]
+	}
 }
 
 // Rows is a finished result as the executor hands it over: the distinct
 // rows in canonical order, read in place. It is backed either by the
-// merge order of the running context — positions into the last job's
-// per-node output, both the context's scratch — or by one owned block
-// (a result-cache entry's). Either way it is borrowed: valid only
-// inside the callback Executor.Run passes it to, and nothing may keep
-// it, or a Row it returned, beyond that. Materialise is the way out.
+// merge order of the running context — row numbers into the last job's
+// per-node output, sorted in place, both the context's scratch — or by
+// one owned block (a result-cache entry's). Either way it is borrowed:
+// valid only inside the callback Executor.Run passes it to, and nothing
+// may keep it, or a Row it returned, beyond that. Materialise is the
+// way out.
 type Rows struct {
 	// blk is the owned block; of a merge order it gives the shape only
 	// (width and row count, no cells).
