@@ -11,10 +11,12 @@ package cliquesquare
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 
 	"cliquesquare/internal/lubm"
 	"cliquesquare/internal/physical"
+	"cliquesquare/internal/sparql"
 	"cliquesquare/internal/systems/csq"
 )
 
@@ -50,25 +52,34 @@ const (
 	// lanes. When each cell was rendered afresh, Q1's 10.5k rows cost
 	// ≈21k).
 	cachedServeAllocCeiling = 300
+	// preparedHitAllocCeiling bounds the objects a facade PrepareQuery
+	// allocates when the plan cache serves it (measured 3: the cache key,
+	// the Prepared and its SELECT names; 36–103 when validation built
+	// maps and canonicalization grew an encoding buffer).
+	preparedHitAllocCeiling = 3
 	// uncachedQueryFixedBytes is what one executing facade Query may
 	// allocate beyond its answer — the [][]string the public Result is:
 	// 24 B per row and 16 B per cell, with 2% for the allocator's size
-	// classes (measured ≈ 11 KB for map-only Q1: parse, canonicalize, the
-	// plan-cache probe and the job's bookkeeping. The finished ids are
-	// decoded where the execution left them; when they were first copied
-	// into a final block under a []Row view, Q1's 10.5k rows cost 0.34 MB
-	// more).
+	// classes (measured 19.7 KB above those 591 KB for map-only Q1, 6.7 KB
+	// of it the page rounding of the answer's two arrays: ≈ 13 KB of
+	// parse, canonicalize, the plan-cache probe and the job's bookkeeping;
+	// 2.8 KB more when the parser built a token slice and canonicalization
+	// grew an encoding buffer. The finished ids are decoded where the
+	// execution left them; when they were first copied into a final block
+	// under a []Row view, Q1's 10.5k rows cost 0.34 MB more).
 	uncachedQueryFixedBytes = 24 << 10
 	// variantPrepareBytesCeiling bounds the bytes one pass of
 	// BenchmarkPrepareColdVsCached/variant allocates: six cold prepares
-	// for a university no plan is cached for (measured ≈47.9 KB: parse
-	// aside, a miss is a canonicalization, a statistics snapshot, one
-	// pricing walk over the shape's resident plan space and a bind of the
-	// winner's compiled candidate — a plan header and its key; 141.5 KB
-	// when every miss materialised, pushed down, compiled and keyed the
-	// winner anew; ≈14 MB when every miss enumerated its plan space again
-	// and classified each candidate into a map to price it).
-	variantPrepareBytesCeiling = 67 << 10
+	// for a university no plan is cached for: 1.1× the measured 25.6 KB.
+	// Parse aside, a miss is a validation and a canonicalization that
+	// allocate only the cache key, a statistics snapshot, one pricing walk
+	// over the shape's resident plan space and a bind of the winner's
+	// compiled candidate — a plan header and its key. It was 47.5 KB when
+	// validation built maps and canonicalization grew an encoding buffer;
+	// 141.5 KB when every miss materialised, pushed down, compiled and
+	// keyed the winner anew; ≈14 MB when every miss enumerated its plan
+	// space again and classified each candidate into a map to price it.
+	variantPrepareBytesCeiling = 28_200
 	// passAfterCommitRatioCeiling bounds what the 14-query pass right
 	// after a commit allocates, relative to a warm pass: its 14
 	// revalidations snapshot and re-price, whatever the size of the
@@ -180,6 +191,52 @@ func TestAllocRegressionShuffleHeavy(t *testing.T) {
 	t.Logf("shuffle-heavy execution = %d allocs/op, %d B/op", res.AllocsPerOp(), res.AllocedBytesPerOp())
 	if got := float64(res.AllocsPerOp()); got > shuffleHeavyAllocCeiling {
 		t.Errorf("shuffle-heavy execution = %.0f allocs/op, ceiling %d", got, shuffleHeavyAllocCeiling)
+	}
+}
+
+// TestAllocFrontEnd pins what the text front end allocates per LUBM
+// query: Parse only the Query, its pattern and SELECT slices and one
+// string per expanded prefixed name; Validate and Key nothing; and a
+// facade PrepareQuery the plan cache serves only the cache key, the
+// Prepared handle and its copy of the SELECT names. When the parser
+// built a token slice, Validate a map per pattern and Canonicalize a
+// growing encoding buffer and refinement maps, they took 25–91, 11–52,
+// 22–48 (Canonicalize) and 36–103 allocs.
+func TestAllocFrontEnd(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation inflates allocation counts")
+	}
+	eng, err := NewEngine(lubmGraph(6), Options{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	for _, q := range lubm.Queries() {
+		src, err := lubm.Text(q.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prefixed := strings.Count(src, "ub:") - 1 // the PREFIX declaration names it once
+		if got := testing.AllocsPerRun(10, func() { _, _ = sparql.Parse(src) }); got > float64(3+prefixed) {
+			t.Errorf("%s: Parse = %.0f allocs, ceiling 3 + %d prefixed names", q.Name, got, prefixed)
+		}
+		if got := testing.AllocsPerRun(10, func() { _ = q.Validate() }); got != 0 {
+			t.Errorf("%s: Validate = %.0f allocs, want 0", q.Name, got)
+		}
+		if got := testing.AllocsPerRun(10, func() { _ = sparql.Key(q) }); got != 0 {
+			t.Errorf("%s: sparql.Key = %.0f allocs, want 0", q.Name, got)
+		}
+		if _, err := eng.PrepareQuery(q); err != nil { // plans it
+			t.Fatal(err)
+		}
+		got := testing.AllocsPerRun(10, func() {
+			if p, err := eng.PrepareQuery(q); err != nil || !p.PlanCached() {
+				t.Errorf("%s: warm prepare missed the plan cache: %v", q.Name, err)
+			}
+		})
+		if got > preparedHitAllocCeiling {
+			t.Errorf("%s: PrepareQuery served by the plan cache = %.0f allocs, ceiling %d", q.Name, got, preparedHitAllocCeiling)
+		}
 	}
 }
 

@@ -454,6 +454,48 @@ func BenchmarkEndToEnd(b *testing.B) {
 	}
 }
 
+// BenchmarkFrontEnd measures what a request pays before a plan is run,
+// one op per LUBM query: "parse" is sparql.Parse of its text, "hit" a
+// facade PrepareQuery the plan cache serves — validate, canonicalize,
+// probe and the Prepared handle — on a one-lane engine.
+func BenchmarkFrontEnd(b *testing.B) {
+	var srcs []string
+	var qs []*Query
+	for _, q := range lubm.Queries() {
+		src, err := lubm.Text(q.Name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		srcs, qs = append(srcs, src), append(qs, q)
+	}
+	b.Run("parse", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := Parse(srcs[i%len(srcs)]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	eng, err := NewEngine(lubmGraph(6), Options{Parallelism: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer eng.Close()
+	for _, q := range qs {
+		if _, err := eng.PrepareQuery(q); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.Run("hit", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if p, err := eng.PrepareQuery(qs[i%len(qs)]); err != nil || !p.PlanCached() {
+				b.Fatalf("warm prepare missed: %v", err)
+			}
+		}
+	})
+}
+
 // BenchmarkDecodeCached measures the result boundary on its own: a
 // warmed, result-cached facade Query, where the request is parse, cache
 // probes, replay and decode — of the cache entry's block, read in place,

@@ -74,17 +74,27 @@ func UniversityVariants(c int) []*sparql.Query {
 
 // Query returns the named workload query (e.g. "Q7").
 func Query(name string) (*sparql.Query, error) {
+	src, err := Text(name)
+	if err != nil {
+		return nil, err
+	}
+	q, err := sparql.Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	q.Name = name
+	return q, nil
+}
+
+// Text returns the named workload query's SPARQL text, the ub: PREFIX
+// declaration included.
+func Text(name string) (string, error) {
 	for _, qs := range querySources {
 		if qs.name == name {
-			q, err := sparql.Parse(prologue + qs.src)
-			if err != nil {
-				return nil, err
-			}
-			q.Name = qs.name
-			return q, nil
+			return prologue + qs.src, nil
 		}
 	}
-	return nil, fmt.Errorf("lubm: no query named %q", name)
+	return "", fmt.Errorf("lubm: no query named %q", name)
 }
 
 // Selective lists the queries the paper classifies as selective on

@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"slices"
-	"sort"
 )
 
 // Canonical is the canonical form of a query, the unit the plan cache
@@ -44,166 +43,168 @@ type Canonical struct {
 // to input order, which can only miss a cache hit, never produce a wrong
 // one (the Key digests the full canonical query).
 func Canonicalize(q *Query) Canonical {
-	pcol := refine(q)
+	k := Key(q)
+	return Canonical{Key: string(k[:])}
+}
+
+// KeyLen is the length of a Key: a hex SHA-256 digest.
+const KeyLen = 2 * sha256.Size
+
+// Key returns Canonicalize(q).Key as an array, allocating nothing for a
+// query of up to stackPatterns patterns: the canonical encoding goes
+// straight into the hash.
+func Key(q *Query) [KeyLen]byte {
+	var atBuf [stackPatterns][3]int32
+	var nameBuf [3 * stackPatterns]string
+	at, names := numberVars(q.Patterns, atBuf[:0], nameBuf[:0])
+	var pcolBuf [stackPatterns]color
+	pcol := refine(q, at, names, pcolBuf[:0])
 	// Stable sort: input order among refinement-indistinguishable
 	// patterns.
-	order := make([]int, len(q.Patterns))
-	for i := range order {
-		order[i] = i
+	var orderBuf [stackPatterns]int32
+	order := orderBuf[:0]
+	for i := range at {
+		order = append(order, int32(i))
 	}
-	sort.SliceStable(order, func(a, b int) bool { return pcol[order[a]] < pcol[order[b]] })
+	slices.SortStableFunc(order, func(a, b int32) int { return cmp.Compare(pcol[a], pcol[b]) })
 
-	// Rename variables by first occurrence in the canonical order, then
-	// encode the canonical query. The encoding is injective — it is the
-	// canonical query itself — so equal digests (collisions aside) mean
-	// equal canonical queries.
-	rank := make(map[string]int)
-	var enc []byte
+	// Rename variables by first occurrence in the canonical order (rank
+	// is 1 + the new number, 0 before the first), then encode the
+	// canonical query. The encoding is injective — it is the canonical
+	// query itself — so equal digests (collisions aside) mean equal
+	// canonical queries.
+	var rankBuf [3 * stackPatterns]uint64
+	rank, ranked := append(rankBuf[:0], make([]uint64, len(names))...), uint64(0)
+	h := sha256.New()
+	var buf [64]byte
 	for _, i := range order {
 		tp := q.Patterns[i]
-		for _, pt := range [3]PatternTerm{tp.S, tp.P, tp.O} {
-			if pt.IsVar {
-				r, ok := rank[pt.Var]
-				if !ok {
-					r = len(rank)
-					rank[pt.Var] = r
+		for k, pt := range [3]PatternTerm{tp.S, tp.P, tp.O} {
+			if n := at[i][k]; n >= 0 {
+				if rank[n] == 0 {
+					ranked, rank[n] = ranked+1, ranked+1
 				}
-				enc = appendUvarint(append(enc, 'v'), r)
+				h.Write(binary.AppendUvarint(append(buf[:0], 'v'), rank[n]-1))
 				continue
 			}
-			enc = appendUvarint(append(enc, 'c', byte(pt.Term.Kind)), len(pt.Term.Value))
-			enc = append(enc, pt.Term.Value...)
+			h.Write(binary.AppendUvarint(append(buf[:0], 'c', byte(pt.Term.Kind)), uint64(len(pt.Term.Value))))
+			for v := pt.Term.Value; len(v) > 0; { // through buf: []byte(v) would copy v to the heap
+				n := copy(buf[:], v)
+				h.Write(buf[:n])
+				v = v[n:]
+			}
 		}
-		enc = append(enc, '.')
+		h.Write(append(buf[:0], '.'))
 	}
-	enc = append(enc, 's')
+	h.Write(append(buf[:0], 's'))
 	for _, v := range q.Select {
-		if r, ok := rank[v]; ok {
-			enc = appendUvarint(enc, r)
-			continue
+		if n := slices.Index(names, v); n >= 0 {
+			h.Write(binary.AppendUvarint(buf[:0], rank[n]-1))
+		} else {
+			// A selected variable absent from every pattern (an invalid
+			// query — Validate rejects it) must still encode distinctly,
+			// so a malformed query can never share a fingerprint with a
+			// valid one.
+			h.Write(append(append([]byte{'u'}, v...), 0))
 		}
-		// A selected variable absent from every pattern (an invalid
-		// query — Validate rejects it) must still encode distinctly, so
-		// a malformed query can never share a fingerprint with a valid
-		// one.
-		enc = append(enc, 'u')
-		enc = append(enc, v...)
-		enc = append(enc, 0)
 	}
-	h := sha256.Sum256(enc)
-	return Canonical{Key: hex.EncodeToString(h[:])}
+	var sum [sha256.Size]byte
+	var key [KeyLen]byte
+	hex.Encode(key[:], h.Sum(sum[:0]))
+	return key
 }
 
-// color is a refinement color: a digest of what it stands for. 64 bits
-// are plenty — a collision can only merge two color classes, that is,
-// leave one more tie to input order.
+// color is a refinement color: an FNV-1a digest of what it stands for.
+// 64 bits are plenty — a collision can only merge two color classes,
+// that is, leave one more tie to input order.
 type color uint64
 
-// colorOf digests b (FNV-1a).
-func colorOf(b []byte) color {
-	h := uint64(14695981039346656037)
-	for _, c := range b {
-		h = (h ^ uint64(c)) * 1099511628211
+// blank is the digest of no bytes.
+const blank color = 14695981039346656037
+
+func (c color) add(b byte) color { return (c ^ color(b)) * 1099511628211 }
+
+func (c color) addString(s string) color {
+	for i := range len(s) {
+		c = c.add(s[i])
 	}
-	return color(h)
+	return c
 }
 
-func appendColor(b []byte, c color) []byte { return binary.LittleEndian.AppendUint64(b, uint64(c)) }
-
-// refine runs color refinement over q's patterns and variables and
-// returns the patterns' colors once the variable partition is stable. A
-// constant is no refined term but a fixed color: its kind and value.
-func refine(q *Query) []color {
-	// Number the variables and give each its starting color, which every
-	// later color of the variable digests again: its positions in SELECT.
-	vars := make(map[string]int)
-	var seed [][]byte
-	at := make([][3]int, len(q.Patterns)) // variable per position, -1 for a constant
-	for i, tp := range q.Patterns {
-		for p, pt := range [3]PatternTerm{tp.S, tp.P, tp.O} {
-			if !pt.IsVar {
-				at[i][p] = -1
-				continue
-			}
-			n, ok := vars[pt.Var]
-			if !ok {
-				n = len(seed)
-				vars[pt.Var] = n
-				seed = append(seed, []byte{'v'})
-			}
-			at[i][p] = n
-		}
+// addColor digests x's eight bytes, little-endian.
+func (c color) addColor(x color) color {
+	for i := 0; i < 64; i += 8 {
+		c = c.add(byte(x >> i))
 	}
+	return c
+}
+
+// refine runs color refinement over q's patterns and variables — at and
+// names as numberVars numbers them — and appends to pcol the patterns'
+// colors once the variable partition is stable. A constant is no
+// refined term but a fixed color: its kind and value.
+func refine(q *Query, at [][3]int32, names []string, pcol []color) []color {
+	// Each variable starts from a color that every later color of it
+	// digests again: its positions in SELECT.
+	var seedBuf, tcolBuf, sortedBuf [3 * stackPatterns]color
+	seed := seedBuf[:0]
+	for range names {
+		seed = append(seed, blank.add('v'))
+	}
+	var tmp [binary.MaxVarintLen64]byte
 	for i, v := range q.Select {
-		if n, ok := vars[v]; ok {
-			seed[n] = appendUvarint(seed[n], i)
+		if n := slices.Index(names, v); n >= 0 {
+			seed[n] = seed[n].addString(string(binary.AppendUvarint(tmp[:0], uint64(i))))
 		}
 	}
-	tcol := make([]color, len(seed))
-	for n := range tcol {
-		tcol[n] = colorOf(seed[n])
-	}
-
-	pcol := make([]color, len(q.Patterns))
-	var buf []byte
+	tcol := append(tcolBuf[:0], seed...)
 	colorPatterns := func() {
+		pcol = pcol[:0]
 		for i, tp := range q.Patterns {
-			buf = buf[:0]
-			for p, pt := range [3]PatternTerm{tp.S, tp.P, tp.O} {
-				if n := at[i][p]; n >= 0 {
-					buf = appendColor(append(buf, 't'), tcol[n])
+			c := blank
+			for k, pt := range [3]PatternTerm{tp.S, tp.P, tp.O} {
+				if n := at[i][k]; n >= 0 {
+					c = c.add('t').addColor(tcol[n]).add(0)
 				} else {
-					buf = append(append(buf, 'c', byte(pt.Term.Kind)), pt.Term.Value...)
+					c = c.add('c').add(byte(pt.Term.Kind)).addString(pt.Term.Value).add(0)
 				}
-				buf = append(buf, 0)
 			}
-			pcol[i] = colorOf(buf)
+			pcol = append(pcol, c)
 		}
 	}
-	// occs[n] collects variable n's occurrences of a round.
+	// A round re-colors each variable by its seed and its occurrences,
+	// sorted by (pattern color, position).
 	type occ struct {
+		v, pos  int32
 		pattern color
-		pos     int
 	}
-	occs := make([][]occ, len(tcol))
-	seen := make(map[color]struct{}, len(tcol))
-	distinct := 0
+	var occBuf [3 * stackPatterns]occ
+	occs, distinct := occBuf[:0], 0
 	for round := 0; round <= len(q.Patterns)+1; round++ {
 		colorPatterns()
-		for n := range occs {
-			occs[n] = occs[n][:0]
-		}
-		for i := range q.Patterns {
-			for p, n := range at[i] {
+		occs = occs[:0]
+		for i, a := range at {
+			for p, n := range a {
 				if n >= 0 {
-					occs[n] = append(occs[n], occ{pcol[i], p})
+					occs = append(occs, occ{n, int32(p), pcol[i]})
 				}
 			}
 		}
-		clear(seen)
-		for n, os := range occs {
-			slices.SortFunc(os, func(a, b occ) int {
-				return cmp.Or(cmp.Compare(a.pattern, b.pattern), cmp.Compare(a.pos, b.pos))
-			})
-			buf = append(buf[:0], seed[n]...)
-			for _, o := range os {
-				buf = append(appendColor(buf, o.pattern), byte(o.pos))
-			}
-			tcol[n] = colorOf(buf)
-			seen[tcol[n]] = struct{}{}
+		slices.SortFunc(occs, func(a, b occ) int {
+			return cmp.Or(cmp.Compare(a.v, b.v), cmp.Compare(a.pattern, b.pattern), cmp.Compare(a.pos, b.pos))
+		})
+		copy(tcol, seed)
+		for _, o := range occs {
+			tcol[o.v] = tcol[o.v].addColor(o.pattern).add(byte(o.pos))
 		}
-		if len(seen) == distinct {
+		sorted := append(sortedBuf[:0], tcol...)
+		slices.Sort(sorted)
+		n := len(slices.Compact(sorted))
+		if n == distinct {
 			break // partition stable: no class split this round
 		}
-		distinct = len(seen)
+		distinct = n
 	}
 	colorPatterns()
 	return pcol
-}
-
-// appendUvarint appends x in a self-delimiting binary form, keeping the
-// canonical encoding unambiguous.
-func appendUvarint(buf []byte, x int) []byte {
-	var tmp [binary.MaxVarintLen64]byte
-	return append(buf, tmp[:binary.PutUvarint(tmp[:], uint64(x))]...)
 }

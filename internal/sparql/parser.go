@@ -2,6 +2,7 @@ package sparql
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"cliquesquare/internal/rdf"
@@ -18,9 +19,82 @@ const RDFType = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
 // Each triple pattern position may be a ?variable, an <iri>, a
 // prefixed:name (expanded via PREFIX declarations), the keyword a
 // (rdf:type), or a "literal". Keywords are case-insensitive.
+//
+// The text is read once, a token at a time. A valid query allocates its
+// Query and its two slices, at their lengths, and one string per
+// expanded prefixed name or literal with an escape: all other text is
+// substrings of src.
 func Parse(src string) (*Query, error) {
-	p := &parser{toks: tokenize(src), prefixes: map[string]string{}}
-	return p.parseQuery()
+	p := parser{src: src}
+	p.scan()
+	var prefixBuf [4]prefix
+	prefixes := prefixBuf[:0]
+	for p.tok.is(tokWord, "PREFIX") {
+		p.next()
+		name := p.next()
+		if name.kind != tokWord || !strings.HasSuffix(name.text, ":") {
+			return nil, p.errf("PREFIX expects a name ending in ':'")
+		}
+		iri := p.next()
+		if iri.kind != tokIRI {
+			return nil, p.errf("PREFIX %s expects an <iri>", name.text)
+		}
+		prefixes = append(prefixes, prefix{name.text[:len(name.text)-1], iri.text})
+	}
+	if p.tok.kind == tokEOF {
+		return nil, p.errf("empty query")
+	}
+	if t := p.next(); !t.is(tokWord, "SELECT") {
+		return nil, p.errf("expected SELECT, found %q", t.text)
+	}
+	var selectBuf [8]string
+	sel := selectBuf[:0]
+	for p.tok.kind == tokVar {
+		sel = append(sel, p.next().text)
+	}
+	switch {
+	case p.tok.kind == tokEOF:
+		return nil, p.errf("unexpected end of query in SELECT clause")
+	case p.tok.is(tokPunct, "*"):
+		return nil, p.errf("SELECT * is not supported; list variables explicitly")
+	case len(sel) == 0:
+		return nil, p.errf("SELECT lists no variables")
+	}
+	t := p.next()
+	if t.is(tokWord, "WHERE") {
+		t = p.next()
+	}
+	if !t.is(tokPunct, "{") {
+		return nil, p.errf("expected '{', found %q", t.text)
+	}
+	var patternBuf [stackPatterns]TriplePattern
+	pats := patternBuf[:0]
+	for !p.tok.is(tokPunct, "}") {
+		if p.tok.kind == tokEOF {
+			return nil, p.errf("unterminated WHERE clause")
+		}
+		var tp [3]PatternTerm
+		for k := range tp {
+			if p.tok.kind == tokEOF {
+				return nil, p.errf("triple pattern truncated")
+			}
+			var err error
+			if tp[k], err = p.term(p.next(), k == 1, prefixes); err != nil {
+				return nil, err
+			}
+		}
+		if pats = append(pats, TriplePattern{tp[0], tp[1], tp[2]}); p.tok.is(tokPunct, ".") {
+			p.next()
+		}
+	}
+	if p.next(); p.tok.kind != tokEOF {
+		return nil, p.errf("trailing input after '}': %q", p.tok.text)
+	}
+	q := &Query{Select: slices.Clone(sel), Patterns: slices.Clone(pats)}
+	if err := q.Validate(); err != nil {
+		return nil, err
+	}
+	return q, nil
 }
 
 // MustParse is Parse that panics on error; intended for tests, examples
@@ -33,73 +107,85 @@ func MustParse(src string) *Query {
 	return q
 }
 
+type tokenKind uint8
+
+// tokErr is an unreadable byte, or an unterminated IRI or literal: the
+// rest of the input.
+const tokEOF, tokWord, tokVar, tokIRI, tokLit, tokPunct, tokErr tokenKind = 0, 1, 2, 3, 4, 5, 6
+
 type token struct {
-	kind string // "word", "var", "iri", "lit", "punct"
+	kind tokenKind
 	text string
 }
 
-func tokenize(src string) []token {
-	var toks []token
-	i := 0
-	for i < len(src) {
-		c := src[i]
-		switch {
-		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
-			i++
-		case c == '#': // comment to end of line
-			for i < len(src) && src[i] != '\n' {
+type parser struct {
+	src string
+	off int   // where the token after tok starts
+	tok token // the next token
+	n   int   // tokens consumed
+}
+
+// scan reads the token at p.off into p.tok.
+func (p *parser) scan() {
+	src, i := p.src, p.off
+	for ; i < len(src) && strings.IndexByte(" \t\n\r#", src[i]) >= 0; i++ {
+		if src[i] == '#' { // comment to end of line
+			for i+1 < len(src) && src[i+1] != '\n' {
 				i++
 			}
-		case c == '{' || c == '}' || c == '.' || c == ';':
-			toks = append(toks, token{"punct", string(c)})
-			i++
-		case c == '?' || c == '$':
-			j := i + 1
-			for j < len(src) && isNameByte(src[j]) {
-				j++
-			}
-			toks = append(toks, token{"var", src[i+1 : j]})
-			i = j
-		case c == '<':
-			j := strings.IndexByte(src[i:], '>')
-			if j < 0 {
-				toks = append(toks, token{"err", src[i:]})
-				return toks
-			}
-			toks = append(toks, token{"iri", src[i+1 : i+j]})
-			i += j + 1
-		case c == '"':
-			j := i + 1
-			var b strings.Builder
-			for j < len(src) && src[j] != '"' {
-				if src[j] == '\\' && j+1 < len(src) {
-					b.WriteByte(src[j+1])
-					j += 2
-					continue
-				}
-				b.WriteByte(src[j])
-				j++
-			}
-			if j >= len(src) {
-				toks = append(toks, token{"err", src[i:]})
-				return toks
-			}
-			toks = append(toks, token{"lit", b.String()})
-			i = j + 1
-		default:
-			j := i
-			for j < len(src) && isWordByte(src[j]) {
-				j++
-			}
-			if j == i { // unknown byte
-				toks = append(toks, token{"err", string(c)})
-				return toks
-			}
-			toks = append(toks, token{"word", src[i:j]})
-			i = j
 		}
 	}
-	return toks
+	// The token is src[lo:hi] and the next starts at end. By default it
+	// is an error that runs to the end of the input.
+	kind, lo, hi, end, esc := tokErr, i, len(src), len(src), false
+	switch {
+	case i == len(src):
+		kind = tokEOF
+	case strings.IndexByte("{}.;*", src[i]) >= 0:
+		kind, hi, end = tokPunct, i+1, i+1
+	case src[i] == '?' || src[i] == '$':
+		for hi = i + 1; hi < len(src) && isNameByte(src[hi]); hi++ {
+		}
+		kind, lo, end = tokVar, i+1, hi
+	case src[i] == '<':
+		if k := strings.IndexByte(src[i:], '>'); k >= 0 {
+			kind, lo, hi, end = tokIRI, i+1, i+k, i+k+1
+		}
+	case src[i] == '"':
+		k := i + 1
+		for ; k < len(src) && src[k] != '"'; k++ {
+			if src[k] == '\\' && k+1 < len(src) {
+				esc, k = true, k+1
+			}
+		}
+		if k < len(src) {
+			kind, lo, hi, end = tokLit, i+1, k, k+1
+		}
+	default:
+		for hi = i; hi < len(src) && isWordByte(src[hi]); hi++ {
+		}
+		if kind, end = tokWord, hi; hi == i { // an unknown byte
+			kind, hi, end = tokErr, i+1, len(src)
+		}
+	}
+	p.tok, p.off = token{kind, src[lo:hi]}, end
+	if kind == tokLit && esc {
+		p.tok.text = unescape(p.tok.text)
+	}
+}
+
+// unescape returns a literal's body with each backslash taking the byte
+// after it as it is.
+func unescape(s string) string {
+	var b strings.Builder
+	b.Grow(len(s))
+	for i := 0; i < len(s); i++ {
+		if s[i] == '\\' && i+1 < len(s) {
+			i++
+		}
+		b.WriteByte(s[i])
+	}
+	return b.String()
 }
 
 func isNameByte(c byte) bool {
@@ -110,147 +196,47 @@ func isWordByte(c byte) bool {
 	return isNameByte(c) || c == ':' || c == '-' || c == '/' || c == '\''
 }
 
-type parser struct {
-	toks     []token
-	pos      int
-	prefixes map[string]string
+// next consumes and returns the next token.
+func (p *parser) next() token {
+	t := p.tok
+	if t.kind != tokEOF {
+		p.n++
+		p.scan()
+	}
+	return t
 }
 
-func (p *parser) peek() (token, bool) {
-	if p.pos >= len(p.toks) {
-		return token{}, false
-	}
-	return p.toks[p.pos], true
-}
-
-func (p *parser) next() (token, bool) {
-	t, ok := p.peek()
-	if ok {
-		p.pos++
-	}
-	return t, ok
+// is reports whether t is the punctuation or (case-insensitive) keyword s.
+func (t token) is(kind tokenKind, s string) bool {
+	return t.kind == kind && strings.EqualFold(t.text, s)
 }
 
 func (p *parser) errf(format string, args ...any) error {
-	return fmt.Errorf("sparql: %s (at token %d)", fmt.Sprintf(format, args...), p.pos)
+	return fmt.Errorf("sparql: %s (at token %d)", fmt.Sprintf(format, args...), p.n)
 }
 
-func (p *parser) parseQuery() (*Query, error) {
-	q := &Query{}
-	// PREFIX declarations.
-	for {
-		t, ok := p.peek()
-		if !ok {
-			return nil, p.errf("empty query")
-		}
-		if t.kind == "word" && strings.EqualFold(t.text, "PREFIX") {
-			p.next()
-			name, ok := p.next()
-			if !ok || name.kind != "word" || !strings.HasSuffix(name.text, ":") {
-				return nil, p.errf("PREFIX expects a name ending in ':'")
-			}
-			iri, ok := p.next()
-			if !ok || iri.kind != "iri" {
-				return nil, p.errf("PREFIX %s expects an <iri>", name.text)
-			}
-			p.prefixes[strings.TrimSuffix(name.text, ":")] = iri.text
-			continue
-		}
-		break
-	}
-	// SELECT clause.
-	t, ok := p.next()
-	if !ok || t.kind != "word" || !strings.EqualFold(t.text, "SELECT") {
-		return nil, p.errf("expected SELECT, found %q", t.text)
-	}
-	for {
-		t, ok := p.peek()
-		if !ok {
-			return nil, p.errf("unexpected end of query in SELECT clause")
-		}
-		if t.kind == "var" {
-			p.next()
-			q.Select = append(q.Select, t.text)
-			continue
-		}
-		if t.kind == "word" && t.text == "*" {
-			return nil, p.errf("SELECT * is not supported; list variables explicitly")
-		}
-		break
-	}
-	if len(q.Select) == 0 {
-		return nil, p.errf("SELECT lists no variables")
-	}
-	// WHERE { patterns }.
-	t, ok = p.next()
-	if ok && t.kind == "word" && strings.EqualFold(t.text, "WHERE") {
-		t, ok = p.next()
-	}
-	if !ok || t.kind != "punct" || t.text != "{" {
-		return nil, p.errf("expected '{', found %q", t.text)
-	}
-	for {
-		t, ok := p.peek()
-		if !ok {
-			return nil, p.errf("unterminated WHERE clause")
-		}
-		if t.kind == "punct" && t.text == "}" {
-			p.next()
-			break
-		}
-		tp, err := p.parsePattern()
-		if err != nil {
-			return nil, err
-		}
-		q.Patterns = append(q.Patterns, tp)
-		if t, ok := p.peek(); ok && t.kind == "punct" && t.text == "." {
-			p.next()
-		}
-	}
-	if t, ok := p.peek(); ok {
-		return nil, p.errf("trailing input after '}': %q", t.text)
-	}
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
-	return q, nil
-}
+type prefix struct{ name, iri string }
 
-func (p *parser) parsePattern() (TriplePattern, error) {
-	var terms [3]PatternTerm
-	for i := 0; i < 3; i++ {
-		t, ok := p.next()
-		if !ok {
-			return TriplePattern{}, p.errf("triple pattern truncated")
-		}
-		pt, err := p.term(t, i == 1)
-		if err != nil {
-			return TriplePattern{}, err
-		}
-		terms[i] = pt
-	}
-	return TriplePattern{S: terms[0], P: terms[1], O: terms[2]}, nil
-}
-
-func (p *parser) term(t token, predicatePos bool) (PatternTerm, error) {
+func (p *parser) term(t token, predicatePos bool, prefixes []prefix) (PatternTerm, error) {
 	switch t.kind {
-	case "var":
+	case tokVar:
 		return Variable(t.text), nil
-	case "iri":
+	case tokIRI:
 		return Constant(rdf.NewIRI(t.text)), nil
-	case "lit":
+	case tokLit:
 		return Constant(rdf.NewLiteral(t.text)), nil
-	case "word":
+	case tokWord:
 		if predicatePos && t.text == "a" {
 			return Constant(rdf.NewIRI(RDFType)), nil
 		}
 		if k := strings.IndexByte(t.text, ':'); k >= 0 {
 			pre, local := t.text[:k], t.text[k+1:]
-			base, ok := p.prefixes[pre]
-			if !ok {
-				return PatternTerm{}, p.errf("undeclared prefix %q in %q", pre, t.text)
+			for i := len(prefixes) - 1; i >= 0; i-- { // a later declaration wins
+				if prefixes[i].name == pre {
+					return Constant(rdf.NewIRI(prefixes[i].iri + local)), nil
+				}
 			}
-			return Constant(rdf.NewIRI(base + local)), nil
+			return PatternTerm{}, p.errf("undeclared prefix %q in %q", pre, t.text)
 		}
 		return PatternTerm{}, p.errf("unexpected word %q in triple pattern", t.text)
 	default:

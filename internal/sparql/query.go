@@ -7,7 +7,7 @@ package sparql
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"cliquesquare/internal/rdf"
@@ -28,7 +28,7 @@ func Variable(name string) PatternTerm { return PatternTerm{IsVar: true, Var: na
 func Constant(t rdf.Term) PatternTerm { return PatternTerm{Term: t} }
 
 // String renders the term in SPARQL syntax: a literal's `\` and `"` are
-// escaped the way the tokenizer reads them back (a backslash takes the
+// escaped the way the scanner reads them back (a backslash takes the
 // next byte as it is). rdf.Term.String — the dictionary's rendered key
 // — escapes nothing.
 func (pt PatternTerm) String() string { return string(pt.Append(nil)) }
@@ -70,17 +70,11 @@ func (tp TriplePattern) At(pos rdf.Pos) PatternTerm {
 	}
 }
 
-// Vars returns the distinct variable names of the pattern in s,p,o order.
+// Vars returns the distinct variable names of the pattern in s,p,o
+// order, in a slice of its own.
 func (tp TriplePattern) Vars() []string {
-	var out []string
-	seen := make(map[string]bool, 3)
-	for _, pt := range []PatternTerm{tp.S, tp.P, tp.O} {
-		if pt.IsVar && !seen[pt.Var] {
-			seen[pt.Var] = true
-			out = append(out, pt.Var)
-		}
-	}
-	return out
+	_, names := numberVars([]TriplePattern{tp}, nil, make([]string, 0, 3))
+	return names
 }
 
 // String renders the pattern in SPARQL syntax.
@@ -100,36 +94,28 @@ type Query struct {
 
 // Vars returns all distinct variables of the query, sorted.
 func (q *Query) Vars() []string {
-	seen := make(map[string]bool)
-	for _, tp := range q.Patterns {
-		for _, v := range tp.Vars() {
-			seen[v] = true
-		}
-	}
-	out := make([]string, 0, len(seen))
-	for v := range seen {
-		out = append(out, v)
-	}
-	sort.Strings(out)
-	return out
+	_, names := numberVars(q.Patterns, nil, nil)
+	slices.Sort(names)
+	return names
 }
 
 // JoinVars returns the variables occurring in at least two distinct
 // patterns (the join variables), sorted.
 func (q *Query) JoinVars() []string {
-	count := make(map[string]int)
-	for _, tp := range q.Patterns {
-		for _, v := range tp.Vars() {
-			count[v]++
-		}
-	}
+	at, names := numberVars(q.Patterns, nil, nil)
 	var out []string
-	for v, c := range count {
-		if c >= 2 {
+	for n, v := range names {
+		in := 0
+		for _, a := range at {
+			if slices.Contains(a[:], int32(n)) {
+				in++
+			}
+		}
+		if in >= 2 {
 			out = append(out, v)
 		}
 	}
-	sort.Strings(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -153,66 +139,93 @@ func (q *Query) String() string {
 // Validate checks structural well-formedness: at least one pattern, every
 // selected variable occurring in the WHERE clause, and no cartesian
 // product (the pattern graph must be variable-connected, as CliqueSquare
-// assumes ×-free queries).
+// assumes ×-free queries). It allocates nothing for a valid query of up
+// to stackPatterns patterns.
 func (q *Query) Validate() error {
 	if len(q.Patterns) == 0 {
 		return fmt.Errorf("sparql: query %s has no triple patterns", q.Name)
 	}
-	vars := make(map[string]bool)
-	for _, tp := range q.Patterns {
-		for _, v := range tp.Vars() {
-			vars[v] = true
-		}
-	}
+	var atBuf [stackPatterns][3]int32
+	var nameBuf [3 * stackPatterns]string
+	at, names := numberVars(q.Patterns, atBuf[:0], nameBuf[:0])
 	for _, v := range q.Select {
-		if !vars[v] {
+		if !slices.Contains(names, v) {
 			return fmt.Errorf("sparql: selected variable ?%s does not occur in WHERE", v)
 		}
 	}
-	if cc := q.ConnectedComponents(); len(cc) > 1 {
-		return fmt.Errorf("sparql: query is a cartesian product of %d components", len(cc))
+	var parent [4 * stackPatterns]int32 // the patterns, then up to three variables each
+	if _, c := link(at, len(names), parent[:0]); c > 1 {
+		return fmt.Errorf("sparql: query is a cartesian product of %d components", c)
 	}
 	return nil
 }
 
 // ConnectedComponents partitions pattern indexes into groups connected by
-// shared variables. A well-formed (×-free) query has exactly one group.
+// shared variables, each ascending, ordered by their first index. A
+// well-formed (×-free) query has exactly one group.
 func (q *Query) ConnectedComponents() [][]int {
-	n := len(q.Patterns)
-	parent := make([]int, n)
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
+	at, names := numberVars(q.Patterns, nil, nil)
+	parent, c := link(at, len(names), nil)
+	out := make([][]int, 0, c)
+	group := make([]int, len(parent)) // per root: 1 + its group's index
+	for i := range at {
+		r := find(parent, int32(i))
+		if group[r] == 0 {
+			out, group[r] = append(out, nil), len(out)+1
 		}
-		return x
+		out[group[r]-1] = append(out[group[r]-1], i)
 	}
-	union := func(a, b int) { parent[find(a)] = find(b) }
-
-	byVar := make(map[string][]int)
-	for i, tp := range q.Patterns {
-		for _, v := range tp.Vars() {
-			byVar[v] = append(byVar[v], i)
-		}
-	}
-	for _, idxs := range byVar {
-		for i := 1; i < len(idxs); i++ {
-			union(idxs[0], idxs[i])
-		}
-	}
-	groups := make(map[int][]int)
-	for i := 0; i < n; i++ {
-		r := find(i)
-		groups[r] = append(groups[r], i)
-	}
-	out := make([][]int, 0, len(groups))
-	for _, g := range groups {
-		out = append(out, g)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
 	return out
+}
+
+// stackPatterns is how many patterns the scratch arrays of Parse,
+// Validate and Key hold on the stack; a larger query spills them.
+const stackPatterns = 16
+
+// numberVars numbers the variables of ps by first occurrence, in s, p, o
+// order: it appends to at, per pattern, each position's variable number
+// (-1 for a constant), and to names each number's variable.
+func numberVars(ps []TriplePattern, at [][3]int32, names []string) ([][3]int32, []string) {
+	for _, tp := range ps {
+		a := [3]int32{-1, -1, -1}
+		for k, pt := range [3]PatternTerm{tp.S, tp.P, tp.O} {
+			if n := slices.Index(names, pt.Var); pt.IsVar && n >= 0 {
+				a[k] = int32(n)
+			} else if pt.IsVar {
+				a[k], names = int32(len(names)), append(names, pt.Var)
+			}
+		}
+		at = append(at, a)
+	}
+	return at, names
+}
+
+// link appends to parent a union-find forest over the patterns of at,
+// then its nvars variables, joining each pattern to its variables, and
+// returns it with its number of trees: the connected components.
+func link(at [][3]int32, nvars int, parent []int32) ([]int32, int) {
+	for i := range len(at) + nvars {
+		parent = append(parent, int32(i))
+	}
+	trees := len(parent)
+	for i, a := range at {
+		for _, n := range a {
+			if n < 0 {
+				continue
+			}
+			if r, s := find(parent, int32(i)), find(parent, int32(len(at))+n); r != s {
+				parent[s] = r
+				trees--
+			}
+		}
+	}
+	return parent, trees
+}
+
+// find returns the root of x's tree, halving the path to it.
+func find(parent []int32, x int32) int32 {
+	for ; parent[x] != x; x = parent[x] {
+		parent[x] = parent[parent[x]]
+	}
+	return x
 }

@@ -50,6 +50,12 @@ SELECT ?x WHERE {
 }
 
 func TestParseErrors(t *testing.T) {
+	// wantMessage names what the error must say, where the case has a
+	// message of its own.
+	wantMessage := map[string]string{
+		"select star":          "SELECT * is not supported",
+		"select var then star": "SELECT * is not supported",
+	}
 	for _, tc := range []struct {
 		name, src string
 	}{
@@ -67,9 +73,13 @@ func TestParseErrors(t *testing.T) {
 		{"unterminated literal", `SELECT ?a WHERE { ?a <p> "x }`},
 		{"prefix no iri", `PREFIX ub: nope SELECT ?a WHERE { ?a <p> ?b }`},
 		{"select star", `SELECT * WHERE { ?a <p> ?b }`},
+		{"select var then star", `SELECT ?a * WHERE { ?a <p> ?b }`},
 	} {
-		if _, err := Parse(tc.src); err == nil {
+		_, err := Parse(tc.src)
+		if err == nil {
 			t.Errorf("%s: no error for %q", tc.name, tc.src)
+		} else if want := wantMessage[tc.name]; !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: error %q, want it to say %q", tc.name, err, want)
 		}
 	}
 }

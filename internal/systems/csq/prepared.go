@@ -140,7 +140,8 @@ func (e *Engine) PrepareCached(q *sparql.Query) (p *Prepared, hit bool, err erro
 		p, err = e.prepare(q, nil)
 		return p, false, err
 	}
-	key := sparql.Canonicalize(q).Key + "\x00" + q.Name
+	k := sparql.Key(q)
+	key := string(k[:]) + "\x00" + q.Name // one allocation: the conversion is the concatenation's operand
 	ent, hit, err := e.cache.Do(key, func() (*cacheEntry, error) {
 		p, ref, err := e.plan(q, nil)
 		if err != nil {
