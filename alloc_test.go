@@ -14,6 +14,8 @@ import (
 	"strings"
 	"testing"
 
+	"cliquesquare/internal/core"
+	"cliquesquare/internal/cost"
 	"cliquesquare/internal/lubm"
 	"cliquesquare/internal/physical"
 	"cliquesquare/internal/sparql"
@@ -22,12 +24,14 @@ import (
 
 const (
 	// workloadAllocCeiling bounds allocs per execution of the whole
-	// 14-query LUBM workload (measured 261 at 2 lanes once a map join took
-	// its input list from the lane's arena, 471 before; 497–499 at 1–8
-	// lanes with integer meters in the scratch; 539 when each run allocated its phase meters
-	// and logged float charges; ≈3k when every relation was a []Row; the
-	// seed was ≈21k).
-	workloadAllocCeiling = 520
+	// 14-query LUBM workload (measured 99–128 at 1–32 lanes once the
+	// executor, its cluster clock and the job callbacks were the pooled
+	// context's, 261–264 before; 471 before a map join took its input list
+	// from the lane's arena; 497–499 at 1–8 lanes with integer meters in
+	// the scratch; 539 when each run allocated its phase meters and logged
+	// float charges; ≈3k when every relation was a []Row; the seed was
+	// ≈21k).
+	workloadAllocCeiling = 180
 	// workloadBytesCeiling bounds the bytes the same execution allocates
 	// (measured ≈0.63 MB: ExecutePlan copies each answer out — 14 blocks
 	// and the []Row views over them, Rows.Materialise — beside a few KB of
@@ -35,10 +39,12 @@ const (
 	// outputs each grew a []Row by appending).
 	workloadBytesCeiling = 1 << 20
 	// shuffleHeavyAllocCeiling bounds allocs per execution of the
-	// deepest multi-level reduce-join plan (measured 117 at 1–8 lanes,
-	// 9.3 KB; 141 and 15 KB with per-run phase meters and charge logs;
-	// the seed was ≈6.2k).
-	shuffleHeavyAllocCeiling = 130
+	// deepest multi-level reduce-join plan (measured 21–22 at 1–32 lanes,
+	// 1.6 KB, with the executor, cluster clock, run closures and job
+	// callbacks the pooled context's; 94 and 7.2 KB before, 117 and
+	// 9.3 KB before that; 141 and 15 KB with per-run phase meters and
+	// charge logs; the seed was ≈6.2k).
+	shuffleHeavyAllocCeiling = 30
 	// uncachedQueryAllocCeiling bounds the objects one facade Query
 	// allocates when it executes (plan cached, result cache off),
 	// whatever the size of the answer (measured 150–410: the count
@@ -60,26 +66,39 @@ const (
 	// uncachedQueryFixedBytes is what one executing facade Query may
 	// allocate beyond its answer — the [][]string the public Result is:
 	// 24 B per row and 16 B per cell, with 2% for the allocator's size
-	// classes (measured 19.7 KB above those 591 KB for map-only Q1, 6.7 KB
-	// of it the page rounding of the answer's two arrays: ≈ 13 KB of
-	// parse, canonicalize, the plan-cache probe and the job's bookkeeping;
-	// 2.8 KB more when the parser built a token slice and canonicalization
-	// grew an encoding buffer. The finished ids are decoded where the
-	// execution left them; when they were first copied into a final block
-	// under a []Row view, Q1's 10.5k rows cost 0.34 MB more).
+	// classes (measured 7.5 KB above those 591 KB for map-only Q1 on one
+	// lane of a 2-core Xeon — 7.8 or 19.3 KB from run to run on two —,
+	// 6.5 KB of it the page rounding of the answer's two arrays: ≈ 0.9 KB
+	// of parse, canonicalize, the plan-cache probe and the job's
+	// bookkeeping; 1.3 KB when every execution allocated its executor,
+	// cluster clock and job callbacks, 2.8 KB more when the parser built
+	// a token slice and canonicalization grew an encoding buffer. The
+	// finished ids are decoded where the execution left them;
+	// when they were first copied into a final block under a []Row view,
+	// Q1's 10.5k rows cost 0.34 MB more).
 	uncachedQueryFixedBytes = 24 << 10
 	// variantPrepareBytesCeiling bounds the bytes one pass of
 	// BenchmarkPrepareColdVsCached/variant allocates: six cold prepares
-	// for a university no plan is cached for: 1.1× the measured 25.6 KB.
-	// Parse aside, a miss is a validation and a canonicalization that
-	// allocate only the cache key, a statistics snapshot, one pricing walk
-	// over the shape's resident plan space and a bind of the winner's
-	// compiled candidate — a plan header and its key. It was 47.5 KB when
-	// validation built maps and canonicalization grew an encoding buffer;
-	// 141.5 KB when every miss materialised, pushed down, compiled and
-	// keyed the winner anew; ≈14 MB when every miss enumerated its plan
-	// space again and classified each candidate into a map to price it.
-	variantPrepareBytesCeiling = 28_200
+	// for a university no plan is cached for: 1.1× the measured 5.78 KB
+	// (84 allocs). Parse aside, a miss allocates only what it keeps: the
+	// plan-cache key and entry, the catalog hold and the snapshot's
+	// per-pattern numbers, and a bind of the winner's compiled
+	// candidate, its two plan headers; the pricing walk borrows pooled
+	// scratch and the result-cache key is rendered only when a result
+	// cache asks. It was 25.6 KB (195 allocs) when every walk made its
+	// scratch, every bind rendered its key and every snapshot copied the
+	// query's variable order; 47.5 KB when validation built maps and
+	// canonicalization grew an encoding buffer; 141.5 KB when every miss
+	// materialised, pushed down, compiled and keyed the winner anew;
+	// ≈14 MB when every miss enumerated its plan space again and
+	// classified each candidate into a map to price it.
+	variantPrepareBytesCeiling = 6_360
+	// coldPassAllocCeiling bounds the objects a pass of the same six cold
+	// prepares allocates (TestAllocColdPrepareStages): 1.15× the measured
+	// 82–85 (a collection empties the pricer pool); 202 before pricing
+	// scratch was pooled, keys rendered on demand and the catalog's
+	// layout kept per written shape.
+	coldPassAllocCeiling = 95
 	// passAfterCommitRatioCeiling bounds what the 14-query pass right
 	// after a commit allocates, relative to a warm pass: its 14
 	// revalidations snapshot and re-price, whatever the size of the
@@ -384,6 +403,67 @@ func TestAllocPrepareVariantBytes(t *testing.T) {
 	}
 	if got := testing.Benchmark(benchPrepareVariant).AllocedBytesPerOp(); got > variantPrepareBytesCeiling {
 		t.Errorf("unseen-constant pass of the six templates = %d B/op, ceiling %d", got, variantPrepareBytesCeiling)
+	}
+}
+
+// TestAllocColdPrepareStages pins what the stages of a cold prepare
+// allocate, in objects: pricing a resident plan space draws its scratch
+// from a pool (none once warm), a bind allocates the two plan headers —
+// the physical plan's and its logical plan's — and no key, and a pass
+// of the six templates for a university no plan is cached for, on an
+// engine without a result cache, stays under coldPassAllocCeiling.
+func TestAllocColdPrepareStages(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation inflates allocation counts")
+	}
+	g := lubmGraph(6)
+	eng := csq.New(g, csq.DefaultConfig())
+	cfg := csq.DefaultConfig()
+	for i, q := range lubm.UniversityVariants(0) {
+		res, err := core.Optimize(q, core.Options{Method: cfg.Method, MaxPlans: cfg.MaxPlans, MaxCoversPerStep: cfg.MaxCoversPerStep})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp, st := res.Space(), cost.NewStats(g, q)
+		cost.NewModel(cfg.Constants, st).ChooseSpace(sp)
+		if got := testing.AllocsPerRun(20, func() { cost.NewModel(cfg.Constants, st).ChooseSpace(sp) }); got != 0 {
+			t.Errorf("%s: pricing its resident plan space = %.0f allocs, want 0", q.Name, got)
+		}
+		p, _, err := eng.PrepareCached(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var bound *physical.Plan
+		other := lubm.UniversityVariants(1)[i]
+		if got := testing.AllocsPerRun(20, func() { bound = p.Physical.Bind(other) }); got > 2 {
+			t.Errorf("%s: Bind = %.0f allocs, want at most the 2 plan headers", q.Name, got)
+		}
+		if bound.Logical.Query != other {
+			t.Fatalf("%s: the bound plan is not the other university's", q.Name)
+		}
+	}
+	// Universities 1 to 5: the data has them, and their winners are
+	// compiled candidates already, so each pass is statistics, pricing
+	// and binds, with the three fills a new university costs.
+	var passes [][]*sparql.Query
+	for c := 1; c <= 5; c++ {
+		passes = append(passes, lubm.UniversityVariants(c))
+	}
+	compiles := eng.UpdateStats().Compiles
+	got := testing.AllocsPerRun(len(passes)-1, func() { // and once to warm up
+		for _, q := range passes[0] {
+			if _, hit, err := eng.PrepareCached(q); err != nil || hit {
+				t.Fatalf("%s: hit=%v err=%v, want a cold prepare", q.Name, hit, err)
+			}
+		}
+		passes = passes[1:]
+	})
+	if n := eng.UpdateStats().Compiles - compiles; n != 0 {
+		t.Fatalf("the cold passes compiled %d candidates, want none", n)
+	}
+	t.Logf("a cold pass of the six templates = %.0f allocs", got)
+	if got > coldPassAllocCeiling {
+		t.Errorf("a cold pass of the six templates = %.0f allocs, ceiling %d", got, coldPassAllocCeiling)
 	}
 }
 

@@ -55,8 +55,11 @@ type Space struct {
 // per pattern in input order, per position, the variable's name or a
 // marker that a constant stands there. SELECT, the query's Name and the
 // constants themselves are not part of it.
-func WrittenShape(q *sparql.Query) string {
-	var b []byte
+func WrittenShape(q *sparql.Query) string { return string(AppendWrittenShape(nil, q)) }
+
+// AppendWrittenShape appends WrittenShape(q)'s bytes to b: a lookup
+// keyed by the shape need not build the string.
+func AppendWrittenShape(b []byte, q *sparql.Query) []byte {
 	for _, tp := range q.Patterns {
 		for _, pt := range [3]sparql.PatternTerm{tp.S, tp.P, tp.O} {
 			if !pt.IsVar {
@@ -67,7 +70,7 @@ func WrittenShape(q *sparql.Query) string {
 			b = append(b, pt.Var...)
 		}
 	}
-	return string(b)
+	return b
 }
 
 // Space interns the run's unique plans, in Unique order.

@@ -1,9 +1,12 @@
 package cost
 
 import (
+	"cmp"
 	"slices"
+	"strings"
 	"sync"
 
+	"cliquesquare/internal/core"
 	"cliquesquare/internal/rdf"
 	"cliquesquare/internal/sparql"
 )
@@ -17,9 +20,10 @@ import (
 // so its distinct count is its match count.
 //
 // A query Acquires its patterns (a Ref), takes Snapshots through the Ref
-// and Releases it; a pattern is resident exactly while some Ref holds it.
-// Snapshot fills the patterns no one filled yet from a Source, outside
-// the catalog's mutex; Apply folds a commit's delta once per resident
+// and Releases it; a pattern is resident exactly while some Ref holds
+// it, and so is the layout every Ref of a written shape shares. Snapshot
+// fills the patterns no one filled yet from a Source, outside the
+// catalog's mutex; Apply folds a commit's delta once per resident
 // pattern and moves the catalog to the commit's version. The caller must
 // keep Apply from overlapping a Snapshot, and hand Snapshot the data as
 // of the catalog's version: the engine snapshots its current view under
@@ -28,14 +32,18 @@ import (
 // Counters are safe at any time.
 type Catalog struct {
 	mu           sync.Mutex
+	published    sync.Cond // on mu: a fill published or gave back patterns
 	pats         map[patKey]*pattern
+	layouts      map[string]*layout
 	version      uint64
 	fills, folds uint64
 }
 
 // NewCatalog returns an empty catalog at the given data version.
 func NewCatalog(version uint64) *Catalog {
-	return &Catalog{pats: make(map[patKey]*pattern), version: version}
+	c := &Catalog{pats: make(map[patKey]*pattern), layouts: make(map[string]*layout), version: version}
+	c.published.L = &c.mu
+	return c
 }
 
 // patKey identifies a pattern up to variable naming: per position the
@@ -71,10 +79,9 @@ func keyOf(tp sparql.TriplePattern) (k patKey, vars [3]string, n int) {
 // are guarded by Catalog.mu.
 type pattern struct {
 	key     patKey
-	refs    int           // acquisitions outstanding
-	claimed bool          // a Snapshot is filling it, or has
-	filled  bool          // Apply maintains it from here on
-	ready   chan struct{} // closed once filled
+	refs    int  // acquisitions outstanding
+	claimed bool // a Snapshot is filling it, or has
+	filled  bool // Apply maintains it from here on
 
 	// The matcher. id[p] is the constant at position p where the consts
 	// bit p is set; a set missing bit means the dictionary does not know
@@ -91,7 +98,7 @@ type pattern struct {
 }
 
 func newPattern(k patKey) *pattern {
-	p := &pattern{key: k, ready: make(chan struct{})}
+	p := &pattern{key: k}
 	for i := range k {
 		if k[i].slot == 0 {
 			p.consts |= 1 << i
@@ -159,10 +166,10 @@ func (p *pattern) fold(t rdf.Triple, d int32) {
 }
 
 // dispatch routes a triple to the patterns it can match: those of its
-// property, and those whose property is a variable.
+// property, a run of byProp (kept sorted by property), and those whose
+// property is a variable.
 type dispatch struct {
-	byProp  map[rdf.TermID][]*pattern
-	anyProp []*pattern
+	byProp, anyProp []*pattern
 }
 
 // add routes triples to p, unless a constant of p is still unknown to
@@ -171,19 +178,20 @@ func (dp *dispatch) add(d *rdf.Dict, p *pattern) {
 	switch {
 	case !p.resolve(d):
 	case p.consts&2 != 0:
-		if dp.byProp == nil {
-			dp.byProp = make(map[rdf.TermID][]*pattern)
-		}
-		dp.byProp[p.id[1]] = append(dp.byProp[p.id[1]], p)
+		i, _ := slices.BinarySearchFunc(dp.byProp, p.id[1], propOf)
+		dp.byProp = slices.Insert(dp.byProp, i, p)
 	default:
 		dp.anyProp = append(dp.anyProp, p)
 	}
 }
 
+func propOf(p *pattern, prop rdf.TermID) int { return cmp.Compare(p.id[1], prop) }
+
 func (dp *dispatch) fold(d int32, ts ...rdf.Triple) {
 	for _, t := range ts {
-		for _, p := range dp.byProp[t.P] {
-			p.fold(t, d)
+		i, _ := slices.BinarySearchFunc(dp.byProp, t.P, propOf)
+		for ; i < len(dp.byProp) && dp.byProp[i].id[1] == t.P; i++ {
+			dp.byProp[i].fold(t, d)
 		}
 		for _, p := range dp.anyProp {
 			p.fold(t, d)
@@ -207,46 +215,65 @@ func (dp *dispatch) fill(src Source) {
 		src.EachTriple(rdf.NoTerm, one)
 		return
 	}
-	for prop := range dp.byProp {
-		src.EachTriple(prop, one)
+	for i, p := range dp.byProp {
+		if i == 0 || p.id[1] != dp.byProp[i-1].id[1] {
+			src.EachTriple(p.id[1], one)
+		}
 	}
 }
 
-// Ref is one query's hold on its patterns in a catalog, with the query's
-// fixed variable order: vars numbers its variables by first occurrence
-// over the patterns in index order, slots[i][k] is the number of pattern
-// i's variable slot k (-1 past its slots). JoinCard walks variables in
-// this order, never a map's. filtered[i] is whether a scan of pattern i
-// is charged a runtime filter (patternFiltered).
-type Ref struct {
+// layout is what costing reads of a query besides statistics, a
+// function of its written shape (core.WrittenShape) alone, kept once
+// per shape while refs Refs hold it: vars numbers its variables by first
+// occurrence over the patterns in index order, slots[i][k] is the number
+// of pattern i's variable slot k (-1 past its slots) — JoinCard walks
+// variables in this order, never a map's — and filtered[i] is whether a
+// scan of pattern i is charged a runtime filter (patternFiltered).
+type layout struct {
+	shape    string
 	vars     []string
 	slots    [][3]int
 	filtered []bool
-	pats     []*pattern // per query pattern; nil once released
+	refs     int
 }
+
+// Ref is one query's hold on its patterns and layout in a catalog.
+type Ref struct {
+	lay  *layout
+	pats []*pattern // per query pattern; nil once released
+}
+
+// Shape returns core.WrittenShape of r's query, as the catalog keeps it.
+func (r *Ref) Shape() string { return r.lay.shape }
 
 // Acquire registers q's patterns, creating the entries the catalog
 // lacks (unfilled: the first Snapshot through a Ref fills them). Every
 // Acquire is paired with one Release.
 func (c *Catalog) Acquire(q *sparql.Query) *Ref {
-	r := &Ref{
-		slots:    make([][3]int, len(q.Patterns)),
-		filtered: make([]bool, len(q.Patterns)),
-		pats:     make([]*pattern, len(q.Patterns)),
-	}
+	var buf [256]byte
+	shape := core.AppendWrittenShape(buf[:0], q)
+	r := &Ref{pats: make([]*pattern, len(q.Patterns))}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	l := c.layouts[string(shape)]
+	if l == nil {
+		l = &layout{shape: string(shape), slots: make([][3]int, len(q.Patterns)), filtered: make([]bool, len(q.Patterns))}
+		c.layouts[l.shape] = l
+	}
+	r.lay, l.refs = l, l.refs+1
 	for i, tp := range q.Patterns {
 		k, vars, n := keyOf(tp)
-		r.filtered[i] = patternFiltered(tp)
-		r.slots[i] = [3]int{-1, -1, -1}
-		for s := 0; s < n; s++ {
-			v := slices.Index(r.vars, vars[s])
-			if v < 0 {
-				v = len(r.vars)
-				r.vars = append(r.vars, vars[s])
+		if l.refs == 1 { // a new layout: number the shape's variables
+			l.filtered[i] = patternFiltered(tp)
+			l.slots[i] = [3]int{-1, -1, -1}
+			for s := 0; s < n; s++ {
+				v := slices.Index(l.vars, vars[s])
+				if v < 0 {
+					v = len(l.vars)
+					l.vars = append(l.vars, strings.Clone(vars[s]))
+				}
+				l.slots[i][s] = v
 			}
-			r.slots[i][s] = v
 		}
 		p := c.pats[k]
 		if p == nil {
@@ -259,15 +286,21 @@ func (c *Catalog) Acquire(q *sparql.Query) *Ref {
 	return r
 }
 
-// Release drops r's hold; a pattern no Ref holds any more leaves the
-// catalog. Releasing twice is harmless.
+// Release drops r's hold; a pattern, or a layout, no Ref holds any more
+// leaves the catalog. Releasing twice is harmless.
 func (c *Catalog) Release(r *Ref) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if r.pats == nil {
+		return
+	}
 	for _, p := range r.pats {
 		if p.refs--; p.refs == 0 {
 			delete(c.pats, p.key)
 		}
+	}
+	if r.lay.refs--; r.lay.refs == 0 {
+		delete(c.layouts, r.lay.shape)
 	}
 	r.pats = nil
 }
@@ -276,40 +309,62 @@ func (c *Catalog) Release(r *Ref) {
 // version. Patterns nobody has filled are claimed under the mutex,
 // filled together from src without it — d resolves their constants — and
 // published; patterns a concurrent Snapshot claimed are waited for (it
-// holds no lock this one needs).
+// holds no lock this one needs), and claimed again if it panicked.
 func (c *Catalog) Snapshot(d *rdf.Dict, src Source, r *Ref) *Stats {
-	var mine []*pattern
 	c.mu.Lock()
-	for _, p := range r.pats {
-		if !p.claimed {
-			p.claimed = true
-			mine = append(mine, p)
+	for filled := false; !filled; {
+		var mine []*pattern
+		for _, p := range r.pats {
+			if !p.claimed {
+				p.claimed = true
+				mine = append(mine, p)
+			}
+		}
+		if len(mine) > 0 {
+			c.mu.Unlock()
+			c.fill(d, src, mine)
+			c.mu.Lock()
+		}
+		filled = true
+		for _, p := range r.pats {
+			for p.claimed && !p.filled {
+				c.published.Wait()
+			}
+			filled = filled && p.filled
 		}
 	}
 	c.mu.Unlock()
-	if len(mine) > 0 {
-		var dp dispatch
-		for _, p := range mine {
-			dp.add(d, p)
-		}
-		dp.fill(src)
+	return c.read(r)
+}
+
+// fill fills and publishes the patterns mine claimed, or, if it panics,
+// gives them back with their counts zeroed.
+func (c *Catalog) fill(d *rdf.Dict, src Source, mine []*pattern) {
+	filled := false
+	defer func() {
 		c.mu.Lock()
 		for _, p := range mine {
-			p.filled = true
-			close(p.ready)
+			if p.filled, p.claimed = filled, filled; !filled {
+				p.n, p.bind = 0, newPattern(p.key).bind
+			}
 		}
-		c.fills += uint64(len(mine))
+		if filled {
+			c.fills += uint64(len(mine))
+		}
 		c.mu.Unlock()
+		c.published.Broadcast()
+	}()
+	var dp dispatch
+	for _, p := range mine {
+		dp.add(d, p)
 	}
-	for _, p := range r.pats {
-		<-p.ready
-	}
-	return c.read(r)
+	dp.fill(src)
+	filled = true
 }
 
 // read copies what costing reads of r's patterns, all filled.
 func (c *Catalog) read(r *Ref) *Stats {
-	s := &Stats{vars: r.vars, slots: r.slots, filtered: r.filtered, pats: make([]patStats, len(r.pats))}
+	s := &Stats{lay: r.lay, pats: make([]patStats, len(r.pats))}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s.version = c.version

@@ -16,6 +16,7 @@ package cost
 import (
 	"math"
 	"slices"
+	"sync"
 
 	"cliquesquare/internal/core"
 	"cliquesquare/internal/mapreduce"
@@ -33,14 +34,11 @@ import (
 // its Apply keeps current in place. Such a Stats is not safe for
 // concurrent use while Apply runs.
 type Stats struct {
-	// vars and slots are the query's fixed variable order and filtered
-	// its scans' filter flags, shared with the Ref the snapshot was taken
-	// through (see Ref).
-	vars     []string
-	slots    [][3]int
-	filtered []bool
-	pats     []patStats
-	version  uint64
+	// lay is the query's variable order and scan filter flags, shared by
+	// the Refs and snapshots of its written shape (see layout).
+	lay     *layout
+	pats    []patStats
+	version uint64
 	// own and ref are the private catalog behind a NewStats result.
 	own *Catalog
 	ref *Ref
@@ -85,8 +83,8 @@ func (s *Stats) PatternCard(i int) float64 { return s.pats[i].card }
 // Distinct returns the distinct-value count of variable v in pattern
 // i's matches (0 if v does not occur there).
 func (s *Stats) Distinct(i int, v string) float64 {
-	for k, vi := range s.slots[i] {
-		if vi >= 0 && s.vars[vi] == v {
+	for k, vi := range s.lay.slots[i] {
+		if vi >= 0 && s.lay.vars[vi] == v {
 			return s.pats[i].distinct[k]
 		}
 	}
@@ -100,7 +98,7 @@ func (s *Stats) Distinct(i int, v string) float64 {
 // run in the query's fixed variable order, so one Stats prices one
 // pattern list to one bit pattern on every call.
 func (s *Stats) JoinCard(patterns []int) float64 {
-	return s.joinCard(patterns, make([]varUse, len(s.vars)))
+	return s.joinCard(patterns, make([]varUse, len(s.lay.vars)))
 }
 
 // varUse accumulates one variable over a pattern set: the patterns it
@@ -120,7 +118,7 @@ func (s *Stats) joinCard(patterns []int, use []varUse) float64 {
 	card := 1.0
 	for _, i := range patterns {
 		card *= s.pats[i].card
-		for k, v := range s.slots[i] {
+		for k, v := range s.lay.slots[i] {
 			if v < 0 {
 				break
 			}
@@ -163,7 +161,8 @@ func NewModel(c mapreduce.Constants, s *Stats) *Model { return &Model{C: c, S: s
 // plus JobInit per MapReduce job. A plan physical.Classify refuses
 // costs +Inf.
 func (m *Model) PlanCost(p *core.Plan) float64 {
-	return m.pricer(core.SpaceOf([]*core.Plan{p})).cost(0)
+	_, c := m.ChooseSpace(core.SpaceOf([]*core.Plan{p}))
+	return c
 }
 
 // pricer prices the candidates of one Space, all plans of the query S
@@ -173,8 +172,10 @@ func (m *Model) PlanCost(p *core.Plan) float64 {
 // its pattern set alone (the patterns multiply in index order whatever
 // tree they were met in), so both are computed once per choice however
 // many candidates share the operator; what is per candidate is the sum.
+// Pricers are pooled: one holds its Model (a copy: the caller's does not
+// escape) and Space only while it prices.
 type pricer struct {
-	m  *Model
+	m  Model
 	sp *core.Space
 	// setCard[si] is JoinCard of pattern set si, NaN until estimated.
 	setCard []float64
@@ -188,18 +189,24 @@ type pricer struct {
 	total float64
 }
 
+var pricers = sync.Pool{New: func() any { return new(pricer) }}
+
+// pricer returns a pricer for sp's candidates, to be put back.
 func (m *Model) pricer(sp *core.Space) *pricer {
-	pr := &pricer{
-		m:       m,
-		sp:      sp,
-		setCard: make([]float64, sp.Sets()),
-		use:     make([]varUse, len(m.S.vars)),
-		seen:    make([]int32, sp.Ops()),
-	}
+	pr := pricers.Get().(*pricer)
+	pr.m, pr.sp, pr.stamp = *m, sp, 0
+	pr.setCard = slices.Grow(pr.setCard[:0], sp.Sets())[:sp.Sets()]
 	for i := range pr.setCard {
 		pr.setCard[i] = math.NaN()
 	}
+	pr.seen = slices.Grow(pr.seen[:0], sp.Ops())[:sp.Ops()]
+	clear(pr.seen)
 	return pr
+}
+
+func (pr *pricer) put() {
+	pr.m.S, pr.sp = nil, nil
+	pricers.Put(pr)
 }
 
 // cost prices candidate i.
@@ -224,6 +231,7 @@ func (pr *pricer) card(id int32) float64 {
 		return c
 	}
 	pr.idx = pr.sp.AppendSetPatterns(pr.idx[:0], si)
+	pr.use = slices.Grow(pr.use[:0], len(pr.m.S.lay.vars))[:len(pr.m.S.lay.vars)]
 	c := pr.m.S.joinCard(pr.idx, pr.use)
 	pr.setCard[si] = c
 	return c
@@ -240,7 +248,7 @@ func (pr *pricer) visit(id int32) {
 	if p := pr.sp.Pattern(id); p >= 0 {
 		card := pr.card(id)
 		pr.total += card * c.Read
-		if pr.m.S.filtered[p] {
+		if pr.m.S.lay.filtered[p] {
 			pr.total += card * c.Check
 		}
 		return
@@ -301,6 +309,7 @@ func (m *Model) ChooseIndexed(plans []*core.Plan) (best *core.Plan, idx int, cos
 func (m *Model) ChooseSpace(sp *core.Space) (idx int, cost float64) {
 	idx, cost = -1, math.Inf(1)
 	pr := m.pricer(sp)
+	defer pr.put()
 	for i := 0; i < sp.Candidates(); i++ {
 		if c := pr.cost(i); c < cost {
 			idx, cost = i, c

@@ -6,7 +6,9 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"cliquesquare/internal/core"
 	"cliquesquare/internal/lubm"
@@ -350,6 +352,72 @@ func TestCatalogMatchesFresh(t *testing.T) {
 	}
 	if n, _, _ := c.Counters(); n != 0 {
 		t.Errorf("%d patterns resident after every ref was released", n)
+	}
+}
+
+// panicOnce is a Source whose first fill reads its property's triples
+// into the fill, parks until release is closed and then panics; every
+// later fill reads g.
+type panicOnce struct {
+	g                *rdf.Graph
+	started, release chan struct{}
+	done             atomic.Bool
+}
+
+func (s *panicOnce) EachTriple(prop rdf.TermID, fn func(rdf.Triple)) {
+	s.g.EachTriple(prop, fn)
+	if s.done.CompareAndSwap(false, true) {
+		close(s.started)
+		<-s.release
+		panic("fill failed")
+	}
+}
+
+// TestPanickingFillDoesNotWedge holds Snapshot to its cleanup when a
+// fill panics midway: the panic reaches the filling caller, and the
+// patterns it claimed go back unfilled, their partial counts dropped,
+// so a Snapshot that was waiting on them fills them itself and one taken
+// afterwards reads them — both exact, and neither blocked.
+func TestPanickingFillDoesNotWedge(t *testing.T) {
+	g := chainGraph(10)
+	q := sparql.MustParse(`SELECT ?x ?z WHERE { ?x <p1> ?y . ?y <p2> ?z . ?z <p3> <d0> }`)
+	c := NewCatalog(1)
+	r1, r2 := c.Acquire(q), c.Acquire(q)
+	src := &panicOnce{g: g, started: make(chan struct{}), release: make(chan struct{})}
+	panicked := make(chan any, 1)
+	go func() {
+		defer func() { panicked <- recover() }()
+		c.Snapshot(g.Dict, src, r1)
+	}()
+	<-src.started
+	waited := make(chan *Stats, 1)
+	go func() { waited <- c.Snapshot(g.Dict, src, r2) }()
+	close(src.release)
+	deadline := time.After(2 * time.Second)
+	select {
+	case r := <-panicked:
+		if r != "fill failed" {
+			t.Fatalf("the filling caller recovered %v, want the fill's panic", r)
+		}
+	case <-deadline:
+		t.Fatal("the panicking Snapshot did not return")
+	}
+	select {
+	case s := <-waited:
+		checkStatsFresh(t, g, q, s, r2, "the Snapshot that waited on the panicking fill")
+	case <-deadline:
+		t.Fatal("a Snapshot waiting on the panicking fill is still blocked after 2 s")
+	}
+	later := make(chan *Stats, 1)
+	go func() { later <- c.Snapshot(g.Dict, src, r1) }()
+	select {
+	case s := <-later:
+		checkStatsFresh(t, g, q, s, r1, "a Snapshot after the panicking fill")
+	case <-deadline:
+		t.Fatal("a Snapshot after the panicking fill is still blocked after 2 s")
+	}
+	if patterns, fills, _ := c.Counters(); patterns != 3 || fills != 3 {
+		t.Errorf("%d patterns resident, %d filled; want 3 and 3: a fill that panicked publishes nothing", patterns, fills)
 	}
 }
 

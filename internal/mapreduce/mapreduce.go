@@ -460,6 +460,53 @@ type Scratch struct {
 	morsels, ranges []slot
 
 	lanes []Emitter
+
+	// The run in flight — its job, cluster size and output — and the
+	// phases' per-unit functions, bound once so that handing them to the
+	// pool allocates nothing.
+	job                      Job
+	n                        int
+	out                      Output
+	mapFn, routeFn, reduceFn func(i, lane int)
+}
+
+// begin points a lane at the unit it is about to run and returns the
+// block the unit writes: a node's only unit writes the node output
+// itself, the others their own slot.
+func (sc *Scratch) begin(lane int, u *slot) *Block {
+	sc.lanes[lane].unit = u
+	if u.of == 1 {
+		return &sc.out.PerNode[u.node]
+	}
+	return &u.out
+}
+
+// mapUnit, routeDest and reduceUnit are the phases' units: map morsel
+// i; the records of the tuples routed to dest, in (source node, morsel,
+// emission) order, counted, sorted into canonical group order and split
+// into group-aligned ranges, one per lane at most; reduce range i.
+func (sc *Scratch) mapUnit(i, lane int) {
+	u := &sc.morsels[i]
+	dst := sc.begin(lane, u)
+	e := &sc.lanes[lane]
+	e.n, e.buckets, e.bufs = sc.n, sc.buckets[i*sc.n:(i+1)*sc.n], sc.Bufs
+	sc.job.MapMorsel(u.node, u.idx, lane, &u.meter, e, dst)
+}
+
+func (sc *Scratch) routeDest(dest, _ int) {
+	buf := sc.route(sc.shuffled[dest], dest, sc.n)
+	sc.shuffled[dest] = buf
+	_, shufM, _ := phases(sc.meters, false)
+	shufM[dest].Shuffle(len(buf))
+	sortRecords(buf, sc.buckets)
+	sc.rangeOff[dest] = splitRanges(sc.rangeOff[dest], buf, sc.buckets, len(sc.lanes))
+}
+
+func (sc *Scratch) reduceUnit(i, lane int) {
+	u := &sc.ranges[i]
+	offs := sc.rangeOff[u.node]
+	u.groups = Groups{recs: sc.shuffled[u.node][offs[u.idx]:offs[u.idx+1]], bk: sc.buckets}
+	sc.job.ReduceRange(u.node, u.idx, u.of, lane, &u.meter, &u.groups, sc.begin(lane, u))
 }
 
 // drop hands back what only the run itself reads: the buckets, the
@@ -536,9 +583,9 @@ func (cl *Cluster) TotalWork() float64 {
 	return cl.totalWork
 }
 
-// Output of a job: one block of rows per node. The blocks belong to the
-// run's Scratch and go back to its pool when its next run starts or it
-// is released; without a caller's Scratch they are the Output's own.
+// Output of a job: one block of rows per node. It and its blocks belong
+// to the run's Scratch and go back to its pool when its next run starts
+// or it is released; without a caller's Scratch they are the caller's.
 type Output struct {
 	PerNode []Block
 }
@@ -595,11 +642,15 @@ func (cl *Cluster) RunWith(job Job, opts RunOptions) *Output {
 	if sc == nil {
 		sc = &Scratch{}
 	}
+	if sc.mapFn == nil {
+		sc.mapFn, sc.routeFn, sc.reduceFn = sc.mapUnit, sc.routeDest, sc.reduceUnit
+	}
 	pool := opts.Pool
-	lanes := pool.Lanes()
-	sc.lanes = resize(sc.lanes, lanes)
+	sc.job, sc.n = job, n
+	sc.lanes = resize(sc.lanes, pool.Lanes())
 	sc.outputs = ResetBlocks(sc.outputs, n, sc.Bufs)
-	out := &Output{PerNode: sc.outputs}
+	sc.out = Output{PerNode: sc.outputs}
+	out := &sc.out
 	stats := JobStats{Name: job.Name, MapOnly: job.ReduceRange == nil}
 	if stats.MapOnly {
 		sc.meters = resize(sc.meters, n)
@@ -607,18 +658,8 @@ func (cl *Cluster) RunWith(job Job, opts RunOptions) *Output {
 		sc.meters = resize(sc.meters, 3*n)
 	}
 	clear(sc.meters)
-	mapM, shufM, redM := phases(sc.meters, stats.MapOnly)
+	mapM, _, redM := phases(sc.meters, stats.MapOnly)
 
-	// begin points a lane at the unit it is about to run and returns the
-	// block the unit writes: a node's only unit writes the node output
-	// itself, the others their own slot.
-	begin := func(lane int, u *slot) *Block {
-		sc.lanes[lane].unit = u
-		if u.of == 1 {
-			return &out.PerNode[u.node]
-		}
-		return &u.out
-	}
 	// merge adds finished units' counts to their nodes' and moves their
 	// rows to their nodes' output, in canonical order.
 	merge := func(units []slot, nodeM []Meter) {
@@ -640,39 +681,18 @@ func (cl *Cluster) RunWith(job Job, opts RunOptions) *Output {
 		return job.MapMorsels(node)
 	})
 	sc.buckets = resize(sc.buckets, len(sc.morsels)*n)
-	pool.ForEach(len(sc.morsels), func(i, lane int) {
-		u := &sc.morsels[i]
-		dst := begin(lane, u)
-		e := &sc.lanes[lane]
-		e.n, e.buckets, e.bufs = n, sc.buckets[i*n:(i+1)*n], sc.Bufs
-		job.MapMorsel(u.node, u.idx, lane, &u.meter, e, dst)
-	})
+	pool.ForEach(len(sc.morsels), sc.mapFn)
 	merge(sc.morsels, mapM)
 
 	// ---- Shuffle + reduce phases. ----
 	if !stats.MapOnly {
 		sc.shuffled = resize(sc.shuffled, n)
 		sc.rangeOff = resize(sc.rangeOff, n)
-		// Per destination: build the records of the pre-routed buckets'
-		// tuples in (source node, morsel, emission) order, count them,
-		// sort into canonical group order and split into group-aligned
-		// ranges, one per lane at most.
-		pool.ForEach(n, func(dest, _ int) {
-			buf := sc.route(sc.shuffled[dest], dest, n)
-			sc.shuffled[dest] = buf
-			shufM[dest].Shuffle(len(buf))
-			sortRecords(buf, sc.buckets)
-			sc.rangeOff[dest] = splitRanges(sc.rangeOff[dest], buf, sc.buckets, lanes)
-		})
-
+		// Per destination: the records of its tuples, sorted and split.
+		pool.ForEach(n, sc.routeFn)
 		// One unit per (node, range): ranges of all nodes share one queue.
 		sc.ranges = layout(sc.ranges, n, sc.Bufs, func(node int) int { return len(sc.rangeOff[node]) - 1 })
-		pool.ForEach(len(sc.ranges), func(i, lane int) {
-			u := &sc.ranges[i]
-			offs := sc.rangeOff[u.node]
-			u.groups = Groups{recs: sc.shuffled[u.node][offs[u.idx]:offs[u.idx+1]], bk: sc.buckets}
-			job.ReduceRange(u.node, u.idx, u.of, lane, &u.meter, &u.groups, begin(lane, u))
-		})
+		pool.ForEach(len(sc.ranges), sc.reduceFn)
 		merge(sc.ranges, redM)
 	}
 	stats.Output = out.Len()
@@ -683,6 +703,7 @@ func (cl *Cluster) RunWith(job Job, opts RunOptions) *Output {
 	}
 	cl.fold(stats, sc.meters)
 	sc.drop()
+	sc.job = Job{}
 	return out
 }
 

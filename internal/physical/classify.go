@@ -33,6 +33,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"unsafe"
 
 	"cliquesquare/internal/core"
@@ -96,11 +97,24 @@ type Plan struct {
 	// Levels[ℓ-1] lists the reduce joins of job ℓ in a deterministic
 	// order. Empty iff the plan is map-only.
 	Levels [][]*Info
-	// Key canonically identifies the plan's whole computation for the
-	// result cache: two plans with equal keys over the same data epoch
-	// produce byte-identical rows and per-job counts. CompileWith and
-	// Bind render it; a plan that was only classified has none.
-	Key string
+
+	// key is Key's rendering, once some caller asked for it.
+	key atomic.Pointer[string]
+}
+
+// Key canonically identifies the plan's whole computation for the
+// result cache: two plans with equal keys over the same data epoch
+// produce byte-identical rows and per-job counts. It is rendered when
+// first asked for — by the result cache, when one serves the plan — and
+// kept; a plan nobody asks costs nothing for it. Key is safe for
+// concurrent use: every caller gets the same string.
+func (pp *Plan) Key() string {
+	if k := pp.key.Load(); k != nil {
+		return *k
+	}
+	k := pp.renderKey()
+	pp.key.CompareAndSwap(nil, &k)
+	return *pp.key.Load()
 }
 
 // CoLocator decides whether a first-level join's scan inputs are
@@ -132,7 +146,7 @@ func SubjectOnlyCoLocator() CoLocator {
 	}
 }
 
-// Compile classifies p's operators, lays out jobs and keys the plan. Per
+// Compile classifies p's operators and lays out jobs. Per
 // Section 5.2: a join whose parents (inputs) are all match operators
 // becomes a map join; every other join becomes a reduce join. Reduce
 // joins at the same level share a MapReduce job.
@@ -154,10 +168,10 @@ func (e *ShuffleWidthError) Error() string {
 }
 
 // CompileWith is Compile under an explicit co-location capability
-// (partitioning-scheme dependent): Classify plus the plan key, which
-// only a plan that will run needs. Its result is the one form of Plan
-// the executor accepts — as is every Bind of it; a plan whose shuffle it
-// could not carry fails with a *ShuffleWidthError.
+// (partitioning-scheme dependent): Classify plus the check that the
+// shuffle can carry every reduce join. Its result is the one form of
+// Plan the executor accepts — as is every Bind of it; a plan whose
+// shuffle it could not carry fails with a *ShuffleWidthError.
 func CompileWith(p *core.Plan, canColocate CoLocator) (*Plan, error) {
 	pp, err := Classify(p, canColocate)
 	if err != nil {
@@ -170,30 +184,26 @@ func CompileWith(p *core.Plan, canColocate CoLocator) (*Plan, error) {
 			}
 		}
 	}
-	pp.Key = pp.renderKey(0)
 	return pp, nil
 }
 
 // Bind returns pp's plan for q, a query of the written shape
 // (core.WrittenShape) and SELECT list of the one pp was compiled for,
 // whatever its constants: a new header whose logical plan is q's and
-// whose Key is rendered for q. The operator DAG, Infos and Levels are
-// pp's, shared read-only — none of them names a constant (Sections 3-4:
-// a plan is a function of the variable graph), so they are what a
-// compile of q would build. Constants enter only where the executor
-// reads q's patterns, at scan time, and in the key.
+// whose Key, when asked for, is rendered for q. The operator DAG, Infos
+// and Levels are pp's, shared read-only — none of them names a constant
+// (Sections 3-4: a plan is a function of the variable graph), so they
+// are what a compile of q would build. Constants enter only where the
+// executor reads q's patterns, at scan time, and in the key.
 func (pp *Plan) Bind(q *sparql.Query) *Plan {
-	b := *pp
-	b.Logical = &core.Plan{Query: q, Root: pp.Logical.Root}
-	b.Key = b.renderKey(len(pp.Key) + len(pp.Key)/8)
-	return &b
+	return &Plan{Logical: &core.Plan{Query: q, Root: pp.Logical.Root}, Root: pp.Root, Infos: pp.Infos, Levels: pp.Levels}
 }
 
 // Classify is the structural half of CompileWith: operator kinds,
 // reduce-join levels and with them the job count — everything the cost
 // model reads to price a candidate, and nothing rendered. The Plan it
-// returns has no Key, so it is for inspection and pricing only; a plan
-// to execute comes from CompileWith.
+// returns is for inspection and pricing only; a plan to execute comes
+// from CompileWith.
 func Classify(p *core.Plan, canColocate CoLocator) (*Plan, error) {
 	if p.Root.Kind != core.OpProject || len(p.Root.Children) != 1 {
 		return nil, fmt.Errorf("physical: plan root must be a projection over one operator")
@@ -255,19 +265,19 @@ func Classify(p *core.Plan, canColocate CoLocator) (*Plan, error) {
 	return pp, nil
 }
 
-// renderKey renders the plan's content key for its logical plan's query
-// in one pass, into a buffer of capacity hint. The key must pin down
-// everything besides the data epoch (which the result cache layers in)
-// that shapes the rows and every job's recorded counts: per job level,
+// renderKey renders Key for the plan's logical query in one pass. The
+// key must pin down everything besides the data epoch (which the result
+// cache layers in) that shapes the rows and every job's recorded
+// counts: per job level,
 // the content of its reduce joins (their whole subtrees, children in
 // order, patterns by their terms) and their plan-global IDs — shuffle
 // routing and record sort order derive from the ID — or, for a map-only
 // plan, the content of its root; then the SELECT list the final
 // projection targets. Nothing is memoized on the operators: they may be
 // shared by the plans of queries that differ in their constants.
-func (pp *Plan) renderKey(hint int) string {
+func (pp *Plan) renderKey() string {
 	q := pp.Logical.Query
-	b := make([]byte, 0, hint)
+	var b []byte
 	if pp.MapOnly() {
 		b = appendContent(append(b, "MO|"...), pp.Root, q)
 	}

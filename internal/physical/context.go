@@ -80,6 +80,16 @@ type ExecContext struct {
 	// built sequentially before the job runs.
 	morsels [][]mapMorsel
 
+	// The job in flight (jobX runs job jobLevel of jobPlan), the two job
+	// forms whose callbacks read it, bound once (prepare), and what
+	// Executor hands out: one execution's executor and cluster clock.
+	jobX                 *Executor
+	jobPlan              *Plan
+	jobLevel             int
+	mapOnlyJob, levelJob mapreduce.Job
+	x                    Executor
+	cluster              mapreduce.Cluster
+
 	// mergeParts' scratch and product: the parts being merged (the last
 	// job's per-node output, each sorted in place), their offsets, merge
 	// heads and head prefixes, and the merged order of the survivors —
@@ -117,6 +127,16 @@ func NewExecContext(lanes int) *ExecContext {
 // run on.
 func (c *ExecContext) lanes() int { return c.pool.Lanes() }
 
+// Executor returns the context's own executor, valid until the next
+// call, on a fresh cluster clock over store priced with k (its job log
+// keeps its array), for one execution; the caller sets Part, Dict, View
+// and ResultCache.
+func (c *ExecContext) Executor(store *dstore.Store, k mapreduce.Constants) *Executor {
+	c.cluster = mapreduce.Cluster{Store: store, C: k, Jobs: c.cluster.Jobs[:0]}
+	c.x = Executor{Cluster: &c.cluster, Ctx: c}
+	return &c.x
+}
+
 // Close reaps the context's worker pool. The context must be idle;
 // afterwards it is one inline lane. Closing twice is a no-op.
 func (c *ExecContext) Close() {
@@ -130,6 +150,10 @@ func (c *ExecContext) Close() {
 // workers index already-built tables without synchronization. Every
 // buffer is drawn from the context's pool as it grows.
 func (c *ExecContext) prepare(pp *Plan, nodes int) {
+	if c.levelJob.MapMorsel == nil {
+		c.mapOnlyJob = mapreduce.Job{MapMorsel: c.mapOnlyMorsel}
+		c.levelJob = mapreduce.Job{MapMorsels: c.levelMorsels, MapMorsel: c.levelMapMorsel, ReduceRange: c.levelReduce}
+	}
 	for len(c.arenas) < c.lanes() {
 		c.arenas = append(c.arenas, &arena{bufs: &c.bufs})
 	}
@@ -152,6 +176,7 @@ func (c *ExecContext) prepare(pp *Plan, nodes int) {
 
 // release hands every buffer the execution borrowed back to the pool.
 func (c *ExecContext) release() {
+	c.jobX, c.jobPlan = nil, nil
 	c.shuffle.Release()
 	for _, a := range c.arenas {
 		a.release()

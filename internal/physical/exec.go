@@ -131,9 +131,9 @@ func (x *Executor) Run(pp *Plan, use func(res *Result, rows Rows) error) error {
 	if x.ResultCache == nil {
 		rows = x.runJobs(pp, nil)
 	} else {
-		ent, hit := x.ResultCache.Do(pp.Key, x.view.Version(), func() *rescache.Entry {
+		ent, hit := x.ResultCache.Do(pp.Key(), x.view.Version(), func() *rescache.Entry {
 			recs := make([]*mapreduce.JobRecord, pp.NumJobs())
-			return rescache.NewEntry(pp.Key, recs, x.runJobs(pp, recs).block())
+			return rescache.NewEntry(pp.Key(), recs, x.runJobs(pp, recs).block())
 		})
 		if hit {
 			// Log every job as if it had just run.
@@ -151,8 +151,8 @@ func (x *Executor) Run(pp *Plan, use func(res *Result, rows Rows) error) error {
 		Work:        x.Cluster.TotalWork() - workBefore,
 		DataVersion: x.view.Version(),
 	}
-	for _, js := range x.Cluster.Jobs[jobsBefore:] {
-		res.Jobs = append(res.Jobs, js)
+	res.Jobs = slices.Clone(x.Cluster.Jobs[jobsBefore:])
+	for _, js := range res.Jobs {
 		res.Time += js.Time
 	}
 	return use(res, rows)
@@ -187,11 +187,12 @@ func jobName(pp *Plan, l int) string {
 // rec with what it metered when non-nil — and forwards its stats to the
 // sink.
 func (x *Executor) runLevel(pp *Plan, l int, rec *mapreduce.JobRecord) *mapreduce.Output {
-	var job mapreduce.Job
-	if pp.MapOnly() {
-		job = x.mapOnlyJob(pp)
-	} else {
-		job = x.levelJob(pp, l)
+	c := x.Ctx
+	c.jobX, c.jobPlan, c.jobLevel = x, pp, l
+	job := c.mapOnlyJob
+	if !pp.MapOnly() {
+		x.buildMorsels(pp, pp.Levels[l])
+		job = c.levelJob
 	}
 	job.Name = jobName(pp, l)
 	out := x.Cluster.RunWith(job, mapreduce.RunOptions{
@@ -206,80 +207,72 @@ func (x *Executor) runLevel(pp *Plan, l int, rec *mapreduce.JobRecord) *mapreduc
 	return out
 }
 
-// mapOnlyJob builds the single job of a map-only plan: one morsel per
-// node, evaluating the node's whole local subtree with the root writing
-// the SELECT columns straight into the node output. Splitting it, as
-// levelJob splits its scans per partition file, is not done.
-func (x *Executor) mapOnlyJob(pp *Plan) mapreduce.Job {
-	sel := pp.Logical.Root.Attrs
-	return mapreduce.Job{
-		MapMorsel: func(node, _, lane int, m *mapreduce.Meter, _ *mapreduce.Emitter, out *mapreduce.Block) {
-			a := x.Ctx.arenas[lane]
-			a.resetBlocks()
-			x.evalInto(out, sel, pp, pp.Root, node, m, "", a)
-			m.Check(out.N) // the node's only morsel: out holds its rows alone
-		},
-	}
+// A job's callbacks are the context's, bound once, and read the job in
+// flight off it. A map-only plan's single job has one morsel per node,
+// evaluating the node's whole local subtree with the root writing the
+// SELECT columns straight into the node output. Splitting it, as a
+// level's job splits its scans per partition file, is not done.
+func (c *ExecContext) mapOnlyMorsel(node, _, lane int, m *mapreduce.Meter, _ *mapreduce.Emitter, out *mapreduce.Block) {
+	x, pp := c.jobX, c.jobPlan
+	a := c.arenas[lane]
+	a.resetBlocks()
+	x.evalInto(out, pp.Logical.Root.Attrs, pp, pp.Root, node, m, "", a)
+	m.Check(out.N) // the node's only morsel: out holds its rows alone
 }
 
-// levelJob builds job l of a plan with reduce joins.
-//
-// The map side of the level splits into sub-node morsels: one per
-// (reduce join, child) — and per partition file for scan children, per
-// key range for shufflers — so parallelism isn't capped at the node
-// count. The table is built sequentially here; morsels of one node may
-// then run on any lane.
-//
-// The reduce side runs per key range: each range joins its groups into
-// the reduce join's own (node, range) block, counting the joins and
-// writes of every group it produces. The plan's root in the last job
-// joins straight onto the SELECT list, into the job output the runtime
-// hands the range, and counts the projection's checks too. Range order
-// concatenates back to the node's canonical group order, so every
-// reduce join's rows come out exactly as from one sweep over the node.
-// The SELECT list is read off the final projection, not the query: that
-// slice is shared by every bind of the plan, so the lanes' join-plan
-// memo, which keys on slice identity, serves all of them.
-func (x *Executor) levelJob(pp *Plan, l int) mapreduce.Job {
-	sel := pp.Logical.Root.Attrs
-	isLast := l == len(pp.Levels)-1
-	byID, interm := x.Ctx.byID, x.Ctx.interm
-	morsels := x.buildMorsels(pp, pp.Levels[l])
-	return mapreduce.Job{
-		MapMorsels: func(node int) int { return len(morsels[node]) },
-		MapMorsel: func(node, morsel, lane int, m *mapreduce.Meter, emit *mapreduce.Emitter, _ *mapreduce.Block) {
-			x.runMapMorsel(pp, &morsels[node][morsel], node, lane, m, emit)
-		},
-		ReduceRange: func(node, rng, _, lane int, m *mapreduce.Meter, groups *mapreduce.Groups, out *mapreduce.Block) {
-			a := x.Ctx.arenas[lane]
-			groups.Each(func(g mapreduce.Group) {
-				rj := byID[int(g.ID())]
-				// The group's records, split by input, are the join's
-				// children: their cells are copied out of the shuffle
-				// buffers into the lane's per-input blocks.
-				rels := a.relBuf(len(rj.Op.Children))
-				for i, c := range rj.Op.Children {
-					rels[i].schema = c.Attrs
-					rels[i].Reset(len(c.Attrs))
-				}
-				for i := 0; i < g.Len(); i++ {
-					tag, row := g.Record(i)
-					rels[tag].Append(row)
-				}
-				final := isLast && rj.Op == pp.Root
-				dst, attrs := &interm[rj.ID][node][rng], rj.Op.Attrs
-				if final {
-					dst, attrs = out, sel
-				}
-				counts := a.naryJoinInto(dst, rels, rj.Op.JoinAttrs, attrs, false)
-				m.Join(counts.in + counts.out)
-				m.Write(counts.out)
-				if final {
-					m.Check(counts.out) // the final projection
-				}
-			})
-		},
-	}
+// The job of a level of a plan with reduce joins splits its map side
+// into sub-node morsels: one per (reduce join, child) — and per
+// partition file for scan children, per key range for shufflers — so
+// parallelism isn't capped at the node count. The table is built
+// sequentially (buildMorsels) before the job runs; morsels of one node
+// may then run on any lane.
+func (c *ExecContext) levelMorsels(node int) int { return len(c.morsels[node]) }
+
+func (c *ExecContext) levelMapMorsel(node, morsel, lane int, m *mapreduce.Meter, emit *mapreduce.Emitter, _ *mapreduce.Block) {
+	c.jobX.runMapMorsel(c.jobPlan, &c.morsels[node][morsel], node, lane, m, emit)
+}
+
+// levelReduce runs the reduce side of a level per key range: each range
+// joins its groups into the reduce join's own (node, range) block,
+// counting the joins and writes of every group it produces. The plan's
+// root in the last job joins straight onto the SELECT list, into the job
+// output the runtime hands the range, and counts the projection's checks
+// too. Range order concatenates back to the node's canonical group
+// order, so every reduce join's rows come out exactly as from one sweep
+// over the node. The SELECT list is read off the final projection, not
+// the query: that slice is shared by every bind of the plan, so the
+// lanes' join-plan memo, which keys on slice identity, serves all of
+// them.
+func (c *ExecContext) levelReduce(node, rng, _, lane int, m *mapreduce.Meter, groups *mapreduce.Groups, out *mapreduce.Block) {
+	pp := c.jobPlan
+	isLast := c.jobLevel == len(pp.Levels)-1
+	a := c.arenas[lane]
+	groups.Each(func(g mapreduce.Group) {
+		rj := c.byID[int(g.ID())]
+		// The group's records, split by input, are the join's
+		// children: their cells are copied out of the shuffle
+		// buffers into the lane's per-input blocks.
+		rels := a.relBuf(len(rj.Op.Children))
+		for i, ch := range rj.Op.Children {
+			rels[i].schema = ch.Attrs
+			rels[i].Reset(len(ch.Attrs))
+		}
+		for i := 0; i < g.Len(); i++ {
+			tag, row := g.Record(i)
+			rels[tag].Append(row)
+		}
+		final := isLast && rj.Op == pp.Root
+		dst, attrs := &c.interm[rj.ID][node][rng], rj.Op.Attrs
+		if final {
+			dst, attrs = out, pp.Logical.Root.Attrs
+		}
+		counts := a.naryJoinInto(dst, rels, rj.Op.JoinAttrs, attrs, false)
+		m.Join(counts.in + counts.out)
+		m.Write(counts.out)
+		if final {
+			m.Check(counts.out) // the final projection
+		}
+	})
 }
 
 // buildMorsels lays out one job level's map morsels per node, in the
@@ -289,7 +282,7 @@ func (x *Executor) levelJob(pp *Plan, l int) mapreduce.Job {
 // re-read output for map-shuffler children. Scans whose
 // constants miss the dictionary produce no morsels (they charge and
 // emit nothing anywhere).
-func (x *Executor) buildMorsels(pp *Plan, level []*Info) [][]mapMorsel {
+func (x *Executor) buildMorsels(pp *Plan, level []*Info) {
 	n := x.view.Nodes()
 	tbl := slices.Grow(x.Ctx.morsels[:0], n)[:n]
 	for node := range tbl {
@@ -328,7 +321,6 @@ func (x *Executor) buildMorsels(pp *Plan, level []*Info) [][]mapMorsel {
 			}
 		}
 	}
-	return tbl
 }
 
 // runMapMorsel evaluates one map morsel — a map shuffler re-reading the

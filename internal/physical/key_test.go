@@ -3,6 +3,7 @@ package physical
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"cliquesquare/internal/core"
@@ -72,10 +73,12 @@ func compileCandidate(t *testing.T, sp *core.Space, q *sparql.Query, i int, caps
 
 // TestKeyMatchesOracle pins Plan.Key byte for byte to the memoising
 // renderer it replaced: for every candidate of the 14 LUBM queries, under
-// both co-locators, as compiled; and for every candidate of the six
-// university templates, compiled for university 0 and bound to
-// universities 0, 1 and 2, where a bind must also key exactly as a
-// compile for its own constants and leave the compiled plan untouched.
+// both co-locators, as compiled and as bound to the query (a bound plan
+// renders its key on first use: none of these is ever executed); and for
+// every candidate of the six university templates, compiled for
+// university 0 and bound to universities 0, 1 and 2, where a bind must
+// also key exactly as a compile for its own constants and leave the
+// compiled plan untouched.
 func TestKeyMatchesOracle(t *testing.T) {
 	opts := core.Options{MaxPlans: 20000, MaxCoversPerStep: 5000}
 	for _, q := range lubm.Queries() {
@@ -86,8 +89,12 @@ func TestKeyMatchesOracle(t *testing.T) {
 		sp := res.Space()
 		for i := 0; i < sp.Candidates(); i++ {
 			for _, caps := range []CoLocator{nil, SubjectOnlyCoLocator()} {
-				if pp := compileCandidate(t, sp, q, i, caps); pp.Key != oracleKey(pp) {
-					t.Fatalf("%s candidate %d: key\n%s\nwant\n%s", q.Name, i, pp.Key, oracleKey(pp))
+				pp := compileCandidate(t, sp, q, i, caps)
+				if pp.Key() != oracleKey(pp) {
+					t.Fatalf("%s candidate %d: key\n%s\nwant\n%s", q.Name, i, pp.Key(), oracleKey(pp))
+				}
+				if bound := pp.Bind(q); bound.Key() != oracleKey(bound) {
+					t.Fatalf("%s candidate %d bound: key\n%s\nwant\n%s", q.Name, i, bound.Key(), oracleKey(bound))
 				}
 			}
 		}
@@ -101,19 +108,53 @@ func TestKeyMatchesOracle(t *testing.T) {
 		sp := res.Space()
 		for i := 0; i < sp.Candidates(); i++ {
 			compiled := compileCandidate(t, sp, q0, i, nil)
-			key := compiled.Key
+			key := compiled.Key()
 			for c, qs := range variants {
 				q := qs[k]
 				bound := compiled.Bind(q)
-				if bound.Key != oracleKey(bound) {
-					t.Fatalf("%s candidate %d bound to university %d: key\n%s\nwant\n%s", q.Name, i, c, bound.Key, oracleKey(bound))
+				if bound.Key() != oracleKey(bound) {
+					t.Fatalf("%s candidate %d bound to university %d: key\n%s\nwant\n%s", q.Name, i, c, bound.Key(), oracleKey(bound))
 				}
-				if fresh := compileCandidate(t, sp, q, i, nil); bound.Key != fresh.Key {
-					t.Fatalf("%s candidate %d bound to university %d keys as\n%s\na compile for it as\n%s", q.Name, i, c, bound.Key, fresh.Key)
+				if fresh := compileCandidate(t, sp, q, i, nil); bound.Key() != fresh.Key() {
+					t.Fatalf("%s candidate %d bound to university %d keys as\n%s\na compile for it as\n%s", q.Name, i, c, bound.Key(), fresh.Key())
 				}
-				if bound.Logical.Query != q || bound.Root != compiled.Root || compiled.Key != key || compiled.Logical.Query != q0 {
+				if bound.Logical.Query != q || bound.Root != compiled.Root || compiled.Key() != key || compiled.Logical.Query != q0 {
 					t.Fatalf("%s candidate %d: binding to university %d did not leave the compiled plan as it was", q.Name, i, c)
 				}
+			}
+		}
+	}
+}
+
+// TestKeyFirstUseConcurrent has eight goroutines ask a freshly bound
+// plan for its key at once — the first use of the lazy rendering, which
+// the race detector watches in CI — and holds every one of them to the
+// same string, the oracle's.
+func TestKeyFirstUseConcurrent(t *testing.T) {
+	opts := core.Options{MaxPlans: 20000, MaxCoversPerStep: 5000}
+	for _, q := range lubm.UniversityVariants(1) {
+		res, err := core.Optimize(q, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bound := compileCandidate(t, res.Space(), q, 0, nil).Bind(q)
+		keys := make([]string, 8)
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for g := range keys {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				keys[g] = bound.Key()
+			}()
+		}
+		close(start)
+		wg.Wait()
+		want := oracleKey(bound)
+		for g, k := range keys {
+			if k != want {
+				t.Fatalf("%s: goroutine %d got key\n%s\nwant\n%s", q.Name, g, k, want)
 			}
 		}
 	}

@@ -83,7 +83,7 @@ func TestStaleRangeBlocksNeverLeak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pp2.NumJobs() != pp.NumJobs() || pp.Key == pp2.Key {
+	if pp2.NumJobs() != pp.NumJobs() || pp.Key() == pp2.Key() {
 		t.Fatalf("want a three-job plan pair with distinct keys:\n%s", pp.Describe())
 	}
 	pin, err := newExec(g, 3).Execute(pp2)

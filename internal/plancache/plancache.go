@@ -20,6 +20,7 @@
 package plancache
 
 import (
+	"errors"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -80,6 +81,9 @@ type Cache[V any] struct {
 	evictions    atomic.Uint64
 	evictedBytes atomic.Uint64
 }
+
+// errPanicked marks an entry whose compute panicked: its waiters retry.
+var errPanicked = errors.New("plancache: compute panicked")
 
 // entry is one cached key. ready is closed once val/err are set; LRU
 // links, weight and done are guarded by the shard lock, val/err by the
@@ -233,7 +237,9 @@ func (c *Cache[V]) admit(s *shard[V], e *entry[V]) {
 // computation) rather than from this call's own compute.
 //
 // A compute error is returned to every waiting caller and the entry is
-// dropped, so a later Do retries.
+// dropped, so a later Do retries. A compute that panics drops the entry
+// too, and wakes its waiters, which retry as if they had come first;
+// the panic then continues on the caller whose compute it was.
 func (c *Cache[V]) Do(key string, compute func() (V, error)) (v V, hit bool, err error) {
 	s := &c.shards[shardIndex(key)%uint32(len(c.shards))]
 	s.mu.Lock()
@@ -241,6 +247,9 @@ func (c *Cache[V]) Do(key string, compute func() (V, error)) (v V, hit bool, err
 		s.moveToFront(e)
 		s.mu.Unlock()
 		<-e.ready
+		if e.err == errPanicked {
+			return c.Do(key, compute)
+		}
 		if e.err != nil {
 			return v, false, e.err
 		}
@@ -262,6 +271,18 @@ func (c *Cache[V]) Do(key string, compute func() (V, error)) (v V, hit bool, err
 	s.mu.Unlock()
 	c.settle(&ev)
 
+	e.err = errPanicked // until compute returns
+	defer func() {
+		if e.err == errPanicked {
+			s.mu.Lock()
+			if s.m[key] == e {
+				s.unlink(e)
+				delete(s.m, key)
+			}
+			s.mu.Unlock()
+			close(e.ready)
+		}
+	}()
 	e.val, e.err = compute()
 	close(e.ready)
 	c.misses.Add(1)

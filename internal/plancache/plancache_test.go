@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestDoBasic(t *testing.T) {
@@ -98,6 +99,63 @@ func TestErrorNotCached(t *testing.T) {
 	v, hit, err := c.Do("k", func() (int, error) { return 7, nil })
 	if err != nil || hit || v != 7 {
 		t.Fatalf("retry: v=%d hit=%v err=%v", v, hit, err)
+	}
+}
+
+// TestPanickingComputeDoesNotWedge holds Do to its cleanup when a
+// compute panics: the panic reaches the computing caller, a caller that
+// was waiting on the computation retries and computes the value itself,
+// and a later Do of the key computes again — none of them blocks.
+func TestPanickingComputeDoesNotWedge(t *testing.T) {
+	c := New[int](4)
+	started, release := make(chan struct{}), make(chan struct{})
+	panicked := make(chan any, 1)
+	go func() {
+		defer func() { panicked <- recover() }()
+		_, _, _ = c.Do("k", func() (int, error) {
+			close(started)
+			<-release
+			panic("boom")
+		})
+	}()
+	<-started
+	waiter := make(chan int, 1)
+	go func() {
+		v, _, err := c.Do("k", func() (int, error) { return 7, nil })
+		if err != nil {
+			t.Errorf("waiter: %v", err)
+		}
+		waiter <- v
+	}()
+	close(release)
+	deadline := time.After(2 * time.Second)
+	select {
+	case r := <-panicked:
+		if r != "boom" {
+			t.Fatalf("the computing caller recovered %v, want the compute's panic", r)
+		}
+	case <-deadline:
+		t.Fatal("the panicking Do did not return")
+	}
+	select {
+	case v := <-waiter:
+		if v != 7 {
+			t.Fatalf("the waiter got %d, want its own compute's 7", v)
+		}
+	case <-deadline:
+		t.Fatal("a caller waiting on the panicking compute is still blocked after 2 s")
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if v, hit, err := c.Do("k", func() (int, error) { return 9, nil }); err != nil || v != 7 || !hit {
+			t.Errorf("a later Do: v=%d hit=%v err=%v, want the waiter's 7 from the cache", v, hit, err)
+		}
+	}()
+	select {
+	case <-done:
+	case <-deadline:
+		t.Fatal("a later Do of the key is still blocked after 2 s")
 	}
 }
 

@@ -43,7 +43,7 @@ func TestCompileOncePerCandidate(t *testing.T) {
 			if p.Physical.Root != f.Physical.Root || p.Physical.Logical.Root != f.Physical.Logical.Root {
 				t.Errorf("%s for university %d: candidate %d was compiled again", q.Name, c, p.chosenIdx)
 			}
-			if p.Physical.Key == f.Physical.Key || p.Physical.Logical.Query != q {
+			if p.Physical.Key() == f.Physical.Key() || p.Physical.Logical.Query != q {
 				t.Errorf("%s for university %d: bound plan keeps the constants of its first query", q.Name, c)
 			}
 		}
@@ -112,7 +112,7 @@ func TestBoundPlansKeepConstantsApart(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if p.Physical.Key != want.Physical.Key || !reflect.DeepEqual(got.Rows, wantRes.Rows) || !reflect.DeepEqual(got.Jobs, wantRes.Jobs) {
+					if p.Physical.Key() != want.Physical.Key() || !reflect.DeepEqual(got.Rows, wantRes.Rows) || !reflect.DeepEqual(got.Jobs, wantRes.Jobs) {
 						t.Errorf("lanes %d, result cache %d B, round %d, %s: key, rows (%d vs %d) or JobStats differ from a cache-less engine's",
 							lanes, resBytes, round, q.Name, len(got.Rows), len(wantRes.Rows))
 					}

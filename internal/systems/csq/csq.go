@@ -407,13 +407,14 @@ type compiledPlan struct {
 // lists; the bound only guards pathological churn).
 const compiledCap = 16
 
-// shape returns the plans of q's written shape: the resident ones, or the
-// product of one enumeration that concurrent first requests of the shape
-// share (singleflight) and the cache retains if it fits. The optimizer's
+// shape returns the plans of q's written shape, the string written
+// (core.WrittenShape(q)): the resident ones, or the product of one
+// enumeration that concurrent first requests of the shape share
+// (singleflight) and the cache retains if it fits. The optimizer's
 // budgets govern that one enumeration, and its Truncated flag stays on
 // the space. An engine without caches enumerates for every call and
 // compiles into a table nobody keeps.
-func (e *Engine) shape(q *sparql.Query) (*shapePlans, error) {
+func (e *Engine) shape(q *sparql.Query, written string) (*shapePlans, error) {
 	compute := func() (*shapePlans, error) {
 		res, err := e.enumerate(q)
 		if err != nil {
@@ -424,7 +425,7 @@ func (e *Engine) shape(q *sparql.Query) (*shapePlans, error) {
 	if e.spaces == nil {
 		return compute()
 	}
-	sh, _, err := e.spaces.Do(core.WrittenShape(q), compute)
+	sh, _, err := e.spaces.Do(written, compute)
 	return sh, err
 }
 
@@ -451,7 +452,7 @@ func (e *Engine) plan(q *sparql.Query, prev *Prepared) (p *Prepared, ref *cost.R
 		return p, ref, nil
 	}
 	p.stats = st
-	sh, err := e.shape(q)
+	sh, err := e.shape(q, ref.Shape()) // the catalog keeps the shape's string
 	if err != nil {
 		e.cat.Release(ref)
 		return nil, nil, err
@@ -557,31 +558,30 @@ func (e *Engine) closeContexts() {
 	}
 }
 
-// executor wires an executor for one plan execution: a pooled context,
-// the current epoch pinned, a fresh cluster clock. The caller releases
-// it when the execution — and whatever reads its borrowed rows — is
-// done.
+// executor wires an executor for one plan execution: a pooled context's
+// own, the current epoch pinned, a fresh cluster clock. The caller
+// releases it when the execution — and whatever reads its borrowed rows
+// — is done.
 func (e *Engine) executor() (*physical.Executor, error) {
 	if e.closed.Load() {
 		return nil, ErrClosed
 	}
-	return &physical.Executor{
-		Cluster: mapreduce.NewCluster(e.store, e.cfg.Constants),
-		Part:    e.part,
-		Dict:    e.dict,
-		Ctx:     e.execContext(),
-		// Pin the epoch in the partitioner's registry for the duration:
-		// a checkpoint's watermark then never garbage-collects
-		// the WAL generation this execution is reading.
-		View:        e.part.Pin(e.part.Current()),
-		ResultCache: e.res,
-	}, nil
+	x := e.execContext().Executor(e.store, e.cfg.Constants)
+	x.Part, x.Dict, x.ResultCache = e.part, e.dict, e.res
+	// Pin the epoch in the partitioner's registry for the duration: a
+	// checkpoint's watermark then never garbage-collects the WAL
+	// generation this execution is reading.
+	x.View = e.part.Pin(e.part.Current())
+	return x, nil
 }
 
-// release unpins x's epoch and returns its context to the free list.
+// release unpins x's epoch and returns its context to the free list,
+// x emptied: an idle context keeps no epoch.
 func (e *Engine) release(x *physical.Executor) {
 	e.part.Unpin(x.View)
-	e.putContext(x.Ctx)
+	c := x.Ctx
+	*x = physical.Executor{}
+	e.putContext(c)
 }
 
 // ExecutePlan runs an already-compiled plan on a fresh cluster clock,

@@ -357,7 +357,7 @@ func TestRevalidationReplansWhenWinnerChanges(t *testing.T) {
 		t.Fatalf("candidate %d still wins after the data grew six-fold; the test assumes the winner moves", p1.chosenIdx)
 	}
 	if p2.chosenIdx != fresh.chosenIdx || p2.chosenCost != fresh.chosenCost || p2.Logical.Signature() != fresh.Logical.Signature() ||
-		p2.Physical.Key != fresh.Physical.Key || p2.Height != fresh.Height {
+		p2.Physical.Key() != fresh.Physical.Key() || p2.Height != fresh.Height {
 		t.Errorf("revalidation chose candidate %d at cost %v, a fresh engine candidate %d at %v", p2.chosenIdx, p2.chosenCost, fresh.chosenIdx, fresh.chosenCost)
 	}
 	got, err := eng.ExecutePrepared(p2)

@@ -58,7 +58,7 @@ func uniquePlans(t *testing.T, e *Engine) (unique, probes int) {
 		if err != nil {
 			t.Fatalf("%s: %v", q.Name, err)
 		}
-		seen[p.Physical.Key] = true
+		seen[p.Physical.Key()] = true
 		probes++
 	}
 	return len(seen), probes

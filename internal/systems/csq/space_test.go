@@ -17,7 +17,7 @@ import (
 // enumeration of its own.
 func sameChoice(t *testing.T, label string, got, want *Prepared) {
 	t.Helper()
-	if got.Logical.Signature() != want.Logical.Signature() || got.Physical.Key != want.Physical.Key ||
+	if got.Logical.Signature() != want.Logical.Signature() || got.Physical.Key() != want.Physical.Key() ||
 		got.PlansExplored != want.PlansExplored || got.UniquePlans != want.UniquePlans ||
 		got.chosenIdx != want.chosenIdx || got.chosenCost != want.chosenCost {
 		t.Errorf("%s: prepared candidate %d of %d/%d (%s), a fresh engine candidate %d of %d/%d (%s)", label,

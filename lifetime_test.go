@@ -197,7 +197,7 @@ func TestCachedViewReadWhileContextExecutes(t *testing.T) {
 	rc := rescache.New(64 << 20)
 	pp, want := f.flat["Q1"], f.golden.Flat["Q1"]
 	k := kept{name: "flat/Q1", res: f.execute(t, ctx, rc, pp), want: want}
-	ent, hit := rc.Do(pp.Key, f.part.Current().Version(), func() *rescache.Entry {
+	ent, hit := rc.Do(pp.Key(), f.part.Current().Version(), func() *rescache.Entry {
 		t.Error("the answer of the plan just executed is not cached")
 		return &rescache.Entry{}
 	})
