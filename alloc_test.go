@@ -79,10 +79,13 @@ const (
 	uncachedQueryFixedBytes = 24 << 10
 	// variantPrepareBytesCeiling bounds the bytes one pass of
 	// BenchmarkPrepareColdVsCached/variant allocates: six cold prepares
-	// for a university no plan is cached for: 1.1× the measured 5.78 KB
-	// (84 allocs). Parse aside, a miss allocates only what it keeps: the
-	// plan-cache key and entry, the catalog hold and the snapshot's
-	// per-pattern numbers, and a bind of the winner's compiled
+	// for a university no plan is cached for: 1.1× the 5.78 KB (84
+	// allocs) measured when the plan cache held the catalog's patterns;
+	// 5.66–5.75 KB (72) since the catalog keeps them itself, a resident
+	// pattern costing its map a slot of two words. Parse aside, a miss
+	// allocates only what it keeps: the plan-cache key and entry, the
+	// snapshot's per-pattern numbers, the new patterns with their own
+	// copy of their constants, and a bind of the winner's compiled
 	// candidate, its two plan headers; the pricing walk borrows pooled
 	// scratch and the result-cache key is rendered only when a result
 	// cache asks. It was 25.6 KB (195 allocs) when every walk made its
@@ -95,7 +98,8 @@ const (
 	variantPrepareBytesCeiling = 6_360
 	// coldPassAllocCeiling bounds the objects a pass of the same six cold
 	// prepares allocates (TestAllocColdPrepareStages): 1.15× the measured
-	// 82–85 (a collection empties the pricer pool); 202 before pricing
+	// 82–85 (a collection empties the pricer pool), 79 since a prepare
+	// takes no hold on the catalog's patterns; 202 before pricing
 	// scratch was pooled, keys rendered on demand and the catalog's
 	// layout kept per written shape.
 	coldPassAllocCeiling = 95

@@ -260,22 +260,22 @@ func BenchmarkShuffleHeavy(b *testing.B) {
 	}
 }
 
-// BenchmarkPrepareColdVsCached measures the plan-once/execute-many
-// split on the LUBM workload: "cold" runs the full optimizer pipeline
-// (clique decomposition, cover enumeration, cost-based selection,
-// physical compilation) for every query; "cached" serves the same
-// queries from the fingerprint plan cache. One op is the whole
-// 14-query workload. The acceptance bar is a >= 10x gap; in practice
-// a cache hit is a canonicalization plus a map lookup, orders of
-// magnitude below a planner run. "variant" is the shape in between, the
-// benchmark's plan_cold: the plan cache is on, but every op names a
-// university no plan has been cached for, so each of the six
-// constant-bearing templates is planned cold while the statistics of
-// the patterns it shares with earlier plans are already resident.
+// BenchmarkPrepareColdVsCached measures what the per-query plan cache
+// still buys on the LUBM workload, one op being the whole 14-query
+// workload. "uncached" prepares every query with that cache off: a
+// statistics snapshot of patterns the catalog keeps, one pricing walk
+// over the shape's shared plan space and a bind of the winner — no
+// optimizer run and no compile after the first op. "cached" serves the
+// same queries from the plan cache: a canonicalization and a probe.
+// "variant" is the shape in between, the benchmark's plan_cold: the plan
+// cache is on, but every op names a university no plan has been cached
+// for, so each of the six constant-bearing templates is planned cold
+// while the statistics of the patterns it shares with earlier plans are
+// already resident. README.md records the three per-op timings.
 func BenchmarkPrepareColdVsCached(b *testing.B) {
 	g := lubmGraph(6)
 	qs := lubm.Queries()
-	b.Run("cold", func(b *testing.B) {
+	b.Run("uncached", func(b *testing.B) {
 		cfg := csq.DefaultConfig()
 		cfg.PlanCacheSize = -1
 		eng := csq.New(g, cfg)
@@ -435,8 +435,9 @@ func BenchmarkPartitionLoad(b *testing.B) {
 }
 
 // BenchmarkEndToEnd runs the facade on a small graph (allocation
-// profile of the whole pipeline; the plan cache is disabled so every
-// iteration pays the full parse-plan-execute cost).
+// profile of the whole pipeline; the plan cache is off, so every
+// iteration parses, snapshots, prices, binds and executes — the plan
+// space and the statistics are shared from the first iteration on).
 func BenchmarkEndToEnd(b *testing.B) {
 	g := NewGraph()
 	for i := 0; i < 500; i++ {

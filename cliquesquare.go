@@ -69,9 +69,11 @@ type Options struct {
 	// PlanCacheSize caps (approximately — sharding rounds it up to a
 	// multiple of 8) the engine's prepared-plan cache, keyed on
 	// canonical query fingerprints; 0 means a default of 256 entries,
-	// negative disables plan caching. Cached and uncached paths produce
-	// identical results and statistics — the cache only removes
-	// repeated optimizer work.
+	// negative keeps no prepared plan, so every query snapshots its
+	// statistics, prices its shape's plan space and binds a plan again.
+	// Plan spaces, compiled candidates and statistics are shared either
+	// way. Cached and uncached paths produce identical results and
+	// statistics — the cache only removes repeated planning work.
 	PlanCacheSize int
 	// ResultCacheBytes, when positive, enables the result cache with
 	// that byte budget: each executed plan's answer (its result rows

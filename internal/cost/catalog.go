@@ -2,6 +2,7 @@ package cost
 
 import (
 	"cmp"
+	"hash/maphash"
 	"slices"
 	"strings"
 	"sync"
@@ -11,37 +12,69 @@ import (
 	"cliquesquare/internal/sparql"
 )
 
-// Catalog holds the statistics of every distinct triple pattern some
-// holder currently references, once, whatever number of queries share
-// the pattern: its match count and, for a pattern of two or three
-// variable slots, one binding multiset per slot, which is what lets
-// Apply keep them exact under deletes. A pattern of one slot (?x a C,
-// ?x p <c>, ?x p ?x) keeps none: its matches differ only in that slot,
-// so its distinct count is its match count.
+// Catalog holds the statistics of distinct triple patterns, once,
+// whatever number of queries share a pattern: its match count and, for a
+// pattern of two or three variable slots, one binding multiset per slot,
+// which is what lets Apply keep them exact under deletes. A pattern of
+// one slot (?x a C, ?x p <c>, ?x p ?x) keeps none: its matches differ
+// only in that slot, so its distinct count is its match count.
 //
-// A query Acquires its patterns (a Ref), takes Snapshots through the Ref
-// and Releases it; a pattern is resident exactly while some Ref holds
-// it, and so is the layout every Ref of a written shape shares. Snapshot
-// fills the patterns no one filled yet from a Source, outside the
-// catalog's mutex; Apply folds a commit's delta once per resident
-// pattern and moves the catalog to the commit's version. The caller must
-// keep Apply from overlapping a Snapshot, and hand Snapshot the data as
-// of the catalog's version: the engine snapshots its current view under
-// its state read lock and publishes and applies under the write side, so
-// locks nest writer → state lock → catalog mutex. Acquire, Release and
-// Counters are safe at any time.
+// Snapshot looks a query's patterns up, creating the ones the catalog
+// lacks, fills the unfilled ones from a Source outside the catalog's
+// mutex and reads them; Apply folds a commit's delta once per resident
+// filled pattern and moves the catalog to the commit's version. The
+// catalog alone decides what it keeps: while the weight of its filled
+// patterns is over its budget, the least recently snapshotted leaves. A
+// pattern a fill has claimed is never evicted, and one heavier than the
+// whole budget is filled for its snapshot and not kept.
+//
+// The caller must keep Apply from overlapping a Snapshot, and hand
+// Snapshot the data as of the catalog's version: the engine snapshots
+// its current view under its state read lock and publishes and applies
+// under the write side, so locks nest writer → state lock → catalog
+// mutex. That exclusion is also why a Snapshot may read a pattern a
+// concurrent fill evicted after the lookup: no Apply can have moved it
+// since. Counters is safe at any time.
 type Catalog struct {
-	mu           sync.Mutex
-	published    sync.Cond // on mu: a fill published or gave back patterns
-	pats         map[patKey]*pattern
-	layouts      map[string]*layout
+	mu        sync.Mutex
+	published sync.Cond // on mu: a fill published or gave back patterns
+	// pats maps a key's hash under seed to the resident pattern of that
+	// key: a map slot of two words, not of a dozen. Of two keys with one
+	// hash, the second is filled for its snapshots and not kept.
+	pats map[uint64]*pattern
+	seed maphash.Seed
+	// recent is the sentinel of the recency list of the resident filled
+	// patterns, most recently snapshotted first; weight is theirs.
+	recent       pattern
+	weight       int64
+	budget       int64
+	layouts      map[string]*layout // cleared at layoutCap
 	version      uint64
 	fills, folds uint64
 }
 
+const (
+	// budgetBytes is the weight of filled patterns a catalog keeps. The
+	// 20 patterns of the 14 LUBM queries weigh about 10 B per triple (1.6
+	// MB at 100 universities), so it holds them up to 1,000 universities.
+	budgetBytes = 64 << 20
+	// A pattern weighs patternBytes (the entry, its map slot and its
+	// binding maps' headers), its constants' bytes, and bindingBytes (a
+	// map slot of an id and a count, at the maps' load) per binding.
+	patternBytes = 512
+	bindingBytes = 16
+	// layoutCap bounds the written shapes a catalog keeps layouts of: a
+	// workload has few, the bound only guards pathological churn.
+	layoutCap = 256
+)
+
 // NewCatalog returns an empty catalog at the given data version.
 func NewCatalog(version uint64) *Catalog {
-	c := &Catalog{pats: make(map[patKey]*pattern), layouts: make(map[string]*layout), version: version}
+	c := &Catalog{
+		pats: make(map[uint64]*pattern), seed: maphash.MakeSeed(), layouts: make(map[string]*layout),
+		version: version, budget: budgetBytes,
+	}
+	c.recent.prev, c.recent.next = &c.recent, &c.recent
 	c.published.L = &c.mu
 	return c
 }
@@ -74,14 +107,16 @@ func keyOf(tp sparql.TriplePattern) (k patKey, vars [3]string, n int) {
 	return k, vars, n
 }
 
-// pattern is one resident catalog entry: the key compiled to a matcher
-// over ids, and the statistics of its matches. refs, claimed and filled
-// are guarded by Catalog.mu.
+// pattern is one catalog entry: the key compiled to a matcher over ids,
+// and the statistics of its matches. claimed, filled, weight and the
+// recency links are guarded by Catalog.mu.
 type pattern struct {
-	key     patKey
-	refs    int  // acquisitions outstanding
-	claimed bool // a Snapshot is filling it, or has
-	filled  bool // Apply maintains it from here on
+	key        patKey
+	hash       uint64   // of key: its slot in Catalog.pats
+	claimed    bool     // a Snapshot is filling it, or has
+	filled     bool     // Apply maintains it while it is resident
+	weight     int64    // its share of Catalog.weight while listed
+	prev, next *pattern // the recency list; nil when not listed
 
 	// The matcher. id[p] is the constant at position p where the consts
 	// bit p is set; a set missing bit means the dictionary does not know
@@ -97,10 +132,14 @@ type pattern struct {
 	bind [3]map[rdf.TermID]int32 // bind[k]: occurrences per binding of slot k; nil for one slot
 }
 
-func newPattern(k patKey) *pattern {
-	p := &pattern{key: k}
+// newPattern returns an unfilled entry for k, its constants cloned: a
+// key built by keyOf points into the text of the query it came from, and
+// the entry may outlive that query by far.
+func newPattern(k patKey, hash uint64) *pattern {
+	p := &pattern{key: k, hash: hash}
 	for i := range k {
 		if k[i].slot == 0 {
+			p.key[i].term.Value = strings.Clone(k[i].term.Value)
 			p.consts |= 1 << i
 			continue
 		}
@@ -121,6 +160,18 @@ func newPattern(k patKey) *pattern {
 		}
 	}
 	return p
+}
+
+// weigh returns p's weight from its lengths (see patternBytes).
+func (p *pattern) weigh() int64 {
+	w := int64(patternBytes)
+	for i := range p.key {
+		w += int64(len(p.key[i].term.Value))
+	}
+	for _, m := range p.bind {
+		w += bindingBytes * int64(len(m))
+	}
+	return w
 }
 
 // resolve (re-)attempts dictionary resolution of the constants still
@@ -224,97 +275,74 @@ func (dp *dispatch) fill(src Source) {
 
 // layout is what costing reads of a query besides statistics, a
 // function of its written shape (core.WrittenShape) alone, kept once
-// per shape while refs Refs hold it: vars numbers its variables by first
-// occurrence over the patterns in index order, slots[i][k] is the number
-// of pattern i's variable slot k (-1 past its slots) — JoinCard walks
-// variables in this order, never a map's — and filtered[i] is whether a
-// scan of pattern i is charged a runtime filter (patternFiltered).
+// per shape: vars numbers its variables by first occurrence over the
+// patterns in index order, slots[i][k] is the number of pattern i's
+// variable slot k (-1 past its slots) — JoinCard walks variables in this
+// order, never a map's — and filtered[i] is whether a scan of pattern i
+// is charged a runtime filter (patternFiltered).
 type layout struct {
 	shape    string
 	vars     []string
 	slots    [][3]int
 	filtered []bool
-	refs     int
 }
 
-// Ref is one query's hold on its patterns and layout in a catalog.
-type Ref struct {
-	lay  *layout
-	pats []*pattern // per query pattern; nil once released
-}
-
-// Shape returns core.WrittenShape of r's query, as the catalog keeps it.
-func (r *Ref) Shape() string { return r.lay.shape }
-
-// Acquire registers q's patterns, creating the entries the catalog
-// lacks (unfilled: the first Snapshot through a Ref fills them). Every
-// Acquire is paired with one Release.
-func (c *Catalog) Acquire(q *sparql.Query) *Ref {
-	var buf [256]byte
-	shape := core.AppendWrittenShape(buf[:0], q)
-	r := &Ref{pats: make([]*pattern, len(q.Patterns))}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	l := c.layouts[string(shape)]
-	if l == nil {
-		l = &layout{shape: string(shape), slots: make([][3]int, len(q.Patterns)), filtered: make([]bool, len(q.Patterns))}
-		c.layouts[l.shape] = l
-	}
-	r.lay, l.refs = l, l.refs+1
+// newLayout numbers the variables of q, whose written shape is shape.
+func newLayout(shape []byte, q *sparql.Query) *layout {
+	l := &layout{shape: string(shape), slots: make([][3]int, len(q.Patterns)), filtered: make([]bool, len(q.Patterns))}
 	for i, tp := range q.Patterns {
-		k, vars, n := keyOf(tp)
-		if l.refs == 1 { // a new layout: number the shape's variables
-			l.filtered[i] = patternFiltered(tp)
-			l.slots[i] = [3]int{-1, -1, -1}
-			for s := 0; s < n; s++ {
-				v := slices.Index(l.vars, vars[s])
-				if v < 0 {
-					v = len(l.vars)
-					l.vars = append(l.vars, strings.Clone(vars[s]))
-				}
-				l.slots[i][s] = v
+		_, vars, n := keyOf(tp)
+		l.filtered[i] = patternFiltered(tp)
+		l.slots[i] = [3]int{-1, -1, -1}
+		for s := 0; s < n; s++ {
+			v := slices.Index(l.vars, vars[s])
+			if v < 0 {
+				v = len(l.vars)
+				l.vars = append(l.vars, strings.Clone(vars[s]))
 			}
+			l.slots[i][s] = v
 		}
-		p := c.pats[k]
-		if p == nil {
-			p = newPattern(k)
-			c.pats[k] = p
-		}
-		p.refs++
-		r.pats[i] = p
 	}
-	return r
+	return l
 }
 
-// Release drops r's hold; a pattern, or a layout, no Ref holds any more
-// leaves the catalog. Releasing twice is harmless.
-func (c *Catalog) Release(r *Ref) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if r.pats == nil {
-		return
-	}
-	for _, p := range r.pats {
-		if p.refs--; p.refs == 0 {
-			delete(c.pats, p.key)
-		}
-	}
-	if r.lay.refs--; r.lay.refs == 0 {
-		delete(c.layouts, r.lay.shape)
-	}
-	r.pats = nil
-}
-
-// Snapshot returns the statistics of r's query at the catalog's current
-// version. Patterns nobody has filled are claimed under the mutex,
-// filled together from src without it — d resolves their constants — and
+// Snapshot returns the statistics of q's patterns at the catalog's
+// current version. It looks them up, creating the entries the catalog
+// lacks; those nobody has filled are claimed under the mutex, filled
+// together from src without it — d resolves their constants — and
 // published; patterns a concurrent Snapshot claimed are waited for (it
 // holds no lock this one needs), and claimed again if it panicked.
-func (c *Catalog) Snapshot(d *rdf.Dict, src Source, r *Ref) *Stats {
-	c.mu.Lock()
+func (c *Catalog) Snapshot(d *rdf.Dict, src Source, q *sparql.Query) *Stats {
+	var buf [256]byte
+	shape := core.AppendWrittenShape(buf[:0], q)
+	var held [16]*pattern
+	pats := held[:0]
+	s := &Stats{pats: make([]patStats, len(q.Patterns))}
+	c.mu.Lock() // not deferred: a fill that panics leaves it unlocked
+	if s.lay = c.layouts[string(shape)]; s.lay == nil {
+		if len(c.layouts) >= layoutCap {
+			clear(c.layouts)
+		}
+		s.lay = newLayout(shape, q)
+		c.layouts[s.lay.shape] = s.lay
+	}
+	for _, tp := range q.Patterns {
+		k, _, _ := keyOf(tp)
+		h, p := c.lookup(k)
+		if p == nil {
+			p = newPattern(k, h)
+			if c.pats[h] == nil {
+				c.pats[h] = p
+			}
+		} else if p.prev != nil {
+			c.unlink(p)
+			c.pushFront(p)
+		}
+		pats = append(pats, p)
+	}
 	for filled := false; !filled; {
 		var mine []*pattern
-		for _, p := range r.pats {
+		for _, p := range pats {
 			if !p.claimed {
 				p.claimed = true
 				mine = append(mine, p)
@@ -326,15 +354,25 @@ func (c *Catalog) Snapshot(d *rdf.Dict, src Source, r *Ref) *Stats {
 			c.mu.Lock()
 		}
 		filled = true
-		for _, p := range r.pats {
+		for _, p := range pats {
 			for p.claimed && !p.filled {
 				c.published.Wait()
 			}
 			filled = filled && p.filled
 		}
 	}
+	s.version = c.version
+	for i, p := range pats {
+		s.pats[i].card = float64(p.n)
+		for k := 0; k < p.slots; k++ {
+			s.pats[i].distinct[k] = float64(len(p.bind[k]))
+		}
+		if p.slots == 1 {
+			s.pats[i].distinct[0] = float64(p.n)
+		}
+	}
 	c.mu.Unlock()
-	return c.read(r)
+	return s
 }
 
 // fill fills and publishes the patterns mine claimed, or, if it panics,
@@ -345,12 +383,19 @@ func (c *Catalog) fill(d *rdf.Dict, src Source, mine []*pattern) {
 		c.mu.Lock()
 		for _, p := range mine {
 			if p.filled, p.claimed = filled, filled; !filled {
-				p.n, p.bind = 0, newPattern(p.key).bind
+				p.n, p.bind = 0, newPattern(p.key, p.hash).bind
+				continue
 			}
+			c.fills++
+			if p.weight = p.weigh(); p.weight > c.budget && c.pats[p.hash] == p {
+				delete(c.pats, p.hash)
+			}
+			if c.pats[p.hash] == p {
+				c.weight += p.weight
+				c.pushFront(p)
+			} // else filled for the snapshots waiting on it, not kept
 		}
-		if filled {
-			c.fills += uint64(len(mine))
-		}
+		c.evict()
 		c.mu.Unlock()
 		c.published.Broadcast()
 	}()
@@ -362,32 +407,48 @@ func (c *Catalog) fill(d *rdf.Dict, src Source, mine []*pattern) {
 	filled = true
 }
 
-// read copies what costing reads of r's patterns, all filled.
-func (c *Catalog) read(r *Ref) *Stats {
-	s := &Stats{lay: r.lay, pats: make([]patStats, len(r.pats))}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	s.version = c.version
-	for i, p := range r.pats {
-		s.pats[i].card = float64(p.n)
-		for k := 0; k < p.slots; k++ {
-			s.pats[i].distinct[k] = float64(len(p.bind[k]))
-		}
-		if p.slots == 1 {
-			s.pats[i].distinct[0] = float64(p.n)
-		}
+// evict drops least recently snapshotted patterns until the weight fits
+// the budget. Only filled patterns are on the list, so none a fill has
+// claimed is ever dropped.
+func (c *Catalog) evict() {
+	for c.weight > c.budget {
+		p := c.recent.prev
+		c.unlink(p)
+		c.weight -= p.weight
+		delete(c.pats, p.hash)
 	}
-	return s
+}
+
+// lookup returns the hash of k and the resident pattern of key k, nil if
+// there is none.
+func (c *Catalog) lookup(k patKey) (uint64, *pattern) {
+	h := maphash.Comparable(c.seed, k)
+	if p := c.pats[h]; p != nil && p.key == k {
+		return h, p
+	}
+	return h, nil
+}
+
+func (c *Catalog) pushFront(p *pattern) {
+	p.prev, p.next = &c.recent, c.recent.next
+	p.prev.next, p.next.prev = p, p
+}
+
+func (c *Catalog) unlink(p *pattern) {
+	p.prev.next, p.next.prev = p.next, p.prev
+	p.prev, p.next = nil, nil
 }
 
 // Apply folds an effective delta (inserts of triples that were absent,
 // deletes of triples that were present — what the engine's commit
-// computes) into every filled pattern, once per pattern however many
-// queries share it, leaving each identical to a fresh fill over the
+// computes) into every resident filled pattern, once per pattern however
+// many queries share it, leaving each identical to a fresh fill over the
 // mutated data, and moves the catalog to version. Cost is
 // O(|delta| × patterns of the triple's property), independent of graph
-// size. An unfilled pattern is skipped: its fill will read the mutated
-// data. An empty delta (a resize) only moves the version.
+// size. A pattern being filled is skipped: its fill reads the mutated
+// data. An empty delta (a resize) only moves the version. Patterns the
+// delta made heavier may push the catalog over its budget; the least
+// recent then leave.
 func (c *Catalog) Apply(version uint64, d *rdf.Dict, inserts, deletes []rdf.Triple) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -396,19 +457,23 @@ func (c *Catalog) Apply(version uint64, d *rdf.Dict, inserts, deletes []rdf.Trip
 		return
 	}
 	var dp dispatch
-	for _, p := range c.pats {
-		if p.filled {
-			dp.add(d, p) // resolving again: the inserts may have introduced a constant
-			c.folds++
-		}
+	for p := c.recent.next; p != &c.recent; p = p.next {
+		dp.add(d, p) // resolving again: the inserts may have introduced a constant
+		c.folds++
 	}
 	dp.fold(+1, inserts...)
 	dp.fold(-1, deletes...)
+	c.weight = 0
+	for p := c.recent.next; p != &c.recent; p = p.next {
+		p.weight = p.weigh()
+		c.weight += p.weight
+	}
+	c.evict()
 }
 
 // Counters reports the patterns resident now and, since construction,
 // the patterns filled from a Source and the pattern folds Apply
-// performed (one per filled pattern per non-empty delta).
+// performed (one per resident filled pattern per non-empty delta).
 func (c *Catalog) Counters() (patterns int, fills, folds uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -7,7 +7,8 @@
 //
 // Statistics come in two layers. A Catalog is the shared, mutable one:
 // per distinct triple pattern the match count and binding multisets,
-// filled from the data once and maintained by commit deltas. A Stats
+// filled from the data once, maintained by commit deltas and retained
+// under a byte budget of its own, least recently used first. A Stats
 // is an immutable snapshot of it for one query at one data version —
 // what a Model reads, so pricing takes no lock and touches nothing
 // shared.
@@ -35,13 +36,14 @@ import (
 // concurrent use while Apply runs.
 type Stats struct {
 	// lay is the query's variable order and scan filter flags, shared by
-	// the Refs and snapshots of its written shape (see layout).
+	// the snapshots of its written shape (see layout).
 	lay     *layout
 	pats    []patStats
 	version uint64
-	// own and ref are the private catalog behind a NewStats result.
+	// own and q are the private catalog behind a NewStats result and the
+	// query it snapshots.
 	own *Catalog
-	ref *Ref
+	q   *sparql.Query
 }
 
 // patStats is one pattern's share of a snapshot: its match count and the
@@ -54,9 +56,9 @@ type patStats struct {
 // NewStats fills the statistics of q's patterns from g.
 func NewStats(g *rdf.Graph, q *sparql.Query) *Stats {
 	c := NewCatalog(0)
-	r := c.Acquire(q)
-	s := c.Snapshot(g.Dict, g, r)
-	s.own, s.ref = c, r
+	c.budget = math.MaxInt64 // Apply reads every pattern back without a Source
+	s := c.Snapshot(g.Dict, g, q)
+	s.own, s.q = c, q
 	return s
 }
 
@@ -65,9 +67,13 @@ func NewStats(g *rdf.Graph, q *sparql.Query) *Stats {
 // graph (see Catalog.Apply).
 func (s *Stats) Apply(d *rdf.Dict, inserts, deletes []rdf.Triple) {
 	s.own.Apply(s.version+1, d, inserts, deletes)
-	now := s.own.read(s.ref)
+	now := s.own.Snapshot(d, nil, s.q) // every pattern is resident and filled
 	s.pats, s.version = now.pats, now.version
 }
+
+// Shape returns core.WrittenShape of the snapshot's query, as the
+// catalog keeps it.
+func (s *Stats) Shape() string { return s.lay.shape }
 
 // Version is the data version the snapshot describes: the version its
 // catalog was at.

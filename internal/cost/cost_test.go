@@ -155,20 +155,37 @@ func applyStats(g *rdf.Graph, s *Stats, ins, dels []rdf.Triple) {
 	s.Apply(g.Dict, effIns, effDels)
 }
 
+// resident returns the entries c holds for q's patterns, nil where c
+// holds none.
+func resident(c *Catalog, q *sparql.Query) []*pattern {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := make([]*pattern, len(q.Patterns))
+	for i, tp := range q.Patterns {
+		k, _, _ := keyOf(tp)
+		_, out[i] = c.lookup(k)
+	}
+	return out
+}
+
 // checkStatsFresh asserts that delta-maintained statistics for q — the
-// snapshot s and the catalog patterns r behind it — are identical to a
-// standalone rebuild over the mutated graph: the snapshot bit for bit,
-// the patterns down to their binding multisets, which a pattern of one
-// slot does not keep. Every distinct count equals one counted off the
-// graph.
-func checkStatsFresh(t *testing.T, g *rdf.Graph, q *sparql.Query, s *Stats, r *Ref, step string) {
+// snapshot s and the patterns of catalog c behind it — are identical to
+// a standalone rebuild over the mutated graph: the snapshot bit for bit,
+// the resident patterns down to their binding multisets, which a pattern
+// of one slot does not keep. Every distinct count equals one counted off
+// the graph.
+func checkStatsFresh(t *testing.T, g *rdf.Graph, q *sparql.Query, s *Stats, c *Catalog, step string) {
 	t.Helper()
 	fresh := NewStats(g, q)
 	if !s.Equal(fresh) {
 		t.Errorf("%s: %s: snapshot %v maintained, %v fresh", step, q.Name, s.pats, fresh.pats)
 	}
-	for i, want := range fresh.ref.pats {
-		got := r.pats[i]
+	held := resident(c, q)
+	for i, want := range resident(fresh.own, q) {
+		got := held[i]
+		if got == nil {
+			continue // evicted: the snapshot was checked above
+		}
 		if got.n != want.n {
 			t.Errorf("%s: %s: pattern %d matches %d maintained, %d fresh", step, q.Name, i, got.n, want.n)
 		}
@@ -207,7 +224,7 @@ func TestStatsApplyMatchesFresh(t *testing.T) {
 	q := sparql.MustParse(`SELECT ?x ?z WHERE {
 		?x <p1> ?y . ?y <p2> ?z . ?z <p3> <d0> . ?x <loop> ?x . ?y <p2> <c1> }`)
 	s := NewStats(g, q)
-	checkStatsFresh(t, g, q, s, s.ref, "initial")
+	checkStatsFresh(t, g, q, s, s.own, "initial")
 
 	spo := func(sub, p, o string) rdf.Triple {
 		return rdf.Triple{S: g.Dict.EncodeIRI(sub), P: g.Dict.EncodeIRI(p), O: g.Dict.EncodeIRI(o)}
@@ -220,7 +237,7 @@ func TestStatsApplyMatchesFresh(t *testing.T) {
 		spo("n1", "loop", "n1"),
 		spo("n1", "loop", "n2"), // loop edge that does NOT match ?x <loop> ?x
 	}, nil)
-	checkStatsFresh(t, g, q, s, s.ref, "after inserts")
+	checkStatsFresh(t, g, q, s, s.own, "after inserts")
 
 	// Deletes, including the last p2 edge into c1 (its distinct binding
 	// must vanish, and ?y <p2> <c1> is left with no match), a p3 edge
@@ -234,13 +251,13 @@ func TestStatsApplyMatchesFresh(t *testing.T) {
 		spo("n1", "loop", "n1"),
 		spo("never", "p1", "existed"), // no-op delete
 	})
-	checkStatsFresh(t, g, q, s, s.ref, "after deletes")
+	checkStatsFresh(t, g, q, s, s.own, "after deletes")
 
 	// Mixed batch: delete and re-insert overlapping rows.
 	applyStats(g, s,
 		[]rdf.Triple{spo("a0", "p1", "b0"), spo("b1", "p2", "c1")},
 		[]rdf.Triple{spo("a99", "p1", "b0")})
-	checkStatsFresh(t, g, q, s, s.ref, "after mixed batch")
+	checkStatsFresh(t, g, q, s, s.own, "after mixed batch")
 }
 
 // TestCatalogMatchesFresh drives several queries that share patterns —
@@ -250,8 +267,9 @@ func TestStatsApplyMatchesFresh(t *testing.T) {
 // variable — through ONE catalog by seeded random insert/delete batches.
 // After every batch each query's snapshot is bit-equal to a standalone
 // NewStats over the mutated graph, the delta was folded once per
-// distinct pattern however many queries share it, and a pattern released
-// by its last user and acquired again is filled afresh, correctly.
+// distinct pattern however many queries share it, and a pattern evicted
+// under a shrunken budget and snapshotted again is filled afresh,
+// correctly.
 func TestCatalogMatchesFresh(t *testing.T) {
 	g := chainGraph(10)
 	var qs []*sparql.Query
@@ -267,15 +285,12 @@ func TestCatalogMatchesFresh(t *testing.T) {
 		qs = append(qs, q)
 	}
 	c := NewCatalog(1)
-	refs := make([]*Ref, len(qs))
-	for i, q := range qs {
-		refs[i] = c.Acquire(q)
-	}
+	asked := []bool{true, true, true, true, true}
 	check := func(step string) {
 		t.Helper()
 		for i, q := range qs {
-			if refs[i] != nil {
-				checkStatsFresh(t, g, q, c.Snapshot(g.Dict, g, refs[i]), refs[i], step)
+			if asked[i] {
+				checkStatsFresh(t, g, q, c.Snapshot(g.Dict, g, q), c, step)
 			}
 		}
 	}
@@ -304,30 +319,33 @@ func TestCatalogMatchesFresh(t *testing.T) {
 		}
 		return ins, dels
 	}
+	late := resident(c, qs[4])[0]
 	for round := 1; round <= 24; round++ {
 		switch round {
 		case 8:
-			// q4 is the only user of ?x <p1> <late>: releasing it drops
-			// that pattern, and only that one.
-			c.Release(refs[4])
-			refs[4] = nil
-			if n, _, _ := c.Counters(); n != 5 {
-				t.Fatalf("round %d: %d patterns resident after releasing q4, want 5", round, n)
+			// q4 is the only user of ?x <p1> <late>: once the others have
+			// been snapshotted after it, it is the least recent, and a budget
+			// one byte under the catalog's weight evicts it, and only it.
+			asked[4] = false
+			check("before the eviction")
+			c.mu.Lock()
+			c.budget = c.weight - 1
+			c.evict()
+			c.budget = budgetBytes
+			c.mu.Unlock()
+			if n, _, _ := c.Counters(); n != 5 || resident(c, qs[4])[0] != nil {
+				t.Fatalf("round %d: %d patterns resident after the eviction, want 5 without q4's own", round, n)
 			}
 		case 16:
-			refs[4] = c.Acquire(qs[4])
+			asked[4] = true // snapshotted again after this round's Apply: a fill of the mutated graph
 		}
 		ins, dels := batch(round)
 		effIns, effDels := applyDelta(g, ins, dels)
 		patterns, fillsBefore, foldsBefore := c.Counters()
-		filledNow := patterns
-		if round == 16 {
-			filledNow-- // the re-acquired pattern is unfilled: Apply skips it, its fill reads the mutated graph
-		}
 		c.Apply(uint64(1+round), g.Dict, effIns, effDels)
-		if _, _, folds := c.Counters(); folds-foldsBefore != uint64(filledNow) {
+		if _, _, folds := c.Counters(); folds-foldsBefore != uint64(patterns) {
 			t.Errorf("round %d: delta folded into %d patterns, want %d (once per distinct filled pattern)",
-				round, folds-foldsBefore, filledNow)
+				round, folds-foldsBefore, patterns)
 		}
 		check(fmt.Sprintf("round %d", round))
 		wantFills := fillsBefore
@@ -337,22 +355,20 @@ func TestCatalogMatchesFresh(t *testing.T) {
 		if _, fills, _ := c.Counters(); fills != wantFills {
 			t.Errorf("round %d: %d fills, want %d", round, fills, wantFills)
 		}
-		if v := c.Snapshot(g.Dict, g, refs[0]).Version(); v != uint64(1+round) {
+		if v := c.Snapshot(g.Dict, g, qs[0]).Version(); v != uint64(1+round) {
 			t.Errorf("round %d: snapshot at version %d, want %d", round, v, 1+round)
 		}
 	}
 	if _, ok := g.Dict.Lookup(rdf.NewIRI("late")); !ok {
 		t.Fatal("the stream never introduced <late>: late resolution was not exercised")
 	}
-	if s := c.Snapshot(g.Dict, g, refs[4]); s.PatternCard(0) == 0 {
+	if s := c.Snapshot(g.Dict, g, qs[4]); s.PatternCard(0) == 0 {
 		t.Error("no triple matched ?x <p1> <late> by the end: late resolution was not exercised")
 	}
-	for _, r := range refs {
-		c.Release(r)
+	if again := resident(c, qs[4])[0]; again == nil || again == late {
+		t.Error("?x <p1> <late> was not filled afresh after its eviction")
 	}
-	if n, _, _ := c.Counters(); n != 0 {
-		t.Errorf("%d patterns resident after every ref was released", n)
-	}
+	checkResident(t, c, g.Dict, g, "the end")
 }
 
 // panicOnce is a Source whose first fill reads its property's triples
@@ -382,16 +398,15 @@ func TestPanickingFillDoesNotWedge(t *testing.T) {
 	g := chainGraph(10)
 	q := sparql.MustParse(`SELECT ?x ?z WHERE { ?x <p1> ?y . ?y <p2> ?z . ?z <p3> <d0> }`)
 	c := NewCatalog(1)
-	r1, r2 := c.Acquire(q), c.Acquire(q)
 	src := &panicOnce{g: g, started: make(chan struct{}), release: make(chan struct{})}
 	panicked := make(chan any, 1)
 	go func() {
 		defer func() { panicked <- recover() }()
-		c.Snapshot(g.Dict, src, r1)
+		c.Snapshot(g.Dict, src, q)
 	}()
 	<-src.started
 	waited := make(chan *Stats, 1)
-	go func() { waited <- c.Snapshot(g.Dict, src, r2) }()
+	go func() { waited <- c.Snapshot(g.Dict, src, q) }()
 	close(src.release)
 	deadline := time.After(2 * time.Second)
 	select {
@@ -404,15 +419,15 @@ func TestPanickingFillDoesNotWedge(t *testing.T) {
 	}
 	select {
 	case s := <-waited:
-		checkStatsFresh(t, g, q, s, r2, "the Snapshot that waited on the panicking fill")
+		checkStatsFresh(t, g, q, s, c, "the Snapshot that waited on the panicking fill")
 	case <-deadline:
 		t.Fatal("a Snapshot waiting on the panicking fill is still blocked after 2 s")
 	}
 	later := make(chan *Stats, 1)
-	go func() { later <- c.Snapshot(g.Dict, src, r1) }()
+	go func() { later <- c.Snapshot(g.Dict, src, q) }()
 	select {
 	case s := <-later:
-		checkStatsFresh(t, g, q, s, r1, "a Snapshot after the panicking fill")
+		checkStatsFresh(t, g, q, s, c, "a Snapshot after the panicking fill")
 	case <-deadline:
 		t.Fatal("a Snapshot after the panicking fill is still blocked after 2 s")
 	}

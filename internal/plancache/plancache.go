@@ -72,10 +72,7 @@ type Cache[V any] struct {
 	// weigher, when non-nil, switches the cache from entry-count to
 	// byte-budget eviction (NewSized): every completed value is weighed
 	// exactly once, after its compute finishes.
-	weigher func(V) int64
-	// onEvict, when set, receives every successfully computed value
-	// that stops being (or never became) resident: see OnEvict.
-	onEvict      func(V)
+	weigher      func(V) int64
 	hits         atomic.Uint64
 	misses       atomic.Uint64
 	evictions    atomic.Uint64
@@ -86,16 +83,13 @@ type Cache[V any] struct {
 var errPanicked = errors.New("plancache: compute panicked")
 
 // entry is one cached key. ready is closed once val/err are set; LRU
-// links, weight and done are guarded by the shard lock, val/err by the
-// ready barrier. done is set, under the lock, once a compute succeeded:
-// whoever removes a done entry from the map owes its value to onEvict,
-// and a compute that finds its entry already removed pays that itself.
+// links and weight are guarded by the shard lock, val/err by the ready
+// barrier.
 type entry[V any] struct {
 	key        string
 	ready      chan struct{}
 	val        V
 	err        error
-	done       bool
 	weight     int64
 	prev, next *entry[V]
 }
@@ -162,42 +156,14 @@ func NewSized[V any](budgetBytes int64, weigher func(V) int64) *Cache[V] {
 	return c
 }
 
-// OnEvict registers fn to receive each successfully computed value
-// exactly once when the cache lets go of it: evicted by either policy,
-// purged, or — for a value whose entry was evicted or purged while its
-// compute was still in flight — as soon as the compute returns. fn runs
-// outside all cache locks, possibly while callers still use the value.
-// Call it before the cache is shared.
-func (c *Cache[V]) OnEvict(fn func(V)) { c.onEvict = fn }
-
-// evicted collects what a shard lets go of while its lock is held, to be
-// settled — counters and OnEvict — once the lock is released. Whether a
-// value is owed to OnEvict is decided here, under the lock: a done
-// entry's is, an in-flight entry's will be reported by its own compute.
-type evicted[V any] struct {
-	n, bytes uint64
-	owed     []V
-}
-
-func (ev *evicted[V]) take(s *shard[V], e *entry[V]) {
+// evict drops e from its shard s, whose lock the caller holds, and
+// counts it.
+func (c *Cache[V]) evict(s *shard[V], e *entry[V]) {
 	s.unlink(e)
 	delete(s.m, e.key)
 	s.bytes -= e.weight
-	ev.n++
-	ev.bytes += uint64(e.weight)
-	if e.done {
-		ev.owed = append(ev.owed, e.val)
-	}
-}
-
-func (c *Cache[V]) settle(ev *evicted[V]) {
-	c.evictions.Add(ev.n)
-	c.evictedBytes.Add(ev.bytes)
-	if c.onEvict != nil {
-		for _, v := range ev.owed {
-			c.onEvict(v)
-		}
-	}
+	c.evictions.Add(1)
+	c.evictedBytes.Add(uint64(e.weight))
 }
 
 // admit weighs a freshly computed entry against its shard's byte
@@ -207,7 +173,6 @@ func (c *Cache[V]) settle(ev *evicted[V]) {
 // whole shard budget is dropped outright.
 func (c *Cache[V]) admit(s *shard[V], e *entry[V]) {
 	w := c.weigher(e.val)
-	var ev evicted[V]
 	s.mu.Lock()
 	if s.m[e.key] != e {
 		s.mu.Unlock()
@@ -216,17 +181,16 @@ func (c *Cache[V]) admit(s *shard[V], e *entry[V]) {
 	e.weight = w
 	s.bytes += w
 	if w > s.budget {
-		ev.take(s, e)
+		c.evict(s, e)
 	}
 	for s.bytes > s.budget {
 		lru := s.root.prev
 		if lru == e || lru == &s.root {
 			break
 		}
-		ev.take(s, lru)
+		c.evict(s, lru)
 	}
 	s.mu.Unlock()
-	c.settle(&ev)
 }
 
 // Do returns the value cached under key, computing it with compute on
@@ -259,17 +223,15 @@ func (c *Cache[V]) Do(key string, compute func() (V, error)) (v V, hit bool, err
 	e := &entry[V]{key: key, ready: make(chan struct{})}
 	s.m[key] = e
 	s.pushFront(e)
-	var ev evicted[V]
 	if len(s.m) > s.capacity {
 		// Evict the least recently used entry (never the one just
 		// inserted). An evicted in-flight entry still completes for its
 		// waiters; it is simply no longer findable.
 		if lru := s.root.prev; lru != e {
-			ev.take(s, lru)
+			c.evict(s, lru)
 		}
 	}
 	s.mu.Unlock()
-	c.settle(&ev)
 
 	e.err = errPanicked // until compute returns
 	defer func() {
@@ -286,25 +248,17 @@ func (c *Cache[V]) Do(key string, compute func() (V, error)) (v V, hit bool, err
 	e.val, e.err = compute()
 	close(e.ready)
 	c.misses.Add(1)
-	s.mu.Lock()
-	resident := s.m[key] == e
-	if e.err != nil && resident {
-		s.unlink(e)
-		delete(s.m, key)
-	}
-	e.done = e.err == nil
-	s.mu.Unlock()
-	switch {
-	case e.err != nil:
-		return v, false, e.err
-	case !resident:
-		// Evicted or purged while computing: the caller still gets its
-		// value, but the cache never held it.
-		if c.onEvict != nil {
-			c.onEvict(e.val)
+	if e.err != nil {
+		s.mu.Lock()
+		if s.m[key] == e {
+			s.unlink(e)
+			delete(s.m, key)
 		}
-	case c.weigher != nil:
-		c.admit(s, e)
+		s.mu.Unlock()
+		return v, false, e.err
+	}
+	if c.weigher != nil {
+		c.admit(s, e) // an entry evicted or purged while computing is not re-admitted
 	}
 	return e.val, false, nil
 }
@@ -375,22 +329,11 @@ func (c *Cache[V]) Purge() {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		var held []V
-		if c.onEvict != nil {
-			for _, e := range s.m {
-				if e.done {
-					held = append(held, e.val)
-				}
-			}
-		}
 		s.m = make(map[string]*entry[V])
 		s.bytes = 0
 		s.root.prev = &s.root
 		s.root.next = &s.root
 		s.mu.Unlock()
-		for _, v := range held {
-			c.onEvict(v)
-		}
 	}
 }
 

@@ -315,70 +315,3 @@ func TestSizedConcurrent(t *testing.T) {
 		t.Errorf("resident bytes %d exceed budget slack", got)
 	}
 }
-
-// TestOnEvictExactlyOnce pins the eviction callback's contract: every
-// successfully computed value is handed over exactly once when the cache
-// lets go of it — a resident entry at its LRU eviction or purge, an entry
-// evicted or purged while still computing as soon as its compute returns
-// (its caller gets the value all the same) — and a failed compute never.
-func TestOnEvictExactlyOnce(t *testing.T) {
-	c := New[string](2) // one shard of two
-	var mu sync.Mutex
-	gone := map[string]int{}
-	c.OnEvict(func(v string) {
-		mu.Lock()
-		gone[v]++
-		mu.Unlock()
-	})
-	want := func(step string, exp map[string]int) {
-		t.Helper()
-		mu.Lock()
-		defer mu.Unlock()
-		if fmt.Sprint(gone) != fmt.Sprint(exp) {
-			t.Fatalf("%s: evicted %v, want %v", step, gone, exp)
-		}
-	}
-	mk := func(k string) {
-		if _, _, err := c.Do(k, func() (string, error) { return k, nil }); err != nil {
-			t.Error(err)
-		}
-	}
-	mk("a")
-	mk("b")
-	want("within capacity", map[string]int{})
-	mk("c") // evicts a, complete
-	want("LRU eviction of a completed entry", map[string]int{"a": 1})
-
-	// "slow" is evicted by two later inserts while its compute is parked.
-	started, release := make(chan struct{}), make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		v, hit, err := c.Do("slow", func() (string, error) {
-			close(started)
-			<-release
-			return "slow", nil
-		})
-		if v != "slow" || hit || err != nil {
-			t.Errorf("evicted in-flight compute returned %q hit=%v err=%v", v, hit, err)
-		}
-	}()
-	<-started // evicted b
-	mk("d")   // evicts c
-	mk("e")   // evicts slow, in flight
-	want("in-flight entry evicted, compute parked", map[string]int{"a": 1, "b": 1, "c": 1})
-	close(release)
-	wg.Wait()
-	want("in-flight entry's compute returned", map[string]int{"a": 1, "b": 1, "c": 1, "slow": 1})
-
-	if _, _, err := c.Do("bad", func() (string, error) { return "bad", errors.New("boom") }); err == nil {
-		t.Fatal("error swallowed")
-	}
-	want("failed compute (its insert evicted d)", map[string]int{"a": 1, "b": 1, "c": 1, "slow": 1, "d": 1})
-	c.Purge()
-	want("purge", map[string]int{"a": 1, "b": 1, "c": 1, "slow": 1, "d": 1, "e": 1})
-	if st := c.Stats(); st.Entries != 0 || st.Evictions != 5 {
-		t.Errorf("stats = %+v, want 0 entries and 5 evictions", st)
-	}
-}

@@ -63,8 +63,8 @@ func TestCompileOncePerCandidate(t *testing.T) {
 // only in an rdf:type class, a university IRI, or a property — through
 // one engine, interleaved, so that the bound plans of a pair meet in the
 // same pooled context. At one and two lanes, with the result cache off
-// and on, each must key, answer and meter as a cache-less engine that
-// compiles every plan for its own query.
+// and on, each must key, answer and meter as a plan freshPrepare
+// compiles for its own query.
 func TestBoundPlansKeepConstantsApart(t *testing.T) {
 	g := lubm.Generate(lubm.DefaultConfig(2))
 	pairs := [][2]string{
@@ -89,9 +89,7 @@ func TestBoundPlansKeepConstantsApart(t *testing.T) {
 			qs = append(qs, q)
 		}
 	}
-	uncached := DefaultConfig()
-	uncached.PlanCacheSize = -1
-	ref := New(g, uncached)
+	ref := New(g, DefaultConfig())
 	for _, lanes := range []int{1, 2} {
 		for _, resBytes := range []int64{0, 64 << 20} {
 			cfg := DefaultConfig()
@@ -103,7 +101,7 @@ func TestBoundPlansKeepConstantsApart(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					want := mustPrepare(t, ref, q)
+					want := freshPrepare(t, ref, q)
 					got, err := eng.ExecutePrepared(p)
 					if err != nil {
 						t.Fatal(err)
@@ -113,7 +111,7 @@ func TestBoundPlansKeepConstantsApart(t *testing.T) {
 						t.Fatal(err)
 					}
 					if p.Physical.Key() != want.Physical.Key() || !reflect.DeepEqual(got.Rows, wantRes.Rows) || !reflect.DeepEqual(got.Jobs, wantRes.Jobs) {
-						t.Errorf("lanes %d, result cache %d B, round %d, %s: key, rows (%d vs %d) or JobStats differ from a cache-less engine's",
+						t.Errorf("lanes %d, result cache %d B, round %d, %s: key, rows (%d vs %d) or JobStats differ from a fresh prepare's",
 							lanes, resBytes, round, q.Name, len(got.Rows), len(wantRes.Rows))
 					}
 				}

@@ -38,27 +38,17 @@ func prepareAll(t *testing.T, e *Engine, qs []*sparql.Query) []*Prepared {
 	return out
 }
 
-// checkCatalogQuiescent asserts, on an engine nobody is using, that the
-// catalog is at the engine's version, holds exactly the patterns the
-// resident cached plans reference, and that each of those plans'
-// statistics equal a fresh rebuild over a graph of the current epoch.
-// asked lists every query prepared on e; the resident plans are found
-// among them.
-func checkCatalogQuiescent(t *testing.T, e *Engine, asked []*sparql.Query) {
+// checkCatalog asserts, on an engine nobody is using, that the
+// statistics of each query asked, snapshotted at the engine's version,
+// equal a fresh rebuild over a graph of the current epoch, and that the
+// snapshots read patterns the catalog kept: they fill none. asked must
+// cover every query prepared on e, so every resident pattern is checked.
+func checkCatalog(t *testing.T, e *Engine, asked []*sparql.Query) {
 	t.Helper()
 	g := stored(e)
-	held := cost.NewCatalog(0)
-	resident := 0
+	fills := e.UpdateStats().StatsFills
 	for _, q := range asked {
-		ent, ok := e.cache.Get(sparql.Canonicalize(q).Key + "\x00" + q.Name)
-		if !ok {
-			continue
-		}
-		resident++
-		q := ent.cur.Load().Query
-		held.Acquire(q)
-		ref, st := e.readStats(q)
-		e.cat.Release(ref)
+		st := e.readStats(q)
 		if st.Version() != e.DataVersion() {
 			t.Errorf("%s: snapshot at version %d, engine at %d", q.Name, st.Version(), e.DataVersion())
 		}
@@ -66,12 +56,39 @@ func checkCatalogQuiescent(t *testing.T, e *Engine, asked []*sparql.Query) {
 			t.Errorf("%s: catalog statistics differ from a fresh rebuild", q.Name)
 		}
 	}
-	if n := e.cache.Len(); resident != n {
-		t.Errorf("found %d of the %d cached plans among the queries asked", resident, n)
+	if n := e.UpdateStats().StatsFills - fills; n != 0 {
+		t.Errorf("checking the catalog filled %d patterns: some asked pattern was not resident", n)
 	}
-	want, _, _ := held.Counters()
-	if got := e.UpdateStats().StatsPatterns; got != uint64(want) {
-		t.Errorf("catalog holds %d patterns, the cached plans reference %d", got, want)
+}
+
+// TestPrepareFillsOnce: the catalog keeps a query's patterns whatever
+// the plan cache does, so preparing one query again and again fills its
+// patterns once in total — through Prepare, and through PrepareCached
+// with the plan cache off — and enumerates its shape once. When the
+// plan cache held the patterns, five Prepare(Q1) made 10 fills.
+func TestPrepareFillsOnce(t *testing.T) {
+	g := lubm.Generate(lubm.DefaultConfig(2))
+	q, err := lubm.Query("Q1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := New(g, DefaultConfig())
+	for i := 0; i < 5; i++ {
+		mustPrepare(t, eng, q)
+	}
+	if us := eng.UpdateStats(); us.StatsFills != 2 || us.StatsPatterns != 2 || us.Enumerations != 1 {
+		t.Errorf("five Prepare(Q1): %d fills, %d patterns, %d enumerations; want 2, 2 and 1", us.StatsFills, us.StatsPatterns, us.Enumerations)
+	}
+	cfg := DefaultConfig()
+	cfg.PlanCacheSize = -1
+	uncached := New(g, cfg)
+	for i := 0; i < 5; i++ {
+		if _, hit, err := uncached.PrepareCached(q); err != nil || hit {
+			t.Fatalf("hit=%v err=%v with the plan cache off", hit, err)
+		}
+	}
+	if us := uncached.UpdateStats(); us.StatsFills != 2 || us.Enumerations != 1 || us.Spaces != 1 {
+		t.Errorf("five PrepareCached(Q1) without a plan cache: %+v; want 2 fills, 1 enumeration, 1 space", us)
 	}
 }
 
@@ -79,8 +96,8 @@ func checkCatalogQuiescent(t *testing.T, e *Engine, asked []*sparql.Query) {
 // repeat exactly: a cold pass over an unseen constant fills only the
 // pattern shapes that carry it, a commit folds each distinct pattern
 // once however many plans share it, a revalidation whose snapshot did
-// not change prices nothing, and evicted plans take their patterns with
-// them.
+// not change prices nothing, and evicted plans leave their patterns
+// resident: a plan planned again fills nothing.
 func TestCatalogCounters(t *testing.T) {
 	g := lubm.Generate(lubm.DefaultConfig(3))
 	eng := New(g, DefaultConfig())
@@ -142,10 +159,11 @@ func TestCatalogCounters(t *testing.T) {
 	if repriced == 0 {
 		t.Error("no plan was re-priced after a triple joined a pattern they scan")
 	}
-	checkCatalogQuiescent(t, eng, append(coldTemplates(t, 0), coldTemplates(t, 1)...))
+	checkCatalog(t, eng, append(coldTemplates(t, 0), coldTemplates(t, 1)...))
 
 	// A cache of six plans in one shard: each variant's plan evicts a
-	// warm one, and the catalog ends where the warm pass left it.
+	// warm one, and the catalog keeps every pattern all the same, so the
+	// warm pass planned again misses the plan cache and fills nothing.
 	cfg := DefaultConfig()
 	cfg.PlanCacheSize = 6
 	small := New(g, cfg)
@@ -155,11 +173,17 @@ func TestCatalogCounters(t *testing.T) {
 	for c := 1; c <= 2; c++ {
 		prepareAll(t, small, coldTemplates(t, c))
 		asked = append(asked, coldTemplates(t, c)...)
-		if got := small.UpdateStats().StatsPatterns; got != warmed {
-			t.Errorf("variant pass %d evicted the pass before it: %d patterns resident, want the warm pass's %d", c, got, warmed)
+		if got := small.UpdateStats().StatsPatterns; got != warmed+uint64(3*c) {
+			t.Errorf("variant pass %d: %d patterns resident, want the warm pass's %d and 3 per pass", c, got, warmed)
 		}
 	}
-	checkCatalogQuiescent(t, small, asked)
+	before, misses := small.UpdateStats(), small.CacheStats().Misses
+	prepareAll(t, small, coldTemplates(t, 0))
+	if us := small.UpdateStats(); small.CacheStats().Misses-misses != 6 || us.StatsFills != before.StatsFills {
+		t.Errorf("the evicted warm pass planned again: %d misses, %d fills; want 6 and none",
+			small.CacheStats().Misses-misses, us.StatsFills-before.StatsFills)
+	}
+	checkCatalog(t, small, asked)
 }
 
 // churnGraph is a small four-level chain with 48 tag constants.
@@ -206,11 +230,11 @@ func churnBatch(g *rdf.Graph, b int) (ins, dels []rdf.Triple) {
 // TestCatalogLifetimeUnderChurn cold-prepares twelve times the plan
 // cache's capacity in distinct constants — an entry evicted while its
 // compute is still in flight included — beside a writer committing
-// batches. Afterwards the catalog holds no pattern that no cached plan
-// references, every surviving entry's statistics equal a fresh rebuild,
-// and every Prepared that was handed out carries a DataVersion at which
-// a fresh engine chooses the same plan at the same cost, bit for bit.
-// Run under -race in CI.
+// batches. Afterwards the catalog holds every distinct pattern asked,
+// each filled once and equal to a fresh fill, and every Prepared that
+// was handed out carries a DataVersion at which an enumeration and a
+// catalog of its own (freshPrepare) choose the same plan at the same
+// cost, bit for bit. Run under -race in CI.
 func TestCatalogLifetimeUnderChurn(t *testing.T) {
 	const capacity, constants, batches, readers = 4, 48, 10, 4
 	cfg := DefaultConfig()
@@ -263,7 +287,7 @@ func TestCatalogLifetimeUnderChurn(t *testing.T) {
 	for c := 0; c < constants; c++ {
 		asked = append(asked, churnQuery(c))
 	}
-	checkCatalogQuiescent(t, eng, asked) // the two evicted in flight released their patterns on completion
+	checkCatalog(t, eng, asked[:capacity+2])
 
 	// Readers walk the remaining constants (each also re-requesting the
 	// hot c0, so revalidation runs too) while the writer commits. Each
@@ -305,12 +329,14 @@ func TestCatalogLifetimeUnderChurn(t *testing.T) {
 	if st := eng.cache.Stats(); st.Misses < 10*capacity {
 		t.Fatalf("%d cold prepares, want at least 10x the capacity of %d", st.Misses, capacity)
 	}
-	checkCatalogQuiescent(t, eng, asked)
-	if us := eng.UpdateStats(); us.StatsPatterns > capacity*4 {
-		t.Errorf("%d patterns resident, more than capacity x patterns per plan", us.StatsPatterns)
+	// One pattern per constant and the three every instance shares, each
+	// filled once: the plan cache's churn moved none of them.
+	if us := eng.UpdateStats(); us.StatsPatterns != constants+3 || us.StatsFills != constants+3 {
+		t.Errorf("%d patterns resident, %d fills; want %d and %d", us.StatsPatterns, us.StatsFills, constants+3, constants+3)
 	}
+	checkCatalog(t, eng, asked)
 
-	// Replay the same batches on a cache-less engine, checking at each
+	// Replay the same batches on a second engine, checking at each
 	// version the plans handed out under its tag.
 	versions := map[uint64]bool{}
 	for _, h := range out {
@@ -319,7 +345,6 @@ func TestCatalogLifetimeUnderChurn(t *testing.T) {
 	if len(versions) < batches/2 {
 		t.Errorf("plans were handed out at only %d distinct versions; the writer did not interleave", len(versions))
 	}
-	cfg.PlanCacheSize = -1
 	fg := churnGraph()
 	fresh := New(fg, cfg)
 	for v := uint64(1); v <= batches+1; v++ {
@@ -327,7 +352,7 @@ func TestCatalogLifetimeUnderChurn(t *testing.T) {
 			if h.version != v {
 				continue
 			}
-			want := mustPrepare(t, fresh, churnQuery(h.c))
+			want := freshPrepare(t, fresh, churnQuery(h.c))
 			if h.sig != want.Logical.Signature() || math.Float64bits(h.cost) != math.Float64bits(want.chosenCost) {
 				t.Errorf("c%d tagged version %d: plan %s at cost %v, a fresh engine at that version chooses %s at %v",
 					h.c, v, h.sig, h.cost, want.Logical.Signature(), want.chosenCost)
@@ -339,9 +364,6 @@ func TestCatalogLifetimeUnderChurn(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-	}
-	if us := fresh.UpdateStats(); us.StatsPatterns != 0 {
-		t.Errorf("uncached prepares left %d patterns resident", us.StatsPatterns)
 	}
 }
 

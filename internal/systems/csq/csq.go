@@ -78,10 +78,10 @@ type Config struct {
 	StatsSink func(mapreduce.JobStats)
 	// PlanCacheSize caps the number of prepared plans the engine
 	// retains, keyed on canonical query fingerprints; 0 means a default
-	// of 256 entries, negative disables plan caching entirely — the
-	// plans and the plan spaces they are chosen from. The cap is
-	// approximate: sharding rounds it up to the next multiple of the
-	// shard count (see plancache.New).
+	// of 256 entries, negative keeps none, so every prepare snapshots,
+	// prices and binds. The plan spaces and the statistics catalog are
+	// kept whatever its value. The cap is approximate: sharding rounds it
+	// up to the next multiple of the shard count (see plancache.New).
 	PlanCacheSize int
 	// ResultCacheBytes, when positive, enables the result cache with
 	// that byte budget: executed plans' answers (result rows + every
@@ -124,21 +124,22 @@ type Engine struct {
 	// shim is what Graph returns: no triples, the engine's dictionary.
 	shim *rdf.Graph
 	// cache maps canonical query fingerprints to versioned plan
-	// entries; nil when caching is disabled.
+	// entries; nil when PlanCacheSize is negative.
 	cache *plancache.Cache[*cacheEntry]
 	// spaces maps a query's written constant-free shape
 	// (core.WrittenShape) to the plan space the optimizer enumerated for
 	// it and the candidates compiled from it, weighed by Space.Bytes under
-	// spaceCacheBytes; nil when caching is disabled. Every planner of the
-	// shape — whatever its constants, SELECT list or Name, a cold prepare
-	// as much as a revalidation — prices this one immutable Space and
+	// spaceCacheBytes. Every planner of the shape — whatever its
+	// constants, SELECT list or Name, a cold prepare as much as a
+	// revalidation, cached or not — prices this one immutable Space and
 	// binds a candidate compiled once.
 	spaces *plancache.Cache[*shapePlans]
 	// cat is the engine's one statistics object: every planner snapshots
 	// its query's patterns from it (readStats) and every committed epoch
 	// folds its delta into it once (invalidate), so it is always at the
-	// engine's data version. A pattern is resident while a cached plan —
-	// or a planner in flight — holds it.
+	// engine's data version. It retains patterns under a byte budget of
+	// its own, least recently snapshotted first, whatever the plan cache
+	// holds.
 	cat *cost.Catalog
 	// res is the result cache; nil unless ResultCacheBytes > 0.
 	// Keys embed the data epoch, so stale entries are unreachable after
@@ -228,10 +229,9 @@ func newEngine(cfg Config, dict *rdf.Dict, triples []rdf.Triple, store *dstore.S
 	}
 	e.part.ApplyBatch(triples, nil, dict)
 	e.cat = cost.NewCatalog(e.DataVersion())
+	e.spaces = plancache.NewSized(spaceCacheBytes, func(sh *shapePlans) int64 { return int64(sh.space.Bytes()) })
 	if cfg.PlanCacheSize >= 0 {
 		e.cache = plancache.New[*cacheEntry](cfg.PlanCacheSize)
-		e.cache.OnEvict(func(ent *cacheEntry) { e.cat.Release(ent.ref) })
-		e.spaces = plancache.NewSized(spaceCacheBytes, func(sh *shapePlans) int64 { return int64(sh.space.Bytes()) })
 	}
 	if cfg.ResultCacheBytes > 0 {
 		e.res = rescache.New(cfg.ResultCacheBytes)
@@ -313,8 +313,8 @@ type UpdateStats struct {
 	SpaceBytes   uint64
 	// StatsPatterns is the number of distinct triple patterns resident
 	// in the statistics catalog now; StatsFills counts the patterns
-	// filled from a scan of the store (a pattern some cached plan
-	// already holds is never filled again).
+	// filled from a scan of the store (a resident pattern is never
+	// filled again, whether or not a cached plan uses it).
 	StatsPatterns uint64
 	StatsFills    uint64
 	// Contexts is the number of execution contexts pooled now, idle on
@@ -328,6 +328,7 @@ type UpdateStats struct {
 // UpdateStats snapshots update activity since engine construction.
 func (e *Engine) UpdateStats() UpdateStats {
 	patterns, fills, _ := e.cat.Counters()
+	spaces := e.spaces.Stats()
 	us := UpdateStats{
 		Batches:       e.batches.Load(),
 		Revalidations: e.revalidations.Load(),
@@ -336,10 +337,8 @@ func (e *Engine) UpdateStats() UpdateStats {
 		Compiles:      e.compiles.Load(),
 		StatsPatterns: uint64(patterns),
 		StatsFills:    fills,
-	}
-	if e.spaces != nil {
-		st := e.spaces.Stats()
-		us.Spaces, us.SpaceBytes = uint64(st.Entries), uint64(st.Bytes)
+		Spaces:        uint64(spaces.Entries),
+		SpaceBytes:    uint64(spaces.Bytes),
 	}
 	e.ctxMu.Lock()
 	defer e.ctxMu.Unlock()
@@ -349,18 +348,16 @@ func (e *Engine) UpdateStats() UpdateStats {
 	return us
 }
 
-// readStats acquires q's patterns in the catalog and snapshots them.
-// The state read lock is held across the snapshot — which fills the
-// patterns the catalog lacks from the current view's subject replica —
-// and a commit publishes its view and folds the catalog under the write
-// side, so a fill reads exactly the epoch the catalog is at and a
-// snapshot always describes exactly its Version. The caller releases
-// ref.
-func (e *Engine) readStats(q *sparql.Query) (*cost.Ref, *cost.Stats) {
-	ref := e.cat.Acquire(q)
+// readStats snapshots q's patterns in the catalog. The state read lock
+// is held across the snapshot — which fills the patterns the catalog
+// lacks from the current view's subject replica — and a commit publishes
+// its view and folds the catalog under the write side, so a fill reads
+// exactly the epoch the catalog is at and a snapshot always describes
+// exactly its Version.
+func (e *Engine) readStats(q *sparql.Query) *cost.Stats {
 	e.stateMu.RLock()
 	defer e.stateMu.RUnlock()
-	return ref, e.cat.Snapshot(e.dict, e.part.Current(), ref)
+	return e.cat.Snapshot(e.dict, e.part.Current(), q)
 }
 
 // enumerate runs the optimizer on q under the configured budgets.
@@ -412,20 +409,15 @@ const compiledCap = 16
 // enumeration that concurrent first requests of the shape share
 // (singleflight) and the cache retains if it fits. The optimizer's
 // budgets govern that one enumeration, and its Truncated flag stays on
-// the space. An engine without caches enumerates for every call and
-// compiles into a table nobody keeps.
+// the space.
 func (e *Engine) shape(q *sparql.Query, written string) (*shapePlans, error) {
-	compute := func() (*shapePlans, error) {
+	sh, _, err := e.spaces.Do(written, func() (*shapePlans, error) {
 		res, err := e.enumerate(q)
 		if err != nil {
 			return nil, err
 		}
 		return &shapePlans{space: res.Space()}, nil
-	}
-	if e.spaces == nil {
-		return compute()
-	}
-	sh, _, err := e.spaces.Do(written, compute)
+	})
 	return sh, err
 }
 
@@ -436,44 +428,41 @@ func (e *Engine) shape(q *sparql.Query, written string) (*shapePlans, error) {
 // revalidation whose snapshot equals prev's keeps prev's choice without
 // pricing, and one whose winner is prev's keeps prev's bound plan;
 // either way the result shares every surviving component with prev, so
-// prev's holders keep executing it safely. The caller has validated q
-// and releases ref, the plan's hold on q's catalog patterns.
-func (e *Engine) plan(q *sparql.Query, prev *Prepared) (p *Prepared, ref *cost.Ref, err error) {
+// prev's holders keep executing it safely. The caller has validated q.
+func (e *Engine) plan(q *sparql.Query, prev *Prepared) (*Prepared, error) {
 	if e.closed.Load() {
-		return nil, nil, ErrClosed
+		return nil, ErrClosed
 	}
-	ref, st := e.readStats(q)
-	p = &Prepared{Query: q}
+	st := e.readStats(q)
+	p := &Prepared{Query: q}
 	if prev != nil {
 		*p = *prev
 	}
 	p.DataVersion = st.Version()
 	if prev != nil && st.Equal(prev.stats) {
-		return p, ref, nil
+		return p, nil
 	}
 	p.stats = st
-	sh, err := e.shape(q, ref.Shape()) // the catalog keeps the shape's string
+	sh, err := e.shape(q, st.Shape()) // the catalog keeps the shape's string
 	if err != nil {
-		e.cat.Release(ref)
-		return nil, nil, err
+		return nil, err
 	}
 	idx, c := cost.NewModel(e.cfg.Constants, st).ChooseSpace(sh.space)
 	p.chosenCost = c
 	if prev != nil {
 		if idx == prev.chosenIdx {
-			return p, ref, nil
+			return p, nil
 		}
 		e.replans.Add(1)
 	}
 	pp, err := e.compiled(sh, q, idx)
 	if err != nil {
-		e.cat.Release(ref)
-		return nil, nil, err
+		return nil, err
 	}
 	pp = pp.Bind(q)
 	p.Logical, p.Physical, p.Height, p.chosenIdx = pp.Logical, pp, pp.Logical.Height(), idx
 	p.PlansExplored, p.UniquePlans = sh.space.Explored, sh.space.Candidates()
-	return p, ref, nil
+	return p, nil
 }
 
 // compiled returns candidate idx of sh's space compiled for q's SELECT

@@ -60,49 +60,33 @@ type Prepared struct {
 }
 
 // Prepare selects q's plan and binds it into an immutable Prepared,
-// without consulting the plan cache (the plan space of q's shape and its
-// compiled candidates are still shared: see Engine.shape). This is the
-// plan-once half of the plan-once/execute-many split; ExecutePrepared is
-// the other.
+// without consulting the plan cache: it snapshots q's statistics, prices
+// the plan space of q's shape and binds the winner, the space and its
+// compiled candidates shared with every other planner (see Engine.shape).
+// This is the plan-once half of the plan-once/execute-many split;
+// ExecutePrepared is the other.
 func (e *Engine) Prepare(q *sparql.Query) (*Prepared, error) {
 	// A shape hit runs no optimizer, so nothing else would validate q.
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	return e.prepare(q, nil)
-}
-
-// prepare plans a validated query (see plan) — cold, or as the
-// revalidation of prev — under a hold on its patterns that it releases.
-// A revalidation needs a hold of its own: the entry's may be gone,
-// evicted meanwhile.
-func (e *Engine) prepare(q *sparql.Query, prev *Prepared) (*Prepared, error) {
-	p, ref, err := e.plan(q, prev)
-	if err != nil {
-		return nil, err
-	}
-	e.cat.Release(ref)
-	return p, nil
+	return e.plan(q, nil)
 }
 
 // cacheEntry is one plan-cache slot: the current validated Prepared,
 // swapped atomically when revalidation refreshes or replaces it, plus a
 // mutex so concurrent revalidations of the same entry run once. It
-// carries no statistics: those live once, in the engine's catalog. ref
-// is the entry's hold on its query's patterns there, released by the
-// plan cache's eviction callback — a pattern stays resident, and is
-// maintained by commits, exactly while some cached plan uses it.
+// carries no statistics: those live once, in the engine's catalog.
 type cacheEntry struct {
 	mu  sync.Mutex
 	cur atomic.Pointer[Prepared]
-	ref *cost.Ref
 }
 
 // PrepareCached returns the prepared plan for q's cache key, planning
 // it on first use. Concurrent calls for the same key plan exactly once
 // (singleflight); distinct keys plan in parallel. hit reports whether
-// the plan came from the cache. With caching disabled
-// (Config.PlanCacheSize < 0) it degrades to Prepare.
+// the plan came from the cache. With the plan cache off
+// (Config.PlanCacheSize < 0) it is Prepare.
 //
 // A miss is not an optimizer run, nor, mostly, a compile: planning takes
 // the plan space of q's written shape — enumerated by the first query of
@@ -137,18 +121,18 @@ func (e *Engine) PrepareCached(q *sparql.Query) (p *Prepared, hit bool, err erro
 		return nil, false, ErrClosed
 	}
 	if e.cache == nil {
-		p, err = e.prepare(q, nil)
+		p, err = e.plan(q, nil)
 		return p, false, err
 	}
 	k := sparql.Key(q)
 	key := string(k[:]) + "\x00" + q.Name // one allocation: the conversion is the concatenation's operand
 	ent, hit, err := e.cache.Do(key, func() (*cacheEntry, error) {
-		p, ref, err := e.plan(q, nil)
+		p, err := e.plan(q, nil)
 		if err != nil {
 			return nil, err
 		}
 		p.Fingerprint = key
-		ent := &cacheEntry{ref: ref}
+		ent := &cacheEntry{}
 		ent.cur.Store(p)
 		return ent, nil
 	})
@@ -167,7 +151,7 @@ func (e *Engine) PrepareCached(q *sparql.Query) (p *Prepared, hit bool, err erro
 		return p, hit, nil
 	}
 	e.revalidations.Add(1)
-	np, err := e.prepare(p.Query, p)
+	np, err := e.plan(p.Query, p)
 	if err != nil {
 		return nil, false, err
 	}
@@ -183,7 +167,7 @@ func (e *Engine) ExecutePrepared(p *Prepared) (*physical.Result, error) {
 }
 
 // CacheStats snapshots the plan cache counters (zero Stats when
-// caching is disabled).
+// PlanCacheSize is negative).
 func (e *Engine) CacheStats() plancache.Stats {
 	if e.cache == nil {
 		return plancache.Stats{}

@@ -7,14 +7,43 @@ import (
 	"testing"
 
 	"cliquesquare/internal/core"
+	"cliquesquare/internal/cost"
 	"cliquesquare/internal/lubm"
 	"cliquesquare/internal/physical"
 	"cliquesquare/internal/sparql"
 )
 
+// freshPrepare plans q on e sharing nothing with e's planners: an
+// enumeration of its own (counted in e's Enumerations), priced under a
+// snapshot of a fresh catalog filled from e's current view, the winner
+// compiled and bound. It is the oracle of the tests that check the
+// shared plan spaces, the catalog and the plan cache, so it uses none of
+// them.
+func freshPrepare(t *testing.T, e *Engine, q *sparql.Query) *Prepared {
+	t.Helper()
+	res, err := e.enumerate(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.stateMu.RLock()
+	st := cost.NewCatalog(e.DataVersion()).Snapshot(e.dict, e.part.Current(), q)
+	e.stateMu.RUnlock()
+	sh := &shapePlans{space: res.Space()}
+	idx, c := cost.NewModel(e.cfg.Constants, st).ChooseSpace(sh.space)
+	pp, err := e.compiled(sh, q, idx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pp = pp.Bind(q)
+	return &Prepared{
+		Query: q, Logical: pp.Logical, Physical: pp, Height: pp.Logical.Height(),
+		PlansExplored: sh.space.Explored, UniquePlans: sh.space.Candidates(),
+		DataVersion: st.Version(), chosenIdx: idx, chosenCost: c, stats: st,
+	}
+}
+
 // sameChoice requires got, prepared through shared plan spaces, to be the
-// Prepared want a cache-less engine built for the same query from an
-// enumeration of its own.
+// Prepared want freshPrepare built for the same query.
 func sameChoice(t *testing.T, label string, got, want *Prepared) {
 	t.Helper()
 	if got.Logical.Signature() != want.Logical.Signature() || got.Physical.Key() != want.Physical.Key() ||
@@ -29,8 +58,8 @@ func sameChoice(t *testing.T, label string, got, want *Prepared) {
 // TestSpaceSharingOracle races the first requests of six templates over
 // twenty universities on one engine: whichever query of a shape arrives
 // first enumerates, once, and every other plans from its space — to the
-// Prepared, rows and JobStats a cache-less engine produces for the same
-// query from an enumeration of its own. Commits that move the statistics
+// Prepared freshPrepare builds for the same query, with its rows and
+// JobStats. Commits that move the statistics
 // then re-price the same six spaces. Under -race this is also the check
 // that a Space is never written after construction.
 func TestSpaceSharingOracle(t *testing.T) {
@@ -39,8 +68,6 @@ func TestSpaceSharingOracle(t *testing.T) {
 	lc.DeptsPerUniv, lc.Undergrads, lc.Grads = 1, 8, 4
 	g := lubm.Generate(lc)
 	eng := New(g, DefaultConfig())
-	uncached := DefaultConfig()
-	uncached.PlanCacheSize = -1
 
 	var qs []*sparql.Query
 	for c := 0; c < universities; c++ {
@@ -49,13 +76,13 @@ func TestSpaceSharingOracle(t *testing.T) {
 	// check prepares every query on eng from each of the lanes, each
 	// starting elsewhere so that first requests of one shape meet with
 	// different constants, and compares the queries of the universities
-	// in [from, to) — each lane executing its share of them — with a
-	// cache-less engine over the same data.
+	// in [from, to) — each lane executing its share of them — with
+	// freshPrepare on a second engine over the same data.
 	check := func(stage string, from, to int) {
-		fresh := New(g, uncached)
+		fresh := New(g, DefaultConfig())
 		wantP, wantR := make([]*Prepared, len(qs)), make([]*physical.Result, len(qs))
 		for i := 6 * from; i < 6*to; i++ {
-			wantP[i] = mustPrepare(t, fresh, qs[i])
+			wantP[i] = freshPrepare(t, fresh, qs[i])
 			r, err := fresh.ExecutePrepared(wantP[i])
 			if err != nil {
 				t.Fatal(err)
@@ -63,7 +90,7 @@ func TestSpaceSharingOracle(t *testing.T) {
 			wantR[i] = r
 		}
 		if n := fresh.UpdateStats().Enumerations; n != uint64(6*(to-from)) {
-			t.Fatalf("the cache-less engine enumerated %d times for %d prepares", n, 6*(to-from))
+			t.Fatalf("the fresh engine enumerated %d times for %d prepares", n, 6*(to-from))
 		}
 		var wg sync.WaitGroup
 		for lane := 0; lane < lanes; lane++ {
@@ -90,7 +117,7 @@ func TestSpaceSharingOracle(t *testing.T) {
 						return
 					}
 					if !reflect.DeepEqual(r.Rows, wantR[i].Rows) || !reflect.DeepEqual(r.Jobs, wantR[i].Jobs) {
-						t.Errorf("%s %s: rows or JobStats differ from a fresh engine's (%d rows vs %d)",
+						t.Errorf("%s %s: rows or JobStats differ from a fresh prepare's (%d rows vs %d)",
 							stage, qs[i].Name, len(r.Rows), len(wantR[i].Rows))
 					}
 				}
@@ -132,24 +159,23 @@ func TestSpaceSharingOracle(t *testing.T) {
 
 // TestSpaceCarriesEnumerationBudget: the optimizer's budgets govern the
 // one enumeration a shape gets as they governed each per-key run — a
-// second constant plans from the same truncated space, with the counts a
-// cache-less engine reports for it.
+// second constant plans from the same truncated space, with the counts
+// an enumeration of its own (freshPrepare) reports for it.
 func TestSpaceCarriesEnumerationBudget(t *testing.T) {
 	g := lubm.Generate(lubm.DefaultConfig(1))
 	cfg := DefaultConfig()
 	cfg.MaxPlans = 10
 	eng := New(g, cfg)
-	cfg.PlanCacheSize = -1
-	uncached := New(g, cfg)
+	fresh := New(g, cfg)
 	for c := 0; c < 2; c++ {
 		q := coldTemplates(t, c)[5] // Q14: 935 plans unbounded
 		p, _, err := eng.PrepareCached(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := mustPrepare(t, uncached, q)
+		want := freshPrepare(t, fresh, q)
 		if p.PlansExplored != 10 || p.PlansExplored != want.PlansExplored || p.UniquePlans != want.UniquePlans {
-			t.Errorf("university %d: %d plans explored, %d unique; a cache-less engine %d and %d; MaxPlans is 10",
+			t.Errorf("university %d: %d plans explored, %d unique; a fresh prepare %d and %d; MaxPlans is 10",
 				c, p.PlansExplored, p.UniquePlans, want.PlansExplored, want.UniquePlans)
 		}
 		sameChoice(t, q.Name, p, want)
