@@ -18,6 +18,7 @@ import (
 	"cliquesquare/internal/cost"
 	"cliquesquare/internal/lubm"
 	"cliquesquare/internal/physical"
+	"cliquesquare/internal/rdf"
 	"cliquesquare/internal/sparql"
 	"cliquesquare/internal/systems/csq"
 )
@@ -113,31 +114,36 @@ const (
 	passAfterCommitRatioCeiling = 1.15
 	// residentCeiling bounds the live heap an engine adds per triple once
 	// its caller has dropped the graph it was built from: 1.1× the
-	// measured 46.8 at 100 universities, 158,849 triples — the replicas'
-	// slabs and file tables, and the dictionary (strings, slab, 4 B-a-slot
-	// id table). The slabs' payload is 23.25 B: a file stores only the
-	// cells its name does not fix, so each replica row is (s, o), 8 B,
-	// and a class file's row is (s), 4 B — 3 × 8 = 24 B a triple, less
-	// 4 B for each rdf:type triple, 18.6% of them (24 − 0.75). It was
-	// 36 B with three 12-byte rows, and the readings 59.8 / 81.2 / 103.0.
+	// measured 43.1 at 100 universities, 158,849 triples — the replicas'
+	// slabs and file tables, and the dictionary: 17.9 B/triple of term
+	// pages, 8-byte spans and a 4 B-a-slot id table. The slabs' payload
+	// is 23.25 B: a file stores only the cells its name does not fix, so
+	// each replica row is (s, o), 8 B, and a class file's row is (s), 4 B
+	// — 3 × 8 = 24 B a triple, less 4 B for each rdf:type triple, 18.6%
+	// of them (24 − 0.75). It read 46.8 when the dictionary held each
+	// term as a string of its own, 21.3 B/triple; 59.8 with three 12-byte
+	// rows.
 	// residentWithGraphCeiling is the same reading with the caller's graph
 	// kept: its triple slice and 4 B a slot of position table more
-	// (measured 68.2, ceiling 1.1× it; 32 B/triple more when the graph
-	// keyed a Go map by the triple and the dictionary one by the string).
-	residentCeiling          = 51.5
-	residentWithGraphCeiling = 75.0
+	// (measured 64.6, ceiling 1.1× it; 68.2 with string terms, 32 B/triple
+	// more when the graph keyed a Go map by the triple and the dictionary
+	// one by the string).
+	residentCeiling          = 47.4
+	residentWithGraphCeiling = 71.1
 	// residentWarmCeiling bounds the same engine, graph dropped, after
 	// three passes of the 14 LUBM queries on two lanes: 1.05× the
-	// measured 80.7 (79.9–81.0) — the idle 46.8, and 33.9 of statistics
-	// catalog, cached plans and execution context, of which the buffer
-	// pool, what the hungriest query reached, is about 3.16 MB: 19.9
-	// B/triple. It held 4,549,824 B, 28.6 B/triple, and the engine
-	// 89.3–90.1, when a shuffled tuple had a record in its bucket and a
-	// copy in its destination's array, the final merge sorted row
-	// numbers beside their order and a map-only root join wrote a block
-	// the projection copied; 125.2 when every scratch position kept its
-	// own largest-ever array and every single-slot pattern a binding map.
-	residentWarmCeiling = 84.7
+	// measured 71.9 (71.0–71.9) — the idle 43.1, and 28.8 of statistics
+	// catalog, cached plans and execution context. The buffer pool, what
+	// the hungriest query reached, is about 3.1 MB: 19.5 B/triple. The
+	// catalog holds the 20 patterns' 91,931 bindings in sorted (id,
+	// count) arrays, 5.0 B/triple; as binding maps it took 9.6, and the
+	// engine 79.9–81.0. It held 89.3–90.1 when a shuffled tuple had a
+	// record in its bucket and a copy in its destination's array, the
+	// final merge sorted row numbers beside their order and a map-only
+	// root join wrote a block the projection copied; 125.2 when every
+	// scratch position kept its own largest-ever array and every
+	// single-slot pattern a binding map.
+	residentWarmCeiling = 75.5
 )
 
 // raceEnabled is set by race_test.go under -race: the detector's
@@ -512,6 +518,68 @@ func TestAllocPassAfterCommit(t *testing.T) {
 	}
 }
 
+// liveHeap returns the live heap after two collections.
+func liveHeap() uint64 {
+	var m runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
+}
+
+// TestAllocResidentAccount holds UpdateStats' DictBytes and StatsBytes,
+// which count from lengths and capacities, to the heap: at 20 and at 50
+// universities each is within 5% of the live heap that building its
+// structure adds — a dictionary of the data's terms, a catalog filled
+// for the 14 LUBM queries — and an engine over the data reports the
+// same two numbers once it has answered those queries.
+func TestAllocResidentAccount(t *testing.T) {
+	if testing.Short() {
+		t.Skip("residency measurement over a 50-university dataset")
+	}
+	if raceEnabled {
+		t.Skip("race instrumentation inflates the heap")
+	}
+	for _, univ := range []int{20, 50} {
+		g := lubm.Generate(lubm.DefaultConfig(univ))
+		terms, qs := g.Dict.TermsAfter(0), lubm.Queries()
+		base := liveHeap()
+		d := rdf.NewDict()
+		for _, tm := range terms {
+			d.Encode(tm)
+		}
+		dictHeap := liveHeap() - base
+		runtime.KeepAlive(terms) // in base
+		base = liveHeap()
+		c := cost.NewCatalog(1)
+		for _, q := range qs {
+			c.Snapshot(g.Dict, g, q)
+		}
+		statsHeap := liveHeap() - base
+		for _, m := range []struct {
+			name    string
+			account int64
+			heap    uint64
+		}{{"DictBytes", d.Bytes(), dictHeap}, {"StatsBytes", c.Bytes(), statsHeap}} {
+			if r := float64(m.account) / float64(m.heap); r < 0.95 || r > 1.05 {
+				t.Errorf("%d universities: %s = %d, the heap holds %d: %.3f×", univ, m.name, m.account, m.heap, r)
+			} else {
+				t.Logf("%d universities: %s = %d, the heap holds %d: %.3f×", univ, m.name, m.account, m.heap, r)
+			}
+		}
+		eng, err := NewEngine(g, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		queryAll(t, eng, qs)
+		if us := eng.UpdateStats(); us.DictBytes != uint64(d.Bytes()) || us.StatsBytes != uint64(c.Bytes()) {
+			t.Errorf("%d universities: the engine reports DictBytes %d and StatsBytes %d, the structures built alone %d and %d",
+				univ, us.DictBytes, us.StatsBytes, d.Bytes(), c.Bytes())
+		}
+		eng.Close()
+	}
+}
+
 // TestAllocResidentPerTriple is the standing residency guard: what an
 // idle engine keeps alive per triple, with the caller's graph dropped —
 // the partitioned store is the engine's only copy of the data — and with
@@ -525,13 +593,7 @@ func TestAllocResidentPerTriple(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation inflates the heap")
 	}
-	live := func() uint64 {
-		var m runtime.MemStats
-		runtime.GC()
-		runtime.GC()
-		runtime.ReadMemStats(&m)
-		return m.HeapAlloc
-	}
+	live := liveHeap
 	base := live()
 	var triples, kept float64
 	eng := func() *Engine { // the graph does not outlive this function

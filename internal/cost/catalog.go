@@ -6,6 +6,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"unsafe"
 
 	"cliquesquare/internal/core"
 	"cliquesquare/internal/rdf"
@@ -15,7 +16,8 @@ import (
 // Catalog holds the statistics of distinct triple patterns, once,
 // whatever number of queries share a pattern: its match count and, for a
 // pattern of two or three variable slots, one binding multiset per slot,
-// which is what lets Apply keep them exact under deletes. A pattern of
+// which is what lets Apply keep them exact under deletes: (id, count)
+// arrays sorted by id, 8 bytes a binding (see bindings). A pattern of
 // one slot (?x a C, ?x p <c>, ?x p ?x) keeps none: its matches differ
 // only in that slot, so its distinct count is its match count.
 //
@@ -55,14 +57,14 @@ type Catalog struct {
 
 const (
 	// budgetBytes is the weight of filled patterns a catalog keeps. The
-	// 20 patterns of the 14 LUBM queries weigh about 10 B per triple (1.6
-	// MB at 100 universities), so it holds them up to 1,000 universities.
+	// 20 patterns of the 14 LUBM queries weigh 4.7 B per triple (0.75 MB
+	// at 100 universities), so it holds them up to 9,000 universities.
 	budgetBytes = 64 << 20
 	// A pattern weighs patternBytes (the entry, its map slot and its
-	// binding maps' headers), its constants' bytes, and bindingBytes (a
-	// map slot of an id and a count, at the maps' load) per binding.
+	// binding arrays' headers), its constants' bytes, and bindingBytes
+	// (an id and a count) per binding its arrays hold.
 	patternBytes = 512
-	bindingBytes = 16
+	bindingBytes = 8
 	// layoutCap bounds the written shapes a catalog keeps layouts of: a
 	// workload has few, the bound only guards pathological churn.
 	layoutCap = 256
@@ -128,8 +130,52 @@ type pattern struct {
 	pos                 [3]rdf.Pos
 	slots               int
 
-	n    int                     // matching triples
-	bind [3]map[rdf.TermID]int32 // bind[k]: occurrences per binding of slot k; nil for one slot
+	n    int        // matching triples
+	bind []bindings // bind[k]: the binding multiset of slot k; nil for one slot
+}
+
+// binding is a value of a variable slot and its number of matches.
+type binding struct {
+	id rdf.TermID
+	n  int32
+}
+
+func byID(b binding, id rdf.TermID) int { return cmp.Compare(b.id, id) }
+
+// bindings is one slot's binding multiset: all, sorted by id, as a fill
+// counted it, and pending, sorted by id, the ids Apply met since that
+// all lacks. A count Apply takes to 0 stays, a tombstone (dead counts
+// them) a later insert revives; once pending and the tombstones outgrow
+// an eighth of all, pending merges into it and the tombstones leave.
+// The slot's distinct count is len(all) + len(pending) - dead.
+type bindings struct {
+	all, pending []binding
+	dead         int
+}
+
+// add adds d to the count of id. A new id enters pending as a revived
+// tombstone, at the end when the dictionary assigned it last.
+func (b *bindings) add(id rdf.TermID, d int32) {
+	bs := b.all
+	i, ok := slices.BinarySearchFunc(bs, id, byID)
+	if !ok {
+		bs = b.pending
+		if i, ok = slices.BinarySearchFunc(bs, id, byID); !ok {
+			bs = slices.Insert(bs, i, binding{id: id})
+			b.pending, b.dead = bs, b.dead+1
+		}
+	}
+	if bs[i].n == 0 {
+		b.dead--
+	}
+	if bs[i].n += d; bs[i].n == 0 {
+		b.dead++
+	}
+	if len(b.pending)+b.dead > len(b.all)/8 { // O(n log n), after n/8 changes
+		b.all = slices.DeleteFunc(append(b.all, b.pending...), func(x binding) bool { return x.n == 0 })
+		slices.SortFunc(b.all, func(x, y binding) int { return cmp.Compare(x.id, y.id) })
+		b.pending, b.dead = b.pending[:0], 0
+	}
 }
 
 // newPattern returns an unfilled entry for k, its constants cloned: a
@@ -155,9 +201,7 @@ func newPattern(k patKey, hash uint64) *pattern {
 	}
 	p.missing = p.consts
 	if p.slots > 1 {
-		for s := range p.slots {
-			p.bind[s] = make(map[rdf.TermID]int32)
-		}
+		p.bind = make([]bindings, p.slots)
 	}
 	return p
 }
@@ -168,8 +212,8 @@ func (p *pattern) weigh() int64 {
 	for i := range p.key {
 		w += int64(len(p.key[i].term.Value))
 	}
-	for _, m := range p.bind {
-		w += bindingBytes * int64(len(m))
+	for _, b := range p.bind {
+		w += bindingBytes * int64(len(b.all)+len(b.pending))
 	}
 	return w
 }
@@ -195,23 +239,24 @@ func (p *pattern) match(t rdf.Triple) bool {
 		(p.eq == 0 || (p.eq&1 == 0 || t.S == t.P) && (p.eq&2 == 0 || t.S == t.O) && (p.eq&4 == 0 || t.P == t.O))
 }
 
-// fold counts t in (d = +1) or out (d = -1) if it matches. A binding
-// whose count returns to zero is dropped, so len(bind[k]) stays the
-// distinct count.
+// fold counts t in (d = +1) or out (d = -1) if it matches: into the
+// sorted arrays of a filled pattern, or, while a fill counts it, at the
+// binding's id in all.
 func (p *pattern) fold(t rdf.Triple, d int32) {
 	if !p.match(t) {
 		return
 	}
 	p.n += int(d)
-	if p.slots == 1 {
-		return
-	}
-	for k := 0; k < p.slots; k++ {
-		m, id := p.bind[k], t.At(p.pos[k])
-		if c := m[id] + d; c == 0 {
-			delete(m, id)
-		} else {
-			m[id] = c
+	for k := range p.bind {
+		b, id := &p.bind[k], t.At(p.pos[k])
+		switch {
+		case p.filled:
+			b.add(id, d)
+		case int(id) >= len(b.all): // at least doubled: linear
+			b.all = append(b.all, make([]binding, max(int(id)+1, 2*len(b.all))-len(b.all))...)
+			fallthrough
+		default:
+			b.all[id].n += d
 		}
 	}
 }
@@ -259,16 +304,29 @@ type Source interface {
 
 // fill counts src into the routed patterns, reading no more of it than
 // they can match: their properties' triples while every pattern names
-// its property, everything once as soon as one does not.
+// its property, everything once as soon as one does not. Then it
+// compacts each slot's counts, sorted as they come, into an array of
+// its allocation's size: linear, no sort.
 func (dp *dispatch) fill(src Source) {
 	one := func(t rdf.Triple) { dp.fold(+1, t) }
 	if len(dp.anyProp) > 0 {
 		src.EachTriple(rdf.NoTerm, one)
-		return
+	} else {
+		for i, p := range dp.byProp {
+			if i == 0 || p.id[1] != dp.byProp[i-1].id[1] {
+				src.EachTriple(p.id[1], one)
+			}
+		}
 	}
-	for i, p := range dp.byProp {
-		if i == 0 || p.id[1] != dp.byProp[i-1].id[1] {
-			src.EachTriple(p.id[1], one)
+	for _, p := range slices.Concat(dp.byProp, dp.anyProp) {
+		for k, b := range p.bind {
+			n := 0
+			for id, x := range b.all {
+				if x.n != 0 {
+					b.all[n], n = binding{rdf.TermID(id), x.n}, n+1
+				}
+			}
+			p.bind[k] = bindings{all: append([]binding(nil), b.all[:n]...)}
 		}
 	}
 }
@@ -364,8 +422,8 @@ func (c *Catalog) Snapshot(d *rdf.Dict, src Source, q *sparql.Query) *Stats {
 	s.version = c.version
 	for i, p := range pats {
 		s.pats[i].card = float64(p.n)
-		for k := 0; k < p.slots; k++ {
-			s.pats[i].distinct[k] = float64(len(p.bind[k]))
+		for k := range p.bind {
+			s.pats[i].distinct[k] = float64(len(p.bind[k].all) + len(p.bind[k].pending) - p.bind[k].dead)
 		}
 		if p.slots == 1 {
 			s.pats[i].distinct[0] = float64(p.n)
@@ -383,7 +441,8 @@ func (c *Catalog) fill(d *rdf.Dict, src Source, mine []*pattern) {
 		c.mu.Lock()
 		for _, p := range mine {
 			if p.filled, p.claimed = filled, filled; !filled {
-				p.n, p.bind = 0, newPattern(p.key, p.hash).bind
+				p.n = 0
+				clear(p.bind)
 				continue
 			}
 			c.fills++
@@ -444,11 +503,12 @@ func (c *Catalog) unlink(p *pattern) {
 // computes) into every resident filled pattern, once per pattern however
 // many queries share it, leaving each identical to a fresh fill over the
 // mutated data, and moves the catalog to version. Cost is
-// O(|delta| × patterns of the triple's property), independent of graph
-// size. A pattern being filled is skipped: its fill reads the mutated
-// data. An empty delta (a resize) only moves the version. Patterns the
-// delta made heavier may push the catalog over its budget; the least
-// recent then leave.
+// O(|delta| × patterns of the triple's property × log n), amortized,
+// independent of graph size; it allocates nothing once a slot's arrays
+// fit its churn. A pattern being filled is skipped: its fill reads the
+// mutated data. An empty delta (a resize) only moves the version.
+// Patterns the delta made heavier may push the catalog over its budget;
+// the least recent then leave.
 func (c *Catalog) Apply(version uint64, d *rdf.Dict, inserts, deletes []rdf.Triple) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -478,4 +538,28 @@ func (c *Catalog) Counters() (patterns int, fills, folds uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.pats), c.fills, c.folds
+}
+
+// Bytes is the memory the catalog holds, counted from the lengths and
+// capacities of its patterns, their constants and binding arrays, and
+// its layouts.
+func (c *Catalog) Bytes() int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	b := 0
+	for _, p := range c.pats {
+		if p.filled { // else a fill is writing it, outside the mutex
+			b += int(unsafe.Sizeof(*p)) + len(p.key[0].term.Value) + len(p.key[1].term.Value) + len(p.key[2].term.Value)
+			for _, bs := range p.bind {
+				b += bindingBytes * (cap(bs.all) + cap(bs.pending))
+			}
+		}
+	}
+	for _, l := range c.layouts {
+		b += int(unsafe.Sizeof(*l)) + len(l.shape) + cap(l.filtered) + int(unsafe.Sizeof(l.slots[0]))*cap(l.slots) + int(unsafe.Sizeof(""))*cap(l.vars)
+		for _, v := range l.vars {
+			b += len(v)
+		}
+	}
+	return int64(b)
 }

@@ -1,12 +1,16 @@
 package cost
 
 import (
+	"cmp"
 	"fmt"
-	"maps"
+	"math/rand"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"unsafe"
 
+	"cliquesquare/internal/lubm"
 	"cliquesquare/internal/rdf"
 	"cliquesquare/internal/sparql"
 )
@@ -32,8 +36,13 @@ func checkResident(t *testing.T, c *Catalog, d *rdf.Dict, src Source, step strin
 		var dp dispatch
 		dp.add(d, f)
 		dp.fill(src)
-		if f.n != p.n || !maps.Equal(f.bind[0], p.bind[0]) || !maps.Equal(f.bind[1], p.bind[1]) || !maps.Equal(f.bind[2], p.bind[2]) {
-			t.Errorf("%s: %v holds %d matches, a fresh fill %d, or other bindings", step, p.key, p.n, f.n)
+		if f.n != p.n {
+			t.Errorf("%s: %v holds %d matches, a fresh fill %d", step, p.key, p.n, f.n)
+		}
+		for k := range p.bind {
+			if err := p.bind[k].matches(&f.bind[k]); err != nil {
+				t.Errorf("%s: %v slot %d: %v", step, p.key, k, err)
+			}
 		}
 	}
 	filled := 0
@@ -46,6 +55,38 @@ func checkResident(t *testing.T, c *Catalog, d *rdf.Dict, src Source, step strin
 		t.Errorf("%s: %d filled patterns resident, %d listed; weight %d, listed %d, budget %d",
 			step, filled, listed, c.weight, weight, c.budget)
 	}
+}
+
+// matches reports how maintained bindings b differ from want, a fresh
+// fill's, or break their invariants: both arrays sorted by id and
+// disjoint, dead exact, pending and tombstones within an eighth of all,
+// and the bindings with a count the ones want holds, in want's array
+// alone.
+func (b *bindings) matches(want *bindings) error {
+	if want.pending != nil || want.dead != 0 || slices.ContainsFunc(want.all, func(x binding) bool { return x.n == 0 }) {
+		return fmt.Errorf("a fresh fill keeps %d pending, %d dead, or a 0 count", len(want.pending), want.dead)
+	}
+	byID := func(x, y binding) int { return cmp.Compare(x.id, y.id) }
+	sorted := func(bs []binding) bool {
+		return slices.IsSortedFunc(bs, byID) &&
+			len(slices.CompactFunc(slices.Clone(bs), func(x, y binding) bool { return x.id == y.id })) == len(bs)
+	}
+	both := append(slices.Clone(b.all), b.pending...)
+	slices.SortFunc(both, byID)
+	dead := len(both)
+	live := slices.DeleteFunc(both, func(x binding) bool { return x.n == 0 })
+	dead -= len(live)
+	switch {
+	case !sorted(b.all) || !sorted(b.pending) || !sorted(live):
+		return fmt.Errorf("arrays out of order or overlapping: %v, pending %v", b.all, b.pending)
+	case dead != b.dead:
+		return fmt.Errorf("%d tombstones, counted %d", dead, b.dead)
+	case len(b.pending)+b.dead > len(b.all)/8:
+		return fmt.Errorf("%d pending and %d tombstones beside %d bindings: past an eighth", len(b.pending), b.dead, len(b.all))
+	case !slices.Equal(live, want.all):
+		return fmt.Errorf("bindings %v maintained, %v fresh", live, want.all)
+	}
+	return nil
 }
 
 // TestCatalogClonesConstants: a resident pattern's constants are its
@@ -177,4 +218,110 @@ func TestCatalogBudgetUnderChurn(t *testing.T) {
 		t.Errorf("%d patterns resident before the heavy one, %d after; want the same, and some", before, after)
 	}
 	checkResident(t, c, g.Dict, g, "after the heavy pattern")
+}
+
+// churn is the commit stream of the Apply tests over g: commit 2i
+// deletes size sampled triples and inserts as many new ones — a fresh
+// subject on a sampled triple's property and object — and commit 2i+1
+// puts the deleted back and takes the new ones out. The data keeps
+// returning to where it started while every pair of commits brings
+// new ids, so bindings are tombstoned, revived, filed as pending and
+// merged away.
+type churn struct {
+	g         *rdf.Graph
+	rng       *rand.Rand
+	size, n   int
+	ins, dels []rdf.Triple
+}
+
+// next commits the next delta to g and returns it, effective.
+func (ch *churn) next() (ins, dels []rdf.Triple) {
+	defer func() { ch.n++ }()
+	if ch.n%2 == 1 {
+		return applyDelta(ch.g, ch.dels, ch.ins)
+	}
+	ts := ch.g.Triples()
+	ins, dels = nil, nil
+	for j := 0; j < ch.size; j++ {
+		t := ts[ch.rng.Intn(len(ts))]
+		dels = append(dels, t)
+		ins = append(ins, rdf.Triple{S: ch.g.Dict.EncodeIRI(fmt.Sprintf("churn/%d/%d", ch.n, j)), P: t.P, O: t.O})
+	}
+	ch.ins, ch.dels = applyDelta(ch.g, ins, dels)
+	return ch.ins, ch.dels
+}
+
+// lubmCatalog returns a catalog holding the patterns of the 14 LUBM
+// queries over g.
+func lubmCatalog(g *rdf.Graph) *Catalog {
+	c := NewCatalog(1)
+	for _, q := range lubm.Queries() {
+		c.Snapshot(g.Dict, g, q)
+	}
+	return c
+}
+
+// TestCatalogAlternatingStream folds a 200-commit churn stream into the
+// patterns of the 14 LUBM queries: after every commit every resident
+// slot equals a fresh fill, with its pending bindings and tombstones
+// within an eighth of its array (checkResident). The stream must have
+// left pending bindings and tombstones behind and merged them.
+func TestCatalogAlternatingStream(t *testing.T) {
+	g := lubm.Generate(lubm.DefaultConfig(1))
+	c := lubmCatalog(g)
+	ch := &churn{g: g, rng: rand.New(rand.NewSource(3)), size: 40}
+	var pending, dead, merged bool
+	for i := 0; i < 200; i++ {
+		ins, dels := ch.next()
+		before := map[*bindings]int{}
+		for p := c.recent.next; p != &c.recent; p = p.next {
+			for k := range p.bind {
+				before[&p.bind[k]] = len(p.bind[k].pending)
+			}
+		}
+		c.Apply(uint64(i+2), g.Dict, ins, dels)
+		checkResident(t, c, g.Dict, g, fmt.Sprint("commit ", i))
+		for b, n := range before {
+			pending, dead = pending || len(b.pending) > 0, dead || b.dead > 0
+			merged = merged || n > 0 && len(b.pending) == 0
+		}
+	}
+	if !pending || !dead || !merged {
+		t.Errorf("pending bindings seen %v, tombstones %v, a merge %v: the stream did not exercise them", pending, dead, merged)
+	}
+}
+
+// TestCatalogApplyIndependentOfSize: what a commit's fold allocates
+// follows its delta, not the data. The 14 LUBM queries' patterns take a
+// churn stream of 200 + 200 triples a commit at 5 and at 20
+// universities; once the binding arrays have grown to the churn, the
+// bytes Apply allocates per commit at 20 are within 1.1× of those at 5.
+// A merge that copied a slot's array every commit allocates ~4× more.
+func TestCatalogApplyIndependentOfSize(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation measurement over a 20-university dataset")
+	}
+	perCommit := func(univ int) float64 {
+		g := lubm.Generate(lubm.DefaultConfig(univ))
+		c := lubmCatalog(g)
+		ch := &churn{g: g, rng: rand.New(rand.NewSource(5)), size: 200}
+		const warm, measured = 160, 40
+		var bytes uint64
+		for i := 0; i < warm+measured; i++ {
+			ins, dels := ch.next()
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			c.Apply(uint64(i+2), g.Dict, ins, dels)
+			runtime.ReadMemStats(&m1)
+			if i >= warm {
+				bytes += m1.TotalAlloc - m0.TotalAlloc
+			}
+		}
+		return float64(bytes) / measured
+	}
+	small, large := perCommit(5), perCommit(20)
+	t.Logf("Apply of a 200 + 200 delta: %.0f B at 5 universities, %.0f B at 20", small, large)
+	if large > 1.1*small {
+		t.Errorf("Apply allocates %.0f B a commit at 20 universities, %.0f B at 5: over 1.1×", large, small)
+	}
 }

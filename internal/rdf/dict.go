@@ -3,8 +3,10 @@ package rdf
 import (
 	"fmt"
 	"hash/maphash"
+	"math"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // TermID is a dense integer identifier for a term, assigned by a Dict.
@@ -14,15 +16,20 @@ type TermID uint32
 // NoTerm is the zero TermID, never assigned to a real term.
 const NoTerm TermID = 0
 
-// The id → term side of a Dict is an append-only slab cut into
-// fixed-size chunks, so an entry never moves once written and growing
-// the dictionary never copies one.
+// The id → term side of a Dict is a span per id, in fixed-size chunks,
+// over pages of rendered terms; neither ever moves once written.
 const (
 	chunkBits = 12
 	chunkLen  = 1 << chunkBits
+	pageBits  = 16
+	pageLen   = 1 << pageBits
 )
 
-type chunk [chunkLen]string
+var maxPages = 1 << (32 - pageBits) // what a span addresses: 4 GiB; tests lower it
+
+type span struct{ addr, n uint32 } // n bytes at page addr>>pageBits, offset addr&(pageLen-1)
+
+type chunk [chunkLen]span
 
 // probeLen is the stack buffer a probe renders its key into; a longer
 // term spills to the heap and costs the probe one allocation.
@@ -30,28 +37,34 @@ const probeLen = 128
 
 // Dict is a bidirectional dictionary between terms and TermIDs. It
 // holds each term once, in its rendered N-Triples form (what
-// Term.String returns): that one string is what the term → id table
-// compares a probe against, the value Rendered hands out and the
-// backing of the Value that Term returns.
+// Term.String returns), copied into a page it never modifies (a term
+// longer than a page gets one of its own) and found by an 8-byte span:
+// those bytes are what the term → id table compares a probe against,
+// the string Rendered hands out and the backing of the Value that Term
+// returns.
 //
 // It is safe for concurrent use, and resolving an id takes no lock:
 // writers (Encode of a new term, Install) are serialised by mu, write
-// the entry into the slab, swap in a longer chunk directory when the
-// last chunk is full and only then store the new term count; a reader
-// that loads a count covering id therefore sees both the directory and
-// the entry. The zero value is not usable; construct with NewDict.
+// the term's bytes and span, growing the directories as needed, and
+// only then store the new term count; a reader that loads a count
+// covering id therefore sees them all. The zero value is not usable;
+// construct with NewDict.
 type Dict struct {
 	mu sync.RWMutex
 	// table is the rendered form → id side, open-addressed with linear
 	// probing over the hash of the rendered bytes: a slot holds an id
 	// (NoTerm when free) and a probe is compared against Rendered(id), so
-	// the slab is the only copy of a key. A power of two long, load at or
-	// under 3/4. Guarded by mu.
+	// the pages are the only copy of a key. A power of two long, load at
+	// or under 3/4. Guarded by mu.
 	table []TermID
 	seed  maphash.Seed
 
-	dir atomic.Pointer[[]*chunk] // entry id-1 is (*dir)[(id-1)>>chunkBits][(id-1)&(chunkLen-1)]
-	n   atomic.Uint32            // ids 1..n are assigned and readable
+	// Span id-1 is (*dir)[(id-1)>>chunkBits][(id-1)&(chunkLen-1)]; terms
+	// go into page npages-1, used bytes of it taken (both under mu).
+	pages        atomic.Pointer[[][]byte]
+	dir          atomic.Pointer[[]*chunk]
+	npages, used int
+	n            atomic.Uint32 // ids 1..n are assigned and readable
 }
 
 // NewDict returns an empty dictionary.
@@ -60,9 +73,24 @@ func NewDict() *Dict { return newDict(64) }
 // newDict returns an empty dictionary whose table starts at slots, a
 // power of two.
 func newDict(slots int) *Dict {
-	d := &Dict{table: make([]TermID, slots), seed: maphash.MakeSeed()}
+	d := &Dict{table: make([]TermID, slots), seed: maphash.MakeSeed(), used: pageLen}
+	d.pages.Store(new([][]byte))
 	d.dir.Store(new([]*chunk))
 	return d
+}
+
+// put sets entry i of the directory p points to, doubling it first when
+// i is past its end: entries are set once, before a reader can reach
+// them.
+func put[T any](p *atomic.Pointer[[]T], i int, v T) {
+	s := *p.Load()
+	if i == len(s) {
+		grown := make([]T, max(2*len(s), 16))
+		copy(grown, s)
+		s = grown
+		p.Store(&grown)
+	}
+	s[i] = v
 }
 
 // find returns the id filed under the rendered form k, whose hash is h,
@@ -91,7 +119,8 @@ func (d *Dict) file(id TermID, h uint64) {
 // Encode returns the ID for t, assigning a fresh one if t is new. It
 // panics on a term of no known kind (see KindError): the doors that
 // take terms from outside the program — the facade's ApplyBatch,
-// Install, the WAL reader — have already refused it with an error.
+// Install, the WAL reader — have already refused it with an error. It
+// also panics once the term bytes pass 4 GiB, where Install errs.
 func (d *Dict) Encode(t Term) TermID {
 	if err := t.Check(); err != nil {
 		panic(err)
@@ -110,24 +139,32 @@ func (d *Dict) Encode(t Term) TermID {
 	if id = d.find(k, h); id != NoTerm {
 		return id
 	}
-	return d.add(string(k), h)
+	id, err := d.add(k, h)
+	if err != nil {
+		panic(err)
+	}
+	return id
 }
 
-// add appends the rendered term s, whose hash is h, under the next free
-// id. The caller holds mu for writing. The count is stored last: it is
-// what publishes the entry (and a grown directory) to lock-free readers.
-// A table past its load doubles first, re-filed from the slab.
-func (d *Dict) add(s string, h uint64) TermID {
-	n := d.n.Load()
-	dir := *d.dir.Load()
-	if int(n>>chunkBits) == len(dir) {
-		grown := make([]*chunk, len(dir)+1)
-		copy(grown, dir)
-		grown[len(dir)] = new(chunk)
-		d.dir.Store(&grown)
-		dir = grown
+// add copies the rendered term k, whose hash is h, into the pages under
+// the next free id. The caller holds mu for writing. The count is
+// stored last: it publishes the entry to lock-free readers. A table past
+// its load doubles first, re-filed from the pages.
+func (d *Dict) add(k []byte, h uint64) (TermID, error) {
+	if len(k) > pageLen-d.used { // the next page, of its own if k is long
+		if d.npages == maxPages || uint64(len(k)) > math.MaxUint32 {
+			return NoTerm, fmt.Errorf("rdf: dictionary full: %d pages of term bytes, a %d-byte term refused", d.npages, len(k))
+		}
+		put(&d.pages, d.npages, make([]byte, max(len(k), pageLen)))
+		d.npages, d.used = d.npages+1, 0
 	}
-	dir[n>>chunkBits][n&(chunkLen-1)] = s
+	page, off := d.npages-1, d.used
+	d.used += copy((*d.pages.Load())[page][off:], k)
+	n := d.n.Load()
+	if n&(chunkLen-1) == 0 {
+		put(&d.dir, int(n>>chunkBits), new(chunk))
+	}
+	(*d.dir.Load())[n>>chunkBits][n&(chunkLen-1)] = span{uint32(page<<pageBits | off), uint32(len(k))}
 	id := TermID(n + 1)
 	if int(id)*4 > len(d.table)*3 {
 		d.table = make([]TermID, 2*len(d.table))
@@ -137,7 +174,7 @@ func (d *Dict) add(s string, h uint64) TermID {
 	}
 	d.file(id, h)
 	d.n.Store(n + 1)
-	return id
+	return id, nil
 }
 
 // Lookup returns the ID for t if it has been encoded. A present term,
@@ -157,20 +194,36 @@ func (d *Dict) Lookup(t Term) (TermID, bool) {
 }
 
 // Rendered returns the N-Triples form of the term for id — exactly
-// Term(id).String() — without allocating: the string is the
-// dictionary's own and is never modified. It panics if id was never
-// assigned.
+// Term(id).String() — without allocating: the string is a view of a
+// page, whose bytes never change once the id is published. It panics
+// if id was never assigned.
 func (d *Dict) Rendered(id TermID) string {
 	i := uint32(id) - 1 // NoTerm wraps past any count
 	if i >= d.n.Load() {
 		panic(fmt.Sprintf("rdf: dictionary has no term with id %d", id))
 	}
-	return (*d.dir.Load())[i>>chunkBits][i&(chunkLen-1)]
+	s := (*d.dir.Load())[i>>chunkBits][i&(chunkLen-1)]
+	off := s.addr & (pageLen - 1)
+	b := (*d.pages.Load())[s.addr>>pageBits][off : off+s.n]
+	return unsafe.String(unsafe.SliceData(b), len(b))
 }
 
 // Term returns the term for id; its Value shares the dictionary's
 // bytes. It panics if id was never assigned.
 func (d *Dict) Term(id TermID) Term { return parseRendered(d.Rendered(id)) }
+
+// Bytes is the memory the dictionary holds, from the capacities of its
+// pages, chunks, directories and id table.
+func (d *Dict) Bytes() int64 {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	pages, dir := *d.pages.Load(), *d.dir.Load()
+	b := 4*len(d.table) + 24*cap(pages) + 8*cap(dir) + int(unsafe.Sizeof(chunk{}))*int((d.n.Load()+chunkLen-1)/chunkLen)
+	for _, p := range pages {
+		b += cap(p)
+	}
+	return int64(b)
+}
 
 // Len reports the number of distinct terms encoded.
 func (d *Dict) Len() int { return int(d.n.Load()) }
@@ -197,9 +250,10 @@ func (d *Dict) Install(id TermID, t Term) error {
 		}
 		return nil
 	case id == next:
-		s := t.String()
-		d.add(s, maphash.String(d.seed, s))
-		return nil
+		var buf [probeLen]byte
+		k := t.AppendRendered(buf[:0])
+		_, err := d.add(k, maphash.Bytes(d.seed, k))
+		return err
 	default:
 		return fmt.Errorf("rdf: install id %d leaves a gap (next free is %d)", id, next)
 	}

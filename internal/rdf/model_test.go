@@ -266,6 +266,8 @@ func FuzzDictRoundTrip(f *testing.F) {
 	f.Add(uint8(0), "http://www.University0.edu", "x")
 	f.Add(uint8(1), "", "_:")
 	f.Add(uint8(2), "b0", strings.Repeat("é", probeLen))
+	f.Add(uint8(1), strings.Repeat("x", pageLen-2), "y")                           // a literal of exactly a page
+	f.Add(uint8(1), strings.Repeat("ab", pageLen), strings.Repeat("c", 3*pageLen)) // pages of their own
 	f.Fuzz(func(t *testing.T, kind uint8, a, b string) {
 		d := newDict(2)
 		terms := []Term{

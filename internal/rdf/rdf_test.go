@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -249,11 +251,13 @@ func TestDictLookupDoesNotAllocate(t *testing.T) {
 }
 
 // TestDictConcurrentGrowth runs writers encoding fresh terms across
-// several chunk growths beside readers that resolve, without a lock,
-// every id a writer has handed them. Meaningful under -race.
+// several chunk growths and page boundaries, a term longer than a page
+// every thousand, beside readers that resolve, without a lock, every id
+// a writer has handed them. Meaningful under -race.
 func TestDictConcurrentGrowth(t *testing.T) {
 	const writers, readers = 2, 2
-	per := 2*chunkLen + 100 // per writer: the slab grows ~4 times in all
+	per := 2*chunkLen + 100 // per writer: the chunks grow ~4 times in all
+	long := strings.Repeat("L", pageLen)
 	d := NewDict()
 	type handed struct {
 		id TermID
@@ -266,7 +270,10 @@ func TestDictConcurrentGrowth(t *testing.T) {
 		go func(w int) {
 			defer ww.Done()
 			for i := 0; i < per; i++ {
-				tm := Term{Kind: TermKind(i % 3), Value: fmt.Sprintf("w%d/%d", w, i)}
+				tm := Term{Kind: TermKind(i % 3), Value: fmt.Sprintf("http://example.org/w%d/%d", w, i)}
+				if i%1000 == 999 {
+					tm.Value += long[:pageLen-i/1000] // a page of its own, or nearly a whole one
+				}
 				ch <- handed{d.Encode(tm), tm}
 			}
 		}(w)
@@ -299,6 +306,66 @@ func TestDictConcurrentGrowth(t *testing.T) {
 	rw.Wait()
 	if d.Len() != writers*per {
 		t.Errorf("Len = %d, want %d", d.Len(), writers*per)
+	}
+	if len(*d.pages.Load()) < 32 {
+		t.Errorf("%d pages: the page directory never doubled", d.npages)
+	}
+}
+
+// TestDictEncodeAllocatesPerPage pins what encoding new terms
+// allocates: pages, chunks, doubled id tables and a few directories —
+// nothing per term.
+func TestDictEncodeAllocatesPerPage(t *testing.T) {
+	d := NewDict()
+	terms := manyTerms(10_000)
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for _, tm := range terms {
+		d.Encode(tm)
+	}
+	runtime.ReadMemStats(&m1)
+	pages, chunks := 0, 0
+	for _, p := range *d.pages.Load() {
+		if p != nil {
+			pages++
+		}
+	}
+	for _, c := range *d.dir.Load() {
+		if c != nil {
+			chunks++
+		}
+	}
+	doublings := bits.Len(uint(len(d.table)/64)) - 1
+	allocs, limit := m1.Mallocs-m0.Mallocs, uint64(pages+chunks+doublings+8)
+	if allocs > limit || pages < 4 {
+		t.Errorf("%d terms: %d allocations, limit %d (%d pages, %d chunks, %d table doublings)", len(terms), allocs, limit, pages, chunks, doublings)
+	}
+}
+
+// TestDictFullRefusesTerms: once a term needs a page past the last a
+// span can address, Install returns an error and Encode panics, and the
+// dictionary keeps every term it had and takes short terms still.
+func TestDictFullRefusesTerms(t *testing.T) {
+	defer func(n int) { maxPages = n }(maxPages)
+	maxPages = 2
+	d := NewDict()
+	big := NewLiteral(strings.Repeat("x", pageLen)) // a page of its own
+	d.Encode(big)
+	d.Encode(NewIRI("a")) // the second page, to fill
+	bigger := NewLiteral(strings.Repeat("y", pageLen))
+	if err := d.Install(3, bigger); err == nil || !strings.Contains(err.Error(), "dictionary full") {
+		t.Errorf("Install of a third page: %v, want a full dictionary", err)
+	}
+	func() {
+		defer func() {
+			if r := recover(); r == nil {
+				t.Error("Encode of a third page did not panic")
+			}
+		}()
+		d.Encode(bigger)
+	}()
+	if id := d.Encode(NewIRI("b")); id != 3 || d.Len() != 3 || d.Term(1) != big || d.Rendered(2) != "<a>" {
+		t.Errorf("after the refusals: Encode = %d, Len = %d, Term(1) = %.10v, Rendered(2) = %q", id, d.Len(), d.Term(1), d.Rendered(2))
 	}
 }
 

@@ -317,6 +317,13 @@ type UpdateStats struct {
 	// filled again, whether or not a cached plan uses it).
 	StatsPatterns uint64
 	StatsFills    uint64
+	// DictBytes and StatsBytes are the bytes the dictionary and the
+	// statistics catalog hold now, computed from the lengths and
+	// capacities of their arrays: the term pages, span chunks and id
+	// table; the patterns, their binding arrays and the catalog's
+	// layouts.
+	DictBytes  uint64
+	StatsBytes uint64
 	// Contexts is the number of execution contexts pooled now, idle on
 	// the free list, and ScratchBytes the bytes their buffer pools hold:
 	// per context, what the hungriest execution through it reached,
@@ -337,6 +344,8 @@ func (e *Engine) UpdateStats() UpdateStats {
 		Compiles:      e.compiles.Load(),
 		StatsPatterns: uint64(patterns),
 		StatsFills:    fills,
+		DictBytes:     uint64(e.dict.Bytes()),
+		StatsBytes:    uint64(e.cat.Bytes()),
 		Spaces:        uint64(spaces.Entries),
 		SpaceBytes:    uint64(spaces.Bytes),
 	}
