@@ -551,9 +551,9 @@ func TestAllocResidentAccount(t *testing.T) {
 		dictHeap := liveHeap() - base
 		runtime.KeepAlive(terms) // in base
 		base = liveHeap()
-		c := cost.NewCatalog(1)
+		c := cost.NewCatalog(g, 1)
 		for _, q := range qs {
-			c.Snapshot(g.Dict, g, q)
+			c.Snapshot(g.Dict, q)
 		}
 		statsHeap := liveHeap() - base
 		for _, m := range []struct {

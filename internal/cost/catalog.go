@@ -22,21 +22,16 @@ import (
 // only in that slot, so its distinct count is its match count.
 //
 // Snapshot looks a query's patterns up, creating the ones the catalog
-// lacks, fills the unfilled ones from a Source outside the catalog's
-// mutex and reads them; Apply folds a commit's delta once per resident
-// filled pattern and moves the catalog to the commit's version. The
-// catalog alone decides what it keeps: while the weight of its filled
-// patterns is over its budget, the least recently snapshotted leaves. A
-// pattern a fill has claimed is never evicted, and one heavier than the
-// whole budget is filled for its snapshot and not kept.
-//
-// The caller must keep Apply from overlapping a Snapshot, and hand
-// Snapshot the data as of the catalog's version: the engine snapshots
-// its current view under its state read lock and publishes and applies
-// under the write side, so locks nest writer → state lock → catalog
-// mutex. That exclusion is also why a Snapshot may read a pattern a
-// concurrent fill evicted after the lookup: no Apply can have moved it
-// since. Counters is safe at any time.
+// lacks, fills from the catalog's view, outside its mutex, those whose
+// counts are not at its version, and reads them; Apply moves the catalog
+// to a commit's view and version and folds the commit's delta once per
+// resident filled pattern. A pattern a commit overtook while it was
+// filled, or one that left the catalog after a snapshot looked it up and
+// so missed a fold, is filled again. The catalog alone decides what it
+// keeps: while the weight of its filled patterns is over its budget, the
+// least recently snapshotted leaves. A pattern a fill has claimed is
+// never evicted, and one heavier than the whole budget is filled for its
+// snapshot and not kept. Every method is safe for concurrent use.
 type Catalog struct {
 	mu        sync.Mutex
 	published sync.Cond // on mu: a fill published or gave back patterns
@@ -51,6 +46,7 @@ type Catalog struct {
 	weight       int64
 	budget       int64
 	layouts      map[string]*layout // cleared at layoutCap
+	view         Source             // the data at version, which fills read
 	version      uint64
 	fills, folds uint64
 }
@@ -70,11 +66,11 @@ const (
 	layoutCap = 256
 )
 
-// NewCatalog returns an empty catalog at the given data version.
-func NewCatalog(version uint64) *Catalog {
+// NewCatalog returns an empty catalog of view, the data at version.
+func NewCatalog(view Source, version uint64) *Catalog {
 	c := &Catalog{
 		pats: make(map[uint64]*pattern), seed: maphash.MakeSeed(), layouts: make(map[string]*layout),
-		version: version, budget: budgetBytes,
+		view: view, version: version, budget: budgetBytes,
 	}
 	c.recent.prev, c.recent.next = &c.recent, &c.recent
 	c.published.L = &c.mu
@@ -110,13 +106,14 @@ func keyOf(tp sparql.TriplePattern) (k patKey, vars [3]string, n int) {
 }
 
 // pattern is one catalog entry: the key compiled to a matcher over ids,
-// and the statistics of its matches. claimed, filled, weight and the
-// recency links are guarded by Catalog.mu.
+// and the statistics of its matches. claimed, filled, version, weight
+// and the recency links are guarded by Catalog.mu.
 type pattern struct {
 	key        patKey
 	hash       uint64   // of key: its slot in Catalog.pats
-	claimed    bool     // a Snapshot is filling it, or has
-	filled     bool     // Apply maintains it while it is resident
+	claimed    bool     // a Snapshot is filling it from the data at version
+	filled     bool     // it holds the counts of the data at version
+	version    uint64   // Apply moves it while the pattern is listed
 	weight     int64    // its share of Catalog.weight while listed
 	prev, next *pattern // the recency list; nil when not listed
 
@@ -366,11 +363,12 @@ func newLayout(shape []byte, q *sparql.Query) *layout {
 
 // Snapshot returns the statistics of q's patterns at the catalog's
 // current version. It looks them up, creating the entries the catalog
-// lacks; those nobody has filled are claimed under the mutex, filled
-// together from src without it — d resolves their constants — and
-// published; patterns a concurrent Snapshot claimed are waited for (it
-// holds no lock this one needs), and claimed again if it panicked.
-func (c *Catalog) Snapshot(d *rdf.Dict, src Source, q *sparql.Query) *Stats {
+// lacks; those not at that version and not being filled are claimed
+// under the mutex, filled together from the catalog's view without it —
+// d resolves their constants — and published; patterns a concurrent
+// Snapshot claimed are waited for (it holds no lock this one needs), and
+// claimed again if they are still not at the catalog's version then.
+func (c *Catalog) Snapshot(d *rdf.Dict, q *sparql.Query) *Stats {
 	var buf [256]byte
 	shape := core.AppendWrittenShape(buf[:0], q)
 	var held [16]*pattern
@@ -398,25 +396,24 @@ func (c *Catalog) Snapshot(d *rdf.Dict, src Source, q *sparql.Query) *Stats {
 		}
 		pats = append(pats, p)
 	}
-	for filled := false; !filled; {
+	for ready := false; !ready; {
 		var mine []*pattern
+		ready = true
 		for _, p := range pats {
-			if !p.claimed {
-				p.claimed = true
+			if !p.claimed && (!p.filled || p.version != c.version) {
+				p.claimed, p.filled, p.version, p.n = true, false, c.version, 0
+				clear(p.bind)
 				mine = append(mine, p)
 			}
+			ready = ready && !p.claimed
 		}
 		if len(mine) > 0 {
+			src := c.view
 			c.mu.Unlock()
 			c.fill(d, src, mine)
 			c.mu.Lock()
-		}
-		filled = true
-		for _, p := range pats {
-			for p.claimed && !p.filled {
-				c.published.Wait()
-			}
-			filled = filled && p.filled
+		} else if !ready {
+			c.published.Wait()
 		}
 	}
 	s.version = c.version
@@ -433,14 +430,16 @@ func (c *Catalog) Snapshot(d *rdf.Dict, src Source, q *sparql.Query) *Stats {
 	return s
 }
 
-// fill fills and publishes the patterns mine claimed, or, if it panics,
-// gives them back with their counts zeroed.
+// fill fills the patterns mine claimed from src, the data at their
+// version, and publishes them — unless the catalog has moved past that
+// version meanwhile, or the fill panics: then it gives them back with
+// their counts zeroed, to be claimed again.
 func (c *Catalog) fill(d *rdf.Dict, src Source, mine []*pattern) {
 	filled := false
 	defer func() {
 		c.mu.Lock()
 		for _, p := range mine {
-			if p.filled, p.claimed = filled, filled; !filled {
+			if p.claimed, p.filled = false, filled && p.version == c.version; !p.filled {
 				p.n = 0
 				clear(p.bind)
 				continue
@@ -498,28 +497,28 @@ func (c *Catalog) unlink(p *pattern) {
 	p.prev, p.next = nil, nil
 }
 
-// Apply folds an effective delta (inserts of triples that were absent,
+// Apply moves the catalog to view, the data at version, and folds the
+// effective delta that led there (inserts of triples that were absent,
 // deletes of triples that were present — what the engine's commit
 // computes) into every resident filled pattern, once per pattern however
-// many queries share it, leaving each identical to a fresh fill over the
-// mutated data, and moves the catalog to version. Cost is
-// O(|delta| × patterns of the triple's property × log n), amortized,
-// independent of graph size; it allocates nothing once a slot's arrays
-// fit its churn. A pattern being filled is skipped: its fill reads the
-// mutated data. An empty delta (a resize) only moves the version.
-// Patterns the delta made heavier may push the catalog over its budget;
-// the least recent then leave.
-func (c *Catalog) Apply(version uint64, d *rdf.Dict, inserts, deletes []rdf.Triple) {
+// many queries share it, leaving each identical to a fresh fill of view.
+// Cost is O(|delta| × patterns of the triple's property × log n),
+// amortized, independent of graph size; it allocates nothing once a
+// slot's arrays fit its churn. A pattern being filled, or no longer
+// resident, is not folded: it stays at its version, and the next
+// snapshot that reads it fills it again. An empty delta (a resize) only
+// moves the versions. Patterns the delta made heavier may push the
+// catalog over its budget; the least recent then leave.
+func (c *Catalog) Apply(view Source, version uint64, d *rdf.Dict, inserts, deletes []rdf.Triple) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.version = version
-	if len(inserts)+len(deletes) == 0 {
-		return
-	}
+	c.view, c.version = view, version
 	var dp dispatch
 	for p := c.recent.next; p != &c.recent; p = p.next {
-		dp.add(d, p) // resolving again: the inserts may have introduced a constant
-		c.folds++
+		if p.version = version; len(inserts)+len(deletes) > 0 {
+			dp.add(d, p) // resolving again: the inserts may have introduced a constant
+			c.folds++
+		}
 	}
 	dp.fold(+1, inserts...)
 	dp.fold(-1, deletes...)

@@ -105,8 +105,8 @@ func TestCatalogClonesConstants(t *testing.T) {
 	if !inText(q.Patterns[0].O.Term.Value) {
 		t.Fatal("the parser copied the constant out of the text; the test assumes a substring")
 	}
-	c := NewCatalog(1)
-	c.Snapshot(g.Dict, g, q)
+	c := NewCatalog(g, 1)
+	c.Snapshot(g.Dict, q)
 	constants := 0
 	for i, p := range resident(c, q) {
 		for pos, k := range p.key {
@@ -127,8 +127,9 @@ func TestCatalogClonesConstants(t *testing.T) {
 // TestCatalogBudgetUnderChurn snapshots 10,000 distinct patterns, in
 // queries of 300 written shapes, from four goroutines under a budget of
 // a few hundred patterns, while a writer commits a batch every 250
-// snapshots; a reader holds the read side of a lock and the writer the
-// write side, as the engine's state lock does. After every snapshot and
+// snapshots. The readers take no lock: each commit builds a new graph,
+// never written once the catalog has it, and every snapshot equals a
+// fresh NewStats over the graph of its Version. After every snapshot and
 // every commit the catalog's weight is within its budget and its layouts
 // within their cap, and at the end every resident pattern equals a fresh
 // fill. The shared pattern every query also reads stays resident
@@ -147,9 +148,15 @@ func TestCatalogBudgetUnderChurn(t *testing.T) {
 		v := fmt.Sprintf("?v%d", i%shapes)
 		qs[i] = sparql.MustParse(fmt.Sprintf(`SELECT %s WHERE { %s <p%d> <o%d> . %s <shared> ?w }`, v, v, i%7, i, v))
 	}
-	c := NewCatalog(1)
+	c := NewCatalog(g, 1)
 	c.budget = budget
-	var state sync.RWMutex // and the version, which the writer moves under it
+	var graphs sync.Map // version → the graph at it
+	graphs.Store(uint64(1), g)
+	graphAt := func(v uint64) *rdf.Graph {
+		at, _ := graphs.Load(v)
+		return at.(*rdf.Graph)
+	}
+	var writer sync.Mutex // one commit at a time, and the version, which it moves
 	version := uint64(1)
 	within := func(step string) {
 		c.mu.Lock()
@@ -164,30 +171,37 @@ func TestCatalogBudgetUnderChurn(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := r; i < patterns; i += readers {
-				state.RLock()
-				st := c.Snapshot(g.Dict, g, qs[i])
-				state.RUnlock()
+				st := c.Snapshot(g.Dict, qs[i])
 				if st.PatternCard(1) == 0 {
 					t.Errorf("%d: the shared pattern matched nothing", i)
 				}
+				if !st.Equal(NewStats(graphAt(st.Version()), qs[i])) {
+					t.Errorf("%d: the snapshot at version %d differs from a fresh one of that version", i, st.Version())
+				}
 				within(fmt.Sprint("snapshot ", i))
 				if i%perCommit == 0 {
-					state.Lock()
+					writer.Lock()
 					n := i / perCommit
+					next := &rdf.Graph{Dict: g.Dict}
+					for _, tr := range graphAt(version).Triples() {
+						next.Add(tr)
+					}
 					ins := []rdf.Triple{
 						{S: g.Dict.EncodeIRI(fmt.Sprintf("s%d", n)), P: g.Dict.EncodeIRI("shared"), O: g.Dict.EncodeIRI(fmt.Sprintf("u%d", n))},
 						{S: g.Dict.EncodeIRI(fmt.Sprintf("s%d", n)), P: g.Dict.EncodeIRI(fmt.Sprintf("p%d", n%7)), O: g.Dict.EncodeIRI(fmt.Sprintf("o%d", i+1))},
 					}
-					effIns, effDels := applyDelta(g, ins, g.Triples()[n:n+1])
+					effIns, effDels := applyDelta(next, ins, next.Triples()[n:n+1])
 					version++
-					c.Apply(version, g.Dict, effIns, effDels)
-					state.Unlock()
+					graphs.Store(version, next)
+					c.Apply(next, version, g.Dict, effIns, effDels)
+					writer.Unlock()
 					within(fmt.Sprint("commit ", n))
 				}
 			}
 		}()
 	}
 	wg.Wait()
+	final := graphAt(version)
 	kept, fills, _ := c.Counters()
 	if gone := int(fills) - kept; gone < patterns/2 {
 		t.Errorf("%d fills, %d patterns gone; the budget did not churn", fills, gone)
@@ -197,7 +211,7 @@ func TestCatalogBudgetUnderChurn(t *testing.T) {
 		t.Errorf("the shared pattern is resident %v after %d fills, want %d: it was evicted while every query read it",
 			p != nil, fills, patterns+1)
 	}
-	checkResident(t, c, g.Dict, g, "after the churn")
+	checkResident(t, c, g.Dict, final, "after the churn")
 
 	// ?x ?p ?y keeps a binding per subject and per object of the data:
 	// heavier than a budget of a few patterns, which it leaves alone.
@@ -207,8 +221,8 @@ func TestCatalogBudgetUnderChurn(t *testing.T) {
 	c.mu.Unlock()
 	before, _, _ := c.Counters()
 	all := sparql.MustParse(`SELECT ?x ?y WHERE { ?x ?p ?y }`)
-	st := c.Snapshot(g.Dict, g, all)
-	if want := NewStats(g, all); !st.Equal(want) {
+	st := c.Snapshot(g.Dict, all)
+	if want := NewStats(final, all); !st.Equal(want) {
 		t.Errorf("the heavy pattern's snapshot differs from a fresh one")
 	}
 	if p := resident(c, all)[0]; p != nil {
@@ -217,7 +231,7 @@ func TestCatalogBudgetUnderChurn(t *testing.T) {
 	if after, _, _ := c.Counters(); before == 0 || after != before {
 		t.Errorf("%d patterns resident before the heavy one, %d after; want the same, and some", before, after)
 	}
-	checkResident(t, c, g.Dict, g, "after the heavy pattern")
+	checkResident(t, c, g.Dict, final, "after the heavy pattern")
 }
 
 // churn is the commit stream of the Apply tests over g: commit 2i
@@ -254,9 +268,9 @@ func (ch *churn) next() (ins, dels []rdf.Triple) {
 // lubmCatalog returns a catalog holding the patterns of the 14 LUBM
 // queries over g.
 func lubmCatalog(g *rdf.Graph) *Catalog {
-	c := NewCatalog(1)
+	c := NewCatalog(g, 1)
 	for _, q := range lubm.Queries() {
-		c.Snapshot(g.Dict, g, q)
+		c.Snapshot(g.Dict, q)
 	}
 	return c
 }
@@ -279,7 +293,7 @@ func TestCatalogAlternatingStream(t *testing.T) {
 				before[&p.bind[k]] = len(p.bind[k].pending)
 			}
 		}
-		c.Apply(uint64(i+2), g.Dict, ins, dels)
+		c.Apply(g, uint64(i+2), g.Dict, ins, dels)
 		checkResident(t, c, g.Dict, g, fmt.Sprint("commit ", i))
 		for b, n := range before {
 			pending, dead = pending || len(b.pending) > 0, dead || b.dead > 0
@@ -311,7 +325,7 @@ func TestCatalogApplyIndependentOfSize(t *testing.T) {
 			ins, dels := ch.next()
 			var m0, m1 runtime.MemStats
 			runtime.ReadMemStats(&m0)
-			c.Apply(uint64(i+2), g.Dict, ins, dels)
+			c.Apply(g, uint64(i+2), g.Dict, ins, dels)
 			runtime.ReadMemStats(&m1)
 			if i >= warm {
 				bytes += m1.TotalAlloc - m0.TotalAlloc

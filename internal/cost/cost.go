@@ -55,19 +55,19 @@ type patStats struct {
 
 // NewStats fills the statistics of q's patterns from g.
 func NewStats(g *rdf.Graph, q *sparql.Query) *Stats {
-	c := NewCatalog(0)
-	c.budget = math.MaxInt64 // Apply reads every pattern back without a Source
-	s := c.Snapshot(g.Dict, g, q)
+	c := NewCatalog(g, 0)
+	c.budget = math.MaxInt64 // every pattern stays resident, so Apply keeps it current
+	s := c.Snapshot(g.Dict, q)
 	s.own, s.q = c, q
 	return s
 }
 
 // Apply folds an effective insert/delete delta into a Stats built by
 // NewStats, leaving it identical to a fresh NewStats over the mutated
-// graph (see Catalog.Apply).
+// graph (see Catalog.Apply). The graph is the private catalog's view.
 func (s *Stats) Apply(d *rdf.Dict, inserts, deletes []rdf.Triple) {
-	s.own.Apply(s.version+1, d, inserts, deletes)
-	now := s.own.Snapshot(d, nil, s.q) // every pattern is resident and filled
+	s.own.Apply(s.own.view, s.version+1, d, inserts, deletes)
+	now := s.own.Snapshot(d, s.q)
 	s.pats, s.version = now.pats, now.version
 }
 

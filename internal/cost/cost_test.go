@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync/atomic"
 	"testing"
@@ -282,13 +283,13 @@ func TestCatalogMatchesFresh(t *testing.T) {
 		q.Name = fmt.Sprintf("q%d", i)
 		qs = append(qs, q)
 	}
-	c := NewCatalog(1)
+	c := NewCatalog(g, 1)
 	asked := []bool{true, true, true, true, true}
 	check := func(step string) {
 		t.Helper()
 		for i, q := range qs {
 			if asked[i] {
-				checkStatsFresh(t, g, q, c.Snapshot(g.Dict, g, q), c, step)
+				checkStatsFresh(t, g, q, c.Snapshot(g.Dict, q), c, step)
 			}
 		}
 	}
@@ -340,7 +341,7 @@ func TestCatalogMatchesFresh(t *testing.T) {
 		ins, dels := batch(round)
 		effIns, effDels := applyDelta(g, ins, dels)
 		patterns, fillsBefore, foldsBefore := c.Counters()
-		c.Apply(uint64(1+round), g.Dict, effIns, effDels)
+		c.Apply(g, uint64(1+round), g.Dict, effIns, effDels)
 		if _, _, folds := c.Counters(); folds-foldsBefore != uint64(patterns) {
 			t.Errorf("round %d: delta folded into %d patterns, want %d (once per distinct filled pattern)",
 				round, folds-foldsBefore, patterns)
@@ -353,14 +354,14 @@ func TestCatalogMatchesFresh(t *testing.T) {
 		if _, fills, _ := c.Counters(); fills != wantFills {
 			t.Errorf("round %d: %d fills, want %d", round, fills, wantFills)
 		}
-		if v := c.Snapshot(g.Dict, g, qs[0]).Version(); v != uint64(1+round) {
+		if v := c.Snapshot(g.Dict, qs[0]).Version(); v != uint64(1+round) {
 			t.Errorf("round %d: snapshot at version %d, want %d", round, v, 1+round)
 		}
 	}
 	if _, ok := g.Dict.Lookup(rdf.NewIRI("late")); !ok {
 		t.Fatal("the stream never introduced <late>: late resolution was not exercised")
 	}
-	if s := c.Snapshot(g.Dict, g, qs[4]); s.PatternCard(0) == 0 {
+	if s := c.Snapshot(g.Dict, qs[4]); s.PatternCard(0) == 0 {
 		t.Error("no triple matched ?x <p1> <late> by the end: late resolution was not exercised")
 	}
 	if again := resident(c, qs[4])[0]; again == nil || again == late {
@@ -369,21 +370,28 @@ func TestCatalogMatchesFresh(t *testing.T) {
 	checkResident(t, c, g.Dict, g, "the end")
 }
 
-// panicOnce is a Source whose first fill reads its property's triples
-// into the fill, parks until release is closed and then panics; every
-// later fill reads g.
-type panicOnce struct {
+// parkOnce is a Source whose first fill reads its property's triples
+// of g into the fill, parks until release is closed and then, if panics
+// is set, panics; every later fill reads g.
+type parkOnce struct {
 	g                *rdf.Graph
+	panics           bool
 	started, release chan struct{}
 	done             atomic.Bool
 }
 
-func (s *panicOnce) EachTriple(prop rdf.TermID, fn func(rdf.Triple)) {
+func newParkOnce(g *rdf.Graph, panics bool) *parkOnce {
+	return &parkOnce{g: g, panics: panics, started: make(chan struct{}), release: make(chan struct{})}
+}
+
+func (s *parkOnce) EachTriple(prop rdf.TermID, fn func(rdf.Triple)) {
 	s.g.EachTriple(prop, fn)
 	if s.done.CompareAndSwap(false, true) {
 		close(s.started)
 		<-s.release
-		panic("fill failed")
+		if s.panics {
+			panic("fill failed")
+		}
 	}
 }
 
@@ -395,16 +403,16 @@ func (s *panicOnce) EachTriple(prop rdf.TermID, fn func(rdf.Triple)) {
 func TestPanickingFillDoesNotWedge(t *testing.T) {
 	g := chainGraph(10)
 	q := sparql.MustParse(`SELECT ?x ?z WHERE { ?x <p1> ?y . ?y <p2> ?z . ?z <p3> <d0> }`)
-	c := NewCatalog(1)
-	src := &panicOnce{g: g, started: make(chan struct{}), release: make(chan struct{})}
+	src := newParkOnce(g, true)
+	c := NewCatalog(src, 1)
 	panicked := make(chan any, 1)
 	go func() {
 		defer func() { panicked <- recover() }()
-		c.Snapshot(g.Dict, src, q)
+		c.Snapshot(g.Dict, q)
 	}()
 	<-src.started
 	waited := make(chan *Stats, 1)
-	go func() { waited <- c.Snapshot(g.Dict, src, q) }()
+	go func() { waited <- c.Snapshot(g.Dict, q) }()
 	close(src.release)
 	deadline := time.After(2 * time.Second)
 	select {
@@ -422,7 +430,7 @@ func TestPanickingFillDoesNotWedge(t *testing.T) {
 		t.Fatal("a Snapshot waiting on the panicking fill is still blocked after 2 s")
 	}
 	later := make(chan *Stats, 1)
-	go func() { later <- c.Snapshot(g.Dict, src, q) }()
+	go func() { later <- c.Snapshot(g.Dict, q) }()
 	select {
 	case s := <-later:
 		checkStatsFresh(t, g, q, s, c, "a Snapshot after the panicking fill")
@@ -432,6 +440,95 @@ func TestPanickingFillDoesNotWedge(t *testing.T) {
 	if patterns, fills, _ := c.Counters(); patterns != 3 || fills != 3 {
 		t.Errorf("%d patterns resident, %d filled; want 3 and 3: a fill that panicked publishes nothing", patterns, fills)
 	}
+}
+
+// TestSnapshotAtItsVersion holds a snapshot to the data of the version
+// it reports when a commit lands while it waits on a fill, with no lock
+// around the catalog. A fill the commit overtook must not publish the
+// older data's counts, and a resident pattern the snapshot had looked
+// up, evicted before the commit, missed its fold and must not be read.
+// Each snapshot equals a fresh NewStats over the graph of its Version,
+// and what the catalog keeps afterwards a fresh fill of the new graph.
+func TestSnapshotAtItsVersion(t *testing.T) {
+	p1p2 := sparql.MustParse(`SELECT ?x ?z WHERE { ?x <p1> ?y . ?y <p2> ?z }`)
+	p1 := sparql.MustParse(`SELECT ?x WHERE { ?x <p1> ?y }`)
+	p2 := sparql.MustParse(`SELECT ?y WHERE { ?y <p2> ?z }`)
+	// commit inserts a triple of p1 (and one of p2 if both) into a copy
+	// of g0, moves c to it as version 2 and returns it.
+	commit := func(c *Catalog, g0 *rdf.Graph, both bool) *rdf.Graph {
+		g1 := &rdf.Graph{Dict: g0.Dict}
+		for _, tr := range g0.Triples() {
+			g1.Add(tr)
+		}
+		ins := []rdf.Triple{{S: g1.Dict.EncodeIRI("new"), P: g1.Dict.EncodeIRI("p1"), O: g1.Dict.EncodeIRI("b0")}}
+		if both {
+			ins = append(ins, rdf.Triple{S: g1.Dict.EncodeIRI("b0"), P: g1.Dict.EncodeIRI("p2"), O: g1.Dict.EncodeIRI("c9")})
+		}
+		effIns, _ := applyDelta(g1, ins, nil)
+		c.Apply(g1, 2, g1.Dict, effIns, nil)
+		return g1
+	}
+	snapshot := func(c *Catalog, d *rdf.Dict, q *sparql.Query) <-chan *Stats {
+		out := make(chan *Stats, 1)
+		go func() { out <- c.Snapshot(d, q) }()
+		return out
+	}
+	check := func(t *testing.T, name string, got <-chan *Stats, g0, g1 *rdf.Graph, q *sparql.Query) {
+		t.Helper()
+		select {
+		case s := <-got:
+			if want := NewStats([]*rdf.Graph{nil, g0, g1}[s.Version()], q); !s.Equal(want) {
+				t.Errorf("%s: the snapshot at version %d holds %v, a fresh one of that version %v", name, s.Version(), s.pats, want.pats)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%s: still blocked after 2 s", name)
+		}
+	}
+
+	t.Run("fill overtaken by a commit", func(t *testing.T) {
+		g0 := chainGraph(10)
+		src := newParkOnce(g0, false)
+		c := NewCatalog(src, 1)
+		got := snapshot(c, g0.Dict, p1p2)
+		<-src.started
+		g1 := commit(c, g0, true)
+		close(src.release)
+		check(t, "the overtaken snapshot", got, g0, g1, p1p2)
+		checkResident(t, c, g1.Dict, g1, "after the overtaken fill")
+	})
+
+	t.Run("resident pattern evicted while waiting", func(t *testing.T) {
+		g0 := chainGraph(10)
+		c := NewCatalog(g0, 1)
+		c.Snapshot(g0.Dict, p1)
+		src := newParkOnce(g0, false)
+		c.Apply(src, 1, g0.Dict, nil, nil) // the same data, read by a fill that parks
+		filling := snapshot(c, g0.Dict, p2)
+		<-src.started
+		waiting := snapshot(c, g0.Dict, p1p2) // p1 resident, p2 claimed: it waits
+		for {
+			c.mu.Lock()
+			layouts := len(c.layouts)
+			c.mu.Unlock()
+			if layouts == 3 { // it made its layout under the mutex it then waits on
+				break
+			}
+			runtime.Gosched()
+		}
+		c.mu.Lock()
+		c.budget = 0
+		c.evict()
+		c.budget = budgetBytes
+		c.mu.Unlock()
+		if p := resident(c, p1)[0]; p != nil {
+			t.Fatal("the pattern of p1 is still resident")
+		}
+		g1 := commit(c, g0, false)
+		close(src.release)
+		check(t, "the filling snapshot", filling, g0, g1, p2)
+		check(t, "the waiting snapshot", waiting, g0, g1, p1p2)
+		checkResident(t, c, g1.Dict, g1, "after the evicted pattern's refill")
+	})
 }
 
 // TestJoinCardOneBitPattern pins the fixed variable order: the same

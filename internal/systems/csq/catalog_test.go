@@ -48,7 +48,7 @@ func checkCatalog(t *testing.T, e *Engine, asked []*sparql.Query) {
 	g := stored(e)
 	fills := e.UpdateStats().StatsFills
 	for _, q := range asked {
-		st := e.readStats(q)
+		st := e.cat.Snapshot(e.dict, q)
 		if st.Version() != e.DataVersion() {
 			t.Errorf("%s: snapshot at version %d, engine at %d", q.Name, st.Version(), e.DataVersion())
 		}
@@ -202,6 +202,17 @@ func churnGraph() *rdf.Graph {
 	return g
 }
 
+// gatedSource is a Source whose reads wait until gate is closed.
+type gatedSource struct {
+	cost.Source
+	gate chan struct{}
+}
+
+func (s gatedSource) EachTriple(prop rdf.TermID, fn func(rdf.Triple)) {
+	<-s.gate
+	s.Source.EachTriple(prop, fn)
+}
+
 // churnQuery is the template: one pattern carries constant c, three are
 // shared by every instance.
 func churnQuery(c int) *sparql.Query {
@@ -264,10 +275,13 @@ func TestCatalogLifetimeUnderChurn(t *testing.T) {
 		mu.Unlock()
 	}
 
-	// Six planners park on the state lock inside their computes; the
-	// fifth and sixth insert evict two entries that are still in flight.
+	// Six planners park in the catalog's fills inside their computes,
+	// which read a view that waits on a gate; the fifth and sixth insert
+	// evict two entries that are still in flight.
 	var wg sync.WaitGroup
-	eng.stateMu.Lock()
+	gate := make(chan struct{})
+	cur := eng.part.Current()
+	eng.cat.Apply(gatedSource{cur, gate}, cur.Version(), eng.dict, nil, nil)
 	for c := 0; c < capacity+2; c++ {
 		wg.Add(1)
 		go func() {
@@ -278,7 +292,7 @@ func TestCatalogLifetimeUnderChurn(t *testing.T) {
 	for eng.cache.Stats().Evictions < 2 {
 		runtime.Gosched()
 	}
-	eng.stateMu.Unlock()
+	close(gate)
 	wg.Wait()
 	if st := eng.cache.Stats(); st.Misses != capacity+2 || st.Entries != capacity {
 		t.Fatalf("after the parked computes: %+v", st)

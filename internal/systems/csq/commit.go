@@ -105,10 +105,8 @@ func (e *Engine) flushGroup(group []*request) {
 	if len(ins) > 0 || len(dels) > 0 {
 		if cs.Append, cs.Sync, err = e.logStep(&wal.Record{Inserts: ins, Deletes: dels}); err == nil {
 			applyStart := time.Now()
-			e.stateMu.Lock()
 			ver = e.part.ApplyBatch(ins, dels, e.dict).Version()
 			e.invalidate(ins, dels)
-			e.stateMu.Unlock()
 			cs.Apply = time.Since(applyStart)
 			e.batches.Add(uint64(len(group)))
 			e.groups.Add(1)
@@ -218,19 +216,24 @@ func (e *Engine) logStep(rec *wal.Record) (appendD, syncD time.Duration, err err
 	return appendD, syncD, err
 }
 
-// invalidate is the cache side of every committed epoch; the caller
-// holds stateMu and has just moved the data version. Result-cache
-// entries of the old epoch are unreachable already (their keys embed the
-// version); purging stops their bytes occupying the budget. Cached plans
-// revalidate lazily because DataVersion moved; folding the delta into
-// the statistics catalog here — once per distinct pattern, however many
-// plans share it — is what lets that revalidation snapshot current
-// statistics without rescanning the store. A resize passes an
-// empty delta (moving rows between nodes changes no cardinality): the
-// catalog only moves to the new version.
+// invalidate is the cache side of every committed epoch; the caller is
+// the writer and has just published the epoch. Handing the statistics
+// catalog the new view and folding the delta into it — once per distinct
+// pattern, however many plans share it — is what lets the revalidations
+// that the version's move triggers snapshot current statistics without
+// rescanning the store; until it has, planners read the catalog at the
+// epoch before. A resize passes an empty delta (moving rows between
+// nodes changes no cardinality): the catalog only moves to the new
+// version. Result-cache entries of the old epoch are unreachable already
+// (their keys embed the version); purging stops their bytes occupying
+// the budget.
 func (e *Engine) invalidate(ins, dels []rdf.Triple) {
+	if e.published != nil {
+		e.published()
+	}
+	v := e.part.Current()
+	e.cat.Apply(v, v.Version(), e.dict, ins, dels)
 	if e.res != nil {
 		e.res.Purge()
 	}
-	e.cat.Apply(e.DataVersion(), e.dict, ins, dels)
 }

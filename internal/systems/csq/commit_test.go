@@ -169,16 +169,16 @@ func (e *Engine) queued() int {
 	return len(e.queue)
 }
 
-// plugWriter holds eng's writer inside a flush: with the state read lock
-// taken, the plug write gets as far as applying its epoch and waits
-// there, holding the writer role, so whatever is submitted meanwhile
-// stays queued, in order. await polls a condition while the plug holds;
+// plugWriter holds eng's writer inside a flush: the plug write gets as
+// far as publishing its epoch and waits there, in the published seam,
+// holding the writer role, so whatever is submitted meanwhile stays
+// queued, in order. await polls a condition while the plug holds;
 // release lets the plug commit and returns once it has.
 func plugWriter(t *testing.T, eng *Engine, plug func() error) (await func(what string, cond func() bool), release func()) {
 	var once sync.Once
-	done := make(chan struct{})
+	gate, done := make(chan struct{}), make(chan struct{})
 	release = func() {
-		once.Do(eng.stateMu.RUnlock)
+		once.Do(func() { close(gate) })
 		<-done
 	}
 	await = func(what string, cond func() bool) {
@@ -190,7 +190,7 @@ func plugWriter(t *testing.T, eng *Engine, plug func() error) (await func(what s
 			}
 		}
 	}
-	eng.stateMu.RLock()
+	eng.published = func() { <-gate }
 	go func() {
 		defer close(done)
 		if err := plug(); err != nil {
@@ -207,6 +207,82 @@ func plugWriter(t *testing.T, eng *Engine, plug func() error) (await func(what s
 		return eng.queued() == 0
 	})
 	return await, release
+}
+
+// TestReadersDoNotWaitOnCommit parks the writer where it has published
+// an epoch — of a batch, then of a resize — and not yet moved the
+// statistics catalog to it. Planning does not wait for it: a cold
+// Prepare of a shape the engine has not seen and the revalidation of a
+// cached plan both complete meanwhile, at the epoch the catalog is at,
+// and the plan revalidates again at the new one once the writer is done.
+func TestReadersDoNotWaitOnCommit(t *testing.T) {
+	for _, w := range []struct {
+		name  string
+		write func(*Engine) error
+	}{
+		{"batch", func(e *Engine) error {
+			d := e.Dict()
+			_, err := e.ApplyBatch([]rdf.Triple{{S: d.EncodeIRI("urn:stall:s"), P: d.EncodeIRI("urn:stall:p"), O: d.EncodeIRI("urn:stall:o")}}, nil)
+			return err
+		}},
+		{"resize", func(e *Engine) error {
+			_, err := e.AddNodes(2)
+			return err
+		}},
+	} {
+		t.Run(w.name, func(t *testing.T) {
+			eng := New(lubm.Generate(lubm.DefaultConfig(1)), ringConfig())
+			defer eng.Close()
+			cached, cold := lubm.Queries()[0], lubm.Queries()[1]
+			if _, _, err := eng.PrepareCached(cached); err != nil {
+				t.Fatal(err)
+			}
+			parked, release := make(chan struct{}), make(chan struct{})
+			eng.published = func() {
+				close(parked)
+				<-release
+			}
+			wrote := make(chan error, 1)
+			go func() { wrote <- w.write(eng) }()
+			<-parked
+			planned := make(chan error, 1)
+			go func() {
+				p, err := eng.Prepare(cold)
+				if err == nil && p.DataVersion != 1 {
+					err = fmt.Errorf("cold prepare at version %d, want the catalog's 1", p.DataVersion)
+				}
+				if err != nil {
+					planned <- err
+					return
+				}
+				p, hit, err := eng.PrepareCached(cached)
+				if err == nil && (!hit || p.DataVersion != 1 || eng.UpdateStats().Revalidations != 1) {
+					err = fmt.Errorf("cached prepare: hit %v at version %d after %d revalidations, want a hit at 1 after 1",
+						hit, p.DataVersion, eng.UpdateStats().Revalidations)
+				}
+				planned <- err
+			}()
+			select {
+			case err := <-planned:
+				if err != nil {
+					t.Error(err)
+				}
+			case <-time.After(10 * time.Second):
+				close(release)
+				t.Fatal("planning waited on the parked commit for 10 s")
+			}
+			if v := eng.DataVersion(); v != 2 {
+				t.Errorf("engine at version %d while the writer is parked, want 2", v)
+			}
+			close(release)
+			if err := <-wrote; err != nil {
+				t.Fatal(err)
+			}
+			if p, _, err := eng.PrepareCached(cached); err != nil || p.DataVersion != 2 || eng.UpdateStats().Revalidations != 2 {
+				t.Errorf("after the commit: %v, revalidations %d; want version 2 after 2 revalidations", err, eng.UpdateStats().Revalidations)
+			}
+		})
+	}
 }
 
 // TestResizeInsideBatchStream pins the flush order where batches and a

@@ -18,7 +18,10 @@
 // pipeline over a log step that does nothing. Writes reach it one way on
 // every engine: a caller queues its write, then takes the writer role
 // and commits groups from the head of the queue until its own write is
-// answered. The engine starts no goroutine of its own — writes,
+// answered. No reader waits on a commit: an execution reads the epoch it
+// pinned, and a planner reads the statistics catalog, which keeps the
+// view its fills read and which the writer moves to an epoch after
+// publishing it. The engine starts no goroutine of its own — writes,
 // checkpoints and Close run in their callers' goroutines; the morsel
 // worker pools of its execution contexts are the only goroutines it
 // owns.
@@ -106,13 +109,13 @@ func DefaultConfig() Config {
 // Engine is a loaded CSQ instance. All of its entry points — Prepare,
 // PrepareCached, ExecutePrepared, ExecutePlan, RunPlan, Run,
 // ApplyBatch, AddNodes, RemoveNodes — are safe for concurrent use:
-// planning reads a pinned data epoch plus immutable engine state,
-// execution draws per-call scratch from the context pool, and the plan
-// cache synchronizes itself. Writes have exactly one writer at a time —
-// whichever caller holds wmu — which publishes new epochs atomically.
-// Locks nest in the order wmu → stateMu → the catalog's mutex; qmu is
-// held only briefly, under nothing but wmu, and a durable engine's
-// checkpoint mutex is never held with wmu.
+// planning reads the statistics catalog and immutable engine state,
+// execution a pinned data epoch and per-call scratch from the context
+// pool, and the caches synchronize themselves. Writes have exactly one
+// writer at a time — whichever caller holds wmu — which publishes new
+// epochs atomically and then moves the catalog to them; no reader waits
+// on it meanwhile. qmu is held only briefly, under nothing but wmu, and
+// a durable engine's checkpoint mutex is never held with wmu.
 type Engine struct {
 	cfg Config
 	// The partitioned store is the engine's only copy of the data (the
@@ -135,11 +138,11 @@ type Engine struct {
 	// binds a candidate compiled once.
 	spaces *plancache.Cache[*shapePlans]
 	// cat is the engine's one statistics object: every planner snapshots
-	// its query's patterns from it (readStats) and every committed epoch
-	// folds its delta into it once (invalidate), so it is always at the
-	// engine's data version. It retains patterns under a byte budget of
-	// its own, least recently snapshotted first, whatever the plan cache
-	// holds.
+	// its query's patterns from it (plan), and every committed epoch hands
+	// it its view and folds its delta into it once (invalidate), so it
+	// trails the engine's data version only while a commit is moving it.
+	// It retains patterns under a byte budget of its own, least recently
+	// snapshotted first, whatever the plan cache holds.
 	cat *cost.Catalog
 	// res is the result cache; nil unless ResultCacheBytes > 0.
 	// Keys embed the data epoch, so stale entries are unreachable after
@@ -157,13 +160,6 @@ type Engine struct {
 	ctxFree   []*physical.ExecContext
 	ctxClosed bool
 
-	// stateMu guards the partitioner+catalog pair as one unit: the writer
-	// holds the write side across epoch commit and catalog fold (a resize's
-	// one epoch included), and statistics reads
-	// (readStats) hold the read side so a fill reads the view of exactly
-	// the version the catalog is at. Query execution and checkpoints do
-	// not take it — they read pinned immutable views.
-	stateMu sync.RWMutex
 	// batches / groups / revalidations / replans count update activity:
 	// committed ApplyBatch calls, the epochs that carried them, cached
 	// plans re-checked and re-chosen. enumerations counts optimizer runs,
@@ -191,6 +187,9 @@ type Engine struct {
 	// netDelta's probes of the current view and a resize's reading of the
 	// current size rely on.
 	wmu sync.Mutex
+	// published, a test seam nil in production, runs in the writer after
+	// it has published an epoch and before it moves the caches to it.
+	published func()
 }
 
 // spaceCacheBytes is the budget of the plan-space cache. The 14 LUBM
@@ -227,8 +226,8 @@ func newEngine(cfg Config, dict *rdf.Dict, triples []rdf.Triple, store *dstore.S
 		part:  partition.New(store, cfg.Partitioning, cfg.mustPolicy()),
 		shim:  &rdf.Graph{Dict: dict},
 	}
-	e.part.ApplyBatch(triples, nil, dict)
-	e.cat = cost.NewCatalog(e.DataVersion())
+	v := e.part.ApplyBatch(triples, nil, dict)
+	e.cat = cost.NewCatalog(v, v.Version())
 	e.spaces = plancache.NewSized(spaceCacheBytes, func(sh *shapePlans) int64 { return int64(sh.space.Bytes()) })
 	if cfg.PlanCacheSize >= 0 {
 		e.cache = plancache.New[*cacheEntry](cfg.PlanCacheSize)
@@ -357,18 +356,6 @@ func (e *Engine) UpdateStats() UpdateStats {
 	return us
 }
 
-// readStats snapshots q's patterns in the catalog. The state read lock
-// is held across the snapshot — which fills the patterns the catalog
-// lacks from the current view's subject replica — and a commit publishes
-// its view and folds the catalog under the write side, so a fill reads
-// exactly the epoch the catalog is at and a snapshot always describes
-// exactly its Version.
-func (e *Engine) readStats(q *sparql.Query) *cost.Stats {
-	e.stateMu.RLock()
-	defer e.stateMu.RUnlock()
-	return e.cat.Snapshot(e.dict, e.part.Current(), q)
-}
-
 // enumerate runs the optimizer on q under the configured budgets.
 func (e *Engine) enumerate(q *sparql.Query) (*core.Result, error) {
 	e.enumerations.Add(1)
@@ -437,12 +424,15 @@ func (e *Engine) shape(q *sparql.Query, written string) (*shapePlans, error) {
 // revalidation whose snapshot equals prev's keeps prev's choice without
 // pricing, and one whose winner is prev's keeps prev's bound plan;
 // either way the result shares every surviving component with prev, so
-// prev's holders keep executing it safely. The caller has validated q.
+// prev's holders keep executing it safely. The plan is tagged with the
+// snapshot's version, the catalog's: while a commit has published an
+// epoch and not yet moved the catalog, that is the epoch before, and the
+// plan revalidates on its next use. The caller has validated q.
 func (e *Engine) plan(q *sparql.Query, prev *Prepared) (*Prepared, error) {
 	if e.closed.Load() {
 		return nil, ErrClosed
 	}
-	st := e.readStats(q)
+	st := e.cat.Snapshot(e.dict, q)
 	p := &Prepared{Query: q}
 	if prev != nil {
 		*p = *prev

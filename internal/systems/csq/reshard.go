@@ -70,9 +70,10 @@ func (e *Engine) reshard(delta int) (ReshardResult, error) {
 
 // flushReshard executes one resize exactly as flushGroup commits a
 // batch: WAL-first — one topology record (empty triple delta, Topology =
-// the new size) is fsynced before anything moves — then, under stateMu,
-// one epoch that moves every row the new placement puts elsewhere and
-// changes the size, and one cache invalidation. A crash at any point
+// the new size) is fsynced before anything moves — then one epoch that
+// moves every row the new placement puts elsewhere and changes the size,
+// and one cache invalidation. Planners keep reading the catalog at the
+// epoch before while the resize scans and commits. A crash at any point
 // recovers at the old size or the new one, each a consistent placement
 // of the full (unchanged) graph. On a log failure nothing moved: the
 // engine keeps serving the last committed epoch, and the log's sticky
@@ -89,10 +90,8 @@ func (e *Engine) flushReshard(req *request) {
 		req.answer(response{err: err})
 		return
 	}
-	e.stateMu.Lock()
 	st, err := e.part.Resize(to)
 	e.invalidate(nil, nil)
-	e.stateMu.Unlock()
 	if err != nil {
 		req.answer(response{err: err})
 		return

@@ -35,8 +35,8 @@ func TestElasticGrowShrinkOracle(t *testing.T) {
 	qs := oracleQueries(t)
 
 	// Pre-prepare every query and pin the expected rows. Executions of
-	// an already-prepared plan never touch the engine's state lock, so
-	// readers keep serving while a reshard holds it.
+	// an already-prepared plan read the epoch they pin, so readers keep
+	// serving while a reshard moves the data.
 	plans := make([]*Prepared, len(qs))
 	expected := make([]int, len(qs))
 	for i, q := range qs {

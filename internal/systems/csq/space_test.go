@@ -25,9 +25,8 @@ func freshPrepare(t *testing.T, e *Engine, q *sparql.Query) *Prepared {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.stateMu.RLock()
-	st := cost.NewCatalog(e.DataVersion()).Snapshot(e.dict, e.part.Current(), q)
-	e.stateMu.RUnlock()
+	v := e.part.Current()
+	st := cost.NewCatalog(v, v.Version()).Snapshot(e.dict, q)
 	sh := &shapePlans{space: res.Space()}
 	idx, c := cost.NewModel(e.cfg.Constants, st).ChooseSpace(sh.space)
 	pp, err := e.compiled(sh, q, idx)

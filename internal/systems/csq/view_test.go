@@ -163,11 +163,11 @@ func TestFillFromViewMatchesGraph(t *testing.T) {
 			}
 			for _, q := range qs {
 				want := cost.NewStats(g, q)
-				c := cost.NewCatalog(0)
-				if got := c.Snapshot(eng.dict, eng.part.Current(), q); !got.Equal(want) {
+				c := cost.NewCatalog(eng.part.Current(), 0)
+				if got := c.Snapshot(eng.dict, q); !got.Equal(want) {
 					t.Errorf("%s: a fill from the view differs from NewStats over the graph", q.Name)
 				}
-				if got := eng.readStats(q); !got.Equal(want) {
+				if got := eng.cat.Snapshot(eng.dict, q); !got.Equal(want) {
 					t.Errorf("%s: the engine's catalog differs from NewStats over the graph", q.Name)
 				}
 			}
