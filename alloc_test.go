@@ -132,18 +132,21 @@ const (
 	residentWithGraphCeiling = 71.1
 	// residentWarmCeiling bounds the same engine, graph dropped, after
 	// three passes of the 14 LUBM queries on two lanes: 1.05× the
-	// measured 71.9 (71.0–71.9) — the idle 43.1, and 28.8 of statistics
+	// measured 65.2 (64.1–65.2) — the idle 43.1, and 21.6 of statistics
 	// catalog, cached plans and execution context. The buffer pool, what
-	// the hungriest query reached, is about 3.1 MB: 19.5 B/triple. The
-	// catalog holds the 20 patterns' 91,931 bindings in sorted (id,
-	// count) arrays, 5.0 B/triple; as binding maps it took 9.6, and the
-	// engine 79.9–81.0. It held 89.3–90.1 when a shuffled tuple had a
-	// record in its bucket and a copy in its destination's array, the
-	// final merge sorted row numbers beside their order and a map-only
-	// root join wrote a block the projection copied; 125.2 when every
-	// scratch position kept its own largest-ever array and every
-	// single-slot pattern a binding map.
-	residentWarmCeiling = 75.5
+	// the hungriest query occupied, is about 2.06 MB (1.94–2.15): 13.0
+	// B/triple. The catalog holds the 20 patterns'
+	// 91,931 bindings in sorted (id, count) arrays, 5.0 B/triple. It read
+	// 71.0–71.9, the pool 3.1 MB, when arena scratch lived until the end
+	// of the execution, freed pieces went to power-of-two classes without
+	// merging and the final merge kept a 4-byte order per surviving row;
+	// 79.9–81.0 with the catalog's bindings in maps; 89.3–90.1 when a
+	// shuffled tuple had a record in its bucket and a copy in its
+	// destination's array, the final merge sorted row numbers beside
+	// their order and a map-only root join wrote a block the projection
+	// copied; 125.2 when every scratch position kept its own largest-ever
+	// array and every single-slot pattern a binding map.
+	residentWarmCeiling = 68.5
 )
 
 // raceEnabled is set by race_test.go under -race: the detector's

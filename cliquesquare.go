@@ -503,10 +503,10 @@ func (p *Prepared) PlanCached() bool { return p.cached }
 // Result.Rows).
 //
 // The answer leaves the executor once: the ids are decoded where the
-// execution left them — the merge order over the last job's output, or
-// a result-cache entry's block — while the execution's context is still
-// held, a large answer on all of its lanes, and nothing of that source
-// survives the call except dictionary-owned strings.
+// execution left them — the last job's sorted output, merged as it is
+// read, or a result-cache entry's block — while the execution's context
+// is still held, a large answer on all of its lanes, and nothing of that
+// source survives the call except dictionary-owned strings.
 func (p *Prepared) Run() (*Result, error) {
 	var out *Result
 	err := p.eng.inner.RunPlan(p.inner.Physical, func(r *physical.Result, rows physical.Rows) error {
@@ -548,13 +548,13 @@ func (p *Prepared) Run() (*Result, error) {
 // of slab and points their index entries at them.
 func decodeRows(dict *rdf.Dict, rows physical.Rows, index [][]string, slab []string, lo, hi int) {
 	w := rows.Width()
-	for i := lo; i < hi; i++ {
+	rows.Each(lo, hi, func(i int, row mapreduce.Row) {
 		dec := slab[i*w : (i+1)*w : (i+1)*w]
-		for j, id := range rows.Row(i) {
+		for j, id := range row {
 			dec[j] = dict.Rendered(id)
 		}
 		index[i] = dec
-	}
+	})
 }
 
 // Explain returns a human-readable description of the plan chosen for

@@ -3,6 +3,7 @@ package mapreduce
 import (
 	"sync"
 	"testing"
+	"unsafe"
 
 	"cliquesquare/internal/rdf"
 )
@@ -82,5 +83,106 @@ func TestBufsHoldOneExecution(t *testing.T) {
 		}
 		Free(&p, lent)
 	}()
+	p.Reset()
+}
+
+// TestBufsFreedNeighboursCoalesce hands back two neighbouring pieces and
+// asks for their joint size: the merged piece serves it, at the first
+// piece's address, and the pool occupies no word more.
+func TestBufsFreedNeighboursCoalesce(t *testing.T) {
+	var p Bufs
+	a := Grow(&p, []int32(nil), 600) // 100 units each
+	b := Grow(&p, []int32(nil), 600)
+	c := Grow(&p, []int32(nil), 600) // keeps a and b from reaching the free space after them
+	occupied := p.occupied()
+	Free(&p, a)
+	Free(&p, b)
+	d := Grow(&p, []int32(nil), 1200)
+	if unsafe.SliceData(d) != unsafe.SliceData(a) {
+		t.Error("two freed neighbours did not serve a request of their joint size")
+	}
+	if got := p.occupied(); got != occupied || len(p.chunks) != 1 {
+		t.Errorf("serving it occupied %d words in %d chunks, before %d in one", got, len(p.chunks), occupied)
+	}
+	Free(&p, c)
+	Free(&p, d)
+	p.Reset()
+}
+
+// TestBufsResetKeepsLentTails lends the tail of a chunk that a larger
+// request skipped: the one chunk Reset keeps holds it, with the rest of
+// what the execution occupied and an eighth more, and a repeat of the
+// execution fits in it.
+func TestBufsResetKeepsLentTails(t *testing.T) {
+	var p Bufs
+	execute := func() (tailLent bool) {
+		x := Grow(&p, []rdf.TermID(nil), 1000*6) // the first chunk is 1024 units: a 24-unit tail
+		y := Grow(&p, []rdf.TermID(nil), 100*6)  // skips the tail for a chunk of its own
+		z := Grow(&p, []rdf.TermID(nil), 16*6)   // lent from the tail
+		tail := uintptr(unsafe.Pointer(unsafe.SliceData(x))) + 1000*bufUnit
+		tailLent = uintptr(unsafe.Pointer(unsafe.SliceData(z))) == tail
+		Free(&p, x)
+		Free(&p, y)
+		Free(&p, z)
+		p.Reset()
+		return tailLent
+	}
+	if !execute() {
+		t.Fatal("the skipped tail did not serve a request it holds")
+	}
+	occupied := (1000 + 16 + 100) * bufUnit / 8
+	want := (occupied + occupied/8) / 3 * 3
+	if len(p.chunks) != 1 || len(p.chunks[0].words) != want {
+		t.Fatalf("Reset kept %d chunks, the first of %d words; want one of %d: %d occupied and an eighth", len(p.chunks), len(p.chunks[0].words), want, occupied)
+	}
+	bytes := p.Bytes()
+	execute()
+	if len(p.chunks) != 1 || p.Bytes() != bytes {
+		t.Errorf("a repeat left %d chunks of %d B, the first execution one of %d B", len(p.chunks), p.Bytes(), bytes)
+	}
+}
+
+// TestBufsDoublingChains grows four buffers element by element, in
+// turn, on one lane of a warm pool: each growth either extends its
+// buffer over the free pieces around it or hands back a piece next to
+// the others' growing ones, and the pool must reuse them, occupying at
+// most the chains' live peak — every array lent at once, the one being
+// copied out of included — and one chunk of the fewest units a chunk
+// has.
+func TestBufsDoublingChains(t *testing.T) {
+	var p Bufs
+	chains := func() (peak int) {
+		var chains [4][]int32
+		for i := 0; i < 100000; i++ {
+			for k := range chains {
+				old := cap(chains[k])
+				chains[k] = append(Grow(&p, chains[k], 1), int32(i))
+				if cap(chains[k]) != old {
+					live := old
+					for _, c := range chains {
+						live += cap(c)
+					}
+					peak = max(peak, live*4)
+				}
+			}
+		}
+		for k := range chains {
+			for i, v := range chains[k] {
+				if v != int32(i) {
+					t.Fatalf("chain %d, element %d: %d, overwritten by another chain", k, i, v)
+				}
+			}
+			Free(&p, chains[k])
+		}
+		return peak
+	}
+	chains()
+	p.Reset() // one chunk
+	peak := chains()
+	occupied := p.occupied() * 8
+	t.Logf("the chains occupied %d B of the pool's %d: live peak %d B", occupied, p.Bytes(), peak)
+	if chunk := 1024 * bufUnit; occupied > peak+chunk {
+		t.Errorf("the chains occupied %d B: more than their live peak %d B and a chunk of %d B", occupied, peak, chunk)
+	}
 	p.Reset()
 }

@@ -188,6 +188,17 @@ type Job struct {
 	// ReduceRange runs one key range of a node's reduce input on a
 	// lane. ranges is the number of ranges the node was split into.
 	ReduceRange func(node, rng, ranges, lane int, m *Meter, groups *Groups, out *Block)
+	// PhaseDone, if non-nil, runs after each phase's units have all run,
+	// before their outputs merge: what the units computed in beside their
+	// output — a lane's blocks and tables — can go back to the pool there,
+	// for the merge and the next phase to draw on.
+	PhaseDone func()
+}
+
+func (j *Job) phaseDone() {
+	if j.PhaseDone != nil {
+		j.PhaseDone()
+	}
 }
 
 // ClassicJob adapts the classic MapReduce form — mapFn once per node,
@@ -682,6 +693,7 @@ func (cl *Cluster) RunWith(job Job, opts RunOptions) *Output {
 	})
 	sc.buckets = resize(sc.buckets, len(sc.morsels)*n)
 	pool.ForEach(len(sc.morsels), sc.mapFn)
+	job.phaseDone()
 	merge(sc.morsels, mapM)
 
 	// ---- Shuffle + reduce phases. ----
@@ -693,6 +705,7 @@ func (cl *Cluster) RunWith(job Job, opts RunOptions) *Output {
 		// One unit per (node, range): ranges of all nodes share one queue.
 		sc.ranges = layout(sc.ranges, n, sc.Bufs, func(node int) int { return len(sc.rangeOff[node]) - 1 })
 		pool.ForEach(len(sc.ranges), sc.reduceFn)
+		job.phaseDone()
 		merge(sc.ranges, redM)
 	}
 	stats.Output = out.Len()

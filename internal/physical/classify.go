@@ -19,9 +19,9 @@
 // (its per-lane arenas, per-(node, range) intermediate table and
 // shuffle scratch) and is recycled by the context's next execution;
 // an intermediate relation exists only to feed the next job of the same
-// execution. The result is flat to the end as well: the final sort and
-// merge leave an order over the last job's output, and Executor.Run
-// lends it to its caller in place, as a Rows, to be consumed on the
+// execution. The result is flat to the end as well: the final sort
+// leaves the last job's output sorted in place, and Executor.Run lends
+// it to its caller as a Rows that merges it as it is read, on the
 // context's lanes. Only what outlives an execution is copied into
 // exactly sized blocks of its own: a result-cache entry, which keeps a
 // whole answer (the merged rows and every job's record, keyed by

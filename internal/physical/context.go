@@ -23,24 +23,28 @@ import (
 // Ownership: every buffer that lives inside one execution — scan and
 // map-join outputs (arena blocks), reduce-group inputs, join tables,
 // the per-(node, range) intermediate relations, the shuffle's buckets
-// and routed records, the jobs' per-node outputs and the merge order —
-// is borrowed from the context's one buffer pool, and all of them go
-// back to it when the execution releases its rows (release, at the end
-// of Executor.Run, also when its consumer panics). Positions hold
-// headers and the pool holds bytes: between executions a slot, bucket
-// or block keeps no array, so a warm context holds one execution's
-// peak, which the next execution draws from again — each tuple once: a
-// shuffled tuple's cells and its one record, a map-only root's node
-// output sized once, the last job's output sorted in place. Nothing
-// that outlives the execution may alias pool memory. The final result
-// is not copied out at all unless somebody asks: mergeParts leaves it
-// as an order over the last job's output, both context scratch, and
-// Executor.Run lends that to its callback as a Rows, valid until the
-// callback returns. What does outlive the execution — the rows Execute
-// returns (Rows.Materialise) and a result-cache entry's answer
-// (Rows.block) — is copied into exactly sized blocks of its own. A
-// result-cache hit reads none of this scratch: it never prepares the
-// context.
+// and routed records and the jobs' per-node outputs — is borrowed from
+// the context's one buffer pool. A lane's arena scratch is lent from
+// the pool's top and lives one phase of a job — handed back when the
+// phase's units have run, so that the routed records and the reduce
+// outputs of the next phase reuse it — or, in a map-only job, one
+// node's morsel. Everything else goes back when the execution releases
+// its rows (release, at the end of Executor.Run, also when its consumer
+// panics, and then the arenas too). Positions hold headers and the pool holds bytes: between
+// executions a slot, bucket or block keeps no array, so a warm context
+// holds what one execution occupied, which the next execution draws
+// from again — each tuple once: a shuffled tuple's cells and its one
+// record, a map-only root's node output sized once, the last job's
+// output sorted in place. Nothing that outlives the execution may
+// alias pool memory. The final result
+// is not copied out at all unless somebody asks: mergeParts sorts the
+// last job's output in place and keeps only the merge's heads every
+// mergeMark survivors, and Executor.Run lends that to its callback as a
+// Rows, which merges again as it is read, valid until the callback
+// returns. What does outlive the execution — the rows Execute returns
+// (Rows.Materialise) and a result-cache entry's answer (Rows.block) —
+// is copied into exactly sized blocks of its own. A result-cache hit
+// reads none of this scratch: it never prepares the context.
 //
 // The lane count is fixed by NewExecContext, which spawns the context's
 // persistent mapreduce worker pool (parked between jobs); the owner
@@ -90,16 +94,13 @@ type ExecContext struct {
 	x                    Executor
 	cluster              mapreduce.Cluster
 
-	// mergeParts' scratch and product: the parts being merged (the last
-	// job's per-node output, each sorted in place), their offsets, merge
-	// heads and head prefixes, and the merged order of the survivors —
-	// which, with sortParts and sortOffs, is what a merged Rows reads.
-	// sortFn is sortPart bound once.
-	sortParts           []mapreduce.Block
-	sortOffs, sortHeads []int
-	sortPrefix          []uint64
-	sortOrder           []int32
-	sortFn              func(part, lane int)
+	// mergeParts' product: the parts merged (the last job's per-node
+	// output, each sorted in place) and the merge's heads at every
+	// mergeMark-th survivor — what a merged Rows reads. sortFn is
+	// sortPart bound once.
+	sortParts  []mapreduce.Block
+	mergeMarks []int32
+	sortFn     func(part, lane int)
 }
 
 // mapMorsel is one schedulable unit of a reduce-level job's map phase:
@@ -152,10 +153,10 @@ func (c *ExecContext) Close() {
 func (c *ExecContext) prepare(pp *Plan, nodes int) {
 	if c.levelJob.MapMorsel == nil {
 		c.mapOnlyJob = mapreduce.Job{MapMorsel: c.mapOnlyMorsel}
-		c.levelJob = mapreduce.Job{MapMorsels: c.levelMorsels, MapMorsel: c.levelMapMorsel, ReduceRange: c.levelReduce}
+		c.levelJob = mapreduce.Job{MapMorsels: c.levelMorsels, MapMorsel: c.levelMapMorsel, ReduceRange: c.levelReduce, PhaseDone: c.releaseArenas}
 	}
 	for len(c.arenas) < c.lanes() {
-		c.arenas = append(c.arenas, &arena{bufs: &c.bufs})
+		c.arenas = append(c.arenas, &arena{bufs: c.bufs.High()})
 	}
 	c.shuffle.Bufs = &c.bufs
 	c.byID = append(c.byID[:0], make([]*Info, len(pp.Infos))...)
@@ -178,16 +179,20 @@ func (c *ExecContext) prepare(pp *Plan, nodes int) {
 func (c *ExecContext) release() {
 	c.jobX, c.jobPlan = nil, nil
 	c.shuffle.Release()
-	for _, a := range c.arenas {
-		a.release()
-	}
+	c.releaseArenas()
 	for _, per := range c.interm {
 		for node := range per {
 			per[node] = mapreduce.ResetBlocks(per[node], 0, nil)
 		}
 	}
-	c.sortOrder = mapreduce.Free(&c.bufs, c.sortOrder)
 	c.bufs.Reset()
+}
+
+// releaseArenas hands every lane's blocks and tables back to the pool.
+func (c *ExecContext) releaseArenas() {
+	for _, a := range c.arenas {
+		a.release()
+	}
 }
 
 // ScratchBytes reports the bytes the context's buffer pool holds.
@@ -198,11 +203,11 @@ func (c *ExecContext) ScratchBytes() int64 { return c.bufs.Bytes() }
 // the join tables, cursor slices and column buffers naryJoin and the
 // shuffle emitters need per call, scan filter scratch and reduce-group
 // input relations. Everything is reused across calls and morsels; the
-// blocks and tables draw their bytes from bufs and hand them back at
-// the end of the execution (release), and nothing in it may be
-// referenced after that.
+// blocks and tables draw their bytes from bufs, the pool's High view,
+// and hand them back when their phase — or map-only morsel — ends
+// (release), and nothing in them may be referenced after that.
 type arena struct {
-	bufs *mapreduce.Bufs // the context's pool; nil is the Go heap
+	bufs *mapreduce.Bufs // the context pool's High view; nil is the Go heap
 
 	// blocks is the morsel-scoped block stack: a morsel's local
 	// evaluation takes one block per relation it builds (nextBlock), and

@@ -3,6 +3,7 @@ package physical
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -59,9 +60,7 @@ func randomParts(rng *rand.Rand, n, w, k, vals int) ([]mapreduce.Block, []mapred
 // whatever backs it.
 func sourceRows(r Rows) []mapreduce.Row {
 	out := []mapreduce.Row{}
-	for i := 0; i < r.Len(); i++ {
-		out = append(out, append(mapreduce.Row{}, r.Row(i)...))
-	}
+	r.Each(0, r.Len(), func(_ int, row mapreduce.Row) { out = append(out, append(mapreduce.Row{}, row...)) })
 	return out
 }
 
@@ -103,16 +102,19 @@ func TestDedupeMatchesReference(t *testing.T) {
 			if got := sourceRows(src); !reflect.DeepEqual(got, want) {
 				t.Fatalf("lanes %d, trial %d (%d rows of width %d): rows read through the source differ from the reference", lanes, trial, n, w)
 			}
-			// Ranges tile the rows exactly, at every lane count.
+			// Ranges tile the rows exactly, at every lane count, and each
+			// reads its own rows, concurrently with the others.
 			covered := make([]int32, src.Len())
 			src.EachRange(func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					covered[i]++ // disjoint ranges: no two lanes share an i
-				}
+				src.Each(lo, hi, func(i int, row mapreduce.Row) {
+					if slices.Equal(row, want[i]) {
+						covered[i]++ // disjoint ranges: no two lanes share an i
+					}
+				})
 			})
 			for i, c := range covered {
 				if c != 1 {
-					t.Fatalf("lanes %d, trial %d: row %d was handed to %d ranges", lanes, trial, i, c)
+					t.Fatalf("lanes %d, trial %d: row %d was read right by %d ranges", lanes, trial, i, c)
 				}
 			}
 			owned := blockRows(src.block(), ctx)
@@ -131,7 +133,7 @@ func TestDedupeMatchesReference(t *testing.T) {
 			if view := owned.Materialise(); !reflect.DeepEqual(view, want) || len(view) > 0 && w > 0 && &view[0][0] != &owned.blk.Cells[0] {
 				t.Fatalf("lanes %d, trial %d: a block-backed source did not materialise as a view of its block", lanes, trial)
 			}
-			// Over a merge order it shares nothing with the parts.
+			// Over a merge it shares nothing with the parts.
 			for p := range parts {
 				for i := range parts[p].Cells {
 					parts[p].Cells[i] = ^rdf.TermID(0)
@@ -158,9 +160,7 @@ func TestDedupeAllocations(t *testing.T) {
 		var sum rdf.TermID
 		if got := testing.AllocsPerRun(100, func() {
 			src = ctx.mergeParts(parts)
-			for i := 0; i < src.Len(); i++ {
-				sum += src.Row(i)[0]
-			}
+			src.Each(0, src.Len(), func(_ int, row mapreduce.Row) { sum += row[0] })
 		}); got != 0 {
 			t.Errorf("%d lanes: ordering and reading %d rows: %v allocs/op, want none on a warm context", ctx.lanes(), src.Len(), got)
 		}
@@ -169,4 +169,55 @@ func TestDedupeAllocations(t *testing.T) {
 		}
 		ctx.Close()
 	}
+}
+
+// TestMergeReadsFromMarks pins how a merged source is read without an
+// order of its rows: a range read from any row — on a mark, just before
+// or after one, or between two — is the reference's range, EachRange
+// cuts only at marks, and the merge keeps nothing in the pool, its
+// marks growing with the survivors (one set of heads every mergeMark)
+// and not with the duplicates.
+func TestMergeReadsFromMarks(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	parts, rows := randomParts(rng, 6*mergeMark, 3, 5, 40)
+	for _, p := range parts[:2] { // every row of two parts twice
+		p.Cells = slices.Clone(p.Cells)
+		parts = append(parts, p)
+	}
+	want := refDedupeSort(rows)
+	ctx := NewExecContext(4)
+	defer ctx.Close()
+	src := ctx.mergeParts(parts)
+	if src.Len() != len(want) || src.Len() < 3*mergeMark {
+		t.Fatalf("%d survivors, want %d (and at least three marks' worth)", src.Len(), len(want))
+	}
+	if marks := len(ctx.mergeMarks) / len(parts); marks != src.Len()/mergeMark+1 {
+		t.Errorf("%d marks for %d survivors, want one every %d", marks, src.Len(), mergeMark)
+	}
+	if b := ctx.bufs.Bytes(); b != 0 {
+		t.Errorf("the merge drew %d B from the pool, want none", b)
+	}
+	read := func(lo, hi int) []mapreduce.Row {
+		out := []mapreduce.Row{}
+		src.Each(lo, hi, func(i int, row mapreduce.Row) {
+			if i != lo+len(out) {
+				t.Fatalf("rows %d to %d: row %d handed out as %d", lo, hi, lo+len(out), i)
+			}
+			out = append(out, append(mapreduce.Row{}, row...))
+		})
+		return out
+	}
+	for _, lo := range []int{0, 1, mergeMark - 1, mergeMark, mergeMark + 1, 2*mergeMark + 17, src.Len() - 1, src.Len()} {
+		for _, n := range []int{0, 1, 5, mergeMark, 2*mergeMark + 3} {
+			hi := min(lo+n, src.Len())
+			if got := read(lo, hi); !reflect.DeepEqual(got, want[lo:hi]) {
+				t.Fatalf("rows %d to %d read through the source differ from the reference", lo, hi)
+			}
+		}
+	}
+	src.EachRange(func(lo, hi int) {
+		if lo%mergeMark != 0 || hi != src.Len() && hi%mergeMark != 0 {
+			t.Errorf("EachRange cut at %d and %d: a range must start and end at a mark (every %d rows) or the end", lo, hi, mergeMark)
+		}
+	})
 }

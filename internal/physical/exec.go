@@ -100,12 +100,12 @@ func (x *Executor) Execute(pp *Plan) (*Result, error) {
 
 // Run executes pp and hands use the simulated timing (Result.Rows nil,
 // N set) and the deduplicated, sorted rows as a borrowed source: they
-// sit where the execution left them — an order over the last job's
-// output in the context, or a result-cache entry's block — so whoever
-// only counts, digests or decodes them copies nothing. rows, and every
-// Row read from it, is invalid once use returns; the Result is the
-// caller's to keep. The cluster's job log grows by this plan's jobs;
-// timing in the Result covers only them.
+// sit where the execution left them — the last job's output in the
+// context, sorted and merged as it is read, or a result-cache entry's
+// block — so whoever only counts, digests or decodes them copies
+// nothing. rows, and every Row read from it, is invalid once use
+// returns; the Result is the caller's to keep. The cluster's job log
+// grows by this plan's jobs; timing in the Result covers only them.
 //
 // With a result cache the answer is served through it, one probe per
 // execution: a hit replays every job's record in job order and lends
@@ -211,13 +211,17 @@ func (x *Executor) runLevel(pp *Plan, l int, rec *mapreduce.JobRecord) *mapreduc
 // flight off it. A map-only plan's single job has one morsel per node,
 // evaluating the node's whole local subtree with the root writing the
 // SELECT columns straight into the node output. Splitting it, as a
-// level's job splits its scans per partition file, is not done.
+// level's job splits its scans per partition file, is not done. Its
+// arena scratch is as large as the node's subtree, so the morsel hands
+// it back as it ends instead of its lane holding it until the phase
+// does.
 func (c *ExecContext) mapOnlyMorsel(node, _, lane int, m *mapreduce.Meter, _ *mapreduce.Emitter, out *mapreduce.Block) {
 	x, pp := c.jobX, c.jobPlan
 	a := c.arenas[lane]
 	a.resetBlocks()
 	x.evalInto(out, pp.Logical.Root.Attrs, pp, pp.Root, node, m, "", a)
 	m.Check(out.N) // the node's only morsel: out holds its rows alone
+	a.release()
 }
 
 // The job of a level of a plan with reduce joins splits its map side

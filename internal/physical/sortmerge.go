@@ -43,27 +43,29 @@ func rowPrefix(row mapreduce.Row) uint64 {
 	return uint64(row[0])<<32 | uint64(row[1])
 }
 
+// mergeMark is how many survivors apart the merge records where it
+// stands: a reader resumes at the mark at or before the first row it
+// wants, and EachRange cuts at marks.
+const mergeMark = 1024
+
 // mergeParts produces the canonical result set of the last job's output
 // parts (one block per node, read by nothing else) — the distinct rows
 // in compareRows order: each part's rows are sorted in place
-// (concurrently on the pool when the result is large) and a k-way merge
-// lists them in order, dropping duplicates as they meet (equal rows are
-// adjacent across part heads under a total order). The product is an
-// order over the sorted parts, left in the context's scratch, and the
-// Rows that reads through it: valid until the context's next job, and
-// on a warm context allocation-free.
+// (concurrently on the pool when the result is large), and one k-way
+// merge counts the rows that survive it and records the parts' heads
+// every mergeMark survivors. No order is kept: a reader of the Rows
+// merges its range again from the nearest mark. The parts and the marks
+// are the context's, valid until its next job, and on a warm context
+// the merge allocates nothing.
 func (c *ExecContext) mergeParts(parts []mapreduce.Block) Rows {
-	// Rows are numbered part after part: part p's are offs[p]:offs[p+1].
-	offs, total, width := c.sortOffs[:0], 0, 0
+	total, width := 0, 0
 	for p := range parts {
-		offs = append(offs, total)
 		total += parts[p].N
 		if parts[p].N > 0 {
 			width = parts[p].Width
 		}
 	}
-	offs = append(offs, total)
-	c.sortOffs, c.sortParts = offs, parts
+	c.sortParts = parts
 	pool := c.pool
 	if total < parallelSortMin {
 		pool = nil
@@ -73,43 +75,91 @@ func (c *ExecContext) mergeParts(parts []mapreduce.Block) Rows {
 	}
 	pool.ForEach(len(parts), c.sortFn)
 
-	// Merge: order lists the distinct rows in result order, each by its
-	// number. heads[p] is part p's next unmerged row and prefix[p] that
-	// row's prefix.
-	order := sized(&c.bufs, c.sortOrder, total)[:0]
-	heads := append(c.sortHeads[:0], offs[:len(parts)]...)
-	prefix := slices.Grow(c.sortPrefix[:0], len(parts))[:len(parts)]
-	head := func(p int) mapreduce.Row { return parts[p].Row(heads[p] - offs[p]) }
-	for p := range parts {
-		if heads[p] < offs[p+1] {
-			prefix[p] = rowPrefix(head(p))
+	c.mergeMarks = c.mergeMarks[:0]
+	var hb [16]int32
+	var pb [16]uint64
+	m, n := c.merger(0, &hb, &pb), 0
+	for ; ; n++ {
+		if n%mergeMark == 0 {
+			c.mergeMarks = append(c.mergeMarks, m.heads...)
 		}
-	}
-	var last mapreduce.Row
-	for {
-		best := -1
-		for p := range parts {
-			if heads[p] == offs[p+1] {
-				continue
-			}
-			if best == -1 || prefix[p] < prefix[best] || prefix[p] == prefix[best] && compareRows(head(p), head(best)) < 0 {
-				best = p
-			}
-		}
-		if best == -1 {
+		if _, ok := m.next(); !ok {
 			break
 		}
-		if row := head(best); len(order) == 0 || compareRows(last, row) != 0 {
-			order = append(order, int32(heads[best]))
-			last = row
-		}
-		if heads[best]++; heads[best] < offs[best+1] {
-			prefix[best] = rowPrefix(head(best))
+	}
+	return Rows{blk: mapreduce.Block{Width: width, N: n}, ctx: c, merged: true}
+}
+
+// merger returns a merge of the context's sorted parts standing at mark
+// k (at the start before the first mark is recorded), its heads and
+// prefixes in hb and pb unless there are more than 16 parts.
+func (c *ExecContext) merger(k int, hb *[16]int32, pb *[16]uint64) merger {
+	parts := c.sortParts
+	m := merger{parts: parts, heads: hb[:], prefix: pb[:]}
+	if len(parts) > len(hb) {
+		m.heads, m.prefix = make([]int32, len(parts)), make([]uint64, len(parts))
+	}
+	m.heads, m.prefix = m.heads[:len(parts)], m.prefix[:len(parts)]
+	copy(m.heads, c.mergeMarks[min(k*len(parts), len(c.mergeMarks)):])
+	m.start()
+	return m
+}
+
+// merger walks the distinct rows of sorted parts in order, dropping
+// duplicates as they meet (equal rows are adjacent across part heads
+// under a total order). heads[p] is part p's next unmerged row and
+// prefix[p] that row's prefix; between steps every copy of the row last
+// returned is behind the heads, so the heads alone say where the merge
+// stands.
+type merger struct {
+	parts  []mapreduce.Block
+	heads  []int32
+	prefix []uint64
+	best   int // the part whose head is the next row; -1 at the end
+}
+
+// start readies the merge from heads.
+func (m *merger) start() {
+	for p := range m.parts {
+		if m.more(p) {
+			m.prefix[p] = rowPrefix(m.head(p))
 		}
 	}
-	c.sortOrder, c.sortHeads, c.sortPrefix = order, heads, prefix
-	return Rows{blk: mapreduce.Block{Width: width, N: len(order)}, ctx: c, merged: true}
+	m.best = m.least()
 }
+
+// next returns the next distinct row and moves past every copy of it;
+// false at the end.
+func (m *merger) next() (mapreduce.Row, bool) {
+	if m.best < 0 {
+		return nil, false
+	}
+	row := m.head(m.best)
+	for {
+		p := m.best
+		if m.heads[p]++; m.more(p) {
+			m.prefix[p] = rowPrefix(m.head(p))
+		}
+		if m.best = m.least(); m.best < 0 || compareRows(m.head(m.best), row) != 0 {
+			return row, true
+		}
+	}
+}
+
+// least returns the part whose head comes first, or -1 when every part
+// is merged.
+func (m *merger) least() int {
+	best := -1
+	for p := range m.parts {
+		if m.more(p) && (best < 0 || m.prefix[p] < m.prefix[best] || m.prefix[p] == m.prefix[best] && compareRows(m.head(p), m.head(best)) < 0) {
+			best = p
+		}
+	}
+	return best
+}
+
+func (m *merger) more(p int) bool          { return int(m.heads[p]) < m.parts[p].N }
+func (m *merger) head(p int) mapreduce.Row { return m.parts[p].Row(int(m.heads[p])) }
 
 // sortPart sorts part p's rows in place; rows of one cell are the cells.
 func (c *ExecContext) sortPart(p, _ int) {
@@ -136,18 +186,18 @@ func (b *partRows) Swap(i, j int) {
 
 // Rows is a finished result as the executor hands it over: the distinct
 // rows in canonical order, read in place. It is backed either by the
-// merge order of the running context — row numbers into the last job's
-// per-node output, sorted in place, both the context's scratch — or by
-// one owned block (a result-cache entry's). Either way it is borrowed:
+// running context's merge — the last job's per-node output, sorted in
+// place, and the merge's marks, both the context's scratch — or by one
+// owned block (a result-cache entry's). Either way it is borrowed:
 // valid only inside the callback Executor.Run passes it to, and nothing
-// may keep it, or a Row it returned, beyond that. Materialise is the
+// may keep it, or a Row it handed out, beyond that. Materialise is the
 // way out.
 type Rows struct {
-	// blk is the owned block; of a merge order it gives the shape only
-	// (width and row count, no cells).
+	// blk is the owned block; of a merge it gives the shape only (width
+	// and row count, no cells).
 	blk mapreduce.Block
 	// ctx is the context serving the execution: its lanes run EachRange,
-	// and when merged its sort scratch is the source.
+	// and when merged its sorted parts and marks are the source.
 	ctx    *ExecContext
 	merged bool
 }
@@ -161,17 +211,29 @@ func (r Rows) Len() int { return r.blk.N }
 // Width is the number of cells of every row.
 func (r Rows) Width() int { return r.blk.Width }
 
-// Row returns row i as a capacity-clipped slice into whatever backs the
-// source. Read it; it is gone when the source is.
-func (r Rows) Row(i int) mapreduce.Row {
+// Each calls fn(i, row) for rows lo to hi-1 in order, row a
+// capacity-clipped slice into whatever backs the source: read it; it is
+// gone when the source is. A merge is walked again from the mark at or
+// before lo, so ranges read concurrently share no state.
+func (r Rows) Each(lo, hi int, fn func(i int, row mapreduce.Row)) {
 	if !r.merged {
-		return r.blk.Row(i)
+		for i := lo; i < hi; i++ {
+			fn(i, r.blk.Row(i))
+		}
+		return
 	}
-	// order interleaves the parts: a position lies in the part whose span
-	// of offsets holds it.
-	c, pos := r.ctx, int(r.ctx.sortOrder[i])
-	p := sort.SearchInts(c.sortOffs, pos+1) - 1
-	return c.sortParts[p].Row(pos - c.sortOffs[p])
+	var hb [16]int32
+	var pb [16]uint64
+	m := r.ctx.merger(lo/mergeMark, &hb, &pb)
+	for at := lo / mergeMark * mergeMark; at < hi; at++ {
+		row, ok := m.next()
+		if !ok {
+			break
+		}
+		if at >= lo {
+			fn(at, row)
+		}
+	}
 }
 
 // Lanes is the number of ranges EachRange cuts the rows into: the
@@ -183,19 +245,29 @@ func (r Rows) Lanes() int {
 	return r.ctx.lanes()
 }
 
-// EachRange cuts the rows into Lanes() contiguous ranges and calls
-// fn(lo, hi) once per range, concurrently on the context's lanes when
-// there are several. A row's number fixes where its consumer puts it,
-// so whatever fn builds is the same at every lane count. fn is retained
-// by the pool for the call: a caller that must not allocate on the
-// one-lane path checks Lanes() first and loops itself.
+// EachRange cuts the rows into Lanes() contiguous ranges, at the merge's
+// marks, and calls fn(lo, hi) once per range, concurrently on the
+// context's lanes when there are several. A row's number fixes where its
+// consumer puts it, so whatever fn builds is the same at every lane
+// count. fn is retained by the pool for the call: a caller that must not
+// allocate on the one-lane path checks Lanes() first and loops itself.
 func (r Rows) EachRange(fn func(lo, hi int)) {
 	k, n := r.Lanes(), r.Len()
 	if k == 1 {
 		fn(0, n)
 		return
 	}
-	r.ctx.pool.ForEach(k, func(i, _ int) { fn(i*n/k, (i+1)*n/k) })
+	r.ctx.pool.ForEach(k, func(i, _ int) { fn(r.cut(i, k), r.cut(i+1, k)) })
+}
+
+// cut is where range i of k starts: the mark nearest an even cut, or the
+// end.
+func (r Rows) cut(i, k int) int {
+	n := r.Len()
+	if i == k {
+		return n
+	}
+	return min(n, (i*n/k+mergeMark/2)/mergeMark*mergeMark)
 }
 
 // block copies the rows into an exactly sized block that shares nothing
@@ -203,17 +275,15 @@ func (r Rows) EachRange(fn func(lo, hi int)) {
 func (r Rows) block() mapreduce.Block {
 	out := r.blk
 	out.Cells = make([]rdf.TermID, out.N*out.Width)
-	for i := 0; i < out.N; i++ {
-		copy(out.Row(i), r.Row(i))
-	}
+	r.Each(0, out.N, func(i int, row mapreduce.Row) { copy(out.Row(i), row) })
 	return out
 }
 
 // Materialise returns the rows in the form that outlives the source:
 // one exactly sized header slice over a block the context does not own
-// — a fresh copy of a merge order's survivors, or the owned block
-// itself (a cache entry's: shared and immutable). It is the only place
-// the data plane builds a []Row.
+// — a fresh copy of a merge's survivors, or the owned block itself (a
+// cache entry's: shared and immutable). It is the only place the data
+// plane builds a []Row.
 func (r Rows) Materialise() []mapreduce.Row {
 	b := r.blk
 	if r.merged {

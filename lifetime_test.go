@@ -23,6 +23,7 @@ import (
 	"cliquesquare/internal/mapreduce"
 	"cliquesquare/internal/partition"
 	"cliquesquare/internal/physical"
+	"cliquesquare/internal/rdf"
 	"cliquesquare/internal/rescache"
 	"cliquesquare/internal/sparql"
 	"cliquesquare/internal/systems/csq"
@@ -119,9 +120,7 @@ func (f *lifetimeFixture) execute(t *testing.T, ctx *physical.ExecContext, rc *r
 // materialised ones, reading each in place.
 func hashSource(rows physical.Rows) string {
 	view := make([]mapreduce.Row, rows.Len())
-	for i := range view {
-		view[i] = rows.Row(i)
-	}
+	rows.Each(0, rows.Len(), func(i int, row mapreduce.Row) { view[i] = row })
 	return hashRows(view)
 }
 
@@ -215,7 +214,9 @@ func TestCachedViewReadWhileContextExecutes(t *testing.T) {
 			own := physical.NewExecContext(1)
 			defer own.Close()
 			err := f.executor(own, rc).Run(pp, func(res *physical.Result, rows physical.Rows) error {
-				if res.N != want.Rows || &rows.Row(0)[0] != &ent.Block.Cells[0] {
+				var first *rdf.TermID
+				rows.Each(0, 1, func(_ int, row mapreduce.Row) { first = &row[0] })
+				if res.N != want.Rows || first != &ent.Block.Cells[0] {
 					t.Error("a result-cache hit did not lend the entry's own block")
 				}
 				reading <- struct{}{}

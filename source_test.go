@@ -2,11 +2,12 @@ package cliquesquare
 
 // The equivalence oracle of the result boundary. A finished result
 // reaches its consumer in three forms — the borrowed source
-// Executor.Run lends (a merge order over the context's memory, or a
-// cache entry's block), the materialised rows Execute returns, and the
-// strings the facade decodes from the source on the context's lanes —
-// and all three must be the same rows, with the same JobStats, at every
-// lane count and whatever the result cache did.
+// Executor.Run lends (the context's sorted parts, merged again as they
+// are read from the nearest merge mark, or a cache entry's block), the
+// materialised rows Execute returns, and the strings the facade decodes
+// from the source on the context's lanes, each range from a mark of its
+// own — and all three must be the same rows, with the same JobStats, at
+// every lane count and whatever the result cache did.
 
 import (
 	"fmt"
