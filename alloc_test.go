@@ -16,7 +16,9 @@ import (
 
 	"cliquesquare/internal/core"
 	"cliquesquare/internal/cost"
+	"cliquesquare/internal/dstore"
 	"cliquesquare/internal/lubm"
+	"cliquesquare/internal/partition"
 	"cliquesquare/internal/physical"
 	"cliquesquare/internal/rdf"
 	"cliquesquare/internal/sparql"
@@ -114,30 +116,32 @@ const (
 	passAfterCommitRatioCeiling = 1.15
 	// residentCeiling bounds the live heap an engine adds per triple once
 	// its caller has dropped the graph it was built from: 1.1× the
-	// measured 43.1 at 100 universities, 158,849 triples — the replicas'
-	// slabs and file tables, and the dictionary: 17.9 B/triple of term
-	// pages, 8-byte spans and a 4 B-a-slot id table. The slabs' payload
-	// is 23.25 B: a file stores only the cells its name does not fix, so
-	// each replica row is (s, o), 8 B, and a class file's row is (s), 4 B
-	// — 3 × 8 = 24 B a triple, less 4 B for each rdf:type triple, 18.6%
-	// of them (24 − 0.75). It read 46.8 when the dictionary held each
-	// term as a string of its own, 21.3 B/triple; 59.8 with three 12-byte
-	// rows.
+	// measured 35.5 at 100 universities, 158,849 triples — the stored
+	// replicas' slabs and file tables, and the dictionary: 17.9 B/triple
+	// of term pages, 8-byte spans and a 4 B-a-slot id table. The slabs'
+	// payload is 16 B: a file stores only the cells its name does not
+	// fix, so each row is (s, o), 8 B, and the store holds the subject
+	// and object replicas alone — the property replica is placed, not
+	// stored. It read 43.1 when the store held the property replica too
+	// (23.25 B of cells: 24 B less 4 B for each rdf:type triple in a
+	// class file); 46.8 when the dictionary held each term as a string
+	// of its own, 21.3 B/triple; 59.8 with three 12-byte rows.
 	// residentWithGraphCeiling is the same reading with the caller's graph
 	// kept: its triple slice and 4 B a slot of position table more
-	// (measured 64.6, ceiling 1.1× it; 68.2 with string terms, 32 B/triple
-	// more when the graph keyed a Go map by the triple and the dictionary
-	// one by the string).
-	residentCeiling          = 47.4
-	residentWithGraphCeiling = 71.1
+	// (measured 57.0, ceiling 1.1× it; 64.6 with the property replica
+	// stored, 68.2 with string terms, 32 B/triple more when the graph
+	// keyed a Go map by the triple and the dictionary one by the string).
+	residentCeiling          = 39.1
+	residentWithGraphCeiling = 62.7
 	// residentWarmCeiling bounds the same engine, graph dropped, after
 	// three passes of the 14 LUBM queries on two lanes: 1.05× the
-	// measured 65.2 (64.1–65.2) — the idle 43.1, and 21.6 of statistics
-	// catalog, cached plans and execution context. The buffer pool, what
-	// the hungriest query occupied, is about 2.06 MB (1.94–2.15): 13.0
-	// B/triple. The catalog holds the 20 patterns'
+	// measured 56.7 (56.6–56.7) — the idle 35.5, and 21.2 of statistics
+	// catalog, cached plans, column indexes and execution context. The
+	// buffer pool, what the hungriest query occupied, is about 2.0 MB
+	// (1.94–2.15): 12.5 B/triple. The catalog holds the 20 patterns'
 	// 91,931 bindings in sorted (id, count) arrays, 5.0 B/triple. It read
-	// 71.0–71.9, the pool 3.1 MB, when arena scratch lived until the end
+	// 65.2 (64.1–65.2) with the property replica stored; 71.0–71.9, the
+	// pool 3.1 MB, when arena scratch lived until the end
 	// of the execution, freed pieces went to power-of-two classes without
 	// merging and the final merge kept a 4-byte order per surviving row;
 	// 79.9–81.0 with the catalog's bindings in maps; 89.3–90.1 when a
@@ -146,7 +150,7 @@ const (
 	// their order and a map-only root join wrote a block the projection
 	// copied; 125.2 when every scratch position kept its own largest-ever
 	// array and every single-slot pattern a binding map.
-	residentWarmCeiling = 68.5
+	residentWarmCeiling = 59.5
 )
 
 // raceEnabled is set by race_test.go under -race: the detector's
@@ -530,12 +534,14 @@ func liveHeap() uint64 {
 	return m.HeapAlloc
 }
 
-// TestAllocResidentAccount holds UpdateStats' DictBytes and StatsBytes,
-// which count from lengths and capacities, to the heap: at 20 and at 50
-// universities each is within 5% of the live heap that building its
-// structure adds — a dictionary of the data's terms, a catalog filled
-// for the 14 LUBM queries — and an engine over the data reports the
-// same two numbers once it has answered those queries.
+// TestAllocResidentAccount holds UpdateStats' DictBytes, StatsBytes and
+// StoreBytes, which count from lengths and capacities, to the heap: at
+// 20 and at 50 universities each is within 5% of the live heap that
+// building its structure adds — a dictionary of the data's terms, a
+// catalog filled for the 14 LUBM queries, the partitioned store of the
+// data, before and after every column index of its files is built — and
+// an engine over the data reports the same dictionary and catalog once
+// it has answered those queries, and a store between the two.
 func TestAllocResidentAccount(t *testing.T) {
 	if testing.Short() {
 		t.Skip("residency measurement over a 50-university dataset")
@@ -559,11 +565,28 @@ func TestAllocResidentAccount(t *testing.T) {
 			c.Snapshot(g.Dict, q)
 		}
 		statsHeap := liveHeap() - base
+		base = liveHeap()
+		store := dstore.NewStore(csq.DefaultConfig().Nodes)
+		partition.LoadWithPolicy(store, g, partition.ThreeReplica, nil)
+		slabs, slabHeap := store.Current().Bytes(), liveHeap()-base
+		for n := 0; n < store.N(); n++ {
+			nd := store.Current().Node(n)
+			for _, name := range nd.Names() {
+				f, _ := nd.Get(name)
+				f.Lookup(0, 0)
+				f.Lookup(1, 0)
+			}
+		}
+		indexed, indexedHeap := store.Current().Bytes(), liveHeap()-base
+		runtime.KeepAlive(store)
 		for _, m := range []struct {
 			name    string
 			account int64
 			heap    uint64
-		}{{"DictBytes", d.Bytes(), dictHeap}, {"StatsBytes", c.Bytes(), statsHeap}} {
+		}{
+			{"DictBytes", d.Bytes(), dictHeap}, {"StatsBytes", c.Bytes(), statsHeap},
+			{"StoreBytes", slabs, slabHeap}, {"StoreBytes indexed", indexed, indexedHeap},
+		} {
 			if r := float64(m.account) / float64(m.heap); r < 0.95 || r > 1.05 {
 				t.Errorf("%d universities: %s = %d, the heap holds %d: %.3f×", univ, m.name, m.account, m.heap, r)
 			} else {
@@ -578,6 +601,9 @@ func TestAllocResidentAccount(t *testing.T) {
 		if us := eng.UpdateStats(); us.DictBytes != uint64(d.Bytes()) || us.StatsBytes != uint64(c.Bytes()) {
 			t.Errorf("%d universities: the engine reports DictBytes %d and StatsBytes %d, the structures built alone %d and %d",
 				univ, us.DictBytes, us.StatsBytes, d.Bytes(), c.Bytes())
+		} else if us.StoreBytes < uint64(slabs) || us.StoreBytes > uint64(indexed) {
+			t.Errorf("%d universities: the engine reports StoreBytes %d, the store built alone %d, %d with every index",
+				univ, us.StoreBytes, slabs, indexed)
 		}
 		eng.Close()
 	}

@@ -32,6 +32,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"cliquesquare/internal/rdf"
 )
@@ -63,6 +64,9 @@ type File struct {
 	// builds.
 	idx     atomic.Pointer[fileIndex]
 	buildMu sync.Mutex
+	// builds is the store's count of index builds, which buildCol
+	// moves (see Snapshot.Bytes).
+	builds *atomic.Uint64
 }
 
 // newFile wraps an already-built slab (ownership transfers to the
@@ -271,6 +275,9 @@ func (f *File) buildCol(col int) *colIndex {
 	}
 	nix.cols[col] = cix
 	f.idx.Store(nix)
+	if f.builds != nil { // nil: a file no commit built
+		f.builds.Add(1)
+	}
 	return cix
 }
 
@@ -315,6 +322,18 @@ func (v NodeView) Rows() int {
 type Snapshot struct {
 	version uint64
 	nodes   []map[string]*File
+	// copied counts the cells the commit that published the snapshot
+	// wrote into successor files (see Copied).
+	copied int
+	// bytes memoises Bytes until the store's next index build.
+	bytes  atomic.Pointer[bytesMemo]
+	builds *atomic.Uint64
+}
+
+// bytesMemo is a Bytes reading and the count of index builds it saw.
+type bytesMemo struct {
+	builds uint64
+	n      int64
 }
 
 // Version is the epoch number: 0 for the empty store, incremented by
@@ -326,6 +345,52 @@ func (s *Snapshot) N() int { return len(s.nodes) }
 
 // Node returns node i's read view within this snapshot.
 func (s *Snapshot) Node(i int) NodeView { return NodeView{id: i, files: s.nodes[i]} }
+
+// Copied reports the cells the commit that published the snapshot wrote
+// into the files it rewrote or created: every surviving and appended
+// cell of each, the rows it kept included (0 for a store's first
+// snapshot). It is the commit's copying cost, whatever it changed.
+func (s *Snapshot) Copied() int { return s.copied }
+
+// Bytes is what the snapshot's files hold, counted from capacities:
+// each file's cell slab, built column indexes, header and name, and one
+// map slot per file. Files a later or earlier snapshot shares are
+// counted in each. A reading is kept until the store builds an index,
+// so repeating it costs two atomic loads.
+func (s *Snapshot) Bytes() int64 {
+	builds := s.builds.Load()
+	if m := s.bytes.Load(); m != nil && m.builds == builds {
+		return m.n
+	}
+	var b int64
+	for _, files := range s.nodes {
+		for name, f := range files {
+			b += fileSlot + int64(len(name)) + f.bytes()
+		}
+	}
+	s.bytes.Store(&bytesMemo{builds, b})
+	return b
+}
+
+// fileSlot is a File's header plus its entry in a node's file map (key
+// string header, value pointer, tophash byte, rounded up).
+const fileSlot = int64(unsafe.Sizeof(File{})) + 32
+
+// bytes is what the file holds beyond its header: the slab and every
+// column index built so far.
+func (f *File) bytes() int64 {
+	b := int64(cap(f.slab)) * 4
+	if ix := f.idx.Load(); ix != nil {
+		b += int64(unsafe.Sizeof(fileIndex{})) + int64(cap(ix.cols))*8
+		for _, c := range ix.cols {
+			if c != nil {
+				b += int64(unsafe.Sizeof(colIndex{})) +
+					4*int64(cap(c.buckets)+cap(c.keys)+cap(c.off)+cap(c.ids))
+			}
+		}
+	}
+	return b
+}
 
 // TotalRows reports the number of rows across all nodes in this
 // snapshot (replicas counted separately).
@@ -345,13 +410,25 @@ func (s *Snapshot) TotalRows() int {
 type Store struct {
 	writeMu sync.Mutex // serializes Begin..Commit writer critical sections
 	cur     atomic.Pointer[Snapshot]
-	wide    []string // see ProjectFrom
+	builds  atomic.Uint64     // column indexes built on the store's files
+	wide    []string          // see ProjectFrom
+	unheld  func(string) bool // see ProjectFrom
 }
 
 // ProjectFrom lets writers give a file rows of the schema wide, wider
 // than the file's own: AppendCells and DeleteRow keep of such a row the
-// columns the file's schema names. Call it before the first Begin.
-func (s *Store) ProjectFrom(wide []string) { s.wide = wide }
+// columns the file's schema names, and drop it whole for a file whose
+// name unheld reports (nil: none) — a file the store does not hold.
+// Call it before the first Begin.
+func (s *Store) ProjectFrom(wide []string, unheld func(name string) bool) {
+	s.wide, s.unheld = wide, unheld
+}
+
+// dropped reports whether a row of width w for the named file is a
+// wide row to a file the store does not hold (ProjectFrom).
+func (s *Store) dropped(name string, w int) bool {
+	return s.unheld != nil && w == len(s.wide) && s.unheld(name)
+}
 
 // NewStore creates a store with n empty nodes at version 0.
 func NewStore(n int) *Store {
@@ -368,7 +445,7 @@ func NewStoreAt(n int, version uint64) *Store {
 		panic("dstore: store needs at least one node")
 	}
 	s := &Store{}
-	snap := &Snapshot{version: version, nodes: make([]map[string]*File, n)}
+	snap := &Snapshot{version: version, nodes: make([]map[string]*File, n), builds: &s.builds}
 	for i := range snap.nodes {
 		snap.nodes[i] = make(map[string]*File)
 	}
@@ -461,6 +538,9 @@ func (tx *Tx) mut(node int, name string) *fileMut {
 // a schema-width mismatch with the base file or earlier buffered
 // appends, which would indicate a partitioning bug.
 func (tx *Tx) Append(node int, name string, schema []string, rows ...Row) {
+	if tx.s.dropped(name, len(schema)) {
+		return
+	}
 	tx.checkSchema(node, name, schema)
 	for _, r := range rows {
 		if len(r) != len(schema) {
@@ -473,8 +553,11 @@ func (tx *Tx) Append(node int, name string, schema []string, rows ...Row) {
 // AppendCells buffers one or more rows given as flattened cells (a
 // multiple of the schema width), avoiding any per-row slice
 // allocation. It panics on a schema mismatch like Append; rows of the
-// store's wide schema are projected (ProjectFrom).
+// store's wide schema are projected, or dropped (ProjectFrom).
 func (tx *Tx) AppendCells(node int, name string, schema []string, cells ...rdf.TermID) {
+	if tx.s.dropped(name, len(schema)) {
+		return
+	}
 	m := tx.checkSchema(node, name, schema)
 	if len(schema) == 0 || len(cells)%len(schema) != 0 {
 		panic(fmt.Sprintf("dstore: file %q: %d cells is not a multiple of width %d", name, len(cells), len(schema)))
@@ -528,8 +611,11 @@ func (tx *Tx) baseSchema(node int, name string, m *fileMut) []string {
 // from an earlier Append in this same transaction (the pair nets out);
 // Commit panics if it is neither — the caller deleting a triple that
 // was never stored indicates a partitioning bug. A row of the store's
-// wide schema is projected (ProjectFrom).
+// wide schema is projected, or dropped (ProjectFrom).
 func (tx *Tx) DeleteRow(node int, name string, row Row) {
+	if tx.s.dropped(name, len(row)) {
+		return
+	}
 	m := tx.mut(node, name)
 	if len(row) == len(tx.s.wide) {
 		if fs := tx.baseSchema(node, name, m); fs != nil && len(fs) != len(row) {
@@ -573,7 +659,7 @@ func (tx *Tx) Commit() *Snapshot {
 	for i := len(tx.base.nodes); i < wide; i++ {
 		nodes[i] = make(map[string]*File)
 	}
-	next := &Snapshot{version: tx.base.version + 1, nodes: nodes}
+	next := &Snapshot{version: tx.base.version + 1, nodes: nodes, builds: &tx.s.builds}
 	for node, nm := range tx.muts {
 		files := make(map[string]*File, len(nodes[node])+len(nm))
 		for k, v := range nodes[node] {
@@ -591,6 +677,8 @@ func (tx *Tx) Commit() *Snapshot {
 				delete(files, name)
 			} else {
 				files[name] = nf
+				nf.builds = &tx.s.builds
+				next.copied += len(nf.slab)
 			}
 		}
 		next.nodes[node] = files

@@ -401,7 +401,7 @@ func TestDeleteAllocsIndependentOfFileSize(t *testing.T) {
 func TestProjectFromNarrowsWideRows(t *testing.T) {
 	wide := []string{"s", "p", "o"}
 	s := NewStore(1)
-	s.ProjectFrom(wide)
+	s.ProjectFrom(wide, nil)
 	commitAppend(s, 0, "pair", []string{"s", "o"}, Row{1, 3}, Row{4, 6})
 	commitAppend(s, 0, "class", []string{"s"}, Row{1}, Row{4})
 	tx := s.Begin()
@@ -417,5 +417,27 @@ func TestProjectFromNarrowsWideRows(t *testing.T) {
 		if !ok || !reflect.DeepEqual(f.Slab(), cells) {
 			t.Errorf("file %s holds %v, want %v", name, f.Slab(), cells)
 		}
+	}
+}
+
+// TestProjectFromDropsUnheldFiles: on a store whose writers address with
+// wide rows files it does not hold, appends and deletes of such rows to
+// those files are dropped — a delete of a row never stored included —
+// while a row at a file's own width is still written.
+func TestProjectFromDropsUnheldFiles(t *testing.T) {
+	wide := []string{"s", "p", "o"}
+	s := NewStore(1)
+	s.ProjectFrom(wide, func(name string) bool { return name[0] == 'x' })
+	tx := s.Begin()
+	tx.DeleteRow(0, "xgone", Row{1, 2, 3})
+	tx.AppendCells(0, "xgone", wide, 4, 5, 6)
+	tx.Append(0, "xgone", wide, Row{7, 8, 9})
+	tx.AppendCells(0, "xkept", []string{"s", "o"}, 1, 3)
+	tx.AppendCells(0, "pair", []string{"s", "o"}, 4, 6)
+	if snap := tx.Commit(); snap.Copied() != 4 {
+		t.Errorf("the commit copied %d cells, want the 4 it wrote", snap.Copied())
+	}
+	if got := s.Current().Node(0).Names(); !reflect.DeepEqual(got, []string{"pair", "xkept"}) {
+		t.Errorf("the store holds %v, want [pair xkept]", got)
 	}
 }

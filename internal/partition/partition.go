@@ -1,24 +1,33 @@
 // Package partition implements the CliqueSquare data-partitioning scheme
-// of Section 5.1. Every triple is stored three times, exploiting the
+// of Section 5.1. Every triple is placed three times, exploiting the
 // usual 3× replication of distributed file systems:
 //
-//  1. placed on node hash(s) in the node's subject partition, on node
-//     hash(p) in the property partition, and on node hash(o) in the
-//     object partition;
+//  1. on node hash(s) in the node's subject partition, on node hash(p) in
+//     the property partition, and on node hash(o) in the object
+//     partition;
 //  2. within a node, each partition's triples are grouped into one file
 //     per property value, whose name fixes it: a row is (s, o);
 //  3. the property partition of rdf:type is further split by object
 //     (class) value, since rdf:type dominates most datasets: a class
-//     file's name fixes the object too, and a row is (s).
+//     file's name fixes the object too.
 //
 // This makes every first-level join — on any of s, p, o — evaluable
 // locally on each node (parallelizable without communication).
 //
+// The store keeps the cells of two replicas only. The property replica
+// is placed, not stored: its files keep their names, their nodes and
+// their row counts, but their rows are cells the other two replicas
+// hold — a file p/p<P> is the subject files s/p<P> of every node in node
+// order, and a class file p/p<type>/o<C> is the rows of class C in the
+// object file o/p<type> on node hash(C). View.Open resolves every name a
+// scan reads, whatever its replica, so scans and their metering see
+// three replicas while the store holds two.
+//
 // Beyond the paper's load-once setting, the partitioner is mutable:
-// ApplyBatch re-derives the three-replica placement for a delta of
-// inserted and deleted triples only, commits it as one dstore epoch,
-// and publishes a new View. A View pins a store snapshot together with
-// the matching placement metadata (known properties, rdf:type class
+// ApplyBatch re-derives the placement for a delta of inserted and
+// deleted triples only, commits it as one dstore epoch, and publishes a
+// new View. A View pins a store snapshot together with the matching
+// placement metadata (its placement, known properties, rdf:type class
 // splits), so queries executing against a pinned View see one
 // consistent epoch end to end while batches land concurrently.
 package partition
@@ -38,13 +47,14 @@ import (
 )
 
 // TripleSchema names a whole triple's cells, which no partition file
-// stores: the store projects rows given in it (dstore.Store.ProjectFrom)
-// for writers that address the files with whole triples.
+// stores: the store projects rows given in it for writers that address
+// the files with whole triples, and drops those addressed to the
+// property replica (dstore.Store.ProjectFrom).
 var TripleSchema = []string{"s", "p", "o"}
 
-// A partition file stores the positions its name does not fix (see
-// FileTerms): (s, o), and (s) in an rdf:type class file.
-var pairSchema, classSchema = []string{"s", "o"}, []string{"s"}
+// A stored partition file keeps the positions its name does not fix
+// (see FileTerms): (s, o).
+var pairSchema = []string{"s", "o"}
 
 // Mode selects the replication scheme.
 type Mode uint8
@@ -100,10 +110,10 @@ type Partitioner struct {
 type View struct {
 	p    *Partitioner
 	snap *dstore.Snapshot
-	// place is the placement writers route new triples through at this
-	// epoch. Readers never consult it — scans read partition files by
-	// name from every node — so a View pinned before a resize keeps
-	// answering from the old placement after the new one publishes.
+	// place is the placement of this epoch's rows: writers route new
+	// triples through it, and Open places the property replica's files
+	// by it. A View pinned before a resize keeps answering from the old
+	// placement after the new one publishes.
 	place Placement
 	// topo counts completed topology changes: 0 for the load topology,
 	// +1 per resize.
@@ -112,9 +122,11 @@ type View struct {
 	// the view was published).
 	typeID rdf.TermID
 	// properties counts the stored triples per property ID, for
-	// variable-property scans and empty-property cleanup.
+	// variable-property scans and empty-property cleanup: the row count
+	// of each property-replica file p/p<P>.
 	properties map[rdf.TermID]int
-	// typeObjects counts the rdf:type triples per object (class) ID.
+	// typeObjects counts the rdf:type triples per object (class) ID: the
+	// row count of each class file (three-replica mode only).
 	typeObjects map[rdf.TermID]int
 }
 
@@ -126,7 +138,7 @@ func New(store *dstore.Store, mode Mode, policy Policy) *Partitioner {
 	if policy == nil {
 		policy = ModuloPolicy
 	}
-	store.ProjectFrom(TripleSchema)
+	store.ProjectFrom(TripleSchema, placedOnly)
 	p := &Partitioner{store: store, mode: mode, policy: policy}
 	p.cur.Store(&View{p: p, snap: store.Current(), place: policy(store.N()),
 		properties: map[rdf.TermID]int{}, typeObjects: map[rdf.TermID]int{}})
@@ -141,15 +153,15 @@ func LoadWithPolicy(store *dstore.Store, g *rdf.Graph, mode Mode, policy Policy)
 	return p
 }
 
-// ApplyBatch re-derives the three-replica placement for a delta only:
-// deletes are removed from each replica file they were placed in, then
+// ApplyBatch re-derives the placement for a delta only: deletes are
+// removed from each stored replica file they were placed in, then
 // inserts are placed (including creating files for new properties and
-// new rdf:type class splits, and dropping files and counters that end
-// empty). The whole batch commits as one dstore epoch; the returned
-// View pins it with the updated metadata. Callers must pass effective
-// deltas: every delete was stored, no insert already is (the csq
-// engine's ApplyBatch filters against the current view). dict resolves
-// rdf:type on its first appearance.
+// counting new rdf:type class splits, and dropping files and counters
+// that end empty). The whole batch commits as one dstore epoch; the
+// returned View pins it with the updated metadata. Callers must pass
+// effective deltas: every delete was stored, no insert already is (the
+// csq engine's ApplyBatch filters against the current view). dict
+// resolves rdf:type on its first appearance.
 func (p *Partitioner) ApplyBatch(inserts, deletes []rdf.Triple, dict *rdf.Dict) *View {
 	p.writeMu.Lock()
 	defer p.writeMu.Unlock()
@@ -174,11 +186,10 @@ func (p *Partitioner) ApplyBatch(inserts, deletes []rdf.Triple, dict *rdf.Dict) 
 	defer tx.Abort()
 	for _, t := range deletes {
 		row := dstore.Row{t.S, t.O}
-		v.route(t, -1, func(node int, file string, schema []string) { tx.DeleteRow(node, file, row[:len(schema)]) })
+		v.route(t, -1, func(node int, file string) { tx.DeleteRow(node, file, row) })
 	}
 	for _, t := range inserts {
-		row := [2]rdf.TermID{t.S, t.O}
-		v.route(t, 1, func(node int, file string, schema []string) { tx.AppendCells(node, file, schema, row[:len(schema)]...) })
+		v.route(t, 1, func(node int, file string) { tx.AppendCells(node, file, pairSchema, t.S, t.O) })
 	}
 	v.snap = tx.Commit()
 	p.cur.Store(v)
@@ -186,25 +197,26 @@ func (p *Partitioner) ApplyBatch(inserts, deletes []rdf.Triple, dict *rdf.Dict) 
 }
 
 // route is the Section 5.1 rule, written once for inserts and deletes:
-// it calls f with the node, file and schema of every replica of t that
-// the partitioner's mode stores — by subject; under ThreeReplica also by
-// object, and by property, in the class's own file for rdf:type — and
-// moves the view's counters by d (+1 for an insert, -1 for a delete),
-// dropping those that reach zero.
-func (v *View) route(t rdf.Triple, d int, f func(node int, file string, schema []string)) {
+// it calls f with the node and file of every replica of t that the store
+// holds — by subject, and under ThreeReplica by object — and moves the
+// view's counters by d (+1 for an insert, -1 for a delete), dropping
+// those that reach zero. The replica by property is those counters: its
+// files hold no cells of their own (Open).
+func (v *View) route(t rdf.Triple, d int, f func(node int, file string)) {
 	count(v.properties, t.P, d)
-	f(v.place.NodeFor(t.S), FileName(rdf.SPos, t.P, 0), pairSchema)
+	f(v.place.NodeFor(t.S), FileName(rdf.SPos, t.P, 0))
 	if v.p.mode == SubjectOnly {
 		return
 	}
-	f(v.place.NodeFor(t.O), FileName(rdf.OPos, t.P, 0), pairSchema)
 	if v.typeID != rdf.NoTerm && t.P == v.typeID {
 		count(v.typeObjects, t.O, d)
-		f(v.place.NodeFor(t.P), FileName(rdf.PPos, t.P, t.O), classSchema)
-		return
 	}
-	f(v.place.NodeFor(t.P), FileName(rdf.PPos, t.P, 0), pairSchema)
+	f(v.place.NodeFor(t.O), FileName(rdf.OPos, t.P, 0))
 }
+
+// placedOnly reports whether a partition file name is the property
+// replica's, which the store does not hold.
+func placedOnly(name string) bool { return name[0] == 'p' }
 
 // count moves m[k] by d, deleting the entry once it reaches zero.
 func count(m map[rdf.TermID]int, k rdf.TermID, d int) {
@@ -306,8 +318,77 @@ func (v *View) Nodes() int { return v.snap.N() }
 // Snap returns the pinned dstore snapshot.
 func (v *View) Snap() *dstore.Snapshot { return v.snap }
 
-// Node returns node i's file read view within the pinned epoch.
-func (v *View) Node(i int) dstore.NodeView { return v.snap.Node(i) }
+// File is one partition file as a scan reads it on one node, whatever
+// its replica: a file of the subject or object replica is its stored
+// file; a file of the property replica is a run of stored rows, in
+// order, from the files that hold its cells (Parts, Part).
+type File struct {
+	v    *View
+	name string
+	// f is the stored file: the file itself, or for a class file the
+	// object file whose rows of class hold it. It is nil for a property
+	// file, whose rows are the subject files of every node.
+	f     *dstore.File
+	class rdf.TermID
+	rows  int
+}
+
+// Open resolves the partition file name on node within this view,
+// reporting false when the node does not hold it. A subject or object
+// file is held where it is stored. A property file p/p<P> is held by
+// node NodeFor(P) of the view's placement if P has triples, and its
+// rows are the subject files s/p<P> of nodes 0 to Nodes()-1; a class
+// file p/p<type>/o<C> is held by node NodeFor(type) if C has members,
+// and its rows are the rows of object C in the object file o/p<type>
+// on node NodeFor(C). Open allocates nothing.
+func (v *View) Open(node int, name string) (File, bool) {
+	if !placedOnly(name) {
+		f, ok := v.snap.Node(node).Get(name)
+		if !ok {
+			return File{}, false
+		}
+		return File{v: v, name: name, f: f, rows: f.NumRows()}, true
+	}
+	prop, class := FileTerms(name)
+	isType := v.typeID != rdf.NoTerm && prop == v.typeID
+	if v.p.mode == SubjectOnly || isType != (class != rdf.NoTerm) || v.place.NodeFor(prop) != node {
+		return File{}, false
+	}
+	lf := File{v: v, name: name, class: class, rows: v.properties[prop]}
+	if isType {
+		lf.rows = v.typeObjects[class]
+		// The object file o/p<type>: the class name without "/o<C>".
+		lf.f, _ = v.snap.Node(v.place.NodeFor(class)).Get("o" + name[1:strings.LastIndexByte(name, '/')])
+	}
+	return lf, lf.rows > 0
+}
+
+// Name is the file's partition file name.
+func (f File) Name() string { return f.name }
+
+// NumRows is the file's row count: what a mapper reading it reads.
+func (f File) NumRows() int { return f.rows }
+
+// Parts is the number of stored files that hold the file's rows: the
+// cluster size for a property file, else 1.
+func (f File) Parts() int {
+	if f.f == nil {
+		return f.v.Nodes()
+	}
+	return 1
+}
+
+// Part returns the i-th stored file holding the file's rows, nil if
+// none of them is on that node, and the class whose rows of it are the
+// file's (NoTerm: every row is). The rows of every part, in part order,
+// are the file's rows.
+func (f File) Part(i int) (*dstore.File, rdf.TermID) {
+	if f.f != nil {
+		return f.f, f.class
+	}
+	sf, _ := f.v.snap.Node(i).Get("s" + f.name[1:])
+	return sf, rdf.NoTerm
+}
 
 // Files resolves the files a scan of pattern tp must read when placed
 // in the replica partitioned on position pos, within this view's epoch.

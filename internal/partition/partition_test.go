@@ -22,9 +22,23 @@ func sampleGraph() *rdf.Graph {
 func TestThreeReplicas(t *testing.T) {
 	g := sampleGraph()
 	store := dstore.NewStore(5)
-	LoadWithPolicy(store, g, ThreeReplica, nil)
-	if got, want := store.TotalRows(), 3*g.Len(); got != want {
-		t.Errorf("stored %d rows, want %d (3 replicas)", got, want)
+	p := LoadWithPolicy(store, g, ThreeReplica, nil)
+	if got, want := store.TotalRows(), 2*g.Len(); got != want {
+		t.Errorf("stored %d rows, want %d (the subject and object replicas)", got, want)
+	}
+	// The third replica is placed, not stored: its files, read through
+	// the resolver, hold every triple once.
+	v, logical := p.Current(), 0
+	all := sparql.MustParse(`SELECT ?s ?p ?o WHERE { ?s ?p ?o }`).Patterns[0]
+	for _, name := range v.Files(all, rdf.PPos, g.Dict) {
+		for i := 0; i < v.Nodes(); i++ {
+			if f, ok := v.Open(i, name); ok {
+				logical += len(readFile(f))
+			}
+		}
+	}
+	if logical != g.Len() {
+		t.Errorf("the property replica reads %d rows, want %d", logical, g.Len())
 	}
 }
 
@@ -89,7 +103,7 @@ func TestFilesRdfTypeSplit(t *testing.T) {
 	}
 	total := 0
 	for i := 0; i < store.N(); i++ {
-		if f, ok := store.Current().Node(i).Get(files[0]); ok {
+		if f, ok := p.Current().Open(i, files[0]); ok {
 			total += f.NumRows()
 		}
 	}
@@ -266,7 +280,7 @@ func TestViewPinsEpoch(t *testing.T) {
 	fname := old.Files(tp, rdf.SPos, g.Dict)[0]
 	oldRows := 0
 	for i := 0; i < store.N(); i++ {
-		if f, ok := old.Node(i).Get(fname); ok {
+		if f, ok := old.Snap().Node(i).Get(fname); ok {
 			oldRows += f.NumRows()
 		}
 	}
@@ -283,7 +297,7 @@ func TestViewPinsEpoch(t *testing.T) {
 
 	stillRows := 0
 	for i := 0; i < store.N(); i++ {
-		if f, ok := old.Node(i).Get(fname); ok {
+		if f, ok := old.Snap().Node(i).Get(fname); ok {
 			stillRows += f.NumRows()
 		}
 	}
@@ -296,7 +310,7 @@ func TestViewPinsEpoch(t *testing.T) {
 		t.Fatalf("constant-property resolution should still name the file: %v", files)
 	}
 	for i := 0; i < store.N(); i++ {
-		if _, ok := cur.Node(i).Get(fname); ok {
+		if _, ok := cur.Snap().Node(i).Get(fname); ok {
 			t.Errorf("node %d still holds %s after all its triples were deleted", i, fname)
 		}
 	}

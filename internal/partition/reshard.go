@@ -6,26 +6,27 @@
 // changes, and the new view publishes, all in one Tx. A view pinned
 // before the resize keeps reading the old placement; the next one reads
 // the new placement complete, so no view ever sees a key's rows split
-// across nodes. Readers never consult the placement at all — scans read
-// files by name from every node.
+// across nodes. Only the stored rows move: the property replica's files
+// are placed by the view's placement (View.Open), so they change node
+// with the view that publishes.
 package partition
 
 import (
 	"fmt"
 	"strings"
-
-	"cliquesquare/internal/rdf"
 )
 
 // ResizeStats is the bookkeeping of one Resize.
 type ResizeStats struct {
 	// MovedRows counts row relocations (replicas counted separately);
-	// TotalRows is the store's full row count, so MovedRows/TotalRows is
-	// the moved fraction an elastic placement keeps near the ideal
-	// |ΔN|/max(N).
+	// TotalRows is the full row count of the three replicas, so
+	// MovedRows/TotalRows is the moved fraction an elastic placement
+	// keeps near the ideal |ΔN|/max(N). A property file's rows count as
+	// moved when its node changes.
 	MovedRows, TotalRows int
 	// MovedCells counts the TermID cells relocated: rows × the width of
-	// their file, 2 for an (s, o) file and 1 for a class file.
+	// their file, 2 for an (s, o) file and 1 for a class file, whose
+	// name fixes the object too.
 	MovedCells int
 }
 
@@ -39,8 +40,10 @@ func (s ResizeStats) MovedFraction() float64 {
 
 // Resize re-places the current view at newN nodes under the policy and
 // commits it as one epoch with the next topology version. It walks the
-// view's files node by node, in name and row order, so each destination
-// file receives its rows in that order after the rows it keeps.
+// view's stored files node by node, in name and row order, so each
+// destination file receives its rows in that order after the rows it
+// keeps. The property replica's part of the stats comes from the view's
+// counters: its files hold no rows to walk.
 func (p *Partitioner) Resize(newN int) (ResizeStats, error) {
 	var st ResizeStats
 	if newN <= 0 {
@@ -64,23 +67,30 @@ func (p *Partitioner) Resize(newN int) (ResizeStats, error) {
 	tx := p.store.Begin()
 	defer tx.Abort()
 	tx.SetN(newN)
+	if p.mode == ThreeReplica {
+		for prop, n := range old.properties {
+			st.TotalRows += n
+			if old.place.NodeFor(prop) != v.place.NodeFor(prop) {
+				w := 2
+				if prop == old.typeID {
+					w = 1
+				}
+				st.MovedRows += n
+				st.MovedCells += n * w
+			}
+		}
+	}
 	for node := 0; node < oldN; node++ {
 		nd := old.snap.Node(node)
 		for _, name := range nd.Names() {
 			f, _ := nd.Get(name)
 			st.TotalRows += f.NumRows()
 			// The placement key: a row's subject ("s/…", column 0) or
-			// object ("o/…", column 1), or the property a "p/…" name fixes.
-			col, key := strings.IndexByte("so", name[0]), rdf.NoTerm
-			if col < 0 {
-				key, _ = FileTerms(name)
-			}
+			// object ("o/…", column 1).
+			col := strings.IndexByte("so", name[0])
 			for i := 0; i < f.NumRows(); i++ {
 				row := f.Row(i)
-				if col >= 0 {
-					key = row[col]
-				}
-				if dest := v.place.NodeFor(key); dest != node {
+				if dest := v.place.NodeFor(row[col]); dest != node {
 					tx.DeleteRow(node, name, row)
 					tx.AppendCells(dest, name, f.Schema, row...)
 					st.MovedRows++

@@ -90,7 +90,7 @@ func TestReshardPinnedViewUnchanged(t *testing.T) {
 	old := p.Current()
 	oldRows := make([]int, old.Nodes())
 	for i := range oldRows {
-		oldRows[i] = old.Node(i).Rows()
+		oldRows[i] = old.Snap().Node(i).Rows()
 	}
 
 	if _, err := p.Resize(8); err != nil {
@@ -101,7 +101,7 @@ func TestReshardPinnedViewUnchanged(t *testing.T) {
 		t.Fatalf("pinned view mutated: %d nodes, topo %d", old.Nodes(), old.Topology())
 	}
 	for i := range oldRows {
-		if got := old.Node(i).Rows(); got != oldRows[i] {
+		if got := old.Snap().Node(i).Rows(); got != oldRows[i] {
 			t.Fatalf("pinned view node %d rows %d -> %d", i, oldRows[i], got)
 		}
 	}

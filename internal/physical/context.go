@@ -285,17 +285,6 @@ type fileKey struct {
 // context are few; the bound only guards pathological plan churn).
 const fileNamesCap = 1024
 
-// scanFile is one file's planned contribution to a scan: either an
-// index-probed candidate selection vector or a full slab sweep, and the
-// cells the file's name fixes (fixed[rdf.PPos], and fixed[rdf.OPos] in a
-// class file).
-type scanFile struct {
-	f      *dstore.File
-	cand   []int32
-	useIdx bool
-	fixed  [3]rdf.TermID
-}
-
 // relBuf returns nc reusable group-input relations (their blocks keep
 // their backing arrays; the caller resets schema and block).
 func (a *arena) relBuf(nc int) []relation {

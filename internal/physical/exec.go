@@ -305,9 +305,8 @@ func (x *Executor) buildMorsels(pp *Plan, level []*Info) {
 				pos := x.Part.ScanPos(scanPosition(tp, rj.Op.JoinAttrs[0]))
 				names := x.scanFileNames(a, tp, pos)
 				for node := 0; node < n; node++ {
-					nd := x.view.Node(node)
 					for _, fname := range names {
-						if _, ok := nd.Get(fname); ok {
+						if _, ok := x.view.Open(node, fname); ok {
 							tbl[node] = append(tbl[node], mapMorsel{rj: rj, child: c, ci: ci, tag: i, file: fname})
 						}
 					}
@@ -467,62 +466,73 @@ func (x *Executor) scanFilters(tp sparql.TriplePattern, attrs []string, a *arena
 	return false
 }
 
-// openScanFile meters one partition file of a scan whose filters
-// scanFilters resolved into a — Read, plus Check when the pattern
-// filters — and resolves the file's access path: an index-probed
-// selection vector for the most selective stored constant, or a full
-// slab sweep. A constant on a position the file's name fixes (the
-// property, a class file's object) is decided once for the whole file:
-// it either matches every row or none. The metering does not depend on
-// the path — the simulated Hadoop mapper still reads and checks the
-// whole file, the index only spares the simulator's own CPU.
-func (x *Executor) openScanFile(f *dstore.File, m *mapreduce.Meter, a *arena) scanFile {
+// scanFile scans one partition file of a scan whose filters scanFilters
+// resolved into a, appending its matches to dst. It meters the file —
+// Read, plus Check when the pattern filters — and scans each stored file
+// that holds its rows (scanPart). A constant on a position the file's
+// name fixes (the property, a class file's object) is decided once for
+// the whole file: it either matches every row or none. The metering
+// depends on neither: the simulated Hadoop mapper still reads and checks
+// the whole file, whichever rows the simulator's own CPU visits.
+func scanFile(f partition.File, m *mapreduce.Meter, a *arena, dst *mapreduce.Block) {
 	m.Read(f.NumRows())
 	if len(a.scanConsts) > 0 || len(a.scanRepeats) > 0 {
 		m.Check(f.NumRows())
 	}
-	sf := scanFile{f: f}
-	sf.fixed[rdf.PPos], sf.fixed[rdf.OPos] = partition.FileTerms(f.Name)
+	var fixed [3]rdf.TermID
+	fixed[rdf.PPos], fixed[rdf.OPos] = partition.FileTerms(f.Name())
 	for _, cc := range a.scanConsts {
-		if fixed := sf.fixed[cc.pos]; fixed != rdf.NoTerm {
-			if fixed == cc.id {
-				continue
-			}
-			sf.cand, sf.useIdx = nil, true
-			break
-		}
-		ids := f.Lookup(min(int(cc.pos), 1), cc.id) // s is column 0, o column 1
-		if !sf.useIdx || len(ids) < len(sf.cand) {
-			sf.cand, sf.useIdx = ids, true
-		}
-		if len(sf.cand) == 0 {
-			break
+		if id := fixed[cc.pos]; id != rdf.NoTerm && id != cc.id {
+			return
 		}
 	}
-	return sf
+	for i := 0; i < f.Parts(); i++ {
+		if sf, class := f.Part(i); sf != nil {
+			scanPart(sf, class, fixed, a, dst)
+		}
+	}
 }
 
-// each filters the file's candidate rows by the pattern's constant and
-// repeated-variable checks and copies the variable columns of every
-// match onto dst, reading each row as a triple: its stored (s, o) or
-// (s) cells over the cells the file's name fixes.
-func (sf scanFile) each(a *arena, dst *mapreduce.Block) {
+// scanPart filters the rows of stored file f — those of object class
+// when class is set — by the pattern's constant and repeated-variable
+// checks and copies the variable columns of every match onto dst,
+// reading each row as a triple: its stored (s, o) cells over the cells
+// the scanned file's name fixes. The candidate rows are an index-probed
+// selection vector — the shortest of class's and of each constant's on
+// a stored position — or the whole slab.
+func scanPart(f *dstore.File, class rdf.TermID, fixed [3]rdf.TermID, a *arena, dst *mapreduce.Block) {
 	consts, varPos, repeats := a.scanConsts, a.scanVarPos, a.scanRepeats
-	slab, fw := sf.f.Slab(), sf.f.Width()
-	n := sf.f.NumRows()
-	if sf.useIdx {
-		n = len(sf.cand)
+	var cand []int32
+	useIdx := class != rdf.NoTerm
+	if useIdx {
+		cand = f.Lookup(1, class)
 	}
-	c := sf.fixed
+	for _, cc := range consts {
+		if fixed[cc.pos] != rdf.NoTerm {
+			continue
+		}
+		ids := f.Lookup(min(int(cc.pos), 1), cc.id) // s is column 0, o column 1
+		if !useIdx || len(ids) < len(cand) {
+			cand, useIdx = ids, true
+		}
+		if len(cand) == 0 {
+			return
+		}
+	}
+	slab, n := f.Slab(), f.NumRows()
+	if useIdx {
+		n = len(cand)
+	}
+	c := fixed
 rows:
 	for i := 0; i < n; i++ {
-		base := i * fw
-		if sf.useIdx {
-			base = int(sf.cand[i]) * fw
+		r := i
+		if useIdx {
+			r = int(cand[i])
 		}
-		c[rdf.SPos] = slab[base]
-		if fw > 1 {
-			c[rdf.OPos] = slab[base+1]
+		c[rdf.SPos], c[rdf.OPos] = slab[2*r], slab[2*r+1]
+		if class != rdf.NoTerm && c[rdf.OPos] != class { // a subject's row of another class
+			continue
 		}
 		for _, cc := range consts {
 			if c[cc.pos] != cc.id {
@@ -549,10 +559,9 @@ func (x *Executor) scanFiles(dst *mapreduce.Block, attrs []string, pp *Plan, op 
 	if x.scanFilters(pp.Logical.Query.Patterns[op.Pattern], attrs, a) {
 		return
 	}
-	nd := x.view.Node(node)
 	for _, fname := range names {
-		if f, ok := nd.Get(fname); ok {
-			x.openScanFile(f, m, a).each(a, dst)
+		if f, ok := x.view.Open(node, fname); ok {
+			scanFile(f, m, a, dst)
 		}
 	}
 }

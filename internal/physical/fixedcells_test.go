@@ -122,6 +122,45 @@ func TestScanReadsFixedCells(t *testing.T) {
 	}
 }
 
+// TestScanClassFilesSharingANode: a class file's rows are the rows of
+// its class in an object file that holds other classes' rows too, so a
+// scan of the property replica reads exactly each class's members, with
+// and without a constant subject — twelve classes over two nodes share
+// an object file by pigeonhole — and is charged its own rows.
+func TestScanClassFilesSharingANode(t *testing.T) {
+	g := rdf.NewGraph()
+	for c := 0; c < 12; c++ {
+		for m := 0; m <= c%3; m++ {
+			g.AddSPO(fmt.Sprintf("m%d", (c+m)%7), sparql.RDFType, fmt.Sprintf("C%d", c))
+		}
+	}
+	g.AddSPO("m1", "knows", "m2")
+	store := dstore.NewStore(2)
+	x := &Executor{
+		Cluster: mapreduce.NewCluster(store, mapreduce.DefaultConstants()),
+		Part:    partition.LoadWithPolicy(store, g, partition.ThreeReplica, nil),
+		Dict:    g.Dict,
+	}
+	for _, src := range []string{
+		`SELECT ?x ?c WHERE { ?x <` + sparql.RDFType + `> ?c }`,
+		`SELECT ?p ?o WHERE { <m1> ?p ?o }`,
+		`SELECT ?s ?p WHERE { ?s ?p <C4> }`,
+	} {
+		q := sparql.MustParse(src)
+		rows, m := scanThrough(t, x, q, rdf.PPos)
+		if want := refRows(g, q); !slices.Equal(rows, want) {
+			t.Errorf("%s: rows %v, want %v", src, rows, want)
+		}
+		want := int64(g.Len()) // a variable property reads every file
+		if !q.Patterns[0].P.IsVar {
+			want-- // the class files: every triple but the one knows
+		}
+		if m.Reads != want {
+			t.Errorf("%s: read %d rows, want %d", src, m.Reads, want)
+		}
+	}
+}
+
 // scanThrough reads q's one pattern on every node from the files of the
 // replica at pos (the subject replica under subject-only partitioning),
 // returning its rows in q's SELECT order, sorted, and what it metered.

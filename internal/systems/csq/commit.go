@@ -105,7 +105,8 @@ func (e *Engine) flushGroup(group []*request) {
 	if len(ins) > 0 || len(dels) > 0 {
 		if cs.Append, cs.Sync, err = e.logStep(&wal.Record{Inserts: ins, Deletes: dels}); err == nil {
 			applyStart := time.Now()
-			ver = e.part.ApplyBatch(ins, dels, e.dict).Version()
+			v := e.part.ApplyBatch(ins, dels, e.dict)
+			ver, cs.CellsCopied = v.Version(), v.Snap().Copied()
 			e.invalidate(ins, dels)
 			cs.Apply = time.Since(applyStart)
 			e.batches.Add(uint64(len(group)))

@@ -411,3 +411,39 @@ func TestEngineStartsNoGoroutine(t *testing.T) {
 		})
 	}
 }
+
+// TestCommitCopiesStoredReplicas pins the copying cost of a commit, the
+// exact proxy of its O(|G|) term: a batch of the benchmark's shape —
+// 200 deletes and 200 inserts drawn from one permutation of the triples
+// at 20 universities — copies at most 0.75× the 179,639 cells it copied
+// when the store held the property replica (122,282 since: nearly every
+// subject and object file, which hold 4 cells a triple of the 31,625).
+// A batch that nets out copies nothing.
+func TestCommitCopiesStoredReplicas(t *testing.T) {
+	const before = 179639
+	g := lubm.Generate(lubm.DefaultConfig(20))
+	ts, rng := g.Triples(), rand.New(rand.NewSource(1))
+	var ins, dels []rdf.Triple
+	for i, k := range rng.Perm(len(ts))[:400] {
+		if i < 200 {
+			dels = append(dels, ts[k])
+		} else {
+			ins = append(ins, ts[k])
+		}
+	}
+	g.RemoveBatch(ins)
+	eng := New(g, DefaultConfig())
+	defer eng.Close()
+	br, err := eng.ApplyBatch(ins, dels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := br.Commit.CellsCopied; got > before*3/4 || got == 0 {
+		t.Errorf("a 200+200 batch copied %d cells, ceiling %d (0.75× %d)", got, before*3/4, before)
+	} else {
+		t.Logf("a 200+200 batch copied %d cells: %.3f× %d", got, float64(got)/before, before)
+	}
+	if br, err = eng.ApplyBatch(ins, ins); err != nil || br.Commit.CellsCopied != 0 {
+		t.Errorf("a batch that nets out copied %d cells (err %v), want 0", br.Commit.CellsCopied, err)
+	}
+}

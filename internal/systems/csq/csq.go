@@ -323,6 +323,11 @@ type UpdateStats struct {
 	// layouts.
 	DictBytes  uint64
 	StatsBytes uint64
+	// StoreBytes is what the current epoch's partition files hold,
+	// computed from capacities: the cell slabs of the subject and object
+	// replicas, the column indexes built on them, and the files' headers
+	// and names (the property replica holds no cells).
+	StoreBytes uint64
 	// Contexts is the number of execution contexts pooled now, idle on
 	// the free list, and ScratchBytes the bytes their buffer pools hold:
 	// per context, what the hungriest execution through it reached,
@@ -345,6 +350,7 @@ func (e *Engine) UpdateStats() UpdateStats {
 		StatsFills:    fills,
 		DictBytes:     uint64(e.dict.Bytes()),
 		StatsBytes:    uint64(e.cat.Bytes()),
+		StoreBytes:    uint64(e.part.Current().Snap().Bytes()),
 		Spaces:        uint64(spaces.Entries),
 		SpaceBytes:    uint64(spaces.Bytes),
 	}

@@ -31,6 +31,10 @@ type CommitStats struct {
 	Append time.Duration
 	Sync   time.Duration
 	Apply  time.Duration
+	// CellsCopied is the TermID cells the commit wrote into the store's
+	// successor files: every cell of each file it rewrote or created,
+	// the rows it kept included (0 when the group committed no epoch).
+	CellsCopied int
 }
 
 // DurabilityStats snapshots group-commit and WAL activity.

@@ -11,10 +11,12 @@ import (
 type ReshardResult struct {
 	// From and To are the cluster sizes on either side of the resize.
 	From, To int
-	// MovedRows / TotalRows is the data that physically relocated
-	// (MovedFraction precomputes the ratio); an elastic placement keeps
-	// it near the ideal |To-From|/max(From,To), where the paper's
-	// modulo placement reshuffles nearly everything.
+	// MovedRows / TotalRows is the data that relocated in the simulated
+	// cluster, its three replicas counted (MovedFraction precomputes the
+	// ratio): a property-replica file's rows move when its node does,
+	// though the store holds their cells in the other two. An elastic
+	// placement keeps it near the ideal |To-From|/max(From,To), where
+	// the paper's modulo placement reshuffles nearly everything.
 	MovedRows, TotalRows int
 	MovedFraction        float64
 	// MovedCells counts relocated TermID cells: rows × their file's

@@ -291,6 +291,38 @@ func TestResizeCommitsOneEpoch(t *testing.T) {
 	}
 }
 
+// TestResizeCountsUnchanged pins what a grow 7→10 and a shrink 10→5
+// report moving at 2 universities, under both placements: the integers
+// read when the store held the property replica's cells, which now come
+// from the view's counters — a property file moves whole when its node
+// changes, two cells a row, one in a class file.
+func TestResizeCountsUnchanged(t *testing.T) {
+	pins := map[string][2][3]int{ // {MovedRows, TotalRows, MovedCells} per resize
+		"ring":   {{2938, 9570, 5876}, {5131, 9570, 9670}},
+		"modulo": {{8519, 9570, 16446}, {4659, 9570, 9318}},
+	}
+	g := lubm.Generate(lubm.DefaultConfig(2))
+	for placement, want := range pins {
+		cfg := DefaultConfig()
+		cfg.Placement = placement
+		eng := New(g, cfg)
+		grow, err := eng.AddNodes(3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shrink, err := eng.RemoveNodes(5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, rr := range []ReshardResult{grow, shrink} {
+			if got := [3]int{rr.MovedRows, rr.TotalRows, rr.MovedCells}; got != want[i] {
+				t.Errorf("%s %d→%d: {MovedRows, TotalRows, MovedCells} = %v, pinned %v", placement, rr.From, rr.To, got, want[i])
+			}
+		}
+		eng.Close()
+	}
+}
+
 // TestReshardArgumentErrors pins the error contract.
 func TestReshardArgumentErrors(t *testing.T) {
 	g := rdf.NewGraph()
