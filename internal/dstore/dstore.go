@@ -1,7 +1,7 @@
 // Package dstore simulates the distributed file system underneath
 // CliqueSquare: every compute node holds a set of named partition files
 // of tuple rows, each file at its own schema's fixed width (an HDFS-like
-// layout; the partition package places Section 5.1's three replicas).
+// layout; the partition package places Section 5.1's replicas).
 //
 // The store is versioned with copy-on-write snapshot isolation. All
 // reads go through an immutable Snapshot: Store.Current pins the latest
@@ -13,20 +13,17 @@
 // publishes the new Snapshot atomically, so a batch is either invisible
 // or fully visible — never torn.
 //
-// Files are columnar in the large: a File stores its rows as one
-// contiguous slab of fixed-width TermID cells (row i is
-// slab[i*w:(i+1)*w]), so scanning a file walks a single flat array with
-// no per-row pointer chasing. Files are immutable once published. Their
-// lazily built secondary indexes are flat CSR-style posting lists (one
-// shared id buffer per column, spans addressed through a small hash
-// table) published through an atomic pointer — the hot read path takes
-// no lock and a Lookup allocates nothing — and a commit derives the
-// successor file's indexes incrementally from its predecessor's instead
-// of discarding them.
+// A File is one sorted run of fixed-width TermID rows in a contiguous
+// slab (row i is slab[i*w:(i+1)*w]), in ascending order of its cells,
+// first cell first — the order RDF-3X and Hexastore keep their
+// permutations in. A scan walks one flat array; the rows that start
+// with a key are one contiguous run that Range finds by binary search;
+// and a commit sorts the rows it appends and merges them in, finding
+// each delete by the same search. Files are immutable once published
+// and carry no index: what a file holds is its slab.
 package dstore
 
 import (
-	"encoding/binary"
 	"fmt"
 	"slices"
 	"sort"
@@ -45,36 +42,25 @@ type Row []rdf.TermID
 func (r Row) Clone() Row { return append(Row(nil), r...) }
 
 // File is a named partition file: fixed-width rows sharing a schema,
-// stored as one contiguous cell slab. A File is immutable once it is
-// part of a published Snapshot — mutations produce a successor File in
-// the next epoch; readers holding this one keep an unchanging view.
+// stored as one contiguous cell slab in ascending row order. A File is
+// immutable once it is part of a published Snapshot — mutations produce
+// a successor File in the next epoch; readers holding this one keep an
+// unchanging view.
 type File struct {
 	Name   string
 	Schema []string // column names, one per cell of a row
 
-	// slab holds the rows back to back: row i occupies
+	// slab holds the rows back to back, sorted: row i occupies
 	// slab[i*w : (i+1)*w] where w = len(Schema). n is the row count.
 	slab []rdf.TermID
 	n    int
-
-	// idx publishes the lazily built secondary indexes, one CSR posting
-	// list per column: constant term -> ids of the rows holding it in
-	// that column. Published via an atomic pointer so Lookup's hot path
-	// is lock-free; buildMu serializes the (idempotent) slow-path
-	// builds.
-	idx     atomic.Pointer[fileIndex]
-	buildMu sync.Mutex
-	// builds is the store's count of index builds, which buildCol
-	// moves (see Snapshot.Bytes).
-	builds *atomic.Uint64
 }
 
-// newFile wraps an already-built slab (ownership transfers to the
-// File).
+// newFile wraps an already-built, sorted slab (ownership transfers to
+// the File).
 func newFile(name string, schema []string, slab []rdf.TermID) *File {
-	w := len(schema)
 	n := 0
-	if w > 0 {
+	if w := len(schema); w > 0 {
 		n = len(slab) / w
 	}
 	return &File{Name: name, Schema: schema, slab: slab, n: n}
@@ -94,191 +80,52 @@ func (f *File) Row(i int) Row {
 }
 
 // Slab exposes the file's contiguous cell buffer (row i occupies cells
-// [i*Width(), (i+1)*Width())). It must not be modified.
+// [i*Width(), (i+1)*Width())), in ascending row order. It must not be
+// modified.
 func (f *File) Slab() []rdf.TermID { return f.slab }
 
-// fileIndex is one immutable generation of a file's secondary indexes.
-// cols[c] is nil until column c has been built (or derived).
-type fileIndex struct {
-	cols []*colIndex
+// Range returns the run of rows [lo, hi) whose first cells are key, at
+// most Width() of them: one cell selects a run of the sorted file, a
+// whole row's cells narrow it to that row's copies. It is two binary
+// searches and allocates nothing.
+func (f *File) Range(key ...rdf.TermID) (lo, hi int) {
+	lo = search(f.slab, len(f.Schema), key, false)
+	return lo, lo + search(f.slab[lo*len(f.Schema):], len(f.Schema), key, true)
 }
 
-// colIndex is an immutable CSR-style posting-list index over one
-// column: the row ids for every distinct key live in one flat buffer,
-// addressed by per-key [off, off) spans, with an open-addressing hash
-// table mapping a key to its span. Posting lists are in ascending row
-// order.
-type colIndex struct {
-	buckets []int32 // hash slot -> key index + 1 (0 = empty)
-	mask    uint32
-	keys    []rdf.TermID
-	off     []int32 // len(keys)+1 prefix offsets into ids
-	ids     []int32 // all posting lists, back to back
-}
-
-// hashID spreads a TermID over the bucket space (murmur3 finalizer).
-func hashID(id rdf.TermID) uint32 {
-	x := uint32(id)
-	x ^= x >> 16
-	x *= 0x85ebca6b
-	x ^= x >> 13
-	x *= 0xc2b2ae35
-	x ^= x >> 16
-	return x
-}
-
-// lookup returns the posting span for id, or nil when absent. It
-// allocates nothing.
-func (ix *colIndex) lookup(id rdf.TermID) []int32 {
-	if len(ix.keys) == 0 {
-		return nil
-	}
-	h := hashID(id) & ix.mask
-	for {
-		e := ix.buckets[h]
-		if e == 0 {
-			return nil
-		}
-		if ix.keys[e-1] == id {
-			return ix.ids[ix.off[e-1]:ix.off[e]]
-		}
-		h = (h + 1) & ix.mask
-	}
-}
-
-// slotOf returns the key index of id, which must be present.
-func (ix *colIndex) slotOf(id rdf.TermID) int32 {
-	h := hashID(id) & ix.mask
-	for {
-		e := ix.buckets[h]
-		if ix.keys[e-1] == id {
-			return e - 1
-		}
-		h = (h + 1) & ix.mask
-	}
-}
-
-// colBuilder accumulates (key, count) pairs for one column, then
-// finishes into a colIndex whose spans are sized but not yet filled.
-type colBuilder struct {
-	buckets []int32
-	mask    uint32
-	keys    []rdf.TermID
-	cnt     []int32
-}
-
-// newColBuilder sizes the builder's table for up to capHint distinct
-// keys.
-func newColBuilder(capHint int) *colBuilder {
-	size := 8
-	for size < capHint*2 {
-		size <<= 1
-	}
-	return &colBuilder{buckets: make([]int32, size), mask: uint32(size - 1)}
-}
-
-// add registers n occurrences of key k.
-func (b *colBuilder) add(k rdf.TermID, n int32) {
-	h := hashID(k) & b.mask
-	for {
-		e := b.buckets[h]
-		if e == 0 {
-			b.keys = append(b.keys, k)
-			b.cnt = append(b.cnt, n)
-			b.buckets[h] = int32(len(b.keys))
-			return
-		}
-		if b.keys[e-1] == k {
-			b.cnt[e-1] += n
-			return
-		}
-		h = (h + 1) & b.mask
-	}
-}
-
-// finish turns the accumulated counts into a colIndex with prefix
-// offsets and a zeroed ids buffer (the caller fills the spans). The
-// bucket table is shrunk when the distinct-key count came in far below
-// the capacity hint, so published indexes stay tight.
-func (b *colBuilder) finish() *colIndex {
-	nk := len(b.keys)
-	ix := &colIndex{keys: b.keys, off: make([]int32, nk+1)}
-	total := int32(0)
-	for e := 0; e < nk; e++ {
-		ix.off[e] = total
-		total += b.cnt[e]
-	}
-	ix.off[nk] = total
-	ix.ids = make([]int32, total)
-	tight := 8
-	for tight < nk*2 {
-		tight <<= 1
-	}
-	if tight >= len(b.buckets) {
-		ix.buckets, ix.mask = b.buckets, b.mask
-	} else {
-		ix.buckets = make([]int32, tight)
-		ix.mask = uint32(tight - 1)
-		for e, k := range b.keys {
-			h := hashID(k) & ix.mask
-			for ix.buckets[h] != 0 {
-				h = (h + 1) & ix.mask
-			}
-			ix.buckets[h] = int32(e + 1)
+// search returns the number of leading rows of the sorted width-w slab
+// whose first len(key) cells order before key — or, when after is set,
+// at or before it.
+func search(slab []rdf.TermID, w int, key []rdf.TermID, after bool) int {
+	k := len(key)
+	lo, hi := 0, len(slab)/w
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if c := slices.Compare(slab[m*w:m*w+k], key); c < 0 || after && c == 0 {
+			lo = m + 1
+		} else {
+			hi = m
 		}
 	}
-	return ix
-}
-
-// buildColIndex builds column c's posting lists from scratch in two
-// passes over the slab: count per key, then fill spans in row order
-// (so every posting list is ascending).
-func buildColIndex(slab []rdf.TermID, w, n, c int) *colIndex {
-	b := newColBuilder(n)
-	for i := 0; i < n; i++ {
-		b.add(slab[i*w+c], 1)
-	}
-	ix := b.finish()
-	cur := append([]int32(nil), ix.off[:len(ix.keys)]...)
-	for i := 0; i < n; i++ {
-		e := ix.slotOf(slab[i*w+c])
-		ix.ids[cur[e]] = int32(i)
-		cur[e]++
-	}
-	return ix
+	return lo
 }
 
 // Lookup returns the ids (row indexes) of the rows whose column col
-// equals id, using a secondary index built lazily on first use. The
-// hot path (index already built) is a single atomic load plus a hash
-// probe and allocates nothing; the returned slice must not be
-// modified.
+// equals id, in ascending order: a search of the first column's run, a
+// scan of the slab for any other. It builds and keeps nothing; readers
+// of a run call Range.
 func (f *File) Lookup(col int, id rdf.TermID) []int32 {
-	if ix := f.idx.Load(); ix != nil && ix.cols[col] != nil {
-		return ix.cols[col].lookup(id)
+	lo, hi := 0, f.n
+	if col == 0 {
+		lo, hi = f.Range(id)
 	}
-	return f.buildCol(col).lookup(id)
-}
-
-// buildCol builds column col's index and publishes a new fileIndex
-// generation carrying it (plus every previously built column).
-func (f *File) buildCol(col int) *colIndex {
-	f.buildMu.Lock()
-	defer f.buildMu.Unlock()
-	if ix := f.idx.Load(); ix != nil && ix.cols[col] != nil {
-		return ix.cols[col] // lost the build race: reuse the winner's
+	var ids []int32
+	for i, w := lo, len(f.Schema); i < hi; i++ {
+		if f.slab[i*w+col] == id {
+			ids = append(ids, int32(i))
+		}
 	}
-	cix := buildColIndex(f.slab, len(f.Schema), f.n, col)
-	nix := &fileIndex{cols: make([]*colIndex, len(f.Schema))}
-	if old := f.idx.Load(); old != nil {
-		copy(nix.cols, old.cols)
-	}
-	nix.cols[col] = cix
-	f.idx.Store(nix)
-	if f.builds != nil { // nil: a file no commit built
-		f.builds.Add(1)
-	}
-	return cix
+	return ids
 }
 
 // NodeView is one node's file set within a Snapshot: an immutable
@@ -325,15 +172,9 @@ type Snapshot struct {
 	// copied counts the cells the commit that published the snapshot
 	// wrote into successor files (see Copied).
 	copied int
-	// bytes memoises Bytes until the store's next index build.
-	bytes  atomic.Pointer[bytesMemo]
-	builds *atomic.Uint64
-}
-
-// bytesMemo is a Bytes reading and the count of index builds it saw.
-type bytesMemo struct {
-	builds uint64
-	n      int64
+	// bytes is what the snapshot's files hold (see Bytes), moved by
+	// each commit by what it replaced.
+	bytes int64
 }
 
 // Version is the epoch number: 0 for the empty store, incremented by
@@ -353,43 +194,23 @@ func (s *Snapshot) Node(i int) NodeView { return NodeView{id: i, files: s.nodes[
 func (s *Snapshot) Copied() int { return s.copied }
 
 // Bytes is what the snapshot's files hold, counted from capacities:
-// each file's cell slab, built column indexes, header and name, and one
-// map slot per file. Files a later or earlier snapshot shares are
-// counted in each. A reading is kept until the store builds an index,
-// so repeating it costs two atomic loads.
-func (s *Snapshot) Bytes() int64 {
-	builds := s.builds.Load()
-	if m := s.bytes.Load(); m != nil && m.builds == builds {
-		return m.n
-	}
-	var b int64
-	for _, files := range s.nodes {
-		for name, f := range files {
-			b += fileSlot + int64(len(name)) + f.bytes()
-		}
-	}
-	s.bytes.Store(&bytesMemo{builds, b})
-	return b
-}
+// each file's cell slab, header and name, and one map slot per file.
+// Files a later or earlier snapshot shares are counted in each. Files
+// never change once published, so the commit that publishes the
+// snapshot sums it once.
+func (s *Snapshot) Bytes() int64 { return s.bytes }
 
 // fileSlot is a File's header plus its entry in a node's file map (key
 // string header, value pointer, tophash byte, rounded up).
 const fileSlot = int64(unsafe.Sizeof(File{})) + 32
 
-// bytes is what the file holds beyond its header: the slab and every
-// column index built so far.
+// bytes is what the file adds to its snapshot's Bytes: its slab, its
+// header and map slot, and its name.
 func (f *File) bytes() int64 {
-	b := int64(cap(f.slab)) * 4
-	if ix := f.idx.Load(); ix != nil {
-		b += int64(unsafe.Sizeof(fileIndex{})) + int64(cap(ix.cols))*8
-		for _, c := range ix.cols {
-			if c != nil {
-				b += int64(unsafe.Sizeof(colIndex{})) +
-					4*int64(cap(c.buckets)+cap(c.keys)+cap(c.off)+cap(c.ids))
-			}
-		}
+	if f == nil {
+		return 0
 	}
-	return b
+	return fileSlot + int64(len(f.Name)) + int64(cap(f.slab))*4
 }
 
 // TotalRows reports the number of rows across all nodes in this
@@ -410,7 +231,6 @@ func (s *Snapshot) TotalRows() int {
 type Store struct {
 	writeMu sync.Mutex // serializes Begin..Commit writer critical sections
 	cur     atomic.Pointer[Snapshot]
-	builds  atomic.Uint64     // column indexes built on the store's files
 	wide    []string          // see ProjectFrom
 	unheld  func(string) bool // see ProjectFrom
 }
@@ -445,7 +265,7 @@ func NewStoreAt(n int, version uint64) *Store {
 		panic("dstore: store needs at least one node")
 	}
 	s := &Store{}
-	snap := &Snapshot{version: version, nodes: make([]map[string]*File, n), builds: &s.builds}
+	snap := &Snapshot{version: version, nodes: make([]map[string]*File, n)}
 	for i := range snap.nodes {
 		snap.nodes[i] = make(map[string]*File)
 	}
@@ -636,10 +456,10 @@ func (tx *Tx) Abort() {
 }
 
 // Commit materializes the buffered mutations as epoch base+1: touched
-// files are rewritten (copy-on-write; untouched files are shared by
-// pointer), secondary indexes are derived incrementally from the
-// predecessors', and the new snapshot is published atomically. It
-// returns the published snapshot and releases the writer lock.
+// files are rewritten, sorted (copy-on-write; untouched files are shared
+// by pointer), the snapshot's Bytes is moved by what they replaced, and
+// the new snapshot is published atomically. It returns the published
+// snapshot and releases the writer lock.
 func (tx *Tx) Commit() *Snapshot {
 	if tx.done {
 		panic("dstore: commit on a finished tx")
@@ -659,7 +479,7 @@ func (tx *Tx) Commit() *Snapshot {
 	for i := len(tx.base.nodes); i < wide; i++ {
 		nodes[i] = make(map[string]*File)
 	}
-	next := &Snapshot{version: tx.base.version + 1, nodes: nodes, builds: &tx.s.builds}
+	next := &Snapshot{version: tx.base.version + 1, nodes: nodes, bytes: tx.base.bytes}
 	for node, nm := range tx.muts {
 		files := make(map[string]*File, len(nodes[node])+len(nm))
 		for k, v := range nodes[node] {
@@ -673,11 +493,11 @@ func (tx *Tx) Commit() *Snapshot {
 		sort.Strings(names)
 		for _, name := range names {
 			nf := applyMut(files[name], name, nm[name])
+			next.bytes += nf.bytes() - files[name].bytes()
 			if nf == nil {
 				delete(files, name)
 			} else {
 				files[name] = nf
-				nf.builds = &tx.s.builds
 				next.copied += len(nf.slab)
 			}
 		}
@@ -695,192 +515,110 @@ func (tx *Tx) Commit() *Snapshot {
 	return next
 }
 
-// appendCellKey appends the bytes a span of cells is keyed under. A map
-// probe through string(b) of the result allocates nothing, so one
-// buffer serves every row of a scan; only storing a key copies it.
-func appendCellKey(b []byte, r []rdf.TermID) []byte {
-	for _, v := range r {
-		b = binary.LittleEndian.AppendUint32(b, uint32(v))
-	}
-	return b
-}
-
 // applyMut builds the successor of old under mutation m, or nil when
-// the file ends (or stays) empty after deletions. Deletes resolve
-// against the base rows first, then against rows appended earlier in
-// the same transaction (append+delete of one row in one Tx nets out);
-// a delete that matches neither panics. The successor's secondary
-// indexes are derived incrementally from old's built ones: posting
-// lists of surviving rows are carried over (remapped when rows were
-// deleted) and extended with the appended rows' ids, so previously
-// built columns stay warm instead of rebuilding from the slab.
+// the file ends (or stays) empty after deletions. It sorts the appended
+// rows and the deletes; each delete, in ascending order, is a binary
+// search of the base rows past the previous match, then of the appended
+// rows (append+delete of one row in one Tx nets out), and one that
+// matches neither panics. The successor merges the surviving base rows
+// with the surviving appended ones, so it is sorted too.
 func applyMut(old *File, name string, m *fileMut) *File {
-	hadDeletes := len(m.deletes) > 0
-	var want map[string]int
-	var key []byte
-	// take consumes one pending delete of row r, if there is one.
-	take := func(r []rdf.TermID) bool {
-		key = appendCellKey(key[:0], r)
-		c := want[string(key)]
-		if c > 0 {
-			want[string(key)] = c - 1
-		}
-		return c > 0
-	}
-	if hadDeletes {
-		want = make(map[string]int, len(m.deletes))
-		for _, r := range m.deletes {
-			key = appendCellKey(key[:0], r)
-			want[string(key)]++
-		}
-	}
-
-	// Resolve deletions against the base rows: remap[i] is the
-	// surviving row's id in the successor (-1 = deleted).
-	var remap []int32
-	kept := 0
+	schema := m.schema
+	var base []rdf.TermID
 	if old != nil {
-		kept = old.n
-		if hadDeletes {
-			remap = make([]int32, old.n)
-			next := int32(0)
-			for i := 0; i < old.n; i++ {
-				if take(old.Row(i)) {
-					remap[i] = -1
-					continue
-				}
-				remap[i] = next
-				next++
-			}
-			kept = int(next)
+		schema, base = old.Schema, old.slab
+	}
+	w := len(schema)
+	app := m.cells
+	sortRows(app, w)
+	slices.SortFunc(m.deletes, slices.Compare[Row])
+	// gone and netted list, ascending, the base and appended rows the
+	// deletes remove; from and fromApp are where the next search starts.
+	var gone, netted []int
+	from, fromApp := 0, 0
+	for _, d := range m.deletes {
+		if i, ok := find(base, w, from, d); ok {
+			gone, from = append(gone, i), i+1
+		} else if j, ok := find(app, w, fromApp, d); ok {
+			netted, fromApp = append(netted, j), j+1
+		} else {
+			panic(fmt.Sprintf("dstore: delete of absent row from file %q", name))
 		}
 	}
-	w := len(m.schema)
-	if old != nil {
-		w = len(old.Schema)
-	}
-	cells := m.cells
-	if hadDeletes {
-		left := 0
-		for _, c := range want {
-			left += c
-		}
-		if left > 0 && w > 0 { // leftover deletes consume same-tx appends
-			filtered := make([]rdf.TermID, 0, len(cells))
-			for i := 0; i+w <= len(cells); i += w {
-				if r := cells[i : i+w]; !take(r) {
-					filtered = append(filtered, r...)
-				}
-			}
-			cells = filtered
-		}
-		for _, c := range want {
-			if c > 0 {
-				panic(fmt.Sprintf("dstore: delete of absent row from file %q", name))
-			}
-		}
-	}
-
-	if old == nil {
-		if len(cells) == 0 && hadDeletes {
-			return nil // netted out before it ever existed
-		}
-		return newFile(name, m.schema, append([]rdf.TermID(nil), cells...))
-	}
-	nApp := len(cells) / w
-	if kept == 0 && nApp == 0 && hadDeletes {
+	rows := (len(base)+len(app))/max(w, 1) - len(gone) - len(netted)
+	if rows == 0 && len(m.deletes) > 0 {
 		return nil // emptied files disappear, like never-loaded ones
 	}
-
-	slab := make([]rdf.TermID, 0, (kept+nApp)*w)
-	if remap == nil {
-		slab = append(slab, old.slab...)
-	} else {
-		for i := 0; i < old.n; i++ {
-			if remap[i] >= 0 {
-				slab = append(slab, old.Row(i)...)
-			}
+	// Grown, not made: the capacity then shows the allocation's size
+	// class, which Bytes counts.
+	slab := slices.Grow([]rdf.TermID(nil), rows*w)
+	// keep copies the base rows [i, k) but those gone lists, in runs.
+	i := 0
+	keep := func(k int) {
+		for ; len(gone) > 0 && gone[0] < k; gone = gone[1:] {
+			slab, i = append(slab, base[i*w:gone[0]*w]...), gone[0]+1
 		}
+		slab, i = append(slab, base[i*w:k*w]...), k
 	}
-	slab = append(slab, cells...)
-	nf := newFile(name, old.Schema, slab)
-	if ix := old.idx.Load(); ix != nil {
-		nf.idx.Store(deriveIndex(ix, remap, kept, cells, w))
-	}
-	return nf
-}
-
-// deriveIndex carries a predecessor file's built column indexes into
-// its successor on the flat CSR form: per built column, surviving
-// posting entries are counted (remapped through remap when rows were
-// deleted), appended rows' keys are folded in, and the new spans are
-// filled in ascending row order — the successor starts with every
-// previously built column warm, byte-identical to a fresh build.
-func deriveIndex(old *fileIndex, remap []int32, kept int, appCells []rdf.TermID, w int) *fileIndex {
-	nix := &fileIndex{cols: make([]*colIndex, len(old.cols))}
-	nApp := len(appCells) / w
-	for c, oc := range old.cols {
-		if oc == nil {
+	for j := 0; j*w < len(app); j++ {
+		if len(netted) > 0 && netted[0] == j {
+			netted = netted[1:]
 			continue
 		}
-		nix.cols[c] = deriveColIndex(oc, remap, kept, appCells, w, c, nApp)
+		if i*w == len(base) && len(netted) == 0 { // the rest follows the base
+			slab = append(slab, app[j*w:]...)
+			break
+		}
+		r := app[j*w : (j+1)*w]
+		keep(i + search(base[i*w:], w, r, true))
+		slab = append(slab, r...)
 	}
-	return nix
+	keep(len(base) / max(w, 1))
+	return newFile(name, schema, slab)
 }
 
-// deriveColIndex derives one column's successor posting lists from the
-// predecessor's plus the mutation, in one pass over the old index and
-// one over the appended cells.
-func deriveColIndex(oc *colIndex, remap []int32, kept int, appCells []rdf.TermID, w, c, nApp int) *colIndex {
-	// Count survivors per old key.
-	surv := make([]int32, len(oc.keys))
-	if remap == nil {
-		for e := range oc.keys {
-			surv[e] = oc.off[e+1] - oc.off[e]
-		}
-	} else {
-		for e := range oc.keys {
-			for _, id := range oc.ids[oc.off[e]:oc.off[e+1]] {
-				if remap[id] >= 0 {
-					surv[e]++
-				}
-			}
-		}
+// find reports the first row at or past row from of the sorted width-w
+// slab that equals row, if there is one.
+func find(slab []rdf.TermID, w, from int, row Row) (int, bool) {
+	if w == 0 || len(row) != w {
+		return 0, false
 	}
-	b := newColBuilder(len(oc.keys) + nApp)
-	for e, k := range oc.keys {
-		if surv[e] > 0 {
-			b.add(k, surv[e])
+	i := from + search(slab[from*w:], w, row, false)
+	return i, i*w < len(slab) && slices.Equal(slab[i*w:(i+1)*w], row)
+}
+
+// sortRows sorts the width-w rows of cells in place, ascending. A row of
+// two cells — every partition file's — is sorted as one integer, its
+// first cell high, written over its own eight bytes and read back.
+func sortRows(cells []rdf.TermID, w int) {
+	if w == 2 && len(cells) > 0 && uintptr(unsafe.Pointer(&cells[0]))%8 == 0 {
+		keys := unsafe.Slice((*uint64)(unsafe.Pointer(&cells[0])), len(cells)/2)
+		for i := range keys {
+			keys[i] = uint64(cells[2*i])<<32 | uint64(cells[2*i+1])
 		}
-	}
-	for j := 0; j < nApp; j++ {
-		b.add(appCells[j*w+c], 1)
-	}
-	ix := b.finish()
-	cur := append([]int32(nil), ix.off[:len(ix.keys)]...)
-	// Surviving old ids first (remap is monotonic, so spans stay
-	// ascending), then appended ids kept+j in order.
-	for e, k := range oc.keys {
-		if surv[e] == 0 {
-			continue
+		slices.Sort(keys)
+		for i, k := range keys {
+			cells[2*i], cells[2*i+1] = rdf.TermID(k>>32), rdf.TermID(k)
 		}
-		ne := ix.slotOf(k)
-		if remap == nil {
-			copy(ix.ids[cur[ne]:], oc.ids[oc.off[e]:oc.off[e+1]])
-			cur[ne] += surv[e]
-		} else {
-			for _, id := range oc.ids[oc.off[e]:oc.off[e+1]] {
-				if ni := remap[id]; ni >= 0 {
-					ix.ids[cur[ne]] = ni
-					cur[ne]++
-				}
-			}
-		}
+		return
 	}
-	for j := 0; j < nApp; j++ {
-		ne := ix.slotOf(appCells[j*w+c])
-		ix.ids[cur[ne]] = int32(kept + j)
-		cur[ne]++
+	if w > 0 {
+		sort.Sort(rowSort{cells, w})
 	}
-	return ix
+}
+
+// rowSort sorts the width-w rows of a flat cell slice.
+type rowSort struct {
+	cells []rdf.TermID
+	w     int
+}
+
+func (r rowSort) Len() int { return len(r.cells) / r.w }
+func (r rowSort) Less(i, j int) bool {
+	return slices.Compare(r.cells[i*r.w:(i+1)*r.w], r.cells[j*r.w:(j+1)*r.w]) < 0
+}
+func (r rowSort) Swap(i, j int) {
+	for c := 0; c < r.w; c++ {
+		r.cells[i*r.w+c], r.cells[j*r.w+c] = r.cells[j*r.w+c], r.cells[i*r.w+c]
+	}
 }

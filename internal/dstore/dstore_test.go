@@ -2,6 +2,7 @@ package dstore
 
 import (
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -73,68 +74,73 @@ func TestNewStorePanicsOnZeroNodes(t *testing.T) {
 func TestLookup(t *testing.T) {
 	s := NewStore(1)
 	commitAppend(s, 0, "f", []string{"s", "p", "o"},
-		Row{1, 10, 100}, Row{2, 10, 200}, Row{1, 20, 100})
+		Row{2, 10, 200}, Row{1, 20, 100}, Row{1, 10, 100})
 	f, _ := s.Current().Node(0).Get("f")
-	if got := f.Lookup(0, 1); len(got) != 2 || got[0] != 0 || got[1] != 2 {
-		t.Errorf("Lookup(s,1) = %v, want [0 2]", got)
+	// The rows are sorted: (1 10 100) (1 20 100) (2 10 200).
+	if lo, hi := f.Range(1); lo != 0 || hi != 2 {
+		t.Errorf("Range(1) = [%d, %d), want [0, 2)", lo, hi)
 	}
-	if got := f.Lookup(1, 10); len(got) != 2 || got[0] != 0 || got[1] != 1 {
-		t.Errorf("Lookup(p,10) = %v, want [0 1]", got)
+	if lo, hi := f.Range(1, 20); lo != 1 || hi != 2 {
+		t.Errorf("Range(1, 20) = [%d, %d), want [1, 2)", lo, hi)
+	}
+	if lo, hi := f.Range(1, 15); lo != hi || lo != 1 {
+		t.Errorf("Range(1, 15) = [%d, %d), want the empty run at 1", lo, hi)
+	}
+	if lo, hi := f.Range(9); lo != hi || lo != 3 {
+		t.Errorf("Range(9) = [%d, %d), want the empty run at 3", lo, hi)
+	}
+	if got := f.Lookup(0, 1); len(got) != 2 || got[0] != 0 || got[1] != 1 {
+		t.Errorf("Lookup(s,1) = %v, want [0 1]", got)
+	}
+	if got := f.Lookup(1, 10); len(got) != 2 || got[0] != 0 || got[1] != 2 {
+		t.Errorf("Lookup(p,10) = %v, want [0 2]", got)
 	}
 	if got := f.Lookup(2, 999); got != nil {
 		t.Errorf("Lookup(o,999) = %v, want nil", got)
 	}
 	// A File is a snapshot: appending publishes a successor file while
-	// the held one (rows and index) stays frozen.
+	// the held one stays frozen.
 	commitAppend(s, 0, "f", []string{"s", "p", "o"}, Row{1, 30, 300})
-	if got := f.Lookup(0, 1); len(got) != 2 {
-		t.Errorf("pinned file's Lookup(s,1) = %v, want the 2 pre-append ids", got)
+	if lo, hi := f.Range(1); hi-lo != 2 {
+		t.Errorf("pinned file's Range(1) holds %d rows, want the 2 pre-append ones", hi-lo)
 	}
 	f2, _ := s.Current().Node(0).Get("f")
-	if got := f2.Lookup(0, 1); len(got) != 3 {
-		t.Errorf("Lookup(s,1) after re-Get = %v, want 3 row ids", got)
+	if lo, hi := f2.Range(1); lo != 0 || hi != 3 {
+		t.Errorf("Range(1) after re-Get = [%d, %d), want [0, 3)", lo, hi)
 	}
 }
 
-// TestIndexDerivedAcrossEpochs pins the incremental index maintenance:
-// a successor file of an indexed file starts with the index already
-// built (derived), for both append-only and deleting commits, and the
-// derived ids are correct.
-func TestIndexDerivedAcrossEpochs(t *testing.T) {
+// TestRangeAcrossEpochs: a successor file, after an append-only and
+// after a deleting commit, is sorted and its runs hold exactly its rows
+// of each key.
+func TestRangeAcrossEpochs(t *testing.T) {
 	s := NewStore(1)
 	commitAppend(s, 0, "f", []string{"s", "p", "o"},
-		Row{1, 10, 100}, Row{2, 10, 200}, Row{1, 20, 100}, Row{3, 20, 300})
-	f1, _ := s.Current().Node(0).Get("f")
-	f1.Lookup(0, 1) // build column 0
-
-	// Append-only successor: derived, not rebuilt.
-	commitAppend(s, 0, "f", []string{"s", "p", "o"}, Row{1, 30, 300})
+		Row{3, 20, 300}, Row{1, 20, 100}, Row{2, 10, 200}, Row{1, 10, 100})
+	commitAppend(s, 0, "f", []string{"s", "p", "o"}, Row{1, 30, 300}, Row{0, 5, 5})
 	f2, _ := s.Current().Node(0).Get("f")
-	if f2.idx.Load() == nil || f2.idx.Load().cols[0] == nil {
-		t.Fatal("append successor did not inherit the built column index")
+	want := []rdf.TermID{0, 5, 5, 1, 10, 100, 1, 20, 100, 1, 30, 300, 2, 10, 200, 3, 20, 300}
+	if !reflect.DeepEqual(f2.Slab(), want) {
+		t.Fatalf("append successor = %v, want %v", f2.Slab(), want)
 	}
-	if got := f2.Lookup(0, 1); len(got) != 3 || got[0] != 0 || got[1] != 2 || got[2] != 4 {
-		t.Errorf("derived Lookup(s,1) = %v, want [0 2 4]", got)
+	if lo, hi := f2.Range(1); lo != 1 || hi != 4 {
+		t.Errorf("Range(1) = [%d, %d), want [1, 4)", lo, hi)
 	}
 
-	// Deleting successor: ids remapped past the removed row.
 	tx := s.Begin()
 	tx.DeleteRow(0, "f", Row{2, 10, 200})
+	tx.DeleteRow(0, "f", Row{1, 20, 100})
 	tx.Commit()
 	f3, _ := s.Current().Node(0).Get("f")
-	if f3.idx.Load() == nil || f3.idx.Load().cols[0] == nil {
-		t.Fatal("deleting successor did not inherit the built column index")
+	want = []rdf.TermID{0, 5, 5, 1, 10, 100, 1, 30, 300, 3, 20, 300}
+	if !reflect.DeepEqual(f3.Slab(), want) {
+		t.Fatalf("deleting successor = %v, want %v", f3.Slab(), want)
 	}
-	if got := f3.Lookup(0, 1); len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 3 {
-		t.Errorf("remapped Lookup(s,1) = %v, want [0 1 3]", got)
+	if lo, hi := f3.Range(2); lo != hi {
+		t.Errorf("Range of a deleted row's key = [%d, %d), want empty", lo, hi)
 	}
-	if got := f3.Lookup(0, 2); got != nil {
-		t.Errorf("Lookup of deleted row's key = %v, want nil", got)
-	}
-	for _, id := range f3.Lookup(0, 3) {
-		if f3.Row(int(id))[0] != 3 {
-			t.Errorf("remapped id %d points at row %v", id, f3.Row(int(id)))
-		}
+	if lo, hi := f3.Range(3, 20, 300); lo != 3 || hi != 4 {
+		t.Errorf("Range(3, 20, 300) = [%d, %d), want [3, 4)", lo, hi)
 	}
 }
 
@@ -221,14 +227,19 @@ func TestConcurrentAppendDeleteLookup(t *testing.T) {
 						lf.NumRows(), rf.NumRows(), snap.Version())
 					return
 				}
-				// Lock-free indexed lookups stay consistent with the
+				// Runs read without a lock stay consistent with the
 				// pinned file's rows.
 				key := rdf.TermID(r%5 + 1)
-				for _, id := range lf.Lookup(0, key) {
-					if lf.Row(int(id))[0] != key {
-						t.Errorf("Lookup(0,%d) returned row %v", key, lf.Row(int(id)))
+				lo, hi := lf.Range(key)
+				for id := lo; id < hi; id++ {
+					if lf.Row(id)[0] != key {
+						t.Errorf("Range(%d) holds row %v", key, lf.Row(id))
 						return
 					}
+				}
+				if want := (lf.NumRows() + 4 - r%5) / 5; hi-lo != want {
+					t.Errorf("Range(%d) holds %d of %d rows, want %d", key, hi-lo, lf.NumRows(), want)
+					return
 				}
 			}
 		}(r)
@@ -279,11 +290,9 @@ func TestConcurrentDeleteVisibility(t *testing.T) {
 					return
 				}
 				if ok {
-					for _, id := range f.Lookup(1, 2) {
-						if f.Row(int(id))[1] != 2 {
-							t.Errorf("index/row mismatch at version %d", snap.Version())
-							return
-						}
+					if lo, hi := f.Range(2); hi-lo != 1 || f.Row(lo)[1] != 2 {
+						t.Errorf("Range(2) = [%d, %d) at version %d, want the one row (2 2 2)", lo, hi, snap.Version())
+						return
 					}
 				}
 			}
@@ -317,6 +326,14 @@ func TestConcurrentLookup(t *testing.T) {
 						t.Errorf("Lookup(%d,%d) returned row %d = %v", col, id, r, f.Row(int(r)))
 						return
 					}
+				}
+				// A key of one to three cells of some row: its run starts
+				// at the first row that begins with it.
+				key := f.Row((g*100 + i) % f.NumRows())[:1+col]
+				lo, hi := f.Range(key...)
+				if lo == hi || !slices.Equal(f.Row(lo)[:len(key)], key) || lo > 0 && slices.Equal(f.Row(lo - 1)[:len(key)], key) {
+					t.Errorf("Range(%v) = [%d, %d), not the run of rows starting with it", key, lo, hi)
+					return
 				}
 			}
 		}(g)
@@ -368,10 +385,9 @@ func TestTxAppendThenDeleteNetsOut(t *testing.T) {
 	}
 }
 
-// TestDeleteAllocsIndependentOfFileSize: resolving a commit's deletes
-// probes every base row of a touched file, and a probe allocates
-// nothing — a key built per row would show as an allocation count that
-// grows with the file.
+// TestDeleteAllocsIndependentOfFileSize: a commit's delete is a binary
+// search of the touched file, which allocates nothing — a key built per
+// row would show as an allocation count that grows with the file.
 func TestDeleteAllocsIndependentOfFileSize(t *testing.T) {
 	schema := []string{"s", "p", "o"}
 	allocs := func(rows int) float64 {

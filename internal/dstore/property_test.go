@@ -1,91 +1,79 @@
 package dstore
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"cliquesquare/internal/rdf"
 )
 
-// refStore is the observational reference the slab/CSR implementation
-// is checked against: a plain slice-of-slices row list per file, with
-// deletes removing the first matching row (the Tx contract) and lookups
-// done by a linear scan.
+// refStore is the observational reference the sorted slab files are
+// checked against: a plain row list per (node, file), in no order, with
+// deletes removing one matching row (the Tx contract).
 type refStore struct {
-	files map[string][]Row
+	files map[string][]Row // key: node/name
 }
 
 func newRefStore() *refStore { return &refStore{files: map[string][]Row{}} }
 
-func (r *refStore) append(name string, rows ...Row) {
+func refKey(node int, name string) string { return fmt.Sprintf("%d/%s", node, name) }
+
+func (r *refStore) append(node int, name string, rows ...Row) {
 	for _, row := range rows {
-		r.files[name] = append(r.files[name], row.Clone())
+		r.files[refKey(node, name)] = append(r.files[refKey(node, name)], row.Clone())
 	}
 }
 
-func (r *refStore) delete(name string, row Row) bool {
-	rows := r.files[name]
-	for i := range rows {
-		eq := len(rows[i]) == len(row)
-		for j := 0; eq && j < len(row); j++ {
-			eq = rows[i][j] == row[j]
-		}
-		if eq {
-			r.files[name] = append(rows[:i:i], rows[i+1:]...)
-			if len(r.files[name]) == 0 {
-				delete(r.files, name)
-			}
-			return true
-		}
+func (r *refStore) delete(node int, name string, row Row) {
+	k := refKey(node, name)
+	i := slices.IndexFunc(r.files[k], func(x Row) bool { return slices.Equal(x, row) })
+	r.files[k] = slices.Delete(r.files[k], i, i+1)
+	if len(r.files[k]) == 0 {
+		delete(r.files, k)
 	}
-	return false
 }
 
-func (r *refStore) lookup(name string, col int, id rdf.TermID) []int32 {
-	var out []int32
-	for i, row := range r.files[name] {
-		if row[col] == id {
-			out = append(out, int32(i))
-		}
-	}
-	return out
-}
-
-// checkFile compares one slab file against the reference rows on every
-// observable axis: row count, row iteration order and content, the
-// contiguous slab itself, and the full posting list of every (column,
-// key) pair — including keys no longer present, which must return nil.
-func checkFile(t *testing.T, ref *refStore, name string, f *File, keyDomain []rdf.TermID) {
+// checkSorted holds one file to the reference rows: its slab is in
+// ascending row order, and it is cell for cell what a fresh load of the
+// same rows, given in a random order, holds; every run Range reports
+// for a one- and a two-cell key of the domain holds exactly that key's
+// rows.
+func checkSorted(t *testing.T, label string, f *File, rows []Row, rng *rand.Rand, keyDomain []rdf.TermID) {
 	t.Helper()
-	rows := ref.files[name]
-	if f.NumRows() != len(rows) {
-		t.Fatalf("%s: NumRows = %d, reference has %d", name, f.NumRows(), len(rows))
+	w := f.Width()
+	if f.NumRows() != len(rows) || len(f.Slab()) != len(rows)*w {
+		t.Fatalf("%s: %d rows in %d cells, the reference has %d rows", label, f.NumRows(), len(f.Slab()), len(rows))
 	}
-	for i, want := range rows {
-		got := f.Row(i)
-		if len(got) != len(want) {
-			t.Fatalf("%s: Row(%d) width %d, want %d", name, i, len(got), len(want))
-		}
-		for j := range want {
-			if got[j] != want[j] {
-				t.Fatalf("%s: Row(%d) = %v, want %v", name, i, got, want)
-			}
+	for i := 1; i < f.NumRows(); i++ {
+		if slices.Compare(f.Row(i-1), f.Row(i)) > 0 {
+			t.Fatalf("%s: row %d %v orders after row %d %v", label, i-1, f.Row(i-1), i, f.Row(i))
 		}
 	}
-	if len(f.Slab()) != len(rows)*f.Width() {
-		t.Fatalf("%s: slab has %d cells for %d rows of width %d",
-			name, len(f.Slab()), len(rows), f.Width())
+	shuffled := slices.Clone(rows)
+	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	fresh := NewStore(1)
+	commitAppend(fresh, 0, f.Name, f.Schema, shuffled...)
+	if ff, _ := fresh.Current().Node(0).Get(f.Name); !reflect.DeepEqual(ff.Slab(), f.Slab()) {
+		t.Fatalf("%s: the file holds %v, a fresh load of its rows %v", label, f.Slab(), ff.Slab())
 	}
-	for col := 0; col < f.Width(); col++ {
-		for _, id := range keyDomain {
-			got := f.Lookup(col, id)
-			want := ref.lookup(name, col, id)
-			if len(got) != len(want) {
-				t.Fatalf("%s: Lookup(%d,%d) = %v, want %v", name, col, id, got, want)
+	for _, a := range keyDomain {
+		for _, key := range [][]rdf.TermID{{a}, {a, keyDomain[int(a)%len(keyDomain)]}} {
+			lo, hi := f.Range(key...)
+			want := 0
+			for _, r := range rows {
+				if slices.Equal(r[:len(key)], key) {
+					want++
+				}
 			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%s: Lookup(%d,%d) = %v, want %v", name, col, id, got, want)
+			if hi-lo != want {
+				t.Fatalf("%s: Range(%v) = [%d, %d), the reference has %d such rows", label, key, lo, hi, want)
+			}
+			for i := lo; i < hi; i++ {
+				if !slices.Equal(f.Row(i)[:len(key)], key) {
+					t.Fatalf("%s: Range(%v) holds row %d = %v", label, key, i, f.Row(i))
 				}
 			}
 		}
@@ -93,12 +81,11 @@ func checkFile(t *testing.T, ref *refStore, name string, f *File, keyDomain []rd
 }
 
 // TestSlabFilePropertyVsReference drives a store through randomized
-// batches of appends and deletes — with index builds forced at random
-// points so later epochs exercise incremental index derivation rather
-// than fresh builds — and checks after every commit that each file is
-// observationally identical to the slice-of-slices reference, and that
-// derived posting lists are identical to those of a freshly loaded
-// store holding the same rows.
+// commits — appends, deletes of base rows, rows appended and deleted in
+// the same transaction, and resizes that grow the cluster or shrink it
+// after draining the dropped nodes — and checks after every commit that
+// each file is in ascending order and equals a fresh load of the rows
+// the reference holds for it.
 func TestSlabFilePropertyVsReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(20150407))
 	keyDomain := make([]rdf.TermID, 12)
@@ -106,128 +93,73 @@ func TestSlabFilePropertyVsReference(t *testing.T) {
 		keyDomain[i] = rdf.TermID(i + 1)
 	}
 	names := []string{"f0", "f1", "f2"}
-	schema := []string{"s", "p", "o"}
-	randRow := func() Row {
-		return Row{
-			keyDomain[rng.Intn(len(keyDomain))],
-			keyDomain[rng.Intn(len(keyDomain))],
-			keyDomain[rng.Intn(len(keyDomain))],
+	schemas := map[string][]string{"f0": {"s", "p", "o"}, "f1": {"s", "o"}, "f2": {"s", "o"}}
+	randRow := func(w int) Row {
+		r := make(Row, w)
+		for i := range r {
+			r[i] = keyDomain[rng.Intn(len(keyDomain))]
 		}
+		return r
 	}
 
-	s := NewStore(1)
+	s := NewStore(2)
 	ref := newRefStore()
-	for round := 0; round < 60; round++ {
+	for round := 0; round < 80; round++ {
+		n := s.N()
 		tx := s.Begin()
-		// Deletes are resolved against the reference BEFORE any of this
-		// round's appends (the Tx applies deletes to the pre-tx file,
-		// then filters them against same-tx appends; deleting only rows
-		// present pre-tx keeps both models aligned).
-		type del struct {
-			name string
-			row  Row
-		}
-		var dels []del
-		for _, name := range names {
-			for _, row := range ref.files[name] {
-				if rng.Intn(10) == 0 {
-					dels = append(dels, del{name, row.Clone()})
-				}
+		newN := n
+		switch rng.Intn(8) {
+		case 0:
+			newN = n + 1 + rng.Intn(2)
+		case 1:
+			if n > 1 {
+				newN = n - 1
 			}
 		}
-		seen := map[string]map[int]bool{}
-		for _, d := range dels {
-			// Delete distinct reference rows only: duplicates would make
-			// the one-delete-per-occurrence Tx contract remove a second
-			// occurrence the reference model did not.
-			idx := -1
-			for i, row := range ref.files[d.name] {
-				if seen[d.name] == nil {
-					seen[d.name] = map[int]bool{}
-				}
-				if seen[d.name][i] {
-					continue
-				}
-				eq := true
-				for j := range row {
-					if row[j] != d.row[j] {
-						eq = false
-						break
+		if newN != n {
+			tx.SetN(newN)
+		}
+		// Deletes: a tenth of every file's rows, and every row of a node
+		// the resize drops, resolved against the rows before this round.
+		for node := 0; node < n; node++ {
+			for _, name := range names {
+				for _, row := range slices.Clone(ref.files[refKey(node, name)]) {
+					if node >= newN || rng.Intn(10) == 0 {
+						tx.DeleteRow(node, name, row)
+						ref.delete(node, name, row)
 					}
 				}
-				if eq {
-					idx = i
-					break
-				}
 			}
-			if idx < 0 {
+		}
+		for i, k := 0, rng.Intn(12); i < k; i++ {
+			node, name := rng.Intn(newN), names[rng.Intn(len(names))]
+			row := randRow(len(schemas[name]))
+			switch rng.Intn(4) {
+			case 0:
+				tx.Append(node, name, schemas[name], row)
+			case 1: // appended and deleted in one transaction: nets out
+				tx.AppendCells(node, name, schemas[name], row...)
+				tx.DeleteRow(node, name, row)
 				continue
+			default:
+				tx.AppendCells(node, name, schemas[name], row...)
 			}
-			seen[d.name][idx] = true
-			tx.DeleteRow(0, d.name, d.row)
+			ref.append(node, name, row)
 		}
-		for _, d := range dels {
-			ref.delete(d.name, d.row)
-		}
-		for i, n := 0, rng.Intn(8); i < n; i++ {
-			name := names[rng.Intn(len(names))]
-			row := randRow()
-			if rng.Intn(2) == 0 {
-				tx.Append(0, name, schema, row)
-			} else {
-				tx.AppendCells(0, name, schema, row[0], row[1], row[2])
-			}
-			ref.append(name, row)
-		}
-		tx.Commit()
+		snap := tx.Commit()
 
-		nd := s.Current().Node(0)
-		for _, name := range names {
-			f, ok := nd.Get(name)
-			if !ok {
-				if len(ref.files[name]) != 0 {
-					t.Fatalf("round %d: %s missing, reference has %d rows",
-						round, name, len(ref.files[name]))
+		if snap.N() != newN {
+			t.Fatalf("round %d: %d nodes, want %d", round, snap.N(), newN)
+		}
+		for node := 0; node < newN; node++ {
+			for _, name := range names {
+				rows := ref.files[refKey(node, name)]
+				f, ok := snap.Node(node).Get(name)
+				if ok != (len(rows) > 0) {
+					t.Fatalf("round %d: node %d holds %s: %v, the reference has %d rows", round, node, name, ok, len(rows))
 				}
-				continue
-			}
-			checkFile(t, ref, name, f, keyDomain)
-		}
-
-		// Randomly force index builds so the NEXT round's commit derives
-		// CSR indexes from built ones instead of starting cold.
-		for _, name := range names {
-			if f, ok := nd.Get(name); ok && rng.Intn(3) == 0 {
-				f.Lookup(rng.Intn(len(schema)), keyDomain[rng.Intn(len(keyDomain))])
-			}
-		}
-	}
-
-	// Final cross-check: every derived index must agree with a freshly
-	// loaded store holding the same rows (posting lists are ascending
-	// row ids in both, so equality is exact, not just set-equal).
-	fresh := NewStore(1)
-	for _, name := range names {
-		if rows := ref.files[name]; len(rows) > 0 {
-			commitAppend(fresh, 0, name, schema, rows...)
-		}
-	}
-	for _, name := range names {
-		f, ok := s.Current().Node(0).Get(name)
-		if !ok {
-			continue
-		}
-		ff, _ := fresh.Current().Node(0).Get(name)
-		for col := 0; col < len(schema); col++ {
-			for _, id := range keyDomain {
-				got, want := f.Lookup(col, id), ff.Lookup(col, id)
-				if len(got) != len(want) {
-					t.Fatalf("%s: derived Lookup(%d,%d) = %v, fresh = %v", name, col, id, got, want)
-				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("%s: derived Lookup(%d,%d) = %v, fresh = %v", name, col, id, got, want)
-					}
+				if ok {
+					checkSorted(t, fmt.Sprintf("round %d: node %d %s", round, node, name), f, rows, rng, keyDomain)
 				}
 			}
 		}

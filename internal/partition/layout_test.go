@@ -2,8 +2,10 @@ package partition
 
 import (
 	"fmt"
+	"maps"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -16,15 +18,16 @@ import (
 
 // TestFilesStoreUnfixedCells is the layout oracle of Section 5.1's files:
 // the store holds the cells of the subject and object replicas only, a
-// stored file keeps the positions its name does not fix — (s, o) — and
-// the property replica is placed, not stored: every property file and
-// rdf:type class file, read through View.Open, is exactly its
-// property's (or class's) triples, on its placement node only. It
-// checks, in both modes, after a load, after a batch that deletes a
-// whole class and inserts a new property and a new class, and after a
-// ring resize 5→8→3: every stored file's schema, the store's cell count,
-// every property-replica file, the triples EachTriple rebuilds, and
-// Contains on every stored and 50 absent triples.
+// stored file keeps the positions its name does not fix, its placed cell
+// first — (s, o) or (o, s) — in ascending order, and the property
+// replica is placed, not stored: every property file and rdf:type class
+// file, read through View.Open, is exactly its property's (or class's)
+// triples, on its placement node only. It checks, in both modes, after a
+// load, after a batch that deletes a whole class and inserts a new
+// property and a new class, and after a ring resize 5→8→3: every stored
+// file's schema and order, the store's cell count, every property-replica
+// file, the triples EachTriple rebuilds, and Contains on every stored and
+// 50 absent triples.
 func TestFilesStoreUnfixedCells(t *testing.T) {
 	graphs := map[string]func() *rdf.Graph{
 		"sample": sampleGraph,
@@ -92,11 +95,16 @@ func checkLayout(t *testing.T, label string, v *View, g *rdf.Graph, mode Mode) {
 			if name[0] != 's' && (name[0] != 'o' || mode != ThreeReplica) {
 				t.Fatalf("%s: the store holds %s, outside the replicas it keeps", label, name)
 			}
-			if !reflect.DeepEqual(f.Schema, []string{"s", "o"}) {
-				t.Fatalf("%s: %s has schema %v, want [s o]", label, name, f.Schema)
+			if want := map[byte][]string{'s': {"s", "o"}, 'o': {"o", "s"}}[name[0]]; !reflect.DeepEqual(f.Schema, want) {
+				t.Fatalf("%s: %s has schema %v, want %v", label, name, f.Schema, want)
 			}
 			if len(f.Slab()) != f.NumRows()*f.Width() {
 				t.Fatalf("%s: %s holds %d cells for %d rows of width %d", label, name, len(f.Slab()), f.NumRows(), f.Width())
+			}
+			for r := 1; r < f.NumRows(); r++ {
+				if slices.Compare(f.Row(r-1), f.Row(r)) >= 0 {
+					t.Fatalf("%s: %s on node %d: row %d %v is not before row %d %v", label, name, i, r-1, f.Row(r-1), r, f.Row(r))
+				}
 			}
 			cells += len(f.Slab())
 		}
@@ -139,7 +147,7 @@ func checkLayout(t *testing.T, label string, v *View, g *rdf.Graph, mode Mode) {
 			if !ok {
 				continue
 			}
-			rows := readFile(f)
+			rows := readFile(f, rdf.NoTerm, rdf.NoTerm)
 			if got := tally(rows); !reflect.DeepEqual(got, triples) || f.NumRows() != len(rows) {
 				t.Errorf("%s: %s reads %d distinct triples in %d rows, reports %d rows, want its %d", label, name, len(got), len(rows), f.NumRows(), len(triples))
 			}
@@ -150,6 +158,17 @@ func checkLayout(t *testing.T, label string, v *View, g *rdf.Graph, mode Mode) {
 				if !reflect.DeepEqual(rows, want) {
 					t.Errorf("%s: %s reads its rows out of the subject replica's order", label, name)
 				}
+			}
+		}
+	}
+	names := slices.Sorted(maps.Keys(byFile))
+	for i := 0; i < v.Nodes(); i++ {
+		names = append(names, v.Snap().Node(i).Names()...)
+	}
+	for _, name := range names {
+		for i := 0; i < v.Nodes(); i++ {
+			if f, ok := v.Open(i, name); ok {
+				checkConstantRuns(t, label, f, i)
 			}
 		}
 	}
@@ -189,24 +208,53 @@ func checkLayout(t *testing.T, label string, v *View, g *rdf.Graph, mode Mode) {
 }
 
 // readFile rebuilds the triples of a partition file read through the
-// resolver, in order, as a scan reads them: each part's (s, o) cells —
-// those of the part's class alone — over the cells the file's name
-// fixes.
-func readFile(f File) []rdf.Triple {
+// resolver, in order, as a scan reads them: the rows of each part's run
+// that it keeps and whose subject is s and whose object is o (NoTerm:
+// any), over the cells the file's name fixes.
+func readFile(f File, s, o rdf.TermID) []rdf.Triple {
 	prop, _ := FileTerms(f.Name())
 	var out []rdf.Triple
 	for i := 0; i < f.Parts(); i++ {
-		sf, class := f.Part(i)
-		if sf == nil {
-			continue
-		}
-		for r := 0; r < sf.NumRows(); r++ {
-			if row := sf.Row(r); class == rdf.NoTerm || row[1] == class {
-				out = append(out, rdf.Triple{S: row[0], P: prop, O: row[1]})
+		r := f.Part(i, s, o)
+		for k := r.Lo; k < r.Hi; k++ {
+			tr := rdf.Triple{S: r.F.Row(k)[0], P: prop, O: r.F.Row(k)[1]}
+			if r.Obj {
+				tr.S, tr.O = tr.O, tr.S
+			}
+			if r.Keeps(r.F.Row(k)[1]) && (s == rdf.NoTerm || tr.S == s) && (o == rdf.NoTerm || tr.O == o) {
+				out = append(out, tr)
 			}
 		}
 	}
 	return out
+}
+
+// checkConstantRuns holds the runs of file f on node, which the view
+// resolved, to its rows: for a constant subject, object or both, taken
+// from a few of its rows and from none, what the runs Part returns keep
+// of those constants is exactly the file's rows of them. A class file is
+// read for its own class only.
+func checkConstantRuns(t *testing.T, label string, f File, node int) {
+	t.Helper()
+	all := readFile(f, rdf.NoTerm, rdf.NoTerm)
+	for k := 0; k < len(all); k += max(1, len(all)/4) {
+		tr := all[k]
+		for _, c := range [][2]rdf.TermID{{tr.S, rdf.NoTerm}, {rdf.NoTerm, tr.O}, {tr.S, tr.O}, {tr.O, rdf.NoTerm}, {rdf.NoTerm, tr.S}} {
+			if _, class := FileTerms(f.Name()); class != rdf.NoTerm && c[1] != rdf.NoTerm && c[1] != class {
+				continue // the name decides a class file's object
+			}
+			var want []rdf.Triple
+			for _, x := range all {
+				if (c[0] == rdf.NoTerm || x.S == c[0]) && (c[1] == rdf.NoTerm || x.O == c[1]) {
+					want = append(want, x)
+				}
+			}
+			got := readFile(f, c[0], c[1])
+			if !reflect.DeepEqual(tally(got), tally(want)) {
+				t.Fatalf("%s: %s on node %d, subject %d object %d: the runs hold %d rows, the file %d", label, f.Name(), node, c[0], c[1], len(got), len(want))
+			}
+		}
+	}
 }
 
 // tally counts each triple of ts.
@@ -224,9 +272,84 @@ func tally(ts []rdf.Triple) map[rdf.Triple]int {
 // nodes, hold exactly the triples its subject replica holds, each file
 // as many rows as it reports. Run under -race in CI.
 func TestResolverOnPinnedViews(t *testing.T) {
+	all := sparql.MustParse(`SELECT ?s ?p ?o WHERE { ?s ?p ?o }`).Patterns[0]
+	churnWhileReading(t, func(v *View, d *rdf.Dict) string {
+		want := map[rdf.Triple]int{}
+		v.EachTriple(rdf.NoTerm, func(tr rdf.Triple) { want[tr]++ })
+		got := map[rdf.Triple]int{}
+		for _, name := range v.Files(all, rdf.PPos, d) {
+			for i := 0; i < v.Nodes(); i++ {
+				f, ok := v.Open(i, name)
+				if !ok {
+					continue
+				}
+				rows := readFile(f, rdf.NoTerm, rdf.NoTerm)
+				for _, tr := range rows {
+					got[tr]++
+				}
+				if len(rows) != f.NumRows() {
+					return fmt.Sprintf("%s on node %d reads %d rows, reports %d", name, i, len(rows), f.NumRows())
+				}
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			return fmt.Sprintf("the property replica reads %d distinct triples, the subject replica %d", len(got), len(want))
+		}
+		return ""
+	})
+}
+
+// TestScanRunsOnPinnedViews reads the runs a scan's constants select on
+// pinned views while batches and a ring resize 5→8→3 commit: on every
+// node, for every file of each replica and a constant subject, object or
+// both taken from three of its rows, the runs hold exactly the file's
+// rows of those constants — read from the file itself, or from the other
+// replica on the constant's node. Run under -race in CI.
+func TestScanRunsOnPinnedViews(t *testing.T) {
+	all := sparql.MustParse(`SELECT ?s ?p ?o WHERE { ?s ?p ?o }`).Patterns[0]
+	churnWhileReading(t, func(v *View, d *rdf.Dict) string {
+		for _, pos := range []rdf.Pos{rdf.SPos, rdf.OPos, rdf.PPos} {
+			for _, name := range v.Files(all, pos, d) {
+				_, class := FileTerms(name)
+				for i := 0; i < v.Nodes(); i++ {
+					f, ok := v.Open(i, name)
+					if !ok {
+						continue
+					}
+					rows := readFile(f, rdf.NoTerm, rdf.NoTerm)
+					for k := 0; k < len(rows); k += max(1, len(rows)/3) {
+						tr := rows[k]
+						for _, c := range [][2]rdf.TermID{{tr.S, rdf.NoTerm}, {rdf.NoTerm, tr.O}, {tr.S, tr.O}} {
+							if class != rdf.NoTerm {
+								c[1] = rdf.NoTerm // the name decides a class file's object
+							}
+							want := map[rdf.Triple]int{}
+							for _, x := range rows {
+								if (c[0] == rdf.NoTerm || x.S == c[0]) && (c[1] == rdf.NoTerm || x.O == c[1]) {
+									want[x]++
+								}
+							}
+							if got := tally(readFile(f, c[0], c[1])); !reflect.DeepEqual(got, want) {
+								return fmt.Sprintf("%s on node %d, subject %d object %d: the runs hold %d distinct rows, the file %d", name, i, c[0], c[1], len(got), len(want))
+							}
+						}
+					}
+				}
+			}
+		}
+		return ""
+	})
+}
+
+// churnWhileReading has four readers call read on the current view —
+// each a pinned epoch, which read reports a failure of as a message —
+// while twelve batches and a ring resize 5→8→3 commit over biggerGraph,
+// each commit waiting for one more view to be read through, then checks
+// the final layout.
+func churnWhileReading(t *testing.T, read func(v *View, d *rdf.Dict) string) {
+	t.Helper()
 	g := biggerGraph()
 	p := LoadWithPolicy(dstore.NewStore(5), g, ThreeReplica, RingPolicy)
-	all := sparql.MustParse(`SELECT ?s ?p ?o WHERE { ?s ?p ?o }`).Patterns[0]
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	var reads atomic.Int64 // views read through: each commit waits for one more
@@ -241,27 +364,8 @@ func TestResolverOnPinnedViews(t *testing.T) {
 				default:
 				}
 				v := p.Current()
-				want := map[rdf.Triple]int{}
-				v.EachTriple(rdf.NoTerm, func(tr rdf.Triple) { want[tr]++ })
-				got := map[rdf.Triple]int{}
-				for _, name := range v.Files(all, rdf.PPos, g.Dict) {
-					for i := 0; i < v.Nodes(); i++ {
-						f, ok := v.Open(i, name)
-						if !ok {
-							continue
-						}
-						rows := readFile(f)
-						for _, tr := range rows {
-							got[tr]++
-						}
-						if len(rows) != f.NumRows() {
-							t.Errorf("epoch %d: %s on node %d reads %d rows, reports %d", v.Version(), name, i, len(rows), f.NumRows())
-							return
-						}
-					}
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("epoch %d: the property replica reads %d distinct triples, the subject replica %d", v.Version(), len(got), len(want))
+				if msg := read(v, g.Dict); msg != "" {
+					t.Errorf("epoch %d: %s", v.Version(), msg)
 					return
 				}
 				reads.Add(1)
@@ -299,9 +403,10 @@ func TestResolverOnPinnedViews(t *testing.T) {
 	checkLayout(t, "after the churn", p.Current(), g, ThreeReplica)
 }
 
-// TestOpenAllocatesNothing: resolving a file of each replica and walking
-// its parts allocates nothing, so a scan through the resolver costs no
-// allocation per file.
+// TestOpenAllocatesNothing: resolving a file of each replica and finding
+// the run of each of its parts — whole, for a constant subject, for a
+// constant object — allocates nothing, so a scan through the resolver
+// costs no allocation per file.
 func TestOpenAllocatesNothing(t *testing.T) {
 	g := sampleGraph()
 	p := LoadWithPolicy(dstore.NewStore(3), g, ThreeReplica, nil)
@@ -309,6 +414,8 @@ func TestOpenAllocatesNothing(t *testing.T) {
 	knows, _ := g.Dict.Lookup(rdf.NewIRI("knows"))
 	typeID, _ := g.Dict.Lookup(rdf.NewIRI(sparql.RDFType))
 	class0, _ := g.Dict.Lookup(rdf.NewIRI("Class0"))
+	s0, _ := g.Dict.Lookup(rdf.NewIRI("s0"))
+	s1, _ := g.Dict.Lookup(rdf.NewIRI("s1"))
 	for _, name := range []string{
 		FileName(rdf.SPos, knows, 0), FileName(rdf.OPos, typeID, 0),
 		FileName(rdf.PPos, knows, 0), FileName(rdf.PPos, typeID, class0),
@@ -319,8 +426,9 @@ func TestOpenAllocatesNothing(t *testing.T) {
 			for i := 0; i < v.Nodes(); i++ {
 				f, ok := v.Open(i, name)
 				for j := 0; ok && j < f.Parts(); j++ {
-					if sf, _ := f.Part(j); sf != nil {
-						rows += sf.NumRows()
+					for _, c := range [][2]rdf.TermID{{}, {s0, rdf.NoTerm}, {rdf.NoTerm, s1}} {
+						r := f.Part(j, c[0], c[1])
+						rows += r.Hi - r.Lo
 					}
 				}
 			}
@@ -328,5 +436,48 @@ func TestOpenAllocatesNothing(t *testing.T) {
 		if allocs != 0 || rows == 0 {
 			t.Errorf("resolving %s on every node: %v allocs, %d stored rows; want 0 allocs and its rows", name, allocs, rows)
 		}
+	}
+}
+
+// TestPartReadsTheOtherReplica: a constant on the cell a stored file is
+// not placed by reads the constant's run in the other replica — all of
+// it, on the constant's node — while that is the cheaper read, and the
+// whole file once it is not. The rdf:type subject files of one LUBM
+// university and its classes, small and large, take both branches.
+func TestPartReadsTheOtherReplica(t *testing.T) {
+	g := lubm.Generate(lubm.DefaultConfig(1))
+	v := LoadWithPolicy(dstore.NewStore(5), g, ThreeReplica, nil).Current()
+	typeID, _ := g.Dict.Lookup(rdf.NewIRI(sparql.RDFType))
+	members := map[rdf.TermID]int{}
+	for _, tr := range g.Triples() {
+		if tr.P == typeID {
+			members[tr.O]++
+		}
+	}
+	name := FileName(rdf.SPos, typeID, 0)
+	var runs, wholes int
+	for class, n := range members {
+		for node := 0; node < v.Nodes(); node++ {
+			f, ok := v.Open(node, name)
+			if !ok {
+				continue
+			}
+			r := f.Part(0, rdf.NoTerm, class)
+			switch {
+			case n*placeCost < f.NumRows():
+				runs++
+				if !r.Obj || r.Hi-r.Lo != n || r.F.Row(r.Lo)[0] != class {
+					t.Errorf("node %d, class %d of %d members: read %d rows of %s, want its run in the object replica", node, class, n, r.Hi-r.Lo, r.F.Name)
+				}
+			default:
+				wholes++
+				if r.Obj || r.Lo != 0 || r.Hi != f.NumRows() {
+					t.Errorf("node %d, class %d of %d members: read rows [%d, %d) of %s, want the whole subject file of %d", node, class, n, r.Lo, r.Hi, r.F.Name, f.NumRows())
+				}
+			}
+		}
+	}
+	if runs == 0 || wholes == 0 {
+		t.Errorf("%d reads through the object replica and %d of whole files: want both", runs, wholes)
 	}
 }

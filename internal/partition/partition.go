@@ -6,7 +6,7 @@
 //     the property partition, and on node hash(o) in the object
 //     partition;
 //  2. within a node, each partition's triples are grouped into one file
-//     per property value, whose name fixes it: a row is (s, o);
+//     per property value, whose name fixes it;
 //  3. the property partition of rdf:type is further split by object
 //     (class) value, since rdf:type dominates most datasets: a class
 //     file's name fixes the object too.
@@ -14,14 +14,18 @@
 // This makes every first-level join — on any of s, p, o — evaluable
 // locally on each node (parallelizable without communication).
 //
-// The store keeps the cells of two replicas only. The property replica
-// is placed, not stored: its files keep their names, their nodes and
-// their row counts, but their rows are cells the other two replicas
-// hold — a file p/p<P> is the subject files s/p<P> of every node in node
-// order, and a class file p/p<type>/o<C> is the rows of class C in the
-// object file o/p<type> on node hash(C). View.Open resolves every name a
-// scan reads, whatever its replica, so scans and their metering see
-// three replicas while the store holds two.
+// The store keeps the cells of two replicas only, each row with its
+// placed cell first and each file sorted: a subject file s/p<P> holds
+// (s, o) rows, an object file o/p<P> (o, s) rows — the two permutations
+// RDF-3X keeps sorted. The rows of a constant on a file's placed cell
+// are one run of it. The property replica is placed, not stored: its
+// files keep their names, their nodes and their row counts, but their
+// rows are cells the other two replicas hold — a file p/p<P> is the
+// subject files s/p<P> of every node in node order, and a class file
+// p/p<type>/o<C> is the run of class C in the object file o/p<type> on
+// node hash(C). View.Open resolves every name a scan reads, whatever its
+// replica, and File.Part the run a scan's constants select, so scans
+// and their metering see three replicas while the store holds two.
 //
 // Beyond the paper's load-once setting, the partitioner is mutable:
 // ApplyBatch re-derives the placement for a delta of inserted and
@@ -53,8 +57,11 @@ import (
 var TripleSchema = []string{"s", "p", "o"}
 
 // A stored partition file keeps the positions its name does not fix
-// (see FileTerms): (s, o).
-var pairSchema = []string{"s", "o"}
+// (see FileTerms), the one its replica is placed by first.
+var (
+	subjectSchema = []string{"s", "o"}
+	objectSchema  = []string{"o", "s"}
+)
 
 // Mode selects the replication scheme.
 type Mode uint8
@@ -185,11 +192,14 @@ func (p *Partitioner) ApplyBatch(inserts, deletes []rdf.Triple, dict *rdf.Dict) 
 	tx := p.store.Begin()
 	defer tx.Abort()
 	for _, t := range deletes {
-		row := dstore.Row{t.S, t.O}
-		v.route(t, -1, func(node int, file string) { tx.DeleteRow(node, file, row) })
+		v.route(t, -1, func(node int, file string, _ []string, placed, other rdf.TermID) {
+			tx.DeleteRow(node, file, dstore.Row{placed, other})
+		})
 	}
 	for _, t := range inserts {
-		v.route(t, 1, func(node int, file string) { tx.AppendCells(node, file, pairSchema, t.S, t.O) })
+		v.route(t, 1, func(node int, file string, schema []string, placed, other rdf.TermID) {
+			tx.AppendCells(node, file, schema, placed, other)
+		})
 	}
 	v.snap = tx.Commit()
 	p.cur.Store(v)
@@ -197,21 +207,22 @@ func (p *Partitioner) ApplyBatch(inserts, deletes []rdf.Triple, dict *rdf.Dict) 
 }
 
 // route is the Section 5.1 rule, written once for inserts and deletes:
-// it calls f with the node and file of every replica of t that the store
-// holds — by subject, and under ThreeReplica by object — and moves the
-// view's counters by d (+1 for an insert, -1 for a delete), dropping
-// those that reach zero. The replica by property is those counters: its
-// files hold no cells of their own (Open).
-func (v *View) route(t rdf.Triple, d int, f func(node int, file string)) {
+// it calls f with the node, file and schema of every replica of t that
+// the store holds — by subject, and under ThreeReplica by object — and
+// t's row in it, the placed cell first, and moves the view's counters by
+// d (+1 for an insert, -1 for a delete), dropping those that reach zero.
+// The replica by property is those counters: its files hold no cells of
+// their own (Open).
+func (v *View) route(t rdf.Triple, d int, f func(node int, file string, schema []string, placed, other rdf.TermID)) {
 	count(v.properties, t.P, d)
-	f(v.place.NodeFor(t.S), FileName(rdf.SPos, t.P, 0))
+	f(v.place.NodeFor(t.S), FileName(rdf.SPos, t.P, 0), subjectSchema, t.S, t.O)
 	if v.p.mode == SubjectOnly {
 		return
 	}
 	if v.typeID != rdf.NoTerm && t.P == v.typeID {
 		count(v.typeObjects, t.O, d)
 	}
-	f(v.place.NodeFor(t.O), FileName(rdf.OPos, t.P, 0))
+	f(v.place.NodeFor(t.O), FileName(rdf.OPos, t.P, 0), objectSchema, t.O, t.S)
 }
 
 // placedOnly reports whether a partition file name is the property
@@ -325,8 +336,9 @@ func (v *View) Snap() *dstore.Snapshot { return v.snap }
 type File struct {
 	v    *View
 	name string
+	node int
 	// f is the stored file: the file itself, or for a class file the
-	// object file whose rows of class hold it. It is nil for a property
+	// object file whose run of class holds it. It is nil for a property
 	// file, whose rows are the subject files of every node.
 	f     *dstore.File
 	class rdf.TermID
@@ -339,22 +351,22 @@ type File struct {
 // node NodeFor(P) of the view's placement if P has triples, and its
 // rows are the subject files s/p<P> of nodes 0 to Nodes()-1; a class
 // file p/p<type>/o<C> is held by node NodeFor(type) if C has members,
-// and its rows are the rows of object C in the object file o/p<type>
-// on node NodeFor(C). Open allocates nothing.
+// and its rows are the run of object C in the object file o/p<type> on
+// node NodeFor(C). Open allocates nothing.
 func (v *View) Open(node int, name string) (File, bool) {
 	if !placedOnly(name) {
 		f, ok := v.snap.Node(node).Get(name)
 		if !ok {
 			return File{}, false
 		}
-		return File{v: v, name: name, f: f, rows: f.NumRows()}, true
+		return File{v: v, name: name, node: node, f: f, rows: f.NumRows()}, true
 	}
 	prop, class := FileTerms(name)
 	isType := v.typeID != rdf.NoTerm && prop == v.typeID
 	if v.p.mode == SubjectOnly || isType != (class != rdf.NoTerm) || v.place.NodeFor(prop) != node {
 		return File{}, false
 	}
-	lf := File{v: v, name: name, class: class, rows: v.properties[prop]}
+	lf := File{v: v, name: name, node: node, class: class, rows: v.properties[prop]}
 	if isType {
 		lf.rows = v.typeObjects[class]
 		// The object file o/p<type>: the class name without "/o<C>".
@@ -378,16 +390,88 @@ func (f File) Parts() int {
 	return 1
 }
 
-// Part returns the i-th stored file holding the file's rows, nil if
-// none of them is on that node, and the class whose rows of it are the
-// file's (NoTerm: every row is). The rows of every part, in part order,
-// are the file's rows.
-func (f File) Part(i int) (*dstore.File, rdf.TermID) {
-	if f.f != nil {
-		return f.f, f.class
+// Run is the stretch of stored rows a scan of one part reads: rows
+// [Lo, Hi) of F — nil for none — whose cells are (o, s) when Obj is set
+// (an object file's), else (s, o). A run read through the other replica
+// holds rows of other nodes too: Keeps tells those of the part apart.
+type Run struct {
+	F      *dstore.File
+	Lo, Hi int
+	Obj    bool
+	place  Placement // nil: every row of the run is the part's
+	node   int
+}
+
+// Keeps reports whether the run's row whose second cell is c is one of
+// the part's.
+func (r Run) Keeps(c rdf.TermID) bool { return r.place == nil || r.place.NodeFor(c) == r.node }
+
+// Part returns a run of the file's i-th part (0 ≤ i < Parts) that holds
+// all its rows whose subject is s and whose object is o (NoTerm: any),
+// and maybe others, which the caller filters out: with neither, the
+// rows of every part, in part order, are the file's rows. A constant on
+// the cell a stored file is placed by narrows the part to a run of it,
+// both constants to a point. A constant on the other cell alone reads
+// that constant's run in the other replica's file on the constant's
+// node — those of its rows placed on the part's node are the part's —
+// unless the whole file is the cheaper read (placeCost), as it is under
+// SubjectOnly, which has no other replica. A class file's part is its
+// class's run: o, which its name fixes, is the caller's to check. Part
+// allocates nothing.
+func (f File) Part(i int, s, o rdf.TermID) Run {
+	v, sf, node, name := f.v, f.f, f.node, f.name
+	if f.class != rdf.NoTerm {
+		return span(sf, true, f.class, s)
 	}
-	sf, _ := f.v.snap.Node(i).Get("s" + f.name[1:])
-	return sf, rdf.NoTerm
+	if sf == nil { // a property file: part i is node i's subject file
+		node, name = i, "s"+f.name[1:]
+		if sf, _ = v.snap.Node(i).Get(name); sf == nil {
+			return Run{}
+		}
+	}
+	obj := name[0] == 'o'
+	placed, other := s, o
+	if obj {
+		placed, other = o, s
+	}
+	switch {
+	case placed != rdf.NoTerm:
+		return span(sf, obj, placed, other)
+	case other != rdf.NoTerm && v.p.mode == ThreeReplica:
+		replica := "o"
+		if obj {
+			replica = "s"
+		}
+		of, _ := v.snap.Node(v.place.NodeFor(other)).Get(replica + name[1:])
+		r := span(of, !obj, other, rdf.NoTerm)
+		if (r.Hi-r.Lo)*placeCost < sf.NumRows() {
+			r.place, r.node = v.place, node
+			return r
+		}
+	}
+	return span(sf, obj, rdf.NoTerm, rdf.NoTerm)
+}
+
+// placeCost is what testing a row's placement (Run.Keeps) costs in
+// rows of a plain scan, which compares a constant: a constant on a
+// stored file's other cell reads its run in the other replica only
+// while that run, so weighted, is the smaller read.
+const placeCost = 4
+
+// span is the run of stored file sf (nil: none) whose rows start with
+// placed, then other (NoTerm: any; both NoTerm: every row).
+func span(sf *dstore.File, obj bool, placed, other rdf.TermID) Run {
+	r := Run{F: sf, Obj: obj}
+	switch {
+	case sf == nil:
+	case placed == rdf.NoTerm:
+		r.Hi = sf.NumRows()
+	case other == rdf.NoTerm:
+		r.Lo, r.Hi = sf.Range(placed)
+	default:
+		r.Lo, r.Hi = sf.Range(placed, other)
+	}
+	return r
 }
 
 // Files resolves the files a scan of pattern tp must read when placed
@@ -472,24 +556,17 @@ func (v *View) NumTriples() int {
 	return n
 }
 
-// Contains reports whether t is stored at this view's epoch: a lookup of
-// its subject in the one subject-replica file that can hold it (the index
-// is built on first use and carried from epoch to epoch by the store),
-// then a comparison of objects, which the file stores in column 1. It
-// routes through the view's own placement, which every epoch's rows
-// follow: it is the writer's presence test.
+// Contains reports whether t is stored at this view's epoch: a binary
+// search for its (s, o) row in the one subject-replica file that can
+// hold it. It routes through the view's own placement, which every
+// epoch's rows follow: it is the writer's presence test.
 func (v *View) Contains(t rdf.Triple) bool {
 	f, ok := v.snap.Node(v.place.NodeFor(t.S)).Get(FileName(rdf.SPos, t.P, 0))
 	if !ok {
 		return false
 	}
-	slab := f.Slab()
-	for _, row := range f.Lookup(0, t.S) {
-		if slab[int(row)*2+1] == t.O {
-			return true
-		}
-	}
-	return false
+	lo, hi := f.Range(t.S, t.O)
+	return lo < hi
 }
 
 // hash mixes a term ID for node placement (splitmix-style finalizer so

@@ -33,7 +33,7 @@ func TestThreeReplicas(t *testing.T) {
 	for _, name := range v.Files(all, rdf.PPos, g.Dict) {
 		for i := 0; i < v.Nodes(); i++ {
 			if f, ok := v.Open(i, name); ok {
-				logical += len(readFile(f))
+				logical += len(readFile(f, rdf.NoTerm, rdf.NoTerm))
 			}
 		}
 	}

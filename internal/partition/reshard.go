@@ -11,10 +11,7 @@
 // with the view that publishes.
 package partition
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // ResizeStats is the bookkeeping of one Resize.
 type ResizeStats struct {
@@ -40,9 +37,10 @@ func (s ResizeStats) MovedFraction() float64 {
 
 // Resize re-places the current view at newN nodes under the policy and
 // commits it as one epoch with the next topology version. It walks the
-// view's stored files node by node, in name and row order, so each
-// destination file receives its rows in that order after the rows it
-// keeps. The property replica's part of the stats comes from the view's
+// view's stored files node by node, in name and row order, and moves
+// each row whose placed cell the new placement puts elsewhere; the
+// commit merges the moved rows into their destination files in order.
+// The property replica's part of the stats comes from the view's
 // counters: its files hold no rows to walk.
 func (p *Partitioner) Resize(newN int) (ResizeStats, error) {
 	var st ResizeStats
@@ -85,12 +83,10 @@ func (p *Partitioner) Resize(newN int) (ResizeStats, error) {
 		for _, name := range nd.Names() {
 			f, _ := nd.Get(name)
 			st.TotalRows += f.NumRows()
-			// The placement key: a row's subject ("s/…", column 0) or
-			// object ("o/…", column 1).
-			col := strings.IndexByte("so", name[0])
 			for i := 0; i < f.NumRows(); i++ {
 				row := f.Row(i)
-				if dest := v.place.NodeFor(row[col]); dest != node {
+				// The placement key is a row's first cell.
+				if dest := v.place.NodeFor(row[0]); dest != node {
 					tx.DeleteRow(node, name, row)
 					tx.AppendCells(dest, name, f.Schema, row...)
 					st.MovedRows++

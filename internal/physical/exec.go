@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"cliquesquare/internal/core"
-	"cliquesquare/internal/dstore"
 	"cliquesquare/internal/mapreduce"
 	"cliquesquare/internal/partition"
 	"cliquesquare/internal/rdf"
@@ -468,8 +467,9 @@ func (x *Executor) scanFilters(tp sparql.TriplePattern, attrs []string, a *arena
 
 // scanFile scans one partition file of a scan whose filters scanFilters
 // resolved into a, appending its matches to dst. It meters the file —
-// Read, plus Check when the pattern filters — and scans each stored file
-// that holds its rows (scanPart). A constant on a position the file's
+// Read, plus Check when the pattern filters — and scans the run of each
+// part that the pattern's subject and object constants select
+// (partition.File.Part, scanRun). A constant on a position the file's
 // name fixes (the property, a class file's object) is decided once for
 // the whole file: it either matches every row or none. The metering
 // depends on neither: the simulated Hadoop mapper still reads and checks
@@ -479,65 +479,42 @@ func scanFile(f partition.File, m *mapreduce.Meter, a *arena, dst *mapreduce.Blo
 	if len(a.scanConsts) > 0 || len(a.scanRepeats) > 0 {
 		m.Check(f.NumRows())
 	}
-	var fixed [3]rdf.TermID
+	var fixed, key [3]rdf.TermID
 	fixed[rdf.PPos], fixed[rdf.OPos] = partition.FileTerms(f.Name())
 	for _, cc := range a.scanConsts {
 		if id := fixed[cc.pos]; id != rdf.NoTerm && id != cc.id {
 			return
 		}
+		key[cc.pos] = cc.id
 	}
 	for i := 0; i < f.Parts(); i++ {
-		if sf, class := f.Part(i); sf != nil {
-			scanPart(sf, class, fixed, a, dst)
-		}
+		scanRun(f.Part(i, key[rdf.SPos], key[rdf.OPos]), fixed, key, a, dst)
 	}
 }
 
-// scanPart filters the rows of stored file f — those of object class
-// when class is set — by the pattern's constant and repeated-variable
-// checks and copies the variable columns of every match onto dst,
-// reading each row as a triple: its stored (s, o) cells over the cells
-// the scanned file's name fixes. The candidate rows are an index-probed
-// selection vector — the shortest of class's and of each constant's on
-// a stored position — or the whole slab.
-func scanPart(f *dstore.File, class rdf.TermID, fixed [3]rdf.TermID, a *arena, dst *mapreduce.Block) {
-	consts, varPos, repeats := a.scanConsts, a.scanVarPos, a.scanRepeats
-	var cand []int32
-	useIdx := class != rdf.NoTerm
-	if useIdx {
-		cand = f.Lookup(1, class)
+// scanRun filters the rows of run r by the pattern's subject and object
+// constants key (NoTerm: none) and its repeated-variable checks, and
+// copies the variable columns of every match onto dst, reading each row
+// as a triple: its stored cells — (s, o) or an object file's (o, s) —
+// over the cells the scanned file's name fixes. Rows the run holds for
+// another node are skipped.
+func scanRun(r partition.Run, fixed, key [3]rdf.TermID, a *arena, dst *mapreduce.Block) {
+	if r.Lo == r.Hi {
+		return
 	}
-	for _, cc := range consts {
-		if fixed[cc.pos] != rdf.NoTerm {
-			continue
-		}
-		ids := f.Lookup(min(int(cc.pos), 1), cc.id) // s is column 0, o column 1
-		if !useIdx || len(ids) < len(cand) {
-			cand, useIdx = ids, true
-		}
-		if len(cand) == 0 {
-			return
-		}
+	varPos, repeats := a.scanVarPos, a.scanRepeats
+	s, o := key[rdf.SPos], key[rdf.OPos]
+	first, second := rdf.SPos, rdf.OPos
+	if r.Obj {
+		first, second = rdf.OPos, rdf.SPos
 	}
-	slab, n := f.Slab(), f.NumRows()
-	if useIdx {
-		n = len(cand)
-	}
+	slab := r.F.Slab()
 	c := fixed
 rows:
-	for i := 0; i < n; i++ {
-		r := i
-		if useIdx {
-			r = int(cand[i])
-		}
-		c[rdf.SPos], c[rdf.OPos] = slab[2*r], slab[2*r+1]
-		if class != rdf.NoTerm && c[rdf.OPos] != class { // a subject's row of another class
+	for i := r.Lo; i < r.Hi; i++ {
+		c[first], c[second] = slab[2*i], slab[2*i+1]
+		if s != rdf.NoTerm && c[rdf.SPos] != s || o != rdf.NoTerm && c[rdf.OPos] != o || !r.Keeps(c[second]) {
 			continue
-		}
-		for _, cc := range consts {
-			if c[cc.pos] != cc.id {
-				continue rows
-			}
 		}
 		for _, rp := range repeats {
 			if c[rp[0]] != c[rp[1]] {

@@ -324,9 +324,9 @@ type UpdateStats struct {
 	DictBytes  uint64
 	StatsBytes uint64
 	// StoreBytes is what the current epoch's partition files hold,
-	// computed from capacities: the cell slabs of the subject and object
-	// replicas, the column indexes built on them, and the files' headers
-	// and names (the property replica holds no cells).
+	// computed from capacities: the sorted cell slabs of the subject and
+	// object replicas and the files' headers and names (the property
+	// replica holds no cells). Reads never move it.
 	StoreBytes uint64
 	// Contexts is the number of execution contexts pooled now, idle on
 	// the free list, and ScratchBytes the bytes their buffer pools hold:
