@@ -115,11 +115,16 @@ func OpenDurable(cfg Config, opts wal.Options) (*Engine, error) {
 		triples = base.Inserts
 		return install(base)
 	}, func(net *wal.Record) error {
-		gone := make(map[rdf.Triple]bool, len(net.Deletes))
-		for _, t := range net.Deletes {
-			gone[t] = true
-		}
-		triples = append(slices.DeleteFunc(triples, func(t rdf.Triple) bool { return gone[t] }), net.Inserts...)
+		// Both lists come in the log's codec order, so one merge pass
+		// drops the net deletes from the base.
+		dels := net.Deletes
+		triples = slices.DeleteFunc(triples, func(t rdf.Triple) bool {
+			for len(dels) > 0 && wal.Compare(dels[0], t) < 0 {
+				dels = dels[1:]
+			}
+			return len(dels) > 0 && dels[0] == t
+		})
+		triples = append(triples, net.Inserts...)
 		return install(net)
 	})
 	if err != nil {
@@ -160,6 +165,11 @@ func (e *Engine) checkpoint() error {
 // replica as inserts, and its cluster size. It takes no lock: the view
 // is immutable and carries its epoch and topology, and the dictionary,
 // which only grows, held every id of it at publication.
+//
+// The inserts come out in the log's codec order, which Create and
+// WriteCheckpoint would otherwise sort them into by comparing whole
+// triples. The replica lists properties in ascending order, so sorting
+// each property's rows as packed s<<32|o keys is enough, and cheaper.
 func (e *Engine) snapshot() *wal.Record {
 	v := e.part.Current()
 	b := &wal.Record{
@@ -169,7 +179,27 @@ func (e *Engine) snapshot() *wal.Record {
 		Inserts:   make([]rdf.Triple, 0, v.NumTriples()),
 		Topology:  uint32(v.Nodes()),
 	}
-	v.EachTriple(rdf.NoTerm, func(t rdf.Triple) { b.Inserts = append(b.Inserts, t) })
+	var keys []uint64
+	from := 0 // the current property's first row
+	sortRows := func() {
+		run := b.Inserts[from:]
+		keys = keys[:0]
+		for _, t := range run {
+			keys = append(keys, uint64(t.S)<<32|uint64(t.O))
+		}
+		slices.Sort(keys)
+		for i, k := range keys {
+			run[i].S, run[i].O = rdf.TermID(k>>32), rdf.TermID(k)
+		}
+	}
+	v.EachTriple(rdf.NoTerm, func(t rdf.Triple) {
+		if n := len(b.Inserts); n > from && b.Inserts[from].P != t.P {
+			sortRows()
+			from = n
+		}
+		b.Inserts = append(b.Inserts, t)
+	})
+	sortRows()
 	return b
 }
 

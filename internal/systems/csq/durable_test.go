@@ -741,6 +741,57 @@ func TestCompactionBytesIndependentOfSize(t *testing.T) {
 	}
 }
 
+// TestChurnRecordBytes pins what a commit writes to the log on the
+// benchmark's churn stream, at univ 20: LUBM drawn from seed 42, two
+// disjoint samples D0, D1 of 200 triples drawn by a rand source seeded
+// 43, the store loaded without D1, and commits alternating D0 → D1 and
+// back, each deleting one sample and inserting the other. Every record
+// must take at most 2,418 bytes, half of the 4,836 that listing each
+// triple as three fixed-width ids took.
+func TestChurnRecordBytes(t *testing.T) {
+	const batch, commits = 200, 10
+	cfg := lubm.DefaultConfig(20)
+	cfg.Seed = 42
+	g := lubm.Generate(cfg)
+	all := g.Triples()
+	idx := rand.New(rand.NewSource(43)).Perm(len(all))[:2*batch]
+	var d0, d1 []rdf.Triple
+	for i, k := range idx {
+		if i < batch {
+			d0 = append(d0, all[k])
+		} else {
+			d1 = append(d1, all[k])
+		}
+	}
+	g.RemoveBatch(d1)
+	eng, err := NewDurable(g, DefaultConfig(), durableOpts(wal.NewMemFS()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	before := eng.DurabilityStats().Log
+	for i := 0; i < commits; i++ {
+		ins, dels := d1, d0
+		if i%2 == 1 {
+			ins, dels = d0, d1
+		}
+		if br, err := eng.ApplyBatch(ins, dels); err != nil || br.Inserted != batch || br.Deleted != batch {
+			t.Fatalf("commit %d: %+v, %v", i, br, err)
+		}
+	}
+	st := eng.DurabilityStats().Log
+	records := int64(st.Records - before.Records)
+	perRecord := (st.AppendedBytes - before.AppendedBytes) / records
+	// Frame, epoch, topology, first term, three u32 counts (terms,
+	// inserts, deletes) and three u32 ids per triple.
+	const fixedWidth = 8 + 8 + 4 + 4 + 3*4 + 12*2*batch
+	t.Logf("%d records of %d triples: %d bytes each (%.2f per triple); three fixed-width ids a triple: %d",
+		records, 2*batch, perRecord, float64(perRecord)/(2*batch), fixedWidth)
+	if records != commits || perRecord > fixedWidth/2 {
+		t.Errorf("%d records of %d bytes each, want %d of at most %d", records, perRecord, commits, fixedWidth/2)
+	}
+}
+
 // TestReshardThenDeltaRecovers: a delta folded over a resize carries
 // the new topology. The base was written at the load size and the
 // records after the delta are plain batches, so an engine recovered at

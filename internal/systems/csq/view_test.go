@@ -226,7 +226,7 @@ func TestCheckpointImageFromView(t *testing.T) {
 					Epoch:     eng.DataVersion(),
 					FirstTerm: 1,
 					Terms:     g.Dict.TermsAfter(0),
-					Inserts:   g.Triples(),
+					Inserts:   slices.Clone(g.Triples()), // Create sorts it in place
 					Topology:  uint32(eng.Nodes()),
 				}
 				cp := eng.snapshot()

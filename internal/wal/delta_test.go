@@ -16,7 +16,7 @@ import (
 // initial base. It sizes that base so a history compacted at epochs 2,
 // 4 and 6 (or 2, 4 and 4 again) writes a delta, a second delta and then,
 // by the ski-rental rule, a full base.
-const historyTerms = 19
+const historyTerms = 15
 
 // history scripts effective records over an initial base of historyTerms
 // terms and no triple: record e mints term historyTerms+e and inserts

@@ -29,27 +29,39 @@ func mkRecord(epoch uint64) *Record {
 	}
 }
 
+// TestRecordRoundTrip: records decode whole — terms, every id of every
+// triple, topology — with their lists in codec order, however the
+// caller listed them.
 func TestRecordRoundTrip(t *testing.T) {
 	recs := []*Record{
 		mkRecord(1),
 		{Epoch: 2}, // empty batch: no terms, no triples
 		{Epoch: 3, Terms: []rdf.Term{{Kind: rdf.Blank, Value: "b0"}}, FirstTerm: 7,
-			Deletes: []rdf.Triple{{S: 1, P: 2, O: 3}, {S: 4, P: 5, O: 6}}},
+			Deletes: []rdf.Triple{{S: 4, P: 5, O: 6}, {S: 1, P: 2, O: 3}, {S: 1, P: 5, O: 9}, {S: 1, P: 5, O: 2}}},
+		{Epoch: 4, Topology: 3, Inserts: []rdf.Triple{{S: 9, P: 1, O: 0}, {S: 2, P: 1, O: 7}, {S: 9, P: 1, O: 8}}},
+	}
+	canon := []*Record{
+		recs[0],
+		recs[1],
+		{Epoch: 3, Terms: recs[2].Terms, FirstTerm: 7,
+			Deletes: []rdf.Triple{{S: 1, P: 2, O: 3}, {S: 1, P: 5, O: 2}, {S: 1, P: 5, O: 9}, {S: 4, P: 5, O: 6}}},
+		{Epoch: 4, Topology: 3, Inserts: []rdf.Triple{{S: 2, P: 1, O: 7}, {S: 9, P: 1, O: 0}, {S: 9, P: 1, O: 8}}},
 	}
 	var buf []byte
 	for _, r := range recs {
+		if err := r.sortLists(); err != nil {
+			t.Fatal(err)
+		}
 		buf = encodeRecord(buf, r)
 	}
 	rest := buf
-	for i, want := range recs {
+	for i, want := range canon {
 		got, n, ok := decodeRecord(rest)
 		if !ok {
 			t.Fatalf("record %d: decode failed", i)
 		}
 		rest = rest[n:]
-		if got.Epoch != want.Epoch || got.FirstTerm != want.FirstTerm ||
-			!reflect.DeepEqual(got.Terms, want.Terms) ||
-			len(got.Inserts) != len(want.Inserts) || len(got.Deletes) != len(want.Deletes) {
+		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("record %d: got %+v want %+v", i, got, want)
 		}
 	}
