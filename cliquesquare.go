@@ -400,9 +400,10 @@ func (e *Engine) DataVersion() uint64 { return e.inner.DataVersion() }
 // UpdateStats is a snapshot of the engine's update and plan
 // revalidation counters (re-exported from the csq engine). Contexts is
 // the number of execution contexts the engine keeps pooled, and
-// ScratchBytes the bytes their buffer pools hold: each context keeps
-// what the hungriest execution through it needed, not what all of them
-// needed together.
+// ScratchBytes the bytes their scratch holds: each context keeps its
+// lanes times the largest temporary plus the most outputs any execution
+// through it needed — not what all of them needed together, and the
+// same whichever lane ran which morsel.
 type UpdateStats = csq.UpdateStats
 
 // UpdateStats snapshots batches applied, cached plans revalidated

@@ -5,184 +5,146 @@ import (
 	"testing"
 	"unsafe"
 
+	"cliquesquare/internal/dstore"
 	"cliquesquare/internal/rdf"
 )
 
-// execute borrows what one simulated execution needs — growing cells,
-// records and row numbers element by element, so every buffer goes
-// through its growth trail — writes a pattern through every view, checks
-// no view overwrote another, and hands everything back.
-func execute(t *testing.T, p *Bufs, n int) {
+// execute carves what one simulated execution of jobs jobs needs on
+// lanes lanes, concurrently: per job, morsels whose temporaries (7 ×
+// morsel cells, and a mark Cut back to) come from their lane's arena,
+// each emptied as its morsel ends, while the outputs carve lasting
+// pieces from the pool's bottom and the job's own from its top. Every
+// piece gets a pattern, checked once the job has run: no two pieces
+// carved together share memory, and on a warm pool every piece lies in
+// its lane's arena or the outputs' array.
+func execute(t *testing.T, p *Bufs, lanes, jobs int, warm bool) {
 	t.Helper()
-	var cells []rdf.TermID
-	var recs []record
-	var rows []int32
-	for i := 0; i < n; i++ {
-		cells = append(Grow(p, cells, 1), rdf.TermID(i))
-		if i%3 == 0 {
-			recs = append(Grow(p, recs, 1), record{group: uint32(i), k0: ^uint32(i)})
-		}
-		rows = append(Grow(p, rows, 1), int32(-i))
-	}
-	for i := range cells {
-		if cells[i] != rdf.TermID(i) || rows[i] != int32(-i) || i%3 == 0 && (recs[i/3].group != uint32(i) || recs[i/3].k0 != ^uint32(i)) {
-			t.Fatalf("element %d was overwritten by another borrower", i)
-		}
-	}
-	Free(p, cells)
-	Free(p, recs)
-	Free(p, rows)
-	p.Reset()
-}
-
-// TestBufsHoldOneExecution pins the pool's contract: buffers borrowed
-// together never share memory, on one lane or several, the pool keeps
-// what the hungriest execution reached whatever ran before or after it,
-// a warm pool lends without allocating, and Reset refuses a buffer still
-// lent.
-func TestBufsHoldOneExecution(t *testing.T) {
-	var p Bufs
-	execute(t, &p, 5000)
-	hungriest := p.Bytes()
-	for _, n := range []int{10, 5000, 3000, 1, 5000} {
-		execute(t, &p, n)
-		if got := p.Bytes(); got != hungriest {
-			t.Fatalf("after an execution of %d: the pool holds %d B, the hungriest execution left %d", n, got, hungriest)
-		}
-	}
-	if allocs := testing.AllocsPerRun(20, func() { execute(t, &p, 5000) }); allocs != 0 {
-		t.Errorf("a warm pool: %v allocs per execution, want none", allocs)
-	}
-
-	// Concurrent lanes share the pool.
-	var wg sync.WaitGroup
-	for lane := 0; lane < 4; lane++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var cells []rdf.TermID
-			for i := 0; i < 2000; i++ {
-				cells = append(Grow(&p, cells, 1), rdf.TermID(lane))
-			}
-			for _, c := range cells {
-				if c != rdf.TermID(lane) {
-					t.Errorf("lane %d's buffer holds another lane's cell", lane)
-					break
-				}
-			}
-			Free(&p, cells)
-		}()
-	}
-	wg.Wait()
-	p.Reset()
-
-	lent := Grow(&p, []int32(nil), 1)
-	defer func() {
-		if recover() == nil {
-			t.Error("Reset with a buffer still lent did not panic")
-		}
-		Free(&p, lent)
-	}()
-	p.Reset()
-}
-
-// TestBufsFreedNeighboursCoalesce hands back two neighbouring pieces and
-// asks for their joint size: the merged piece serves it, at the first
-// piece's address, and the pool occupies no word more.
-func TestBufsFreedNeighboursCoalesce(t *testing.T) {
-	var p Bufs
-	a := Grow(&p, []int32(nil), 600) // 100 units each
-	b := Grow(&p, []int32(nil), 600)
-	c := Grow(&p, []int32(nil), 600) // keeps a and b from reaching the free space after them
-	occupied := p.occupied()
-	Free(&p, a)
-	Free(&p, b)
-	d := Grow(&p, []int32(nil), 1200)
-	if unsafe.SliceData(d) != unsafe.SliceData(a) {
-		t.Error("two freed neighbours did not serve a request of their joint size")
-	}
-	if got := p.occupied(); got != occupied || len(p.chunks) != 1 {
-		t.Errorf("serving it occupied %d words in %d chunks, before %d in one", got, len(p.chunks), occupied)
-	}
-	Free(&p, c)
-	Free(&p, d)
-	p.Reset()
-}
-
-// TestBufsResetKeepsLentTails lends the tail of a chunk that a larger
-// request skipped: the one chunk Reset keeps holds it, with the rest of
-// what the execution occupied and an eighth more, and a repeat of the
-// execution fits in it.
-func TestBufsResetKeepsLentTails(t *testing.T) {
-	var p Bufs
-	execute := func() (tailLent bool) {
-		x := Grow(&p, []rdf.TermID(nil), 1000*6) // the first chunk is 1024 units: a 24-unit tail
-		y := Grow(&p, []rdf.TermID(nil), 100*6)  // skips the tail for a chunk of its own
-		z := Grow(&p, []rdf.TermID(nil), 16*6)   // lent from the tail
-		tail := uintptr(unsafe.Pointer(unsafe.SliceData(x))) + 1000*bufUnit
-		tailLent = uintptr(unsafe.Pointer(unsafe.SliceData(z))) == tail
-		Free(&p, x)
-		Free(&p, y)
-		Free(&p, z)
-		p.Reset()
-		return tailLent
-	}
-	if !execute() {
-		t.Fatal("the skipped tail did not serve a request it holds")
-	}
-	occupied := (1000 + 16 + 100) * bufUnit / 8
-	want := (occupied + occupied/8) / 3 * 3
-	if len(p.chunks) != 1 || len(p.chunks[0].words) != want {
-		t.Fatalf("Reset kept %d chunks, the first of %d words; want one of %d: %d occupied and an eighth", len(p.chunks), len(p.chunks[0].words), want, occupied)
-	}
-	bytes := p.Bytes()
-	execute()
-	if len(p.chunks) != 1 || p.Bytes() != bytes {
-		t.Errorf("a repeat left %d chunks of %d B, the first execution one of %d B", len(p.chunks), p.Bytes(), bytes)
-	}
-}
-
-// TestBufsDoublingChains grows four buffers element by element, in
-// turn, on one lane of a warm pool: each growth either extends its
-// buffer over the free pieces around it or hands back a piece next to
-// the others' growing ones, and the pool must reuse them, occupying at
-// most the chains' live peak — every array lent at once, the one being
-// copied out of included — and one chunk of the fewest units a chunk
-// has.
-func TestBufsDoublingChains(t *testing.T) {
-	var p Bufs
-	chains := func() (peak int) {
-		var chains [4][]int32
-		for i := 0; i < 100000; i++ {
-			for k := range chains {
-				old := cap(chains[k])
-				chains[k] = append(Grow(&p, chains[k], 1), int32(i))
-				if cap(chains[k]) != old {
-					live := old
-					for _, c := range chains {
-						live += cap(c)
+	var lasting [][]rdf.TermID
+	p.Lane(lanes - 1)
+	for job := 0; job < jobs; job++ {
+		var mu sync.Mutex
+		var wg sync.WaitGroup
+		var own [][]record
+		for lane := 0; lane < lanes; lane++ {
+			a := p.Lane(lane)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for m := lane; m < 12; m += lanes {
+					tmp := Carve[rdf.TermID](a, 7*m)
+					mark := a.Used()
+					scrap := Carve[int32](a, 100)
+					for i := range tmp {
+						tmp[i] = rdf.TermID(m)
 					}
-					peak = max(peak, live*4)
+					a.Cut(mark)
+					for _, c := range tmp {
+						if c != rdf.TermID(m) {
+							t.Errorf("morsel %d: a temporary overwritten", m)
+							return
+						}
+					}
+					keep := Carve[rdf.TermID](p, 3*m+job)
+					recs := Carve[record]((*top)(p), m)
+					for i := range keep {
+						keep[i] = rdf.TermID(m<<8 | job)
+					}
+					for i := range recs {
+						recs[i] = record{group: uint32(m), k0: uint32(job)}
+					}
+					if warm && !(inside(a.words, tmp) && inside(a.words, scrap) && inside(p.words, keep) && inside(p.words, recs)) {
+						t.Errorf("job %d, morsel %d: a warm pool carved a piece off its arrays", job, m)
+					}
+					p.empty(lane)
+					mu.Lock()
+					lasting, own = append(lasting, keep), append(own, recs)
+					mu.Unlock()
+				}
+			}()
+		}
+		wg.Wait()
+		for _, recs := range own {
+			for _, r := range recs {
+				if int(r.k0) != job || int(r.group) != len(recs) {
+					t.Fatalf("job %d: a routed record overwritten", job)
 				}
 			}
 		}
-		for k := range chains {
-			for i, v := range chains[k] {
-				if v != int32(i) {
-					t.Fatalf("chain %d, element %d: %d, overwritten by another chain", k, i, v)
-				}
-			}
-			Free(&p, chains[k])
-		}
-		return peak
+		p.endJob()
 	}
-	chains()
-	p.Reset() // one chunk
-	peak := chains()
-	occupied := p.occupied() * 8
-	t.Logf("the chains occupied %d B of the pool's %d: live peak %d B", occupied, p.Bytes(), peak)
-	if chunk := 1024 * bufUnit; occupied > peak+chunk {
-		t.Errorf("the chains occupied %d B: more than their live peak %d B and a chunk of %d B", occupied, peak, chunk)
+	for _, keep := range lasting {
+		for _, c := range keep {
+			if int(c>>8) != (len(keep)-int(c&0xff))/3 {
+				t.Fatalf("a lasting piece overwritten")
+			}
+		}
 	}
 	p.Reset()
+}
+
+// inside reports whether s lies in words.
+func inside[E Elem](words []uint64, s []E) bool {
+	if len(s) == 0 {
+		return true
+	}
+	lo, at := uintptr(unsafe.Pointer(unsafe.SliceData(words))), uintptr(unsafe.Pointer(unsafe.SliceData(s)))
+	return at >= lo && at+uintptr(len(s))*unsafe.Sizeof(s[0]) <= lo+uintptr(len(words))*8
+}
+
+// TestBufsHoldOneExecution pins the pool's contract. Pieces carved
+// together never share memory, on one lane or several. After Reset the
+// pool is exactly the lanes times the largest temporary of any morsel,
+// plus the most the outputs held at once — the same words whatever the
+// interleaving — and a repeat, or a smaller execution, never grows it
+// and carves without allocating. A lane's arena is empty whenever one
+// of the runtime's units starts on it.
+func TestBufsHoldOneExecution(t *testing.T) {
+	// Per job: morsels 0..11 carve 7m cells and 100 int32 (50 words) at
+	// most; the outputs keep 3m+job cells and m records (3 words) each.
+	temp := (7*11+1)/2 + 50
+	keep := func(jobs int) (words int) {
+		for job := 0; job < jobs; job++ {
+			for m := 0; m < 12; m++ {
+				words += (3*m + job + 1) / 2
+			}
+		}
+		return words
+	}
+	for _, lanes := range []int{1, 2, 4} {
+		var p Bufs
+		execute(t, &p, lanes, 3, false)
+		want := int64(lanes*temp+keep(3)+3*66) * 8
+		if got := p.Bytes(); got != want {
+			t.Fatalf("%d lanes: the pool holds %d B, want %d (lanes × %d words and %d of outputs)", lanes, got, want, temp, keep(3)+3*66)
+		}
+		for _, jobs := range []int{3, 1, 3, 2} {
+			execute(t, &p, lanes, jobs, true)
+			if got := p.Bytes(); got != want {
+				t.Fatalf("%d lanes: after an execution of %d jobs the pool holds %d B, the hungriest left %d", lanes, jobs, got, want)
+			}
+		}
+	}
+
+	// Through the runtime: each unit finds its lane's arena empty.
+	var p Bufs
+	p.Lane(3)
+	cl := NewCluster(dstore.NewStore(3), DefaultConstants())
+	pool := NewPool(4)
+	defer pool.Close()
+	job := Job{
+		MapMorsels: func(int) int { return 9 },
+		MapMorsel: func(node, morsel, lane int, m *Meter, _ *Emitter, _ *Block) {
+			if a := p.Lane(lane); a.Used() != 0 {
+				t.Errorf("node %d, morsel %d: lane %d's arena lends %d words at the start", node, morsel, lane, a.Used())
+			}
+			Carve[rdf.TermID](p.Lane(lane), 2*morsel+node)
+		},
+	}
+	for i := 0; i < 3; i++ {
+		cl.RunWith(job, RunOptions{Pool: pool, Scratch: &Scratch{Bufs: &p}})
+		p.Reset()
+		if got, want := p.Bytes(), int64(4*((2*8+2+1)/2))*8; got != want {
+			t.Errorf("run %d: the pool holds %d B, want four arenas of the largest morsel's %d B", i, got, want/4)
+		}
+	}
 }

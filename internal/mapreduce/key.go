@@ -12,11 +12,11 @@ const (
 // record is one shuffled tuple, built once, by routing, straight into
 // its destination's array. Its key is the group (which reduce join the
 // tuple belongs to) and nkey key cells; tag says which input of that
-// join it is. The cells of bucket buf hold, from off, the tuple's nkey
-// key cells and then its width row cells, as Emit wrote them; the
-// first key cell is copied inline too — reduce joins key on a clique's
-// shared variables, almost always one — so sorting and grouping
-// one-cell keys never leave the record array. The struct is fixed-size
+// join it is. The first key cell lives in the record alone — reduce
+// joins key on a clique's shared variables, almost always one — so
+// sorting and grouping one-cell keys never leave the record array; the
+// cells of bucket buf hold, from off, the tuple's other nkey-1 key cells
+// and then its width row cells, as Emit wrote them. The struct is fixed-size
 // and pointer-free: sorting swaps 24 bytes and the collector never
 // scans a record array. tag and nkey are 16 bits wide: a join has at
 // most as many inputs as its query has triple patterns and at most as
@@ -60,17 +60,21 @@ func route(h32 uint32, n int) int {
 	return int(h32&0x7FFFFFFF) % n
 }
 
+// stored is how many of a tuple's nkey key cells its bucket holds: all
+// but the first, which its record carries.
+func stored(nkey uint16) int { return max(int(nkey), 1) - 1 }
+
 // keyCell returns the i-th key cell of r (i < r.nkey).
 func keyCell(r *record, i int, bk []bucket) uint32 {
 	if i == 0 {
 		return r.k0
 	}
-	return uint32(bk[r.buf].cells[int(r.off)+i])
+	return uint32(bk[r.buf].cells[int(r.off)+i-1])
 }
 
 // row returns r's row cells as a view of its bucket's cell buffer.
 func (r *record) row(bk []bucket) Row {
-	lo := int(r.off) + int(r.nkey)
+	lo := int(r.off) + stored(r.nkey)
 	hi := lo + int(r.width)
 	return bk[r.buf].cells[lo:hi:hi]
 }

@@ -21,22 +21,22 @@
 //
 // The data plane is flat: tuples are cells in width-strided []TermID
 // arrays, never one slice header per row. A relation body is a Block
-// (width, row count, cells). An emitted tuple is its key and row cells,
-// written once, at emission, into the cell buffer of the (morsel,
-// destination) bucket the key routes to, under one header per run of
-// one shape. Routing builds each tuple's one record — a 24-byte
-// pointer-free struct holding the group, the first key cell, the tag
-// and where the tuple's cells are — straight into its destination's
+// (width, row count, cells). An emitted tuple is its row cells and its
+// key cells but the first, written once, at emission, into the cell
+// buffer of the (morsel, destination) bucket the key routes to, under
+// one header per run of one shape. Routing builds each tuple's one
+// record — a 24-byte pointer-free struct holding the group, the first
+// key cell, the tag and where the tuple's cells are — straight into its destination's
 // array in (source node, morsel, emission) order, and sorting permutes
 // records only; the cells never move again, and no array holds a
 // pointer, so the garbage collector skips them all.
 //
 // A Scratch holds the positions a run fills — buckets, routed records,
-// slot tables and the per-node output blocks — and draws their bytes
-// from its Bufs pool: a run's Output, and every view Groups.Each hands
-// a reducer (a group's key cells and its records' rows, valid for the
-// duration of the callback), alias pool memory that the next run handed
-// the same Scratch, or the Scratch's Release, gives back. Whatever must
+// slot tables and the per-node output blocks — and carves their bytes
+// from its Bufs pool, each piece once and at its counted size: a run's
+// Output, and every view Groups.Each hands a reducer (a group's key
+// cells and its records' rows, valid for the duration of the callback),
+// alias pool memory that the pool's Reset takes back. Whatever must
 // outlive that is copied out by the caller.
 package mapreduce
 
@@ -61,16 +61,11 @@ type Row = dstore.Row
 type Block struct {
 	Width, N int
 	Cells    []rdf.TermID
-	bufs     *Bufs // where Extend draws cells from; nil is the Go heap
+	mem      Mem // where Reserve carves; nil is the Go heap
 }
 
-// Reset empties the block for rows of the given width, keeping its
-// backing array.
-func (b *Block) Reset(width int) { b.Width, b.N, b.Cells = width, 0, b.Cells[:0] }
-
-// Free empties the block and hands its cells back to its pool: the
-// block keeps a header only.
-func (b *Block) Free() { b.Width, b.N, b.Cells = 0, 0, Free(b.bufs, b.Cells) }
+// NewBlock returns an empty block whose Reserve carves from m.
+func NewBlock(m Mem) Block { return Block{mem: m} }
 
 // Row returns row i as a view of the block, capacity clipped.
 func (b *Block) Row(i int) Row {
@@ -80,7 +75,8 @@ func (b *Block) Row(i int) Row {
 
 // Extend grows the block by rows rows of the given width and returns
 // their cells for the caller to fill — the one way rows get into a
-// block. The first rows of an empty block fix its width.
+// block. The first rows of an empty block fix its width. Rows past the
+// room Reserve made come from the Go heap.
 func (b *Block) Extend(rows, width int) []rdf.TermID {
 	if rows == 0 {
 		return nil
@@ -91,15 +87,31 @@ func (b *Block) Extend(rows, width int) []rdf.TermID {
 		panic("mapreduce: rows of another width appended to a block")
 	}
 	n := len(b.Cells)
-	b.Cells = Grow(b.bufs, b.Cells, rows*width)[:n+rows*width]
+	b.Cells = slices.Grow(b.Cells, rows*width)[:n+rows*width]
 	b.N += rows
 	return b.Cells[n:]
 }
 
-// Reserve makes room for rows more rows of the given width, so that
-// extending the block by them draws no more memory: on an empty block,
-// just that room.
-func (b *Block) Reserve(rows, width int) { b.Cells = Grow(b.bufs, b.Cells, rows*width) }
+// Reserve makes room for rows more rows of the given width, carved from
+// the block's memory at exactly that size, so that extending the block
+// by them draws no more memory.
+func (b *Block) Reserve(rows, width int) {
+	b.Cells = grow(b.mem, b.Cells, rows*width)
+}
+
+// grow returns s with room for n more elements: s when it has it, else
+// a copy carved from m at exactly that size — grown as append grows a
+// slice when m is nil.
+func grow[E Elem](m Mem, s []E, n int) []E {
+	if len(s)+n <= cap(s) {
+		return s
+	} else if m == nil {
+		return slices.Grow(s, n)
+	}
+	t := Carve[E](m, len(s)+n)[:len(s)]
+	copy(t, s)
+	return t
+}
 
 // Append copies one row's cells onto the block.
 func (b *Block) Append(row Row) { copy(b.Extend(1, len(row)), row) }
@@ -188,17 +200,11 @@ type Job struct {
 	// ReduceRange runs one key range of a node's reduce input on a
 	// lane. ranges is the number of ranges the node was split into.
 	ReduceRange func(node, rng, ranges, lane int, m *Meter, groups *Groups, out *Block)
-	// PhaseDone, if non-nil, runs after each phase's units have all run,
-	// before their outputs merge: what the units computed in beside their
-	// output — a lane's blocks and tables — can go back to the pool there,
-	// for the merge and the next phase to draw on.
-	PhaseDone func()
-}
-
-func (j *Job) phaseDone() {
-	if j.PhaseDone != nil {
-		j.PhaseDone()
-	}
+	// ReduceSize, if non-nil, returns the cells ReduceRange will write to
+	// out, metering nothing; run for every range first, it lets each
+	// node's output be carved once and every range write its stretch of
+	// it, where otherwise a node's ranges' blocks are copied into it.
+	ReduceSize func(node, rng, ranges, lane int, groups *Groups) int
 }
 
 // ClassicJob adapts the classic MapReduce form — mapFn once per node,
@@ -351,20 +357,20 @@ type slot struct {
 	node, idx, of int    // the node, and the unit's index among that node's of units
 	meter         Meter  // what the unit counted
 	out           Block  // rows written, unless the unit writes the node output directly
+	size          int    // the cells a sized reduce range writes
 	count, cells  int    // records and row cells emitted into the shuffle
 	groups        Groups // a key range's records
 }
 
 // layout returns the slot table s sized for one phase: units(node)
 // slots per node, in node order, each a fresh header whose output block
-// draws on p. Positions hold headers and the pool holds bytes: the
-// previous phase's slots handed their blocks back as they merged.
+// carves from p.
 func layout(s []slot, n int, p *Bufs, units func(node int) int) []slot {
 	s = s[:0]
 	for node := 0; node < n; node++ {
 		k := units(node)
 		for i := 0; i < k; i++ {
-			s = append(s, slot{node: node, idx: i, of: k, out: p.Block()})
+			s = append(s, slot{node: node, idx: i, of: k, out: NewBlock(p)})
 		}
 	}
 	return s
@@ -375,32 +381,31 @@ func layout(s []slot, n int, p *Bufs, units func(node int) int) []slot {
 // keeping, and the caller resets the elements it is about to use.
 func resize[E any](buf []E, n int) []E { return slices.Grow(buf[:0], n)[:n] }
 
-// ResetBlocks returns buf at n empty blocks drawing on p. Positions hold
-// headers and the pool holds bytes: a block of buf still holding cells
-// hands them back to its pool first.
+// ResetBlocks returns buf at n empty blocks carving from p. Positions
+// hold headers and the pool holds bytes: no block keeps cells.
 func ResetBlocks(buf []Block, n int, p *Bufs) []Block {
-	for i := range buf {
-		buf[i].Free()
-	}
+	clear(buf)
 	buf = resize(buf, n)
 	for i := range buf {
-		buf[i] = p.Block()
+		buf[i] = NewBlock(p)
 	}
 	return buf
 }
 
 // bucket holds what one map morsel emitted for one destination node:
-// each tuple's key cells and row cells, one tuple after the other, and
-// one run header per stretch of tuples of one shape.
+// each tuple's key cells but the first and its row cells, one tuple
+// after the other, and one run header per stretch of tuples of one
+// shape.
 type bucket struct {
 	runs  []run
 	cells []rdf.TermID
 }
 
-// shape is what the tuples of one run share.
+// shape is what the tuples of one run share: col0 is the row column
+// holding the first key cell, which no bucket stores.
 type shape struct {
-	group, width uint32
-	tag, nkey    uint16
+	group, width, col0 uint32
+	tag, nkey          uint16
 }
 
 // run is a stretch of n tuples of one shape that a bucket holds back to
@@ -408,56 +413,88 @@ type shape struct {
 type run struct {
 	shape
 	off, n uint32
-	_      uint32 // pads the header to the pool's 24-byte unit
 }
 
 // Emitter is a lane's handle on the shuffle while it runs one map
-// morsel. The runtime keeps one per lane and retargets it per unit, and
-// buckets grow from the pool, so emitting allocates nothing on a warm
-// pool.
+// morsel. The runtime keeps one per lane and retargets it per unit.
 type Emitter struct {
 	n       int      // cluster size (routing modulus)
 	unit    *slot    // the running unit: its counters
 	buckets []bucket // the unit's per-destination buckets
-	bufs    *Bufs
+	bufs    *Bufs    // the run's pool, whose top the buckets are carved from
+	counts  []int    // EmitAll's per-destination tuple counts
 }
 
-// Emit sends row into the shuffle under the key (group, row[keyCols...])
-// with the given input tag (which join input the row belongs to). Key
-// and row cells are copied — once, into the cell buffer of the bucket
-// the key routes to — so the caller may reuse row once Emit returns.
-func (e *Emitter) Emit(group uint32, tag int, row Row, keyCols []int) {
+// dest returns the node the key (group, row[keyCols...]) routes to.
+func (e *Emitter) dest(group uint32, row Row, keyCols []int) int {
 	h := hashCell(fnv32Offset, group)
 	for _, c := range keyCols {
 		h = hashCell(h, uint32(row[c]))
 	}
-	b := &e.buckets[route(h, e.n)]
-	if k := len(keyCols) + len(row); len(b.cells)+k > cap(b.cells) {
-		b.cells = Grow(e.bufs, b.cells, k)
+	return route(h, e.n)
+}
+
+// Emit sends row into the shuffle under the key (group, row[keyCols...])
+// with the given input tag (which join input the row belongs to). Its
+// cells and key cells but the first (routing reads that off the row) are
+// copied once, into the bucket the key routes to: row may be reused.
+func (e *Emitter) Emit(group uint32, tag int, row Row, keyCols []int) {
+	e.EmitAll(group, tag, Block{Width: len(row), N: 1, Cells: row}, keyCols)
+}
+
+// EmitAll emits every row of rel, as Emit would one by one. It counts
+// first what each destination gets, so that in a pooled run each bucket
+// is carved once, at its size, from the top of the pool; without a pool
+// the buckets grow as append grows a slice.
+func (e *Emitter) EmitAll(group uint32, tag int, rel Block, keyCols []int) {
+	var m Mem
+	if e.bufs != nil {
+		m = (*top)(e.bufs)
 	}
-	sh := shape{group: group, width: uint32(len(row)), tag: uint16(tag), nkey: uint16(len(keyCols))}
-	if n := len(b.runs); n == 0 || b.runs[n-1].shape != sh {
-		b.runs = append(Grow(e.bufs, b.runs, 1), run{shape: sh, off: uint32(len(b.cells))})
+	e.counts = resize(e.counts, e.n)
+	clear(e.counts)
+	for i := 0; i < rel.N; i++ {
+		e.counts[e.dest(group, rel.Row(i), keyCols)]++
 	}
-	b.runs[len(b.runs)-1].n++
-	for _, c := range keyCols {
-		b.cells = append(b.cells, row[c])
+	sh := shape{group: group, width: uint32(rel.Width), tag: uint16(tag), nkey: uint16(len(keyCols))}
+	rest := keyCols // the key columns a bucket stores: all but the first
+	if len(keyCols) > 0 {
+		sh.col0, rest = uint32(keyCols[0]), keyCols[1:]
 	}
-	b.cells = append(b.cells, row...)
-	e.unit.count++
-	e.unit.cells += len(row)
+	for d, k := range e.counts {
+		b := &e.buckets[d]
+		switch n := len(b.runs); {
+		case k == 0:
+			continue
+		case n > 0 && b.runs[n-1].shape == sh:
+			b.runs[n-1].n += uint32(k)
+		default:
+			b.runs = append(grow(m, b.runs, 1), run{shape: sh, off: uint32(len(b.cells)), n: uint32(k)})
+		}
+		b.cells = grow(m, b.cells, k*(len(rest)+rel.Width))
+	}
+	for i := 0; i < rel.N; i++ {
+		row := rel.Row(i)
+		b := &e.buckets[e.dest(group, row, keyCols)]
+		for _, c := range rest {
+			b.cells = append(b.cells, row[c])
+		}
+		b.cells = append(b.cells, row...)
+	}
+	e.unit.count += rel.N
+	e.unit.cells += rel.N * rel.Width
 }
 
 // Scratch holds the positions one RunWith fills: per-(morsel,
 // destination) emission buckets, the routed per-destination records,
 // the slot tables, the per-node phase meters, the per-node output
-// blocks and the per-lane emitters. The bytes of buckets, records and
-// blocks come from Bufs (the Go heap when nil): a run hands back what
-// only it read as it returns, and its Output when the next run starts
-// or Release is called — which is why a run's Output is only valid
-// until then. A Scratch serves one run at a time: the lanes inside a
-// run partition it per unit, but two concurrent runs must not share
-// one.
+// blocks and the per-lane emitters. The bytes of buckets and records
+// are carved from the top of Bufs (the Go heap when nil), taken back as
+// the run returns; output blocks are carved from its bottom, and the
+// run's Output is valid until the pool's Reset. A lane's arena is
+// emptied after each unit the lane runs. A Scratch serves one run at a
+// time: the lanes inside a run partition it per unit, but two
+// concurrent runs must not share one.
 type Scratch struct {
 	Bufs *Bufs
 
@@ -475,10 +512,10 @@ type Scratch struct {
 	// The run in flight — its job, cluster size and output — and the
 	// phases' per-unit functions, bound once so that handing them to the
 	// pool allocates nothing.
-	job                      Job
-	n                        int
-	out                      Output
-	mapFn, routeFn, reduceFn func(i, lane int)
+	job                              Job
+	n                                int
+	out                              Output
+	mapFn, routeFn, sizeFn, reduceFn func(i, lane int)
 }
 
 // begin points a lane at the unit it is about to run and returns the
@@ -492,16 +529,18 @@ func (sc *Scratch) begin(lane int, u *slot) *Block {
 	return &u.out
 }
 
-// mapUnit, routeDest and reduceUnit are the phases' units: map morsel
-// i; the records of the tuples routed to dest, in (source node, morsel,
-// emission) order, counted, sorted into canonical group order and split
-// into group-aligned ranges, one per lane at most; reduce range i.
+// mapUnit, routeDest, sizeUnit and reduceUnit are the phases' units: map
+// morsel i; the records of the tuples routed to dest, in (source node,
+// morsel, emission) order, counted, sorted into canonical group order
+// and split into group-aligned ranges, one per lane at most; the cells
+// reduce range i will write; reduce range i.
 func (sc *Scratch) mapUnit(i, lane int) {
 	u := &sc.morsels[i]
 	dst := sc.begin(lane, u)
 	e := &sc.lanes[lane]
 	e.n, e.buckets, e.bufs = sc.n, sc.buckets[i*sc.n:(i+1)*sc.n], sc.Bufs
 	sc.job.MapMorsel(u.node, u.idx, lane, &u.meter, e, dst)
+	sc.Bufs.empty(lane)
 }
 
 func (sc *Scratch) routeDest(dest, _ int) {
@@ -513,32 +552,50 @@ func (sc *Scratch) routeDest(dest, _ int) {
 	sc.rangeOff[dest] = splitRanges(sc.rangeOff[dest], buf, sc.buckets, len(sc.lanes))
 }
 
-func (sc *Scratch) reduceUnit(i, lane int) {
+func (sc *Scratch) sizeUnit(i, lane int) {
 	u := &sc.ranges[i]
-	offs := sc.rangeOff[u.node]
-	u.groups = Groups{recs: sc.shuffled[u.node][offs[u.idx]:offs[u.idx+1]], bk: sc.buckets}
-	sc.job.ReduceRange(u.node, u.idx, u.of, lane, &u.meter, &u.groups, sc.begin(lane, u))
+	u.size = sc.job.ReduceSize(u.node, u.idx, u.of, lane, &u.groups)
+	sc.Bufs.empty(lane)
 }
 
-// drop hands back what only the run itself reads: the buckets, the
-// routed records and the units' own output blocks.
-func (sc *Scratch) drop() {
-	for i := range sc.buckets {
-		b := &sc.buckets[i]
-		b.runs, b.cells = Free(sc.Bufs, b.runs), Free(sc.Bufs, b.cells)
-	}
-	for i := range sc.shuffled {
-		sc.shuffled[i] = Free(sc.Bufs, sc.shuffled[i])
-	}
-	for _, units := range [][]slot{sc.morsels, sc.ranges} {
-		for i := range units {
-			units[i].out.Free()
+func (sc *Scratch) reduceUnit(i, lane int) {
+	u := &sc.ranges[i]
+	sc.job.ReduceRange(u.node, u.idx, u.of, lane, &u.meter, &u.groups, sc.begin(lane, u))
+	sc.Bufs.empty(lane)
+}
+
+// carveRanges carves each node's output at the cells its ranges sized
+// and hands each range its stretch, where the merge's append finds it.
+func (sc *Scratch) carveRanges() {
+	for i := 0; i < len(sc.ranges); i += sc.ranges[i].of {
+		units, total := sc.ranges[i:i+sc.ranges[i].of], 0
+		for _, u := range units {
+			total += u.size
+		}
+		cells := Carve[rdf.TermID](sc.Bufs, total)
+		sc.out.PerNode[units[0].node].Cells = cells[:0]
+		for k := range units {
+			units[k].out.Cells, cells = cells[:0:units[k].size], cells[units[k].size:]
 		}
 	}
 }
 
-// route builds into buf, grown once, the record of every tuple the map
-// morsels emitted for dest, in (source node, morsel, emission) order.
+// drop takes back what only the run itself reads — the buckets, the
+// routed records — and drops every header into the units' outputs.
+func (sc *Scratch) drop() {
+	clear(sc.buckets)
+	clear(sc.shuffled)
+	clear(sc.morsels)
+	clear(sc.ranges)
+	for i := range sc.lanes {
+		sc.lanes[i].buckets, sc.lanes[i].unit = nil, nil
+	}
+	sc.Bufs.endJob()
+}
+
+// route builds into buf, carved once at its size, the record of every
+// tuple the map morsels emitted for dest, in (source node, morsel,
+// emission) order.
 func (sc *Scratch) route(buf []record, dest, n int) []record {
 	total := 0
 	for s := dest; s < len(sc.buckets); s += n {
@@ -546,24 +603,25 @@ func (sc *Scratch) route(buf []record, dest, n int) []record {
 			total += int(r.n)
 		}
 	}
-	buf = Grow(sc.Bufs, buf, total)
+	buf = grow((*top)(sc.Bufs), buf[:0], total)
 	for s := dest; s < len(sc.buckets); s += n {
 		cells := sc.buckets[s].cells
 		for _, r := range sc.buckets[s].runs {
 			rec := record{group: r.group, buf: uint32(s), off: r.off, width: r.width, tag: r.tag, nkey: r.nkey}
+			keys := stored(r.nkey)
 			for range r.n {
 				if r.nkey > 0 {
-					rec.k0 = uint32(cells[rec.off])
+					rec.k0 = uint32(cells[int(rec.off)+keys+int(r.col0)])
 				}
 				buf = append(buf, rec)
-				rec.off += uint32(r.nkey) + r.width
+				rec.off += uint32(keys) + r.width
 			}
 		}
 	}
 	return buf
 }
 
-// Release hands every buffer back to the pool, the last Output included.
+// Release drops every header into the pool, the last Output's included.
 func (sc *Scratch) Release() {
 	sc.drop()
 	sc.outputs = ResetBlocks(sc.outputs, 0, nil)
@@ -654,7 +712,7 @@ func (cl *Cluster) RunWith(job Job, opts RunOptions) *Output {
 		sc = &Scratch{}
 	}
 	if sc.mapFn == nil {
-		sc.mapFn, sc.routeFn, sc.reduceFn = sc.mapUnit, sc.routeDest, sc.reduceUnit
+		sc.mapFn, sc.routeFn, sc.sizeFn, sc.reduceFn = sc.mapUnit, sc.routeDest, sc.sizeUnit, sc.reduceUnit
 	}
 	pool := opts.Pool
 	sc.job, sc.n = job, n
@@ -671,16 +729,28 @@ func (cl *Cluster) RunWith(job Job, opts RunOptions) *Output {
 	clear(sc.meters)
 	mapM, _, redM := phases(sc.meters, stats.MapOnly)
 
-	// merge adds finished units' counts to their nodes' and moves their
-	// rows to their nodes' output, in canonical order.
+	// merge adds finished units' counts to their nodes' and appends the
+	// rows of a node's several units, in canonical order, to the node's
+	// output, carved once for them all — where sized ranges wrote them.
 	merge := func(units []slot, nodeM []Meter) {
 		for i := range units {
 			u := &units[i]
 			nodeM[u.node].add(&u.meter)
 			stats.Shuffled += u.count
 			stats.ShuffledCells += u.cells
-			out.PerNode[u.node].AppendBlock(u.out)
-			u.out.Free()
+			if u.of == 1 {
+				continue
+			}
+			dst := &out.PerNode[u.node]
+			if u.idx == 0 {
+				rows, width := 0, 0
+				for _, v := range units[i : i+u.of] {
+					rows += v.out.N
+					width = max(width, v.out.Width)
+				}
+				dst.Reserve(rows, width)
+			}
+			dst.AppendBlock(u.out)
 		}
 	}
 
@@ -693,7 +763,6 @@ func (cl *Cluster) RunWith(job Job, opts RunOptions) *Output {
 	})
 	sc.buckets = resize(sc.buckets, len(sc.morsels)*n)
 	pool.ForEach(len(sc.morsels), sc.mapFn)
-	job.phaseDone()
 	merge(sc.morsels, mapM)
 
 	// ---- Shuffle + reduce phases. ----
@@ -704,8 +773,16 @@ func (cl *Cluster) RunWith(job Job, opts RunOptions) *Output {
 		pool.ForEach(n, sc.routeFn)
 		// One unit per (node, range): ranges of all nodes share one queue.
 		sc.ranges = layout(sc.ranges, n, sc.Bufs, func(node int) int { return len(sc.rangeOff[node]) - 1 })
+		for i := range sc.ranges {
+			u := &sc.ranges[i]
+			offs := sc.rangeOff[u.node]
+			u.groups = Groups{recs: sc.shuffled[u.node][offs[u.idx]:offs[u.idx+1]], bk: sc.buckets}
+		}
+		if job.ReduceSize != nil {
+			pool.ForEach(len(sc.ranges), sc.sizeFn)
+			sc.carveRanges()
+		}
 		pool.ForEach(len(sc.ranges), sc.reduceFn)
-		job.phaseDone()
 		merge(sc.ranges, redM)
 	}
 	stats.Output = out.Len()

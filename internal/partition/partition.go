@@ -406,6 +406,9 @@ type Run struct {
 // the part's.
 func (r Run) Keeps(c rdf.TermID) bool { return r.place == nil || r.place.NodeFor(c) == r.node }
 
+// KeepsAll reports whether every row of the run is the part's.
+func (r Run) KeepsAll() bool { return r.place == nil }
+
 // Part returns a run of the file's i-th part (0 ≤ i < Parts) that holds
 // all its rows whose subject is s and whose object is o (NoTerm: any),
 // and maybe others, which the caller filters out: with neither, the

@@ -20,31 +20,27 @@ import (
 // the scratch amortizes allocations across them. An ExecContext serves
 // one execution at a time.
 //
-// Ownership: every buffer that lives inside one execution — scan and
-// map-join outputs (arena blocks), reduce-group inputs, join tables,
-// the per-(node, range) intermediate relations, the shuffle's buckets
-// and routed records and the jobs' per-node outputs — is borrowed from
-// the context's one buffer pool. A lane's arena scratch is lent from
-// the pool's top and lives one phase of a job — handed back when the
-// phase's units have run, so that the routed records and the reduce
-// outputs of the next phase reuse it — or, in a map-only job, one
-// node's morsel. Everything else goes back when the execution releases
-// its rows (release, at the end of Executor.Run, also when its consumer
-// panics, and then the arenas too). Positions hold headers and the pool holds bytes: between
-// executions a slot, bucket or block keeps no array, so a warm context
-// holds what one execution occupied, which the next execution draws
-// from again — each tuple once: a shuffled tuple's cells and its one
-// record, a map-only root's node output sized once, the last job's
-// output sorted in place. Nothing that outlives the execution may
-// alias pool memory. The final result
-// is not copied out at all unless somebody asks: mergeParts sorts the
-// last job's output in place and keeps only the merge's heads every
-// mergeMark survivors, and Executor.Run lends that to its callback as a
-// Rows, which merges again as it is read, valid until the callback
-// returns. What does outlive the execution — the rows Execute returns
-// (Rows.Materialise) and a result-cache entry's answer (Rows.block) —
-// is copied into exactly sized blocks of its own. A result-cache hit
-// reads none of this scratch: it never prepares the context.
+// Ownership: every buffer that lives inside one execution is carved
+// from the context's scratch (mapreduce.Bufs) once, at a counted size. A
+// morsel's temporaries (scan and map-join blocks, join tables, a reduce
+// group's inputs) come from its lane's bump arena, emptied when the
+// morsel ends; the outputs (node and range outputs, intermediate
+// relations, the final merge's marks) last until release, at the end of
+// Executor.Run (also when its consumer panics), drops every header and
+// resets the scratch; the shuffle's buckets and records last their job.
+// The scratch keeps the lanes times the largest temporary plus the most
+// the outputs held at once, over every execution through the context —
+// a function of plan, data and lane count, never of the schedule. Each
+// tuple is held once, and nothing that outlives the execution may alias
+// the scratch. The final result is not copied out unless somebody asks:
+// mergeParts sorts the last job's output in place and keeps only the
+// merge's heads every mergeMark survivors, and Executor.Run lends that
+// to its callback as a Rows, which merges again as it is read, valid
+// until the callback returns. What does outlive the execution — the
+// rows Execute returns (Rows.Materialise) and a result-cache entry's
+// answer (Rows.block) — is copied into exactly sized blocks of its own.
+// A result-cache hit reads none of this scratch: it never prepares the
+// context.
 //
 // The lane count is fixed by NewExecContext, which spawns the context's
 // persistent mapreduce worker pool (parked between jobs); the owner
@@ -59,8 +55,8 @@ type ExecContext struct {
 	// pool is the context's worker lanes; nil is one inline lane.
 	pool *mapreduce.Pool
 
-	// bufs is the buffer pool every execution through the context draws
-	// its scratch bytes from.
+	// bufs is the scratch every execution through the context carves
+	// its buffers from: one bump arena per lane, then the outputs.
 	bufs mapreduce.Bufs
 
 	// arenas is per-lane scratch: morsels of one node may run on any
@@ -96,8 +92,8 @@ type ExecContext struct {
 
 	// mergeParts' product: the parts merged (the last job's per-node
 	// output, each sorted in place) and the merge's heads at every
-	// mergeMark-th survivor — what a merged Rows reads. sortFn is
-	// sortPart bound once.
+	// mergeMark-th survivor, carved from the scratch — what a merged Rows
+	// reads. sortFn is sortPart bound once.
 	sortParts  []mapreduce.Block
 	mergeMarks []int32
 	sortFn     func(part, lane int)
@@ -149,14 +145,14 @@ func (c *ExecContext) Close() {
 // lane, the infos dense by ID, and every reduce join's blocks emptied
 // for nodes × lanes key ranges — all pre-sized, so concurrent morsel
 // workers index already-built tables without synchronization. Every
-// buffer is drawn from the context's pool as it grows.
+// buffer is carved from the context's scratch as it is filled.
 func (c *ExecContext) prepare(pp *Plan, nodes int) {
 	if c.levelJob.MapMorsel == nil {
 		c.mapOnlyJob = mapreduce.Job{MapMorsel: c.mapOnlyMorsel}
-		c.levelJob = mapreduce.Job{MapMorsels: c.levelMorsels, MapMorsel: c.levelMapMorsel, ReduceRange: c.levelReduce, PhaseDone: c.releaseArenas}
+		c.levelJob = mapreduce.Job{MapMorsels: c.levelMorsels, MapMorsel: c.levelMapMorsel, ReduceRange: c.levelReduce, ReduceSize: c.levelSize}
 	}
 	for len(c.arenas) < c.lanes() {
-		c.arenas = append(c.arenas, &arena{bufs: c.bufs.High()})
+		c.arenas = append(c.arenas, &arena{mem: c.bufs.Lane(len(c.arenas))})
 	}
 	c.shuffle.Bufs = &c.bufs
 	c.byID = append(c.byID[:0], make([]*Info, len(pp.Infos))...)
@@ -175,39 +171,34 @@ func (c *ExecContext) prepare(pp *Plan, nodes int) {
 	}
 }
 
-// release hands every buffer the execution borrowed back to the pool.
+// release drops every header into the scratch the execution carved and
+// resets it.
 func (c *ExecContext) release() {
 	c.jobX, c.jobPlan = nil, nil
 	c.shuffle.Release()
-	c.releaseArenas()
+	for _, a := range c.arenas {
+		a.release()
+	}
 	for _, per := range c.interm {
 		for node := range per {
 			per[node] = mapreduce.ResetBlocks(per[node], 0, nil)
 		}
 	}
+	c.sortParts, c.mergeMarks = nil, nil
 	c.bufs.Reset()
 }
 
-// releaseArenas hands every lane's blocks and tables back to the pool.
-func (c *ExecContext) releaseArenas() {
-	for _, a := range c.arenas {
-		a.release()
-	}
-}
-
-// ScratchBytes reports the bytes the context's buffer pool holds.
+// ScratchBytes reports the bytes the context's scratch holds.
 func (c *ExecContext) ScratchBytes() int64 { return c.bufs.Bytes() }
 
-// arena is one worker lane's reusable scratch for local evaluation:
-// the cell blocks scans and map joins write their output relations to,
-// the join tables, cursor slices and column buffers naryJoin and the
-// shuffle emitters need per call, scan filter scratch and reduce-group
-// input relations. Everything is reused across calls and morsels; the
-// blocks and tables draw their bytes from bufs, the pool's High view,
-// and hand them back when their phase — or map-only morsel — ends
-// (release), and nothing in them may be referenced after that.
+// arena is one worker lane's reusable scratch for local evaluation: the
+// headers of the blocks scans and map joins write to and of the join
+// tables, the cursor slices and column buffers naryJoin and the shuffle
+// emitters need per call, scan filter scratch and reduce-group inputs.
+// Blocks and tables carve their bytes from mem, emptied when the morsel
+// ends: nothing in them may be used after that, nor their room reused.
 type arena struct {
-	bufs *mapreduce.Bufs // the context pool's High view; nil is the Go heap
+	mem *mapreduce.Arena // the lane's arena in the context's scratch
 
 	// blocks is the morsel-scoped block stack: a morsel's local
 	// evaluation takes one block per relation it builds (nextBlock), and
@@ -244,33 +235,35 @@ type arena struct {
 	joinInputs []relation
 }
 
-// nextBlock hands out the morsel's next block, emptied for rows of the
-// given width. The block is valid until the lane's next morsel starts
-// (resetBlocks).
+// nextBlock hands out the morsel's next block, empty, for rows of the
+// given width, carving from the lane's arena. The block is valid until
+// the lane's morsel ends.
 func (a *arena) nextBlock(width int) *mapreduce.Block {
 	if a.used == len(a.blocks) {
-		b := a.bufs.Block()
-		a.blocks = append(a.blocks, &b)
+		a.blocks = append(a.blocks, new(mapreduce.Block))
 	}
 	b := a.blocks[a.used]
 	a.used++
-	b.Reset(width)
+	*b = mapreduce.NewBlock(a.mem)
+	b.Width = width
 	return b
 }
 
-// resetBlocks starts a new morsel: every block is up for reuse.
+// resetBlocks starts a new morsel: every block header is up for reuse.
 func (a *arena) resetBlocks() { a.used = 0 }
 
-// release hands the lane's blocks and tables back to the pool.
+// release drops every header into the lane's arena.
 func (a *arena) release() {
 	for _, b := range a.blocks {
-		b.Free()
+		*b = mapreduce.Block{}
 	}
 	for i := range a.groupRels {
-		a.groupRels[i].Free()
+		a.groupRels[i].Cells = nil
 	}
+	clear(a.joinInputs[:cap(a.joinInputs)])
+	clear(a.lists)
 	for _, t := range a.tables {
-		t.release(a.bufs)
+		*t = joinTable{cols: t.cols}
 	}
 }
 
@@ -285,13 +278,34 @@ type fileKey struct {
 // context are few; the bound only guards pathological plan churn).
 const fileNamesCap = 1024
 
-// relBuf returns nc reusable group-input relations (their blocks keep
-// their backing arrays; the caller resets schema and block).
-func (a *arena) relBuf(nc int) []relation {
-	for len(a.groupRels) < nc {
-		a.groupRels = append(a.groupRels, relation{Block: a.bufs.Block()})
+// groupInputs returns the group's records split by input — rj's
+// children — counted in their blocks' N; with fill, their cells copied
+// out of the shuffle buffers into blocks carved from the lane's arena,
+// each once, at its counted size.
+func (a *arena) groupInputs(g mapreduce.Group, rj *Info, fill bool) []relation {
+	children := rj.Op.Children
+	for len(a.groupRels) < len(children) {
+		a.groupRels = append(a.groupRels, relation{Block: mapreduce.NewBlock(a.mem)})
 	}
-	return a.groupRels[:nc]
+	rels := a.groupRels[:len(children)]
+	for i, ch := range children {
+		rels[i].schema, rels[i].Width, rels[i].N, rels[i].Cells = ch.Attrs, len(ch.Attrs), 0, nil
+	}
+	for i := 0; i < g.Len(); i++ {
+		tag, _ := g.Record(i)
+		rels[tag].N++
+	}
+	if fill {
+		for i := range rels {
+			rels[i].Reserve(rels[i].N, rels[i].Width)
+			rels[i].N = 0
+		}
+		for i := 0; i < g.Len(); i++ {
+			tag, row := g.Record(i)
+			rels[tag].Append(row)
+		}
+	}
+	return rels
 }
 
 // joinPlan is the memoized schema-derived scaffolding of one join
@@ -303,10 +317,11 @@ func (a *arena) relBuf(nc int) []relation {
 // output write.
 type joinPlan struct {
 	schemas  [][]string // the children's schema slices (identity key)
+	keys     []string   // the join attributes slice (identity key)
 	attrs    []string   // the output schema slice (identity key)
 	srcChild []int      // per output attr: providing child...
 	srcCol   []int      // ...and column within it
-	checks   []eqCheck  // residual equality over all shared attrs
+	checks   []eqCheck  // residual equality over the other shared attrs
 }
 
 // joinPlanCap bounds the memo; reaching it resets the memo (shapes per
@@ -319,12 +334,12 @@ func sameSchema(a, b []string) bool {
 }
 
 // joinPlanFor returns the memoized join scaffolding for the children's
-// schema combination and output attrs, computing and caching it on
-// first sight.
-func (a *arena) joinPlanFor(children []relation, attrs []string) *joinPlan {
+// schema combination, join attributes and output attrs, computing and
+// caching it on first sight.
+func (a *arena) joinPlanFor(children []relation, joinAttrs, attrs []string) *joinPlan {
 outer:
 	for _, jp := range a.joinPlans {
-		if len(jp.schemas) != len(children) || !sameSchema(jp.attrs, attrs) {
+		if len(jp.schemas) != len(children) || !sameSchema(jp.attrs, attrs) || !sameSchema(jp.keys, joinAttrs) {
 			continue
 		}
 		for i := range children {
@@ -336,14 +351,16 @@ outer:
 	}
 	jp := &joinPlan{
 		schemas: make([][]string, len(children)),
+		keys:    joinAttrs,
 		attrs:   attrs,
 	}
 	for i := range children {
 		jp.schemas[i] = children[i].schema
 	}
-	// Residual checks cover every attribute shared by two or more
-	// children, whether or not it survives into attrs.
-	union := unionSchema(children)
+	// Residual checks cover every attribute but the join's own shared by
+	// two or more children, whether or not it survives into attrs: the
+	// probe already matched the join attributes.
+	union := slices.DeleteFunc(unionSchema(children), func(s string) bool { return slices.Contains(joinAttrs, s) })
 	uChild, uCol := columnSources(union, children)
 	jp.checks = residualChecks(union, children, uChild, uCol)
 	jp.srcChild, jp.srcCol = columnSources(attrs, children)
@@ -371,14 +388,12 @@ func (a *arena) grow(nc int) {
 // per-key allocation. Keys are hashed and compared directly on the
 // rows' cells — the specialized equivalent of a map[uint32][]int32 for
 // the dominant single-attribute join, generalizing to multi-attribute
-// keys. All storage is pointer-free, drawn from the pool and reused
-// across the joins of one execution.
+// keys. All storage is pointer-free, carved from the lane's arena for
+// each build.
 type joinTable struct {
 	mask    uint32
 	buckets []int32         // entry index + 1; 0 = empty
-	rep     []int32         // per entry: first row carrying the key
 	off     []int32         // entry e's rows are ordered[off[e+1]:off[e+2]]
-	rowEnt  []int32         // build scratch: per row, its entry
 	ordered []int32         // row numbers, grouped by entry
 	rel     mapreduce.Block // the build child
 	cols    []int           // join-key columns in the child's schema
@@ -418,65 +433,58 @@ func keyEqual(a mapreduce.Row, ca []int, b mapreduce.Row, cb []int) bool {
 	return true
 }
 
-// sized returns buf at length n, contents unspecified, drawing on p
-// only when buf is too small.
-func sized[E mapreduce.Elem](p *mapreduce.Bufs, buf []E, n int) []E {
-	return mapreduce.Grow(p, buf[:0], n)[:n]
-}
-
-// build indexes rel's rows by their key columns, its arrays drawn from
-// p. A key's entry is made at its first row, so entries ≤ rows.
-func (t *joinTable) build(p *mapreduce.Bufs, rel mapreduce.Block, cols []int) {
+// build indexes rel's rows by their key columns, its arrays carved from
+// the arena m — the build's own scratch (each entry's first row, each
+// row's entry) on top, cut back when the table is built. A key's entry
+// is made at its first row, so entries ≤ rows.
+func (t *joinTable) build(m *mapreduce.Arena, rel mapreduce.Block, cols []int) {
 	t.rel = rel
 	t.cols = append(t.cols[:0], cols...)
 	size := 8
 	for size < 2*rel.N {
 		size <<= 1
 	}
-	t.buckets = sized(p, t.buckets, size)
+	t.buckets = mapreduce.Carve[int32](m, size)
 	clear(t.buckets)
 	t.mask = uint32(size - 1)
-	t.rep = sized(p, t.rep, rel.N)[:0]
-	t.rowEnt = sized(p, t.rowEnt, rel.N)
-	t.off = sized(p, t.off, rel.N+2)
+	t.off = mapreduce.Carve[int32](m, rel.N+2)
 	clear(t.off)
+	t.ordered = mapreduce.Carve[int32](m, rel.N)
+	mark := m.Used()
+	rep := mapreduce.Carve[int32](m, rel.N)[:0]
+	rowEnt := mapreduce.Carve[int32](m, rel.N)
 	for ri := 0; ri < rel.N; ri++ {
 		row := rel.Row(ri)
 		slot := uint32(hashRowKey(row, cols)) & t.mask
 		for {
 			e := t.buckets[slot]
 			if e == 0 {
-				t.buckets[slot] = int32(len(t.rep)) + 1
-				e = int32(len(t.rep)) + 1
-				t.rep = append(t.rep, int32(ri))
-			} else if !keyEqual(rel.Row(int(t.rep[e-1])), cols, row, cols) {
+				t.buckets[slot] = int32(len(rep)) + 1
+				e = int32(len(rep)) + 1
+				rep = append(rep, int32(ri))
+			} else if !keyEqual(rel.Row(int(rep[e-1])), cols, row, cols) {
 				slot = (slot + 1) & t.mask
 				continue
 			}
-			t.rowEnt[ri] = e - 1
+			rowEnt[ri] = e - 1
 			t.off[e]++
 			break
 		}
 	}
 	// CSR layout: off[e+1], entry e's row count, summed to its span's end,
 	// steps back to its start as the rows are laid out last to first —
-	// so each key group keeps its rows' original order.
-	for e := range t.rep {
+	// so each key group keeps its rows' original order, and its first
+	// row, the one its key is compared on, comes first.
+	for e := range rep {
 		t.off[e+2] += t.off[e+1]
 	}
-	t.ordered = sized(p, t.ordered, rel.N)
 	for ri := rel.N - 1; ri >= 0; ri-- {
-		e := t.rowEnt[ri]
+		e := rowEnt[ri]
 		t.off[e+1]--
 		t.ordered[t.off[e+1]] = int32(ri)
 	}
-	t.off[len(t.rep)+1] = int32(rel.N)
-}
-
-// release hands the table's arrays back to p.
-func (t *joinTable) release(p *mapreduce.Bufs) {
-	t.buckets, t.rep, t.off = mapreduce.Free(p, t.buckets), mapreduce.Free(p, t.rep), mapreduce.Free(p, t.off)
-	t.rowEnt, t.ordered, t.rel = mapreduce.Free(p, t.rowEnt), mapreduce.Free(p, t.ordered), mapreduce.Block{}
+	t.off[len(rep)+1] = int32(rel.N)
+	m.Cut(mark)
 }
 
 // probe returns the numbers of the build child's rows whose key equals
@@ -489,7 +497,7 @@ func (t *joinTable) probe(probe mapreduce.Row, probeCols []int, h uint64) []int3
 		if e == 0 {
 			return nil
 		}
-		if keyEqual(t.rel.Row(int(t.rep[e-1])), t.cols, probe, probeCols) {
+		if keyEqual(t.rel.Row(int(t.ordered[t.off[e]])), t.cols, probe, probeCols) {
 			return t.ordered[t.off[e]:t.off[e+1]]
 		}
 		slot = (slot + 1) & t.mask

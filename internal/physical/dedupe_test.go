@@ -148,9 +148,10 @@ func TestDedupeMatchesReference(t *testing.T) {
 }
 
 // TestDedupeAllocations pins the result boundary's allocation contract:
-// once the context's scratch has grown, ordering a job's output
-// allocates nothing, reading it nothing, and only Materialise pays —
-// the block and its view, nothing per row.
+// once the context's scratch has grown — each merge carves its marks
+// there, taken back by the reset an execution ends with — ordering a
+// job's output allocates nothing, reading it nothing, and only
+// Materialise pays: the block and its view, nothing per row.
 func TestDedupeAllocations(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	// Above parallelSortMin: on four lanes the parts are sorted on the pool.
@@ -159,6 +160,7 @@ func TestDedupeAllocations(t *testing.T) {
 		src := ctx.mergeParts(parts)
 		var sum rdf.TermID
 		if got := testing.AllocsPerRun(100, func() {
+			ctx.bufs.Reset()
 			src = ctx.mergeParts(parts)
 			src.Each(0, src.Len(), func(_ int, row mapreduce.Row) { sum += row[0] })
 		}); got != 0 {

@@ -209,18 +209,15 @@ func (x *Executor) runLevel(pp *Plan, l int, rec *mapreduce.JobRecord) *mapreduc
 // A job's callbacks are the context's, bound once, and read the job in
 // flight off it. A map-only plan's single job has one morsel per node,
 // evaluating the node's whole local subtree with the root writing the
-// SELECT columns straight into the node output. Splitting it, as a
-// level's job splits its scans per partition file, is not done. Its
-// arena scratch is as large as the node's subtree, so the morsel hands
-// it back as it ends instead of its lane holding it until the phase
-// does.
+// SELECT columns straight into the node output, carved at its counted
+// size. Splitting it, as a level's job splits its scans per partition
+// file, is not done.
 func (c *ExecContext) mapOnlyMorsel(node, _, lane int, m *mapreduce.Meter, _ *mapreduce.Emitter, out *mapreduce.Block) {
 	x, pp := c.jobX, c.jobPlan
 	a := c.arenas[lane]
 	a.resetBlocks()
 	x.evalInto(out, pp.Logical.Root.Attrs, pp, pp.Root, node, m, "", a)
 	m.Check(out.N) // the node's only morsel: out holds its rows alone
-	a.release()
 }
 
 // The job of a level of a plan with reduce joins splits its map side
@@ -245,37 +242,78 @@ func (c *ExecContext) levelMapMorsel(node, morsel, lane int, m *mapreduce.Meter,
 // over the node. The SELECT list is read off the final projection, not
 // the query: that slice is shared by every bind of the plan, so the
 // lanes' join-plan memo, which keys on slice identity, serves all of
-// them.
+// them. levelSize made every block's room; a group's inputs and tables
+// are cut back from the lane's arena as the group ends.
 func (c *ExecContext) levelReduce(node, rng, _, lane int, m *mapreduce.Meter, groups *mapreduce.Groups, out *mapreduce.Block) {
-	pp := c.jobPlan
-	isLast := c.jobLevel == len(pp.Levels)-1
 	a := c.arenas[lane]
 	groups.Each(func(g mapreduce.Group) {
 		rj := c.byID[int(g.ID())]
-		// The group's records, split by input, are the join's
-		// children: their cells are copied out of the shuffle
-		// buffers into the lane's per-input blocks.
-		rels := a.relBuf(len(rj.Op.Children))
-		for i, ch := range rj.Op.Children {
-			rels[i].schema = ch.Attrs
-			rels[i].Reset(len(ch.Attrs))
+		dst, attrs := c.reduceDest(rj, node, rng)
+		if dst == nil {
+			dst = out
 		}
-		for i := 0; i < g.Len(); i++ {
-			tag, row := g.Record(i)
-			rels[tag].Append(row)
-		}
-		final := isLast && rj.Op == pp.Root
-		dst, attrs := &c.interm[rj.ID][node][rng], rj.Op.Attrs
-		if final {
-			dst, attrs = out, pp.Logical.Root.Attrs
-		}
-		counts := a.naryJoinInto(dst, rels, rj.Op.JoinAttrs, attrs, false)
+		mark := a.mem.Used()
+		counts := a.naryJoinInto(dst, a.groupInputs(g, rj, true), rj.Op.JoinAttrs, attrs, false)
+		a.mem.Cut(mark)
 		m.Join(counts.in + counts.out)
 		m.Write(counts.out)
-		if final {
+		if dst == out {
 			m.Check(counts.out) // the final projection
 		}
 	})
+}
+
+// levelSize counts before levelReduce fills: it counts the rows each of
+// the range's groups joins to — the product of its inputs' rows, all of
+// one key, unless attributes beyond the key are shared, when it joins
+// them without writing — carves each reduce join's (node, range) block
+// at the rows it will get (a join's groups are contiguous in key order)
+// and returns the cells the range will write to the job output.
+func (c *ExecContext) levelSize(node, rng, _, lane int, groups *mapreduce.Groups) (cells int) {
+	a := c.arenas[lane]
+	var rj *Info
+	rows := 0
+	carve := func() {
+		if dst, attrs := c.reduceDest(rj, node, rng); dst != nil {
+			dst.Reserve(rows, len(attrs))
+		} else {
+			cells += rows * len(attrs)
+		}
+	}
+	groups.Each(func(g mapreduce.Group) {
+		if r := c.byID[int(g.ID())]; r != rj && rj != nil {
+			carve()
+			rows = 0
+		}
+		rj = c.byID[int(g.ID())]
+		_, attrs := c.reduceDest(rj, node, rng)
+		rels := a.groupInputs(g, rj, false)
+		if len(a.joinPlanFor(rels, rj.Op.JoinAttrs, attrs).checks) > 0 {
+			mark := a.mem.Used()
+			rows += a.naryJoinInto(nil, a.groupInputs(g, rj, true), rj.Op.JoinAttrs, attrs, false).out
+			a.mem.Cut(mark)
+			return
+		}
+		k := 1
+		for _, r := range rels {
+			k *= r.N
+		}
+		rows += k
+	})
+	if rj != nil {
+		carve()
+	}
+	return cells
+}
+
+// reduceDest returns the block reduce join rj writes in a node's key
+// range and its columns: its own block, or — the plan's root in the
+// last job — nil for the job output, and the SELECT list.
+func (c *ExecContext) reduceDest(rj *Info, node, rng int) (*mapreduce.Block, []string) {
+	if pp := c.jobPlan; rj.Op == pp.Root && c.jobLevel == len(pp.Levels)-1 {
+		return nil, pp.Logical.Root.Attrs
+	}
+	return &c.interm[rj.ID][node][rng], rj.Op.Attrs
 }
 
 // buildMorsels lays out one job level's map morsels per node, in the
@@ -354,10 +392,7 @@ func (x *Executor) runMapMorsel(pp *Plan, mo *mapMorsel, node, lane int, m *mapr
 		rel = x.evalLocal(pp, mo.child, node, m, mo.rj.Op.JoinAttrs[0], a)
 	}
 	a.emitCols = rel.appendCols(a.emitCols[:0], mo.rj.Op.JoinAttrs)
-	gid := uint32(mo.rj.ID)
-	for i := 0; i < rel.N; i++ {
-		emit.Emit(gid, mo.tag, rel.Row(i), a.emitCols)
-	}
+	emit.EmitAll(uint32(mo.rj.ID), mo.tag, rel.Block, a.emitCols)
 }
 
 // evalLocal evaluates a subtree on one node into a lane arena block.
@@ -369,7 +404,8 @@ func (x *Executor) evalLocal(pp *Plan, op *core.Op, node int, m *mapreduce.Meter
 
 // evalInto evaluates a scan or map-join subtree on one node, appending
 // the attrs columns (op's, or some of them) of its rows to dst — the
-// job output for a map-only plan's root, which a root join sizes once.
+// job output for a map-only plan's root — carved once, at the counted
+// size, from dst's memory.
 // coVar is the partition variable context for scans: the attribute
 // whose partition replica the scan must read so co-located joins see
 // co-partitioned inputs; map joins impose their own first join
@@ -390,7 +426,7 @@ func (x *Executor) evalInto(dst *mapreduce.Block, attrs []string, pp *Plan, op *
 		for i, c := range op.Children {
 			children[i] = x.evalLocal(pp, c, node, m, op.JoinAttrs[0], a)
 		}
-		counts := a.naryJoinInto(dst, children, op.JoinAttrs, attrs, op == pp.Root)
+		counts := a.naryJoinInto(dst, children, op.JoinAttrs, attrs, true)
 		m.Join(counts.in + counts.out)
 		m.Write(counts.out)
 	default:
@@ -466,15 +502,16 @@ func (x *Executor) scanFilters(tp sparql.TriplePattern, attrs []string, a *arena
 }
 
 // scanFile scans one partition file of a scan whose filters scanFilters
-// resolved into a, appending its matches to dst. It meters the file —
-// Read, plus Check when the pattern filters — and scans the run of each
-// part that the pattern's subject and object constants select
-// (partition.File.Part, scanRun). A constant on a position the file's
-// name fixes (the property, a class file's object) is decided once for
-// the whole file: it either matches every row or none. The metering
-// depends on neither: the simulated Hadoop mapper still reads and checks
-// the whole file, whichever rows the simulator's own CPU visits.
-func scanFile(f partition.File, m *mapreduce.Meter, a *arena, dst *mapreduce.Block) {
+// resolved into a, appending its matches to dst (a nil dst only counts
+// them), and returns their number. It meters the file — Read, plus
+// Check when the pattern filters. It scans the run of each part that the
+// pattern's subject and object constants select (partition.File.Part,
+// scanRun). A constant on a position the file's name fixes (the
+// property, a class file's object) is decided once for the whole file:
+// it either matches every row or none. The metering depends on neither:
+// the simulated Hadoop mapper still reads and checks the whole file,
+// whichever rows the simulator's own CPU visits.
+func scanFile(f partition.File, m *mapreduce.Meter, a *arena, dst *mapreduce.Block) (n int) {
 	m.Read(f.NumRows())
 	if len(a.scanConsts) > 0 || len(a.scanRepeats) > 0 {
 		m.Check(f.NumRows())
@@ -483,30 +520,33 @@ func scanFile(f partition.File, m *mapreduce.Meter, a *arena, dst *mapreduce.Blo
 	fixed[rdf.PPos], fixed[rdf.OPos] = partition.FileTerms(f.Name())
 	for _, cc := range a.scanConsts {
 		if id := fixed[cc.pos]; id != rdf.NoTerm && id != cc.id {
-			return
+			return 0
 		}
 		key[cc.pos] = cc.id
 	}
 	for i := 0; i < f.Parts(); i++ {
-		scanRun(f.Part(i, key[rdf.SPos], key[rdf.OPos]), fixed, key, a, dst)
+		n += scanRun(f.Part(i, key[rdf.SPos], key[rdf.OPos]), fixed, key, a, dst)
 	}
+	return n
 }
 
 // scanRun filters the rows of run r by the pattern's subject and object
 // constants key (NoTerm: none) and its repeated-variable checks, and
 // copies the variable columns of every match onto dst, reading each row
 // as a triple: its stored cells — (s, o) or an object file's (o, s) —
-// over the cells the scanned file's name fixes. Rows the run holds for
-// another node are skipped.
-func scanRun(r partition.Run, fixed, key [3]rdf.TermID, a *arena, dst *mapreduce.Block) {
-	if r.Lo == r.Hi {
-		return
-	}
+// over the cells the scanned file's name fixes, and returns how many
+// match; a nil dst only counts them. Rows the run holds for another node
+// are skipped. Every row of a run matches its first cell's constant, so
+// with no other filter the count is the run's length.
+func scanRun(r partition.Run, fixed, key [3]rdf.TermID, a *arena, dst *mapreduce.Block) (n int) {
 	varPos, repeats := a.scanVarPos, a.scanRepeats
 	s, o := key[rdf.SPos], key[rdf.OPos]
 	first, second := rdf.SPos, rdf.OPos
 	if r.Obj {
 		first, second = rdf.OPos, rdf.SPos
+	}
+	if r.Lo == r.Hi || dst == nil && key[second] == rdf.NoTerm && len(repeats) == 0 && r.KeepsAll() {
+		return r.Hi - r.Lo
 	}
 	slab := r.F.Slab()
 	c := fixed
@@ -521,21 +561,33 @@ rows:
 				continue rows
 			}
 		}
-		row := dst.Extend(1, len(varPos))
-		for j, p := range varPos {
-			row[j] = c[p]
+		if n++; dst != nil {
+			row := dst.Extend(1, len(varPos))
+			for j, p := range varPos {
+				row[j] = c[p]
+			}
 		}
 	}
+	return n
 }
 
 // scanFiles appends to dst the attrs columns (op's, or some of them) of
 // the tuples of op's triple pattern in the named partition files of one
 // node, applying the pattern's constant and repeated-variable filters.
-// Files the node does not hold are skipped.
+// Files the node does not hold are skipped. It counts the matches, then
+// carves dst's room for them once, then copies them.
 func (x *Executor) scanFiles(dst *mapreduce.Block, attrs []string, pp *Plan, op *core.Op, node int, m *mapreduce.Meter, names []string, a *arena) {
 	if x.scanFilters(pp.Logical.Query.Patterns[op.Pattern], attrs, a) {
 		return
 	}
+	var uncounted mapreduce.Meter // the count is the simulator's, not the mapper's
+	rows := 0
+	for _, fname := range names {
+		if f, ok := x.view.Open(node, fname); ok {
+			rows += scanFile(f, &uncounted, a, nil)
+		}
+	}
+	dst.Reserve(rows, len(attrs))
 	for _, fname := range names {
 		if f, ok := x.view.Open(node, fname); ok {
 			scanFile(f, m, a, dst)

@@ -21,7 +21,7 @@ type rowRel struct {
 // flat renders r as the executor's flat relation.
 func (r rowRel) flat() relation {
 	rel := relation{schema: r.schema}
-	rel.Reset(len(r.schema))
+	rel.Width = len(r.schema)
 	for _, row := range r.rows {
 		rel.Append(row)
 	}
@@ -120,7 +120,7 @@ func randomRel(rng *rand.Rand, schema []string, n int) rowRel {
 // outputs that drop and reorder columns — all through one arena, so
 // table and cursor reuse across joins is covered too.
 func TestNaryJoinMatchesNestedLoops(t *testing.T) {
-	a := &arena{}
+	a := &arena{mem: new(mapreduce.Arena)}
 	for trial := 0; trial < 300; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
 		nc := 2 + rng.Intn(3)
@@ -164,7 +164,7 @@ func contains(ss []string, s string) bool {
 // no cells but multiply the output), a zero-width output, an empty
 // child, and a single child.
 func TestNaryJoinEdgeShapes(t *testing.T) {
-	a := &arena{}
+	a := &arena{mem: new(mapreduce.Arena)}
 	rng := rand.New(rand.NewSource(7))
 	xy := randomRel(rng, []string{"x", "y"}, 9)
 	yz := randomRel(rng, []string{"y", "z"}, 9)

@@ -54,8 +54,9 @@ type joinCounts struct {
 // come from the arena's join-plan memo (they depend only on the child
 // schemas and attrs, which repeat across the thousands of per-group
 // joins of one reduce phase). With size set, a first pass counts the
-// combinations — the output rows, and rows residual checks would drop —
-// and grows dst once for them all; it meters nothing.
+// output rows and carves dst's room once for them all; it meters
+// nothing. A nil dst only counts: out is that count. Without size, dst
+// must have the room already, or its rows come from the Go heap.
 func (a *arena) naryJoinInto(dst *mapreduce.Block, children []relation, joinAttrs, attrs []string, size bool) joinCounts {
 	var counts joinCounts
 	empty := len(children) == 0
@@ -66,7 +67,7 @@ func (a *arena) naryJoinInto(dst *mapreduce.Block, children []relation, joinAttr
 	if empty {
 		return counts
 	}
-	jp := a.joinPlanFor(children, attrs)
+	jp := a.joinPlanFor(children, joinAttrs, attrs)
 	nc := len(children)
 	a.grow(nc)
 
@@ -75,7 +76,7 @@ func (a *arena) naryJoinInto(dst *mapreduce.Block, children []relation, joinAttr
 		a.colIdx[i] = children[i].appendCols(a.colIdx[i][:0], joinAttrs)
 	}
 	for i := 1; i < nc; i++ {
-		a.tables[i].build(a.bufs, children[i].Block, a.colIdx[i])
+		a.tables[i].build(a.mem, children[i].Block, a.colIdx[i])
 	}
 
 	// Stream the first child: every row whose key is present in all
@@ -83,18 +84,21 @@ func (a *arena) naryJoinInto(dst *mapreduce.Block, children []relation, joinAttr
 	// per-child groups. at[i] is where, in child i's cells, the row of
 	// the combination being enumerated starts. Rows go to out, dst's
 	// header copied to the stack: no lane shares its cache line.
-	at, lists, out := a.at[:nc], a.lists[:nc], *dst
+	at, lists := a.at[:nc], a.lists[:nc]
+	var out mapreduce.Block
+	counting := true // a first pass counts the rows; the last writes them
 	emit := func() {
 		for _, c := range jp.checks {
 			if children[c.aChild].Cells[at[c.aChild]+c.aCol] != children[c.bChild].Cells[at[c.bChild]+c.bCol] {
 				return
 			}
 		}
-		row := out.Extend(1, len(attrs))
-		for i := range row {
-			row[i] = children[jp.srcChild[i]].Cells[at[jp.srcChild[i]]+jp.srcCol[i]]
+		if counts.out++; !counting {
+			row := out.Extend(1, len(attrs))
+			for i := range row {
+				row[i] = children[jp.srcChild[i]].Cells[at[jp.srcChild[i]]+jp.srcCol[i]]
+			}
 		}
-		counts.out++
 	}
 	c0, cols0 := &children[0], a.colIdx[0]
 	// each probes every other child's table with each row of the first
@@ -112,21 +116,29 @@ func (a *arena) naryJoinInto(dst *mapreduce.Block, children []relation, joinAttr
 			fn(r)
 		}
 	}
-	if size {
-		rows := 0
-		each(func(int) {
-			k := 1
-			for _, l := range lists[1:] {
-				k *= len(l)
-			}
-			rows += k
-		})
-		out.Reserve(rows, len(attrs))
-	}
-	each(func(r int) {
+	combineAll := func(r int) {
 		at[0] = r * c0.Width
 		combine(children, lists, 1, at, emit)
-	})
+	}
+	if size || dst == nil {
+		if len(jp.checks) == 0 { // every combination is a row
+			each(func(int) {
+				k := 1
+				for _, l := range lists[1:] {
+					k *= len(l)
+				}
+				counts.out += k
+			})
+		} else {
+			each(combineAll)
+		}
+		if dst == nil {
+			return counts
+		}
+		dst.Reserve(counts.out, len(attrs))
+	}
+	counting, counts.out, out = false, 0, *dst
+	each(combineAll)
 	*dst = out
 	return counts
 }

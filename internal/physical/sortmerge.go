@@ -53,10 +53,10 @@ const mergeMark = 1024
 // in compareRows order: each part's rows are sorted in place
 // (concurrently on the pool when the result is large), and one k-way
 // merge counts the rows that survive it and records the parts' heads
-// every mergeMark survivors. No order is kept: a reader of the Rows
-// merges its range again from the nearest mark. The parts and the marks
-// are the context's, valid until its next job, and on a warm context
-// the merge allocates nothing.
+// every mergeMark survivors, in room carved as if all rows survived;
+// no order is kept: a reader merges its range again from the nearest
+// mark. Parts and marks are the context's scratch, valid until it is
+// released; on a warm context the merge allocates nothing.
 func (c *ExecContext) mergeParts(parts []mapreduce.Block) Rows {
 	total, width := 0, 0
 	for p := range parts {
@@ -75,7 +75,7 @@ func (c *ExecContext) mergeParts(parts []mapreduce.Block) Rows {
 	}
 	pool.ForEach(len(parts), c.sortFn)
 
-	c.mergeMarks = c.mergeMarks[:0]
+	c.mergeMarks = mapreduce.Carve[int32](&c.bufs, (total/mergeMark+1)*len(parts))[:0]
 	var hb [16]int32
 	var pb [16]uint64
 	m, n := c.merger(0, &hb, &pb), 0

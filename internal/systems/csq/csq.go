@@ -329,9 +329,10 @@ type UpdateStats struct {
 	// replica holds no cells). Reads never move it.
 	StoreBytes uint64
 	// Contexts is the number of execution contexts pooled now, idle on
-	// the free list, and ScratchBytes the bytes their buffer pools hold:
-	// per context, what the hungriest execution through it reached,
-	// however many ran.
+	// the free list, and ScratchBytes the bytes their scratch holds: per
+	// context, its lanes times the largest temporary plus the most
+	// outputs any execution through it needed, however many ran — a
+	// function of plans, data and lane count.
 	Contexts     uint64
 	ScratchBytes uint64
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -843,4 +844,42 @@ func TestReshardThenDeltaRecovers(t *testing.T) {
 	if !reflect.DeepEqual(tripleSet(rec.part.Current(), rec.dict), tripleSet(g, g.Dict)) {
 		t.Error("recovered content diverges from the pre-crash content")
 	}
+}
+
+// TestGraphKeepsInsertionOrder: the log sorts the lists of the records
+// it is handed in place (wal.Create, Append, WriteCheckpoint), and the
+// engine hands it lists of its own. Building an engine over a graph,
+// with a log and without, a commit whose deletes are a stretch of the
+// graph's own slice, and a Compact leave the graph's triples element for
+// element in insertion order.
+func TestGraphKeepsInsertionOrder(t *testing.T) {
+	g := lubm.Generate(lubm.DefaultConfig(1))
+	want := slices.Clone(g.Triples())
+	if slices.IsSortedFunc(want, wal.Compare) {
+		t.Fatal("the graph's triples are in the log's order already: a sort in place would not show")
+	}
+	check := func(step string) {
+		t.Helper()
+		if !slices.Equal(g.Triples(), want) {
+			t.Fatalf("%s reordered the graph's triples", step)
+		}
+	}
+	New(g, DefaultConfig()).Close()
+	check("New")
+	eng, err := NewDurable(g, DefaultConfig(), durableOpts(wal.NewMemFS()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	check("NewDurable")
+	ts := g.Triples()
+	ins := []rdf.Triple{{S: ts[1].O, P: ts[0].P, O: ts[0].S}, {S: ts[0].O, P: ts[1].P, O: ts[1].S}}
+	if _, err := eng.ApplyBatch(ins, ts[len(ts)-40:]); err != nil {
+		t.Fatal(err)
+	}
+	check("a commit")
+	if err := eng.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	check("Compact")
 }

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"hash/crc32"
 	"testing"
 )
 
@@ -22,13 +23,23 @@ func FuzzDecodeRecord(f *testing.F) {
 
 // FuzzDecodeCheckpoint: no input panics the checkpoint decoder — bases
 // and deltas are both record images — and an image it accepts
-// re-encodes byte for byte. The seed corpus is under
+// re-encodes byte for byte. Each input is decoded as it is and once more
+// with its trailing checksum sealed over what precedes it, so that a
+// mutation reaches the body's canonical-form checks instead of failing
+// the checksum first. The seed corpus is under
 // testdata/fuzz/FuzzDecodeCheckpoint.
 func FuzzDecodeCheckpoint(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if b, paid, rec, err := decodeImage(data); err == nil {
-			if got := encodeImage(b, paid, rec); !bytes.Equal(got, data) {
-				t.Fatalf("image %+v on %d re-encodes to %x, decoded from %x", rec, b, got, data)
+		images := [][]byte{data}
+		if n := len(data) - 4; n >= len(imageMagic) {
+			sealed := putU32(bytes.Clone(data[:n]), crc32.Checksum(data[len(imageMagic):n], crcTable))
+			images = append(images, sealed)
+		}
+		for _, img := range images {
+			if b, paid, rec, err := decodeImage(img); err == nil {
+				if got := encodeImage(b, paid, rec); !bytes.Equal(got, img) {
+					t.Fatalf("image %+v on %d re-encodes to %x, decoded from %x", rec, b, got, img)
+				}
 			}
 		}
 	})

@@ -309,8 +309,10 @@ func parseGen(name string) (gen, bool) {
 }
 
 // Create initializes a fresh log in opts.Dir from the initial base b
-// (the just-loaded state; see Record). It fails with ErrExists when
-// the directory already holds a log.
+// (the just-loaded state; see Record), sorting its lists in place: pass
+// a copy of anything that must keep its order, such as a graph's
+// Triples. It fails with ErrExists when the directory already holds a
+// log.
 func Create(opts Options, b *Record) (*Log, error) {
 	opts = opts.WithDefaults()
 	if err := b.sortLists(); err != nil {
@@ -712,7 +714,7 @@ func (l *Log) WriteDelta(epoch, watermark uint64) error {
 }
 
 // WriteCheckpoint writes b durably as the new base (see Record), its
-// inserts sorted in place, rotates the log onto a fresh segment, and
+// lists sorted in place, rotates the log onto a fresh segment, and
 // garbage-collects what neither the previous checkpoint's closure nor
 // the caller's epoch watermark still needs. b.Epoch must not be behind the newest
 // checkpoint — the image must cover every record it obsoletes.

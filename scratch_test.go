@@ -6,24 +6,24 @@ import (
 	"cliquesquare/internal/lubm"
 )
 
-// scratchRetentionCeiling bounds what a context's buffer pool keeps
-// after many different executions, relative to the most any single one
-// of them leaves on a fresh engine (measured 0.90 at one lane and
-// 0.70–0.89 at two, LUBM at 20 universities: on a fresh pool Q5 spans
-// several chunks, which lay its pieces out worse than the one chunk Q1
-// leaves it in a pass; 1.00 and 1.12–1.15 when arena scratch lived the
-// whole execution and freed pieces did not merge, 0.97–1.10 before each
-// tuple was held once; 2.1 at 200 universities and two lanes when every
-// scratch position kept its own largest-ever array).
+// scratchRetentionCeiling bounds what a context's scratch keeps after
+// many different executions, relative to the most any single one of
+// them leaves on a fresh engine (measured 1.03 at one lane and 1.05 at
+// two, LUBM at 20 universities: the lanes times Q11's largest temporary
+// plus Q5's outputs, against Q5's own; 0.90 and 0.70–0.89 with a
+// first-fit pool whose layout followed the schedule, 1.00 and 1.12–1.15
+// when arena scratch lived the whole execution and freed pieces did not
+// merge, 0.97–1.10 before each tuple was held once; 2.1 at 200
+// universities and two lanes when every scratch position kept its own
+// largest-ever array).
 const scratchRetentionCeiling = 1.25
 
 // TestScratchHoldsOneExecution pins what a warm execution context keeps:
-// its buffer pool holds what the hungriest single execution reached, not
-// the sum over scratch positions of each one's largest-ever array. After
-// three passes of the 14 LUBM queries the engine's one pooled context
-// holds at most scratchRetentionCeiling times the most any one query
-// leaves when it alone runs on a fresh engine: bit-deterministic at one
-// lane, the same bound at two, whose lanes share the pool.
+// its scratch holds what the hungriest executions needed, not the sum
+// over scratch positions of each one's largest-ever array. After three
+// passes of the 14 LUBM queries the engine's one pooled context holds at
+// most scratchRetentionCeiling times the most any one query leaves when
+// it alone runs on a fresh engine, at one lane and at two.
 func TestScratchHoldsOneExecution(t *testing.T) {
 	if testing.Short() {
 		t.Skip("30 engines over a 20-university dataset")
@@ -93,11 +93,11 @@ var scratchPeaks = []struct {
 	{"Q14", 124704, 96264},
 }
 
-// repeatScratch runs q n times on a fresh one-lane engine over g and
-// returns the buffer pool's reading after each execution.
-func repeatScratch(t *testing.T, g *Graph, q *Query, n int) []uint64 {
+// repeatScratch runs q n times on a fresh engine of the given lanes
+// over g and returns the scratch reading after each execution.
+func repeatScratch(t *testing.T, g *Graph, q *Query, lanes, n int) []uint64 {
 	t.Helper()
-	eng, err := NewEngine(g, Options{Parallelism: 1})
+	eng, err := NewEngine(g, Options{Parallelism: lanes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestScratchPeakPerQuery(t *testing.T) {
 		if q.Name != pin.query {
 			t.Fatalf("query %d is %s, pinned reading is %s's", i, q.Name, pin.query)
 		}
-		got := repeatScratch(t, g, q, 3)[2]
+		got := repeatScratch(t, g, q, 1, 3)[2]
 		t.Logf("%s: %d B of scratch (before %d, pinned %d)", q.Name, got, pin.before, pin.now)
 		if got > pin.before {
 			t.Errorf("%s: %d B of scratch, more than the %d B before", q.Name, got, pin.before)
@@ -138,16 +138,49 @@ func TestScratchPeakPerQuery(t *testing.T) {
 }
 
 // TestScratchRepeatNeverGrows runs each LUBM query three times on a
-// fresh one-lane engine over 20 universities: what the first execution
-// occupied, its buffer pool keeps — the chunk tails it skipped and lent
-// later included — so the second and third add no chunk and
-// ScratchBytes reads the same after each.
+// fresh engine over 20 universities, at one, two and four lanes: what
+// the first execution needed, its scratch keeps, so the second and
+// third grow nothing and ScratchBytes reads the same after each.
 func TestScratchRepeatNeverGrows(t *testing.T) {
 	g := lubm.Generate(lubm.DefaultConfig(20))
-	for _, q := range lubm.Queries() {
-		reads := repeatScratch(t, g, q, 3)
-		if reads[1] != reads[0] || reads[2] != reads[0] {
-			t.Errorf("%s: the pool reads %v B after the 1st, 2nd and 3rd execution: a repeat grew it", q.Name, reads)
+	for _, lanes := range []int{1, 2, 4} {
+		for _, q := range lubm.Queries() {
+			reads := repeatScratch(t, g, q, lanes, 3)
+			if reads[1] != reads[0] || reads[2] != reads[0] {
+				t.Errorf("%d lanes, %s: the scratch reads %v B after the 1st, 2nd and 3rd execution: a repeat grew it", lanes, q.Name, reads)
+			}
+		}
+	}
+}
+
+// TestScratchIndependentOfSchedule pins that what a context keeps is a
+// function of plan, data and lane count alone: at one, two and four
+// lanes, ten fresh engines over 20 universities each run the 14 LUBM
+// queries three times, and all thirty ScratchBytes readings — after each
+// pass of each engine — are one number, whichever lane ran which morsel.
+func TestScratchIndependentOfSchedule(t *testing.T) {
+	if testing.Short() {
+		t.Skip("30 engines over a 20-university dataset")
+	}
+	g := lubm.Generate(lubm.DefaultConfig(20))
+	qs := lubm.Queries()
+	for _, lanes := range []int{1, 2, 4} {
+		seen := map[uint64]int{}
+		for e := 0; e < 10; e++ {
+			eng, err := NewEngine(g, Options{Parallelism: lanes})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for pass := 0; pass < 3; pass++ {
+				queryAll(t, eng, qs)
+				seen[eng.UpdateStats().ScratchBytes]++
+			}
+			eng.Close()
+		}
+		if len(seen) != 1 {
+			t.Errorf("%d lanes: 30 readings of the scratch, %d distinct: %v", lanes, len(seen), seen)
+		} else {
+			t.Logf("%d lanes: every reading %v", lanes, seen)
 		}
 	}
 }
