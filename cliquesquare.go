@@ -64,7 +64,9 @@ type Options struct {
 	// Parallelism is the number of worker lanes a query's jobs run on;
 	// 0 means GOMAXPROCS, negative means one lane (everything inline on
 	// the caller, the same as 1). Results and statistics are identical
-	// at any setting — only wall-clock time changes.
+	// at any setting — only wall-clock time changes. Whatever it is, at
+	// most GOMAXPROCS queries execute at once; the others wait their
+	// turn in arrival order.
 	Parallelism int
 	// PlanCacheSize caps (approximately — sharding rounds it up to a
 	// multiple of 8) the engine's prepared-plan cache, keyed on
@@ -204,9 +206,9 @@ func (opts Options) config() (csq.Config, error) {
 // queued (every already-accepted batch is still committed and
 // acknowledged, and a resize that has started completes), so the data
 // version no longer moves once Close has returned; with a log it then
-// syncs and closes the WAL. It reaps the pooled worker lanes queries ran
-// on last. After Close, queries and updates return ErrClosed. Close is
-// idempotent.
+// syncs and closes the WAL. There is nothing else to reap: no goroutine
+// outlives the call that started it. After Close, queries and updates
+// return ErrClosed. Close is idempotent.
 func (e *Engine) Close() error { return e.inner.Close() }
 
 // ReshardResult reports what a completed AddNodes/RemoveNodes did
@@ -399,7 +401,7 @@ func (e *Engine) DataVersion() uint64 { return e.inner.DataVersion() }
 
 // UpdateStats is a snapshot of the engine's update and plan
 // revalidation counters (re-exported from the csq engine). Contexts is
-// the number of execution contexts the engine keeps pooled, and
+// the number of execution contexts idle now, at most GOMAXPROCS, and
 // ScratchBytes the bytes their scratch holds: each context keeps its
 // lanes times the largest temporary plus the most outputs any execution
 // through it needed — not what all of them needed together, and the

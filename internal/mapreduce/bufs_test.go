@@ -130,7 +130,6 @@ func TestBufsHoldOneExecution(t *testing.T) {
 	p.Lane(3)
 	cl := NewCluster(dstore.NewStore(3), DefaultConstants())
 	pool := NewPool(4)
-	defer pool.Close()
 	job := Job{
 		MapMorsels: func(int) int { return 9 },
 		MapMorsel: func(node, morsel, lane int, m *Meter, _ *Emitter, _ *Block) {

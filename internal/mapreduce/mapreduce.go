@@ -11,7 +11,8 @@
 // split into sub-node morsels (per partition file, via Job.MapMorsel)
 // and its reduce work into per-key-range morsels; Cluster.RunWith
 // dispatches every phase through Pool.ForEach, which runs inline on a
-// nil or width-1 pool and across persistent worker lanes otherwise.
+// nil or width-1 pool and otherwise across helper lanes that live for
+// that one batch.
 // Simulated statistics are byte-identical whatever the lane count: a
 // Meter counts tuples — reads, writes, checks, joins, shuffled — in
 // integers, every unit counts into a meter of its own, and a node's

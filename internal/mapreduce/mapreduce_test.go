@@ -15,13 +15,11 @@ func wordCountCluster(n int) (*Cluster, *dstore.Store) {
 	return NewCluster(store, DefaultConstants()), store
 }
 
-// runOn runs job on a pool of the given width, reaped afterwards;
-// width 0 is the nil pool.
+// runOn runs job on a pool of the given width; width 0 is the nil pool.
 func runOn(cl *Cluster, lanes int, job Job, rec *JobRecord) *Output {
 	var pool *Pool
 	if lanes > 0 {
 		pool = NewPool(lanes)
-		defer pool.Close()
 	}
 	return cl.RunWith(job, RunOptions{Pool: pool, Record: rec})
 }

@@ -5,29 +5,24 @@ import (
 	"sync/atomic"
 )
 
-// Pool is a persistent set of worker goroutines executing ForEach
-// batches. Workers are spawned once and parked on a channel between
-// batches, so a long-lived Pool (e.g. one owned by an execution
-// context) amortizes goroutine creation across every phase of every
-// job it runs.
+// Pool is a set of worker lanes that ForEach batches run on. It owns no
+// goroutine: a batch starts its helpers, runs lane 0 on the caller and
+// returns once every helper has finished, so nothing outlives the batch
+// and a Pool needs no closing.
 //
-// Lane identity: the ForEach caller participates as lane 0; worker w
-// is permanently lane w (1..Lanes()-1). A batch hands each item the
-// lane it runs on, so callers can index per-lane scratch without
-// synchronization. One ForEach runs at a time per Pool — the same
-// single-flight contract a Scratch has.
+// Lane identity: the ForEach caller works as lane 0 and helper w as lane
+// w (1..Lanes()-1). A batch hands each item the lane it runs on, so
+// callers can index per-lane scratch without synchronization. One
+// ForEach runs at a time per Pool — the same single-flight contract a
+// Scratch has.
 type Pool struct {
-	lanes  int
-	wake   chan struct{}
-	wg     sync.WaitGroup
-	closed atomic.Bool
-	state  foreachState
-}
+	// helpers[w-1] runs lane w of the batch in flight, bound once, so
+	// starting it allocates nothing.
+	helpers []func()
 
-// foreachState is the current batch, reused across ForEach calls so a
-// batch costs no allocation. Fields are published to workers by the
-// wake-channel send (happens-before) and read back after wg.Wait.
-type foreachState struct {
+	// The batch in flight, reused across ForEach calls. Its fields are
+	// published to the helpers by the go statements that start them
+	// (happens-before) and read back after wg.Wait.
 	n       int
 	fn      func(item, lane int)
 	next    atomic.Int64
@@ -36,48 +31,16 @@ type foreachState struct {
 	panicky any
 }
 
-// run pulls items until the batch is drained. A panicking item is
-// recorded (first wins) and the lane moves on to the next item.
-func (s *foreachState) run(lane int) {
-	for {
-		i := int(s.next.Add(1)) - 1
-		if i >= s.n {
-			return
-		}
-		s.call(i, lane)
-	}
-}
-
-func (s *foreachState) call(i, lane int) {
-	defer func() {
-		if r := recover(); r != nil {
-			s.mu.Lock()
-			if s.panicky == nil {
-				s.panicky = r
-			}
-			s.mu.Unlock()
-		}
-	}()
-	s.fn(i, lane)
-}
-
-// NewPool spawns a pool of the given width: lanes-1 parked worker
-// goroutines plus the caller's lane 0. Width 1 (or less) spawns no
-// goroutines — ForEach then runs inline.
+// NewPool returns a pool of the given width: lane 0 on the caller and
+// lanes-1 helpers per batch. Width 1 (or less) has no helper — ForEach
+// then runs inline.
 func NewPool(lanes int) *Pool {
-	if lanes < 1 {
-		lanes = 1
-	}
-	p := &Pool{lanes: lanes, wake: make(chan struct{}, lanes)}
-	for w := 1; w < lanes; w++ {
-		p.wg.Add(1)
-		go func(lane int) {
-			defer p.wg.Done()
-			for range p.wake {
-				p.state.run(lane)
-				p.state.wg.Done()
-			}
-		}(w)
+	p := &Pool{}
+	for lane := 1; lane < lanes; lane++ {
+		p.helpers = append(p.helpers, func() {
+			p.run(lane)
+			p.wg.Done()
+		})
 	}
 	return p
 }
@@ -87,50 +50,61 @@ func (p *Pool) Lanes() int {
 	if p == nil {
 		return 1
 	}
-	return p.lanes
+	return len(p.helpers) + 1
 }
 
 // ForEach runs fn(i, lane) for i in [0, n), distributing items across
-// the pool's lanes; the caller works as lane 0. It returns when every
-// item has run; a panic in any item is re-raised on the caller. On a
-// nil, closed or width-1 pool the batch runs inline on lane 0.
+// min(Lanes(), n) lanes: it starts a helper goroutine per lane but the
+// first, works as lane 0, and returns when every item has run and every
+// helper has finished; a panic in any item is re-raised on the caller.
+// On a nil or width-1 pool the batch runs inline on lane 0.
 func (p *Pool) ForEach(n int, fn func(item, lane int)) {
 	if n <= 0 {
 		return
 	}
-	if p == nil || p.lanes <= 1 || n == 1 || p.closed.Load() {
+	if p.Lanes() == 1 || n == 1 {
 		for i := 0; i < n; i++ {
 			fn(i, 0)
 		}
 		return
 	}
-	s := &p.state
-	s.n, s.fn = n, fn
-	s.next.Store(0)
-	s.panicky = nil
-	helpers := p.lanes - 1
-	if helpers > n-1 {
-		helpers = n - 1
+	p.n, p.fn = n, fn
+	p.next.Store(0)
+	p.panicky = nil
+	helpers := p.helpers[:min(len(p.helpers), n-1)]
+	p.wg.Add(len(helpers))
+	for _, h := range helpers {
+		go h()
 	}
-	s.wg.Add(helpers)
-	for i := 0; i < helpers; i++ {
-		p.wake <- struct{}{}
-	}
-	s.run(0)
-	s.wg.Wait()
-	s.fn = nil
-	if s.panicky != nil {
-		panic(s.panicky)
+	p.run(0)
+	p.wg.Wait()
+	p.fn = nil
+	if p.panicky != nil {
+		panic(p.panicky)
 	}
 }
 
-// Close terminates the pool's workers and waits for them to exit. It
-// must not race a ForEach in flight; afterwards ForEach degrades to
-// inline execution. Closing again (or closing nil) is a no-op.
-func (p *Pool) Close() {
-	if p == nil || !p.closed.CompareAndSwap(false, true) {
-		return
+// run pulls items until the batch is drained. A panicking item is
+// recorded (first wins) and the lane moves on to the next item.
+func (p *Pool) run(lane int) {
+	for {
+		i := int(p.next.Add(1)) - 1
+		if i >= p.n {
+			return
+		}
+		p.call(i, lane)
 	}
-	close(p.wake)
-	p.wg.Wait()
+}
+
+func (p *Pool) call(i, lane int) {
+	defer func() {
+		if r := recover(); r != nil {
+			p.mu.Lock()
+			if p.panicky == nil {
+				p.panicky = r
+			}
+			p.mu.Unlock()
+		}
+	}()
+	p.fn(i, lane)
 }

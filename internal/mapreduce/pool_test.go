@@ -11,7 +11,6 @@ import (
 // lane inside the pool's width, across many batch shapes.
 func TestPoolForEachCoverage(t *testing.T) {
 	p := NewPool(4)
-	defer p.Close()
 	for _, n := range []int{0, 1, 2, 3, 4, 7, 64, 1000} {
 		hits := make([]atomic.Int32, n)
 		p.ForEach(n, func(item, lane int) {
@@ -29,8 +28,8 @@ func TestPoolForEachCoverage(t *testing.T) {
 }
 
 // TestPoolSequentialFallbacks checks the inline paths: nil pool,
-// width-1 pool, single-item batch, closed pool. All must run every
-// item on lane 0.
+// width-1 pool, single-item batch. All must run every item on lane 0,
+// in order.
 func TestPoolSequentialFallbacks(t *testing.T) {
 	check := func(name string, p *Pool, n int) {
 		t.Helper()
@@ -49,13 +48,8 @@ func TestPoolSequentialFallbacks(t *testing.T) {
 		}
 	}
 	check("nil", nil, 5)
-	w1 := NewPool(1)
-	check("width-1", w1, 5)
-	w1.Close()
-	p := NewPool(3)
-	check("single-item", p, 1)
-	p.Close()
-	check("closed", p, 5)
+	check("width-1", NewPool(1), 5)
+	check("single-item", NewPool(3), 1)
 }
 
 // TestPoolPanicPropagation checks a panicking item reaches the ForEach
@@ -63,7 +57,6 @@ func TestPoolSequentialFallbacks(t *testing.T) {
 // usable afterwards.
 func TestPoolPanicPropagation(t *testing.T) {
 	p := NewPool(2)
-	defer p.Close()
 	var ran atomic.Int32
 	func() {
 		defer func() {
@@ -88,35 +81,32 @@ func TestPoolPanicPropagation(t *testing.T) {
 	}
 }
 
-// TestPoolCloseReapsWorkers checks Close terminates the parked worker
-// goroutines and is idempotent.
-func TestPoolCloseReapsWorkers(t *testing.T) {
-	base := runtime.NumGoroutine()
-	p := NewPool(5)
-	p.ForEach(16, func(int, int) {})
-	p.Close()
-	p.Close() // idempotent
-	var nilPool *Pool
-	nilPool.Close() // no-op
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > base {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines after Close, baseline %d", runtime.NumGoroutine(), base)
+// TestPoolForEachAllocs pins the steady-state cost of a batch at two
+// and four lanes: the batch state is reused and the helpers are bound
+// once, so starting them allocates nothing on the caller's side, which
+// is what keeps per-job morsel scheduling off the alloc profile.
+func TestPoolForEachAllocs(t *testing.T) {
+	fn := func(int, int) {}
+	for _, lanes := range []int{2, 4} {
+		p := NewPool(lanes)
+		p.ForEach(32, fn) // warm up
+		if avg := testing.AllocsPerRun(50, func() { p.ForEach(32, fn) }); avg > 0 {
+			t.Errorf("%d lanes: ForEach allocates %.1f objects per batch, want 0", lanes, avg)
 		}
-		time.Sleep(5 * time.Millisecond)
 	}
 }
 
-// TestPoolForEachAllocs pins the steady-state cost of a batch: the
-// reused foreachState means dispatch allocates nothing on the caller's
-// side, which is what keeps per-job morsel scheduling off the alloc
-// profile.
-func TestPoolForEachAllocs(t *testing.T) {
-	p := NewPool(4)
-	defer p.Close()
-	fn := func(int, int) {}
-	p.ForEach(32, fn) // warm up
-	if avg := testing.AllocsPerRun(50, func() { p.ForEach(32, fn) }); avg > 0 {
-		t.Errorf("ForEach allocates %.1f objects per batch, want 0", avg)
+// TestPoolLeavesNoGoroutine checks a batch's helpers are gone once the
+// runtime has unwound them: a pool holds no goroutine between batches.
+func TestPoolLeavesNoGoroutine(t *testing.T) {
+	base := runtime.NumGoroutine()
+	p := NewPool(5)
+	p.ForEach(16, func(int, int) {})
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after a batch, baseline %d", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

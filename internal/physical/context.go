@@ -42,11 +42,11 @@ import (
 // A result-cache hit reads none of this scratch: it never prepares the
 // context.
 //
-// The lane count is fixed by NewExecContext, which spawns the context's
-// persistent mapreduce worker pool (parked between jobs); the owner
-// must call Close to reap the workers. A zero-value context — what
-// Executor.Execute uses when handed none — is one inline lane, as is a
-// closed one; neither holds goroutines.
+// The lane count is fixed by NewExecContext. A context owns no
+// goroutine: each phase of a job starts its helper lanes and waits for
+// them (mapreduce.Pool), so an idle context is memory only and needs no
+// closing. A zero-value context — what Executor.Execute uses when handed
+// none — is one inline lane.
 type ExecContext struct {
 	// StatsSink, if non-nil, receives each job's stats as the job
 	// completes (before the next job starts).
@@ -112,7 +112,7 @@ type mapMorsel struct {
 }
 
 // NewExecContext returns a context running jobs on the given number of
-// lanes (0 or less means GOMAXPROCS); callers must Close it.
+// lanes (0 or less means GOMAXPROCS). It builds memory only.
 func NewExecContext(lanes int) *ExecContext {
 	if lanes <= 0 {
 		lanes = runtime.GOMAXPROCS(0)
@@ -132,13 +132,6 @@ func (c *ExecContext) Executor(store *dstore.Store, k mapreduce.Constants) *Exec
 	c.cluster = mapreduce.Cluster{Store: store, C: k, Jobs: c.cluster.Jobs[:0]}
 	c.x = Executor{Cluster: &c.cluster, Ctx: c}
 	return &c.x
-}
-
-// Close reaps the context's worker pool. The context must be idle;
-// afterwards it is one inline lane. Closing twice is a no-op.
-func (c *ExecContext) Close() {
-	c.pool.Close()
-	c.pool = nil
 }
 
 // prepare readies the context for one execution of pp: an arena per

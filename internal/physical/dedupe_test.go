@@ -143,7 +143,6 @@ func TestDedupeMatchesReference(t *testing.T) {
 				t.Fatalf("lanes %d, trial %d: the materialised result changed when the parts were overwritten", lanes, trial)
 			}
 		}
-		ctx.Close()
 	}
 }
 
@@ -169,7 +168,6 @@ func TestDedupeAllocations(t *testing.T) {
 		if got := testing.AllocsPerRun(100, func() { src.Materialise() }); got != 2 {
 			t.Errorf("%d lanes: Materialise of %d rows: %v allocs/op, want the block and the view", ctx.lanes(), src.Len(), got)
 		}
-		ctx.Close()
 	}
 }
 
@@ -188,7 +186,6 @@ func TestMergeReadsFromMarks(t *testing.T) {
 	}
 	want := refDedupeSort(rows)
 	ctx := NewExecContext(4)
-	defer ctx.Close()
 	src := ctx.mergeParts(parts)
 	if src.Len() != len(want) || src.Len() < 3*mergeMark {
 		t.Fatalf("%d survivors, want %d (and at least three marks' worth)", src.Len(), len(want))

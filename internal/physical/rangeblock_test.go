@@ -47,7 +47,6 @@ func TestStaleRangeBlocksNeverLeak(t *testing.T) {
 	}
 
 	ctx := NewExecContext(lanes)
-	defer ctx.Close()
 	var (
 		pp    *Plan
 		plan  *core.Plan

@@ -277,6 +277,3 @@ func (d *Dict) TermsAfter(after TermID) []Term {
 
 // EncodeIRI is shorthand for Encode(NewIRI(v)).
 func (d *Dict) EncodeIRI(v string) TermID { return d.Encode(NewIRI(v)) }
-
-// EncodeLiteral is shorthand for Encode(NewLiteral(v)).
-func (d *Dict) EncodeLiteral(v string) TermID { return d.Encode(NewLiteral(v)) }

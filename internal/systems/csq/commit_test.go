@@ -365,48 +365,59 @@ func TestResizeInsideBatchStream(t *testing.T) {
 }
 
 // TestEngineStartsNoGoroutine: writes, resizes, checkpoints and Close run
-// in their callers' goroutines, and at one lane an execution context
-// parks no worker either. So building an engine — without a log, over a
-// fresh log, or recovered from one — and driving a query, a batch, a
-// resize, a Compact and Close through it leaves the goroutine count
-// where it was.
+// in their callers' goroutines, and an execution's helper lanes live for
+// one batch of its morsels. So building an engine — without a log, over
+// a fresh log, or recovered from one — at one, two and four lanes and
+// driving a query, a batch, a resize, a Compact and Close through it
+// leaves the goroutine count where it was once the helpers of the last
+// batch have exited.
 func TestEngineStartsNoGoroutine(t *testing.T) {
-	cfg := crashScriptCfg()
-	cfg.Parallelism = 1
-	fs := wal.NewMemFS()
 	q := sparql.MustParse(`SELECT ?s ?o WHERE { ?s <urn:p> ?o }`)
+	lanes := []int{1, 2, 4}
+	fss := make([]*wal.MemFS, len(lanes)) // OpenDurable recovers what NewDurable logged
+	for i := range fss {
+		fss[i] = wal.NewMemFS()
+	}
 	for i, kind := range []string{"New", "NewDurable", "OpenDurable"} {
 		t.Run(kind, func(t *testing.T) {
-			base := runtime.NumGoroutine()
-			check := func(what string, err error) {
-				t.Helper()
-				if err != nil {
-					t.Fatalf("%s: %v", what, err)
+			for l, par := range lanes {
+				cfg := crashScriptCfg()
+				cfg.Parallelism = par
+				base := runtime.NumGoroutine()
+				check := func(what string, err error) {
+					t.Helper()
+					if err != nil {
+						t.Fatalf("%d lanes, %s: %v", par, what, err)
+					}
+					deadline := time.Now().Add(5 * time.Second)
+					for runtime.NumGoroutine() > base {
+						if time.Now().After(deadline) {
+							t.Fatalf("%d lanes, after %s: %d goroutines, %d before the engine", par, what, runtime.NumGoroutine(), base)
+						}
+						time.Sleep(time.Millisecond)
+					}
 				}
-				if n := runtime.NumGoroutine(); n > base {
-					t.Errorf("after %s: %d goroutines, %d before the engine", what, n, base)
+				var eng *Engine
+				var err error
+				switch kind {
+				case "New":
+					eng = New(durableBase(), cfg)
+				case "NewDurable":
+					eng, err = NewDurable(durableBase(), cfg, durableOpts(fss[l]))
+				case "OpenDurable":
+					eng, err = OpenDurable(cfg, durableOpts(fss[l]))
 				}
+				check("building", err)
+				_, err = eng.ExecutePrepared(mustPrepare(t, eng, q))
+				check("a query", err)
+				ins, dels := scriptBatch(eng.Dict(), i+1)
+				_, err = eng.ApplyBatch(ins, dels)
+				check("a batch", err)
+				_, err = eng.AddNodes(1)
+				check("a resize", err)
+				check("Compact", eng.Compact())
+				check("Close", eng.Close())
 			}
-			var eng *Engine
-			var err error
-			switch kind {
-			case "New":
-				eng = New(durableBase(), cfg)
-			case "NewDurable":
-				eng, err = NewDurable(durableBase(), cfg, durableOpts(fs))
-			case "OpenDurable":
-				eng, err = OpenDurable(cfg, durableOpts(fs))
-			}
-			check("building", err)
-			_, err = eng.ExecutePrepared(mustPrepare(t, eng, q))
-			check("a query", err)
-			ins, dels := scriptBatch(eng.Dict(), i+1)
-			_, err = eng.ApplyBatch(ins, dels)
-			check("a batch", err)
-			_, err = eng.AddNodes(1)
-			check("a resize", err)
-			check("Compact", eng.Compact())
-			check("Close", eng.Close())
 		})
 	}
 }

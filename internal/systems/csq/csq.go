@@ -21,14 +21,16 @@
 // answered. No reader waits on a commit: an execution reads the epoch it
 // pinned, and a planner reads the statistics catalog, which keeps the
 // view its fills read and which the writer moves to an epoch after
-// publishing it. The engine starts no goroutine of its own — writes,
-// checkpoints and Close run in their callers' goroutines; the morsel
-// worker pools of its execution contexts are the only goroutines it
-// owns.
+// publishing it. The engine starts no goroutine that outlives a call —
+// writes, checkpoints and Close run in their callers' goroutines, and an
+// execution's helper lanes live for one batch of its morsels. Executions
+// are admitted: at most GOMAXPROCS run at once, each on an execution
+// context of its own, and the others wait in arrival order.
 package csq
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -74,8 +76,10 @@ type Config struct {
 	// move only ~|ΔN|/N of the data.
 	Placement string
 	// Parallelism is the number of worker lanes a query's jobs run on;
-	// 0 means GOMAXPROCS, 1 runs everything inline on the caller.
-	// Results and stats are identical at every setting.
+	// 0 means GOMAXPROCS, 1 runs everything inline on the caller. A
+	// phase starts its helper lanes and waits for them, so no lane
+	// outlives the query. Results and stats are identical at every
+	// setting.
 	Parallelism int
 	// StatsSink, if non-nil, receives each job's stats as it completes.
 	StatsSink func(mapreduce.JobStats)
@@ -110,11 +114,11 @@ func DefaultConfig() Config {
 // PrepareCached, ExecutePrepared, ExecutePlan, RunPlan, Run,
 // ApplyBatch, AddNodes, RemoveNodes — are safe for concurrent use:
 // planning reads the statistics catalog and immutable engine state,
-// execution a pinned data epoch and per-call scratch from the context
-// pool, and the caches synchronize themselves. Writes have exactly one
-// writer at a time — whichever caller holds wmu — which publishes new
-// epochs atomically and then moves the catalog to them; no reader waits
-// on it meanwhile. qmu is held only briefly, under nothing but wmu, and
+// execution a pinned data epoch and the scratch of an execution context
+// of its own, and the caches synchronize themselves. Writes have exactly
+// one writer at a time — whichever caller holds wmu — which publishes
+// new epochs atomically and then moves the catalog to them; no reader
+// waits on it meanwhile. qmu is held only briefly, under nothing but wmu, and
 // a durable engine's checkpoint mutex is never held with wmu.
 type Engine struct {
 	cfg Config
@@ -149,16 +153,16 @@ type Engine struct {
 	// a commit; the commit pipeline additionally purges for budget
 	// hygiene.
 	res *rescache.Cache
-	// ctxMu guards the explicit ExecContext free list. Contexts are
-	// recycled (with their per-lane arenas and parked worker pools)
-	// across plan executions; concurrent executions each get their
-	// own context. An explicit list — not a sync.Pool — because each
-	// pooled context owns persistent worker goroutines that Close must
-	// reap deterministically, and a sync.Pool drops entries on GC
-	// without running any finalizer.
-	ctxMu     sync.Mutex
-	ctxFree   []*physical.ExecContext
-	ctxClosed bool
+	// slots admits executions: runtime.GOMAXPROCS(0) of them, read at
+	// construction. An execution sends to it before it takes a context
+	// and receives from it once it has put the context back, so no more
+	// run at once and the others wait in arrival order. idle holds the
+	// contexts not in use, each built on the first execution that found
+	// none idle — never more than the slots — and idleScratch the bytes
+	// their scratch holds. A context is memory only: Close reaps nothing.
+	slots       chan struct{}
+	idle        chan *physical.ExecContext
+	idleScratch atomic.Int64
 
 	// batches / groups / revalidations / replans count update activity:
 	// committed ApplyBatch calls, the epochs that carried them, cached
@@ -225,7 +229,9 @@ func newEngine(cfg Config, dict *rdf.Dict, triples []rdf.Triple, store *dstore.S
 		store: store,
 		part:  partition.New(store, cfg.Partitioning, cfg.mustPolicy()),
 		shim:  &rdf.Graph{Dict: dict},
+		slots: make(chan struct{}, runtime.GOMAXPROCS(0)),
 	}
+	e.idle = make(chan *physical.ExecContext, cap(e.slots))
 	v := e.part.ApplyBatch(triples, nil, dict)
 	e.cat = cost.NewCatalog(v, v.Version())
 	e.spaces = plancache.NewSized(spaceCacheBytes, func(sh *shapePlans) int64 { return int64(sh.space.Bytes()) })
@@ -328,11 +334,11 @@ type UpdateStats struct {
 	// object replicas and the files' headers and names (the property
 	// replica holds no cells). Reads never move it.
 	StoreBytes uint64
-	// Contexts is the number of execution contexts pooled now, idle on
-	// the free list, and ScratchBytes the bytes their scratch holds: per
-	// context, its lanes times the largest temporary plus the most
-	// outputs any execution through it needed, however many ran — a
-	// function of plans, data and lane count.
+	// Contexts is the number of execution contexts idle now — at most
+	// GOMAXPROCS, however many callers execute — and ScratchBytes the
+	// bytes their scratch holds: per context, its lanes times the largest
+	// temporary plus the most outputs any execution through it needed,
+	// however many ran — a function of plans, data and lane count.
 	Contexts     uint64
 	ScratchBytes uint64
 }
@@ -341,7 +347,7 @@ type UpdateStats struct {
 func (e *Engine) UpdateStats() UpdateStats {
 	patterns, fills, _ := e.cat.Counters()
 	spaces := e.spaces.Stats()
-	us := UpdateStats{
+	return UpdateStats{
 		Batches:       e.batches.Load(),
 		Revalidations: e.revalidations.Load(),
 		Replans:       e.replans.Load(),
@@ -354,13 +360,9 @@ func (e *Engine) UpdateStats() UpdateStats {
 		StoreBytes:    uint64(e.part.Current().Snap().Bytes()),
 		Spaces:        uint64(spaces.Entries),
 		SpaceBytes:    uint64(spaces.Bytes),
+		Contexts:      uint64(len(e.idle)),
+		ScratchBytes:  uint64(e.idleScratch.Load()),
 	}
-	e.ctxMu.Lock()
-	defer e.ctxMu.Unlock()
-	for _, c := range e.ctxFree {
-		us.Contexts, us.ScratchBytes = us.Contexts+1, us.ScratchBytes+uint64(c.ScratchBytes())
-	}
-	return us
 }
 
 // enumerate runs the optimizer on q under the configured budgets.
@@ -506,62 +508,25 @@ func (e *Engine) compiled(sh *shapePlans, q *sparql.Query, idx int) (*physical.P
 	return pp, nil
 }
 
-// execContext takes a context from the free list (or builds one from
-// the config) for one plan execution. Engine-owned contexts are
-// pooled: their morsel worker lanes park between queries and are
-// reaped by Engine.Close.
-func (e *Engine) execContext() *physical.ExecContext {
-	e.ctxMu.Lock()
-	if n := len(e.ctxFree); n > 0 {
-		c := e.ctxFree[n-1]
-		e.ctxFree = e.ctxFree[:n-1]
-		e.ctxMu.Unlock()
-		return c
-	}
-	e.ctxMu.Unlock()
-	c := physical.NewExecContext(e.cfg.Parallelism)
-	c.StatsSink = e.cfg.StatsSink
-	return c
-}
-
-// putContext returns an idle context to the free list — or closes it
-// immediately when the engine shut down while the execution was in
-// flight, so no worker goroutines outlive Close's return by more than
-// the draining execution itself.
-func (e *Engine) putContext(c *physical.ExecContext) {
-	e.ctxMu.Lock()
-	if e.ctxClosed {
-		e.ctxMu.Unlock()
-		c.Close()
-		return
-	}
-	e.ctxFree = append(e.ctxFree, c)
-	e.ctxMu.Unlock()
-}
-
-// closeContexts reaps every pooled context's worker lanes and marks
-// the list closed, so late putContext calls close their contexts
-// inline.
-func (e *Engine) closeContexts() {
-	e.ctxMu.Lock()
-	free := e.ctxFree
-	e.ctxFree = nil
-	e.ctxClosed = true
-	e.ctxMu.Unlock()
-	for _, c := range free {
-		c.Close()
-	}
-}
-
-// executor wires an executor for one plan execution: a pooled context's
-// own, the current epoch pinned, a fresh cluster clock. The caller
-// releases it when the execution — and whatever reads its borrowed rows
-// — is done.
+// executor admits one plan execution and wires its executor: it takes
+// a slot, waiting in arrival order while every slot is out, then an idle
+// context, or builds one if none is idle; the current epoch pinned, a
+// fresh cluster clock. The caller releases it when the execution — and
+// whatever reads its borrowed rows — is done.
 func (e *Engine) executor() (*physical.Executor, error) {
 	if e.closed.Load() {
 		return nil, ErrClosed
 	}
-	x := e.execContext().Executor(e.store, e.cfg.Constants)
+	e.slots <- struct{}{}
+	var c *physical.ExecContext
+	select {
+	case c = <-e.idle:
+		e.idleScratch.Add(-c.ScratchBytes())
+	default:
+		c = physical.NewExecContext(e.cfg.Parallelism)
+		c.StatsSink = e.cfg.StatsSink
+	}
+	x := c.Executor(e.store, e.cfg.Constants)
 	x.Part, x.Dict, x.ResultCache = e.part, e.dict, e.res
 	// Pin the epoch in the partitioner's registry for the duration: a
 	// checkpoint's watermark then never garbage-collects the WAL
@@ -570,13 +535,15 @@ func (e *Engine) executor() (*physical.Executor, error) {
 	return x, nil
 }
 
-// release unpins x's epoch and returns its context to the free list,
-// x emptied: an idle context keeps no epoch.
+// release unpins x's epoch, puts its context back among the idle ones,
+// x emptied — an idle context keeps no epoch — and frees its slot.
 func (e *Engine) release(x *physical.Executor) {
 	e.part.Unpin(x.View)
 	c := x.Ctx
 	*x = physical.Executor{}
-	e.putContext(c)
+	e.idleScratch.Add(c.ScratchBytes())
+	e.idle <- c
+	<-e.slots
 }
 
 // ExecutePlan runs an already-compiled plan on a fresh cluster clock,
@@ -597,9 +564,10 @@ func (e *Engine) ExecutePlan(pp *physical.Plan) (*physical.Result, error) {
 
 // RunPlan executes pp as ExecutePlan does and lends use the finished
 // rows where the execution left them (see physical.Executor.Run): the
-// pooled context and the pinned epoch are held until use returns —
-// also when it panics — and rows is invalid from then on. The Result
-// (Rows nil, N set) may be kept.
+// execution's slot, its context and the pinned epoch are held until use
+// returns — also when it panics — and rows is invalid from then on. The
+// Result (Rows nil, N set) may be kept. use must not execute on the
+// engine itself: it holds one of the slots such an execution waits for.
 func (e *Engine) RunPlan(pp *physical.Plan, use func(res *physical.Result, rows physical.Rows) error) error {
 	x, err := e.executor()
 	if err != nil {

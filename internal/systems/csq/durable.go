@@ -220,10 +220,9 @@ func (e *Engine) checkpointIfDue() {
 // flushes whatever is still queued — so a resize that has started
 // completes, on every engine — and the data version never moves after
 // Close returns. With a log it then waits out a running checkpoint and
-// syncs and closes the WAL. It reaps the pooled execution contexts'
-// parked morsel workers last, so a flushing batch never races the
-// runtime teardown. After Close every entry point returns ErrClosed.
-// Close is idempotent.
+// syncs and closes the WAL. There is nothing else to reap: the engine
+// keeps no goroutine, and its execution contexts are memory only. After
+// Close every entry point returns ErrClosed. Close is idempotent.
 func (e *Engine) Close() error {
 	e.qmu.Lock()
 	wasClosed := e.closed.Swap(true)
@@ -241,7 +240,6 @@ func (e *Engine) Close() error {
 		err = d.log.Close()
 		d.ckptMu.Unlock()
 	}
-	e.closeContexts()
 	return err
 }
 

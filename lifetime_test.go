@@ -176,7 +176,6 @@ func TestResultOutlivesContextReuse(t *testing.T) {
 					h.check(t, "after "+k.name)
 				}
 			}
-			ctx.Close()
 		}
 	}
 }
@@ -192,7 +191,6 @@ func TestResultOutlivesContextReuse(t *testing.T) {
 func TestCachedViewReadWhileContextExecutes(t *testing.T) {
 	f := newLifetimeFixture(t)
 	ctx := physical.NewExecContext(4)
-	defer ctx.Close()
 	rc := rescache.New(64 << 20)
 	pp, want := f.flat["Q1"], f.golden.Flat["Q1"]
 	k := kept{name: "flat/Q1", res: f.execute(t, ctx, rc, pp), want: want}
@@ -212,7 +210,6 @@ func TestCachedViewReadWhileContextExecutes(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			own := physical.NewExecContext(1)
-			defer own.Close()
 			err := f.executor(own, rc).Run(pp, func(res *physical.Result, rows physical.Rows) error {
 				var first *rdf.TermID
 				rows.Each(0, 1, func(_ int, row mapreduce.Row) { first = &row[0] })
@@ -318,7 +315,7 @@ func TestPanickingConsumerLeavesContextClean(t *testing.T) {
 		t.Fatal(err)
 	}
 	var before *physical.Result
-	for i := 0; i < 3; i++ { // spawns the one pooled context and grows its pool
+	for i := 0; i < 3; i++ { // builds the one context and grows its scratch
 		if before, err = eng.ExecutePrepared(p); err != nil {
 			t.Fatal(err)
 		}
@@ -356,7 +353,5 @@ func TestPanickingConsumerLeavesContextClean(t *testing.T) {
 			t.Fatalf("execution %d after the panic answers differently", i)
 		}
 	}
-	if n := runtime.NumGoroutine(); n != goroutines {
-		t.Errorf("%d goroutines after the panic, %d before: the context was not returned to the free list", n, goroutines)
-	}
+	waitGoroutines(t, goroutines, "after the panic")
 }

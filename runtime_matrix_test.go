@@ -2,16 +2,18 @@ package cliquesquare
 
 // Determinism matrix for the morsel-driven runtime: the LUBM workload
 // must produce byte-identical rows AND JobStats at every parallelism
-// level, through pooled (persistent-worker) and fresh (per-query)
-// execution contexts alike, all matching the one-lane pin. Run under
-// -race this also shakes out data races between concurrent morsel
-// lanes. A companion test checks that closing a context (and an
-// engine) reaps its parked pool workers.
+// level, through reused and fresh (per-query) execution contexts alike,
+// all matching the one-lane pin. Run under -race this also shakes out
+// data races between concurrent morsel lanes. A companion test drives
+// bursts of clients through one engine: executions are admitted, and no
+// lane outlives its batch.
 
 import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -80,7 +82,6 @@ func TestMorselDeterminismMatrix(t *testing.T) {
 				var shared *physical.ExecContext
 				if mode == "pooled" {
 					shared = physical.NewExecContext(par)
-					defer shared.Close()
 				}
 				for i, pp := range plans {
 					ctx := shared
@@ -94,9 +95,6 @@ func TestMorselDeterminismMatrix(t *testing.T) {
 					if !reflect.DeepEqual(r.Jobs, pins[i].jobs) {
 						t.Errorf("%s: job stats differ from the one-lane pin:\ngot %+v\npin %+v",
 							queries[i].Name, r.Jobs, pins[i].jobs)
-					}
-					if shared == nil {
-						ctx.Close()
 					}
 				}
 			})
@@ -121,50 +119,71 @@ func waitGoroutines(t *testing.T, base int, what string) {
 	}
 }
 
-// TestPoolWorkerReaping checks that ExecContext.Close and Engine.Close
-// terminate the persistent morsel workers they own: no goroutine
-// outlives the close.
-func TestPoolWorkerReaping(t *testing.T) {
+// TestExecutionBurstIsAdmitted drives bursts of 1, 16 and 64 clients
+// through one engine at 1, 2 and 4 lanes, each client executing a plan
+// whose consumer holds the rows for about a millisecond: no more than
+// GOMAXPROCS executions are ever in flight, no more than GOMAXPROCS
+// contexts are kept, and once a burst is over the goroutine count falls
+// back to what it was before the engine was built, the engine still
+// open — no lane outlives its batch.
+func TestExecutionBurstIsAdmitted(t *testing.T) {
 	g := lubm.Generate(lubm.DefaultConfig(1))
-	q := lubm.Queries()[1]
-
-	base := runtime.NumGoroutine()
-
-	// Context-level: a pooled context spawns workers on first parallel
-	// execution; Close must reap them.
-	cfg := csq.DefaultConfig()
-	eng := csq.New(g, cfg)
-	p, err := eng.Prepare(q)
-	if err != nil {
-		t.Fatalf("plan: %v", err)
+	q, _ := lubm.Query("Q8") // 200 rows at one university
+	slots := runtime.GOMAXPROCS(0)
+	for _, par := range []int{1, 2, 4} {
+		base := runtime.NumGoroutine()
+		cfg := csq.DefaultConfig()
+		cfg.Parallelism = par
+		eng := csq.New(g, cfg)
+		p, err := eng.Prepare(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := eng.ExecuteStats(p.Physical)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, clients := range []int{1, 16, 64} {
+			var inFlight, peak atomic.Int32
+			var wg sync.WaitGroup
+			for c := 0; c < clients; c++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					err := eng.RunPlan(p.Physical, func(_ *physical.Result, rows physical.Rows) error {
+						n := inFlight.Add(1)
+						defer inFlight.Add(-1)
+						for m := peak.Load(); n > m; m = peak.Load() {
+							if peak.CompareAndSwap(m, n) {
+								break
+							}
+						}
+						if rows.Len() != want.N {
+							t.Errorf("%d lanes, %d clients: %d rows, want %d", par, clients, rows.Len(), want.N)
+						}
+						time.Sleep(time.Millisecond)
+						return nil
+					})
+					if err != nil {
+						t.Error(err)
+					}
+				}()
+			}
+			wg.Wait()
+			what := fmt.Sprintf("%d lanes, %d clients", par, clients)
+			if n := int(peak.Load()); n > slots {
+				t.Errorf("%s: %d executions in flight at once, GOMAXPROCS %d", what, n, slots)
+			}
+			us := eng.UpdateStats()
+			if us.Contexts > uint64(slots) {
+				t.Errorf("%s: %d contexts kept, GOMAXPROCS %d", what, us.Contexts, slots)
+			}
+			waitGoroutines(t, base, what)
+			t.Logf("%s: at most %d in flight, %d contexts kept (%d B of scratch), goroutines back to %d",
+				what, peak.Load(), us.Contexts, us.ScratchBytes, base)
+		}
+		if err := eng.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	store := dstore.NewStore(cfg.Nodes)
-	part := partition.LoadWithPolicy(store, g, cfg.Partitioning, nil)
-	ctx := physical.NewExecContext(4)
-	x := &physical.Executor{
-		Cluster: mapreduce.NewCluster(store, cfg.Constants),
-		Part:    part,
-		Dict:    g.Dict,
-		Ctx:     ctx,
-	}
-	if _, err := x.Execute(p.Physical); err != nil {
-		t.Fatalf("execute: %v", err)
-	}
-	ctx.Close()
-	waitGoroutines(t, base, "after ExecContext.Close")
-
-	// Engine-level: queries through the facade draw pooled contexts;
-	// Engine.Close must reap every pooled context's workers.
-	base = runtime.NumGoroutine()
-	feng, err := NewEngine(g, Options{Nodes: 3, Parallelism: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := feng.Run(q); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if err := feng.Close(); err != nil {
-		t.Fatalf("close: %v", err)
-	}
-	waitGoroutines(t, base, "after Engine.Close")
 }

@@ -153,7 +153,6 @@ func TestResultSourceEquivalence(t *testing.T) {
 							}
 						}
 					}
-					ctx.Close()
 				}
 			}
 		}
