@@ -22,8 +22,8 @@ import (
 //
 // Ownership: every buffer that lives inside one execution is carved
 // from the context's scratch (mapreduce.Bufs) once, at a counted size. A
-// morsel's temporaries (scan and map-join blocks, join tables, a reduce
-// group's inputs) come from its lane's bump arena, emptied when the
+// morsel's temporaries (scan and map-join blocks, a reduce group's
+// inputs) come from its lane's bump arena, emptied when the
 // morsel ends; the outputs (node and range outputs, intermediate
 // relations, the final merge's marks) last until release, at the end of
 // Executor.Run (also when its consumer panics), drops every header and
@@ -185,11 +185,12 @@ func (c *ExecContext) release() {
 func (c *ExecContext) ScratchBytes() int64 { return c.bufs.Bytes() }
 
 // arena is one worker lane's reusable scratch for local evaluation: the
-// headers of the blocks scans and map joins write to and of the join
-// tables, the cursor slices and column buffers naryJoin and the shuffle
-// emitters need per call, scan filter scratch and reduce-group inputs.
-// Blocks and tables carve their bytes from mem, emptied when the morsel
-// ends: nothing in them may be used after that, nor their room reused.
+// headers of the blocks scans and map joins write to, the cursors and
+// column buffers naryJoin and the shuffle emitters need per call, scan
+// filter scratch and reduce-group inputs. Blocks carve their bytes from
+// mem, emptied when the morsel ends: nothing in them may be used after
+// that, nor their room reused. A join builds nothing there: it merges
+// its inputs where they lie.
 type arena struct {
 	mem *mapreduce.Arena // the lane's arena in the context's scratch
 
@@ -199,11 +200,13 @@ type arena struct {
 	blocks []*mapreduce.Block
 	used   int
 
-	tables   []*joinTable
-	colIdx   [][]int
-	lists    [][]int32 // per join child: the probed row numbers
-	at       []int     // per join child: cell offset of the current row
-	emitCols []int     // shuffle-key column indexes, hoisted per relation
+	at, lo, hi []int // per join child: the current row's cell offset, the current key's run
+	emitCols   []int // shuffle-key column indexes, hoisted per relation
+
+	// sorter orders a join child that arrives out of key order (sortOn);
+	// sorts counts them.
+	sorter keyRows
+	sorts  int
 
 	// joinPlans memoizes the schema-derived part of naryJoin (output
 	// column sources, residual checks) keyed on the children's schema
@@ -254,10 +257,6 @@ func (a *arena) release() {
 		a.groupRels[i].Cells = nil
 	}
 	clear(a.joinInputs[:cap(a.joinInputs)])
-	clear(a.lists)
-	for _, t := range a.tables {
-		*t = joinTable{cols: t.cols}
-	}
 }
 
 // fileKey identifies one scan's file resolution: the pattern it matches
@@ -314,7 +313,12 @@ type joinPlan struct {
 	attrs    []string   // the output schema slice (identity key)
 	srcChild []int      // per output attr: providing child...
 	srcCol   []int      // ...and column within it
-	checks   []eqCheck  // residual equality over the other shared attrs
+	keyCols  []int      // per child: the column of the merged attribute
+	// checks are the residual equalities over the shared attributes but
+	// the merged one: the further join attributes' keyChecks first, then
+	// the others'.
+	checks    []eqCheck
+	keyChecks int
 }
 
 // joinPlanCap bounds the memo; reaching it resets the memo (shapes per
@@ -350,12 +354,21 @@ outer:
 	for i := range children {
 		jp.schemas[i] = children[i].schema
 	}
-	// Residual checks cover every attribute but the join's own shared by
-	// two or more children, whether or not it survives into attrs: the
-	// probe already matched the join attributes.
+	// Residual checks cover every attribute but the merged one shared by
+	// two or more children, whether or not it survives into attrs.
+	if len(joinAttrs) > 0 {
+		jp.keyCols = make([]int, len(children))
+		for i := range children {
+			jp.keyCols[i] = children[i].col(joinAttrs[0])
+		}
+		rest := joinAttrs[1:]
+		kChild, kCol := columnSources(rest, children)
+		jp.checks = residualChecks(rest, children, kChild, kCol)
+		jp.keyChecks = len(jp.checks)
+	}
 	union := slices.DeleteFunc(unionSchema(children), func(s string) bool { return slices.Contains(joinAttrs, s) })
 	uChild, uCol := columnSources(union, children)
-	jp.checks = residualChecks(union, children, uChild, uCol)
+	jp.checks = append(jp.checks, residualChecks(union, children, uChild, uCol)...)
 	jp.srcChild, jp.srcCol = columnSources(attrs, children)
 	if len(a.joinPlans) >= joinPlanCap {
 		a.joinPlans = a.joinPlans[:0]
@@ -364,135 +377,9 @@ outer:
 	return jp
 }
 
-// grow sizes the per-child scratch slices for a join of nc inputs.
+// grow sizes the per-child cursors for a join of nc inputs.
 func (a *arena) grow(nc int) {
-	for len(a.tables) < nc {
-		a.tables = append(a.tables, &joinTable{})
-		a.colIdx = append(a.colIdx, nil)
-		a.lists = append(a.lists, nil)
-		a.at = append(a.at, 0)
-	}
-}
-
-// joinTable is an open-addressing hash table over one join child's
-// rows, grouped by join key. Buckets index entries; after build, each
-// entry owns a contiguous span of the child's row numbers laid out
-// grouped by key (CSR layout), so a probe returns a ready list with no
-// per-key allocation. Keys are hashed and compared directly on the
-// rows' cells — the specialized equivalent of a map[uint32][]int32 for
-// the dominant single-attribute join, generalizing to multi-attribute
-// keys. All storage is pointer-free, carved from the lane's arena for
-// each build.
-type joinTable struct {
-	mask    uint32
-	buckets []int32         // entry index + 1; 0 = empty
-	off     []int32         // entry e's rows are ordered[off[e+1]:off[e+2]]
-	ordered []int32         // row numbers, grouped by entry
-	rel     mapreduce.Block // the build child
-	cols    []int           // join-key columns in the child's schema
-}
-
-// mix64 is a splitmix64-style finalizer giving the table good low bits
-// from the FNV word folding.
-func mix64(x uint64) uint64 {
-	x ^= x >> 33
-	x *= 0xff51afd7ed558ccd
-	x ^= x >> 33
-	x *= 0xc4ceb9fe1a85ec53
-	x ^= x >> 33
-	return x
-}
-
-// hashRowKey hashes the join-key cells of row, with a branch-free fast
-// path for single-attribute keys.
-func hashRowKey(row mapreduce.Row, cols []int) uint64 {
-	if len(cols) == 1 {
-		return mix64(uint64(uint32(row[cols[0]])))
-	}
-	h := uint64(14695981039346656037)
-	for _, c := range cols {
-		h = (h ^ uint64(uint32(row[c]))) * 1099511628211
-	}
-	return mix64(h)
-}
-
-// keyEqual compares row a's key (columns ca) with row b's (columns cb).
-func keyEqual(a mapreduce.Row, ca []int, b mapreduce.Row, cb []int) bool {
-	for i := range ca {
-		if a[ca[i]] != b[cb[i]] {
-			return false
-		}
-	}
-	return true
-}
-
-// build indexes rel's rows by their key columns, its arrays carved from
-// the arena m — the build's own scratch (each entry's first row, each
-// row's entry) on top, cut back when the table is built. A key's entry
-// is made at its first row, so entries ≤ rows.
-func (t *joinTable) build(m *mapreduce.Arena, rel mapreduce.Block, cols []int) {
-	t.rel = rel
-	t.cols = append(t.cols[:0], cols...)
-	size := 8
-	for size < 2*rel.N {
-		size <<= 1
-	}
-	t.buckets = mapreduce.Carve[int32](m, size)
-	clear(t.buckets)
-	t.mask = uint32(size - 1)
-	t.off = mapreduce.Carve[int32](m, rel.N+2)
-	clear(t.off)
-	t.ordered = mapreduce.Carve[int32](m, rel.N)
-	mark := m.Used()
-	rep := mapreduce.Carve[int32](m, rel.N)[:0]
-	rowEnt := mapreduce.Carve[int32](m, rel.N)
-	for ri := 0; ri < rel.N; ri++ {
-		row := rel.Row(ri)
-		slot := uint32(hashRowKey(row, cols)) & t.mask
-		for {
-			e := t.buckets[slot]
-			if e == 0 {
-				t.buckets[slot] = int32(len(rep)) + 1
-				e = int32(len(rep)) + 1
-				rep = append(rep, int32(ri))
-			} else if !keyEqual(rel.Row(int(rep[e-1])), cols, row, cols) {
-				slot = (slot + 1) & t.mask
-				continue
-			}
-			rowEnt[ri] = e - 1
-			t.off[e]++
-			break
-		}
-	}
-	// CSR layout: off[e+1], entry e's row count, summed to its span's end,
-	// steps back to its start as the rows are laid out last to first —
-	// so each key group keeps its rows' original order, and its first
-	// row, the one its key is compared on, comes first.
-	for e := range rep {
-		t.off[e+2] += t.off[e+1]
-	}
-	for ri := rel.N - 1; ri >= 0; ri-- {
-		e := rowEnt[ri]
-		t.off[e+1]--
-		t.ordered[t.off[e+1]] = int32(ri)
-	}
-	t.off[len(rep)+1] = int32(rel.N)
-	m.Cut(mark)
-}
-
-// probe returns the numbers of the build child's rows whose key equals
-// probe's key cells (columns probeCols, hash h), or nil. The returned
-// slice is valid until the table is rebuilt.
-func (t *joinTable) probe(probe mapreduce.Row, probeCols []int, h uint64) []int32 {
-	slot := uint32(h) & t.mask
-	for {
-		e := t.buckets[slot]
-		if e == 0 {
-			return nil
-		}
-		if keyEqual(t.rel.Row(int(t.ordered[t.off[e]])), t.cols, probe, probeCols) {
-			return t.ordered[t.off[e]:t.off[e+1]]
-		}
-		slot = (slot + 1) & t.mask
+	for len(a.at) < nc {
+		a.at, a.lo, a.hi = append(a.at, 0), append(a.lo, 0), append(a.hi, 0)
 	}
 }

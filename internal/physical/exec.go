@@ -242,8 +242,8 @@ func (c *ExecContext) levelMapMorsel(node, morsel, lane int, m *mapreduce.Meter,
 // over the node. The SELECT list is read off the final projection, not
 // the query: that slice is shared by every bind of the plan, so the
 // lanes' join-plan memo, which keys on slice identity, serves all of
-// them. levelSize made every block's room; a group's inputs and tables
-// are cut back from the lane's arena as the group ends.
+// them. levelSize made every block's room; a group's inputs are cut
+// back from the lane's arena as the group ends.
 func (c *ExecContext) levelReduce(node, rng, _, lane int, m *mapreduce.Meter, groups *mapreduce.Groups, out *mapreduce.Block) {
 	a := c.arenas[lane]
 	groups.Each(func(g mapreduce.Group) {
@@ -264,9 +264,10 @@ func (c *ExecContext) levelReduce(node, rng, _, lane int, m *mapreduce.Meter, gr
 }
 
 // levelSize counts before levelReduce fills: it counts the rows each of
-// the range's groups joins to — the product of its inputs' rows, all of
-// one key, unless attributes beyond the key are shared, when it joins
-// them without writing — carves each reduce join's (node, range) block
+// the range's groups joins to — the product of its inputs' rows, which
+// share the whole key (so the join's checks on the key's further
+// attributes all pass), unless attributes beyond the key are shared,
+// when it joins them without writing — carves each reduce join's (node, range) block
 // at the rows it will get (a join's groups are contiguous in key order)
 // and returns the cells the range will write to the job output.
 func (c *ExecContext) levelSize(node, rng, _, lane int, groups *mapreduce.Groups) (cells int) {
@@ -288,7 +289,7 @@ func (c *ExecContext) levelSize(node, rng, _, lane int, groups *mapreduce.Groups
 		rj = c.byID[int(g.ID())]
 		_, attrs := c.reduceDest(rj, node, rng)
 		rels := a.groupInputs(g, rj, false)
-		if len(a.joinPlanFor(rels, rj.Op.JoinAttrs, attrs).checks) > 0 {
+		if jp := a.joinPlanFor(rels, rj.Op.JoinAttrs, attrs); len(jp.checks) > jp.keyChecks {
 			mark := a.mem.Used()
 			rows += a.naryJoinInto(nil, a.groupInputs(g, rj, true), rj.Op.JoinAttrs, attrs, false).out
 			a.mem.Cut(mark)

@@ -1,9 +1,11 @@
 package physical
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -31,7 +33,7 @@ func (r rowRel) flat() relation {
 // refJoin is the reference n-ary join: nested loops over every
 // combination of one row per child, kept when all children agree on
 // every attribute two or more of them carry, projected onto attrs
-// (each taken from the first child providing it).
+// (each taken from the first child providing it), in the loops' order.
 func refJoin(children []rowRel, attrs []string) []string {
 	var out []string
 	pick := make([]mapreduce.Row, len(children))
@@ -60,24 +62,33 @@ func refJoin(children []rowRel, attrs []string) []string {
 		out = append(out, fmt.Sprint(row))
 	}
 	rec(0)
-	sort.Strings(out)
 	return out
 }
 
 // checkJoin runs naryJoinInto on the flat form of children — appending
 // to a block that already holds a row, growing it as rows come and
 // sized once up front — and compares rows and counts with the
-// reference.
+// reference. When the first child is in order of the first join
+// attribute, the rows must also come in the reference's order, as a
+// stream of the first child probing the others would emit them.
 func checkJoin(t *testing.T, a *arena, label string, children []rowRel, joinAttrs, attrs []string) {
 	t.Helper()
-	rels := make([]relation, len(children))
 	in := 0
-	for i, c := range children {
-		rels[i] = c.flat()
+	for _, c := range children {
 		in += len(c.rows)
 	}
-	want := refJoin(children, attrs)
+	ordered := refJoin(children, attrs)
+	want := slices.Clone(ordered)
+	sort.Strings(want)
+	inOrder := len(joinAttrs) == 0 || len(children) == 1 || slices.IsSortedFunc(children[0].rows, func(x, y mapreduce.Row) int {
+		k := slices.Index(children[0].schema, joinAttrs[0])
+		return cmp.Compare(x[k], y[k])
+	})
 	for _, size := range []bool{false, true} {
+		rels := make([]relation, len(children))
+		for i, c := range children {
+			rels[i] = c.flat()
+		}
 		var dst mapreduce.Block
 		sentinel := make(mapreduce.Row, len(attrs))
 		dst.Append(sentinel)
@@ -85,6 +96,9 @@ func checkJoin(t *testing.T, a *arena, label string, children []rowRel, joinAttr
 		got := []string{}
 		for i := 1; i < dst.N; i++ {
 			got = append(got, fmt.Sprint(dst.Row(i)))
+		}
+		if inOrder && len(ordered) > 0 && !slices.Equal(got, ordered) {
+			t.Fatalf("%s (size %v): rows out of the first child's order\n got %v\nwant %v", label, size, got, ordered)
 		}
 		sort.Strings(got)
 		if len(got) != len(want) || len(want) > 0 && !reflect.DeepEqual(got, want) {
@@ -118,12 +132,23 @@ func randomRel(rng *rand.Rand, schema []string, n int) rowRel {
 // of one, two, three and five attributes, attributes shared by some
 // children but not joined on (the residual checks), private attributes,
 // outputs that drop and reorder columns — all through one arena, so
-// table and cursor reuse across joins is covered too.
+// cursor and memo reuse across joins is covered too. The first 300
+// trials draw their rows unordered, so the merge sorts them first; the
+// next 150 draw children in order of the first join attribute, in long
+// runs of one key (a single run when the key has one value, as in a
+// reduce group), which the merge must take as they are — or, every
+// other trial, shuffle all but the first, which the merge must sort
+// stably to keep the first child's order.
 func TestNaryJoinMatchesNestedLoops(t *testing.T) {
 	a := &arena{mem: new(mapreduce.Arena)}
-	for trial := 0; trial < 300; trial++ {
+	for trial := 0; trial < 450; trial++ {
+		keyed := trial >= 300
+		shuffled := keyed && trial%2 == 1
 		rng := rand.New(rand.NewSource(int64(trial)))
 		nc := 2 + rng.Intn(3)
+		if keyed {
+			nc = 2 + rng.Intn(2) // runs are long: keep the nested loops small
+		}
 		joinAttrs := []string{"k0", "k1", "k2", "k3", "k4"}[:[]int{1, 2, 3, 5}[trial%4]]
 		children := make([]rowRel, nc)
 		union := append([]string(nil), joinAttrs...)
@@ -137,7 +162,14 @@ func TestNaryJoinMatchesNestedLoops(t *testing.T) {
 			}
 			schema = append(schema, fmt.Sprintf("own%d", i))
 			rng.Shuffle(len(schema), func(x, y int) { schema[x], schema[y] = schema[y], schema[x] })
-			children[i] = randomRel(rng, schema, rng.Intn(12))
+			if keyed {
+				children[i] = keyedRel(rng, schema, joinAttrs[0], 1+rng.Intn(4), 8+rng.Intn(25))
+				if rows := children[i].rows; shuffled && i > 0 {
+					rng.Shuffle(len(rows), func(x, y int) { rows[x], rows[y] = rows[y], rows[x] })
+				}
+			} else {
+				children[i] = randomRel(rng, schema, rng.Intn(12))
+			}
 			for _, s := range schema {
 				if !contains(union, s) {
 					union = append(union, s)
@@ -146,8 +178,28 @@ func TestNaryJoinMatchesNestedLoops(t *testing.T) {
 		}
 		rng.Shuffle(len(union), func(x, y int) { union[x], union[y] = union[y], union[x] })
 		attrs := union[:rng.Intn(len(union)+1)]
+		sorts := a.sorts
 		checkJoin(t, a, fmt.Sprintf("trial %d", trial), children, joinAttrs, attrs)
+		if keyed && !shuffled && a.sorts != sorts {
+			t.Fatalf("trial %d: the merge sorted children that arrived in key order", trial)
+		}
 	}
+	if a.sorts == 0 {
+		t.Fatal("no unordered child was ever sorted")
+	}
+}
+
+// keyedRel draws n rows over schema as randomRel does, but with the key
+// column over keys values, and sorts them on it, stably: runs of one key
+// about n/keys long.
+func keyedRel(rng *rand.Rand, schema []string, key string, keys, n int) rowRel {
+	r := randomRel(rng, schema, n)
+	k := slices.Index(schema, key)
+	for _, row := range r.rows {
+		row[k] = rdf.TermID(rng.Intn(keys))
+	}
+	slices.SortStableFunc(r.rows, func(x, y mapreduce.Row) int { return cmp.Compare(x[k], y[k]) })
+	return r
 }
 
 func contains(ss []string, s string) bool {

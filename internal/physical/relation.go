@@ -4,13 +4,16 @@ import (
 	"sort"
 
 	"cliquesquare/internal/mapreduce"
+	"cliquesquare/internal/rdf"
 )
 
 // relation is a local (per-node or per-group) set of rows under a
 // column schema of variable names: a flat block whose width is the
 // schema's length. The cells belong to whoever filled the block — an
 // arena, a range slot, the context's intermediate table — and a
-// relation value is a view of them.
+// relation value is a view of them. A join reads its inputs in order of
+// its first attribute, and sorts one that is not in that order in
+// place: a join input's cells are the join's to reorder.
 type relation struct {
 	schema []string
 	mapreduce.Block
@@ -46,17 +49,23 @@ type joinCounts struct {
 // joinAttrs, additionally enforcing equality on every attribute shared
 // by two or more children (the folded residual selection), and appends
 // the output rows' cells — written directly in attrs column order,
-// fusing the post-join projection — to dst. Every child but the first
-// is indexed in an arena-owned open-addressing joinTable keyed directly
-// on the rows' join cells (no per-row key string) and listing row
-// numbers; the first child's rows stream through, probing each table
-// with one precomputed hash. The column sources and residual checks
-// come from the arena's join-plan memo (they depend only on the child
-// schemas and attrs, which repeat across the thousands of per-group
-// joins of one reduce phase). With size set, a first pass counts the
-// output rows and carves dst's room once for them all; it meters
-// nothing. A nil dst only counts: out is that count. Without size, dst
-// must have the room already, or its rows come from the Go heap.
+// fusing the post-join projection — to dst. It is a merge on the first
+// join attribute: every child is read in order of that column (a child
+// out of order is first sorted stably in place, sortOn), a cursor per
+// child, and the cursor behind the greatest key advances until all of
+// them stand on one key; the runs of that key then combine, child 0's
+// outermost. Further join attributes are residual checks. A child whose
+// rows arrive in key order — every stored file is sorted on its placed
+// cell — keeps its order, so with child 0 sorted the rows come out as a
+// stream of child 0 probing the others would emit them. With no join
+// attribute, or one child, every child is one run. The column sources
+// and checks come from the arena's join-plan memo (they depend only on
+// the child schemas and attrs, which repeat across the thousands of
+// per-group joins of one reduce phase). With size set, a first pass
+// counts the output rows and carves dst's room once for them all; it
+// meters nothing. A nil dst only counts: out is that count. Without
+// size, dst must have the room already, or its rows come from the Go
+// heap.
 func (a *arena) naryJoinInto(dst *mapreduce.Block, children []relation, joinAttrs, attrs []string, size bool) joinCounts {
 	var counts joinCounts
 	empty := len(children) == 0
@@ -70,21 +79,18 @@ func (a *arena) naryJoinInto(dst *mapreduce.Block, children []relation, joinAttr
 	jp := a.joinPlanFor(children, joinAttrs, attrs)
 	nc := len(children)
 	a.grow(nc)
-
-	// Resolve join-key columns once per child.
-	for i := range children {
-		a.colIdx[i] = children[i].appendCols(a.colIdx[i][:0], joinAttrs)
-	}
-	for i := 1; i < nc; i++ {
-		a.tables[i].build(a.mem, children[i].Block, a.colIdx[i])
+	merge := len(joinAttrs) > 0 && nc > 1
+	if merge {
+		for i := range children {
+			a.sortOn(&children[i], jp.keyCols[i])
+		}
 	}
 
-	// Stream the first child: every row whose key is present in all
-	// other children produces the consistent combinations of the
-	// per-child groups. at[i] is where, in child i's cells, the row of
-	// the combination being enumerated starts. Rows go to out, dst's
-	// header copied to the stack: no lane shares its cache line.
-	at, lists := a.at[:nc], a.lists[:nc]
+	// at[i] is where, in child i's cells, the row of the combination
+	// being enumerated starts; lo[i]:hi[i] is child i's run of the
+	// current key. Rows go to out, dst's header copied to the stack: no
+	// lane shares its cache line.
+	at, lo, hi := a.at[:nc], a.lo[:nc], a.hi[:nc]
 	var out mapreduce.Block
 	counting := true // a first pass counts the rows; the last writes them
 	emit := func() {
@@ -100,32 +106,53 @@ func (a *arena) naryJoinInto(dst *mapreduce.Block, children []relation, joinAttr
 			}
 		}
 	}
-	c0, cols0 := &children[0], a.colIdx[0]
-	// each probes every other child's table with each row of the first
-	// and calls fn with the rows matching in all of them, lists filled.
-	each := func(fn func(r int)) {
-	rows:
-		for r := 0; r < c0.N; r++ {
-			row0 := c0.Row(r)
-			h := hashRowKey(row0, cols0)
-			for i := 1; i < nc; i++ {
-				if lists[i] = a.tables[i].probe(row0, cols0, h); lists[i] == nil {
-					continue rows
+	// each calls fn once per key every child holds, in key order, with
+	// lo and hi bounding the children's runs of it.
+	each := func(fn func()) {
+		clear(hi)
+		if !merge {
+			for i := range children {
+				lo[i], hi[i] = 0, children[i].N
+			}
+			fn()
+			return
+		}
+		for {
+			var k rdf.TermID
+			for i := 0; i < nc; {
+				c, col := &children[i], jp.keyCols[i]
+				r := hi[i]
+				for r < c.N && c.Cells[r*c.Width+col] < k {
+					r++
+				}
+				if r == c.N {
+					return
+				}
+				lo[i], hi[i] = r, r
+				if v := c.Cells[r*c.Width+col]; v > k {
+					if k = v; i > 0 {
+						i = 0 // the children before i stand on a lesser key
+						continue
+					}
+				}
+				i++
+			}
+			for i := range children {
+				c, col := &children[i], jp.keyCols[i]
+				for hi[i] < c.N && c.Cells[hi[i]*c.Width+col] == k {
+					hi[i]++
 				}
 			}
-			fn(r)
+			fn()
 		}
 	}
-	combineAll := func(r int) {
-		at[0] = r * c0.Width
-		combine(children, lists, 1, at, emit)
-	}
+	combineAll := func() { combine(children, lo, hi, 0, at, emit) }
 	if size || dst == nil {
 		if len(jp.checks) == 0 { // every combination is a row
-			each(func(int) {
+			each(func() {
 				k := 1
-				for _, l := range lists[1:] {
-					k *= len(l)
+				for i := range lo {
+					k *= hi[i] - lo[i]
 				}
 				counts.out += k
 			})
@@ -143,18 +170,45 @@ func (a *arena) naryJoinInto(dst *mapreduce.Block, children []relation, joinAttr
 	return counts
 }
 
-// combine enumerates the cross product of lists[i:] — row numbers of
-// children[i:] — filling at in place and invoking fn for each full
+// combine enumerates the cross product of the runs lo[i:]:hi[i:] of
+// children[i:], filling at in place and invoking fn for each full
 // combination (at[:i] is already set by the caller).
-func combine(children []relation, lists [][]int32, i int, at []int, fn func()) {
-	if i == len(lists) {
+func combine(children []relation, lo, hi []int, i int, at []int, fn func()) {
+	if i == len(children) {
 		fn()
 		return
 	}
-	for _, r := range lists[i] {
-		at[i] = int(r) * children[i].Width
-		combine(children, lists, i+1, at, fn)
+	w := children[i].Width
+	for r := lo[i]; r < hi[i]; r++ {
+		at[i] = r * w
+		combine(children, lo, hi, i+1, at, fn)
 	}
+}
+
+// sortOn puts rel's rows in order of column col, stably and in place,
+// unless one pass finds them in order already; a.sorts counts the
+// relations it had to sort.
+func (a *arena) sortOn(rel *relation, col int) {
+	for r, w := 1, rel.Width; r < rel.N; r++ {
+		if rel.Cells[r*w+col] < rel.Cells[(r-1)*w+col] {
+			a.sorts++
+			a.sorter = keyRows{(*partRows)(&rel.Block), col}
+			sort.Stable(&a.sorter)
+			a.sorter = keyRows{}
+			return
+		}
+	}
+}
+
+// keyRows orders a block's rows by one column.
+type keyRows struct {
+	*partRows
+	col int
+}
+
+func (k *keyRows) Less(i, j int) bool {
+	w := k.Width
+	return k.Cells[i*w+k.col] < k.Cells[j*w+k.col]
 }
 
 // unionSchema returns the sorted union of the children's schemas.

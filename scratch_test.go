@@ -8,9 +8,10 @@ import (
 
 // scratchRetentionCeiling bounds what a context's scratch keeps after
 // many different executions, relative to the most any single one of
-// them leaves on a fresh engine (measured 1.03 at one lane and 1.05 at
-// two, LUBM at 20 universities: the lanes times Q11's largest temporary
-// plus Q5's outputs, against Q5's own; 0.90 and 0.70–0.89 with a
+// them leaves on a fresh engine (measured 1.000 at one lane and at two,
+// LUBM at 20 universities: Q5's own temporaries and outputs; 1.03 and
+// 1.05 when map joins built hash tables and Q11's were the largest
+// temporary; 0.90 and 0.70–0.89 with a
 // first-fit pool whose layout followed the schedule, 1.00 and 1.12–1.15
 // when arena scratch lived the whole execution and freed pieces did not
 // merge, 0.97–1.10 before each tuple was held once; 2.1 at 200
@@ -72,25 +73,26 @@ func TestScratchHoldsOneExecution(t *testing.T) {
 // kept only what it carved and the final merge kept an order of the
 // surviving rows — so a repeat could grow the pool, and Q5, Q10 and Q11
 // read more after the second execution than after the first (441,240,
-// 189,936 and 173,616 B) — and now.
+// 189,936 and 173,616 B) — and now, with every map join a merge that
+// builds no table.
 var scratchPeaks = []struct {
 	query       string
 	before, now uint64
 }{
-	{"Q1", 525432, 365064},
-	{"Q2", 24576, 24576},
-	{"Q3", 78984, 53568},
-	{"Q4", 24576, 24576},
-	{"Q5", 533184, 476400},
-	{"Q6", 99672, 92064},
-	{"Q7", 95328, 65664},
-	{"Q8", 172464, 135336},
-	{"Q9", 82776, 62472},
-	{"Q10", 225384, 180696},
-	{"Q11", 202176, 165720},
-	{"Q12", 148488, 139584},
-	{"Q13", 99288, 81432},
-	{"Q14", 124704, 96264},
+	{"Q1", 525432, 289808},
+	{"Q2", 24576, 352},
+	{"Q3", 78984, 21368},
+	{"Q4", 24576, 11144},
+	{"Q5", 533184, 302224},
+	{"Q6", 99672, 64360},
+	{"Q7", 95328, 49736},
+	{"Q8", 172464, 82368},
+	{"Q9", 82776, 42608},
+	{"Q10", 225384, 111160},
+	{"Q11", 202176, 71440},
+	{"Q12", 148488, 100392},
+	{"Q13", 99288, 56880},
+	{"Q14", 124704, 69232},
 }
 
 // repeatScratch runs q n times on a fresh engine of the given lanes
