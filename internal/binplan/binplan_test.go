@@ -76,7 +76,7 @@ func execMatchesRef(t *testing.T, g *rdf.Graph, q *sparql.Query, p *core.Plan) {
 	store := dstore.NewStore(4)
 	part := partition.LoadWithPolicy(store, g, partition.ThreeReplica, nil)
 	x := &physical.Executor{
-		Cluster: mapreduce.NewCluster(store, mapreduce.DefaultConstants()),
+		Cluster: mapreduce.NewCluster(store.N(), mapreduce.DefaultConstants()),
 		Part:    part,
 		Dict:    g.Dict,
 	}

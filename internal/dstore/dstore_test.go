@@ -2,19 +2,20 @@ package dstore
 
 import (
 	"reflect"
-	"slices"
 	"sync"
 	"testing"
 
 	"cliquesquare/internal/rdf"
 )
 
-// commitAppend appends rows to the named file on node as a one-shot
-// transaction, creating the file with the given schema on first use.
-func commitAppend(s *Store, node int, name string, schema []string, rows ...Row) {
+// commitKeys inserts keys into the named file on node as a one-shot
+// transaction, creating the file on first use.
+func commitKeys(s *Store, node int, name string, keys ...uint64) {
 	tx := s.Begin()
 	defer tx.Abort()
-	tx.Append(node, name, schema, rows...)
+	for _, k := range keys {
+		tx.Insert(node, name, k)
+	}
 	tx.Commit()
 }
 
@@ -23,11 +24,11 @@ func TestStoreBasics(t *testing.T) {
 	if s.N() != 3 {
 		t.Fatalf("N = %d, want 3", s.N())
 	}
-	if s.Version() != 0 {
-		t.Fatalf("fresh store at version %d, want 0", s.Version())
+	if v := s.Current().Version(); v != 0 {
+		t.Fatalf("fresh store at version %d, want 0", v)
 	}
-	commitAppend(s, 0, "f1", []string{"s", "p", "o"}, Row{1, 2, 3}, Row{4, 5, 6})
-	commitAppend(s, 0, "f1", []string{"s", "p", "o"}, Row{7, 8, 9})
+	commitKeys(s, 0, "f1", Key(1, 3), Key(4, 6))
+	commitKeys(s, 0, "f1", Key(7, 9))
 	n0 := s.Current().Node(0)
 	f, ok := n0.Get("f1")
 	if !ok || f.NumRows() != 3 {
@@ -36,30 +37,17 @@ func TestStoreBasics(t *testing.T) {
 	if _, ok := n0.Get("missing"); ok {
 		t.Error("Get(missing) returned ok")
 	}
-	if n0.Rows() != 3 || s.TotalRows() != 3 {
-		t.Errorf("Rows = %d, TotalRows = %d, want 3", n0.Rows(), s.TotalRows())
+	if r := f.Row(2); !reflect.DeepEqual(r, Row{7, 9}) {
+		t.Errorf("Row(2) = %v, want [7 9]", r)
 	}
-	commitAppend(s, 0, "f0", []string{"x"}, Row{1})
+	commitKeys(s, 0, "f0", Key(1, 1))
 	names := s.Current().Node(0).Names()
 	if len(names) != 2 || names[0] != "f0" || names[1] != "f1" {
 		t.Errorf("Names = %v", names)
 	}
-	if s.Version() != 3 {
-		t.Errorf("version = %d after 3 one-shot txs, want 3", s.Version())
+	if v := s.Current().Version(); v != 3 {
+		t.Errorf("version = %d after 3 one-shot txs, want 3", v)
 	}
-}
-
-func TestSchemaMismatchPanics(t *testing.T) {
-	s := NewStore(1)
-	commitAppend(s, 0, "f", []string{"a", "b"}, Row{1, 2})
-	defer func() {
-		if recover() == nil {
-			t.Error("schema mismatch did not panic")
-		}
-		// The aborted one-shot tx must have released the writer lock.
-		commitAppend(s, 0, "g", []string{"a"}, Row{1})
-	}()
-	commitAppend(s, 0, "f", []string{"a"}, Row{1})
 }
 
 func TestNewStorePanicsOnZeroNodes(t *testing.T) {
@@ -73,74 +61,79 @@ func TestNewStorePanicsOnZeroNodes(t *testing.T) {
 
 func TestLookup(t *testing.T) {
 	s := NewStore(1)
-	commitAppend(s, 0, "f", []string{"s", "p", "o"},
-		Row{2, 10, 200}, Row{1, 20, 100}, Row{1, 10, 100})
+	top := ^rdf.NoTerm // the largest placed cell a key can hold
+	commitKeys(s, 0, "f", Key(2, 200), Key(1, 300), Key(1, 100), Key(top, 7), Key(top, top))
 	f, _ := s.Current().Node(0).Get("f")
-	// The rows are sorted: (1 10 100) (1 20 100) (2 10 200).
-	if lo, hi := f.Range(1); lo != 0 || hi != 2 {
+	// The rows are sorted: (1 100) (1 300) (2 200) (top 7) (top top).
+	if lo, hi := f.Range(1, rdf.NoTerm); lo != 0 || hi != 2 {
 		t.Errorf("Range(1) = [%d, %d), want [0, 2)", lo, hi)
 	}
-	if lo, hi := f.Range(1, 20); lo != 1 || hi != 2 {
-		t.Errorf("Range(1, 20) = [%d, %d), want [1, 2)", lo, hi)
+	if lo, hi := f.Range(1, 300); lo != 1 || hi != 2 {
+		t.Errorf("Range(1, 300) = [%d, %d), want [1, 2)", lo, hi)
 	}
-	if lo, hi := f.Range(1, 15); lo != hi || lo != 1 {
-		t.Errorf("Range(1, 15) = [%d, %d), want the empty run at 1", lo, hi)
+	if lo, hi := f.Range(1, 150); lo != hi || lo != 1 {
+		t.Errorf("Range(1, 150) = [%d, %d), want the empty run at 1", lo, hi)
 	}
-	if lo, hi := f.Range(9); lo != hi || lo != 3 {
+	if lo, hi := f.Range(9, rdf.NoTerm); lo != hi || lo != 3 {
 		t.Errorf("Range(9) = [%d, %d), want the empty run at 3", lo, hi)
 	}
+	if lo, hi := f.Range(top, rdf.NoTerm); lo != 3 || hi != 5 {
+		t.Errorf("Range(top) = [%d, %d), want [3, 5)", lo, hi)
+	}
+	if lo, hi := f.Range(top, top); lo != 4 || hi != 5 {
+		t.Errorf("Range(top, top) = [%d, %d), want [4, 5)", lo, hi)
+	}
 	if got := f.Lookup(0, 1); len(got) != 2 || got[0] != 0 || got[1] != 1 {
-		t.Errorf("Lookup(s,1) = %v, want [0 1]", got)
+		t.Errorf("Lookup(placed, 1) = %v, want [0 1]", got)
 	}
-	if got := f.Lookup(1, 10); len(got) != 2 || got[0] != 0 || got[1] != 2 {
-		t.Errorf("Lookup(p,10) = %v, want [0 2]", got)
+	if got := f.Lookup(1, 200); len(got) != 1 || got[0] != 2 {
+		t.Errorf("Lookup(other, 200) = %v, want [2]", got)
 	}
-	if got := f.Lookup(2, 999); got != nil {
-		t.Errorf("Lookup(o,999) = %v, want nil", got)
+	if got := f.Lookup(1, 999); got != nil {
+		t.Errorf("Lookup(other, 999) = %v, want nil", got)
 	}
-	// A File is a snapshot: appending publishes a successor file while
+	// A File is a snapshot: inserting publishes a successor file while
 	// the held one stays frozen.
-	commitAppend(s, 0, "f", []string{"s", "p", "o"}, Row{1, 30, 300})
-	if lo, hi := f.Range(1); hi-lo != 2 {
-		t.Errorf("pinned file's Range(1) holds %d rows, want the 2 pre-append ones", hi-lo)
+	commitKeys(s, 0, "f", Key(1, 400))
+	if lo, hi := f.Range(1, rdf.NoTerm); hi-lo != 2 {
+		t.Errorf("pinned file's Range(1) holds %d rows, want the 2 pre-insert ones", hi-lo)
 	}
 	f2, _ := s.Current().Node(0).Get("f")
-	if lo, hi := f2.Range(1); lo != 0 || hi != 3 {
+	if lo, hi := f2.Range(1, rdf.NoTerm); lo != 0 || hi != 3 {
 		t.Errorf("Range(1) after re-Get = [%d, %d), want [0, 3)", lo, hi)
 	}
 }
 
-// TestRangeAcrossEpochs: a successor file, after an append-only and
+// TestRangeAcrossEpochs: a successor file, after an insert-only and
 // after a deleting commit, is sorted and its runs hold exactly its rows
-// of each key.
+// of each placed cell.
 func TestRangeAcrossEpochs(t *testing.T) {
 	s := NewStore(1)
-	commitAppend(s, 0, "f", []string{"s", "p", "o"},
-		Row{3, 20, 300}, Row{1, 20, 100}, Row{2, 10, 200}, Row{1, 10, 100})
-	commitAppend(s, 0, "f", []string{"s", "p", "o"}, Row{1, 30, 300}, Row{0, 5, 5})
+	commitKeys(s, 0, "f", Key(3, 300), Key(1, 200), Key(2, 200), Key(1, 100))
+	commitKeys(s, 0, "f", Key(1, 300), Key(0, 5))
 	f2, _ := s.Current().Node(0).Get("f")
-	want := []rdf.TermID{0, 5, 5, 1, 10, 100, 1, 20, 100, 1, 30, 300, 2, 10, 200, 3, 20, 300}
-	if !reflect.DeepEqual(f2.Slab(), want) {
-		t.Fatalf("append successor = %v, want %v", f2.Slab(), want)
+	want := []uint64{Key(0, 5), Key(1, 100), Key(1, 200), Key(1, 300), Key(2, 200), Key(3, 300)}
+	if !reflect.DeepEqual(f2.Keys(), want) {
+		t.Fatalf("insert successor = %v, want %v", f2.Keys(), want)
 	}
-	if lo, hi := f2.Range(1); lo != 1 || hi != 4 {
+	if lo, hi := f2.Range(1, rdf.NoTerm); lo != 1 || hi != 4 {
 		t.Errorf("Range(1) = [%d, %d), want [1, 4)", lo, hi)
 	}
 
 	tx := s.Begin()
-	tx.DeleteRow(0, "f", Row{2, 10, 200})
-	tx.DeleteRow(0, "f", Row{1, 20, 100})
+	tx.Delete(0, "f", Key(2, 200))
+	tx.Delete(0, "f", Key(1, 200))
 	tx.Commit()
 	f3, _ := s.Current().Node(0).Get("f")
-	want = []rdf.TermID{0, 5, 5, 1, 10, 100, 1, 30, 300, 3, 20, 300}
-	if !reflect.DeepEqual(f3.Slab(), want) {
-		t.Fatalf("deleting successor = %v, want %v", f3.Slab(), want)
+	want = []uint64{Key(0, 5), Key(1, 100), Key(1, 300), Key(3, 300)}
+	if !reflect.DeepEqual(f3.Keys(), want) {
+		t.Fatalf("deleting successor = %v, want %v", f3.Keys(), want)
 	}
-	if lo, hi := f3.Range(2); lo != hi {
-		t.Errorf("Range of a deleted row's key = [%d, %d), want empty", lo, hi)
+	if lo, hi := f3.Range(2, rdf.NoTerm); lo != hi {
+		t.Errorf("Range of a deleted row's placed cell = [%d, %d), want empty", lo, hi)
 	}
-	if lo, hi := f3.Range(3, 20, 300); lo != 3 || hi != 4 {
-		t.Errorf("Range(3, 20, 300) = [%d, %d), want [3, 4)", lo, hi)
+	if lo, hi := f3.Range(3, 300); lo != 3 || hi != 4 {
+		t.Errorf("Range(3, 300) = [%d, %d), want [3, 4)", lo, hi)
 	}
 }
 
@@ -150,25 +143,23 @@ func TestRangeAcrossEpochs(t *testing.T) {
 func TestSnapshotIsolation(t *testing.T) {
 	s := NewStore(2)
 	tx := s.Begin()
-	tx.Append(0, "a", []string{"x"}, Row{1}, Row{2})
-	tx.Append(1, "b", []string{"x"}, Row{3})
+	tx.Insert(0, "a", Key(1, 1))
+	tx.Insert(0, "a", Key(2, 2))
+	tx.Insert(1, "b", Key(3, 3))
 	tx.Commit()
 
 	pinned := s.Current()
-	if pinned.Version() != 1 || pinned.TotalRows() != 3 {
-		t.Fatalf("pinned snapshot: version %d rows %d", pinned.Version(), pinned.TotalRows())
-	}
 	pf, _ := pinned.Node(0).Get("a")
+	if pinned.Version() != 1 || pf.NumRows() != 2 {
+		t.Fatalf("pinned snapshot: version %d, %d rows in a", pinned.Version(), pf.NumRows())
+	}
 
 	tx = s.Begin()
-	tx.Append(0, "a", []string{"x"}, Row{4})
-	tx.DeleteRow(1, "b", Row{3})
+	tx.Insert(0, "a", Key(4, 4))
+	tx.Delete(1, "b", Key(3, 3))
 	tx.Commit()
 
-	// The pinned epoch is frozen: same files, same rows, same lookups.
-	if pinned.TotalRows() != 3 {
-		t.Errorf("pinned snapshot changed: %d rows", pinned.TotalRows())
-	}
+	// The pinned epoch is frozen: same files, same rows.
 	if f, _ := pinned.Node(0).Get("a"); f != pf || f.NumRows() != 2 {
 		t.Error("pinned file identity or rows changed under a later commit")
 	}
@@ -194,16 +185,18 @@ func TestSnapshotIsolation(t *testing.T) {
 func TestConcurrentAppendDeleteLookup(t *testing.T) {
 	s := NewStore(2)
 	const batches = 50
-	// Each batch atomically appends one row to BOTH files (on different
-	// nodes); readers must never observe the files out of step.
+	// Each batch atomically inserts one row into BOTH files (on
+	// different nodes); readers must never observe the files out of
+	// step.
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < batches; i++ {
 			tx := s.Begin()
-			tx.Append(0, "left", []string{"s", "v"}, Row{rdf.TermID(i%5 + 1), rdf.TermID(i + 1)})
-			tx.Append(1, "right", []string{"s", "v"}, Row{rdf.TermID(i%5 + 1), rdf.TermID(i + 1)})
+			k := Key(rdf.TermID(i%5+1), rdf.TermID(i+1))
+			tx.Insert(0, "left", k)
+			tx.Insert(1, "right", k)
 			tx.Commit()
 		}
 	}()
@@ -229,16 +222,16 @@ func TestConcurrentAppendDeleteLookup(t *testing.T) {
 				}
 				// Runs read without a lock stay consistent with the
 				// pinned file's rows.
-				key := rdf.TermID(r%5 + 1)
-				lo, hi := lf.Range(key)
+				placed := rdf.TermID(r%5 + 1)
+				lo, hi := lf.Range(placed, rdf.NoTerm)
 				for id := lo; id < hi; id++ {
-					if lf.Row(id)[0] != key {
-						t.Errorf("Range(%d) holds row %v", key, lf.Row(id))
+					if lf.Row(id)[0] != placed {
+						t.Errorf("Range(%d) holds row %v", placed, lf.Row(id))
 						return
 					}
 				}
 				if want := (lf.NumRows() + 4 - r%5) / 5; hi-lo != want {
-					t.Errorf("Range(%d) holds %d of %d rows, want %d", key, hi-lo, lf.NumRows(), want)
+					t.Errorf("Range(%d) holds %d of %d rows, want %d", placed, hi-lo, lf.NumRows(), want)
 					return
 				}
 			}
@@ -252,24 +245,24 @@ func TestConcurrentAppendDeleteLookup(t *testing.T) {
 }
 
 // TestConcurrentDeleteVisibility runs a writer that alternately deletes
-// and re-inserts a fixed row set while readers verify, per pinned
+// and re-inserts a fixed key set while readers verify, per pinned
 // snapshot, that the row count is one of the two legal epoch states.
 func TestConcurrentDeleteVisibility(t *testing.T) {
 	s := NewStore(1)
-	base := []Row{{1, 1, 1}, {2, 2, 2}, {3, 3, 3}}
-	commitAppend(s, 0, "f", []string{"s", "p", "o"}, base...)
+	base := []uint64{Key(1, 1), Key(2, 2), Key(3, 3)}
+	commitKeys(s, 0, "f", base...)
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 40; i++ {
 			tx := s.Begin()
-			if i%2 == 0 {
-				for _, r := range base {
-					tx.DeleteRow(0, "f", r)
+			for _, k := range base {
+				if i%2 == 0 {
+					tx.Delete(0, "f", k)
+				} else {
+					tx.Insert(0, "f", k)
 				}
-			} else {
-				tx.Append(0, "f", []string{"s", "p", "o"}, base...)
 			}
 			tx.Commit()
 		}
@@ -290,8 +283,8 @@ func TestConcurrentDeleteVisibility(t *testing.T) {
 					return
 				}
 				if ok {
-					if lo, hi := f.Range(2); hi-lo != 1 || f.Row(lo)[1] != 2 {
-						t.Errorf("Range(2) = [%d, %d) at version %d, want the one row (2 2 2)", lo, hi, snap.Version())
+					if lo, hi := f.Range(2, rdf.NoTerm); hi-lo != 1 || f.Row(lo)[1] != 2 {
+						t.Errorf("Range(2) = [%d, %d) at version %d, want the one row (2 2)", lo, hi, snap.Version())
 						return
 					}
 				}
@@ -303,11 +296,11 @@ func TestConcurrentDeleteVisibility(t *testing.T) {
 
 func TestConcurrentLookup(t *testing.T) {
 	s := NewStore(1)
-	rows := make([]Row, 1000)
-	for i := range rows {
-		rows[i] = Row{rdf.TermID(i % 7), rdf.TermID(i % 3), rdf.TermID(i)}
+	keys := make([]uint64, 1000)
+	for i := range keys {
+		keys[i] = Key(rdf.TermID(i%7+1), rdf.TermID(i%11+1))
 	}
-	commitAppend(s, 0, "f", []string{"s", "p", "o"}, rows...)
+	commitKeys(s, 0, "f", keys...)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -319,20 +312,25 @@ func TestConcurrentLookup(t *testing.T) {
 				return
 			}
 			for i := 0; i < 100; i++ {
-				col := (g + i) % 3
-				id := rdf.TermID(i % 7)
+				col := (g + i) % 2
+				id := rdf.TermID(i%7 + 1)
 				for _, r := range f.Lookup(col, id) {
 					if f.Row(int(r))[col] != id {
 						t.Errorf("Lookup(%d,%d) returned row %d = %v", col, id, r, f.Row(int(r)))
 						return
 					}
 				}
-				// A key of one to three cells of some row: its run starts
-				// at the first row that begins with it.
-				key := f.Row((g*100 + i) % f.NumRows())[:1+col]
-				lo, hi := f.Range(key...)
-				if lo == hi || !slices.Equal(f.Row(lo)[:len(key)], key) || lo > 0 && slices.Equal(f.Row(lo - 1)[:len(key)], key) {
-					t.Errorf("Range(%v) = [%d, %d), not the run of rows starting with it", key, lo, hi)
+				// Some row's placed cell, or the row itself: its run
+				// starts at the first row that holds it.
+				row := f.Row((g*100 + i) % f.NumRows())
+				other := rdf.NoTerm
+				if col == 1 {
+					other = row[1]
+				}
+				holds := func(j int) bool { return f.Row(j)[0] == row[0] && (other == rdf.NoTerm || f.Row(j)[1] == other) }
+				lo, hi := f.Range(row[0], other)
+				if lo == hi || !holds(lo) || !holds(hi-1) || lo > 0 && holds(lo-1) || hi < f.NumRows() && holds(hi) {
+					t.Errorf("Range(%d, %d) = [%d, %d), not the run of rows holding it", row[0], other, lo, hi)
 					return
 				}
 			}
@@ -343,10 +341,10 @@ func TestConcurrentLookup(t *testing.T) {
 
 func TestDeleteAbsentRowPanics(t *testing.T) {
 	s := NewStore(1)
-	commitAppend(s, 0, "f", []string{"x"}, Row{1})
+	commitKeys(s, 0, "f", Key(1, 1))
 	tx := s.Begin()
 	defer tx.Abort()
-	tx.DeleteRow(0, "f", Row{99})
+	tx.Delete(0, "f", Key(99, 99))
 	defer func() {
 		if recover() == nil {
 			t.Error("delete of an absent row did not panic at commit")
@@ -355,30 +353,21 @@ func TestDeleteAbsentRowPanics(t *testing.T) {
 	tx.Commit()
 }
 
-func TestRowClone(t *testing.T) {
-	r := Row{1, 2, 3}
-	c := r.Clone()
-	c[0] = 99
-	if r[0] != 1 {
-		t.Error("Clone aliases the original")
-	}
-}
-
 // TestTxAppendThenDeleteNetsOut pins the same-transaction semantics:
-// a row appended and deleted within one Tx never becomes visible, for
+// a key inserted and deleted within one Tx never becomes visible, for
 // both existing and brand-new files.
 func TestTxAppendThenDeleteNetsOut(t *testing.T) {
 	s := NewStore(1)
-	commitAppend(s, 0, "f", []string{"x"}, Row{1})
+	commitKeys(s, 0, "f", Key(1, 1))
 	tx := s.Begin()
-	tx.Append(0, "f", []string{"x"}, Row{2})
-	tx.DeleteRow(0, "f", Row{2})
-	tx.Append(0, "g", []string{"x"}, Row{3})
-	tx.DeleteRow(0, "g", Row{3})
+	tx.Insert(0, "f", Key(2, 2))
+	tx.Delete(0, "f", Key(2, 2))
+	tx.Insert(0, "g", Key(3, 3))
+	tx.Delete(0, "g", Key(3, 3))
 	tx.Commit()
 	f, _ := s.Current().Node(0).Get("f")
-	if f.NumRows() != 1 || f.Row(0)[0] != 1 {
-		t.Errorf("f rows = %v, want just the base row", f.Slab())
+	if !reflect.DeepEqual(f.Keys(), []uint64{Key(1, 1)}) {
+		t.Errorf("f keys = %v, want just the base key", f.Keys())
 	}
 	if _, ok := s.Current().Node(0).Get("g"); ok {
 		t.Error("fully netted-out new file exists")
@@ -389,18 +378,17 @@ func TestTxAppendThenDeleteNetsOut(t *testing.T) {
 // search of the touched file, which allocates nothing — a key built per
 // row would show as an allocation count that grows with the file.
 func TestDeleteAllocsIndependentOfFileSize(t *testing.T) {
-	schema := []string{"s", "p", "o"}
 	allocs := func(rows int) float64 {
 		s := NewStore(1)
 		tx := s.Begin()
 		for i := 0; i < rows; i++ {
-			tx.AppendCells(0, "f", schema, rdf.TermID(i+1), 7, rdf.TermID(i+2))
+			tx.Insert(0, "f", Key(rdf.TermID(i+1), rdf.TermID(i+2)))
 		}
 		tx.Commit()
 		i := 0
 		return testing.AllocsPerRun(20, func() {
 			tx := s.Begin()
-			tx.DeleteRow(0, "f", Row{rdf.TermID(i + 1), 7, rdf.TermID(i + 2)})
+			tx.Delete(0, "f", Key(rdf.TermID(i+1), rdf.TermID(i+2)))
 			tx.Commit()
 			i++
 		})
@@ -410,50 +398,56 @@ func TestDeleteAllocsIndependentOfFileSize(t *testing.T) {
 	}
 }
 
-// TestProjectFromNarrowsWideRows: on a store whose writers may give
-// rows of a wider schema, appends and deletes of such rows keep the
-// columns each file's own schema names, and a file at the wide schema
-// takes them whole.
+// soRule is a KeyBy rule that keeps (s, o) in file "so", (o, s) in "os",
+// and no file whose name starts with 'x'.
+func soRule(name string, r Row) (uint64, bool) {
+	switch name {
+	case "so":
+		return Key(r[0], r[2]), true
+	case "os":
+		return Key(r[2], r[0]), true
+	}
+	return 0, false
+}
+
+// TestProjectFromNarrowsWideRows: on a store whose writers address its
+// files with whole (s, p, o) rows, AppendCells and DeleteRow narrow each
+// row to the file's key by the store's KeyBy rule.
 func TestProjectFromNarrowsWideRows(t *testing.T) {
 	wide := []string{"s", "p", "o"}
 	s := NewStore(1)
-	s.ProjectFrom(wide, nil)
-	commitAppend(s, 0, "pair", []string{"s", "o"}, Row{1, 3}, Row{4, 6})
-	commitAppend(s, 0, "class", []string{"s"}, Row{1}, Row{4})
+	s.KeyBy(soRule)
+	commitKeys(s, 0, "so", Key(1, 3), Key(4, 6))
 	tx := s.Begin()
-	tx.DeleteRow(0, "pair", Row{1, 2, 3})
-	tx.AppendCells(0, "pair", wide, 7, 8, 9, 10, 11, 12)
-	tx.DeleteRow(0, "class", Row{4, 5, 6})
-	tx.Append(0, "class", wide, Row{7, 8, 9})
-	tx.AppendCells(0, "whole", wide, 1, 2, 3)
+	tx.DeleteRow(0, "so", Row{1, 2, 3})
+	tx.AppendCells(0, "so", wide, 10, 11, 12, 7, 8, 9)
+	tx.AppendCells(0, "os", wide, 1, 2, 3)
 	tx.Commit()
-	want := map[string][]rdf.TermID{"pair": {4, 6, 7, 9, 10, 12}, "class": {1, 7}, "whole": {1, 2, 3}}
-	for name, cells := range want {
-		f, ok := s.Current().Node(0).Get(name)
-		if !ok || !reflect.DeepEqual(f.Slab(), cells) {
-			t.Errorf("file %s holds %v, want %v", name, f.Slab(), cells)
+	want := map[string][]uint64{"so": {Key(4, 6), Key(7, 9), Key(10, 12)}, "os": {Key(3, 1)}}
+	for name, keys := range want {
+		if f, ok := s.Current().Node(0).Get(name); !ok || !reflect.DeepEqual(f.Keys(), keys) {
+			t.Errorf("file %s holds %v, want %v", name, f.Keys(), keys)
 		}
 	}
 }
 
-// TestProjectFromDropsUnheldFiles: on a store whose writers address with
-// wide rows files it does not hold, appends and deletes of such rows to
-// those files are dropped — a delete of a row never stored included —
-// while a row at a file's own width is still written.
+// TestProjectFromDropsUnheldFiles: rows given whole to a file the KeyBy
+// rule says the store does not hold are dropped — a delete of a row
+// never stored included — and nothing is written for them, while rows
+// to held files are still written.
 func TestProjectFromDropsUnheldFiles(t *testing.T) {
 	wide := []string{"s", "p", "o"}
 	s := NewStore(1)
-	s.ProjectFrom(wide, func(name string) bool { return name[0] == 'x' })
+	s.KeyBy(soRule)
 	tx := s.Begin()
 	tx.DeleteRow(0, "xgone", Row{1, 2, 3})
-	tx.AppendCells(0, "xgone", wide, 4, 5, 6)
-	tx.Append(0, "xgone", wide, Row{7, 8, 9})
-	tx.AppendCells(0, "xkept", []string{"s", "o"}, 1, 3)
-	tx.AppendCells(0, "pair", []string{"s", "o"}, 4, 6)
+	tx.AppendCells(0, "xgone", wide, 4, 5, 6, 7, 8, 9)
+	tx.AppendCells(0, "so", wide, 1, 2, 3)
+	tx.AppendCells(0, "os", wide, 4, 5, 6)
 	if snap := tx.Commit(); snap.Copied() != 4 {
-		t.Errorf("the commit copied %d cells, want the 4 it wrote", snap.Copied())
+		t.Errorf("the commit copied %d cells, want the 4 of the 2 keys it wrote", snap.Copied())
 	}
-	if got := s.Current().Node(0).Names(); !reflect.DeepEqual(got, []string{"pair", "xkept"}) {
-		t.Errorf("the store holds %v, want [pair xkept]", got)
+	if got := s.Current().Node(0).Names(); !reflect.DeepEqual(got, []string{"os", "so"}) {
+		t.Errorf("the store holds %v, want [os so]", got)
 	}
 }

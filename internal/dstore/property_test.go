@@ -10,70 +10,65 @@ import (
 	"cliquesquare/internal/rdf"
 )
 
-// refStore is the observational reference the sorted slab files are
-// checked against: a plain row list per (node, file), in no order, with
-// deletes removing one matching row (the Tx contract).
+// refStore is the observational reference the sorted files are checked
+// against: a plain key list per (node, file), in no order, with deletes
+// removing one matching key (the Tx contract).
 type refStore struct {
-	files map[string][]Row // key: node/name
+	files map[string][]uint64 // key: node/name
 }
 
-func newRefStore() *refStore { return &refStore{files: map[string][]Row{}} }
+func newRefStore() *refStore { return &refStore{files: map[string][]uint64{}} }
 
 func refKey(node int, name string) string { return fmt.Sprintf("%d/%s", node, name) }
 
-func (r *refStore) append(node int, name string, rows ...Row) {
-	for _, row := range rows {
-		r.files[refKey(node, name)] = append(r.files[refKey(node, name)], row.Clone())
+func (r *refStore) insert(node int, name string, k uint64) {
+	r.files[refKey(node, name)] = append(r.files[refKey(node, name)], k)
+}
+
+func (r *refStore) delete(node int, name string, k uint64) {
+	f := refKey(node, name)
+	i := slices.Index(r.files[f], k)
+	r.files[f] = slices.Delete(r.files[f], i, i+1)
+	if len(r.files[f]) == 0 {
+		delete(r.files, f)
 	}
 }
 
-func (r *refStore) delete(node int, name string, row Row) {
-	k := refKey(node, name)
-	i := slices.IndexFunc(r.files[k], func(x Row) bool { return slices.Equal(x, row) })
-	r.files[k] = slices.Delete(r.files[k], i, i+1)
-	if len(r.files[k]) == 0 {
-		delete(r.files, k)
-	}
-}
-
-// checkSorted holds one file to the reference rows: its slab is in
-// ascending row order, and it is cell for cell what a fresh load of the
-// same rows, given in a random order, holds; every run Range reports
-// for a one- and a two-cell key of the domain holds exactly that key's
-// rows.
-func checkSorted(t *testing.T, label string, f *File, rows []Row, rng *rand.Rand, keyDomain []rdf.TermID) {
+// checkSorted holds one file to the reference keys: they are in
+// ascending order, and the file is what a fresh load of the same keys,
+// given in a random order, holds; every run Range reports for a placed
+// cell of the domain, and for the point of it and an other cell, holds
+// exactly those rows.
+func checkSorted(t *testing.T, label string, f *File, keys []uint64, rng *rand.Rand, domain []rdf.TermID) {
 	t.Helper()
-	w := f.Width()
-	if f.NumRows() != len(rows) || len(f.Slab()) != len(rows)*w {
-		t.Fatalf("%s: %d rows in %d cells, the reference has %d rows", label, f.NumRows(), len(f.Slab()), len(rows))
+	if f.NumRows() != len(keys) {
+		t.Fatalf("%s: %d rows, the reference has %d", label, f.NumRows(), len(keys))
 	}
-	for i := 1; i < f.NumRows(); i++ {
-		if slices.Compare(f.Row(i-1), f.Row(i)) > 0 {
-			t.Fatalf("%s: row %d %v orders after row %d %v", label, i-1, f.Row(i-1), i, f.Row(i))
-		}
+	if !slices.IsSorted(f.Keys()) {
+		t.Fatalf("%s: keys %v are not in ascending order", label, f.Keys())
 	}
-	shuffled := slices.Clone(rows)
+	shuffled := slices.Clone(keys)
 	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
 	fresh := NewStore(1)
-	commitAppend(fresh, 0, f.Name, f.Schema, shuffled...)
-	if ff, _ := fresh.Current().Node(0).Get(f.Name); !reflect.DeepEqual(ff.Slab(), f.Slab()) {
-		t.Fatalf("%s: the file holds %v, a fresh load of its rows %v", label, f.Slab(), ff.Slab())
+	commitKeys(fresh, 0, f.Name, shuffled...)
+	if ff, _ := fresh.Current().Node(0).Get(f.Name); !reflect.DeepEqual(ff.Keys(), f.Keys()) {
+		t.Fatalf("%s: the file holds %v, a fresh load of its keys %v", label, f.Keys(), ff.Keys())
 	}
-	for _, a := range keyDomain {
-		for _, key := range [][]rdf.TermID{{a}, {a, keyDomain[int(a)%len(keyDomain)]}} {
-			lo, hi := f.Range(key...)
+	for _, a := range domain {
+		for _, other := range []rdf.TermID{rdf.NoTerm, domain[int(a)%len(domain)]} {
+			lo, hi := f.Range(a, other)
 			want := 0
-			for _, r := range rows {
-				if slices.Equal(r[:len(key)], key) {
+			for _, k := range keys {
+				if p, o := Cells(k); p == a && (other == rdf.NoTerm || o == other) {
 					want++
 				}
 			}
 			if hi-lo != want {
-				t.Fatalf("%s: Range(%v) = [%d, %d), the reference has %d such rows", label, key, lo, hi, want)
+				t.Fatalf("%s: Range(%d, %d) = [%d, %d), the reference has %d such rows", label, a, other, lo, hi, want)
 			}
 			for i := lo; i < hi; i++ {
-				if !slices.Equal(f.Row(i)[:len(key)], key) {
-					t.Fatalf("%s: Range(%v) holds row %d = %v", label, key, i, f.Row(i))
+				if r := f.Row(i); r[0] != a || other != rdf.NoTerm && r[1] != other {
+					t.Fatalf("%s: Range(%d, %d) holds row %d = %v", label, a, other, i, r)
 				}
 			}
 		}
@@ -81,25 +76,20 @@ func checkSorted(t *testing.T, label string, f *File, rows []Row, rng *rand.Rand
 }
 
 // TestSlabFilePropertyVsReference drives a store through randomized
-// commits — appends, deletes of base rows, rows appended and deleted in
+// commits — inserts, deletes of base keys, keys inserted and deleted in
 // the same transaction, and resizes that grow the cluster or shrink it
 // after draining the dropped nodes — and checks after every commit that
-// each file is in ascending order and equals a fresh load of the rows
+// each file is in ascending order and equals a fresh load of the keys
 // the reference holds for it.
 func TestSlabFilePropertyVsReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(20150407))
-	keyDomain := make([]rdf.TermID, 12)
-	for i := range keyDomain {
-		keyDomain[i] = rdf.TermID(i + 1)
+	domain := make([]rdf.TermID, 12)
+	for i := range domain {
+		domain[i] = rdf.TermID(i + 1)
 	}
 	names := []string{"f0", "f1", "f2"}
-	schemas := map[string][]string{"f0": {"s", "p", "o"}, "f1": {"s", "o"}, "f2": {"s", "o"}}
-	randRow := func(w int) Row {
-		r := make(Row, w)
-		for i := range r {
-			r[i] = keyDomain[rng.Intn(len(keyDomain))]
-		}
-		return r
+	randKey := func() uint64 {
+		return Key(domain[rng.Intn(len(domain))], domain[rng.Intn(len(domain))])
 	}
 
 	s := NewStore(2)
@@ -119,32 +109,26 @@ func TestSlabFilePropertyVsReference(t *testing.T) {
 		if newN != n {
 			tx.SetN(newN)
 		}
-		// Deletes: a tenth of every file's rows, and every row of a node
-		// the resize drops, resolved against the rows before this round.
+		// Deletes: a tenth of every file's keys, and every key of a node
+		// the resize drops, resolved against the keys before this round.
 		for node := 0; node < n; node++ {
 			for _, name := range names {
-				for _, row := range slices.Clone(ref.files[refKey(node, name)]) {
+				for _, k := range slices.Clone(ref.files[refKey(node, name)]) {
 					if node >= newN || rng.Intn(10) == 0 {
-						tx.DeleteRow(node, name, row)
-						ref.delete(node, name, row)
+						tx.Delete(node, name, k)
+						ref.delete(node, name, k)
 					}
 				}
 			}
 		}
-		for i, k := 0, rng.Intn(12); i < k; i++ {
-			node, name := rng.Intn(newN), names[rng.Intn(len(names))]
-			row := randRow(len(schemas[name]))
-			switch rng.Intn(4) {
-			case 0:
-				tx.Append(node, name, schemas[name], row)
-			case 1: // appended and deleted in one transaction: nets out
-				tx.AppendCells(node, name, schemas[name], row...)
-				tx.DeleteRow(node, name, row)
+		for i, c := 0, rng.Intn(12); i < c; i++ {
+			node, name, k := rng.Intn(newN), names[rng.Intn(len(names))], randKey()
+			tx.Insert(node, name, k)
+			if rng.Intn(4) == 0 { // inserted and deleted in one transaction: nets out
+				tx.Delete(node, name, k)
 				continue
-			default:
-				tx.AppendCells(node, name, schemas[name], row...)
 			}
-			ref.append(node, name, row)
+			ref.insert(node, name, k)
 		}
 		snap := tx.Commit()
 
@@ -153,13 +137,13 @@ func TestSlabFilePropertyVsReference(t *testing.T) {
 		}
 		for node := 0; node < newN; node++ {
 			for _, name := range names {
-				rows := ref.files[refKey(node, name)]
+				keys := ref.files[refKey(node, name)]
 				f, ok := snap.Node(node).Get(name)
-				if ok != (len(rows) > 0) {
-					t.Fatalf("round %d: node %d holds %s: %v, the reference has %d rows", round, node, name, ok, len(rows))
+				if ok != (len(keys) > 0) {
+					t.Fatalf("round %d: node %d holds %s: %v, the reference has %d keys", round, node, name, ok, len(keys))
 				}
 				if ok {
-					checkSorted(t, fmt.Sprintf("round %d: node %d %s", round, node, name), f, rows, rng, keyDomain)
+					checkSorted(t, fmt.Sprintf("round %d: node %d %s", round, node, name), f, keys, rng, domain)
 				}
 			}
 		}

@@ -3,6 +3,8 @@ package dstore
 import (
 	"reflect"
 	"testing"
+
+	"cliquesquare/internal/rdf"
 )
 
 // TestEmptyCommitBumpsVersionSharesFiles pins the cheapest possible
@@ -11,8 +13,8 @@ import (
 // pointer — nothing is rewritten.
 func TestEmptyCommitBumpsVersionSharesFiles(t *testing.T) {
 	s := NewStore(2)
-	commitAppend(s, 0, "f", []string{"x"}, Row{1})
-	commitAppend(s, 1, "g", []string{"x", "y"}, Row{2, 3})
+	commitKeys(s, 0, "f", Key(1, 1))
+	commitKeys(s, 1, "g", Key(2, 3))
 	before := s.Current()
 
 	tx := s.Begin()
@@ -41,15 +43,15 @@ func TestEmptyCommitBumpsVersionSharesFiles(t *testing.T) {
 // the full file.
 func TestDeleteAllRowsRemovesFile(t *testing.T) {
 	s := NewStore(1)
-	commitAppend(s, 0, "doomed", []string{"x"}, Row{1}, Row{2}, Row{3})
-	commitAppend(s, 0, "keep", []string{"x"}, Row{9})
+	commitKeys(s, 0, "doomed", Key(1, 1), Key(2, 2), Key(3, 3))
+	commitKeys(s, 0, "keep", Key(9, 9))
 	pinned := s.Current()
 	kept, _ := pinned.Node(0).Get("keep")
 
 	tx := s.Begin()
-	tx.DeleteRow(0, "doomed", Row{1})
-	tx.DeleteRow(0, "doomed", Row{2})
-	tx.DeleteRow(0, "doomed", Row{3})
+	tx.Delete(0, "doomed", Key(1, 1))
+	tx.Delete(0, "doomed", Key(2, 2))
+	tx.Delete(0, "doomed", Key(3, 3))
 	snap := tx.Commit()
 
 	if _, ok := snap.Node(0).Get("doomed"); ok {
@@ -65,48 +67,46 @@ func TestDeleteAllRowsRemovesFile(t *testing.T) {
 		t.Error("pinned pre-commit snapshot lost the deleted file")
 	}
 	// Re-creating the name later starts from scratch.
-	commitAppend(s, 0, "doomed", []string{"x"}, Row{7})
+	commitKeys(s, 0, "doomed", Key(7, 7))
 	f, ok := s.Current().Node(0).Get("doomed")
 	if !ok || f.NumRows() != 1 || f.Row(0)[0] != 7 {
 		t.Error("re-created file does not start fresh")
 	}
 }
 
-// TestTxInsertAndDeleteSameFile commits a batch that both appends to
+// TestTxInsertAndDeleteSameFile commits a batch that both inserts into
 // and deletes from one file: the successor must hold the surviving base
-// rows and the surviving appends merged in ascending order — exactly
-// what a fresh load of those rows holds.
+// keys and the surviving inserts merged in ascending order — exactly
+// what a fresh load of those keys holds.
 func TestTxInsertAndDeleteSameFile(t *testing.T) {
 	s := NewStore(1)
-	commitAppend(s, 0, "f", []string{"s", "o"}, Row{1, 30}, Row{2, 20}, Row{1, 10})
+	commitKeys(s, 0, "f", Key(1, 30), Key(2, 20), Key(1, 10))
 
 	tx := s.Begin()
-	tx.Append(0, "f", []string{"s", "o"}, Row{3, 40}, Row{1, 50}, Row{1, 20})
-	tx.DeleteRow(0, "f", Row{2, 20}) // from the base file
-	tx.DeleteRow(0, "f", Row{3, 40}) // from this same transaction's appends
+	for _, k := range []uint64{Key(3, 40), Key(1, 50), Key(1, 20)} {
+		tx.Insert(0, "f", k)
+	}
+	tx.Delete(0, "f", Key(2, 20)) // from the base file
+	tx.Delete(0, "f", Key(3, 40)) // from this same transaction's inserts
 	tx.Commit()
 
 	f, ok := s.Current().Node(0).Get("f")
 	if !ok {
 		t.Fatal("file vanished")
 	}
-	wantSlab := []uint32{1, 10, 1, 20, 1, 30, 1, 50}
-	got := make([]uint32, 0, len(f.Slab()))
-	for _, c := range f.Slab() {
-		got = append(got, uint32(c))
-	}
-	if !reflect.DeepEqual(got, wantSlab) {
-		t.Fatalf("slab = %v, want %v (survivors and appends, merged in order)", got, wantSlab)
+	want := []uint64{Key(1, 10), Key(1, 20), Key(1, 30), Key(1, 50)}
+	if !reflect.DeepEqual(f.Keys(), want) {
+		t.Fatalf("keys = %v, want %v (survivors and inserts, merged in order)", f.Keys(), want)
 	}
 	fresh := NewStore(1)
-	commitAppend(fresh, 0, "f", f.Schema, Row{1, 50}, Row{1, 20}, Row{1, 10}, Row{1, 30})
-	if ff, _ := fresh.Current().Node(0).Get("f"); !reflect.DeepEqual(ff.Slab(), f.Slab()) {
-		t.Errorf("the successor holds %v, a fresh load of its rows %v", f.Slab(), ff.Slab())
+	commitKeys(fresh, 0, "f", Key(1, 50), Key(1, 20), Key(1, 10), Key(1, 30))
+	if ff, _ := fresh.Current().Node(0).Get("f"); !reflect.DeepEqual(ff.Keys(), f.Keys()) {
+		t.Errorf("the successor holds %v, a fresh load of its keys %v", f.Keys(), ff.Keys())
 	}
-	if lo, hi := f.Range(2); lo != hi {
+	if lo, hi := f.Range(2, rdf.NoTerm); lo != hi {
 		t.Errorf("deleted base row's run = [%d, %d), want empty", lo, hi)
 	}
-	if lo, hi := f.Range(3); lo != hi {
-		t.Errorf("netted-out appended row's run = [%d, %d), want empty", lo, hi)
+	if lo, hi := f.Range(3, rdf.NoTerm); lo != hi {
+		t.Errorf("netted-out inserted row's run = [%d, %d), want empty", lo, hi)
 	}
 }

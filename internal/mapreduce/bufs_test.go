@@ -5,7 +5,6 @@ import (
 	"testing"
 	"unsafe"
 
-	"cliquesquare/internal/dstore"
 	"cliquesquare/internal/rdf"
 )
 
@@ -128,7 +127,7 @@ func TestBufsHoldOneExecution(t *testing.T) {
 	// Through the runtime: each unit finds its lane's arena empty.
 	var p Bufs
 	p.Lane(3)
-	cl := NewCluster(dstore.NewStore(3), DefaultConstants())
+	cl := NewCluster(3, DefaultConstants())
 	pool := NewPool(4)
 	job := Job{
 		MapMorsels: func(int) int { return 9 },

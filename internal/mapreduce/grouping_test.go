@@ -180,7 +180,7 @@ func TestFlatShuffleMatchesReference(t *testing.T) {
 					})
 				},
 			}
-			cl, _ := wordCountCluster(nodes)
+			cl := wordCountCluster(nodes)
 			runOn(cl, lanes, job, nil)
 			for node := 0; node < nodes; node++ {
 				ref := ReferenceGroups(perDest[node])

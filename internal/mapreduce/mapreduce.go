@@ -46,14 +46,13 @@ import (
 	"slices"
 	"unsafe"
 
-	"cliquesquare/internal/dstore"
 	"cliquesquare/internal/rdf"
 )
 
 // Row is one tuple: width cells. Inside the runtime a Row is always a
-// view of some flat array (a Block, a partition file, a shuffle cell
-// buffer), valid as long as that array is.
-type Row = dstore.Row
+// view of some flat array (a Block, a shuffle cell buffer), valid as
+// long as that array is.
+type Row []rdf.TermID
 
 // Block is a flat relation body: N rows of Width cells each, row i at
 // Cells[i*Width:(i+1)*Width]. The count is explicit because zero-width
@@ -313,14 +312,17 @@ func (cl *Cluster) fold(stats JobStats, meters []Meter) JobStats {
 	return stats
 }
 
-// Cluster is a simulated MapReduce cluster over a shared file store.
+// Cluster is a simulated MapReduce cluster of Nodes nodes.
 //
 // Phases run as morsels (RunWith), mirroring the real parallelism
 // CliqueSquare's flat plans exploit. Each morsel fills only private
 // buffers; the buffers are merged in canonical (node, morsel) order
 // afterwards, so outputs and JobStats do not depend on scheduling.
 type Cluster struct {
-	Store *dstore.Store
+	// Nodes is the number of nodes jobs run on. An executor sets it
+	// from the epoch it pins, so a concurrent resize cannot skew routing
+	// mid-query.
+	Nodes int
 	C     Constants
 
 	// Jobs lists per-job stats in execution order.
@@ -330,17 +332,11 @@ type Cluster struct {
 }
 
 // RunOptions is what one RunWith call borrows from its caller. The zero
-// value means: one inline lane, per-run buffers, the store's node
-// count, no record.
+// value means: one inline lane, per-run buffers, no record.
 type RunOptions struct {
 	// Pool supplies the worker lanes: the job runs on Pool.Lanes() of
 	// them, and a nil pool is one lane, inline on the caller.
 	Pool *Pool
-	// Nodes, when > 0, overrides the cluster size for this run.
-	// Executors pinned to a snapshot pass the snapshot's node count so
-	// a concurrent resize (which changes Store.N) cannot skew routing
-	// mid-query.
-	Nodes int
 	// Scratch, if non-nil, provides the reusable buffers.
 	Scratch *Scratch
 	// Record, if non-nil, is filled with what the job metered (see
@@ -628,13 +624,10 @@ func (sc *Scratch) Release() {
 	sc.outputs = ResetBlocks(sc.outputs, 0, nil)
 }
 
-// NewCluster creates a cluster over the given store.
-func NewCluster(store *dstore.Store, c Constants) *Cluster {
-	return &Cluster{Store: store, C: c}
+// NewCluster creates a cluster of the given number of nodes.
+func NewCluster(nodes int, c Constants) *Cluster {
+	return &Cluster{Nodes: nodes, C: c}
 }
-
-// N reports the number of nodes.
-func (cl *Cluster) N() int { return cl.Store.N() }
 
 // ResponseTime is the total simulated wall-clock time of all jobs run
 // so far (jobs execute sequentially, phases within a job in parallel
@@ -704,10 +697,7 @@ func splitRanges(offs []int32, recs []record, bk []bucket, maxRanges int) []int3
 // pre-routed per-(source, destination) buckets in (source node, morsel)
 // order.
 func (cl *Cluster) RunWith(job Job, opts RunOptions) *Output {
-	n := cl.N()
-	if opts.Nodes > 0 {
-		n = opts.Nodes
-	}
+	n := cl.Nodes
 	sc := opts.Scratch
 	if sc == nil {
 		sc = &Scratch{}

@@ -6,14 +6,10 @@ import (
 	"testing"
 	"testing/quick"
 
-	"cliquesquare/internal/dstore"
 	"cliquesquare/internal/rdf"
 )
 
-func wordCountCluster(n int) (*Cluster, *dstore.Store) {
-	store := dstore.NewStore(n)
-	return NewCluster(store, DefaultConstants()), store
-}
+func wordCountCluster(n int) *Cluster { return NewCluster(n, DefaultConstants()) }
 
 // runOn runs job on a pool of the given width; width 0 is the nil pool.
 func runOn(cl *Cluster, lanes int, job Job, rec *JobRecord) *Output {
@@ -25,20 +21,12 @@ func runOn(cl *Cluster, lanes int, job Job, rec *JobRecord) *Output {
 }
 
 func TestMapOnlyJob(t *testing.T) {
-	cl, store := wordCountCluster(3)
-	tx := store.Begin()
-	for i := 0; i < 3; i++ {
-		tx.Append(i, "in", []string{"v"}, dstore.Row{rdf.TermID(i + 1)})
-	}
-	tx.Commit()
+	cl := wordCountCluster(3)
+	in := [][]Row{{{1}}, {{2}}, {{3}}} // each node's input rows
 	out := runOn(cl, 0, ClassicJob("identity", func(node int, m *Meter, emit *Emitter, out *Block) {
-		f, ok := store.Current().Node(node).Get("in")
-		if !ok {
-			return
-		}
-		m.Read(f.NumRows())
-		for i := 0; i < f.NumRows(); i++ {
-			out.Append(f.Row(i))
+		m.Read(len(in[node]))
+		for _, r := range in[node] {
+			out.Append(r)
 		}
 	}, nil), nil)
 	if out.Len() != 3 {
@@ -56,7 +44,7 @@ func TestMapOnlyJob(t *testing.T) {
 }
 
 func TestShuffleGroupsByExactKey(t *testing.T) {
-	cl, _ := wordCountCluster(4)
+	cl := wordCountCluster(4)
 	// Each node emits (key = node%2, value = node); reduce counts per
 	// group. Reducers of different nodes run on different lanes, so the
 	// shared counter is atomic.
@@ -99,7 +87,7 @@ func TestEncodeKeyInjective(t *testing.T) {
 }
 
 func TestTimingIsMaxOverNodesPlusInit(t *testing.T) {
-	cl, _ := wordCountCluster(2)
+	cl := wordCountCluster(2)
 	// Node 0 does 100 reads, node 1 does 10: map time must be the max.
 	runOn(cl, 0, ClassicJob("skew", func(node int, m *Meter, emit *Emitter, out *Block) {
 		if node == 0 {
@@ -122,7 +110,7 @@ func TestTimingIsMaxOverNodesPlusInit(t *testing.T) {
 }
 
 func TestReset(t *testing.T) {
-	cl, _ := wordCountCluster(1)
+	cl := wordCountCluster(1)
 	runOn(cl, 0, ClassicJob("noop", func(int, *Meter, *Emitter, *Block) {}, nil), nil)
 	cl.Reset()
 	if len(cl.Jobs) != 0 || cl.TotalWork() != 0 || cl.ResponseTime() != 0 {
@@ -193,7 +181,7 @@ func TestKeyEncodeMatchesEncodeKey(t *testing.T) {
 }
 
 func TestMeterAccumulates(t *testing.T) {
-	cl, _ := wordCountCluster(1)
+	cl := wordCountCluster(1)
 	runOn(cl, 0, ClassicJob("meter", func(_ int, m *Meter, _ *Emitter, _ *Block) {
 		for i := 0; i < 2; i++ {
 			m.Read(5)
@@ -234,7 +222,7 @@ func countJob(cl *Cluster) Job {
 // one and asserts identical outputs and stats.
 func TestParallelMatchesSequential(t *testing.T) {
 	run := func(lanes int) (*Output, JobStats) {
-		cl, _ := wordCountCluster(5)
+		cl := wordCountCluster(5)
 		// An explicit multi-worker pool, so the concurrent path is
 		// exercised even on a single-CPU machine.
 		out := runOn(cl, lanes, countJob(cl), nil)
@@ -285,10 +273,10 @@ func TestClassicJobAcrossRanges(t *testing.T) {
 		work     float64
 	}
 	run := func(lanes int) result {
-		cl, _ := wordCountCluster(nodes)
+		cl := wordCountCluster(nodes)
 		rec := &JobRecord{}
 		out := runOn(cl, lanes, job(cl), rec)
-		cl2, _ := wordCountCluster(nodes)
+		cl2 := wordCountCluster(nodes)
 		return result{out.PerNode, cl.Jobs[0], cl2.Replay("classic", rec), cl.TotalWork()}
 	}
 	want := run(0)
@@ -311,7 +299,7 @@ func TestClassicJobAcrossRanges(t *testing.T) {
 
 // TestWidthOnePool runs on a pool that spawned no workers.
 func TestWidthOnePool(t *testing.T) {
-	cl, _ := wordCountCluster(4)
+	cl := wordCountCluster(4)
 	out := runOn(cl, 1, countJob(cl), nil)
 	if out.Len() == 0 {
 		t.Error("no output")
@@ -319,7 +307,7 @@ func TestWidthOnePool(t *testing.T) {
 }
 
 func TestPanicPropagates(t *testing.T) {
-	cl, _ := wordCountCluster(4)
+	cl := wordCountCluster(4)
 	defer func() {
 		if r := recover(); r != "boom" {
 			t.Errorf("recover() = %v, want boom", r)
@@ -333,7 +321,7 @@ func TestPanicPropagates(t *testing.T) {
 }
 
 func TestOutputRowsOrderedByNode(t *testing.T) {
-	cl, _ := wordCountCluster(3)
+	cl := wordCountCluster(3)
 	out := runOn(cl, 0, ClassicJob("pernode", func(node int, m *Meter, emit *Emitter, outF *Block) {
 		outF.Append(Row{rdf.TermID(node)})
 	}, nil), nil)

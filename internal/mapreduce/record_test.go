@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"cliquesquare/internal/dstore"
 	"cliquesquare/internal/rdf"
 )
 
@@ -39,7 +38,7 @@ func TestReplayReproducesJobStats(t *testing.T) {
 		{"four-lanes", 4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cl, _ := wordCountCluster(3)
+			cl := wordCountCluster(3)
 			rec := &JobRecord{}
 			runOn(cl, tc.lanes, chargeJob(cl), rec)
 			want := cl.Jobs[0]
@@ -47,7 +46,7 @@ func TestReplayReproducesJobStats(t *testing.T) {
 
 			// Replay on a fresh cluster clock: stats and total work must
 			// come out bit-identical, under a caller-chosen name.
-			cl2, _ := wordCountCluster(3)
+			cl2 := wordCountCluster(3)
 			got := cl2.Replay("charges", rec)
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("replayed stats differ:\n got %+v\nwant %+v", got, want)
@@ -71,10 +70,10 @@ func TestReplayReproducesJobStats(t *testing.T) {
 func TestRecordParallelMatchesSequential(t *testing.T) {
 	// The recorded per-node counts are lane-count invariant: a record
 	// captured at any parallelism replays to the same stats.
-	cl1, _ := wordCountCluster(3)
+	cl1 := wordCountCluster(3)
 	rec1 := &JobRecord{}
 	runOn(cl1, 0, chargeJob(cl1), rec1)
-	cl2, _ := wordCountCluster(3)
+	cl2 := wordCountCluster(3)
 	rec2 := &JobRecord{}
 	runOn(cl2, 4, chargeJob(cl2), rec2)
 	if !reflect.DeepEqual(cl1.Jobs[0], cl2.Jobs[0]) {
@@ -89,13 +88,13 @@ func TestRecordParallelMatchesSequential(t *testing.T) {
 }
 
 func TestRecordMapOnly(t *testing.T) {
-	cl, _ := wordCountCluster(2)
+	cl := wordCountCluster(2)
 	rec := &JobRecord{}
 	runOn(cl, 0, ClassicJob("mo", func(node int, m *Meter, emit *Emitter, out *Block) {
 		m.Read(5 + node)
 		out.Append(Row{1})
 	}, nil), rec)
-	cl2, _ := wordCountCluster(2)
+	cl2 := wordCountCluster(2)
 	got := cl2.Replay("mo", rec)
 	if !reflect.DeepEqual(got, cl.Jobs[0]) {
 		t.Errorf("map-only replay differs: %+v vs %+v", got, cl.Jobs[0])
@@ -199,7 +198,7 @@ func TestCountsAreOrderFree(t *testing.T) {
 		want.Time = c.JobInit + want.MapTime + want.ShuffleTime + want.ReduceTime
 
 		for _, lanes := range []int{0, 1, 2, 4} {
-			cl := NewCluster(dstore.NewStore(nodes), c)
+			cl := NewCluster(nodes, c)
 			rec := &JobRecord{}
 			runOn(cl, lanes, job, rec)
 			if got := cl.Jobs[0]; !reflect.DeepEqual(got, want) {
@@ -208,7 +207,7 @@ func TestCountsAreOrderFree(t *testing.T) {
 			if !reflect.DeepEqual(rec.meters, sums) {
 				t.Fatalf("trial %d, %d lanes: recorded %+v, want %+v", trial, lanes, rec.meters, sums)
 			}
-			if got := NewCluster(dstore.NewStore(1), c).Replay(job.Name, rec); !reflect.DeepEqual(got, want) {
+			if got := NewCluster(1, c).Replay(job.Name, rec); !reflect.DeepEqual(got, want) {
 				t.Fatalf("trial %d, %d lanes: replayed %+v, want %+v", trial, lanes, got, want)
 			}
 		}

@@ -14,18 +14,19 @@
 // This makes every first-level join — on any of s, p, o — evaluable
 // locally on each node (parallelizable without communication).
 //
-// The store keeps the cells of two replicas only, each row with its
-// placed cell first and each file sorted: a subject file s/p<P> holds
-// (s, o) rows, an object file o/p<P> (o, s) rows — the two permutations
-// RDF-3X keeps sorted. The rows of a constant on a file's placed cell
-// are one run of it. The property replica is placed, not stored: its
-// files keep their names, their nodes and their row counts, but their
-// rows are cells the other two replicas hold — a file p/p<P> is the
-// subject files s/p<P> of every node in node order, and a class file
-// p/p<type>/o<C> is the run of class C in the object file o/p<type> on
-// node hash(C). View.Open resolves every name a scan reads, whatever its
-// replica, and File.Part the run a scan's constants select, so scans
-// and their metering see three replicas while the store holds two.
+// The store keeps the cells of two replicas only, each row as one
+// dstore key with its placed cell high and each file sorted: a subject
+// file s/p<P> holds (s, o) keys, an object file o/p<P> (o, s) keys —
+// the two permutations RDF-3X keeps sorted. The rows of a constant on a
+// file's placed cell are one run of it. The property replica is placed,
+// not stored: its files keep their names, their nodes and their row
+// counts, but their rows are cells the other two replicas hold — a
+// file p/p<P> is the subject files s/p<P> of every node in node order,
+// and a class file p/p<type>/o<C> is the run of class C in the object
+// file o/p<type> on node hash(C). View.Open resolves every name a scan
+// reads, whatever its replica, and File.Part the run a scan's constants
+// select, so scans and their metering see three replicas while the
+// store holds two.
 //
 // Beyond the paper's load-once setting, the partitioner is mutable:
 // ApplyBatch re-derives the placement for a delta of inserted and
@@ -51,17 +52,25 @@ import (
 )
 
 // TripleSchema names a whole triple's cells, which no partition file
-// stores: the store projects rows given in it for writers that address
-// the files with whole triples, and drops those addressed to the
-// property replica (dstore.Store.ProjectFrom).
+// stores: writers that address the files with whole triples give rows
+// in it to dstore's AppendCells and DeleteRow, which key them by
+// tripleKey.
 var TripleSchema = []string{"s", "p", "o"}
 
-// A stored partition file keeps the positions its name does not fix
-// (see FileTerms), the one its replica is placed by first.
-var (
-	subjectSchema = []string{"s", "o"}
-	objectSchema  = []string{"o", "s"}
-)
+// tripleKey is the key the whole triple t, a TripleSchema row, has in
+// the partition file name: a stored file keeps the positions its name
+// does not fix (see FileTerms), the one its replica is placed by first —
+// (s, o) in a subject file, (o, s) in an object file. A property file
+// holds no keys.
+func tripleKey(name string, t dstore.Row) (uint64, bool) {
+	switch name[0] {
+	case 's':
+		return dstore.Key(t[0], t[2]), true
+	case 'o':
+		return dstore.Key(t[2], t[0]), true
+	}
+	return 0, false
+}
 
 // Mode selects the replication scheme.
 type Mode uint8
@@ -145,7 +154,7 @@ func New(store *dstore.Store, mode Mode, policy Policy) *Partitioner {
 	if policy == nil {
 		policy = ModuloPolicy
 	}
-	store.ProjectFrom(TripleSchema, placedOnly)
+	store.KeyBy(tripleKey)
 	p := &Partitioner{store: store, mode: mode, policy: policy}
 	p.cur.Store(&View{p: p, snap: store.Current(), place: policy(store.N()),
 		properties: map[rdf.TermID]int{}, typeObjects: map[rdf.TermID]int{}})
@@ -192,14 +201,10 @@ func (p *Partitioner) ApplyBatch(inserts, deletes []rdf.Triple, dict *rdf.Dict) 
 	tx := p.store.Begin()
 	defer tx.Abort()
 	for _, t := range deletes {
-		v.route(t, -1, func(node int, file string, _ []string, placed, other rdf.TermID) {
-			tx.DeleteRow(node, file, dstore.Row{placed, other})
-		})
+		v.route(t, -1, tx.Delete)
 	}
 	for _, t := range inserts {
-		v.route(t, 1, func(node int, file string, schema []string, placed, other rdf.TermID) {
-			tx.AppendCells(node, file, schema, placed, other)
-		})
+		v.route(t, 1, tx.Insert)
 	}
 	v.snap = tx.Commit()
 	p.cur.Store(v)
@@ -207,22 +212,22 @@ func (p *Partitioner) ApplyBatch(inserts, deletes []rdf.Triple, dict *rdf.Dict) 
 }
 
 // route is the Section 5.1 rule, written once for inserts and deletes:
-// it calls f with the node, file and schema of every replica of t that
-// the store holds — by subject, and under ThreeReplica by object — and
-// t's row in it, the placed cell first, and moves the view's counters by
+// it calls f with the node and file of every replica of t that the
+// store holds — by subject, and under ThreeReplica by object — and t's
+// key in it, the placed cell high, and moves the view's counters by
 // d (+1 for an insert, -1 for a delete), dropping those that reach zero.
 // The replica by property is those counters: its files hold no cells of
 // their own (Open).
-func (v *View) route(t rdf.Triple, d int, f func(node int, file string, schema []string, placed, other rdf.TermID)) {
+func (v *View) route(t rdf.Triple, d int, f func(node int, file string, k uint64)) {
 	count(v.properties, t.P, d)
-	f(v.place.NodeFor(t.S), FileName(rdf.SPos, t.P, 0), subjectSchema, t.S, t.O)
+	f(v.place.NodeFor(t.S), FileName(rdf.SPos, t.P, 0), dstore.Key(t.S, t.O))
 	if v.p.mode == SubjectOnly {
 		return
 	}
 	if v.typeID != rdf.NoTerm && t.P == v.typeID {
 		count(v.typeObjects, t.O, d)
 	}
-	f(v.place.NodeFor(t.O), FileName(rdf.OPos, t.P, 0), objectSchema, t.O, t.S)
+	f(v.place.NodeFor(t.O), FileName(rdf.OPos, t.P, 0), dstore.Key(t.O, t.S))
 }
 
 // placedOnly reports whether a partition file name is the property
@@ -391,7 +396,7 @@ func (f File) Parts() int {
 }
 
 // Run is the stretch of stored rows a scan of one part reads: rows
-// [Lo, Hi) of F — nil for none — whose cells are (o, s) when Obj is set
+// [Lo, Hi) of F — nil for none — whose keys are (o, s) when Obj is set
 // (an object file's), else (s, o). A run read through the other replica
 // holds rows of other nodes too: Keeps tells those of the part apart.
 type Run struct {
@@ -402,7 +407,7 @@ type Run struct {
 	node   int
 }
 
-// Keeps reports whether the run's row whose second cell is c is one of
+// Keeps reports whether the run's row whose other cell is c is one of
 // the part's.
 func (r Run) Keeps(c rdf.TermID) bool { return r.place == nil || r.place.NodeFor(c) == r.node }
 
@@ -469,8 +474,6 @@ func span(sf *dstore.File, obj bool, placed, other rdf.TermID) Run {
 	case sf == nil:
 	case placed == rdf.NoTerm:
 		r.Hi = sf.NumRows()
-	case other == rdf.NoTerm:
-		r.Lo, r.Hi = sf.Range(placed)
 	default:
 		r.Lo, r.Hi = sf.Range(placed, other)
 	}
@@ -528,7 +531,7 @@ func (v *View) Files(tp sparql.TriplePattern, pos rdf.Pos, dict *rdf.Dict) []str
 // replica, which holds each triple exactly once in every epoch — in both
 // modes, and across a resize, which moves a row within one transaction —
 // and of it only the files of the properties concerned, rebuilding each
-// triple from a row's (s, o) and the file's property.
+// triple from a key's (s, o) and the file's property.
 func (v *View) EachTriple(prop rdf.TermID, fn func(rdf.Triple)) {
 	props := []rdf.TermID{prop}
 	if prop == rdf.NoTerm {
@@ -542,8 +545,9 @@ func (v *View) EachTriple(prop rdf.TermID, fn func(rdf.Triple)) {
 		name := FileName(rdf.SPos, p, 0)
 		for n := 0; n < v.snap.N(); n++ {
 			if f, ok := v.snap.Node(n).Get(name); ok {
-				for c := f.Slab(); len(c) >= 2; c = c[2:] {
-					fn(rdf.Triple{S: c[0], P: p, O: c[1]})
+				for _, k := range f.Keys() {
+					s, o := dstore.Cells(k)
+					fn(rdf.Triple{S: s, P: p, O: o})
 				}
 			}
 		}
@@ -560,7 +564,7 @@ func (v *View) NumTriples() int {
 }
 
 // Contains reports whether t is stored at this view's epoch: a binary
-// search for its (s, o) row in the one subject-replica file that can
+// search for its (s, o) key in the one subject-replica file that can
 // hold it. It routes through the view's own placement, which every
 // epoch's rows follow: it is the writer's presence test.
 func (v *View) Contains(t rdf.Triple) bool {

@@ -23,7 +23,7 @@ func TestThreeReplicas(t *testing.T) {
 	g := sampleGraph()
 	store := dstore.NewStore(5)
 	p := LoadWithPolicy(store, g, ThreeReplica, nil)
-	if got, want := store.TotalRows(), 2*g.Len(); got != want {
+	if got, want := storedRows(store.Current()), 2*g.Len(); got != want {
 		t.Errorf("stored %d rows, want %d (the subject and object replicas)", got, want)
 	}
 	// The third replica is placed, not stored: its files, read through
@@ -174,24 +174,36 @@ func TestFileName(t *testing.T) {
 	}
 }
 
+// nodeRows is the number of rows a node stores.
+func nodeRows(nd dstore.NodeView) int {
+	n := 0
+	for _, name := range nd.Names() {
+		f, _ := nd.Get(name)
+		n += f.NumRows()
+	}
+	return n
+}
+
+// storedRows is the number of rows a snapshot stores, over all nodes.
+func storedRows(snap *dstore.Snapshot) int {
+	n := 0
+	for i := 0; i < snap.N(); i++ {
+		n += nodeRows(snap.Node(i))
+	}
+	return n
+}
+
 // storeState flattens a store's current snapshot to a comparable map:
-// node -> file name -> rows.
-func storeState(t *testing.T, s *dstore.Store) map[int]map[string][]dstore.Row {
-	t.Helper()
-	out := make(map[int]map[string][]dstore.Row)
+// node -> file name -> keys.
+func storeState(s *dstore.Store) map[int]map[string][]uint64 {
+	out := map[int]map[string][]uint64{}
 	snap := s.Current()
 	for i := 0; i < snap.N(); i++ {
-		nv := snap.Node(i)
-		files := make(map[string][]dstore.Row)
-		for _, name := range nv.Names() {
-			f, _ := nv.Get(name)
-			rows := make([]dstore.Row, f.NumRows())
-			for ri := range rows {
-				rows[ri] = f.Row(ri)
-			}
-			files[name] = rows
+		out[i] = map[string][]uint64{}
+		for _, name := range snap.Node(i).Names() {
+			f, _ := snap.Node(i).Get(name)
+			out[i][name] = f.Keys()
 		}
-		out[i] = files
 	}
 	return out
 }
@@ -243,7 +255,7 @@ func TestApplyBatchMatchesFreshLoad(t *testing.T) {
 
 		fresh := dstore.NewStore(5)
 		fp := LoadWithPolicy(fresh, g, mode, nil)
-		got, want := storeState(t, store), storeState(t, fresh)
+		got, want := storeState(store), storeState(fresh)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%v: incremental store diverges from fresh load:\n got %v\nwant %v", mode, got, want)
 		}

@@ -11,7 +11,11 @@
 // with the view that publishes.
 package partition
 
-import "fmt"
+import (
+	"fmt"
+
+	"cliquesquare/internal/dstore"
+)
 
 // ResizeStats is the bookkeeping of one Resize.
 type ResizeStats struct {
@@ -83,14 +87,14 @@ func (p *Partitioner) Resize(newN int) (ResizeStats, error) {
 		for _, name := range nd.Names() {
 			f, _ := nd.Get(name)
 			st.TotalRows += f.NumRows()
-			for i := 0; i < f.NumRows(); i++ {
-				row := f.Row(i)
-				// The placement key is a row's first cell.
-				if dest := v.place.NodeFor(row[0]); dest != node {
-					tx.DeleteRow(node, name, row)
-					tx.AppendCells(dest, name, f.Schema, row...)
+			for _, k := range f.Keys() {
+				// A row is placed by its key's placed cell.
+				placed, _ := dstore.Cells(k)
+				if dest := v.place.NodeFor(placed); dest != node {
+					tx.Delete(node, name, k)
+					tx.Insert(dest, name, k)
 					st.MovedRows++
-					st.MovedCells += len(row)
+					st.MovedCells += 2
 				}
 			}
 		}

@@ -33,14 +33,14 @@ func TestReshardMatchesFreshLoad(t *testing.T) {
 	p := LoadWithPolicy(store, g, ThreeReplica, RingPolicy)
 
 	for _, target := range []int{8, 3} {
-		before, ver := store.TotalRows(), store.Version()
+		before, ver := storedRows(store.Current()), store.Current().Version()
 		if _, err := p.Resize(target); err != nil {
 			t.Fatalf("Resize(%d): %v", target, err)
 		}
-		if got := store.TotalRows(); got != before {
+		if got := storedRows(store.Current()); got != before {
 			t.Fatalf("Resize(%d) changed the row count: %d -> %d", target, before, got)
 		}
-		if got := store.Version(); got != ver+1 {
+		if got := store.Current().Version(); got != ver+1 {
 			t.Fatalf("Resize(%d) moved the epoch %d -> %d, want one epoch", target, ver, got)
 		}
 		if store.N() != target {
@@ -90,7 +90,7 @@ func TestReshardPinnedViewUnchanged(t *testing.T) {
 	old := p.Current()
 	oldRows := make([]int, old.Nodes())
 	for i := range oldRows {
-		oldRows[i] = old.Snap().Node(i).Rows()
+		oldRows[i] = nodeRows(old.Snap().Node(i))
 	}
 
 	if _, err := p.Resize(8); err != nil {
@@ -101,7 +101,7 @@ func TestReshardPinnedViewUnchanged(t *testing.T) {
 		t.Fatalf("pinned view mutated: %d nodes, topo %d", old.Nodes(), old.Topology())
 	}
 	for i := range oldRows {
-		if got := old.Snap().Node(i).Rows(); got != oldRows[i] {
+		if got := nodeRows(old.Snap().Node(i)); got != oldRows[i] {
 			t.Fatalf("pinned view node %d rows %d -> %d", i, oldRows[i], got)
 		}
 	}

@@ -13,7 +13,7 @@
 //
 // Execution is flat from scan to result: a relation is a schema over a
 // mapreduce.Block (width, row count, one []TermID), scans copy matching
-// cells from the partition files' slabs into blocks, joins index row
+// cells from the partition files' keys into blocks, joins index row
 // numbers and append output cells, projections and shuffle emission
 // read and write cells. Every such block belongs to the ExecContext
 // (its per-lane arenas, per-(node, range) intermediate table and

@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"cliquesquare/internal/core"
-	"cliquesquare/internal/dstore"
 	"cliquesquare/internal/mapreduce"
 	"cliquesquare/internal/partition"
 	"cliquesquare/internal/rdf"
@@ -125,11 +124,11 @@ func NewExecContext(lanes int) *ExecContext {
 func (c *ExecContext) lanes() int { return c.pool.Lanes() }
 
 // Executor returns the context's own executor, valid until the next
-// call, on a fresh cluster clock over store priced with k (its job log
-// keeps its array), for one execution; the caller sets Part, Dict, View
-// and ResultCache.
-func (c *ExecContext) Executor(store *dstore.Store, k mapreduce.Constants) *Executor {
-	c.cluster = mapreduce.Cluster{Store: store, C: k, Jobs: c.cluster.Jobs[:0]}
+// call, on a fresh cluster clock priced with k (its job log keeps its
+// array), for one execution; the caller sets Part, Dict, View and
+// ResultCache.
+func (c *ExecContext) Executor(k mapreduce.Constants) *Executor {
+	c.cluster = mapreduce.Cluster{C: k, Jobs: c.cluster.Jobs[:0]}
 	c.x = Executor{Cluster: &c.cluster, Ctx: c}
 	return &c.x
 }

@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"cliquesquare/internal/core"
+	"cliquesquare/internal/dstore"
 	"cliquesquare/internal/mapreduce"
 	"cliquesquare/internal/partition"
 	"cliquesquare/internal/rdf"
@@ -123,6 +124,9 @@ func (x *Executor) Run(pp *Plan, use func(res *Result, rows Rows) error) error {
 	if x.view == nil {
 		x.view = x.Part.Current()
 	}
+	// Route by the pinned view's size, not the store's live size: a
+	// reshard may resize the store mid-query.
+	x.Cluster.Nodes = x.view.Nodes()
 	jobsBefore := len(x.Cluster.Jobs)
 	workBefore := x.Cluster.TotalWork()
 
@@ -198,9 +202,6 @@ func (x *Executor) runLevel(pp *Plan, l int, rec *mapreduce.JobRecord) *mapreduc
 		Pool:    x.Ctx.pool,
 		Scratch: &x.Ctx.shuffle,
 		Record:  rec,
-		// Route by the pinned view's size, not the store's live size:
-		// a reshard may resize the store mid-query.
-		Nodes: x.view.Nodes(),
 	})
 	x.sinkJob()
 	return out
@@ -534,11 +535,11 @@ func scanFile(f partition.File, m *mapreduce.Meter, a *arena, dst *mapreduce.Blo
 // scanRun filters the rows of run r by the pattern's subject and object
 // constants key (NoTerm: none) and its repeated-variable checks, and
 // copies the variable columns of every match onto dst, reading each row
-// as a triple: its stored cells — (s, o) or an object file's (o, s) —
-// over the cells the scanned file's name fixes, and returns how many
-// match; a nil dst only counts them. Rows the run holds for another node
-// are skipped. Every row of a run matches its first cell's constant, so
-// with no other filter the count is the run's length.
+// as a triple: its stored key's cells — (s, o) or an object file's
+// (o, s) — over the cells the scanned file's name fixes, and returns how
+// many match; a nil dst only counts them. Rows the run holds for another
+// node are skipped. Every row of a run matches its placed cell's
+// constant, so with no other filter the count is the run's length.
 func scanRun(r partition.Run, fixed, key [3]rdf.TermID, a *arena, dst *mapreduce.Block) (n int) {
 	varPos, repeats := a.scanVarPos, a.scanRepeats
 	s, o := key[rdf.SPos], key[rdf.OPos]
@@ -549,11 +550,10 @@ func scanRun(r partition.Run, fixed, key [3]rdf.TermID, a *arena, dst *mapreduce
 	if r.Lo == r.Hi || dst == nil && key[second] == rdf.NoTerm && len(repeats) == 0 && r.KeepsAll() {
 		return r.Hi - r.Lo
 	}
-	slab := r.F.Slab()
 	c := fixed
 rows:
-	for i := r.Lo; i < r.Hi; i++ {
-		c[first], c[second] = slab[2*i], slab[2*i+1]
+	for _, k := range r.F.Keys()[r.Lo:r.Hi] {
+		c[first], c[second] = dstore.Cells(k)
 		if s != rdf.NoTerm && c[rdf.SPos] != s || o != rdf.NoTerm && c[rdf.OPos] != o || !r.Keeps(c[second]) {
 			continue
 		}

@@ -69,7 +69,7 @@ func TestScanReadsFixedCells(t *testing.T) {
 	for _, mode := range []partition.Mode{partition.ThreeReplica, partition.SubjectOnly} {
 		store := dstore.NewStore(3)
 		x := &Executor{
-			Cluster: mapreduce.NewCluster(store, mapreduce.DefaultConstants()),
+			Cluster: mapreduce.NewCluster(store.N(), mapreduce.DefaultConstants()),
 			Part:    partition.LoadWithPolicy(store, g, mode, nil),
 			Dict:    g.Dict,
 		}
@@ -106,7 +106,7 @@ func TestScanReadsFixedCells(t *testing.T) {
 		label := fmt.Sprintf("%v/join", mode)
 		var got [2]int64
 		for k, c := range []mapreduce.Constants{{Read: 1}, {Check: 1}} {
-			x.Cluster = mapreduce.NewCluster(store, c)
+			x.Cluster = mapreduce.NewCluster(store.N(), c)
 			r, err := x.Execute(pp)
 			if err != nil {
 				t.Fatal(err)
@@ -137,7 +137,7 @@ func TestScanClassFilesSharingANode(t *testing.T) {
 	g.AddSPO("m1", "knows", "m2")
 	store := dstore.NewStore(2)
 	x := &Executor{
-		Cluster: mapreduce.NewCluster(store, mapreduce.DefaultConstants()),
+		Cluster: mapreduce.NewCluster(store.N(), mapreduce.DefaultConstants()),
 		Part:    partition.LoadWithPolicy(store, g, partition.ThreeReplica, nil),
 		Dict:    g.Dict,
 	}

@@ -41,7 +41,7 @@ SELECT ?x ?p ?y ?n WHERE { ?x ?p ?y . ?x ub:name ?n }`)
 				policy, _ := partition.PolicyByName(placement)
 				store := dstore.NewStore(7)
 				x := &Executor{
-					Cluster: mapreduce.NewCluster(store, mapreduce.DefaultConstants()),
+					Cluster: mapreduce.NewCluster(store.N(), mapreduce.DefaultConstants()),
 					Part:    partition.LoadWithPolicy(store, g, mode, policy),
 					Dict:    g.Dict,
 					Ctx:     NewExecContext(2),

@@ -17,7 +17,7 @@ func subjOnlyExec(g *rdf.Graph, n int) *Executor {
 	store := dstore.NewStore(n)
 	part := partition.LoadWithPolicy(store, g, partition.SubjectOnly, nil)
 	return &Executor{
-		Cluster: mapreduce.NewCluster(store, mapreduce.DefaultConstants()),
+		Cluster: mapreduce.NewCluster(store.N(), mapreduce.DefaultConstants()),
 		Part:    part,
 		Dict:    g.Dict,
 	}
@@ -105,8 +105,15 @@ func TestSubjectOnlyStorageIsOneReplica(t *testing.T) {
 	g := testGraph()
 	store := dstore.NewStore(3)
 	partition.LoadWithPolicy(store, g, partition.SubjectOnly, nil)
-	if store.TotalRows() != g.Len() {
-		t.Errorf("subject-only stored %d rows, want %d (one replica)", store.TotalRows(), g.Len())
+	stored, snap := 0, store.Current()
+	for i := 0; i < snap.N(); i++ {
+		for _, name := range snap.Node(i).Names() {
+			f, _ := snap.Node(i).Get(name)
+			stored += f.NumRows()
+		}
+	}
+	if stored != g.Len() {
+		t.Errorf("subject-only stored %d rows, want %d (one replica)", stored, g.Len())
 	}
 	if got := partition.SubjectOnly.String(); got != "subject-only" {
 		t.Errorf("mode name = %q", got)

@@ -40,7 +40,7 @@ func testGraph() *rdf.Graph {
 func newExec(g *rdf.Graph, n int) *Executor {
 	store := dstore.NewStore(n)
 	part := partition.LoadWithPolicy(store, g, partition.ThreeReplica, nil)
-	cl := mapreduce.NewCluster(store, mapreduce.DefaultConstants())
+	cl := mapreduce.NewCluster(store.N(), mapreduce.DefaultConstants())
 	return &Executor{Cluster: cl, Part: part, Dict: g.Dict}
 }
 

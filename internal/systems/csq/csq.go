@@ -125,9 +125,8 @@ type Engine struct {
 	// The partitioned store is the engine's only copy of the data (the
 	// replicas are the dataset, Section 5.1): of the graph it is built
 	// from the engine keeps the dictionary, shared with its caller.
-	dict  *rdf.Dict
-	store *dstore.Store
-	part  *partition.Partitioner
+	dict *rdf.Dict
+	part *partition.Partitioner
 	// shim is what Graph returns: no triples, the engine's dictionary.
 	shim *rdf.Graph
 	// cache maps canonical query fingerprints to versioned plan
@@ -226,7 +225,6 @@ func newEngine(cfg Config, dict *rdf.Dict, triples []rdf.Triple, store *dstore.S
 	e := &Engine{
 		cfg:   cfg,
 		dict:  dict,
-		store: store,
 		part:  partition.New(store, cfg.Partitioning, cfg.mustPolicy()),
 		shim:  &rdf.Graph{Dict: dict},
 		slots: make(chan struct{}, runtime.GOMAXPROCS(0)),
@@ -330,7 +328,7 @@ type UpdateStats struct {
 	DictBytes  uint64
 	StatsBytes uint64
 	// StoreBytes is what the current epoch's partition files hold,
-	// computed from capacities: the sorted cell slabs of the subject and
+	// computed from capacities: the sorted key arrays of the subject and
 	// object replicas and the files' headers and names (the property
 	// replica holds no cells). Reads never move it.
 	StoreBytes uint64
@@ -526,7 +524,7 @@ func (e *Engine) executor() (*physical.Executor, error) {
 		c = physical.NewExecContext(e.cfg.Parallelism)
 		c.StatsSink = e.cfg.StatsSink
 	}
-	x := c.Executor(e.store, e.cfg.Constants)
+	x := c.Executor(e.cfg.Constants)
 	x.Part, x.Dict, x.ResultCache = e.part, e.dict, e.res
 	// Pin the epoch in the partitioner's registry for the duration: a
 	// checkpoint's watermark then never garbage-collects the WAL

@@ -169,7 +169,8 @@ func (e *Engine) checkpoint() error {
 // The inserts come out in the log's codec order, which Create and
 // WriteCheckpoint would otherwise sort them into by comparing whole
 // triples. The replica lists properties in ascending order, so sorting
-// each property's rows as packed s<<32|o keys is enough, and cheaper.
+// each property's rows by their subject-file keys (dstore.Key) is
+// enough, and cheaper.
 func (e *Engine) snapshot() *wal.Record {
 	v := e.part.Current()
 	b := &wal.Record{
@@ -185,11 +186,11 @@ func (e *Engine) snapshot() *wal.Record {
 		run := b.Inserts[from:]
 		keys = keys[:0]
 		for _, t := range run {
-			keys = append(keys, uint64(t.S)<<32|uint64(t.O))
+			keys = append(keys, dstore.Key(t.S, t.O))
 		}
 		slices.Sort(keys)
 		for i, k := range keys {
-			run[i].S, run[i].O = rdf.TermID(k>>32), rdf.TermID(k)
+			run[i].S, run[i].O = dstore.Cells(k)
 		}
 	}
 	v.EachTriple(rdf.NoTerm, func(t rdf.Triple) {

@@ -13,7 +13,6 @@ import (
 	"sort"
 
 	"cliquesquare/internal/cost"
-	"cliquesquare/internal/dstore"
 	"cliquesquare/internal/index"
 	"cliquesquare/internal/mapreduce"
 	"cliquesquare/internal/rdf"
@@ -141,7 +140,7 @@ func (e *Engine) Run(q *sparql.Query) (*systems.RunResult, error) {
 	// relation is range-partitioned over the nodes for the map phase;
 	// the next pattern is scanned from the global index (each node
 	// scans its share of the index region).
-	cl := mapreduce.NewCluster(dstore.NewStore(e.cfg.Nodes), c)
+	cl := mapreduce.NewCluster(e.cfg.Nodes, c)
 	accVars, accRows := e.scanPattern(q.Patterns[order[0]])
 	for k := 1; k < len(order); k++ {
 		tp := q.Patterns[order[k]]

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"sort"
 
-	"cliquesquare/internal/dstore"
 	"cliquesquare/internal/index"
 	"cliquesquare/internal/mapreduce"
 	"cliquesquare/internal/partition"
@@ -280,7 +279,7 @@ func (e *Engine) Run(q *sparql.Query) (*systems.RunResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("shapesim: %s: %w", q.Name, err)
 	}
-	cl := mapreduce.NewCluster(dstore.NewStore(e.cfg.Nodes), c)
+	cl := mapreduce.NewCluster(e.cfg.Nodes, c)
 	accVars := subs[order[0]].vars
 	accRows := subs[order[0]].perNode
 	accEvalCharged := false

@@ -97,7 +97,7 @@ func newLifetimeFixture(t *testing.T) *lifetimeFixture {
 // engine does — with the given result cache (nil for none).
 func (f *lifetimeFixture) executor(ctx *physical.ExecContext, rc *rescache.Cache) *physical.Executor {
 	return &physical.Executor{
-		Cluster:     mapreduce.NewCluster(f.store, f.cfg.Constants),
+		Cluster:     mapreduce.NewCluster(f.store.N(), f.cfg.Constants),
 		Part:        f.part,
 		Dict:        f.g.Dict,
 		Ctx:         ctx,

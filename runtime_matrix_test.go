@@ -49,7 +49,7 @@ func TestMorselDeterminismMatrix(t *testing.T) {
 	execute := func(ctx *physical.ExecContext, pp *physical.Plan) *physical.Result {
 		t.Helper()
 		x := &physical.Executor{
-			Cluster: mapreduce.NewCluster(store, cfg.Constants),
+			Cluster: mapreduce.NewCluster(store.N(), cfg.Constants),
 			Part:    part,
 			Dict:    g.Dict,
 			Ctx:     ctx,
