@@ -135,26 +135,27 @@ const (
 	residentWithGraphCeiling = 62.7
 	// residentWarmCeiling bounds the same engine, graph dropped, after
 	// three passes of the 14 LUBM queries on two lanes: 1.05× the
-	// measured 55.6 (54.4–55.6) — the idle 35.5, and 19–20 of statistics
-	// catalog, cached plans and execution context; reads build nothing in
-	// the store, whose files are sorted and carry no index. The buffer
-	// pool, what the hungriest query occupied, is about 2.0 MB
-	// (1.94–2.15): 12.5 B/triple. Since map joins merge their sorted
-	// inputs and build no hash tables it reads 52.2, the pool 1.60 MB:
-	// 10.1 B/triple. The catalog holds the 20 patterns'
-	// 91,931 bindings in sorted (id, count) arrays, 5.0 B/triple. It read
-	// 56.6–56.7 when scans and presence tests built column indexes on the
-	// files; 65.2 (64.1–65.2) with the property replica stored;
-	// 71.0–71.9, the pool 3.1 MB, when arena scratch lived until the end
-	// of the execution, freed pieces went to power-of-two classes without
-	// merging and the final merge kept a 4-byte order per surviving row;
-	// 79.9–81.0 with the catalog's bindings in maps; 89.3–90.1 when a
+	// measured 47.3 — the idle 35.5, the execution context's buffer pool
+	// (what the hungriest query occupied, 1.60 MB: 10.1 B/triple), and
+	// under 2 of cached plans and statistics catalog, whose 20 patterns
+	// keep counts, not bindings: 12.7 KB, 0.08 B/triple, at any scale.
+	// Reads build nothing in the store, whose files are sorted and carry
+	// no index. It read 52.2–52.3 while the catalog held the 20 patterns'
+	// 91,931 bindings in sorted (id, count) arrays, 5.0 B/triple; 55.6
+	// (54.4–55.6), the pool about 2.0 MB, before map joins merged their
+	// sorted inputs and built no hash tables; 56.6–56.7 when scans and
+	// presence tests built column indexes on the files; 65.2 (64.1–65.2)
+	// with the property replica stored; 71.0–71.9, the pool 3.1 MB, when
+	// arena scratch lived until the end of the execution, freed pieces
+	// went to power-of-two classes without merging and the final merge
+	// kept a 4-byte order per surviving row; 79.9–81.0 with the
+	// catalog's bindings in maps; 89.3–90.1 when a
 	// shuffled tuple had a record in its bucket and a copy in its
 	// destination's array, the final merge sorted row numbers beside
 	// their order and a map-only root join wrote a block the projection
 	// copied; 125.2 when every scratch position kept its own largest-ever
 	// array and every single-slot pattern a binding map.
-	residentWarmCeiling = 58.4
+	residentWarmCeiling = 49.7
 	// unaccountedCeiling bounds the bytes a two-lane engine holds, once
 	// it has answered the 14 LUBM queries, that no UpdateStats account
 	// counts: its plan-cache entries, compiled candidates and
@@ -622,6 +623,30 @@ func TestAllocResidentAccount(t *testing.T) {
 			t.Logf("%d universities: the engine accounts for %d B, the heap holds %d: %.3f×, %d B unaccounted", univ, sum, engineHeap, r, rest)
 		}
 		eng.Close()
+	}
+}
+
+// TestStatsBytesIndependentOfSize: the statistics catalog keeps counts,
+// not bindings, so what it holds once it has answered the 14 LUBM
+// queries — their 20 patterns, with their constants, and 14 layouts —
+// is the same number of bytes at 5 universities as at 20. When the
+// patterns kept binding arrays it grew with the data, 5 B a triple.
+func TestStatsBytesIndependentOfSize(t *testing.T) {
+	var bytes [2]uint64
+	for i, univ := range []int{5, 20} {
+		eng, err := NewEngine(lubm.Generate(lubm.DefaultConfig(univ)), Options{Parallelism: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		queryAll(t, eng, lubm.Queries())
+		us := eng.UpdateStats()
+		if bytes[i] = us.StatsBytes; us.StatsPatterns != 20 {
+			t.Errorf("%d universities: %d patterns resident, want 20", univ, us.StatsPatterns)
+		}
+		eng.Close()
+	}
+	if bytes[0] != bytes[1] {
+		t.Errorf("StatsBytes %d at 5 universities, %d at 20: the catalog grows with the data", bytes[0], bytes[1])
 	}
 }
 

@@ -15,11 +15,11 @@ import (
 
 // Catalog holds the statistics of distinct triple patterns, once,
 // whatever number of queries share a pattern: its match count and, for a
-// pattern of two or three variable slots, one binding multiset per slot,
-// which is what lets Apply keep them exact under deletes: (id, count)
-// arrays sorted by id, 8 bytes a binding (see bindings). A pattern of
-// one slot (?x a C, ?x p <c>, ?x p ?x) keeps none: its matches differ
-// only in that slot, so its distinct count is its match count.
+// pattern of two or three variable slots, the distinct count of each
+// slot — counts, not bindings, so a pattern weighs the same at any scale.
+// A pattern of one slot (?x a C, ?x p <c>, ?x p ?x) keeps none: its
+// matches differ only in that slot, so its distinct count is its match
+// count.
 //
 // Snapshot looks a query's patterns up, creating the ones the catalog
 // lacks, fills from the catalog's view, outside its mutex, those whose
@@ -49,18 +49,17 @@ type Catalog struct {
 	view         Source             // the data at version, which fills read
 	version      uint64
 	fills, folds uint64
+	changes      []change // Apply's scratch: a pattern's changes per slot value
 }
 
 const (
-	// budgetBytes is the weight of filled patterns a catalog keeps. The
-	// 20 patterns of the 14 LUBM queries weigh 4.7 B per triple (0.75 MB
-	// at 100 universities), so it holds them up to 9,000 universities.
+	// budgetBytes is the weight of filled patterns a catalog keeps: about
+	// 200,000 patterns of short constants, at any scale (the 20 patterns
+	// of the 14 LUBM queries weigh 7 KB).
 	budgetBytes = 64 << 20
-	// A pattern weighs patternBytes (the entry, its map slot and its
-	// binding arrays' headers), its constants' bytes, and bindingBytes
-	// (an id and a count) per binding its arrays hold.
-	patternBytes = 512
-	bindingBytes = 8
+	// A pattern weighs patternBytes (the entry and its map slot, rounded
+	// up) and its constants' bytes.
+	patternBytes = 256
 	// layoutCap bounds the written shapes a catalog keeps layouts of: a
 	// workload has few, the bound only guards pathological churn.
 	layoutCap = 256
@@ -114,7 +113,7 @@ type pattern struct {
 	claimed    bool     // a Snapshot is filling it from the data at version
 	filled     bool     // it holds the counts of the data at version
 	version    uint64   // Apply moves it while the pattern is listed
-	weight     int64    // its share of Catalog.weight while listed
+	weight     int64    // patternBytes and its constants' bytes
 	prev, next *pattern // the recency list; nil when not listed
 
 	// The matcher. id[p] is the constant at position p where the consts
@@ -127,63 +126,20 @@ type pattern struct {
 	pos                 [3]rdf.Pos
 	slots               int
 
-	n    int        // matching triples
-	bind []bindings // bind[k]: the binding multiset of slot k; nil for one slot
-}
-
-// binding is a value of a variable slot and its number of matches.
-type binding struct {
-	id rdf.TermID
-	n  int32
-}
-
-func byID(b binding, id rdf.TermID) int { return cmp.Compare(b.id, id) }
-
-// bindings is one slot's binding multiset: all, sorted by id, as a fill
-// counted it, and pending, sorted by id, the ids Apply met since that
-// all lacks. A count Apply takes to 0 stays, a tombstone (dead counts
-// them) a later insert revives; once pending and the tombstones outgrow
-// an eighth of all, pending merges into it and the tombstones leave.
-// The slot's distinct count is len(all) + len(pending) - dead.
-type bindings struct {
-	all, pending []binding
-	dead         int
-}
-
-// add adds d to the count of id. A new id enters pending as a revived
-// tombstone, at the end when the dictionary assigned it last.
-func (b *bindings) add(id rdf.TermID, d int32) {
-	bs := b.all
-	i, ok := slices.BinarySearchFunc(bs, id, byID)
-	if !ok {
-		bs = b.pending
-		if i, ok = slices.BinarySearchFunc(bs, id, byID); !ok {
-			bs = slices.Insert(bs, i, binding{id: id})
-			b.pending, b.dead = bs, b.dead+1
-		}
-	}
-	if bs[i].n == 0 {
-		b.dead--
-	}
-	if bs[i].n += d; bs[i].n == 0 {
-		b.dead++
-	}
-	if len(b.pending)+b.dead > len(b.all)/8 { // O(n log n), after n/8 changes
-		b.all = slices.DeleteFunc(append(b.all, b.pending...), func(x binding) bool { return x.n == 0 })
-		slices.SortFunc(b.all, func(x, y binding) int { return cmp.Compare(x.id, y.id) })
-		b.pending, b.dead = b.pending[:0], 0
-	}
+	n        int    // matching triples
+	distinct [3]int // distinct[k]: the values slot k takes; kept for two slots or three
 }
 
 // newPattern returns an unfilled entry for k, its constants cloned: a
 // key built by keyOf points into the text of the query it came from, and
 // the entry may outlive that query by far.
 func newPattern(k patKey, hash uint64) *pattern {
-	p := &pattern{key: k, hash: hash}
+	p := &pattern{key: k, hash: hash, weight: patternBytes}
 	for i := range k {
 		if k[i].slot == 0 {
 			p.key[i].term.Value = strings.Clone(k[i].term.Value)
 			p.consts |= 1 << i
+			p.weight += int64(len(k[i].term.Value))
 			continue
 		}
 		if int(k[i].slot) > p.slots {
@@ -197,22 +153,7 @@ func newPattern(k patKey, hash uint64) *pattern {
 		}
 	}
 	p.missing = p.consts
-	if p.slots > 1 {
-		p.bind = make([]bindings, p.slots)
-	}
 	return p
-}
-
-// weigh returns p's weight from its lengths (see patternBytes).
-func (p *pattern) weigh() int64 {
-	w := int64(patternBytes)
-	for i := range p.key {
-		w += int64(len(p.key[i].term.Value))
-	}
-	for _, b := range p.bind {
-		w += bindingBytes * int64(len(b.all)+len(b.pending))
-	}
-	return w
 }
 
 // resolve (re-)attempts dictionary resolution of the constants still
@@ -229,67 +170,20 @@ func (p *pattern) resolve(d *rdf.Dict) bool {
 	return p.missing == 0
 }
 
+// counted is the number of slots whose distinct count p keeps: none of
+// a single slot, whose distinct count is the match count.
+func (p *pattern) counted() int {
+	if p.slots == 1 {
+		return 0
+	}
+	return p.slots
+}
+
 func (p *pattern) match(t rdf.Triple) bool {
 	return (p.consts&1 == 0 || t.S == p.id[0]) &&
 		(p.consts&2 == 0 || t.P == p.id[1]) &&
 		(p.consts&4 == 0 || t.O == p.id[2]) &&
 		(p.eq == 0 || (p.eq&1 == 0 || t.S == t.P) && (p.eq&2 == 0 || t.S == t.O) && (p.eq&4 == 0 || t.P == t.O))
-}
-
-// fold counts t in (d = +1) or out (d = -1) if it matches: into the
-// sorted arrays of a filled pattern, or, while a fill counts it, at the
-// binding's id in all.
-func (p *pattern) fold(t rdf.Triple, d int32) {
-	if !p.match(t) {
-		return
-	}
-	p.n += int(d)
-	for k := range p.bind {
-		b, id := &p.bind[k], t.At(p.pos[k])
-		switch {
-		case p.filled:
-			b.add(id, d)
-		case int(id) >= len(b.all): // at least doubled: linear
-			b.all = append(b.all, make([]binding, max(int(id)+1, 2*len(b.all))-len(b.all))...)
-			fallthrough
-		default:
-			b.all[id].n += d
-		}
-	}
-}
-
-// dispatch routes a triple to the patterns it can match: those of its
-// property, a run of byProp (kept sorted by property), and those whose
-// property is a variable.
-type dispatch struct {
-	byProp, anyProp []*pattern
-}
-
-// add routes triples to p, unless a constant of p is still unknown to
-// the dictionary: no triple can match it then.
-func (dp *dispatch) add(d *rdf.Dict, p *pattern) {
-	switch {
-	case !p.resolve(d):
-	case p.consts&2 != 0:
-		i, _ := slices.BinarySearchFunc(dp.byProp, p.id[1], propOf)
-		dp.byProp = slices.Insert(dp.byProp, i, p)
-	default:
-		dp.anyProp = append(dp.anyProp, p)
-	}
-}
-
-func propOf(p *pattern, prop rdf.TermID) int { return cmp.Compare(p.id[1], prop) }
-
-func (dp *dispatch) fold(d int32, ts ...rdf.Triple) {
-	for _, t := range ts {
-		i, _ := slices.BinarySearchFunc(dp.byProp, t.P, propOf)
-		for ; i < len(dp.byProp) && dp.byProp[i].id[1] == t.P; i++ {
-			dp.byProp[i].fold(t, d)
-		}
-		for _, p := range dp.anyProp {
-			p.fold(t, d)
-		}
-	}
 }
 
 // Source is the dataset a fill reads: EachTriple calls fn for every
@@ -299,32 +193,50 @@ type Source interface {
 	EachTriple(prop rdf.TermID, fn func(rdf.Triple))
 }
 
-// fill counts src into the routed patterns, reading no more of it than
-// they can match: their properties' triples while every pattern names
-// its property, everything once as soon as one does not. Then it
-// compacts each slot's counts, sorted as they come, into an array of
-// its allocation's size: linear, no sort.
-func (dp *dispatch) fill(src Source) {
-	one := func(t rdf.Triple) { dp.fold(+1, t) }
-	if len(dp.anyProp) > 0 {
-		src.EachTriple(rdf.NoTerm, one)
-	} else {
-		for i, p := range dp.byProp {
-			if i == 0 || p.id[1] != dp.byProp[i-1].id[1] {
-				src.EachTriple(p.id[1], one)
-			}
+// Counter counts a Source's triples without a scan: Count returns the
+// number of stored triples that match (s, p, o), NoTerm matching any
+// term, or false where only a scan could tell (partition.View).
+type Counter interface {
+	Count(s, p, o rdf.TermID) (n int, ok bool)
+}
+
+// scan counts src into ps, whose constants d resolves, reading no more
+// of it than they can match: their properties' triples while every
+// pattern names its property, everything once as soon as one does not.
+// It counts a slot's distinct values in a bitmap over d's ids, which it
+// drops.
+func scan(d *rdf.Dict, src Source, ps []*pattern) {
+	seen := make([][3][]uint64, len(ps))
+	var props []rdf.TermID
+	for i, p := range ps {
+		if p.resolve(d) { // else a constant unknown to d: p matches nothing
+			props = append(props, p.id[1]) // NoTerm for a variable property
+		}
+		for k := 0; k < p.counted(); k++ {
+			seen[i][k] = make([]uint64, d.Len()/64+1)
 		}
 	}
-	for _, p := range slices.Concat(dp.byProp, dp.anyProp) {
-		for k, b := range p.bind {
-			n := 0
-			for id, x := range b.all {
-				if x.n != 0 {
-					b.all[n], n = binding{rdf.TermID(id), x.n}, n+1
+	one := func(t rdf.Triple) {
+		for i, p := range ps {
+			if !p.match(t) {
+				continue
+			}
+			for k := 0; k < p.counted(); k++ {
+				id := t.At(p.pos[k])
+				if w, b := id>>6, uint64(1)<<(id&63); seen[i][k][w]&b == 0 {
+					seen[i][k][w] |= b
+					p.distinct[k]++
 				}
 			}
-			p.bind[k] = bindings{all: append([]binding(nil), b.all[:n]...)}
+			p.n++
 		}
+	}
+	slices.Sort(props)
+	if props = slices.Compact(props); len(props) > 0 && props[0] == rdf.NoTerm {
+		props = props[:1] // everything, once
+	}
+	for _, prop := range props {
+		src.EachTriple(prop, one)
 	}
 }
 
@@ -401,8 +313,7 @@ func (c *Catalog) Snapshot(d *rdf.Dict, q *sparql.Query) *Stats {
 		ready = true
 		for _, p := range pats {
 			if !p.claimed && (!p.filled || p.version != c.version) {
-				p.claimed, p.filled, p.version, p.n = true, false, c.version, 0
-				clear(p.bind)
+				p.claimed, p.filled, p.version, p.n, p.distinct = true, false, c.version, 0, [3]int{}
 				mine = append(mine, p)
 			}
 			ready = ready && !p.claimed
@@ -419,11 +330,9 @@ func (c *Catalog) Snapshot(d *rdf.Dict, q *sparql.Query) *Stats {
 	s.version = c.version
 	for i, p := range pats {
 		s.pats[i].card = float64(p.n)
-		for k := range p.bind {
-			s.pats[i].distinct[k] = float64(len(p.bind[k].all) + len(p.bind[k].pending) - p.bind[k].dead)
-		}
-		if p.slots == 1 {
-			s.pats[i].distinct[0] = float64(p.n)
+		s.pats[i].distinct[0] = float64(p.n)
+		for k := 0; k < p.counted(); k++ {
+			s.pats[i].distinct[k] = float64(p.distinct[k])
 		}
 	}
 	c.mu.Unlock()
@@ -440,12 +349,11 @@ func (c *Catalog) fill(d *rdf.Dict, src Source, mine []*pattern) {
 		c.mu.Lock()
 		for _, p := range mine {
 			if p.claimed, p.filled = false, filled && p.version == c.version; !p.filled {
-				p.n = 0
-				clear(p.bind)
+				p.n, p.distinct = 0, [3]int{}
 				continue
 			}
 			c.fills++
-			if p.weight = p.weigh(); p.weight > c.budget && c.pats[p.hash] == p {
+			if p.weight > c.budget && c.pats[p.hash] == p {
 				delete(c.pats, p.hash)
 			}
 			if c.pats[p.hash] == p {
@@ -457,11 +365,7 @@ func (c *Catalog) fill(d *rdf.Dict, src Source, mine []*pattern) {
 		c.mu.Unlock()
 		c.published.Broadcast()
 	}()
-	var dp dispatch
-	for _, p := range mine {
-		dp.add(d, p)
-	}
-	dp.fill(src)
+	scan(d, src, mine)
 	filled = true
 }
 
@@ -502,32 +406,121 @@ func (c *Catalog) unlink(p *pattern) {
 // deletes of triples that were present — what the engine's commit
 // computes) into every resident filled pattern, once per pattern however
 // many queries share it, leaving each identical to a fresh fill of view.
-// Cost is O(|delta| × patterns of the triple's property × log n),
-// amortized, independent of graph size; it allocates nothing once a
-// slot's arrays fit its churn. A pattern being filled, or no longer
-// resident, is not folded: it stays at its version, and the next
-// snapshot that reads it fills it again. An empty delta (a resize) only
-// moves the versions. Patterns the delta made heavier may push the
-// catalog over its budget; the least recent then leave.
+// A slot's distinct count moves by the values the delta took from no
+// match to some or back: their matches now, less the delta's net change
+// to them, are their matches before. A Counter view counts them by
+// search; where it cannot, or view is no Counter, or the pattern repeats
+// a variable beside another, one pass over the pattern's property does.
+// Through a Counter a commit costs O(|delta| × patterns + values touched
+// × log |G|) and allocates nothing once the catalog's scratch fits the
+// churn. A pattern being filled, or no longer resident, is not folded:
+// the next snapshot that reads it fills it again. An empty delta (a
+// resize) only moves the versions.
 func (c *Catalog) Apply(view Source, version uint64, d *rdf.Dict, inserts, deletes []rdf.Triple) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.view, c.version = view, version
-	var dp dispatch
 	for p := c.recent.next; p != &c.recent; p = p.next {
 		if p.version = version; len(inserts)+len(deletes) > 0 {
-			dp.add(d, p) // resolving again: the inserts may have introduced a constant
+			c.fold(view, d, p, inserts, deletes)
 			c.folds++
 		}
 	}
-	dp.fold(+1, inserts...)
-	dp.fold(-1, deletes...)
-	c.weight = 0
-	for p := c.recent.next; p != &c.recent; p = p.next {
-		p.weight = p.weigh()
-		c.weight += p.weight
+}
+
+// change is what a commit did to one value of one variable slot of a
+// pattern: the net change to its matches, and the matches it has after.
+type change struct {
+	slot       int
+	id         rdf.TermID
+	net, after int
+}
+
+func byValue(x, y change) int {
+	return cmp.Or(cmp.Compare(x.slot, y.slot), cmp.Compare(x.id, y.id))
+}
+
+// fold moves p's counts to view by a commit's delta (see Apply).
+func (c *Catalog) fold(view Source, d *rdf.Dict, p *pattern, inserts, deletes []rdf.Triple) {
+	p.resolve(d) // the inserts may have introduced a constant
+	ch := c.changes[:0]
+	for _, delta := range [2]struct {
+		ts []rdf.Triple
+		d  int
+	}{{inserts, 1}, {deletes, -1}} {
+		for _, t := range delta.ts {
+			if !p.match(t) {
+				continue
+			}
+			for k := 0; k < p.counted(); k++ {
+				ch = append(ch, change{slot: k, id: t.At(p.pos[k]), net: delta.d})
+			}
+			p.n += delta.d
+		}
 	}
-	c.evict()
+	slices.SortFunc(ch, byValue)
+	n := 0 // the values, each with its net change
+	for _, x := range ch {
+		if n > 0 && byValue(ch[n-1], x) == 0 {
+			ch[n-1].net += x.net
+		} else {
+			ch[n], n = x, n+1
+		}
+	}
+	ch = slices.DeleteFunc(ch[:n], func(x change) bool { return x.net == 0 })
+	cnt, ok := view.(Counter)
+	ok = ok && p.eq == 0
+	for i := 0; ok && i < len(ch); i++ {
+		at := p.id // NoTerm at every variable position
+		at[p.pos[ch[i].slot]] = ch[i].id
+		ch[i].after, ok = cnt.Count(at[0], at[1], at[2])
+	}
+	if !ok && len(ch) > 0 {
+		for i := range ch {
+			ch[i].after = 0
+		}
+		view.EachTriple(p.id[1], func(t rdf.Triple) {
+			if !p.match(t) {
+				return
+			}
+			for k := 0; k < p.slots; k++ {
+				if i, found := slices.BinarySearchFunc(ch, change{slot: k, id: t.At(p.pos[k])}, byValue); found {
+					ch[i].after++
+				}
+			}
+		})
+	}
+	for _, x := range ch {
+		switch x.after {
+		case x.net: // no match before the commit
+			p.distinct[x.slot]++
+		case 0: // none after it
+			p.distinct[x.slot]--
+		}
+	}
+	c.changes = ch[:0]
+}
+
+// mapBytes estimates from its length what a map of n entries of slot
+// bytes each holds: 88 B of header, directory and table, and a slot and
+// a control byte per slot, at least eight slots, doubled until at most
+// seven in eight are full.
+func mapBytes(n, slot int) int {
+	c := 8
+	for c*7/8 < n {
+		c *= 2
+	}
+	return 88 + c*(slot+1)
+}
+
+// allocBytes is about what the allocator hands out for n bytes: n
+// itself up to 16 B (small strings share blocks), then a multiple of
+// 16 B — the size classes up to 256 B but 24 B; coarser beyond.
+func allocBytes(n int) int {
+	if n <= 16 {
+		return n
+	}
+	return (n + 15) &^ 15
 }
 
 // Counters reports the patterns resident now and, since construction,
@@ -540,22 +533,23 @@ func (c *Catalog) Counters() (patterns int, fills, folds uint64) {
 }
 
 // Bytes is the memory the catalog holds, counted from the lengths and
-// capacities of its patterns, their constants and binding arrays, and
-// its layouts.
+// capacities of its patterns and their constants, Apply's scratch, its
+// layouts and its two maps, each piece as the allocator holds it.
 func (c *Catalog) Bytes() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	b := 0
+	b := int(unsafe.Sizeof(*c)) + int(unsafe.Sizeof(change{}))*cap(c.changes) +
+		mapBytes(len(c.pats), int(unsafe.Sizeof(uint64(0))+unsafe.Sizeof(c.recent.next))) +
+		mapBytes(len(c.layouts), int(unsafe.Sizeof("")+unsafe.Sizeof(c.recent.next)))
 	for _, p := range c.pats {
-		if p.filled { // else a fill is writing it, outside the mutex
-			b += int(unsafe.Sizeof(*p)) + len(p.key[0].term.Value) + len(p.key[1].term.Value) + len(p.key[2].term.Value)
-			for _, bs := range p.bind {
-				b += bindingBytes * (cap(bs.all) + cap(bs.pending))
-			}
+		b += allocBytes(int(unsafe.Sizeof(*p)))
+		for i := range p.key {
+			b += allocBytes(len(p.key[i].term.Value))
 		}
 	}
 	for _, l := range c.layouts {
-		b += int(unsafe.Sizeof(*l)) + len(l.shape) + cap(l.filtered) + int(unsafe.Sizeof(l.slots[0]))*cap(l.slots) + int(unsafe.Sizeof(""))*cap(l.vars)
+		b += allocBytes(int(unsafe.Sizeof(*l))) + allocBytes(len(l.shape)) + allocBytes(cap(l.filtered)) +
+			allocBytes(int(unsafe.Sizeof(l.slots[0]))*cap(l.slots)) + allocBytes(int(unsafe.Sizeof(""))*cap(l.vars))
 		for _, v := range l.vars {
 			b += len(v)
 		}

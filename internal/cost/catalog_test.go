@@ -1,16 +1,18 @@
 package cost
 
 import (
-	"cmp"
 	"fmt"
 	"math/rand"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"unsafe"
 
+	"cliquesquare/internal/dstore"
 	"cliquesquare/internal/lubm"
+	"cliquesquare/internal/partition"
 	"cliquesquare/internal/rdf"
 	"cliquesquare/internal/sparql"
 )
@@ -28,21 +30,11 @@ func checkResident(t *testing.T, c *Catalog, d *rdf.Dict, src Source, step strin
 	for p := c.recent.next; p != &c.recent; p = p.next {
 		listed++
 		weight += p.weight
-		if !p.filled || c.pats[p.hash] != p || p.weight != p.weigh() {
-			t.Errorf("%s: %v listed: filled %v, resident %v, weight %d of %d",
-				step, p.key, p.filled, c.pats[p.hash] == p, p.weight, p.weigh())
+		if !p.filled || c.pats[p.hash] != p {
+			t.Errorf("%s: %v listed: filled %v, resident %v", step, p.key, p.filled, c.pats[p.hash] == p)
 		}
-		f := newPattern(p.key, p.hash)
-		var dp dispatch
-		dp.add(d, f)
-		dp.fill(src)
-		if f.n != p.n {
-			t.Errorf("%s: %v holds %d matches, a fresh fill %d", step, p.key, p.n, f.n)
-		}
-		for k := range p.bind {
-			if err := p.bind[k].matches(&f.bind[k]); err != nil {
-				t.Errorf("%s: %v slot %d: %v", step, p.key, k, err)
-			}
+		if f := freshFill(d, src, p); f.n != p.n || f.distinct != p.distinct {
+			t.Errorf("%s: %v holds %d matches and distinct counts %v, a fresh fill %d and %v", step, p.key, p.n, p.distinct, f.n, f.distinct)
 		}
 	}
 	filled := 0
@@ -57,36 +49,11 @@ func checkResident(t *testing.T, c *Catalog, d *rdf.Dict, src Source, step strin
 	}
 }
 
-// matches reports how maintained bindings b differ from want, a fresh
-// fill's, or break their invariants: both arrays sorted by id and
-// disjoint, dead exact, pending and tombstones within an eighth of all,
-// and the bindings with a count the ones want holds, in want's array
-// alone.
-func (b *bindings) matches(want *bindings) error {
-	if want.pending != nil || want.dead != 0 || slices.ContainsFunc(want.all, func(x binding) bool { return x.n == 0 }) {
-		return fmt.Errorf("a fresh fill keeps %d pending, %d dead, or a 0 count", len(want.pending), want.dead)
-	}
-	byID := func(x, y binding) int { return cmp.Compare(x.id, y.id) }
-	sorted := func(bs []binding) bool {
-		return slices.IsSortedFunc(bs, byID) &&
-			len(slices.CompactFunc(slices.Clone(bs), func(x, y binding) bool { return x.id == y.id })) == len(bs)
-	}
-	both := append(slices.Clone(b.all), b.pending...)
-	slices.SortFunc(both, byID)
-	dead := len(both)
-	live := slices.DeleteFunc(both, func(x binding) bool { return x.n == 0 })
-	dead -= len(live)
-	switch {
-	case !sorted(b.all) || !sorted(b.pending) || !sorted(live):
-		return fmt.Errorf("arrays out of order or overlapping: %v, pending %v", b.all, b.pending)
-	case dead != b.dead:
-		return fmt.Errorf("%d tombstones, counted %d", dead, b.dead)
-	case len(b.pending)+b.dead > len(b.all)/8:
-		return fmt.Errorf("%d pending and %d tombstones beside %d bindings: past an eighth", len(b.pending), b.dead, len(b.all))
-	case !slices.Equal(live, want.all):
-		return fmt.Errorf("bindings %v maintained, %v fresh", live, want.all)
-	}
-	return nil
+// freshFill returns a pattern of p's key filled from src alone.
+func freshFill(d *rdf.Dict, src Source, p *pattern) *pattern {
+	f := newPattern(p.key, p.hash)
+	scan(d, src, []*pattern{f})
+	return f
 }
 
 // TestCatalogClonesConstants: a resident pattern's constants are its
@@ -225,19 +192,20 @@ func TestCatalogBudgetUnderChurn(t *testing.T) {
 	}
 	checkResident(t, c, g.Dict, final, "after the churn")
 
-	// ?x ?p ?y keeps a binding per subject and per object of the data:
-	// heavier than a budget of a few patterns, which it leaves alone.
+	// A pattern weighs its entry and its constants: one whose constant is
+	// longer than a budget of a few patterns is heavier than that budget,
+	// which leaves it alone.
 	c.mu.Lock()
 	c.budget = 4 * patternBytes
 	c.evict()
 	c.mu.Unlock()
 	before, _, _ := c.Counters()
-	all := sparql.MustParse(`SELECT ?x ?y WHERE { ?x ?p ?y }`)
-	st := c.Snapshot(g.Dict, all)
-	if want := NewStats(final, all); !st.Equal(want) {
+	heavy := sparql.MustParse(fmt.Sprintf(`SELECT ?x ?p WHERE { ?x ?p <%s> }`, strings.Repeat("o", 4*patternBytes)))
+	st := c.Snapshot(g.Dict, heavy)
+	if want := NewStats(final, heavy); !st.Equal(want) {
 		t.Errorf("the heavy pattern's snapshot differs from a fresh one")
 	}
-	if p := resident(c, all)[0]; p != nil {
+	if p := resident(c, heavy)[0]; p != nil {
 		t.Errorf("a pattern of weight %d was retained under a budget of %d", p.weight, c.budget)
 	}
 	if after, _, _ := c.Counters(); before == 0 || after != before {
@@ -251,8 +219,8 @@ func TestCatalogBudgetUnderChurn(t *testing.T) {
 // subject on a sampled triple's property and object — and commit 2i+1
 // puts the deleted back and takes the new ones out. The data keeps
 // returning to where it started while every pair of commits brings
-// new ids, so bindings are tombstoned, revived, filed as pending and
-// merged away.
+// new ids, so a slot's values leave and come back, new ones arrive and
+// go, and its distinct count rises and falls.
 type churn struct {
 	g         *rdf.Graph
 	rng       *rand.Rand
@@ -289,58 +257,77 @@ func lubmCatalog(g *rdf.Graph) *Catalog {
 
 // TestCatalogAlternatingStream folds a 200-commit churn stream into the
 // patterns of the 14 LUBM queries: after every commit every resident
-// slot equals a fresh fill, with its pending bindings and tombstones
-// within an eighth of its array (checkResident). The stream must have
-// left pending bindings and tombstones behind and merged them.
+// pattern's match count and distinct counts equal a fresh fill
+// (checkResident). The stream must have moved some slot's distinct
+// count both up and down.
 func TestCatalogAlternatingStream(t *testing.T) {
 	g := lubm.Generate(lubm.DefaultConfig(1))
 	c := lubmCatalog(g)
 	ch := &churn{g: g, rng: rand.New(rand.NewSource(3)), size: 40}
-	var pending, dead, merged bool
+	type slot struct {
+		p *pattern
+		k int
+	}
+	rose, fell := map[slot]bool{}, map[slot]bool{}
 	for i := 0; i < 200; i++ {
 		ins, dels := ch.next()
-		before := map[*bindings]int{}
+		before := map[slot]int{}
 		for p := c.recent.next; p != &c.recent; p = p.next {
-			for k := range p.bind {
-				before[&p.bind[k]] = len(p.bind[k].pending)
+			for k := 0; k < p.slots && p.slots > 1; k++ {
+				before[slot{p, k}] = p.distinct[k]
 			}
 		}
 		c.Apply(g, uint64(i+2), g.Dict, ins, dels)
 		checkResident(t, c, g.Dict, g, fmt.Sprint("commit ", i))
-		for b, n := range before {
-			pending, dead = pending || len(b.pending) > 0, dead || b.dead > 0
-			merged = merged || n > 0 && len(b.pending) == 0
+		for s, n := range before {
+			rose[s] = rose[s] || s.p.distinct[s.k] > n
+			fell[s] = fell[s] || s.p.distinct[s.k] < n
 		}
 	}
-	if !pending || !dead || !merged {
-		t.Errorf("pending bindings seen %v, tombstones %v, a merge %v: the stream did not exercise them", pending, dead, merged)
+	both := 0
+	for s := range rose {
+		if rose[s] && fell[s] {
+			both++
+		}
+	}
+	if both == 0 {
+		t.Errorf("no slot's distinct count both rose and fell over %d slots: the stream did not exercise Apply", len(rose))
 	}
 }
 
 // TestCatalogApplyIndependentOfSize: what a commit's fold allocates
 // follows its delta, not the data. The 14 LUBM queries' patterns take a
 // churn stream of 200 + 200 triples a commit at 5 and at 20
-// universities; once the binding arrays have grown to the churn, the
-// median bytes Apply allocates per commit at 20 are within 1.1× of
-// those at 5. A merge that copied a slot's array every commit allocates
-// ~4× more. The allocation counter is the process's, so a reading can
-// include what another goroutine allocated meanwhile; the median of 40
-// readings ignores such strays.
+// universities, folded against the mutated graph — which counts nothing,
+// so each fold scans — and against a partition.View of it, which counts
+// by binary search, the engine's path; once the catalog's scratch has
+// grown to the churn, the median bytes Apply allocates per commit at 20
+// are within 1.1× of those at 5. The allocation counter is the
+// process's, so a reading can include what another goroutine allocated
+// meanwhile; the median of 40 readings ignores such strays.
 func TestCatalogApplyIndependentOfSize(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement over a 20-university dataset")
 	}
-	perCommit := func(univ int) uint64 {
+	perCommit := func(univ int, onView bool) uint64 {
 		g := lubm.Generate(lubm.DefaultConfig(univ))
 		c := lubmCatalog(g)
+		var part *partition.Partitioner
+		if onView {
+			part = partition.LoadWithPolicy(dstore.NewStore(7), g, partition.ThreeReplica, nil)
+		}
 		ch := &churn{g: g, rng: rand.New(rand.NewSource(5)), size: 200}
 		const warm, measured = 160, 40
 		var reads []uint64
 		for i := 0; i < warm+measured; i++ {
 			ins, dels := ch.next()
+			var view Source = g
+			if part != nil {
+				view = part.ApplyBatch(ins, dels, g.Dict)
+			}
 			var m0, m1 runtime.MemStats
 			runtime.ReadMemStats(&m0)
-			c.Apply(g, uint64(i+2), g.Dict, ins, dels)
+			c.Apply(view, uint64(i+2), g.Dict, ins, dels)
 			runtime.ReadMemStats(&m1)
 			if i >= warm {
 				reads = append(reads, m1.TotalAlloc-m0.TotalAlloc)
@@ -349,9 +336,132 @@ func TestCatalogApplyIndependentOfSize(t *testing.T) {
 		slices.Sort(reads)
 		return reads[measured/2]
 	}
-	small, large := perCommit(5), perCommit(20)
-	t.Logf("Apply of a 200 + 200 delta: median %d B at 5 universities, %d B at 20", small, large)
-	if float64(large) > 1.1*float64(small) {
-		t.Errorf("Apply allocates a median %d B a commit at 20 universities, %d B at 5: over 1.1×", large, small)
+	for _, onView := range []bool{false, true} {
+		small, large := perCommit(5, onView), perCommit(20, onView)
+		t.Logf("Apply of a 200 + 200 delta (view %v): median %d B at 5 universities, %d B at 20", onView, small, large)
+		if float64(large) > 1.1*float64(small) {
+			t.Errorf("Apply (view %v) allocates a median %d B a commit at 20 universities, %d B at 5: over 1.1×", onView, large, small)
+		}
+	}
+}
+
+// TestCatalogOracleAcrossShapes folds a seeded 200-commit churn, with
+// one resize halfway, into a catalog of a partition.View — under
+// ThreeReplica and SubjectOnly, each under modulo and ring placement —
+// holding patterns of every shape: a constant property, a variable one,
+// a constant subject or object beside a variable property, repeated
+// variables, three variables. After every commit every resident pattern
+// equals a fresh fill of the view (checkResident), and View.Count
+// equals a count over EachTriple for random bound and unbound terms, or
+// reports false exactly where it would have to scan: the object bound
+// alone under SubjectOnly.
+func TestCatalogOracleAcrossShapes(t *testing.T) {
+	var qs []*sparql.Query
+	for _, src := range []string{
+		`SELECT ?x ?y WHERE { ?x <t1> ?y }`,
+		`SELECT ?x WHERE { ?x <t2> <t9> }`,
+		`SELECT ?x ?p ?y WHERE { ?x ?p ?y }`,
+		`SELECT ?p ?o WHERE { <t7> ?p ?o }`,
+		`SELECT ?s ?p WHERE { ?s ?p <t9> }`,
+		`SELECT ?p WHERE { <t7> ?p <t9> }`,
+		`SELECT ?x ?p WHERE { ?x ?p ?x }`,
+		`SELECT ?x ?y WHERE { ?x ?x ?y }`,
+		`SELECT ?x WHERE { ?x <t3> ?x }`,
+	} {
+		qs = append(qs, sparql.MustParse(src))
+	}
+	const terms, props, commits = 30, 5, 200
+	for _, mode := range []partition.Mode{partition.ThreeReplica, partition.SubjectOnly} {
+		for _, policy := range []string{"modulo", "ring"} {
+			t.Run(mode.String()+"/"+policy, func(t *testing.T) {
+				rng := rand.New(rand.NewSource(17))
+				d := rdf.NewDict()
+				var ids []rdf.TermID
+				for i := 0; i < terms; i++ {
+					ids = append(ids, d.EncodeIRI(fmt.Sprintf("t%d", i)))
+				}
+				// random draws a triple whose property is one of the first
+				// props terms, and a fifth of the time also its subject, a
+				// fifth of the time a loop: repeated variables match.
+				random := func() rdf.Triple {
+					tr := rdf.Triple{S: ids[rng.Intn(terms)], P: ids[rng.Intn(props)], O: ids[rng.Intn(terms)]}
+					switch rng.Intn(5) {
+					case 0:
+						tr.S = tr.P
+					case 1:
+						tr.O = tr.S
+					}
+					return tr
+				}
+				pol, _ := partition.PolicyByName(policy)
+				part := partition.New(dstore.NewStore(5), mode, pol)
+				// batch draws up to n deletes of stored triples and n inserts of
+				// absent ones, each once: an effective delta.
+				batch := func(n int) (ins, dels []rdf.Triple) {
+					var all []rdf.Triple
+					part.Current().EachTriple(rdf.NoTerm, func(tr rdf.Triple) { all = append(all, tr) })
+					for i := 0; i < n && len(all) > 0; i++ {
+						if tr := all[rng.Intn(len(all))]; !slices.Contains(dels, tr) {
+							dels = append(dels, tr)
+						}
+					}
+					for i := 0; i < n; i++ {
+						if tr := random(); !part.Current().Contains(tr) && !slices.Contains(ins, tr) {
+							ins = append(ins, tr)
+						}
+					}
+					return ins, dels
+				}
+				ins, _ := batch(300)
+				view := part.ApplyBatch(ins, nil, d)
+				c := NewCatalog(view, view.Version())
+				for _, q := range qs {
+					c.Snapshot(d, q)
+				}
+				for i := 0; i < commits; i++ {
+					if i == commits/2 {
+						if _, err := part.Resize(8); err != nil {
+							t.Fatal(err)
+						}
+						view = part.Current()
+						c.Apply(view, view.Version(), d, nil, nil)
+					}
+					ins, dels := batch(6)
+					view = part.ApplyBatch(ins, dels, d)
+					c.Apply(view, view.Version(), d, ins, dels)
+					step := fmt.Sprint("commit ", i)
+					checkResident(t, c, d, view, step)
+					checkCounts(t, view, mode, rng, ids[:props], ids, step)
+				}
+				if n, _, _ := c.Counters(); n != len(qs) {
+					t.Errorf("%d patterns resident, want %d", n, len(qs))
+				}
+			})
+		}
+	}
+}
+
+// checkCounts holds View.Count of 20 random (s, p, o) — each term bound
+// to one of props or terms, or NoTerm — to a count over EachTriple.
+func checkCounts(t *testing.T, v *partition.View, mode partition.Mode, rng *rand.Rand, props, terms []rdf.TermID, step string) {
+	t.Helper()
+	pick := func(from []rdf.TermID) rdf.TermID {
+		if rng.Intn(2) == 0 {
+			return rdf.NoTerm
+		}
+		return from[rng.Intn(len(from))]
+	}
+	for i := 0; i < 20; i++ {
+		s, p, o := pick(terms), pick(props), pick(terms)
+		want := 0
+		v.EachTriple(rdf.NoTerm, func(tr rdf.Triple) {
+			if (s == rdf.NoTerm || tr.S == s) && (p == rdf.NoTerm || tr.P == p) && (o == rdf.NoTerm || tr.O == o) {
+				want++
+			}
+		})
+		scan := mode == partition.SubjectOnly && s == rdf.NoTerm && o != rdf.NoTerm
+		if n, ok := v.Count(s, p, o); ok == scan || ok && n != want {
+			t.Errorf("%s: Count(%d, %d, %d) = %d, %v; %d triples match, and a scan is needed: %v", step, s, p, o, n, ok, want, scan)
+		}
 	}
 }

@@ -6,8 +6,9 @@
 // cheapest.
 //
 // Statistics come in two layers. A Catalog is the shared, mutable one:
-// per distinct triple pattern the match count and binding multisets,
-// filled from the data once, maintained by commit deltas and retained
+// per distinct triple pattern the match count and each variable's
+// distinct count, filled from the data once, kept exact under commit
+// deltas by counting the values they touch in the data, and retained
 // under a byte budget of its own, least recently used first. A Stats
 // is an immutable snapshot of it for one query at one data version —
 // what a Model reads, so pricing takes no lock and touches nothing

@@ -437,6 +437,38 @@ func TestOpenAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestCountAllocatesNothing: View.Count answers by binary search of the
+// stored replicas without allocating, whichever of s, p and o are bound,
+// and each answer is the number of matching triples.
+func TestCountAllocatesNothing(t *testing.T) {
+	g := sampleGraph()
+	v := LoadWithPolicy(dstore.NewStore(3), g, ThreeReplica, nil).Current()
+	knows, _ := g.Dict.Lookup(rdf.NewIRI("knows"))
+	s0, _ := g.Dict.Lookup(rdf.NewIRI("s0"))
+	s1, _ := g.Dict.Lookup(rdf.NewIRI("s1"))
+	cases := []struct {
+		s, p, o rdf.TermID
+		want    int
+	}{
+		{s0, knows, s1, 1}, {s0, knows, rdf.NoTerm, 1}, {rdf.NoTerm, knows, s1, 1}, {rdf.NoTerm, knows, rdf.NoTerm, 20},
+		{s0, rdf.NoTerm, rdf.NoTerm, 2}, {rdf.NoTerm, rdf.NoTerm, s1, 1}, {rdf.NoTerm, rdf.NoTerm, rdf.NoTerm, 40},
+	}
+	var got [7]int
+	allocs := testing.AllocsPerRun(20, func() {
+		for i, c := range cases {
+			got[i], _ = v.Count(c.s, c.p, c.o)
+		}
+	})
+	for i, c := range cases {
+		if got[i] != c.want {
+			t.Errorf("Count(%d, %d, %d) = %d, want %d", c.s, c.p, c.o, got[i], c.want)
+		}
+	}
+	if allocs != 0 {
+		t.Errorf("Count allocates %v times per pass", allocs)
+	}
+}
+
 // TestPartReadsTheOtherReplica: a constant on the cell a stored file is
 // not placed by reads the constant's run in the other replica — all of
 // it, on the constant's node — while that is the cheaper read, and the

@@ -39,6 +39,7 @@ package partition
 
 import (
 	"maps"
+	"math"
 	"slices"
 	"sort"
 	"strconv"
@@ -301,12 +302,24 @@ func (p *Partitioner) ScanPos(preferred rdf.Pos) rdf.Pos {
 // partition's per-class split.
 func FileName(pos rdf.Pos, prop rdf.TermID, typeObj rdf.TermID) string {
 	var buf [32]byte
-	b := append(buf[:0], pos.String()...)
-	b = strconv.AppendUint(append(b, "/p"...), uint64(prop), 10)
+	return string(appendFileName(buf[:0], pos, prop, typeObj))
+}
+
+func appendFileName(b []byte, pos rdf.Pos, prop rdf.TermID, typeObj rdf.TermID) []byte {
+	b = strconv.AppendUint(append(append(b, pos.String()...), "/p"...), uint64(prop), 10)
 	if typeObj != rdf.NoTerm {
 		b = strconv.AppendUint(append(b, "/o"...), uint64(typeObj), 10)
 	}
-	return string(b)
+	return b
+}
+
+// stored returns the file of property prop in the stored replica
+// placed by pos on node, nil if the node holds none. It allocates
+// nothing.
+func (v *View) stored(node int, pos rdf.Pos, prop rdf.TermID) *dstore.File {
+	var buf [32]byte
+	f, _ := v.snap.Node(node).Get(string(appendFileName(buf[:0], pos, prop, rdf.NoTerm)))
+	return f
 }
 
 // FileTerms parses the cells a partition file's name fixes: its
@@ -535,16 +548,11 @@ func (v *View) Files(tp sparql.TriplePattern, pos rdf.Pos, dict *rdf.Dict) []str
 func (v *View) EachTriple(prop rdf.TermID, fn func(rdf.Triple)) {
 	props := []rdf.TermID{prop}
 	if prop == rdf.NoTerm {
-		props = props[:0]
-		for p := range v.properties {
-			props = append(props, p)
-		}
-		slices.Sort(props)
+		props = slices.Sorted(maps.Keys(v.properties))
 	}
 	for _, p := range props {
-		name := FileName(rdf.SPos, p, 0)
 		for n := 0; n < v.snap.N(); n++ {
-			if f, ok := v.snap.Node(n).Get(name); ok {
+			if f := v.stored(n, rdf.SPos, p); f != nil {
 				for _, k := range f.Keys() {
 					s, o := dstore.Cells(k)
 					fn(rdf.Triple{S: s, P: p, O: o})
@@ -552,6 +560,47 @@ func (v *View) EachTriple(prop rdf.TermID, fn func(rdf.Triple)) {
 			}
 		}
 	}
+}
+
+// AppendTriples appends every triple of the view's epoch to dst in
+// (property, subject, object) order, the log codec's, and returns it:
+// per property, in ascending order, it merges the nodes' subject files,
+// each of which is sorted by (s, o) already — no sort.
+func (v *View) AppendTriples(dst []rdf.Triple) []rdf.Triple {
+	runs := make([][]uint64, 0, v.snap.N())
+	for _, p := range slices.Sorted(maps.Keys(v.properties)) {
+		runs = runs[:0]
+		for n := 0; n < v.snap.N(); n++ {
+			if f := v.stored(n, rdf.SPos, p); f != nil && f.NumRows() > 0 {
+				runs = append(runs, f.Keys())
+			}
+		}
+		for len(runs) > 0 {
+			// Copy the run of the least head up to the next run's head: a
+			// subject's rows are on one node, so a step copies them all.
+			m := 0
+			for i := range runs {
+				if runs[i][0] < runs[m][0] {
+					m = i
+				}
+			}
+			next := uint64(math.MaxUint64)
+			for i := range runs {
+				if i != m && runs[i][0] < next {
+					next = runs[i][0]
+				}
+			}
+			r, j := runs[m], 0
+			for ; j < len(r) && r[j] < next; j++ {
+				s, o := dstore.Cells(r[j])
+				dst = append(dst, rdf.Triple{S: s, P: p, O: o})
+			}
+			if runs[m] = r[j:]; len(runs[m]) == 0 {
+				runs = slices.Delete(runs, m, m+1)
+			}
+		}
+	}
+	return dst
 }
 
 // NumTriples is the number of triples stored at this view's epoch.
@@ -567,13 +616,48 @@ func (v *View) NumTriples() int {
 // search for its (s, o) key in the one subject-replica file that can
 // hold it. It routes through the view's own placement, which every
 // epoch's rows follow: it is the writer's presence test.
-func (v *View) Contains(t rdf.Triple) bool {
-	f, ok := v.snap.Node(v.place.NodeFor(t.S)).Get(FileName(rdf.SPos, t.P, 0))
-	if !ok {
-		return false
+func (v *View) Contains(t rdf.Triple) bool { return v.run(rdf.SPos, t.P, t.S, t.O) > 0 }
+
+// Count returns the number of triples stored at this view's epoch that
+// match (s, p, o), NoTerm matching any term, by binary search of the
+// stored replicas: with s bound, the run of s (or of (s, o)) in the
+// subject file s/p<P> on s's node; with o bound alone, the run of o in
+// the object file o/p<P> on o's node; with neither, the property's
+// count. A variable property sums over the properties. It reports false
+// where only a scan could answer — o bound alone under SubjectOnly,
+// which stores no object replica — and allocates nothing.
+func (v *View) Count(s, p, o rdf.TermID) (int, bool) {
+	switch {
+	case p == rdf.NoTerm:
+		n := 0
+		for prop := range v.properties {
+			c, ok := v.Count(s, prop, o)
+			if !ok {
+				return 0, false
+			}
+			n += c
+		}
+		return n, true
+	case s != rdf.NoTerm:
+		return v.run(rdf.SPos, p, s, o), true
+	case o == rdf.NoTerm:
+		return v.properties[p], true
+	case v.p.mode == SubjectOnly:
+		return 0, false
 	}
-	lo, hi := f.Range(t.S, t.O)
-	return lo < hi
+	return v.run(rdf.OPos, p, o, rdf.NoTerm), true
+}
+
+// run is the number of rows of property prop's file in the stored
+// replica placed by pos whose placed cell is placed and whose other
+// cell is other (NoTerm: any): a binary search on placed's node.
+func (v *View) run(pos rdf.Pos, prop, placed, other rdf.TermID) int {
+	f := v.stored(v.place.NodeFor(placed), pos, prop)
+	if f == nil {
+		return 0
+	}
+	lo, hi := f.Range(placed, other)
+	return hi - lo
 }
 
 // hash mixes a term ID for node placement (splitmix-style finalizer so

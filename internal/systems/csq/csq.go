@@ -323,8 +323,10 @@ type UpdateStats struct {
 	// DictBytes and StatsBytes are the bytes the dictionary and the
 	// statistics catalog hold now, computed from the lengths and
 	// capacities of their arrays: the term pages, span chunks and id
-	// table; the patterns, their binding arrays and the catalog's
-	// layouts.
+	// table; the patterns with their constants, the catalog's commit
+	// scratch and its layouts. The catalog keeps counts, not bindings:
+	// its bytes follow the patterns and shapes asked and the largest
+	// commit, not the data.
 	DictBytes  uint64
 	StatsBytes uint64
 	// StoreBytes is what the current epoch's partition files hold,

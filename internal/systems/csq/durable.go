@@ -164,44 +164,19 @@ func (e *Engine) checkpoint() error {
 // from empty: the dictionary as long as it is now, the view's subject
 // replica as inserts, and its cluster size. It takes no lock: the view
 // is immutable and carries its epoch and topology, and the dictionary,
-// which only grows, held every id of it at publication.
-//
-// The inserts come out in the log's codec order, which Create and
-// WriteCheckpoint would otherwise sort them into by comparing whole
-// triples. The replica lists properties in ascending order, so sorting
-// each property's rows by their subject-file keys (dstore.Key) is
-// enough, and cheaper.
+// which only grows, held every id of it at publication. The inserts
+// come out in the log's codec order, merged from the view's sorted
+// files (View.AppendTriples), which Create and WriteCheckpoint would
+// otherwise sort them into.
 func (e *Engine) snapshot() *wal.Record {
 	v := e.part.Current()
-	b := &wal.Record{
+	return &wal.Record{
 		Epoch:     v.Version(),
 		FirstTerm: 1,
 		Terms:     e.dict.TermsAfter(0),
-		Inserts:   make([]rdf.Triple, 0, v.NumTriples()),
+		Inserts:   v.AppendTriples(make([]rdf.Triple, 0, v.NumTriples())),
 		Topology:  uint32(v.Nodes()),
 	}
-	var keys []uint64
-	from := 0 // the current property's first row
-	sortRows := func() {
-		run := b.Inserts[from:]
-		keys = keys[:0]
-		for _, t := range run {
-			keys = append(keys, dstore.Key(t.S, t.O))
-		}
-		slices.Sort(keys)
-		for i, k := range keys {
-			run[i].S, run[i].O = dstore.Cells(k)
-		}
-	}
-	v.EachTriple(rdf.NoTerm, func(t rdf.Triple) {
-		if n := len(b.Inserts); n > from && b.Inserts[from].P != t.P {
-			sortRows()
-			from = n
-		}
-		b.Inserts = append(b.Inserts, t)
-	})
-	sortRows()
-	return b
 }
 
 // checkpointIfDue writes a checkpoint once the log has outgrown its
