@@ -499,8 +499,8 @@ func BenchmarkFrontEnd(b *testing.B) {
 
 // BenchmarkDecodeCached measures the result boundary on its own: a
 // warmed, result-cached facade Query, where the request is parse, cache
-// probes, replay and decode — of the cache entry's block, read in place,
-// on the context's lanes when the answer is large. Q1 answers ≈10.5k
+// probes, replay and decode — of the cache entry's packed rows, decoded
+// as they are read, on the context's lanes when the answer is large. Q1 answers ≈10.5k
 // rows, Q6 and Q14 a few dozen; B/op is the row index plus the cell
 // slab (24 B/row + 16 B/cell), allocs/op does not depend on the row
 // count.

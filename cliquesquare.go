@@ -507,7 +507,8 @@ func (p *Prepared) PlanCached() bool { return p.cached }
 //
 // The answer leaves the executor once: the ids are decoded where the
 // execution left them — the last job's sorted output, merged as it is
-// read, or a result-cache entry's block — while the execution's context
+// read, or a result-cache entry's packed rows, decoded as they are read
+// and each rendered as it arrives — while the execution's context
 // is still held, a large answer on all of its lanes, and nothing of that
 // source survives the call except dictionary-owned strings.
 func (p *Prepared) Run() (*Result, error) {

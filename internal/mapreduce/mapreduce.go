@@ -30,7 +30,9 @@
 // key cell, the tag and where the tuple's cells are — straight into its destination's
 // array in (source node, morsel, emission) order, and sorting permutes
 // records only; the cells never move again, and no array holds a
-// pointer, so the garbage collector skips them all.
+// pointer, so the garbage collector skips them all. A finished answer
+// kept past its execution (a result-cache entry's) is a Packed: its
+// sorted distinct rows gap-coded against each other, decoded as read.
 //
 // A Scratch holds the positions a run fills — buckets, routed records,
 // slot tables and the per-node output blocks — and carves their bytes
@@ -49,9 +51,10 @@ import (
 	"cliquesquare/internal/rdf"
 )
 
-// Row is one tuple: width cells. Inside the runtime a Row is always a
-// view of some flat array (a Block, a shuffle cell buffer), valid as
-// long as that array is.
+// Row is one tuple: width cells. Inside the runtime a Row is a view of
+// some flat array (a Block, a shuffle cell buffer), valid as long as
+// that array is, or the buffer Packed.Each decodes into, valid until
+// the function it is handed to returns.
 type Row []rdf.TermID
 
 // Block is a flat relation body: N rows of Width cells each, row i at

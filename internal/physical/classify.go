@@ -23,9 +23,10 @@
 // leaves the last job's output sorted in place, and Executor.Run lends
 // it to its caller as a Rows that merges it as it is read, on the
 // context's lanes. Only what outlives an execution is copied into
-// exactly sized blocks of its own: a result-cache entry, which keeps a
-// whole answer (the merged rows and every job's record, keyed by
-// Plan.Key), and the Result.Rows of Execute, for callers that keep ids;
+// exactly sized arrays of its own: a result-cache entry, which keeps a
+// whole answer (the merged rows, packed, and every job's record, keyed
+// by Plan.Key), and the Result.Rows of Execute, for callers that keep
+// ids;
 // Rows.Materialise, behind Execute, is the only place a []Row is built.
 package physical
 

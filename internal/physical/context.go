@@ -37,7 +37,7 @@ import (
 // to its callback as a Rows, which merges again as it is read, valid
 // until the callback returns. What does outlive the execution — the
 // rows Execute returns (Rows.Materialise) and a result-cache entry's
-// answer (Rows.block) — is copied into exactly sized blocks of its own.
+// answer (Rows.pack) — is copied into exactly sized arrays of its own.
 // A result-cache hit reads none of this scratch: it never prepares the
 // context.
 //
@@ -202,10 +202,9 @@ type arena struct {
 	at, lo, hi []int // per join child: the current row's cell offset, the current key's run
 	emitCols   []int // shuffle-key column indexes, hoisted per relation
 
-	// sorter orders a join child that arrives out of key order (sortOn);
-	// sorts counts them.
-	sorter keyRows
-	sorts  int
+	// sorts counts the join children that arrived out of key order
+	// (sortOn).
+	sorts int
 
 	// joinPlans memoizes the schema-derived part of naryJoin (output
 	// column sources, residual checks) keyed on the children's schema

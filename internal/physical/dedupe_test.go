@@ -69,9 +69,9 @@ func sourceRows(r Rows) []mapreduce.Row {
 // (the parts are sorted inline) and on four (large results sort their
 // parts concurrently), with heavy and with light duplication, empty
 // results and zero-row parts included: the rows read through the
-// borrowed source, the block cut from it and its materialised form all
-// equal the reference, and the materialised form is exactly sized and
-// shares nothing with the parts.
+// borrowed source, through the rows packed from it and the materialised
+// form of each all equal the reference, and the materialised form is
+// exactly sized and shares nothing with the parts or the packed bytes.
 func TestDedupeMatchesReference(t *testing.T) {
 	for _, lanes := range []int{1, 4} {
 		ctx := NewExecContext(lanes)
@@ -102,24 +102,28 @@ func TestDedupeMatchesReference(t *testing.T) {
 			if got := sourceRows(src); !reflect.DeepEqual(got, want) {
 				t.Fatalf("lanes %d, trial %d (%d rows of width %d): rows read through the source differ from the reference", lanes, trial, n, w)
 			}
-			// Ranges tile the rows exactly, at every lane count, and each
-			// reads its own rows, concurrently with the others.
-			covered := make([]int32, src.Len())
-			src.EachRange(func(lo, hi int) {
-				src.Each(lo, hi, func(i int, row mapreduce.Row) {
-					if slices.Equal(row, want[i]) {
-						covered[i]++ // disjoint ranges: no two lanes share an i
-					}
-				})
-			})
-			for i, c := range covered {
-				if c != 1 {
-					t.Fatalf("lanes %d, trial %d: row %d was read right by %d ranges", lanes, trial, i, c)
-				}
-			}
-			owned := blockRows(src.block(), ctx)
+			packed := src.pack()
+			owned := packedRows(&packed, ctx)
 			if got := sourceRows(owned); !reflect.DeepEqual(got, want) {
-				t.Fatalf("lanes %d, trial %d: rows read through a block-backed source differ from the reference", lanes, trial)
+				t.Fatalf("lanes %d, trial %d: rows read through a packed source differ from the reference", lanes, trial)
+			}
+			// Ranges tile the rows exactly, at every lane count, over either
+			// source, and each reads its own rows, concurrently with the
+			// others.
+			for _, s := range []Rows{src, owned} {
+				covered := make([]int32, s.Len())
+				s.EachRange(func(lo, hi int) {
+					s.Each(lo, hi, func(i int, row mapreduce.Row) {
+						if slices.Equal(row, want[i]) {
+							covered[i]++ // disjoint ranges: no two lanes share an i
+						}
+					})
+				})
+				for i, c := range covered {
+					if c != 1 {
+						t.Fatalf("lanes %d, trial %d, packed %v: row %d was read right by %d ranges", lanes, trial, s.Packed() != nil, i, c)
+					}
+				}
 			}
 			got := src.Materialise()
 			if !reflect.DeepEqual(got, want) {
@@ -129,9 +133,15 @@ func TestDedupeMatchesReference(t *testing.T) {
 			if cap(got) != len(got) {
 				t.Fatalf("lanes %d, trial %d: a view of %d/%d rows is not exactly sized", lanes, trial, len(got), cap(got))
 			}
-			// Over an owned block the view shares the block's cells.
-			if view := owned.Materialise(); !reflect.DeepEqual(view, want) || len(view) > 0 && w > 0 && &view[0][0] != &owned.blk.Cells[0] {
-				t.Fatalf("lanes %d, trial %d: a block-backed source did not materialise as a view of its block", lanes, trial)
+			// Over packed rows the source reads the packed bytes themselves,
+			// and the view is decoded into a block of its own.
+			view := owned.Materialise()
+			if owned.Packed() != &packed || !reflect.DeepEqual(view, want) || cap(view) != len(view) {
+				t.Fatalf("lanes %d, trial %d: a packed source does not read its packed rows, or did not materialise them", lanes, trial)
+			}
+			clear(packed.Data)
+			if !reflect.DeepEqual(view, want) {
+				t.Fatalf("lanes %d, trial %d: the materialised result changed when the packed bytes were overwritten", lanes, trial)
 			}
 			// Over a merge it shares nothing with the parts.
 			for p := range parts {
@@ -219,4 +229,82 @@ func TestMergeReadsFromMarks(t *testing.T) {
 			t.Errorf("EachRange cut at %d and %d: a range must start and end at a mark (every %d rows) or the end", lo, hi, mergeMark)
 		}
 	})
+}
+
+// TestPackedRowsReadFromRestarts holds a result-cache entry's source to
+// the merge it was packed from, for widths 0–6 and 0, 1, mergeMark-1,
+// mergeMark, mergeMark+1 and several thousand rows: Each from every
+// restart, and from just before and after it, reads the merge's rows,
+// and EachRange at 1, 2 and 4 lanes cuts at restarts and reads every
+// row once.
+func TestPackedRowsReadFromRestarts(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	for _, lanes := range []int{1, 2, 4} {
+		ctx := NewExecContext(lanes)
+		for w := 0; w <= 6; w++ {
+			for _, n := range []int{0, 1, mergeMark - 1, mergeMark, mergeMark + 1, parallelSortMin + 3*mergeMark/2} {
+				vals := 1 << 20
+				if w >= 3 {
+					vals = 64 // long runs share a prefix
+				}
+				_, rows := randomParts(rng, 2*n, w, 1, vals)
+				want := refDedupeSort(rows)
+				if len(want) < n && w > 0 {
+					t.Fatalf("width %d: %d distinct rows drawn, want %d", w, len(want), n)
+				}
+				want = want[:min(n, len(want))]
+				// One part of exactly the wanted rows.
+				parts := []mapreduce.Block{{}}
+				for _, row := range want {
+					parts[0].Append(row)
+				}
+				packed := ctx.mergeParts(parts).pack()
+				src := packedRows(&packed, ctx)
+				if src.Len() != len(want) || src.Width() != w && src.Len() > 0 {
+					t.Fatalf("width %d, %d rows: the packed source has %d rows of width %d", w, len(want), src.Len(), src.Width())
+				}
+				for k := 0; k*mergeMark <= src.Len(); k++ {
+					for _, lo := range []int{k*mergeMark - 1, k * mergeMark, k*mergeMark + 1} {
+						if lo < 0 || lo > src.Len() {
+							continue
+						}
+						got := []mapreduce.Row{}
+						src.Each(lo, src.Len(), func(i int, row mapreduce.Row) {
+							if i != lo+len(got) {
+								t.Fatalf("width %d, from row %d: row %d handed out as %d", w, lo, lo+len(got), i)
+							}
+							got = append(got, slices.Clone(row))
+						})
+						if !reflect.DeepEqual(got, append([]mapreduce.Row{}, want[lo:]...)) {
+							t.Fatalf("width %d, %d rows, lanes %d: rows read from %d differ from the merge's", w, len(want), lanes, lo)
+						}
+					}
+				}
+				wantLanes := 1
+				if src.Len() >= parallelSortMin {
+					wantLanes = lanes
+				}
+				if src.Lanes() != wantLanes {
+					t.Fatalf("width %d, %d rows: cut into %d ranges on %d lanes", w, src.Len(), src.Lanes(), lanes)
+				}
+				covered := make([]int32, src.Len())
+				src.EachRange(func(lo, hi int) {
+					if lo%mergeMark != 0 || hi != src.Len() && hi%mergeMark != 0 {
+						t.Errorf("EachRange cut at %d and %d, not at restarts", lo, hi)
+					}
+					src.Each(lo, hi, func(i int, row mapreduce.Row) {
+						if slices.Equal(row, want[i]) {
+							covered[i]++ // disjoint ranges: no two lanes share an i
+						}
+					})
+				})
+				for i, c := range covered {
+					if c != 1 {
+						t.Fatalf("width %d, lanes %d: row %d was read right by %d ranges", w, lanes, i, c)
+					}
+				}
+				ctx.bufs.Reset()
+			}
+		}
+	}
 }

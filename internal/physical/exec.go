@@ -62,11 +62,9 @@ type Result struct {
 	N int
 	// Rows are the distinct result tuples, sorted for determinism — filled
 	// by Execute only (Rows.Materialise: one exactly sized header slice
-	// over a block the computing context does not own); Run leaves it nil
-	// and lends its callback the rows in place instead. They are shared
-	// and immutable: with a result cache the cells under the slice are the
-	// plan's cache entry's, the same for every execution that hits it.
-	// Read them; to reorder, truncate or overwrite, copy first.
+	// over a fresh block that neither the computing context nor the
+	// result cache owns); Run leaves it nil and lends its callback the
+	// rows instead. They are the caller's.
 	Rows []mapreduce.Row
 	// Jobs are the per-job simulator statistics for this execution.
 	Jobs []mapreduce.JobStats
@@ -102,17 +100,19 @@ func (x *Executor) Execute(pp *Plan) (*Result, error) {
 // N set) and the deduplicated, sorted rows as a borrowed source: they
 // sit where the execution left them — the last job's output in the
 // context, sorted and merged as it is read, or a result-cache entry's
-// block — so whoever only counts, digests or decodes them copies
-// nothing. rows, and every Row read from it, is invalid once use
+// packed rows, decoded as they are read — so whoever only counts,
+// digests or decodes them copies nothing. rows is invalid once use
+// returns, and a Row read from it once the function it was handed to
 // returns; the Result is the caller's to keep. The cluster's job log
 // grows by this plan's jobs; timing in the Result covers only them.
 //
 // With a result cache the answer is served through it, one probe per
 // execution: a hit replays every job's record in job order and lends
-// the entry's block, without touching the context's scratch; a miss
-// runs every job recording and copies the merged rows into the entry
-// it admits. Either way the rows are read from the entry's own block,
-// so with a cache every request reaches its consumer in one form.
+// the entry's packed rows, without touching the context's scratch; a
+// miss runs every job recording and packs the merged rows into the
+// entry it admits. Either way the rows are decoded from the entry's own
+// bytes, so with a cache every request reaches its consumer in one
+// form.
 func (x *Executor) Run(pp *Plan, use func(res *Result, rows Rows) error) error {
 	if x.Ctx == nil {
 		x.Ctx = &ExecContext{}
@@ -136,7 +136,7 @@ func (x *Executor) Run(pp *Plan, use func(res *Result, rows Rows) error) error {
 	} else {
 		ent, hit := x.ResultCache.Do(pp.Key(), x.view.Version(), func() *rescache.Entry {
 			recs := make([]*mapreduce.JobRecord, pp.NumJobs())
-			return rescache.NewEntry(pp.Key(), recs, x.runJobs(pp, recs).block())
+			return rescache.NewEntry(pp.Key(), recs, x.runJobs(pp, recs).pack())
 		})
 		if hit {
 			// Log every job as if it had just run.
@@ -145,7 +145,7 @@ func (x *Executor) Run(pp *Plan, use func(res *Result, rows Rows) error) error {
 				x.sinkJob()
 			}
 		}
-		rows = blockRows(ent.Block, x.Ctx)
+		rows = packedRows(&ent.Rows, x.Ctx)
 	}
 
 	res := &Result{

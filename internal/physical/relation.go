@@ -187,28 +187,59 @@ func combine(children []relation, lo, hi []int, i int, at []int, fn func()) {
 
 // sortOn puts rel's rows in order of column col, stably and in place,
 // unless one pass finds them in order already; a.sorts counts the
-// relations it had to sort.
+// relations it had to sort. A relation out of order arrives as a few
+// ascending runs (a variable-property scan reads one sorted file after
+// another), so adjacent runs are merged pairwise, a pass at a time,
+// through room of the relation's size carved from the lane's arena and
+// taken back at once; a tie takes the earlier run's row, which keeps
+// the order sort.Stable would.
 func (a *arena) sortOn(rel *relation, col int) {
-	for r, w := 1, rel.Width; r < rel.N; r++ {
-		if rel.Cells[r*w+col] < rel.Cells[(r-1)*w+col] {
-			a.sorts++
-			a.sorter = keyRows{(*partRows)(&rel.Block), col}
-			sort.Stable(&a.sorter)
-			a.sorter = keyRows{}
-			return
+	w, n := rel.Width, rel.N
+	if runEnd(rel.Cells, w, col, 0, n) == n {
+		return
+	}
+	a.sorts++
+	mark := a.mem.Used()
+	src, dst := rel.Cells[:n*w], mapreduce.Carve[rdf.TermID](a.mem, n*w)
+	for merged := false; !merged; src, dst = dst, src {
+		for lo := 0; lo < n; {
+			mid := runEnd(src, w, col, lo, n)
+			hi := runEnd(src, w, col, mid, n)
+			mergeRuns(dst, src, w, col, lo, mid, hi)
+			merged, lo = lo == 0 && hi == n, hi
 		}
 	}
+	if &src[0] != &rel.Cells[0] {
+		copy(rel.Cells, src)
+	}
+	a.mem.Cut(mark)
 }
 
-// keyRows orders a block's rows by one column.
-type keyRows struct {
-	*partRows
-	col int
+// runEnd is where the ascending run of column col that starts at row lo
+// ends: the first row below the one before it, or n.
+func runEnd(cells []rdf.TermID, w, col, lo, n int) int {
+	r := min(lo+1, n)
+	for r < n && cells[r*w+col] >= cells[(r-1)*w+col] {
+		r++
+	}
+	return r
 }
 
-func (k *keyRows) Less(i, j int) bool {
-	w := k.Width
-	return k.Cells[i*w+k.col] < k.Cells[j*w+k.col]
+// mergeRuns merges src's ascending runs [lo, mid) and [mid, hi) into
+// dst's rows lo to hi-1, the earlier run's row first on a tie.
+func mergeRuns(dst, src []rdf.TermID, w, col, lo, mid, hi int) {
+	i, j, k := lo, mid, lo*w
+	for i < mid && j < hi {
+		if src[j*w+col] < src[i*w+col] {
+			k += copy(dst[k:], src[j*w:(j+1)*w])
+			j++
+		} else {
+			k += copy(dst[k:], src[i*w:(i+1)*w])
+			i++
+		}
+	}
+	k += copy(dst[k:], src[i*w:mid*w])
+	copy(dst[k:], src[j*w:hi*w])
 }
 
 // unionSchema returns the sorted union of the children's schemas.

@@ -45,8 +45,9 @@ func rowPrefix(row mapreduce.Row) uint64 {
 
 // mergeMark is how many survivors apart the merge records where it
 // stands: a reader resumes at the mark at or before the first row it
-// wants, and EachRange cuts at marks.
-const mergeMark = 1024
+// wants, and EachRange cuts at marks. It is a packed answer's restart
+// interval too, so a cut falls on a restart whichever source is read.
+const mergeMark = mapreduce.PackRestart
 
 // mergeParts produces the canonical result set of the last job's output
 // parts (one block per node, read by nothing else) — the distinct rows
@@ -87,7 +88,7 @@ func (c *ExecContext) mergeParts(parts []mapreduce.Block) Rows {
 			break
 		}
 	}
-	return Rows{blk: mapreduce.Block{Width: width, N: n}, ctx: c, merged: true}
+	return Rows{n: n, width: width, ctx: c}
 }
 
 // merger returns a merge of the context's sorted parts standing at mark
@@ -185,41 +186,46 @@ func (b *partRows) Swap(i, j int) {
 }
 
 // Rows is a finished result as the executor hands it over: the distinct
-// rows in canonical order, read in place. It is backed either by the
-// running context's merge — the last job's per-node output, sorted in
-// place, and the merge's marks, both the context's scratch — or by one
-// owned block (a result-cache entry's). Either way it is borrowed:
-// valid only inside the callback Executor.Run passes it to, and nothing
-// may keep it, or a Row it handed out, beyond that. Materialise is the
-// way out.
+// rows in canonical order. It is backed either by the running context's
+// merge — the last job's per-node output, sorted in place, and the
+// merge's marks, both the context's scratch, read in place — or by a
+// result-cache entry's packed rows, decoded as they are read. Either
+// way it is borrowed: valid only inside the callback Executor.Run
+// passes it to, and nothing may keep it beyond that; a Row it hands out
+// is valid until the function it was handed to returns. Materialise is
+// the way out.
 type Rows struct {
-	// blk is the owned block; of a merge it gives the shape only (width
-	// and row count, no cells).
-	blk mapreduce.Block
+	n, width int
 	// ctx is the context serving the execution: its lanes run EachRange,
-	// and when merged its sorted parts and marks are the source.
+	// and without packed rows its sorted parts and marks are the source.
 	ctx    *ExecContext
-	merged bool
+	packed *mapreduce.Packed
 }
 
-// blockRows is the source over one owned block, read on c's lanes.
-func blockRows(b mapreduce.Block, c *ExecContext) Rows { return Rows{blk: b, ctx: c} }
+// packedRows is the source over a result-cache entry's packed rows, read
+// on c's lanes.
+func packedRows(p *mapreduce.Packed, c *ExecContext) Rows {
+	return Rows{n: p.N, width: p.Width, ctx: c, packed: p}
+}
 
 // Len is the number of rows.
-func (r Rows) Len() int { return r.blk.N }
+func (r Rows) Len() int { return r.n }
 
 // Width is the number of cells of every row.
-func (r Rows) Width() int { return r.blk.Width }
+func (r Rows) Width() int { return r.width }
+
+// Packed returns the packed rows the source decodes — a result-cache
+// entry's own, shared and immutable — or nil when it reads a merge.
+func (r Rows) Packed() *mapreduce.Packed { return r.packed }
 
 // Each calls fn(i, row) for rows lo to hi-1 in order, row a
-// capacity-clipped slice into whatever backs the source: read it; it is
-// gone when the source is. A merge is walked again from the mark at or
-// before lo, so ranges read concurrently share no state.
+// capacity-clipped slice valid until fn returns: read it, or copy it. A
+// merge is walked again from the mark at or before lo, packed rows are
+// decoded from the restart at or before it, so ranges read concurrently
+// share no state.
 func (r Rows) Each(lo, hi int, fn func(i int, row mapreduce.Row)) {
-	if !r.merged {
-		for i := lo; i < hi; i++ {
-			fn(i, r.blk.Row(i))
-		}
+	if r.packed != nil {
+		r.packed.Each(lo, hi, fn)
 		return
 	}
 	var hb [16]int32
@@ -270,25 +276,21 @@ func (r Rows) cut(i, k int) int {
 	return min(n, (i*n/k+mergeMark/2)/mergeMark*mergeMark)
 }
 
-// block copies the rows into an exactly sized block that shares nothing
-// with the source.
-func (r Rows) block() mapreduce.Block {
-	out := r.blk
-	out.Cells = make([]rdf.TermID, out.N*out.Width)
-	r.Each(0, out.N, func(i int, row mapreduce.Row) { copy(out.Row(i), row) })
-	return out
+// pack packs the rows for a result-cache entry: gap-coded, in arrays of
+// their own sized to them.
+func (r Rows) pack() mapreduce.Packed {
+	return mapreduce.Pack(r.width, r.n, func(fn func(mapreduce.Row)) {
+		r.Each(0, r.n, func(_ int, row mapreduce.Row) { fn(row) })
+	})
 }
 
-// Materialise returns the rows in the form that outlives the source:
-// one exactly sized header slice over a block the context does not own
-// — a fresh copy of a merge's survivors, or the owned block itself (a
-// cache entry's: shared and immutable). It is the only place the data
-// plane builds a []Row.
+// Materialise returns the rows in the form that outlives the source: one
+// exactly sized header slice over a fresh, exactly sized block the
+// context and the result cache do not own. It is the only place the
+// data plane builds a []Row.
 func (r Rows) Materialise() []mapreduce.Row {
-	b := r.blk
-	if r.merged {
-		b = r.block()
-	}
+	b := mapreduce.Block{Width: r.width, N: r.n, Cells: make([]rdf.TermID, r.n*r.width)}
+	r.Each(0, b.N, func(i int, row mapreduce.Row) { copy(b.Row(i), row) })
 	view := make([]mapreduce.Row, b.N)
 	for i := range view {
 		view[i] = b.Row(i)

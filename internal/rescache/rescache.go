@@ -10,13 +10,15 @@
 // work at all: it serves the cached rows read-only and replays every
 // record — prices its counts as a live run does — so rows AND simulated
 // JobStats are byte-identical to an uncached run. An entry owns what it
-// holds: one flat, exactly sized block allocated for it at admission,
-// never a view of the execution context that computed it (which
-// recycles its memory on its next execution). The rows are kept as
-// cells only and read in place by whoever the executor lends them to
-// (physical.Rows) — the facade decodes straight from them, a caller
-// that wants row headers builds them over the block; it is shared and
-// immutable. Epoch invalidation is by construction: the committed
+// holds: its rows packed (mapreduce.Packed: each row gap-coded against
+// the one before it, a full row every 1,024) into one exactly sized
+// array at admission, never a view of the execution context that
+// computed it (which recycles its memory on its next execution). The
+// entry decodes as it lends: whoever the executor lends the rows to
+// (physical.Rows) reads them through a decode from the nearest restart
+// into a row buffer of its own — the facade renders each row as it
+// arrives, a caller that wants row headers copies the rows out; the
+// packed bytes are shared and immutable. Epoch invalidation is by construction: the committed
 // DataVersion is part of the key, so a batch commit makes every older
 // entry unreachable; the engine additionally purges on commit so stale
 // bytes don't squat in the budget.
@@ -32,17 +34,16 @@ import (
 
 	"cliquesquare/internal/mapreduce"
 	"cliquesquare/internal/plancache"
-	"cliquesquare/internal/rdf"
 )
 
 // Entry is one cached answer: every job's metering record, in job
 // order, for stats replay, and the finished, deduped and sorted result
-// rows — cells only, no row headers: a hit reads them in place and
-// allocates nothing. Everything is immutable once cached: nobody writes
-// through or extends the block.
+// rows, packed — no row headers, no flat cells: a hit decodes them as it
+// lends them. Everything is immutable once cached: nobody writes
+// through the packed bytes.
 type Entry struct {
 	Recs  []*mapreduce.JobRecord
-	Block mapreduce.Block
+	Rows  mapreduce.Packed
 	bytes int64
 }
 
@@ -55,16 +56,14 @@ type Entry struct {
 const nodeBytes = 240
 
 // NewEntry builds the entry to be cached under key and computes its
-// cache weight once: exactly what the entry keeps resident — its block's
-// array at its capacity, the records and the slice holding them, the
-// entry itself, its key and the cache's node for it.
-func NewEntry(key string, recs []*mapreduce.JobRecord, final mapreduce.Block) *Entry {
-	const (
-		cell = int64(unsafe.Sizeof(rdf.TermID(0)))
-		ptr  = int64(unsafe.Sizeof((*mapreduce.JobRecord)(nil)))
-	)
-	e := &Entry{Recs: recs, Block: final}
-	e.bytes = cell*int64(cap(final.Cells)) + ptr*int64(cap(recs)) + int64(unsafe.Sizeof(*e)) + int64(len(key)) + nodeBytes
+// cache weight once: exactly what the entry keeps resident — its packed
+// rows' bytes and restart offsets at their capacity, the records and the
+// slice holding them, the entry itself, its key and the cache's node for
+// it.
+func NewEntry(key string, recs []*mapreduce.JobRecord, rows mapreduce.Packed) *Entry {
+	const ptr = int64(unsafe.Sizeof((*mapreduce.JobRecord)(nil)))
+	e := &Entry{Recs: recs, Rows: rows}
+	e.bytes = rows.Bytes() + ptr*int64(cap(recs)) + int64(unsafe.Sizeof(*e)) + int64(len(key)) + nodeBytes
 	for _, r := range recs {
 		e.bytes += r.MemBytes()
 	}

@@ -9,6 +9,8 @@ import (
 
 	"cliquesquare/internal/lubm"
 	"cliquesquare/internal/physical"
+	"cliquesquare/internal/rescache"
+	"cliquesquare/internal/sparql"
 	"cliquesquare/internal/wal"
 )
 
@@ -323,14 +325,14 @@ func heapAfterGC() uint64 {
 }
 
 // TestResultCacheBytesAreResidentBytes pins the cache's accounting to
-// what its entries really keep resident. An entry owns one exactly sized
-// block — never a view of chunks cut for other rows too, and no row
-// headers — so its weight (block capacity × 4 + every job's
+// what its entries really keep resident. An entry owns its packed rows —
+// never a view of chunks cut for other rows too, and no row headers — in
+// arrays whose capacity is their size class, so its weight (the packed
+// bytes and restart offsets at capacity + every job's
 // JobRecord.MemBytes() and pointer + the entry, its key and the cache's
 // node for it) is its memory: with the 14-query working set cached and
 // nothing else holding the rows, purging the cache must free what the
-// cache said it held, within 5% (the allocator's size-class rounding is
-// what is left).
+// cache said it held, within 5%.
 func TestResultCacheBytesAreResidentBytes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generates a 20-university dataset")
@@ -364,4 +366,70 @@ func TestResultCacheBytesAreResidentBytes(t *testing.T) {
 	}
 	t.Logf("accounted %d B, freed %d B, %d entries", st.Bytes, freed, st.Entries)
 	runtime.KeepAlive(eng)
+}
+
+// TestResultCachePacksAnswers runs the 14 LUBM queries over 20
+// universities through a cache-on engine: a hit's rows and JobStats are
+// an uncached run's, every entry keeps its answer packed — at most a
+// quarter of the answers' flat 4 B a cell over all 14 — and the cache
+// weighs exactly its entries. What an entry keeps beside its rows (its
+// jobs' records, its plan key, the cache's node for it: about 2 KB an
+// entry) does not shrink with them, so at this size the whole cache
+// comes to about a quarter of the cells; over 100 universities to a
+// sixth.
+func TestResultCachePacksAnswers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("generates a 20-university dataset")
+	}
+	g := lubm.Generate(lubm.DefaultConfig(20))
+	cfg := DefaultConfig()
+	cfg.Parallelism = 2
+	plain := New(g, cfg)
+	cfg.ResultCacheBytes = testRescacheBytes
+	cached := New(g, cfg)
+	run := func(e *Engine, q *sparql.Query) (*physical.Result, *physical.Plan) {
+		p, _, err := e.PrepareCached(q)
+		if err != nil {
+			t.Fatalf("%s: prepare: %v", q.Name, err)
+		}
+		r, err := e.ExecutePrepared(p)
+		if err != nil {
+			t.Fatalf("%s: execute: %v", q.Name, err)
+		}
+		return r, p.Physical
+	}
+	var raw, packed, weight int64
+	for _, q := range lubm.Queries() {
+		want, _ := run(plain, q)
+		run(cached, q) // the miss admits the answer
+		hits := cached.ResultCacheStats().Hits
+		got, pp := run(cached, q)
+		if cached.ResultCacheStats().Hits != hits+1 {
+			t.Fatalf("%s: the repeat was not served from the result cache", q.Name)
+		}
+		if !reflect.DeepEqual(got.Rows, want.Rows) || !reflect.DeepEqual(got.Jobs, want.Jobs) {
+			t.Errorf("%s: a hit's rows or JobStats differ from an uncached run's (%d rows, want %d)", q.Name, len(got.Rows), len(want.Rows))
+		}
+		ent, hit := cached.res.Do(pp.Key(), got.DataVersion, func() *rescache.Entry {
+			t.Fatalf("%s: the answer just served is not cached", q.Name)
+			return nil
+		})
+		if !hit || ent.Rows.N != len(want.Rows) || len(ent.Rows.Data) > 3*len(want.Rows)*len(want.Schema) {
+			t.Errorf("%s: the entry packs %d rows into %d B, the answer is %d rows of %d cells",
+				q.Name, ent.Rows.N, len(ent.Rows.Data), len(want.Rows), len(want.Schema))
+		}
+		raw += 4 * int64(len(want.Rows)*len(want.Schema))
+		packed += ent.Rows.Bytes()
+		weight += ent.Bytes()
+	}
+	st := cached.ResultCacheStats()
+	if st.Entries != len(lubm.Queries()) || st.Evictions != 0 || st.Bytes != weight {
+		t.Errorf("the cache holds %d entries in %d B (%d evictions), its entries weigh %d B: want all 14, exactly",
+			st.Entries, st.Bytes, st.Evictions, weight)
+	}
+	if packed > raw/4 {
+		t.Errorf("the 14 answers' cells take %d B, their packed rows %d B: want at most a quarter", raw, packed)
+	}
+	t.Logf("14 answers: %d B of cells, %d B packed (%.2f×), %d B cached (%.2f×)",
+		raw, packed, float64(raw)/float64(packed), st.Bytes, float64(raw)/float64(st.Bytes))
 }

@@ -13,6 +13,7 @@ package cliquesquare
 import (
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -23,7 +24,6 @@ import (
 	"cliquesquare/internal/mapreduce"
 	"cliquesquare/internal/partition"
 	"cliquesquare/internal/physical"
-	"cliquesquare/internal/rdf"
 	"cliquesquare/internal/rescache"
 	"cliquesquare/internal/sparql"
 	"cliquesquare/internal/systems/csq"
@@ -120,7 +120,7 @@ func (f *lifetimeFixture) execute(t *testing.T, ctx *physical.ExecContext, rc *r
 // materialised ones, reading each in place.
 func hashSource(rows physical.Rows) string {
 	view := make([]mapreduce.Row, rows.Len())
-	rows.Each(0, rows.Len(), func(i int, row mapreduce.Row) { view[i] = row })
+	rows.Each(0, rows.Len(), func(i int, row mapreduce.Row) { view[i] = slices.Clone(row) })
 	return hashRows(view)
 }
 
@@ -144,7 +144,7 @@ func (k kept) check(t *testing.T, when string) {
 // context — larger and smaller ones, map-only and multi-level — and
 // after each requires every result kept so far to still hash to its
 // golden value: at one lane and four, without and with a result cache
-// (where the kept rows are a view of the cache entry's block).
+// (where the kept rows are decoded from the cache entry's packed rows).
 func TestResultOutlivesContextReuse(t *testing.T) {
 	f := newLifetimeFixture(t)
 	// Q1 is the workload's largest answer, Q3 its largest map-only
@@ -181,7 +181,7 @@ func TestResultOutlivesContextReuse(t *testing.T) {
 }
 
 // TestCachedViewReadWhileContextExecutes pins what a result-cache hit
-// lends: rows whose cells are the entry's own block — never the
+// lends: rows decoded from the entry's own packed bytes — never the
 // admitting context's memory, never a copy. Several readers each hold a
 // hit's borrowed source open and hash it over and over, through
 // contexts of their own, while the context that admitted the entry
@@ -198,7 +198,7 @@ func TestCachedViewReadWhileContextExecutes(t *testing.T) {
 		t.Error("the answer of the plan just executed is not cached")
 		return &rescache.Entry{}
 	})
-	if !hit || ent.Block.N != want.Rows {
+	if !hit || ent.Rows.N != want.Rows || len(ent.Rows.Data) == 0 {
 		t.Fatalf("probing the plan's entry: hit %v", hit)
 	}
 
@@ -211,10 +211,8 @@ func TestCachedViewReadWhileContextExecutes(t *testing.T) {
 			defer wg.Done()
 			own := physical.NewExecContext(1)
 			err := f.executor(own, rc).Run(pp, func(res *physical.Result, rows physical.Rows) error {
-				var first *rdf.TermID
-				rows.Each(0, 1, func(_ int, row mapreduce.Row) { first = &row[0] })
-				if res.N != want.Rows || first != &ent.Block.Cells[0] {
-					t.Error("a result-cache hit did not lend the entry's own block")
+				if p := rows.Packed(); res.N != want.Rows || p != &ent.Rows || &p.Data[0] != &ent.Rows.Data[0] {
+					t.Error("a result-cache hit did not lend the entry's own packed rows")
 				}
 				reading <- struct{}{}
 				for {

@@ -3,11 +3,12 @@ package cliquesquare
 // The equivalence oracle of the result boundary. A finished result
 // reaches its consumer in three forms — the borrowed source
 // Executor.Run lends (the context's sorted parts, merged again as they
-// are read from the nearest merge mark, or a cache entry's block), the
-// materialised rows Execute returns, and the strings the facade decodes
-// from the source on the context's lanes, each range from a mark of its
-// own — and all three must be the same rows, with the same JobStats, at
-// every lane count and whatever the result cache did.
+// are read from the nearest merge mark, or a cache entry's packed rows,
+// decoded from the nearest restart), the materialised rows Execute
+// returns, and the strings the facade decodes from the source on the
+// context's lanes, each range from a mark of its own — and all three
+// must be the same rows, with the same JobStats, at every lane count
+// and whatever the result cache did.
 
 import (
 	"fmt"
