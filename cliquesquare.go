@@ -505,7 +505,7 @@ func (p *Prepared) PlanCached() bool { return p.cached }
 // cells are header copies of the dictionary's rendered terms (see
 // Result.Rows).
 //
-// The answer leaves the executor once: the ids are decoded where the
+// The answer leaves the execution once: the ids are decoded where the
 // execution left them — the last job's sorted output, merged as it is
 // read, or a result-cache entry's packed rows, decoded as they are read
 // and each rendered as it arrives — while the execution's context

@@ -75,16 +75,15 @@ func execMatchesRef(t *testing.T, g *rdf.Graph, q *sparql.Query, p *core.Plan) {
 	t.Helper()
 	store := dstore.NewStore(4)
 	part := partition.LoadWithPolicy(store, g, partition.ThreeReplica, nil)
-	x := &physical.Executor{
-		Cluster: mapreduce.NewCluster(store.N(), mapreduce.DefaultConstants()),
-		Part:    part,
-		Dict:    g.Dict,
-	}
 	pp, err := physical.Compile(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := x.Execute(pp)
+	var r *physical.Result
+	err = physical.NewExecContext(1, mapreduce.DefaultConstants()).Run(pp, part.Current(), g.Dict, nil, func(res *physical.Result, rows physical.Rows) error {
+		res.Rows, r = rows.Materialise(), res
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

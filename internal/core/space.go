@@ -82,7 +82,7 @@ func (r *Result) Space() *Space {
 
 // SpaceOf interns plans, all over queries of one written shape, as the
 // candidates of one Space, in order (Explored is their number). A plan
-// that physical.Classify would refuse — its root not a projection over
+// that physical.CompileWith would refuse — its root not a projection over
 // one operator, a join without join attributes, anything but matches
 // and joins below — becomes a candidate without a root.
 func SpaceOf(plans []*Plan) *Space {
@@ -177,7 +177,7 @@ func (in *interner) intern(op *Op) int32 {
 }
 
 // add appends op to the tables and classifies it by the rule
-// physical.Classify applies under the three-replica partitioning: a
+// physical.CompileWith applies under the three-replica partitioning: a
 // join over scans only runs map-side, at level 0; any other join is a
 // reduce join, one level above its deepest input.
 func (in *interner) add(op *Op, kids []int32) int32 {

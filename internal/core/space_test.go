@@ -162,7 +162,7 @@ func TestSpaceKeepsEqualOperatorsApart(t *testing.T) {
 	}
 }
 
-// TestSpaceRefusesMalformedPlans: what physical.Classify refuses is a
+// TestSpaceRefusesMalformedPlans: what physical.CompileWith refuses is a
 // candidate without a root, and does not disturb its neighbours.
 func TestSpaceRefusesMalformedPlans(t *testing.T) {
 	q := chain3()

@@ -165,7 +165,7 @@ func NewModel(c mapreduce.Constants, s *Stats) *Model { return &Model{C: c, S: s
 //	c(RJ)  = Σin·c_shuffle + c_join·(Σin + out) + out·c_write
 //	c(π)   = out·c_check
 //
-// plus JobInit per MapReduce job. A plan physical.Classify refuses
+// plus JobInit per MapReduce job. A plan physical.CompileWith refuses
 // costs +Inf.
 func (m *Model) PlanCost(p *core.Plan) float64 {
 	_, c := m.ChooseSpace(core.SpaceOf([]*core.Plan{p}))

@@ -287,11 +287,12 @@ func (p *Partitioner) Watermark() uint64 {
 // +1 per completed resize.
 func (p *Partitioner) TopologyVersion() uint64 { return p.cur.Load().topo }
 
-// ScanPos resolves the replica position a scan should read: the
-// preferred (co-location) position under three-replica partitioning,
-// always the subject replica under subject-only partitioning.
-func (p *Partitioner) ScanPos(preferred rdf.Pos) rdf.Pos {
-	if p.mode == SubjectOnly {
+// ScanPos resolves the replica position a scan of the view should read:
+// the preferred (co-location) position under three-replica
+// partitioning, always the subject replica under subject-only
+// partitioning.
+func (v *View) ScanPos(preferred rdf.Pos) rdf.Pos {
+	if v.p.mode == SubjectOnly {
 		return rdf.SPos
 	}
 	return preferred

@@ -11,27 +11,40 @@
 // runs in job ℓ, so independent joins of the same level share one job —
 // the mechanism that lets flat plans run in few jobs.
 //
-// Execution is flat from scan to result: a relation is a schema over a
-// mapreduce.Block (width, row count, one []TermID), scans copy matching
-// cells from the partition files' keys into blocks, joins index row
-// numbers and append output cells, projections and shuffle emission
-// read and write cells. Every such block belongs to the ExecContext
-// (its per-lane arenas, per-(node, range) intermediate table and
-// shuffle scratch) and is recycled by the context's next execution;
-// an intermediate relation exists only to feed the next job of the same
-// execution. The result is flat to the end as well: the final sort
-// leaves the last job's output sorted in place, and Executor.Run lends
-// it to its caller as a Rows that merges it as it is read, on the
-// context's lanes. Only what outlives an execution is copied into
-// exactly sized arrays of its own: a result-cache entry, which keeps a
-// whole answer (the merged rows, packed, and every job's record, keyed
-// by Plan.Key), and the Result.Rows of Execute, for callers that keep
-// ids;
-// Rows.Materialise, behind Execute, is the only place a []Row is built.
+// Compile once, run in one object. CompileWith classifies the operators,
+// lays out the jobs and works out everything about running the plan
+// that the plan alone decides: a dense operator table, each join's
+// merge (column sources and residual checks) for its one output list,
+// each scan's replica, repeated-variable checks and extraction
+// positions, each reduce join's shuffle-key columns. None of it names a
+// constant, so every Bind of the plan to a query of its shape shares it;
+// Bind adds the query's job names. An ExecContext runs a plan on the
+// epoch it is given (Run) and works out only what the epoch and the
+// dictionary decide: the constants' ids, once per scan, each job's map
+// morsels, and the partition files a scan reads.
+//
+// Execution is flat from scan to result: a relation is a
+// mapreduce.Block (width, row count, one []TermID) whose columns are its
+// operator's attributes; scans copy matching cells from the partition
+// files' keys into blocks, joins merge their inputs and append output
+// cells, projections and shuffle emission read and write cells. Every
+// such block belongs to the ExecContext (its per-lane arenas,
+// per-(node, range) intermediate table and shuffle scratch) and is
+// recycled by the context's next execution; an intermediate relation
+// exists only to feed the next job of the same execution. The result is
+// flat to the end as well: the final sort leaves the last job's output
+// sorted in place, and ExecContext.Run lends it to its caller as a Rows
+// that merges it as it is read, on the context's lanes. Only what
+// outlives an execution is copied into exactly sized arrays of its own:
+// a result-cache entry, which keeps a whole answer (the merged rows,
+// packed, and every job's record, keyed by Plan.Key), and the rows of
+// Rows.Materialise, for callers that keep ids — the only place a []Row
+// is built.
 package physical
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -39,6 +52,7 @@ import (
 
 	"cliquesquare/internal/core"
 	"cliquesquare/internal/mapreduce"
+	"cliquesquare/internal/rescache"
 	"cliquesquare/internal/sparql"
 )
 
@@ -68,7 +82,8 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
 
-// Info is the physical classification of one logical operator.
+// Info is the physical classification of one logical operator and, for
+// a join, what running it needs that the plan alone decides.
 type Info struct {
 	Op   *core.Op
 	Kind Kind
@@ -76,31 +91,59 @@ type Info struct {
 	// Level is the reduce-join level (job index, 1-based) for reduce
 	// joins; 0 for scans and map joins.
 	Level int
+
+	// A join's inputs' infos, in order; its merge, for its one output
+	// list; per input, a scan input's set-up (nil for a join input); and,
+	// for a reduce join, per input the columns its shuffle key is read
+	// from. Scans have none of them.
+	children    []*Info
+	join        *joinPlan
+	scans       []*scanPlan
+	shuffleCols [][]int
 }
 
-// Plan is a compiled physical plan: the logical plan plus the physical
-// classification of every operator and the job layout.
+// Plan is a compiled physical plan: the logical plan, the physical
+// classification of every operator, the job layout, and the schedule
+// derived from them once — each join's column sources and residual
+// checks, each scan's replica, filters and extraction positions, the job
+// names. None of it names a constant: constants enter at scan time,
+// resolved once per execution through the dictionary (ExecContext.Run).
 //
-// A Plan is immutable once CompileWith (or Classify, or Bind) returns:
-// execution never writes to the plan, its Infos, or the logical
-// operators beneath it, so one compiled Plan — and everything its binds
-// share with it — may be executed by any number of goroutines
-// simultaneously. All per-execution state lives in the Executor, its
-// Cluster and the ExecContext's per-node arenas. The constants the plan
-// runs with are read from Logical.Query only.
+// A Plan is immutable once CompileWith (or Bind) returns: execution
+// never writes to the plan, its Infos, or the logical operators beneath
+// it, so one compiled Plan — and everything its binds share with it —
+// may be executed by any number of goroutines simultaneously. All
+// per-execution state lives in the ExecContext running it. The
+// constants the plan runs with are read from Logical.Query only.
 type Plan struct {
 	Logical *core.Plan
 	// Root is the operator under the final projection.
 	Root *core.Op
-	// Infos maps each logical operator (match or join) to its
-	// classification.
-	Infos map[*core.Op]*Info
+	// Infos classifies each logical operator (match or join) below the
+	// projection, dense by ID; Infos[0] is Root's.
+	Infos []*Info
 	// Levels[ℓ-1] lists the reduce joins of job ℓ in a deterministic
 	// order. Empty iff the plan is map-only.
 	Levels [][]*Info
 
-	// key is Key's rendering, once some caller asked for it.
-	key atomic.Pointer[string]
+	// rootScan is the set-up of a plan that is one scan (nil otherwise);
+	// jobs names each job in the cluster's log, rendered from the query's
+	// Name.
+	rootScan *scanPlan
+	jobs     []string
+
+	// key is Key's rendering, once some caller asked for it: the tail of
+	// the result-cache key at the data epoch last served, once one was.
+	key atomic.Pointer[renderedKey]
+}
+
+// renderedKey is a plan's Key as the tail of s: s is the result-cache
+// key at data epoch version (rescache.Key) when off > 0, the Key alone
+// before any epoch was served.
+type renderedKey struct {
+	s       string
+	off     int
+	version uint64
 }
 
 // Key canonically identifies the plan's whole computation for the
@@ -108,14 +151,28 @@ type Plan struct {
 // produce byte-identical rows and per-job counts. It is rendered when
 // first asked for — by the result cache, when one serves the plan — and
 // kept; a plan nobody asks costs nothing for it. Key is safe for
-// concurrent use: every caller gets the same string.
+// concurrent use: every caller gets the same bytes.
 func (pp *Plan) Key() string {
 	if k := pp.key.Load(); k != nil {
-		return *k
+		return k.s[k.off:]
 	}
-	k := pp.renderKey()
-	pp.key.CompareAndSwap(nil, &k)
-	return *pp.key.Load()
+	pp.key.CompareAndSwap(nil, &renderedKey{s: pp.renderKey()})
+	k := pp.key.Load()
+	return k.s[k.off:]
+}
+
+// cacheKey is the plan's result-cache key at data epoch version, built
+// only when the epoch served moves — so a probe at an unchanged epoch
+// copies nothing — and holding Key as its tail, so the plan keeps one
+// copy of its key's bytes.
+func (pp *Plan) cacheKey(version uint64) string {
+	if k := pp.key.Load(); k != nil && k.off > 0 && k.version == version {
+		return k.s
+	}
+	key := pp.Key()
+	s := rescache.Key(version, key)
+	pp.key.Store(&renderedKey{s: s, off: len(s) - len(key), version: version})
+	return s
 }
 
 // CoLocator decides whether a first-level join's scan inputs are
@@ -169,57 +226,31 @@ func (e *ShuffleWidthError) Error() string {
 }
 
 // CompileWith is Compile under an explicit co-location capability
-// (partitioning-scheme dependent): Classify plus the check that the
-// shuffle can carry every reduce join. Its result is the one form of
-// Plan the executor accepts — as is every Bind of it; a plan whose
-// shuffle it could not carry fails with a *ShuffleWidthError.
+// (partitioning-scheme dependent): operator kinds, reduce-join levels
+// and with them the job count, then the schedule every execution runs —
+// each join's merge for its output list (the SELECT list for the root),
+// each scan input's replica, filters and extraction positions, each
+// reduce join's shuffle-key columns, the job names. Its result is the
+// one form of Plan the executor accepts — as is every Bind of it; a plan
+// whose shuffle it could not carry fails with a *ShuffleWidthError.
 func CompileWith(p *core.Plan, canColocate CoLocator) (*Plan, error) {
-	pp, err := Classify(p, canColocate)
-	if err != nil {
-		return nil, err
-	}
-	for _, level := range pp.Levels {
-		for _, in := range level {
-			if n, k := len(in.Op.Children), len(in.Op.JoinAttrs); n > mapreduce.MaxInputs || k > mapreduce.MaxKeyCells {
-				return nil, &ShuffleWidthError{Inputs: n, KeyWidth: k}
-			}
-		}
-	}
-	return pp, nil
-}
-
-// Bind returns pp's plan for q, a query of the written shape
-// (core.WrittenShape) and SELECT list of the one pp was compiled for,
-// whatever its constants: a new header whose logical plan is q's and
-// whose Key, when asked for, is rendered for q. The operator DAG, Infos
-// and Levels are pp's, shared read-only — none of them names a constant
-// (Sections 3-4: a plan is a function of the variable graph), so they
-// are what a compile of q would build. Constants enter only where the
-// executor reads q's patterns, at scan time, and in the key.
-func (pp *Plan) Bind(q *sparql.Query) *Plan {
-	return &Plan{Logical: &core.Plan{Query: q, Root: pp.Logical.Root}, Root: pp.Root, Infos: pp.Infos, Levels: pp.Levels}
-}
-
-// Classify is the structural half of CompileWith: operator kinds,
-// reduce-join levels and with them the job count — everything the cost
-// model reads to price a candidate, and nothing rendered. The Plan it
-// returns is for inspection and pricing only; a plan to execute comes
-// from CompileWith.
-func Classify(p *core.Plan, canColocate CoLocator) (*Plan, error) {
 	if p.Root.Kind != core.OpProject || len(p.Root.Children) != 1 {
 		return nil, fmt.Errorf("physical: plan root must be a projection over one operator")
 	}
-	pp := &Plan{Logical: p, Root: p.Root.Children[0], Infos: make(map[*core.Op]*Info, 2*len(p.Query.Patterns))}
+	q := p.Query
+	pp := &Plan{Logical: p, Root: p.Root.Children[0]}
+	infos := make(map[*core.Op]*Info, 2*len(q.Patterns))
 	// reduces collects the reduce joins children-first, each once: the
 	// deterministic order Levels lists them in.
 	var reduces []*Info
 	var walk func(op *core.Op) (*Info, error)
 	walk = func(op *core.Op) (*Info, error) {
-		if in, ok := pp.Infos[op]; ok {
+		if in, ok := infos[op]; ok {
 			return in, nil
 		}
 		in := &Info{Op: op, ID: len(pp.Infos)}
-		pp.Infos[op] = in
+		infos[op] = in
+		pp.Infos = append(pp.Infos, in)
 		switch op.Kind {
 		case core.OpMatch:
 			in.Kind = KindScan
@@ -229,11 +260,13 @@ func Classify(p *core.Plan, canColocate CoLocator) (*Plan, error) {
 			}
 			allScans := true
 			maxLevel := 0
-			for _, c := range op.Children {
+			in.children = make([]*Info, len(op.Children))
+			for i, c := range op.Children {
 				ci, err := walk(c)
 				if err != nil {
 					return nil, err
 				}
+				in.children[i] = ci
 				if ci.Kind != KindScan {
 					allScans = false
 				}
@@ -241,7 +274,7 @@ func Classify(p *core.Plan, canColocate CoLocator) (*Plan, error) {
 					maxLevel = ci.Level
 				}
 			}
-			if allScans && (canColocate == nil || canColocate(op, p.Query)) {
+			if allScans && (canColocate == nil || canColocate(op, q)) {
 				in.Kind = KindMapJoin
 			} else {
 				in.Kind = KindReduceJoin
@@ -263,7 +296,79 @@ func Classify(p *core.Plan, canColocate CoLocator) (*Plan, error) {
 			pp.Levels[in.Level-1] = append(pp.Levels[in.Level-1], in)
 		}
 	}
+	for _, level := range pp.Levels {
+		for _, in := range level {
+			if n, k := len(in.Op.Children), len(in.Op.JoinAttrs); n > mapreduce.MaxInputs || k > mapreduce.MaxKeyCells {
+				return nil, &ShuffleWidthError{Inputs: n, KeyWidth: k}
+			}
+		}
+	}
+
+	// The schedule. A scan reads the replica its parent join's first
+	// attribute places, so that co-located joins see co-partitioned
+	// inputs; the root scan of a one-scan plan has no parent and writes
+	// the SELECT list.
+	if ri.Kind == KindScan {
+		pp.rootScan = newScanPlan(ri, q, "", p.Root.Attrs)
+	}
+	for _, in := range pp.Infos {
+		if in.Kind == KindScan {
+			continue
+		}
+		op, attrs := in.Op, in.Op.Attrs
+		if in == ri {
+			attrs = p.Root.Attrs
+		}
+		schemas := make([][]string, len(op.Children))
+		in.scans = make([]*scanPlan, len(op.Children))
+		for i, c := range op.Children {
+			schemas[i] = c.Attrs
+			if in.children[i].Kind == KindScan {
+				in.scans[i] = newScanPlan(in.children[i], q, op.JoinAttrs[0], c.Attrs)
+			}
+		}
+		in.join = newJoinPlan(schemas, op.JoinAttrs, attrs)
+		if in.Kind == KindReduceJoin {
+			in.shuffleCols = make([][]int, len(op.Children))
+			for i, c := range op.Children {
+				for _, a := range op.JoinAttrs {
+					in.shuffleCols[i] = append(in.shuffleCols[i], slices.Index(c.Attrs, a))
+				}
+			}
+		}
+	}
+	pp.jobs = jobNames(q.Name, pp)
 	return pp, nil
+}
+
+// jobNames names pp's jobs in the cluster's log for a query named name.
+func jobNames(name string, pp *Plan) []string {
+	if pp.MapOnly() {
+		return []string{name + "-map-only"}
+	}
+	names := make([]string, len(pp.Levels))
+	for l := range names {
+		names[l] = name + "-job" + strconv.Itoa(l+1)
+	}
+	return names
+}
+
+// Bind returns pp's plan for q, a query of the written shape
+// (core.WrittenShape) and SELECT list of the one pp was compiled for,
+// whatever its constants: a new header whose logical plan is q's, whose
+// jobs are named for q and whose Key, when asked for, is rendered for
+// q. The operator DAG, Infos, Levels and the schedule are pp's, shared
+// read-only — none of them names a constant (Sections 3-4: a plan is a
+// function of the variable graph), so they are what a compile of q
+// would build. Constants enter only where an execution resolves q's
+// patterns, at scan time, and in the key.
+func (pp *Plan) Bind(q *sparql.Query) *Plan {
+	b := &Plan{Logical: &core.Plan{Query: q, Root: pp.Logical.Root}, Root: pp.Root, Infos: pp.Infos, Levels: pp.Levels,
+		rootScan: pp.rootScan, jobs: pp.jobs}
+	if q.Name != pp.Logical.Query.Name {
+		b.jobs = jobNames(q.Name, pp)
+	}
+	return b
 }
 
 // renderKey renders Key for the plan's logical query in one pass. The
@@ -371,8 +476,7 @@ func (pp *Plan) Describe() string {
 				if i > 0 {
 					b.WriteString("; ")
 				}
-				ci := pp.Infos[c]
-				if ci.Kind == KindReduceJoin {
+				if ci := in.children[i]; ci.Kind == KindReduceJoin {
 					fmt.Fprintf(&b, "MF[rj%d]", ci.ID)
 				} else {
 					b.WriteString(pp.describeSubtree(c))

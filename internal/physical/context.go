@@ -4,20 +4,25 @@ import (
 	"runtime"
 	"slices"
 
-	"cliquesquare/internal/core"
 	"cliquesquare/internal/mapreduce"
 	"cliquesquare/internal/partition"
 	"cliquesquare/internal/rdf"
 	"cliquesquare/internal/sparql"
 )
 
-// ExecContext carries cross-layer execution state threaded from the
-// engine facade down to the workers: the worker lanes jobs run on, an
+// ExecContext is the one object that runs compiled plans (Run): the
+// worker lanes jobs run on, the cluster clock they are timed on, an
 // optional per-job stats sink, and the reusable scratch (per-lane
-// arenas, shuffle buffers, plan-shaped intermediate tables) the
-// executor draws from. One ExecContext may serve many plan executions;
+// arenas, shuffle buffers, plan-shaped intermediate tables) every
+// execution draws from. One ExecContext may serve many plan executions;
 // the scratch amortizes allocations across them. An ExecContext serves
-// one execution at a time.
+// one execution at a time: a caller running plans concurrently gives
+// each its own context (the csq engine keeps a pool of them).
+//
+// What an execution works out is only what the epoch and the dictionary
+// decide — the ids of the plan's constants, once per scan, the map
+// morsels of each job and the partition files a scan reads (memoized per
+// view); the rest of the schedule is the compiled Plan's.
 //
 // Ownership: every buffer that lives inside one execution is carved
 // from the context's scratch (mapreduce.Bufs) once, at a counted size. A
@@ -25,33 +30,32 @@ import (
 // inputs) come from its lane's bump arena, emptied when the
 // morsel ends; the outputs (node and range outputs, intermediate
 // relations, the final merge's marks) last until release, at the end of
-// Executor.Run (also when its consumer panics), drops every header and
-// resets the scratch; the shuffle's buckets and records last their job.
+// Run (also when its consumer panics), drops every header and resets
+// the scratch; the shuffle's buckets and records last their job.
 // The scratch keeps the lanes times the largest temporary plus the most
 // the outputs held at once, over every execution through the context —
 // a function of plan, data and lane count, never of the schedule. Each
 // tuple is held once, and nothing that outlives the execution may alias
 // the scratch. The final result is not copied out unless somebody asks:
 // mergeParts sorts the last job's output in place and keeps only the
-// merge's heads every mergeMark survivors, and Executor.Run lends that
-// to its callback as a Rows, which merges again as it is read, valid
-// until the callback returns. What does outlive the execution — the
-// rows Execute returns (Rows.Materialise) and a result-cache entry's
-// answer (Rows.pack) — is copied into exactly sized arrays of its own.
-// A result-cache hit reads none of this scratch: it never prepares the
+// merge's heads every mergeMark survivors, and Run lends that to its
+// callback as a Rows, which merges again as it is read, valid until the
+// callback returns. What does outlive the execution — the rows copied
+// out (Rows.Materialise) and a result-cache entry's answer
+// (Rows.pack) — is copied into exactly sized arrays of its own. A
+// result-cache hit reads none of this scratch: it never prepares the
 // context.
 //
-// The lane count is fixed by NewExecContext. A context owns no
-// goroutine: each phase of a job starts its helper lanes and waits for
-// them (mapreduce.Pool), so an idle context is memory only and needs no
-// closing. A zero-value context — what Executor.Execute uses when handed
-// none — is one inline lane.
+// The lane count and the cost constants are fixed by NewExecContext. A
+// context owns no goroutine: each phase of a job starts its helper lanes
+// and waits for them (mapreduce.Pool), so an idle context is memory only
+// and needs no closing.
 type ExecContext struct {
 	// StatsSink, if non-nil, receives each job's stats as the job
 	// completes (before the next job starts).
 	StatsSink func(mapreduce.JobStats)
 
-	// pool is the context's worker lanes; nil is one inline lane.
+	// pool is the context's worker lanes.
 	pool *mapreduce.Pool
 
 	// bufs is the scratch every execution through the context carves
@@ -68,26 +72,24 @@ type ExecContext struct {
 	// cluster for every job of every execution this context serves.
 	shuffle mapreduce.Scratch
 
-	// byID and interm are the executor's plan-shaped scratch: infos
-	// dense by ID and interm[id][node][rng], a reduce join's output in
-	// one key range of one node; in range order, a node's ranges are
-	// its relation.
-	byID   []*Info
-	interm [][][]mapreduce.Block
-
-	// morsels is the per-node map-morsel table of the current job,
-	// built sequentially before the job runs.
-	morsels [][]mapMorsel
-
-	// The job in flight (jobX runs job jobLevel of jobPlan), the two job
-	// forms whose callbacks read it, bound once (prepare), and what
-	// Executor hands out: one execution's executor and cluster clock.
-	jobX                 *Executor
-	jobPlan              *Plan
-	jobLevel             int
-	mapOnlyJob, levelJob mapreduce.Job
-	x                    Executor
+	// The execution in flight: its plan, the epoch it reads, the
+	// dictionary its constants resolve through, and the cluster clock
+	// its jobs are logged on (its cost constants fixed, its log's array
+	// kept). The job callbacks are bound once and read them.
+	plan                 *Plan
+	view                 *partition.View
+	dict                 *rdf.Dict
 	cluster              mapreduce.Cluster
+	mapOnlyJob, levelJob mapreduce.Job
+
+	// consts are, per scan of the plan (by Info ID), its constants' ids;
+	// interm[id][node][rng] is a reduce join's output in one key range of
+	// one node — in range order, a node's ranges are its relation; morsels
+	// is the per-node map-morsel table of the current job, built
+	// sequentially before the job runs.
+	consts  []scanConsts
+	interm  [][][]mapreduce.Block
+	morsels [][]mapMorsel
 
 	// mergeParts' product: the parts merged (the last job's per-node
 	// output, each sorted in place) and the merge's heads at every
@@ -98,62 +100,64 @@ type ExecContext struct {
 	sortFn     func(part, lane int)
 }
 
+// scanConsts are one scan's constants for one execution: the dictionary
+// id at each position that holds one (NoTerm where a variable stands),
+// and whether some constant is missing from the dictionary — such a scan
+// reads, charges and emits nothing.
+type scanConsts struct {
+	ids    [3]rdf.TermID
+	absent bool
+}
+
 // mapMorsel is one schedulable unit of a reduce-level job's map phase:
-// one child of one reduce join on one node — per partition file for
+// input tag of reduce join rj on one node — per partition file for
 // scans, per key range for shufflers, whole-subtree for map joins.
 type mapMorsel struct {
-	rj    *Info    // the reduce join being fed
-	child *core.Op // the child producing records
-	ci    *Info    // child's classification (nil for per-file scans)
-	tag   int      // child index within rj (the emitted records' tag)
-	file  string   // partition file for per-file scan morsels
-	rng   int      // key range of the re-read output for shuffler morsels
+	rj   *Info
+	tag  int    // the input's index within rj (the emitted records' tag)
+	file string // partition file of a scan morsel
+	rng  int    // key range of the re-read output of a shuffler morsel
 }
 
 // NewExecContext returns a context running jobs on the given number of
-// lanes (0 or less means GOMAXPROCS). It builds memory only.
-func NewExecContext(lanes int) *ExecContext {
+// lanes (0 or less means GOMAXPROCS), timed with the cost constants k.
+// It builds memory only.
+func NewExecContext(lanes int, k mapreduce.Constants) *ExecContext {
 	if lanes <= 0 {
 		lanes = runtime.GOMAXPROCS(0)
 	}
-	return &ExecContext{pool: mapreduce.NewPool(lanes)}
+	c := &ExecContext{pool: mapreduce.NewPool(lanes), cluster: mapreduce.Cluster{C: k}}
+	c.shuffle.Bufs = &c.bufs
+	for lane := 0; lane < lanes; lane++ {
+		c.arenas = append(c.arenas, &arena{mem: c.bufs.Lane(lane)})
+	}
+	c.mapOnlyJob = mapreduce.Job{MapMorsel: c.mapOnlyMorsel}
+	c.levelJob = mapreduce.Job{MapMorsels: c.levelMorsels, MapMorsel: c.levelMapMorsel, ReduceRange: c.levelReduce, ReduceSize: c.levelSize}
+	return c
 }
 
 // lanes is the number of worker lanes executions through this context
 // run on.
 func (c *ExecContext) lanes() int { return c.pool.Lanes() }
 
-// Executor returns the context's own executor, valid until the next
-// call, on a fresh cluster clock priced with k (its job log keeps its
-// array), for one execution; the caller sets Part, Dict, View and
-// ResultCache.
-func (c *ExecContext) Executor(k mapreduce.Constants) *Executor {
-	c.cluster = mapreduce.Cluster{C: k, Jobs: c.cluster.Jobs[:0]}
-	c.x = Executor{Cluster: &c.cluster, Ctx: c}
-	return &c.x
-}
-
-// prepare readies the context for one execution of pp: an arena per
-// lane, the infos dense by ID, and every reduce join's blocks emptied
-// for nodes × lanes key ranges — all pre-sized, so concurrent morsel
-// workers index already-built tables without synchronization. Every
-// buffer is carved from the context's scratch as it is filled.
-func (c *ExecContext) prepare(pp *Plan, nodes int) {
-	if c.levelJob.MapMorsel == nil {
-		c.mapOnlyJob = mapreduce.Job{MapMorsel: c.mapOnlyMorsel}
-		c.levelJob = mapreduce.Job{MapMorsels: c.levelMorsels, MapMorsel: c.levelMapMorsel, ReduceRange: c.levelReduce, ReduceSize: c.levelSize}
-	}
-	for len(c.arenas) < c.lanes() {
-		c.arenas = append(c.arenas, &arena{mem: c.bufs.Lane(len(c.arenas))})
-	}
-	c.shuffle.Bufs = &c.bufs
-	c.byID = append(c.byID[:0], make([]*Info, len(pp.Infos))...)
-	for len(c.interm) < len(pp.Infos) {
+// prepare readies the context for running the plan in flight: its
+// scans' constants resolved through the dictionary, and every reduce
+// join's blocks emptied for nodes × lanes key ranges — all pre-sized, so
+// concurrent morsel workers index already-built tables without
+// synchronization. Every buffer is carved from the context's scratch as
+// it is filled.
+func (c *ExecContext) prepare() {
+	pp, nodes := c.plan, c.view.Nodes()
+	n := len(pp.Infos)
+	c.consts = slices.Grow(c.consts[:0], n)[:n]
+	for len(c.interm) < n {
 		c.interm = append(c.interm, nil)
 	}
 	for _, in := range pp.Infos {
-		c.byID[in.ID] = in
-		if in.Kind == KindReduceJoin {
+		switch in.Kind {
+		case KindScan:
+			c.consts[in.ID] = c.lookupConsts(pp.Logical.Query.Patterns[in.Op.Pattern])
+		case KindReduceJoin:
 			per := slices.Grow(c.interm[in.ID][:0], nodes)[:nodes]
 			for node := range per {
 				per[node] = mapreduce.ResetBlocks(per[node], c.lanes(), &c.bufs)
@@ -163,10 +167,23 @@ func (c *ExecContext) prepare(pp *Plan, nodes int) {
 	}
 }
 
-// release drops every header into the scratch the execution carved and
-// resets it.
+// lookupConsts resolves tp's constants through the execution's
+// dictionary.
+func (c *ExecContext) lookupConsts(tp sparql.TriplePattern) (k scanConsts) {
+	for p := rdf.SPos; p <= rdf.OPos; p++ {
+		if pt := tp.At(p); !pt.IsVar {
+			id, ok := c.dict.Lookup(pt.Term)
+			k.ids[p], k.absent = id, k.absent || !ok
+		}
+	}
+	return k
+}
+
+// release ends the execution: it drops the plan, epoch and dictionary,
+// and every header into the scratch the execution carved, and resets
+// the scratch.
 func (c *ExecContext) release() {
-	c.jobX, c.jobPlan = nil, nil
+	c.plan, c.view, c.dict = nil, nil, nil
 	c.shuffle.Release()
 	for _, a := range c.arenas {
 		a.release()
@@ -184,12 +201,11 @@ func (c *ExecContext) release() {
 func (c *ExecContext) ScratchBytes() int64 { return c.bufs.Bytes() }
 
 // arena is one worker lane's reusable scratch for local evaluation: the
-// headers of the blocks scans and map joins write to, the cursors and
-// column buffers naryJoin and the shuffle emitters need per call, scan
-// filter scratch and reduce-group inputs. Blocks carve their bytes from
-// mem, emptied when the morsel ends: nothing in them may be used after
-// that, nor their room reused. A join builds nothing there: it merges
-// its inputs where they lie.
+// headers of the blocks scans and map joins write to, the cursors
+// naryJoin needs per call, and reduce-group inputs. Blocks carve their
+// bytes from mem, emptied when the morsel ends: nothing in them may be
+// used after that, nor their room reused. A join builds nothing there:
+// it merges its inputs where they lie.
 type arena struct {
 	mem *mapreduce.Arena // the lane's arena in the context's scratch
 
@@ -200,21 +216,10 @@ type arena struct {
 	used   int
 
 	at, lo, hi []int // per join child: the current row's cell offset, the current key's run
-	emitCols   []int // shuffle-key column indexes, hoisted per relation
 
 	// sorts counts the join children that arrived out of key order
 	// (sortOn).
 	sorts int
-
-	// joinPlans memoizes the schema-derived part of naryJoin (output
-	// column sources, residual checks) keyed on the children's schema
-	// and output-attrs slice identities.
-	joinPlans []*joinPlan
-
-	// scan filter scratch (Executor.scanFiles).
-	scanConsts  []constCheck
-	scanRepeats [][2]rdf.Pos
-	scanVarPos  []rdf.Pos
 
 	// scan file-name memo: partition-file resolution is pure per
 	// (pattern, replica position) within one pinned view, so the
@@ -222,11 +227,11 @@ type arena struct {
 	fileView  *partition.View
 	fileNames map[fileKey][]string
 
-	// per-group join inputs of the reduce phase (groupRels) and a map
-	// join's inputs (joinInputs). A lane runs a map morsel or a reduce
+	// per-group join inputs of the reduce phase (groupInputs) and a map
+	// join's inputs (mapJoin). A lane runs a map morsel or a reduce
 	// range, never both at once.
-	groupRels  []relation
-	joinInputs []relation
+	groupRels  []mapreduce.Block
+	joinInputs []mapreduce.Block
 }
 
 // nextBlock hands out the morsel's next block, empty, for rows of the
@@ -272,14 +277,14 @@ const fileNamesCap = 1024
 // children — counted in their blocks' N; with fill, their cells copied
 // out of the shuffle buffers into blocks carved from the lane's arena,
 // each once, at its counted size.
-func (a *arena) groupInputs(g mapreduce.Group, rj *Info, fill bool) []relation {
+func (a *arena) groupInputs(g mapreduce.Group, rj *Info, fill bool) []mapreduce.Block {
 	children := rj.Op.Children
 	for len(a.groupRels) < len(children) {
-		a.groupRels = append(a.groupRels, relation{Block: mapreduce.NewBlock(a.mem)})
+		a.groupRels = append(a.groupRels, mapreduce.NewBlock(a.mem))
 	}
 	rels := a.groupRels[:len(children)]
 	for i, ch := range children {
-		rels[i].schema, rels[i].Width, rels[i].N, rels[i].Cells = ch.Attrs, len(ch.Attrs), 0, nil
+		rels[i].Width, rels[i].N, rels[i].Cells = len(ch.Attrs), 0, nil
 	}
 	for i := 0; i < g.Len(); i++ {
 		tag, _ := g.Record(i)
@@ -296,83 +301,6 @@ func (a *arena) groupInputs(g mapreduce.Group, rj *Info, fill bool) []relation {
 		}
 	}
 	return rels
-}
-
-// joinPlan is the memoized schema-derived scaffolding of one join
-// shape. Child schema and output-attrs slices come from the immutable
-// physical plan (operator Attrs), so pointer identity implies content
-// equality and the derived slices can be shared by every join of that
-// shape. Output columns are resolved directly against the requested
-// attrs, fusing the post-join conform/projection into the join's
-// output write.
-type joinPlan struct {
-	schemas  [][]string // the children's schema slices (identity key)
-	keys     []string   // the join attributes slice (identity key)
-	attrs    []string   // the output schema slice (identity key)
-	srcChild []int      // per output attr: providing child...
-	srcCol   []int      // ...and column within it
-	keyCols  []int      // per child: the column of the merged attribute
-	// checks are the residual equalities over the shared attributes but
-	// the merged one: the further join attributes' keyChecks first, then
-	// the others'.
-	checks    []eqCheck
-	keyChecks int
-}
-
-// joinPlanCap bounds the memo; reaching it resets the memo (shapes per
-// plan are few — the bound only guards pathological pooled reuse).
-const joinPlanCap = 64
-
-// sameSchema reports whether two schema slices are the same slice.
-func sameSchema(a, b []string) bool {
-	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
-}
-
-// joinPlanFor returns the memoized join scaffolding for the children's
-// schema combination, join attributes and output attrs, computing and
-// caching it on first sight.
-func (a *arena) joinPlanFor(children []relation, joinAttrs, attrs []string) *joinPlan {
-outer:
-	for _, jp := range a.joinPlans {
-		if len(jp.schemas) != len(children) || !sameSchema(jp.attrs, attrs) || !sameSchema(jp.keys, joinAttrs) {
-			continue
-		}
-		for i := range children {
-			if !sameSchema(jp.schemas[i], children[i].schema) {
-				continue outer
-			}
-		}
-		return jp
-	}
-	jp := &joinPlan{
-		schemas: make([][]string, len(children)),
-		keys:    joinAttrs,
-		attrs:   attrs,
-	}
-	for i := range children {
-		jp.schemas[i] = children[i].schema
-	}
-	// Residual checks cover every attribute but the merged one shared by
-	// two or more children, whether or not it survives into attrs.
-	if len(joinAttrs) > 0 {
-		jp.keyCols = make([]int, len(children))
-		for i := range children {
-			jp.keyCols[i] = children[i].col(joinAttrs[0])
-		}
-		rest := joinAttrs[1:]
-		kChild, kCol := columnSources(rest, children)
-		jp.checks = residualChecks(rest, children, kChild, kCol)
-		jp.keyChecks = len(jp.checks)
-	}
-	union := slices.DeleteFunc(unionSchema(children), func(s string) bool { return slices.Contains(joinAttrs, s) })
-	uChild, uCol := columnSources(union, children)
-	jp.checks = append(jp.checks, residualChecks(union, children, uChild, uCol)...)
-	jp.srcChild, jp.srcCol = columnSources(attrs, children)
-	if len(a.joinPlans) >= joinPlanCap {
-		a.joinPlans = a.joinPlans[:0]
-	}
-	a.joinPlans = append(a.joinPlans, jp)
-	return jp
 }
 
 // grow sizes the per-child cursors for a join of nc inputs.

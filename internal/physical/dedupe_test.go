@@ -74,7 +74,7 @@ func sourceRows(r Rows) []mapreduce.Row {
 // exactly sized and shares nothing with the parts or the packed bytes.
 func TestDedupeMatchesReference(t *testing.T) {
 	for _, lanes := range []int{1, 4} {
-		ctx := NewExecContext(lanes)
+		ctx := NewExecContext(lanes, mapreduce.DefaultConstants())
 		for trial := 0; trial < 56; trial++ {
 			rng := rand.New(rand.NewSource(int64(trial)))
 			w := trial % 9
@@ -165,7 +165,7 @@ func TestDedupeAllocations(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	// Above parallelSortMin: on four lanes the parts are sorted on the pool.
 	parts, _ := randomParts(rng, 2*parallelSortMin, 2, 7, 400)
-	for _, ctx := range []*ExecContext{{}, NewExecContext(4)} {
+	for _, ctx := range []*ExecContext{NewExecContext(1, mapreduce.DefaultConstants()), NewExecContext(4, mapreduce.DefaultConstants())} {
 		src := ctx.mergeParts(parts)
 		var sum rdf.TermID
 		if got := testing.AllocsPerRun(100, func() {
@@ -195,7 +195,7 @@ func TestMergeReadsFromMarks(t *testing.T) {
 		parts = append(parts, p)
 	}
 	want := refDedupeSort(rows)
-	ctx := NewExecContext(4)
+	ctx := NewExecContext(4, mapreduce.DefaultConstants())
 	src := ctx.mergeParts(parts)
 	if src.Len() != len(want) || src.Len() < 3*mergeMark {
 		t.Fatalf("%d survivors, want %d (and at least three marks' worth)", src.Len(), len(want))
@@ -240,7 +240,7 @@ func TestMergeReadsFromMarks(t *testing.T) {
 func TestPackedRowsReadFromRestarts(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	for _, lanes := range []int{1, 2, 4} {
-		ctx := NewExecContext(lanes)
+		ctx := NewExecContext(lanes, mapreduce.DefaultConstants())
 		for w := 0; w <= 6; w++ {
 			for _, n := range []int{0, 1, mergeMark - 1, mergeMark, mergeMark + 1, parallelSortMin + 3*mergeMark/2} {
 				vals := 1 << 20

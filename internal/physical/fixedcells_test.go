@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"cliquesquare/internal/core"
-	"cliquesquare/internal/dstore"
 	"cliquesquare/internal/mapreduce"
 	"cliquesquare/internal/partition"
 	"cliquesquare/internal/rdf"
@@ -67,12 +66,7 @@ func TestScanReadsFixedCells(t *testing.T) {
 		"subject-only/join":  {28, 13},
 	}
 	for _, mode := range []partition.Mode{partition.ThreeReplica, partition.SubjectOnly} {
-		store := dstore.NewStore(3)
-		x := &Executor{
-			Cluster: mapreduce.NewCluster(store.N(), mapreduce.DefaultConstants()),
-			Part:    partition.LoadWithPolicy(store, g, mode, nil),
-			Dict:    g.Dict,
-		}
+		x := newExecMode(g, 3, mode, nil)
 		positions := []rdf.Pos{rdf.SPos, rdf.PPos, rdf.OPos}
 		if mode == partition.SubjectOnly {
 			positions = positions[:1]
@@ -106,7 +100,7 @@ func TestScanReadsFixedCells(t *testing.T) {
 		label := fmt.Sprintf("%v/join", mode)
 		var got [2]int64
 		for k, c := range []mapreduce.Constants{{Read: 1}, {Check: 1}} {
-			x.Cluster = mapreduce.NewCluster(store.N(), c)
+			x.ctx = NewExecContext(1, c)
 			r, err := x.Execute(pp)
 			if err != nil {
 				t.Fatal(err)
@@ -135,12 +129,7 @@ func TestScanClassFilesSharingANode(t *testing.T) {
 		}
 	}
 	g.AddSPO("m1", "knows", "m2")
-	store := dstore.NewStore(2)
-	x := &Executor{
-		Cluster: mapreduce.NewCluster(store.N(), mapreduce.DefaultConstants()),
-		Part:    partition.LoadWithPolicy(store, g, partition.ThreeReplica, nil),
-		Dict:    g.Dict,
-	}
+	x := newExec(g, 2)
 	for _, src := range []string{
 		`SELECT ?x ?c WHERE { ?x <` + sparql.RDFType + `> ?c }`,
 		`SELECT ?p ?o WHERE { <m1> ?p ?o }`,
@@ -164,7 +153,7 @@ func TestScanClassFilesSharingANode(t *testing.T) {
 // scanThrough reads q's one pattern on every node from the files of the
 // replica at pos (the subject replica under subject-only partitioning),
 // returning its rows in q's SELECT order, sorted, and what it metered.
-func scanThrough(t *testing.T, x *Executor, q *sparql.Query, pos rdf.Pos) ([]string, mapreduce.Meter) {
+func scanThrough(t *testing.T, x *testExec, q *sparql.Query, pos rdf.Pos) ([]string, mapreduce.Meter) {
 	t.Helper()
 	pp, err := Compile(mscPlan(t, q))
 	if err != nil {
@@ -173,18 +162,20 @@ func scanThrough(t *testing.T, x *Executor, q *sparql.Query, pos rdf.Pos) ([]str
 	if pp.Root.Kind != core.OpMatch {
 		t.Fatalf("%v: root is %v, not a scan", q, pp.Root.Kind)
 	}
-	x.view = x.Part.Current()
-	x.Ctx = &ExecContext{}
-	x.Ctx.prepare(pp, x.view.Nodes())
-	defer x.Ctx.release()
-	a := x.Ctx.arenas[0]
-	names := x.view.Files(q.Patterns[0], x.Part.ScanPos(pos), x.Dict)
+	c := x.ctx
+	c.plan, c.view, c.dict = pp, x.part.Current(), x.dict
+	c.prepare()
+	defer c.release()
+	a := c.arenas[0]
+	sp := *pp.rootScan // the plan's scan, reading the replica at pos
+	sp.pos = pos
+	names := c.fileNames(a, &sp)
 	var m mapreduce.Meter
 	var rows []string
-	for node := 0; node < x.view.Nodes(); node++ {
+	for node := 0; node < c.view.Nodes(); node++ {
 		a.resetBlocks()
 		dst := a.nextBlock(len(q.Select))
-		x.scanFiles(dst, q.Select, pp, pp.Root, node, &m, names, a)
+		c.scanFiles(dst, &sp, node, &m, names)
 		for i := 0; i < dst.N; i++ {
 			rows = append(rows, fmt.Sprint([]rdf.TermID(dst.Row(i))))
 		}

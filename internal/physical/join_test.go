@@ -20,10 +20,9 @@ type rowRel struct {
 	rows   []mapreduce.Row
 }
 
-// flat renders r as the executor's flat relation.
-func (r rowRel) flat() relation {
-	rel := relation{schema: r.schema}
-	rel.Width = len(r.schema)
+// flat renders r as the executor's flat block.
+func (r rowRel) flat() mapreduce.Block {
+	rel := mapreduce.Block{Width: len(r.schema)}
 	for _, row := range r.rows {
 		rel.Append(row)
 	}
@@ -65,7 +64,8 @@ func refJoin(children []rowRel, attrs []string) []string {
 	return out
 }
 
-// checkJoin runs naryJoinInto on the flat form of children — appending
+// checkJoin runs naryJoinInto, with the join compiled for the
+// children's schemas, on their flat form — appending
 // to a block that already holds a row, growing it as rows come and
 // sized once up front — and compares rows and counts with the
 // reference. When the first child is in order of the first join
@@ -84,15 +84,20 @@ func checkJoin(t *testing.T, a *arena, label string, children []rowRel, joinAttr
 		k := slices.Index(children[0].schema, joinAttrs[0])
 		return cmp.Compare(x[k], y[k])
 	})
+	schemas := make([][]string, len(children))
+	for i, c := range children {
+		schemas[i] = c.schema
+	}
+	jp := newJoinPlan(schemas, joinAttrs, attrs)
 	for _, size := range []bool{false, true} {
-		rels := make([]relation, len(children))
+		rels := make([]mapreduce.Block, len(children))
 		for i, c := range children {
 			rels[i] = c.flat()
 		}
 		var dst mapreduce.Block
 		sentinel := make(mapreduce.Row, len(attrs))
 		dst.Append(sentinel)
-		counts := a.naryJoinInto(&dst, rels, joinAttrs, attrs, size)
+		counts := a.naryJoinInto(&dst, rels, jp, size)
 		got := []string{}
 		for i := 1; i < dst.N; i++ {
 			got = append(got, fmt.Sprint(dst.Row(i)))

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"cliquesquare/internal/core"
 	"cliquesquare/internal/lubm"
@@ -156,6 +157,47 @@ func TestKeyFirstUseConcurrent(t *testing.T) {
 			if k != want {
 				t.Fatalf("%s: goroutine %d got key\n%s\nwant\n%s", q.Name, g, k, want)
 			}
+		}
+	}
+}
+
+// TestBindSharesTheSchedule: a bind shares everything its compile worked
+// out — the operator table, the job layout, each join's merge and each
+// scan's set-up — and the job names too when its query has the
+// compile's Name; another Name gets names of its own. Its result-cache
+// key is built once per data epoch and holds Key as its tail.
+func TestBindSharesTheSchedule(t *testing.T) {
+	for _, q := range lubm.UniversityVariants(1) {
+		res, err := core.Optimize(q, core.Options{MaxPlans: 20000, MaxCoversPerStep: 5000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pp := compileCandidate(t, res.Space(), q, 0, nil)
+		renamed := *q
+		renamed.Name = "renamed"
+		for _, b := range []*Plan{pp.Bind(lubm.UniversityVariants(2)[0]), pp.Bind(&renamed)} {
+			if &b.Infos[0] != &pp.Infos[0] || b.rootScan != pp.rootScan || len(b.Levels) != len(pp.Levels) ||
+				len(b.Levels) > 0 && &b.Levels[0] != &pp.Levels[0] {
+				t.Fatalf("%s: a bind does not share its compile's schedule", q.Name)
+			}
+			name := b.Logical.Query.Name
+			for l, n := range b.jobs {
+				want := fmt.Sprintf("%s-job%d", name, l+1)
+				if pp.MapOnly() {
+					want = name + "-map-only"
+				}
+				if n != want {
+					t.Errorf("%s: bound job %d is named %q, want %q", q.Name, l, n, want)
+				}
+			}
+			if shared := &b.jobs[0] == &pp.jobs[0]; shared != (name == q.Name) {
+				t.Errorf("%s: a bind for %q shares its compile's job names: %v", q.Name, name, shared)
+			}
+		}
+		k1, again, k2 := pp.cacheKey(1), pp.cacheKey(1), pp.cacheKey(2)
+		if unsafe.StringData(k1) != unsafe.StringData(again) || k1 != "1\x00"+pp.Key() || k2 != "2\x00"+pp.Key() ||
+			unsafe.StringData(pp.Key()) != unsafe.StringData(k2[2:]) {
+			t.Errorf("%s: the cache key is not kept per epoch with Key as its tail", q.Name)
 		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 
 	"cliquesquare/internal/core"
 	"cliquesquare/internal/cost"
-	"cliquesquare/internal/dstore"
 	"cliquesquare/internal/lubm"
 	"cliquesquare/internal/mapreduce"
 	"cliquesquare/internal/partition"
@@ -39,13 +38,8 @@ SELECT ?x ?p ?y ?n WHERE { ?x ?p ?y . ?x ub:name ?n }`)
 			}
 			for _, placement := range []string{"modulo", "ring"} {
 				policy, _ := partition.PolicyByName(placement)
-				store := dstore.NewStore(7)
-				x := &Executor{
-					Cluster: mapreduce.NewCluster(store.N(), mapreduce.DefaultConstants()),
-					Part:    partition.LoadWithPolicy(store, g, mode, policy),
-					Dict:    g.Dict,
-					Ctx:     NewExecContext(2),
-				}
+				x := newExecMode(g, 7, mode, policy)
+				x.ctx = NewExecContext(2, mapreduce.DefaultConstants())
 				for _, q := range lubm.Queries() {
 					if n := sortedInputs(t, x, g, q, colo, univ > 2); n != 0 {
 						t.Errorf("univ %d, %v, %s placement, %s: the merge sorted %d join inputs", univ, mode, placement, q.Name, n)
@@ -62,7 +56,7 @@ SELECT ?x ?p ?y ?n WHERE { ?x ?p ?y . ?x ub:name ?n }`)
 // sortedInputs runs every MSC plan of q on x — or, with chosen, the one
 // the cost model picks over g — and returns how many join inputs its
 // arenas sorted meanwhile.
-func sortedInputs(t *testing.T, x *Executor, g *rdf.Graph, q *sparql.Query, colo CoLocator, chosen bool) (n int) {
+func sortedInputs(t *testing.T, x *testExec, g *rdf.Graph, q *sparql.Query, colo CoLocator, chosen bool) (n int) {
 	t.Helper()
 	res, err := core.Optimize(q, core.Options{Method: vargraph.MSC})
 	if err != nil {
@@ -74,7 +68,7 @@ func sortedInputs(t *testing.T, x *Executor, g *rdf.Graph, q *sparql.Query, colo
 		plans = []*core.Plan{best}
 	}
 	before := 0
-	for _, a := range x.Ctx.arenas {
+	for _, a := range x.ctx.arenas {
 		before += a.sorts
 	}
 	for _, p := range plans {
@@ -86,7 +80,7 @@ func sortedInputs(t *testing.T, x *Executor, g *rdf.Graph, q *sparql.Query, colo
 			t.Fatal(err)
 		}
 	}
-	for _, a := range x.Ctx.arenas {
+	for _, a := range x.ctx.arenas {
 		n += a.sorts
 	}
 	return n - before

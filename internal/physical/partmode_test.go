@@ -5,7 +5,6 @@ import (
 
 	"cliquesquare/internal/core"
 	"cliquesquare/internal/dstore"
-	"cliquesquare/internal/mapreduce"
 	"cliquesquare/internal/partition"
 	"cliquesquare/internal/rdf"
 	"cliquesquare/internal/refeval"
@@ -13,14 +12,8 @@ import (
 	"cliquesquare/internal/vargraph"
 )
 
-func subjOnlyExec(g *rdf.Graph, n int) *Executor {
-	store := dstore.NewStore(n)
-	part := partition.LoadWithPolicy(store, g, partition.SubjectOnly, nil)
-	return &Executor{
-		Cluster: mapreduce.NewCluster(store.N(), mapreduce.DefaultConstants()),
-		Part:    part,
-		Dict:    g.Dict,
-	}
+func subjOnlyExec(g *rdf.Graph, n int) *testExec {
+	return newExecMode(g, n, partition.SubjectOnly, nil)
 }
 
 func mscPlan(t *testing.T, q *sparql.Query) *core.Plan {

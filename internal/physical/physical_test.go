@@ -13,6 +13,7 @@ import (
 	"cliquesquare/internal/partition"
 	"cliquesquare/internal/rdf"
 	"cliquesquare/internal/refeval"
+	"cliquesquare/internal/rescache"
 	"cliquesquare/internal/sparql"
 	"cliquesquare/internal/vargraph"
 )
@@ -36,16 +37,42 @@ func testGraph() *rdf.Graph {
 	return g
 }
 
-// newExec partitions g over n nodes and returns an executor.
-func newExec(g *rdf.Graph, n int) *Executor {
-	store := dstore.NewStore(n)
-	part := partition.LoadWithPolicy(store, g, partition.ThreeReplica, nil)
-	cl := mapreduce.NewCluster(store.N(), mapreduce.DefaultConstants())
-	return &Executor{Cluster: cl, Part: part, Dict: g.Dict}
+// testExec is a graph partitioned for a test and the context its plans
+// run through, on the current epoch, with the result cache given (nil
+// for none).
+type testExec struct {
+	part  *partition.Partitioner
+	dict  *rdf.Dict
+	ctx   *ExecContext
+	cache *rescache.Cache
+}
+
+// newExecMode partitions g over n nodes under mode and policy (nil:
+// modulo) and returns a one-lane testExec over it.
+func newExecMode(g *rdf.Graph, n int, mode partition.Mode, policy partition.Policy) *testExec {
+	part := partition.LoadWithPolicy(dstore.NewStore(n), g, mode, policy)
+	return &testExec{part: part, dict: g.Dict, ctx: NewExecContext(1, mapreduce.DefaultConstants())}
+}
+
+// newExec partitions g over n nodes with three replicas.
+func newExec(g *rdf.Graph, n int) *testExec { return newExecMode(g, n, partition.ThreeReplica, nil) }
+
+// Run runs pp as ExecContext.Run does.
+func (x *testExec) Run(pp *Plan, use func(*Result, Rows) error) error {
+	return x.ctx.Run(pp, x.part.Current(), x.dict, x.cache, use)
+}
+
+// Execute runs pp and returns its result with the rows copied out.
+func (x *testExec) Execute(pp *Plan) (res *Result, err error) {
+	err = x.Run(pp, func(r *Result, rows Rows) error {
+		r.Rows, res = rows.Materialise(), r
+		return nil
+	})
+	return res, err
 }
 
 // runBest optimizes q with MSC, picks the first plan, and executes it.
-func runBest(t *testing.T, x *Executor, q *sparql.Query) (*Result, *Plan) {
+func runBest(t *testing.T, x *testExec, q *sparql.Query) (*Result, *Plan) {
 	t.Helper()
 	res, err := core.Optimize(q, core.Options{Method: vargraph.MSC})
 	if err != nil {
@@ -103,8 +130,8 @@ func TestExecuteStarMapOnly(t *testing.T) {
 	if !pp.MapOnly() {
 		t.Errorf("star plan not map-only:\n%s", pp.Describe())
 	}
-	if len(x.Cluster.Jobs) != 1 || !x.Cluster.Jobs[0].MapOnly {
-		t.Errorf("jobs = %+v, want one map-only job", x.Cluster.Jobs)
+	if len(r.Jobs) != 1 || !r.Jobs[0].MapOnly {
+		t.Errorf("jobs = %+v, want one map-only job", r.Jobs)
 	}
 	assertMatchesRef(t, g, q, r)
 }
@@ -205,8 +232,8 @@ func TestJobCountEqualsReduceLevels(t *testing.T) {
 	g := testGraph()
 	x := newExec(g, 4)
 	q := sparql.MustParse(`SELECT ?a ?d WHERE { ?a <knows> ?b . ?b <knows> ?c . ?c <knows> ?d }`)
-	_, pp := runBest(t, x, q)
-	if got := len(x.Cluster.Jobs); got != pp.NumJobs() {
+	r, pp := runBest(t, x, q)
+	if got := len(r.Jobs); got != pp.NumJobs() {
 		t.Errorf("executed %d jobs, plan says %d", got, pp.NumJobs())
 	}
 	if pp.JobLabel() == "M" {

@@ -46,7 +46,7 @@ func TestStaleRangeBlocksNeverLeak(t *testing.T) {
 		return true
 	}
 
-	ctx := NewExecContext(lanes)
+	ctx := NewExecContext(lanes, mapreduce.DefaultConstants())
 	var (
 		pp    *Plan
 		plan  *core.Plan
@@ -59,7 +59,7 @@ func TestStaleRangeBlocksNeverLeak(t *testing.T) {
 		}
 		cache = rescache.New(64 << 20)
 		x := newExec(g, 3)
-		x.Ctx, x.ResultCache = ctx, cache
+		x.ctx, x.cache = ctx, cache
 		full := false
 		if err := x.Run(cand, func(*Result, Rows) error { full = filled(ctx, cand); return nil }); err != nil {
 			t.Fatal(err)
@@ -92,7 +92,7 @@ func TestStaleRangeBlocksNeverLeak(t *testing.T) {
 
 	before := cache.Stats()
 	x2 := newExec(g, 3)
-	x2.Ctx, x2.ResultCache = ctx, cache
+	x2.ctx, x2.cache = ctx, cache
 	got, err := x2.Execute(pp2)
 	if err != nil {
 		t.Fatal(err)

@@ -1,42 +1,55 @@
 package physical
 
 import (
-	"sort"
+	"slices"
 
 	"cliquesquare/internal/mapreduce"
 	"cliquesquare/internal/rdf"
 )
 
-// relation is a local (per-node or per-group) set of rows under a
-// column schema of variable names: a flat block whose width is the
-// schema's length. The cells belong to whoever filled the block — an
-// arena, a range slot, the context's intermediate table — and a
-// relation value is a view of them. A join reads its inputs in order of
-// its first attribute, and sorts one that is not in that order in
-// place: a join input's cells are the join's to reorder.
-type relation struct {
-	schema []string
-	mapreduce.Block
+// joinPlan is one join's compiled merge, for its one output list: the
+// source (input and column) of each output column — the post-join
+// projection fused into the join's output write — the column of the
+// merged attribute in each input, and the residual equality checks. It
+// depends only on the inputs' schemas, the join attributes and the
+// output list, all fixed by the plan, so CompileWith builds it once and
+// every execution and bind shares it.
+type joinPlan struct {
+	width int // output columns
+	// merge: the join merges its inputs on the first join attribute (it
+	// has join attributes and two inputs or more).
+	merge    bool
+	srcChild []int // per output column: providing input...
+	srcCol   []int // ...and column within it
+	keyCols  []int // per input: the column of the merged attribute
+	// checks are the residual equalities over the shared attributes but
+	// the merged one: the further join attributes' keyChecks first, then
+	// the others'.
+	checks    []eqCheck
+	keyChecks int
 }
 
-// col returns the column index of attribute a, or -1.
-func (r *relation) col(a string) int {
-	for i, s := range r.schema {
-		if s == a {
-			return i
+// newJoinPlan compiles the join of inputs with the given schemas on
+// joinAttrs, writing attrs. Residual checks cover every attribute but
+// the merged one shared by two or more inputs, whether or not it
+// survives into attrs.
+func newJoinPlan(schemas [][]string, joinAttrs, attrs []string) *joinPlan {
+	jp := &joinPlan{width: len(attrs), merge: len(joinAttrs) > 0 && len(schemas) > 1}
+	if len(joinAttrs) > 0 {
+		jp.keyCols = make([]int, len(schemas))
+		for i, s := range schemas {
+			jp.keyCols[i] = slices.Index(s, joinAttrs[0])
 		}
+		rest := joinAttrs[1:]
+		kChild, kCol := columnSources(rest, schemas)
+		jp.checks = residualChecks(rest, schemas, kChild, kCol)
+		jp.keyChecks = len(jp.checks)
 	}
-	return -1
-}
-
-// appendCols appends the column indexes of attrs to buf: the hoisted
-// form of per-row col() scans — resolved once per relation, then used
-// for every row.
-func (r *relation) appendCols(buf []int, attrs []string) []int {
-	for _, a := range attrs {
-		buf = append(buf, r.col(a))
-	}
-	return buf
+	union := slices.DeleteFunc(unionSchema(schemas), func(s string) bool { return slices.Contains(joinAttrs, s) })
+	uChild, uCol := columnSources(union, schemas)
+	jp.checks = append(jp.checks, residualChecks(union, schemas, uChild, uCol)...)
+	jp.srcChild, jp.srcCol = columnSources(attrs, schemas)
+	return jp
 }
 
 // joinCounts is the work accounting a join reports back to its caller:
@@ -45,28 +58,26 @@ type joinCounts struct {
 	in, out int
 }
 
-// naryJoinInto computes the n-ary equality join of children on
-// joinAttrs, additionally enforcing equality on every attribute shared
-// by two or more children (the folded residual selection), and appends
-// the output rows' cells — written directly in attrs column order,
-// fusing the post-join projection — to dst. It is a merge on the first
-// join attribute: every child is read in order of that column (a child
-// out of order is first sorted stably in place, sortOn), a cursor per
-// child, and the cursor behind the greatest key advances until all of
-// them stand on one key; the runs of that key then combine, child 0's
-// outermost. Further join attributes are residual checks. A child whose
-// rows arrive in key order — every stored file is sorted on its placed
-// cell — keeps its order, so with child 0 sorted the rows come out as a
-// stream of child 0 probing the others would emit them. With no join
-// attribute, or one child, every child is one run. The column sources
-// and checks come from the arena's join-plan memo (they depend only on
-// the child schemas and attrs, which repeat across the thousands of
-// per-group joins of one reduce phase). With size set, a first pass
-// counts the output rows and carves dst's room once for them all; it
-// meters nothing. A nil dst only counts: out is that count. Without
-// size, dst must have the room already, or its rows come from the Go
-// heap.
-func (a *arena) naryJoinInto(dst *mapreduce.Block, children []relation, joinAttrs, attrs []string, size bool) joinCounts {
+// naryJoinInto computes the n-ary equality join jp of children — local
+// (per-node or per-group) blocks whose columns are the inputs' schemas
+// — on its join attributes, additionally enforcing equality on every
+// attribute shared by two or more children (the folded residual
+// selection), and appends the output rows' cells, written directly in
+// output column order, to dst. It is a merge on the first join
+// attribute: every child is read in order of that column (a child out
+// of order is first sorted stably in place, sortOn: a join input's cells
+// are the join's to reorder), a cursor per child, and the cursor behind
+// the greatest key advances until all of them stand on one key; the runs
+// of that key then combine, child 0's outermost. Further join attributes
+// are residual checks. A child whose rows arrive in key order — every
+// stored file is sorted on its placed cell — keeps its order, so with
+// child 0 sorted the rows come out as a stream of child 0 probing the
+// others would emit them. With no join attribute, or one child, every
+// child is one run. With size set, a first pass counts the output rows
+// and carves dst's room once for them all; it meters nothing. A nil dst
+// only counts: out is that count. Without size, dst must have the room
+// already, or its rows come from the Go heap.
+func (a *arena) naryJoinInto(dst *mapreduce.Block, children []mapreduce.Block, jp *joinPlan, size bool) joinCounts {
 	var counts joinCounts
 	empty := len(children) == 0
 	for i := range children {
@@ -76,11 +87,9 @@ func (a *arena) naryJoinInto(dst *mapreduce.Block, children []relation, joinAttr
 	if empty {
 		return counts
 	}
-	jp := a.joinPlanFor(children, joinAttrs, attrs)
 	nc := len(children)
 	a.grow(nc)
-	merge := len(joinAttrs) > 0 && nc > 1
-	if merge {
+	if jp.merge {
 		for i := range children {
 			a.sortOn(&children[i], jp.keyCols[i])
 		}
@@ -100,7 +109,7 @@ func (a *arena) naryJoinInto(dst *mapreduce.Block, children []relation, joinAttr
 			}
 		}
 		if counts.out++; !counting {
-			row := out.Extend(1, len(attrs))
+			row := out.Extend(1, jp.width)
 			for i := range row {
 				row[i] = children[jp.srcChild[i]].Cells[at[jp.srcChild[i]]+jp.srcCol[i]]
 			}
@@ -110,7 +119,7 @@ func (a *arena) naryJoinInto(dst *mapreduce.Block, children []relation, joinAttr
 	// lo and hi bounding the children's runs of it.
 	each := func(fn func()) {
 		clear(hi)
-		if !merge {
+		if !jp.merge {
 			for i := range children {
 				lo[i], hi[i] = 0, children[i].N
 			}
@@ -162,7 +171,7 @@ func (a *arena) naryJoinInto(dst *mapreduce.Block, children []relation, joinAttr
 		if dst == nil {
 			return counts
 		}
-		dst.Reserve(counts.out, len(attrs))
+		dst.Reserve(counts.out, jp.width)
 	}
 	counting, counts.out, out = false, 0, *dst
 	each(combineAll)
@@ -173,7 +182,7 @@ func (a *arena) naryJoinInto(dst *mapreduce.Block, children []relation, joinAttr
 // combine enumerates the cross product of the runs lo[i:]:hi[i:] of
 // children[i:], filling at in place and invoking fn for each full
 // combination (at[:i] is already set by the caller).
-func combine(children []relation, lo, hi []int, i int, at []int, fn func()) {
+func combine(children []mapreduce.Block, lo, hi []int, i int, at []int, fn func()) {
 	if i == len(children) {
 		fn()
 		return
@@ -193,7 +202,7 @@ func combine(children []relation, lo, hi []int, i int, at []int, fn func()) {
 // through room of the relation's size carved from the lane's arena and
 // taken back at once; a tie takes the earlier run's row, which keeps
 // the order sort.Stable would.
-func (a *arena) sortOn(rel *relation, col int) {
+func (a *arena) sortOn(rel *mapreduce.Block, col int) {
 	w, n := rel.Width, rel.N
 	if runEnd(rel.Cells, w, col, 0, n) == n {
 		return
@@ -242,30 +251,28 @@ func mergeRuns(dst, src []rdf.TermID, w, col, lo, mid, hi int) {
 	copy(dst[k:], src[j*w:hi*w])
 }
 
-// unionSchema returns the sorted union of the children's schemas.
-func unionSchema(children []relation) []string {
-	seen := make(map[string]bool)
-	for i := range children {
-		for _, a := range children[i].schema {
-			seen[a] = true
+// unionSchema returns the sorted union of the schemas.
+func unionSchema(schemas [][]string) []string {
+	var out []string
+	for _, s := range schemas {
+		for _, a := range s {
+			if !slices.Contains(out, a) {
+				out = append(out, a)
+			}
 		}
 	}
-	out := make([]string, 0, len(seen))
-	for a := range seen {
-		out = append(out, a)
-	}
-	sort.Strings(out)
+	slices.Sort(out)
 	return out
 }
 
-// columnSources picks, for every output column, the first child (and
-// column within it) providing that attribute.
-func columnSources(schema []string, children []relation) (srcChild, srcCol []int) {
+// columnSources picks, for every attribute of schema, the first input
+// (and column within it) providing it.
+func columnSources(schema []string, schemas [][]string) (srcChild, srcCol []int) {
 	srcChild = make([]int, len(schema))
 	srcCol = make([]int, len(schema))
 	for i, a := range schema {
-		for ci := range children {
-			if c := children[ci].col(a); c >= 0 {
+		for ci, s := range schemas {
+			if c := slices.Index(s, a); c >= 0 {
 				srcChild[i], srcCol[i] = ci, c
 				break
 			}
@@ -279,16 +286,16 @@ type eqCheck struct {
 }
 
 // residualChecks builds the equality checks for attributes provided by
-// several children: each extra provider must agree with the primary
+// several inputs: each extra provider must agree with the primary
 // source.
-func residualChecks(schema []string, children []relation, srcChild, srcCol []int) []eqCheck {
+func residualChecks(schema []string, schemas [][]string, srcChild, srcCol []int) []eqCheck {
 	var checks []eqCheck
 	for i, a := range schema {
-		for ci := range children {
+		for ci, s := range schemas {
 			if ci == srcChild[i] {
 				continue
 			}
-			if c := children[ci].col(a); c >= 0 {
+			if c := slices.Index(s, a); c >= 0 {
 				checks = append(checks, eqCheck{srcChild[i], srcCol[i], ci, c})
 			}
 		}

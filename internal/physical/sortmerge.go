@@ -185,12 +185,12 @@ func (b *partRows) Swap(i, j int) {
 	}
 }
 
-// Rows is a finished result as the executor hands it over: the distinct
+// Rows is a finished result as an execution hands it over: the distinct
 // rows in canonical order. It is backed either by the running context's
 // merge — the last job's per-node output, sorted in place, and the
 // merge's marks, both the context's scratch, read in place — or by a
 // result-cache entry's packed rows, decoded as they are read. Either
-// way it is borrowed: valid only inside the callback Executor.Run
+// way it is borrowed: valid only inside the callback ExecContext.Run
 // passes it to, and nothing may keep it beyond that; a Row it hands out
 // is valid until the function it was handed to returns. Materialise is
 // the way out.

@@ -12,9 +12,9 @@ import (
 )
 
 // TestSpaceClassificationMatchesClassify: a core.Space classifies each
-// interned operator once, by the rule Classify applies per plan under
+// interned operator once, by the rule CompileWith applies per plan under
 // the nil co-locator. Every candidate of every space must agree with a
-// Classify of its own materialisation, operator for operator: scan or
+// compile of its own materialisation, operator for operator: scan or
 // join kind, reduce-join level, job count.
 func TestSpaceClassificationMatchesClassify(t *testing.T) {
 	queries := lubm.Queries()
@@ -44,16 +44,16 @@ func checkCandidate(t *testing.T, sp *core.Space, q *sparql.Query, i int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pp, err := Classify(p, nil)
+	pp, err := CompileWith(p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if pp.NumJobs() != sp.Jobs(i) {
-		t.Fatalf("%s candidate %d: %d jobs by Classify, %d by the space", q.Name, i, pp.NumJobs(), sp.Jobs(i))
+		t.Fatalf("%s candidate %d: %d jobs by CompileWith, %d by the space", q.Name, i, pp.NumJobs(), sp.Jobs(i))
 	}
-	var walk func(op *core.Op, id int32)
-	walk = func(op *core.Op, id int32) {
-		in := pp.Infos[op]
+	var walk func(in *Info, id int32)
+	walk = func(in *Info, id int32) {
+		op := in.Op
 		kind := KindReduceJoin
 		switch {
 		case sp.Pattern(id) >= 0:
@@ -62,11 +62,11 @@ func checkCandidate(t *testing.T, sp *core.Space, q *sparql.Query, i int) {
 			kind = KindMapJoin
 		}
 		if in.Kind != kind || in.Level != sp.Level(id) || (kind == KindScan && op.Pattern != sp.Pattern(id)) {
-			t.Fatalf("%s candidate %d: Classify says %v at level %d, the space %v at level %d", q.Name, i, in.Kind, in.Level, kind, sp.Level(id))
+			t.Fatalf("%s candidate %d: CompileWith says %v at level %d, the space %v at level %d", q.Name, i, in.Kind, in.Level, kind, sp.Level(id))
 		}
 		for k, c := range sp.Children(id) {
-			walk(op.Children[k], c)
+			walk(in.children[k], c)
 		}
 	}
-	walk(pp.Root, sp.Root(i))
+	walk(pp.Infos[0], sp.Root(i))
 }

@@ -22,6 +22,7 @@ package plancache
 import (
 	"errors"
 	"math"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -219,6 +220,11 @@ func (c *Cache[V]) Do(key string, compute func() (V, error)) (v V, hit bool, err
 		}
 		c.hits.Add(1)
 		return e.val, true, nil
+	}
+	if c.weigher != nil {
+		// A sized cache's weights count its keys' bytes, so it holds a
+		// copy of its own: a caller may keep its key to probe again.
+		key = strings.Clone(key)
 	}
 	e := &entry[V]{key: key, ready: make(chan struct{})}
 	s.m[key] = e

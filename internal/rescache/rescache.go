@@ -6,7 +6,7 @@
 //
 // An intermediate job output exists only to feed the next job of the
 // same plan, so the cache keeps answers, not jobs: one entry and one
-// probe per execution. On a hit the executor runs no map/shuffle/reduce
+// probe per execution. On a hit the execution runs no map/shuffle/reduce
 // work at all: it serves the cached rows read-only and replays every
 // record — prices its counts as a live run does — so rows AND simulated
 // JobStats are byte-identical to an uncached run. An entry owns what it
@@ -14,7 +14,7 @@
 // the one before it, a full row every 1,024) into one exactly sized
 // array at admission, never a view of the execution context that
 // computed it (which recycles its memory on its next execution). The
-// entry decodes as it lends: whoever the executor lends the rows to
+// entry decodes as it lends: whoever the execution lends the rows to
 // (physical.Rows) reads them through a decode from the nearest restart
 // into a row buffer of its own — the facade renders each row as it
 // arrives, a caller that wants row headers copies the rows out; the
@@ -51,7 +51,7 @@ type Entry struct {
 // and the plan key's bytes: plancache's list node (key header, value,
 // error, links, weight: 88 B), its ready channel (96 B), the key's slot
 // in the shard's map (a string header and a pointer, at the map's load
-// factor: ≈ 40 B) and the version prefix Do puts before the plan key
+// factor: ≈ 40 B) and the version prefix Key puts before the plan key
 // (≤ 17 B).
 const nodeBytes = 240
 
@@ -87,11 +87,18 @@ func New(budgetBytes int64) *Cache {
 	return &Cache{c: plancache.NewSized(budgetBytes, (*Entry).Bytes)}
 }
 
-// Do returns the entry cached under (key, version), computing it on
+// Key is the cache key of plan key at data epoch version. A caller that
+// serves one plan at one epoch many times keeps it (physical.Plan does),
+// so that a probe copies no key.
+func Key(version uint64, key string) string {
+	return strconv.FormatUint(version, 16) + "\x00" + key
+}
+
+// Do returns the entry cached under key (built by Key), computing it on
 // first use. Concurrent calls for the same key join one in-flight
 // computation. hit reports whether the entry came from the cache.
-func (c *Cache) Do(key string, version uint64, compute func() *Entry) (e *Entry, hit bool) {
-	e, hit, _ = c.c.Do(strconv.FormatUint(version, 16)+"\x00"+key, func() (*Entry, error) { return compute(), nil })
+func (c *Cache) Do(key string, compute func() *Entry) (e *Entry, hit bool) {
+	e, hit, _ = c.c.Do(key, func() (*Entry, error) { return compute(), nil })
 	return e, hit
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"cliquesquare/internal/core"
 	"cliquesquare/internal/lubm"
+	"cliquesquare/internal/rdf"
 	"cliquesquare/internal/sparql"
 )
 
@@ -64,7 +65,8 @@ func TestCompileOncePerCandidate(t *testing.T) {
 // one engine, interleaved, so that the bound plans of a pair meet in the
 // same pooled context. At one and two lanes, with the result cache off
 // and on, each must key, answer and meter as a plan freshPrepare
-// compiles for its own query.
+// compiles for its own query. One more pair, on an engine of its own,
+// guards the compiled schedule against dictionary ids (checkLateConstant).
 func TestBoundPlansKeepConstantsApart(t *testing.T) {
 	g := lubm.Generate(lubm.DefaultConfig(2))
 	pairs := [][2]string{
@@ -137,6 +139,67 @@ func TestBoundPlansKeepConstantsApart(t *testing.T) {
 				}
 			}
 			eng.Close()
+			checkLateConstant(t, cfg)
 		}
+	}
+}
+
+// checkLateConstant runs a pair whose constant is absent from the
+// dictionary when its plan is bound: the absent member is prepared
+// first, so it compiles the plan the pair shares, and answers nothing;
+// then a commit introduces its constant — every department of
+// university 0 becomes one of university 9 too — and the same bound plan
+// runs again. Its rows and JobStats must equal a fresh prepare's over
+// the final data, on an engine loaded with it, and be non-empty: a
+// compile-time table that captured a dictionary id, or its absence,
+// would answer as before the commit.
+func checkLateConstant(t *testing.T, cfg Config) {
+	t.Helper()
+	g := lubm.Generate(lubm.DefaultConfig(2))
+	eng := New(g, cfg)
+	defer eng.Close()
+	parse := func(univ int, name string) *sparql.Query {
+		q := sparql.MustParse("PREFIX ub: <" + lubm.NS + ">\n" +
+			`SELECT ?X ?Y WHERE { ?X ub:worksFor ?Y . ?X ub:name ?N . ?Y ub:subOrganizationOf <` + lubm.UniversityIRI(univ) + `> }`)
+		q.Name = name
+		return q
+	}
+	late, known := parse(9, "late"), parse(0, "known")
+	if _, ok := g.Dict.Lookup(rdf.NewIRI(lubm.UniversityIRI(9))); ok {
+		t.Fatal("university 9 is in the dictionary before the commit")
+	}
+	ps := prepareAll(t, eng, []*sparql.Query{late, known})
+	if ps[0].Physical.Root != ps[1].Physical.Root {
+		t.Fatalf("lanes %d, result cache %d B: the late and known queries chose different candidates; the check assumes one shared compile",
+			cfg.Parallelism, cfg.ResultCacheBytes)
+	}
+	if r, err := eng.ExecutePrepared(ps[0]); err != nil || len(r.Rows) != 0 {
+		t.Fatalf("before the commit the late query answered %v rows (err %v), want none", r, err)
+	}
+	sub, u0 := g.Dict.EncodeIRI(lubm.PropSubOrgOf), g.Dict.EncodeIRI(lubm.UniversityIRI(0))
+	u9 := g.Dict.EncodeIRI(lubm.UniversityIRI(9))
+	var ins []rdf.Triple
+	for _, tr := range g.Triples() {
+		if tr.P == sub && tr.O == u0 {
+			ins = append(ins, rdf.Triple{S: tr.S, P: sub, O: u9})
+		}
+	}
+	if _, err := eng.ApplyBatch(ins, nil); err != nil {
+		t.Fatal(err)
+	}
+	mutate(g, ins, nil)
+	got, err := eng.ExecutePrepared(ps[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := New(g, DefaultConfig())
+	defer ref.Close()
+	want, err := ref.ExecutePrepared(freshPrepare(t, ref, late))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Rows) == 0 || !reflect.DeepEqual(got.Rows, want.Rows) || !reflect.DeepEqual(got.Jobs, want.Jobs) {
+		t.Errorf("lanes %d, result cache %d B: after the commit the bound plan answers %d rows, a fresh prepare %d, or their JobStats differ:\n got %+v\nwant %+v",
+			cfg.Parallelism, cfg.ResultCacheBytes, len(got.Rows), len(want.Rows), got.Jobs, want.Jobs)
 	}
 }

@@ -508,44 +508,6 @@ func (e *Engine) compiled(sh *shapePlans, q *sparql.Query, idx int) (*physical.P
 	return pp, nil
 }
 
-// executor admits one plan execution and wires its executor: it takes
-// a slot, waiting in arrival order while every slot is out, then an idle
-// context, or builds one if none is idle; the current epoch pinned, a
-// fresh cluster clock. The caller releases it when the execution — and
-// whatever reads its borrowed rows — is done.
-func (e *Engine) executor() (*physical.Executor, error) {
-	if e.closed.Load() {
-		return nil, ErrClosed
-	}
-	e.slots <- struct{}{}
-	var c *physical.ExecContext
-	select {
-	case c = <-e.idle:
-		e.idleScratch.Add(-c.ScratchBytes())
-	default:
-		c = physical.NewExecContext(e.cfg.Parallelism)
-		c.StatsSink = e.cfg.StatsSink
-	}
-	x := c.Executor(e.cfg.Constants)
-	x.Part, x.Dict, x.ResultCache = e.part, e.dict, e.res
-	// Pin the epoch in the partitioner's registry for the duration: a
-	// checkpoint's watermark then never garbage-collects the WAL
-	// generation this execution is reading.
-	x.View = e.part.Pin(e.part.Current())
-	return x, nil
-}
-
-// release unpins x's epoch, puts its context back among the idle ones,
-// x emptied — an idle context keeps no epoch — and frees its slot.
-func (e *Engine) release(x *physical.Executor) {
-	e.part.Unpin(x.View)
-	c := x.Ctx
-	*x = physical.Executor{}
-	e.idleScratch.Add(c.ScratchBytes())
-	e.idle <- c
-	<-e.slots
-}
-
 // ExecutePlan runs an already-compiled plan on a fresh cluster clock,
 // with per-node phases executed concurrently (per Config.Parallelism).
 // The execution pins the current data epoch for its whole duration:
@@ -553,28 +515,51 @@ func (e *Engine) release(x *physical.Executor) {
 // DataVersion reports the epoch served. The rows are the caller's to
 // keep (physical.Result.Rows); RunPlan is the entrance that does not
 // copy them out.
-func (e *Engine) ExecutePlan(pp *physical.Plan) (*physical.Result, error) {
-	x, err := e.executor()
-	if err != nil {
-		return nil, err
-	}
-	defer e.release(x)
-	return x.Execute(pp)
+func (e *Engine) ExecutePlan(pp *physical.Plan) (res *physical.Result, err error) {
+	err = e.RunPlan(pp, func(r *physical.Result, rows physical.Rows) error {
+		r.Rows, res = rows.Materialise(), r
+		return nil
+	})
+	return res, err
 }
 
 // RunPlan executes pp as ExecutePlan does and lends use the finished
-// rows where the execution left them (see physical.Executor.Run): the
-// execution's slot, its context and the pinned epoch are held until use
-// returns — also when it panics — and rows is invalid from then on. The
-// Result (Rows nil, N set) may be kept. use must not execute on the
+// rows where the execution left them (see physical.ExecContext.Run):
+// the execution's slot, its context and the pinned epoch are held until
+// use returns — also when it panics — and rows is invalid from then on.
+// The Result (Rows nil, N set) may be kept. use must not execute on the
 // engine itself: it holds one of the slots such an execution waits for.
+//
+// An execution is admitted first: it takes a slot, waiting in arrival
+// order while every slot is out, then an idle context, or builds one if
+// none is idle. The epoch it reads is pinned in the partitioner's
+// registry for the duration: a checkpoint's watermark then never
+// garbage-collects the WAL generation this execution is reading.
 func (e *Engine) RunPlan(pp *physical.Plan, use func(res *physical.Result, rows physical.Rows) error) error {
-	x, err := e.executor()
-	if err != nil {
-		return err
+	if e.closed.Load() {
+		return ErrClosed
 	}
-	defer e.release(x)
-	return x.Run(pp, use)
+	e.slots <- struct{}{}
+	var c *physical.ExecContext
+	select {
+	case c = <-e.idle:
+		e.idleScratch.Add(-c.ScratchBytes())
+	default:
+		c = physical.NewExecContext(e.cfg.Parallelism, e.cfg.Constants)
+		c.StatsSink = e.cfg.StatsSink
+	}
+	view := e.part.Pin(e.part.Current())
+	defer e.release(c, view)
+	return c.Run(pp, view, e.dict, e.res, use)
+}
+
+// release unpins an execution's epoch, puts its context back among the
+// idle ones — an idle context pins no epoch — and frees its slot.
+func (e *Engine) release(c *physical.ExecContext, view *partition.View) {
+	e.part.Unpin(view)
+	e.idleScratch.Add(c.ScratchBytes())
+	e.idle <- c
+	<-e.slots
 }
 
 // ExecuteStats executes pp for its statistics alone — the row count

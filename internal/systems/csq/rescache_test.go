@@ -410,7 +410,7 @@ func TestResultCachePacksAnswers(t *testing.T) {
 		if !reflect.DeepEqual(got.Rows, want.Rows) || !reflect.DeepEqual(got.Jobs, want.Jobs) {
 			t.Errorf("%s: a hit's rows or JobStats differ from an uncached run's (%d rows, want %d)", q.Name, len(got.Rows), len(want.Rows))
 		}
-		ent, hit := cached.res.Do(pp.Key(), got.DataVersion, func() *rescache.Entry {
+		ent, hit := cached.res.Do(rescache.Key(got.DataVersion, pp.Key()), func() *rescache.Entry {
 			t.Fatalf("%s: the answer just served is not cached", q.Name)
 			return nil
 		})

@@ -2,7 +2,7 @@ package cliquesquare
 
 // Lifetime tests for the flat data plane. An ExecContext recycles, in
 // place, every block of cells an execution computed in — the finished
-// rows included, which Executor.Run only lends to its callback — so
+// rows included, which ExecContext.Run only lends to its callback — so
 // anything that outlives the execution (Execute's Result.Rows, a
 // result-cache entry, a facade Result) must own its memory. These tests
 // keep results and entries alive across reuses of the context that
@@ -93,23 +93,25 @@ func newLifetimeFixture(t *testing.T) *lifetimeFixture {
 	return f
 }
 
-// executor wires an executor over ctx — on a fresh cluster clock, as the
-// engine does — with the given result cache (nil for none).
-func (f *lifetimeFixture) executor(ctx *physical.ExecContext, rc *rescache.Cache) *physical.Executor {
-	return &physical.Executor{
-		Cluster:     mapreduce.NewCluster(f.store.N(), f.cfg.Constants),
-		Part:        f.part,
-		Dict:        f.g.Dict,
-		Ctx:         ctx,
-		ResultCache: rc,
+// run runs pp through ctx — nil is a fresh one-lane context — on the
+// current epoch, with the given result cache (nil for none), and lends
+// use its rows.
+func (f *lifetimeFixture) run(ctx *physical.ExecContext, rc *rescache.Cache, pp *physical.Plan, use func(*physical.Result, physical.Rows) error) error {
+	if ctx == nil {
+		ctx = physical.NewExecContext(1, f.cfg.Constants)
 	}
+	return ctx.Run(pp, f.part.Current(), f.g.Dict, rc, use)
 }
 
-// execute runs pp through ctx and returns the result with its rows
+// execute runs pp as run does and returns the result with its rows
 // copied out.
 func (f *lifetimeFixture) execute(t *testing.T, ctx *physical.ExecContext, rc *rescache.Cache, pp *physical.Plan) *physical.Result {
 	t.Helper()
-	r, err := f.executor(ctx, rc).Execute(pp)
+	var r *physical.Result
+	err := f.run(ctx, rc, pp, func(res *physical.Result, rows physical.Rows) error {
+		res.Rows, r = rows.Materialise(), res
+		return nil
+	})
 	if err != nil {
 		t.Fatalf("execute: %v", err)
 	}
@@ -159,7 +161,7 @@ func TestResultOutlivesContextReuse(t *testing.T) {
 	}
 	for _, lanes := range []int{1, 4} {
 		for _, cached := range []bool{false, true} {
-			ctx := physical.NewExecContext(lanes)
+			ctx := physical.NewExecContext(lanes, f.cfg.Constants)
 			var rc *rescache.Cache
 			if cached {
 				rc = rescache.New(64 << 20)
@@ -190,11 +192,11 @@ func TestResultOutlivesContextReuse(t *testing.T) {
 // race, and either way the hashes must stay golden.
 func TestCachedViewReadWhileContextExecutes(t *testing.T) {
 	f := newLifetimeFixture(t)
-	ctx := physical.NewExecContext(4)
+	ctx := physical.NewExecContext(4, f.cfg.Constants)
 	rc := rescache.New(64 << 20)
 	pp, want := f.flat["Q1"], f.golden.Flat["Q1"]
 	k := kept{name: "flat/Q1", res: f.execute(t, ctx, rc, pp), want: want}
-	ent, hit := rc.Do(pp.Key(), f.part.Current().Version(), func() *rescache.Entry {
+	ent, hit := rc.Do(rescache.Key(f.part.Current().Version(), pp.Key()), func() *rescache.Entry {
 		t.Error("the answer of the plan just executed is not cached")
 		return &rescache.Entry{}
 	})
@@ -209,8 +211,8 @@ func TestCachedViewReadWhileContextExecutes(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			own := physical.NewExecContext(1)
-			err := f.executor(own, rc).Run(pp, func(res *physical.Result, rows physical.Rows) error {
+			own := physical.NewExecContext(1, f.cfg.Constants)
+			err := f.run(own, rc, pp, func(res *physical.Result, rows physical.Rows) error {
 				if p := rows.Packed(); res.N != want.Rows || p != &ent.Rows || &p.Data[0] != &ent.Rows.Data[0] {
 					t.Error("a result-cache hit did not lend the entry's own packed rows")
 				}

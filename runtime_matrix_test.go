@@ -48,27 +48,25 @@ func TestMorselDeterminismMatrix(t *testing.T) {
 	part := partition.LoadWithPolicy(store, g, cfg.Partitioning, nil)
 	execute := func(ctx *physical.ExecContext, pp *physical.Plan) *physical.Result {
 		t.Helper()
-		x := &physical.Executor{
-			Cluster: mapreduce.NewCluster(store.N(), cfg.Constants),
-			Part:    part,
-			Dict:    g.Dict,
-			Ctx:     ctx,
-		}
-		r, err := x.Execute(pp)
+		var r *physical.Result
+		err := ctx.Run(pp, part.Current(), g.Dict, nil, func(res *physical.Result, rows physical.Rows) error {
+			res.Rows, r = rows.Materialise(), res
+			return nil
+		})
 		if err != nil {
 			t.Fatalf("execute: %v", err)
 		}
 		return r
 	}
 
-	// The pin: one inline lane, which is what a nil context means.
+	// The pin: one inline lane.
 	type pin struct {
 		hash string
 		jobs []mapreduce.JobStats
 	}
 	pins := make([]pin, len(plans))
 	for i, pp := range plans {
-		r := execute(nil, pp)
+		r := execute(physical.NewExecContext(1, cfg.Constants), pp)
 		pins[i] = pin{hash: hashRows(r.Rows), jobs: r.Jobs}
 	}
 
@@ -81,12 +79,12 @@ func TestMorselDeterminismMatrix(t *testing.T) {
 			t.Run(fmt.Sprintf("par=%d/%s", par, mode), func(t *testing.T) {
 				var shared *physical.ExecContext
 				if mode == "pooled" {
-					shared = physical.NewExecContext(par)
+					shared = physical.NewExecContext(par, cfg.Constants)
 				}
 				for i, pp := range plans {
 					ctx := shared
 					if ctx == nil {
-						ctx = physical.NewExecContext(par)
+						ctx = physical.NewExecContext(par, cfg.Constants)
 					}
 					r := execute(ctx, pp)
 					if h := hashRows(r.Rows); h != pins[i].hash {

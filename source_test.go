@@ -2,7 +2,7 @@ package cliquesquare
 
 // The equivalence oracle of the result boundary. A finished result
 // reaches its consumer in three forms — the borrowed source
-// Executor.Run lends (the context's sorted parts, merged again as they
+// ExecContext.Run lends (the context's sorted parts, merged again as they
 // are read from the nearest merge mark, or a cache entry's packed rows,
 // decoded from the nearest restart), the materialised rows Execute
 // returns, and the strings the facade decodes from the source on the
@@ -123,13 +123,13 @@ func TestResultSourceEquivalence(t *testing.T) {
 					nonEmpty++
 				}
 				for _, lanes := range []int{1, 2, 4} {
-					ctx := physical.NewExecContext(lanes)
+					ctx := physical.NewExecContext(lanes, f.cfg.Constants)
 					// One cache per entrance, so that each sees a miss and
 					// then a hit of its own; nil is the uncached reading.
 					for _, rc := range []*rescache.Cache{nil, rescache.New(64 << 20)} {
 						for pass := 0; pass < passes(rc); pass++ {
 							var borrowed answer
-							err := f.executor(ctx, rc).Run(pp, func(r *physical.Result, rows physical.Rows) error {
+							err := f.run(ctx, rc, pp, func(r *physical.Result, rows physical.Rows) error {
 								if r.Rows != nil || r.N != rows.Len() {
 									t.Errorf("%s: Run handed a Result with %d materialised rows and N = %d beside a source of %d", label, len(r.Rows), r.N, rows.Len())
 								}
