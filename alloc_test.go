@@ -135,12 +135,14 @@ const (
 	residentWithGraphCeiling = 62.7
 	// residentWarmCeiling bounds the same engine, graph dropped, after
 	// three passes of the 14 LUBM queries on two lanes: 1.05× the
-	// measured 47.3 — the idle 35.5, the execution context's buffer pool
-	// (what the hungriest query occupied, 1.60 MB: 10.1 B/triple), and
+	// measured 42.6 — the idle 35.5, the execution context's buffer pool
+	// (what the hungriest query occupied, 0.88 MB: 5.5 B/triple), and
 	// under 2 of cached plans and statistics catalog, whose 20 patterns
 	// keep counts, not bindings: 12.7 KB, 0.08 B/triple, at any scale.
 	// Reads build nothing in the store, whose files are sorted and carry
-	// no index. It read 52.2–52.3 while the catalog held the 20 patterns'
+	// no index. It read 47.3, the pool 1.60 MB, while a shuffled tuple had
+	// a 24-byte record and the last job's raw rows waited for the final
+	// merge; 52.2–52.3 while the catalog held the 20 patterns'
 	// 91,931 bindings in sorted (id, count) arrays, 5.0 B/triple; 55.6
 	// (54.4–55.6), the pool about 2.0 MB, before map joins merged their
 	// sorted inputs and built no hash tables; 56.6–56.7 when scans and
@@ -155,7 +157,7 @@ const (
 	// their order and a map-only root join wrote a block the projection
 	// copied; 125.2 when every scratch position kept its own largest-ever
 	// array and every single-slot pattern a binding map.
-	residentWarmCeiling = 49.7
+	residentWarmCeiling = 44.7
 	// unaccountedCeiling bounds the bytes a two-lane engine holds, once
 	// it has answered the 14 LUBM queries, that no UpdateStats account
 	// counts: its plan-cache entries, compiled candidates and
@@ -164,7 +166,9 @@ const (
 	// B at 20 and at 50 universities and GOMAXPROCS 1–8, 7–9% and 3–4% of
 	// what the engine adds; 158,000–189,000 B since the engine runs with
 	// the result cache on, whose probes render every plan's key once
-	// (about 10 KB for the 14 plans).
+	// (about 10 KB for the 14 plans); 166,600–172,700 B at GOMAXPROCS 2
+	// and 8 since the scratch's arrays are counted at their size class
+	// (177,700–184,100 B before).
 	unaccountedCeiling = 192 << 10
 )
 

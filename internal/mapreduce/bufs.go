@@ -1,6 +1,7 @@
 package mapreduce
 
 import (
+	"slices"
 	"sync/atomic"
 	"unsafe"
 
@@ -14,8 +15,8 @@ import (
 // array. Each piece is carved once, at a counted size, so an execution
 // needs the lanes times the largest temporary plus the most the outputs
 // held at once, however the lanes were scheduled. A piece past an array
-// comes from the Go heap, and Reset grows the arrays to what was needed,
-// never shrinking them. The zero value is empty; a nil pool is the Go
+// comes from the Go heap, and Reset grows the arrays to what was needed
+// (to the allocator's size class), never shrinking them. The zero value is empty; a nil pool is the Go
 // heap.
 type Bufs struct {
 	words []uint64 // the outputs
@@ -40,13 +41,16 @@ type Mem interface{ carve(words int) []uint64 }
 
 // Elem is what a scratch buffer holds: pointer-free elements.
 type Elem interface {
-	rdf.TermID | int32 | record | run
+	rdf.TermID | byte | int32 | uint32 | uint64 | run | cursor | stretch
 }
 
-// Carve returns n elements carved from m, their contents unspecified.
+// Carve returns n elements carved from m, their contents unspecified;
+// a nil m is the Go heap.
 func Carve[E Elem](m Mem, n int) []E {
 	if n == 0 {
 		return nil
+	} else if m == nil {
+		return make([]E, n)
 	}
 	w := m.carve((n*int(unsafe.Sizeof(*new(E))) + 7) / 8)
 	return unsafe.Slice((*E)(unsafe.Pointer(unsafe.SliceData(w))), n)
@@ -127,15 +131,28 @@ func (p *Bufs) Reset() {
 	}
 	for _, a := range p.lanes {
 		if len(a.words) < p.temp {
-			a.words = make([]uint64, p.temp)
+			a.words = alloc(p.temp)
 		}
 	}
 	if len(p.words) < p.peak {
-		p.words = make([]uint64, p.peak)
+		p.words = alloc(p.peak)
 	}
 	p.ends.Store(0)
 	p.peak = 0
 }
 
+// alloc returns an array of at least n words: all the allocator's size
+// class holds, so that Bytes counts what the heap keeps.
+func alloc(n int) []uint64 {
+	w := slices.Grow([]uint64(nil), n)
+	return w[:cap(w)]
+}
+
 // Bytes reports the bytes the pool holds.
-func (p *Bufs) Bytes() int64 { return int64(len(p.words)+len(p.lanes)*p.temp) * 8 }
+func (p *Bufs) Bytes() int64 {
+	n := len(p.words)
+	for _, a := range p.lanes {
+		n += len(a.words)
+	}
+	return int64(n) * 8
+}

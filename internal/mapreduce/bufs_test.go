@@ -23,7 +23,7 @@ func execute(t *testing.T, p *Bufs, lanes, jobs int, warm bool) {
 	for job := 0; job < jobs; job++ {
 		var mu sync.Mutex
 		var wg sync.WaitGroup
-		var own [][]record
+		var own [][]run
 		for lane := 0; lane < lanes; lane++ {
 			a := p.Lane(lane)
 			wg.Add(1)
@@ -44,12 +44,12 @@ func execute(t *testing.T, p *Bufs, lanes, jobs int, warm bool) {
 						}
 					}
 					keep := Carve[rdf.TermID](p, 3*m+job)
-					recs := Carve[record]((*top)(p), m)
+					recs := Carve[run]((*top)(p), m)
 					for i := range keep {
 						keep[i] = rdf.TermID(m<<8 | job)
 					}
 					for i := range recs {
-						recs[i] = record{group: uint32(m), k0: uint32(job)}
+						recs[i] = run{shape: shape{group: uint32(m)}, off: uint32(job)}
 					}
 					if warm && !(inside(a.words, tmp) && inside(a.words, scrap) && inside(p.words, keep) && inside(p.words, recs)) {
 						t.Errorf("job %d, morsel %d: a warm pool carved a piece off its arrays", job, m)
@@ -64,8 +64,8 @@ func execute(t *testing.T, p *Bufs, lanes, jobs int, warm bool) {
 		wg.Wait()
 		for _, recs := range own {
 			for _, r := range recs {
-				if int(r.k0) != job || int(r.group) != len(recs) {
-					t.Fatalf("job %d: a routed record overwritten", job)
+				if int(r.off) != job || int(r.group) != len(recs) {
+					t.Fatalf("job %d: a run header overwritten", job)
 				}
 			}
 		}
@@ -94,12 +94,12 @@ func inside[E Elem](words []uint64, s []E) bool {
 // together never share memory, on one lane or several. After Reset the
 // pool is exactly the lanes times the largest temporary of any morsel,
 // plus the most the outputs held at once — the same words whatever the
-// interleaving — and a repeat, or a smaller execution, never grows it
-// and carves without allocating. A lane's arena is empty whenever one
+// interleaving, each at the allocator's size class — and a repeat, or a
+// smaller execution, never grows it and carves without allocating. A lane's arena is empty whenever one
 // of the runtime's units starts on it.
 func TestBufsHoldOneExecution(t *testing.T) {
 	// Per job: morsels 0..11 carve 7m cells and 100 int32 (50 words) at
-	// most; the outputs keep 3m+job cells and m records (3 words) each.
+	// most; the outputs keep 3m+job cells and m run headers (3 words) each.
 	temp := (7*11+1)/2 + 50
 	keep := func(jobs int) (words int) {
 		for job := 0; job < jobs; job++ {
@@ -112,7 +112,7 @@ func TestBufsHoldOneExecution(t *testing.T) {
 	for _, lanes := range []int{1, 2, 4} {
 		var p Bufs
 		execute(t, &p, lanes, 3, false)
-		want := int64(lanes*temp+keep(3)+3*66) * 8
+		want := int64(lanes*len(alloc(temp))+len(alloc(keep(3)+3*66))) * 8
 		if got := p.Bytes(); got != want {
 			t.Fatalf("%d lanes: the pool holds %d B, want %d (lanes × %d words and %d of outputs)", lanes, got, want, temp, keep(3)+3*66)
 		}
@@ -141,7 +141,7 @@ func TestBufsHoldOneExecution(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		cl.RunWith(job, RunOptions{Pool: pool, Scratch: &Scratch{Bufs: &p}})
 		p.Reset()
-		if got, want := p.Bytes(), int64(4*((2*8+2+1)/2))*8; got != want {
+		if got, want := p.Bytes(), int64(4*len(alloc((2*8+2+1)/2)))*8; got != want {
 			t.Errorf("run %d: the pool holds %d B, want four arenas of the largest morsel's %d B", i, got, want/4)
 		}
 	}

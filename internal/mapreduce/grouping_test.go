@@ -5,13 +5,15 @@ package mapreduce
 // sorted-record grouping must present exactly the same (group →
 // records) multisets, in exactly the seed's sorted-string key order,
 // every record must land on the node the seed's routing picked, and
-// the record machinery must be pointer- and allocation-free.
+// the shuffle must keep nothing per tuple but its cells.
 
 import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
+	"sync/atomic"
 	"testing"
 	"unsafe"
 
@@ -58,24 +60,6 @@ func sameMultiset(g Group, want []tuple) bool {
 	return reflect.DeepEqual(a, b)
 }
 
-// TestRecordIsSmallAndPointerFree pins what makes the shuffle buffers
-// cheap to hold and to sort: a record is at most 32 bytes and contains
-// no pointer, so the collector never scans a record array.
-func TestRecordIsSmallAndPointerFree(t *testing.T) {
-	if sz := unsafe.Sizeof(record{}); sz > 32 {
-		t.Errorf("record is %d bytes, want <= 32", sz)
-	}
-	rt := reflect.TypeOf(record{})
-	for i := 0; i < rt.NumField(); i++ {
-		switch k := rt.Field(i).Type.Kind(); k {
-		case reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
-			reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		default:
-			t.Errorf("record.%s is a %v: only fixed-size integers keep the record pointer-free", rt.Field(i).Name, k)
-		}
-	}
-}
-
 // TestSortedGroupingMatchesReference cross-checks the radix-sorted
 // grouping against the seed's map-based grouping: same groups, same
 // per-group record multisets, groups visited in the seed's
@@ -99,16 +83,14 @@ func TestSortedGroupingMatchesReference(t *testing.T) {
 		if len(bk[0].runs) != runs {
 			t.Fatalf("trial %d: %d run headers over %d tuples, want %d", trial, len(bk[0].runs), len(ts), runs)
 		}
-		sorted := routed(bk, 0)
-		sortRecords(sorted, bk)
-		groups := Groups{recs: sorted, bk: bk}
+		groups := reduceInput(bk, 0)
 		if groups.Records() != len(ts) {
 			t.Fatalf("trial %d: %d records, emitted %d", trial, groups.Records(), len(ts))
 		}
 
 		gotOrder := []string{}
 		groups.Each(func(g Group) {
-			enc := encodeRecord(&g.recs[0], bk)
+			enc := encodeKey(g, 0)
 			gotOrder = append(gotOrder, enc)
 			want, ok := ref[enc]
 			if !ok {
@@ -120,8 +102,8 @@ func TestSortedGroupingMatchesReference(t *testing.T) {
 			if g.ID() != want[0].group || g.KeyLen() != len(want[0].cols) {
 				t.Fatalf("trial %d: group %q reports id %d and %d key cells", trial, enc, g.ID(), g.KeyLen())
 			}
-			for i := range g.recs {
-				if encodeRecord(&g.recs[i], bk) != enc {
+			for i := 0; i < g.Len(); i++ {
+				if encodeKey(g, i) != enc {
 					t.Fatalf("trial %d: group %q holds mixed keys", trial, enc)
 				}
 			}
@@ -171,7 +153,7 @@ func TestFlatShuffleMatchesReference(t *testing.T) {
 				},
 				ReduceRange: func(node, r, _, _ int, _ *Meter, groups *Groups, _ *Block) {
 					groups.Each(func(g Group) {
-						s := seen{enc: encodeRecord(&g.recs[0], g.bk)}
+						s := seen{enc: encodeKey(g, 0)}
 						for i := 0; i < g.Len(); i++ {
 							s.ids = append(s.ids, tupleID(g.Record(i)))
 						}
@@ -209,8 +191,8 @@ func TestFlatShuffleMatchesReference(t *testing.T) {
 // TestKeyPathAllocationFree pins the allocation contract of the
 // emission path: hashing, routing, writing the cells and the run header
 // cost zero heap allocations per tuple once the buckets have grown —
-// whatever the key width — and so does comparing the records routing
-// builds from them.
+// whatever the key width — and so does comparing two tuples' keys where
+// they lie.
 func TestKeyPathAllocationFree(t *testing.T) {
 	row := Row{9, 8, 7, 6, 5, 4}
 	bk := make([]bucket, 7)
@@ -234,28 +216,92 @@ func TestKeyPathAllocationFree(t *testing.T) {
 		{group: 1, row: row, cols: []int{0, 1, 2, 3, 4}},
 		{group: 1, row: row, cols: []int{0, 1, 2, 3, 4}},
 	})
-	recs := routed(one, 0)
-	a, b := &recs[0], &recs[1]
+	r, cells := &one[0].runs[0], one[0].cells
 	if n := testing.AllocsPerRun(1000, func() {
-		if compareFrom(a, b, 0, one) != 0 || !sameKey(a, b, one) {
+		if compareKeys(r, cells, 0, r, cells, 1) != 0 {
 			t.Fatal("a key does not equal its copy")
 		}
 	}); n != 0 {
-		t.Errorf("compareFrom/sameKey: %v allocs/op, want 0", n)
+		t.Errorf("compareKeys: %v allocs/op, want 0", n)
 	}
 }
 
-// TestSortRecordsAllocationFree pins the reduce-side grouping sort:
-// sorting a shuffle buffer in place must not allocate.
-func TestSortRecordsAllocationFree(t *testing.T) {
+// TestShuffleHoldsCellsAndRunHeaders pins what the shuffle keeps: a
+// tuple's cells and nothing per tuple beside them. Whole jobs — 3 nodes,
+// 4 map morsels each emitting one block, at one, two and four lanes —
+// leave a top high-water mark in the pool of exactly the bucket cells
+// plus one run header per bucket a morsel filled, and reduce every tuple
+// once. Sorting the runs at the map side and merging them at the
+// reducer, keys of zero to six cells included, allocate nothing on a
+// warm lane arena.
+func TestShuffleHoldsCellsAndRunHeaders(t *testing.T) {
+	const nodes, morsels = 3, 4
+	words := func(n, size int) int { return (n*size + 7) / 8 }
+	for trial := 0; trial < 10; trial++ {
+		rng := rand.New(rand.NewSource(int64(trial)))
+		blocks := make([]Block, nodes*morsels)
+		keyCols := make([][]int, len(blocks))
+		want, tuples := 0, 0
+		for i := range blocks {
+			w, nkey := 2+rng.Intn(3), rng.Intn(3)
+			keyCols[i] = rng.Perm(w)[:nkey]
+			perDest := make([]int, nodes)
+			for n := rng.Intn(200); n > 0; n-- {
+				row := make(Row, w)
+				for j := range row {
+					row[j] = rdf.TermID(rng.Intn(50))
+				}
+				blocks[i].Append(row)
+				tu := tuple{group: uint32(i % 2), row: row, cols: keyCols[i]}
+				perDest[ReferenceRoute(tu.encode())%nodes]++
+			}
+			for _, k := range perDest {
+				if k > 0 {
+					want += words(k*(stored(uint16(nkey))+w), 4) + words(1, int(unsafe.Sizeof(run{})))
+				}
+			}
+			tuples += blocks[i].N
+		}
+		for _, lanes := range []int{1, 2, 4} {
+			var p Bufs
+			var reduced atomic.Int64 // ranges run concurrently
+			job := Job{
+				Name:       "cells",
+				MapMorsels: func(int) int { return morsels },
+				MapMorsel: func(node, morsel, _ int, _ *Meter, emit *Emitter, _ *Block) {
+					i := node*morsels + morsel
+					emit.EmitAll(uint32(i%2), i%3, blocks[i], keyCols[i])
+				},
+				ReduceRange: func(_, _, _, _ int, _ *Meter, groups *Groups, _ *Block) {
+					groups.Each(func(g Group) { reduced.Add(int64(g.Len())) })
+				},
+			}
+			cl := wordCountCluster(nodes)
+			cl.RunWith(job, RunOptions{Pool: NewPool(lanes), Scratch: &Scratch{Bufs: &p}})
+			if p.peak != want || int(reduced.Load()) != tuples {
+				t.Fatalf("trial %d, %d lanes: the shuffle's top reached %d words, want %d of cells and run headers; %d of %d tuples reduced",
+					trial, lanes, p.peak, want, reduced.Load(), tuples)
+			}
+		}
+	}
+
 	rng := rand.New(rand.NewSource(1))
 	bk := emitAll(1, randomTuples(rng, 512))
-	recs := routed(bk, 0)
-	scratch := make([]record, len(recs))
+	emitted := slices.Clone(bk[0].cells)
+	var p Bufs
+	a := p.Lane(0)
+	sortRuns(bk, a) // grow the arena
+	(&Groups{bk: bk, n: 1, mem: a}).Each(func(Group) {})
+	p.Reset()
+	groups := 0
 	if n := testing.AllocsPerRun(100, func() {
-		copy(scratch, recs)
-		sortRecords(scratch, bk)
-	}); n != 0 {
-		t.Errorf("sortRecords: %v allocs/op, want 0", n)
+		copy(bk[0].cells, emitted)
+		sortRuns(bk, a)
+		a.Cut(0)
+		groups = 0
+		(&Groups{bk: bk, n: 1, mem: a}).Each(func(Group) { groups++ })
+		a.Cut(0)
+	}); n != 0 || groups == 0 {
+		t.Errorf("sorting the runs of 512 tuples and merging them into %d groups: %v allocs/op, want 0", groups, n)
 	}
 }

@@ -1,6 +1,12 @@
 package mapreduce
 
-import "math/bits"
+import (
+	"cmp"
+	"math/bits"
+	"slices"
+
+	"cliquesquare/internal/rdf"
+)
 
 // FNV-1a parameters (hash/fnv's constants, inlined so hashing a key
 // needs no hasher object and no byte-slice materialization).
@@ -9,32 +15,10 @@ const (
 	fnv32Prime  = 16777619
 )
 
-// record is one shuffled tuple, built once, by routing, straight into
-// its destination's array. Its key is the group (which reduce join the
-// tuple belongs to) and nkey key cells; tag says which input of that
-// join it is. The first key cell lives in the record alone — reduce
-// joins key on a clique's shared variables, almost always one — so
-// sorting and grouping one-cell keys never leave the record array; the
-// cells of bucket buf hold, from off, the tuple's other nkey-1 key cells
-// and then its width row cells, as Emit wrote them. The struct is fixed-size
-// and pointer-free: sorting swaps 24 bytes and the collector never
-// scans a record array. tag and nkey are 16 bits wide: a join has at
-// most as many inputs as its query has triple patterns and at most as
-// many key attributes as it has variables, and physical.CompileWith
-// refuses a join beyond MaxInputs or MaxKeyCells.
-type record struct {
-	group uint32
-	k0    uint32 // first key cell (0 for an empty key)
-	buf   uint32 // the bucket whose cell buffer holds the tuple's cells
-	off   uint32 // where in it
-	width uint32 // row cells
-	tag   uint16
-	nkey  uint16
-}
-
-// MaxInputs and MaxKeyCells are what a record's 16-bit tag and nkey can
-// carry: the inputs of one reduce join (tags 0..MaxInputs-1) and the
-// key cells of one tuple.
+// MaxInputs and MaxKeyCells are what a run header's 16-bit tag and nkey
+// can carry: the inputs of one reduce join (tags 0..MaxInputs-1) and the
+// key cells of one tuple. physical.CompileWith refuses a join beyond
+// them.
 const (
 	MaxInputs   = 1 << 16
 	MaxKeyCells = 1<<16 - 1
@@ -61,194 +45,363 @@ func route(h32 uint32, n int) int {
 }
 
 // stored is how many of a tuple's nkey key cells its bucket holds: all
-// but the first, which its record carries.
+// but the first, which is a row cell (the run's col0).
 func stored(nkey uint16) int { return max(int(nkey), 1) - 1 }
 
-// keyCell returns the i-th key cell of r (i < r.nkey).
-func keyCell(r *record, i int, bk []bucket) uint32 {
-	if i == 0 {
-		return r.k0
+// stride is the cells one tuple of the run takes: its stored key cells,
+// then its row.
+func (r *run) stride() int { return stored(r.nkey) + int(r.width) }
+
+// keyCell returns key cell k (k < r.nkey) of tuple i of run r, whose
+// bucket holds cells.
+func (r *run) keyCell(cells []rdf.TermID, i, k int) uint32 {
+	at := int(r.off) + i*r.stride()
+	if k == 0 {
+		return uint32(cells[at+stored(r.nkey)+int(r.col0)])
 	}
-	return uint32(bk[r.buf].cells[int(r.off)+i-1])
+	return uint32(cells[at+k-1])
 }
 
-// row returns r's row cells as a view of its bucket's cell buffer.
-func (r *record) row(bk []bucket) Row {
-	lo := int(r.off) + stored(r.nkey)
+// row returns tuple i's row cells as a view of its bucket's cells.
+func (r *run) row(cells []rdf.TermID, i int) Row {
+	lo := int(r.off) + i*r.stride() + stored(r.nkey)
 	hi := lo + int(r.width)
-	return bk[r.buf].cells[lo:hi:hi]
+	return cells[lo:hi:hi]
 }
 
-// sameKey reports exact key equality (same group and cells).
-func sameKey(a, b *record, bk []bucket) bool {
-	if a.group != b.group || a.nkey != b.nkey || a.k0 != b.k0 {
-		return false
+// prefix is the first two lanes of tuple i's key — its group, then its
+// first key cell (0 without one), byte-swapped — an integer that orders
+// as the keys do as far as it goes: compareKeys decides a tie.
+func (r *run) prefix(cells []rdf.TermID, i int) uint64 {
+	p := uint64(bits.ReverseBytes32(r.group)) << 32
+	if r.nkey > 0 {
+		p |= uint64(bits.ReverseBytes32(r.keyCell(cells, i, 0)))
 	}
-	for i := 1; i < int(a.nkey); i++ {
-		if keyCell(a, i, bk) != keyCell(b, i, bk) {
+	return p
+}
+
+// sameKey reports whether tuples i and j of run r carry one key.
+func (r *run) sameKey(cells []rdf.TermID, i, j int) bool {
+	for k := 0; k < int(r.nkey); k++ {
+		if r.keyCell(cells, i, k) != r.keyCell(cells, j, k) {
 			return false
 		}
 	}
 	return true
 }
 
-// keyLane is the radix-sort view of a key: a sequence of 32-bit lanes
-// — the byte-swapped group at depth 0, then each byte-swapped cell —
-// with -1 past the end. Byte-swapping makes numeric lane order equal
-// byte order of the little-endian string encoding, and exhausted keys
-// ordering first matches shorter-string-first: lane order is exactly
-// the seed's sort.Strings order over encoded keys. Meters are integer
-// counts, so no sum depends on it; it fixes the order groups reach a
-// reducer in, and with it the order of every job output's rows.
-func keyLane(r *record, d int, bk []bucket) int64 {
-	if d == 0 {
-		return int64(bits.ReverseBytes32(r.group))
+// compareKeys compares the key of tuple i of run a (its bucket's cells
+// ac) with that of tuple j of run b in the canonical order: the byte
+// order of the keys' seed string encodings (EncodeKey) — the group, then
+// each key cell, as little-endian bytes, a shorter key before its
+// extensions. Byte-swapping a cell makes numeric order its bytes' order.
+// Meters are integer counts, so no sum depends on it; it fixes the order
+// groups reach a reducer in, and with it the order of every job output's
+// rows.
+func compareKeys(a *run, ac []rdf.TermID, i int, b *run, bc []rdf.TermID, j int) int {
+	if a.group != b.group {
+		return cmp.Compare(bits.ReverseBytes32(a.group), bits.ReverseBytes32(b.group))
 	}
-	if c := d - 1; c < int(r.nkey) {
-		return int64(bits.ReverseBytes32(keyCell(r, c, bk)))
+	for k := 0; ; k++ {
+		if k == int(a.nkey) || k == int(b.nkey) {
+			return cmp.Compare(a.nkey, b.nkey)
+		}
+		if x, y := a.keyCell(ac, i, k), b.keyCell(bc, j, k); x != y {
+			return cmp.Compare(bits.ReverseBytes32(x), bits.ReverseBytes32(y))
+		}
 	}
-	return -1
 }
 
-// compareFrom compares two records' keys lane by lane starting at
-// depth d; from depth 0 it is the canonical order: the byte order of
-// the keys' seed string encodings.
-func compareFrom(a, b *record, d int, bk []bucket) int {
-	for {
-		la, lb := keyLane(a, d, bk), keyLane(b, d, bk)
-		if la != lb {
-			if la < lb {
-				return -1
+// sortRuns is the map side of the shuffle: it sorts the tuples of every
+// run the buckets hold into canonical key order, stably, in place, with
+// scratch carved from m (the lane's arena). A run already in order — a
+// scan keyed on the column its file is sorted by — is left as it is.
+func sortRuns(bk []bucket, m Mem) {
+	for b := range bk {
+		cells := bk[b].cells
+		for k := range bk[b].runs {
+			if r := &bk[b].runs[k]; !sortedRun(r, cells) {
+				sortRun(r, cells, m)
 			}
-			return 1
-		}
-		if la == -1 {
-			return 0
-		}
-		d++
-	}
-}
-
-// sortRecords sorts shuffled records into canonical key order with a
-// three-way radix quicksort (Bentley–Sedgewick multikey quicksort)
-// over the key lanes: records with equal lane values are partitioned
-// together and recurse one lane deeper, so common prefixes — every
-// record of one reduce join shares the group lane — are compared once
-// per partition, not once per pair. Only records move; bk, the bucket
-// table they point into, is read for key cells past the first.
-func sortRecords(recs []record, bk []bucket) { radixSort(recs, 0, bk) }
-
-func radixSort(recs []record, d int, bk []bucket) {
-	for len(recs) > 1 {
-		if len(recs) <= 16 {
-			insertionSort(recs, d, bk)
-			return
-		}
-		p := medianLane(recs, d, bk)
-		lt, gt := partition3(recs, d, p, bk)
-		radixSort(recs[:lt], d, bk)
-		if p != -1 {
-			radixSort(recs[lt:gt], d+1, bk)
-		}
-		recs = recs[gt:]
-	}
-}
-
-// partition3 is a Dutch-national-flag partition of recs by the lane-d
-// value against pivot: returns the bounds of the equal region.
-func partition3(recs []record, d int, pivot int64, bk []bucket) (lt, gt int) {
-	lt, gt = 0, len(recs)
-	for i := lt; i < gt; {
-		v := keyLane(&recs[i], d, bk)
-		switch {
-		case v < pivot:
-			recs[lt], recs[i] = recs[i], recs[lt]
-			lt++
-			i++
-		case v > pivot:
-			gt--
-			recs[i], recs[gt] = recs[gt], recs[i]
-		default:
-			i++
-		}
-	}
-	return lt, gt
-}
-
-func medianLane(recs []record, d int, bk []bucket) int64 {
-	a := keyLane(&recs[0], d, bk)
-	b := keyLane(&recs[len(recs)/2], d, bk)
-	c := keyLane(&recs[len(recs)-1], d, bk)
-	if a > b {
-		a, b = b, a
-	}
-	if b > c {
-		b = c
-		if a > b {
-			b = a
-		}
-	}
-	return b
-}
-
-func insertionSort(recs []record, d int, bk []bucket) {
-	for i := 1; i < len(recs); i++ {
-		for j := i; j > 0 && compareFrom(&recs[j], &recs[j-1], d, bk) < 0; j-- {
-			recs[j], recs[j-1] = recs[j-1], recs[j]
 		}
 	}
 }
 
-// Groups is a reduce task's input: the records routed to one node (or
-// one key range of them), sorted so equal keys are adjacent and groups
-// appear in canonical key order — the order the seed runtime produced
-// by sort.Strings over its string keys, kept as a deterministic group
-// order (TestSortedGroupingMatchesReference pins it).
+// sortedRun reports whether run r's tuples are in key order.
+func sortedRun(r *run, cells []rdf.TermID) bool {
+	if r.nkey == 0 {
+		return true // one key: the group
+	}
+	for i, p := 1, r.prefix(cells, 0); i < int(r.n); i++ {
+		q := r.prefix(cells, i)
+		if q < p || q == p && r.nkey > 1 && compareKeys(r, cells, i-1, r, cells, i) > 0 {
+			return false
+		}
+		p = q
+	}
+	return true
+}
+
+// sortRun sorts run r's tuples stably by key: it sorts one word per
+// tuple — the first key cell byte-swapped over the tuple's number — and
+// gathers the tuples in that order into a copy, copied back.
+func sortRun(r *run, cells []rdf.TermID, m Mem) {
+	n, s := int(r.n), r.stride()
+	keys := Carve[uint64](m, n)
+	for i := range keys {
+		keys[i] = uint64(bits.ReverseBytes32(r.keyCell(cells, i, 0)))<<32 | uint64(i)
+	}
+	if r.nkey == 1 {
+		slices.Sort(keys)
+	} else {
+		slices.SortFunc(keys, func(x, y uint64) int {
+			if x>>32 == y>>32 {
+				if c := compareKeys(r, cells, int(uint32(x)), r, cells, int(uint32(y))); c != 0 {
+					return c
+				}
+			}
+			return cmp.Compare(x, y)
+		})
+	}
+	tuples := cells[r.off : int(r.off)+n*s]
+	tmp := Carve[rdf.TermID](m, n*s)
+	for j, k := range keys {
+		i := int(uint32(k))
+		copy(tmp[j*s:(j+1)*s], tuples[i*s:(i+1)*s])
+	}
+	copy(tuples, tmp)
+}
+
+// place is one tuple in the shuffle: tuple pos of run run of bucket buf.
+type place struct{ buf, run, pos uint32 }
+
+// cursor is a reducer's place in one run routed to its node: the next
+// tuple it merges, with its key's prefix, and the end of its key range
+// in the run.
+type cursor struct {
+	place
+	end uint32
+	key uint64
+}
+
+// stretch is a group's tuples in one run: tuples lo to hi-1 of run run
+// of bucket buf; at counts the group's tuples in the stretches before.
+type stretch struct{ buf, run, lo, hi, at uint32 }
+
+// Groups is a reduce task's input: the sorted runs every map morsel
+// routed to one node, read in one key range of them, merged so that
+// equal keys are adjacent and groups appear in canonical key order — the
+// order the seed runtime produced by sort.Strings over its string keys,
+// kept as a deterministic group order (TestSortedGroupingMatchesReference
+// pins it). Ties go to the run emitted first, in (source node, morsel,
+// emission) order, so a group's records keep the order they were emitted
+// in. The merge keeps nothing per tuple: its state — a cursor per run, a
+// heap of them and a group's stretches — is carved from mem when Each
+// starts.
 type Groups struct {
-	recs []record
-	bk   []bucket
+	bk      []bucket // the job's buckets: (morsel, destination) at morsel*n+destination
+	dest, n int
+	// cuts are where the node's key ranges after the first start, group-
+	// aligned; the range read is k: from cuts[k-1] (the start when k is
+	// 0) up to cuts[k] (the end when k is len(cuts)).
+	cuts []place
+	k    int
+	mem  Mem
+}
+
+// eachRun calls fn for every run routed to the node, in (source node,
+// morsel, emission) order, with its bucket and run index and the range
+// of its tuples in the key range read.
+func (g *Groups) eachRun(fn func(buf, k int, lo, hi uint32)) {
+	for b := g.dest; b < len(g.bk); b += g.n {
+		for k := range g.bk[b].runs {
+			r := &g.bk[b].runs[k]
+			lo, hi := uint32(0), r.n
+			if g.k > 0 {
+				lo = g.bound(r, g.bk[b].cells, g.cuts[g.k-1])
+			}
+			if g.k < len(g.cuts) {
+				hi = g.bound(r, g.bk[b].cells, g.cuts[g.k])
+			}
+			fn(b, k, lo, hi)
+		}
+	}
+}
+
+// bound returns the number of run r's tuples whose keys come before the
+// key of the tuple at p.
+func (g *Groups) bound(r *run, cells []rdf.TermID, p place) uint32 {
+	pr, pc := &g.bk[p.buf].runs[p.run], g.bk[p.buf].cells
+	lo, hi := 0, int(r.n)
+	for lo < hi {
+		if mid := (lo + hi) / 2; compareKeys(r, cells, mid, pr, pc, int(p.pos)) < 0 {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return uint32(lo)
 }
 
 // Records returns the total number of records across all groups.
-func (g *Groups) Records() int { return len(g.recs) }
+func (g *Groups) Records() (n int) {
+	g.eachRun(func(_, _ int, lo, hi uint32) { n += int(hi - lo) })
+	return n
+}
 
 // Each calls fn once per distinct key with the group of records
 // carrying it, in canonical key order. The group and every row it
 // hands out are views of the shuffle scratch, valid only during the
 // call.
 func (g *Groups) Each(fn func(Group)) {
-	for i := 0; i < len(g.recs); {
-		j := i + 1
-		for j < len(g.recs) && sameKey(&g.recs[j], &g.recs[i], g.bk) {
-			j++
+	runs := 0
+	for b := g.dest; b < len(g.bk); b += g.n {
+		runs += len(g.bk[b].runs)
+	}
+	cur := Carve[cursor](g.mem, runs)[:0]
+	g.eachRun(func(b, k int, lo, hi uint32) {
+		if lo < hi {
+			c := cursor{place: place{buf: uint32(b), run: uint32(k), pos: lo}, end: hi}
+			c.key = g.bk[b].runs[k].prefix(g.bk[b].cells, int(lo))
+			cur = append(cur, c)
 		}
-		fn(Group{recs: g.recs[i:j], bk: g.bk})
-		i = j
+	})
+	h := heap{cur: cur, bk: g.bk, idx: Carve[int32](g.mem, len(cur))}
+	for i := range h.idx {
+		h.idx[i] = int32(i)
+	}
+	for i := len(h.idx)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+	st := Carve[stretch](g.mem, len(cur))
+	for len(h.idx) > 0 {
+		// The least head starts the group; every cursor whose head has its
+		// key gives the group that head's stretch, in run order.
+		first, key, n := cur[h.idx[0]].place, cur[h.idx[0]].key, uint32(0)
+		fr, fc := &g.bk[first.buf].runs[first.run], g.bk[first.buf].cells
+		st = st[:0]
+		for len(h.idx) > 0 {
+			c := &cur[h.idx[0]]
+			r, cells := &g.bk[c.buf].runs[c.run], g.bk[c.buf].cells
+			if len(st) > 0 && (c.key != key || compareKeys(r, cells, int(c.pos), fr, fc, int(first.pos)) != 0) {
+				break
+			}
+			lo := c.pos
+			for c.pos++; c.pos < c.end && r.sameKey(cells, int(c.pos), int(lo)); c.pos++ {
+			}
+			st = append(st, stretch{buf: c.buf, run: c.run, lo: lo, hi: c.pos, at: n})
+			n += c.pos - lo
+			if c.pos < c.end {
+				c.key = r.prefix(cells, int(c.pos))
+			} else {
+				h.idx[0] = h.idx[len(h.idx)-1]
+				h.idx = h.idx[:len(h.idx)-1]
+			}
+			h.down(0)
+		}
+		fn(Group{st: st, n: int(n), bk: g.bk})
+	}
+}
+
+// heap orders the merge's cursors by their heads' keys, ties by cursor —
+// by run, in emission order.
+type heap struct {
+	cur []cursor
+	bk  []bucket
+	idx []int32
+}
+
+func (h *heap) less(i, j int32) bool {
+	a, b := &h.cur[i], &h.cur[j]
+	if a.key != b.key {
+		return a.key < b.key
+	}
+	ra, rb := &h.bk[a.buf].runs[a.run], &h.bk[b.buf].runs[b.run]
+	if ra.nkey == rb.nkey && ra.nkey <= 1 {
+		return i < j // the prefix is the whole key
+	}
+	c := compareKeys(ra, h.bk[a.buf].cells, int(a.pos), rb, h.bk[b.buf].cells, int(b.pos))
+	return c < 0 || c == 0 && i < j
+}
+
+// down restores the heap below position i.
+func (h *heap) down(i int) {
+	for {
+		l := 2*i + 1
+		if l >= len(h.idx) {
+			return
+		}
+		if r := l + 1; r < len(h.idx) && h.less(h.idx[r], h.idx[l]) {
+			l = r
+		}
+		if !h.less(h.idx[l], h.idx[i]) {
+			return
+		}
+		h.idx[i], h.idx[l] = h.idx[l], h.idx[i]
+		i = l
 	}
 }
 
 // Group is the records sharing one key: a view handed out by
-// Groups.Each.
+// Groups.Each, its records the stretches of the runs holding the key,
+// in run order.
 type Group struct {
-	recs []record
-	bk   []bucket
+	st []stretch
+	n  int
+	bk []bucket
+}
+
+// first returns the run of the group's first stretch and its bucket's
+// cells.
+func (g Group) first() (*run, []rdf.TermID) {
+	s := &g.st[0]
+	return &g.bk[s.buf].runs[s.run], g.bk[s.buf].cells
 }
 
 // ID returns the group identifier the records were emitted under.
-func (g Group) ID() uint32 { return g.recs[0].group }
+func (g Group) ID() uint32 { r, _ := g.first(); return r.group }
 
 // KeyLen returns the number of key cells.
-func (g Group) KeyLen() int { return int(g.recs[0].nkey) }
+func (g Group) KeyLen() int { r, _ := g.first(); return int(r.nkey) }
 
 // KeyCell returns the i-th key cell.
-func (g Group) KeyCell(i int) uint32 { return keyCell(&g.recs[0], i, g.bk) }
+func (g Group) KeyCell(i int) uint32 {
+	r, cells := g.first()
+	return r.keyCell(cells, int(g.st[0].lo), i)
+}
 
 // Len returns the number of records in the group.
-func (g Group) Len() int { return len(g.recs) }
+func (g Group) Len() int { return g.n }
+
+// Records calls fn(tag, row) for every record of the group in order, as
+// Record would hand them out one by one.
+func (g Group) Records(fn func(tag int, row Row)) {
+	for _, s := range g.st {
+		r, cells := &g.bk[s.buf].runs[s.run], g.bk[s.buf].cells
+		for i := s.lo; i < s.hi; i++ {
+			fn(int(r.tag), r.row(cells, int(i)))
+		}
+	}
+}
 
 // Record returns the i-th record of the group: its input tag and its
 // row, a view of the cells written at emission.
 func (g Group) Record(i int) (tag int, row Row) {
-	r := &g.recs[i]
-	return int(r.tag), r.row(g.bk)
+	r, cells, at := g.at(i)
+	return int(r.tag), r.row(cells, at)
+}
+
+// at returns the run holding the group's i-th record, its bucket's cells
+// and the record's tuple number in the run.
+func (g Group) at(i int) (*run, []rdf.TermID, int) {
+	lo, hi := 0, len(g.st)
+	for hi-lo > 1 {
+		if mid := (lo + hi) / 2; int(g.st[mid].at) <= i {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	s := &g.st[lo]
+	return &g.bk[s.buf].runs[s.run], g.bk[s.buf].cells, int(s.lo) + i - int(s.at)
 }

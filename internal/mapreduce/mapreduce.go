@@ -22,25 +22,26 @@
 //
 // The data plane is flat: tuples are cells in width-strided []TermID
 // arrays, never one slice header per row. A relation body is a Block
-// (width, row count, cells). An emitted tuple is its row cells and its
-// key cells but the first, written once, at emission, into the cell
-// buffer of the (morsel, destination) bucket the key routes to, under
-// one header per run of one shape. Routing builds each tuple's one
-// record — a 24-byte pointer-free struct holding the group, the first
-// key cell, the tag and where the tuple's cells are — straight into its destination's
-// array in (source node, morsel, emission) order, and sorting permutes
-// records only; the cells never move again, and no array holds a
-// pointer, so the garbage collector skips them all. A finished answer
-// kept past its execution (a result-cache entry's) is a Packed: its
-// sorted distinct rows gap-coded against each other, decoded as read.
+// (width, row count, cells). The shuffle is Hadoop's, sorted at the map
+// side and merged at the reducer: an emitted tuple is its key cells but
+// the first (a row cell) and its row cells, written once, at emission,
+// into the cell buffer of the (morsel, destination) bucket the key
+// routes to, under one header per run of one shape; as the morsel ends,
+// each run is sorted by key in place. A reducer merges the sorted runs
+// routed to its node, ties broken by (source node, morsel, emission), so
+// the cells never move again and nothing is kept per tuple but its
+// cells, and no array holds a pointer, so the garbage collector skips
+// them all. A finished answer is a Packed: sorted distinct rows
+// gap-coded against each other, decoded as read.
 //
-// A Scratch holds the positions a run fills — buckets, routed records,
-// slot tables and the per-node output blocks — and carves their bytes
-// from its Bufs pool, each piece once and at its counted size: a run's
+// A Scratch holds the positions a run fills — buckets, range cuts, slot
+// tables and the per-node output blocks — and carves their bytes from
+// its Bufs pool, each piece once and at its counted size: a run's
 // Output, and every view Groups.Each hands a reducer (a group's key
 // cells and its records' rows, valid for the duration of the callback),
 // alias pool memory that the pool's Reset takes back. Whatever must
-// outlive that is copied out by the caller.
+// outlive that is copied out by the caller, or taken as each unit ends
+// (Job.Sink).
 package mapreduce
 
 import (
@@ -208,6 +209,13 @@ type Job struct {
 	// node's output be carved once and every range write its stretch of
 	// it, where otherwise a node's ranges' blocks are copied into it.
 	ReduceSize func(node, rng, ranges, lane int, groups *Groups) int
+	// Sink, if non-nil, takes the rows of every unit of the job's output
+	// phase — a map morsel of a map-only job, a reduce range otherwise —
+	// on its lane as the unit ends, and the job keeps no output: the unit
+	// writes into a block carved from its lane's arena (at the size
+	// ReduceSize counted), emptied with it, and the runtime counts its
+	// rows as the job's output.
+	Sink func(node, unit, lane int, rows *Block)
 }
 
 // ClassicJob adapts the classic MapReduce form — mapFn once per node,
@@ -359,18 +367,20 @@ type slot struct {
 	out           Block  // rows written, unless the unit writes the node output directly
 	size          int    // the cells a sized reduce range writes
 	count, cells  int    // records and row cells emitted into the shuffle
+	sinks         bool   // the job's sink takes the unit's rows
+	sunk          int    // rows it took
 	groups        Groups // a key range's records
 }
 
 // layout returns the slot table s sized for one phase: units(node)
 // slots per node, in node order, each a fresh header whose output block
-// carves from p.
-func layout(s []slot, n int, p *Bufs, units func(node int) int) []slot {
+// carves from p, or whose rows the job's sink takes.
+func layout(s []slot, n int, p *Bufs, sinks bool, units func(node int) int) []slot {
 	s = s[:0]
 	for node := 0; node < n; node++ {
 		k := units(node)
 		for i := 0; i < k; i++ {
-			s = append(s, slot{node: node, idx: i, of: k, out: NewBlock(p)})
+			s = append(s, slot{node: node, idx: i, of: k, out: NewBlock(p), sinks: sinks})
 		}
 	}
 	return s
@@ -486,23 +496,21 @@ func (e *Emitter) EmitAll(group uint32, tag int, rel Block, keyCols []int) {
 }
 
 // Scratch holds the positions one RunWith fills: per-(morsel,
-// destination) emission buckets, the routed per-destination records,
-// the slot tables, the per-node phase meters, the per-node output
-// blocks and the per-lane emitters. The bytes of buckets and records
-// are carved from the top of Bufs (the Go heap when nil), taken back as
-// the run returns; output blocks are carved from its bottom, and the
-// run's Output is valid until the pool's Reset. A lane's arena is
-// emptied after each unit the lane runs. A Scratch serves one run at a
-// time: the lanes inside a run partition it per unit, but two
-// concurrent runs must not share one.
+// destination) emission buckets, the cuts of each node's key ranges, the
+// slot tables, the per-node phase meters, the per-node output blocks and
+// the per-lane emitters. The bytes of buckets are carved from the top of
+// Bufs (the Go heap when nil), taken back as the run returns; output
+// blocks are carved from its bottom, and the run's Output is valid until
+// the pool's Reset. A lane's arena is emptied after each unit the lane
+// runs. A Scratch serves one run at a time: the lanes inside a run
+// partition it per unit, but two concurrent runs must not share one.
 type Scratch struct {
 	Bufs *Bufs
 
-	buckets  []bucket   // map slot*n+dest -> what the morsel emitted for dest
-	shuffled [][]record // dest node -> routed records
-	rangeOff [][]int32  // node -> group-aligned range offsets
-	meters   []Meter    // the job's meter table (see phases)
-	outputs  []Block    // node -> the job's output rows
+	buckets []bucket  // map slot*n+dest -> what the morsel emitted for dest
+	cuts    [][]place // node -> where its key ranges after the first start
+	meters  []Meter   // the job's meter table (see phases)
+	outputs []Block   // node -> the job's output rows
 
 	// One slot per unit of each phase, in canonical order.
 	morsels, ranges []slot
@@ -512,56 +520,98 @@ type Scratch struct {
 	// The run in flight — its job, cluster size and output — and the
 	// phases' per-unit functions, bound once so that handing them to the
 	// pool allocates nothing.
-	job                              Job
-	n                                int
-	out                              Output
-	mapFn, routeFn, sizeFn, reduceFn func(i, lane int)
+	job                            Job
+	n                              int
+	out                            Output
+	mapFn, cutFn, sizeFn, reduceFn func(i, lane int)
+}
+
+// mem is where lane's unit carves its temporaries: the lane's arena, or
+// the Go heap without a pool.
+func (sc *Scratch) mem(lane int) Mem {
+	if sc.Bufs == nil {
+		return (*Bufs)(nil)
+	}
+	return sc.Bufs.Lane(lane)
 }
 
 // begin points a lane at the unit it is about to run and returns the
-// block the unit writes: a node's only unit writes the node output
-// itself, the others their own slot.
+// block the unit writes: under a sink, one carved from the lane's arena
+// at the unit's counted size; else a node's only unit writes the node
+// output itself, the others their own slot.
 func (sc *Scratch) begin(lane int, u *slot) *Block {
 	sc.lanes[lane].unit = u
-	if u.of == 1 {
+	switch {
+	case u.sinks:
+		u.out = NewBlock(sc.mem(lane))
+		u.out.Cells = Carve[rdf.TermID](sc.mem(lane), u.size)[:0]
+	case u.of == 1:
 		return &sc.out.PerNode[u.node]
 	}
 	return &u.out
 }
 
-// mapUnit, routeDest, sizeUnit and reduceUnit are the phases' units: map
-// morsel i; the records of the tuples routed to dest, in (source node,
-// morsel, emission) order, counted, sorted into canonical group order
-// and split into group-aligned ranges, one per lane at most; the cells
-// reduce range i will write; reduce range i.
+// end ends a lane's unit: the sink takes its rows, and the lane's arena
+// is emptied.
+func (sc *Scratch) end(lane int, u *slot) {
+	if u.sinks {
+		u.sunk = u.out.N
+		sc.job.Sink(u.node, u.idx, lane, &u.out)
+		u.out = Block{}
+	}
+	sc.Bufs.empty(lane)
+}
+
+// mapUnit, cutDest, sizeUnit and reduceUnit are the phases' units: map
+// morsel i, whose runs are then sorted; the tuples routed to dest,
+// counted, and the cuts of one key range per lane; the cells reduce
+// range i will write; reduce range i.
 func (sc *Scratch) mapUnit(i, lane int) {
 	u := &sc.morsels[i]
 	dst := sc.begin(lane, u)
 	e := &sc.lanes[lane]
 	e.n, e.buckets, e.bufs = sc.n, sc.buckets[i*sc.n:(i+1)*sc.n], sc.Bufs
 	sc.job.MapMorsel(u.node, u.idx, lane, &u.meter, e, dst)
+	sc.end(lane, u)
+	sortRuns(e.buckets, sc.mem(lane))
 	sc.Bufs.empty(lane)
 }
 
-func (sc *Scratch) routeDest(dest, _ int) {
-	buf := sc.route(sc.shuffled[dest], dest, sc.n)
-	sc.shuffled[dest] = buf
+func (sc *Scratch) cutDest(dest, _ int) {
+	// Cut at the keys of even shares of the largest run: its keys stand
+	// for the node's, and equal keys fall in one range.
+	total, big := 0, place{}
+	var most uint32
+	for b := dest; b < len(sc.buckets); b += sc.n {
+		for k, r := range sc.buckets[b].runs {
+			if total += int(r.n); r.n > most {
+				most, big = r.n, place{buf: uint32(b), run: uint32(k)}
+			}
+		}
+	}
 	_, shufM, _ := phases(sc.meters, false)
-	shufM[dest].Shuffle(len(buf))
-	sortRecords(buf, sc.buckets)
-	sc.rangeOff[dest] = splitRanges(sc.rangeOff[dest], buf, sc.buckets, len(sc.lanes))
+	shufM[dest].Shuffle(total)
+	cuts, lanes := sc.cuts[dest][:0], len(sc.lanes)
+	for k := 1; k < lanes && most > 0; k++ {
+		big.pos = uint32(k * int(most) / lanes)
+		cuts = append(cuts, big)
+	}
+	sc.cuts[dest] = cuts
 }
 
 func (sc *Scratch) sizeUnit(i, lane int) {
 	u := &sc.ranges[i]
+	u.groups.mem = sc.mem(lane)
 	u.size = sc.job.ReduceSize(u.node, u.idx, u.of, lane, &u.groups)
 	sc.Bufs.empty(lane)
 }
 
 func (sc *Scratch) reduceUnit(i, lane int) {
 	u := &sc.ranges[i]
-	sc.job.ReduceRange(u.node, u.idx, u.of, lane, &u.meter, &u.groups, sc.begin(lane, u))
-	sc.Bufs.empty(lane)
+	dst := sc.begin(lane, u)
+	u.groups.mem = sc.mem(lane)
+	sc.job.ReduceRange(u.node, u.idx, u.of, lane, &u.meter, &u.groups, dst)
+	sc.end(lane, u)
 }
 
 // carveRanges carves each node's output at the cells its ranges sized
@@ -580,45 +630,16 @@ func (sc *Scratch) carveRanges() {
 	}
 }
 
-// drop takes back what only the run itself reads — the buckets, the
-// routed records — and drops every header into the units' outputs.
+// drop takes back what only the run itself reads — the buckets — and
+// drops every header into the units' outputs.
 func (sc *Scratch) drop() {
 	clear(sc.buckets)
-	clear(sc.shuffled)
 	clear(sc.morsels)
 	clear(sc.ranges)
 	for i := range sc.lanes {
 		sc.lanes[i].buckets, sc.lanes[i].unit = nil, nil
 	}
 	sc.Bufs.endJob()
-}
-
-// route builds into buf, carved once at its size, the record of every
-// tuple the map morsels emitted for dest, in (source node, morsel,
-// emission) order.
-func (sc *Scratch) route(buf []record, dest, n int) []record {
-	total := 0
-	for s := dest; s < len(sc.buckets); s += n {
-		for _, r := range sc.buckets[s].runs {
-			total += int(r.n)
-		}
-	}
-	buf = grow((*top)(sc.Bufs), buf[:0], total)
-	for s := dest; s < len(sc.buckets); s += n {
-		cells := sc.buckets[s].cells
-		for _, r := range sc.buckets[s].runs {
-			rec := record{group: r.group, buf: uint32(s), off: r.off, width: r.width, tag: r.tag, nkey: r.nkey}
-			keys := stored(r.nkey)
-			for range r.n {
-				if r.nkey > 0 {
-					rec.k0 = uint32(cells[int(rec.off)+keys+int(r.col0)])
-				}
-				buf = append(buf, rec)
-				rec.off += uint32(keys) + r.width
-			}
-		}
-	}
-	return buf
 }
 
 // Release drops every header into the pool, the last Output's included.
@@ -665,28 +686,6 @@ func (o *Output) Len() int {
 	return n
 }
 
-// splitRanges cuts sorted recs into at most maxRanges group-aligned
-// ranges of roughly equal size and returns their offsets in offs[:0]:
-// range i is recs[offs[i]:offs[i+1]], and no group straddles a cut.
-func splitRanges(offs []int32, recs []record, bk []bucket, maxRanges int) []int32 {
-	offs = append(offs[:0], 0)
-	target := (len(recs) + maxRanges - 1) / maxRanges
-	for r := 1; r < maxRanges; r++ {
-		pos := r * target
-		if pos <= int(offs[len(offs)-1]) {
-			continue
-		}
-		for pos < len(recs) && sameKey(&recs[pos], &recs[pos-1], bk) {
-			pos++
-		}
-		if pos >= len(recs) {
-			break
-		}
-		offs = append(offs, int32(pos))
-	}
-	return append(offs, int32(len(recs)))
-}
-
 // RunWith executes one job and returns its output. Map outputs and
 // reduce outputs append to the same per-node output set; a job uses one
 // or the other (map-only vs map+reduce) per the physical plan's
@@ -706,11 +705,14 @@ func (cl *Cluster) RunWith(job Job, opts RunOptions) *Output {
 		sc = &Scratch{}
 	}
 	if sc.mapFn == nil {
-		sc.mapFn, sc.routeFn, sc.sizeFn, sc.reduceFn = sc.mapUnit, sc.routeDest, sc.sizeUnit, sc.reduceUnit
+		sc.mapFn, sc.cutFn, sc.sizeFn, sc.reduceFn = sc.mapUnit, sc.cutDest, sc.sizeUnit, sc.reduceUnit
 	}
 	pool := opts.Pool
 	sc.job, sc.n = job, n
 	sc.lanes = resize(sc.lanes, pool.Lanes())
+	if sc.Bufs != nil {
+		sc.Bufs.Lane(pool.Lanes() - 1) // lanes are added while none runs
+	}
 	sc.outputs = ResetBlocks(sc.outputs, n, sc.Bufs)
 	sc.out = Output{PerNode: sc.outputs}
 	out := &sc.out
@@ -732,7 +734,8 @@ func (cl *Cluster) RunWith(job Job, opts RunOptions) *Output {
 			nodeM[u.node].add(&u.meter)
 			stats.Shuffled += u.count
 			stats.ShuffledCells += u.cells
-			if u.of == 1 {
+			stats.Output += u.sunk
+			if u.of == 1 || u.sinks {
 				continue
 			}
 			dst := &out.PerNode[u.node]
@@ -749,7 +752,7 @@ func (cl *Cluster) RunWith(job Job, opts RunOptions) *Output {
 	}
 
 	// ---- Map phase: one unit per (node, morsel). ----
-	sc.morsels = layout(sc.morsels, n, sc.Bufs, func(node int) int {
+	sc.morsels = layout(sc.morsels, n, sc.Bufs, job.Sink != nil && stats.MapOnly, func(node int) int {
 		if job.MapMorsels == nil {
 			return 1
 		}
@@ -761,25 +764,25 @@ func (cl *Cluster) RunWith(job Job, opts RunOptions) *Output {
 
 	// ---- Shuffle + reduce phases. ----
 	if !stats.MapOnly {
-		sc.shuffled = resize(sc.shuffled, n)
-		sc.rangeOff = resize(sc.rangeOff, n)
-		// Per destination: the records of its tuples, sorted and split.
-		pool.ForEach(n, sc.routeFn)
+		sc.cuts = resize(sc.cuts, n)
+		// Per destination: its tuples counted, its key ranges cut.
+		pool.ForEach(n, sc.cutFn)
 		// One unit per (node, range): ranges of all nodes share one queue.
-		sc.ranges = layout(sc.ranges, n, sc.Bufs, func(node int) int { return len(sc.rangeOff[node]) - 1 })
+		sc.ranges = layout(sc.ranges, n, sc.Bufs, job.Sink != nil, func(node int) int { return len(sc.cuts[node]) + 1 })
 		for i := range sc.ranges {
 			u := &sc.ranges[i]
-			offs := sc.rangeOff[u.node]
-			u.groups = Groups{recs: sc.shuffled[u.node][offs[u.idx]:offs[u.idx+1]], bk: sc.buckets}
+			u.groups = Groups{bk: sc.buckets, dest: u.node, n: n, cuts: sc.cuts[u.node], k: u.idx}
 		}
 		if job.ReduceSize != nil {
 			pool.ForEach(len(sc.ranges), sc.sizeFn)
-			sc.carveRanges()
+			if job.Sink == nil {
+				sc.carveRanges()
+			}
 		}
 		pool.ForEach(len(sc.ranges), sc.reduceFn)
 		merge(sc.ranges, redM)
 	}
-	stats.Output = out.Len()
+	stats.Output += out.Len()
 
 	if rec := opts.Record; rec != nil {
 		*rec = JobRecord{stats: stats, meters: slices.Clone(sc.meters)}

@@ -3,6 +3,7 @@ package mapreduce
 import (
 	"encoding/binary"
 	"math"
+	"math/bits"
 	"slices"
 
 	"cliquesquare/internal/rdf"
@@ -23,7 +24,7 @@ const PackRestart = 1024
 // first included, is a restart: its cells are written in full as
 // uvarints, and its byte offset is recorded. Rows of width 0 take no
 // bytes. Like a Block it holds no pointer; unlike one it is built once,
-// by Pack, and only read after.
+// by a Packer, and only read after.
 type Packed struct {
 	Width, N int
 	// Data is the rows' bytes; its capacity is what it holds.
@@ -32,35 +33,112 @@ type Packed struct {
 	Restarts []uint32
 }
 
-// Pack packs n ascending distinct rows of the given width, which each
-// hands to its argument in order — twice: once to size the bytes, once
-// to write them into an array sized to them (at the allocator's size
-// class: the capacity is what the array really holds). A row handed over need
-// only be valid for the call. It panics if a row does not come after
-// the one before it.
-func Pack(width, n int, each func(fn func(row Row))) Packed {
-	k := (n + PackRestart - 1) / PackRestart
-	p := Packed{Width: width, N: n, Restarts: slices.Grow([]uint32(nil), k)[:k]}
-	prev, enc := make(Row, width), make([]byte, 0, binary.MaxVarintLen64*(width+1))
-	size, i := 0, 0
-	each(func(row Row) {
-		size += len(appendRow(enc, prev, row, i))
-		copy(prev, row)
-		i++
-	})
-	if i != n || size > math.MaxUint32 {
-		panic("mapreduce: packing other rows than counted, or 4 GiB of them")
+// A Packer packs ascending distinct rows handed to it one at a time,
+// each twice: first to Size, then — once Carve has made the room the
+// sizes add up to — to Put, in the same order, each with the row before
+// it (nil before the first) and, when the row comes from other packed
+// rows in which the same row came before it, its bytes there (else nil),
+// which are copied unless the row is a restart. A row need only be valid
+// for the call. It panics if a row does not come after the one before
+// it.
+type Packer struct {
+	Packed
+	size, put int
+}
+
+// Size counts the bytes of the next row.
+func (k *Packer) Size(prev, row Row, coded []byte) {
+	if coded != nil && k.N%PackRestart != 0 {
+		k.size += len(coded)
+	} else {
+		k.size += rowBytes(prev, row, k.N)
 	}
-	p.Data, i = slices.Grow([]byte(nil), size), 0
-	each(func(row Row) {
-		if i%PackRestart == 0 {
-			p.Restarts[i/PackRestart] = uint32(len(p.Data))
+	k.N++
+}
+
+// Carve carves the arrays for the rows sized, of the given width, from
+// m at their size.
+func (k *Packer) Carve(m Mem, width int) {
+	if k.size > math.MaxUint32 {
+		panic("mapreduce: packing 4 GiB of rows")
+	}
+	k.Width, k.Data = width, Carve[byte](m, k.size)[:0]
+	k.Restarts = Carve[uint32](m, (k.N+PackRestart-1)/PackRestart)
+}
+
+// Put writes the next row.
+func (k *Packer) Put(prev, row Row, coded []byte) {
+	switch {
+	case k.put%PackRestart == 0:
+		k.Restarts[k.put/PackRestart] = uint32(len(k.Data))
+		k.Data = appendRow(k.Data, prev, row, k.put)
+	case coded != nil:
+		k.Data = append(k.Data, coded...)
+	default:
+		k.Data = appendRow(k.Data, prev, row, k.put)
+	}
+	k.put++
+}
+
+// PackBlock packs b's rows, ascending and distinct, into arrays carved
+// from m at their size.
+func PackBlock(m Mem, b *Block) Packed {
+	var k Packer
+	for i := 0; i < b.N; i++ {
+		k.Size(b.before(i), b.Row(i), nil)
+	}
+	k.Carve(m, b.Width)
+	for i := 0; i < b.N; i++ {
+		k.Put(b.before(i), b.Row(i), nil)
+	}
+	return k.Packed
+}
+
+// before returns the row before row i, nil before the first.
+func (b *Block) before(i int) Row {
+	if i == 0 {
+		return nil
+	}
+	return b.Row(i - 1)
+}
+
+// Clone returns a copy of p in arrays of its own, at the allocator's
+// size class.
+func (p *Packed) Clone() Packed {
+	return Packed{Width: p.Width, N: p.N, Data: slices.Clone(p.Data), Restarts: slices.Clone(p.Restarts)}
+}
+
+// rowBytes is the bytes appendRow writes for row i, coded against prev.
+func rowBytes(prev, row Row, i int) (n int) {
+	if i%PackRestart == 0 {
+		for _, v := range row {
+			n += uvarintLen(uint64(v))
 		}
-		p.Data = appendRow(p.Data, prev, row, i)
-		copy(prev, row)
-		i++
-	})
-	return p
+		return n
+	}
+	c := differs(prev, row)
+	n = uvarintLen(uint64(row[c]-prev[c])*uint64(len(row)) + uint64(c))
+	for j := c + 1; j < len(row); j++ {
+		d := int64(row[j]) - int64(prev[j])
+		n += uvarintLen(uint64(d<<1 ^ d>>63))
+	}
+	return n
+}
+
+// uvarintLen is the bytes of x as a uvarint.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+// differs returns the first column where row differs from prev, and
+// panics unless row comes after prev.
+func differs(prev, row Row) int {
+	c := 0
+	for c < len(row) && row[c] == prev[c] {
+		c++
+	}
+	if c == len(row) || row[c] < prev[c] {
+		panic("mapreduce: packed rows out of order or repeated")
+	}
+	return c
 }
 
 // appendRow appends row i of a Packed, coded against prev, to dst.
@@ -71,13 +149,7 @@ func appendRow(dst []byte, prev, row Row, i int) []byte {
 		}
 		return dst
 	}
-	c := 0
-	for c < len(row) && row[c] == prev[c] {
-		c++
-	}
-	if c == len(row) || row[c] < prev[c] {
-		panic("mapreduce: packed rows out of order or repeated")
-	}
+	c := differs(prev, row)
 	dst = binary.AppendUvarint(dst, uint64(row[c]-prev[c])*uint64(len(row))+uint64(c))
 	for j := c + 1; j < len(row); j++ {
 		dst = binary.AppendVarint(dst, int64(row[j])-int64(prev[j]))
@@ -90,58 +162,59 @@ func appendRow(dst []byte, prev, row Row, i int) []byte {
 func (p *Packed) Bytes() int64 { return int64(cap(p.Data)) + 4*int64(cap(p.Restarts)) }
 
 // Each calls fn(i, row) for rows lo to hi-1 in order, decoding from the
-// restart at or before lo. row is one buffer the decode rewrites: it is
-// valid until fn returns.
-func (p *Packed) Each(lo, hi int, fn func(i int, row Row)) {
-	w := p.Width
-	var buf [16]rdf.TermID
-	row := Row(buf[:])
-	if w > len(buf) {
-		row = make(Row, w)
+// restart at or before lo into row, Width cells the decode rewrites (new
+// ones when nil): row is valid until fn returns.
+func (p *Packed) Each(lo, hi int, row Row, fn func(i int, row Row)) {
+	if row == nil {
+		row = make(Row, p.Width)
 	}
-	row = row[:w:w]
+	row = row[:p.Width:p.Width]
 	if hi = min(hi, p.N); lo >= hi {
-		return
-	} else if w == 0 {
-		for i := lo; i < hi; i++ {
-			fn(i, row)
-		}
 		return
 	}
 	i := lo / PackRestart * PackRestart
-	data, at := p.Data, int(p.Restarts[i/PackRestart])
-	for ; i < hi; i++ {
-		if i%PackRestart == 0 {
-			for j := range row {
-				var v uint64
-				v, at = uvarint(data, at)
-				row[j] = rdf.TermID(v)
-			}
-		} else {
-			// The head, then column j's difference up to the last; the
-			// one- and two-byte varints, nearly all of them, read in line.
-			for j := -1; j < w; {
-				v := uint64(data[at])
-				if at++; v >= 0x80 {
-					u := uint64(data[at])
-					if v, at = v&0x7f|u<<7, at+1; u >= 0x80 {
-						v, at = uvarint(data, at-2)
-					}
-				}
-				if j < 0 {
-					c, gap := splitHead(v, w)
-					row[c] += rdf.TermID(gap)
-					j = c + 1
-				} else {
-					row[j] += rdf.TermID(int64(v>>1) ^ -int64(v&1))
-					j++
-				}
-			}
-		}
-		if i >= lo {
+	for at := int(p.Restarts[i/PackRestart]); i < hi; i++ {
+		if at = p.Next(i, at, row); i >= lo {
 			fn(i, row)
 		}
 	}
+}
+
+// Next decodes row i, which starts at Data[at] (row 0 at Restarts[0]),
+// into row, which holds row i-1 unless row i is a restart, and returns
+// where row i+1 starts.
+func (p *Packed) Next(i, at int, row Row) int {
+	data, w := p.Data, p.Width
+	if w == 0 {
+		return at
+	} else if i%PackRestart == 0 {
+		for j := range row {
+			var v uint64
+			v, at = uvarint(data, at)
+			row[j] = rdf.TermID(v)
+		}
+		return at
+	}
+	// The head, then column j's difference up to the last; the one- and
+	// two-byte varints, nearly all of them, read in line.
+	for j := -1; j < w; {
+		v := uint64(data[at])
+		if at++; v >= 0x80 {
+			u := uint64(data[at])
+			if v, at = v&0x7f|u<<7, at+1; u >= 0x80 {
+				v, at = uvarint(data, at-2)
+			}
+		}
+		if j < 0 {
+			c, gap := splitHead(v, w)
+			row[c] += rdf.TermID(gap)
+			j = c + 1
+		} else {
+			row[j] += rdf.TermID(int64(v>>1) ^ -int64(v&1))
+			j++
+		}
+	}
+	return at
 }
 
 // splitHead splits a row's head, gap·w+c, into c and gap — without a

@@ -17,20 +17,21 @@ func sortedRows(rows []Row) []Row {
 	return slices.CompactFunc(rows, func(a, b Row) bool { return slices.Equal(a, b) })
 }
 
-// packRows packs rows (sorted and distinct) through Pack.
+// packRows packs rows (sorted and distinct) through PackBlock, on the Go
+// heap.
 func packRows(width int, rows []Row) Packed {
-	return Pack(width, len(rows), func(fn func(Row)) {
-		for _, r := range rows {
-			fn(slices.Clone(r)) // a row need only be valid for the call
-		}
-	})
+	b := Block{Width: width}
+	for _, r := range rows {
+		b.Append(r)
+	}
+	return PackBlock(nil, &b)
 }
 
 // readPacked decodes rows lo to hi-1 of p, copied, checking the numbers
 // Each hands out.
 func readPacked(t testing.TB, p *Packed, lo, hi int) []Row {
 	out := []Row{}
-	p.Each(lo, hi, func(i int, row Row) {
+	p.Each(lo, hi, nil, func(i int, row Row) {
 		if i != lo+len(out) || len(row) != p.Width || cap(row) != p.Width {
 			t.Fatalf("rows %d to %d: row %d handed out as %d, %d cells (capacity %d) of width %d",
 				lo, hi, lo+len(out), i, len(row), cap(row), p.Width)
@@ -203,7 +204,7 @@ func BenchmarkPackedEach(b *testing.B) {
 	b.ResetTimer()
 	var sum rdf.TermID
 	for i := 0; i < b.N; i++ {
-		p.Each(0, p.N, func(_ int, row Row) { sum += row[1] })
+		p.Each(0, p.N, nil, func(_ int, row Row) { sum += row[1] })
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(p.N), "ns/row")
 }

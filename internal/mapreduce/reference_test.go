@@ -3,12 +3,14 @@ package mapreduce
 import (
 	"hash/fnv"
 	"sort"
+
+	"cliquesquare/internal/rdf"
 )
 
 // This file retains the seed runtime's string-keyed shuffle semantics
 // as an executable reference. It is test-only: the property tests
-// cross-check the flat record path (Emitter.Emit, inline routing,
-// sorted-group reduce) against these definitions, which are the ground
+// cross-check the flat shuffle (Emitter.Emit, inline routing, runs
+// sorted at the map side and merged at the reducer) against these definitions, which are the ground
 // truth for what the simulated statistics were accumulated over.
 
 // tuple is one emission in row form: what a test hands Emitter.Emit,
@@ -43,21 +45,41 @@ func emitAll(n int, ts []tuple) []bucket {
 	return bk
 }
 
-// routed builds the records of the tuples emitAll's morsel sent to
-// dest through the runtime's routing step.
-func routed(bk []bucket, dest int) []record {
-	sc := Scratch{buckets: bk}
-	return sc.route(nil, dest, len(bk))
+// reduceInput sorts the runs of emitAll's morsel as the map side does and
+// returns what dest's reducer reads of them: one key range, all of it.
+func reduceInput(bk []bucket, dest int) *Groups {
+	sortRuns(bk, (*Bufs)(nil))
+	return &Groups{bk: bk, dest: dest, n: len(bk), mem: (*Bufs)(nil)}
 }
 
-// encodeRecord renders a record's key as its seed string encoding: the
-// reference representation tests compare against.
-func encodeRecord(r *record, bk []bucket) string {
-	cells := make([]uint32, r.nkey)
-	for i := range cells {
-		cells[i] = keyCell(r, i, bk)
+// encodeKey renders the key of a group's i-th record as its seed string
+// encoding: the reference representation tests compare against.
+func encodeKey(g Group, i int) string {
+	r, cells, at := g.at(i)
+	return encodeTuple(r, cells, at)
+}
+
+// encodeTuple renders the key of tuple i of run r, whose bucket holds
+// cells, as its seed string encoding.
+func encodeTuple(r *run, cells []rdf.TermID, i int) string {
+	key := make([]uint32, r.nkey)
+	for k := range key {
+		key[k] = r.keyCell(cells, i, k)
 	}
-	return EncodeKey(int(r.group), cells)
+	return EncodeKey(int(r.group), key)
+}
+
+// tupleAt returns the run holding a bucket's i-th tuple and the tuple's
+// number in it.
+func tupleAt(b *bucket, i int) (*run, int) {
+	for k := range b.runs {
+		if r := &b.runs[k]; i < int(r.n) {
+			return r, i
+		} else {
+			i -= int(r.n)
+		}
+	}
+	panic("tupleAt: past the bucket's tuples")
 }
 
 // ReferenceRoute is the seed's routing hash: fnv.New32a over the

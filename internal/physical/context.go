@@ -3,6 +3,7 @@ package physical
 import (
 	"runtime"
 	"slices"
+	"sync/atomic"
 
 	"cliquesquare/internal/mapreduce"
 	"cliquesquare/internal/partition"
@@ -27,19 +28,21 @@ import (
 // Ownership: every buffer that lives inside one execution is carved
 // from the context's scratch (mapreduce.Bufs) once, at a counted size. A
 // morsel's temporaries (scan and map-join blocks, a reduce group's
-// inputs) come from its lane's bump arena, emptied when the
-// morsel ends; the outputs (node and range outputs, intermediate
-// relations, the final merge's marks) last until release, at the end of
-// Run (also when its consumer panics), drops every header and resets
-// the scratch; the shuffle's buckets and records last their job.
-// The scratch keeps the lanes times the largest temporary plus the most
-// the outputs held at once, over every execution through the context —
-// a function of plan, data and lane count, never of the schedule. Each
-// tuple is held once, and nothing that outlives the execution may alias
-// the scratch. The final result is not copied out unless somebody asks:
-// mergeParts sorts the last job's output in place and keeps only the
-// merge's heads every mergeMark survivors, and Run lends that to its
-// callback as a Rows, which merges again as it is read, valid until the
+// inputs and merge state, a map morsel's run sort, a last-job unit's raw
+// rows) come from its lane's bump arena, emptied when the morsel ends;
+// the outputs (node and range outputs, intermediate relations, the
+// answer's packed parts and the answer merged from them) last until
+// release, at the end of Run (also when its consumer panics), drops
+// every header and resets the scratch; the shuffle's buckets — each
+// tuple's cells and a header per run — last their job. The scratch
+// keeps the lanes times the largest temporary plus the most the outputs
+// held at once, over every execution through the context — a function
+// of plan, data and lane count, never of the schedule. Each tuple is
+// held once, and nothing that outlives the execution may alias the
+// scratch. The final result is not copied out unless somebody asks:
+// each unit of the last job sorts its rows and packs them (packPart),
+// mergeParts merges the parts into one packed answer, and Run lends that
+// to its callback as a Rows, decoded as it is read, valid until the
 // callback returns. What does outlive the execution — the rows copied
 // out (Rows.Materialise) and a result-cache entry's answer
 // (Rows.pack) — is copied into exactly sized arrays of its own. A
@@ -91,13 +94,16 @@ type ExecContext struct {
 	interm  [][][]mapreduce.Block
 	morsels [][]mapMorsel
 
-	// mergeParts' product: the parts merged (the last job's per-node
-	// output, each sorted in place) and the merge's heads at every
-	// mergeMark-th survivor, carved from the scratch — what a merged Rows
-	// reads. sortFn is sortPart bound once.
-	sortParts  []mapreduce.Block
-	mergeMarks []int32
-	sortFn     func(part, lane int)
+	// The answer: parts[node*lanes+unit] is a unit of the last job's rows,
+	// sorted, distinct and packed by the job's sink (packPart, bound once);
+	// mergeParts merges them into answer, what a Rows of the execution
+	// reads, decoding into the rows of decode its readers claim, free
+	// ones set in free.
+	parts  []mapreduce.Packed
+	answer mapreduce.Packed
+	decode []rdf.TermID
+	free   atomic.Uint64
+	sink   func(node, unit, lane int, rows *mapreduce.Block)
 }
 
 // scanConsts are one scan's constants for one execution: the dictionary
@@ -132,6 +138,7 @@ func NewExecContext(lanes int, k mapreduce.Constants) *ExecContext {
 		c.arenas = append(c.arenas, &arena{mem: c.bufs.Lane(lane)})
 	}
 	c.mapOnlyJob = mapreduce.Job{MapMorsel: c.mapOnlyMorsel}
+	c.sink = c.packPart
 	c.levelJob = mapreduce.Job{MapMorsels: c.levelMorsels, MapMorsel: c.levelMapMorsel, ReduceRange: c.levelReduce, ReduceSize: c.levelSize}
 	return c
 }
@@ -148,6 +155,8 @@ func (c *ExecContext) lanes() int { return c.pool.Lanes() }
 // it is filled.
 func (c *ExecContext) prepare() {
 	pp, nodes := c.plan, c.view.Nodes()
+	c.parts = slices.Grow(c.parts[:0], nodes*c.lanes())[:nodes*c.lanes()]
+	clear(c.parts)
 	n := len(pp.Infos)
 	c.consts = slices.Grow(c.consts[:0], n)[:n]
 	for len(c.interm) < n {
@@ -193,7 +202,8 @@ func (c *ExecContext) release() {
 			per[node] = mapreduce.ResetBlocks(per[node], 0, nil)
 		}
 	}
-	c.sortParts, c.mergeMarks = nil, nil
+	clear(c.parts)
+	c.answer, c.decode = mapreduce.Packed{}, nil
 	c.bufs.Reset()
 }
 
@@ -222,7 +232,7 @@ type arena struct {
 	sorts int
 
 	// scan file-name memo: partition-file resolution is pure per
-	// (pattern, replica position) within one pinned view, so the
+	// (property, class, replica position) within one pinned view, so the
 	// resolved name lists are cached until the view changes.
 	fileView  *partition.View
 	fileNames map[fileKey][]string
@@ -262,11 +272,29 @@ func (a *arena) release() {
 	clear(a.joinInputs[:cap(a.joinInputs)])
 }
 
-// fileKey identifies one scan's file resolution: the pattern it matches
-// plus the replica position it reads.
+// fileKey is what the files a scan reads depend on (partition.View.Files):
+// the replica position it reads, its property (zero when a variable)
+// and, for an rdf:type pattern read at the property, its class (zero
+// when a variable). Subject and other object constants name no file.
 type fileKey struct {
-	tp  sparql.TriplePattern
-	pos rdf.Pos
+	prop, class rdf.Term
+	pos         rdf.Pos
+}
+
+// rdfType is the property whose files the property replica splits by
+// class.
+var rdfType = rdf.NewIRI(sparql.RDFType)
+
+// keyFiles returns the file-name memo's key for pattern tp read at pos.
+func keyFiles(tp sparql.TriplePattern, pos rdf.Pos) fileKey {
+	k := fileKey{pos: pos}
+	if !tp.P.IsVar {
+		k.prop = tp.P.Term
+		if pos == rdf.PPos && k.prop == rdfType && !tp.O.IsVar {
+			k.class = tp.O.Term
+		}
+	}
+	return k
 }
 
 // fileNamesCap bounds the per-arena file-name memo (shapes per pooled
@@ -286,19 +314,13 @@ func (a *arena) groupInputs(g mapreduce.Group, rj *Info, fill bool) []mapreduce.
 	for i, ch := range children {
 		rels[i].Width, rels[i].N, rels[i].Cells = len(ch.Attrs), 0, nil
 	}
-	for i := 0; i < g.Len(); i++ {
-		tag, _ := g.Record(i)
-		rels[tag].N++
-	}
+	g.Records(func(tag int, _ mapreduce.Row) { rels[tag].N++ })
 	if fill {
 		for i := range rels {
 			rels[i].Reserve(rels[i].N, rels[i].Width)
 			rels[i].N = 0
 		}
-		for i := 0; i < g.Len(); i++ {
-			tag, row := g.Record(i)
-			rels[tag].Append(row)
-		}
+		g.Records(func(tag int, row mapreduce.Row) { rels[tag].Append(row) })
 	}
 	return rels
 }

@@ -56,6 +56,22 @@ func randomParts(rng *rand.Rand, n, w, k, vals int) ([]mapreduce.Block, []mapred
 	return parts, rows
 }
 
+// mergeMark is how many rows apart a packed answer restarts: where
+// EachRange cuts.
+const mergeMark = mapreduce.PackRestart
+
+// merged packs each block as a unit of the last job packs its rows
+// (packPart: sorted in place, repeats dropped) and merges the parts.
+func merged(ctx *ExecContext, parts []mapreduce.Block) Rows {
+	n := len(parts) * ctx.lanes()
+	ctx.parts = slices.Grow(ctx.parts[:0], n)[:n]
+	clear(ctx.parts)
+	for i := range parts {
+		ctx.packPart(i, 0, 0, &parts[i])
+	}
+	return ctx.mergeParts()
+}
+
 // sourceRows reads a source's rows one by one, copying each out of
 // whatever backs it.
 func sourceRows(r Rows) []mapreduce.Row {
@@ -64,11 +80,11 @@ func sourceRows(r Rows) []mapreduce.Row {
 	return out
 }
 
-// TestDedupeMatchesReference checks mergeParts against the row-form
-// oracle for widths 0–8 on both sides of parallelSortMin, on one lane
-// (the parts are sorted inline) and on four (large results sort their
-// parts concurrently), with heavy and with light duplication, empty
-// results and zero-row parts included: the rows read through the
+// TestDedupeMatchesReference checks packPart and mergeParts against the
+// row-form oracle for widths 0–8 on both sides of parallelSortMin, on
+// one lane and on four (large results are read in ranges concurrently),
+// with heavy and with light duplication, empty results and zero-row
+// parts included: the rows read through the
 // borrowed source, through the rows packed from it and the materialised
 // form of each all equal the reference, and the materialised form is
 // exactly sized and shares nothing with the parts or the packed bytes.
@@ -94,7 +110,7 @@ func TestDedupeMatchesReference(t *testing.T) {
 				parts = nil // a job that produced no part at all
 			}
 			want := refDedupeSort(rows)
-			src := ctx.mergeParts(parts)
+			src := merged(ctx, parts)
 			if src.Len() != len(want) || src.Width() != w && src.Len() > 0 {
 				t.Fatalf("lanes %d, trial %d (%d rows of width %d): the source has %d rows of width %d, want %d",
 					lanes, trial, n, w, src.Len(), src.Width(), len(want))
@@ -110,7 +126,7 @@ func TestDedupeMatchesReference(t *testing.T) {
 			// Ranges tile the rows exactly, at every lane count, over either
 			// source, and each reads its own rows, concurrently with the
 			// others.
-			for _, s := range []Rows{src, owned} {
+			for k, s := range []Rows{src, owned} {
 				covered := make([]int32, s.Len())
 				s.EachRange(func(lo, hi int) {
 					s.Each(lo, hi, func(i int, row mapreduce.Row) {
@@ -121,7 +137,7 @@ func TestDedupeMatchesReference(t *testing.T) {
 				})
 				for i, c := range covered {
 					if c != 1 {
-						t.Fatalf("lanes %d, trial %d, packed %v: row %d was read right by %d ranges", lanes, trial, s.Packed() != nil, i, c)
+						t.Fatalf("lanes %d, trial %d, source %d: row %d was read right by %d ranges", lanes, trial, k, i, c)
 					}
 				}
 			}
@@ -157,20 +173,21 @@ func TestDedupeMatchesReference(t *testing.T) {
 }
 
 // TestDedupeAllocations pins the result boundary's allocation contract:
-// once the context's scratch has grown — each merge carves its marks
-// there, taken back by the reset an execution ends with — ordering a
-// job's output allocates nothing, reading it nothing, and only
-// Materialise pays: the block and its view, nothing per row.
+// once the context's scratch has grown — each part, and the answer
+// merged from them, packs there, taken back by the reset an execution
+// ends with — ordering a job's output allocates nothing, reading it
+// nothing, and only Materialise pays: the block and its view, nothing
+// per row.
 func TestDedupeAllocations(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	// Above parallelSortMin: on four lanes the parts are sorted on the pool.
+	// Seven parts of a warm answer: more than one lane's rows each.
 	parts, _ := randomParts(rng, 2*parallelSortMin, 2, 7, 400)
 	for _, ctx := range []*ExecContext{NewExecContext(1, mapreduce.DefaultConstants()), NewExecContext(4, mapreduce.DefaultConstants())} {
-		src := ctx.mergeParts(parts)
+		src := merged(ctx, parts)
 		var sum rdf.TermID
 		if got := testing.AllocsPerRun(100, func() {
 			ctx.bufs.Reset()
-			src = ctx.mergeParts(parts)
+			src = merged(ctx, parts)
 			src.Each(0, src.Len(), func(_ int, row mapreduce.Row) { sum += row[0] })
 		}); got != 0 {
 			t.Errorf("%d lanes: ordering and reading %d rows: %v allocs/op, want none on a warm context", ctx.lanes(), src.Len(), got)
@@ -181,13 +198,15 @@ func TestDedupeAllocations(t *testing.T) {
 	}
 }
 
-// TestMergeReadsFromMarks pins how a merged source is read without an
-// order of its rows: a range read from any row — on a mark, just before
-// or after one, or between two — is the reference's range, EachRange
-// cuts only at marks, and the merge keeps nothing in the pool, its
-// marks growing with the survivors (one set of heads every mergeMark)
-// and not with the duplicates.
-func TestMergeReadsFromMarks(t *testing.T) {
+// TestMergePacksOneAnswer pins how the last job's parts become the
+// answer: parts that overlap — every row of two parts twice — merge into
+// one packed relation of the reference's rows, a restart every
+// PackRestart of them; a range read from any row — on a restart, just
+// before or after one, or between two — is the reference's range;
+// EachRange cuts only at restarts; and the merge keeps nothing in the
+// pool: on a context never reset, everything it carved came from the Go
+// heap.
+func TestMergePacksOneAnswer(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	parts, rows := randomParts(rng, 6*mergeMark, 3, 5, 40)
 	for _, p := range parts[:2] { // every row of two parts twice
@@ -196,12 +215,12 @@ func TestMergeReadsFromMarks(t *testing.T) {
 	}
 	want := refDedupeSort(rows)
 	ctx := NewExecContext(4, mapreduce.DefaultConstants())
-	src := ctx.mergeParts(parts)
+	src := merged(ctx, parts)
 	if src.Len() != len(want) || src.Len() < 3*mergeMark {
-		t.Fatalf("%d survivors, want %d (and at least three marks' worth)", src.Len(), len(want))
+		t.Fatalf("%d survivors, want %d (and at least three restarts' worth)", src.Len(), len(want))
 	}
-	if marks := len(ctx.mergeMarks) / len(parts); marks != src.Len()/mergeMark+1 {
-		t.Errorf("%d marks for %d survivors, want one every %d", marks, src.Len(), mergeMark)
+	if p := src.Packed(); p != &ctx.answer || len(p.Restarts) != (src.Len()+mergeMark-1)/mergeMark {
+		t.Errorf("the answer is not the context's, or has %d restarts for %d rows, want one every %d", len(p.Restarts), src.Len(), mergeMark)
 	}
 	if b := ctx.bufs.Bytes(); b != 0 {
 		t.Errorf("the merge drew %d B from the pool, want none", b)
@@ -226,7 +245,7 @@ func TestMergeReadsFromMarks(t *testing.T) {
 	}
 	src.EachRange(func(lo, hi int) {
 		if lo%mergeMark != 0 || hi != src.Len() && hi%mergeMark != 0 {
-			t.Errorf("EachRange cut at %d and %d: a range must start and end at a mark (every %d rows) or the end", lo, hi, mergeMark)
+			t.Errorf("EachRange cut at %d and %d: a range must start and end at a restart (every %d rows) or the end", lo, hi, mergeMark)
 		}
 	})
 }
@@ -258,7 +277,7 @@ func TestPackedRowsReadFromRestarts(t *testing.T) {
 				for _, row := range want {
 					parts[0].Append(row)
 				}
-				packed := ctx.mergeParts(parts).pack()
+				packed := merged(ctx, parts).pack()
 				src := packedRows(&packed, ctx)
 				if src.Len() != len(want) || src.Width() != w && src.Len() > 0 {
 					t.Fatalf("width %d, %d rows: the packed source has %d rows of width %d", w, len(want), src.Len(), src.Width())

@@ -102,12 +102,12 @@ func (c *ExecContext) Run(pp *Plan, view *partition.View, dict *rdf.Dict, cache 
 
 // runJobs prepares the context and runs every job of the plan on it —
 // a map-only plan is a one-job plan — recording job l into recs[l] when
-// recs is non-nil, and forwarding each job's stats to the sink. The last
-// job's merged rows are the result.
+// recs is non-nil, and forwarding each job's stats to the stats sink.
+// The last job's units pack their rows into the context's parts as they
+// end; merged, those are the result.
 func (c *ExecContext) runJobs(recs []*mapreduce.JobRecord) Rows {
 	c.prepare()
 	pp := c.plan
-	var out *mapreduce.Output
 	for l := 0; l < pp.NumJobs(); l++ {
 		var rec *mapreduce.JobRecord
 		if recs != nil {
@@ -119,19 +119,22 @@ func (c *ExecContext) runJobs(recs []*mapreduce.JobRecord) Rows {
 			c.buildMorsels(pp.Levels[l])
 			job = c.levelJob
 		}
+		if l == pp.NumJobs()-1 {
+			job.Sink = c.sink // the answer, packed as each unit ends
+		}
 		job.Name = pp.jobs[l]
-		out = c.cluster.RunWith(job, mapreduce.RunOptions{Pool: c.pool, Scratch: &c.shuffle, Record: rec})
+		c.cluster.RunWith(job, mapreduce.RunOptions{Pool: c.pool, Scratch: &c.shuffle, Record: rec})
 		c.sinkJob()
 	}
-	return c.mergeParts(out.PerNode)
+	return c.mergeParts()
 }
 
 // A job's callbacks are the context's, bound once, and read the
 // execution in flight off it. A map-only plan's single job has one
 // morsel per node, evaluating the node's whole local subtree with the
-// root writing the SELECT columns straight into the node output, carved
-// at its counted size. Splitting it, as a level's job splits its scans
-// per partition file, is not done.
+// root writing the SELECT columns straight into the block the job's sink
+// packs, carved at its counted size. Splitting it, as a level's job
+// splits its scans per partition file, is not done.
 func (c *ExecContext) mapOnlyMorsel(node, _, lane int, m *mapreduce.Meter, _ *mapreduce.Emitter, out *mapreduce.Block) {
 	a := c.arenas[lane]
 	a.resetBlocks()
@@ -159,8 +162,8 @@ func (c *ExecContext) levelMapMorsel(node, morsel, lane int, m *mapreduce.Meter,
 // joins its groups into the reduce join's own (node, range) block,
 // counting the joins and writes of every group it produces. The plan's
 // root, in the last job, joins straight onto the SELECT list (its
-// compiled merge writes it), into the job output the runtime hands the
-// range, and counts the projection's checks too. Range order
+// compiled merge writes it), into the block the runtime hands the range
+// for the job's sink, and counts the projection's checks too. Range order
 // concatenates back to the node's canonical group order, so every reduce
 // join's rows come out exactly as from one sweep over the node.
 // levelSize made every block's room; a group's inputs are cut back from
@@ -377,12 +380,13 @@ func newScanPlan(in *Info, q *sparql.Query, coVar string, attrs []string) *scanP
 }
 
 // fileNames resolves the partition files scan sp must read through the
-// arena's per-view memo: resolution is pure per (pattern, replica
-// position) within one pinned view, so repeated executions through a
-// pooled context skip the name formatting entirely. The memo keys on the
-// pattern's terms, not on the scan: one scan is shared by the plans of
-// every query of its written shape, and under Section 5.1's rdf:type
-// split it reads other files for another class.
+// arena's per-view memo: resolution is pure per (property, class,
+// replica position) within one pinned view, so repeated executions
+// through a pooled context skip the name formatting entirely. The memo
+// keys on those terms, not on the scan: one scan is shared by the plans
+// of every query of its written shape, and under Section 5.1's rdf:type
+// split it reads other files for another class; nor on the pattern,
+// whose subject and object constants name no file.
 func (c *ExecContext) fileNames(a *arena, sp *scanPlan) []string {
 	if a.fileView != c.view || len(a.fileNames) > fileNamesCap {
 		a.fileView = c.view
@@ -392,10 +396,11 @@ func (c *ExecContext) fileNames(a *arena, sp *scanPlan) []string {
 			clear(a.fileNames)
 		}
 	}
-	k := fileKey{tp: c.plan.Logical.Query.Patterns[sp.pattern], pos: c.view.ScanPos(sp.pos)}
+	tp, pos := c.plan.Logical.Query.Patterns[sp.pattern], c.view.ScanPos(sp.pos)
+	k := keyFiles(tp, pos)
 	names, ok := a.fileNames[k]
 	if !ok {
-		names = c.view.Files(k.tp, k.pos, c.dict)
+		names = c.view.Files(tp, pos, c.dict)
 		a.fileNames[k] = names
 	}
 	return names

@@ -1,6 +1,7 @@
 package physical
 
 import (
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -8,15 +9,14 @@ import (
 	"cliquesquare/internal/rdf"
 )
 
-// parallelSortMin is the result size below which the final sort, and a
-// consumer's pass over the finished rows (Rows.EachRange), run on the
-// calling lane alone: dispatching to the pool only pays for itself on
-// large result sets.
+// parallelSortMin is the result size below which a consumer's pass over
+// the finished rows (Rows.EachRange) runs on the calling lane alone:
+// dispatching to the pool only pays for itself on large result sets.
 const parallelSortMin = 4096
 
 // compareRows is the canonical result order: lexicographic by cell,
 // over rows of one width. It is total on distinct rows, which is what
-// makes mergeParts exact — any algorithm producing the sorted distinct
+// makes the merge exact — any algorithm producing the sorted distinct
 // set yields byte-identical output.
 func compareRows(a, b mapreduce.Row) int {
 	for k, v := range a {
@@ -43,132 +43,25 @@ func rowPrefix(row mapreduce.Row) uint64 {
 	return uint64(row[0])<<32 | uint64(row[1])
 }
 
-// mergeMark is how many survivors apart the merge records where it
-// stands: a reader resumes at the mark at or before the first row it
-// wants, and EachRange cuts at marks. It is a packed answer's restart
-// interval too, so a cut falls on a restart whichever source is read.
-const mergeMark = mapreduce.PackRestart
-
-// mergeParts produces the canonical result set of the last job's output
-// parts (one block per node, read by nothing else) — the distinct rows
-// in compareRows order: each part's rows are sorted in place
-// (concurrently on the pool when the result is large), and one k-way
-// merge counts the rows that survive it and records the parts' heads
-// every mergeMark survivors, in room carved as if all rows survived;
-// no order is kept: a reader merges its range again from the nearest
-// mark. Parts and marks are the context's scratch, valid until it is
-// released; on a warm context the merge allocates nothing.
-func (c *ExecContext) mergeParts(parts []mapreduce.Block) Rows {
-	total, width := 0, 0
-	for p := range parts {
-		total += parts[p].N
-		if parts[p].N > 0 {
-			width = parts[p].Width
-		}
-	}
-	c.sortParts = parts
-	pool := c.pool
-	if total < parallelSortMin {
-		pool = nil
-	}
-	if c.sortFn == nil {
-		c.sortFn = c.sortPart // bound once: a method value handed to the pool allocates
-	}
-	pool.ForEach(len(parts), c.sortFn)
-
-	c.mergeMarks = mapreduce.Carve[int32](&c.bufs, (total/mergeMark+1)*len(parts))[:0]
-	var hb [16]int32
-	var pb [16]uint64
-	m, n := c.merger(0, &hb, &pb), 0
-	for ; ; n++ {
-		if n%mergeMark == 0 {
-			c.mergeMarks = append(c.mergeMarks, m.heads...)
-		}
-		if _, ok := m.next(); !ok {
-			break
-		}
-	}
-	return Rows{n: n, width: width, ctx: c}
-}
-
-// merger returns a merge of the context's sorted parts standing at mark
-// k (at the start before the first mark is recorded), its heads and
-// prefixes in hb and pb unless there are more than 16 parts.
-func (c *ExecContext) merger(k int, hb *[16]int32, pb *[16]uint64) merger {
-	parts := c.sortParts
-	m := merger{parts: parts, heads: hb[:], prefix: pb[:]}
-	if len(parts) > len(hb) {
-		m.heads, m.prefix = make([]int32, len(parts)), make([]uint64, len(parts))
-	}
-	m.heads, m.prefix = m.heads[:len(parts)], m.prefix[:len(parts)]
-	copy(m.heads, c.mergeMarks[min(k*len(parts), len(c.mergeMarks)):])
-	m.start()
-	return m
-}
-
-// merger walks the distinct rows of sorted parts in order, dropping
-// duplicates as they meet (equal rows are adjacent across part heads
-// under a total order). heads[p] is part p's next unmerged row and
-// prefix[p] that row's prefix; between steps every copy of the row last
-// returned is behind the heads, so the heads alone say where the merge
-// stands.
-type merger struct {
-	parts  []mapreduce.Block
-	heads  []int32
-	prefix []uint64
-	best   int // the part whose head is the next row; -1 at the end
-}
-
-// start readies the merge from heads.
-func (m *merger) start() {
-	for p := range m.parts {
-		if m.more(p) {
-			m.prefix[p] = rowPrefix(m.head(p))
-		}
-	}
-	m.best = m.least()
-}
-
-// next returns the next distinct row and moves past every copy of it;
-// false at the end.
-func (m *merger) next() (mapreduce.Row, bool) {
-	if m.best < 0 {
-		return nil, false
-	}
-	row := m.head(m.best)
-	for {
-		p := m.best
-		if m.heads[p]++; m.more(p) {
-			m.prefix[p] = rowPrefix(m.head(p))
-		}
-		if m.best = m.least(); m.best < 0 || compareRows(m.head(m.best), row) != 0 {
-			return row, true
-		}
-	}
-}
-
-// least returns the part whose head comes first, or -1 when every part
-// is merged.
-func (m *merger) least() int {
-	best := -1
-	for p := range m.parts {
-		if m.more(p) && (best < 0 || m.prefix[p] < m.prefix[best] || m.prefix[p] == m.prefix[best] && compareRows(m.head(p), m.head(best)) < 0) {
-			best = p
-		}
-	}
-	return best
-}
-
-func (m *merger) more(p int) bool          { return int(m.heads[p]) < m.parts[p].N }
-func (m *merger) head(p int) mapreduce.Row { return m.parts[p].Row(int(m.heads[p])) }
-
-// sortPart sorts part p's rows in place; rows of one cell are the cells.
-func (c *ExecContext) sortPart(p, _ int) {
-	if b := &c.sortParts[p]; b.Width == 1 {
-		slices.Sort(b.Cells)
+// packPart is the last job's sink: a unit's rows, written into its
+// lane's arena, are sorted in place, their repeats dropped, and packed
+// into the unit's part, carved from the context's outputs — the raw rows
+// go with the unit.
+func (c *ExecContext) packPart(node, unit, _ int, rows *mapreduce.Block) {
+	if rows.Width == 1 {
+		slices.Sort(rows.Cells) // rows of one cell are the cells
 	} else {
-		sort.Sort((*partRows)(b))
+		sort.Sort((*partRows)(rows))
 	}
+	n := 0
+	for i := 0; i < rows.N; i++ {
+		if n == 0 || compareRows(rows.Row(i), rows.Row(n-1)) != 0 {
+			copy(rows.Row(n), rows.Row(i))
+			n++
+		}
+	}
+	rows.N, rows.Cells = n, rows.Cells[:n*rows.Width]
+	c.parts[node*c.lanes()+unit] = mapreduce.PackBlock(&c.bufs, rows)
 }
 
 // partRows sorts a block's rows by swapping their cells (rows of width
@@ -185,61 +78,223 @@ func (b *partRows) Swap(i, j int) {
 	}
 }
 
-// Rows is a finished result as an execution hands it over: the distinct
-// rows in canonical order. It is backed either by the running context's
-// merge — the last job's per-node output, sorted in place, and the
-// merge's marks, both the context's scratch, read in place — or by a
-// result-cache entry's packed rows, decoded as they are read. Either
-// way it is borrowed: valid only inside the callback ExecContext.Run
-// passes it to, and nothing may keep it beyond that; a Row it hands out
-// is valid until the function it was handed to returns. Materialise is
-// the way out.
-type Rows struct {
-	n, width int
-	// ctx is the context serving the execution: its lanes run EachRange,
-	// and without packed rows its sorted parts and marks are the source.
-	ctx    *ExecContext
-	packed *mapreduce.Packed
+// mergeParts merges the last job's packed parts — each sorted and
+// distinct — into the answer: the distinct rows in compareRows order,
+// packed, carved from the context's outputs. It reads the parts twice, to
+// size the answer and to write it, through merge state carved from lane
+// 0's arena and taken back after. The answer is the context's scratch,
+// valid until it is released.
+func (c *ExecContext) mergeParts() Rows {
+	parts, width := c.parts[:0], 0
+	for _, p := range c.parts {
+		if p.N > 0 {
+			parts, width = append(parts, p), p.Width
+		}
+	}
+	clear(c.parts[len(parts):])
+	c.parts = parts
+
+	a := c.bufs.Lane(0)
+	mark := a.Used()
+	m := newMerger(a, parts, width)
+	var k mapreduce.Packer
+	for m.start(); m.next(); {
+		k.Size(m.prev(), m.row(), m.coded())
+	}
+	k.Carve(&c.bufs, width)
+	for m.start(); m.next(); {
+		k.Put(m.prev(), m.row(), m.coded())
+	}
+	a.Cut(mark)
+	c.answer = k.Packed
+	lanes := min(c.lanes(), 64)
+	c.decode = mapreduce.Carve[rdf.TermID](&c.bufs, lanes*width)
+	c.free.Store(1<<lanes - 1)
+	return Rows{packed: &c.answer, ctx: c}
 }
 
-// packedRows is the source over a result-cache entry's packed rows, read
-// on c's lanes.
-func packedRows(p *mapreduce.Packed, c *ExecContext) Rows {
-	return Rows{n: p.N, width: p.Width, ctx: c, packed: p}
+// claim lends a reader of p one of the rows the answer is decoded into,
+// carved with it, one per lane, so reading it allocates nothing; nil
+// (the reader makes its own) for other packed rows, or past the rows
+// there are. unclaim gives back row i.
+func (c *ExecContext) claim(p *mapreduce.Packed) (row mapreduce.Row, i int) {
+	if p != &c.answer {
+		return nil, -1
+	}
+	for free := c.free.Load(); free != 0; free = c.free.Load() {
+		if i = bits.TrailingZeros64(free); c.free.CompareAndSwap(free, free&^(1<<i)) {
+			return c.decode[i*p.Width : (i+1)*p.Width], i
+		}
+	}
+	return nil, -1
 }
+
+func (c *ExecContext) unclaim(i int) {
+	if i >= 0 {
+		c.free.Or(1 << i)
+	}
+}
+
+// merger walks the distinct rows of sorted packed parts in order,
+// dropping duplicates as they meet (equal rows are adjacent across part
+// heads under a total order). heads[p] is part p's next unmerged row,
+// decoded at head(p) with prefix[p] its prefix; its bytes run from
+// from[p] to at[p]. The rows it returns alternate between two buffers,
+// so the one before stays readable.
+type merger struct {
+	parts    []mapreduce.Packed
+	heads    []int32
+	from, at []uint32
+	prefix   []uint64
+	rows     []rdf.TermID // every part's head, then the two rows returned last
+	w, n     int          // the width; the rows returned
+	// best is the part whose head is the next row, second the part whose
+	// head follows it among the others; -1 for none. The row returned
+	// last is row src of part part, whose bytes are bytes; cont says the
+	// row before it in the part was returned before it.
+	best, second int
+	part, src    int
+	bytes        []byte
+	cont         bool
+}
+
+// newMerger returns a merge of parts of rows of width w, its state carved
+// from m.
+func newMerger(m mapreduce.Mem, parts []mapreduce.Packed, w int) merger {
+	k := len(parts)
+	return merger{
+		parts: parts, w: w,
+		heads:  mapreduce.Carve[int32](m, k),
+		from:   mapreduce.Carve[uint32](m, k),
+		at:     mapreduce.Carve[uint32](m, k),
+		prefix: mapreduce.Carve[uint64](m, k),
+		rows:   mapreduce.Carve[rdf.TermID](m, (k+2)*w),
+	}
+}
+
+// start readies the merge from the parts' first rows.
+func (m *merger) start() {
+	clear(m.heads)
+	m.n, m.part = 0, -1
+	for p := range m.parts {
+		m.from[p] = m.parts[p].Restarts[0]
+		m.at[p] = uint32(m.parts[p].Next(0, int(m.from[p]), m.head(p)))
+		m.prefix[p] = rowPrefix(m.head(p))
+	}
+	m.best, m.second = m.least()
+}
+
+// next moves to the next distinct row, past every copy of it; false at
+// the end.
+func (m *merger) next() bool {
+	if m.best < 0 {
+		return false
+	}
+	m.n++
+	row, b := m.row(), m.best
+	copy(row, m.head(b))
+	m.cont = m.part == b && int(m.heads[b]) == m.src+1
+	m.part, m.src, m.bytes = b, int(m.heads[b]), m.parts[b].Data[m.from[b]:m.at[b]]
+	for {
+		p := m.best
+		if m.heads[p]++; m.more(p) {
+			m.from[p] = m.at[p]
+			m.at[p] = uint32(m.parts[p].Next(int(m.heads[p]), int(m.at[p]), m.head(p)))
+			m.prefix[p] = rowPrefix(m.head(p))
+			// A part's rows ascend: while its head comes before every other
+			// part's, it stays first and repeats nothing.
+			if m.second < 0 || m.before(p, m.second) {
+				return true
+			}
+		}
+		if m.best, m.second = m.least(); m.best < 0 || compareRows(m.head(m.best), row) != 0 {
+			return true
+		}
+	}
+}
+
+// row is the row next moved to, and prev the one before it (nil before
+// the first).
+func (m *merger) row() mapreduce.Row { return m.out(m.n) }
+func (m *merger) prev() mapreduce.Row {
+	if m.n < 2 {
+		return nil
+	}
+	return m.out(m.n - 1)
+}
+
+// coded returns the bytes of the row next moved to in its part when the
+// row before it there came just before it — coded against that row, as
+// it would be here, unless it is the part's restart — and nil otherwise.
+func (m *merger) coded() []byte {
+	if !m.cont || m.src%mapreduce.PackRestart == 0 {
+		return nil
+	}
+	return m.bytes
+}
+
+func (m *merger) out(k int) mapreduce.Row {
+	i := len(m.parts) + k%2
+	return m.rows[i*m.w : (i+1)*m.w : (i+1)*m.w]
+}
+
+// least returns the part whose head comes first and the part whose head
+// comes next, -1 for none.
+func (m *merger) least() (best, second int) {
+	best, second = -1, -1
+	for p := range m.parts {
+		switch {
+		case !m.more(p):
+		case best < 0 || m.before(p, best):
+			best, second = p, best
+		case second < 0 || m.before(p, second):
+			second = p
+		}
+	}
+	return best, second
+}
+
+// before reports whether part p's head comes before part q's.
+func (m *merger) before(p, q int) bool {
+	return m.prefix[p] < m.prefix[q] || m.prefix[p] == m.prefix[q] && compareRows(m.head(p), m.head(q)) < 0
+}
+
+func (m *merger) more(p int) bool          { return int(m.heads[p]) < m.parts[p].N }
+func (m *merger) head(p int) mapreduce.Row { return m.rows[p*m.w : (p+1)*m.w : (p+1)*m.w] }
+
+// Rows is a finished result as an execution hands it over: the distinct
+// rows in canonical order, packed — the running context's answer, merged
+// from the last job's parts into its scratch, or a result-cache entry's
+// rows — and decoded as they are read. Either way it is borrowed: valid
+// only inside the callback ExecContext.Run passes it to, and nothing may
+// keep it beyond that; a Row it hands out is valid until the function it
+// was handed to returns. Materialise is the way out.
+type Rows struct {
+	packed *mapreduce.Packed
+	ctx    *ExecContext // the context serving the execution: its lanes run EachRange
+}
+
+// packedRows is the source over packed rows, read on c's lanes.
+func packedRows(p *mapreduce.Packed, c *ExecContext) Rows { return Rows{packed: p, ctx: c} }
 
 // Len is the number of rows.
-func (r Rows) Len() int { return r.n }
+func (r Rows) Len() int { return r.packed.N }
 
 // Width is the number of cells of every row.
-func (r Rows) Width() int { return r.width }
+func (r Rows) Width() int { return r.packed.Width }
 
-// Packed returns the packed rows the source decodes — a result-cache
-// entry's own, shared and immutable — or nil when it reads a merge.
+// Packed returns the packed rows the source decodes: a result-cache
+// entry's own, shared and immutable, or the context's answer.
 func (r Rows) Packed() *mapreduce.Packed { return r.packed }
 
 // Each calls fn(i, row) for rows lo to hi-1 in order, row a
-// capacity-clipped slice valid until fn returns: read it, or copy it. A
-// merge is walked again from the mark at or before lo, packed rows are
-// decoded from the restart at or before it, so ranges read concurrently
-// share no state.
+// capacity-clipped slice valid until fn returns: read it, or copy it.
+// The rows are decoded from the restart at or before lo, so ranges read
+// concurrently share no state.
 func (r Rows) Each(lo, hi int, fn func(i int, row mapreduce.Row)) {
-	if r.packed != nil {
-		r.packed.Each(lo, hi, fn)
-		return
-	}
-	var hb [16]int32
-	var pb [16]uint64
-	m := r.ctx.merger(lo/mergeMark, &hb, &pb)
-	for at := lo / mergeMark * mergeMark; at < hi; at++ {
-		row, ok := m.next()
-		if !ok {
-			break
-		}
-		if at >= lo {
-			fn(at, row)
-		}
-	}
+	row, i := r.ctx.claim(r.packed)
+	defer r.ctx.unclaim(i)
+	r.packed.Each(lo, hi, row, fn)
 }
 
 // Lanes is the number of ranges EachRange cuts the rows into: the
@@ -251,12 +306,12 @@ func (r Rows) Lanes() int {
 	return r.ctx.lanes()
 }
 
-// EachRange cuts the rows into Lanes() contiguous ranges, at the merge's
-// marks, and calls fn(lo, hi) once per range, concurrently on the
-// context's lanes when there are several. A row's number fixes where its
-// consumer puts it, so whatever fn builds is the same at every lane
-// count. fn is retained by the pool for the call: a caller that must not
-// allocate on the one-lane path checks Lanes() first and loops itself.
+// EachRange cuts the rows into Lanes() contiguous ranges, at restarts,
+// and calls fn(lo, hi) once per range, concurrently on the context's
+// lanes when there are several. A row's number fixes where its consumer
+// puts it, so whatever fn builds is the same at every lane count. fn is
+// retained by the pool for the call: a caller that must not allocate on
+// the one-lane path checks Lanes() first and loops itself.
 func (r Rows) EachRange(fn func(lo, hi int)) {
 	k, n := r.Lanes(), r.Len()
 	if k == 1 {
@@ -266,30 +321,27 @@ func (r Rows) EachRange(fn func(lo, hi int)) {
 	r.ctx.pool.ForEach(k, func(i, _ int) { fn(r.cut(i, k), r.cut(i+1, k)) })
 }
 
-// cut is where range i of k starts: the mark nearest an even cut, or the
-// end.
+// cut is where range i of k starts: the restart nearest an even cut, or
+// the end.
 func (r Rows) cut(i, k int) int {
+	const every = mapreduce.PackRestart
 	n := r.Len()
 	if i == k {
 		return n
 	}
-	return min(n, (i*n/k+mergeMark/2)/mergeMark*mergeMark)
+	return min(n, (i*n/k+every/2)/every*every)
 }
 
-// pack packs the rows for a result-cache entry: gap-coded, in arrays of
-// their own sized to them.
-func (r Rows) pack() mapreduce.Packed {
-	return mapreduce.Pack(r.width, r.n, func(fn func(mapreduce.Row)) {
-		r.Each(0, r.n, func(_ int, row mapreduce.Row) { fn(row) })
-	})
-}
+// pack copies the rows for a result-cache entry, into arrays of their
+// own.
+func (r Rows) pack() mapreduce.Packed { return r.packed.Clone() }
 
 // Materialise returns the rows in the form that outlives the source: one
 // exactly sized header slice over a fresh, exactly sized block the
 // context and the result cache do not own. It is the only place the
 // data plane builds a []Row.
 func (r Rows) Materialise() []mapreduce.Row {
-	b := mapreduce.Block{Width: r.width, N: r.n, Cells: make([]rdf.TermID, r.n*r.width)}
+	b := mapreduce.Block{Width: r.Width(), N: r.Len(), Cells: make([]rdf.TermID, r.Len()*r.Width())}
 	r.Each(0, b.N, func(i int, row mapreduce.Row) { copy(b.Row(i), row) })
 	view := make([]mapreduce.Row, b.N)
 	for i := range view {

@@ -9,7 +9,10 @@ import (
 // scratchRetentionCeiling bounds what a context's scratch keeps after
 // many different executions, relative to the most any single one of
 // them leaves on a fresh engine (measured 1.000 at one lane and at two,
-// LUBM at 20 universities: Q5's own temporaries and outputs; 1.03 and
+// LUBM at 20 universities: Q1's own temporaries and outputs, its raw
+// answer part beside its scans, its packed parts beside the answer;
+// 1.32 at one lane when the answer was merged as it was read, so Q5's
+// shuffle set the outputs; 1.000 with Q5 the hungriest; 1.03 and
 // 1.05 when map joins built hash tables and Q11's were the largest
 // temporary; 0.90 and 0.70–0.89 with a
 // first-fit pool whose layout followed the schedule, 1.00 and 1.12–1.15
@@ -73,26 +76,29 @@ func TestScratchHoldsOneExecution(t *testing.T) {
 // kept only what it carved and the final merge kept an order of the
 // surviving rows — so a repeat could grow the pool, and Q5, Q10 and Q11
 // read more after the second execution than after the first (441,240,
-// 189,936 and 173,616 B) — and now, with every map join a merge that
-// builds no table.
+// 189,936 and 173,616 B) — and now, with the shuffle holding its tuples'
+// cells and one header per run, no record, and the answer packed as
+// each unit of the last job ends, in arrays at the allocator's size
+// class (Q1 and Q5 read 289,808 and 302,224 B while a shuffled tuple had
+// a 24-byte record and the last job's raw rows waited for the merge).
 var scratchPeaks = []struct {
 	query       string
 	before, now uint64
 }{
-	{"Q1", 525432, 289808},
-	{"Q2", 24576, 352},
-	{"Q3", 78984, 21368},
-	{"Q4", 24576, 11144},
-	{"Q5", 533184, 302224},
-	{"Q6", 99672, 64360},
-	{"Q7", 95328, 49736},
-	{"Q8", 172464, 82368},
-	{"Q9", 82776, 42608},
-	{"Q10", 225384, 111160},
-	{"Q11", 202176, 71440},
-	{"Q12", 148488, 100392},
-	{"Q13", 99288, 56880},
-	{"Q14", 124704, 69232},
+	{"Q1", 525432, 147456},
+	{"Q2", 24576, 432},
+	{"Q3", 78984, 18432},
+	{"Q4", 24576, 5120},
+	{"Q5", 533184, 94208},
+	{"Q6", 99672, 22528},
+	{"Q7", 95328, 19712},
+	{"Q8", 172464, 40832},
+	{"Q9", 82776, 21760},
+	{"Q10", 225384, 45056},
+	{"Q11", 202176, 45056},
+	{"Q12", 148488, 28672},
+	{"Q13", 99288, 17664},
+	{"Q14", 124704, 31360},
 }
 
 // repeatScratch runs q n times on a fresh engine of the given lanes
