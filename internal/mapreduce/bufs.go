@@ -111,6 +111,20 @@ func (p *Bufs) carveEnd(w int, shift int) []uint64 {
 	return out[lo-w : lo : lo]
 }
 
+// Spare returns as bytes the outputs' room between their two ends,
+// empty when they have crossed: a lone carver may write there, then
+// carve from the bottom exactly what it wrote, which hands back the
+// same words.
+func (p *Bufs) Spare() []byte {
+	e := p.ends.Load()
+	lo, hi := int(uint32(e)), int(e>>32)
+	if lo+hi >= len(p.words) {
+		return nil
+	}
+	w := p.words[lo : len(p.words)-hi]
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(w))), len(w)*8)
+}
+
 // endJob takes back the top: what the job alone read.
 func (p *Bufs) endJob() {
 	if p != nil {

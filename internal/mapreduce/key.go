@@ -176,12 +176,10 @@ func sortRun(r *run, cells []rdf.TermID, m Mem) {
 type place struct{ buf, run, pos uint32 }
 
 // cursor is a reducer's place in one run routed to its node: the next
-// tuple it merges, with its key's prefix, and the end of its key range
-// in the run.
+// tuple it merges, and the end of its key range in the run.
 type cursor struct {
 	place
 	end uint32
-	key uint64
 }
 
 // stretch is a group's tuples in one run: tuples lo to hi-1 of run run
@@ -195,9 +193,9 @@ type stretch struct{ buf, run, lo, hi, at uint32 }
 // kept as a deterministic group order (TestSortedGroupingMatchesReference
 // pins it). Ties go to the run emitted first, in (source node, morsel,
 // emission) order, so a group's records keep the order they were emitted
-// in. The merge keeps nothing per tuple: its state — a cursor per run, a
-// heap of them and a group's stretches — is carved from mem when Each
-// starts.
+// in. The merge keeps nothing per tuple: its state — a cursor per run,
+// the prefix of each cursor's head and a group's stretches — is carved
+// from mem when Each starts.
 type Groups struct {
 	bk      []bucket // the job's buckets: (morsel, destination) at morsel*n+destination
 	dest, n int
@@ -258,88 +256,90 @@ func (g *Groups) Each(fn func(Group)) {
 	for b := g.dest; b < len(g.bk); b += g.n {
 		runs += len(g.bk[b].runs)
 	}
-	cur := Carve[cursor](g.mem, runs)[:0]
+	m := merge{bk: g.bk, cur: Carve[cursor](g.mem, runs)[:0], key: Carve[uint64](g.mem, runs)[:0], whole: true}
+	var nkey uint16
 	g.eachRun(func(b, k int, lo, hi uint32) {
+		r := &g.bk[b].runs[k]
+		if len(m.cur) == 0 {
+			nkey = r.nkey
+		}
+		m.whole = m.whole && r.nkey == nkey && nkey <= 1
 		if lo < hi {
-			c := cursor{place: place{buf: uint32(b), run: uint32(k), pos: lo}, end: hi}
-			c.key = g.bk[b].runs[k].prefix(g.bk[b].cells, int(lo))
-			cur = append(cur, c)
+			m.cur = append(m.cur, cursor{place: place{buf: uint32(b), run: uint32(k), pos: lo}, end: hi})
+			m.key = append(m.key, r.prefix(g.bk[b].cells, int(lo)))
 		}
 	})
-	h := heap{cur: cur, bk: g.bk, idx: Carve[int32](g.mem, len(cur))}
-	for i := range h.idx {
-		h.idx[i] = int32(i)
-	}
-	for i := len(h.idx)/2 - 1; i >= 0; i-- {
-		h.down(i)
-	}
-	st := Carve[stretch](g.mem, len(cur))
-	for len(h.idx) > 0 {
-		// The least head starts the group; every cursor whose head has its
-		// key gives the group that head's stretch, in run order.
-		first, key, n := cur[h.idx[0]].place, cur[h.idx[0]].key, uint32(0)
-		fr, fc := &g.bk[first.buf].runs[first.run], g.bk[first.buf].cells
+	st, ties := Carve[stretch](g.mem, len(m.cur)), Carve[int32](g.mem, len(m.cur))
+	for len(m.cur) > 0 {
+		// The cursors whose heads carry the least key give the group their
+		// stretches, in run order.
+		ties = m.least(ties)
+		key := m.key[ties[0]]
 		st = st[:0]
-		for len(h.idx) > 0 {
-			c := &cur[h.idx[0]]
+		n := uint32(0)
+		for _, i := range ties {
+			c := &m.cur[i]
 			r, cells := &g.bk[c.buf].runs[c.run], g.bk[c.buf].cells
-			if len(st) > 0 && (c.key != key || compareKeys(r, cells, int(c.pos), fr, fc, int(first.pos)) != 0) {
-				break
-			}
 			lo := c.pos
-			for c.pos++; c.pos < c.end && r.sameKey(cells, int(c.pos), int(lo)); c.pos++ {
+			for c.pos++; c.pos < c.end; c.pos++ {
+				if p := r.prefix(cells, int(c.pos)); p != key || !m.whole && !r.sameKey(cells, int(c.pos), int(lo)) {
+					m.key[i] = p
+					break
+				}
 			}
 			st = append(st, stretch{buf: c.buf, run: c.run, lo: lo, hi: c.pos, at: n})
 			n += c.pos - lo
-			if c.pos < c.end {
-				c.key = r.prefix(cells, int(c.pos))
-			} else {
-				h.idx[0] = h.idx[len(h.idx)-1]
-				h.idx = h.idx[:len(h.idx)-1]
+		}
+		for k := len(ties) - 1; k >= 0; k-- {
+			if i := ties[k]; m.cur[i].pos == m.cur[i].end {
+				m.cur, m.key = slices.Delete(m.cur, int(i), int(i)+1), slices.Delete(m.key, int(i), int(i)+1)
 			}
-			h.down(0)
 		}
 		fn(Group{st: st, n: int(n), bk: g.bk})
 	}
 }
 
-// heap orders the merge's cursors by their heads' keys, ties by cursor —
-// by run, in emission order.
-type heap struct {
-	cur []cursor
-	bk  []bucket
-	idx []int32
+// merge is a reducer's merge of the runs routed to its node: a cursor
+// per run with tuples left in the key range, in run order, and the
+// prefix of each one's head. whole says every run's prefix is its whole
+// key — one key cell, or none — so equal prefixes are equal keys.
+type merge struct {
+	bk    []bucket
+	cur   []cursor
+	key   []uint64
+	whole bool
 }
 
-func (h *heap) less(i, j int32) bool {
-	a, b := &h.cur[i], &h.cur[j]
-	if a.key != b.key {
-		return a.key < b.key
+// least returns in ties, in run order, the cursors whose heads carry the
+// least key.
+func (m *merge) least(ties []int32) []int32 {
+	ties = append(ties[:0], 0)
+	kb := m.key[0]
+	for i := 1; i < len(m.key); i++ {
+		k, c := m.key[i], 0
+		switch {
+		case k > kb:
+			continue
+		case k < kb:
+			c = -1
+		case !m.whole:
+			c = m.compareTo(i, m.cur[ties[0]].place)
+		}
+		if c < 0 {
+			ties, kb = ties[:0], k
+		}
+		if c <= 0 {
+			ties = append(ties, int32(i))
+		}
 	}
-	ra, rb := &h.bk[a.buf].runs[a.run], &h.bk[b.buf].runs[b.run]
-	if ra.nkey == rb.nkey && ra.nkey <= 1 {
-		return i < j // the prefix is the whole key
-	}
-	c := compareKeys(ra, h.bk[a.buf].cells, int(a.pos), rb, h.bk[b.buf].cells, int(b.pos))
-	return c < 0 || c == 0 && i < j
+	return ties
 }
 
-// down restores the heap below position i.
-func (h *heap) down(i int) {
-	for {
-		l := 2*i + 1
-		if l >= len(h.idx) {
-			return
-		}
-		if r := l + 1; r < len(h.idx) && h.less(h.idx[r], h.idx[l]) {
-			l = r
-		}
-		if !h.less(h.idx[l], h.idx[i]) {
-			return
-		}
-		h.idx[i], h.idx[l] = h.idx[l], h.idx[i]
-		i = l
-	}
+// compareTo compares the head of cursor i with the tuple at p, whose
+// prefixes tie.
+func (m *merge) compareTo(i int, p place) int {
+	a := &m.cur[i]
+	return compareKeys(&m.bk[a.buf].runs[a.run], m.bk[a.buf].cells, int(a.pos), &m.bk[p.buf].runs[p.run], m.bk[p.buf].cells, int(p.pos))
 }
 
 // Group is the records sharing one key: a view handed out by

@@ -34,64 +34,88 @@ type Packed struct {
 }
 
 // A Packer packs ascending distinct rows handed to it one at a time,
-// each twice: first to Size, then — once Carve has made the room the
-// sizes add up to — to Put, in the same order, each with the row before
-// it (nil before the first) and, when the row comes from other packed
-// rows in which the same row came before it, its bytes there (else nil),
-// which are copied unless the row is a restart. A row need only be valid
-// for the call. It panics if a row does not come after the one before
-// it.
+// each with the row before it (nil before the first) and, when the row
+// comes from other packed rows in which the same row came before it, its
+// bytes there (else nil), which are copied unless the row is a restart.
+// A row need only be valid for the call; one that does not come after
+// the row before it panics. It packs in one pass into room the caller
+// has — Start, then Put while the row Fits — or in two, where the room
+// is not known to suffice: every row to Size, then, once Carve has
+// carved the room the sizes add up to, every row again to Put.
 type Packer struct {
 	Packed
-	size, put int
+	size, rows int // what Size counted
+}
+
+// Start readies a pass writing rows of the given width into data's
+// room, restarts holding every restart the rows may need.
+func (k *Packer) Start(width int, data []byte, restarts []uint32) {
+	k.Packed = Packed{Width: width, Data: data[:0:min(cap(data), math.MaxUint32)], Restarts: restarts}
+	k.size, k.rows = 0, 0
+}
+
+// Fits reports whether the next row fits in the room left.
+func (k *Packer) Fits(prev, row Row, coded []byte) bool {
+	room := cap(k.Data) - len(k.Data)
+	return room >= 7+5*len(row) || room >= k.bytes(prev, row, coded, k.N) // the most a row takes, else its size
+}
+
+// bytes is the size of row i.
+func (k *Packer) bytes(prev, row Row, coded []byte, i int) int {
+	if coded != nil && i%PackRestart != 0 {
+		return len(coded)
+	}
+	return rowBytes(prev, row, i)
 }
 
 // Size counts the bytes of the next row.
 func (k *Packer) Size(prev, row Row, coded []byte) {
-	if coded != nil && k.N%PackRestart != 0 {
-		k.size += len(coded)
-	} else {
-		k.size += rowBytes(prev, row, k.N)
-	}
-	k.N++
+	k.size += k.bytes(prev, row, coded, k.rows)
+	k.rows++
 }
 
-// Carve carves the arrays for the rows sized, of the given width, from
-// m at their size.
-func (k *Packer) Carve(m Mem, width int) {
+// Carve carves from m the room the rows sized take, for them to be Put.
+func (k *Packer) Carve(m Mem) {
 	if k.size > math.MaxUint32 {
 		panic("mapreduce: packing 4 GiB of rows")
 	}
-	k.Width, k.Data = width, Carve[byte](m, k.size)[:0]
-	k.Restarts = Carve[uint32](m, (k.N+PackRestart-1)/PackRestart)
+	k.Data = Carve[byte](m, k.size)[:0]
 }
 
 // Put writes the next row.
 func (k *Packer) Put(prev, row Row, coded []byte) {
-	switch {
-	case k.put%PackRestart == 0:
-		k.Restarts[k.put/PackRestart] = uint32(len(k.Data))
-		k.Data = appendRow(k.Data, prev, row, k.put)
+	switch i := k.N; {
+	case i%PackRestart == 0:
+		k.Restarts[i/PackRestart] = uint32(len(k.Data))
+		k.Data = appendRow(k.Data, prev, row, i)
 	case coded != nil:
 		k.Data = append(k.Data, coded...)
 	default:
-		k.Data = appendRow(k.Data, prev, row, k.put)
+		k.Data = appendRow(k.Data, prev, row, i)
 	}
-	k.put++
+	k.N++
+}
+
+// Done returns the rows put, their restarts cut to those they have.
+func (k *Packer) Done() Packed {
+	p := k.Packed
+	p.Restarts = p.Restarts[:(p.N+PackRestart-1)/PackRestart]
+	return p
 }
 
 // PackBlock packs b's rows, ascending and distinct, into arrays carved
 // from m at their size.
 func PackBlock(m Mem, b *Block) Packed {
 	var k Packer
+	k.Start(b.Width, nil, Carve[uint32](m, (b.N+PackRestart-1)/PackRestart))
 	for i := 0; i < b.N; i++ {
 		k.Size(b.before(i), b.Row(i), nil)
 	}
-	k.Carve(m, b.Width)
+	k.Carve(m)
 	for i := 0; i < b.N; i++ {
 		k.Put(b.before(i), b.Row(i), nil)
 	}
-	return k.Packed
+	return k.Done()
 }
 
 // before returns the row before row i, nil before the first.

@@ -80,15 +80,17 @@ func (b *partRows) Swap(i, j int) {
 
 // mergeParts merges the last job's packed parts — each sorted and
 // distinct — into the answer: the distinct rows in compareRows order,
-// packed, carved from the context's outputs. It reads the parts twice, to
-// size the answer and to write it, through merge state carved from lane
-// 0's arena and taken back after. The answer is the context's scratch,
-// valid until it is released.
+// packed, carved from the context's outputs. It packs in one pass into
+// the outputs' spare room, then carves what it wrote; where the room
+// runs out, as on a context that has not yet held so large an answer, it
+// packs again in two passes, sizing the answer first. Its merge state is
+// carved from lane 0's arena and taken back after. The answer is the
+// context's scratch, valid until it is released.
 func (c *ExecContext) mergeParts() Rows {
-	parts, width := c.parts[:0], 0
+	parts, width, total := c.parts[:0], 0, 0
 	for _, p := range c.parts {
 		if p.N > 0 {
-			parts, width = append(parts, p), p.Width
+			parts, width, total = append(parts, p), p.Width, total+p.N
 		}
 	}
 	clear(c.parts[len(parts):])
@@ -97,16 +99,32 @@ func (c *ExecContext) mergeParts() Rows {
 	a := c.bufs.Lane(0)
 	mark := a.Used()
 	m := newMerger(a, parts, width)
+	restarts := mapreduce.Carve[uint32](&c.bufs, (total+mapreduce.PackRestart-1)/mapreduce.PackRestart)
 	var k mapreduce.Packer
+	k.Start(width, c.bufs.Spare(), restarts)
+	fits := true
 	for m.start(); m.next(); {
-		k.Size(m.prev(), m.row(), m.coded())
+		prev, row, coded := m.prev(), m.row(), m.coded()
+		if fits = k.Fits(prev, row, coded); !fits {
+			break
+		}
+		k.Put(prev, row, coded)
 	}
-	k.Carve(&c.bufs, width)
-	for m.start(); m.next(); {
-		k.Put(m.prev(), m.row(), m.coded())
+	if fits {
+		data := mapreduce.Carve[byte](&c.bufs, len(k.Data)) // the spare room written
+		k.Data = data[:copy(data, k.Data)]
+	} else {
+		k.Start(width, nil, restarts)
+		for m.start(); m.next(); {
+			k.Size(m.prev(), m.row(), m.coded())
+		}
+		k.Carve(&c.bufs)
+		for m.start(); m.next(); {
+			k.Put(m.prev(), m.row(), m.coded())
+		}
 	}
 	a.Cut(mark)
-	c.answer = k.Packed
+	c.answer = k.Done()
 	lanes := min(c.lanes(), 64)
 	c.decode = mapreduce.Carve[rdf.TermID](&c.bufs, lanes*width)
 	c.free.Store(1<<lanes - 1)
@@ -150,11 +168,11 @@ type merger struct {
 	w, n     int          // the width; the rows returned
 	// best is the part whose head is the next row, second the part whose
 	// head follows it among the others; -1 for none. The row returned
-	// last is row src of part part, whose bytes are bytes; cont says the
-	// row before it in the part was returned before it.
+	// last is row src of part part, its bytes there from lo to hi; cont
+	// says the row before it in the part was returned before it.
 	best, second int
 	part, src    int
-	bytes        []byte
+	lo, hi       uint32
 	cont         bool
 }
 
@@ -194,7 +212,7 @@ func (m *merger) next() bool {
 	row, b := m.row(), m.best
 	copy(row, m.head(b))
 	m.cont = m.part == b && int(m.heads[b]) == m.src+1
-	m.part, m.src, m.bytes = b, int(m.heads[b]), m.parts[b].Data[m.from[b]:m.at[b]]
+	m.part, m.src, m.lo, m.hi = b, int(m.heads[b]), m.from[b], m.at[b]
 	for {
 		p := m.best
 		if m.heads[p]++; m.more(p) {
@@ -230,7 +248,7 @@ func (m *merger) coded() []byte {
 	if !m.cont || m.src%mapreduce.PackRestart == 0 {
 		return nil
 	}
-	return m.bytes
+	return m.parts[m.part].Data[m.lo:m.hi]
 }
 
 func (m *merger) out(k int) mapreduce.Row {
