@@ -104,11 +104,10 @@ func (c *ExecContext) mergeParts() Rows {
 	k.Start(width, c.bufs.Spare(), restarts)
 	fits := true
 	for m.start(); m.next(); {
-		prev, row, coded := m.prev(), m.row(), m.coded()
-		if fits = k.Fits(prev, row, coded); !fits {
+		if fits = k.Fits(m.last(), m.row, m.coded); !fits {
 			break
 		}
-		k.Put(prev, row, coded)
+		k.Put(m.last(), m.row, m.coded)
 	}
 	if fits {
 		data := mapreduce.Carve[byte](&c.bufs, len(k.Data)) // the spare room written
@@ -116,11 +115,11 @@ func (c *ExecContext) mergeParts() Rows {
 	} else {
 		k.Start(width, nil, restarts)
 		for m.start(); m.next(); {
-			k.Size(m.prev(), m.row(), m.coded())
+			k.Size(m.last(), m.row, m.coded)
 		}
 		k.Carve(&c.bufs)
 		for m.start(); m.next(); {
-			k.Put(m.prev(), m.row(), m.coded())
+			k.Put(m.last(), m.row, m.coded)
 		}
 	}
 	a.Cut(mark)
@@ -158,36 +157,46 @@ func (c *ExecContext) unclaim(i int) {
 // heads under a total order). heads[p] is part p's next unmerged row,
 // decoded at head(p) with prefix[p] its prefix; its bytes run from
 // from[p] to at[p]. The rows it returns alternate between two buffers,
-// so the one before stays readable.
+// row and prev, so the one before stays readable.
 type merger struct {
-	parts    []mapreduce.Packed
-	heads    []int32
-	from, at []uint32
-	prefix   []uint64
-	rows     []rdf.TermID // every part's head, then the two rows returned last
-	w, n     int          // the width; the rows returned
+	parts     []mapreduce.Packed
+	heads, ns []int32 // each part's next row, and its rows
+	from, at  []uint32
+	prefix    []uint64
+	rows      []rdf.TermID // every part's head
+	w, n      int          // the width; the rows returned
+	row, prev mapreduce.Row
 	// best is the part whose head is the next row, second the part whose
 	// head follows it among the others; -1 for none. The row returned
-	// last is row src of part part, its bytes there from lo to hi; cont
-	// says the row before it in the part was returned before it.
+	// last is row src of part part. coded is its bytes there when the row
+	// before it there was returned just before it, and it is no restart;
+	// else nil.
 	best, second int
-	part, src    int
-	lo, hi       uint32
-	cont         bool
+	part         int
+	src          int32
+	coded        []byte
 }
 
 // newMerger returns a merge of parts of rows of width w, its state carved
 // from m.
 func newMerger(m mapreduce.Mem, parts []mapreduce.Packed, w int) merger {
 	k := len(parts)
-	return merger{
+	out := mapreduce.Carve[rdf.TermID](m, 2*w)
+	mg := merger{
 		parts: parts, w: w,
 		heads:  mapreduce.Carve[int32](m, k),
+		ns:     mapreduce.Carve[int32](m, k),
 		from:   mapreduce.Carve[uint32](m, k),
 		at:     mapreduce.Carve[uint32](m, k),
 		prefix: mapreduce.Carve[uint64](m, k),
-		rows:   mapreduce.Carve[rdf.TermID](m, (k+2)*w),
+		rows:   mapreduce.Carve[rdf.TermID](m, k*w),
+		row:    out[:w:w],
+		prev:   out[w : 2*w : 2*w],
 	}
+	for p := range parts {
+		mg.ns[p] = int32(parts[p].N)
+	}
+	return mg
 }
 
 // start readies the merge from the parts' first rows.
@@ -202,20 +211,27 @@ func (m *merger) start() {
 	m.best, m.second = m.least()
 }
 
-// next moves to the next distinct row, past every copy of it; false at
-// the end.
+// next moves to the next distinct row, past every copy of it: m.row,
+// m.prev the one before it (when m.n > 1) and m.coded its bytes; false
+// at the end.
 func (m *merger) next() bool {
-	if m.best < 0 {
+	b := m.best
+	if b < 0 {
 		return false
 	}
+	m.row, m.prev = m.prev, m.row
+	for j, v := range m.head(b) {
+		m.row[j] = v
+	}
+	m.coded = nil
+	if h := m.heads[b]; b == m.part && h == m.src+1 && h%mapreduce.PackRestart != 0 {
+		m.coded = m.parts[b].Data[m.from[b]:m.at[b]]
+	}
+	m.part, m.src = b, m.heads[b]
 	m.n++
-	row, b := m.row(), m.best
-	copy(row, m.head(b))
-	m.cont = m.part == b && int(m.heads[b]) == m.src+1
-	m.part, m.src, m.lo, m.hi = b, int(m.heads[b]), m.from[b], m.at[b]
 	for {
 		p := m.best
-		if m.heads[p]++; m.more(p) {
+		if m.heads[p]++; m.heads[p] < m.ns[p] {
 			m.from[p] = m.at[p]
 			m.at[p] = uint32(m.parts[p].Next(int(m.heads[p]), int(m.at[p]), m.head(p)))
 			m.prefix[p] = rowPrefix(m.head(p))
@@ -225,35 +241,18 @@ func (m *merger) next() bool {
 				return true
 			}
 		}
-		if m.best, m.second = m.least(); m.best < 0 || compareRows(m.head(m.best), row) != 0 {
+		if m.best, m.second = m.least(); m.best < 0 || compareRows(m.head(m.best), m.row) != 0 {
 			return true
 		}
 	}
 }
 
-// row is the row next moved to, and prev the one before it (nil before
-// the first).
-func (m *merger) row() mapreduce.Row { return m.out(m.n) }
-func (m *merger) prev() mapreduce.Row {
+// last is the row before the row next moved to, nil before the first.
+func (m *merger) last() mapreduce.Row {
 	if m.n < 2 {
 		return nil
 	}
-	return m.out(m.n - 1)
-}
-
-// coded returns the bytes of the row next moved to in its part when the
-// row before it there came just before it — coded against that row, as
-// it would be here, unless it is the part's restart — and nil otherwise.
-func (m *merger) coded() []byte {
-	if !m.cont || m.src%mapreduce.PackRestart == 0 {
-		return nil
-	}
-	return m.parts[m.part].Data[m.lo:m.hi]
-}
-
-func (m *merger) out(k int) mapreduce.Row {
-	i := len(m.parts) + k%2
-	return m.rows[i*m.w : (i+1)*m.w : (i+1)*m.w]
+	return m.prev
 }
 
 // least returns the part whose head comes first and the part whose head
@@ -262,7 +261,7 @@ func (m *merger) least() (best, second int) {
 	best, second = -1, -1
 	for p := range m.parts {
 		switch {
-		case !m.more(p):
+		case m.heads[p] >= m.ns[p]:
 		case best < 0 || m.before(p, best):
 			best, second = p, best
 		case second < 0 || m.before(p, second):
@@ -277,7 +276,6 @@ func (m *merger) before(p, q int) bool {
 	return m.prefix[p] < m.prefix[q] || m.prefix[p] == m.prefix[q] && compareRows(m.head(p), m.head(q)) < 0
 }
 
-func (m *merger) more(p int) bool          { return int(m.heads[p]) < m.parts[p].N }
 func (m *merger) head(p int) mapreduce.Row { return m.rows[p*m.w : (p+1)*m.w : (p+1)*m.w] }
 
 // Rows is a finished result as an execution hands it over: the distinct
