@@ -506,9 +506,9 @@ func (p *Prepared) PlanCached() bool { return p.cached }
 // Result.Rows).
 //
 // The answer leaves the execution once: the ids are decoded where the
-// execution left them — the last job's sorted output, merged as it is
-// read, or a result-cache entry's packed rows, decoded as they are read
-// and each rendered as it arrives — while the execution's context
+// execution left them — the answer packed in the context's scratch, or
+// a result-cache entry's packed rows — decoded as they are read and
+// each rendered as it arrives, while the execution's context
 // is still held, a large answer on all of its lanes, and nothing of that
 // source survives the call except dictionary-owned strings.
 func (p *Prepared) Run() (*Result, error) {

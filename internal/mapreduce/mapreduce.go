@@ -238,7 +238,7 @@ type JobStats struct {
 	MapTime       float64 // max over nodes
 	ShuffleTime   float64
 	ReduceTime    float64
-	Shuffled      int     // records through the shuffle
+	Shuffled      int     // tuples through the shuffle
 	ShuffledCells int     // total row cells through the shuffle (volume)
 	Output        int     // rows written to the job output
 	Time          float64 // init + map + shuffle + reduce
@@ -366,7 +366,7 @@ type slot struct {
 	meter         Meter  // what the unit counted
 	out           Block  // rows written, unless the unit writes the node output directly
 	size          int    // the cells a sized reduce range writes
-	count, cells  int    // records and row cells emitted into the shuffle
+	count, cells  int    // tuples and row cells emitted into the shuffle
 	sinks         bool   // the job's sink takes the unit's rows
 	sunk          int    // rows it took
 	groups        Groups // a key range's records
@@ -801,7 +801,7 @@ func (cl *Cluster) Reset() {
 }
 
 // EncodeKey builds the seed runtime's string shuffle key from a group
-// identifier and attribute values. The execution path keys records
+// identifier and attribute values. The execution path keys tuples
 // in binary (Emitter.Emit); this encoding is retained as the reference
 // representation — property tests compare the binary path against it,
 // and the baseline simulators use it for distinct-row counting.

@@ -32,12 +32,13 @@
 // per-(node, range) intermediate table and shuffle scratch) and is
 // recycled by the context's next execution; an intermediate relation
 // exists only to feed the next job of the same execution. The result is
-// flat to the end as well: the final sort leaves the last job's output
-// sorted in place, and ExecContext.Run lends it to its caller as a Rows
-// that merges it as it is read, on the context's lanes. Only what
-// outlives an execution is copied into exactly sized arrays of its own:
-// a result-cache entry, which keeps a whole answer (the merged rows,
-// packed, and every job's record, keyed by Plan.Key), and the rows of
+// flat to the end as well: each unit of the last job sorts its rows and
+// packs them, one merge packs the parts into the answer, and
+// ExecContext.Run lends it to its caller as a Rows decoded as it is
+// read, on the context's lanes. Only what outlives an execution is
+// copied into arrays of its own: a result-cache entry, which keeps a
+// whole answer (the packed rows and every job's record, keyed by
+// Plan.Key), and the rows of
 // Rows.Materialise, for callers that keep ids — the only place a []Row
 // is built.
 package physical
@@ -211,8 +212,8 @@ func SubjectOnlyCoLocator() CoLocator {
 func Compile(p *core.Plan) (*Plan, error) { return CompileWith(p, nil) }
 
 // ShuffleWidthError is returned by CompileWith for a reduce join the
-// shuffle cannot carry: a shuffled record tags the join input it
-// belongs to, and counts its key cells, in 16 bits each
+// shuffle cannot carry: a shuffled run's header tags the join input its
+// tuples belong to, and counts their key cells, in 16 bits each
 // (mapreduce.MaxInputs, mapreduce.MaxKeyCells).
 type ShuffleWidthError struct {
 	// Inputs and KeyWidth are the join's input count and join
@@ -377,7 +378,7 @@ func (pp *Plan) Bind(q *sparql.Query) *Plan {
 // counts: per job level,
 // the content of its reduce joins (their whole subtrees, children in
 // order, patterns by their terms) and their plan-global IDs — shuffle
-// routing and record sort order derive from the ID — or, for a map-only
+// routing and group order derive from the ID — or, for a map-only
 // plan, the content of its root; then the SELECT list the final
 // projection targets. Nothing is memoized on the operators: they may be
 // shared by the plans of queries that differ in their constants.

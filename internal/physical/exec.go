@@ -48,9 +48,9 @@ func (c *ExecContext) sinkJob() {
 // constants of pp's query through dict, on a fresh cluster clock, and
 // hands use the simulated timing (Result.Rows nil, N set) and the
 // deduplicated, sorted rows as a borrowed source: they sit where the
-// execution left them — the last job's output in the context, sorted
-// and merged as it is read, or a result-cache entry's packed rows,
-// decoded as they are read — so whoever only counts, digests or decodes
+// execution left them — the answer packed in the context, or a
+// result-cache entry's packed rows, decoded as they are read — so
+// whoever only counts, digests or decodes
 // them copies nothing. rows is invalid once use returns, and a Row read
 // from it once the function it was handed to returns; the Result is the
 // caller's to keep.
@@ -59,7 +59,7 @@ func (c *ExecContext) sinkJob() {
 // execution under (Plan.Key, view version): a hit replays every job's
 // record in job order and lends the entry's packed rows, without
 // touching the context's scratch; a miss runs every job recording and
-// packs the merged rows into the entry it admits. Rows and JobStats are
+// copies the packed answer into the entry it admits. Rows and JobStats are
 // byte-identical either way, and with a cache every request reaches its
 // consumer in one form. The cache must belong to the same engine (same
 // cluster geometry, partitioning and dictionary) as the view; the
