@@ -226,15 +226,33 @@ func TestKeyPathAllocationFree(t *testing.T) {
 	}
 }
 
-// TestShuffleHoldsCellsAndRunHeaders pins what the shuffle keeps: a
-// tuple's cells and nothing per tuple beside them. Whole jobs — 3 nodes,
-// 4 map morsels each emitting one block, at one, two and four lanes —
-// leave a top high-water mark in the pool of exactly the bucket cells
-// plus one run header per bucket a morsel filled, and reduce every tuple
-// once. Sorting the runs at the map side and merging them at the
-// reducer, keys of zero to six cells included, allocate nothing on a
-// warm lane arena.
-func TestShuffleHoldsCellsAndRunHeaders(t *testing.T) {
+// TestRecordIsSmallAndPointerFree pins what makes the shuffle buffers
+// cheap to hold and to sort: a tuple's cells and nothing per tuple
+// beside them. The one header a run of tuples carries is at most 32
+// bytes and holds no pointer, so the collector never scans a bucket.
+// Whole jobs — 3 nodes, 4 map morsels each emitting one block, at one,
+// two and four lanes — leave a top high-water mark in the pool of
+// exactly the bucket cells plus one run header per bucket a morsel
+// filled, and reduce every tuple once.
+func TestRecordIsSmallAndPointerFree(t *testing.T) {
+	if sz := unsafe.Sizeof(run{}); sz > 32 {
+		t.Errorf("run header is %d bytes, want <= 32", sz)
+	}
+	var fields func(rt reflect.Type)
+	fields = func(rt reflect.Type) {
+		for i := 0; i < rt.NumField(); i++ {
+			switch f := rt.Field(i); f.Type.Kind() {
+			case reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+				reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+			case reflect.Struct:
+				fields(f.Type)
+			default:
+				t.Errorf("%s.%s is a %v: only fixed-size integers keep the run header pointer-free", rt.Name(), f.Name, f.Type.Kind())
+			}
+		}
+	}
+	fields(reflect.TypeOf(run{}))
+
 	const nodes, morsels = 3, 4
 	words := func(n, size int) int { return (n*size + 7) / 8 }
 	for trial := 0; trial < 10; trial++ {
@@ -284,7 +302,12 @@ func TestShuffleHoldsCellsAndRunHeaders(t *testing.T) {
 			}
 		}
 	}
+}
 
+// TestSortRecordsAllocationFree pins the reduce-side grouping: sorting
+// the runs at the map side and merging them at the reducer, keys of
+// zero to six cells included, allocate nothing on a warm lane arena.
+func TestSortRecordsAllocationFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	bk := emitAll(1, randomTuples(rng, 512))
 	emitted := slices.Clone(bk[0].cells)
