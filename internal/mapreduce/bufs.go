@@ -9,15 +9,18 @@ import (
 )
 
 // Bufs is the scratch of one execution context, in 8-byte words viewed
-// as the borrower's element type: a bump Arena per lane for a morsel's
-// temporaries, all of one size, and the outputs, carved from the bottom
-// (what lasts the execution) and the top (what one job reads) of one
-// array. Each piece is carved once, at a counted size, so an execution
-// needs the lanes times the largest temporary plus the most the outputs
-// held at once, however the lanes were scheduled. A piece past an array
-// comes from the Go heap, and Reset grows the arrays to what was needed
-// (to the allocator's size class), never shrinking them. The zero value is empty; a nil pool is the Go
-// heap.
+// as the borrower's element type: a two-ended Arena per lane for what a
+// morsel computes in, all of one size, and the outputs, carved from the
+// bottom (what lasts the execution) and the top (what one job reads) of
+// one array. Each output piece is carved once, at its size; a morsel
+// writes its blocks into its lane's arena as it fills them, growing the
+// last in place, and counted temporaries come from the arena's other
+// end. So an execution needs the lanes times the most any morsel held
+// at once plus the most the outputs held at once, however the lanes were
+// scheduled. A piece past an array comes from the Go heap, counted all
+// the same, and Reset grows the arrays to what was needed (to the
+// allocator's size class), never shrinking them. The zero value is
+// empty; a nil pool is the Go heap.
 type Bufs struct {
 	words []uint64 // the outputs
 	lanes []*Arena
@@ -26,17 +29,27 @@ type Bufs struct {
 	peak  int           // the most output words carved at once since Reset
 }
 
-// Arena is one lane's bump allocator: a morsel's temporaries are carved
-// one after another and taken back together, to a mark (Cut) or at the
-// morsel's end, when the runtime empties it. One lane uses it at a
-// time, so it takes no lock.
+// Arena is one lane's bump allocator, lending one array from both ends.
+// The top holds a morsel's counted temporaries, carved (Carve) one after
+// another and taken back together, to a mark (Cut). The bottom holds the
+// blocks the morsel fills one at a time (Block.Extend), a stack of which
+// only the last grows, in place: a block that starts growing goes on
+// the stack, and one that is emptied while last gives its room back. The
+// runtime empties both ends as the morsel ends. A piece that would cross
+// the other end comes from the Go heap — the last block grows there as
+// append grows a slice — but every word is counted as if the array had
+// held it, so the arena's peak is a function of the morsel alone. One
+// lane uses it at a time, so it takes no lock.
 type Arena struct {
-	words      []uint64
-	used, peak int // the words lent now, and the most since Reset
+	words       []uint64
+	top, bottom int          // the words lent at each end
+	base        int          // where the last block at the bottom starts
+	last        []rdf.TermID // the last block's room, in the array or on the heap
+	peak        int          // the most words lent at once since Reset
 }
 
-// Mem is where a buffer is carved: a lane's Arena, or the bottom of a
-// pool's outputs; a nil Bufs is the Go heap.
+// Mem is where a buffer is carved: the top of a lane's Arena, or the
+// bottom of a pool's outputs; a nil Bufs is the Go heap.
 type Mem interface{ carve(words int) []uint64 }
 
 // Elem is what a scratch buffer holds: pointer-free elements.
@@ -56,21 +69,54 @@ func Carve[E Elem](m Mem, n int) []E {
 	return unsafe.Slice((*E)(unsafe.Pointer(unsafe.SliceData(w))), n)
 }
 
+// carve carves w words from the top.
 func (a *Arena) carve(w int) []uint64 {
-	off := a.used
-	a.used += w
-	a.peak = max(a.peak, a.used)
-	if a.used > len(a.words) {
+	a.top += w
+	a.peak = max(a.peak, a.bottom+a.top)
+	if a.bottom+a.top > len(a.words) {
 		return make([]uint64, w)
 	}
-	return a.words[off:a.used:a.used]
+	lo := len(a.words) - a.top
+	return a.words[lo : lo+w : lo+w]
 }
 
-// Used reports the words the arena lends: a mark to Cut back to.
-func (a *Arena) Used() int { return a.used }
+// Used reports the words the arena lends from its top: a mark to Cut
+// back to.
+func (a *Arena) Used() int { return a.top }
 
-// Cut takes back every piece carved since the arena lent mark words.
-func (a *Arena) Cut(mark int) { a.used = mark }
+// Cut takes back every piece carved from the top since it lent mark
+// words.
+func (a *Arena) Cut(mark int) { a.top = mark }
+
+// isLast reports whether cells are the last block at the bottom.
+func (a *Arena) isLast(cells []rdf.TermID) bool {
+	return cap(cells) > 0 && cap(a.last) > 0 && unsafe.SliceData(cells) == unsafe.SliceData(a.last)
+}
+
+// grow returns cells, a block's, with room for n more: in place when
+// they are the last block at the bottom, else as a new last block, on
+// top of the others. The room is exactly the words the cells take, so
+// the block calls again to grow further and every word is counted.
+func (a *Arena) grow(cells []rdf.TermID, n int) []rdf.TermID {
+	if !a.isLast(cells) {
+		a.base, a.last = a.bottom, nil
+	}
+	w := (len(cells) + n + 1) / 2
+	a.bottom = a.base + w
+	a.peak = max(a.peak, a.bottom+a.top)
+	room := a.last
+	switch {
+	case a.bottom+a.top <= len(a.words):
+		room = unsafe.Slice((*rdf.TermID)(unsafe.Pointer(&a.words[a.base])), 2*w)
+	case cap(room) < 2*w:
+		room = make([]rdf.TermID, max(2*w, 2*cap(room)))
+	}
+	if len(cells) > 0 && unsafe.SliceData(room) != unsafe.SliceData(cells) {
+		copy(room, cells)
+	}
+	a.last = room[:cap(room)]
+	return room[: len(cells) : 2*w]
+}
 
 // Lane returns lane i's arena. Lanes are added while none runs.
 func (p *Bufs) Lane(i int) *Arena {
@@ -83,7 +129,8 @@ func (p *Bufs) Lane(i int) *Arena {
 // empty takes back what lane's arena lends: its morsel has ended.
 func (p *Bufs) empty(lane int) {
 	if p != nil && lane < len(p.lanes) {
-		p.lanes[lane].used = 0
+		a := p.lanes[lane]
+		a.top, a.bottom, a.last = 0, 0, nil
 	}
 }
 
@@ -135,13 +182,13 @@ func (p *Bufs) endJob() {
 }
 
 // Reset takes every piece back, growing what the execution outgrew:
-// every arena to the largest temporary any lane carved, the outputs to
-// the most they held at once. No piece may be held across it.
+// every arena to the most any lane lent at once, the outputs to the most
+// they held at once. No piece may be held across it.
 func (p *Bufs) Reset() {
 	p.endJob()
 	for _, a := range p.lanes {
 		p.temp = max(p.temp, a.peak)
-		a.used, a.peak = 0, 0
+		a.top, a.bottom, a.last, a.peak = 0, 0, nil, 0
 	}
 	for _, a := range p.lanes {
 		if len(a.words) < p.temp {

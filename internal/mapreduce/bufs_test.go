@@ -146,3 +146,93 @@ func TestBufsHoldOneExecution(t *testing.T) {
 		}
 	}
 }
+
+// fillArena is one morsel's use of arena a, checked as it goes: block
+// b1 takes 100 rows of 3 cells (150 words), one at a time, while every
+// tenth row a temporary of 40 cells (20 words) is carved from the top,
+// scribbled over and cut back; then a temporary of 64 cells (32 words)
+// stays, and block b2 takes 30 rows of one cell (15 words) on top of b1,
+// is emptied, and block b3 takes 8 rows in its place. The most the
+// arena lends at once is 150 + 32 + 15 = 197 words. With inArray, every
+// piece must lie in the arena's array and each block grow in place.
+func fillArena(t *testing.T, a *Arena, inArray bool) {
+	b1, b2, b3 := NewBlock(a), NewBlock(a), NewBlock(a)
+	var first *rdf.TermID
+	for i := 0; i < 100; i++ {
+		row := b1.Extend(1, 3)
+		row[0], row[1], row[2] = rdf.TermID(i), rdf.TermID(i+1), rdf.TermID(i+2)
+		if i == 0 {
+			first = &b1.Cells[0]
+		}
+		if i%10 == 9 {
+			mark := a.Used()
+			tmp := Carve[rdf.TermID](a, 40)
+			for j := range tmp {
+				tmp[j] = 1 << 30
+			}
+			if inArray && !inside(a.words, tmp) {
+				t.Fatal("a temporary carved off a warm arena's array")
+			}
+			a.Cut(mark)
+		}
+	}
+	keep := Carve[rdf.TermID](a, 64)
+	for i := 0; i < 30; i++ {
+		b2.Extend(1, 1)[0] = rdf.TermID(i)
+	}
+	if inArray {
+		words := a.words[:len(a.words)-a.top]
+		if &b1.Cells[0] != first || !inside(words, b1.Cells) || !inside(words, b2.Cells) || !inside(a.words, keep) {
+			t.Fatal("a block moved or left the warm arena's array")
+		}
+		if at := unsafe.Pointer(unsafe.SliceData(b2.Cells)); at != unsafe.Pointer(&a.words[150]) {
+			t.Fatal("the second block does not start where the first ends")
+		}
+	}
+	for i := 0; i < b1.N; i++ {
+		if r := b1.Row(i); r[0] != rdf.TermID(i) || r[2] != rdf.TermID(i+2) {
+			t.Fatalf("row %d of the first block overwritten: %v", i, r)
+		}
+	}
+	for i, c := range b2.Cells {
+		if c != rdf.TermID(i) {
+			t.Fatalf("cell %d of the second block overwritten: %d", i, c)
+		}
+	}
+	at := unsafe.SliceData(b2.Cells)
+	b2.Empty()
+	for i := 0; i < 8; i++ {
+		b3.Extend(1, 1)[0] = rdf.TermID(i)
+	}
+	if inArray && unsafe.SliceData(b3.Cells) != at {
+		t.Fatal("an emptied last block did not give its room back")
+	}
+}
+
+// TestArenaBottomFillsInPlace pins the two ends of a lane's arena: a
+// block at the bottom grows in place across carves and cuts at the top,
+// blocks filled in turn stack, and an emptied last block gives its room
+// back. On a cold arena, whose pieces all come from the Go heap, every
+// word is counted all the same: after Reset the arena holds exactly the
+// most the morsel lent at once, and the same morsel then runs inside its
+// array, in place, without allocating.
+func TestArenaBottomFillsInPlace(t *testing.T) {
+	var p Bufs
+	a := p.Lane(0)
+	fillArena(t, a, false)
+	p.empty(0)
+	p.Reset()
+	want := int64(len(alloc(150+32+15))) * 8
+	if got := p.Bytes(); got != want {
+		t.Fatalf("a cold arena's morsel left %d B, want %d (197 words at the size class)", got, want)
+	}
+	fillArena(t, a, true)
+	p.empty(0)
+	if allocs := testing.AllocsPerRun(10, func() { fillArena(t, a, true); p.empty(0) }); allocs != 0 {
+		t.Errorf("a warm arena's morsel allocates %.0f times", allocs)
+	}
+	p.Reset()
+	if got := p.Bytes(); got != want {
+		t.Errorf("a warm arena's morsel left %d B, want %d", got, want)
+	}
+}

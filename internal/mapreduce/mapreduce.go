@@ -35,13 +35,16 @@
 // gap-coded against each other, decoded as read.
 //
 // A Scratch holds the positions a run fills — buckets, range cuts, slot
-// tables and the per-node output blocks — and carves their bytes from
-// its Bufs pool, each piece once and at its counted size: a run's
-// Output, and every view Groups.Each hands a reducer (a group's key
-// cells and its records' rows, valid for the duration of the callback),
-// alias pool memory that the pool's Reset takes back. Whatever must
-// outlive that is copied out by the caller, or taken as each unit ends
-// (Job.Sink).
+// tables and the per-node output blocks — and takes their bytes from its
+// Bufs pool, each piece filled once: a bucket carved at its counted size
+// from the top of the outputs, a node's output carved once for its
+// units' rows, and a unit's rows for the job's sink (Job.Sink) written
+// as they come into a block that grows in place at the bottom of its
+// lane's arena. A run's Output, and every view Groups.Each hands a
+// reducer (a group's key cells and its records' rows, valid for the
+// duration of the callback), alias pool memory that the pool's Reset
+// takes back. Whatever must outlive that is copied out by the caller, or
+// taken as each unit ends (Job.Sink).
 package mapreduce
 
 import (
@@ -65,10 +68,11 @@ type Row []rdf.TermID
 type Block struct {
 	Width, N int
 	Cells    []rdf.TermID
-	mem      Mem // where Reserve carves; nil is the Go heap
+	mem      Mem // where the block grows; nil is the Go heap
 }
 
-// NewBlock returns an empty block whose Reserve carves from m.
+// NewBlock returns an empty block that grows in m: at the bottom of a
+// lane's Arena, in place, or carved from a pool's outputs by Reserve.
 func NewBlock(m Mem) Block { return Block{mem: m} }
 
 // Row returns row i as a view of the block, capacity clipped.
@@ -79,8 +83,10 @@ func (b *Block) Row(i int) Row {
 
 // Extend grows the block by rows rows of the given width and returns
 // their cells for the caller to fill — the one way rows get into a
-// block. The first rows of an empty block fix its width. Rows past the
-// room Reserve made come from the Go heap.
+// block. The first rows of an empty block fix its width. A block in a
+// lane's Arena grows in place at its bottom (the last block there; any
+// other starts anew on top of it); elsewhere, rows past the room Reserve
+// made come from the Go heap.
 func (b *Block) Extend(rows, width int) []rdf.TermID {
 	if rows == 0 {
 		return nil
@@ -90,17 +96,38 @@ func (b *Block) Extend(rows, width int) []rdf.TermID {
 	} else if width != b.Width {
 		panic("mapreduce: rows of another width appended to a block")
 	}
-	n := len(b.Cells)
-	b.Cells = slices.Grow(b.Cells, rows*width)[:n+rows*width]
+	n, m := len(b.Cells), len(b.Cells)+rows*width
+	if m > cap(b.Cells) {
+		if a, ok := b.mem.(*Arena); ok {
+			b.Cells = a.grow(b.Cells, rows*width)
+		} else {
+			b.Cells = slices.Grow(b.Cells, rows*width)
+		}
+	}
+	b.Cells = b.Cells[:m]
 	b.N += rows
 	return b.Cells[n:]
 }
 
-// Reserve makes room for rows more rows of the given width, carved from
-// the block's memory at exactly that size, so that extending the block
-// by them draws no more memory.
+// Reserve makes room for rows more rows of the given width, so that
+// extending the block by them draws no more memory: in place at the
+// bottom of a lane's Arena, or carved from a pool's outputs at exactly
+// that size.
 func (b *Block) Reserve(rows, width int) {
-	b.Cells = grow(b.mem, b.Cells, rows*width)
+	if a, ok := b.mem.(*Arena); ok && len(b.Cells)+rows*width > cap(b.Cells) {
+		b.Cells = a.grow(b.Cells, rows*width)
+	} else {
+		b.Cells = grow(b.mem, b.Cells, rows*width)
+	}
+}
+
+// Empty drops the block's rows and its room: the last block at an
+// Arena's bottom gives that room back.
+func (b *Block) Empty() {
+	if a, ok := b.mem.(*Arena); ok && a.isLast(b.Cells) {
+		a.bottom, a.last = a.base, nil
+	}
+	b.N, b.Cells = 0, nil
 }
 
 // grow returns s with room for n more elements: s when it has it, else
@@ -204,17 +231,12 @@ type Job struct {
 	// ReduceRange runs one key range of a node's reduce input on a
 	// lane. ranges is the number of ranges the node was split into.
 	ReduceRange func(node, rng, ranges, lane int, m *Meter, groups *Groups, out *Block)
-	// ReduceSize, if non-nil, returns the cells ReduceRange will write to
-	// out, metering nothing; run for every range first, it lets each
-	// node's output be carved once and every range write its stretch of
-	// it, where otherwise a node's ranges' blocks are copied into it.
-	ReduceSize func(node, rng, ranges, lane int, groups *Groups) int
 	// Sink, if non-nil, takes the rows of every unit of the job's output
 	// phase — a map morsel of a map-only job, a reduce range otherwise —
 	// on its lane as the unit ends, and the job keeps no output: the unit
-	// writes into a block carved from its lane's arena (at the size
-	// ReduceSize counted), emptied with it, and the runtime counts its
-	// rows as the job's output.
+	// writes into a block that grows at the bottom of its lane's arena,
+	// emptied with it, and the runtime counts its rows as the job's
+	// output.
 	Sink func(node, unit, lane int, rows *Block)
 }
 
@@ -365,7 +387,6 @@ type slot struct {
 	node, idx, of int    // the node, and the unit's index among that node's of units
 	meter         Meter  // what the unit counted
 	out           Block  // rows written, unless the unit writes the node output directly
-	size          int    // the cells a sized reduce range writes
 	count, cells  int    // tuples and row cells emitted into the shuffle
 	sinks         bool   // the job's sink takes the unit's rows
 	sunk          int    // rows it took
@@ -520,10 +541,10 @@ type Scratch struct {
 	// The run in flight — its job, cluster size and output — and the
 	// phases' per-unit functions, bound once so that handing them to the
 	// pool allocates nothing.
-	job                            Job
-	n                              int
-	out                            Output
-	mapFn, cutFn, sizeFn, reduceFn func(i, lane int)
+	job                    Job
+	n                      int
+	out                    Output
+	mapFn, cutFn, reduceFn func(i, lane int)
 }
 
 // mem is where lane's unit carves its temporaries: the lane's arena, or
@@ -536,15 +557,14 @@ func (sc *Scratch) mem(lane int) Mem {
 }
 
 // begin points a lane at the unit it is about to run and returns the
-// block the unit writes: under a sink, one carved from the lane's arena
-// at the unit's counted size; else a node's only unit writes the node
-// output itself, the others their own slot.
+// block the unit writes: under a sink, one that grows at the bottom of
+// the lane's arena; else a node's only unit writes the node output
+// itself, the others their own slot.
 func (sc *Scratch) begin(lane int, u *slot) *Block {
 	sc.lanes[lane].unit = u
 	switch {
 	case u.sinks:
 		u.out = NewBlock(sc.mem(lane))
-		u.out.Cells = Carve[rdf.TermID](sc.mem(lane), u.size)[:0]
 	case u.of == 1:
 		return &sc.out.PerNode[u.node]
 	}
@@ -562,10 +582,9 @@ func (sc *Scratch) end(lane int, u *slot) {
 	sc.Bufs.empty(lane)
 }
 
-// mapUnit, cutDest, sizeUnit and reduceUnit are the phases' units: map
-// morsel i, whose runs are then sorted; the tuples routed to dest,
-// counted, and the cuts of one key range per lane; the cells reduce
-// range i will write; reduce range i.
+// mapUnit, cutDest and reduceUnit are the phases' units: map morsel i,
+// whose runs are then sorted; the tuples routed to dest, counted, and
+// the cuts of one key range per lane; reduce range i.
 func (sc *Scratch) mapUnit(i, lane int) {
 	u := &sc.morsels[i]
 	dst := sc.begin(lane, u)
@@ -599,35 +618,12 @@ func (sc *Scratch) cutDest(dest, _ int) {
 	sc.cuts[dest] = cuts
 }
 
-func (sc *Scratch) sizeUnit(i, lane int) {
-	u := &sc.ranges[i]
-	u.groups.mem = sc.mem(lane)
-	u.size = sc.job.ReduceSize(u.node, u.idx, u.of, lane, &u.groups)
-	sc.Bufs.empty(lane)
-}
-
 func (sc *Scratch) reduceUnit(i, lane int) {
 	u := &sc.ranges[i]
 	dst := sc.begin(lane, u)
 	u.groups.mem = sc.mem(lane)
 	sc.job.ReduceRange(u.node, u.idx, u.of, lane, &u.meter, &u.groups, dst)
 	sc.end(lane, u)
-}
-
-// carveRanges carves each node's output at the cells its ranges sized
-// and hands each range its stretch, where the merge's append finds it.
-func (sc *Scratch) carveRanges() {
-	for i := 0; i < len(sc.ranges); i += sc.ranges[i].of {
-		units, total := sc.ranges[i:i+sc.ranges[i].of], 0
-		for _, u := range units {
-			total += u.size
-		}
-		cells := Carve[rdf.TermID](sc.Bufs, total)
-		sc.out.PerNode[units[0].node].Cells = cells[:0]
-		for k := range units {
-			units[k].out.Cells, cells = cells[:0:units[k].size], cells[units[k].size:]
-		}
-	}
 }
 
 // drop takes back what only the run itself reads — the buckets — and
@@ -705,7 +701,7 @@ func (cl *Cluster) RunWith(job Job, opts RunOptions) *Output {
 		sc = &Scratch{}
 	}
 	if sc.mapFn == nil {
-		sc.mapFn, sc.cutFn, sc.sizeFn, sc.reduceFn = sc.mapUnit, sc.cutDest, sc.sizeUnit, sc.reduceUnit
+		sc.mapFn, sc.cutFn, sc.reduceFn = sc.mapUnit, sc.cutDest, sc.reduceUnit
 	}
 	pool := opts.Pool
 	sc.job, sc.n = job, n
@@ -727,7 +723,7 @@ func (cl *Cluster) RunWith(job Job, opts RunOptions) *Output {
 
 	// merge adds finished units' counts to their nodes' and appends the
 	// rows of a node's several units, in canonical order, to the node's
-	// output, carved once for them all — where sized ranges wrote them.
+	// output, carved once for them all.
 	merge := func(units []slot, nodeM []Meter) {
 		for i := range units {
 			u := &units[i]
@@ -772,12 +768,6 @@ func (cl *Cluster) RunWith(job Job, opts RunOptions) *Output {
 		for i := range sc.ranges {
 			u := &sc.ranges[i]
 			u.groups = Groups{bk: sc.buckets, dest: u.node, n: n, cuts: sc.cuts[u.node], k: u.idx}
-		}
-		if job.ReduceSize != nil {
-			pool.ForEach(len(sc.ranges), sc.sizeFn)
-			if job.Sink == nil {
-				sc.carveRanges()
-			}
 		}
 		pool.ForEach(len(sc.ranges), sc.reduceFn)
 		merge(sc.ranges, redM)

@@ -25,21 +25,24 @@ import (
 // morsels of each job and the partition files a scan reads (memoized per
 // view); the rest of the schedule is the compiled Plan's.
 //
-// Ownership: every buffer that lives inside one execution is carved
-// from the context's scratch (mapreduce.Bufs) once, at a counted size. A
-// morsel's temporaries (scan and map-join blocks, a reduce group's
-// inputs and merge state, a map morsel's run sort, a last-job unit's raw
-// rows) come from its lane's bump arena, emptied when the morsel ends;
-// the outputs (node and range outputs, intermediate relations, the
-// answer's packed parts and the answer merged from them) last until
-// release, at the end of Run (also when its consumer panics), drops
-// every header and resets the scratch; the shuffle's buckets — each
-// tuple's cells and a header per run — last their job. The scratch
-// keeps the lanes times the largest temporary plus the most the outputs
-// held at once, over every execution through the context — a function
-// of plan, data and lane count, never of the schedule. Each tuple is
-// held once, and nothing that outlives the execution may alias the
-// scratch. The final result is not copied out unless somebody asks:
+// Ownership: every buffer that lives inside one execution comes from
+// the context's scratch (mapreduce.Bufs) and is filled once. What a
+// morsel computes in comes from its lane's arena, emptied when the
+// morsel ends: the blocks it fills one at a time (scan and map-join
+// blocks, a reduce join's rows in a key range, a last-job unit's raw
+// rows) grow in place at the arena's bottom, and its counted
+// temporaries (a reduce group's inputs and merge state, a join input's
+// sort, a map morsel's run sort) are carved from its top. The outputs
+// (intermediate relations, each carved once at its row count as its key
+// range ends, the answer's packed parts and the answer merged from them)
+// last until release, at the end of Run (also when its consumer panics),
+// drops every header and resets the scratch; the shuffle's buckets —
+// each tuple's cells and a header per run — last their job. The scratch
+// keeps the lanes times the most a morsel held at once plus the most the
+// outputs held at once, over every execution through the context — a
+// function of plan, data and lane count, never of the schedule. Each
+// tuple is held once, and nothing that outlives the execution may alias
+// the scratch. The final result is not copied out unless somebody asks:
 // each unit of the last job sorts its rows and packs them (packPart),
 // mergeParts merges the parts into one packed answer, and Run lends that
 // to its callback as a Rows, decoded as it is read, valid until the
@@ -139,7 +142,7 @@ func NewExecContext(lanes int, k mapreduce.Constants) *ExecContext {
 	}
 	c.mapOnlyJob = mapreduce.Job{MapMorsel: c.mapOnlyMorsel}
 	c.sink = c.packPart
-	c.levelJob = mapreduce.Job{MapMorsels: c.levelMorsels, MapMorsel: c.levelMapMorsel, ReduceRange: c.levelReduce, ReduceSize: c.levelSize}
+	c.levelJob = mapreduce.Job{MapMorsels: c.levelMorsels, MapMorsel: c.levelMapMorsel, ReduceRange: c.levelReduce}
 	return c
 }
 
@@ -212,10 +215,11 @@ func (c *ExecContext) ScratchBytes() int64 { return c.bufs.Bytes() }
 
 // arena is one worker lane's reusable scratch for local evaluation: the
 // headers of the blocks scans and map joins write to, the cursors
-// naryJoin needs per call, and reduce-group inputs. Blocks carve their
-// bytes from mem, emptied when the morsel ends: nothing in them may be
-// used after that, nor their room reused. A join builds nothing there:
-// it merges its inputs where they lie.
+// naryJoin needs per call, and reduce-group inputs. Blocks take their
+// bytes from mem — the blocks filled at its bottom, the group inputs
+// carved from its top — emptied when the morsel ends: nothing in them
+// may be used after that. A join builds nothing there: it merges its
+// inputs where they lie.
 type arena struct {
 	mem *mapreduce.Arena // the lane's arena in the context's scratch
 
@@ -245,8 +249,8 @@ type arena struct {
 }
 
 // nextBlock hands out the morsel's next block, empty, for rows of the
-// given width, carving from the lane's arena. The block is valid until
-// the lane's morsel ends.
+// given width, growing at the bottom of the lane's arena once the blocks
+// before it are filled. The block is valid until the lane's morsel ends.
 func (a *arena) nextBlock(width int) *mapreduce.Block {
 	if a.used == len(a.blocks) {
 		a.blocks = append(a.blocks, new(mapreduce.Block))
@@ -302,26 +306,26 @@ func keyFiles(tp sparql.TriplePattern, pos rdf.Pos) fileKey {
 const fileNamesCap = 1024
 
 // groupInputs returns the group's records split by input — rj's
-// children — counted in their blocks' N; with fill, their cells copied
-// out of the shuffle buffers into blocks carved from the lane's arena,
-// each once, at its counted size.
-func (a *arena) groupInputs(g mapreduce.Group, rj *Info, fill bool) []mapreduce.Block {
+// children — their cells copied out of the shuffle buffers into blocks
+// carved from the top of the lane's arena, each at the count of its
+// input's records: the join reorders its inputs' cells, and its rows
+// fill the bottom meanwhile.
+func (a *arena) groupInputs(g mapreduce.Group, rj *Info) []mapreduce.Block {
 	children := rj.Op.Children
 	for len(a.groupRels) < len(children) {
-		a.groupRels = append(a.groupRels, mapreduce.NewBlock(a.mem))
+		a.groupRels = append(a.groupRels, mapreduce.Block{})
 	}
 	rels := a.groupRels[:len(children)]
-	for i, ch := range children {
-		rels[i].Width, rels[i].N, rels[i].Cells = len(ch.Attrs), 0, nil
+	for i := range rels {
+		rels[i].N = 0
 	}
 	g.Records(func(tag int, _ mapreduce.Row) { rels[tag].N++ })
-	if fill {
-		for i := range rels {
-			rels[i].Reserve(rels[i].N, rels[i].Width)
-			rels[i].N = 0
-		}
-		g.Records(func(tag int, row mapreduce.Row) { rels[tag].Append(row) })
+	for i, ch := range children {
+		rels[i].Width = len(ch.Attrs)
+		rels[i].Cells = mapreduce.Carve[rdf.TermID](a.mem, rels[i].N*rels[i].Width)[:0]
+		rels[i].N = 0
 	}
+	g.Records(func(tag int, row mapreduce.Row) { rels[tag].Append(row) })
 	return rels
 }
 

@@ -133,7 +133,8 @@ func (c *ExecContext) runJobs(recs []*mapreduce.JobRecord) Rows {
 // execution in flight off it. A map-only plan's single job has one
 // morsel per node, evaluating the node's whole local subtree with the
 // root writing the SELECT columns straight into the block the job's sink
-// packs, carved at its counted size. Splitting it, as a level's job
+// packs, which grows in place at the bottom of the lane's arena above
+// the blocks of a map join's scans. Splitting it, as a level's job
 // splits its scans per partition file, is not done.
 func (c *ExecContext) mapOnlyMorsel(node, _, lane int, m *mapreduce.Meter, _ *mapreduce.Emitter, out *mapreduce.Block) {
 	a := c.arenas[lane]
@@ -158,26 +159,44 @@ func (c *ExecContext) levelMapMorsel(node, morsel, lane int, m *mapreduce.Meter,
 	c.runMapMorsel(&c.morsels[node][morsel], node, lane, m, emit)
 }
 
-// levelReduce runs the reduce side of a level per key range: each range
-// joins its groups into the reduce join's own (node, range) block,
-// counting the joins and writes of every group it produces. The plan's
+// levelReduce runs the reduce side of a level over one key range, in
+// one pass: each group's inputs are copied to the top of the lane's
+// arena, joined, and cut back as the group ends, counting the joins and
+// writes of every group. A reduce join's groups are contiguous in key
+// order: its rows in the range fill a block at the bottom of the lane's
+// arena and, as its last group ends, move into its own (node, range)
+// block, carved from the context's outputs at their size. The plan's
 // root, in the last job, joins straight onto the SELECT list (its
 // compiled merge writes it), into the block the runtime hands the range
-// for the job's sink, and counts the projection's checks too. Range order
-// concatenates back to the node's canonical group order, so every reduce
-// join's rows come out exactly as from one sweep over the node.
-// levelSize made every block's room; a group's inputs are cut back from
-// the lane's arena as the group ends.
+// for the job's sink, and counts the projection's checks too; the root
+// sorts first and the last job holds it alone, so no other block fills
+// the bottom beside that one. Range order concatenates back to the
+// node's canonical group order, so every reduce join's rows come out
+// exactly as from one sweep over the node.
 func (c *ExecContext) levelReduce(node, rng, _, lane int, m *mapreduce.Meter, groups *mapreduce.Groups, out *mapreduce.Block) {
 	a := c.arenas[lane]
+	rows := mapreduce.NewBlock(a.mem)
+	var rj *Info
+	// settle moves rj's rows out of the arena.
+	settle := func() {
+		if rj != nil && rj.ID != 0 {
+			dst := &c.interm[rj.ID][node][rng]
+			dst.Reserve(rows.N, rows.Width)
+			dst.AppendBlock(rows)
+			rows.Empty()
+		}
+	}
 	groups.Each(func(g mapreduce.Group) {
-		rj := c.plan.Infos[int(g.ID())]
-		dst := c.reduceDest(rj, node, rng)
-		if dst == nil {
+		if r := c.plan.Infos[int(g.ID())]; r != rj {
+			settle()
+			rj = r
+		}
+		dst := &rows
+		if rj.ID == 0 {
 			dst = out
 		}
 		mark := a.mem.Used()
-		counts := a.naryJoinInto(dst, a.groupInputs(g, rj, true), rj.join, false)
+		counts := a.naryJoinInto(dst, a.groupInputs(g, rj), rj.join)
 		a.mem.Cut(mark)
 		m.Join(counts.in + counts.out)
 		m.Write(counts.out)
@@ -185,59 +204,7 @@ func (c *ExecContext) levelReduce(node, rng, _, lane int, m *mapreduce.Meter, gr
 			m.Check(counts.out) // the final projection
 		}
 	})
-}
-
-// levelSize counts before levelReduce fills: it counts the rows each of
-// the range's groups joins to — the product of its inputs' rows, which
-// share the whole key (so the join's checks on the key's further
-// attributes all pass), unless attributes beyond the key are shared,
-// when it joins them without writing — carves each reduce join's (node,
-// range) block at the rows it will get (a join's groups are contiguous
-// in key order) and returns the cells the range will write to the job
-// output.
-func (c *ExecContext) levelSize(node, rng, _, lane int, groups *mapreduce.Groups) (cells int) {
-	a := c.arenas[lane]
-	var rj *Info
-	rows := 0
-	carve := func() {
-		if dst := c.reduceDest(rj, node, rng); dst != nil {
-			dst.Reserve(rows, rj.join.width)
-		} else {
-			cells += rows * rj.join.width
-		}
-	}
-	groups.Each(func(g mapreduce.Group) {
-		if r := c.plan.Infos[int(g.ID())]; r != rj && rj != nil {
-			carve()
-			rows = 0
-		}
-		rj = c.plan.Infos[int(g.ID())]
-		if jp := rj.join; len(jp.checks) > jp.keyChecks {
-			mark := a.mem.Used()
-			rows += a.naryJoinInto(nil, a.groupInputs(g, rj, true), jp, false).out
-			a.mem.Cut(mark)
-			return
-		}
-		k := 1
-		for _, r := range a.groupInputs(g, rj, false) {
-			k *= r.N
-		}
-		rows += k
-	})
-	if rj != nil {
-		carve()
-	}
-	return cells
-}
-
-// reduceDest returns the block reduce join rj writes in a node's key
-// range: its own, or — the plan's root, whose job is the last — nil for
-// the job output.
-func (c *ExecContext) reduceDest(rj *Info, node, rng int) *mapreduce.Block {
-	if rj.ID == 0 {
-		return nil
-	}
-	return &c.interm[rj.ID][node][rng]
+	settle()
 }
 
 // buildMorsels lays out one job level's map morsels per node, in the
@@ -320,13 +287,13 @@ func (c *ExecContext) runMapMorsel(mo *mapMorsel, node, lane int, m *mapreduce.M
 }
 
 // mapJoin evaluates map join in on one node, appending its rows to dst
-// — the job output for a map-only plan's root — carved once, at the
-// counted size, from dst's memory. Its inputs are scans of the node's
-// replicas partitioned on its first join attribute, so that they are
-// co-partitioned (Section 5.1 file layout). It runs concurrently across
-// lanes; all other mutable scratch lives in the lane's arena (a map
-// join's inputs are scans, so its input list is never in use twice at
-// once).
+// — the job's sink block for a map-only plan's root — which grows at the
+// bottom of the lane's arena above its inputs' blocks, each filled in
+// turn. Its inputs are scans of the node's replicas partitioned on its
+// first join attribute, so that they are co-partitioned (Section 5.1
+// file layout). It runs concurrently across lanes; all other mutable
+// scratch lives in the lane's arena (a map join's inputs are scans, so
+// its input list is never in use twice at once).
 func (c *ExecContext) mapJoin(dst *mapreduce.Block, in *Info, node int, m *mapreduce.Meter, a *arena) {
 	a.joinInputs = slices.Grow(a.joinInputs[:0], len(in.scans))[:len(in.scans)]
 	for i, sp := range in.scans {
@@ -334,7 +301,7 @@ func (c *ExecContext) mapJoin(dst *mapreduce.Block, in *Info, node int, m *mapre
 		c.scanFiles(b, sp, node, m, c.fileNames(a, sp))
 		a.joinInputs[i] = *b
 	}
-	counts := a.naryJoinInto(dst, a.joinInputs, in.join, true)
+	counts := a.naryJoinInto(dst, a.joinInputs, in.join)
 	m.Join(counts.in + counts.out)
 	m.Write(counts.out)
 }
@@ -407,16 +374,15 @@ func (c *ExecContext) fileNames(a *arena, sp *scanPlan) []string {
 }
 
 // scanFile scans one partition file for scan sp, whose constants are
-// ids (NoTerm where a variable stands), appending its matches to dst (a
-// nil dst only counts them), and returns their number. It meters the
-// file — Read, plus Check when the pattern filters. It scans the run of
-// each part that the pattern's subject and object constants select
-// (partition.File.Part, scanRun). A constant on a position the file's
+// ids (NoTerm where a variable stands), appending its matches to dst. It
+// meters the file — Read, plus Check when the pattern filters. It scans
+// the run of each part that the pattern's subject and object constants
+// select (partition.File.Part, scanRun). A constant on a position the file's
 // name fixes (the property, a class file's object) is decided once for
 // the whole file: it either matches every row or none. The metering
 // depends on neither: the simulated Hadoop mapper still reads and checks
 // the whole file, whichever rows the simulator's own CPU visits.
-func scanFile(f partition.File, m *mapreduce.Meter, sp *scanPlan, ids [3]rdf.TermID, dst *mapreduce.Block) (n int) {
+func scanFile(f partition.File, m *mapreduce.Meter, sp *scanPlan, ids [3]rdf.TermID, dst *mapreduce.Block) {
 	m.Read(f.NumRows())
 	if sp.check {
 		m.Check(f.NumRows())
@@ -425,32 +391,33 @@ func scanFile(f partition.File, m *mapreduce.Meter, sp *scanPlan, ids [3]rdf.Ter
 	fixed[rdf.PPos], fixed[rdf.OPos] = partition.FileTerms(f.Name())
 	for p, id := range ids {
 		if id != rdf.NoTerm && fixed[p] != rdf.NoTerm && fixed[p] != id {
-			return 0
+			return
 		}
 	}
 	for i := 0; i < f.Parts(); i++ {
-		n += scanRun(f.Part(i, ids[rdf.SPos], ids[rdf.OPos]), fixed, ids, sp, dst)
+		scanRun(f.Part(i, ids[rdf.SPos], ids[rdf.OPos]), fixed, ids, sp, dst)
 	}
-	return n
 }
 
 // scanRun filters the rows of run r by the pattern's subject and object
 // constants key (NoTerm: none) and its repeated-variable checks, and
 // copies the variable columns of every match onto dst, reading each row
 // as a triple: its stored key's cells — (s, o) or an object file's
-// (o, s) — over the cells the scanned file's name fixes, and returns how
-// many match; a nil dst only counts them. Rows the run holds for another
-// node are skipped. Every row of a run matches its placed cell's
-// constant, so with no other filter the count is the run's length.
-func scanRun(r partition.Run, fixed, key [3]rdf.TermID, sp *scanPlan, dst *mapreduce.Block) (n int) {
+// (o, s) — over the cells the scanned file's name fixes. Rows the run
+// holds for another node are skipped. Every row of a run matches its
+// placed cell's constant, so with no other filter every row matches,
+// and dst makes room for them all at once.
+func scanRun(r partition.Run, fixed, key [3]rdf.TermID, sp *scanPlan, dst *mapreduce.Block) {
 	varPos, repeats := sp.varPos, sp.repeats
 	s, o := key[rdf.SPos], key[rdf.OPos]
 	first, second := rdf.SPos, rdf.OPos
 	if r.Obj {
 		first, second = rdf.OPos, rdf.SPos
 	}
-	if r.Lo == r.Hi || dst == nil && key[second] == rdf.NoTerm && len(repeats) == 0 && r.KeepsAll() {
-		return r.Hi - r.Lo
+	if r.Lo == r.Hi {
+		return
+	} else if key[second] == rdf.NoTerm && len(repeats) == 0 && r.KeepsAll() {
+		dst.Reserve(r.Hi-r.Lo, len(varPos))
 	}
 	c := fixed
 rows:
@@ -464,34 +431,22 @@ rows:
 				continue rows
 			}
 		}
-		if n++; dst != nil {
-			row := dst.Extend(1, len(varPos))
-			for j, p := range varPos {
-				row[j] = c[p]
-			}
+		row := dst.Extend(1, len(varPos))
+		for j, p := range varPos {
+			row[j] = c[p]
 		}
 	}
-	return n
 }
 
 // scanFiles appends to dst the columns scan sp writes of the tuples of
 // its pattern in the named partition files of one node, applying the
-// pattern's constant and repeated-variable filters. Files the node does
-// not hold are skipped. It counts the matches, then carves dst's room
-// for them once, then copies them.
+// pattern's constant and repeated-variable filters, in one pass. Files
+// the node does not hold are skipped.
 func (c *ExecContext) scanFiles(dst *mapreduce.Block, sp *scanPlan, node int, m *mapreduce.Meter, names []string) {
 	k := &c.consts[sp.id]
 	if k.absent {
 		return
 	}
-	var uncounted mapreduce.Meter // the count is the simulator's, not the mapper's
-	rows := 0
-	for _, fname := range names {
-		if f, ok := c.view.Open(node, fname); ok {
-			rows += scanFile(f, &uncounted, sp, k.ids, nil)
-		}
-	}
-	dst.Reserve(rows, len(sp.varPos))
 	for _, fname := range names {
 		if f, ok := c.view.Open(node, fname); ok {
 			scanFile(f, m, sp, k.ids, dst)

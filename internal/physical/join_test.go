@@ -65,10 +65,9 @@ func refJoin(children []rowRel, attrs []string) []string {
 }
 
 // checkJoin runs naryJoinInto, with the join compiled for the
-// children's schemas, on their flat form — appending
-// to a block that already holds a row, growing it as rows come and
-// sized once up front — and compares rows and counts with the
-// reference. When the first child is in order of the first join
+// children's schemas, on their flat form — appending, as rows come, to
+// a block that already holds a row — and compares rows and counts with
+// the reference. When the first child is in order of the first join
 // attribute, the rows must also come in the reference's order, as a
 // stream of the first child probing the others would emit them.
 func checkJoin(t *testing.T, a *arena, label string, children []rowRel, joinAttrs, attrs []string) {
@@ -89,32 +88,30 @@ func checkJoin(t *testing.T, a *arena, label string, children []rowRel, joinAttr
 		schemas[i] = c.schema
 	}
 	jp := newJoinPlan(schemas, joinAttrs, attrs)
-	for _, size := range []bool{false, true} {
-		rels := make([]mapreduce.Block, len(children))
-		for i, c := range children {
-			rels[i] = c.flat()
-		}
-		var dst mapreduce.Block
-		sentinel := make(mapreduce.Row, len(attrs))
-		dst.Append(sentinel)
-		counts := a.naryJoinInto(&dst, rels, jp, size)
-		got := []string{}
-		for i := 1; i < dst.N; i++ {
-			got = append(got, fmt.Sprint(dst.Row(i)))
-		}
-		if inOrder && len(ordered) > 0 && !slices.Equal(got, ordered) {
-			t.Fatalf("%s (size %v): rows out of the first child's order\n got %v\nwant %v", label, size, got, ordered)
-		}
-		sort.Strings(got)
-		if len(got) != len(want) || len(want) > 0 && !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s (size %v): %d rows, the nested-loop reference has %d\n got %v\nwant %v", label, size, len(got), len(want), got, want)
-		}
-		if counts.in != in || counts.out != len(want) {
-			t.Fatalf("%s (size %v): counts %+v, want in %d out %d", label, size, counts, in, len(want))
-		}
-		if dst.Width != len(attrs) || len(dst.Cells) != dst.N*dst.Width || fmt.Sprint(dst.Row(0)) != fmt.Sprint(sentinel) {
-			t.Fatalf("%s (size %v): the destination block is inconsistent: %d x %d over %d cells, first row %v", label, size, dst.N, dst.Width, len(dst.Cells), dst.Row(0))
-		}
+	rels := make([]mapreduce.Block, len(children))
+	for i, c := range children {
+		rels[i] = c.flat()
+	}
+	var dst mapreduce.Block
+	sentinel := make(mapreduce.Row, len(attrs))
+	dst.Append(sentinel)
+	counts := a.naryJoinInto(&dst, rels, jp)
+	got := []string{}
+	for i := 1; i < dst.N; i++ {
+		got = append(got, fmt.Sprint(dst.Row(i)))
+	}
+	if inOrder && len(ordered) > 0 && !slices.Equal(got, ordered) {
+		t.Fatalf("%s: rows out of the first child's order\n got %v\nwant %v", label, got, ordered)
+	}
+	sort.Strings(got)
+	if len(got) != len(want) || len(want) > 0 && !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: %d rows, the nested-loop reference has %d\n got %v\nwant %v", label, len(got), len(want), got, want)
+	}
+	if counts.in != in || counts.out != len(want) {
+		t.Fatalf("%s: counts %+v, want in %d out %d", label, counts, in, len(want))
+	}
+	if dst.Width != len(attrs) || len(dst.Cells) != dst.N*dst.Width || fmt.Sprint(dst.Row(0)) != fmt.Sprint(sentinel) {
+		t.Fatalf("%s: the destination block is inconsistent: %d x %d over %d cells, first row %v", label, dst.N, dst.Width, len(dst.Cells), dst.Row(0))
 	}
 }
 
@@ -236,4 +233,48 @@ func TestNaryJoinEdgeShapes(t *testing.T) {
 	checkJoin(t, a, "empty first child", []rowRel{none, xy}, []string{"y"}, []string{"x", "w"})
 	checkJoin(t, a, "single child", []rowRel{xy}, []string{"y"}, []string{"y", "x"})
 	checkJoin(t, a, "repeated variable", []rowRel{xy, randomRel(rng, []string{"y", "x"}, 9)}, []string{"y"}, []string{"x", "y"})
+}
+
+// TestNaryJoinFillsArenaBottom runs joins as a lane does: into a block
+// at the bottom of the lane's arena that already holds rows, with a
+// second child out of key order, so that sortOn carves its room from
+// the arena's top and cuts it back while the block is half filled. Two
+// joins append to the one block in turn; its rows must be the
+// nested-loop reference's, in child 0's order, join after join. On a
+// warm arena the block never moves: it grows in place across the sorts.
+func TestNaryJoinFillsArenaBottom(t *testing.T) {
+	var bufs mapreduce.Bufs
+	a := &arena{mem: bufs.Lane(0)}
+	schemas := [][]string{{"k", "a"}, {"b", "k"}}
+	jp := newJoinPlan(schemas, []string{"k"}, []string{"a", "k", "b"})
+	for round := 0; round < 3; round++ {
+		rng := rand.New(rand.NewSource(1)) // every round the same joins
+		dst := mapreduce.NewBlock(a.mem)
+		dst.Append(mapreduce.Row{7, 7, 7})
+		first := &dst.Cells[0]
+		want := []string{fmt.Sprint(dst.Row(0))}
+		sorts := a.sorts
+		for join := 0; join < 2; join++ {
+			children := []rowRel{keyedRel(rng, schemas[0], "k", 5, 40), keyedRel(rng, schemas[1], "k", 5, 40)}
+			rows := children[1].rows
+			rng.Shuffle(len(rows), func(x, y int) { rows[x], rows[y] = rows[y], rows[x] })
+			want = append(want, refJoin(children, []string{"a", "k", "b"})...)
+			rels := []mapreduce.Block{children[0].flat(), children[1].flat()}
+			a.naryJoinInto(&dst, rels, jp)
+		}
+		got := make([]string, dst.N)
+		for i := range got {
+			got[i] = fmt.Sprint(dst.Row(i))
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("round %d: the block holds\n%v\nwant\n%v", round, got, want)
+		}
+		if a.sorts != sorts+2 {
+			t.Fatalf("round %d: %d children sorted, want 2", round, a.sorts-sorts)
+		}
+		if round > 0 && &dst.Cells[0] != first {
+			t.Fatalf("round %d: the block moved on a warm arena", round)
+		}
+		bufs.Reset() // the first round sizes the arena for the others
+	}
 }

@@ -9,6 +9,7 @@ import (
 
 	"cliquesquare/internal/core"
 	"cliquesquare/internal/dstore"
+	"cliquesquare/internal/lubm"
 	"cliquesquare/internal/mapreduce"
 	"cliquesquare/internal/partition"
 	"cliquesquare/internal/rdf"
@@ -331,12 +332,57 @@ func TestRandomQueriesMatchReference(t *testing.T) {
 				preds[rng.Intn(3)], preds[rng.Intn(3)], preds[rng.Intn(3)]))
 		}
 		q.Name = fmt.Sprintf("rand%d", iter)
+		checkRootReducesAlone(t, q)
 		x := newExec(g, 1+rng.Intn(6))
 		r, _ := runBest(t, x, q)
 		want := refeval.Eval(g, q)
 		if len(r.Rows) != len(want) {
 			t.Fatalf("iter %d (%s): got %d rows, want %d", iter, q, len(r.Rows), len(want))
 		}
+	}
+}
+
+// checkRootReducesAlone pins, for every MSC plan of q, what
+// levelReduce relies on to fill one block at a time at the bottom of a
+// lane's arena: the root's groups (ID 0) sort before every other join's
+// in the shuffle's key order, and the last job, the one with a sink,
+// reduces the root alone. So the sink's block never fills beside
+// another join's rows.
+func checkRootReducesAlone(t *testing.T, q *sparql.Query) {
+	t.Helper()
+	res, err := core.Optimize(q, core.Options{Method: vargraph.MSC})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range res.Unique {
+		pp, err := Compile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pp.MapOnly() {
+			continue
+		}
+		root := pp.Infos[0]
+		if root.Op != pp.Root || root.ID != 0 {
+			t.Fatalf("%s plan %d: Infos[0] is not the root", q.Name, i)
+		}
+		if last := pp.Levels[len(pp.Levels)-1]; len(last) != 1 || last[0] != root {
+			t.Fatalf("%s plan %d: the last job reduces %d joins, want the root alone:\n%s", q.Name, i, len(last), pp.Describe())
+		}
+		for _, in := range pp.Infos[1:] {
+			if in.Kind == KindReduceJoin && mapreduce.EncodeKey(root.ID, nil) >= mapreduce.EncodeKey(in.ID, nil) {
+				t.Fatalf("%s plan %d: join %d's groups sort before the root's", q.Name, i, in.ID)
+			}
+		}
+	}
+}
+
+// TestRootReducesAlone checks checkRootReducesAlone over every MSC plan
+// of the 14 LUBM queries (TestRandomQueriesMatchReference checks it over
+// its random chains and stars).
+func TestRootReducesAlone(t *testing.T) {
+	for _, q := range lubm.Queries() {
+		checkRootReducesAlone(t, q)
 	}
 }
 

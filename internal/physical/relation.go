@@ -23,10 +23,9 @@ type joinPlan struct {
 	srcCol   []int // ...and column within it
 	keyCols  []int // per input: the column of the merged attribute
 	// checks are the residual equalities over the shared attributes but
-	// the merged one: the further join attributes' keyChecks first, then
-	// the others'.
-	checks    []eqCheck
-	keyChecks int
+	// the merged one: the further join attributes' first, then the
+	// others'.
+	checks []eqCheck
 }
 
 // newJoinPlan compiles the join of inputs with the given schemas on
@@ -43,7 +42,6 @@ func newJoinPlan(schemas [][]string, joinAttrs, attrs []string) *joinPlan {
 		rest := joinAttrs[1:]
 		kChild, kCol := columnSources(rest, schemas)
 		jp.checks = residualChecks(rest, schemas, kChild, kCol)
-		jp.keyChecks = len(jp.checks)
 	}
 	union := slices.DeleteFunc(unionSchema(schemas), func(s string) bool { return slices.Contains(joinAttrs, s) })
 	uChild, uCol := columnSources(union, schemas)
@@ -73,11 +71,10 @@ type joinCounts struct {
 // stored file is sorted on its placed cell — keeps its order, so with
 // child 0 sorted the rows come out as a stream of child 0 probing the
 // others would emit them. With no join attribute, or one child, every
-// child is one run. With size set, a first pass counts the output rows
-// and carves dst's room once for them all; it meters nothing. A nil dst
-// only counts: out is that count. Without size, dst must have the room
-// already, or its rows come from the Go heap.
-func (a *arena) naryJoinInto(dst *mapreduce.Block, children []mapreduce.Block, jp *joinPlan, size bool) joinCounts {
+// child is one run. Its rows are written once, as they are found: dst
+// grows as it takes them, in place when it is the last block at its
+// arena's bottom, which no sort disturbs — sortOn carves from the top.
+func (a *arena) naryJoinInto(dst *mapreduce.Block, children []mapreduce.Block, jp *joinPlan) joinCounts {
 	var counts joinCounts
 	empty := len(children) == 0
 	for i := range children {
@@ -100,19 +97,17 @@ func (a *arena) naryJoinInto(dst *mapreduce.Block, children []mapreduce.Block, j
 	// current key. Rows go to out, dst's header copied to the stack: no
 	// lane shares its cache line.
 	at, lo, hi := a.at[:nc], a.lo[:nc], a.hi[:nc]
-	var out mapreduce.Block
-	counting := true // a first pass counts the rows; the last writes them
+	out := *dst
 	emit := func() {
 		for _, c := range jp.checks {
 			if children[c.aChild].Cells[at[c.aChild]+c.aCol] != children[c.bChild].Cells[at[c.bChild]+c.bCol] {
 				return
 			}
 		}
-		if counts.out++; !counting {
-			row := out.Extend(1, jp.width)
-			for i := range row {
-				row[i] = children[jp.srcChild[i]].Cells[at[jp.srcChild[i]]+jp.srcCol[i]]
-			}
+		counts.out++
+		row := out.Extend(1, jp.width)
+		for i := range row {
+			row[i] = children[jp.srcChild[i]].Cells[at[jp.srcChild[i]]+jp.srcCol[i]]
 		}
 	}
 	// each calls fn once per key every child holds, in key order, with
@@ -155,26 +150,16 @@ func (a *arena) naryJoinInto(dst *mapreduce.Block, children []mapreduce.Block, j
 			fn()
 		}
 	}
-	combineAll := func() { combine(children, lo, hi, 0, at, emit) }
-	if size || dst == nil {
-		if len(jp.checks) == 0 { // every combination is a row
-			each(func() {
-				k := 1
-				for i := range lo {
-					k *= hi[i] - lo[i]
-				}
-				counts.out += k
-			})
-		} else {
-			each(combineAll)
+	each(func() {
+		if len(jp.checks) == 0 { // every combination is a row: room for all
+			k := 1
+			for i := range lo {
+				k *= hi[i] - lo[i]
+			}
+			out.Reserve(k, jp.width)
 		}
-		if dst == nil {
-			return counts
-		}
-		dst.Reserve(counts.out, jp.width)
-	}
-	counting, counts.out, out = false, 0, *dst
-	each(combineAll)
+		combine(children, lo, hi, 0, at, emit)
+	})
 	*dst = out
 	return counts
 }
