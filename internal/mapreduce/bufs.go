@@ -118,6 +118,25 @@ func (a *Arena) grow(cells []rdf.TermID, n int) []rdf.TermID {
 	return room[: len(cells) : 2*w]
 }
 
+// spare returns as bytes the arena's room between its ends, nil past
+// its array or for a nil arena: a lone writer may write there, then
+// count what it wrote (lend).
+func (a *Arena) spare() []byte {
+	if a == nil || a.bottom+a.top >= len(a.words) {
+		return nil
+	}
+	w := a.words[a.bottom : len(a.words)-a.top]
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(w))), len(w)*8)
+}
+
+// lend counts n bytes written between the arena's ends in its peak, as
+// if carved.
+func (a *Arena) lend(n int) {
+	if a != nil {
+		a.peak = max(a.peak, a.bottom+a.top+(n+7)/8)
+	}
+}
+
 // Lane returns lane i's arena. Lanes are added while none runs.
 func (p *Bufs) Lane(i int) *Arena {
 	for len(p.lanes) <= i {

@@ -256,90 +256,69 @@ func (g *Groups) Each(fn func(Group)) {
 	for b := g.dest; b < len(g.bk); b += g.n {
 		runs += len(g.bk[b].runs)
 	}
-	m := merge{bk: g.bk, cur: Carve[cursor](g.mem, runs)[:0], key: Carve[uint64](g.mem, runs)[:0], whole: true}
+	// A cursor per run with tuples in the key range, in run order, merged
+	// by a tree of losers keyed on their heads' prefixes. whole says every
+	// prefix is its whole key — one key cell, or none — so equal prefixes
+	// are equal keys.
+	cur, whole := Carve[cursor](g.mem, runs)[:0], true
 	var nkey uint16
 	g.eachRun(func(b, k int, lo, hi uint32) {
-		r := &g.bk[b].runs[k]
-		if len(m.cur) == 0 {
+		if r := &g.bk[b].runs[k]; len(cur) == 0 {
 			nkey = r.nkey
+		} else {
+			whole = whole && r.nkey == nkey
 		}
-		m.whole = m.whole && r.nkey == nkey && nkey <= 1
 		if lo < hi {
-			m.cur = append(m.cur, cursor{place: place{buf: uint32(b), run: uint32(k), pos: lo}, end: hi})
-			m.key = append(m.key, r.prefix(g.bk[b].cells, int(lo)))
+			cur = append(cur, cursor{place: place{buf: uint32(b), run: uint32(k), pos: lo}, end: hi})
 		}
 	})
-	st, ties := Carve[stretch](g.mem, len(m.cur)), Carve[int32](g.mem, len(m.cur))
-	for len(m.cur) > 0 {
+	whole = whole && nkey <= 1
+	var t Loser
+	var tie func(i, j int) int
+	if !whole {
+		tie = func(i, j int) int { return g.compare(cur[i].place, cur[j].place) }
+	}
+	t.Start(g.mem, len(cur))
+	for i := range cur {
+		t.Key[i] = g.prefix(cur[i].place)
+	}
+	t.Build(tie)
+	st := Carve[stretch](g.mem, len(cur))
+	for i := t.Top(); i >= 0; {
 		// The cursors whose heads carry the least key give the group their
 		// stretches, in run order.
-		ties = m.least(ties)
-		key := m.key[ties[0]]
+		key, first := t.Key[i], cur[i].place
 		st = st[:0]
 		n := uint32(0)
-		for _, i := range ties {
-			c := &m.cur[i]
+		for {
+			c := &cur[i]
 			r, cells := &g.bk[c.buf].runs[c.run], g.bk[c.buf].cells
 			lo := c.pos
 			for c.pos++; c.pos < c.end; c.pos++ {
-				if p := r.prefix(cells, int(c.pos)); p != key || !m.whole && !r.sameKey(cells, int(c.pos), int(lo)) {
-					m.key[i] = p
+				if p := r.prefix(cells, int(c.pos)); p != key || !whole && !r.sameKey(cells, int(c.pos), int(lo)) {
+					t.Key[i] = p
 					break
 				}
 			}
 			st = append(st, stretch{buf: c.buf, run: c.run, lo: lo, hi: c.pos, at: n})
 			n += c.pos - lo
-		}
-		for k := len(ties) - 1; k >= 0; k-- {
-			if i := ties[k]; m.cur[i].pos == m.cur[i].end {
-				m.cur, m.key = slices.Delete(m.cur, int(i), int(i)+1), slices.Delete(m.key, int(i), int(i)+1)
+			t.Next(c.pos == c.end, tie)
+			if i = t.Top(); i < 0 || t.Key[i] != key || !whole && g.compare(cur[i].place, first) != 0 {
+				break
 			}
 		}
 		fn(Group{st: st, n: int(n), bk: g.bk})
 	}
 }
 
-// merge is a reducer's merge of the runs routed to its node: a cursor
-// per run with tuples left in the key range, in run order, and the
-// prefix of each one's head. whole says every run's prefix is its whole
-// key — one key cell, or none — so equal prefixes are equal keys.
-type merge struct {
-	bk    []bucket
-	cur   []cursor
-	key   []uint64
-	whole bool
+// prefix is the prefix of the key of the tuple at p.
+func (g *Groups) prefix(p place) uint64 {
+	return g.bk[p.buf].runs[p.run].prefix(g.bk[p.buf].cells, int(p.pos))
 }
 
-// least returns in ties, in run order, the cursors whose heads carry the
-// least key.
-func (m *merge) least(ties []int32) []int32 {
-	ties = append(ties[:0], 0)
-	kb := m.key[0]
-	for i := 1; i < len(m.key); i++ {
-		k, c := m.key[i], 0
-		switch {
-		case k > kb:
-			continue
-		case k < kb:
-			c = -1
-		case !m.whole:
-			c = m.compareTo(i, m.cur[ties[0]].place)
-		}
-		if c < 0 {
-			ties, kb = ties[:0], k
-		}
-		if c <= 0 {
-			ties = append(ties, int32(i))
-		}
-	}
-	return ties
-}
-
-// compareTo compares the head of cursor i with the tuple at p, whose
-// prefixes tie.
-func (m *merge) compareTo(i int, p place) int {
-	a := &m.cur[i]
-	return compareKeys(&m.bk[a.buf].runs[a.run], m.bk[a.buf].cells, int(a.pos), &m.bk[p.buf].runs[p.run], m.bk[p.buf].cells, int(p.pos))
+// compare compares the keys of the tuples at p and q.
+func (g *Groups) compare(p, q place) int {
+	return compareKeys(&g.bk[p.buf].runs[p.run], g.bk[p.buf].cells, int(p.pos), &g.bk[q.buf].runs[q.run], g.bk[q.buf].cells, int(q.pos))
 }
 
 // Group is the records sharing one key: a view handed out by

@@ -68,7 +68,8 @@ type Row []rdf.TermID
 type Block struct {
 	Width, N int
 	Cells    []rdf.TermID
-	mem      Mem // where the block grows; nil is the Go heap
+	mem      Mem      // where the block grows; nil is the Go heap
+	sink     *Emitter // the lane of the sink unit whose rows these are (Flush)
 }
 
 // NewBlock returns an empty block that grows in m: at the bottom of a
@@ -86,27 +87,43 @@ func (b *Block) Row(i int) Row {
 // block. The first rows of an empty block fix its width. A block in a
 // lane's Arena grows in place at its bottom (the last block there; any
 // other starts anew on top of it); elsewhere, rows past the room Reserve
-// made come from the Go heap.
+// made come from the Go heap. Extend inlines: its slow path, grow, is
+// out of line.
 func (b *Block) Extend(rows, width int) []rdf.TermID {
-	if rows == 0 {
-		return nil
+	return extendWith(b, rows, width, (*Block).grow)
+}
+
+// extendWith is Extend's body. It takes grow as a parameter because the
+// inliner prices a call to a parameter at a fraction of a call to a
+// function, so the body fits its budget; Extend's constant argument
+// makes the inlined call a direct one.
+func extendWith(b *Block, rows, width int, grow func(*Block, int, int)) []rdf.TermID {
+	if len(b.Cells)+rows*width > cap(b.Cells) || width != b.Width {
+		grow(b, rows, width)
 	}
-	if b.N == 0 {
+	n := len(b.Cells)
+	b.N += rows
+	b.Cells = b.Cells[:n+rows*width]
+	return b.Cells[n:]
+}
+
+// grow readies the block for Extend's rows past its room or of another
+// width, which fix an empty block's.
+func (b *Block) grow(rows, width int) {
+	if rows == 0 {
+		return
+	} else if b.N == 0 {
 		b.Width = width
 	} else if width != b.Width {
 		panic("mapreduce: rows of another width appended to a block")
 	}
-	n, m := len(b.Cells), len(b.Cells)+rows*width
-	if m > cap(b.Cells) {
+	if len(b.Cells)+rows*width > cap(b.Cells) {
 		if a, ok := b.mem.(*Arena); ok {
 			b.Cells = a.grow(b.Cells, rows*width)
 		} else {
 			b.Cells = slices.Grow(b.Cells, rows*width)
 		}
 	}
-	b.Cells = b.Cells[:m]
-	b.N += rows
-	return b.Cells[n:]
 }
 
 // Reserve makes room for rows more rows of the given width, so that
@@ -142,6 +159,17 @@ func grow[E Elem](m Mem, s []E, n int) []E {
 	t := Carve[E](m, len(s)+n)[:len(s)]
 	copy(t, s)
 	return t
+}
+
+// Flush hands the rows of a sink unit's block to the job's sink
+// (Job.Sink) once they reach UnitRows, emptying the block. A unit calls
+// it at each key or group boundary, so a flush never splits one and
+// where it falls depends on the unit's rows alone; on any other block it
+// does nothing.
+func (b *Block) Flush() {
+	if b.sink != nil && b.N >= rowBound {
+		b.sink.flush(b)
+	}
 }
 
 // Append copies one row's cells onto the block.
@@ -202,6 +230,25 @@ func (m *Meter) add(o *Meter) {
 	m.Shuffled += o.Shuffled
 }
 
+// unitRows is M, the bound on a unit of work: a map unit reads at most M
+// rows of one input plus one key's run, and a unit of a job with a sink
+// hands its rows to the sink every M rows, at a key or group boundary.
+const unitRows = 4096
+
+// rowBound is M as executions read it: unitRows unless a test set it.
+var rowBound = unitRows
+
+// UnitRows returns M.
+func UnitRows() int { return rowBound }
+
+// SetUnitRows sets M to m (math.MaxInt: no bound) for a test, which runs
+// no execution meanwhile, and returns what restores it.
+func SetUnitRows(m int) (restore func()) {
+	old := rowBound
+	rowBound = m
+	return func() { rowBound = old }
+}
+
 // Job describes one MapReduce job as independently schedulable morsels.
 //
 // MapMorsel runs MapMorsels(node) times per node; it may emit keyed
@@ -233,11 +280,11 @@ type Job struct {
 	ReduceRange func(node, rng, ranges, lane int, m *Meter, groups *Groups, out *Block)
 	// Sink, if non-nil, takes the rows of every unit of the job's output
 	// phase — a map morsel of a map-only job, a reduce range otherwise —
-	// on its lane as the unit ends, and the job keeps no output: the unit
-	// writes into a block that grows at the bottom of its lane's arena,
-	// emptied with it, and the runtime counts its rows as the job's
-	// output.
-	Sink func(node, unit, lane int, rows *Block)
+	// on its lane, every M rows (Block.Flush) and as the unit ends, and
+	// the job keeps no output: the unit writes into a block that grows at
+	// the bottom of its lane's arena, emptied as the sink takes it, and
+	// the runtime counts its rows as the job's output.
+	Sink func(lane int, rows Block)
 }
 
 // ClassicJob adapts the classic MapReduce form — mapFn once per node,
@@ -452,8 +499,18 @@ type Emitter struct {
 	n       int      // cluster size (routing modulus)
 	unit    *slot    // the running unit: its counters
 	buckets []bucket // the unit's per-destination buckets
-	bufs    *Bufs    // the run's pool, whose top the buckets are carved from
+	sc      *Scratch // the run: its pool, whose top the buckets are carved from, and its job
 	counts  []int    // EmitAll's per-destination tuple counts
+	lane    int      // the lane it is the handle of
+}
+
+// flush hands the rows of its lane's unit to the job's sink and empties
+// the block.
+func (e *Emitter) flush(b *Block) {
+	if e.unit.sunk += b.N; b.N > 0 {
+		e.sc.job.Sink(e.lane, *b)
+	}
+	b.Empty()
 }
 
 // dest returns the node the key (group, row[keyCols...]) routes to.
@@ -479,8 +536,8 @@ func (e *Emitter) Emit(group uint32, tag int, row Row, keyCols []int) {
 // the buckets grow as append grows a slice.
 func (e *Emitter) EmitAll(group uint32, tag int, rel Block, keyCols []int) {
 	var m Mem
-	if e.bufs != nil {
-		m = (*top)(e.bufs)
+	if e.sc.Bufs != nil {
+		m = (*top)(e.sc.Bufs)
 	}
 	e.counts = resize(e.counts, e.n)
 	clear(e.counts)
@@ -565,6 +622,7 @@ func (sc *Scratch) begin(lane int, u *slot) *Block {
 	switch {
 	case u.sinks:
 		u.out = NewBlock(sc.mem(lane))
+		u.out.sink = &sc.lanes[lane]
 	case u.of == 1:
 		return &sc.out.PerNode[u.node]
 	}
@@ -575,8 +633,7 @@ func (sc *Scratch) begin(lane int, u *slot) *Block {
 // is emptied.
 func (sc *Scratch) end(lane int, u *slot) {
 	if u.sinks {
-		u.sunk = u.out.N
-		sc.job.Sink(u.node, u.idx, lane, &u.out)
+		sc.lanes[lane].flush(&u.out)
 		u.out = Block{}
 	}
 	sc.Bufs.empty(lane)
@@ -589,7 +646,7 @@ func (sc *Scratch) mapUnit(i, lane int) {
 	u := &sc.morsels[i]
 	dst := sc.begin(lane, u)
 	e := &sc.lanes[lane]
-	e.n, e.buckets, e.bufs = sc.n, sc.buckets[i*sc.n:(i+1)*sc.n], sc.Bufs
+	e.n, e.buckets = sc.n, sc.buckets[i*sc.n:(i+1)*sc.n]
 	sc.job.MapMorsel(u.node, u.idx, lane, &u.meter, e, dst)
 	sc.end(lane, u)
 	sortRuns(e.buckets, sc.mem(lane))
@@ -633,7 +690,7 @@ func (sc *Scratch) drop() {
 	clear(sc.morsels)
 	clear(sc.ranges)
 	for i := range sc.lanes {
-		sc.lanes[i].buckets, sc.lanes[i].unit = nil, nil
+		sc.lanes[i].buckets, sc.lanes[i].unit, sc.lanes[i].sc = nil, nil, nil
 	}
 	sc.Bufs.endJob()
 }
@@ -706,6 +763,9 @@ func (cl *Cluster) RunWith(job Job, opts RunOptions) *Output {
 	pool := opts.Pool
 	sc.job, sc.n = job, n
 	sc.lanes = resize(sc.lanes, pool.Lanes())
+	for i := range sc.lanes {
+		sc.lanes[i].sc, sc.lanes[i].lane = sc, i
+	}
 	if sc.Bufs != nil {
 		sc.Bufs.Lane(pool.Lanes() - 1) // lanes are added while none runs
 	}

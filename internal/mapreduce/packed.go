@@ -3,7 +3,6 @@ package mapreduce
 import (
 	"encoding/binary"
 	"math"
-	"math/bits"
 	"slices"
 
 	"cliquesquare/internal/rdf"
@@ -38,48 +37,14 @@ type Packed struct {
 // comes from other packed rows in which the same row came before it, its
 // bytes there (else nil), which are copied unless the row is a restart.
 // A row need only be valid for the call; one that does not come after
-// the row before it panics. It packs in one pass into room the caller
-// has — Start, then Put while the row Fits — or in two, where the room
-// is not known to suffice: every row to Size, then, once Carve has
-// carved the room the sizes add up to, every row again to Put.
-type Packer struct {
-	Packed
-	size, rows int // what Size counted
-}
+// the row before it panics. It codes each row once, into the room it
+// was started with and, past it, into bytes that grow on the Go heap.
+type Packer struct{ Packed }
 
 // Start readies a pass writing rows of the given width into data's
 // room, restarts holding every restart the rows may need.
 func (k *Packer) Start(width int, data []byte, restarts []uint32) {
 	k.Packed = Packed{Width: width, Data: data[:0:min(cap(data), math.MaxUint32)], Restarts: restarts}
-	k.size, k.rows = 0, 0
-}
-
-// Fits reports whether the next row fits in the room left.
-func (k *Packer) Fits(prev, row Row, coded []byte) bool {
-	room := cap(k.Data) - len(k.Data)
-	return room >= 7+5*len(row) || room >= k.bytes(prev, row, coded, k.N) // the most a row takes, else its size
-}
-
-// bytes is the size of row i.
-func (k *Packer) bytes(prev, row Row, coded []byte, i int) int {
-	if coded != nil && i%PackRestart != 0 {
-		return len(coded)
-	}
-	return rowBytes(prev, row, i)
-}
-
-// Size counts the bytes of the next row.
-func (k *Packer) Size(prev, row Row, coded []byte) {
-	k.size += k.bytes(prev, row, coded, k.rows)
-	k.rows++
-}
-
-// Carve carves from m the room the rows sized take, for them to be Put.
-func (k *Packer) Carve(m Mem) {
-	if k.size > math.MaxUint32 {
-		panic("mapreduce: packing 4 GiB of rows")
-	}
-	k.Data = Carve[byte](m, k.size)[:0]
 }
 
 // Put writes the next row.
@@ -103,18 +68,19 @@ func (k *Packer) Done() Packed {
 	return p
 }
 
-// PackBlock packs b's rows, ascending and distinct, into arrays carved
-// from m at their size.
-func PackBlock(m Mem, b *Block) Packed {
+// PackBlock packs b's rows, ascending and distinct, once, into the room
+// between the ends of arena a (a nil arena, or one past its array, has
+// none) — counted in its peak — and copies them into arrays carved from
+// m at their size.
+func PackBlock(m Mem, a *Arena, b *Block) Packed {
 	var k Packer
-	k.Start(b.Width, nil, Carve[uint32](m, (b.N+PackRestart-1)/PackRestart))
-	for i := 0; i < b.N; i++ {
-		k.Size(b.before(i), b.Row(i), nil)
-	}
-	k.Carve(m)
+	k.Start(b.Width, a.spare(), Carve[uint32](m, (b.N+PackRestart-1)/PackRestart))
 	for i := 0; i < b.N; i++ {
 		k.Put(b.before(i), b.Row(i), nil)
 	}
+	a.lend(len(k.Data))
+	data := Carve[byte](m, len(k.Data))
+	k.Data = data[:copy(data, k.Data)]
 	return k.Done()
 }
 
@@ -131,26 +97,6 @@ func (b *Block) before(i int) Row {
 func (p *Packed) Clone() Packed {
 	return Packed{Width: p.Width, N: p.N, Data: slices.Clone(p.Data), Restarts: slices.Clone(p.Restarts)}
 }
-
-// rowBytes is the bytes appendRow writes for row i, coded against prev.
-func rowBytes(prev, row Row, i int) (n int) {
-	if i%PackRestart == 0 {
-		for _, v := range row {
-			n += uvarintLen(uint64(v))
-		}
-		return n
-	}
-	c := differs(prev, row)
-	n = uvarintLen(uint64(row[c]-prev[c])*uint64(len(row)) + uint64(c))
-	for j := c + 1; j < len(row); j++ {
-		d := int64(row[j]) - int64(prev[j])
-		n += uvarintLen(uint64(d<<1 ^ d>>63))
-	}
-	return n
-}
-
-// uvarintLen is the bytes of x as a uvarint.
-func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
 // differs returns the first column where row differs from prev, and
 // panics unless row comes after prev.

@@ -24,7 +24,7 @@ func packRows(width int, rows []Row) Packed {
 	for _, r := range rows {
 		b.Append(r)
 	}
-	return PackBlock(nil, &b)
+	return PackBlock(nil, nil, &b)
 }
 
 // readPacked decodes rows lo to hi-1 of p, copied, checking the numbers

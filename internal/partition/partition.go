@@ -494,6 +494,53 @@ func span(sf *dstore.File, obj bool, placed, other rdf.TermID) Run {
 	return r
 }
 
+// Key returns the key of row i of run r of f: the cell f is placed by —
+// the first cell of a run of its stored file, the second of a run read
+// in the other replica — or, for a file of the property replica, the
+// property its name fixes. Within each run a file's rows ascend by key.
+func (f File) Key(r Run, i int) rdf.TermID {
+	if placedOnly(f.name) {
+		prop, _ := FileTerms(f.name)
+		return prop
+	}
+	first, second := dstore.Cells(r.F.Keys()[i])
+	if r.Obj == (f.name[0] == 'o') {
+		return first
+	}
+	return second
+}
+
+// Within narrows run r of f to its rows whose key lies in [lo, hi), hi
+// NoTerm for no bound: two binary searches.
+func (f File) Within(r Run, lo, hi rdf.TermID) Run {
+	if lo == rdf.NoTerm && hi == rdf.NoTerm {
+		return r
+	}
+	from := func(k rdf.TermID) int {
+		return r.Lo + sort.Search(r.Hi-r.Lo, func(i int) bool { return f.Key(r, r.Lo+i) >= k })
+	}
+	end := r.Hi
+	if hi != rdf.NoTerm {
+		end = from(hi)
+	}
+	r.Lo, r.Hi = from(lo), end
+	return r
+}
+
+// Rows counts the file's rows whose key lies in [lo, hi), hi NoTerm for
+// no bound: all or none of a file of the property replica, a run of a
+// stored file.
+func (f File) Rows(lo, hi rdf.TermID) int {
+	if placedOnly(f.name) {
+		if k := f.Key(Run{}, 0); k < lo || hi != rdf.NoTerm && k >= hi {
+			return 0
+		}
+		return f.rows
+	}
+	r := f.Within(span(f.f, f.name[0] == 'o', rdf.NoTerm, rdf.NoTerm), lo, hi)
+	return r.Hi - r.Lo
+}
+
 // Files resolves the files a scan of pattern tp must read when placed
 // in the replica partitioned on position pos, within this view's epoch.
 // Patterns with a constant property read that property's file; variable

@@ -97,16 +97,17 @@ type ExecContext struct {
 	interm  [][][]mapreduce.Block
 	morsels [][]mapMorsel
 
-	// The answer: parts[node*lanes+unit] is a unit of the last job's rows,
-	// sorted, distinct and packed by the job's sink (packPart, bound once);
-	// mergeParts merges them into answer, what a Rows of the execution
-	// reads, decoding into the rows of decode its readers claim, free
-	// ones set in free.
+	// The answer: the last job's sink (packPart, bound once) sorts every M
+	// rows of a unit, drops repeats and packs them as a part, kept in its
+	// lane's arena's list; mergeParts gathers the parts in parts and
+	// merges them into answer, what a Rows of the execution reads,
+	// decoding into the rows of decode its readers claim, free ones set in
+	// free.
 	parts  []mapreduce.Packed
 	answer mapreduce.Packed
 	decode []rdf.TermID
 	free   atomic.Uint64
-	sink   func(node, unit, lane int, rows *mapreduce.Block)
+	sink   func(lane int, rows mapreduce.Block)
 }
 
 // scanConsts are one scan's constants for one execution: the dictionary
@@ -118,14 +119,17 @@ type scanConsts struct {
 	absent bool
 }
 
-// mapMorsel is one schedulable unit of a reduce-level job's map phase:
-// input tag of reduce join rj on one node — per partition file for
-// scans, per key range for shufflers, whole-subtree for map joins.
+// mapMorsel is one schedulable unit of a job's map phase on one node:
+// a key range of operator in — of one partition file for a scan, of the
+// inputs for a map join, of the re-read output for a reduce join — input
+// tag of reduce join rj, or with rj nil a map-only plan's root.
 type mapMorsel struct {
-	rj   *Info
-	tag  int    // the input's index within rj (the emitted records' tag)
-	file string // partition file of a scan morsel
-	rng  int    // key range of the re-read output of a shuffler morsel
+	rj, in *Info
+	sp     *scanPlan  // in's scan, when in is one
+	tag    int        // the input's index within rj (the emitted records' tag)
+	file   string     // partition file of a scan morsel
+	rng    int        // key range of the re-read output of a shuffler morsel
+	lo, hi rdf.TermID // the keys a scan or map-join morsel reads: [lo, hi), hi NoTerm unbounded
 }
 
 // NewExecContext returns a context running jobs on the given number of
@@ -140,9 +144,9 @@ func NewExecContext(lanes int, k mapreduce.Constants) *ExecContext {
 	for lane := 0; lane < lanes; lane++ {
 		c.arenas = append(c.arenas, &arena{mem: c.bufs.Lane(lane)})
 	}
-	c.mapOnlyJob = mapreduce.Job{MapMorsel: c.mapOnlyMorsel}
+	c.mapOnlyJob = mapreduce.Job{MapMorsels: c.levelMorsels, MapMorsel: c.mapMorsel}
 	c.sink = c.packPart
-	c.levelJob = mapreduce.Job{MapMorsels: c.levelMorsels, MapMorsel: c.levelMapMorsel, ReduceRange: c.levelReduce}
+	c.levelJob = mapreduce.Job{MapMorsels: c.levelMorsels, MapMorsel: c.mapMorsel, ReduceRange: c.levelReduce}
 	return c
 }
 
@@ -158,8 +162,6 @@ func (c *ExecContext) lanes() int { return c.pool.Lanes() }
 // it is filled.
 func (c *ExecContext) prepare() {
 	pp, nodes := c.plan, c.view.Nodes()
-	c.parts = slices.Grow(c.parts[:0], nodes*c.lanes())[:nodes*c.lanes()]
-	clear(c.parts)
 	n := len(pp.Infos)
 	c.consts = slices.Grow(c.consts[:0], n)[:n]
 	for len(c.interm) < n {
@@ -200,12 +202,12 @@ func (c *ExecContext) release() {
 	for _, a := range c.arenas {
 		a.release()
 	}
+	clear(c.parts)
 	for _, per := range c.interm {
 		for node := range per {
 			per[node] = mapreduce.ResetBlocks(per[node], 0, nil)
 		}
 	}
-	clear(c.parts)
 	c.answer, c.decode = mapreduce.Packed{}, nil
 	c.bufs.Reset()
 }
@@ -246,6 +248,11 @@ type arena struct {
 	// range, never both at once.
 	groupRels  []mapreduce.Block
 	joinInputs []mapreduce.Block
+
+	// parts are the answer's parts the lane's units packed (packPart),
+	// part the header of the rows it packs.
+	parts []mapreduce.Packed
+	part  mapreduce.Block
 }
 
 // nextBlock hands out the morsel's next block, empty, for rows of the
@@ -274,6 +281,8 @@ func (a *arena) release() {
 		a.groupRels[i].Cells = nil
 	}
 	clear(a.joinInputs[:cap(a.joinInputs)])
+	clear(a.parts)
+	a.parts = a.parts[:0]
 }
 
 // fileKey is what the files a scan reads depend on (partition.View.Files):

@@ -63,11 +63,8 @@ const mergeMark = mapreduce.PackRestart
 // merged packs each block as a unit of the last job packs its rows
 // (packPart: sorted in place, repeats dropped) and merges the parts.
 func merged(ctx *ExecContext, parts []mapreduce.Block) Rows {
-	n := len(parts) * ctx.lanes()
-	ctx.parts = slices.Grow(ctx.parts[:0], n)[:n]
-	clear(ctx.parts)
 	for i := range parts {
-		ctx.packPart(i, 0, 0, &parts[i])
+		ctx.packPart(i%ctx.lanes(), parts[i])
 	}
 	return ctx.mergeParts()
 }

@@ -2,6 +2,7 @@ package physical
 
 import (
 	"slices"
+	"sort"
 
 	"cliquesquare/internal/dstore"
 	"cliquesquare/internal/mapreduce"
@@ -118,6 +119,8 @@ func (c *ExecContext) runJobs(recs []*mapreduce.JobRecord) Rows {
 		if !pp.MapOnly() {
 			c.buildMorsels(pp.Levels[l])
 			job = c.levelJob
+		} else {
+			c.buildMorsels(nil)
 		}
 		if l == pp.NumJobs()-1 {
 			job.Sink = c.sink // the answer, packed as each unit ends
@@ -130,33 +133,47 @@ func (c *ExecContext) runJobs(recs []*mapreduce.JobRecord) Rows {
 }
 
 // A job's callbacks are the context's, bound once, and read the
-// execution in flight off it. A map-only plan's single job has one
-// morsel per node, evaluating the node's whole local subtree with the
-// root writing the SELECT columns straight into the block the job's sink
-// packs, which grows in place at the bottom of the lane's arena above
-// the blocks of a map join's scans. Splitting it, as a level's job
-// splits its scans per partition file, is not done.
-func (c *ExecContext) mapOnlyMorsel(node, _, lane int, m *mapreduce.Meter, _ *mapreduce.Emitter, out *mapreduce.Block) {
-	a := c.arenas[lane]
-	a.resetBlocks()
-	if sp := c.plan.rootScan; sp != nil {
-		c.scanFiles(out, sp, node, m, c.fileNames(a, sp))
-	} else {
-		c.mapJoin(out, c.plan.Infos[0], node, m, a)
-	}
-	m.Check(out.N) // the node's only morsel: out holds its rows alone
-}
-
-// The job of a level of a plan with reduce joins splits its map side
-// into sub-node morsels: one per (reduce join, child) — and per
-// partition file for scan children, per key range for shufflers — so
-// parallelism isn't capped at the node count. The table is built
-// sequentially (buildMorsels) before the job runs; morsels of one node
-// may then run on any lane.
+// execution in flight off it. Either form of job runs its map side as
+// the morsels buildMorsels lays out before the job runs, so parallelism
+// isn't capped at the node count; morsels of one node may run on any
+// lane.
 func (c *ExecContext) levelMorsels(node int) int { return len(c.morsels[node]) }
 
-func (c *ExecContext) levelMapMorsel(node, morsel, lane int, m *mapreduce.Meter, emit *mapreduce.Emitter, _ *mapreduce.Block) {
-	c.runMapMorsel(&c.morsels[node][morsel], node, lane, m, emit)
+// mapMorsel evaluates one map morsel: a map shuffler re-reading a key
+// range of the previous job's output, or a key range of one partition
+// file of a scan or of a map join's inputs. It emits the rows keyed for
+// the reduce join they feed or, for a map-only plan's root, writes the
+// SELECT columns straight into out, the block the job's sink packs,
+// which grows in place at the bottom of the lane's arena above the
+// blocks of a map join's scans and is flushed every M rows at a key
+// boundary. Per range, the counts add up to the node's, and the
+// emissions concatenate, in file and range order, to its sequence.
+func (c *ExecContext) mapMorsel(node, morsel, lane int, m *mapreduce.Meter, emit *mapreduce.Emitter, out *mapreduce.Block) {
+	mo, a := &c.morsels[node][morsel], c.arenas[lane]
+	a.resetBlocks()
+	if mo.in.Kind == KindReduceJoin {
+		rel := c.interm[mo.in.ID][node][mo.rng]
+		m.Read(rel.N)
+		m.Write(rel.N)
+		emit.EmitAll(uint32(mo.rj.ID), mo.tag, rel, mo.rj.shuffleCols[mo.tag])
+		return
+	}
+	dst := out
+	if mo.rj != nil {
+		dst = a.nextBlock(len(mo.in.Op.Attrs))
+	}
+	n := 0
+	if file := [1]string{mo.file}; mo.in.Kind == KindScan {
+		c.scanFiles(dst, mo.sp, node, m, file[:], mo.lo, mo.hi)
+		n = dst.N // a scan flushes nothing
+	} else {
+		n = c.mapJoin(dst, mo.in, node, m, a, mo.lo, mo.hi)
+	}
+	if mo.rj == nil {
+		m.Check(n) // the final projection
+	} else {
+		emit.EmitAll(uint32(mo.rj.ID), mo.tag, *dst, mo.rj.shuffleCols[mo.tag])
+	}
 }
 
 // levelReduce runs the reduce side of a level over one key range, in
@@ -207,103 +224,113 @@ func (c *ExecContext) levelReduce(node, rng, _, lane int, m *mapreduce.Meter, gr
 	settle()
 }
 
-// buildMorsels lays out one job level's map morsels per node, in the
-// canonical (reduce join, child, file or range) order a sequential
-// per-node sweep evaluates: one morsel per map-join child, one per
-// present partition file for scan children, one per key range of the
-// re-read output for map-shuffler children. Scans whose
-// constants miss the dictionary produce no morsels (they charge and
-// emit nothing anywhere).
+// buildMorsels lays out a job's map morsels per node, in the canonical
+// (reduce join, child, file, key range) order a sequential per-node
+// sweep evaluates — for a map-only plan (level nil) those of its root.
 func (c *ExecContext) buildMorsels(level []*Info) {
-	n := c.view.Nodes()
-	tbl := slices.Grow(c.morsels[:0], n)[:n]
+	tbl := slices.Grow(c.morsels[:0], c.view.Nodes())[:c.view.Nodes()]
+	c.morsels = tbl
 	for node := range tbl {
 		tbl[node] = tbl[node][:0]
-	}
-	c.morsels = tbl
-	a := c.arenas[0]
-	for _, rj := range level {
-		for i, ci := range rj.children {
-			switch ci.Kind {
-			case KindScan:
-				if c.consts[ci.ID].absent {
-					continue
-				}
-				names := c.fileNames(a, rj.scans[i])
-				for node := 0; node < n; node++ {
-					for _, fname := range names {
-						if _, ok := c.view.Open(node, fname); ok {
-							tbl[node] = append(tbl[node], mapMorsel{rj: rj, tag: i, file: fname})
-						}
-					}
-				}
-			case KindMapJoin:
-				for node := 0; node < n; node++ {
-					tbl[node] = append(tbl[node], mapMorsel{rj: rj, tag: i})
-				}
-			default:
-				for node := 0; node < n; node++ {
-					for rng := range c.interm[ci.ID][node] {
-						tbl[node] = append(tbl[node], mapMorsel{rj: rj, tag: i, rng: rng})
-					}
-				}
+		if level == nil {
+			c.addMorsels(node, mapMorsel{in: c.plan.Infos[0], sp: c.plan.rootScan})
+		}
+		for _, rj := range level {
+			for i, ci := range rj.children {
+				c.addMorsels(node, mapMorsel{rj: rj, tag: i, in: ci, sp: rj.scans[i]})
 			}
 		}
 	}
 }
 
-// runMapMorsel evaluates one map morsel — a map shuffler re-reading the
-// previous job's output, one partition file of a scan, or a whole
-// map-join subtree — and emits its rows keyed for the reduce join it
-// feeds.
-func (c *ExecContext) runMapMorsel(mo *mapMorsel, node, lane int, m *mapreduce.Meter, emit *mapreduce.Emitter) {
-	a := c.arenas[lane]
-	a.resetBlocks()
-	rj, ci := mo.rj, mo.rj.children[mo.tag]
-	var rel mapreduce.Block
-	switch ci.Kind {
-	case KindReduceJoin:
-		// Map shuffler: re-read one key range of an earlier job's output
-		// and re-emit it re-keyed. Per range, the counts add up to the
-		// node's, and the emissions concatenate, in range order, to its
-		// sequence.
-		rel = c.interm[ci.ID][node][mo.rng]
-		m.Read(rel.N)
-		m.Write(rel.N)
-	case KindScan:
-		// Per file, the counts (Read, plus Check when filtered) add up to
-		// the whole scan's, and the emissions concatenate, in file order,
-		// to its sequence.
-		file := [1]string{mo.file}
-		dst := a.nextBlock(len(ci.Op.Attrs))
-		c.scanFiles(dst, rj.scans[mo.tag], node, m, file[:])
-		rel = *dst
-	default:
-		dst := a.nextBlock(len(ci.Op.Attrs))
-		c.mapJoin(dst, ci, node, m, a)
-		rel = *dst
+// addMorsels adds node's morsels of mo.in, each reading at most M rows
+// of one input plus one key's run: a key range of the re-read output of
+// a reduce join, of one partition file for a scan, of the first input of
+// a map join, in which it reads every input by binary search — when
+// every input reads files placed by the cell the join merges on; one
+// morsel otherwise. A scan whose constants miss the dictionary has none
+// (it charges and emits nothing anywhere). The ranges of a file, or of
+// a map join, partition its keys, so what their morsels count adds up
+// to what one would.
+func (c *ExecContext) addMorsels(node int, mo mapMorsel) {
+	in, k := mo.in, &c.consts[mo.in.ID]
+	switch {
+	case in.Kind == KindReduceJoin:
+		for mo.rng = range c.interm[in.ID][node] {
+			c.morsels[node] = append(c.morsels[node], mo)
+		}
+	case in.Kind == KindScan && !k.absent:
+		for _, mo.file = range c.fileNames(c.arenas[0], mo.sp) {
+			if f, ok := c.view.Open(node, mo.file); ok {
+				c.cutMorsels(node, mo, f, f.Part(0, k.ids[rdf.SPos], k.ids[rdf.OPos]))
+			}
+		}
+	case in.Kind == KindMapJoin:
+		var f partition.File
+		var r partition.Run
+		keyed := in.join.merge
+		for i, sp := range in.scans {
+			keyed = keyed && sp.varPos[in.join.keyCols[i]] == c.view.ScanPos(sp.pos)
+		}
+		if k := &c.consts[in.scans[0].id]; keyed && !k.absent {
+			for _, name := range c.fileNames(c.arenas[0], in.scans[0]) {
+				for g, ok := c.view.Open(node, name); ok; ok = false {
+					for i := 0; i < g.Parts(); i++ {
+						if s := g.Part(i, k.ids[rdf.SPos], k.ids[rdf.OPos]); s.Hi-s.Lo > r.Hi-r.Lo {
+							f, r = g, s
+						}
+					}
+				}
+			}
+		}
+		c.cutMorsels(node, mo, f, r)
 	}
-	emit.EmitAll(uint32(rj.ID), mo.tag, rel, rj.shuffleCols[mo.tag])
 }
 
-// mapJoin evaluates map join in on one node, appending its rows to dst
-// — the job's sink block for a map-only plan's root — which grows at the
-// bottom of the lane's arena above its inputs' blocks, each filled in
-// turn. Its inputs are scans of the node's replicas partitioned on its
-// first join attribute, so that they are co-partitioned (Section 5.1
-// file layout). It runs concurrently across lanes; all other mutable
-// scratch lives in the lane's arena (a map join's inputs are scans, so
-// its input list is never in use twice at once).
-func (c *ExecContext) mapJoin(dst *mapreduce.Block, in *Info, node int, m *mapreduce.Meter, a *arena) {
+// cutMorsels adds node's morsels mo over the key ranges that cut run r
+// of file f into at most M rows plus one key's run: a range ends at the
+// key of its M+1-th row or, when one key's run starts the range and
+// reaches that row, at the key after the run.
+func (c *ExecContext) cutMorsels(node int, mo mapMorsel, f partition.File, r partition.Run) {
+	key := func(i int) rdf.TermID { return f.Key(r, r.Lo+i) }
+	n, bound := r.Hi-r.Lo, mapreduce.UnitRows()
+	for start := 0; n-start > bound; {
+		k := key(start + bound)
+		if k == key(start) {
+			end := start + sort.Search(n-start, func(i int) bool { return key(start+i) > k })
+			if end == n {
+				break
+			}
+			k = key(end)
+		}
+		mo.hi = k
+		c.morsels[node] = append(c.morsels[node], mo)
+		mo.lo, start = k, sort.Search(n, func(i int) bool { return key(i) >= k })
+	}
+	mo.hi = rdf.NoTerm
+	c.morsels[node] = append(c.morsels[node], mo)
+}
+
+// mapJoin evaluates map join in over the keys [lo, hi) on one node,
+// appending its rows to dst — the job's sink block for a map-only plan's
+// root — which grows at the bottom of the lane's arena above its inputs'
+// blocks, each filled in turn, and returns how many it wrote. Its inputs
+// are scans of the node's replicas partitioned on its first join
+// attribute, so that they are co-partitioned (Section 5.1 file layout).
+// It runs concurrently across lanes; all other mutable scratch lives in
+// the lane's arena (a map join's inputs are scans, so its input list is
+// never in use twice at once).
+func (c *ExecContext) mapJoin(dst *mapreduce.Block, in *Info, node int, m *mapreduce.Meter, a *arena, lo, hi rdf.TermID) int {
 	a.joinInputs = slices.Grow(a.joinInputs[:0], len(in.scans))[:len(in.scans)]
 	for i, sp := range in.scans {
 		b := a.nextBlock(len(sp.varPos))
-		c.scanFiles(b, sp, node, m, c.fileNames(a, sp))
+		c.scanFiles(b, sp, node, m, c.fileNames(a, sp), lo, hi)
 		a.joinInputs[i] = *b
 	}
 	counts := a.naryJoinInto(dst, a.joinInputs, in.join)
 	m.Join(counts.in + counts.out)
 	m.Write(counts.out)
+	return counts.out
 }
 
 // scanPlan is the compiled set-up of one scan edge — a pattern read as
@@ -373,19 +400,22 @@ func (c *ExecContext) fileNames(a *arena, sp *scanPlan) []string {
 	return names
 }
 
-// scanFile scans one partition file for scan sp, whose constants are
-// ids (NoTerm where a variable stands), appending its matches to dst. It
-// meters the file — Read, plus Check when the pattern filters. It scans
-// the run of each part that the pattern's subject and object constants
-// select (partition.File.Part, scanRun). A constant on a position the file's
+// scanFile scans the rows of one partition file whose keys lie in [lo,
+// hi) (hi NoTerm: no bound) for scan sp, whose constants are ids (NoTerm
+// where a variable stands), appending its matches to dst. It meters
+// those rows — Read, plus Check when the pattern filters. It scans the
+// run of each part that the pattern's subject and object constants
+// select (partition.File.Part, scanRun), narrowed to the keys by binary
+// search (File.Within). A constant on a position the file's
 // name fixes (the property, a class file's object) is decided once for
 // the whole file: it either matches every row or none. The metering
 // depends on neither: the simulated Hadoop mapper still reads and checks
 // the whole file, whichever rows the simulator's own CPU visits.
-func scanFile(f partition.File, m *mapreduce.Meter, sp *scanPlan, ids [3]rdf.TermID, dst *mapreduce.Block) {
-	m.Read(f.NumRows())
+func scanFile(f partition.File, m *mapreduce.Meter, sp *scanPlan, ids [3]rdf.TermID, dst *mapreduce.Block, lo, hi rdf.TermID) {
+	n := f.Rows(lo, hi)
+	m.Read(n)
 	if sp.check {
-		m.Check(f.NumRows())
+		m.Check(n)
 	}
 	var fixed [3]rdf.TermID
 	fixed[rdf.PPos], fixed[rdf.OPos] = partition.FileTerms(f.Name())
@@ -395,7 +425,7 @@ func scanFile(f partition.File, m *mapreduce.Meter, sp *scanPlan, ids [3]rdf.Ter
 		}
 	}
 	for i := 0; i < f.Parts(); i++ {
-		scanRun(f.Part(i, ids[rdf.SPos], ids[rdf.OPos]), fixed, ids, sp, dst)
+		scanRun(f.Within(f.Part(i, ids[rdf.SPos], ids[rdf.OPos]), lo, hi), fixed, ids, sp, dst)
 	}
 }
 
@@ -439,17 +469,17 @@ rows:
 }
 
 // scanFiles appends to dst the columns scan sp writes of the tuples of
-// its pattern in the named partition files of one node, applying the
-// pattern's constant and repeated-variable filters, in one pass. Files
-// the node does not hold are skipped.
-func (c *ExecContext) scanFiles(dst *mapreduce.Block, sp *scanPlan, node int, m *mapreduce.Meter, names []string) {
+// its pattern in the named partition files of one node whose keys lie
+// in [lo, hi), applying the pattern's constant and repeated-variable
+// filters, in one pass. Files the node does not hold are skipped.
+func (c *ExecContext) scanFiles(dst *mapreduce.Block, sp *scanPlan, node int, m *mapreduce.Meter, names []string, lo, hi rdf.TermID) {
 	k := &c.consts[sp.id]
 	if k.absent {
 		return
 	}
 	for _, fname := range names {
 		if f, ok := c.view.Open(node, fname); ok {
-			scanFile(f, m, sp, k.ids, dst)
+			scanFile(f, m, sp, k.ids, dst, lo, hi)
 		}
 	}
 }

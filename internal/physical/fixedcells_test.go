@@ -175,7 +175,7 @@ func scanThrough(t *testing.T, x *testExec, q *sparql.Query, pos rdf.Pos) ([]str
 	for node := 0; node < c.view.Nodes(); node++ {
 		a.resetBlocks()
 		dst := a.nextBlock(len(q.Select))
-		c.scanFiles(dst, &sp, node, &m, names)
+		c.scanFiles(dst, &sp, node, &m, names, rdf.NoTerm, rdf.NoTerm)
 		for i := 0; i < dst.N; i++ {
 			rows = append(rows, fmt.Sprint([]rdf.TermID(dst.Row(i))))
 		}

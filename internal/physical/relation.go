@@ -159,6 +159,7 @@ func (a *arena) naryJoinInto(dst *mapreduce.Block, children []mapreduce.Block, j
 			out.Reserve(k, jp.width)
 		}
 		combine(children, lo, hi, 0, at, emit)
+		out.Flush() // a sink's block hands its rows on at a key boundary
 	})
 	*dst = out
 	return counts

@@ -43,12 +43,16 @@ func rowPrefix(row mapreduce.Row) uint64 {
 	return uint64(row[0])<<32 | uint64(row[1])
 }
 
-// packPart is the last job's sink: a unit's rows, written into its
-// lane's arena, are sorted in place, their repeats dropped, and packed
-// into the unit's part, carved from the context's outputs — the raw rows
-// go with the unit.
-func (c *ExecContext) packPart(node, unit, _ int, rows *mapreduce.Block) {
-	if rows.Width == 1 {
+// packPart is the last job's sink: every M rows of a unit (or the rest,
+// as the unit ends), written into its lane's arena, are sorted in place,
+// their repeats dropped, and packed once into the arena's free room,
+// then copied into a part carved from the context's outputs at its size
+// and listed with the lane's parts — the raw rows go as the sink
+// returns.
+func (c *ExecContext) packPart(lane int, raw mapreduce.Block) {
+	a := c.arenas[lane]
+	rows := &a.part // a header of the lane's: sorting through one allocates nothing
+	if *rows = raw; rows.Width == 1 {
 		slices.Sort(rows.Cells) // rows of one cell are the cells
 	} else {
 		sort.Sort((*partRows)(rows))
@@ -61,7 +65,8 @@ func (c *ExecContext) packPart(node, unit, _ int, rows *mapreduce.Block) {
 		}
 	}
 	rows.N, rows.Cells = n, rows.Cells[:n*rows.Width]
-	c.parts[node*c.lanes()+unit] = mapreduce.PackBlock(&c.bufs, rows)
+	a.parts = append(a.parts, mapreduce.PackBlock(&c.bufs, a.mem, rows))
+	*rows = mapreduce.Block{}
 }
 
 // partRows sorts a block's rows by swapping their cells (rows of width
@@ -80,20 +85,23 @@ func (b *partRows) Swap(i, j int) {
 
 // mergeParts merges the last job's packed parts — each sorted and
 // distinct — into the answer: the distinct rows in compareRows order,
-// packed, carved from the context's outputs. It packs in one pass into
-// the outputs' spare room, then carves what it wrote; where the room
-// runs out, as on a context that has not yet held so large an answer, it
-// packs again in two passes, sizing the answer first. Its merge state is
-// carved from lane 0's arena and taken back after. The answer is the
-// context's scratch, valid until it is released.
+// packed, carved from the context's outputs. It packs each row once into
+// the outputs' spare room — or, where the room runs out, as on a
+// context that has not yet held so large an answer, into bytes on the
+// Go heap — then carves what it wrote. Its merge state is carved from
+// lane 0's arena and taken back after. The answer is the context's
+// scratch, valid until it is released.
 func (c *ExecContext) mergeParts() Rows {
 	parts, width, total := c.parts[:0], 0, 0
-	for _, p := range c.parts {
-		if p.N > 0 {
-			parts, width, total = append(parts, p), p.Width, total+p.N
+	for _, a := range c.arenas {
+		for _, p := range a.parts {
+			if p.N > 0 {
+				parts, width, total = append(parts, p), p.Width, total+p.N
+			}
 		}
+		clear(a.parts)
+		a.parts = a.parts[:0]
 	}
-	clear(c.parts[len(parts):])
 	c.parts = parts
 
 	a := c.bufs.Lane(0)
@@ -102,26 +110,11 @@ func (c *ExecContext) mergeParts() Rows {
 	restarts := mapreduce.Carve[uint32](&c.bufs, (total+mapreduce.PackRestart-1)/mapreduce.PackRestart)
 	var k mapreduce.Packer
 	k.Start(width, c.bufs.Spare(), restarts)
-	fits := true
-	for m.start(); m.next(); {
-		if fits = k.Fits(m.last(), m.row, m.coded); !fits {
-			break
-		}
+	for m.next() {
 		k.Put(m.last(), m.row, m.coded)
 	}
-	if fits {
-		data := mapreduce.Carve[byte](&c.bufs, len(k.Data)) // the spare room written
-		k.Data = data[:copy(data, k.Data)]
-	} else {
-		k.Start(width, nil, restarts)
-		for m.start(); m.next(); {
-			k.Size(m.last(), m.row, m.coded)
-		}
-		k.Carve(&c.bufs)
-		for m.start(); m.next(); {
-			k.Put(m.last(), m.row, m.coded)
-		}
-	}
+	data := mapreduce.Carve[byte](&c.bufs, len(k.Data)) // the spare room written, or a copy
+	k.Data = data[:copy(data, k.Data)]
 	a.Cut(mark)
 	c.answer = k.Done()
 	lanes := min(c.lanes(), 64)
@@ -152,99 +145,93 @@ func (c *ExecContext) unclaim(i int) {
 	}
 }
 
-// merger walks the distinct rows of sorted packed parts in order,
-// dropping duplicates as they meet (equal rows are adjacent across part
-// heads under a total order). heads[p] is part p's next unmerged row,
-// decoded at head(p) with prefix[p] its prefix; its bytes run from
-// from[p] to at[p]. The rows it returns alternate between two buffers,
-// row and prev, so the one before stays readable.
+// merger walks the distinct rows of sorted packed parts in order, a
+// tree of losers (mapreduce.Loser) over their heads keyed on the heads'
+// prefixes, dropping duplicates as they meet (equal rows are adjacent
+// under a total order). heads[p] is part p's next unmerged row, decoded
+// at head(p); its bytes run from from[p] to at[p]. The rows it returns
+// alternate between two buffers, row and prev, so the one before stays
+// readable.
 type merger struct {
 	parts     []mapreduce.Packed
-	heads, ns []int32 // each part's next row, and its rows
+	tree      mapreduce.Loser
+	heads     []int32
 	from, at  []uint32
-	prefix    []uint64
 	rows      []rdf.TermID // every part's head
 	w, n      int          // the width; the rows returned
 	row, prev mapreduce.Row
-	// best is the part whose head is the next row, second the part whose
-	// head follows it among the others; -1 for none. The row returned
-	// last is row src of part part. coded is its bytes there when the row
-	// before it there was returned just before it, and it is no restart;
-	// else nil.
-	best, second int
-	part         int
-	src          int32
-	coded        []byte
+	// The row returned last is row src of part part. coded is its bytes
+	// there when the row before it there was returned just before it, and
+	// it is no restart; else nil.
+	part  int
+	src   int32
+	coded []byte
 }
 
-// newMerger returns a merge of parts of rows of width w, its state carved
-// from m.
+// newMerger returns a merge of parts of rows of width w, from their
+// first rows, its state carved from m.
 func newMerger(m mapreduce.Mem, parts []mapreduce.Packed, w int) merger {
 	k := len(parts)
 	out := mapreduce.Carve[rdf.TermID](m, 2*w)
 	mg := merger{
-		parts: parts, w: w,
-		heads:  mapreduce.Carve[int32](m, k),
-		ns:     mapreduce.Carve[int32](m, k),
-		from:   mapreduce.Carve[uint32](m, k),
-		at:     mapreduce.Carve[uint32](m, k),
-		prefix: mapreduce.Carve[uint64](m, k),
-		rows:   mapreduce.Carve[rdf.TermID](m, k*w),
-		row:    out[:w:w],
-		prev:   out[w : 2*w : 2*w],
+		parts: parts, w: w, part: -1,
+		heads: mapreduce.Carve[int32](m, k),
+		from:  mapreduce.Carve[uint32](m, k),
+		at:    mapreduce.Carve[uint32](m, k),
+		rows:  mapreduce.Carve[rdf.TermID](m, k*w),
+		row:   out[:w:w],
+		prev:  out[w : 2*w : 2*w],
 	}
+	clear(mg.heads)
+	mg.tree.Start(m, k)
 	for p := range parts {
-		mg.ns[p] = int32(parts[p].N)
+		mg.from[p] = parts[p].Restarts[0]
+		mg.at[p] = uint32(parts[p].Next(0, int(mg.from[p]), mg.head(p)))
+		mg.tree.Key[p] = rowPrefix(mg.head(p))
 	}
+	mg.tree.Build(mg.tie())
 	return mg
-}
-
-// start readies the merge from the parts' first rows.
-func (m *merger) start() {
-	clear(m.heads)
-	m.n, m.part = 0, -1
-	for p := range m.parts {
-		m.from[p] = m.parts[p].Restarts[0]
-		m.at[p] = uint32(m.parts[p].Next(0, int(m.from[p]), m.head(p)))
-		m.prefix[p] = rowPrefix(m.head(p))
-	}
-	m.best, m.second = m.least()
 }
 
 // next moves to the next distinct row, past every copy of it: m.row,
 // m.prev the one before it (when m.n > 1) and m.coded its bytes; false
 // at the end.
 func (m *merger) next() bool {
-	b := m.best
+	b := m.tree.Top()
 	if b < 0 {
 		return false
 	}
 	m.row, m.prev = m.prev, m.row
-	for j, v := range m.head(b) {
-		m.row[j] = v
-	}
+	copy(m.row, m.head(b))
 	m.coded = nil
 	if h := m.heads[b]; b == m.part && h == m.src+1 && h%mapreduce.PackRestart != 0 {
 		m.coded = m.parts[b].Data[m.from[b]:m.at[b]]
 	}
 	m.part, m.src = b, m.heads[b]
 	m.n++
-	for {
-		p := m.best
-		if m.heads[p]++; m.heads[p] < m.ns[p] {
-			m.from[p] = m.at[p]
-			m.at[p] = uint32(m.parts[p].Next(int(m.heads[p]), int(m.at[p]), m.head(p)))
-			m.prefix[p] = rowPrefix(m.head(p))
-			// A part's rows ascend: while its head comes before every other
-			// part's, it stays first and repeats nothing.
-			if m.second < 0 || m.before(p, m.second) {
-				return true
-			}
+	for key := rowPrefix(m.row); ; {
+		// Part b's head is the row: it moves on, and the next part's head
+		// may be a copy.
+		p := &m.parts[b]
+		if m.heads[b]++; m.heads[b] < int32(p.N) {
+			m.from[b] = m.at[b]
+			m.at[b] = uint32(p.Next(int(m.heads[b]), int(m.at[b]), m.head(b)))
+			m.tree.Key[b] = rowPrefix(m.head(b))
 		}
-		if m.best, m.second = m.least(); m.best < 0 || compareRows(m.head(m.best), m.row) != 0 {
+		m.tree.Next(m.heads[b] == int32(p.N), m.tie())
+		if b = m.tree.Top(); b < 0 || m.tree.Key[b] != key || m.w > 2 && compareRows(m.head(b), m.row) != 0 {
 			return true
 		}
 	}
+}
+
+// tie decides between parts whose heads' prefixes tie: nil where a
+// prefix is the whole row.
+func (m *merger) tie() func(p, q int) int {
+	if m.w <= 2 {
+		return nil
+	}
+	return func(p, q int) int { return compareRows(m.head(p), m.head(q)) }
 }
 
 // last is the row before the row next moved to, nil before the first.
@@ -253,27 +240,6 @@ func (m *merger) last() mapreduce.Row {
 		return nil
 	}
 	return m.prev
-}
-
-// least returns the part whose head comes first and the part whose head
-// comes next, -1 for none.
-func (m *merger) least() (best, second int) {
-	best, second = -1, -1
-	for p := range m.parts {
-		switch {
-		case m.heads[p] >= m.ns[p]:
-		case best < 0 || m.before(p, best):
-			best, second = p, best
-		case second < 0 || m.before(p, second):
-			second = p
-		}
-	}
-	return best, second
-}
-
-// before reports whether part p's head comes before part q's.
-func (m *merger) before(p, q int) bool {
-	return m.prefix[p] < m.prefix[q] || m.prefix[p] == m.prefix[q] && compareRows(m.head(p), m.head(q)) < 0
 }
 
 func (m *merger) head(p int) mapreduce.Row { return m.rows[p*m.w : (p+1)*m.w : (p+1)*m.w] }

@@ -1,16 +1,16 @@
 package cliquesquare
 
 // Determinism matrix for the morsel-driven runtime: the LUBM workload
-// must produce byte-identical rows AND JobStats at every parallelism
-// level, through reused and fresh (per-query) execution contexts alike,
-// all matching the one-lane pin. Run under -race this also shakes out
+// must produce the seed's rows AND JobStats (the golden pins) at every
+// unit bound M and parallelism level, through reused and fresh
+// (per-query) execution contexts alike. Run under -race this also shakes out
 // data races between concurrent morsel lanes. A companion test drives
 // bursts of clients through one engine: executions are admitted, and no
 // lane outlives its batch.
 
 import (
 	"fmt"
-	"reflect"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -29,6 +29,7 @@ func TestMorselDeterminismMatrix(t *testing.T) {
 	g := lubm.Generate(lubm.DefaultConfig(2))
 	cfg := csq.DefaultConfig()
 	planEng := csq.New(g, cfg)
+	golden := readGolden(t).Flat
 
 	// Compile every query's plan once; all configurations execute the
 	// exact same physical plans.
@@ -59,43 +60,34 @@ func TestMorselDeterminismMatrix(t *testing.T) {
 		return r
 	}
 
-	// The pin: one inline lane.
-	type pin struct {
-		hash string
-		jobs []mapreduce.JobStats
-	}
-	pins := make([]pin, len(plans))
-	for i, pp := range plans {
-		r := execute(physical.NewExecContext(1, cfg.Constants), pp)
-		pins[i] = pin{hash: hashRows(r.Rows), jobs: r.Jobs}
-	}
-
-	pars := []int{1, 2, 3}
-	if p := runtime.GOMAXPROCS(0); p != 1 && p != 2 && p != 3 {
-		pars = append(pars, p)
-	}
-	for _, par := range pars {
-		for _, mode := range []string{"pooled", "fresh"} {
-			t.Run(fmt.Sprintf("par=%d/%s", par, mode), func(t *testing.T) {
-				var shared *physical.ExecContext
-				if mode == "pooled" {
-					shared = physical.NewExecContext(par, cfg.Constants)
-				}
-				for i, pp := range plans {
-					ctx := shared
-					if ctx == nil {
-						ctx = physical.NewExecContext(par, cfg.Constants)
+	// Every unit bound M — one row, a few, the production bound, none —
+	// at every lane count, through a reused and through fresh contexts,
+	// must reproduce the seed pins.
+	var d pinDrift
+	for _, bound := range []int{1, 7, mapreduce.UnitRows(), math.MaxInt} {
+		for _, lanes := range []int{1, 2, 4} {
+			for _, mode := range []string{"pooled", "fresh"} {
+				t.Run(fmt.Sprintf("M=%d/lanes=%d/%s", min(bound, 1<<20), lanes, mode), func(t *testing.T) {
+					defer mapreduce.SetUnitRows(bound)()
+					var shared *physical.ExecContext
+					if mode == "pooled" {
+						shared = physical.NewExecContext(lanes, cfg.Constants)
 					}
-					r := execute(ctx, pp)
-					if h := hashRows(r.Rows); h != pins[i].hash {
-						t.Errorf("%s: row hash %s, one-lane pin %s", queries[i].Name, h, pins[i].hash)
+					for i, pp := range plans {
+						ctx := shared
+						if ctx == nil {
+							ctx = physical.NewExecContext(lanes, cfg.Constants)
+						}
+						r, pin := execute(ctx, pp), golden[queries[i].Name]
+						if h := hashRows(r.Rows); len(r.Rows) != pin.Rows || h != pin.RowHash {
+							t.Errorf("%s: %d rows, hash %s; pinned %d rows, hash %s", queries[i].Name, len(r.Rows), h, pin.Rows, pin.RowHash)
+						}
+						if err := d.check(r.Jobs, pin.Jobs); err != nil {
+							t.Errorf("%s: %v", queries[i].Name, err)
+						}
 					}
-					if !reflect.DeepEqual(r.Jobs, pins[i].jobs) {
-						t.Errorf("%s: job stats differ from the one-lane pin:\ngot %+v\npin %+v",
-							queries[i].Name, r.Jobs, pins[i].jobs)
-					}
-				}
-			})
+				})
+			}
 		}
 	}
 }
