@@ -196,7 +196,7 @@ func TestFlatShuffleMatchesReference(t *testing.T) {
 func TestKeyPathAllocationFree(t *testing.T) {
 	row := Row{9, 8, 7, 6, 5, 4}
 	bk := make([]bucket, 7)
-	e := &Emitter{n: 7, unit: &slot{}, buckets: bk, sc: &Scratch{}}
+	e := &Emitter{sc: &Scratch{n: 7}, unit: &slot{}, buckets: bk}
 	for _, cols := range [][]int{{1}, {2, 0, 3}, {0, 1, 2, 3, 4, 5}} {
 		emit := func() {
 			for i := range bk {

@@ -191,11 +191,12 @@ type stretch struct{ buf, run, lo, hi, at uint32 }
 // equal keys are adjacent and groups appear in canonical key order — the
 // order the seed runtime produced by sort.Strings over its string keys,
 // kept as a deterministic group order (TestSortedGroupingMatchesReference
-// pins it). Ties go to the run emitted first, in (source node, morsel,
-// emission) order, so a group's records keep the order they were emitted
-// in. The merge keeps nothing per tuple: its state — a cursor per run,
-// the prefix of each cursor's head and a group's stretches — is carved
-// from mem when Each starts.
+// pins it). Bounded map units make many runs, so the merge is a tree of
+// losers (Loser) over a cursor per run, O(log k) a group. Ties go to the
+// run emitted first, in (source node, morsel, emission) order, so a
+// group's records keep the order they were emitted in. The merge keeps
+// nothing per tuple: its state — a cursor per run, the tree and a
+// group's stretches — is carved from mem when Each starts.
 type Groups struct {
 	bk      []bucket // the job's buckets: (morsel, destination) at morsel*n+destination
 	dest, n int

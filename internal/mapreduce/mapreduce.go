@@ -7,44 +7,39 @@
 // preserving what the evaluation measures — how plan shape (number of
 // jobs, join levels, intermediate sizes) drives response time.
 //
-// There is one job form and one way to run it. A job's map work is
-// split into sub-node morsels (per partition file, via Job.MapMorsel)
-// and its reduce work into per-key-range morsels; Cluster.RunWith
-// dispatches every phase through Pool.ForEach, which runs inline on a
-// nil or width-1 pool and otherwise across helper lanes that live for
-// that one batch.
-// Simulated statistics are byte-identical whatever the lane count: a
-// Meter counts tuples — reads, writes, checks, joins, shuffled — in
-// integers, every unit counts into a meter of its own, and a node's
-// counts are their exact, order-free sums. As in Section 5.4, a phase's
-// time is the per-tuple cost constants times those counts; the
-// constants are applied once, in the fold that builds a job's JobStats.
+// There is one job form and one way to run it. Work runs in units of
+// at most M rows of one input (UnitRows), as Hadoop's map tasks read
+// bounded input splits: a job's map side as the morsels it lays out
+// (Job.MapMorsels), its reduce side as key ranges of each node's input;
+// Cluster.RunWith dispatches every phase through Pool.ForEach, which
+// runs inline on a nil or width-1 pool and otherwise across helper lanes
+// that live for that one batch. Simulated statistics are byte-identical
+// whatever the units and the lanes: a Meter counts tuples — reads,
+// writes, checks, joins, shuffled — in integers, every unit counts into
+// a meter of its own, and a node's counts are their exact, order-free
+// sums. As in Section 5.4, a phase's time is the per-tuple cost
+// constants times those counts; the constants are applied once, in the
+// fold that builds a job's JobStats.
 //
 // The data plane is flat: tuples are cells in width-strided []TermID
 // arrays, never one slice header per row. A relation body is a Block
 // (width, row count, cells). The shuffle is Hadoop's, sorted at the map
 // side and merged at the reducer: an emitted tuple is its key cells but
 // the first (a row cell) and its row cells, written once, at emission,
-// into the cell buffer of the (morsel, destination) bucket the key
-// routes to, under one header per run of one shape; as the morsel ends,
-// each run is sorted by key in place. A reducer merges the sorted runs
-// routed to its node, ties broken by (source node, morsel, emission), so
-// the cells never move again and nothing is kept per tuple but its
-// cells, and no array holds a pointer, so the garbage collector skips
-// them all. A finished answer is a Packed: sorted distinct rows
-// gap-coded against each other, decoded as read.
+// into the bucket of its (morsel, destination), under one header per run
+// of one shape; as the morsel ends, each run is sorted by key in place,
+// and a reducer merges the sorted runs routed to its node through a tree
+// of losers (Loser), ties broken by (source node, morsel, emission).
+// Nothing is kept per tuple but its cells, and no array holds a pointer.
+// A finished answer is a Packed: sorted distinct rows gap-coded against
+// each other, decoded as read.
 //
 // A Scratch holds the positions a run fills — buckets, range cuts, slot
 // tables and the per-node output blocks — and takes their bytes from its
-// Bufs pool, each piece filled once: a bucket carved at its counted size
-// from the top of the outputs, a node's output carved once for its
-// units' rows, and a unit's rows for the job's sink (Job.Sink) written
-// as they come into a block that grows in place at the bottom of its
-// lane's arena. A run's Output, and every view Groups.Each hands a
-// reducer (a group's key cells and its records' rows, valid for the
-// duration of the callback), alias pool memory that the pool's Reset
-// takes back. Whatever must outlive that is copied out by the caller, or
-// taken as each unit ends (Job.Sink).
+// Bufs pool, each piece filled once. A run's Output, and every view
+// Groups.Each hands a reducer, alias pool memory that the pool's Reset
+// takes back; whatever must outlive that is copied out by the caller, or
+// handed to the job's sink (Job.Sink) every M rows and as each unit ends.
 package mapreduce
 
 import (
@@ -87,16 +82,15 @@ func (b *Block) Row(i int) Row {
 // block. The first rows of an empty block fix its width. A block in a
 // lane's Arena grows in place at its bottom (the last block there; any
 // other starts anew on top of it); elsewhere, rows past the room Reserve
-// made come from the Go heap. Extend inlines: its slow path, grow, is
-// out of line.
+// made come from the Go heap. Extend inlines; its slow path, grow, does
+// not.
 func (b *Block) Extend(rows, width int) []rdf.TermID {
 	return extendWith(b, rows, width, (*Block).grow)
 }
 
-// extendWith is Extend's body. It takes grow as a parameter because the
-// inliner prices a call to a parameter at a fraction of a call to a
-// function, so the body fits its budget; Extend's constant argument
-// makes the inlined call a direct one.
+// extendWith is Extend's body, taking grow as a parameter: the inliner
+// prices a call to a parameter below one to a function, so it fits the
+// budget, and Extend's constant argument makes the call a direct one.
 func extendWith(b *Block, rows, width int, grow func(*Block, int, int)) []rdf.TermID {
 	if len(b.Cells)+rows*width > cap(b.Cells) || width != b.Width {
 		grow(b, rows, width)
@@ -162,12 +156,11 @@ func grow[E Elem](m Mem, s []E, n int) []E {
 }
 
 // Flush hands the rows of a sink unit's block to the job's sink
-// (Job.Sink) once they reach UnitRows, emptying the block. A unit calls
-// it at each key or group boundary, so a flush never splits one and
-// where it falls depends on the unit's rows alone; on any other block it
-// does nothing.
+// (Job.Sink) once they reach UnitRows, emptying the block; on any other
+// block it does nothing. A unit calls it at key or group boundaries, so
+// where it falls depends on the unit's rows alone.
 func (b *Block) Flush() {
-	if b.sink != nil && b.N >= rowBound {
+	if b.sink != nil && b.N >= UnitRows {
 		b.sink.flush(b)
 	}
 }
@@ -230,24 +223,14 @@ func (m *Meter) add(o *Meter) {
 	m.Shuffled += o.Shuffled
 }
 
-// unitRows is M, the bound on a unit of work: a map unit reads at most M
-// rows of one input plus one key's run, and a unit of a job with a sink
-// hands its rows to the sink every M rows, at a key or group boundary.
+// UnitRows is M, the bound on a unit of work: a map unit reads at most
+// M rows of one input plus one key's run, and a unit of a job with a
+// sink hands its rows to the sink every M rows, at a key or group
+// boundary. It is unitRows; a test may set another while no execution
+// runs (math.MaxInt: no bound).
+var UnitRows = unitRows
+
 const unitRows = 4096
-
-// rowBound is M as executions read it: unitRows unless a test set it.
-var rowBound = unitRows
-
-// UnitRows returns M.
-func UnitRows() int { return rowBound }
-
-// SetUnitRows sets M to m (math.MaxInt: no bound) for a test, which runs
-// no execution meanwhile, and returns what restores it.
-func SetUnitRows(m int) (restore func()) {
-	old := rowBound
-	rowBound = m
-	return func() { rowBound = old }
-}
 
 // Job describes one MapReduce job as independently schedulable morsels.
 //
@@ -318,10 +301,9 @@ type JobStats struct {
 // and the total-work sum are folded from. Replaying a record
 // (Cluster.Replay) puts it through the same fold as the live run, so
 // the replayed JobStats are bit-identical without running any
-// map/shuffle/reduce work, which is what lets the result cache serve
-// cached answers with stats indistinguishable from an uncached run. Counts do not depend on the lane count, so one record is valid
-// at every parallelism level, and they are priced when folded, so a
-// record does not depend on the cost constants either.
+// map/shuffle/reduce work: the result cache serves answers with stats
+// indistinguishable from an uncached run. Counts depend neither on the
+// lane count nor on the cost constants, which price them when folded.
 //
 // A record excludes the job name, which is query-dependent; Replay
 // takes the name to stamp on the stats.
@@ -496,12 +478,11 @@ type run struct {
 // Emitter is a lane's handle on the shuffle while it runs one map
 // morsel. The runtime keeps one per lane and retargets it per unit.
 type Emitter struct {
-	n       int      // cluster size (routing modulus)
+	sc      *Scratch // the run: its cluster size, job and pool, whose top the buckets are carved from
+	lane    int      // the lane it is the handle of
 	unit    *slot    // the running unit: its counters
 	buckets []bucket // the unit's per-destination buckets
-	sc      *Scratch // the run: its pool, whose top the buckets are carved from, and its job
 	counts  []int    // EmitAll's per-destination tuple counts
-	lane    int      // the lane it is the handle of
 }
 
 // flush hands the rows of its lane's unit to the job's sink and empties
@@ -519,7 +500,7 @@ func (e *Emitter) dest(group uint32, row Row, keyCols []int) int {
 	for _, c := range keyCols {
 		h = hashCell(h, uint32(row[c]))
 	}
-	return route(h, e.n)
+	return route(h, e.sc.n)
 }
 
 // Emit sends row into the shuffle under the key (group, row[keyCols...])
@@ -539,7 +520,7 @@ func (e *Emitter) EmitAll(group uint32, tag int, rel Block, keyCols []int) {
 	if e.sc.Bufs != nil {
 		m = (*top)(e.sc.Bufs)
 	}
-	e.counts = resize(e.counts, e.n)
+	e.counts = resize(e.counts, e.sc.n)
 	clear(e.counts)
 	for i := 0; i < rel.N; i++ {
 		e.counts[e.dest(group, rel.Row(i), keyCols)]++
@@ -574,14 +555,12 @@ func (e *Emitter) EmitAll(group uint32, tag int, rel Block, keyCols []int) {
 }
 
 // Scratch holds the positions one RunWith fills: per-(morsel,
-// destination) emission buckets, the cuts of each node's key ranges, the
-// slot tables, the per-node phase meters, the per-node output blocks and
-// the per-lane emitters. The bytes of buckets are carved from the top of
-// Bufs (the Go heap when nil), taken back as the run returns; output
-// blocks are carved from its bottom, and the run's Output is valid until
-// the pool's Reset. A lane's arena is emptied after each unit the lane
-// runs. A Scratch serves one run at a time: the lanes inside a run
-// partition it per unit, but two concurrent runs must not share one.
+// destination) buckets, the cuts of each node's key ranges, the slot
+// tables, the meters, the per-node output blocks and the per-lane
+// emitters. Buckets are carved from the top of Bufs (the Go heap when
+// nil) and taken back as the run returns, output blocks from its bottom,
+// valid until the pool's Reset; a lane's arena is emptied after each
+// unit. A Scratch serves one run at a time.
 type Scratch struct {
 	Bufs *Bufs
 
@@ -646,7 +625,7 @@ func (sc *Scratch) mapUnit(i, lane int) {
 	u := &sc.morsels[i]
 	dst := sc.begin(lane, u)
 	e := &sc.lanes[lane]
-	e.n, e.buckets = sc.n, sc.buckets[i*sc.n:(i+1)*sc.n]
+	e.buckets = sc.buckets[i*sc.n : (i+1)*sc.n]
 	sc.job.MapMorsel(u.node, u.idx, lane, &u.meter, e, dst)
 	sc.end(lane, u)
 	sortRuns(e.buckets, sc.mem(lane))
@@ -739,10 +718,8 @@ func (o *Output) Len() int {
 	return n
 }
 
-// RunWith executes one job and returns its output. Map outputs and
-// reduce outputs append to the same per-node output set; a job uses one
-// or the other (map-only vs map+reduce) per the physical plan's
-// structure.
+// RunWith executes one job and returns its output: per node, the rows
+// of its map units for a map-only job, of its reduce ranges otherwise.
 //
 // Determinism: rows and JobStats are byte-identical whatever the lane
 // count or scheduling. Meters and the other counters are integer sums,

@@ -38,7 +38,7 @@ func (t tuple) encode() string { return EncodeKey(int(t.group), t.key()) }
 // of n nodes would, and returns the morsel's per-destination buckets.
 func emitAll(n int, ts []tuple) []bucket {
 	bk := make([]bucket, n)
-	e := &Emitter{n: n, unit: &slot{}, buckets: bk, sc: &Scratch{}}
+	e := &Emitter{sc: &Scratch{n: n}, unit: &slot{}, buckets: bk}
 	for _, t := range ts {
 		e.Emit(t.group, t.tag, t.row, t.cols)
 	}

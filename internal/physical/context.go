@@ -30,25 +30,21 @@ import (
 // morsel computes in comes from its lane's arena, emptied when the
 // morsel ends: the blocks it fills one at a time (scan and map-join
 // blocks, a reduce join's rows in a key range, a last-job unit's raw
-// rows) grow in place at the arena's bottom, and its counted
-// temporaries (a reduce group's inputs and merge state, a join input's
-// sort, a map morsel's run sort) are carved from its top. The outputs
+// rows, flushed every M rows) grow in place at the arena's bottom, its
+// counted temporaries (a reduce group's inputs and merge state, a join
+// input's sort, a map morsel's run sort) come from its top, and a part
+// is packed between the two. A morsel reads at most M rows of one input
+// plus one key's run, so an arena holds one bounded unit. The outputs
 // (intermediate relations, each carved once at its row count as its key
 // range ends, the answer's packed parts and the answer merged from them)
 // last until release, at the end of Run (also when its consumer panics),
-// drops every header and resets the scratch; the shuffle's buckets —
-// each tuple's cells and a header per run — last their job. The scratch
-// keeps the lanes times the most a morsel held at once plus the most the
-// outputs held at once, over every execution through the context — a
-// function of plan, data and lane count, never of the schedule. Each
-// tuple is held once, and nothing that outlives the execution may alias
-// the scratch. The final result is not copied out unless somebody asks:
-// each unit of the last job sorts its rows and packs them (packPart),
-// mergeParts merges the parts into one packed answer, and Run lends that
-// to its callback as a Rows, decoded as it is read, valid until the
-// callback returns. What does outlive the execution — the rows copied
-// out (Rows.Materialise) and a result-cache entry's answer
-// (Rows.pack) — is copied into exactly sized arrays of its own. A
+// drops every header and resets the scratch; the shuffle's buckets last
+// their job. The scratch keeps the lanes times the most a morsel held at
+// once plus the most the outputs held at once — a function of plan, data
+// and lane count, never of the schedule — and holds each tuple once.
+// Run lends the packed answer to its callback as a Rows, decoded as it
+// is read; what outlives the execution (Rows.Materialise, a result-cache
+// entry's Rows.pack) is copied into exactly sized arrays of its own. A
 // result-cache hit reads none of this scratch: it never prepares the
 // context.
 //
@@ -82,11 +78,11 @@ type ExecContext struct {
 	// dictionary its constants resolve through, and the cluster clock
 	// its jobs are logged on (its cost constants fixed, its log's array
 	// kept). The job callbacks are bound once and read them.
-	plan                 *Plan
-	view                 *partition.View
-	dict                 *rdf.Dict
-	cluster              mapreduce.Cluster
-	mapOnlyJob, levelJob mapreduce.Job
+	plan    *Plan
+	view    *partition.View
+	dict    *rdf.Dict
+	cluster mapreduce.Cluster
+	job     mapreduce.Job
 
 	// consts are, per scan of the plan (by Info ID), its constants' ids;
 	// interm[id][node][rng] is a reduce join's output in one key range of
@@ -144,9 +140,8 @@ func NewExecContext(lanes int, k mapreduce.Constants) *ExecContext {
 	for lane := 0; lane < lanes; lane++ {
 		c.arenas = append(c.arenas, &arena{mem: c.bufs.Lane(lane)})
 	}
-	c.mapOnlyJob = mapreduce.Job{MapMorsels: c.levelMorsels, MapMorsel: c.mapMorsel}
 	c.sink = c.packPart
-	c.levelJob = mapreduce.Job{MapMorsels: c.levelMorsels, MapMorsel: c.mapMorsel, ReduceRange: c.levelReduce}
+	c.job = mapreduce.Job{MapMorsels: func(node int) int { return len(c.morsels[node]) }, MapMorsel: c.mapMorsel, ReduceRange: c.levelReduce}
 	return c
 }
 

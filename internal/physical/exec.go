@@ -18,12 +18,10 @@ type Result struct {
 	Schema []string
 	// N is the number of distinct result tuples, set by every entrance.
 	N int
-	// Rows are the distinct result tuples, sorted for determinism — filled
-	// only by a caller that copies them out (csq.Engine.ExecutePlan:
-	// Rows.Materialise, one exactly sized header slice over a fresh block
-	// that neither the computing context nor the result cache owns); Run
-	// leaves it nil and lends its callback the rows instead. They are the
-	// caller's.
+	// Rows are the distinct result tuples, sorted for determinism —
+	// filled only by a caller that copies them out (csq.Engine.ExecutePlan:
+	// Rows.Materialise, a fresh block of the caller's); Run leaves it nil
+	// and lends its callback the rows instead.
 	Rows []mapreduce.Row
 	// Jobs are the per-job simulator statistics for this execution.
 	Jobs []mapreduce.JobStats
@@ -48,22 +46,19 @@ func (c *ExecContext) sinkJob() {
 // meanwhile, and jobs route by its cluster size — resolving the
 // constants of pp's query through dict, on a fresh cluster clock, and
 // hands use the simulated timing (Result.Rows nil, N set) and the
-// deduplicated, sorted rows as a borrowed source: they sit where the
-// execution left them — the answer packed in the context, or a
-// result-cache entry's packed rows, decoded as they are read — so
-// whoever only counts, digests or decodes
-// them copies nothing. rows is invalid once use returns, and a Row read
-// from it once the function it was handed to returns; the Result is the
-// caller's to keep.
+// deduplicated, sorted rows as a borrowed source: the answer packed in
+// the context, or a result-cache entry's packed rows, decoded as they
+// are read, so whoever only counts, digests or decodes them copies
+// nothing. rows is invalid once use returns, and a Row read from it once
+// the function it was handed to returns; the Result is the caller's.
 //
 // With a result cache the answer is served through it, one probe per
 // execution under (Plan.Key, view version): a hit replays every job's
 // record in job order and lends the entry's packed rows, without
 // touching the context's scratch; a miss runs every job recording and
 // copies the packed answer into the entry it admits. Rows and JobStats are
-// byte-identical either way, and with a cache every request reaches its
-// consumer in one form. The cache must belong to the same engine (same
-// cluster geometry, partitioning and dictionary) as the view; the
+// byte-identical either way. The cache must belong to the same engine
+// (same cluster geometry, partitioning and dictionary) as the view; the
 // counts it replays are priced with the context's cost constants.
 func (c *ExecContext) Run(pp *Plan, view *partition.View, dict *rdf.Dict, cache *rescache.Cache, use func(res *Result, rows Rows) error) error {
 	defer c.release()
@@ -115,13 +110,13 @@ func (c *ExecContext) runJobs(recs []*mapreduce.JobRecord) Rows {
 			rec = &mapreduce.JobRecord{}
 			recs[l] = rec
 		}
-		job := c.mapOnlyJob
-		if !pp.MapOnly() {
-			c.buildMorsels(pp.Levels[l])
-			job = c.levelJob
+		job, level := c.job, []*Info(nil)
+		if pp.MapOnly() {
+			job.ReduceRange = nil
 		} else {
-			c.buildMorsels(nil)
+			level = pp.Levels[l]
 		}
+		c.buildMorsels(level)
 		if l == pp.NumJobs()-1 {
 			job.Sink = c.sink // the answer, packed as each unit ends
 		}
@@ -133,21 +128,12 @@ func (c *ExecContext) runJobs(recs []*mapreduce.JobRecord) Rows {
 }
 
 // A job's callbacks are the context's, bound once, and read the
-// execution in flight off it. Either form of job runs its map side as
-// the morsels buildMorsels lays out before the job runs, so parallelism
-// isn't capped at the node count; morsels of one node may run on any
-// lane.
-func (c *ExecContext) levelMorsels(node int) int { return len(c.morsels[node]) }
-
-// mapMorsel evaluates one map morsel: a map shuffler re-reading a key
-// range of the previous job's output, or a key range of one partition
-// file of a scan or of a map join's inputs. It emits the rows keyed for
-// the reduce join they feed or, for a map-only plan's root, writes the
-// SELECT columns straight into out, the block the job's sink packs,
-// which grows in place at the bottom of the lane's arena above the
-// blocks of a map join's scans and is flushed every M rows at a key
-// boundary. Per range, the counts add up to the node's, and the
-// emissions concatenate, in file and range order, to its sequence.
+// execution in flight off it. mapMorsel evaluates one map morsel, on any
+// lane: a shuffler's key range of the previous job's output, or a key
+// range of a scan's partition file or of a map join's inputs. It emits
+// the rows keyed for the reduce join they feed or, for a map-only plan's
+// root, writes the SELECT columns straight into out, the block the job's
+// sink packs, flushed every M rows at a key boundary.
 func (c *ExecContext) mapMorsel(node, morsel, lane int, m *mapreduce.Meter, emit *mapreduce.Emitter, out *mapreduce.Block) {
 	mo, a := &c.morsels[node][morsel], c.arenas[lane]
 	a.resetBlocks()
@@ -158,11 +144,10 @@ func (c *ExecContext) mapMorsel(node, morsel, lane int, m *mapreduce.Meter, emit
 		emit.EmitAll(uint32(mo.rj.ID), mo.tag, rel, mo.rj.shuffleCols[mo.tag])
 		return
 	}
-	dst := out
+	dst, n := out, 0
 	if mo.rj != nil {
 		dst = a.nextBlock(len(mo.in.Op.Attrs))
 	}
-	n := 0
 	if file := [1]string{mo.file}; mo.in.Kind == KindScan {
 		c.scanFiles(dst, mo.sp, node, m, file[:], mo.lo, mo.hi)
 		n = dst.N // a scan flushes nothing
@@ -185,11 +170,11 @@ func (c *ExecContext) mapMorsel(node, morsel, lane int, m *mapreduce.Meter, emit
 // block, carved from the context's outputs at their size. The plan's
 // root, in the last job, joins straight onto the SELECT list (its
 // compiled merge writes it), into the block the runtime hands the range
-// for the job's sink, and counts the projection's checks too; the root
-// sorts first and the last job holds it alone, so no other block fills
-// the bottom beside that one. Range order concatenates back to the
-// node's canonical group order, so every reduce join's rows come out
-// exactly as from one sweep over the node.
+// for the job's sink, which the join flushes every M rows at a group
+// boundary, and counts the projection's checks too; the root sorts first
+// and the last job holds it alone, so no other block fills the bottom
+// beside that one. Range order concatenates back to the node's group
+// order, so every reduce join's rows come out as from one sweep.
 func (c *ExecContext) levelReduce(node, rng, _, lane int, m *mapreduce.Meter, groups *mapreduce.Groups, out *mapreduce.Block) {
 	a := c.arenas[lane]
 	rows := mapreduce.NewBlock(a.mem)
@@ -244,14 +229,12 @@ func (c *ExecContext) buildMorsels(level []*Info) {
 }
 
 // addMorsels adds node's morsels of mo.in, each reading at most M rows
-// of one input plus one key's run: a key range of the re-read output of
-// a reduce join, of one partition file for a scan, of the first input of
-// a map join, in which it reads every input by binary search — when
-// every input reads files placed by the cell the join merges on; one
-// morsel otherwise. A scan whose constants miss the dictionary has none
-// (it charges and emits nothing anywhere). The ranges of a file, or of
-// a map join, partition its keys, so what their morsels count adds up
-// to what one would.
+// of one input plus one key's run: a key range of a reduce join's
+// re-read output, of one partition file of a scan, or of the first input
+// of a map join whose inputs all read files placed by the cell it merges
+// on, found in each by binary search (one morsel otherwise). A scan
+// whose constants miss the dictionary has none. The ranges of a file, or
+// of a map join, partition its keys, so their counts add up to one's.
 func (c *ExecContext) addMorsels(node int, mo mapMorsel) {
 	in, k := mo.in, &c.consts[mo.in.ID]
 	switch {
@@ -266,8 +249,7 @@ func (c *ExecContext) addMorsels(node int, mo mapMorsel) {
 			}
 		}
 	case in.Kind == KindMapJoin:
-		var f partition.File
-		var r partition.Run
+		f, r := partition.File{}, partition.Run{}
 		keyed := in.join.merge
 		for i, sp := range in.scans {
 			keyed = keyed && sp.varPos[in.join.keyCols[i]] == c.view.ScanPos(sp.pos)
@@ -293,7 +275,7 @@ func (c *ExecContext) addMorsels(node int, mo mapMorsel) {
 // reaches that row, at the key after the run.
 func (c *ExecContext) cutMorsels(node int, mo mapMorsel, f partition.File, r partition.Run) {
 	key := func(i int) rdf.TermID { return f.Key(r, r.Lo+i) }
-	n, bound := r.Hi-r.Lo, mapreduce.UnitRows()
+	n, bound := r.Hi-r.Lo, mapreduce.UnitRows
 	for start := 0; n-start > bound; {
 		k := key(start + bound)
 		if k == key(start) {
@@ -375,12 +357,11 @@ func newScanPlan(in *Info, q *sparql.Query, coVar string, attrs []string) *scanP
 
 // fileNames resolves the partition files scan sp must read through the
 // arena's per-view memo: resolution is pure per (property, class,
-// replica position) within one pinned view, so repeated executions
-// through a pooled context skip the name formatting entirely. The memo
-// keys on those terms, not on the scan: one scan is shared by the plans
-// of every query of its written shape, and under Section 5.1's rdf:type
-// split it reads other files for another class; nor on the pattern,
-// whose subject and object constants name no file.
+// replica position) within one pinned view. The memo keys on those
+// terms, not on the scan, which is shared by the plans of every query of
+// its written shape and under Section 5.1's rdf:type split reads other
+// files for another class; nor on the pattern, whose subject and object
+// constants name no file.
 func (c *ExecContext) fileNames(a *arena, sp *scanPlan) []string {
 	if a.fileView != c.view || len(a.fileNames) > fileNamesCap {
 		a.fileView = c.view
@@ -403,14 +384,13 @@ func (c *ExecContext) fileNames(a *arena, sp *scanPlan) []string {
 // scanFile scans the rows of one partition file whose keys lie in [lo,
 // hi) (hi NoTerm: no bound) for scan sp, whose constants are ids (NoTerm
 // where a variable stands), appending its matches to dst. It meters
-// those rows — Read, plus Check when the pattern filters. It scans the
+// those rows — Read, plus Check when the pattern filters — and scans the
 // run of each part that the pattern's subject and object constants
 // select (partition.File.Part, scanRun), narrowed to the keys by binary
-// search (File.Within). A constant on a position the file's
-// name fixes (the property, a class file's object) is decided once for
-// the whole file: it either matches every row or none. The metering
-// depends on neither: the simulated Hadoop mapper still reads and checks
-// the whole file, whichever rows the simulator's own CPU visits.
+// search (File.Within). A constant on a position the file's name fixes
+// (the property, a class file's object) matches every row or none. The
+// metering depends on neither: the simulated Hadoop mapper still reads
+// and checks those rows, whichever ones the simulator's CPU visits.
 func scanFile(f partition.File, m *mapreduce.Meter, sp *scanPlan, ids [3]rdf.TermID, dst *mapreduce.Block, lo, hi rdf.TermID) {
 	n := f.Rows(lo, hi)
 	m.Read(n)

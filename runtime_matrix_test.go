@@ -64,11 +64,12 @@ func TestMorselDeterminismMatrix(t *testing.T) {
 	// at every lane count, through a reused and through fresh contexts,
 	// must reproduce the seed pins.
 	var d pinDrift
-	for _, bound := range []int{1, 7, mapreduce.UnitRows(), math.MaxInt} {
+	for _, bound := range []int{1, 7, mapreduce.UnitRows, math.MaxInt} {
 		for _, lanes := range []int{1, 2, 4} {
 			for _, mode := range []string{"pooled", "fresh"} {
 				t.Run(fmt.Sprintf("M=%d/lanes=%d/%s", min(bound, 1<<20), lanes, mode), func(t *testing.T) {
-					defer mapreduce.SetUnitRows(bound)()
+					defer func(m int) { mapreduce.UnitRows = m }(mapreduce.UnitRows)
+					mapreduce.UnitRows = bound
 					var shared *physical.ExecContext
 					if mode == "pooled" {
 						shared = physical.NewExecContext(lanes, cfg.Constants)
