@@ -89,8 +89,8 @@ func (b *Block) Extend(rows, width int) []rdf.TermID {
 }
 
 // extendWith is Extend's body, taking grow as a parameter: the inliner
-// prices a call to a parameter below one to a function, so it fits the
-// budget, and Extend's constant argument makes the call a direct one.
+// prices a call to a parameter below one to a function, so the body fits
+// its budget. Only a growth takes the call.
 func extendWith(b *Block, rows, width int, grow func(*Block, int, int)) []rdf.TermID {
 	if len(b.Cells)+rows*width > cap(b.Cells) || width != b.Width {
 		grow(b, rows, width)

@@ -511,3 +511,76 @@ func TestPartReadsTheOtherReplica(t *testing.T) {
 		t.Errorf("%d reads through the object replica and %d of whole files: want both", runs, wholes)
 	}
 }
+
+// TestKeyRangesPartitionFiles holds the key ranges a bounded scan reads
+// (File.Key, Within, Rows) to the whole file: on every node of a LUBM
+// view, every file of every replica, cut at keys drawn from its rows,
+// counts its rows once across the ranges, and the ranges narrow every
+// part's run — with no constant, a subject constant or an object
+// constant — into consecutive pieces that make up the run, each row's
+// key within its range.
+func TestKeyRangesPartitionFiles(t *testing.T) {
+	g := lubm.Generate(lubm.DefaultConfig(1))
+	v := LoadWithPolicy(dstore.NewStore(5), g, ThreeReplica, nil).Current()
+	tp := sparql.MustParse(`SELECT ?s WHERE { ?s ?p ?o }`).Patterns[0]
+	checked := 0
+	for _, pos := range []rdf.Pos{rdf.SPos, rdf.PPos, rdf.OPos} {
+		for _, name := range v.Files(tp, pos, g.Dict) {
+			for node := 0; node < v.Nodes(); node++ {
+				f, ok := v.Open(node, name)
+				if !ok {
+					continue
+				}
+				whole := f.Part(f.Parts()-1, rdf.NoTerm, rdf.NoTerm)
+				cuts := []rdf.TermID{rdf.NoTerm}
+				for i := whole.Lo; i < whole.Hi; i += 1 + (whole.Hi-whole.Lo)/4 {
+					if k := f.Key(whole, i); k > cuts[len(cuts)-1] {
+						cuts = append(cuts, k)
+					}
+				}
+				cuts = append(cuts, rdf.NoTerm)
+				rows := 0
+				for j := 1; j < len(cuts); j++ {
+					rows += f.Rows(cuts[j-1], cuts[j])
+				}
+				if rows != f.NumRows() {
+					t.Errorf("node %d, %s cut at %v: %d rows over the ranges, %d in the file", node, name, cuts, rows, f.NumRows())
+				}
+				s, o := rdf.NoTerm, rdf.NoTerm
+				if whole.Hi > whole.Lo {
+					if first, second := dstore.Cells(whole.F.Keys()[whole.Lo]); whole.Obj {
+						s, o = second, first
+					} else {
+						s, o = first, second
+					}
+				}
+				for _, c := range [][2]rdf.TermID{{rdf.NoTerm, rdf.NoTerm}, {s, rdf.NoTerm}, {rdf.NoTerm, o}} {
+					for i := 0; i < f.Parts(); i++ {
+						r := f.Part(i, c[0], c[1])
+						at := r.Lo
+						for j := 1; j < len(cuts); j++ {
+							lo, hi := cuts[j-1], cuts[j]
+							w := f.Within(r, lo, hi)
+							if w.F != r.F || w.Obj != r.Obj || w.Lo != at || w.Hi < w.Lo {
+								t.Fatalf("node %d, %s part %d, constants %v: range [%d, %d) reads rows [%d, %d), want from %d", node, name, i, c, lo, hi, w.Lo, w.Hi, at)
+							}
+							for row := w.Lo; row < w.Hi; row++ {
+								if k := f.Key(r, row); k < lo || hi != rdf.NoTerm && k >= hi {
+									t.Fatalf("node %d, %s part %d, constants %v: row %d's key %d is outside [%d, %d)", node, name, i, c, row, k, lo, hi)
+								}
+							}
+							at = w.Hi
+						}
+						if at != r.Hi {
+							t.Fatalf("node %d, %s part %d, constants %v: the ranges end at row %d, the run at %d", node, name, i, c, at, r.Hi)
+						}
+						checked++
+					}
+				}
+			}
+		}
+	}
+	if checked < 100 {
+		t.Fatalf("%d runs checked, want 100 or more", checked)
+	}
+}
