@@ -67,9 +67,11 @@ func (t *Loser) Next(done bool, tie func(i, j int) int) {
 	if done {
 		t.Key[w], t.done[w] = math.MaxUint64, 1
 	}
+	kw := t.Key[w]
 	for j := (int(w) + len(t.node)) / 2; j > 0; j /= 2 {
-		if t.before(t.node[j], w, tie) {
-			t.node[j], w = w, t.node[j]
+		// Unequal keys decide a match in line; before decides a tie.
+		if o := t.node[j]; t.Key[o] < kw || t.Key[o] == kw && t.before(o, w, tie) {
+			t.node[j], w, kw = w, o, t.Key[o]
 		}
 	}
 	t.node[0] = w
