@@ -63,18 +63,19 @@ func (t *Loser) Top() int {
 // the head its Key now holds, or past its last when done; tie is
 // Build's.
 func (t *Loser) Next(done bool, tie func(i, j int) int) {
-	w := t.node[0]
+	node, key := t.node, t.Key
+	w := node[0]
 	if done {
-		t.Key[w], t.done[w] = math.MaxUint64, 1
+		key[w], t.done[w] = math.MaxUint64, 1
 	}
-	kw := t.Key[w]
-	for j := (int(w) + len(t.node)) / 2; j > 0; j /= 2 {
+	kw := key[w]
+	for j := (int(w) + len(node)) / 2; j > 0; j /= 2 {
 		// Unequal keys decide a match in line; before decides a tie.
-		if o := t.node[j]; t.Key[o] < kw || t.Key[o] == kw && t.before(o, w, tie) {
-			t.node[j], w, kw = w, o, t.Key[o]
+		if o := node[j]; key[o] < kw || key[o] == kw && t.before(o, w, tie) {
+			node[j], w, kw = w, o, key[o]
 		}
 	}
-	t.node[0] = w
+	node[0] = w
 }
 
 // before reports whether run i's head comes before run j's. A done run's

@@ -229,12 +229,12 @@ func (c *ExecContext) buildMorsels(level []*Info) {
 }
 
 // addMorsels adds node's morsels of mo.in, each reading at most M rows
-// of one input plus one key's run: a key range of a reduce join's
-// re-read output, of one partition file of a scan, or of the first input
-// of a map join whose inputs all read files placed by the cell it merges
-// on, found in each by binary search (one morsel otherwise). A scan
-// whose constants miss the dictionary has none. The ranges of a file, or
-// of a map join, partition its keys, so their counts add up to one's.
+// of a run plus one key's run: a key range of a reduce join's re-read
+// output, of one partition file of a scan, or of the largest run any
+// input of a map join reads, when they all read files placed by the
+// cell it merges on, found in each by binary search (one morsel
+// otherwise). A scan whose constants miss the dictionary has none. The
+// ranges partition a file's, or a map join's, keys: counts add up.
 func (c *ExecContext) addMorsels(node int, mo mapMorsel) {
 	in, k := mo.in, &c.consts[mo.in.ID]
 	switch {
@@ -249,21 +249,21 @@ func (c *ExecContext) addMorsels(node int, mo mapMorsel) {
 			}
 		}
 	case in.Kind == KindMapJoin:
-		f, r := partition.File{}, partition.Run{}
-		keyed := in.join.merge
+		f, r, keyed := partition.File{}, partition.Run{}, in.join.merge
 		for i, sp := range in.scans {
 			keyed = keyed && sp.varPos[in.join.keyCols[i]] == c.view.ScanPos(sp.pos)
-		}
-		if k := &c.consts[in.scans[0].id]; keyed && !k.absent {
-			for _, name := range c.fileNames(c.arenas[0], in.scans[0]) {
-				for g, ok := c.view.Open(node, name); ok; ok = false {
-					for i := 0; i < g.Parts(); i++ {
-						if s := g.Part(i, k.ids[rdf.SPos], k.ids[rdf.OPos]); s.Hi-s.Lo > r.Hi-r.Lo {
+			for _, name := range c.fileNames(c.arenas[0], sp) {
+				for g, ok := c.view.Open(node, name); ok && !c.consts[sp.id].absent; ok = false {
+					for p, ids := 0, c.consts[sp.id].ids; p < g.Parts(); p++ {
+						if s := g.Part(p, ids[rdf.SPos], ids[rdf.OPos]); s.Hi-s.Lo > r.Hi-r.Lo {
 							f, r = g, s
 						}
 					}
 				}
 			}
+		}
+		if !keyed {
+			r = partition.Run{}
 		}
 		c.cutMorsels(node, mo, f, r)
 	}

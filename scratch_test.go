@@ -9,19 +9,19 @@ import (
 // scratchRetentionCeiling bounds what a context's scratch keeps after
 // many different executions, relative to the most any single one of
 // them leaves on a fresh engine (measured 1.000 at one lane and at two,
-// LUBM at 20 universities: Q1's own temporaries and outputs, since every
-// unit is bounded a key range of at most M rows of its first input with
-// its answer part packed every M rows beside its raw rows, and its packed
-// parts beside the answer; 1.000 when its map join was one unit per node
-// and its raw answer part sat beside its scans; 1.32 at one lane when the answer was merged as it was read, so Q5's
-// shuffle set the outputs; 1.000 with Q5 the hungriest; 1.03 and
-// 1.05 when map joins built hash tables and Q11's were the largest
-// temporary; 0.90 and 0.70–0.89 with a
-// first-fit pool whose layout followed the schedule, 1.00 and 1.12–1.15
-// when arena scratch lived the whole execution and freed pieces did not
-// merge, 0.97–1.10 before each tuple was held once; 2.1 at 200
-// universities and two lanes when every scratch position kept its own
-// largest-ever array).
+// LUBM at 20 universities: Q1's own temporaries and outputs, every unit
+// bounded to a key range of at most M rows of its largest input run and
+// its answer packed as a part every M rows beside its raw rows, its
+// packed parts beside the answer; 1.000 when its map join was one unit
+// per node and its raw answer part sat beside its scans; 1.32 at one
+// lane when the answer was merged as it was read, so Q5's shuffle set
+// the outputs; 1.000 with Q5 the hungriest; 1.03 and 1.05 when map joins
+// built hash tables and Q11's were the largest temporary; 0.90 and
+// 0.70–0.89 with a first-fit pool whose layout followed the schedule,
+// 1.00 and 1.12–1.15 when arena scratch lived the whole execution and
+// freed pieces did not merge, 0.97–1.10 before each tuple was held once;
+// 2.1 at 200 universities and two lanes when every scratch position kept
+// its own largest-ever array).
 const scratchRetentionCeiling = 1.25
 
 // TestScratchHoldsOneExecution pins what a warm execution context keeps:
