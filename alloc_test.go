@@ -139,6 +139,7 @@ const (
 	// (what the hungriest query occupied, 0.88 MB: 5.5 B/triple), and
 	// under 2 of cached plans and statistics catalog, whose 20 patterns
 	// keep counts, not bindings: 12.7 KB, 0.08 B/triple, at any scale.
+	// Since every unit is bounded it reads 40.4, the pool 0.52 MB.
 	// Reads build nothing in the store, whose files are sorted and carry
 	// no index. It read 47.3, the pool 1.60 MB, while a shuffled tuple had
 	// a 24-byte record and the last job's raw rows waited for the final
