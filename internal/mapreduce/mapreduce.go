@@ -475,8 +475,8 @@ type run struct {
 	off, n uint32
 }
 
-// Emitter is a lane's handle on the shuffle while it runs one map
-// morsel. The runtime keeps one per lane and retargets it per unit.
+// Emitter is a lane's handle on the run — its shuffle and its sink —
+// while it runs one unit. The runtime keeps one per lane, retargeted.
 type Emitter struct {
 	sc      *Scratch // the run: its cluster size, job and pool, whose top the buckets are carved from
 	lane    int      // the lane it is the handle of
