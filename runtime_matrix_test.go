@@ -60,35 +60,37 @@ func TestMorselDeterminismMatrix(t *testing.T) {
 		return r
 	}
 
-	// Every unit bound M — one row, a few, the production bound, none —
-	// at every lane count, through a reused and through fresh contexts,
+	// At every lane count, through a reused and through fresh contexts,
+	// every unit bound M — one row, a few, the production bound, none —
 	// must reproduce the seed pins.
 	var d pinDrift
-	for _, bound := range []int{1, 7, mapreduce.UnitRows, math.MaxInt} {
-		for _, lanes := range []int{1, 2, 4} {
-			for _, mode := range []string{"pooled", "fresh"} {
-				t.Run(fmt.Sprintf("M=%d/lanes=%d/%s", min(bound, 1<<20), lanes, mode), func(t *testing.T) {
-					defer func(m int) { mapreduce.UnitRows = m }(mapreduce.UnitRows)
-					mapreduce.UnitRows = bound
-					var shared *physical.ExecContext
-					if mode == "pooled" {
-						shared = physical.NewExecContext(lanes, cfg.Constants)
-					}
-					for i, pp := range plans {
-						ctx := shared
-						if ctx == nil {
-							ctx = physical.NewExecContext(lanes, cfg.Constants)
+	for _, lanes := range []int{1, 2, 3, 4} {
+		for _, mode := range []string{"pooled", "fresh"} {
+			t.Run(fmt.Sprintf("par=%d/%s", lanes, mode), func(t *testing.T) {
+				for _, bound := range []int{1, 7, mapreduce.UnitRows, math.MaxInt} {
+					t.Run(fmt.Sprintf("M=%d", min(bound, 1<<20)), func(t *testing.T) {
+						defer func(m int) { mapreduce.UnitRows = m }(mapreduce.UnitRows)
+						mapreduce.UnitRows = bound
+						var shared *physical.ExecContext
+						if mode == "pooled" {
+							shared = physical.NewExecContext(lanes, cfg.Constants)
 						}
-						r, pin := execute(ctx, pp), golden[queries[i].Name]
-						if h := hashRows(r.Rows); len(r.Rows) != pin.Rows || h != pin.RowHash {
-							t.Errorf("%s: %d rows, hash %s; pinned %d rows, hash %s", queries[i].Name, len(r.Rows), h, pin.Rows, pin.RowHash)
+						for i, pp := range plans {
+							ctx := shared
+							if ctx == nil {
+								ctx = physical.NewExecContext(lanes, cfg.Constants)
+							}
+							r, pin := execute(ctx, pp), golden[queries[i].Name]
+							if h := hashRows(r.Rows); len(r.Rows) != pin.Rows || h != pin.RowHash {
+								t.Errorf("%s: %d rows, hash %s; pinned %d rows, hash %s", queries[i].Name, len(r.Rows), h, pin.Rows, pin.RowHash)
+							}
+							if err := d.check(r.Jobs, pin.Jobs); err != nil {
+								t.Errorf("%s: %v", queries[i].Name, err)
+							}
 						}
-						if err := d.check(r.Jobs, pin.Jobs); err != nil {
-							t.Errorf("%s: %v", queries[i].Name, err)
-						}
-					}
-				})
-			}
+					})
+				}
+			})
 		}
 	}
 }
