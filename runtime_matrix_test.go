@@ -68,7 +68,11 @@ func TestMorselDeterminismMatrix(t *testing.T) {
 		for _, mode := range []string{"pooled", "fresh"} {
 			t.Run(fmt.Sprintf("par=%d/%s", lanes, mode), func(t *testing.T) {
 				for _, bound := range []int{1, 7, mapreduce.UnitRows, math.MaxInt} {
-					t.Run(fmt.Sprintf("M=%d", min(bound, 1<<20)), func(t *testing.T) {
+					name := fmt.Sprintf("M=%d", bound)
+					if bound == math.MaxInt {
+						name = "M=unbounded"
+					}
+					t.Run(name, func(t *testing.T) {
 						defer func(m int) { mapreduce.UnitRows = m }(mapreduce.UnitRows)
 						mapreduce.UnitRows = bound
 						var shared *physical.ExecContext
