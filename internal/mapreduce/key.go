@@ -175,6 +175,37 @@ func sortRun(r *run, cells []rdf.TermID, m Mem) {
 // place is one tuple in the shuffle: tuple pos of run run of bucket buf.
 type place struct{ buf, run, pos uint32 }
 
+// cutRanges appends to cuts where key ranges 1 to lanes-1 of the total
+// tuples routed to dest start: range k at the weighted median (weights:
+// run lengths) of every run's tuple at its k-th share, so the ranges are
+// about even whether runs span the node's keys or tile them, as bounded
+// map units of one file do. Candidates are carved from m.
+func cutRanges(bk []bucket, dest, n, lanes, total int, cuts []place, m Mem) []place {
+	g, runs := Groups{bk: bk}, 0
+	for b := dest; b < len(bk); b += n {
+		runs += len(bk[b].runs)
+	}
+	at := Carve[cursor](m, runs)
+	for k := 1; k < lanes && total > 0; k++ {
+		at = at[:0]
+		for b := dest; b < len(bk); b += n {
+			for i, r := range bk[b].runs {
+				if r.n > 0 {
+					at = append(at, cursor{place: place{buf: uint32(b), run: uint32(i), pos: uint32(k * int(r.n) / lanes)}, end: r.n})
+				}
+			}
+		}
+		slices.SortFunc(at, func(x, y cursor) int { return g.compare(x.place, y.place) })
+		for i, w := 0, 0; ; i++ {
+			if w += int(at[i].end); 2*w >= total {
+				cuts = append(cuts, at[i].place)
+				break
+			}
+		}
+	}
+	return cuts
+}
+
 // cursor is a reducer's place in one run routed to its node: the next
 // tuple it merges, and the end of its key range in the run.
 type cursor struct {

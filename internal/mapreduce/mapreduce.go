@@ -632,26 +632,17 @@ func (sc *Scratch) mapUnit(i, lane int) {
 	sc.Bufs.empty(lane)
 }
 
-func (sc *Scratch) cutDest(dest, _ int) {
-	// Cut at the keys of even shares of the largest run: its keys stand
-	// for the node's, and equal keys fall in one range.
-	total, big := 0, place{}
-	var most uint32
+func (sc *Scratch) cutDest(dest, lane int) {
+	total := 0
 	for b := dest; b < len(sc.buckets); b += sc.n {
-		for k, r := range sc.buckets[b].runs {
-			if total += int(r.n); r.n > most {
-				most, big = r.n, place{buf: uint32(b), run: uint32(k)}
-			}
+		for _, r := range sc.buckets[b].runs {
+			total += int(r.n)
 		}
 	}
 	_, shufM, _ := phases(sc.meters, false)
 	shufM[dest].Shuffle(total)
-	cuts, lanes := sc.cuts[dest][:0], len(sc.lanes)
-	for k := 1; k < lanes && most > 0; k++ {
-		big.pos = uint32(k * int(most) / lanes)
-		cuts = append(cuts, big)
-	}
-	sc.cuts[dest] = cuts
+	sc.cuts[dest] = cutRanges(sc.buckets, dest, sc.n, len(sc.lanes), total, sc.cuts[dest][:0], sc.mem(lane))
+	sc.Bufs.empty(lane)
 }
 
 func (sc *Scratch) reduceUnit(i, lane int) {
