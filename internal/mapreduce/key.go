@@ -176,10 +176,9 @@ func sortRun(r *run, cells []rdf.TermID, m Mem) {
 type place struct{ buf, run, pos uint32 }
 
 // cutRanges appends to cuts where key ranges 1 to lanes-1 of the total
-// tuples routed to dest start: range k at the weighted median (weights:
-// run lengths) of every run's tuple at its k-th share, so the ranges are
-// about even whether runs span the node's keys or tile them, as bounded
-// map units of one file do. Candidates are carved from m.
+// tuples routed to dest start: range k at the weighted median, by run
+// length, of every run's tuple at its k-th share — about even whether
+// runs span the node's keys or tile them. Candidates are carved from m.
 func cutRanges(bk []bucket, dest, n, lanes, total int, cuts []place, m Mem) []place {
 	g, runs := Groups{bk: bk}, 0
 	for b := dest; b < len(bk); b += n {

@@ -3,15 +3,13 @@ package mapreduce
 import "math"
 
 // Loser is a tree of losers (Knuth, TAOCP vol. 3, §5.4.1) over k sorted
-// runs: it finds the run whose head comes first, and after that head
-// moves on finds the next in O(log k) comparisons, one match per level.
-// Heads compare by Key — an integer per run, ordered as the heads are as
-// far as it goes — then, on equal keys, by the tie function Build and
-// Next are handed (nil: equal keys are equal heads), then by run: a tie goes to the earlier run, so
-// a merge is stable. It is the one k-way merge: the reducer's over the
-// sorted runs routed to its node (Groups.Each), the answer's over the
-// last job's packed parts. Its state is carved from the Mem Start is
-// given, so merging allocates nothing.
+// runs: the run whose head comes first, and after that head moves on
+// the next, in O(log k) comparisons. Heads compare by Key, an integer
+// per run ordered as the heads are as far as it goes, then by the tie
+// function Build and Next are handed (nil: equal keys are equal heads),
+// then by run, the earlier first, so a merge is stable. It is the one
+// k-way merge: the reducer's (Groups.Each) and the answer's. Its state
+// is carved from the Mem Start is given: merging allocates nothing.
 type Loser struct {
 	// Key is each run's head, as far as an integer orders it; the merge
 	// sets a run's before Build and after its head moves on, before Next.

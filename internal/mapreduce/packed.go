@@ -51,6 +51,9 @@ func (k *Packer) Start(width int, data []byte, restarts []uint32) {
 func (k *Packer) Put(prev, row Row, coded []byte) {
 	switch i := k.N; {
 	case i%PackRestart == 0:
+		if len(k.Data) > math.MaxUint32 {
+			panic("mapreduce: packing 4 GiB of rows")
+		}
 		k.Restarts[i/PackRestart] = uint32(len(k.Data))
 		k.Data = appendRow(k.Data, prev, row, i)
 	case coded != nil:
