@@ -113,63 +113,26 @@ func compareKeys(a *run, ac []rdf.TermID, i int, b *run, bc []rdf.TermID, j int)
 }
 
 // sortRuns is the map side of the shuffle: it sorts the tuples of every
-// run the buckets hold into canonical key order, stably, in place, with
-// scratch carved from m (the lane's arena). A run already in order — a
+// run the buckets hold into canonical key order, stably, in place
+// (SortRows, its scratch carved from m, the lane's arena): by the first
+// key cell byte-swapped, then compareKeys. A run already in order — a
 // scan keyed on the column its file is sorted by — is left as it is.
 func sortRuns(bk []bucket, m Mem) {
 	for b := range bk {
 		cells := bk[b].cells
 		for k := range bk[b].runs {
-			if r := &bk[b].runs[k]; !sortedRun(r, cells) {
-				sortRun(r, cells, m)
+			r := &bk[b].runs[k]
+			if r.nkey == 0 {
+				continue // one key: the group
 			}
+			var tie func(i, j int) int
+			if r.nkey > 1 {
+				tie = func(i, j int) int { return compareKeys(r, cells, i, r, cells, j) }
+			}
+			key := func(i int) uint32 { return bits.ReverseBytes32(r.keyCell(cells, i, 0)) }
+			SortRows(cells[r.off:], int(r.n), r.stride(), key, tie, m)
 		}
 	}
-}
-
-// sortedRun reports whether run r's tuples are in key order.
-func sortedRun(r *run, cells []rdf.TermID) bool {
-	if r.nkey == 0 {
-		return true // one key: the group
-	}
-	for i, p := 1, r.prefix(cells, 0); i < int(r.n); i++ {
-		q := r.prefix(cells, i)
-		if q < p || q == p && r.nkey > 1 && compareKeys(r, cells, i-1, r, cells, i) > 0 {
-			return false
-		}
-		p = q
-	}
-	return true
-}
-
-// sortRun sorts run r's tuples stably by key: it sorts one word per
-// tuple — the first key cell byte-swapped over the tuple's number — and
-// gathers the tuples in that order into a copy, copied back.
-func sortRun(r *run, cells []rdf.TermID, m Mem) {
-	n, s := int(r.n), r.stride()
-	keys := Carve[uint64](m, n)
-	for i := range keys {
-		keys[i] = uint64(bits.ReverseBytes32(r.keyCell(cells, i, 0)))<<32 | uint64(i)
-	}
-	if r.nkey == 1 {
-		slices.Sort(keys)
-	} else {
-		slices.SortFunc(keys, func(x, y uint64) int {
-			if x>>32 == y>>32 {
-				if c := compareKeys(r, cells, int(uint32(x)), r, cells, int(uint32(y))); c != 0 {
-					return c
-				}
-			}
-			return cmp.Compare(x, y)
-		})
-	}
-	tuples := cells[r.off : int(r.off)+n*s]
-	tmp := Carve[rdf.TermID](m, n*s)
-	for j, k := range keys {
-		i := int(uint32(k))
-		copy(tmp[j*s:(j+1)*s], tuples[i*s:(i+1)*s])
-	}
-	copy(tuples, tmp)
 }
 
 // place is one tuple in the shuffle: tuple pos of run run of bucket buf.

@@ -27,9 +27,10 @@
 // side and merged at the reducer: an emitted tuple is its key cells but
 // the first (a row cell) and its row cells, written once, at emission,
 // into the bucket of its (morsel, destination), under one header per run
-// of one shape; as the morsel ends, each run is sorted by key in place,
-// and a reducer merges the sorted runs routed to its node through a tree
-// of losers (Loser), ties broken by (source node, morsel, emission).
+// of one shape; as the morsel ends, each run is sorted by key in place
+// by SortRows, the one row sort, and a reducer merges the sorted runs
+// routed to its node through a tree of losers (Loser), the one merge,
+// ties broken by (source node, morsel, emission).
 // Nothing is kept per tuple but its cells, and no array holds a pointer.
 // A finished answer is a Packed: sorted distinct rows gap-coded against
 // each other, decoded as read.
@@ -296,37 +297,35 @@ type JobStats struct {
 	Time          float64 // init + map + shuffle + reduce
 }
 
-// JobRecord is what one executed job metered: its per-node tuple counts
-// for every phase plus the job's integer counters — all that JobStats
-// and the total-work sum are folded from. Replaying a record
-// (Cluster.Replay) puts it through the same fold as the live run, so
-// the replayed JobStats are bit-identical without running any
-// map/shuffle/reduce work: the result cache serves answers with stats
-// indistinguishable from an uncached run. Counts depend neither on the
-// lane count nor on the cost constants, which price them when folded.
-//
-// A record excludes the job name, which is query-dependent; Replay
-// takes the name to stamp on the stats.
+// JobRecord is what one executed job came to: its JobStats, priced, and
+// its share of the total work. Replay logs them as the live run did, so
+// the result cache serves answers with stats bit-identical to an
+// uncached run without running the job. Neither depends on the lanes;
+// both are priced with the recording cluster's cost constants, so a
+// record replays only where those hold (the engine's own cache). The
+// query-dependent job name is left unset: Replay stamps one.
 type JobRecord struct {
-	stats  JobStats // MapOnly and the counters; name and times unset
-	meters []Meter  // the job's meter table (see phases)
+	stats JobStats // priced; name unset
+	work  float64  // the job's share of the total work
 }
 
-// MemBytes estimates the record's resident size for cache accounting.
-func (r *JobRecord) MemBytes() int64 {
-	return 256 + int64(unsafe.Sizeof(Meter{}))*int64(len(r.meters))
-}
+// MemBytes is the record's resident size for cache accounting: the
+// struct alone, its name unset.
+func (r *JobRecord) MemBytes() int64 { return int64(unsafe.Sizeof(*r)) }
 
-// Replay appends a job to the cluster's stats as if the recorded job
-// had just run: JobStats (under the given name) and the total-work sum
-// come out of the same fold as an actual execution, priced with this
-// cluster's cost constants. The node count comes from the record
-// itself, so a replay stays faithful even after the live cluster was
-// resized.
+// Replay logs the recorded job as if it had just run, under name.
 func (cl *Cluster) Replay(name string, r *JobRecord) JobStats {
 	stats := r.stats
 	stats.Name = name
-	return cl.fold(stats, r.meters)
+	return cl.log(stats, r.work)
+}
+
+// log appends a job's stats and work share to the cluster's log: live
+// runs and replays alike.
+func (cl *Cluster) log(stats JobStats, work float64) JobStats {
+	cl.totalWork += work
+	cl.Jobs = append(cl.Jobs, stats)
+	return stats
 }
 
 // phases splits a job's meter table — one meter per node for the map
@@ -342,12 +341,10 @@ func phases(meters []Meter, mapOnly bool) (mapM, shufM, redM []Meter) {
 
 // fold prices a job's meter table with the cost constants — the one
 // place they are applied — and turns it, plus the integer counters
-// already in stats, into the job's JobStats and total-work sum, and
-// logs the job. Phase times are maxima over nodes; work sums the map
-// totals in node order, then per node the shuffle and reduce totals,
-// then the job-init cost. Live runs and replays both end here, so
-// their floating-point results agree bit for bit.
-func (cl *Cluster) fold(stats JobStats, meters []Meter) JobStats {
+// already in stats, into the job's JobStats and total-work share. Phase
+// times are maxima over nodes; work sums the map totals in node order,
+// then per node the shuffle and reduce totals, then the job-init cost.
+func (cl *Cluster) fold(stats JobStats, meters []Meter) (JobStats, float64) {
 	c := &cl.C
 	work := 0.0
 	peak := func(phase *float64, m *Meter) {
@@ -368,10 +365,7 @@ func (cl *Cluster) fold(stats JobStats, meters []Meter) JobStats {
 		peak(&stats.ReduceTime, &redM[i])
 	}
 	stats.Time = c.JobInit + stats.MapTime + stats.ShuffleTime + stats.ReduceTime
-	work += c.JobInit
-	cl.totalWork += work
-	cl.Jobs = append(cl.Jobs, stats)
-	return stats
+	return stats, work + c.JobInit
 }
 
 // Cluster is a simulated MapReduce cluster of Nodes nodes.
@@ -401,7 +395,7 @@ type RunOptions struct {
 	Pool *Pool
 	// Scratch, if non-nil, provides the reusable buffers.
 	Scratch *Scratch
-	// Record, if non-nil, is filled with what the job metered (see
+	// Record, if non-nil, is filled with what the job came to (see
 	// JobRecord). It shares nothing with Scratch, so it outlives the
 	// run and any Scratch reuse.
 	Record *JobRecord
@@ -802,11 +796,12 @@ func (cl *Cluster) RunWith(job Job, opts RunOptions) *Output {
 	}
 	stats.Output += out.Len()
 
+	stats, work := cl.fold(stats, sc.meters)
 	if rec := opts.Record; rec != nil {
-		*rec = JobRecord{stats: stats, meters: slices.Clone(sc.meters)}
+		*rec = JobRecord{stats: stats, work: work}
 		rec.stats.Name = ""
 	}
-	cl.fold(stats, sc.meters)
+	cl.log(stats, work)
 	sc.drop()
 	sc.job = Job{}
 	return out

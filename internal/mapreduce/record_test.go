@@ -204,9 +204,6 @@ func TestCountsAreOrderFree(t *testing.T) {
 			if got := cl.Jobs[0]; !reflect.DeepEqual(got, want) {
 				t.Fatalf("trial %d, %d lanes: stats %+v, want the summed counts priced once: %+v", trial, lanes, got, want)
 			}
-			if !reflect.DeepEqual(rec.meters, sums) {
-				t.Fatalf("trial %d, %d lanes: recorded %+v, want %+v", trial, lanes, rec.meters, sums)
-			}
 			if got := NewCluster(1, c).Replay(job.Name, rec); !reflect.DeepEqual(got, want) {
 				t.Fatalf("trial %d, %d lanes: replayed %+v, want %+v", trial, lanes, got, want)
 			}

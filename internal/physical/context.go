@@ -31,15 +31,15 @@ import (
 // morsel ends: the blocks it fills one at a time (scan and map-join
 // blocks, a reduce join's rows in a key range, a last-job unit's raw
 // rows, flushed every M rows) grow in place at the arena's bottom, its
-// counted temporaries (a reduce group's inputs and merge state, a join
-// input's sort, a map morsel's run sort) come from its top, and a part
-// is packed between the two. A morsel reads at most M rows of one input
-// plus one key's run, so an arena holds one bounded unit. The outputs
-// (intermediate relations, each carved once at its row count as its key
-// range ends, the answer's packed parts and the answer merged from them)
-// last until release, at the end of Run (also when its consumer panics),
-// drops every header and resets the scratch; the shuffle's buckets last
-// their job. The scratch keeps the lanes times the most a morsel held at
+// counted temporaries (a reduce group's inputs and merge state, and the
+// scratch of mapreduce.SortRows as it sorts a join input, a map morsel's
+// runs or a part) come from its top, and a part is packed between the
+// two. A morsel reads at most M rows of one input plus one key's run, so
+// an arena holds one bounded unit. The outputs (intermediate relations,
+// each carved once at its row count as its key range ends, the answer's
+// packed parts and the answer merged from them) last until release, at
+// the end of Run (also when its consumer panics), drops every header and
+// resets the scratch; the shuffle's buckets last their job. The scratch keeps the lanes times the most a morsel held at
 // once plus the most the outputs held at once — a function of plan, data
 // and lane count, never of the schedule — and holds each tuple once.
 // Run lends the packed answer to its callback as a Rows, decoded as it
@@ -228,9 +228,7 @@ type arena struct {
 
 	at, lo, hi []int // per join child: the current row's cell offset, the current key's run
 
-	// sorts counts the join children that arrived out of key order
-	// (sortOn).
-	sorts int
+	sorts int // the join children that arrived out of key order (sortOn)
 
 	// scan file-name memo: partition-file resolution is pure per
 	// (property, class, replica position) within one pinned view, so the
@@ -244,10 +242,8 @@ type arena struct {
 	groupRels  []mapreduce.Block
 	joinInputs []mapreduce.Block
 
-	// parts are the answer's parts the lane's units packed (packPart),
-	// part the header of the rows it packs.
+	// parts are the answer's parts the lane's units packed (packPart).
 	parts []mapreduce.Packed
-	part  mapreduce.Block
 }
 
 // nextBlock hands out the morsel's next block, empty, for rows of the

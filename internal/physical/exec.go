@@ -58,8 +58,8 @@ func (c *ExecContext) sinkJob() {
 // touching the context's scratch; a miss runs every job recording and
 // copies the packed answer into the entry it admits. Rows and JobStats are
 // byte-identical either way. The cache must belong to the same engine
-// (same cluster geometry, partitioning and dictionary) as the view; the
-// counts it replays are priced with the context's cost constants.
+// (same cluster geometry, partitioning and dictionary) as the view, and
+// the stats it replays were priced with the same cost constants.
 func (c *ExecContext) Run(pp *Plan, view *partition.View, dict *rdf.Dict, cache *rescache.Cache, use func(res *Result, rows Rows) error) error {
 	defer c.release()
 	c.plan, c.view, c.dict = pp, view, dict

@@ -63,17 +63,18 @@ type joinCounts struct {
 // selection), and appends the output rows' cells, written directly in
 // output column order, to dst. It is a merge on the first join
 // attribute: every child is read in order of that column (a child out
-// of order is first sorted stably in place, sortOn: a join input's cells
-// are the join's to reorder), a cursor per child, and the cursor behind
-// the greatest key advances until all of them stand on one key; the runs
-// of that key then combine, child 0's outermost. Further join attributes
-// are residual checks. A child whose rows arrive in key order — every
-// stored file is sorted on its placed cell — keeps its order, so with
-// child 0 sorted the rows come out as a stream of child 0 probing the
-// others would emit them. With no join attribute, or one child, every
-// child is one run. Its rows are written once, as they are found: dst
-// grows as it takes them, in place when it is the last block at its
-// arena's bottom, which no sort disturbs — sortOn carves from the top.
+// of order is first sorted stably in place by mapreduce.SortRows, sortOn:
+// a join input's cells are the join's to reorder), a cursor per child,
+// and the cursor behind the greatest key advances until all of them
+// stand on one key; the runs of that key then combine, child 0's
+// outermost. Further join attributes are residual checks. A child whose
+// rows arrive in key order — every stored file is sorted on its placed
+// cell — keeps its order, so with child 0 sorted the rows come out as a
+// stream of child 0 probing the others would emit them. With no join
+// attribute, or one child, every child is one run. Its rows are written
+// once, as they are found: dst grows as it takes them, in place when it
+// is the last block at its arena's bottom, which no sort disturbs —
+// SortRows carves from the top.
 func (a *arena) naryJoinInto(dst *mapreduce.Block, children []mapreduce.Block, jp *joinPlan) joinCounts {
 	var counts joinCounts
 	empty := len(children) == 0
@@ -180,61 +181,15 @@ func combine(children []mapreduce.Block, lo, hi []int, i int, at []int, fn func(
 	}
 }
 
-// sortOn puts rel's rows in order of column col, stably and in place,
-// unless one pass finds them in order already; a.sorts counts the
-// relations it had to sort. A relation out of order arrives as a few
-// ascending runs (a variable-property scan reads one sorted file after
-// another), so adjacent runs are merged pairwise, a pass at a time,
-// through room of the relation's size carved from the lane's arena and
-// taken back at once; a tie takes the earlier run's row, which keeps
-// the order sort.Stable would.
+// sortOn puts rel's rows in order of column col, stably and in place
+// (mapreduce.SortRows, its scratch carved from the lane's arena's top and
+// taken back at once), unless they are in order already; a.sorts counts
+// the relations it had to sort.
 func (a *arena) sortOn(rel *mapreduce.Block, col int) {
-	w, n := rel.Width, rel.N
-	if runEnd(rel.Cells, w, col, 0, n) == n {
-		return
+	w, cells := rel.Width, rel.Cells
+	if mapreduce.SortRows(cells, rel.N, w, func(i int) uint32 { return uint32(cells[i*w+col]) }, nil, a.mem) {
+		a.sorts++
 	}
-	a.sorts++
-	mark := a.mem.Used()
-	src, dst := rel.Cells[:n*w], mapreduce.Carve[rdf.TermID](a.mem, n*w)
-	for merged := false; !merged; src, dst = dst, src {
-		for lo := 0; lo < n; {
-			mid := runEnd(src, w, col, lo, n)
-			hi := runEnd(src, w, col, mid, n)
-			mergeRuns(dst, src, w, col, lo, mid, hi)
-			merged, lo = lo == 0 && hi == n, hi
-		}
-	}
-	if &src[0] != &rel.Cells[0] {
-		copy(rel.Cells, src)
-	}
-	a.mem.Cut(mark)
-}
-
-// runEnd is where the ascending run of column col that starts at row lo
-// ends: the first row below the one before it, or n.
-func runEnd(cells []rdf.TermID, w, col, lo, n int) int {
-	r := min(lo+1, n)
-	for r < n && cells[r*w+col] >= cells[(r-1)*w+col] {
-		r++
-	}
-	return r
-}
-
-// mergeRuns merges src's ascending runs [lo, mid) and [mid, hi) into
-// dst's rows lo to hi-1, the earlier run's row first on a tie.
-func mergeRuns(dst, src []rdf.TermID, w, col, lo, mid, hi int) {
-	i, j, k := lo, mid, lo*w
-	for i < mid && j < hi {
-		if src[j*w+col] < src[i*w+col] {
-			k += copy(dst[k:], src[j*w:(j+1)*w])
-			j++
-		} else {
-			k += copy(dst[k:], src[i*w:(i+1)*w])
-			i++
-		}
-	}
-	k += copy(dst[k:], src[i*w:mid*w])
-	copy(dst[k:], src[j*w:hi*w])
 }
 
 // unionSchema returns the sorted union of the schemas.

@@ -2,8 +2,6 @@ package physical
 
 import (
 	"math/bits"
-	"slices"
-	"sort"
 
 	"cliquesquare/internal/mapreduce"
 	"cliquesquare/internal/rdf"
@@ -44,43 +42,29 @@ func rowPrefix(row mapreduce.Row) uint64 {
 }
 
 // packPart is the last job's sink: every M rows of a unit (or the rest,
-// as the unit ends), written into its lane's arena, are sorted in place,
-// their repeats dropped, and packed once into the arena's free room,
-// then copied into a part carved from the context's outputs at its size
-// and listed with the lane's parts — the raw rows go as the sink
-// returns.
+// as the unit ends), written into its lane's arena, are sorted in place
+// (mapreduce.SortRows: by the first cell, then compareRows), their
+// repeats dropped, and packed once into the arena's free room, then
+// copied into a part carved from the context's outputs at its size and
+// listed with the lane's parts — the raw rows go as the sink returns.
 func (c *ExecContext) packPart(lane int, raw mapreduce.Block) {
 	a := c.arenas[lane]
-	rows := &a.part // a header of the lane's: sorting through one allocates nothing
-	if *rows = raw; rows.Width == 1 {
-		slices.Sort(rows.Cells) // rows of one cell are the cells
-	} else {
-		sort.Sort((*partRows)(rows))
+	if raw.Width > 0 { // rows of width 0 are all equal
+		var tie func(i, j int) int
+		if raw.Width > 1 {
+			tie = func(i, j int) int { return compareRows(raw.Row(i), raw.Row(j)) }
+		}
+		mapreduce.SortRows(raw.Cells, raw.N, raw.Width, func(i int) uint32 { return uint32(raw.Cells[i*raw.Width]) }, tie, a.mem)
 	}
 	n := 0
-	for i := 0; i < rows.N; i++ {
-		if n == 0 || compareRows(rows.Row(i), rows.Row(n-1)) != 0 {
-			copy(rows.Row(n), rows.Row(i))
+	for i := 0; i < raw.N; i++ {
+		if n == 0 || compareRows(raw.Row(i), raw.Row(n-1)) != 0 {
+			copy(raw.Row(n), raw.Row(i))
 			n++
 		}
 	}
-	rows.N, rows.Cells = n, rows.Cells[:n*rows.Width]
-	a.parts = append(a.parts, mapreduce.PackBlock(&c.bufs, a.mem, rows))
-	*rows = mapreduce.Block{}
-}
-
-// partRows sorts a block's rows by swapping their cells (rows of width
-// 0 are all equal).
-type partRows mapreduce.Block
-
-func (b *partRows) Len() int                { return b.N }
-func (b *partRows) row(i int) mapreduce.Row { return (*mapreduce.Block)(b).Row(i) }
-func (b *partRows) Less(i, j int) bool      { return compareRows(b.row(i), b.row(j)) < 0 }
-func (b *partRows) Swap(i, j int) {
-	x, y := b.row(i), b.row(j)
-	for k := range x {
-		x[k], y[k] = y[k], x[k]
-	}
+	raw.N, raw.Cells = n, raw.Cells[:n*raw.Width]
+	a.parts = append(a.parts, mapreduce.PackBlock(&c.bufs, a.mem, &raw))
 }
 
 // mergeParts merges the last job's packed parts — each sorted and

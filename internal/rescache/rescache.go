@@ -1,14 +1,15 @@
 // Package rescache is the epoch-versioned result cache: a sharded,
 // byte-budgeted LRU (built on internal/plancache's sized mode) mapping
 // (plan key, DataVersion) to one whole answer — the plan's finished
-// rows plus what each of its MapReduce jobs metered
-// (mapreduce.JobRecord: its per-node tuple counts), in job order.
+// rows plus what each of its MapReduce jobs came to
+// (mapreduce.JobRecord: its priced JobStats and work share), in job
+// order.
 //
 // An intermediate job output exists only to feed the next job of the
 // same plan, so the cache keeps answers, not jobs: one entry and one
 // probe per execution. On a hit the execution runs no map/shuffle/reduce
 // work at all: it serves the cached rows read-only and replays every
-// record — prices its counts as a live run does — so rows AND simulated
+// record — logs its stats as a live run does — so rows AND simulated
 // JobStats are byte-identical to an uncached run. An entry owns what it
 // holds: its rows packed (mapreduce.Packed: each row gap-coded against
 // the one before it, a full row every 1,024) into one exactly sized
