@@ -20,7 +20,8 @@ import (
 // scheduled. A piece past an array comes from the Go heap, counted all
 // the same, and Reset grows the arrays to what was needed (to the
 // allocator's size class), never shrinking them. The zero value is
-// empty; a nil pool is the Go heap.
+// empty: it takes every piece from the Go heap, counted all the same,
+// until Reset sizes its arrays.
 type Bufs struct {
 	words []uint64 // the outputs
 	lanes []*Arena
@@ -49,7 +50,7 @@ type Arena struct {
 }
 
 // Mem is where a buffer is carved: the top of a lane's Arena, or the
-// bottom of a pool's outputs; a nil Bufs is the Go heap.
+// bottom of a pool's outputs.
 type Mem interface{ carve(words int) []uint64 }
 
 // Elem is what a scratch buffer holds: pointer-free elements.
@@ -147,10 +148,8 @@ func (p *Bufs) Lane(i int) *Arena {
 
 // empty takes back what lane's arena lends: its morsel has ended.
 func (p *Bufs) empty(lane int) {
-	if p != nil && lane < len(p.lanes) {
-		a := p.lanes[lane]
-		a.top, a.bottom, a.last = 0, 0, nil
-	}
+	a := p.lanes[lane]
+	a.top, a.bottom, a.last = 0, 0, nil
 }
 
 // top is a pool's outputs carved from their top.
@@ -163,9 +162,6 @@ func (t *top) carve(w int) []uint64  { return (*Bufs)(t).carveEnd(w, 32) }
 // (32), both ends in one atomic word: a piece is in the array if the
 // ends had not crossed when it was carved.
 func (p *Bufs) carveEnd(w int, shift int) []uint64 {
-	if p == nil {
-		return make([]uint64, w)
-	}
 	e := p.ends.Add(uint64(w) << shift)
 	lo, hi, out := int(uint32(e)), int(e>>32), p.words
 	switch {
@@ -193,11 +189,9 @@ func (p *Bufs) Spare() []byte {
 
 // endJob takes back the top: what the job alone read.
 func (p *Bufs) endJob() {
-	if p != nil {
-		e := p.ends.Load()
-		p.peak = max(p.peak, int(uint32(e))+int(e>>32))
-		p.ends.Store(uint64(uint32(e)))
-	}
+	e := p.ends.Load()
+	p.peak = max(p.peak, int(uint32(e))+int(e>>32))
+	p.ends.Store(uint64(uint32(e)))
 }
 
 // Reset takes every piece back, growing what the execution outgrew:

@@ -50,10 +50,10 @@ func sameMultiset(g Group, want []tuple) bool {
 	if g.Len() != len(want) {
 		return false
 	}
-	a, b := make([]string, g.Len()), make([]string, len(want))
-	for i := range a {
-		a[i] = tupleID(g.Record(i))
-		b[i] = tupleID(want[i].tag, want[i].row)
+	var a, b []string
+	g.Records(func(tag int, row Row) { a = append(a, tupleID(tag, row)) })
+	for _, tu := range want {
+		b = append(b, tupleID(tu.tag, tu.row))
 	}
 	sort.Strings(a)
 	sort.Strings(b)
@@ -90,7 +90,7 @@ func TestSortedGroupingMatchesReference(t *testing.T) {
 
 		gotOrder := []string{}
 		groups.Each(func(g Group) {
-			enc := encodeKey(g, 0)
+			enc := encodeKey(g)
 			gotOrder = append(gotOrder, enc)
 			want, ok := ref[enc]
 			if !ok {
@@ -102,11 +102,16 @@ func TestSortedGroupingMatchesReference(t *testing.T) {
 			if g.ID() != want[0].group || g.KeyLen() != len(want[0].cols) {
 				t.Fatalf("trial %d: group %q reports id %d and %d key cells", trial, enc, g.ID(), g.KeyLen())
 			}
-			for i := 0; i < g.Len(); i++ {
-				if encodeKey(g, i) != enc {
+			// A tuple's key cells are its row's leading cells.
+			g.Records(func(_ int, row Row) {
+				key := make([]uint32, g.KeyLen())
+				for k := range key {
+					key[k] = uint32(row[k])
+				}
+				if EncodeKey(int(g.ID()), key) != enc {
 					t.Fatalf("trial %d: group %q holds mixed keys", trial, enc)
 				}
-			}
+			})
 		})
 		if !reflect.DeepEqual(gotOrder, refOrder) {
 			t.Fatalf("trial %d: groups visited as %q, reference order wants %q", trial, gotOrder, refOrder)
@@ -153,17 +158,15 @@ func TestFlatShuffleMatchesReference(t *testing.T) {
 				},
 				ReduceRange: func(node, r, _, _ int, _ *Meter, groups *Groups, _ *Block) {
 					groups.Each(func(g Group) {
-						s := seen{enc: encodeKey(g, 0)}
-						for i := 0; i < g.Len(); i++ {
-							s.ids = append(s.ids, tupleID(g.Record(i)))
-						}
+						s := seen{enc: encodeKey(g)}
+						g.Records(func(tag int, row Row) { s.ids = append(s.ids, tupleID(tag, row)) })
 						sort.Strings(s.ids)
 						got[node][r] = append(got[node][r], s)
 					})
 				},
 			}
 			cl := wordCountCluster(nodes)
-			runOn(cl, lanes, job, nil)
+			runOn(t, cl, lanes, job, nil)
 			for node := 0; node < nodes; node++ {
 				ref := ReferenceGroups(perDest[node])
 				var want []seen
@@ -196,7 +199,7 @@ func TestFlatShuffleMatchesReference(t *testing.T) {
 func TestKeyPathAllocationFree(t *testing.T) {
 	row := Row{9, 8, 7, 6, 5, 4}
 	bk := make([]bucket, 7)
-	e := &Emitter{sc: &Scratch{n: 7}, unit: &slot{}, buckets: bk}
+	e := &Emitter{sc: &Scratch{n: 7, Bufs: new(Bufs)}, unit: &slot{}, buckets: bk}
 	for _, cols := range [][]int{{1}, {2, 0, 3}, {0, 1, 2, 3, 4, 5}} {
 		emit := func() {
 			for i := range bk {

@@ -96,8 +96,8 @@ func (r *run) sameKey(cells []rdf.TermID, i, j int) bool {
 // each key cell, as little-endian bytes, a shorter key before its
 // extensions. Byte-swapping a cell makes numeric order its bytes' order.
 // Meters are integer counts, so no sum depends on it; it fixes the order
-// groups reach a reducer in, and with it the order of every job output's
-// rows.
+// groups reach a reducer in, and with it the order of the rows every
+// reduce range writes.
 func compareKeys(a *run, ac []rdf.TermID, i int, b *run, bc []rdf.TermID, j int) int {
 	if a.group != b.group {
 		return cmp.Compare(bits.ReverseBytes32(a.group), bits.ReverseBytes32(b.group))
@@ -176,8 +176,8 @@ type cursor struct {
 }
 
 // stretch is a group's tuples in one run: tuples lo to hi-1 of run run
-// of bucket buf; at counts the group's tuples in the stretches before.
-type stretch struct{ buf, run, lo, hi, at uint32 }
+// of bucket buf.
+type stretch struct{ buf, run, lo, hi uint32 }
 
 // Groups is a reduce task's input: the sorted runs every map morsel
 // routed to one node, read in one key range of them, merged so that
@@ -294,7 +294,7 @@ func (g *Groups) Each(fn func(Group)) {
 					break
 				}
 			}
-			st = append(st, stretch{buf: c.buf, run: c.run, lo: lo, hi: c.pos, at: n})
+			st = append(st, stretch{buf: c.buf, run: c.run, lo: lo, hi: c.pos})
 			n += c.pos - lo
 			t.Next(c.pos == c.end, tie)
 			if i = t.Top(); i < 0 || t.Key[i] != key || !whole && g.compare(cur[i].place, first) != 0 {
@@ -346,8 +346,8 @@ func (g Group) KeyCell(i int) uint32 {
 // Len returns the number of records in the group.
 func (g Group) Len() int { return g.n }
 
-// Records calls fn(tag, row) for every record of the group in order, as
-// Record would hand them out one by one.
+// Records calls fn(tag, row) for every record of the group in order:
+// its input tag and its row, a view of the cells written at emission.
 func (g Group) Records(fn func(tag int, row Row)) {
 	for _, s := range g.st {
 		r, cells := &g.bk[s.buf].runs[s.run], g.bk[s.buf].cells
@@ -355,26 +355,4 @@ func (g Group) Records(fn func(tag int, row Row)) {
 			fn(int(r.tag), r.row(cells, int(i)))
 		}
 	}
-}
-
-// Record returns the i-th record of the group: its input tag and its
-// row, a view of the cells written at emission.
-func (g Group) Record(i int) (tag int, row Row) {
-	r, cells, at := g.at(i)
-	return int(r.tag), r.row(cells, at)
-}
-
-// at returns the run holding the group's i-th record, its bucket's cells
-// and the record's tuple number in the run.
-func (g Group) at(i int) (*run, []rdf.TermID, int) {
-	lo, hi := 0, len(g.st)
-	for hi-lo > 1 {
-		if mid := (lo + hi) / 2; int(g.st[mid].at) <= i {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	s := &g.st[lo]
-	return &g.bk[s.buf].runs[s.run], g.bk[s.buf].cells, int(s.lo) + i - int(s.at)
 }

@@ -36,11 +36,13 @@
 // each other, decoded as read.
 //
 // A Scratch holds the positions a run fills — buckets, range cuts, slot
-// tables and the per-node output blocks — and takes their bytes from its
-// Bufs pool, each piece filled once. A run's Output, and every view
-// Groups.Each hands a reducer, alias pool memory that the pool's Reset
-// takes back; whatever must outlive that is copied out by the caller, or
-// handed to the job's sink (Job.Sink) every M rows and as each unit ends.
+// tables and meters — and takes their bytes from its Bufs pool, each
+// piece filled once. A job keeps no output: as a Hadoop task hands its
+// rows to its one output collector, every unit of a job's output phase
+// hands its rows to the job's sink (Job.Sink), every M rows and as the
+// unit ends. Those rows, and every view Groups.Each hands a reducer,
+// alias pool memory that the run takes back; whatever must outlive that
+// the sink copies out.
 package mapreduce
 
 import (
@@ -236,21 +238,21 @@ const unitRows = 4096
 // Job describes one MapReduce job as independently schedulable morsels.
 //
 // MapMorsel runs MapMorsels(node) times per node; it may emit keyed
-// records into the shuffle (Emitter.Emit) and/or append rows to out,
-// the job's direct output (map-only output). Morsels of one node may
-// run on different lanes concurrently, so per-call scratch must be
-// indexed by the lane argument, and the concatenation of a node's
-// morsel emissions and outputs in morsel order must equal what one
-// per-node sweep would produce (that concatenation is exactly what the
-// runtime reconstructs); what the morsels count must add up to the
-// sweep's. ReduceRange — nil for a map-only job — runs over one
-// group-aligned key range of the records routed to a node, grouped by
-// exact key and presented in canonical key order through the Groups
-// iterator; ranges partition the node's canonical group order, at most
-// one per lane. A node's output is its ranges' out rows in range order,
-// as one sweep over the node's groups would write them. The closures
-// must count their work on the provided Meter, and write their output
-// rows by appending to out — the runtime counts them.
+// records into the shuffle (Emitter.Emit) and, in a map-only job, write
+// rows to out. Morsels of one node may run on different lanes
+// concurrently, so per-call scratch must be indexed by the lane
+// argument, and the concatenation of a node's morsel emissions and rows
+// in morsel order must equal what one per-node sweep would produce (the
+// shuffle reads the emissions in that order); what the morsels count
+// must add up to the sweep's. ReduceRange — nil for a map-only job —
+// runs over one group-aligned key range of the records routed to a
+// node, grouped by exact key and presented in canonical key order
+// through the Groups iterator; ranges partition the node's canonical
+// group order, at most one per lane, so a node's rows in range order are
+// what one sweep over its groups would write. The closures must count
+// their work on the provided Meter. out is the block the job's sink
+// takes: nil without a sink, and for the map morsels of a job with a
+// reduce phase.
 type Job struct {
 	Name string
 	// MapMorsels reports how many map morsels a node splits into (nil
@@ -262,18 +264,21 @@ type Job struct {
 	// ReduceRange runs one key range of a node's reduce input on a
 	// lane. ranges is the number of ranges the node was split into.
 	ReduceRange func(node, rng, ranges, lane int, m *Meter, groups *Groups, out *Block)
-	// Sink, if non-nil, takes the rows of every unit of the job's output
-	// phase — a map morsel of a map-only job, a reduce range otherwise —
-	// on its lane, every M rows (Block.Flush) and as the unit ends, and
-	// the job keeps no output: the unit writes into a block that grows at
-	// the bottom of its lane's arena, emptied as the sink takes it, and
-	// the runtime counts its rows as the job's output.
-	Sink func(lane int, rows Block)
+	// Sink, if non-nil, is the job's one exit: it takes the rows of every
+	// unit of the job's output phase — a map morsel of a map-only job, a
+	// reduce range otherwise — with the unit's node, on its lane, every M
+	// rows (Block.Flush) and as the unit ends. The unit writes into a
+	// block that grows at the bottom of its lane's arena, emptied as the
+	// sink takes it, so the sink copies what it keeps; the runtime counts
+	// the rows it took as the job's output.
+	Sink func(node, lane int, rows Block)
 }
 
 // ClassicJob adapts the classic MapReduce form — mapFn once per node,
 // reduce (nil for a map-only job) once per group routed to a node, in
-// canonical key order — to the morsel form.
+// canonical key order — to the morsel form. out is the block the job's
+// sink takes, as Job's is: nil for mapFn unless the job is map-only, and
+// always without a sink.
 func ClassicJob(name string, mapFn func(node int, m *Meter, emit *Emitter, out *Block), reduce func(node int, m *Meter, g Group, out *Block)) Job {
 	job := Job{Name: name, MapMorsel: func(node, _, _ int, m *Meter, emit *Emitter, out *Block) { mapFn(node, m, emit, out) }}
 	if reduce != nil {
@@ -293,7 +298,7 @@ type JobStats struct {
 	ReduceTime    float64
 	Shuffled      int     // tuples through the shuffle
 	ShuffledCells int     // total row cells through the shuffle (volume)
-	Output        int     // rows written to the job output
+	Output        int     // rows the job's sink took
 	Time          float64 // init + map + shuffle + reduce
 }
 
@@ -371,9 +376,9 @@ func (cl *Cluster) fold(stats JobStats, meters []Meter) (JobStats, float64) {
 // Cluster is a simulated MapReduce cluster of Nodes nodes.
 //
 // Phases run as morsels (RunWith), mirroring the real parallelism
-// CliqueSquare's flat plans exploit. Each morsel fills only private
-// buffers; the buffers are merged in canonical (node, morsel) order
-// afterwards, so outputs and JobStats do not depend on scheduling.
+// CliqueSquare's flat plans exploit. Each morsel counts on a meter of
+// its own, and the meters are summed as integers afterwards, so JobStats
+// do not depend on scheduling.
 type Cluster struct {
 	// Nodes is the number of nodes jobs run on. An executor sets it
 	// from the epoch it pins, so a concurrent resize cannot skew routing
@@ -388,12 +393,13 @@ type Cluster struct {
 }
 
 // RunOptions is what one RunWith call borrows from its caller. The zero
-// value means: one inline lane, per-run buffers, no record.
+// value means: one inline lane, a scratch of the run's own, no record.
 type RunOptions struct {
 	// Pool supplies the worker lanes: the job runs on Pool.Lanes() of
 	// them, and a nil pool is one lane, inline on the caller.
 	Pool *Pool
-	// Scratch, if non-nil, provides the reusable buffers.
+	// Scratch, if non-nil, provides the reusable buffers; nil is a
+	// scratch whose empty Bufs takes every piece from the Go heap.
 	Scratch *Scratch
 	// Record, if non-nil, is filled with what the job came to (see
 	// JobRecord). It shares nothing with Scratch, so it outlives the
@@ -404,12 +410,10 @@ type RunOptions struct {
 // slot is the private state of one schedulable unit — a map morsel or
 // a reduce key range: whose it is, what it metered and what it
 // produced. A unit writes only its own slot, so lanes share no mutable
-// state; merging slots in table order is merging in canonical (node,
-// index) order.
+// state.
 type slot struct {
 	node, idx, of int    // the node, and the unit's index among that node's of units
 	meter         Meter  // what the unit counted
-	out           Block  // rows written, unless the unit writes the node output directly
 	count, cells  int    // tuples and row cells emitted into the shuffle
 	sinks         bool   // the job's sink takes the unit's rows
 	sunk          int    // rows it took
@@ -417,14 +421,14 @@ type slot struct {
 }
 
 // layout returns the slot table s sized for one phase: units(node)
-// slots per node, in node order, each a fresh header whose output block
-// carves from p, or whose rows the job's sink takes.
-func layout(s []slot, n int, p *Bufs, sinks bool, units func(node int) int) []slot {
+// slots per node, in node order, each a fresh header, whose rows the
+// job's sink takes when sinks is set.
+func layout(s []slot, n int, sinks bool, units func(node int) int) []slot {
 	s = s[:0]
 	for node := 0; node < n; node++ {
 		k := units(node)
 		for i := 0; i < k; i++ {
-			s = append(s, slot{node: node, idx: i, of: k, out: NewBlock(p), sinks: sinks})
+			s = append(s, slot{node: node, idx: i, of: k, sinks: sinks})
 		}
 	}
 	return s
@@ -475,6 +479,7 @@ type Emitter struct {
 	sc      *Scratch // the run: its cluster size, job and pool, whose top the buckets are carved from
 	lane    int      // the lane it is the handle of
 	unit    *slot    // the running unit: its counters
+	out     Block    // the rows the unit writes for the job's sink
 	buckets []bucket // the unit's per-destination buckets
 	counts  []int    // EmitAll's per-destination tuple counts
 }
@@ -483,7 +488,7 @@ type Emitter struct {
 // the block.
 func (e *Emitter) flush(b *Block) {
 	if e.unit.sunk += b.N; b.N > 0 {
-		e.sc.job.Sink(e.lane, *b)
+		e.sc.job.Sink(e.unit.node, e.lane, *b)
 	}
 	b.Empty()
 }
@@ -501,19 +506,17 @@ func (e *Emitter) dest(group uint32, row Row, keyCols []int) int {
 // with the given input tag (which join input the row belongs to). Its
 // cells and key cells but the first (routing reads that off the row) are
 // copied once, into the bucket the key routes to: row may be reused.
+// Each call carves that bucket anew, at its size, so many rows are
+// better emitted as one block (EmitAll).
 func (e *Emitter) Emit(group uint32, tag int, row Row, keyCols []int) {
 	e.EmitAll(group, tag, Block{Width: len(row), N: 1, Cells: row}, keyCols)
 }
 
 // EmitAll emits every row of rel, as Emit would one by one. It counts
-// first what each destination gets, so that in a pooled run each bucket
-// is carved once, at its size, from the top of the pool; without a pool
-// the buckets grow as append grows a slice.
+// first what each destination gets, so that each bucket is carved once,
+// at its size, from the top of the pool.
 func (e *Emitter) EmitAll(group uint32, tag int, rel Block, keyCols []int) {
-	var m Mem
-	if e.sc.Bufs != nil {
-		m = (*top)(e.sc.Bufs)
-	}
+	m := (*top)(e.sc.Bufs)
 	e.counts = resize(e.counts, e.sc.n)
 	clear(e.counts)
 	for i := 0; i < rel.N; i++ {
@@ -550,64 +553,49 @@ func (e *Emitter) EmitAll(group uint32, tag int, rel Block, keyCols []int) {
 
 // Scratch holds the positions one RunWith fills: per-(morsel,
 // destination) buckets, the cuts of each node's key ranges, the slot
-// tables, the meters, the per-node output blocks and the per-lane
-// emitters. Buckets are carved from the top of Bufs (the Go heap when
-// nil) and taken back as the run returns, output blocks from its bottom,
-// valid until the pool's Reset; a lane's arena is emptied after each
-// unit. A Scratch serves one run at a time.
+// tables, the meters and the per-lane emitters. Their bytes come from
+// Bufs, which must be non-nil: the buckets from its top, taken back as
+// the run returns, and what a unit computes in from its lane's arena,
+// emptied after each unit. A Scratch serves one run at a time.
 type Scratch struct {
 	Bufs *Bufs
 
 	buckets []bucket  // map slot*n+dest -> what the morsel emitted for dest
 	cuts    [][]place // node -> where its key ranges after the first start
 	meters  []Meter   // the job's meter table (see phases)
-	outputs []Block   // node -> the job's output rows
 
 	// One slot per unit of each phase, in canonical order.
 	morsels, ranges []slot
 
 	lanes []Emitter
 
-	// The run in flight — its job, cluster size and output — and the
-	// phases' per-unit functions, bound once so that handing them to the
-	// pool allocates nothing.
+	// The run in flight — its job and cluster size — and the phases'
+	// per-unit functions, bound once so that handing them to the pool
+	// allocates nothing.
 	job                    Job
 	n                      int
-	out                    Output
 	mapFn, cutFn, reduceFn func(i, lane int)
-}
-
-// mem is where lane's unit carves its temporaries: the lane's arena, or
-// the Go heap without a pool.
-func (sc *Scratch) mem(lane int) Mem {
-	if sc.Bufs == nil {
-		return (*Bufs)(nil)
-	}
-	return sc.Bufs.Lane(lane)
 }
 
 // begin points a lane at the unit it is about to run and returns the
 // block the unit writes: under a sink, one that grows at the bottom of
-// the lane's arena; else a node's only unit writes the node output
-// itself, the others their own slot.
+// the lane's arena; else nil.
 func (sc *Scratch) begin(lane int, u *slot) *Block {
-	sc.lanes[lane].unit = u
-	switch {
-	case u.sinks:
-		u.out = NewBlock(sc.mem(lane))
-		u.out.sink = &sc.lanes[lane]
-	case u.of == 1:
-		return &sc.out.PerNode[u.node]
+	e := &sc.lanes[lane]
+	if e.unit = u; !u.sinks {
+		return nil
 	}
-	return &u.out
+	e.out = NewBlock(sc.Bufs.Lane(lane))
+	e.out.sink = e
+	return &e.out
 }
 
 // end ends a lane's unit: the sink takes its rows, and the lane's arena
 // is emptied.
 func (sc *Scratch) end(lane int, u *slot) {
-	if u.sinks {
-		sc.lanes[lane].flush(&u.out)
-		u.out = Block{}
+	if e := &sc.lanes[lane]; u.sinks {
+		e.flush(&e.out)
+		e.out = Block{}
 	}
 	sc.Bufs.empty(lane)
 }
@@ -622,7 +610,7 @@ func (sc *Scratch) mapUnit(i, lane int) {
 	e.buckets = sc.buckets[i*sc.n : (i+1)*sc.n]
 	sc.job.MapMorsel(u.node, u.idx, lane, &u.meter, e, dst)
 	sc.end(lane, u)
-	sortRuns(e.buckets, sc.mem(lane))
+	sortRuns(e.buckets, sc.Bufs.Lane(lane))
 	sc.Bufs.empty(lane)
 }
 
@@ -635,34 +623,31 @@ func (sc *Scratch) cutDest(dest, lane int) {
 	}
 	_, shufM, _ := phases(sc.meters, false)
 	shufM[dest].Shuffle(total)
-	sc.cuts[dest] = cutRanges(sc.buckets, dest, sc.n, len(sc.lanes), total, sc.cuts[dest][:0], sc.mem(lane))
+	sc.cuts[dest] = cutRanges(sc.buckets, dest, sc.n, len(sc.lanes), total, sc.cuts[dest][:0], sc.Bufs.Lane(lane))
 	sc.Bufs.empty(lane)
 }
 
 func (sc *Scratch) reduceUnit(i, lane int) {
 	u := &sc.ranges[i]
 	dst := sc.begin(lane, u)
-	u.groups.mem = sc.mem(lane)
+	u.groups.mem = sc.Bufs.Lane(lane)
 	sc.job.ReduceRange(u.node, u.idx, u.of, lane, &u.meter, &u.groups, dst)
 	sc.end(lane, u)
 }
 
-// drop takes back what only the run itself reads — the buckets — and
-// drops every header into the units' outputs.
-func (sc *Scratch) drop() {
+// release ends a run, also one that panics: it drops every header into
+// the pool and the job, and takes back the buckets, which only the run
+// reads.
+func (sc *Scratch) release() {
 	clear(sc.buckets)
 	clear(sc.morsels)
 	clear(sc.ranges)
 	for i := range sc.lanes {
-		sc.lanes[i].buckets, sc.lanes[i].unit, sc.lanes[i].sc = nil, nil, nil
+		e := &sc.lanes[i]
+		e.sc, e.unit, e.out, e.buckets = nil, nil, Block{}, nil
 	}
+	sc.job = Job{}
 	sc.Bufs.endJob()
-}
-
-// Release drops every header into the pool, the last Output's included.
-func (sc *Scratch) Release() {
-	sc.drop()
-	sc.outputs = ResetBlocks(sc.outputs, 0, nil)
 }
 
 // NewCluster creates a cluster of the given number of nodes.
@@ -687,38 +672,25 @@ func (cl *Cluster) TotalWork() float64 {
 	return cl.totalWork
 }
 
-// Output of a job: one block of rows per node. It and its blocks belong
-// to the run's Scratch and go back to its pool when its next run starts
-// or it is released; without a caller's Scratch they are the caller's.
-type Output struct {
-	PerNode []Block
-}
-
-// Len is the total number of output rows.
-func (o *Output) Len() int {
-	n := 0
-	for i := range o.PerNode {
-		n += o.PerNode[i].N
-	}
-	return n
-}
-
-// RunWith executes one job and returns its output: per node, the rows
-// of its map units for a map-only job, of its reduce ranges otherwise.
+// RunWith executes one job: its map units, then, unless it is map-only,
+// its shuffle and its reduce ranges. The units of the output phase hand
+// their rows to the job's sink.
 //
-// Determinism: rows and JobStats are byte-identical whatever the lane
-// count or scheduling. Meters and the other counters are integer sums,
-// which no order changes; the rows of every node are its units' rows
-// merged in canonical (node, morsel) — then (node, range) — order; and
-// the shuffle input of every destination is the concatenation of
-// pre-routed per-(source, destination) buckets in (source node, morsel)
-// order.
-func (cl *Cluster) RunWith(job Job, opts RunOptions) *Output {
+// Determinism: JobStats, and the rows each unit hands the sink, are
+// byte-identical whatever the lane count or scheduling. Meters and the
+// other counters are integer sums, which no order changes; the shuffle
+// input of every destination is the concatenation of pre-routed
+// per-(source, destination) buckets in (source node, morsel) order; and
+// reduce ranges are cut at group boundaries. On one lane the sink takes
+// the units in canonical (node, morsel) — or (node, range) — order; on
+// several, concurrently.
+func (cl *Cluster) RunWith(job Job, opts RunOptions) {
 	n := cl.Nodes
 	sc := opts.Scratch
 	if sc == nil {
-		sc = &Scratch{}
+		sc = &Scratch{Bufs: new(Bufs)}
 	}
+	defer sc.release()
 	if sc.mapFn == nil {
 		sc.mapFn, sc.cutFn, sc.reduceFn = sc.mapUnit, sc.cutDest, sc.reduceUnit
 	}
@@ -728,12 +700,7 @@ func (cl *Cluster) RunWith(job Job, opts RunOptions) *Output {
 	for i := range sc.lanes {
 		sc.lanes[i].sc, sc.lanes[i].lane = sc, i
 	}
-	if sc.Bufs != nil {
-		sc.Bufs.Lane(pool.Lanes() - 1) // lanes are added while none runs
-	}
-	sc.outputs = ResetBlocks(sc.outputs, n, sc.Bufs)
-	sc.out = Output{PerNode: sc.outputs}
-	out := &sc.out
+	sc.Bufs.Lane(pool.Lanes() - 1) // lanes are added while none runs
 	stats := JobStats{Name: job.Name, MapOnly: job.ReduceRange == nil}
 	if stats.MapOnly {
 		sc.meters = resize(sc.meters, n)
@@ -743,9 +710,7 @@ func (cl *Cluster) RunWith(job Job, opts RunOptions) *Output {
 	clear(sc.meters)
 	mapM, _, redM := phases(sc.meters, stats.MapOnly)
 
-	// merge adds finished units' counts to their nodes' and appends the
-	// rows of a node's several units, in canonical order, to the node's
-	// output, carved once for them all.
+	// merge adds finished units' counts to their nodes' and the job's.
 	merge := func(units []slot, nodeM []Meter) {
 		for i := range units {
 			u := &units[i]
@@ -753,24 +718,11 @@ func (cl *Cluster) RunWith(job Job, opts RunOptions) *Output {
 			stats.Shuffled += u.count
 			stats.ShuffledCells += u.cells
 			stats.Output += u.sunk
-			if u.of == 1 || u.sinks {
-				continue
-			}
-			dst := &out.PerNode[u.node]
-			if u.idx == 0 {
-				rows, width := 0, 0
-				for _, v := range units[i : i+u.of] {
-					rows += v.out.N
-					width = max(width, v.out.Width)
-				}
-				dst.Reserve(rows, width)
-			}
-			dst.AppendBlock(u.out)
 		}
 	}
 
 	// ---- Map phase: one unit per (node, morsel). ----
-	sc.morsels = layout(sc.morsels, n, sc.Bufs, job.Sink != nil && stats.MapOnly, func(node int) int {
+	sc.morsels = layout(sc.morsels, n, job.Sink != nil && stats.MapOnly, func(node int) int {
 		if job.MapMorsels == nil {
 			return 1
 		}
@@ -786,7 +738,7 @@ func (cl *Cluster) RunWith(job Job, opts RunOptions) *Output {
 		// Per destination: its tuples counted, its key ranges cut.
 		pool.ForEach(n, sc.cutFn)
 		// One unit per (node, range): ranges of all nodes share one queue.
-		sc.ranges = layout(sc.ranges, n, sc.Bufs, job.Sink != nil, func(node int) int { return len(sc.cuts[node]) + 1 })
+		sc.ranges = layout(sc.ranges, n, job.Sink != nil, func(node int) int { return len(sc.cuts[node]) + 1 })
 		for i := range sc.ranges {
 			u := &sc.ranges[i]
 			u.groups = Groups{bk: sc.buckets, dest: u.node, n: n, cuts: sc.cuts[u.node], k: u.idx}
@@ -794,7 +746,6 @@ func (cl *Cluster) RunWith(job Job, opts RunOptions) *Output {
 		pool.ForEach(len(sc.ranges), sc.reduceFn)
 		merge(sc.ranges, redM)
 	}
-	stats.Output += out.Len()
 
 	stats, work := cl.fold(stats, sc.meters)
 	if rec := opts.Record; rec != nil {
@@ -802,15 +753,6 @@ func (cl *Cluster) RunWith(job Job, opts RunOptions) *Output {
 		rec.stats.Name = ""
 	}
 	cl.log(stats, work)
-	sc.drop()
-	sc.job = Job{}
-	return out
-}
-
-// Reset clears accumulated job statistics (the store is untouched).
-func (cl *Cluster) Reset() {
-	cl.Jobs = nil
-	cl.totalWork = 0
 }
 
 // EncodeKey builds the seed runtime's string shuffle key from a group

@@ -2,6 +2,8 @@ package mapreduce
 
 import (
 	"reflect"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -11,26 +13,62 @@ import (
 
 func wordCountCluster(n int) *Cluster { return NewCluster(n, DefaultConstants()) }
 
-// runOn runs job on a pool of the given width; width 0 is the nil pool.
-func runOn(cl *Cluster, lanes int, job Job, rec *JobRecord) *Output {
+// runOn runs job on a pool of the given width (0: the nil pool) with a
+// sink that copies the rows of each node, and returns them, checking
+// that the job's Output counts exactly the rows the sink took. On
+// several lanes a node's units hand their rows concurrently: only one
+// lane fixes their order, so compare wider runs' rows as multisets.
+func runOn(t *testing.T, cl *Cluster, lanes int, job Job, rec *JobRecord) [][]Row {
+	t.Helper()
 	var pool *Pool
 	if lanes > 0 {
 		pool = NewPool(lanes)
 	}
-	return cl.RunWith(job, RunOptions{Pool: pool, Record: rec})
+	var mu sync.Mutex
+	rows, took := make([][]Row, cl.Nodes), 0
+	job.Sink = func(node, _ int, b Block) {
+		mu.Lock()
+		defer mu.Unlock()
+		for i := 0; i < b.N; i++ {
+			rows[node] = append(rows[node], slices.Clone(b.Row(i)))
+		}
+		took += b.N
+	}
+	cl.RunWith(job, RunOptions{Pool: pool, Record: rec})
+	if out := cl.Jobs[len(cl.Jobs)-1].Output; out != took {
+		t.Errorf("%s: Output = %d, the sink took %d rows", job.Name, out, took)
+	}
+	return rows
+}
+
+// multiset returns each node's rows in lexicographic order.
+func multiset(rows [][]Row) [][]Row {
+	out := make([][]Row, len(rows))
+	for i, rs := range rows {
+		out[i] = slices.SortedFunc(slices.Values(rs), func(a, b Row) int { return slices.Compare(a, b) })
+	}
+	return out
+}
+
+// count returns the number of rows of every node.
+func count(rows [][]Row) (n int) {
+	for _, rs := range rows {
+		n += len(rs)
+	}
+	return n
 }
 
 func TestMapOnlyJob(t *testing.T) {
 	cl := wordCountCluster(3)
 	in := [][]Row{{{1}}, {{2}}, {{3}}} // each node's input rows
-	out := runOn(cl, 0, ClassicJob("identity", func(node int, m *Meter, emit *Emitter, out *Block) {
+	out := runOn(t, cl, 0, ClassicJob("identity", func(node int, m *Meter, emit *Emitter, out *Block) {
 		m.Read(len(in[node]))
 		for _, r := range in[node] {
 			out.Append(r)
 		}
 	}, nil), nil)
-	if out.Len() != 3 {
-		t.Errorf("output = %d rows, want 3", out.Len())
+	if count(out) != 3 {
+		t.Errorf("output = %d rows, want 3", count(out))
 	}
 	if len(cl.Jobs) != 1 || !cl.Jobs[0].MapOnly {
 		t.Errorf("jobs = %+v", cl.Jobs)
@@ -49,7 +87,7 @@ func TestShuffleGroupsByExactKey(t *testing.T) {
 	// group. Reducers of different nodes run on different lanes, so the
 	// shared counter is atomic.
 	var groupsSeen atomic.Int32
-	out := runOn(cl, 4, ClassicJob("group",
+	out := runOn(t, cl, 4, ClassicJob("group",
 		func(node int, m *Meter, emit *Emitter, out *Block) {
 			emit.Emit(0, 0, Row{rdf.TermID(node % 2), rdf.TermID(node)}, []int{0})
 		},
@@ -60,8 +98,8 @@ func TestShuffleGroupsByExactKey(t *testing.T) {
 	if n := groupsSeen.Load(); n != 2 {
 		t.Errorf("saw %d groups, want 2", n)
 	}
-	if out.Len() != 2 {
-		t.Errorf("output = %d rows, want 2", out.Len())
+	if count(out) != 2 {
+		t.Errorf("output = %d rows, want 2", count(out))
 	}
 	if cl.Jobs[0].Shuffled != 4 {
 		t.Errorf("shuffled = %d, want 4", cl.Jobs[0].Shuffled)
@@ -89,7 +127,7 @@ func TestEncodeKeyInjective(t *testing.T) {
 func TestTimingIsMaxOverNodesPlusInit(t *testing.T) {
 	cl := wordCountCluster(2)
 	// Node 0 does 100 reads, node 1 does 10: map time must be the max.
-	runOn(cl, 0, ClassicJob("skew", func(node int, m *Meter, emit *Emitter, out *Block) {
+	runOn(t, cl, 0, ClassicJob("skew", func(node int, m *Meter, emit *Emitter, out *Block) {
 		if node == 0 {
 			m.Read(100)
 		} else {
@@ -109,12 +147,54 @@ func TestTimingIsMaxOverNodesPlusInit(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	cl := wordCountCluster(1)
-	runOn(cl, 0, ClassicJob("noop", func(int, *Meter, *Emitter, *Block) {}, nil), nil)
-	cl.Reset()
-	if len(cl.Jobs) != 0 || cl.TotalWork() != 0 || cl.ResponseTime() != 0 {
-		t.Error("Reset did not clear stats")
+// TestOnlyTheSinkTakesRows runs map-only and reducing jobs with and
+// without a sink, at one lane and at several: a unit is handed a block
+// only when the job's sink takes its rows — a map morsel of a map-only
+// job, a reduce range of any other — and the job's Output counts what
+// the sink took, none without one.
+func TestOnlyTheSinkTakesRows(t *testing.T) {
+	for _, lanes := range []int{0, 2} {
+		for _, mapOnly := range []bool{true, false} {
+			for _, sink := range []bool{false, true} {
+				var mapBlocks, reduceBlocks atomic.Int32
+				var reduce func(int, *Meter, Group, *Block)
+				if !mapOnly {
+					reduce = func(_ int, _ *Meter, _ Group, out *Block) {
+						if out != nil {
+							reduceBlocks.Add(1)
+							out.Append(Row{1})
+						}
+					}
+				}
+				job := ClassicJob("blocks", func(node int, _ *Meter, emit *Emitter, out *Block) {
+					emit.Emit(0, 0, Row{rdf.TermID(node)}, []int{0})
+					if out != nil {
+						mapBlocks.Add(1)
+						out.Append(Row{2})
+					}
+				}, reduce)
+				cl := wordCountCluster(3)
+				if sink {
+					runOn(t, cl, lanes, job, nil)
+				} else {
+					var pool *Pool
+					if lanes > 0 {
+						pool = NewPool(lanes)
+					}
+					cl.RunWith(job, RunOptions{Pool: pool})
+				}
+				wantMap, wantReduce := 0, 0
+				if sink && mapOnly {
+					wantMap = 3
+				} else if sink {
+					wantReduce = 3 // one group a node
+				}
+				if got := cl.Jobs[0].Output; int(mapBlocks.Load()) != wantMap || int(reduceBlocks.Load()) != wantReduce || got != wantMap+wantReduce {
+					t.Errorf("%d lanes, map-only %v, sink %v: %d map and %d reduce units got a block, Output %d; want %d, %d and %d",
+						lanes, mapOnly, sink, mapBlocks.Load(), reduceBlocks.Load(), got, wantMap, wantReduce, wantMap+wantReduce)
+				}
+			}
+		}
 	}
 }
 
@@ -181,7 +261,7 @@ func TestKeyEncodeMatchesEncodeKey(t *testing.T) {
 
 func TestMeterAccumulates(t *testing.T) {
 	cl := wordCountCluster(1)
-	runOn(cl, 0, ClassicJob("meter", func(_ int, m *Meter, _ *Emitter, _ *Block) {
+	runOn(t, cl, 0, ClassicJob("meter", func(_ int, m *Meter, _ *Emitter, _ *Block) {
 		for i := 0; i < 2; i++ {
 			m.Read(5)
 			m.Write(2)
@@ -217,23 +297,28 @@ func countJob(cl *Cluster) Job {
 		})
 }
 
-// TestParallelMatchesSequential runs the same job on four lanes and on
-// one and asserts identical outputs and stats.
+// TestParallelMatchesSequential runs the same job on four lanes, on a
+// width-one pool and inline, and asserts identical stats and each
+// node's rows: as multisets on four lanes, in order on one.
 func TestParallelMatchesSequential(t *testing.T) {
-	run := func(lanes int) (*Output, JobStats) {
+	run := func(lanes int) ([][]Row, JobStats) {
 		cl := wordCountCluster(5)
 		// An explicit multi-worker pool, so the concurrent path is
 		// exercised even on a single-CPU machine.
-		out := runOn(cl, lanes, countJob(cl), nil)
+		out := runOn(t, cl, lanes, countJob(cl), nil)
 		return out, cl.Jobs[0]
 	}
 	pout, pstats := run(4)
+	oout, ostats := run(1)
 	sout, sstats := run(0)
-	if pstats != sstats {
-		t.Errorf("stats differ:\n4 lanes  %+v\none lane %+v", pstats, sstats)
+	if pstats != sstats || ostats != sstats {
+		t.Errorf("stats differ:\n4 lanes  %+v\n1 lane   %+v\ninline   %+v", pstats, ostats, sstats)
 	}
-	if !reflect.DeepEqual(pout.PerNode, sout.PerNode) {
-		t.Errorf("outputs differ:\n4 lanes  %v\none lane %v", pout.PerNode, sout.PerNode)
+	if !reflect.DeepEqual(multiset(pout), multiset(sout)) {
+		t.Errorf("rows differ:\n4 lanes %v\ninline  %v", multiset(pout), multiset(sout))
+	}
+	if !reflect.DeepEqual(oout, sout) || count(sout) == 0 {
+		t.Errorf("rows differ in order:\n1 lane %v\ninline %v", oout, sout)
 	}
 }
 
@@ -266,7 +351,7 @@ func TestClassicJobAcrossRanges(t *testing.T) {
 		return j
 	}
 	type result struct {
-		rows     []Block
+		rows     [][]Row
 		stats    JobStats
 		replayed JobStats
 		work     float64
@@ -274,9 +359,9 @@ func TestClassicJobAcrossRanges(t *testing.T) {
 	run := func(lanes int) result {
 		cl := wordCountCluster(nodes)
 		rec := &JobRecord{}
-		out := runOn(cl, lanes, job(cl), rec)
+		out := runOn(t, cl, lanes, job(cl), rec)
 		cl2 := wordCountCluster(nodes)
-		return result{out.PerNode, cl.Jobs[0], cl2.Replay("classic", rec), cl.TotalWork()}
+		return result{out, cl.Jobs[0], cl2.Replay("classic", rec), cl.TotalWork()}
 	}
 	want := run(0)
 	if want.stats != want.replayed {
@@ -287,6 +372,10 @@ func TestClassicJobAcrossRanges(t *testing.T) {
 	}
 	for _, lanes := range []int{1, 2, 4} {
 		got := run(lanes)
+		if lanes > 1 {
+			// The sink takes the ranges of a node on several lanes.
+			got.rows, want.rows = multiset(got.rows), multiset(want.rows)
+		}
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("width %d differs from the nil pool:\n got %+v\nwant %+v", lanes, got, want)
 		}
@@ -299,8 +388,8 @@ func TestClassicJobAcrossRanges(t *testing.T) {
 // TestWidthOnePool runs on a pool that spawned no workers.
 func TestWidthOnePool(t *testing.T) {
 	cl := wordCountCluster(4)
-	out := runOn(cl, 1, countJob(cl), nil)
-	if out.Len() == 0 {
+	out := runOn(t, cl, 1, countJob(cl), nil)
+	if count(out) == 0 {
 		t.Error("no output")
 	}
 }
@@ -312,24 +401,25 @@ func TestPanicPropagates(t *testing.T) {
 			t.Errorf("recover() = %v, want boom", r)
 		}
 	}()
-	runOn(cl, 4, ClassicJob("panics", func(node int, m *Meter, emit *Emitter, out *Block) {
+	runOn(t, cl, 4, ClassicJob("panics", func(node int, m *Meter, emit *Emitter, out *Block) {
 		if node == 2 {
 			panic("boom")
 		}
 	}, nil), nil)
 }
 
+// TestOutputRowsOrderedByNode holds the sink to the node whose rows it
+// takes, at every lane count.
 func TestOutputRowsOrderedByNode(t *testing.T) {
-	cl := wordCountCluster(3)
-	out := runOn(cl, 0, ClassicJob("pernode", func(node int, m *Meter, emit *Emitter, outF *Block) {
-		outF.Append(Row{rdf.TermID(node)})
-	}, nil), nil)
-	if len(out.PerNode) != 3 {
-		t.Fatalf("PerNode = %d, want 3", len(out.PerNode))
-	}
-	for i, rs := range out.PerNode {
-		if rs.N != 1 || rs.Row(0)[0] != rdf.TermID(i) {
-			t.Errorf("node %d output %v, want its own id in one row", i, rs)
+	for _, lanes := range []int{0, 1, 2, 4} {
+		cl := wordCountCluster(3)
+		out := runOn(t, cl, lanes, ClassicJob("pernode", func(node int, m *Meter, emit *Emitter, outF *Block) {
+			outF.Append(Row{rdf.TermID(node)})
+		}, nil), nil)
+		for i, rs := range out {
+			if len(rs) != 1 || rs[0][0] != rdf.TermID(i) {
+				t.Errorf("%d lanes: node %d's rows %v, want its own id in one row", lanes, i, rs)
+			}
 		}
 	}
 }

@@ -40,7 +40,7 @@ func TestReplayReproducesJobStats(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cl := wordCountCluster(3)
 			rec := &JobRecord{}
-			runOn(cl, tc.lanes, chargeJob(cl), rec)
+			runOn(t, cl, tc.lanes, chargeJob(cl), rec)
 			want := cl.Jobs[0]
 			wantWork := cl.TotalWork()
 
@@ -72,10 +72,10 @@ func TestRecordParallelMatchesSequential(t *testing.T) {
 	// captured at any parallelism replays to the same stats.
 	cl1 := wordCountCluster(3)
 	rec1 := &JobRecord{}
-	runOn(cl1, 0, chargeJob(cl1), rec1)
+	runOn(t, cl1, 0, chargeJob(cl1), rec1)
 	cl2 := wordCountCluster(3)
 	rec2 := &JobRecord{}
-	runOn(cl2, 4, chargeJob(cl2), rec2)
+	runOn(t, cl2, 4, chargeJob(cl2), rec2)
 	if !reflect.DeepEqual(cl1.Jobs[0], cl2.Jobs[0]) {
 		t.Fatalf("four-lane stats diverge from one lane: %+v vs %+v", cl2.Jobs[0], cl1.Jobs[0])
 	}
@@ -90,7 +90,7 @@ func TestRecordParallelMatchesSequential(t *testing.T) {
 func TestRecordMapOnly(t *testing.T) {
 	cl := wordCountCluster(2)
 	rec := &JobRecord{}
-	runOn(cl, 0, ClassicJob("mo", func(node int, m *Meter, emit *Emitter, out *Block) {
+	runOn(t, cl, 0, ClassicJob("mo", func(node int, m *Meter, emit *Emitter, out *Block) {
 		m.Read(5 + node)
 		out.Append(Row{1})
 	}, nil), rec)
@@ -200,7 +200,7 @@ func TestCountsAreOrderFree(t *testing.T) {
 		for _, lanes := range []int{0, 1, 2, 4} {
 			cl := NewCluster(nodes, c)
 			rec := &JobRecord{}
-			runOn(cl, lanes, job, rec)
+			runOn(t, cl, lanes, job, rec)
 			if got := cl.Jobs[0]; !reflect.DeepEqual(got, want) {
 				t.Fatalf("trial %d, %d lanes: stats %+v, want the summed counts priced once: %+v", trial, lanes, got, want)
 			}

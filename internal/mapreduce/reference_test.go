@@ -38,7 +38,7 @@ func (t tuple) encode() string { return EncodeKey(int(t.group), t.key()) }
 // of n nodes would, and returns the morsel's per-destination buckets.
 func emitAll(n int, ts []tuple) []bucket {
 	bk := make([]bucket, n)
-	e := &Emitter{sc: &Scratch{n: n}, unit: &slot{}, buckets: bk}
+	e := &Emitter{sc: &Scratch{n: n, Bufs: new(Bufs)}, unit: &slot{}, buckets: bk}
 	for _, t := range ts {
 		e.Emit(t.group, t.tag, t.row, t.cols)
 	}
@@ -48,15 +48,18 @@ func emitAll(n int, ts []tuple) []bucket {
 // reduceInput sorts the runs of emitAll's morsel as the map side does and
 // returns what dest's reducer reads of them: one key range, all of it.
 func reduceInput(bk []bucket, dest int) *Groups {
-	sortRuns(bk, (*Bufs)(nil))
-	return &Groups{bk: bk, dest: dest, n: len(bk), mem: (*Bufs)(nil)}
+	sortRuns(bk, new(Bufs))
+	return &Groups{bk: bk, dest: dest, n: len(bk), mem: new(Bufs)}
 }
 
-// encodeKey renders the key of a group's i-th record as its seed string
-// encoding: the reference representation tests compare against.
-func encodeKey(g Group, i int) string {
-	r, cells, at := g.at(i)
-	return encodeTuple(r, cells, at)
+// encodeKey renders a group's key as its seed string encoding: the
+// reference representation tests compare against.
+func encodeKey(g Group) string {
+	key := make([]uint32, g.KeyLen())
+	for k := range key {
+		key[k] = g.KeyCell(k)
+	}
+	return EncodeKey(int(g.ID()), key)
 }
 
 // encodeTuple renders the key of tuple i of run r, whose bucket holds

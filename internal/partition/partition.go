@@ -112,10 +112,11 @@ type Partitioner struct {
 	cur     atomic.Pointer[View]
 
 	// pinMu guards pins, a refcount per pinned epoch. The Go runtime
-	// already reclaims unpinned snapshots; the registry exists so the
-	// durable engine's checkpoints know the oldest epoch a concurrent
-	// execution still reads (the watermark) and keeps the WAL
-	// generations that can reconstruct it.
+	// already reclaims unpinned snapshots (an idle execution context
+	// holds none: its file-name memo knows its view by a weak pointer);
+	// the registry exists so the durable engine's checkpoints know the
+	// oldest epoch a concurrent execution still reads (the watermark)
+	// and keeps the WAL generations that can reconstruct it.
 	pinMu sync.Mutex
 	pins  map[uint64]int
 }

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"slices"
 	"sync/atomic"
+	"weak"
 
 	"cliquesquare/internal/mapreduce"
 	"cliquesquare/internal/partition"
@@ -30,18 +31,20 @@ import (
 // morsel computes in comes from its lane's arena, emptied when the
 // morsel ends: the blocks it fills one at a time (scan and map-join
 // blocks, a reduce join's rows in a key range, a last-job unit's raw
-// rows, flushed every M rows) grow in place at the arena's bottom, its
-// counted temporaries (a reduce group's inputs and merge state, and the
-// scratch of mapreduce.SortRows as it sorts a join input, a map morsel's
-// runs or a part) come from its top, and a part is packed between the
-// two. A morsel reads at most M rows of one input plus one key's run, so
-// an arena holds one bounded unit. The outputs (intermediate relations,
-// each carved once at its row count as its key range ends, the answer's
-// packed parts and the answer merged from them) last until release, at
-// the end of Run (also when its consumer panics), drops every header and
-// resets the scratch; the shuffle's buckets last their job. The scratch keeps the lanes times the most a morsel held at
-// once plus the most the outputs held at once — a function of plan, data
-// and lane count, never of the schedule — and holds each tuple once.
+// rows, handed to the job's sink every M rows) grow in place at the
+// arena's bottom, its counted temporaries (a reduce group's inputs and
+// merge state, and the scratch of mapreduce.SortRows as it sorts a join
+// input, a map morsel's runs or a part) come from its top, and a part is
+// packed between the two. A morsel reads at most M rows of one input
+// plus one key's run, so an arena holds one bounded unit. The outputs
+// (intermediate relations, each carved once at its row count as its key
+// range ends, the answer's packed parts and the answer merged from them)
+// last until release, which, at the end of Run (also when its consumer
+// panics), drops every header and resets the scratch; the shuffle's
+// buckets last their job. The scratch keeps the lanes times the most a
+// morsel held at once plus the most the outputs held at once — a
+// function of plan, data and lane count, never of the schedule — and
+// holds each tuple once.
 // Run lends the packed answer to its callback as a Rows, decoded as it
 // is read; what outlives the execution (Rows.Materialise, a result-cache
 // entry's Rows.pack) is copied into exactly sized arrays of its own. A
@@ -103,7 +106,7 @@ type ExecContext struct {
 	answer mapreduce.Packed
 	decode []rdf.TermID
 	free   atomic.Uint64
-	sink   func(lane int, rows mapreduce.Block)
+	sink   func(node, lane int, rows mapreduce.Block)
 }
 
 // scanConsts are one scan's constants for one execution: the dictionary
@@ -189,11 +192,13 @@ func (c *ExecContext) lookupConsts(tp sparql.TriplePattern) (k scanConsts) {
 }
 
 // release ends the execution: it drops the plan, epoch and dictionary,
-// and every header into the scratch the execution carved, and resets
-// the scratch.
+// the operators the morsel table names, and every header into the
+// scratch the execution carved, and resets the scratch.
 func (c *ExecContext) release() {
 	c.plan, c.view, c.dict = nil, nil, nil
-	c.shuffle.Release()
+	for _, per := range c.morsels[:cap(c.morsels)] {
+		clear(per[:cap(per)])
+	}
 	for _, a := range c.arenas {
 		a.release()
 	}
@@ -232,8 +237,10 @@ type arena struct {
 
 	// scan file-name memo: partition-file resolution is pure per
 	// (property, class, replica position) within one pinned view, so the
-	// resolved name lists are cached until the view changes.
-	fileView  *partition.View
+	// resolved name lists are cached until the view changes. The memo
+	// knows its view by a weak pointer, so an idle context keeps no
+	// superseded epoch alive.
+	fileView  weak.Pointer[partition.View]
 	fileNames map[fileKey][]string
 
 	// per-group join inputs of the reduce phase (groupInputs) and a map

@@ -64,7 +64,7 @@ const mergeMark = mapreduce.PackRestart
 // (packPart: sorted in place, repeats dropped) and merges the parts.
 func merged(ctx *ExecContext, parts []mapreduce.Block) Rows {
 	for i := range parts {
-		ctx.packPart(i%ctx.lanes(), parts[i])
+		ctx.packPart(i, i%ctx.lanes(), parts[i])
 	}
 	return ctx.mergeParts()
 }

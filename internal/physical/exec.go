@@ -3,6 +3,7 @@ package physical
 import (
 	"slices"
 	"sort"
+	"weak"
 
 	"cliquesquare/internal/dstore"
 	"cliquesquare/internal/mapreduce"
@@ -363,8 +364,8 @@ func newScanPlan(in *Info, q *sparql.Query, coVar string, attrs []string) *scanP
 // files for another class; nor on the pattern, whose subject and object
 // constants name no file.
 func (c *ExecContext) fileNames(a *arena, sp *scanPlan) []string {
-	if a.fileView != c.view || len(a.fileNames) > fileNamesCap {
-		a.fileView = c.view
+	if v := weak.Make(c.view); a.fileView != v || len(a.fileNames) > fileNamesCap {
+		a.fileView = v
 		if a.fileNames == nil {
 			a.fileNames = make(map[fileKey][]string)
 		} else {

@@ -47,7 +47,8 @@ func rowPrefix(row mapreduce.Row) uint64 {
 // repeats dropped, and packed once into the arena's free room, then
 // copied into a part carved from the context's outputs at its size and
 // listed with the lane's parts — the raw rows go as the sink returns.
-func (c *ExecContext) packPart(lane int, raw mapreduce.Block) {
+// The parts merge into one answer, so it ignores the unit's node.
+func (c *ExecContext) packPart(_, lane int, raw mapreduce.Block) {
 	a := c.arenas[lane]
 	if raw.Width > 0 { // rows of width 0 are all equal
 		var tie func(i, j int) int

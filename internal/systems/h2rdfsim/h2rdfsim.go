@@ -139,7 +139,8 @@ func (e *Engine) Run(q *sparql.Query) (*systems.RunResult, error) {
 	// Left-deep execution: one MapReduce job per join. The accumulated
 	// relation is range-partitioned over the nodes for the map phase;
 	// the next pattern is scanned from the global index (each node
-	// scans its share of the index region).
+	// scans its share of the index region). A job runs on one lane, so
+	// its sink takes the rows in canonical (node, group) order.
 	cl := mapreduce.NewCluster(e.cfg.Nodes, c)
 	accVars, accRows := e.scanPattern(q.Patterns[order[0]])
 	for k := 1; k < len(order); k++ {
@@ -153,28 +154,18 @@ func (e *Engine) Run(q *sparql.Query) (*systems.RunResult, error) {
 		rCols := systems.Cols(rightVars, shared)
 		mergedVars, rightExtra := systems.MergeVars(accVars, rightVars)
 		acc := accRows
-		right := rightRows
-		out := cl.RunWith(mapreduce.ClassicJob(fmt.Sprintf("%s-h2rdf-join%d", q.Name, k),
+		job := mapreduce.ClassicJob(fmt.Sprintf("%s-h2rdf-join%d", q.Name, k),
 			func(node int, m *mapreduce.Meter, emit *mapreduce.Emitter, _ *mapreduce.Block) {
-				n, reads := e.cfg.Nodes, 0
-				for i := node; i < len(acc); i += n {
-					emit.Emit(0, 0, acc[i], accCols)
-					reads++
-				}
-				for i := node; i < len(right); i += n {
-					emit.Emit(0, 1, right[i], rCols)
-					reads++
-				}
-				m.Read(reads)
+				left := systems.Relation(acc, node, e.cfg.Nodes)
+				right := systems.Relation(rightRows, node, e.cfg.Nodes)
+				m.Read(left.N + right.N)
+				emit.EmitAll(0, 0, left, accCols)
+				emit.EmitAll(0, 1, right, rCols)
 			},
-			systems.JoinReduce(len(mergedVars), rightExtra)), mapreduce.RunOptions{})
-		accVars = mergedVars
-		accRows = nil
-		for _, blk := range out.PerNode {
-			for i := 0; i < blk.N; i++ {
-				accRows = append(accRows, blk.Row(i))
-			}
-		}
+			systems.JoinReduce(len(mergedVars), rightExtra))
+		accVars, accRows = mergedVars, nil
+		job.Sink = func(_, _ int, rows mapreduce.Block) { accRows = systems.AppendRows(accRows, rows) }
+		cl.RunWith(job, mapreduce.RunOptions{})
 	}
 	rr.Jobs = len(cl.Jobs)
 	rr.Time = cl.ResponseTime()

@@ -274,7 +274,8 @@ func (e *Engine) Run(q *sparql.Query) (*systems.RunResult, error) {
 	}
 
 	// Non-PWOC: join the subqueries sequentially, one MapReduce job per
-	// binary join (SHAPE's fixed heuristic plan).
+	// binary join (SHAPE's fixed heuristic plan). A job runs on one lane,
+	// so its sink takes each node's rows in canonical (group) order.
 	order, err := connectedOrder(subs)
 	if err != nil {
 		return nil, fmt.Errorf("shapesim: %s: %w", q.Name, err)
@@ -289,8 +290,7 @@ func (e *Engine) Run(q *sparql.Query) (*systems.RunResult, error) {
 		accCols := systems.Cols(accVars, shared)
 		sCols := systems.Cols(s.vars, shared)
 		mergedVars, rightExtra := systems.MergeVars(accVars, s.vars)
-		var nextRows [][][]rdf.TermID
-		out := cl.RunWith(mapreduce.ClassicJob(fmt.Sprintf("%s-shape-join%d", q.Name, k),
+		job := mapreduce.ClassicJob(fmt.Sprintf("%s-shape-join%d", q.Name, k),
 			func(node int, m *mapreduce.Meter, emit *mapreduce.Emitter, _ *mapreduce.Block) {
 				if !accEvalCharged {
 					m.Read(subs[order[0]].touched[node])
@@ -299,21 +299,14 @@ func (e *Engine) Run(q *sparql.Query) (*systems.RunResult, error) {
 					m.Write(len(accRows[node]))
 				}
 				m.Read(s.touched[node])
-				for _, row := range accRows[node] {
-					emit.Emit(0, 0, row, accCols)
-				}
-				for _, row := range s.perNode[node] {
-					emit.Emit(0, 1, row, sCols)
-				}
+				emit.EmitAll(0, 0, systems.Relation(accRows[node], 0, 1), accCols)
+				emit.EmitAll(0, 1, systems.Relation(s.perNode[node], 0, 1), sCols)
 			},
-			systems.JoinReduce(len(mergedVars), rightExtra)), mapreduce.RunOptions{})
+			systems.JoinReduce(len(mergedVars), rightExtra))
+		nextRows := make([][][]rdf.TermID, e.cfg.Nodes)
+		job.Sink = func(node, _ int, rows mapreduce.Block) { nextRows[node] = systems.AppendRows(nextRows[node], rows) }
+		cl.RunWith(job, mapreduce.RunOptions{})
 		accEvalCharged = true
-		nextRows = make([][][]rdf.TermID, e.cfg.Nodes)
-		for node, blk := range out.PerNode {
-			for i := 0; i < blk.N; i++ {
-				nextRows[node] = append(nextRows[node], blk.Row(i))
-			}
-		}
 		accRows = nextRows
 		accVars = mergedVars
 	}

@@ -8,6 +8,7 @@ package systems
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"cliquesquare/internal/mapreduce"
@@ -110,13 +111,13 @@ func MergeVars(a, b []string) (merged []string, rightExtra []int) {
 func JoinReduce(width int, rightExtra []int) func(node int, m *mapreduce.Meter, g mapreduce.Group, out *mapreduce.Block) {
 	return func(node int, m *mapreduce.Meter, g mapreduce.Group, out *mapreduce.Block) {
 		var left, right []mapreduce.Row
-		for i := 0; i < g.Len(); i++ {
-			if tag, row := g.Record(i); tag == 0 {
+		g.Records(func(tag int, row mapreduce.Row) {
+			if tag == 0 {
 				left = append(left, row)
 			} else {
 				right = append(right, row)
 			}
-		}
+		})
 		pairs := len(left) * len(right)
 		m.Join(len(left) + len(right) + pairs)
 		m.Write(pairs)
@@ -131,6 +132,26 @@ func JoinReduce(width int, rightExtra []int) func(node int, m *mapreduce.Meter, 
 			}
 		}
 	}
+}
+
+// Relation returns rows as one flat block, for Emitter.EmitAll: every
+// step-th row from the first (step 1: all of them).
+func Relation(rows [][]rdf.TermID, first, step int) mapreduce.Block {
+	b := mapreduce.NewBlock(nil)
+	for i := first; i < len(rows); i += step {
+		b.Append(rows[i])
+	}
+	return b
+}
+
+// AppendRows appends rows, which a job's sink is handed only for the
+// call, to dst as copies.
+func AppendRows(dst [][]rdf.TermID, rows mapreduce.Block) [][]rdf.TermID {
+	cells, w := slices.Clone(rows.Cells), rows.Width
+	for i := 0; i < rows.N; i++ {
+		dst = append(dst, cells[i*w:(i+1)*w:(i+1)*w])
+	}
+	return dst
 }
 
 // Project keeps, of every row over vars, the columns of the selected
