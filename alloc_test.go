@@ -162,7 +162,7 @@ const (
 	// unaccountedCeiling bounds the bytes a two-lane engine holds, once
 	// it has answered the 14 LUBM queries, that no UpdateStats account
 	// counts: its plan-cache entries, compiled candidates and
-	// execution-context metadata (join plans, file-name memos, bucket
+	// execution-context metadata (join plans, per-lane file lists, bucket
 	// headers), which do not grow with the data — measured 145,000–176,300
 	// B at 20 and at 50 universities and GOMAXPROCS 1–8, 7–9% and 3–4% of
 	// what the engine adds; 158,000–189,000 B since the engine runs with

@@ -152,9 +152,7 @@ func TestFlatShuffleMatchesReference(t *testing.T) {
 				Name:       "shuffle",
 				MapMorsels: func(int) int { return morsels },
 				MapMorsel: func(node, morsel, _ int, _ *Meter, emit *Emitter, _ *Block) {
-					for _, tu := range batches[node*morsels+morsel] {
-						emit.Emit(tu.group, tu.tag, tu.row, tu.cols)
-					}
+					emitTuples(emit, batches[node*morsels+morsel])
 				},
 				ReduceRange: func(node, r, _, _ int, _ *Meter, groups *Groups, _ *Block) {
 					groups.Each(func(g Group) {
@@ -200,6 +198,7 @@ func TestKeyPathAllocationFree(t *testing.T) {
 	row := Row{9, 8, 7, 6, 5, 4}
 	bk := make([]bucket, 7)
 	e := &Emitter{sc: &Scratch{n: 7, Bufs: new(Bufs)}, unit: &slot{}, buckets: bk}
+	rows := Block{Width: len(row), N: 64, Cells: make([]rdf.TermID, 64*len(row))}
 	for _, cols := range [][]int{{1}, {2, 0, 3}, {0, 1, 2, 3, 4, 5}} {
 		emit := func() {
 			for i := range bk {
@@ -207,12 +206,13 @@ func TestKeyPathAllocationFree(t *testing.T) {
 			}
 			for i := 0; i < 64; i++ {
 				row[cols[0]] = rdf.TermID(i)
-				e.Emit(3, 1, row, cols)
+				copy(rows.Row(i), row)
 			}
+			e.EmitAll(3, 1, rows, cols)
 		}
 		emit() // grow the buckets
 		if n := testing.AllocsPerRun(100, emit); n != 0 {
-			t.Errorf("Emit (%d key cells): %v allocs per 64 tuples, want 0", len(cols), n)
+			t.Errorf("EmitAll (%d key cells): %v allocs per 64 tuples, want 0", len(cols), n)
 		}
 	}
 	one := emitAll(1, []tuple{

@@ -238,7 +238,7 @@ const unitRows = 4096
 // Job describes one MapReduce job as independently schedulable morsels.
 //
 // MapMorsel runs MapMorsels(node) times per node; it may emit keyed
-// records into the shuffle (Emitter.Emit) and, in a map-only job, write
+// records into the shuffle (Emitter.EmitAll) and, in a map-only job, write
 // rows to out. Morsels of one node may run on different lanes
 // concurrently, so per-call scratch must be indexed by the lane
 // argument, and the concatenation of a node's morsel emissions and rows
@@ -502,19 +502,13 @@ func (e *Emitter) dest(group uint32, row Row, keyCols []int) int {
 	return route(h, e.sc.n)
 }
 
-// Emit sends row into the shuffle under the key (group, row[keyCols...])
-// with the given input tag (which join input the row belongs to). Its
-// cells and key cells but the first (routing reads that off the row) are
-// copied once, into the bucket the key routes to: row may be reused.
-// Each call carves that bucket anew, at its size, so many rows are
-// better emitted as one block (EmitAll).
-func (e *Emitter) Emit(group uint32, tag int, row Row, keyCols []int) {
-	e.EmitAll(group, tag, Block{Width: len(row), N: 1, Cells: row}, keyCols)
-}
-
-// EmitAll emits every row of rel, as Emit would one by one. It counts
-// first what each destination gets, so that each bucket is carved once,
-// at its size, from the top of the pool.
+// EmitAll sends every row of rel into the shuffle, in order, each under
+// the key (group, row[keyCols...]) with the given input tag (which join
+// input the rows belong to). A row's cells and key cells but the first
+// (routing reads that off the row) are copied once, into the bucket the
+// key routes to: rel may be reused. It counts first what each
+// destination gets, so that each bucket is carved once, at its size,
+// from the top of the pool.
 func (e *Emitter) EmitAll(group uint32, tag int, rel Block, keyCols []int) {
 	m := (*top)(e.sc.Bufs)
 	e.counts = resize(e.counts, e.sc.n)
@@ -757,7 +751,7 @@ func (cl *Cluster) RunWith(job Job, opts RunOptions) {
 
 // EncodeKey builds the seed runtime's string shuffle key from a group
 // identifier and attribute values. The execution path keys tuples
-// in binary (Emitter.Emit); this encoding is retained as the reference
+// in binary (Emitter.EmitAll); this encoding is retained as the reference
 // representation — property tests compare the binary path against it,
 // and the baseline simulators use it for distinct-row counting.
 func EncodeKey(group int, vals []uint32) string {

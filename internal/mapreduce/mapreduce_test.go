@@ -89,7 +89,7 @@ func TestShuffleGroupsByExactKey(t *testing.T) {
 	var groupsSeen atomic.Int32
 	out := runOn(t, cl, 4, ClassicJob("group",
 		func(node int, m *Meter, emit *Emitter, out *Block) {
-			emit.Emit(0, 0, Row{rdf.TermID(node % 2), rdf.TermID(node)}, []int{0})
+			emit.EmitAll(0, 0, Block{Width: 2, N: 1, Cells: Row{rdf.TermID(node % 2), rdf.TermID(node)}}, []int{0})
 		},
 		func(node int, m *Meter, g Group, out *Block) {
 			groupsSeen.Add(1)
@@ -167,7 +167,7 @@ func TestOnlyTheSinkTakesRows(t *testing.T) {
 					}
 				}
 				job := ClassicJob("blocks", func(node int, _ *Meter, emit *Emitter, out *Block) {
-					emit.Emit(0, 0, Row{rdf.TermID(node)}, []int{0})
+					emit.EmitAll(0, 0, Block{Width: 1, N: 1, Cells: Row{rdf.TermID(node)}}, []int{0})
 					if out != nil {
 						mapBlocks.Add(1)
 						out.Append(Row{2})
@@ -286,10 +286,12 @@ func TestMeterAccumulates(t *testing.T) {
 func countJob(cl *Cluster) Job {
 	return ClassicJob("count",
 		func(node int, m *Meter, emit *Emitter, out *Block) {
+			rows := Block{Width: 3}
 			for i := 0; i < 50; i++ {
 				m.Read(1)
-				emit.Emit(0, 0, Row{rdf.TermID((node*50 + i) % 13), rdf.TermID(node), rdf.TermID(i)}, []int{0})
+				rows.Append(Row{rdf.TermID((node*50 + i) % 13), rdf.TermID(node), rdf.TermID(i)})
 			}
+			emit.EmitAll(0, 0, rows, []int{0})
 		},
 		func(node int, m *Meter, g Group, out *Block) {
 			m.Join(g.Len())
@@ -332,11 +334,13 @@ func TestClassicJobAcrossRanges(t *testing.T) {
 	job := func(cl *Cluster) Job {
 		j := ClassicJob("classic",
 			func(node int, m *Meter, emit *Emitter, out *Block) {
+				rows := Block{Width: 3}
 				for i := 0; i < 60; i++ {
 					m.Read(i + 1)
 					m.Check(2*i + 1)
-					emit.Emit(0, 0, Row{rdf.TermID((node*7 + i) % 41), rdf.TermID(node), rdf.TermID(i)}, []int{0})
+					rows.Append(Row{rdf.TermID((node*7 + i) % 41), rdf.TermID(node), rdf.TermID(i)})
 				}
+				emit.EmitAll(0, 0, rows, []int{0})
 			},
 			func(node int, m *Meter, g Group, out *Block) {
 				m.Check(g.Len()*2 + 1)

@@ -14,11 +14,13 @@ import (
 func chargeJob(cl *Cluster) Job {
 	return ClassicJob("charges",
 		func(node int, m *Meter, emit *Emitter, out *Block) {
+			rows := Block{Width: 3}
 			for i := 0; i < 7+node*3; i++ {
 				m.Read(i + 1)
 				m.Check(2*i + 1)
-				emit.Emit(0, 0, Row{rdf.TermID((node + i) % 5), 1, 2}, []int{0})
+				rows.Append(Row{rdf.TermID((node + i) % 5), 1, 2})
 			}
+			emit.EmitAll(0, 0, rows, []int{0})
 		},
 		func(node int, m *Meter, g Group, out *Block) {
 			m.Join(g.Len()*2 + 1)
@@ -150,9 +152,11 @@ func TestCountsAreOrderFree(t *testing.T) {
 			MapMorsels: func(node int) int { return len(morsels[node]) },
 			MapMorsel: func(node, i, _ int, m *Meter, emit *Emitter, _ *Block) {
 				charge(m, morsels[node][i].counts)
+				keys := Block{Width: 1}
 				for _, k := range morsels[node][i].keys {
-					emit.Emit(0, 0, Row{rdf.TermID(k)}, []int{0})
+					keys.Append(Row{rdf.TermID(k)})
 				}
+				emit.EmitAll(0, 0, keys, []int{0})
 			},
 			// Every node has a range 0, empty when nothing routed there:
 			// what it counts beyond its groups is once per node.

@@ -2,6 +2,7 @@ package mapreduce
 
 import (
 	"hash/fnv"
+	"slices"
 	"sort"
 
 	"cliquesquare/internal/rdf"
@@ -9,12 +10,12 @@ import (
 
 // This file retains the seed runtime's string-keyed shuffle semantics
 // as an executable reference. It is test-only: the property tests
-// cross-check the flat shuffle (Emitter.Emit, inline routing, runs
+// cross-check the flat shuffle (Emitter.EmitAll, inline routing, runs
 // sorted at the map side and merged at the reducer) against these definitions, which are the ground
 // truth for what the simulated statistics were accumulated over.
 
-// tuple is one emission in row form: what a test hands Emitter.Emit,
-// and what the reference groups.
+// tuple is one emission in row form: what a test hands Emitter.EmitAll
+// (emitTuples), and what the reference groups.
 type tuple struct {
 	group uint32
 	tag   int
@@ -39,10 +40,21 @@ func (t tuple) encode() string { return EncodeKey(int(t.group), t.key()) }
 func emitAll(n int, ts []tuple) []bucket {
 	bk := make([]bucket, n)
 	e := &Emitter{sc: &Scratch{n: n, Bufs: new(Bufs)}, unit: &slot{}, buckets: bk}
-	for _, t := range ts {
-		e.Emit(t.group, t.tag, t.row, t.cols)
-	}
+	emitTuples(e, ts)
 	return bk
+}
+
+// emitTuples emits ts through e in order, each stretch of tuples of one
+// shape — group, tag, width and key columns — as one block.
+func emitTuples(e *Emitter, ts []tuple) {
+	for i := 0; i < len(ts); {
+		t := ts[i]
+		b := Block{Width: len(t.row)}
+		for ; i < len(ts) && ts[i].group == t.group && ts[i].tag == t.tag && len(ts[i].row) == b.Width && slices.Equal(ts[i].cols, t.cols); i++ {
+			b.Append(ts[i].row)
+		}
+		e.EmitAll(t.group, t.tag, b, t.cols)
+	}
 }
 
 // reduceInput sorts the runs of emitAll's morsel as the map side does and
@@ -86,7 +98,7 @@ func tupleAt(b *bucket, i int) (*run, int) {
 }
 
 // ReferenceRoute is the seed's routing hash: fnv.New32a over the
-// string-encoded key, sign-cleared. Emit must place every tuple in
+// string-encoded key, sign-cleared. EmitAll must place every tuple in
 // bucket ReferenceRoute(t.encode()) % n.
 func ReferenceRoute(k string) int {
 	h := fnv.New32a()

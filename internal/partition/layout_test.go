@@ -110,7 +110,8 @@ func checkLayout(t *testing.T, label string, v *View, g *rdf.Graph, mode Mode) {
 	// Two cells in the subject replica; under ThreeReplica two more in
 	// the object replica, and none in the property replica.
 	want := map[rdf.Triple]int{}
-	byFile := map[string]map[rdf.Triple]int{} // property-replica file -> its triples
+	byFile := map[FileID]map[rdf.Triple]int{} // property-replica file -> its triples
+	props := map[rdf.TermID]bool{}
 	wantCells := 0
 	for _, tr := range g.Triples() {
 		want[tr]++
@@ -118,14 +119,15 @@ func checkLayout(t *testing.T, label string, v *View, g *rdf.Graph, mode Mode) {
 		if mode == ThreeReplica {
 			wantCells += 2
 		}
-		name := FileName(rdf.PPos, tr.P, 0)
+		id := FileID{Pos: rdf.PPos, Prop: tr.P}
 		if tr.P == typeID {
-			name = FileName(rdf.PPos, tr.P, tr.O)
+			id.Class = tr.O
 		}
-		if byFile[name] == nil {
-			byFile[name] = map[rdf.Triple]int{}
+		if byFile[id] == nil {
+			byFile[id] = map[rdf.Triple]int{}
 		}
-		byFile[name][tr]++
+		byFile[id][tr]++
+		props[tr.P] = true
 	}
 	if cells != wantCells {
 		t.Errorf("%s: store holds %d cells, want %d", label, cells, wantCells)
@@ -134,38 +136,38 @@ func checkLayout(t *testing.T, label string, v *View, g *rdf.Graph, mode Mode) {
 	// node: held by its placement node alone (by none under
 	// SubjectOnly), and its rows are its triples. The unsplit rdf:type
 	// file is held by no node.
-	byFile[FileName(rdf.PPos, typeID, 0)] = nil
-	for name, triples := range byFile {
-		prop, _ := FileTerms(name)
+	byFile[FileID{Pos: rdf.PPos, Prop: typeID}] = nil
+	for id, triples := range byFile {
 		for i := 0; i < v.Nodes(); i++ {
-			f, ok := v.Open(i, name)
-			if held := mode == ThreeReplica && len(triples) > 0 && i == v.place.NodeFor(prop); ok != held {
-				t.Fatalf("%s: node %d holds %s: %v, want %v", label, i, name, ok, held)
+			f, ok := v.Open(i, id)
+			if held := mode == ThreeReplica && len(triples) > 0 && i == v.place.NodeFor(id.Prop); ok != held {
+				t.Fatalf("%s: node %d holds %v: %v, want %v", label, i, id, ok, held)
 			}
 			if !ok {
 				continue
 			}
 			rows := readFile(f, rdf.NoTerm, rdf.NoTerm)
 			if got := tally(rows); !reflect.DeepEqual(got, triples) || f.NumRows() != len(rows) {
-				t.Errorf("%s: %s reads %d distinct triples in %d rows, reports %d rows, want its %d", label, name, len(got), len(rows), f.NumRows(), len(triples))
+				t.Errorf("%s: %v reads %d distinct triples in %d rows, reports %d rows, want its %d", label, id, len(got), len(rows), f.NumRows(), len(triples))
 			}
-			if _, class := FileTerms(name); class == rdf.NoTerm {
+			if id.Class == rdf.NoTerm {
 				// A property file is the subject files, node by node.
 				var want []rdf.Triple
-				v.EachTriple(prop, func(tr rdf.Triple) { want = append(want, tr) })
+				v.EachTriple(id.Prop, func(tr rdf.Triple) { want = append(want, tr) })
 				if !reflect.DeepEqual(rows, want) {
-					t.Errorf("%s: %s reads its rows out of the subject replica's order", label, name)
+					t.Errorf("%s: %v reads its rows out of the subject replica's order", label, id)
 				}
 			}
 		}
 	}
-	names := slices.Sorted(maps.Keys(byFile))
-	for i := 0; i < v.Nodes(); i++ {
-		names = append(names, v.Snap().Node(i).Names()...)
+	// Every file of the three replicas, on every node.
+	ids := slices.SortedFunc(maps.Keys(byFile), FileID.compare)
+	for _, p := range slices.Sorted(maps.Keys(props)) {
+		ids = append(ids, FileID{Pos: rdf.SPos, Prop: p}, FileID{Pos: rdf.OPos, Prop: p})
 	}
-	for _, name := range names {
+	for _, id := range ids {
 		for i := 0; i < v.Nodes(); i++ {
-			if f, ok := v.Open(i, name); ok {
+			if f, ok := v.Open(i, id); ok {
 				checkConstantRuns(t, label, f, i)
 			}
 		}
@@ -208,9 +210,9 @@ func checkLayout(t *testing.T, label string, v *View, g *rdf.Graph, mode Mode) {
 // readFile rebuilds the triples of a partition file read through the
 // resolver, in order, as a scan reads them: the rows of each part's run
 // that it keeps and whose subject is s and whose object is o (NoTerm:
-// any), over the cells the file's name fixes.
+// any), over the cells the file's ID fixes.
 func readFile(f File, s, o rdf.TermID) []rdf.Triple {
-	prop, _ := FileTerms(f.Name())
+	prop := f.ID().Prop
 	var out []rdf.Triple
 	for i := 0; i < f.Parts(); i++ {
 		r := f.Part(i, s, o)
@@ -238,8 +240,8 @@ func checkConstantRuns(t *testing.T, label string, f File, node int) {
 	for k := 0; k < len(all); k += max(1, len(all)/4) {
 		tr := all[k]
 		for _, c := range [][2]rdf.TermID{{tr.S, rdf.NoTerm}, {rdf.NoTerm, tr.O}, {tr.S, tr.O}, {tr.O, rdf.NoTerm}, {rdf.NoTerm, tr.S}} {
-			if _, class := FileTerms(f.Name()); class != rdf.NoTerm && c[1] != rdf.NoTerm && c[1] != class {
-				continue // the name decides a class file's object
+			if class := f.ID().Class; class != rdf.NoTerm && c[1] != rdf.NoTerm && c[1] != class {
+				continue // the ID decides a class file's object
 			}
 			var want []rdf.Triple
 			for _, x := range all {
@@ -249,7 +251,7 @@ func checkConstantRuns(t *testing.T, label string, f File, node int) {
 			}
 			got := readFile(f, c[0], c[1])
 			if !reflect.DeepEqual(tally(got), tally(want)) {
-				t.Fatalf("%s: %s on node %d, subject %d object %d: the runs hold %d rows, the file %d", label, f.Name(), node, c[0], c[1], len(got), len(want))
+				t.Fatalf("%s: %v on node %d, subject %d object %d: the runs hold %d rows, the file %d", label, f.ID(), node, c[0], c[1], len(got), len(want))
 			}
 		}
 	}
@@ -275,9 +277,9 @@ func TestResolverOnPinnedViews(t *testing.T) {
 		want := map[rdf.Triple]int{}
 		v.EachTriple(rdf.NoTerm, func(tr rdf.Triple) { want[tr]++ })
 		got := map[rdf.Triple]int{}
-		for _, name := range v.Files(all, rdf.PPos, d) {
+		for _, id := range patternFiles(v, all, rdf.PPos, d) {
 			for i := 0; i < v.Nodes(); i++ {
-				f, ok := v.Open(i, name)
+				f, ok := v.Open(i, id)
 				if !ok {
 					continue
 				}
@@ -286,7 +288,7 @@ func TestResolverOnPinnedViews(t *testing.T) {
 					got[tr]++
 				}
 				if len(rows) != f.NumRows() {
-					return fmt.Sprintf("%s on node %d reads %d rows, reports %d", name, i, len(rows), f.NumRows())
+					return fmt.Sprintf("%v on node %d reads %d rows, reports %d", id, i, len(rows), f.NumRows())
 				}
 			}
 		}
@@ -307,10 +309,9 @@ func TestScanRunsOnPinnedViews(t *testing.T) {
 	all := sparql.MustParse(`SELECT ?s ?p ?o WHERE { ?s ?p ?o }`).Patterns[0]
 	churnWhileReading(t, func(v *View, d *rdf.Dict) string {
 		for _, pos := range []rdf.Pos{rdf.SPos, rdf.OPos, rdf.PPos} {
-			for _, name := range v.Files(all, pos, d) {
-				_, class := FileTerms(name)
+			for _, id := range patternFiles(v, all, pos, d) {
 				for i := 0; i < v.Nodes(); i++ {
-					f, ok := v.Open(i, name)
+					f, ok := v.Open(i, id)
 					if !ok {
 						continue
 					}
@@ -318,8 +319,8 @@ func TestScanRunsOnPinnedViews(t *testing.T) {
 					for k := 0; k < len(rows); k += max(1, len(rows)/3) {
 						tr := rows[k]
 						for _, c := range [][2]rdf.TermID{{tr.S, rdf.NoTerm}, {rdf.NoTerm, tr.O}, {tr.S, tr.O}} {
-							if class != rdf.NoTerm {
-								c[1] = rdf.NoTerm // the name decides a class file's object
+							if id.Class != rdf.NoTerm {
+								c[1] = rdf.NoTerm // the ID decides a class file's object
 							}
 							want := map[rdf.Triple]int{}
 							for _, x := range rows {
@@ -328,7 +329,7 @@ func TestScanRunsOnPinnedViews(t *testing.T) {
 								}
 							}
 							if got := tally(readFile(f, c[0], c[1])); !reflect.DeepEqual(got, want) {
-								return fmt.Sprintf("%s on node %d, subject %d object %d: the runs hold %d distinct rows, the file %d", name, i, c[0], c[1], len(got), len(want))
+								return fmt.Sprintf("%v on node %d, subject %d object %d: the runs hold %d distinct rows, the file %d", id, i, c[0], c[1], len(got), len(want))
 							}
 						}
 					}
@@ -414,15 +415,15 @@ func TestOpenAllocatesNothing(t *testing.T) {
 	class0, _ := g.Dict.Lookup(rdf.NewIRI("Class0"))
 	s0, _ := g.Dict.Lookup(rdf.NewIRI("s0"))
 	s1, _ := g.Dict.Lookup(rdf.NewIRI("s1"))
-	for _, name := range []string{
-		FileName(rdf.SPos, knows, 0), FileName(rdf.OPos, typeID, 0),
-		FileName(rdf.PPos, knows, 0), FileName(rdf.PPos, typeID, class0),
+	for _, id := range []FileID{
+		{Pos: rdf.SPos, Prop: knows}, {Pos: rdf.OPos, Prop: typeID},
+		{Pos: rdf.PPos, Prop: knows}, {Pos: rdf.PPos, Prop: typeID, Class: class0},
 	} {
 		rows := 0
 		allocs := testing.AllocsPerRun(20, func() {
 			rows = 0
 			for i := 0; i < v.Nodes(); i++ {
-				f, ok := v.Open(i, name)
+				f, ok := v.Open(i, id)
 				for j := 0; ok && j < f.Parts(); j++ {
 					for _, c := range [][2]rdf.TermID{{}, {s0, rdf.NoTerm}, {rdf.NoTerm, s1}} {
 						r := f.Part(j, c[0], c[1])
@@ -432,7 +433,7 @@ func TestOpenAllocatesNothing(t *testing.T) {
 			}
 		})
 		if allocs != 0 || rows == 0 {
-			t.Errorf("resolving %s on every node: %v allocs, %d stored rows; want 0 allocs and its rows", name, allocs, rows)
+			t.Errorf("resolving %v on every node: %v allocs, %d stored rows; want 0 allocs and its rows", id, allocs, rows)
 		}
 	}
 }
@@ -484,11 +485,11 @@ func TestPartReadsTheOtherReplica(t *testing.T) {
 			members[tr.O]++
 		}
 	}
-	name := FileName(rdf.SPos, typeID, 0)
+	id := FileID{Pos: rdf.SPos, Prop: typeID}
 	var runs, wholes int
 	for class, n := range members {
 		for node := 0; node < v.Nodes(); node++ {
-			f, ok := v.Open(node, name)
+			f, ok := v.Open(node, id)
 			if !ok {
 				continue
 			}
@@ -525,9 +526,9 @@ func TestKeyRangesPartitionFiles(t *testing.T) {
 	tp := sparql.MustParse(`SELECT ?s WHERE { ?s ?p ?o }`).Patterns[0]
 	checked := 0
 	for _, pos := range []rdf.Pos{rdf.SPos, rdf.PPos, rdf.OPos} {
-		for _, name := range v.Files(tp, pos, g.Dict) {
+		for _, id := range patternFiles(v, tp, pos, g.Dict) {
 			for node := 0; node < v.Nodes(); node++ {
-				f, ok := v.Open(node, name)
+				f, ok := v.Open(node, id)
 				if !ok {
 					continue
 				}
@@ -544,7 +545,7 @@ func TestKeyRangesPartitionFiles(t *testing.T) {
 					rows += f.Rows(cuts[j-1], cuts[j])
 				}
 				if rows != f.NumRows() {
-					t.Errorf("node %d, %s cut at %v: %d rows over the ranges, %d in the file", node, name, cuts, rows, f.NumRows())
+					t.Errorf("node %d, %v cut at %v: %d rows over the ranges, %d in the file", node, id, cuts, rows, f.NumRows())
 				}
 				s, o := rdf.NoTerm, rdf.NoTerm
 				if whole.Hi > whole.Lo {
@@ -562,17 +563,17 @@ func TestKeyRangesPartitionFiles(t *testing.T) {
 							lo, hi := cuts[j-1], cuts[j]
 							w := f.Within(r, lo, hi)
 							if w.F != r.F || w.Obj != r.Obj || w.Lo != at || w.Hi < w.Lo {
-								t.Fatalf("node %d, %s part %d, constants %v: range [%d, %d) reads rows [%d, %d), want from %d", node, name, i, c, lo, hi, w.Lo, w.Hi, at)
+								t.Fatalf("node %d, %v part %d, constants %v: range [%d, %d) reads rows [%d, %d), want from %d", node, id, i, c, lo, hi, w.Lo, w.Hi, at)
 							}
 							for row := w.Lo; row < w.Hi; row++ {
 								if k := f.Key(r, row); k < lo || hi != rdf.NoTerm && k >= hi {
-									t.Fatalf("node %d, %s part %d, constants %v: row %d's key %d is outside [%d, %d)", node, name, i, c, row, k, lo, hi)
+									t.Fatalf("node %d, %v part %d, constants %v: row %d's key %d is outside [%d, %d)", node, id, i, c, row, k, lo, hi)
 								}
 							}
 							at = w.Hi
 						}
 						if at != r.Hi {
-							t.Fatalf("node %d, %s part %d, constants %v: the ranges end at row %d, the run at %d", node, name, i, c, at, r.Hi)
+							t.Fatalf("node %d, %v part %d, constants %v: the ranges end at row %d, the run at %d", node, id, i, c, at, r.Hi)
 						}
 						checked++
 					}

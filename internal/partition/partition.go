@@ -23,10 +23,12 @@
 // counts, but their rows are cells the other two replicas hold — a
 // file p/p<P> is the subject files s/p<P> of every node in node order,
 // and a class file p/p<type>/o<C> is the run of class C in the object
-// file o/p<type> on node hash(C). View.Open resolves every name a scan
-// reads, whatever its replica, and File.Part the run a scan's constants
-// select, so scans and their metering see three replicas while the
-// store holds two.
+// file o/p<type> on node hash(C). Scans name a file by value, a FileID
+// (its replica, property and class), never by its name: View.AppendFiles
+// lists the files a scan reads, View.Open resolves each, whatever its
+// replica, and File.Part the run a scan's constants select, so scans and
+// their metering see three replicas while the store holds two. Names are
+// the store's and the writers' (FileName, route) alone.
 //
 // Beyond the paper's load-once setting, the partitioner is mutable:
 // ApplyBatch re-derives the placement for a delta of inserted and
@@ -38,12 +40,12 @@
 package partition
 
 import (
+	"cmp"
 	"maps"
 	"math"
 	"slices"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -60,7 +62,7 @@ var TripleSchema = []string{"s", "p", "o"}
 
 // tripleKey is the key the whole triple t, a TripleSchema row, has in
 // the partition file name: a stored file keeps the positions its name
-// does not fix (see FileTerms), the one its replica is placed by first —
+// does not fix (its property), the one its replica is placed by first —
 // (s, o) in a subject file, (o, s) in an object file. A property file
 // holds no keys.
 func tripleKey(name string, t dstore.Row) (uint64, bool) {
@@ -113,10 +115,10 @@ type Partitioner struct {
 
 	// pinMu guards pins, a refcount per pinned epoch. The Go runtime
 	// already reclaims unpinned snapshots (an idle execution context
-	// holds none: its file-name memo knows its view by a weak pointer);
-	// the registry exists so the durable engine's checkpoints know the
-	// oldest epoch a concurrent execution still reads (the watermark)
-	// and keeps the WAL generations that can reconstruct it.
+	// holds none); the registry exists so the durable engine's
+	// checkpoints know the oldest epoch a concurrent execution still
+	// reads (the watermark) and keeps the WAL generations that can
+	// reconstruct it.
 	pinMu sync.Mutex
 	pins  map[uint64]int
 }
@@ -232,10 +234,6 @@ func (v *View) route(t rdf.Triple, d int, f func(node int, file string, k uint64
 	f(v.place.NodeFor(t.O), FileName(rdf.OPos, t.P, 0), dstore.Key(t.O, t.S))
 }
 
-// placedOnly reports whether a partition file name is the property
-// replica's, which the store does not hold.
-func placedOnly(name string) bool { return name[0] == 'p' }
-
 // count moves m[k] by d, deleting the entry once it reaches zero.
 func count(m map[rdf.TermID]int, k rdf.TermID, d int) {
 	if m[k] += d; m[k] <= 0 {
@@ -324,17 +322,17 @@ func (v *View) stored(node int, pos rdf.Pos, prop rdf.TermID) *dstore.File {
 	return f
 }
 
-// FileTerms parses the cells a partition file's name fixes: its
-// property, and for a class file of the rdf:type property replica its
-// class (NoTerm for every other file).
-func FileTerms(name string) (prop, class rdf.TermID) {
-	p, c, isClass := strings.Cut(name[len("s/p"):], "/o")
-	id, _ := strconv.ParseUint(p, 10, 32)
-	if isClass {
-		cid, _ := strconv.ParseUint(c, 10, 32)
-		class = rdf.TermID(cid)
-	}
-	return rdf.TermID(id), class
+// FileID is a partition file by value: the replica it is placed by, its
+// property and, for a class file of the rdf:type property replica only,
+// its class (NoTerm for every other file) — the cells its name fixes.
+type FileID struct {
+	Pos         rdf.Pos
+	Prop, Class rdf.TermID
+}
+
+// compare orders file IDs by replica, then property, then class.
+func (a FileID) compare(b FileID) int {
+	return cmp.Or(cmp.Compare(a.Pos, b.Pos), cmp.Compare(a.Prop, b.Prop), cmp.Compare(a.Class, b.Class))
 }
 
 // Version is the view's epoch number (the dstore snapshot version).
@@ -355,48 +353,45 @@ func (v *View) Snap() *dstore.Snapshot { return v.snap }
 // order, from the files that hold its cells (Parts, Part).
 type File struct {
 	v    *View
-	name string
+	id   FileID
 	node int
 	// f is the stored file: the file itself, or for a class file the
 	// object file whose run of class holds it. It is nil for a property
 	// file, whose rows are the subject files of every node.
-	f     *dstore.File
-	class rdf.TermID
-	rows  int
+	f    *dstore.File
+	rows int
 }
 
-// Open resolves the partition file name on node within this view,
+// Open resolves the partition file id on node within this view,
 // reporting false when the node does not hold it. A subject or object
 // file is held where it is stored. A property file p/p<P> is held by
 // node NodeFor(P) of the view's placement if P has triples, and its
 // rows are the subject files s/p<P> of nodes 0 to Nodes()-1; a class
 // file p/p<type>/o<C> is held by node NodeFor(type) if C has members,
 // and its rows are the run of object C in the object file o/p<type> on
-// node NodeFor(C). Open allocates nothing.
-func (v *View) Open(node int, name string) (File, bool) {
-	if !placedOnly(name) {
-		f, ok := v.snap.Node(node).Get(name)
-		if !ok {
+// node NodeFor(C). Open parses no name and allocates nothing.
+func (v *View) Open(node int, id FileID) (File, bool) {
+	if id.Pos != rdf.PPos {
+		f := v.stored(node, id.Pos, id.Prop)
+		if f == nil {
 			return File{}, false
 		}
-		return File{v: v, name: name, node: node, f: f, rows: f.NumRows()}, true
+		return File{v: v, id: id, node: node, f: f, rows: f.NumRows()}, true
 	}
-	prop, class := FileTerms(name)
-	isType := v.typeID != rdf.NoTerm && prop == v.typeID
-	if v.p.mode == SubjectOnly || isType != (class != rdf.NoTerm) || v.place.NodeFor(prop) != node {
+	isType := v.typeID != rdf.NoTerm && id.Prop == v.typeID
+	if v.p.mode == SubjectOnly || isType != (id.Class != rdf.NoTerm) || v.place.NodeFor(id.Prop) != node {
 		return File{}, false
 	}
-	lf := File{v: v, name: name, node: node, class: class, rows: v.properties[prop]}
+	lf := File{v: v, id: id, node: node, rows: v.properties[id.Prop]}
 	if isType {
-		lf.rows = v.typeObjects[class]
-		// The object file o/p<type>: the class name without "/o<C>".
-		lf.f, _ = v.snap.Node(v.place.NodeFor(class)).Get("o" + name[1:strings.LastIndexByte(name, '/')])
+		lf.rows = v.typeObjects[id.Class]
+		lf.f = v.stored(v.place.NodeFor(id.Class), rdf.OPos, id.Prop)
 	}
 	return lf, lf.rows > 0
 }
 
-// Name is the file's partition file name.
-func (f File) Name() string { return f.name }
+// ID is the file's identity: the cells its name fixes.
+func (f File) ID() FileID { return f.id }
 
 // NumRows is the file's row count: what a mapper reading it reads.
 func (f File) NumRows() int { return f.rows }
@@ -439,34 +434,29 @@ func (r Run) KeepsAll() bool { return r.place == nil }
 // node — those of its rows placed on the part's node are the part's —
 // unless the whole file is the cheaper read (placeCost), as it is under
 // SubjectOnly, which has no other replica. A class file's part is its
-// class's run: o, which its name fixes, is the caller's to check. Part
+// class's run: o, which its ID fixes, is the caller's to check. Part
 // allocates nothing.
 func (f File) Part(i int, s, o rdf.TermID) Run {
-	v, sf, node, name := f.v, f.f, f.node, f.name
-	if f.class != rdf.NoTerm {
-		return span(sf, true, f.class, s)
+	v, sf, node, id := f.v, f.f, f.node, f.id
+	if id.Class != rdf.NoTerm {
+		return span(sf, true, id.Class, s)
 	}
 	if sf == nil { // a property file: part i is node i's subject file
-		node, name = i, "s"+f.name[1:]
-		if sf, _ = v.snap.Node(i).Get(name); sf == nil {
+		node, id.Pos = i, rdf.SPos
+		if sf = v.stored(i, rdf.SPos, id.Prop); sf == nil {
 			return Run{}
 		}
 	}
-	obj := name[0] == 'o'
-	placed, other := s, o
+	obj := id.Pos == rdf.OPos
+	placed, other, otherPos := s, o, rdf.OPos
 	if obj {
-		placed, other = o, s
+		placed, other, otherPos = o, s, rdf.SPos
 	}
 	switch {
 	case placed != rdf.NoTerm:
 		return span(sf, obj, placed, other)
 	case other != rdf.NoTerm && v.p.mode == ThreeReplica:
-		replica := "o"
-		if obj {
-			replica = "s"
-		}
-		of, _ := v.snap.Node(v.place.NodeFor(other)).Get(replica + name[1:])
-		r := span(of, !obj, other, rdf.NoTerm)
+		r := span(v.stored(v.place.NodeFor(other), otherPos, id.Prop), !obj, other, rdf.NoTerm)
 		if (r.Hi-r.Lo)*placeCost < sf.NumRows() {
 			r.place, r.node = v.place, node
 			return r
@@ -498,14 +488,13 @@ func span(sf *dstore.File, obj bool, placed, other rdf.TermID) Run {
 // Key returns the key of row i of run r of f: the cell f is placed by —
 // the first cell of a run of its stored file, the second of a run read
 // in the other replica — or, for a file of the property replica, the
-// property its name fixes. Within each run a file's rows ascend by key.
+// property its ID fixes. Within each run a file's rows ascend by key.
 func (f File) Key(r Run, i int) rdf.TermID {
-	if placedOnly(f.name) {
-		prop, _ := FileTerms(f.name)
-		return prop
+	if f.id.Pos == rdf.PPos {
+		return f.id.Prop
 	}
 	first, second := dstore.Cells(r.F.Keys()[i])
-	if r.Obj == (f.name[0] == 'o') {
+	if r.Obj == (f.id.Pos == rdf.OPos) {
 		return first
 	}
 	return second
@@ -532,59 +521,44 @@ func (f File) Within(r Run, lo, hi rdf.TermID) Run {
 // no bound: all or none of a file of the property replica, a run of a
 // stored file.
 func (f File) Rows(lo, hi rdf.TermID) int {
-	if placedOnly(f.name) {
-		if k := f.Key(Run{}, 0); k < lo || hi != rdf.NoTerm && k >= hi {
+	if f.id.Pos == rdf.PPos {
+		if k := f.id.Prop; k < lo || hi != rdf.NoTerm && k >= hi {
 			return 0
 		}
 		return f.rows
 	}
-	r := f.Within(span(f.f, f.name[0] == 'o', rdf.NoTerm, rdf.NoTerm), lo, hi)
+	r := f.Within(span(f.f, f.id.Pos == rdf.OPos, rdf.NoTerm, rdf.NoTerm), lo, hi)
 	return r.Hi - r.Lo
 }
 
-// Files resolves the files a scan of pattern tp must read when placed
-// in the replica partitioned on position pos, within this view's epoch.
-// Patterns with a constant property read that property's file; variable
-// -property patterns read every property file of the partition. In the
-// property partition, rdf:type patterns with a constant object read
-// only that class's split file.
-func (v *View) Files(tp sparql.TriplePattern, pos rdf.Pos, dict *rdf.Dict) []string {
-	if !tp.P.IsVar {
-		prop, ok := dict.Lookup(tp.P.Term)
-		if !ok {
-			return nil // property absent from the data: empty scan
+// AppendFiles appends to dst the files a scan of property prop reads in
+// the replica placed by pos, within this view's epoch, and returns it:
+// prop's file or, for NoTerm, every property's. In the property replica
+// rdf:type's files are its classes': class's, or for NoTerm every
+// class's (a variable-property scan reads them all). Listed for NoTerm
+// are the files that hold rows; a constant's file is listed whether or
+// not it does, and Open tells. The files come in ascending (property,
+// class) order, so scans visit files, and meter their work, in a
+// reproducible order. It looks nothing up and allocates only to grow dst.
+func (v *View) AppendFiles(dst []FileID, pos rdf.Pos, prop, class rdf.TermID) []FileID {
+	start, id := len(dst), FileID{Pos: pos, Prop: prop}
+	switch {
+	case prop == rdf.NoTerm:
+		for p := range v.properties {
+			dst = v.AppendFiles(dst, pos, p, rdf.NoTerm)
 		}
-		if pos == rdf.PPos && prop == v.typeID && v.typeID != rdf.NoTerm {
-			if !tp.O.IsVar {
-				obj, ok := dict.Lookup(tp.O.Term)
-				if !ok {
-					return nil
-				}
-				return []string{FileName(pos, prop, obj)}
-			}
-			out := make([]string, 0, len(v.typeObjects))
-			for o := range v.typeObjects {
-				out = append(out, FileName(pos, prop, o))
-			}
-			sort.Strings(out)
-			return out
+	case pos != rdf.PPos || prop != v.typeID:
+		return append(dst, id)
+	case class != rdf.NoTerm:
+		id.Class = class
+		return append(dst, id)
+	default:
+		for id.Class = range v.typeObjects {
+			dst = append(dst, id)
 		}
-		return []string{FileName(pos, prop, 0)}
 	}
-	// Variable property: read the whole partition. Sorted so scans
-	// visit files (and meter their work) in a reproducible order.
-	var out []string
-	for prop := range v.properties {
-		if pos == rdf.PPos && prop == v.typeID && v.typeID != rdf.NoTerm {
-			for o := range v.typeObjects {
-				out = append(out, FileName(rdf.PPos, prop, o))
-			}
-			continue
-		}
-		out = append(out, FileName(pos, prop, 0))
-	}
-	sort.Strings(out)
-	return out
+	slices.SortFunc(dst[start:], FileID.compare)
+	return dst
 }
 
 // EachTriple calls fn for every triple of the view's epoch whose

@@ -2,10 +2,13 @@ package partition
 
 import (
 	"fmt"
+	"maps"
 	"reflect"
+	"slices"
 	"testing"
 
 	"cliquesquare/internal/dstore"
+	"cliquesquare/internal/lubm"
 	"cliquesquare/internal/rdf"
 	"cliquesquare/internal/sparql"
 )
@@ -30,9 +33,9 @@ func TestThreeReplicas(t *testing.T) {
 	// the resolver, hold every triple once.
 	v, logical := p.Current(), 0
 	all := sparql.MustParse(`SELECT ?s ?p ?o WHERE { ?s ?p ?o }`).Patterns[0]
-	for _, name := range v.Files(all, rdf.PPos, g.Dict) {
+	for _, id := range patternFiles(v, all, rdf.PPos, g.Dict) {
 		for i := 0; i < v.Nodes(); i++ {
-			if f, ok := v.Open(i, name); ok {
+			if f, ok := v.Open(i, id); ok {
 				logical += len(readFile(f, rdf.NoTerm, rdf.NoTerm))
 			}
 		}
@@ -72,15 +75,15 @@ func TestFilesConstantProperty(t *testing.T) {
 	store := dstore.NewStore(3)
 	p := LoadWithPolicy(store, g, ThreeReplica, nil)
 	tp := sparql.MustParse(`SELECT ?a WHERE { ?a <knows> ?b }`).Patterns[0]
-	files := p.Current().Files(tp, rdf.SPos, g.Dict)
+	files := patternFiles(p.Current(), tp, rdf.SPos, g.Dict)
 	if len(files) != 1 {
-		t.Fatalf("Files = %v, want one file", files)
+		t.Fatalf("AppendFiles = %v, want one file", files)
 	}
 	// All 20 'knows' triples must be reachable through that file across
 	// nodes.
 	total := 0
 	for i := 0; i < store.N(); i++ {
-		if f, ok := store.Current().Node(i).Get(files[0]); ok {
+		if f, ok := store.Current().Node(i).Get(fileName(files[0])); ok {
 			total += f.NumRows()
 		}
 	}
@@ -97,9 +100,9 @@ func TestFilesRdfTypeSplit(t *testing.T) {
 	tp := q.Patterns[0]
 	// In the property partition, the rdf:type pattern with constant
 	// object resolves to exactly one per-class file.
-	files := p.Current().Files(tp, rdf.PPos, g.Dict)
+	files := patternFiles(p.Current(), tp, rdf.PPos, g.Dict)
 	if len(files) != 1 {
-		t.Fatalf("Files = %v, want 1 split file", files)
+		t.Fatalf("AppendFiles = %v, want 1 split file", files)
 	}
 	total := 0
 	for i := 0; i < store.N(); i++ {
@@ -113,7 +116,7 @@ func TestFilesRdfTypeSplit(t *testing.T) {
 	}
 	// With a variable object it must return all class splits.
 	q2 := sparql.MustParse(fmt.Sprintf(`SELECT ?a ?c WHERE { ?a <%s> ?c }`, sparql.RDFType))
-	files = p.Current().Files(q2.Patterns[0], rdf.PPos, g.Dict)
+	files = patternFiles(p.Current(), q2.Patterns[0], rdf.PPos, g.Dict)
 	if len(files) != 3 {
 		t.Errorf("variable-object rdf:type resolves to %v, want 3 files", files)
 	}
@@ -124,12 +127,12 @@ func TestFilesVariableProperty(t *testing.T) {
 	store := dstore.NewStore(3)
 	p := LoadWithPolicy(store, g, ThreeReplica, nil)
 	q := sparql.MustParse(`SELECT ?a ?p WHERE { ?a ?p ?b }`)
-	files := p.Current().Files(q.Patterns[0], rdf.SPos, g.Dict)
+	files := patternFiles(p.Current(), q.Patterns[0], rdf.SPos, g.Dict)
 	// Two properties: knows + rdf:type.
 	if len(files) != 2 {
 		t.Errorf("variable property resolves to %v, want 2 files", files)
 	}
-	filesP := p.Current().Files(q.Patterns[0], rdf.PPos, g.Dict)
+	filesP := patternFiles(p.Current(), q.Patterns[0], rdf.PPos, g.Dict)
 	// In the property partition rdf:type is split by class: knows + 3.
 	if len(filesP) != 4 {
 		t.Errorf("variable property over p-partition resolves to %d files, want 4", len(filesP))
@@ -141,7 +144,7 @@ func TestFilesUnknownProperty(t *testing.T) {
 	store := dstore.NewStore(3)
 	p := LoadWithPolicy(store, g, ThreeReplica, nil)
 	q := sparql.MustParse(`SELECT ?a WHERE { ?a <never-seen> ?b }`)
-	if files := p.Current().Files(q.Patterns[0], rdf.SPos, g.Dict); files != nil {
+	if files := patternFiles(p.Current(), q.Patterns[0], rdf.SPos, g.Dict); files != nil {
 		t.Errorf("unknown property resolves to %v, want nil", files)
 	}
 }
@@ -164,15 +167,29 @@ func TestFileName(t *testing.T) {
 	if got := FileName(rdf.PPos, 42, 7); got != "p/p42/o7" {
 		t.Errorf("FileName = %q", got)
 	}
-	for _, c := range []struct {
-		pos         rdf.Pos
-		prop, class rdf.TermID
-	}{{rdf.SPos, 42, 0}, {rdf.OPos, 4294967295, 0}, {rdf.PPos, 42, 7}} {
-		if p, o := FileTerms(FileName(c.pos, c.prop, c.class)); p != c.prop || o != c.class {
-			t.Errorf("FileTerms(FileName(%v)) = %d, %d", c, p, o)
-		}
+	if got := FileName(rdf.OPos, 4294967295, 0); got != "o/p4294967295" {
+		t.Errorf("FileName = %q", got)
 	}
 }
+
+// patternFiles lists the files a scan of tp reads at pos, its constants
+// resolved through d: none when one misses it, as the executor does.
+func patternFiles(v *View, tp sparql.TriplePattern, pos rdf.Pos, d *rdf.Dict) []FileID {
+	var ids [3]rdf.TermID
+	for p := rdf.SPos; p <= rdf.OPos; p++ {
+		if pt := tp.At(p); !pt.IsVar {
+			id, ok := d.Lookup(pt.Term)
+			if !ok {
+				return nil
+			}
+			ids[p] = id
+		}
+	}
+	return v.AppendFiles(nil, pos, ids[rdf.PPos], ids[rdf.OPos])
+}
+
+// fileName is the name the store keeps file id under.
+func fileName(id FileID) string { return FileName(id.Pos, id.Prop, id.Class) }
 
 // nodeRows is the number of rows a node stores.
 func nodeRows(nd dstore.NodeView) int {
@@ -213,7 +230,7 @@ func storeState(s *dstore.Store) map[int]map[string][]uint64 {
 // property, a new rdf:type class, and removal of a whole class), the
 // incrementally maintained store is byte-identical — per node, per
 // file, per row — to a fresh three-replica load of the mutated graph,
-// and the placement metadata (Files resolution) agrees too.
+// and the placement metadata (AppendFiles) agrees too.
 func TestApplyBatchMatchesFreshLoad(t *testing.T) {
 	for _, mode := range []Mode{ThreeReplica, SubjectOnly} {
 		g := sampleGraph()
@@ -272,9 +289,8 @@ func TestApplyBatchMatchesFreshLoad(t *testing.T) {
 		for _, src := range qs {
 			tp := sparql.MustParse(src).Patterns[0]
 			for _, pos := range []rdf.Pos{rdf.SPos, rdf.PPos, rdf.OPos} {
-				if !reflect.DeepEqual(p.Current().Files(tp, pos, g.Dict), fp.Current().Files(tp, pos, g.Dict)) {
-					t.Errorf("%v: Files(%s, %s) = %v, fresh %v",
-						mode, src, pos, p.Current().Files(tp, pos, g.Dict), fp.Current().Files(tp, pos, g.Dict))
+				if got, want := patternFiles(p.Current(), tp, pos, g.Dict), patternFiles(fp.Current(), tp, pos, g.Dict); !reflect.DeepEqual(got, want) {
+					t.Errorf("%v: AppendFiles(%s, %s) = %v, fresh %v", mode, src, pos, got, want)
 				}
 			}
 		}
@@ -289,7 +305,7 @@ func TestViewPinsEpoch(t *testing.T) {
 	p := LoadWithPolicy(store, g, ThreeReplica, nil)
 	old := p.Current()
 	tp := sparql.MustParse(`SELECT ?a ?b WHERE { ?a <knows> ?b }`).Patterns[0]
-	fname := old.Files(tp, rdf.SPos, g.Dict)[0]
+	fname := fileName(patternFiles(old, tp, rdf.SPos, g.Dict)[0])
 	oldRows := 0
 	for i := 0; i < store.N(); i++ {
 		if f, ok := old.Snap().Node(i).Get(fname); ok {
@@ -318,7 +334,7 @@ func TestViewPinsEpoch(t *testing.T) {
 	}
 	// The new view has neither the file nor the property.
 	cur := p.Current()
-	if files := cur.Files(tp, rdf.SPos, g.Dict); len(files) != 1 {
+	if files := patternFiles(cur, tp, rdf.SPos, g.Dict); len(files) != 1 {
 		t.Fatalf("constant-property resolution should still name the file: %v", files)
 	}
 	for i := 0; i < store.N(); i++ {
@@ -327,7 +343,92 @@ func TestViewPinsEpoch(t *testing.T) {
 		}
 	}
 	vq := sparql.MustParse(`SELECT ?a ?p ?b WHERE { ?a ?p ?b }`).Patterns[0]
-	if files := cur.Files(vq, rdf.SPos, g.Dict); len(files) != 1 {
+	if files := patternFiles(cur, vq, rdf.SPos, g.Dict); len(files) != 1 {
 		t.Errorf("variable-property resolution after property removal = %v, want only rdf:type", files)
+	}
+}
+
+// TestFileIDsMatchStoredNames holds the files scans list by value to the
+// files writers store by name, in both modes under both policies, over
+// one LUBM university: at the replica a scan reads, AppendFiles lists
+// exactly the files that hold rows, in ascending (property, class) order
+// — for every constant property, a variable property, and rdf:type read
+// at the property replica with its class constant and variable — each
+// holding its triples over the nodes; and Open of a subject- or
+// object-replica file on a node reads the very file the store keeps
+// under its FileName there.
+func TestFileIDsMatchStoredNames(t *testing.T) {
+	g := lubm.Generate(lubm.DefaultConfig(1))
+	typeID, _ := g.Dict.Lookup(rdf.NewIRI(sparql.RDFType))
+	members := map[FileID]int{} // the triples of each file of the property replica
+	for _, tr := range g.Triples() {
+		id := FileID{Pos: rdf.PPos, Prop: tr.P}
+		if tr.P == typeID {
+			id.Class = tr.O
+		}
+		members[id]++
+	}
+	for _, mode := range []Mode{ThreeReplica, SubjectOnly} {
+		for _, policy := range []Policy{ModuloPolicy, RingPolicy} {
+			v := LoadWithPolicy(dstore.NewStore(5), g, mode, policy).Current()
+			label := fmt.Sprintf("%v/%s", mode, v.place.Name())
+			for _, pos := range []rdf.Pos{rdf.SPos, rdf.PPos, rdf.OPos} {
+				pos = v.ScanPos(pos)
+				// want lists the files of prop (NoTerm: every property's)
+				// and class, from the graph.
+				want := func(prop, class rdf.TermID) (out []FileID) {
+					for _, id := range slices.SortedFunc(maps.Keys(members), FileID.compare) {
+						if prop != rdf.NoTerm && id.Prop != prop || class != rdf.NoTerm && id.Class != class {
+							continue
+						}
+						if pos != rdf.PPos || mode == SubjectOnly {
+							id = FileID{Pos: pos, Prop: id.Prop}
+						}
+						if len(out) == 0 || out[len(out)-1] != id {
+							out = append(out, id)
+						}
+					}
+					return out
+				}
+				check := func(prop, class rdf.TermID) {
+					got := v.AppendFiles(nil, pos, prop, class)
+					if w := want(prop, class); !reflect.DeepEqual(got, w) {
+						t.Fatalf("%s: AppendFiles(%v, %d, %d) = %v, want %v", label, pos, prop, class, got, w)
+					}
+					for _, id := range got {
+						rows := 0
+						for node := 0; node < v.Nodes(); node++ {
+							f, ok := v.Open(node, id)
+							if ok {
+								rows += f.NumRows()
+							}
+							if id.Pos == rdf.PPos {
+								continue
+							}
+							sf, stored := v.Snap().Node(node).Get(FileName(id.Pos, id.Prop, 0))
+							if ok != stored || ok && f.Part(0, rdf.NoTerm, rdf.NoTerm).F != sf {
+								t.Fatalf("%s: node %d opens %v (%v) apart from the file stored as %s (%v)", label, node, id, ok, FileName(id.Pos, id.Prop, 0), stored)
+							}
+						}
+						n := 0
+						for m, c := range members {
+							if m.Prop == id.Prop && (id.Class == rdf.NoTerm || m.Class == id.Class) {
+								n += c
+							}
+						}
+						if rows != n {
+							t.Errorf("%s: %v holds %d rows over the nodes, want %d", label, id, rows, n)
+						}
+					}
+				}
+				check(rdf.NoTerm, rdf.NoTerm)
+				for id := range members {
+					check(id.Prop, rdf.NoTerm)
+					if id.Class != rdf.NoTerm {
+						check(id.Prop, id.Class)
+					}
+				}
+			}
+		}
 	}
 }

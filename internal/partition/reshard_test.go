@@ -191,7 +191,7 @@ func TestReshardThenApplyBatch(t *testing.T) {
 	}
 
 	tp := sparql.MustParse(`SELECT ?a ?b WHERE { ?a <worksAt> ?b }`).Patterns[0]
-	if files := p.Current().Files(tp, rdf.SPos, g.Dict); len(files) != 1 {
-		t.Errorf("Files after reshard+batch = %v, want one file", files)
+	if files := patternFiles(p.Current(), tp, rdf.SPos, g.Dict); len(files) != 1 {
+		t.Errorf("AppendFiles after reshard+batch = %v, want one file", files)
 	}
 }

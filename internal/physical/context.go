@@ -4,7 +4,6 @@ import (
 	"runtime"
 	"slices"
 	"sync/atomic"
-	"weak"
 
 	"cliquesquare/internal/mapreduce"
 	"cliquesquare/internal/partition"
@@ -23,8 +22,8 @@ import (
 //
 // What an execution works out is only what the epoch and the dictionary
 // decide — the ids of the plan's constants, once per scan, the map
-// morsels of each job and the partition files a scan reads (memoized per
-// view); the rest of the schedule is the compiled Plan's.
+// morsels of each job and the partition files a scan reads (listed by
+// value from those ids); the rest of the schedule is the compiled Plan's.
 //
 // Ownership: every buffer that lives inside one execution comes from
 // the context's scratch (mapreduce.Bufs) and is filled once. What a
@@ -124,11 +123,11 @@ type scanConsts struct {
 // tag of reduce join rj, or with rj nil a map-only plan's root.
 type mapMorsel struct {
 	rj, in *Info
-	sp     *scanPlan  // in's scan, when in is one
-	tag    int        // the input's index within rj (the emitted records' tag)
-	file   string     // partition file of a scan morsel
-	rng    int        // key range of the re-read output of a shuffler morsel
-	lo, hi rdf.TermID // the keys a scan or map-join morsel reads: [lo, hi), hi NoTerm unbounded
+	sp     *scanPlan        // in's scan, when in is one
+	tag    int              // the input's index within rj (the emitted records' tag)
+	file   partition.FileID // partition file of a scan morsel
+	rng    int              // key range of the re-read output of a shuffler morsel
+	lo, hi rdf.TermID       // the keys a scan or map-join morsel reads: [lo, hi), hi NoTerm unbounded
 }
 
 // NewExecContext returns a context running jobs on the given number of
@@ -235,13 +234,7 @@ type arena struct {
 
 	sorts int // the join children that arrived out of key order (sortOn)
 
-	// scan file-name memo: partition-file resolution is pure per
-	// (property, class, replica position) within one pinned view, so the
-	// resolved name lists are cached until the view changes. The memo
-	// knows its view by a weak pointer, so an idle context keeps no
-	// superseded epoch alive.
-	fileView  weak.Pointer[partition.View]
-	fileNames map[fileKey][]string
+	files []partition.FileID // the files a scan reads (ExecContext.files)
 
 	// per-group join inputs of the reduce phase (groupInputs) and a map
 	// join's inputs (mapJoin). A lane runs a map morsel or a reduce
@@ -282,35 +275,6 @@ func (a *arena) release() {
 	clear(a.parts)
 	a.parts = a.parts[:0]
 }
-
-// fileKey is what the files a scan reads depend on (partition.View.Files):
-// the replica position it reads, its property (zero when a variable)
-// and, for an rdf:type pattern read at the property, its class (zero
-// when a variable). Subject and other object constants name no file.
-type fileKey struct {
-	prop, class rdf.Term
-	pos         rdf.Pos
-}
-
-// rdfType is the property whose files the property replica splits by
-// class.
-var rdfType = rdf.NewIRI(sparql.RDFType)
-
-// keyFiles returns the file-name memo's key for pattern tp read at pos.
-func keyFiles(tp sparql.TriplePattern, pos rdf.Pos) fileKey {
-	k := fileKey{pos: pos}
-	if !tp.P.IsVar {
-		k.prop = tp.P.Term
-		if pos == rdf.PPos && k.prop == rdfType && !tp.O.IsVar {
-			k.class = tp.O.Term
-		}
-	}
-	return k
-}
-
-// fileNamesCap bounds the per-arena file-name memo (shapes per pooled
-// context are few; the bound only guards pathological plan churn).
-const fileNamesCap = 1024
 
 // groupInputs returns the group's records split by input — rj's
 // children — their cells copied out of the shuffle buffers into blocks

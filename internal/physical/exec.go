@@ -3,7 +3,6 @@ package physical
 import (
 	"slices"
 	"sort"
-	"weak"
 
 	"cliquesquare/internal/dstore"
 	"cliquesquare/internal/mapreduce"
@@ -149,7 +148,7 @@ func (c *ExecContext) mapMorsel(node, morsel, lane int, m *mapreduce.Meter, emit
 	if mo.rj != nil {
 		dst = a.nextBlock(len(mo.in.Op.Attrs))
 	}
-	if file := [1]string{mo.file}; mo.in.Kind == KindScan {
+	if file := [1]partition.FileID{mo.file}; mo.in.Kind == KindScan {
 		c.scanFiles(dst, mo.sp, node, m, file[:], mo.lo, mo.hi)
 		n = dst.N // a scan flushes nothing
 	} else {
@@ -243,8 +242,8 @@ func (c *ExecContext) addMorsels(node int, mo mapMorsel) {
 		for mo.rng = range c.interm[in.ID][node] {
 			c.morsels[node] = append(c.morsels[node], mo)
 		}
-	case in.Kind == KindScan && !k.absent:
-		for _, mo.file = range c.fileNames(c.arenas[0], mo.sp) {
+	case in.Kind == KindScan:
+		for _, mo.file = range c.files(c.arenas[0], mo.sp) {
 			if f, ok := c.view.Open(node, mo.file); ok {
 				c.cutMorsels(node, mo, f, f.Part(0, k.ids[rdf.SPos], k.ids[rdf.OPos]))
 			}
@@ -253,8 +252,8 @@ func (c *ExecContext) addMorsels(node int, mo mapMorsel) {
 		f, r, keyed := partition.File{}, partition.Run{}, in.join.merge
 		for i, sp := range in.scans {
 			keyed = keyed && sp.varPos[in.join.keyCols[i]] == c.view.ScanPos(sp.pos)
-			for _, name := range c.fileNames(c.arenas[0], sp) {
-				for g, ok := c.view.Open(node, name); ok && !c.consts[sp.id].absent; ok = false {
+			for _, id := range c.files(c.arenas[0], sp) {
+				if g, ok := c.view.Open(node, id); ok {
 					for p, ids := 0, c.consts[sp.id].ids; p < g.Parts(); p++ {
 						if s := g.Part(p, ids[rdf.SPos], ids[rdf.OPos]); s.Hi-s.Lo > r.Hi-r.Lo {
 							f, r = g, s
@@ -307,7 +306,7 @@ func (c *ExecContext) mapJoin(dst *mapreduce.Block, in *Info, node int, m *mapre
 	a.joinInputs = slices.Grow(a.joinInputs[:0], len(in.scans))[:len(in.scans)]
 	for i, sp := range in.scans {
 		b := a.nextBlock(len(sp.varPos))
-		c.scanFiles(b, sp, node, m, c.fileNames(a, sp), lo, hi)
+		c.scanFiles(b, sp, node, m, c.files(a, sp), lo, hi)
 		a.joinInputs[i] = *b
 	}
 	counts := a.naryJoinInto(dst, a.joinInputs, in.join)
@@ -324,18 +323,18 @@ func (c *ExecContext) mapJoin(dst *mapreduce.Block, in *Info, node int, m *mapre
 // written is extracted from. The constants' ids are not part of it: an
 // execution resolves them (ExecContext.consts, by id).
 type scanPlan struct {
-	id, pattern int // the scan's Info ID and pattern index
-	pos         rdf.Pos
-	check       bool
-	repeats     [][2]rdf.Pos
-	varPos      []rdf.Pos
+	id      int // the scan's Info ID
+	pos     rdf.Pos
+	check   bool
+	repeats [][2]rdf.Pos
+	varPos  []rdf.Pos
 }
 
 // newScanPlan compiles the scan in of q's pattern as read under a join
 // on coVar ("" for none), writing the columns attrs.
 func newScanPlan(in *Info, q *sparql.Query, coVar string, attrs []string) *scanPlan {
 	tp := q.Patterns[in.Op.Pattern]
-	sp := &scanPlan{id: in.ID, pattern: in.Op.Pattern, pos: scanPosition(tp, coVar)}
+	sp := &scanPlan{id: in.ID, pos: scanPosition(tp, coVar)}
 	for p := rdf.SPos; p <= rdf.OPos; p++ {
 		pt := tp.At(p)
 		sp.check = sp.check || !pt.IsVar
@@ -356,30 +355,17 @@ func newScanPlan(in *Info, q *sparql.Query, coVar string, attrs []string) *scanP
 	return sp
 }
 
-// fileNames resolves the partition files scan sp must read through the
-// arena's per-view memo: resolution is pure per (property, class,
-// replica position) within one pinned view. The memo keys on those
-// terms, not on the scan, which is shared by the plans of every query of
-// its written shape and under Section 5.1's rdf:type split reads other
-// files for another class; nor on the pattern, whose subject and object
-// constants name no file.
-func (c *ExecContext) fileNames(a *arena, sp *scanPlan) []string {
-	if v := weak.Make(c.view); a.fileView != v || len(a.fileNames) > fileNamesCap {
-		a.fileView = v
-		if a.fileNames == nil {
-			a.fileNames = make(map[fileKey][]string)
-		} else {
-			clear(a.fileNames)
-		}
+// files lists, into the arena's list, the partition files scan sp reads
+// at the view's replica for it: those its property and, for rdf:type read
+// at the property replica, its class select, by the ids of its
+// constants. A scan whose constants miss the dictionary reads none.
+func (c *ExecContext) files(a *arena, sp *scanPlan) []partition.FileID {
+	k := &c.consts[sp.id]
+	if k.absent {
+		return nil
 	}
-	tp, pos := c.plan.Logical.Query.Patterns[sp.pattern], c.view.ScanPos(sp.pos)
-	k := keyFiles(tp, pos)
-	names, ok := a.fileNames[k]
-	if !ok {
-		names = c.view.Files(tp, pos, c.dict)
-		a.fileNames[k] = names
-	}
-	return names
+	a.files = c.view.AppendFiles(a.files[:0], c.view.ScanPos(sp.pos), k.ids[rdf.PPos], k.ids[rdf.OPos])
+	return a.files
 }
 
 // scanFile scans the rows of one partition file whose keys lie in [lo,
@@ -388,7 +374,7 @@ func (c *ExecContext) fileNames(a *arena, sp *scanPlan) []string {
 // those rows — Read, plus Check when the pattern filters — and scans the
 // run of each part that the pattern's subject and object constants
 // select (partition.File.Part, scanRun), narrowed to the keys by binary
-// search (File.Within). A constant on a position the file's name fixes
+// search (File.Within). A constant on a position the file's ID fixes
 // (the property, a class file's object) matches every row or none. The
 // metering depends on neither: the simulated Hadoop mapper still reads
 // and checks those rows, whichever ones the simulator's CPU visits.
@@ -399,7 +385,7 @@ func scanFile(f partition.File, m *mapreduce.Meter, sp *scanPlan, ids [3]rdf.Ter
 		m.Check(n)
 	}
 	var fixed [3]rdf.TermID
-	fixed[rdf.PPos], fixed[rdf.OPos] = partition.FileTerms(f.Name())
+	fixed[rdf.PPos], fixed[rdf.OPos] = f.ID().Prop, f.ID().Class
 	for p, id := range ids {
 		if id != rdf.NoTerm && fixed[p] != rdf.NoTerm && fixed[p] != id {
 			return
@@ -414,7 +400,7 @@ func scanFile(f partition.File, m *mapreduce.Meter, sp *scanPlan, ids [3]rdf.Ter
 // constants key (NoTerm: none) and its repeated-variable checks, and
 // copies the variable columns of every match onto dst, reading each row
 // as a triple: its stored key's cells — (s, o) or an object file's
-// (o, s) — over the cells the scanned file's name fixes. Rows the run
+// (o, s) — over the cells the scanned file's ID fixes. Rows the run
 // holds for another node are skipped. Every row of a run matches its
 // placed cell's constant, so with no other filter every row matches,
 // and dst makes room for them all at once.
@@ -450,16 +436,13 @@ rows:
 }
 
 // scanFiles appends to dst the columns scan sp writes of the tuples of
-// its pattern in the named partition files of one node whose keys lie
+// its pattern in the given partition files of one node whose keys lie
 // in [lo, hi), applying the pattern's constant and repeated-variable
 // filters, in one pass. Files the node does not hold are skipped.
-func (c *ExecContext) scanFiles(dst *mapreduce.Block, sp *scanPlan, node int, m *mapreduce.Meter, names []string, lo, hi rdf.TermID) {
+func (c *ExecContext) scanFiles(dst *mapreduce.Block, sp *scanPlan, node int, m *mapreduce.Meter, files []partition.FileID, lo, hi rdf.TermID) {
 	k := &c.consts[sp.id]
-	if k.absent {
-		return
-	}
-	for _, fname := range names {
-		if f, ok := c.view.Open(node, fname); ok {
+	for _, id := range files {
+		if f, ok := c.view.Open(node, id); ok {
 			scanFile(f, m, sp, k.ids, dst, lo, hi)
 		}
 	}

@@ -169,13 +169,13 @@ func scanThrough(t *testing.T, x *testExec, q *sparql.Query, pos rdf.Pos) ([]str
 	a := c.arenas[0]
 	sp := *pp.rootScan // the plan's scan, reading the replica at pos
 	sp.pos = pos
-	names := c.fileNames(a, &sp)
+	files := c.files(a, &sp)
 	var m mapreduce.Meter
 	var rows []string
 	for node := 0; node < c.view.Nodes(); node++ {
 		a.resetBlocks()
 		dst := a.nextBlock(len(q.Select))
-		c.scanFiles(dst, &sp, node, &m, names, rdf.NoTerm, rdf.NoTerm)
+		c.scanFiles(dst, &sp, node, &m, files, rdf.NoTerm, rdf.NoTerm)
 		for i := 0; i < dst.N; i++ {
 			rows = append(rows, fmt.Sprint([]rdf.TermID(dst.Row(i))))
 		}

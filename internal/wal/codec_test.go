@@ -120,7 +120,7 @@ func TestCodecProperty(t *testing.T) {
 }
 
 // TestSortListsRefusesRepeats: a list holding a triple twice is no set,
-// and Append refuses it without poisoning the log.
+// and Commit refuses it without poisoning the log.
 func TestSortListsRefusesRepeats(t *testing.T) {
 	l, err := Create(testOpts(NewMemFS()), &Record{})
 	if err != nil {
@@ -128,7 +128,7 @@ func TestSortListsRefusesRepeats(t *testing.T) {
 	}
 	defer l.Close()
 	dup := &Record{Epoch: 1, Deletes: []rdf.Triple{{S: 1, P: 2, O: 3}, {S: 0, P: 2, O: 3}, {S: 1, P: 2, O: 3}}}
-	if err := l.Append(dup); err == nil {
+	if _, _, err := l.Commit(dup); err == nil {
 		t.Fatal("appended a record that deletes one triple twice")
 	}
 	appendSync(t, l, mkRecord(1))

@@ -108,10 +108,7 @@ func (h history) run(opts Options, n uint64, compactAt ...uint64) (acked uint64,
 	defer l.Close()
 	defer func() { st = l.Stats() }()
 	for e := uint64(1); e <= n; e++ {
-		if err := l.Append(h.record(e)); err != nil {
-			return acked, st, err
-		}
-		if err := l.Sync(); err != nil {
+		if _, _, err := l.Commit(h.record(e)); err != nil {
 			return acked, st, err
 		}
 		acked = e
@@ -250,7 +247,7 @@ func TestDeltaRecovery(t *testing.T) {
 			t.Errorf("churn=%v: %v", h.churn, err)
 		}
 		// The recovered log folds the delta it recovered from.
-		if err := l.Append(h.record(6)); err != nil {
+		if _, _, err := l.Commit(h.record(6)); err != nil {
 			t.Fatal(err)
 		}
 		if err := h.compact(l, 6, 6); err != nil {
@@ -544,10 +541,7 @@ func TestCrashAtEveryWalBoundary(t *testing.T) {
 				}
 				// The recovered log accepts the next epoch in sequence, and
 				// it survives a second recovery.
-				if err := l.Append(h.record(rc.epoch + 1)); err != nil {
-					t.Fatal(err)
-				}
-				if err := l.Sync(); err != nil {
+				if _, _, err := l.Commit(h.record(rc.epoch + 1)); err != nil {
 					t.Fatal(err)
 				}
 				l.Close()

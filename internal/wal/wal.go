@@ -166,7 +166,7 @@ func (o Options) WithDefaults() Options {
 //     leave a gap.
 //
 // Inserts and Deletes are sets, held in codec order: ascending by
-// property, subject, object (see Compare). Append, Commit, Create and
+// property, subject, object (see Compare). Commit, Create and
 // WriteCheckpoint sort the caller's lists in place, and refuse a list
 // that holds a triple twice; every record the log hands out — by Open,
 // to either callback — is in that order already.
@@ -578,16 +578,7 @@ func (l *Log) openSegment(b uint64, syncDir bool) error {
 	return nil
 }
 
-// Append serializes one record into the current segment's buffer of
-// the OS, sorting its lists in place (see Record). It does not sync;
-// call Sync before acknowledging the batch. Records must arrive in epoch
-// order (last epoch + 1).
-func (l *Log) Append(r *Record) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.appendLocked(r)
-}
-
+// appendLocked writes r into the current segment, unsynced (Commit).
 func (l *Log) appendLocked(r *Record) error {
 	if err := l.usable(); err != nil {
 		return err
@@ -610,13 +601,7 @@ func (l *Log) appendLocked(r *Record) error {
 	return nil
 }
 
-// Sync makes every appended record durable. A failure poisons the log.
-func (l *Log) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.syncLocked()
-}
-
+// syncLocked makes every appended record durable (Commit).
 func (l *Log) syncLocked() error {
 	if err := l.usable(); err != nil {
 		return err
@@ -629,11 +614,13 @@ func (l *Log) syncLocked() error {
 	return nil
 }
 
-// Commit appends r (sorting its lists in place, as Append does) and
-// makes it durable as one step: the lock is held across both, so a
-// concurrent checkpoint's segment rotation can never slip between the
-// append and its fsync (which would sync the new, empty segment and
-// acknowledge a record that was never made durable).
+// Commit appends r, sorting its lists in place (see Record), and makes
+// it durable as one step — the one way to log a record. Records must
+// arrive in epoch order (last epoch + 1); a failed fsync poisons the
+// log. The lock is held across both, so a concurrent checkpoint's
+// segment rotation can never slip between the append and its fsync
+// (which would sync the new, empty segment and acknowledge a record
+// that was never made durable).
 // The returned durations split the record's serialization+write from
 // its fsync, for group-commit timing.
 func (l *Log) Commit(r *Record) (appendD, syncD time.Duration, err error) {

@@ -128,13 +128,10 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
-// appendSync appends r and syncs, failing the test on error.
+// appendSync commits r, failing the test on error.
 func appendSync(t *testing.T, l *Log, r *Record) {
 	t.Helper()
-	if err := l.Append(r); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Sync(); err != nil {
+	if _, _, err := l.Commit(r); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -186,10 +183,10 @@ func TestAppendEpochOutOfSequence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	if err := l.Append(mkRecord(5)); err == nil {
+	if _, _, err := l.Commit(mkRecord(5)); err == nil {
 		t.Fatal("accepted epoch 5 after checkpoint epoch 3")
 	}
-	if err := l.Append(mkRecord(4)); err != nil {
+	if _, _, err := l.Commit(mkRecord(4)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -204,14 +201,12 @@ func TestTornTailTruncatedOnRecovery(t *testing.T) {
 	}
 	appendSync(t, l, h.record(1))
 	appendSync(t, l, h.record(2))
-	// Epoch 3 is appended but the crash tears its write in half: the
-	// record never synced, so recovery must keep exactly epochs 1-2.
-	if err := l.Append(h.record(3)); err != nil {
-		t.Fatal(err)
-	}
-	fs.SetCrashAt(1, CrashTorn)
-	if err := l.Sync(); !errors.Is(err, ErrCrashed) {
-		t.Fatalf("sync during crash: %v", err)
+	// Epoch 3 is written but the crash, at Commit's fsync (the second
+	// operation, after the write), tears the write in half: the record
+	// never synced, so recovery must keep exactly epochs 1-2.
+	fs.SetCrashAt(2, CrashTorn)
+	if _, _, err := l.Commit(h.record(3)); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("commit during crash: %v", err)
 	}
 	fs.Reboot()
 
@@ -387,20 +382,16 @@ func TestSyncFailurePoisonsLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	appendSync(t, l, mkRecord(1))
-	if err := l.Append(mkRecord(2)); err != nil {
-		t.Fatal(err)
-	}
 	fs.FailSyncAt(1)
-	err = l.Sync()
-	if !errors.Is(err, ErrInjected) {
-		t.Fatalf("sync: got %v, want injected fault", err)
+	if _, _, err = l.Commit(mkRecord(2)); !errors.Is(err, ErrInjected) {
+		t.Fatalf("commit: got %v, want injected fault", err)
 	}
 	// Every later operation returns the same sticky failure.
-	if err2 := l.Append(mkRecord(3)); !errors.Is(err2, ErrInjected) {
-		t.Fatalf("append after failed sync: %v", err2)
+	if _, _, err2 := l.Commit(mkRecord(3)); !errors.Is(err2, ErrInjected) {
+		t.Fatalf("commit after failed sync: %v", err2)
 	}
-	if err2 := l.Sync(); !errors.Is(err2, ErrInjected) {
-		t.Fatalf("second sync: %v", err2)
+	if _, _, err2 := l.Commit(mkRecord(2)); !errors.Is(err2, ErrInjected) {
+		t.Fatalf("retried commit: %v", err2)
 	}
 	if err2 := l.WriteCheckpoint(&Record{Epoch: 2}, 0); !errors.Is(err2, ErrInjected) {
 		t.Fatalf("checkpoint after failed sync: %v", err2)
@@ -421,10 +412,10 @@ func TestClosedLogRejectsOperations(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatalf("double close: %v", err)
 	}
-	if err := l.Append(mkRecord(1)); !errors.Is(err, ErrClosed) {
-		t.Fatalf("append on closed log: %v", err)
+	if _, _, err := l.Commit(mkRecord(1)); !errors.Is(err, ErrClosed) {
+		t.Fatalf("commit on closed log: %v", err)
 	}
-	if err := l.Sync(); !errors.Is(err, ErrClosed) {
-		t.Fatalf("sync on closed log: %v", err)
+	if err := l.WriteDelta(0, 0); !errors.Is(err, ErrClosed) {
+		t.Fatalf("delta on closed log: %v", err)
 	}
 }
