@@ -1,7 +1,8 @@
 // Package dstore simulates the distributed file system underneath
-// CliqueSquare: every compute node holds a set of named partition files,
-// each a sorted array of packed two-cell rows (an HDFS-like layout; the
-// partition package places Section 5.1's replicas).
+// CliqueSquare: every compute node holds a table of partition files keyed
+// by an integer FileKey, each file a sorted array of packed two-cell rows
+// (an HDFS-like layout; the partition package places Section 5.1's
+// replicas and builds their keys).
 //
 // The store is versioned with copy-on-write snapshot isolation. All
 // reads go through an immutable Snapshot: Store.Current pins the latest
@@ -25,7 +26,9 @@
 package dstore
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"sync"
@@ -45,14 +48,21 @@ func Key(placed, other rdf.TermID) uint64 { return uint64(placed)<<32 | uint64(o
 // Cells unpacks a key into its placed and other cells.
 func Cells(k uint64) (placed, other rdf.TermID) { return rdf.TermID(k >> 32), rdf.TermID(k) }
 
-// File is a named partition file: its rows' keys in ascending order. A
-// File is immutable once it is part of a published Snapshot — mutations
-// produce a successor File in the next epoch; readers holding this one
-// keep an unchanging view.
+// FileKey identifies a file among its node's. What its bits mean is the
+// writer's: the partition package packs a file's replica and property.
+type FileKey uint64
+
+// File is a partition file: its key in its node's table and its rows'
+// keys in ascending order. A File is immutable once it is part of a
+// published Snapshot — mutations produce a successor File in the next
+// epoch; readers holding this one keep an unchanging view.
 type File struct {
-	Name string
+	key  FileKey
 	keys []uint64
 }
+
+// Key is the file's key in its node's table.
+func (f *File) Key() FileKey { return f.key }
 
 // NumRows reports the number of rows in the file.
 func (f *File) NumRows() int { return len(f.keys) }
@@ -113,27 +123,44 @@ func (f *File) Lookup(col int, id rdf.TermID) []int32 {
 	return ids
 }
 
-// NodeView is one node's file set within a Snapshot: an immutable
+// NodeView is one node's file table within a Snapshot: an immutable
 // point-in-time read view.
 type NodeView struct {
-	id    int
-	files map[string]*File
+	files []*File // ascending by key
+	s     *Store
 }
 
-// ID is the node's index in the cluster.
-func (v NodeView) ID() int { return v.id }
+// File returns the file keyed k if present in this snapshot: a binary
+// search of the node's table, which allocates nothing.
+func (v NodeView) File(k FileKey) (*File, bool) {
+	if i, ok := slices.BinarySearchFunc(v.files, k, byKey); ok {
+		return v.files[i], true
+	}
+	return nil, false
+}
 
-// Get returns the named file if present in this snapshot.
+// byKey orders a file against a key.
+func byKey(f *File, k FileKey) int { return cmp.Compare(f.key, k) }
+
+// Files returns the node's files in ascending key order. It must not be
+// modified.
+func (v NodeView) Files() []*File { return v.files }
+
+// Get returns the named file if present in this snapshot, by the store's
+// Naming.
 func (v NodeView) Get(name string) (*File, bool) {
-	f, ok := v.files[name]
-	return f, ok
+	if k, held := v.s.names.Key(name); held {
+		return v.File(k)
+	}
+	return nil, false
 }
 
-// Names returns all file names on the node in this snapshot, sorted.
+// Names returns the names of the node's files in this snapshot, by the
+// store's Naming, sorted.
 func (v NodeView) Names() []string {
-	out := make([]string, 0, len(v.files))
-	for k := range v.files {
-		out = append(out, k)
+	out := make([]string, len(v.files))
+	for i, f := range v.files {
+		out[i] = v.s.names.Name(f.key)
 	}
 	sort.Strings(out)
 	return out
@@ -143,8 +170,9 @@ func (v NodeView) Names() []string {
 // consistent view of every node's files. Snapshots are cheap to pin
 // (one atomic load) and never change once obtained.
 type Snapshot struct {
+	s       *Store
 	version uint64
-	nodes   []map[string]*File
+	nodes   [][]*File // per node, its files ascending by key
 	// copied counts the cells the commit that published the snapshot
 	// wrote into successor files (see Copied).
 	copied int
@@ -161,7 +189,7 @@ func (s *Snapshot) Version() uint64 { return s.version }
 func (s *Snapshot) N() int { return len(s.nodes) }
 
 // Node returns node i's read view within this snapshot.
-func (s *Snapshot) Node(i int) NodeView { return NodeView{id: i, files: s.nodes[i]} }
+func (s *Snapshot) Node(i int) NodeView { return NodeView{files: s.nodes[i], s: s.s} }
 
 // Copied reports the cells the commit that published the snapshot wrote
 // into the files it rewrote or created: two for every surviving and
@@ -170,24 +198,24 @@ func (s *Snapshot) Node(i int) NodeView { return NodeView{id: i, files: s.nodes[
 func (s *Snapshot) Copied() int { return s.copied }
 
 // Bytes is what the snapshot's files hold, counted from capacities:
-// each file's keys, header and name, and one map slot per file. Files a
-// later or earlier snapshot shares are counted in each. Files never
-// change once published, so the commit that publishes the snapshot
-// sums it once.
+// each file's keys and header, and each node's table of file pointers.
+// Files a later or earlier snapshot shares are counted in each. Files
+// never change once published, so the commit that publishes the
+// snapshot sums it once.
 func (s *Snapshot) Bytes() int64 { return s.bytes }
 
-// fileSlot is a File's header plus its entry in a node's file map (key
-// string header, value pointer, tophash byte, rounded up).
-const fileSlot = int64(unsafe.Sizeof(File{})) + 32
-
-// bytes is what the file adds to its snapshot's Bytes: its keys, its
-// header and map slot, and its name.
+// bytes is what the file adds to its snapshot's Bytes: its keys and its
+// header.
 func (f *File) bytes() int64 {
 	if f == nil {
 		return 0
 	}
-	return fileSlot + int64(len(f.Name)) + int64(cap(f.keys))*8
+	return int64(unsafe.Sizeof(File{})) + int64(cap(f.keys))*8
 }
+
+// tableBytes is what a node's table of files adds to its snapshot's
+// Bytes: one pointer per slot of its array.
+func tableBytes(files []*File) int64 { return int64(cap(files)) * int64(unsafe.Sizeof(&File{})) }
 
 // Store is the cluster-wide versioned file store: a current Snapshot
 // of every compute node's files, published atomically, and a
@@ -197,14 +225,25 @@ func (f *File) bytes() int64 {
 type Store struct {
 	writeMu sync.Mutex // serializes Begin..Commit writer critical sections
 	cur     atomic.Pointer[Snapshot]
-	keyOf   func(name string, row Row) (uint64, bool) // see KeyBy
+	names   Naming // see NameBy
 }
 
-// KeyBy sets the rule by which AppendCells and DeleteRow turn a row
-// given whole into the named file's key, held reporting false for a
-// file the store does not hold, which drops the row. Call it before the
-// first Begin.
-func (s *Store) KeyBy(rule func(name string, row Row) (k uint64, held bool)) { s.keyOf = rule }
+// Naming is how the store's name-addressed calls — NodeView.Get and
+// Names, Tx.AppendCells and DeleteRow — address its files, whose keys
+// are their writer's. Nothing else names a file.
+type Naming interface {
+	// Key is the key of the named file, held reporting false for a
+	// name the store keeps no file under.
+	Key(name string) (k FileKey, held bool)
+	// Name is the name of the file keyed k.
+	Name(k FileKey) string
+	// RowKey is the key a row given whole has in the file keyed k.
+	RowKey(k FileKey, row Row) uint64
+}
+
+// NameBy sets the Naming of the store's name-addressed calls. Call it
+// before the first Begin.
+func (s *Store) NameBy(n Naming) { s.names = n }
 
 // NewStore creates a store with n empty nodes at version 0.
 func NewStore(n int) *Store {
@@ -221,11 +260,7 @@ func NewStoreAt(n int, version uint64) *Store {
 		panic("dstore: store needs at least one node")
 	}
 	s := &Store{}
-	snap := &Snapshot{version: version, nodes: make([]map[string]*File, n)}
-	for i := range snap.nodes {
-		snap.nodes[i] = make(map[string]*File)
-	}
-	s.cur.Store(snap)
+	s.cur.Store(&Snapshot{s: s, version: version, nodes: make([][]*File, n)})
 	return s
 }
 
@@ -237,9 +272,17 @@ func (s *Store) N() int { return len(s.cur.Load().nodes) }
 // Current pins the latest published snapshot (one atomic load).
 func (s *Store) Current() *Snapshot { return s.cur.Load() }
 
-// fileMut buffers one file's pending mutations within a Tx.
-type fileMut struct {
-	inserts, deletes []uint64
+// fileRef is a file of a node: a Tx's key for its pending mutations.
+type fileRef struct {
+	node int
+	key  FileKey
+}
+
+// op is one buffered mutation: key k inserted into a touched file, or
+// deleted from it — slot 2i or 2i+1 for the Tx's i-th touched file.
+type op struct {
+	slot int32
+	k    uint64
 }
 
 // Tx is a write transaction: it buffers inserts and deletes across any
@@ -248,11 +291,12 @@ type fileMut struct {
 // store's writer lock from Begin until Commit or Abort; readers are
 // never blocked — they keep their pinned snapshots.
 type Tx struct {
-	s    *Store
-	base *Snapshot
-	muts map[int]map[string]*fileMut
-	newN int // 0 = keep the base size; else resize the cluster at commit
-	done bool
+	s     *Store
+	base  *Snapshot
+	files map[fileRef]int32 // each touched file's index, in the order first touched
+	ops   []op              // the buffered mutations, in the order made
+	newN  int               // 0 = keep the base size; else resize the cluster at commit
+	done  bool
 }
 
 // Begin starts a write transaction against the current snapshot,
@@ -260,7 +304,7 @@ type Tx struct {
 // must be paired with Commit or Abort.
 func (s *Store) Begin() *Tx {
 	s.writeMu.Lock()
-	return &Tx{s: s, base: s.cur.Load(), muts: make(map[int]map[string]*fileMut)}
+	return &Tx{s: s, base: s.cur.Load(), files: make(map[fileRef]int32)}
 }
 
 // SetN resizes the cluster to n nodes when this transaction commits.
@@ -276,61 +320,56 @@ func (tx *Tx) SetN(n int) {
 	tx.newN = n
 }
 
-// mut returns (creating if needed) the buffered mutation of a file.
-func (tx *Tx) mut(node int, name string) *fileMut {
+// buffer buffers key k's insertion into (side 0) or deletion from (side
+// 1) a file.
+func (tx *Tx) buffer(node int, file FileKey, k uint64, side int32) {
 	lim := max(len(tx.base.nodes), tx.newN)
 	if node < 0 || node >= lim {
 		panic(fmt.Sprintf("dstore: tx touches node %d of %d", node, lim))
 	}
-	nm := tx.muts[node]
-	if nm == nil {
-		nm = make(map[string]*fileMut)
-		tx.muts[node] = nm
+	r := fileRef{node, file}
+	i, ok := tx.files[r]
+	if !ok {
+		i = int32(len(tx.files))
+		tx.files[r] = i
 	}
-	m := nm[name]
-	if m == nil {
-		m = &fileMut{}
-		nm[name] = m
-	}
-	return m
+	tx.ops = append(tx.ops, op{2*i + side, k})
 }
 
-// Insert buffers key k for the named file on a node, creating the file
-// at commit if it does not exist.
-func (tx *Tx) Insert(node int, name string, k uint64) {
-	m := tx.mut(node, name)
-	m.inserts = append(m.inserts, k)
-}
+// Grow makes room for n more buffered inserts and deletes, so that a
+// writer that knows how many it will make buffers them without growing
+// the buffer as it goes.
+func (tx *Tx) Grow(n int) { tx.ops = slices.Grow(tx.ops, n) }
 
-// Delete buffers the removal of one copy of key k from the named file
-// on a node. The key may come from the base snapshot or from an earlier
-// Insert in this same transaction (the pair nets out); Commit panics if
-// it is neither — the caller deleting a triple that was never stored
-// indicates a partitioning bug.
-func (tx *Tx) Delete(node int, name string, k uint64) {
-	m := tx.mut(node, name)
-	m.deletes = append(m.deletes, k)
-}
+// Insert buffers key k for the file keyed file on a node, creating the
+// file at commit if it does not exist.
+func (tx *Tx) Insert(node int, file FileKey, k uint64) { tx.buffer(node, file, k, 0) }
+
+// Delete buffers the removal of one copy of key k from the file keyed
+// file on a node. The key may come from the base snapshot or from an
+// earlier Insert in this same transaction (the pair nets out); Commit
+// panics if it is neither — the caller deleting a triple that was never
+// stored indicates a partitioning bug.
+func (tx *Tx) Delete(node int, file FileKey, k uint64) { tx.buffer(node, file, k, 1) }
 
 // AppendCells inserts rows given whole, as flattened cells, len(schema)
-// cells a row: each becomes the named file's key by the store's rule
-// (KeyBy), or is dropped for a file the store does not hold. It serves
-// writers that address the files with whole triples.
+// cells a row, into the named file: each becomes its key there by the
+// store's Naming, or is dropped for a name the store keeps no file
+// under. It serves writers that address the files with whole triples.
 func (tx *Tx) AppendCells(node int, name string, schema []string, cells ...rdf.TermID) {
 	if len(schema) == 0 || len(cells)%len(schema) != 0 {
 		panic(fmt.Sprintf("dstore: file %q: %d cells is not a multiple of width %d", name, len(cells), len(schema)))
 	}
-	for ; len(cells) > 0; cells = cells[len(schema):] {
-		if k, held := tx.s.keyOf(name, cells[:len(schema)]); held {
-			tx.Insert(node, name, k)
-		}
+	file, held := tx.s.names.Key(name)
+	for ; held && len(cells) > 0; cells = cells[len(schema):] {
+		tx.Insert(node, file, tx.s.names.RowKey(file, cells[:len(schema)]))
 	}
 }
 
 // DeleteRow deletes a row given whole, as AppendCells inserts one.
 func (tx *Tx) DeleteRow(node int, name string, row Row) {
-	if k, held := tx.s.keyOf(name, row); held {
-		tx.Delete(node, name, k)
+	if file, held := tx.s.names.Key(name); held {
+		tx.Delete(node, file, tx.s.names.RowKey(file, row))
 	}
 }
 
@@ -345,10 +384,11 @@ func (tx *Tx) Abort() {
 }
 
 // Commit materializes the buffered mutations as epoch base+1: touched
-// files are rewritten, sorted (copy-on-write; untouched files are shared
-// by pointer), the snapshot's Bytes is moved by what they replaced, and
-// the new snapshot is published atomically. It returns the published
-// snapshot and releases the writer lock.
+// files are rewritten, sorted, in (node, key) order, and each touched
+// node's table is copied (copy-on-write; untouched files and tables are
+// shared by pointer), the snapshot's Bytes is moved by what they
+// replaced, and the new snapshot is published atomically. It returns the
+// published snapshot and releases the writer lock.
 func (tx *Tx) Commit() *Snapshot {
 	if tx.done {
 		panic("dstore: commit on a finished tx")
@@ -360,34 +400,55 @@ func (tx *Tx) Commit() *Snapshot {
 	// Build over the union of old and new widths: a shrink's own
 	// mutations may drain nodes that are about to be dropped.
 	wide := max(n, len(tx.base.nodes))
-	nodes := make([]map[string]*File, wide)
+	nodes := make([][]*File, wide)
 	copy(nodes, tx.base.nodes)
-	for i := len(tx.base.nodes); i < wide; i++ {
-		nodes[i] = make(map[string]*File)
+	next := &Snapshot{s: tx.s, version: tx.base.version + 1, nodes: nodes, bytes: tx.base.bytes}
+	// Gather the keys of each slot — a touched file's inserts, then its
+	// deletes — into one array: slot s holds keys[start[s]:start[s+1]].
+	start := make([]int, 2*len(tx.files)+1)
+	for _, o := range tx.ops {
+		start[o.slot+1]++
 	}
-	next := &Snapshot{version: tx.base.version + 1, nodes: nodes, bytes: tx.base.bytes}
-	for node, nm := range tx.muts {
-		files := make(map[string]*File, len(nodes[node])+len(nm))
-		for k, v := range nodes[node] {
-			files[k] = v
-		}
-		// Apply in sorted file order for reproducible panics.
-		names := make([]string, 0, len(nm))
-		for name := range nm {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			nf := applyMut(files[name], name, nm[name])
-			next.bytes += nf.bytes() - files[name].bytes()
-			if nf == nil {
-				delete(files, name)
-			} else {
-				files[name] = nf
+	for s := range len(start) - 1 {
+		start[s+1] += start[s]
+	}
+	keys, at := make([]uint64, len(tx.ops)), slices.Clone(start)
+	for _, o := range tx.ops {
+		keys[at[o.slot]] = o.k
+		at[o.slot]++
+	}
+	// Apply in (node, key) order, for reproducible panics.
+	refs := slices.AppendSeq(make([]fileRef, 0, len(tx.files)), maps.Keys(tx.files))
+	slices.SortFunc(refs, func(a, b fileRef) int {
+		return cmp.Or(cmp.Compare(a.node, b.node), cmp.Compare(a.key, b.key))
+	})
+	for len(refs) > 0 {
+		node, old := refs[0].node, nodes[refs[0].node]
+		files := slices.Clone(old)
+		for ; len(refs) > 0 && refs[0].node == node; refs = refs[1:] {
+			k, t := refs[0].key, 2*tx.files[refs[0]]
+			i, found := slices.BinarySearchFunc(files, k, byKey)
+			var of *File
+			if found {
+				of = files[i]
+			}
+			nf := merge(of, k, keys[start[t]:start[t+1]], keys[start[t+1]:start[t+2]])
+			next.bytes += nf.bytes() - of.bytes()
+			switch {
+			case nf == nil && found:
+				files = slices.Delete(files, i, i+1)
+			case nf == nil:
+			case found:
+				files[i] = nf
+			default:
+				files = slices.Insert(files, i, nf)
+			}
+			if nf != nil {
 				next.copied += 2 * len(nf.keys)
 			}
 		}
-		next.nodes[node] = files
+		next.bytes += tableBytes(files) - tableBytes(old)
+		nodes[node] = files
 	}
 	for i := n; i < wide; i++ {
 		if len(next.nodes[i]) != 0 {
@@ -401,61 +462,50 @@ func (tx *Tx) Commit() *Snapshot {
 	return next
 }
 
-// applyMut builds the successor of old under mutation m, or nil when
-// the file ends (or stays) empty after deletions. It sorts the inserted
-// keys and the deletes; each delete, in ascending order, is a binary
-// search of the base keys past the previous match, then of the inserted
-// ones (insert+delete of one key in one Tx nets out), and one that
-// matches neither panics. The successor merges the surviving base keys
-// with the surviving inserted ones, so it is sorted too.
-func applyMut(old *File, name string, m *fileMut) *File {
+// merge builds the successor of old, keyed file, under the inserted keys
+// ins and the deleted ones dels, or nil when the file ends (or stays)
+// empty after deletions. It sorts both in place and merges the base keys
+// with the inserted ones, in runs found by binary search; each delete, in
+// ascending order, drops one copy of its key — a base key, else an
+// inserted one (insert+delete of one key in one Tx nets out) — and one
+// that finds neither panics. The successor is sorted too.
+func merge(old *File, file FileKey, ins, dels []uint64) *File {
 	var base []uint64
 	if old != nil {
 		base = old.keys
 	}
-	ins := m.inserts
 	slices.Sort(ins)
-	slices.Sort(m.deletes)
-	// gone and netted list, ascending, the base and inserted keys the
-	// deletes remove; from and fromIns are where the next search starts.
-	var gone, netted []int
-	from, fromIns := 0, 0
-	for _, d := range m.deletes {
-		if i := from + search(base[from:], d, false); i < len(base) && base[i] == d {
-			gone, from = append(gone, i), i+1
-		} else if j := fromIns + search(ins[fromIns:], d, false); j < len(ins) && ins[j] == d {
-			netted, fromIns = append(netted, j), j+1
-		} else {
-			panic(fmt.Sprintf("dstore: delete of absent row from file %q", name))
-		}
-	}
-	rows := len(base) + len(ins) - len(gone) - len(netted)
-	if rows == 0 && len(m.deletes) > 0 {
-		return nil // emptied files disappear, like never-loaded ones
-	}
+	slices.Sort(dels)
 	// Grown, not made: the capacity then shows the allocation's size
 	// class, which Bytes counts.
-	keys := slices.Grow([]uint64(nil), rows)
-	// keep copies the base keys [i, k) but those gone lists, in runs.
-	i := 0
-	keep := func(k int) {
-		for ; len(gone) > 0 && gone[0] < k; gone = gone[1:] {
-			keys, i = append(keys, base[i:gone[0]]...), gone[0]+1
+	keys := slices.Grow([]uint64(nil), max(len(base)+len(ins)-len(dels), 0))
+	// upTo appends base[i:eb] and ins[j:ei], merged.
+	i, j := 0, 0
+	upTo := func(eb, ei int) {
+		for i < eb && j < ei {
+			if ins[j] < base[i] {
+				n := j + search(ins[j:ei], base[i], false)
+				keys, j = append(keys, ins[j:n]...), n
+			} else {
+				n := i + search(base[i:eb], ins[j], true)
+				keys, i = append(keys, base[i:n]...), n
+			}
 		}
-		keys, i = append(keys, base[i:k]...), k
+		keys, i, j = append(append(keys, base[i:eb]...), ins[j:ei]...), eb, ei
 	}
-	for j, k := range ins {
-		if len(netted) > 0 && netted[0] == j {
-			netted = netted[1:]
-			continue
+	for _, d := range dels {
+		upTo(i+search(base[i:], d, false), j+search(ins[j:], d, false))
+		switch {
+		case i < len(base) && base[i] == d:
+			i++
+		case j < len(ins) && ins[j] == d:
+			j++
+		default:
+			panic(fmt.Sprintf("dstore: delete of absent row from file %d", file))
 		}
-		if i == len(base) && len(netted) == 0 { // the rest follows the base
-			keys = append(keys, ins[j:]...)
-			break
-		}
-		keep(i + search(base[i:], k, true))
-		keys = append(keys, k)
 	}
-	keep(len(base))
-	return &File{Name: name, keys: keys}
+	if upTo(len(base), len(ins)); len(keys) == 0 && len(dels) > 0 {
+		return nil // emptied files disappear, like never-loaded ones
+	}
+	return &File{key: file, keys: keys}
 }

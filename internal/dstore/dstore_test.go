@@ -2,21 +2,41 @@ package dstore
 
 import (
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
 	"cliquesquare/internal/rdf"
 )
 
-// commitKeys inserts keys into the named file on node as a one-shot
+// The keys of the tests' files.
+const (
+	fileF FileKey = iota + 1
+	fileG
+	fileLeft
+	fileRight
+	fileDoomed
+	fileKeep
+)
+
+// commitKeys inserts keys into the file keyed file on node as a one-shot
 // transaction, creating the file on first use.
-func commitKeys(s *Store, node int, name string, keys ...uint64) {
+func commitKeys(s *Store, node int, file FileKey, keys ...uint64) {
 	tx := s.Begin()
 	defer tx.Abort()
 	for _, k := range keys {
-		tx.Insert(node, name, k)
+		tx.Insert(node, file, k)
 	}
 	tx.Commit()
+}
+
+// fileKeys lists the keys of files, in order.
+func fileKeys(files []*File) []FileKey {
+	out := make([]FileKey, len(files))
+	for i, f := range files {
+		out[i] = f.Key()
+	}
+	return out
 }
 
 func TestStoreBasics(t *testing.T) {
@@ -27,23 +47,22 @@ func TestStoreBasics(t *testing.T) {
 	if v := s.Current().Version(); v != 0 {
 		t.Fatalf("fresh store at version %d, want 0", v)
 	}
-	commitKeys(s, 0, "f1", Key(1, 3), Key(4, 6))
-	commitKeys(s, 0, "f1", Key(7, 9))
+	commitKeys(s, 0, fileG, Key(1, 3), Key(4, 6))
+	commitKeys(s, 0, fileG, Key(7, 9))
 	n0 := s.Current().Node(0)
-	f, ok := n0.Get("f1")
-	if !ok || f.NumRows() != 3 {
-		t.Fatalf("f1 = %v, %v", f, ok)
+	f, ok := n0.File(fileG)
+	if !ok || f.NumRows() != 3 || f.Key() != fileG {
+		t.Fatalf("file %d = %v, %v", fileG, f, ok)
 	}
-	if _, ok := n0.Get("missing"); ok {
-		t.Error("Get(missing) returned ok")
+	if _, ok := n0.File(fileLeft); ok {
+		t.Error("File of a missing key returned ok")
 	}
 	if r := f.Row(2); !reflect.DeepEqual(r, Row{7, 9}) {
 		t.Errorf("Row(2) = %v, want [7 9]", r)
 	}
-	commitKeys(s, 0, "f0", Key(1, 1))
-	names := s.Current().Node(0).Names()
-	if len(names) != 2 || names[0] != "f0" || names[1] != "f1" {
-		t.Errorf("Names = %v", names)
+	commitKeys(s, 0, fileF, Key(1, 1))
+	if keys := fileKeys(s.Current().Node(0).Files()); !reflect.DeepEqual(keys, []FileKey{fileF, fileG}) {
+		t.Errorf("Files are keyed %v, want %v in order", keys, []FileKey{fileF, fileG})
 	}
 	if v := s.Current().Version(); v != 3 {
 		t.Errorf("version = %d after 3 one-shot txs, want 3", v)
@@ -62,8 +81,8 @@ func TestNewStorePanicsOnZeroNodes(t *testing.T) {
 func TestLookup(t *testing.T) {
 	s := NewStore(1)
 	top := ^rdf.NoTerm // the largest placed cell a key can hold
-	commitKeys(s, 0, "f", Key(2, 200), Key(1, 300), Key(1, 100), Key(top, 7), Key(top, top))
-	f, _ := s.Current().Node(0).Get("f")
+	commitKeys(s, 0, fileF, Key(2, 200), Key(1, 300), Key(1, 100), Key(top, 7), Key(top, top))
+	f, _ := s.Current().Node(0).File(fileF)
 	// The rows are sorted: (1 100) (1 300) (2 200) (top 7) (top top).
 	if lo, hi := f.Range(1, rdf.NoTerm); lo != 0 || hi != 2 {
 		t.Errorf("Range(1) = [%d, %d), want [0, 2)", lo, hi)
@@ -94,11 +113,11 @@ func TestLookup(t *testing.T) {
 	}
 	// A File is a snapshot: inserting publishes a successor file while
 	// the held one stays frozen.
-	commitKeys(s, 0, "f", Key(1, 400))
+	commitKeys(s, 0, fileF, Key(1, 400))
 	if lo, hi := f.Range(1, rdf.NoTerm); hi-lo != 2 {
 		t.Errorf("pinned file's Range(1) holds %d rows, want the 2 pre-insert ones", hi-lo)
 	}
-	f2, _ := s.Current().Node(0).Get("f")
+	f2, _ := s.Current().Node(0).File(fileF)
 	if lo, hi := f2.Range(1, rdf.NoTerm); lo != 0 || hi != 3 {
 		t.Errorf("Range(1) after re-Get = [%d, %d), want [0, 3)", lo, hi)
 	}
@@ -109,9 +128,9 @@ func TestLookup(t *testing.T) {
 // of each placed cell.
 func TestRangeAcrossEpochs(t *testing.T) {
 	s := NewStore(1)
-	commitKeys(s, 0, "f", Key(3, 300), Key(1, 200), Key(2, 200), Key(1, 100))
-	commitKeys(s, 0, "f", Key(1, 300), Key(0, 5))
-	f2, _ := s.Current().Node(0).Get("f")
+	commitKeys(s, 0, fileF, Key(3, 300), Key(1, 200), Key(2, 200), Key(1, 100))
+	commitKeys(s, 0, fileF, Key(1, 300), Key(0, 5))
+	f2, _ := s.Current().Node(0).File(fileF)
 	want := []uint64{Key(0, 5), Key(1, 100), Key(1, 200), Key(1, 300), Key(2, 200), Key(3, 300)}
 	if !reflect.DeepEqual(f2.Keys(), want) {
 		t.Fatalf("insert successor = %v, want %v", f2.Keys(), want)
@@ -121,10 +140,10 @@ func TestRangeAcrossEpochs(t *testing.T) {
 	}
 
 	tx := s.Begin()
-	tx.Delete(0, "f", Key(2, 200))
-	tx.Delete(0, "f", Key(1, 200))
+	tx.Delete(0, fileF, Key(2, 200))
+	tx.Delete(0, fileF, Key(1, 200))
 	tx.Commit()
-	f3, _ := s.Current().Node(0).Get("f")
+	f3, _ := s.Current().Node(0).File(fileF)
 	want = []uint64{Key(0, 5), Key(1, 100), Key(1, 300), Key(3, 300)}
 	if !reflect.DeepEqual(f3.Keys(), want) {
 		t.Fatalf("deleting successor = %v, want %v", f3.Keys(), want)
@@ -143,27 +162,27 @@ func TestRangeAcrossEpochs(t *testing.T) {
 func TestSnapshotIsolation(t *testing.T) {
 	s := NewStore(2)
 	tx := s.Begin()
-	tx.Insert(0, "a", Key(1, 1))
-	tx.Insert(0, "a", Key(2, 2))
-	tx.Insert(1, "b", Key(3, 3))
+	tx.Insert(0, fileLeft, Key(1, 1))
+	tx.Insert(0, fileLeft, Key(2, 2))
+	tx.Insert(1, fileRight, Key(3, 3))
 	tx.Commit()
 
 	pinned := s.Current()
-	pf, _ := pinned.Node(0).Get("a")
+	pf, _ := pinned.Node(0).File(fileLeft)
 	if pinned.Version() != 1 || pf.NumRows() != 2 {
 		t.Fatalf("pinned snapshot: version %d, %d rows in a", pinned.Version(), pf.NumRows())
 	}
 
 	tx = s.Begin()
-	tx.Insert(0, "a", Key(4, 4))
-	tx.Delete(1, "b", Key(3, 3))
+	tx.Insert(0, fileLeft, Key(4, 4))
+	tx.Delete(1, fileRight, Key(3, 3))
 	tx.Commit()
 
 	// The pinned epoch is frozen: same files, same rows.
-	if f, _ := pinned.Node(0).Get("a"); f != pf || f.NumRows() != 2 {
+	if f, _ := pinned.Node(0).File(fileLeft); f != pf || f.NumRows() != 2 {
 		t.Error("pinned file identity or rows changed under a later commit")
 	}
-	if _, ok := pinned.Node(1).Get("b"); !ok {
+	if _, ok := pinned.Node(1).File(fileRight); !ok {
 		t.Error("pinned snapshot lost a file deleted in a later epoch")
 	}
 	// The new epoch sees the full batch: the emptied file is gone.
@@ -171,10 +190,10 @@ func TestSnapshotIsolation(t *testing.T) {
 	if cur.Version() != 2 {
 		t.Errorf("current version = %d, want 2", cur.Version())
 	}
-	if f, _ := cur.Node(0).Get("a"); f.NumRows() != 3 {
+	if f, _ := cur.Node(0).File(fileLeft); f.NumRows() != 3 {
 		t.Errorf("current epoch rows = %d, want 3", f.NumRows())
 	}
-	if _, ok := cur.Node(1).Get("b"); ok {
+	if _, ok := cur.Node(1).File(fileRight); ok {
 		t.Error("emptied file survived in the new epoch")
 	}
 }
@@ -195,8 +214,8 @@ func TestConcurrentAppendDeleteLookup(t *testing.T) {
 		for i := 0; i < batches; i++ {
 			tx := s.Begin()
 			k := Key(rdf.TermID(i%5+1), rdf.TermID(i+1))
-			tx.Insert(0, "left", k)
-			tx.Insert(1, "right", k)
+			tx.Insert(0, fileLeft, k)
+			tx.Insert(1, fileRight, k)
 			tx.Commit()
 		}
 	}()
@@ -206,8 +225,8 @@ func TestConcurrentAppendDeleteLookup(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				snap := s.Current()
-				lf, lok := snap.Node(0).Get("left")
-				rf, rok := snap.Node(1).Get("right")
+				lf, lok := snap.Node(0).File(fileLeft)
+				rf, rok := snap.Node(1).File(fileRight)
 				if lok != rok {
 					t.Errorf("torn epoch: left=%v right=%v at version %d", lok, rok, snap.Version())
 					return
@@ -238,7 +257,7 @@ func TestConcurrentAppendDeleteLookup(t *testing.T) {
 		}(r)
 	}
 	wg.Wait()
-	lf, _ := s.Current().Node(0).Get("left")
+	lf, _ := s.Current().Node(0).File(fileLeft)
 	if lf.NumRows() != batches {
 		t.Errorf("final left rows = %d, want %d", lf.NumRows(), batches)
 	}
@@ -250,7 +269,7 @@ func TestConcurrentAppendDeleteLookup(t *testing.T) {
 func TestConcurrentDeleteVisibility(t *testing.T) {
 	s := NewStore(1)
 	base := []uint64{Key(1, 1), Key(2, 2), Key(3, 3)}
-	commitKeys(s, 0, "f", base...)
+	commitKeys(s, 0, fileF, base...)
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -259,9 +278,9 @@ func TestConcurrentDeleteVisibility(t *testing.T) {
 			tx := s.Begin()
 			for _, k := range base {
 				if i%2 == 0 {
-					tx.Delete(0, "f", k)
+					tx.Delete(0, fileF, k)
 				} else {
-					tx.Insert(0, "f", k)
+					tx.Insert(0, fileF, k)
 				}
 			}
 			tx.Commit()
@@ -273,7 +292,7 @@ func TestConcurrentDeleteVisibility(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				snap := s.Current()
-				f, ok := snap.Node(0).Get("f")
+				f, ok := snap.Node(0).File(fileF)
 				n := 0
 				if ok {
 					n = f.NumRows()
@@ -300,13 +319,13 @@ func TestConcurrentLookup(t *testing.T) {
 	for i := range keys {
 		keys[i] = Key(rdf.TermID(i%7+1), rdf.TermID(i%11+1))
 	}
-	commitKeys(s, 0, "f", keys...)
+	commitKeys(s, 0, fileF, keys...)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			f, ok := s.Current().Node(0).Get("f")
+			f, ok := s.Current().Node(0).File(fileF)
 			if !ok {
 				t.Error("Get failed")
 				return
@@ -341,10 +360,10 @@ func TestConcurrentLookup(t *testing.T) {
 
 func TestDeleteAbsentRowPanics(t *testing.T) {
 	s := NewStore(1)
-	commitKeys(s, 0, "f", Key(1, 1))
+	commitKeys(s, 0, fileF, Key(1, 1))
 	tx := s.Begin()
 	defer tx.Abort()
-	tx.Delete(0, "f", Key(99, 99))
+	tx.Delete(0, fileF, Key(99, 99))
 	defer func() {
 		if recover() == nil {
 			t.Error("delete of an absent row did not panic at commit")
@@ -358,18 +377,18 @@ func TestDeleteAbsentRowPanics(t *testing.T) {
 // both existing and brand-new files.
 func TestTxAppendThenDeleteNetsOut(t *testing.T) {
 	s := NewStore(1)
-	commitKeys(s, 0, "f", Key(1, 1))
+	commitKeys(s, 0, fileF, Key(1, 1))
 	tx := s.Begin()
-	tx.Insert(0, "f", Key(2, 2))
-	tx.Delete(0, "f", Key(2, 2))
-	tx.Insert(0, "g", Key(3, 3))
-	tx.Delete(0, "g", Key(3, 3))
+	tx.Insert(0, fileF, Key(2, 2))
+	tx.Delete(0, fileF, Key(2, 2))
+	tx.Insert(0, fileG, Key(3, 3))
+	tx.Delete(0, fileG, Key(3, 3))
 	tx.Commit()
-	f, _ := s.Current().Node(0).Get("f")
+	f, _ := s.Current().Node(0).File(fileF)
 	if !reflect.DeepEqual(f.Keys(), []uint64{Key(1, 1)}) {
 		t.Errorf("f keys = %v, want just the base key", f.Keys())
 	}
-	if _, ok := s.Current().Node(0).Get("g"); ok {
+	if _, ok := s.Current().Node(0).File(fileG); ok {
 		t.Error("fully netted-out new file exists")
 	}
 }
@@ -382,13 +401,13 @@ func TestDeleteAllocsIndependentOfFileSize(t *testing.T) {
 		s := NewStore(1)
 		tx := s.Begin()
 		for i := 0; i < rows; i++ {
-			tx.Insert(0, "f", Key(rdf.TermID(i+1), rdf.TermID(i+2)))
+			tx.Insert(0, fileF, Key(rdf.TermID(i+1), rdf.TermID(i+2)))
 		}
 		tx.Commit()
 		i := 0
 		return testing.AllocsPerRun(20, func() {
 			tx := s.Begin()
-			tx.Delete(0, "f", Key(rdf.TermID(i+1), rdf.TermID(i+2)))
+			tx.Delete(0, fileF, Key(rdf.TermID(i+1), rdf.TermID(i+2)))
 			tx.Commit()
 			i++
 		})
@@ -398,26 +417,34 @@ func TestDeleteAllocsIndependentOfFileSize(t *testing.T) {
 	}
 }
 
-// soRule is a KeyBy rule that keeps (s, o) in file "so", (o, s) in "os",
-// and no file whose name starts with 'x'.
-func soRule(name string, r Row) (uint64, bool) {
-	switch name {
-	case "so":
-		return Key(r[0], r[2]), true
-	case "os":
-		return Key(r[2], r[0]), true
+// soNaming is a Naming that names file 1 "so", which keeps (s, o), and
+// file 2 "os", which keeps (o, s); no file has any other name.
+type soNaming struct{}
+
+var soNames = []string{1: "so", 2: "os"}
+
+func (soNaming) Key(name string) (FileKey, bool) {
+	i := slices.Index(soNames, name)
+	return FileKey(i), i > 0
+}
+
+func (soNaming) Name(k FileKey) string { return soNames[k] }
+
+func (soNaming) RowKey(k FileKey, r Row) uint64 {
+	if soNames[k] == "so" {
+		return Key(r[0], r[2])
 	}
-	return 0, false
+	return Key(r[2], r[0])
 }
 
 // TestProjectFromNarrowsWideRows: on a store whose writers address its
 // files with whole (s, p, o) rows, AppendCells and DeleteRow narrow each
-// row to the file's key by the store's KeyBy rule.
+// row to its key in the named file by the store's Naming.
 func TestProjectFromNarrowsWideRows(t *testing.T) {
 	wide := []string{"s", "p", "o"}
 	s := NewStore(1)
-	s.KeyBy(soRule)
-	commitKeys(s, 0, "so", Key(1, 3), Key(4, 6))
+	s.NameBy(soNaming{})
+	commitKeys(s, 0, 1, Key(1, 3), Key(4, 6))
 	tx := s.Begin()
 	tx.DeleteRow(0, "so", Row{1, 2, 3})
 	tx.AppendCells(0, "so", wide, 10, 11, 12, 7, 8, 9)
@@ -431,14 +458,14 @@ func TestProjectFromNarrowsWideRows(t *testing.T) {
 	}
 }
 
-// TestProjectFromDropsUnheldFiles: rows given whole to a file the KeyBy
-// rule says the store does not hold are dropped — a delete of a row
+// TestProjectFromDropsUnheldFiles: rows given whole to a name the
+// Naming says the store keeps no file under are dropped — a delete of a row
 // never stored included — and nothing is written for them, while rows
 // to held files are still written.
 func TestProjectFromDropsUnheldFiles(t *testing.T) {
 	wide := []string{"s", "p", "o"}
 	s := NewStore(1)
-	s.KeyBy(soRule)
+	s.NameBy(soNaming{})
 	tx := s.Begin()
 	tx.DeleteRow(0, "xgone", Row{1, 2, 3})
 	tx.AppendCells(0, "xgone", wide, 4, 5, 6, 7, 8, 9)

@@ -14,19 +14,17 @@ import (
 // against: a plain key list per (node, file), in no order, with deletes
 // removing one matching key (the Tx contract).
 type refStore struct {
-	files map[string][]uint64 // key: node/name
+	files map[fileRef][]uint64
 }
 
-func newRefStore() *refStore { return &refStore{files: map[string][]uint64{}} }
+func newRefStore() *refStore { return &refStore{files: map[fileRef][]uint64{}} }
 
-func refKey(node int, name string) string { return fmt.Sprintf("%d/%s", node, name) }
-
-func (r *refStore) insert(node int, name string, k uint64) {
-	r.files[refKey(node, name)] = append(r.files[refKey(node, name)], k)
+func (r *refStore) insert(node int, file FileKey, k uint64) {
+	r.files[fileRef{node, file}] = append(r.files[fileRef{node, file}], k)
 }
 
-func (r *refStore) delete(node int, name string, k uint64) {
-	f := refKey(node, name)
+func (r *refStore) delete(node int, file FileKey, k uint64) {
+	f := fileRef{node, file}
 	i := slices.Index(r.files[f], k)
 	r.files[f] = slices.Delete(r.files[f], i, i+1)
 	if len(r.files[f]) == 0 {
@@ -50,8 +48,8 @@ func checkSorted(t *testing.T, label string, f *File, keys []uint64, rng *rand.R
 	shuffled := slices.Clone(keys)
 	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
 	fresh := NewStore(1)
-	commitKeys(fresh, 0, f.Name, shuffled...)
-	if ff, _ := fresh.Current().Node(0).Get(f.Name); !reflect.DeepEqual(ff.Keys(), f.Keys()) {
+	commitKeys(fresh, 0, f.Key(), shuffled...)
+	if ff, _ := fresh.Current().Node(0).File(f.Key()); !reflect.DeepEqual(ff.Keys(), f.Keys()) {
 		t.Fatalf("%s: the file holds %v, a fresh load of its keys %v", label, f.Keys(), ff.Keys())
 	}
 	for _, a := range domain {
@@ -87,7 +85,7 @@ func TestSlabFilePropertyVsReference(t *testing.T) {
 	for i := range domain {
 		domain[i] = rdf.TermID(i + 1)
 	}
-	names := []string{"f0", "f1", "f2"}
+	files := []FileKey{0, 1, 2}
 	randKey := func() uint64 {
 		return Key(domain[rng.Intn(len(domain))], domain[rng.Intn(len(domain))])
 	}
@@ -112,23 +110,23 @@ func TestSlabFilePropertyVsReference(t *testing.T) {
 		// Deletes: a tenth of every file's keys, and every key of a node
 		// the resize drops, resolved against the keys before this round.
 		for node := 0; node < n; node++ {
-			for _, name := range names {
-				for _, k := range slices.Clone(ref.files[refKey(node, name)]) {
+			for _, file := range files {
+				for _, k := range slices.Clone(ref.files[fileRef{node, file}]) {
 					if node >= newN || rng.Intn(10) == 0 {
-						tx.Delete(node, name, k)
-						ref.delete(node, name, k)
+						tx.Delete(node, file, k)
+						ref.delete(node, file, k)
 					}
 				}
 			}
 		}
 		for i, c := 0, rng.Intn(12); i < c; i++ {
-			node, name, k := rng.Intn(newN), names[rng.Intn(len(names))], randKey()
-			tx.Insert(node, name, k)
+			node, file, k := rng.Intn(newN), files[rng.Intn(len(files))], randKey()
+			tx.Insert(node, file, k)
 			if rng.Intn(4) == 0 { // inserted and deleted in one transaction: nets out
-				tx.Delete(node, name, k)
+				tx.Delete(node, file, k)
 				continue
 			}
-			ref.insert(node, name, k)
+			ref.insert(node, file, k)
 		}
 		snap := tx.Commit()
 
@@ -136,14 +134,14 @@ func TestSlabFilePropertyVsReference(t *testing.T) {
 			t.Fatalf("round %d: %d nodes, want %d", round, snap.N(), newN)
 		}
 		for node := 0; node < newN; node++ {
-			for _, name := range names {
-				keys := ref.files[refKey(node, name)]
-				f, ok := snap.Node(node).Get(name)
+			for _, file := range files {
+				keys := ref.files[fileRef{node, file}]
+				f, ok := snap.Node(node).File(file)
 				if ok != (len(keys) > 0) {
-					t.Fatalf("round %d: node %d holds %s: %v, the reference has %d keys", round, node, name, ok, len(keys))
+					t.Fatalf("round %d: node %d holds file %d: %v, the reference has %d keys", round, node, file, ok, len(keys))
 				}
 				if ok {
-					checkSorted(t, fmt.Sprintf("round %d: node %d %s", round, node, name), f, keys, rng, domain)
+					checkSorted(t, fmt.Sprintf("round %d: node %d file %d", round, node, file), f, keys, rng, domain)
 				}
 			}
 		}

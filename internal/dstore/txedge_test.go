@@ -13,8 +13,8 @@ import (
 // pointer — nothing is rewritten.
 func TestEmptyCommitBumpsVersionSharesFiles(t *testing.T) {
 	s := NewStore(2)
-	commitKeys(s, 0, "f", Key(1, 1))
-	commitKeys(s, 1, "g", Key(2, 3))
+	commitKeys(s, 0, fileF, Key(1, 1))
+	commitKeys(s, 1, fileG, Key(2, 3))
 	before := s.Current()
 
 	tx := s.Begin()
@@ -26,11 +26,9 @@ func TestEmptyCommitBumpsVersionSharesFiles(t *testing.T) {
 		t.Fatal("published snapshot is not the current one")
 	}
 	for n := 0; n < s.N(); n++ {
-		for _, name := range before.Node(n).Names() {
-			of, _ := before.Node(n).Get(name)
-			nf, ok := snap.Node(n).Get(name)
-			if !ok || nf != of {
-				t.Errorf("node %d file %q not shared by pointer across an empty commit", n, name)
+		for _, of := range before.Node(n).Files() {
+			if nf, ok := snap.Node(n).File(of.Key()); !ok || nf != of {
+				t.Errorf("node %d file %d not shared by pointer across an empty commit", n, of.Key())
 			}
 		}
 	}
@@ -43,32 +41,32 @@ func TestEmptyCommitBumpsVersionSharesFiles(t *testing.T) {
 // the full file.
 func TestDeleteAllRowsRemovesFile(t *testing.T) {
 	s := NewStore(1)
-	commitKeys(s, 0, "doomed", Key(1, 1), Key(2, 2), Key(3, 3))
-	commitKeys(s, 0, "keep", Key(9, 9))
+	commitKeys(s, 0, fileDoomed, Key(1, 1), Key(2, 2), Key(3, 3))
+	commitKeys(s, 0, fileKeep, Key(9, 9))
 	pinned := s.Current()
-	kept, _ := pinned.Node(0).Get("keep")
+	kept, _ := pinned.Node(0).File(fileKeep)
 
 	tx := s.Begin()
-	tx.Delete(0, "doomed", Key(1, 1))
-	tx.Delete(0, "doomed", Key(2, 2))
-	tx.Delete(0, "doomed", Key(3, 3))
+	tx.Delete(0, fileDoomed, Key(1, 1))
+	tx.Delete(0, fileDoomed, Key(2, 2))
+	tx.Delete(0, fileDoomed, Key(3, 3))
 	snap := tx.Commit()
 
-	if _, ok := snap.Node(0).Get("doomed"); ok {
+	if _, ok := snap.Node(0).File(fileDoomed); ok {
 		t.Error("fully emptied file still present in the new snapshot")
 	}
-	if got := snap.Node(0).Names(); !reflect.DeepEqual(got, []string{"keep"}) {
-		t.Errorf("node files = %v, want [keep]", got)
+	if got := fileKeys(snap.Node(0).Files()); !reflect.DeepEqual(got, []FileKey{fileKeep}) {
+		t.Errorf("node files = %v, want [%d]", got, fileKeep)
 	}
-	if nf, _ := snap.Node(0).Get("keep"); nf != kept {
+	if nf, _ := snap.Node(0).File(fileKeep); nf != kept {
 		t.Error("untouched file rewritten by an unrelated delete")
 	}
-	if f, ok := pinned.Node(0).Get("doomed"); !ok || f.NumRows() != 3 {
+	if f, ok := pinned.Node(0).File(fileDoomed); !ok || f.NumRows() != 3 {
 		t.Error("pinned pre-commit snapshot lost the deleted file")
 	}
-	// Re-creating the name later starts from scratch.
-	commitKeys(s, 0, "doomed", Key(7, 7))
-	f, ok := s.Current().Node(0).Get("doomed")
+	// Re-creating the file later starts from scratch.
+	commitKeys(s, 0, fileDoomed, Key(7, 7))
+	f, ok := s.Current().Node(0).File(fileDoomed)
 	if !ok || f.NumRows() != 1 || f.Row(0)[0] != 7 {
 		t.Error("re-created file does not start fresh")
 	}
@@ -80,17 +78,17 @@ func TestDeleteAllRowsRemovesFile(t *testing.T) {
 // what a fresh load of those keys holds.
 func TestTxInsertAndDeleteSameFile(t *testing.T) {
 	s := NewStore(1)
-	commitKeys(s, 0, "f", Key(1, 30), Key(2, 20), Key(1, 10))
+	commitKeys(s, 0, fileF, Key(1, 30), Key(2, 20), Key(1, 10))
 
 	tx := s.Begin()
 	for _, k := range []uint64{Key(3, 40), Key(1, 50), Key(1, 20)} {
-		tx.Insert(0, "f", k)
+		tx.Insert(0, fileF, k)
 	}
-	tx.Delete(0, "f", Key(2, 20)) // from the base file
-	tx.Delete(0, "f", Key(3, 40)) // from this same transaction's inserts
+	tx.Delete(0, fileF, Key(2, 20)) // from the base file
+	tx.Delete(0, fileF, Key(3, 40)) // from this same transaction's inserts
 	tx.Commit()
 
-	f, ok := s.Current().Node(0).Get("f")
+	f, ok := s.Current().Node(0).File(fileF)
 	if !ok {
 		t.Fatal("file vanished")
 	}
@@ -99,8 +97,8 @@ func TestTxInsertAndDeleteSameFile(t *testing.T) {
 		t.Fatalf("keys = %v, want %v (survivors and inserts, merged in order)", f.Keys(), want)
 	}
 	fresh := NewStore(1)
-	commitKeys(fresh, 0, "f", Key(1, 50), Key(1, 20), Key(1, 10), Key(1, 30))
-	if ff, _ := fresh.Current().Node(0).Get("f"); !reflect.DeepEqual(ff.Keys(), f.Keys()) {
+	commitKeys(fresh, 0, fileF, Key(1, 50), Key(1, 20), Key(1, 10), Key(1, 30))
+	if ff, _ := fresh.Current().Node(0).File(fileF); !reflect.DeepEqual(ff.Keys(), f.Keys()) {
 		t.Errorf("the successor holds %v, a fresh load of its keys %v", f.Keys(), ff.Keys())
 	}
 	if lo, hi := f.Range(2, rdf.NoTerm); lo != hi {

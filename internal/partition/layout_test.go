@@ -3,6 +3,7 @@ package partition
 import (
 	"fmt"
 	"maps"
+	"math/rand"
 	"reflect"
 	"runtime"
 	"slices"
@@ -89,19 +90,18 @@ func checkLayout(t *testing.T, label string, v *View, g *rdf.Graph, mode Mode) {
 	typeID, _ := g.Dict.Lookup(rdf.NewIRI(sparql.RDFType))
 	cells := 0
 	for i := 0; i < v.Nodes(); i++ {
-		nd := v.Snap().Node(i)
-		for _, name := range nd.Names() {
-			f, _ := nd.Get(name)
-			if name[0] != 's' && (name[0] != 'o' || mode != ThreeReplica) {
-				t.Fatalf("%s: the store holds %s, outside the replicas it keeps", label, name)
+		for _, f := range v.Snap().Node(i).Files() {
+			id := storedID(f.Key())
+			if id.Pos != rdf.SPos && (id.Pos != rdf.OPos || mode != ThreeReplica) {
+				t.Fatalf("%s: the store holds %v, outside the replicas it keeps", label, id)
 			}
 			keys := f.Keys()
 			for r, k := range keys {
 				if placed, _ := dstore.Cells(k); v.place.NodeFor(placed) != i {
-					t.Fatalf("%s: %s on node %d: row %d %v is placed on node %d", label, name, i, r, f.Row(r), v.place.NodeFor(placed))
+					t.Fatalf("%s: %v on node %d: row %d %v is placed on node %d", label, id, i, r, f.Row(r), v.place.NodeFor(placed))
 				}
 				if r > 0 && keys[r-1] >= k {
-					t.Fatalf("%s: %s on node %d: row %d %v is not before row %d %v", label, name, i, r-1, f.Row(r-1), r, f.Row(r))
+					t.Fatalf("%s: %v on node %d: row %d %v is not before row %d %v", label, id, i, r-1, f.Row(r-1), r, f.Row(r))
 				}
 			}
 			cells += 2 * len(keys)
@@ -470,6 +470,75 @@ func TestCountAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestRoutingAllocatesNothing: placing a triple builds nothing per
+// triple — no name, no buffer of its own. Over LUBM at 20
+// universities, a load through ApplyBatch makes at most 0.05
+// allocations per triple, and a batch, beyond its commit's two per file
+// it rewrites (the successor File and its keys), makes at most 0.05 per
+// routed triple more at 2000+2000 than at 200+200.
+func TestRoutingAllocatesNothing(t *testing.T) {
+	const perTriple = 0.05
+	g := lubm.Generate(lubm.DefaultConfig(20))
+	ts := g.Triples()
+	var p *Partitioner
+	load := testing.AllocsPerRun(1, func() {
+		p = New(dstore.NewStore(7), ThreeReplica, nil)
+		p.ApplyBatch(ts, nil, g.Dict)
+	})
+	if got := load / float64(len(ts)); got > perTriple {
+		t.Errorf("a load of %d triples makes %.0f allocations, %.3f a triple: ceiling %v", len(ts), load, got, perTriple)
+	}
+	// beyond is what a batch of n deletes and n other inserts allocates
+	// beyond two per file its commit rewrites.
+	rng := rand.New(rand.NewSource(1))
+	beyond := func(n int) float64 {
+		perm := rng.Perm(len(ts))
+		var ins, dels []rdf.Triple
+		for _, k := range perm[:n] {
+			dels = append(dels, ts[k])
+		}
+		for _, k := range perm[n : 2*n] {
+			ins = append(ins, ts[k])
+		}
+		p.ApplyBatch(nil, ins, g.Dict)
+		defer p.ApplyBatch(ins, nil, g.Dict)
+		before := p.Current()
+		rewritten := rewrites(before.Snap(), p.ApplyBatch(ins, dels, g.Dict).Snap())
+		p.ApplyBatch(dels, ins, g.Dict)
+		allocs := testing.AllocsPerRun(1, func() {
+			p.ApplyBatch(ins, dels, g.Dict)
+			p.ApplyBatch(dels, ins, g.Dict)
+		}) / 2
+		t.Logf("a %d+%d batch makes %.0f allocations, rewriting %d files", n, n, allocs, rewritten)
+		return allocs - 2*float64(rewritten)
+	}
+	small, large := beyond(200), beyond(2000)
+	if got := (large - small) / (2 * (2000 - 200)); got > perTriple {
+		t.Errorf("beyond two a rewritten file, a 200+200 batch makes %.0f allocations and a 2000+2000 one %.0f: %.3f a routed triple, ceiling %v", small, large, got, perTriple)
+	}
+}
+
+// rewrites counts the stored files a commit from snapshot a to b wrote
+// or dropped: those b does not share with a by pointer, and those a
+// holds that b does not.
+func rewrites(a, b *dstore.Snapshot) int {
+	n := 0
+	for i := 0; i < b.N(); i++ {
+		old := map[dstore.FileKey]*dstore.File{}
+		for _, f := range a.Node(i).Files() {
+			old[f.Key()] = f
+		}
+		for _, f := range b.Node(i).Files() {
+			if old[f.Key()] != f {
+				n++
+			}
+			delete(old, f.Key())
+		}
+		n += len(old)
+	}
+	return n
+}
+
 // TestPartReadsTheOtherReplica: a constant on the cell a stored file is
 // not placed by reads the constant's run in the other replica — all of
 // it, on the constant's node — while that is the cheaper read, and the
@@ -498,12 +567,12 @@ func TestPartReadsTheOtherReplica(t *testing.T) {
 			case n*placeCost < f.NumRows():
 				runs++
 				if !r.Obj || r.Hi-r.Lo != n || r.F.Row(r.Lo)[0] != class {
-					t.Errorf("node %d, class %d of %d members: read %d rows of %s, want its run in the object replica", node, class, n, r.Hi-r.Lo, r.F.Name)
+					t.Errorf("node %d, class %d of %d members: read %d rows of %v, want its run in the object replica", node, class, n, r.Hi-r.Lo, storedID(r.F.Key()))
 				}
 			default:
 				wholes++
 				if r.Obj || r.Lo != 0 || r.Hi != f.NumRows() {
-					t.Errorf("node %d, class %d of %d members: read rows [%d, %d) of %s, want the whole subject file of %d", node, class, n, r.Lo, r.Hi, r.F.Name, f.NumRows())
+					t.Errorf("node %d, class %d of %d members: read rows [%d, %d) of %v, want the whole subject file of %d", node, class, n, r.Lo, r.Hi, storedID(r.F.Key()), f.NumRows())
 				}
 			}
 		}

@@ -27,8 +27,11 @@
 // (its replica, property and class), never by its name: View.AppendFiles
 // lists the files a scan reads, View.Open resolves each, whatever its
 // replica, and File.Part the run a scan's constants select, so scans and
-// their metering see three replicas while the store holds two. Names are
-// the store's and the writers' (FileName, route) alone.
+// their metering see three replicas while the store holds two. The store
+// keys a stored file by value too (FileID.key: its replica and property),
+// so writers route a triple to it without naming it. Names (FileName) are
+// only for the store's name-addressed calls, which translate them
+// through one naming rule (naming).
 //
 // Beyond the paper's load-once setting, the partitioner is mutable:
 // ApplyBatch re-derives the placement for a delta of inserted and
@@ -55,24 +58,41 @@ import (
 )
 
 // TripleSchema names a whole triple's cells, which no partition file
-// stores: writers that address the files with whole triples give rows
-// in it to dstore's AppendCells and DeleteRow, which key them by
-// tripleKey.
+// stores: writers that address the files by name with whole triples give
+// rows in it to dstore's AppendCells and DeleteRow, which key them by
+// the naming rule.
 var TripleSchema = []string{"s", "p", "o"}
 
-// tripleKey is the key the whole triple t, a TripleSchema row, has in
-// the partition file name: a stored file keeps the positions its name
-// does not fix (its property), the one its replica is placed by first —
-// (s, o) in a subject file, (o, s) in an object file. A property file
-// holds no keys.
-func tripleKey(name string, t dstore.Row) (uint64, bool) {
-	switch name[0] {
-	case 's':
-		return dstore.Key(t[0], t[2]), true
-	case 'o':
-		return dstore.Key(t[2], t[0]), true
+// naming is the rule by which the store's name-addressed calls, which
+// only the benchmark driver under bench/ makes, translate a partition
+// file's name (FileName) to its key and back, and a whole triple, a
+// TripleSchema row, to its key in a file. Only the subject and object
+// replicas are stored: no file is held under a name of the property
+// replica, and the rows given to one are dropped.
+type naming struct{}
+
+func (naming) Key(name string) (dstore.FileKey, bool) {
+	prop, err := strconv.ParseUint(name[min(3, len(name)):], 10, 32)
+	for _, pos := range [...]rdf.Pos{rdf.SPos, rdf.OPos} {
+		if err == nil && FileName(pos, rdf.TermID(prop), rdf.NoTerm) == name {
+			return FileID{Pos: pos, Prop: rdf.TermID(prop)}.key(), true
+		}
 	}
 	return 0, false
+}
+
+func (naming) Name(k dstore.FileKey) string {
+	return FileName(storedID(k).Pos, storedID(k).Prop, rdf.NoTerm)
+}
+
+// RowKey keys triple t as the stored file keyed k keeps it, the cell
+// its replica is placed by first: (s, o) in a subject file, (o, s) in an
+// object file.
+func (naming) RowKey(k dstore.FileKey, t dstore.Row) uint64 {
+	if storedID(k).Pos == rdf.OPos {
+		return dstore.Key(t[2], t[0])
+	}
+	return dstore.Key(t[0], t[2])
 }
 
 // Mode selects the replication scheme.
@@ -158,7 +178,7 @@ func New(store *dstore.Store, mode Mode, policy Policy) *Partitioner {
 	if policy == nil {
 		policy = ModuloPolicy
 	}
-	store.KeyBy(tripleKey)
+	store.NameBy(naming{})
 	p := &Partitioner{store: store, mode: mode, policy: policy}
 	p.cur.Store(&View{p: p, snap: store.Current(), place: policy(store.N()),
 		properties: map[rdf.TermID]int{}, typeObjects: map[rdf.TermID]int{}})
@@ -204,6 +224,7 @@ func (p *Partitioner) ApplyBatch(inserts, deletes []rdf.Triple, dict *rdf.Dict) 
 
 	tx := p.store.Begin()
 	defer tx.Abort()
+	tx.Grow(2 * (len(deletes) + len(inserts))) // a triple is stored twice at most
 	for _, t := range deletes {
 		v.route(t, -1, tx.Delete)
 	}
@@ -222,16 +243,16 @@ func (p *Partitioner) ApplyBatch(inserts, deletes []rdf.Triple, dict *rdf.Dict) 
 // d (+1 for an insert, -1 for a delete), dropping those that reach zero.
 // The replica by property is those counters: its files hold no cells of
 // their own (Open).
-func (v *View) route(t rdf.Triple, d int, f func(node int, file string, k uint64)) {
+func (v *View) route(t rdf.Triple, d int, f func(node int, file dstore.FileKey, k uint64)) {
 	count(v.properties, t.P, d)
-	f(v.place.NodeFor(t.S), FileName(rdf.SPos, t.P, 0), dstore.Key(t.S, t.O))
+	f(v.place.NodeFor(t.S), FileID{Pos: rdf.SPos, Prop: t.P}.key(), dstore.Key(t.S, t.O))
 	if v.p.mode == SubjectOnly {
 		return
 	}
 	if v.typeID != rdf.NoTerm && t.P == v.typeID {
 		count(v.typeObjects, t.O, d)
 	}
-	f(v.place.NodeFor(t.O), FileName(rdf.OPos, t.P, 0), dstore.Key(t.O, t.S))
+	f(v.place.NodeFor(t.O), FileID{Pos: rdf.OPos, Prop: t.P}.key(), dstore.Key(t.O, t.S))
 }
 
 // count moves m[k] by d, deleting the entry once it reaches zero.
@@ -301,24 +322,18 @@ func (v *View) ScanPos(preferred rdf.Pos) rdf.Pos {
 // property prop. typeObj is non-zero only for the rdf:type property
 // partition's per-class split.
 func FileName(pos rdf.Pos, prop rdf.TermID, typeObj rdf.TermID) string {
-	var buf [32]byte
-	return string(appendFileName(buf[:0], pos, prop, typeObj))
-}
-
-func appendFileName(b []byte, pos rdf.Pos, prop rdf.TermID, typeObj rdf.TermID) []byte {
-	b = strconv.AppendUint(append(append(b, pos.String()...), "/p"...), uint64(prop), 10)
+	b := strconv.AppendUint(append([]byte(pos.String()), "/p"...), uint64(prop), 10)
 	if typeObj != rdf.NoTerm {
 		b = strconv.AppendUint(append(b, "/o"...), uint64(typeObj), 10)
 	}
-	return b
+	return string(b)
 }
 
 // stored returns the file of property prop in the stored replica
 // placed by pos on node, nil if the node holds none. It allocates
 // nothing.
 func (v *View) stored(node int, pos rdf.Pos, prop rdf.TermID) *dstore.File {
-	var buf [32]byte
-	f, _ := v.snap.Node(node).Get(string(appendFileName(buf[:0], pos, prop, rdf.NoTerm)))
+	f, _ := v.snap.Node(node).File(FileID{Pos: pos, Prop: prop}.key())
 	return f
 }
 
@@ -329,6 +344,14 @@ type FileID struct {
 	Pos         rdf.Pos
 	Prop, Class rdf.TermID
 }
+
+// key is the store's key of a stored file: its replica high, its
+// property low. Only the subject and object replicas are stored, so no
+// class enters it.
+func (id FileID) key() dstore.FileKey { return dstore.FileKey(id.Pos)<<32 | dstore.FileKey(id.Prop) }
+
+// storedID is the stored file keyed k.
+func storedID(k dstore.FileKey) FileID { return FileID{Pos: rdf.Pos(k >> 32), Prop: rdf.TermID(k)} }
 
 // compare orders file IDs by replica, then property, then class.
 func (a FileID) compare(b FileID) int {

@@ -53,10 +53,8 @@ func TestCoLocationBySubject(t *testing.T) {
 	// subject partition.
 	loc := make(map[rdf.TermID]int)
 	for i := 0; i < store.N(); i++ {
-		nd := store.Current().Node(i)
-		for _, name := range nd.Names() {
-			f, _ := nd.Get(name)
-			if name[0] != 's' {
+		for _, f := range store.Current().Node(i).Files() {
+			if storedID(f.Key()).Pos != rdf.SPos {
 				continue
 			}
 			for ri := 0; ri < f.NumRows(); ri++ {
@@ -83,7 +81,7 @@ func TestFilesConstantProperty(t *testing.T) {
 	// nodes.
 	total := 0
 	for i := 0; i < store.N(); i++ {
-		if f, ok := store.Current().Node(i).Get(fileName(files[0])); ok {
+		if f, ok := store.Current().Node(i).File(files[0].key()); ok {
 			total += f.NumRows()
 		}
 	}
@@ -188,14 +186,10 @@ func patternFiles(v *View, tp sparql.TriplePattern, pos rdf.Pos, d *rdf.Dict) []
 	return v.AppendFiles(nil, pos, ids[rdf.PPos], ids[rdf.OPos])
 }
 
-// fileName is the name the store keeps file id under.
-func fileName(id FileID) string { return FileName(id.Pos, id.Prop, id.Class) }
-
 // nodeRows is the number of rows a node stores.
 func nodeRows(nd dstore.NodeView) int {
 	n := 0
-	for _, name := range nd.Names() {
-		f, _ := nd.Get(name)
+	for _, f := range nd.Files() {
 		n += f.NumRows()
 	}
 	return n
@@ -211,15 +205,14 @@ func storedRows(snap *dstore.Snapshot) int {
 }
 
 // storeState flattens a store's current snapshot to a comparable map:
-// node -> file name -> keys.
-func storeState(s *dstore.Store) map[int]map[string][]uint64 {
-	out := map[int]map[string][]uint64{}
+// node -> file -> keys.
+func storeState(s *dstore.Store) map[int]map[FileID][]uint64 {
+	out := map[int]map[FileID][]uint64{}
 	snap := s.Current()
 	for i := 0; i < snap.N(); i++ {
-		out[i] = map[string][]uint64{}
-		for _, name := range snap.Node(i).Names() {
-			f, _ := snap.Node(i).Get(name)
-			out[i][name] = f.Keys()
+		out[i] = map[FileID][]uint64{}
+		for _, f := range snap.Node(i).Files() {
+			out[i][storedID(f.Key())] = f.Keys()
 		}
 	}
 	return out
@@ -305,10 +298,10 @@ func TestViewPinsEpoch(t *testing.T) {
 	p := LoadWithPolicy(store, g, ThreeReplica, nil)
 	old := p.Current()
 	tp := sparql.MustParse(`SELECT ?a ?b WHERE { ?a <knows> ?b }`).Patterns[0]
-	fname := fileName(patternFiles(old, tp, rdf.SPos, g.Dict)[0])
+	file := patternFiles(old, tp, rdf.SPos, g.Dict)[0]
 	oldRows := 0
 	for i := 0; i < store.N(); i++ {
-		if f, ok := old.Snap().Node(i).Get(fname); ok {
+		if f, ok := old.Snap().Node(i).File(file.key()); ok {
 			oldRows += f.NumRows()
 		}
 	}
@@ -325,7 +318,7 @@ func TestViewPinsEpoch(t *testing.T) {
 
 	stillRows := 0
 	for i := 0; i < store.N(); i++ {
-		if f, ok := old.Snap().Node(i).Get(fname); ok {
+		if f, ok := old.Snap().Node(i).File(file.key()); ok {
 			stillRows += f.NumRows()
 		}
 	}
@@ -338,8 +331,8 @@ func TestViewPinsEpoch(t *testing.T) {
 		t.Fatalf("constant-property resolution should still name the file: %v", files)
 	}
 	for i := 0; i < store.N(); i++ {
-		if _, ok := cur.Snap().Node(i).Get(fname); ok {
-			t.Errorf("node %d still holds %s after all its triples were deleted", i, fname)
+		if _, ok := cur.Snap().Node(i).File(file.key()); ok {
+			t.Errorf("node %d still holds %v after all its triples were deleted", i, file)
 		}
 	}
 	vq := sparql.MustParse(`SELECT ?a ?p ?b WHERE { ?a ?p ?b }`).Patterns[0]

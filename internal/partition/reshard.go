@@ -41,7 +41,7 @@ func (s ResizeStats) MovedFraction() float64 {
 
 // Resize re-places the current view at newN nodes under the policy and
 // commits it as one epoch with the next topology version. It walks the
-// view's stored files node by node, in name and row order, and moves
+// view's stored files node by node, in key and row order, and moves
 // each row whose placed cell the new placement puts elsewhere; the
 // commit merges the moved rows into their destination files in order.
 // The property replica's part of the stats comes from the view's
@@ -83,16 +83,14 @@ func (p *Partitioner) Resize(newN int) (ResizeStats, error) {
 		}
 	}
 	for node := 0; node < oldN; node++ {
-		nd := old.snap.Node(node)
-		for _, name := range nd.Names() {
-			f, _ := nd.Get(name)
+		for _, f := range old.snap.Node(node).Files() {
 			st.TotalRows += f.NumRows()
 			for _, k := range f.Keys() {
 				// A row is placed by its key's placed cell.
 				placed, _ := dstore.Cells(k)
 				if dest := v.place.NodeFor(placed); dest != node {
-					tx.Delete(node, name, k)
-					tx.Insert(dest, name, k)
+					tx.Delete(node, f.Key(), k)
+					tx.Insert(dest, f.Key(), k)
 					st.MovedRows++
 					st.MovedCells += 2
 				}

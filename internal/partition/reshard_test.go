@@ -61,20 +61,18 @@ func TestReshardMatchesFreshLoad(t *testing.T) {
 
 // stateAsSets flattens the current snapshot to node -> file -> row
 // multiset (row order within a file is not significant).
-func stateAsSets(t *testing.T, s *dstore.Store) map[int]map[string]map[string]int {
+func stateAsSets(t *testing.T, s *dstore.Store) map[int]map[FileID]map[string]int {
 	t.Helper()
-	out := make(map[int]map[string]map[string]int)
+	out := make(map[int]map[FileID]map[string]int)
 	snap := s.Current()
 	for i := 0; i < snap.N(); i++ {
-		nv := snap.Node(i)
-		files := make(map[string]map[string]int)
-		for _, name := range nv.Names() {
-			f, _ := nv.Get(name)
+		files := make(map[FileID]map[string]int)
+		for _, f := range snap.Node(i).Files() {
 			set := make(map[string]int, f.NumRows())
 			for ri := 0; ri < f.NumRows(); ri++ {
 				set[fmt.Sprint(f.Row(ri))]++
 			}
-			files[name] = set
+			files[storedID(f.Key())] = set
 		}
 		out[i] = files
 	}

@@ -100,8 +100,7 @@ func TestSubjectOnlyStorageIsOneReplica(t *testing.T) {
 	partition.LoadWithPolicy(store, g, partition.SubjectOnly, nil)
 	stored, snap := 0, store.Current()
 	for i := 0; i < snap.N(); i++ {
-		for _, name := range snap.Node(i).Names() {
-			f, _ := snap.Node(i).Get(name)
+		for _, f := range snap.Node(i).Files() {
 			stored += f.NumRows()
 		}
 	}
