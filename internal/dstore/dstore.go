@@ -404,56 +404,50 @@ func (tx *Tx) Commit() *Snapshot {
 	copy(nodes, tx.base.nodes)
 	next := &Snapshot{s: tx.s, version: tx.base.version + 1, nodes: nodes, bytes: tx.base.bytes}
 	// Gather the keys of each slot — a touched file's inserts, then its
-	// deletes — into one array: slot s holds keys[start[s]:start[s+1]].
-	start := make([]int, 2*len(tx.files)+1)
+	// deletes — into one array, counting each slot's keys to its end and
+	// filling it down: slot s holds keys[at[s]:at[s+1]].
+	at := make([]int, 2*len(tx.files)+1)
 	for _, o := range tx.ops {
-		start[o.slot+1]++
-	}
-	for s := range len(start) - 1 {
-		start[s+1] += start[s]
-	}
-	keys, at := make([]uint64, len(tx.ops)), slices.Clone(start)
-	for _, o := range tx.ops {
-		keys[at[o.slot]] = o.k
 		at[o.slot]++
 	}
+	for s := 1; s < len(at); s++ {
+		at[s] += at[s-1]
+	}
+	keys := make([]uint64, len(tx.ops))
+	for _, o := range tx.ops {
+		at[o.slot]--
+		keys[at[o.slot]] = o.k
+	}
 	// Apply in (node, key) order, for reproducible panics.
-	refs := slices.AppendSeq(make([]fileRef, 0, len(tx.files)), maps.Keys(tx.files))
-	slices.SortFunc(refs, func(a, b fileRef) int {
+	refs := slices.SortedFunc(maps.Keys(tx.files), func(a, b fileRef) int {
 		return cmp.Or(cmp.Compare(a.node, b.node), cmp.Compare(a.key, b.key))
 	})
 	for len(refs) > 0 {
-		node, old := refs[0].node, nodes[refs[0].node]
-		files := slices.Clone(old)
+		node := refs[0].node
+		files := slices.Clone(nodes[node])
 		for ; len(refs) > 0 && refs[0].node == node; refs = refs[1:] {
 			k, t := refs[0].key, 2*tx.files[refs[0]]
 			i, found := slices.BinarySearchFunc(files, k, byKey)
-			var of *File
-			if found {
-				of = files[i]
+			if !found {
+				files = slices.Insert(files, i, nil)
 			}
-			nf := merge(of, k, keys[start[t]:start[t+1]], keys[start[t+1]:start[t+2]])
-			next.bytes += nf.bytes() - of.bytes()
-			switch {
-			case nf == nil && found:
+			nf := merge(files[i], k, keys[at[t]:at[t+1]], keys[at[t+1]:at[t+2]])
+			next.bytes += nf.bytes() - files[i].bytes()
+			if nf == nil {
 				files = slices.Delete(files, i, i+1)
-			case nf == nil:
-			case found:
-				files[i] = nf
-			default:
-				files = slices.Insert(files, i, nf)
+				continue
 			}
-			if nf != nil {
-				next.copied += 2 * len(nf.keys)
-			}
+			files[i] = nf
+			next.copied += 2 * len(nf.keys)
 		}
-		next.bytes += tableBytes(files) - tableBytes(old)
+		next.bytes += tableBytes(files) - tableBytes(nodes[node])
 		nodes[node] = files
 	}
 	for i := n; i < wide; i++ {
 		if len(next.nodes[i]) != 0 {
 			panic(fmt.Sprintf("dstore: shrink to %d nodes drops non-empty node %d (%d files)", n, i, len(next.nodes[i])))
 		}
+		next.bytes -= tableBytes(next.nodes[i])
 	}
 	next.nodes = next.nodes[:n:n]
 	tx.s.cur.Store(next)

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"cliquesquare/internal/rdf"
 )
@@ -78,7 +79,8 @@ func checkSorted(t *testing.T, label string, f *File, keys []uint64, rng *rand.R
 // the same transaction, and resizes that grow the cluster or shrink it
 // after draining the dropped nodes — and checks after every commit that
 // each file is in ascending order and equals a fresh load of the keys
-// the reference holds for it.
+// the reference holds for it, and that the snapshot's Bytes is a recount
+// of its files and tables: a shrink takes the dropped nodes' tables off.
 func TestSlabFilePropertyVsReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(20150407))
 	domain := make([]rdf.TermID, 12)
@@ -133,6 +135,9 @@ func TestSlabFilePropertyVsReference(t *testing.T) {
 		if snap.N() != newN {
 			t.Fatalf("round %d: %d nodes, want %d", round, snap.N(), newN)
 		}
+		if got, want := snap.Bytes(), recount(snap); got != want {
+			t.Fatalf("round %d: Bytes() = %d, a recount of the files and tables %d", round, got, want)
+		}
 		for node := 0; node < newN; node++ {
 			for _, file := range files {
 				keys := ref.files[fileRef{node, file}]
@@ -146,4 +151,18 @@ func TestSlabFilePropertyVsReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// recount sums what a snapshot's files and node tables hold, from their
+// capacities, as Bytes counts it.
+func recount(s *Snapshot) int64 {
+	var n int64
+	for i := range s.N() {
+		files := s.Node(i).Files()
+		n += int64(cap(files)) * int64(unsafe.Sizeof(&File{}))
+		for _, f := range files {
+			n += int64(unsafe.Sizeof(File{})) + int64(cap(f.Keys()))*8
+		}
+	}
+	return n
 }
