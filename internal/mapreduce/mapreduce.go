@@ -751,9 +751,8 @@ func (cl *Cluster) RunWith(job Job, opts RunOptions) {
 
 // EncodeKey builds the seed runtime's string shuffle key from a group
 // identifier and attribute values. The execution path keys tuples
-// in binary (Emitter.EmitAll); this encoding is retained as the reference
-// representation — property tests compare the binary path against it,
-// and the baseline simulators use it for distinct-row counting.
+// in binary (Emitter.EmitAll); this encoding is retained only as the
+// reference representation that tests compare the binary path against.
 func EncodeKey(group int, vals []uint32) string {
 	buf := make([]byte, 4+4*len(vals))
 	binary.LittleEndian.PutUint32(buf, uint32(group))

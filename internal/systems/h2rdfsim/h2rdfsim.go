@@ -1,16 +1,16 @@
 // Package h2rdfsim simulates H2RDF+ (Papailiou et al., IEEE BigData
-// 2013), the second baseline of Section 6.4: globally sorted
-// six-permutation indexes (HBase tables in the original), adaptive
+// 2013), the second baseline of Section 6.4: a globally sorted triple
+// index (HBase tables in the original; here an index.Store, whose
+// property runs also fill the cost.Catalog it plans with), adaptive
 // centralized execution for very selective queries (0 MapReduce jobs),
 // and otherwise greedy LEFT-DEEP plans executing one join per MapReduce
-// job — the maximal-height, job-heavy behaviour the paper contrasts
-// with CliqueSquare's flat plans.
+// job (systems.Join) — the maximal-height, job-heavy behaviour the
+// paper contrasts with CliqueSquare's flat plans.
 package h2rdfsim
 
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"cliquesquare/internal/cost"
 	"cliquesquare/internal/index"
@@ -36,16 +36,19 @@ func DefaultConfig() Config {
 	return Config{Nodes: 7, Constants: mapreduce.DefaultConstants(), CentralThreshold: 2000}
 }
 
-// Engine is a loaded H2RDF+ instance.
+// Engine is a loaded H2RDF+ instance: its dictionary, its index and
+// the statistics it plans with, read from the index.
 type Engine struct {
-	cfg   Config
-	graph *rdf.Graph
-	idx   *index.Store
+	cfg  Config
+	dict *rdf.Dict
+	idx  *index.Store
+	cat  *cost.Catalog
 }
 
-// New indexes g globally (six permutations).
+// New indexes g globally (three permutations).
 func New(g *rdf.Graph, cfg Config) *Engine {
-	return &Engine{cfg: cfg, graph: g, idx: index.Build(g.Triples())}
+	idx := index.Build(g.Triples())
+	return &Engine{cfg: cfg, dict: g.Dict, idx: idx, cat: cost.NewCatalog(idx, 0)}
 }
 
 // Name implements systems.System.
@@ -104,12 +107,16 @@ func planOrder(q *sparql.Query, s *cost.Stats) []int {
 	return order
 }
 
+// Stats returns the statistics of q's patterns that Run plans with:
+// a snapshot of the engine's catalog, filled from its index.
+func (e *Engine) Stats(q *sparql.Query) *cost.Stats { return e.cat.Snapshot(e.dict, q) }
+
 // Run implements systems.System.
 func (e *Engine) Run(q *sparql.Query) (*systems.RunResult, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	stats := cost.NewStats(e.graph, q)
+	stats := e.Stats(q)
 	order := planOrder(q, stats)
 	rr := &systems.RunResult{System: e.Name(), Query: q.Name}
 	c := e.cfg.Constants
@@ -129,106 +136,47 @@ func (e *Engine) Run(q *sparql.Query) (*systems.RunResult, error) {
 		for i, pi := range order {
 			pats[i] = q.Patterns[pi]
 		}
-		res := index.EvalBGP(e.idx, e.graph.Dict, pats)
-		rr.Time = float64(res.Touched)*c.Read + float64(len(res.Rows))*c.Join
+		res := index.EvalBGP(e.idx, e.dict, pats)
+		rr.Time = float64(res.Touched)*c.Read + float64(res.Rows.N)*c.Join
 		rr.Work = rr.Time
-		rr.Rows = systems.CountDistinct(systems.Project(res.Vars, res.Rows, q.Select))
+		rr.Rows = systems.Bindings{Vars: res.Vars, Nodes: []mapreduce.Block{res.Rows}}.Distinct(q.Select)
 		return rr, nil
 	}
 
 	// Left-deep execution: one MapReduce job per join. The accumulated
-	// relation is range-partitioned over the nodes for the map phase;
-	// the next pattern is scanned from the global index (each node
-	// scans its share of the index region). A job runs on one lane, so
-	// its sink takes the rows in canonical (node, group) order.
+	// relation and the next pattern's matches, scanned from the global
+	// index, are dealt round-robin over the nodes for the map phase.
 	cl := mapreduce.NewCluster(e.cfg.Nodes, c)
-	accVars, accRows := e.scanPattern(q.Patterns[order[0]])
+	acc := e.scan(q, order[0])
 	for k := 1; k < len(order); k++ {
-		tp := q.Patterns[order[k]]
-		rightVars, rightRows := e.scanPattern(tp)
-		shared := systems.Intersect(accVars, rightVars)
-		if len(shared) == 0 {
-			return nil, fmt.Errorf("h2rdfsim: %s: disconnected join order", q.Name)
-		}
-		accCols := systems.Cols(accVars, shared)
-		rCols := systems.Cols(rightVars, shared)
-		mergedVars, rightExtra := systems.MergeVars(accVars, rightVars)
-		acc := accRows
-		job := mapreduce.ClassicJob(fmt.Sprintf("%s-h2rdf-join%d", q.Name, k),
-			func(node int, m *mapreduce.Meter, emit *mapreduce.Emitter, _ *mapreduce.Block) {
-				left := systems.Relation(acc, node, e.cfg.Nodes)
-				right := systems.Relation(rightRows, node, e.cfg.Nodes)
-				m.Read(left.N + right.N)
-				emit.EmitAll(0, 0, left, accCols)
-				emit.EmitAll(0, 1, right, rCols)
-			},
-			systems.JoinReduce(len(mergedVars), rightExtra))
-		accVars, accRows = mergedVars, nil
-		job.Sink = func(_, _ int, rows mapreduce.Block) { accRows = systems.AppendRows(accRows, rows) }
-		cl.RunWith(job, mapreduce.RunOptions{})
+		left, right := e.deal(acc), e.deal(e.scan(q, order[k]))
+		acc = systems.Join(cl, fmt.Sprintf("%s-h2rdf-join%d", q.Name, k), left, right, func(node int, m *mapreduce.Meter) {
+			m.Read(left.Nodes[node].N + right.Nodes[node].N)
+		})
 	}
 	rr.Jobs = len(cl.Jobs)
 	rr.Time = cl.ResponseTime()
 	rr.Work = cl.TotalWork()
-	rr.Rows = systems.CountDistinct(systems.Project(accVars, accRows, q.Select))
+	rr.Rows = acc.Distinct(q.Select)
 	return rr, nil
 }
 
-// scanPattern materializes one pattern's bindings from the global
-// index (constants bound, variables extracted).
-func (e *Engine) scanPattern(tp sparql.TriplePattern) ([]string, [][]rdf.TermID) {
-	var s, p, o rdf.TermID
-	resolveConst := func(pt sparql.PatternTerm) (rdf.TermID, bool) {
-		if pt.IsVar {
-			return 0, true
-		}
-		id, found := e.graph.Dict.Lookup(pt.Term)
-		return id, found
-	}
-	var ok1, ok2, ok3 bool
-	s, ok1 = resolveConst(tp.S)
-	p, ok2 = resolveConst(tp.P)
-	o, ok3 = resolveConst(tp.O)
-	vars := tp.Vars()
-	sort.Strings(vars)
-	if !ok1 || !ok2 || !ok3 {
-		return vars, nil
-	}
-	matches, _ := e.idx.Lookup(s, p, o)
-	varPos := make([]rdf.Pos, len(vars))
-	for i, v := range vars {
-		for _, pos := range []rdf.Pos{rdf.SPos, rdf.PPos, rdf.OPos} {
-			if pt := tp.At(pos); pt.IsVar && pt.Var == v {
-				varPos[i] = pos
-				break
-			}
-		}
-	}
-	var rows [][]rdf.TermID
-	for _, t := range matches {
-		if !repeatOK(tp, t) {
-			continue
-		}
-		row := make([]rdf.TermID, len(vars))
-		for i, pos := range varPos {
-			row[i] = t.At(pos)
-		}
-		rows = append(rows, row)
-	}
-	return vars, rows
+// scan returns the matches of q's pattern i in the global index.
+func (e *Engine) scan(q *sparql.Query, i int) systems.Bindings {
+	res := index.EvalBGP(e.idx, e.dict, q.Patterns[i:i+1])
+	return systems.Bindings{Vars: res.Vars, Nodes: []mapreduce.Block{res.Rows}}
 }
 
-func repeatOK(tp sparql.TriplePattern, t rdf.Triple) bool {
-	seen := map[string]rdf.TermID{}
-	for _, pos := range []rdf.Pos{rdf.SPos, rdf.PPos, rdf.OPos} {
-		pt := tp.At(pos)
-		if !pt.IsVar {
-			continue
+// deal spreads r's rows, taken in node order, round-robin over the
+// nodes: the i-th row to node i mod n.
+func (e *Engine) deal(r systems.Bindings) systems.Bindings {
+	out := systems.Bindings{Vars: r.Vars, Nodes: make([]mapreduce.Block, e.cfg.Nodes)}
+	i := 0
+	for _, b := range r.Nodes {
+		for k := 0; k < b.N; k++ {
+			out.Nodes[i%e.cfg.Nodes].Append(b.Row(k))
+			i++
 		}
-		if v, ok := seen[pt.Var]; ok && v != t.At(pos) {
-			return false
-		}
-		seen[pt.Var] = t.At(pos)
 	}
-	return true
+	return out
 }

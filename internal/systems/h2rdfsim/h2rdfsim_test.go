@@ -79,6 +79,9 @@ func TestCentralizedThresholdSwitch(t *testing.T) {
 	}
 }
 
+// TestScanPatternConstantsAndRepeats holds a pattern's scan — a
+// one-pattern EvalBGP over the global index — to its constants and to a
+// variable it repeats.
 func TestScanPatternConstantsAndRepeats(t *testing.T) {
 	g := rdf.NewGraph()
 	g.AddSPO("a", "p", "a")
@@ -87,16 +90,16 @@ func TestScanPatternConstantsAndRepeats(t *testing.T) {
 	q := &sparql.Query{Select: []string{"x"}, Patterns: []sparql.TriplePattern{{
 		S: sparql.Variable("x"), P: sparql.Constant(rdf.NewIRI("p")), O: sparql.Variable("x"),
 	}}}
-	vars, rows := e.scanPattern(q.Patterns[0])
-	if len(vars) != 1 || vars[0] != "x" {
-		t.Errorf("vars = %v", vars)
+	r := e.scan(q, 0)
+	if len(r.Vars) != 1 || r.Vars[0] != "x" {
+		t.Errorf("vars = %v", r.Vars)
 	}
-	if len(rows) != 1 {
-		t.Errorf("repeated-variable scan returned %d rows, want 1", len(rows))
+	if r.Nodes[0].N != 1 {
+		t.Errorf("repeated-variable scan returned %d rows, want 1", r.Nodes[0].N)
 	}
 	// Unknown constant: empty scan.
 	q2 := sparql.MustParse(`SELECT ?x WHERE { ?x <nosuch> ?y }`)
-	if _, rows := e.scanPattern(q2.Patterns[0]); len(rows) != 0 {
-		t.Errorf("unknown property scan returned %d rows", len(rows))
+	if r := e.scan(q2, 0); r.Nodes[0].N != 0 {
+		t.Errorf("unknown property scan returned %d rows", r.Nodes[0].N)
 	}
 }

@@ -3,16 +3,19 @@
 // in Section 6.4. Triples are hash-partitioned by subject and each node
 // additionally replicates the triples reachable within two forward
 // (subject→object) hops of its core subjects; each node evaluates
-// queries locally with RDF-3X-style indexes. Queries whose patterns all
-// sit within the hop radius of one anchor are PWOC — evaluated purely
-// locally with no MapReduce job (SHAPE's strength on selective
-// queries). Other queries are split into PWOC subqueries joined with
-// one MapReduce job per binary join, following a single heuristic plan
-// with no cost model (SHAPE's weakness the paper exploits).
+// queries locally with RDF-3X-style indexes (an index.Store per node,
+// read by index.EvalBGP). Queries whose patterns all sit within the hop
+// radius of one anchor are PWOC — evaluated purely locally with no
+// MapReduce job (SHAPE's strength on selective queries). Other queries
+// are split into PWOC subqueries, each node's matches a block of the
+// subquery's systems.Bindings, joined with one MapReduce job per binary
+// join (systems.Join), following a single heuristic plan with no cost
+// model (SHAPE's weakness the paper exploits).
 package shapesim
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"cliquesquare/internal/index"
@@ -184,11 +187,10 @@ func (e *Engine) Decompose(q *sparql.Query) (groups [][]int, anchors []string) {
 	return groups, anchors
 }
 
-// subResult is one subquery's distributed evaluation: rows per node
+// subResult is one subquery's distributed evaluation: each node's rows
 // (anchored at that node's core subjects) plus per-node index work.
 type subResult struct {
-	vars    []string
-	perNode [][][]rdf.TermID
+	systems.Bindings
 	touched []int
 }
 
@@ -201,7 +203,7 @@ func (e *Engine) evalSubquery(q *sparql.Query, group []int, anchor string) *subR
 		pats[i] = q.Patterns[pi]
 	}
 	n := e.cfg.Nodes
-	out := &subResult{perNode: make([][][]rdf.TermID, n), touched: make([]int, n)}
+	out := &subResult{Bindings: systems.Bindings{Nodes: make([]mapreduce.Block, n)}, touched: make([]int, n)}
 	anchorVar := ""
 	anchorConst := rdf.NoTerm
 	if len(anchor) > 2 && anchor[0] == 'v' {
@@ -218,26 +220,16 @@ func (e *Engine) evalSubquery(q *sparql.Query, group []int, anchor string) *subR
 	}
 	for node := 0; node < n; node++ {
 		res := index.EvalBGP(e.local[node], e.dict, pats)
-		out.touched[node] = res.Touched
-		if out.vars == nil {
-			out.vars = res.Vars
-		}
-		col := -1
-		if anchorVar != "" {
-			col = res.Col(anchorVar)
-		}
-		for _, row := range res.Rows {
-			switch {
-			case col >= 0:
-				if partition.NodeFor(row[col], n) != node {
-					continue
-				}
-			case anchorConst != rdf.NoTerm:
-				if partition.NodeFor(anchorConst, n) != node {
-					continue
+		out.Vars, out.touched[node] = res.Vars, res.Touched
+		switch col := slices.Index(res.Vars, anchorVar); {
+		case anchorVar != "":
+			for i := 0; i < res.Rows.N; i++ {
+				if row := res.Rows.Row(i); partition.NodeFor(row[col], n) == node {
+					out.Nodes[node].Append(row)
 				}
 			}
-			out.perNode[node] = append(out.perNode[node], row)
+		case anchorConst == rdf.NoTerm || partition.NodeFor(anchorConst, n) == node:
+			out.Nodes[node] = res.Rows
 		}
 	}
 	return out
@@ -258,64 +250,41 @@ func (e *Engine) Run(q *sparql.Query) (*systems.RunResult, error) {
 
 	if len(groups) == 1 {
 		// PWOC: purely local evaluation, no MapReduce job at all.
-		maxT := 0.0
-		rows := 0
-		for node := 0; node < e.cfg.Nodes; node++ {
-			t := float64(subs[0].touched[node])*c.Read + float64(len(subs[0].perNode[node]))*c.Join
-			if t > maxT {
-				maxT = t
-			}
+		for node, rows := range subs[0].Nodes {
+			t := float64(subs[0].touched[node])*c.Read + float64(rows.N)*c.Join
+			rr.Time = max(rr.Time, t)
 			rr.Work += t
-			rows += len(subs[0].perNode[node])
 		}
-		rr.Time = maxT
-		rr.Rows = systems.CountDistinct(systems.Project(subs[0].vars, flatten(subs[0].perNode), q.Select))
+		rr.Rows = subs[0].Distinct(q.Select)
 		return rr, nil
 	}
 
 	// Non-PWOC: join the subqueries sequentially, one MapReduce job per
-	// binary join (SHAPE's fixed heuristic plan). A job runs on one lane,
-	// so its sink takes each node's rows in canonical (group) order.
+	// binary join (SHAPE's fixed heuristic plan). The first job's map
+	// reads the first subquery's index entries, a later one the
+	// relation the job before wrote.
 	order, err := connectedOrder(subs)
 	if err != nil {
 		return nil, fmt.Errorf("shapesim: %s: %w", q.Name, err)
 	}
 	cl := mapreduce.NewCluster(e.cfg.Nodes, c)
-	accVars := subs[order[0]].vars
-	accRows := subs[order[0]].perNode
-	accEvalCharged := false
+	acc := subs[order[0]].Bindings
 	for k := 1; k < len(order); k++ {
-		s := subs[order[k]]
-		shared := systems.Intersect(accVars, s.vars)
-		accCols := systems.Cols(accVars, shared)
-		sCols := systems.Cols(s.vars, shared)
-		mergedVars, rightExtra := systems.MergeVars(accVars, s.vars)
-		job := mapreduce.ClassicJob(fmt.Sprintf("%s-shape-join%d", q.Name, k),
-			func(node int, m *mapreduce.Meter, emit *mapreduce.Emitter, _ *mapreduce.Block) {
-				if !accEvalCharged {
-					m.Read(subs[order[0]].touched[node])
-				} else {
-					m.Read(len(accRows[node]))
-					m.Write(len(accRows[node]))
-				}
-				m.Read(s.touched[node])
-				emit.EmitAll(0, 0, systems.Relation(accRows[node], 0, 1), accCols)
-				emit.EmitAll(0, 1, systems.Relation(s.perNode[node], 0, 1), sCols)
-			},
-			systems.JoinReduce(len(mergedVars), rightExtra))
-		nextRows := make([][][]rdf.TermID, e.cfg.Nodes)
-		job.Sink = func(node, _ int, rows mapreduce.Block) { nextRows[node] = systems.AppendRows(nextRows[node], rows) }
-		cl.RunWith(job, mapreduce.RunOptions{})
-		accEvalCharged = true
-		accRows = nextRows
-		accVars = mergedVars
+		s, prev := subs[order[k]], acc
+		acc = systems.Join(cl, fmt.Sprintf("%s-shape-join%d", q.Name, k), prev, s.Bindings, func(node int, m *mapreduce.Meter) {
+			if k == 1 {
+				m.Read(subs[order[0]].touched[node])
+			} else {
+				m.Read(prev.Nodes[node].N)
+				m.Write(prev.Nodes[node].N)
+			}
+			m.Read(s.touched[node])
+		})
 	}
 	rr.Jobs = len(cl.Jobs)
 	rr.Time = cl.ResponseTime()
 	rr.Work = cl.TotalWork()
-	// Charge the initial subquery evaluations' wall time (part of the
-	// first job's map phase, already included via meters above).
-	rr.Rows = systems.CountDistinct(systems.Project(accVars, flatten(accRows), q.Select))
+	rr.Rows = acc.Distinct(q.Select)
 	return rr, nil
 }
 
@@ -326,7 +295,7 @@ func connectedOrder(subs []*subResult) ([]int, error) {
 	order := []int{0}
 	used := map[int]bool{0: true}
 	seen := map[string]bool{}
-	for _, v := range subs[0].vars {
+	for _, v := range subs[0].Vars {
 		seen[v] = true
 	}
 	for len(order) < n {
@@ -335,7 +304,7 @@ func connectedOrder(subs []*subResult) ([]int, error) {
 			if used[i] {
 				continue
 			}
-			for _, v := range subs[i].vars {
+			for _, v := range subs[i].Vars {
 				if seen[v] {
 					found = i
 					break
@@ -350,17 +319,9 @@ func connectedOrder(subs []*subResult) ([]int, error) {
 		}
 		used[found] = true
 		order = append(order, found)
-		for _, v := range subs[found].vars {
+		for _, v := range subs[found].Vars {
 			seen[v] = true
 		}
 	}
 	return order, nil
-}
-
-func flatten(perNode [][][]rdf.TermID) [][]rdf.TermID {
-	var out [][]rdf.TermID
-	for _, rows := range perNode {
-		out = append(out, rows...)
-	}
-	return out
 }

@@ -4,15 +4,18 @@
 // H2RDF+ simulator (HBase indexes with left-deep plans, Papailiou et
 // al. IEEE BigData 2013). All three run over the same simulated
 // cluster-cost regime, so their response times are comparable.
+//
+// The two baselines carry variable bindings as the engine does, in
+// flat mapreduce.Blocks: a Bindings is a relation's variables and one
+// block per node. Join is their one binary-join job, and
+// Bindings.Distinct counts a relation's distinct answers.
 package systems
 
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"cliquesquare/internal/mapreduce"
-	"cliquesquare/internal/rdf"
 	"cliquesquare/internal/sparql"
 )
 
@@ -51,133 +54,108 @@ type System interface {
 	Run(q *sparql.Query) (*RunResult, error)
 }
 
-// The two baselines join relations of variable bindings — a variable
-// list naming the columns, and rows of term ids — one binary join per
-// MapReduce job. What follows is what both do with them.
-
-// Intersect returns the variables a and b share, sorted.
-func Intersect(a, b []string) []string {
-	in := make(map[string]bool, len(a))
-	for _, v := range a {
-		in[v] = true
-	}
-	var out []string
-	for _, v := range b {
-		if in[v] {
-			out = append(out, v)
-		}
-	}
-	sort.Strings(out)
-	return out
+// Bindings is a relation of variable bindings spread over the nodes of
+// a cluster: the variables naming its columns and each node's rows.
+// The two baselines join such relations, one binary join per MapReduce
+// job.
+type Bindings struct {
+	Vars  []string
+	Nodes []mapreduce.Block
 }
 
-// Cols returns the column of each wanted variable in vars, or -1 for a
-// variable vars lacks, so that reading it fails instead of reading
-// another column.
-func Cols(vars, want []string) []int {
-	out := make([]int, len(want))
-	for i, w := range want {
-		out[i] = -1
-		for j, v := range vars {
-			if v == w {
-				out[i] = j
-			}
+// Join runs one MapReduce job on cl that joins a with b on the
+// variables they share. Node i's map charges its meter with read, then
+// emits a's and b's rows of node i keyed on the shared variables; each
+// reducer pairs the rows of each of its groups, a's tagged 0 and b's 1,
+// charging the pairs as joined and written. The result is over a's
+// variables and b's others, each node's rows those its reducers wrote.
+// A job runs on one lane, so its sink takes each node's rows in
+// canonical (group) order.
+func Join(cl *mapreduce.Cluster, name string, a, b Bindings, read func(node int, m *mapreduce.Meter)) Bindings {
+	var shared []string
+	for _, v := range b.Vars {
+		if slices.Contains(a.Vars, v) {
+			shared = append(shared, v)
 		}
 	}
-	return out
-}
-
-// MergeVars appends b's variables not already in a; rightExtra are the
-// b-columns to copy.
-func MergeVars(a, b []string) (merged []string, rightExtra []int) {
-	merged = append(merged, a...)
-	in := make(map[string]bool, len(a))
-	for _, v := range a {
-		in[v] = true
-	}
-	for j, v := range b {
-		if !in[v] {
-			merged = append(merged, v)
-			rightExtra = append(rightExtra, j)
+	slices.Sort(shared)
+	aCols, bCols := cols(a.Vars, shared), cols(b.Vars, shared)
+	out := Bindings{Vars: slices.Clip(a.Vars), Nodes: make([]mapreduce.Block, len(a.Nodes))}
+	var extra []int // the columns of b that the result adds
+	for j, v := range b.Vars {
+		if !slices.Contains(a.Vars, v) {
+			out.Vars, extra = append(out.Vars, v), append(extra, j)
 		}
 	}
-	return merged, rightExtra
-}
-
-// JoinReduce is the reducer of a binary join whose map side tagged the
-// left relation's rows 0 and the right's 1 under the join key: per
-// group, every left row extended by the rightExtra columns of every
-// right row, width columns in all.
-func JoinReduce(width int, rightExtra []int) func(node int, m *mapreduce.Meter, g mapreduce.Group, out *mapreduce.Block) {
-	return func(node int, m *mapreduce.Meter, g mapreduce.Group, out *mapreduce.Block) {
-		var left, right []mapreduce.Row
-		g.Records(func(tag int, row mapreduce.Row) {
-			if tag == 0 {
-				left = append(left, row)
-			} else {
-				right = append(right, row)
+	job := mapreduce.ClassicJob(name,
+		func(node int, m *mapreduce.Meter, emit *mapreduce.Emitter, _ *mapreduce.Block) {
+			read(node, m)
+			emit.EmitAll(0, 0, a.Nodes[node], aCols)
+			emit.EmitAll(0, 1, b.Nodes[node], bCols)
+		},
+		func(_ int, m *mapreduce.Meter, g mapreduce.Group, dst *mapreduce.Block) {
+			var left, right []mapreduce.Row
+			g.Records(func(tag int, row mapreduce.Row) {
+				if tag == 0 {
+					left = append(left, row)
+				} else {
+					right = append(right, row)
+				}
+			})
+			pairs := len(left) * len(right)
+			m.Join(len(left) + len(right) + pairs)
+			m.Write(pairs)
+			for _, l := range left {
+				for _, r := range right {
+					nr := dst.Extend(1, len(out.Vars))
+					copy(nr, l)
+					for k, c := range extra {
+						nr[len(l)+k] = r[c]
+					}
+				}
 			}
 		})
-		pairs := len(left) * len(right)
-		m.Join(len(left) + len(right) + pairs)
-		m.Write(pairs)
-		nr := make(mapreduce.Row, 0, width)
-		for _, l := range left {
-			for _, r := range right {
-				nr = append(nr[:0], l...)
-				for _, rc := range rightExtra {
-					nr = append(nr, r[rc])
-				}
-				out.Append(nr)
-			}
-		}
-	}
-}
-
-// Relation returns rows as one flat block, for Emitter.EmitAll: every
-// step-th row from the first (step 1: all of them).
-func Relation(rows [][]rdf.TermID, first, step int) mapreduce.Block {
-	b := mapreduce.NewBlock(nil)
-	for i := first; i < len(rows); i += step {
-		b.Append(rows[i])
-	}
-	return b
-}
-
-// AppendRows appends rows, which a job's sink is handed only for the
-// call, to dst as copies.
-func AppendRows(dst [][]rdf.TermID, rows mapreduce.Block) [][]rdf.TermID {
-	cells, w := slices.Clone(rows.Cells), rows.Width
-	for i := 0; i < rows.N; i++ {
-		dst = append(dst, cells[i*w:(i+1)*w:(i+1)*w])
-	}
-	return dst
-}
-
-// Project keeps, of every row over vars, the columns of the selected
-// variables, in selection order.
-func Project(vars []string, rows [][]rdf.TermID, sel []string) [][]rdf.TermID {
-	cs := Cols(vars, sel)
-	out := make([][]rdf.TermID, 0, len(rows))
-	for _, r := range rows {
-		nr := make([]rdf.TermID, len(cs))
-		for i, c := range cs {
-			nr[i] = r[c]
-		}
-		out = append(out, nr)
-	}
+	job.Sink = func(node, _ int, rows mapreduce.Block) { out.Nodes[node].AppendBlock(rows) }
+	cl.RunWith(job, mapreduce.RunOptions{})
 	return out
 }
 
-// CountDistinct counts the distinct rows.
-func CountDistinct(rows [][]rdf.TermID) int {
-	seen := make(map[string]bool, len(rows))
-	for _, r := range rows {
-		vals := make([]uint32, len(r))
-		for i, v := range r {
-			vals[i] = uint32(v)
+// Distinct returns the number of distinct rows of r projected on sel:
+// it projects every node's rows into one block, sorts it and counts the
+// rows that differ from the one before.
+func (r Bindings) Distinct(sel []string) int {
+	cs := cols(r.Vars, sel)
+	var p mapreduce.Block
+	for _, b := range r.Nodes {
+		for i := 0; i < b.N; i++ {
+			row, nr := b.Row(i), p.Extend(1, len(cs))
+			for k, c := range cs {
+				nr[k] = row[c]
+			}
 		}
-		seen[mapreduce.EncodeKey(0, vals)] = true
 	}
-	return len(seen)
+	if p.Width == 0 {
+		return min(p.N, 1)
+	}
+	w := p.Width
+	mapreduce.SortRows(p.Cells, p.N, w, func(i int) uint32 { return uint32(p.Cells[i*w]) },
+		func(i, j int) int { return slices.Compare(p.Row(i), p.Row(j)) }, nil)
+	n := 1
+	for i := 1; i < p.N; i++ {
+		if !slices.Equal(p.Row(i-1), p.Row(i)) {
+			n++
+		}
+	}
+	return n
+}
+
+// cols returns the column of each wanted variable in vars, or -1 for a
+// variable vars lacks, so that reading it fails instead of reading
+// another column.
+func cols(vars, want []string) []int {
+	out := make([]int, len(want))
+	for i, w := range want {
+		out[i] = slices.Index(vars, w)
+	}
+	return out
 }

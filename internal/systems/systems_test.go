@@ -3,6 +3,7 @@ package systems_test
 import (
 	"testing"
 
+	"cliquesquare/internal/cost"
 	"cliquesquare/internal/lubm"
 	"cliquesquare/internal/mapreduce"
 	"cliquesquare/internal/sparql"
@@ -200,6 +201,19 @@ func TestInvalidQueryRejected(t *testing.T) {
 	for _, sys := range []systems.System{c, s, h} {
 		if _, err := sys.Run(bad); err == nil {
 			t.Errorf("%s accepted an invalid query", sys.Name())
+		}
+	}
+}
+
+// TestH2RDFStatsMatchGraph holds the statistics H2RDF+ plans with, read
+// from its index through a cost.Catalog, to those cost.NewStats reads
+// from the graph, for every LUBM query.
+func TestH2RDFStatsMatchGraph(t *testing.T) {
+	g := lubm.Generate(lubm.DefaultConfig(3))
+	h := h2rdfsim.New(g, h2rdfsim.DefaultConfig())
+	for _, q := range lubm.Queries() {
+		if !h.Stats(q).Equal(cost.NewStats(g, q)) {
+			t.Errorf("%s: statistics from the index differ from the graph's", q.Name)
 		}
 	}
 }
